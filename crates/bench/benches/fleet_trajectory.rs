@@ -19,7 +19,7 @@ use ft_fl::{
 };
 use ft_nn::{sparse_layout, take_snapshot, wire_ctx};
 use ft_runtime::Runtime;
-use ft_sparse::{Codec, Mask, Payload, PayloadView};
+use ft_sparse::{Codec, Mask, PayloadView};
 use std::time::Instant;
 
 /// Every byte this process allocates is counted, so the collect-dataplane
@@ -84,7 +84,7 @@ fn run_once(scheduler: Scheduler, threads: usize) -> (f64, f64, f64) {
     (wall_ns, realized, ledger.sim_makespan_secs())
 }
 
-/// Rounds the collect-alloc loops run for one measurement.
+/// Rounds the collect-alloc loop runs for one measurement.
 fn alloc_rounds() -> usize {
     if ft_bench::quick_mode() {
         16
@@ -94,19 +94,11 @@ fn alloc_rounds() -> usize {
 }
 
 /// Measures allocator traffic per round of the Collect → Aggregate hot
-/// path, two ways, and records both:
-///
-/// - `collect_alloc_steady` — the event-driven dataplane: wire bytes land
-///   in a recycled per-device frame pool, [`PayloadView`] decodes straight
-///   out of the receive buffer, and the sharded [`AggScratch`] is reused
-///   round over round. After the warmup round builds the pools, a round
-///   must allocate **zero** bytes.
-/// - `collect_alloc_naive` — the pre-dataplane shape: a fresh buffer per
-///   frame (what `read_frame` did), an owned [`Payload::from_bytes`]
-///   decode, and the allocating [`Aggregator::aggregate`].
-///
-/// The two paths are also asserted bit-identical, so the alloc-free loop
-/// is pinned to compute exactly what the naive one does.
+/// path and records it as `collect_alloc_steady`: wire bytes land in a
+/// recycled per-device frame pool, [`PayloadView`] decodes straight out of
+/// the receive buffer, and the sharded [`AggScratch`] is reused round over
+/// round. After the warmup round builds the pools, a round must allocate
+/// **zero** bytes.
 fn measure_collect_alloc(report: &mut BenchReport) {
     let env = build_env(Scheduler::Synchronous, 1);
     let model = env.build_model(&ModelSpec::SmallCnn { width: 4, input: 8 });
@@ -135,82 +127,42 @@ fn measure_collect_alloc(report: &mut BenchReport) {
     let agg = Aggregator::FedAvg;
     let rt = Runtime::sequential();
 
-    // Steady path: pooled receive + zero-copy decode + recycled scratch.
+    // Pooled receive + zero-copy decode + recycled scratch.
     let mut scratch = AggScratch::new();
     let mut recv: Vec<Vec<u8>> = (0..DEVICES).map(|_| Vec::new()).collect();
-    let mut steady_params: Vec<f32> = Vec::new();
-    let steady_round =
-        |scratch: &mut AggScratch, recv: &mut Vec<Vec<u8>>, out: Option<&mut Vec<f32>>| {
-            for (slot, bytes) in recv.iter_mut().zip(&wire) {
-                slot.clear();
-                slot.extend_from_slice(bytes);
-            }
-            let views: [PayloadView<'_>; DEVICES] = std::array::from_fn(|i| {
-                PayloadView::parse(&recv[i], &ctx).expect("pooled frame parses")
-            });
-            let pairs: [(&PayloadView<'_>, f64); DEVICES] =
-                std::array::from_fn(|i| (&views[i], weights[i]));
-            let got = agg.aggregate_into(&pairs, &anchor, &ctx, &rt, scratch);
-            let params = got.params.expect("cohort is non-degenerate");
-            if let Some(out) = out {
-                out.extend_from_slice(params);
-            }
-            std::hint::black_box(params[0]);
-        };
-    steady_round(&mut scratch, &mut recv, Some(&mut steady_params)); // warmup builds the pools
+    let mut steady_round = || {
+        for (slot, bytes) in recv.iter_mut().zip(&wire) {
+            slot.clear();
+            slot.extend_from_slice(bytes);
+        }
+        let views: [PayloadView<'_>; DEVICES] = std::array::from_fn(|i| {
+            PayloadView::parse(&recv[i], &ctx).expect("pooled frame parses")
+        });
+        let pairs: [(&PayloadView<'_>, f64); DEVICES] =
+            std::array::from_fn(|i| (&views[i], weights[i]));
+        let got = agg.aggregate_into(&pairs, &anchor, &ctx, &rt, &mut scratch);
+        let params = got.params.expect("cohort is non-degenerate");
+        std::hint::black_box(params[0]);
+    };
+    steady_round(); // warmup builds the pools
     let rounds = alloc_rounds();
     let before = ft_bench::allocated_bytes();
     let t = Instant::now();
     for _ in 0..rounds {
-        steady_round(&mut scratch, &mut recv, None);
+        steady_round();
     }
     let steady_ns = t.elapsed().as_nanos() as f64 / rounds as f64;
     let steady_bytes = (ft_bench::allocated_bytes() - before) as f64 / rounds as f64;
 
-    // Naive path: fresh buffers, owned decode, allocating aggregate.
-    let mut naive_params: Vec<f32> = Vec::new();
-    let naive_round = |out: Option<&mut Vec<f32>>| {
-        let bufs: Vec<Vec<u8>> = wire.iter().map(|w| w.to_vec()).collect();
-        let payloads: Vec<Payload> = bufs
-            .iter()
-            .map(|b| Payload::from_bytes(b, &ctx).expect("wire frame decodes"))
-            .collect();
-        let pairs: Vec<(&Payload, f64)> = payloads.iter().zip(weights).collect();
-        let got = agg.aggregate(&pairs, &anchor, &ctx);
-        let params = got.params.expect("cohort is non-degenerate");
-        if let Some(out) = out {
-            out.extend_from_slice(&params);
-        }
-        std::hint::black_box(params[0]);
-    };
-    naive_round(Some(&mut naive_params)); // warmup, for symmetry
-    let before = ft_bench::allocated_bytes();
-    let t = Instant::now();
-    for _ in 0..rounds {
-        naive_round(None);
-    }
-    let naive_ns = t.elapsed().as_nanos() as f64 / rounds as f64;
-    let naive_bytes = (ft_bench::allocated_bytes() - before) as f64 / rounds as f64;
-
-    // The alloc-free path must be the same computation, bit for bit.
-    assert_eq!(steady_params.len(), naive_params.len());
-    for (i, (s, n)) in steady_params.iter().zip(&naive_params).enumerate() {
-        assert_eq!(
-            s.to_bits(),
-            n.to_bits(),
-            "steady vs naive params diverged at coordinate {i}"
-        );
-    }
-
     let shape = format!("K{DEVICES}");
     report.push_alloc("collect_alloc_steady", &shape, 1, steady_ns, steady_bytes);
-    report.push_alloc("collect_alloc_naive", &shape, 1, naive_ns, naive_bytes);
-    for (op, ns, bytes) in [
-        ("collect_alloc_steady", steady_ns, steady_bytes),
-        ("collect_alloc_naive", naive_ns, naive_bytes),
-    ] {
-        println!("{:<20} {:>8} {:>14.3} {:>20.1}", op, 1, ns / 1e6, bytes);
-    }
+    println!(
+        "{:<20} {:>8} {:>14.3} {:>20.1}",
+        "collect_alloc_steady",
+        1,
+        steady_ns / 1e6,
+        steady_bytes
+    );
 }
 
 fn main() {

@@ -18,9 +18,8 @@
 //!
 //! A third family gates the Collect dataplane's allocation budget from
 //! `BENCH_fleet.json`: the `collect_alloc_steady` record (pooled frames +
-//! zero-copy decode + recycled aggregation scratch) must allocate **zero**
-//! bytes per round, or at worst 10% of the `collect_alloc_naive` record
-//! measured in the same run. Both records missing or unmeasured is a hard
+//! zero-copy decode + recycled aggregation scratch) must allocate exactly
+//! **zero** bytes per round. A missing or unmeasured record is a hard
 //! failure — the alloc-free claim may not silently rot out of the report.
 //!
 //! A fourth family gates the batched training engine from
@@ -260,33 +259,28 @@ fn main() -> ExitCode {
             failed = true;
         }
         Ok(fleet) => {
-            let rec = |op: &str| fleet.records.iter().find(|r| r.op == op);
-            match (rec("collect_alloc_steady"), rec("collect_alloc_naive")) {
-                (Some(steady), Some(naive))
-                    if steady.alloc_bytes_per_round >= 0.0
-                        && naive.alloc_bytes_per_round >= 0.0 =>
-                {
+            let steady = fleet
+                .records
+                .iter()
+                .find(|r| r.op == "collect_alloc_steady");
+            match steady {
+                Some(steady) if steady.alloc_bytes_per_round >= 0.0 => {
                     evaluated += 1;
-                    let budget = 0.1 * naive.alloc_bytes_per_round;
-                    let ok = steady.alloc_bytes_per_round == 0.0
-                        || steady.alloc_bytes_per_round <= budget;
-                    let verdict = if ok {
+                    let verdict = if steady.alloc_bytes_per_round == 0.0 {
                         "ok"
                     } else {
                         failed = true;
                         "FAIL"
                     };
                     println!(
-                        "  {verdict:>4} collect_alloc: steady {:.1} B/round vs naive {:.1} \
-                         (need 0 or <= {budget:.1})",
-                        steady.alloc_bytes_per_round, naive.alloc_bytes_per_round
+                        "  {verdict:>4} collect_alloc: steady {:.1} B/round (need 0)",
+                        steady.alloc_bytes_per_round
                     );
                 }
-                (steady, naive) => {
-                    let missing = match (steady, naive) {
-                        (None, _) => "collect_alloc_steady record missing",
-                        (_, None) => "collect_alloc_naive record missing",
-                        _ => "alloc_bytes_per_round not measured",
+                steady => {
+                    let missing = match steady {
+                        None => "collect_alloc_steady record missing",
+                        Some(_) => "alloc_bytes_per_round not measured",
                     };
                     eprintln!(
                         "  FAIL collect_alloc: {missing} from {fleet_path} — \

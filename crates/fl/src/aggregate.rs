@@ -1,6 +1,21 @@
-//! Server-side aggregation: FedAvg over flat parameters and BN statistics,
-//! plus the payload-native variants that decode-and-accumulate encoded
-//! update deltas without ever materializing a per-device dense vector.
+//! Server-side aggregation: one engine, [`Aggregator::aggregate_into`],
+//! turns a cohort's encoded update deltas into the next global model —
+//! `anchor + Σ wₖ·decode(Δₖ)` for the weighted rules, a per-coordinate
+//! order statistic for the rank-based ones — plus the Eq. 4 average of the
+//! BatchNorm statistics ([`aggregate_bn_stats`]).
+//!
+//! The engine runs in four steps: **screen** (weighted rules drop weights
+//! that are not finite and positive, then normalize), **shard plan** (the
+//! output coordinates are split into disjoint ranges, cached per mask
+//! epoch), **accumulate / rank** (each shard folds the cohort in cohort
+//! order, so any shard count is bit-identical to one pass), **anchor add**.
+//! Sparse payloads are accumulated straight out of their wire form; only
+//! the robust rules decode to dense deltas, into recycled buffers.
+//!
+//! Both scheduler loops call it the same way. Staleness is not a second
+//! API: the buffered loop passes effective weights `samples ·`
+//! [`staleness_weight`]`(s)` (the FedBuff discount) where the barrier loop
+//! passes `samples`.
 //!
 //! The [`Aggregator`] enum layers the robust rules of the trimmed-mean /
 //! median family (Yin et al., ICML'18) and norm-bounded clipping on top of
@@ -13,246 +28,11 @@ use ft_runtime::Runtime;
 use ft_sparse::{Payload, PayloadView, ShardPlan, WireCtx};
 use serde::{Deserialize, Serialize};
 
-/// Weighted average of flat parameter vectors (FedAvg).
-///
-/// Weights are normalized internally, so callers may pass raw dataset sizes.
-///
-/// # Panics
-///
-/// Panics if `updates` is empty, lengths differ, or the weight sum is zero.
-pub fn fedavg(updates: &[(Vec<f32>, f64)]) -> Vec<f32> {
-    assert!(!updates.is_empty(), "fedavg needs at least one update");
-    let total_w: f64 = updates.iter().map(|(_, w)| *w).sum();
-    assert!(total_w > 0.0, "fedavg weights sum to zero");
-    try_fedavg(updates).expect("nonempty updates with positive weight")
-}
-
-/// [`fedavg`] without the degenerate-cohort panics: returns `None` when
-/// `updates` is empty or the weight sum is not strictly positive (all-zero
-/// weights, a fully dropped cohort). This is the division-hazard-free
-/// primitive the schedulers build on — a `None` means "keep the previous
-/// global" rather than silently producing NaN-filled parameters.
-///
-/// # Panics
-///
-/// Still panics on ragged parameter lengths — that is a caller bug, not a
-/// degenerate-but-possible fleet state.
-pub fn try_fedavg(updates: &[(Vec<f32>, f64)]) -> Option<Vec<f32>> {
-    let total_w: f64 = updates.iter().map(|(_, w)| *w).sum();
-    if updates.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return None;
-    }
-    let n = updates[0].0.len();
-    let mut out = vec![0.0f64; n];
-    for (params, w) in updates {
-        assert_eq!(params.len(), n, "fedavg parameter length mismatch");
-        let wn = *w / total_w;
-        for (o, &p) in out.iter_mut().zip(params.iter()) {
-            *o += wn * p as f64;
-        }
-    }
-    Some(out.into_iter().map(|v| v as f32).collect())
-}
-
-/// Weighted average that degrades gracefully: an empty or zero-weight
-/// cohort returns a copy of `previous` (the current global) instead of
-/// panicking or emitting NaNs.
-///
-/// # Panics
-///
-/// Panics if an update's length differs from `previous`.
-///
-/// # Examples
-///
-/// ```
-/// use ft_fl::fedavg_or_previous;
-///
-/// let global = vec![1.0, 2.0];
-/// // Empty surviving cohort: the round makes no progress.
-/// assert_eq!(fedavg_or_previous(&[], &global), global);
-/// // All-zero weights are equally degenerate.
-/// let degenerate = vec![(vec![9.0, 9.0], 0.0)];
-/// assert_eq!(fedavg_or_previous(&degenerate, &global), global);
-/// ```
-pub fn fedavg_or_previous(updates: &[(Vec<f32>, f64)], previous: &[f32]) -> Vec<f32> {
-    for (params, _) in updates {
-        assert_eq!(
-            params.len(),
-            previous.len(),
-            "update length differs from the global model"
-        );
-    }
-    try_fedavg(updates).unwrap_or_else(|| previous.to_vec())
-}
-
-/// Weighted-average FedAvg over *encoded update deltas*: each payload is an
-/// encoded `θ_k − anchor`, and the new global is
-/// `anchor + Σ_k (w_k / Σw) · decode(payload_k)`.
-///
-/// Sparse payloads (`MaskCsr`, `TopK`) are accumulated coordinate-by-
-/// coordinate straight out of their wire representation — no per-device
-/// dense vector is ever materialized. With `Codec::Dense` payloads whose
-/// anchor is the current global this is exactly classic [`fedavg`] (up to
-/// `f32`/`f64` accumulation order).
-///
-/// Returns `None` when `updates` is empty or the weight sum is not
-/// strictly positive, so schedulers can keep the previous global.
-///
-/// # Panics
-///
-/// Panics if a payload's decoded length differs from `anchor`, or if a
-/// values-only `MaskCsr` payload was encoded under a different mask epoch
-/// than `ctx` (see `ft_sparse::Payload`).
-pub fn try_fedavg_payloads(
-    updates: &[(&Payload, f64)],
-    anchor: &[f32],
-    ctx: &WireCtx,
-) -> Option<Vec<f32>> {
-    let total_w: f64 = updates.iter().map(|(_, w)| *w).sum();
-    if updates.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return None;
-    }
-    let mut acc = vec![0.0f64; anchor.len()];
-    for (payload, w) in updates {
-        assert_eq!(
-            payload.len(),
-            anchor.len(),
-            "payload length differs from the global model"
-        );
-        payload.accumulate_into(*w / total_w, &mut acc, ctx);
-    }
-    Some(
-        anchor
-            .iter()
-            .zip(acc.iter())
-            .map(|(&a, &d)| (a as f64 + d) as f32)
-            .collect(),
-    )
-}
-
-/// [`try_fedavg_payloads`] that panics on a degenerate cohort, mirroring
-/// [`fedavg`].
-///
-/// # Panics
-///
-/// Panics if `updates` is empty, the weight sum is zero, or any payload is
-/// inconsistent with `anchor`/`ctx`.
-pub fn fedavg_payloads(updates: &[(&Payload, f64)], anchor: &[f32], ctx: &WireCtx) -> Vec<f32> {
-    assert!(!updates.is_empty(), "fedavg needs at least one update");
-    try_fedavg_payloads(updates, anchor, ctx).expect("nonempty updates with positive weight")
-}
-
-/// Staleness-weighted payload aggregation over `(payload, sample_weight,
-/// staleness)` triples: the new global is `current + Σ_k wn_k ·
-/// decode(payload_k)` with `wn_k ∝ w_k / sqrt(1 + s_k)` (the FedBuff
-/// discount of [`staleness_weight`]). Deltas are applied to the *current*
-/// global even when they were computed against an older anchor — the
-/// standard buffered-aggregation semantics.
-///
-/// Routes through [`try_staleness_fedavg_payloads`] with the
-/// [`fedavg_or_previous`] fallback: a degenerate cohort — empty, entirely
-/// quarantined mid-round, or carrying only unusable weights — returns
-/// `current` unchanged instead of dividing by a zero (or non-finite)
-/// survivor weight sum.
-///
-/// # Panics
-///
-/// Panics if a payload's decoded length differs from `current`, or on a
-/// mask-epoch mismatch (see [`try_fedavg_payloads`]).
-pub fn staleness_fedavg_payloads(
-    updates: &[(&Payload, f64, usize)],
-    current: &[f32],
-    ctx: &WireCtx,
-) -> Vec<f32> {
-    try_staleness_fedavg_payloads(updates, current, ctx).unwrap_or_else(|| current.to_vec())
-}
-
-/// [`staleness_fedavg_payloads`] without the silent-voiding hazard: each
-/// update's *effective* weight `w_k / sqrt(1 + s_k)` is screened before the
-/// normalizing sum, so one quarantine-worthy weight (NaN, infinite, zero,
-/// or negative — e.g. an adversarial `num_samples` that overflowed a cast)
-/// cannot poison the total and void the honest survivors' round. Returns
-/// `None` only when *no* update carries usable weight — the caller keeps
-/// the current global (route through the [`fedavg_or_previous`] idiom).
-///
-/// With every weight finite and positive this is bit-identical to the
-/// unscreened sum: the same updates enter the total in the same order.
-///
-/// # Panics
-///
-/// Panics if a payload's decoded length differs from `current`, or on a
-/// mask-epoch mismatch (see [`try_fedavg_payloads`]).
-pub fn try_staleness_fedavg_payloads(
-    updates: &[(&Payload, f64, usize)],
-    current: &[f32],
-    ctx: &WireCtx,
-) -> Option<Vec<f32>> {
-    let usable: Vec<(&Payload, f64)> = updates
-        .iter()
-        .map(|(p, w, s)| (*p, w * staleness_weight(*s)))
-        .filter(|(_, ew)| ew.is_finite() && *ew > 0.0)
-        .collect();
-    let total_w: f64 = usable.iter().map(|(_, ew)| *ew).sum();
-    if usable.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return None;
-    }
-    let mut acc = vec![0.0f64; current.len()];
-    for (payload, ew) in &usable {
-        assert_eq!(
-            payload.len(),
-            current.len(),
-            "payload length differs from the global model"
-        );
-        payload.accumulate_into(*ew / total_w, &mut acc, ctx);
-    }
-    Some(
-        current
-            .iter()
-            .zip(acc.iter())
-            .map(|(&c, &d)| (c as f64 + d) as f32)
-            .collect(),
-    )
-}
-
 /// FedBuff-style staleness discount: an update computed `staleness` server
 /// versions ago is weighted by `1 / sqrt(1 + staleness)` (Nguyen et al.,
 /// "Federated Learning with Buffered Asynchronous Aggregation").
 pub fn staleness_weight(staleness: usize) -> f64 {
     1.0 / (1.0 + staleness as f64).sqrt()
-}
-
-/// Staleness-weighted FedAvg over `(params, sample_weight, staleness)`
-/// triples: each update's weight is its sample count discounted by
-/// [`staleness_weight`]. With all-zero staleness this is exactly plain
-/// [`fedavg`]; a degenerate cohort returns `previous` unchanged. Borrows
-/// the parameter slices — no per-update copies.
-///
-/// # Panics
-///
-/// Panics if an update's length differs from `previous`.
-pub fn staleness_fedavg(updates: &[(&[f32], f64, usize)], previous: &[f32]) -> Vec<f32> {
-    for (params, _, _) in updates {
-        assert_eq!(
-            params.len(),
-            previous.len(),
-            "update length differs from the global model"
-        );
-    }
-    let total_w: f64 = updates
-        .iter()
-        .map(|(_, w, s)| w * staleness_weight(*s))
-        .sum();
-    if updates.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return previous.to_vec();
-    }
-    let mut out = vec![0.0f64; previous.len()];
-    for (params, w, s) in updates {
-        let wn = w * staleness_weight(*s) / total_w;
-        for (o, &p) in out.iter_mut().zip(params.iter()) {
-            *o += wn * p as f64;
-        }
-    }
-    out.into_iter().map(|v| v as f32).collect()
 }
 
 /// Weighted average of per-layer BatchNorm statistics (Eq. 4):
@@ -316,8 +96,11 @@ pub fn try_aggregate_bn_stats(updates: &[(Vec<BnStats>, f64)]) -> Option<Vec<BnS
 /// loop against the current global).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub enum Aggregator {
-    /// Sample-weighted averaging of payload deltas — exactly
-    /// [`try_fedavg_payloads`] / [`staleness_fedavg_payloads`], bit for bit.
+    /// Weighted averaging of payload deltas: `anchor + Σ wₖ/Σw · Δₖ` over
+    /// the updates whose weight is finite and positive, accumulated
+    /// coordinate-by-coordinate straight out of the wire representation.
+    /// Weights are sample counts (barrier) or staleness-discounted sample
+    /// counts (buffered).
     #[default]
     FedAvg,
     /// Coordinate-wise β-trimmed mean: per coordinate, drop the
@@ -334,32 +117,12 @@ pub enum Aggregator {
     /// FedAvg over norm-bounded deltas: each decoded delta is scaled by
     /// `min(1, τ / ‖δ‖₂)` before the weighted average, bounding any single
     /// device's pull on the global (the norm-clipping defense against
-    /// model poisoning).
+    /// model poisoning). A zero or non-finite norm leaves the delta
+    /// unscaled — clipping cannot repair NaNs, only bound magnitudes.
     NormClipped {
         /// L2 clipping threshold, finite and positive.
         tau: f64,
     },
-}
-
-/// What an [`Aggregator`] produced for one round.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AggregateOutcome {
-    /// The new global parameters, or `None` when the cohort was degenerate
-    /// (empty, fully quarantined, or without usable weight) and the caller
-    /// should keep the previous global.
-    pub params: Option<Vec<f32>>,
-    /// How many accepted updates were norm-clipped (always 0 for the
-    /// rank-based rules and `FedAvg`).
-    pub clipped: usize,
-}
-
-impl AggregateOutcome {
-    fn keep_previous() -> Self {
-        AggregateOutcome {
-            params: None,
-            clipped: 0,
-        }
-    }
 }
 
 impl Aggregator {
@@ -422,217 +185,10 @@ impl Aggregator {
             }
         }
     }
-
-    /// Barrier-loop aggregation: combines the surviving `(payload, sample
-    /// weight)` pairs against the round's `anchor`. `params: None` means
-    /// "keep the previous global" (degenerate cohort), mirroring
-    /// [`try_fedavg_payloads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a payload is inconsistent with `anchor`/`ctx` (caller
-    /// bug — hostile payloads are screened before they reach this).
-    pub fn aggregate(
-        &self,
-        updates: &[(&Payload, f64)],
-        anchor: &[f32],
-        ctx: &WireCtx,
-    ) -> AggregateOutcome {
-        match *self {
-            Aggregator::FedAvg => AggregateOutcome {
-                params: try_fedavg_payloads(updates, anchor, ctx),
-                clipped: 0,
-            },
-            Aggregator::TrimmedMean { beta } => {
-                let deltas = decode_deltas(updates.iter().map(|(p, _)| *p), anchor.len(), ctx);
-                AggregateOutcome {
-                    params: trimmed_mean_apply(&deltas, anchor, beta),
-                    clipped: 0,
-                }
-            }
-            Aggregator::CoordinateMedian => {
-                let deltas = decode_deltas(updates.iter().map(|(p, _)| *p), anchor.len(), ctx);
-                AggregateOutcome {
-                    params: median_apply(&deltas, anchor),
-                    clipped: 0,
-                }
-            }
-            Aggregator::NormClipped { tau } => {
-                norm_clipped_apply(updates.iter().map(|&(p, w)| (p, w)), anchor, tau, ctx)
-            }
-        }
-    }
-
-    /// Buffered-loop aggregation over `(payload, sample weight, staleness)`
-    /// triples against the *current* global. The rank-based rules are
-    /// weight- and staleness-oblivious by construction (order statistics
-    /// have no weights); `NormClipped` discounts weights by
-    /// [`staleness_weight`] exactly like FedBuff. `params: None` again
-    /// means "keep the current global".
-    ///
-    /// # Panics
-    ///
-    /// Panics if a payload is inconsistent with `current`/`ctx`.
-    pub fn aggregate_stale(
-        &self,
-        updates: &[(&Payload, f64, usize)],
-        current: &[f32],
-        ctx: &WireCtx,
-    ) -> AggregateOutcome {
-        match *self {
-            Aggregator::FedAvg => AggregateOutcome {
-                params: try_staleness_fedavg_payloads(updates, current, ctx),
-                clipped: 0,
-            },
-            Aggregator::TrimmedMean { beta } => {
-                let deltas = decode_deltas(updates.iter().map(|(p, _, _)| *p), current.len(), ctx);
-                AggregateOutcome {
-                    params: trimmed_mean_apply(&deltas, current, beta),
-                    clipped: 0,
-                }
-            }
-            Aggregator::CoordinateMedian => {
-                let deltas = decode_deltas(updates.iter().map(|(p, _, _)| *p), current.len(), ctx);
-                AggregateOutcome {
-                    params: median_apply(&deltas, current),
-                    clipped: 0,
-                }
-            }
-            Aggregator::NormClipped { tau } => norm_clipped_apply(
-                updates
-                    .iter()
-                    .map(|&(p, w, s)| (p, w * staleness_weight(s))),
-                current,
-                tau,
-                ctx,
-            ),
-        }
-    }
-}
-
-/// Decodes every payload to a dense delta vector, checking lengths.
-fn decode_deltas<'a>(
-    payloads: impl Iterator<Item = &'a Payload>,
-    expect_len: usize,
-    ctx: &WireCtx,
-) -> Vec<Vec<f32>> {
-    payloads
-        .map(|p| {
-            assert_eq!(
-                p.len(),
-                expect_len,
-                "payload length differs from the global model"
-            );
-            p.decode(ctx)
-        })
-        .collect()
-}
-
-/// `base + coordinate-wise β-trimmed mean of deltas`, or `None` for an
-/// empty cohort. Sorting uses `total_cmp`, so adversarial NaNs land at the
-/// tails where the trim removes them first.
-fn trimmed_mean_apply(deltas: &[Vec<f32>], base: &[f32], beta: f64) -> Option<Vec<f32>> {
-    let n = deltas.len();
-    if n == 0 {
-        return None;
-    }
-    let t = ((beta * n as f64).floor() as usize).min(n.saturating_sub(1) / 2);
-    Some(rank_apply(deltas, base, |col| {
-        let kept = &col[t..n - t];
-        kept.iter().map(|&v| v as f64).sum::<f64>() / kept.len() as f64
-    }))
-}
-
-/// `base + coordinate-wise median of deltas` (mean of the two middle order
-/// statistics for even `n`), or `None` for an empty cohort.
-fn median_apply(deltas: &[Vec<f32>], base: &[f32]) -> Option<Vec<f32>> {
-    let n = deltas.len();
-    if n == 0 {
-        return None;
-    }
-    Some(rank_apply(deltas, base, |col| {
-        if n % 2 == 1 {
-            col[n / 2] as f64
-        } else {
-            (col[n / 2 - 1] as f64 + col[n / 2] as f64) / 2.0
-        }
-    }))
-}
-
-/// Shared column machinery for the rank-based rules: per coordinate,
-/// gathers the cohort's delta values, sorts them totally, and applies
-/// `reduce` to the sorted column.
-fn rank_apply(deltas: &[Vec<f32>], base: &[f32], reduce: impl Fn(&[f32]) -> f64) -> Vec<f32> {
-    let mut col = vec![0.0f32; deltas.len()];
-    let mut out = Vec::with_capacity(base.len());
-    for (i, &b) in base.iter().enumerate() {
-        for (c, d) in col.iter_mut().zip(deltas.iter()) {
-            *c = d[i];
-        }
-        col.sort_unstable_by(|a, b| a.total_cmp(b));
-        out.push((b as f64 + reduce(&col)) as f32);
-    }
-    out
-}
-
-/// Weighted FedAvg over norm-clipped decoded deltas: each delta is scaled
-/// by `min(1, τ / ‖δ‖₂)` (a zero or non-finite norm leaves the delta
-/// unscaled — clipping cannot repair NaNs, only bound magnitudes), then
-/// averaged under screened weights. Degenerate weight totals return
-/// `keep_previous`.
-fn norm_clipped_apply<'a>(
-    updates: impl Iterator<Item = (&'a Payload, f64)>,
-    base: &[f32],
-    tau: f64,
-    ctx: &WireCtx,
-) -> AggregateOutcome {
-    let mut clipped = 0usize;
-    let usable: Vec<(Vec<f32>, f64)> = updates
-        .filter(|(_, w)| w.is_finite() && *w > 0.0)
-        .map(|(p, w)| {
-            assert_eq!(
-                p.len(),
-                base.len(),
-                "payload length differs from the global model"
-            );
-            (p.decode(ctx), w)
-        })
-        .collect();
-    let total_w: f64 = usable.iter().map(|(_, w)| *w).sum();
-    if usable.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return AggregateOutcome::keep_previous();
-    }
-    let mut acc = vec![0.0f64; base.len()];
-    for (delta, w) in &usable {
-        let norm = delta
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>()
-            .sqrt();
-        let scale = if norm.is_finite() && norm > tau {
-            clipped += 1;
-            tau / norm
-        } else {
-            1.0
-        };
-        let wn = (*w / total_w) * scale;
-        for (a, &d) in acc.iter_mut().zip(delta.iter()) {
-            *a += wn * d as f64;
-        }
-    }
-    AggregateOutcome {
-        params: Some(
-            base.iter()
-                .zip(acc.iter())
-                .map(|(&b, &d)| (b as f64 + d) as f32)
-                .collect(),
-        ),
-        clipped,
-    }
 }
 
 /// An encoded update the sharded aggregation engine can drain: the owned
-/// [`Payload`] (the barrier loop's buffered updates) and the borrowed
+/// [`Payload`] (both scheduler loops' buffered updates) and the borrowed
 /// [`PayloadView`] (the zero-copy receive path) answer the same three
 /// questions, so [`Aggregator::aggregate_into`] serves both without a copy.
 pub trait ShardAccumulate: Sync {
@@ -705,10 +261,9 @@ pub struct AggScratch {
     params: Vec<f32>,
     /// Decoded dense deltas for the robust rules, one per accepted update.
     deltas: Vec<Vec<f32>>,
-    /// Screened normalized weights (`NormClipped`), aligned with `deltas`.
+    /// Screened normalized weights of the weighted rules (see
+    /// [`screen_weights`]).
     weights: Vec<f64>,
-    /// Per-worker sort columns for the rank-based rules.
-    cols: Vec<Vec<f32>>,
     /// Cached shard plan, rebuilt on `(epoch, len, shard count)` change.
     plan: Option<ShardPlan>,
 }
@@ -719,9 +274,9 @@ impl AggScratch {
         Self::default()
     }
 
-    /// The cached shard plan for `ctx` under `rt`'s deterministic coordinate
+    /// Caches the shard plan for `ctx` under `rt`'s deterministic coordinate
     /// chunking, rebuilding it only when the reuse key changed.
-    fn plan(&mut self, ctx: &WireCtx, rt: &Runtime) -> &ShardPlan {
+    fn ensure_plan(&mut self, ctx: &WireCtx, rt: &Runtime) {
         // `chunk_ranges(n, t)` produces min(t, n) ranges (none for n == 0);
         // computed directly so the steady-state check allocates nothing.
         let num_shards = rt.threads().min(ctx.len());
@@ -732,19 +287,19 @@ impl AggScratch {
         if stale {
             self.plan = Some(ShardPlan::build(ctx, rt.ranges(ctx.len())));
         }
-        self.plan.as_ref().expect("plan was just ensured")
     }
 }
 
-/// What [`Aggregator::aggregate_into`] produced for one round — the borrowed
-/// sibling of [`AggregateOutcome`]: `params` points into the caller's
-/// [`AggScratch`] instead of a fresh allocation.
+/// What [`Aggregator::aggregate_into`] produced for one round: `params`
+/// points into the caller's [`AggScratch`] instead of a fresh allocation.
 #[derive(Debug, PartialEq)]
 pub struct AggregateRef<'a> {
-    /// The new global parameters, or `None` to keep the previous global
-    /// (degenerate cohort), exactly as [`AggregateOutcome::params`].
+    /// The new global parameters, or `None` when the cohort was degenerate
+    /// (empty, fully quarantined, or without usable weight) and the caller
+    /// should keep the previous global.
     pub params: Option<&'a [f32]>,
-    /// How many accepted updates were norm-clipped.
+    /// How many accepted updates were norm-clipped (always 0 for the
+    /// rank-based rules and `FedAvg`).
     pub clipped: usize,
 }
 
@@ -793,21 +348,30 @@ fn for_each_shard<T: Send>(
 }
 
 impl Aggregator {
-    /// The allocation-free sharded engine behind [`aggregate`](Self::aggregate):
-    /// combines the surviving `(update, sample weight)` pairs against
-    /// `anchor`, decoding-and-accumulating each update shard-by-shard on
-    /// `rt`'s pool and reusing every buffer in `scratch` across rounds.
-    /// Accepts owned [`Payload`]s and borrowed [`PayloadView`]s alike
-    /// (anything [`ShardAccumulate`]).
+    /// The aggregation engine: combines the accepted `(update, weight)`
+    /// pairs against `anchor` — the round's anchor under the barrier loop,
+    /// the current global under the buffered one — decoding-and-accumulating
+    /// each update shard-by-shard on `rt`'s pool and reusing every buffer in
+    /// `scratch` across rounds. Accepts owned [`Payload`]s and borrowed
+    /// [`PayloadView`]s alike (anything [`ShardAccumulate`]).
     ///
-    /// Bit-identical to [`aggregate`](Self::aggregate) for every rule and
-    /// any shard count: shards partition the *output coordinates*, so per
-    /// coordinate the same values are added in the same (cohort) order as
-    /// one sequential pass.
+    /// The weighted rules (`FedAvg`, `NormClipped`) skip updates whose
+    /// weight is NaN, infinite, zero or negative *before* the normalizing
+    /// sum, so one quarantine-worthy weight (e.g. an adversarial sample
+    /// count that overflowed a cast) cannot poison the total and void the
+    /// honest survivors' round. The rank-based rules are weight-oblivious
+    /// by construction (order statistics have no weights).
+    ///
+    /// Deterministic for any shard count: shards partition the *output
+    /// coordinates*, so per coordinate the same values are added in the
+    /// same (cohort) order as one sequential pass.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`aggregate`](Self::aggregate).
+    /// Panics if a payload is inconsistent with `anchor`/`ctx` — a decoded
+    /// length other than `anchor.len()`, or a values-only `MaskCsr` payload
+    /// encoded under a different mask epoch than `ctx` (caller bug —
+    /// hostile payloads are screened before they reach this).
     pub fn aggregate_into<'s, P: ShardAccumulate>(
         &self,
         updates: &[(&P, f64)],
@@ -816,91 +380,92 @@ impl Aggregator {
         rt: &Runtime,
         scratch: &'s mut AggScratch,
     ) -> AggregateRef<'s> {
-        match *self {
-            Aggregator::FedAvg => AggregateRef {
-                params: fedavg_into(updates, anchor, ctx, rt, scratch),
-                clipped: 0,
-            },
+        for (p, _) in updates {
+            assert_eq!(
+                p.vec_len(),
+                anchor.len(),
+                "payload length differs from the global model"
+            );
+        }
+        scratch.ensure_plan(ctx, rt);
+        let n = updates.len();
+        let (params, clipped) = match *self {
+            Aggregator::FedAvg => weighted_into(updates, anchor, None, ctx, rt, scratch),
             Aggregator::TrimmedMean { beta } => {
-                let n = updates.len();
                 let t = ((beta * n as f64).floor() as usize).min(n.saturating_sub(1) / 2);
-                AggregateRef {
-                    params: rank_into(updates, anchor, ctx, rt, scratch, move |col| {
-                        let kept = &col[t..n - t];
-                        kept.iter().map(|&v| v as f64).sum::<f64>() / kept.len() as f64
-                    }),
-                    clipped: 0,
-                }
+                let mean_of_kept = move |col: &[f32]| {
+                    let kept = &col[t..n - t];
+                    kept.iter().map(|&v| v as f64).sum::<f64>() / kept.len() as f64
+                };
+                (
+                    rank_into(updates, anchor, ctx, rt, scratch, mean_of_kept),
+                    0,
+                )
             }
             Aggregator::CoordinateMedian => {
-                let n = updates.len();
-                AggregateRef {
-                    params: rank_into(updates, anchor, ctx, rt, scratch, move |col| {
-                        if n % 2 == 1 {
-                            col[n / 2] as f64
-                        } else {
-                            (col[n / 2 - 1] as f64 + col[n / 2] as f64) / 2.0
-                        }
-                    }),
-                    clipped: 0,
-                }
+                let median = move |col: &[f32]| {
+                    if n % 2 == 1 {
+                        col[n / 2] as f64
+                    } else {
+                        (col[n / 2 - 1] as f64 + col[n / 2] as f64) / 2.0
+                    }
+                };
+                (rank_into(updates, anchor, ctx, rt, scratch, median), 0)
             }
             Aggregator::NormClipped { tau } => {
-                norm_clipped_into(updates, anchor, tau, ctx, rt, scratch)
+                weighted_into(updates, anchor, Some(tau), ctx, rt, scratch)
             }
-        }
+        };
+        AggregateRef { params, clipped }
     }
 }
 
-/// Sharded [`try_fedavg_payloads`]: same screening, same asserts, same
-/// per-coordinate arithmetic — the accumulator is just filled shard-by-shard
-/// on the pool and recycled from `scratch`.
-fn fedavg_into<'s, P: ShardAccumulate>(
+/// The weight screen of the weighted rules: fills `weights` (aligned with
+/// `updates`) with each update's normalized weight `w / Σ usable w`, and 0
+/// for an update whose weight is not finite and positive — the engine skips
+/// those. Returns `false` when no update carries usable weight (empty,
+/// all-zero, or fully quarantined cohort): the caller keeps the previous
+/// global instead of dividing by zero.
+fn screen_weights<P>(updates: &[(&P, f64)], weights: &mut Vec<f64>) -> bool {
+    let usable = |w: f64| w.is_finite() && w > 0.0;
+    let total_w: f64 = updates.iter().map(|(_, w)| *w).filter(|&w| usable(w)).sum();
+    weights.clear();
+    if !usable(total_w) {
+        return false;
+    }
+    weights.extend(
+        updates
+            .iter()
+            .map(|&(_, w)| if usable(w) { w / total_w } else { 0.0 }),
+    );
+    true
+}
+
+/// Dense-decodes every update into one of the recycled delta buffers
+/// (aligned with `updates`), fanned out per update on `rt`.
+fn decode_all<'d, P: ShardAccumulate>(
     updates: &[(&P, f64)],
-    anchor: &[f32],
+    deltas: &'d mut Vec<Vec<f32>>,
     ctx: &WireCtx,
     rt: &Runtime,
-    scratch: &'s mut AggScratch,
-) -> Option<&'s [f32]> {
-    let total_w: f64 = updates.iter().map(|(_, w)| *w).sum();
-    if updates.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return None;
+) -> &'d [Vec<f32>] {
+    deltas.resize_with(updates.len(), Vec::new);
+    for d in deltas.iter_mut() {
+        d.resize(ctx.len(), 0.0);
     }
-    for (p, _) in updates {
-        assert_eq!(
-            p.vec_len(),
-            anchor.len(),
-            "payload length differs from the global model"
-        );
-    }
-    scratch.plan(ctx, rt);
-    let AggScratch {
-        acc, params, plan, ..
-    } = scratch;
-    let plan = plan.as_ref().expect("plan ensured above");
-    acc.resize(anchor.len(), 0.0);
-    acc.fill(0.0);
-    for_each_shard(rt, plan, acc, |s, acc_s| {
-        for (p, w) in updates {
-            p.shard_accumulate(*w / total_w, acc_s, ctx, plan, s);
-        }
-    });
-    params.resize(anchor.len(), 0.0);
-    for_each_shard(rt, plan, params, |s, out| {
-        let start = plan.range(s).start;
-        for (k, o) in out.iter_mut().enumerate() {
-            let i = start + k;
-            *o = (anchor[i] as f64 + acc[i]) as f32;
-        }
-    });
-    Some(params)
+    let decode_jobs: Vec<(&P, &mut Vec<f32>)> = updates
+        .iter()
+        .map(|(p, _)| *p)
+        .zip(deltas.iter_mut())
+        .collect();
+    rt.scatter(decode_jobs, |(p, d)| p.dense_decode_into(d, ctx));
+    deltas
 }
 
-/// Sharded [`rank_apply`] over recycled delta buffers: decodes every update
-/// into `scratch.deltas` (fanned out per update), then reduces sorted
-/// per-coordinate columns shard-parallel. Per coordinate the column is
-/// gathered in cohort order and sorted with `total_cmp` exactly as the
-/// sequential path does.
+/// The rank-based rules: decodes every update into `scratch.deltas`, then
+/// reduces sorted per-coordinate columns shard-parallel. Per coordinate the
+/// column is gathered in cohort order and sorted with `total_cmp`, so
+/// adversarial NaNs land at the tails where a trim removes them first.
 fn rank_into<'s, P: ShardAccumulate>(
     updates: &[(&P, f64)],
     anchor: &[f32],
@@ -913,44 +478,17 @@ fn rank_into<'s, P: ShardAccumulate>(
     if n == 0 {
         return None;
     }
-    scratch.plan(ctx, rt);
     let AggScratch {
         params,
         deltas,
-        cols,
         plan,
         ..
     } = scratch;
-    let plan = plan.as_ref().expect("plan ensured above");
-    deltas.resize_with(n, Vec::new);
-    for d in deltas.iter_mut() {
-        d.resize(anchor.len(), 0.0);
-    }
-    let decode_jobs: Vec<(&P, &mut Vec<f32>)> = updates
-        .iter()
-        .map(|(p, _)| *p)
-        .zip(deltas.iter_mut())
-        .collect();
-    rt.scatter(decode_jobs, |(p, d)| {
-        assert_eq!(
-            p.vec_len(),
-            anchor.len(),
-            "payload length differs from the global model"
-        );
-        p.dense_decode_into(d, ctx);
-    });
-    let deltas = &deltas[..n];
-    cols.resize_with(plan.num_shards().max(1), Vec::new);
-    for col in cols.iter_mut() {
-        col.resize(n, 0.0);
-    }
+    let plan = plan.as_ref().expect("plan ensured by aggregate_into");
+    let deltas = decode_all(updates, deltas, ctx, rt);
     params.resize(anchor.len(), 0.0);
-    // One sort column per shard: shards are disjoint output ranges, and the
-    // scatter below hands shard `s` exactly `cols[s]`.
-    let col_slots: Vec<std::sync::Mutex<&mut Vec<f32>>> =
-        cols.iter_mut().map(std::sync::Mutex::new).collect();
     for_each_shard(rt, plan, params, |s, out| {
-        let mut col = col_slots[s].lock().expect("column mutex poisoned");
+        let mut col = vec![0.0f32; n];
         let start = plan.range(s).start;
         for (k, o) in out.iter_mut().enumerate() {
             let i = start + k;
@@ -958,88 +496,65 @@ fn rank_into<'s, P: ShardAccumulate>(
                 *c = d[i];
             }
             col.sort_unstable_by(|a, b| a.total_cmp(b));
-            *o = (anchor[i] as f64 + reduce(col.as_slice())) as f32;
+            *o = (anchor[i] as f64 + reduce(&col)) as f32;
         }
     });
     Some(params)
 }
 
-/// Sharded [`norm_clipped_apply`] over recycled buffers: weights are
-/// screened before decode, norms are computed sequentially per delta (one
-/// full-vector `f64` sum each, exactly the sequential order), and only the
-/// final weighted accumulation + anchor add fan out shard-parallel.
-fn norm_clipped_into<'s, P: ShardAccumulate>(
+/// The weighted rules. `FedAvg` (`tau: None`) accumulates every usable
+/// update decode-free, straight out of its wire form. `NormClipped` first
+/// decodes the cohort, computes each usable delta's norm sequentially (one
+/// full-vector `f64` sum) and folds the clip `min(1, τ / ‖δ‖₂)` into its
+/// weight. The accumulation and the anchor add fan out shard-parallel.
+fn weighted_into<'s, P: ShardAccumulate>(
     updates: &[(&P, f64)],
     anchor: &[f32],
-    tau: f64,
+    tau: Option<f64>,
     ctx: &WireCtx,
     rt: &Runtime,
     scratch: &'s mut AggScratch,
-) -> AggregateRef<'s> {
-    scratch.plan(ctx, rt);
+) -> (Option<&'s [f32]>, usize) {
     let AggScratch {
         acc,
         params,
         deltas,
         weights,
         plan,
-        ..
     } = scratch;
-    let plan = plan.as_ref().expect("plan ensured above");
-    let usable: Vec<(&P, f64)> = updates
-        .iter()
-        .filter(|(_, w)| w.is_finite() && *w > 0.0)
-        .map(|&(p, w)| (p, w))
-        .collect();
-    let total_w: f64 = usable.iter().map(|(_, w)| *w).sum();
-    if usable.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
-        return AggregateRef {
-            params: None,
-            clipped: 0,
-        };
+    let plan = plan.as_ref().expect("plan ensured by aggregate_into");
+    if !screen_weights(updates, weights) {
+        return (None, 0);
     }
-    let m = usable.len();
-    deltas.resize_with(m, Vec::new);
-    for d in deltas.iter_mut() {
-        d.resize(anchor.len(), 0.0);
-    }
-    let decode_jobs: Vec<(&P, &mut Vec<f32>)> = usable
-        .iter()
-        .map(|(p, _)| *p)
-        .zip(deltas.iter_mut())
-        .collect();
-    rt.scatter(decode_jobs, |(p, d)| {
-        assert_eq!(
-            p.vec_len(),
-            anchor.len(),
-            "payload length differs from the global model"
-        );
-        p.dense_decode_into(d, ctx);
-    });
-    let deltas = &deltas[..m];
     let mut clipped = 0usize;
-    weights.clear();
-    for ((_, w), delta) in usable.iter().zip(deltas.iter()) {
-        let norm = delta
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>()
-            .sqrt();
-        let scale = if norm.is_finite() && norm > tau {
-            clipped += 1;
-            tau / norm
-        } else {
-            1.0
-        };
-        weights.push((*w / total_w) * scale);
+    let mut decoded: &[Vec<f32>] = &[];
+    if let Some(tau) = tau {
+        decoded = decode_all(updates, deltas, ctx, rt);
+        for (wn, delta) in weights.iter_mut().zip(decoded).filter(|(wn, _)| **wn > 0.0) {
+            let norm = delta
+                .iter()
+                .map(|&v| (v as f64) * (v as f64))
+                .sum::<f64>()
+                .sqrt();
+            if norm.is_finite() && norm > tau {
+                clipped += 1;
+                *wn *= tau / norm;
+            }
+        }
     }
+    let weights = &*weights;
     acc.resize(anchor.len(), 0.0);
     acc.fill(0.0);
     for_each_shard(rt, plan, acc, |s, acc_s| {
-        let r = plan.range(s);
-        for (delta, &wn) in deltas.iter().zip(weights.iter()) {
-            for (a, &d) in acc_s.iter_mut().zip(delta[r.clone()].iter()) {
-                *a += wn * d as f64;
+        let usable = updates.iter().zip(weights).enumerate();
+        for (k, ((p, _), &wn)) in usable.filter(|(_, (_, &wn))| wn > 0.0) {
+            match decoded.get(k) {
+                Some(delta) => {
+                    for (a, &d) in acc_s.iter_mut().zip(&delta[plan.range(s)]) {
+                        *a += wn * d as f64;
+                    }
+                }
+                None => p.shard_accumulate(wn, acc_s, ctx, plan, s),
             }
         }
     });
@@ -1051,41 +566,13 @@ fn norm_clipped_into<'s, P: ShardAccumulate>(
             *o = (anchor[i] as f64 + acc[i]) as f32;
         }
     });
-    AggregateRef {
-        params: Some(params),
-        clipped,
-    }
+    (Some(params), clipped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fedavg_weighted_mean() {
-        let got = fedavg(&[(vec![1.0, 0.0], 1.0), (vec![0.0, 1.0], 3.0)]);
-        assert!((got[0] - 0.25).abs() < 1e-6);
-        assert!((got[1] - 0.75).abs() < 1e-6);
-    }
-
-    #[test]
-    fn fedavg_unnormalized_weights_ok() {
-        let a = fedavg(&[(vec![2.0], 10.0), (vec![4.0], 30.0)]);
-        let b = fedavg(&[(vec![2.0], 0.25), (vec![4.0], 0.75)]);
-        assert!((a[0] - b[0]).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn fedavg_rejects_ragged() {
-        let _ = fedavg(&[(vec![1.0], 1.0), (vec![1.0, 2.0], 1.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one update")]
-    fn fedavg_rejects_empty() {
-        let _ = fedavg(&[]);
-    }
+    use ft_sparse::Codec;
 
     #[test]
     fn bn_aggregation_weighted() {
@@ -1097,9 +584,12 @@ mod tests {
             mean: vec![3.0, 4.0],
             var: vec![3.0, 3.0],
         }];
-        let got = aggregate_bn_stats(&[(a, 1.0), (b, 1.0)]);
+        let got = aggregate_bn_stats(&[(a.clone(), 1.0), (b, 1.0)]);
         assert_eq!(got[0].mean, vec![2.0, 3.0]);
         assert_eq!(got[0].var, vec![2.0, 2.0]);
+        // Degenerate cohorts keep the previous statistics, never NaN.
+        assert_eq!(try_aggregate_bn_stats(&[]), None);
+        assert_eq!(try_aggregate_bn_stats(&[(a, 0.0)]), None);
     }
 
     #[test]
@@ -1117,45 +607,11 @@ mod tests {
     }
 
     #[test]
-    fn sim_empty_cohort_returns_previous_global_not_nan() {
-        // The division hazard pinned: an empty surviving cohort or an
-        // all-zero weight vector must hand back the previous global intact,
-        // never a NaN-filled vector.
-        let previous = vec![0.25f32, -1.5, 3.0];
-        assert_eq!(try_fedavg(&[]), None);
-        assert_eq!(try_fedavg(&[(vec![1.0, 1.0, 1.0], 0.0)]), None);
-        assert_eq!(fedavg_or_previous(&[], &previous), previous);
-        let got = fedavg_or_previous(&[(vec![9.0, 9.0, 9.0], 0.0)], &previous);
-        assert_eq!(got, previous);
-        assert!(got.iter().all(|v| v.is_finite()));
-        assert_eq!(try_aggregate_bn_stats(&[]), None);
-    }
-
-    #[test]
     fn sim_staleness_weight_decays_from_one() {
         assert_eq!(staleness_weight(0), 1.0);
         assert!(staleness_weight(1) < 1.0);
         assert!(staleness_weight(8) < staleness_weight(3));
         assert!((staleness_weight(3) - 0.5).abs() < 1e-12); // 1/sqrt(4)
-    }
-
-    #[test]
-    fn payload_fedavg_degenerate_cohorts_return_none_or_current() {
-        let ctx = ft_sparse::WireCtx::dense(3);
-        let anchor = vec![1.0f32, -2.0, 0.5];
-        assert_eq!(try_fedavg_payloads(&[], &anchor, &ctx), None);
-        let p = Payload::Dense {
-            values: vec![9.0, 9.0, 9.0],
-        };
-        assert_eq!(try_fedavg_payloads(&[(&p, 0.0)], &anchor, &ctx), None);
-        assert_eq!(
-            staleness_fedavg_payloads(&[], &anchor, &ctx),
-            anchor.clone()
-        );
-        assert_eq!(
-            staleness_fedavg_payloads(&[(&p, 0.0, 3)], &anchor, &ctx),
-            anchor
-        );
     }
 
     fn dense(values: &[f32]) -> Payload {
@@ -1164,49 +620,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sim_staleness_nan_weight_does_not_void_honest_survivors() {
-        // The fixed hazard: one NaN-weighted (or inf-weighted) update used
-        // to make the *total* non-finite and silently void the whole
-        // buffer, returning `current` as if nobody had trained. Screened
-        // weights keep the honest survivors' round intact.
-        let ctx = ft_sparse::WireCtx::dense(2);
-        let current = vec![0.0f32, 0.0];
-        let honest = dense(&[1.0, 1.0]);
-        let hostile = dense(&[9.0, 9.0]);
-        for bad_w in [f64::NAN, f64::INFINITY, -4.0, 0.0] {
-            let got = staleness_fedavg_payloads(
-                &[(&honest, 5.0, 0), (&hostile, bad_w, 0)],
-                &current,
-                &ctx,
-            );
-            assert_eq!(got, vec![1.0, 1.0], "bad weight {bad_w} voided the round");
-        }
-    }
-
-    #[test]
-    fn sim_fully_quarantined_buffer_keeps_current_global() {
-        // Every buffered update carries an unusable weight (the whole
-        // cohort was quarantined mid-round): the fedavg_or_previous route
-        // hands back the current global, never a division by zero.
-        let ctx = ft_sparse::WireCtx::dense(2);
-        let current = vec![3.0f32, -1.0];
-        let p = dense(&[9.0, 9.0]);
-        assert_eq!(
-            try_staleness_fedavg_payloads(&[(&p, 0.0, 1), (&p, f64::NAN, 0)], &current, &ctx),
-            None
-        );
-        assert_eq!(
-            staleness_fedavg_payloads(&[(&p, 0.0, 1), (&p, f64::NAN, 0)], &current, &ctx),
-            current
-        );
+    /// One-shot `aggregate_into` on the sequential runtime with fresh
+    /// scratch, for the small hand-written cohorts below.
+    fn aggregate_once(
+        rule: Aggregator,
+        updates: &[(&Payload, f64)],
+        anchor: &[f32],
+    ) -> (Option<Vec<f32>>, usize) {
+        let ctx = WireCtx::dense(anchor.len());
+        let mut scratch = AggScratch::new();
+        let got = rule.aggregate_into(updates, anchor, &ctx, &Runtime::sequential(), &mut scratch);
+        (got.params.map(<[f32]>::to_vec), got.clipped)
     }
 
     #[test]
     fn payload_trimmed_mean_outvotes_sign_flipped_outlier() {
         // Five honest devices push +1 per coordinate; one poisoned device
         // pushes a scaled sign-flip. One trim level removes it entirely.
-        let ctx = ft_sparse::WireCtx::dense(2);
         let anchor = vec![0.0f32, 0.0];
         let honest = dense(&[1.0, 1.0]);
         let poison = dense(&[-80.0, -80.0]);
@@ -1218,81 +648,49 @@ mod tests {
             (&honest, 1.0),
             (&poison, 50.0), // inflated weight is irrelevant: rank-based
         ];
-        let agg = Aggregator::TrimmedMean { beta: 0.2 };
-        let got = agg.aggregate(&updates, &anchor, &ctx).params.unwrap();
-        assert_eq!(got, vec![1.0, 1.0]);
+        let (got, _) = aggregate_once(Aggregator::TrimmedMean { beta: 0.2 }, &updates, &anchor);
+        assert_eq!(got.unwrap(), vec![1.0, 1.0]);
         // Plain FedAvg on the same cohort is dragged far negative.
-        let avg = Aggregator::FedAvg
-            .aggregate(&updates, &anchor, &ctx)
-            .params
-            .unwrap();
+        let (avg, _) = aggregate_once(Aggregator::FedAvg, &updates, &anchor);
+        let avg = avg.unwrap();
         assert!(avg[0] < -70.0, "fedavg should be poisoned, got {}", avg[0]);
     }
 
     #[test]
     fn payload_trimmed_mean_survives_adversarial_nans() {
-        let ctx = ft_sparse::WireCtx::dense(1);
-        let anchor = vec![0.0f32];
         let honest = dense(&[2.0]);
         let nan = dense(&[f32::NAN]);
         let updates: Vec<(&Payload, f64)> =
             vec![(&honest, 1.0), (&honest, 1.0), (&honest, 1.0), (&nan, 1.0)];
-        let got = Aggregator::TrimmedMean { beta: 0.25 }
-            .aggregate(&updates, &anchor, &ctx)
-            .params
-            .unwrap();
-        assert_eq!(got, vec![2.0], "NaN must be trimmed at the tail");
+        let (got, _) = aggregate_once(Aggregator::TrimmedMean { beta: 0.25 }, &updates, &[0.0]);
+        assert_eq!(got.unwrap(), vec![2.0], "NaN must be trimmed at the tail");
     }
 
     #[test]
     fn payload_median_even_cohort_averages_middles() {
-        let ctx = ft_sparse::WireCtx::dense(1);
-        let anchor = vec![10.0f32];
         let payloads: Vec<Payload> = [1.0f32, 3.0, 5.0, 100.0]
             .iter()
             .map(|&v| dense(&[v]))
             .collect();
         let updates: Vec<(&Payload, f64)> = payloads.iter().map(|p| (p, 1.0)).collect();
-        let got = Aggregator::CoordinateMedian
-            .aggregate(&updates, &anchor, &ctx)
-            .params
-            .unwrap();
-        assert_eq!(got, vec![14.0]); // 10 + (3+5)/2
+        let (got, _) = aggregate_once(Aggregator::CoordinateMedian, &updates, &[10.0]);
+        assert_eq!(got.unwrap(), vec![14.0]); // 10 + (3+5)/2
     }
 
     #[test]
     fn payload_norm_clip_bounds_single_device_pull() {
-        let ctx = ft_sparse::WireCtx::dense(2);
-        let anchor = vec![0.0f32, 0.0];
         let honest = dense(&[0.5, 0.5]); // norm ~0.707: untouched at tau 1.0
         let poison = dense(&[600.0, 800.0]); // norm 1000: scaled to norm tau
         let updates: Vec<(&Payload, f64)> = vec![(&honest, 1.0), (&poison, 1.0)];
-        let out = Aggregator::NormClipped { tau: 1.0 }.aggregate(&updates, &anchor, &ctx);
-        assert_eq!(out.clipped, 1);
-        let got = out.params.unwrap();
+        let (got, clipped) =
+            aggregate_once(Aggregator::NormClipped { tau: 1.0 }, &updates, &[0.0, 0.0]);
+        assert_eq!(clipped, 1);
+        let got = got.unwrap();
         // Both deltas now have norm <= 1, so the mean has norm <= 1.
         let norm = (got[0] as f64).hypot(got[1] as f64);
         assert!(norm <= 1.0 + 1e-6, "clipped mean norm {norm}");
         // Poison rescales to [0.6, 0.8]; mean with honest [0.5, 0.5].
         assert!((got[0] - 0.55).abs() < 1e-6 && (got[1] - 0.65).abs() < 1e-6);
-    }
-
-    #[test]
-    fn payload_robust_rules_keep_previous_on_empty_cohort() {
-        let ctx = ft_sparse::WireCtx::dense(2);
-        let anchor = vec![1.0f32, 2.0];
-        for agg in [
-            Aggregator::FedAvg,
-            Aggregator::TrimmedMean { beta: 0.2 },
-            Aggregator::CoordinateMedian,
-            Aggregator::NormClipped { tau: 1.0 },
-        ] {
-            let out = agg.aggregate(&[], &anchor, &ctx);
-            assert_eq!(out.params, None, "{}", agg.name());
-            assert_eq!(out.clipped, 0);
-            let stale = agg.aggregate_stale(&[], &anchor, &ctx);
-            assert_eq!(stale.params, None, "{} (stale)", agg.name());
-        }
     }
 
     #[test]
@@ -1316,12 +714,7 @@ mod tests {
         );
         assert_eq!(Aggregator::from_name("krum"), None);
         assert_eq!(Aggregator::from_name("trimmed_mean:lots"), None);
-        for agg in [
-            Aggregator::FedAvg,
-            Aggregator::TrimmedMean { beta: 0.0 },
-            Aggregator::CoordinateMedian,
-            Aggregator::NormClipped { tau: 0.5 },
-        ] {
+        for agg in RULES {
             assert!(agg.validate().is_ok(), "{}", agg.name());
             assert_eq!(
                 Aggregator::from_name(agg.name()).map(|a| a.name()),
@@ -1339,26 +732,154 @@ mod tests {
             .is_err());
     }
 
+    const RULES: [Aggregator; 4] = [
+        Aggregator::FedAvg,
+        Aggregator::TrimmedMean { beta: 0.2 },
+        Aggregator::CoordinateMedian,
+        Aggregator::NormClipped { tau: 0.5 },
+    ];
+
+    /// The naive reference every rule is pinned against: dense deltas (one
+    /// decoded vector per update), a per-coordinate `f64` sum in cohort
+    /// order for the weighted rules, a `total_cmp` sort of the cohort's
+    /// column for the rank-based ones. No shards, no scratch, no wire form.
+    fn naive_aggregate(
+        rule: Aggregator,
+        deltas: &[(Vec<f32>, f64)],
+        anchor: &[f32],
+    ) -> (Option<Vec<f32>>, usize) {
+        // Clip threshold of the weighted rules; `None` for the rank-based.
+        let tau = match rule {
+            Aggregator::FedAvg => Some(f64::INFINITY),
+            Aggregator::NormClipped { tau } => Some(tau),
+            _ => None,
+        };
+        let usable: Vec<&(Vec<f32>, f64)> = deltas
+            .iter()
+            .filter(|(_, w)| tau.is_none() || (w.is_finite() && *w > 0.0))
+            .collect();
+        let total: f64 = usable.iter().map(|(_, w)| *w).sum();
+        if usable.is_empty() || (tau.is_some() && !(total.is_finite() && total > 0.0)) {
+            return (None, 0);
+        }
+        let mut clipped = 0;
+        let factors: Vec<f64> = usable
+            .iter()
+            .map(|(d, w)| {
+                let norm = d.iter().map(|&v| v as f64 * v as f64).sum::<f64>().sqrt();
+                match tau {
+                    Some(tau) if norm.is_finite() && norm > tau => {
+                        clipped += 1;
+                        w / total * (tau / norm)
+                    }
+                    _ => w / total,
+                }
+            })
+            .collect();
+        let n = usable.len();
+        let params = (0..anchor.len()).map(|i| {
+            let mut col: Vec<f32> = usable.iter().map(|(d, _)| d[i]).collect();
+            let delta = match rule {
+                Aggregator::FedAvg | Aggregator::NormClipped { .. } => col
+                    .iter()
+                    .zip(&factors)
+                    .fold(0.0, |acc, (&v, f)| acc + f * v as f64),
+                Aggregator::TrimmedMean { beta } => {
+                    let t = ((beta * n as f64).floor() as usize).min((n - 1) / 2);
+                    col.sort_by(|a, b| a.total_cmp(b));
+                    col[t..n - t].iter().map(|&v| v as f64).sum::<f64>() / (n - 2 * t) as f64
+                }
+                Aggregator::CoordinateMedian => {
+                    col.sort_by(|a, b| a.total_cmp(b));
+                    if n % 2 == 1 {
+                        col[n / 2] as f64
+                    } else {
+                        (col[n / 2 - 1] as f64 + col[n / 2] as f64) / 2.0
+                    }
+                }
+            };
+            (anchor[i] as f64 + delta) as f32
+        });
+        (Some(params.collect()), clipped)
+    }
+
+    fn bits(params: Option<&[f32]>) -> Option<Vec<u32>> {
+        params.map(|p| p.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Runs `rule` through the engine on 1, 2 and 4 workers, twice each over
+    /// the same scratch (stale contents of the recycled buffers must not
+    /// leak through), and requires `to_bits` equality with the naive
+    /// reference over the dense-decoded updates. Returns the result.
+    fn assert_matches_oracle<P: ShardAccumulate>(
+        rule: Aggregator,
+        updates: &[(&P, f64)],
+        anchor: &[f32],
+        ctx: &WireCtx,
+        scratch: &mut AggScratch,
+        what: &str,
+    ) -> Option<Vec<f32>> {
+        let deltas: Vec<(Vec<f32>, f64)> = updates
+            .iter()
+            .map(|&(p, w)| {
+                let mut delta = vec![0.0; p.vec_len()];
+                p.dense_decode_into(&mut delta, ctx);
+                (delta, w)
+            })
+            .collect();
+        let (want, want_clipped) = naive_aggregate(rule, &deltas, anchor);
+        for threads in [1usize, 2, 4] {
+            let rt = Runtime::exact(threads).with_min_work(0);
+            for pass in 0..2 {
+                let got = rule.aggregate_into(updates, anchor, ctx, &rt, scratch);
+                assert_eq!(
+                    (bits(got.params), got.clipped),
+                    (bits(want.as_deref()), want_clipped),
+                    "{} diverged from the oracle ({what}, {threads} threads, pass {pass})",
+                    rule.name()
+                );
+            }
+        }
+        want
+    }
+
     #[test]
-    fn sharded_aggregate_into_matches_aggregate_bit_exactly() {
-        // The engine the barrier loop now runs must be the exact math it
-        // replaced, for every rule, shard count, and codec — golden traces
-        // depend on it. Scratch is reused across calls to also exercise the
-        // recycled-buffer path (stale contents must not leak through).
-        use ft_sparse::Codec;
+    fn aggregator_engine_matches_naive_oracle_bit_exactly() {
+        // Every rule × codec × thread count × {owned, view} × {plain,
+        // staleness-discounted, hostile} weights, plus the degenerate
+        // cohorts, against the one naive reference. Golden traces rest on it.
         let n = 37; // awkward length: uneven shard splits
-        let mut ctx = ft_sparse::WireCtx::dense(n);
+        let mut ctx = WireCtx::dense(n);
         ctx.epoch = 5;
         for (i, a) in ctx.alive.iter_mut().enumerate() {
             *a = i % 3 != 1; // sparse mask for the MaskCsr/TopK codecs
         }
         let anchor: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
-        let rules = [
-            Aggregator::FedAvg,
-            Aggregator::TrimmedMean { beta: 0.2 },
-            Aggregator::CoordinateMedian,
-            Aggregator::NormClipped { tau: 0.5 },
-        ];
+        let raw_delta = |d: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| {
+                    let v = ((d * 31 + i) as f32 * 0.11).cos() * (d as f32 - 2.0);
+                    if ctx.alive[i] {
+                        v
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        };
+        let plain: Vec<f64> = (0..5).map(|d| 1.0 + d as f64).collect();
+        let stale: Vec<f64> = plain
+            .iter()
+            .zip([0usize, 2, 0, 5, 1])
+            .map(|(w, s)| w * staleness_weight(s))
+            .collect();
+        // One NaN, one infinite, one negative and one zero weight next to a
+        // single honest survivor: the screen must keep its round.
+        let hostile = vec![f64::NAN, 3.0, f64::INFINITY, -4.0, 0.0];
+        // One shared scratch across the whole matrix: the plan and every
+        // buffer are re-keyed and resized as rules, cohorts and shard counts
+        // change under it.
+        let mut scratch = AggScratch::new();
         for codec in [
             Codec::Dense,
             Codec::MaskCsr,
@@ -1368,79 +889,100 @@ mod tests {
                 error_feedback: false,
             },
         ] {
+            // Device 3 encodes for a peer at another epoch: `MaskCsr` then
+            // carries explicit indices, as a stale buffered arrival does.
             let payloads: Vec<Payload> = (0..5)
                 .map(|d| {
-                    let delta: Vec<f32> = (0..n)
-                        .map(|i| {
-                            let v = ((d * 31 + i) as f32 * 0.11).cos() * (d as f32 - 2.0);
-                            if ctx.alive[i] {
-                                v
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect();
-                    codec.encode(&delta, &ctx, ctx.epoch, None)
+                    let peer = if d == 3 { ctx.epoch + 1 } else { ctx.epoch };
+                    codec.encode(&raw_delta(d), &ctx, peer, None)
                 })
                 .collect();
-            let updates: Vec<(&Payload, f64)> = payloads
+            let frames: Vec<Vec<u8>> = payloads.iter().map(|p| p.to_bytes(&ctx)).collect();
+            let views: Vec<PayloadView<'_>> = frames
                 .iter()
-                .enumerate()
-                .map(|(d, p)| (p, 1.0 + d as f64))
+                .map(|b| PayloadView::parse(b, &ctx).expect("own frame parses"))
                 .collect();
-            for rule in rules {
-                let reference = rule.aggregate(&updates, &anchor, &ctx);
-                for threads in [1usize, 3] {
-                    let rt = Runtime::exact(threads);
-                    let mut scratch = AggScratch::new();
-                    for pass in 0..2 {
-                        let got = rule.aggregate_into(&updates, &anchor, &ctx, &rt, &mut scratch);
-                        assert_eq!(got.clipped, reference.clipped);
-                        let got_bits: Option<Vec<u32>> =
-                            got.params.map(|p| p.iter().map(|v| v.to_bits()).collect());
-                        let ref_bits: Option<Vec<u32>> = reference
-                            .params
-                            .as_ref()
-                            .map(|p| p.iter().map(|v| v.to_bits()).collect());
-                        assert_eq!(
-                            got_bits,
-                            ref_bits,
-                            "{} diverged ({codec:?}, {threads} threads, pass {pass})",
-                            rule.name()
-                        );
-                    }
+            for (weights, kind) in [(&plain, "plain"), (&stale, "stale"), (&hostile, "hostile")] {
+                let owned: Vec<(&Payload, f64)> =
+                    payloads.iter().zip(weights.iter().copied()).collect();
+                let viewed: Vec<(&PayloadView<'_>, f64)> =
+                    views.iter().zip(weights.iter().copied()).collect();
+                let what = format!("{codec:?}, {kind} weights");
+                for rule in RULES {
+                    let a = assert_matches_oracle(rule, &owned, &anchor, &ctx, &mut scratch, &what);
+                    let b =
+                        assert_matches_oracle(rule, &viewed, &anchor, &ctx, &mut scratch, &what);
+                    assert_eq!(bits(a.as_deref()), bits(b.as_deref()), "owned vs view");
                 }
             }
+            // The hostile cohort is not a no-op for the weighted rules: the
+            // honest survivor alone moved the global.
+            let survivor = [(&payloads[1], 3.0)];
+            let mixed: Vec<(&Payload, f64)> = payloads.iter().zip(hostile.clone()).collect();
+            let rule = Aggregator::FedAvg;
+            let alone =
+                assert_matches_oracle(rule, &survivor, &anchor, &ctx, &mut scratch, "alone");
+            let among = assert_matches_oracle(rule, &mixed, &anchor, &ctx, &mut scratch, "among");
+            assert!(alone.is_some(), "one usable weight is a round");
+            assert_eq!(bits(alone.as_deref()), bits(among.as_deref()));
         }
-        // Degenerate cohorts keep the previous global through the sharded
-        // path too.
-        let mut scratch = AggScratch::new();
-        let rt = Runtime::sequential();
-        for rule in rules {
-            let got = rule.aggregate_into::<Payload>(&[], &anchor, &ctx, &rt, &mut scratch);
-            assert_eq!(got.params, None, "{}", rule.name());
-            assert_eq!(got.clipped, 0);
-        }
-    }
 
-    #[test]
-    fn payload_stale_fedavg_arm_matches_free_function_bit_exactly() {
-        // The buffered loop's FedAvg dispatch must be the exact function it
-        // replaced — golden traces depend on it.
-        let ctx = ft_sparse::WireCtx::dense(3);
-        let current = vec![0.5f32, -0.25, 2.0];
-        let a = dense(&[1.0, 2.0, 3.0]);
-        let b = dense(&[-1.0, 0.5, 0.0]);
-        let updates: Vec<(&Payload, f64, usize)> = vec![(&a, 12.0, 0), (&b, 5.0, 2)];
-        let via_enum = Aggregator::FedAvg
-            .aggregate_stale(&updates, &current, &ctx)
-            .params
-            .unwrap();
-        let direct = staleness_fedavg_payloads(&updates, &current, &ctx);
-        assert_eq!(
-            via_enum.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        // Cohort order is part of the contract: `f64` addition is not
+        // associative, and this cohort makes that visible after the `f32`
+        // cast (forward the small delta survives, reversed it is absorbed).
+        let swamped = [dense(&[3e20]), dense(&[-3e20]), dense(&[1.0])];
+        let cohort: Vec<(&Payload, f64)> = swamped.iter().map(|p| (p, 1.0)).collect();
+        let one = WireCtx::dense(1);
+        for rule in RULES {
+            assert_matches_oracle(rule, &cohort, &[0.0], &one, &mut scratch, "swamped");
+        }
+
+        // Degenerate cohorts — empty, all-zero weights, fully quarantined —
+        // keep the previous global (`params: None`), never NaN parameters.
+        // The rank-based rules ignore weights, so only an empty cohort is
+        // degenerate for them.
+        let p = dense(&vec![9.0; n]);
+        let flat = WireCtx::dense(n);
+        for rule in RULES {
+            let weighted = matches!(rule, Aggregator::FedAvg | Aggregator::NormClipped { .. });
+            for (weights, what) in [
+                (vec![], "empty"),
+                (vec![0.0, 0.0], "all-zero"),
+                (vec![0.0, f64::NAN], "fully quarantined"),
+            ] {
+                let cohort: Vec<(&Payload, f64)> = weights.iter().map(|&w| (&p, w)).collect();
+                let got = assert_matches_oracle(rule, &cohort, &anchor, &flat, &mut scratch, what);
+                let degenerate = weighted || weights.is_empty();
+                assert_eq!(got.is_none(), degenerate, "{} ({what})", rule.name());
+            }
+        }
+
+        // Weighted mean with un-normalised weights: raw sample counts and
+        // the same ratios pre-normalised land on the same global.
+        let (a, b) = (dense(&[2.0, 0.0]), dense(&[4.0, 1.0]));
+        let (raw, _) = aggregate_once(Aggregator::FedAvg, &[(&a, 10.0), (&b, 30.0)], &[0.0, 0.0]);
+        let (unit, _) = aggregate_once(Aggregator::FedAvg, &[(&a, 0.25), (&b, 0.75)], &[0.0, 0.0]);
+        let (raw, unit) = (raw.unwrap(), unit.unwrap());
+        assert!((raw[0] - 3.5).abs() < 1e-6 && (raw[1] - 0.75).abs() < 1e-6);
+        assert!((raw[0] - unit[0]).abs() < 1e-6 && (raw[1] - unit[1]).abs() < 1e-6);
+
+        // Ragged lengths are a caller bug, not a degenerate fleet state:
+        // every rule panics instead of aggregating across models.
+        for rule in RULES {
+            let short = dense(&[1.0]);
+            let ragged = std::panic::catch_unwind(|| {
+                aggregate_once(
+                    rule,
+                    &[(&dense(&[1.0, 2.0]), 1.0), (&short, 1.0)],
+                    &[0.0, 0.0],
+                )
+            });
+            let msg = *ragged
+                .expect_err("ragged cohort must panic")
+                .downcast::<String>()
+                .expect("assert message");
+            assert!(msg.contains("length differs"), "{}: {msg}", rule.name());
+        }
     }
 
     mod props {
@@ -1448,117 +990,61 @@ mod tests {
         use ft_sparse::Codec;
         use proptest::prelude::*;
 
-        /// Builds delta payloads for `params` against `anchor` under
-        /// `codec` and aggregates them, returning the payload-pipeline
-        /// global.
-        fn roundtrip_fedavg(raw: &[(Vec<f32>, f64)], anchor: &[f32], codec: Codec) -> Vec<f32> {
-            let ctx = WireCtx::dense(anchor.len());
-            let payloads: Vec<Payload> = raw
-                .iter()
-                .map(|(p, _)| {
-                    let delta: Vec<f32> = p.iter().zip(anchor.iter()).map(|(x, a)| x - a).collect();
-                    codec.encode(&delta, &ctx, ctx.epoch, None)
-                })
-                .collect();
-            let updates: Vec<(&Payload, f64)> = payloads
-                .iter()
-                .zip(raw.iter())
-                .map(|(p, (_, w))| (p, *w))
-                .collect();
-            fedavg_payloads(&updates, anchor, &ctx)
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Dense payload aggregation agrees with classic fedavg on the
-            /// decoded parameters to numerical tolerance.
+            /// Aggregating encoded deltas `θ_k − anchor` agrees with the
+            /// textbook weighted mean of the parameters `θ_k`, for any
+            /// staleness discount on the weights, and stays a convex
+            /// combination (bounded by the per-coordinate min/max of the
+            /// inputs): to numerical tolerance under `Dense`, and within the
+            /// accumulated quantization bound under `QuantInt8` — each
+            /// delta's error is at most half a step of its own range, so
+            /// the aggregate error is bounded by the largest per-device one.
             #[test]
-            fn payload_dense_fedavg_matches_classic(
+            fn payload_fedavg_matches_classic_weighted_mean(
                 raw in proptest::collection::vec(
-                    (proptest::collection::vec(-2.0f32..2.0, 6), 1.0f64..40.0),
+                    (proptest::collection::vec(-2.0f32..2.0, 6), 1.0f64..40.0, 0usize..10),
                     1..6,
                 ),
                 anchor in proptest::collection::vec(-2.0f32..2.0, 6),
             ) {
-                let classic = fedavg(&raw);
-                let via_payloads = roundtrip_fedavg(&raw, &anchor, Codec::Dense);
-                for (&a, &b) in classic.iter().zip(via_payloads.iter()) {
-                    prop_assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-                }
-            }
-
-            /// Quantized (int8) payload aggregation stays within the
-            /// accumulated quantization bound of dense fedavg: each delta's
-            /// error is at most half a step of its own range, and fedavg is
-            /// a convex combination, so the aggregate error is bounded by
-            /// the largest per-device bound.
-            #[test]
-            fn payload_quantized_fedavg_within_tolerance(
-                raw in proptest::collection::vec(
-                    (proptest::collection::vec(-2.0f32..2.0, 6), 1.0f64..40.0),
-                    1..6,
-                ),
-                anchor in proptest::collection::vec(-2.0f32..2.0, 6),
-            ) {
-                let classic = fedavg(&raw);
-                let quantized = roundtrip_fedavg(&raw, &anchor, Codec::QuantInt8);
-                let worst_bound = raw
+                let ctx = WireCtx::dense(anchor.len());
+                let weights: Vec<f64> =
+                    raw.iter().map(|(_, w, s)| w * staleness_weight(*s)).collect();
+                let total: f64 = weights.iter().sum();
+                let deltas: Vec<Vec<f32>> = raw
                     .iter()
-                    .map(|(p, _)| {
-                        let deltas: Vec<f32> =
-                            p.iter().zip(anchor.iter()).map(|(x, a)| x - a).collect();
-                        let lo = deltas.iter().cloned().fold(f32::INFINITY, f32::min);
-                        let hi = deltas.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                    .map(|(p, _, _)| p.iter().zip(anchor.iter()).map(|(x, a)| x - a).collect())
+                    .collect();
+                let quant_bound = deltas
+                    .iter()
+                    .map(|d| {
+                        let lo = d.iter().cloned().fold(f32::INFINITY, f32::min);
+                        let hi = d.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
                         (hi - lo) / 510.0
                     })
                     .fold(0.0f32, f32::max);
-                for (&a, &b) in classic.iter().zip(quantized.iter()) {
-                    prop_assert!(
-                        (a - b).abs() <= worst_bound + 1e-5,
-                        "{a} vs {b} beyond {worst_bound}"
-                    );
-                }
-            }
-
-            /// All-zero staleness makes staleness_fedavg exactly plain
-            /// fedavg, bit for bit.
-            #[test]
-            fn sim_zero_staleness_is_plain_fedavg(
-                raw in proptest::collection::vec(
-                    (proptest::collection::vec(-2.0f32..2.0, 5), 1.0f64..40.0),
-                    1..6,
-                ),
-            ) {
-                let stale: Vec<(&[f32], f64, usize)> = raw
-                    .iter()
-                    .map(|(p, w)| (p.as_slice(), *w, 0usize))
-                    .collect();
-                let previous = vec![7.0f32; 5];
-                prop_assert_eq!(staleness_fedavg(&stale, &previous), fedavg(&raw));
-            }
-
-            /// Positive staleness never increases an update's weight, and
-            /// the result stays a convex combination (bounded by the
-            /// per-coordinate min/max of the inputs).
-            #[test]
-            fn sim_staleness_result_is_convex_combination(
-                raw in proptest::collection::vec(
-                    (proptest::collection::vec(-2.0f32..2.0, 4), 1.0f64..40.0, 0usize..10),
-                    1..6,
-                ),
-            ) {
-                let previous = vec![0.0f32; 4];
-                let views: Vec<(&[f32], f64, usize)> = raw
-                    .iter()
-                    .map(|(p, w, s)| (p.as_slice(), *w, *s))
-                    .collect();
-                let got = staleness_fedavg(&views, &previous);
-                for i in 0..4 {
-                    let lo = raw.iter().map(|(p, _, _)| p[i]).fold(f32::INFINITY, f32::min);
-                    let hi = raw.iter().map(|(p, _, _)| p[i]).fold(f32::NEG_INFINITY, f32::max);
-                    prop_assert!(got[i] >= lo - 1e-5 && got[i] <= hi + 1e-5,
-                        "coord {} = {} outside [{}, {}]", i, got[i], lo, hi);
+                for (codec, tolerance) in [(Codec::Dense, 1e-5), (Codec::QuantInt8, quant_bound + 1e-5)] {
+                    let payloads: Vec<Payload> =
+                        deltas.iter().map(|d| codec.encode(d, &ctx, ctx.epoch, None)).collect();
+                    let updates: Vec<(&Payload, f64)> =
+                        payloads.iter().zip(weights.iter().copied()).collect();
+                    let mut scratch = AggScratch::new();
+                    let got = Aggregator::FedAvg
+                        .aggregate_into(&updates, &anchor, &ctx, &Runtime::sequential(), &mut scratch)
+                        .params
+                        .expect("positive weights");
+                    for (i, &g) in got.iter().enumerate() {
+                        let column = raw.iter().map(|(p, _, _)| p[i]);
+                        let classic = column.clone().zip(&weights).map(|(p, w)| w / total * p as f64);
+                        let classic = classic.sum::<f64>() as f32;
+                        prop_assert!((g - classic).abs() <= tolerance, "{g} vs {classic}");
+                        let lo = column.clone().fold(f32::INFINITY, f32::min);
+                        let hi = column.fold(f32::NEG_INFINITY, f32::max);
+                        prop_assert!(g >= lo - tolerance && g <= hi + tolerance,
+                            "coord {} = {} outside [{}, {}]", i, g, lo, hi);
+                    }
                 }
             }
         }

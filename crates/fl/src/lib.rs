@@ -1,5 +1,5 @@
-//! Federated-learning simulator: devices, FedAvg aggregation, local SGD,
-//! evaluation, and cost bookkeeping.
+//! Federated-learning simulator: devices, server-side aggregation, local
+//! SGD, evaluation, and cost bookkeeping.
 //!
 //! Every pruning method in this workspace — the baselines in `ft-pruning`
 //! and FedTiny itself — is built from the primitives here:
@@ -8,16 +8,19 @@
 //!   across `K` devices, and the shared [`FlConfig`].
 //! - [`local_train`] / [`train_devices_parallel`] — `E` epochs of (masked)
 //!   SGD per device, optionally fanned out over OS threads.
-//! - [`fedavg`] / [`aggregate_bn_stats`] — size-weighted averaging of flat
-//!   parameter vectors and of BatchNorm running statistics (Eqs. 4 and 7);
-//!   [`staleness_fedavg`] / [`fedavg_or_previous`] are the
-//!   straggler-tolerant variants the schedulers build on.
+//! - [`Aggregator::aggregate_into`] / [`aggregate_bn_stats`] — the one
+//!   aggregation engine (`anchor + Σ wₖ·decode(Δₖ)`, or a robust rank rule,
+//!   Eq. 7) and the size-weighted average of BatchNorm running statistics
+//!   (Eq. 4). A degenerate cohort yields `None` and the schedulers keep
+//!   the previous global; straggler tolerance enters as a weight
+//!   ([`staleness_weight`]), not as a second API.
 //! - The typed update pipeline: a [`DeviceUpdate`] carries an encoded
 //!   [`Payload`] (delta against the round anchor under the run's
-//!   [`Codec`]), [`fedavg_payloads`] / [`staleness_fedavg_payloads`]
-//!   decode-and-accumulate without materializing per-device dense vectors,
-//!   and the schedulers bill the `SimClock` and [`CostLedger`] with
-//!   *measured* `encoded_len()` bytes next to the analytic formulas.
+//!   [`Codec`]), the engine decodes-and-accumulates it shard by shard
+//!   without materializing per-device dense vectors ([`AggScratch`] is
+//!   recycled round over round), and the schedulers bill the `SimClock`
+//!   and [`CostLedger`] with *measured* `encoded_len()` bytes next to the
+//!   analytic formulas.
 //! - [`Scheduler`] — how the server closes rounds over the environment's
 //!   simulated [`DeviceProfile`] fleet: synchronous barrier, deadline cut,
 //!   or FedBuff-style buffered asynchrony, all on a virtual clock.
@@ -64,9 +67,7 @@ pub use adversary::{
     run_byzantine_tcp_device, run_churn_tcp_device, AdversarialTransport, Behavior,
 };
 pub use aggregate::{
-    aggregate_bn_stats, fedavg, fedavg_or_previous, fedavg_payloads, staleness_fedavg,
-    staleness_fedavg_payloads, staleness_weight, try_aggregate_bn_stats, try_fedavg,
-    try_fedavg_payloads, try_staleness_fedavg_payloads, AggScratch, AggregateOutcome, AggregateRef,
+    aggregate_bn_stats, staleness_weight, try_aggregate_bn_stats, AggScratch, AggregateRef,
     Aggregator, ShardAccumulate,
 };
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointSpec, CheckpointSummary};

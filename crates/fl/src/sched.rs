@@ -36,10 +36,11 @@
 //! ledger but not in its link time.
 
 use crate::env::ExperimentEnv;
+use crate::train::DeviceUpdate;
 use crate::transport::Delivery;
 use ft_metrics::{sparse_model_bytes, training_flops, DeviceProfile};
 use ft_nn::ArchInfo;
-use ft_sparse::{Codec, Payload, WireCtx};
+use ft_sparse::{Codec, WireCtx};
 use serde::{Deserialize, Serialize};
 
 /// Round-closing policy over the simulated fleet.
@@ -179,20 +180,20 @@ pub fn broadcast_payload_len(codec: Codec, ctx: &WireCtx) -> usize {
     }
 }
 
-/// Weighted encoded updates of the surviving cohort members: `(payload,
-/// |D_k|)` pairs. Quarantined (faulted) deliveries and members the
-/// scheduler cut carry no weight; for the survivors the weights always sum
-/// to the participating sample count (the invariant every aggregation in
-/// the paper relies on).
-pub(crate) fn survivor_payload_updates<'a>(
+/// Weighted updates of the surviving cohort members: `(update, |D_k|)`
+/// pairs. Quarantined (faulted) deliveries and members the scheduler cut
+/// carry no weight; for the survivors the weights always sum to the
+/// participating sample count (the invariant every aggregation in the
+/// paper relies on).
+pub(crate) fn survivor_updates<'a>(
     updates: &'a [Delivery],
     alive: &[bool],
-) -> Vec<(&'a Payload, f64)> {
+) -> Vec<(&'a DeviceUpdate, f64)> {
     updates
         .iter()
         .zip(alive.iter())
         .filter(|(_, &a)| a)
-        .filter_map(|(d, _)| d.update().map(|u| (&u.payload, u.samples as f64)))
+        .filter_map(|(d, _)| d.update().map(|u| (u, u.samples as f64)))
         .collect()
 }
 
@@ -271,9 +272,8 @@ mod tests {
     use crate::ledger::CostLedger;
     use crate::rounds::{no_hook, run_federated_rounds};
     use crate::spec::ModelSpec;
-    use crate::train::DeviceUpdate;
     use ft_nn::{apply_mask, flat_params, sparse_layout};
-    use ft_sparse::Mask;
+    use ft_sparse::{Mask, Payload};
     use proptest::prelude::*;
 
     /// Runs one policy end-to-end on a mixed fleet and returns everything
@@ -674,7 +674,7 @@ mod tests {
                 .collect();
             let alive: Vec<bool> = alive_bits[..n].iter().map(|&b| b == 1).collect();
             let deliveries: Vec<Delivery> = updates.into_iter().map(Delivery::Update).collect();
-            let got = survivor_payload_updates(&deliveries, &alive);
+            let got = survivor_updates(&deliveries, &alive);
             let weight_sum: f64 = got.iter().map(|(_, w)| *w).sum();
             let expected: usize = samples[..n]
                 .iter()

@@ -14,8 +14,11 @@
 //!   their encoded updates back (function calls for [`InProcess`], real
 //!   frame bytes for `SimTime`/`Tcp`); the virtual fleet then decides each
 //!   update's arrival time and survival (deadline cut, dropout).
-//! - **Aggregate** — weighted payload aggregation of the survivors, BN
-//!   statistics, and the mask re-applied.
+//! - **Aggregate** — the accepted `(update, weight)` pairs go through
+//!   [`Aggregator::aggregate_into`](crate::Aggregator::aggregate_into), BN
+//!   statistics are averaged under the same weights, and the mask is
+//!   re-applied. The weight is the sample count under the barrier and the
+//!   staleness-discounted sample count under the buffered loop.
 //! - **Advance** — timeline/ledger accounting, the method hook, periodic
 //!   evaluation, optional checkpointing, and the round counter.
 //!
@@ -45,10 +48,12 @@ use crate::env::ExperimentEnv;
 use crate::ledger::{CostLedger, TimelineEvent};
 use crate::rounds::{sample_cohort, RoundHook};
 use crate::sched::{
-    broadcast_payload_len, device_round_cost, should_eval, survivor_payload_updates,
-    PresenceSchedule, Scheduler,
+    broadcast_payload_len, device_round_cost, should_eval, survivor_updates, PresenceSchedule,
+    Scheduler,
 };
-use crate::train::{train_devices_raw_parallel, train_one_device_raw, DeviceUpdate, LocalOutcome};
+use crate::train::{
+    fans_out, train_devices_raw_parallel, train_one_device_raw, DeviceUpdate, LocalOutcome,
+};
 use crate::transport::{Delivery, InProcess, RoundRequest, Transport, TransportError};
 use ft_data::Dataset;
 use ft_metrics::{densities_from_mask, sparse_model_bytes, training_flops, SimClock};
@@ -532,6 +537,7 @@ impl ServerState<'_> {
                             ledger,
                             hook,
                             opts,
+                            &rt,
                             deadline,
                             max_samples,
                         )?;
@@ -705,11 +711,83 @@ impl ServerState<'_> {
         Ok(())
     }
 
-    /// Aggregate: fold the surviving payloads and BN statistics into the
-    /// global model; an empty (or zero-weight) cohort leaves it untouched
-    /// and records a zero-progress round. Runs the sharded engine
-    /// ([`Aggregator::aggregate_into`]) over `self.agg_scratch`'s recycled
-    /// buffers — bit-identical to the sequential path for any shard count.
+    /// The fold both loops share: runs the accepted `(update, weight)` pairs
+    /// through [`Aggregator::aggregate_into`](crate::Aggregator::aggregate_into)
+    /// over `self.agg_scratch`'s recycled buffers (bit-identical for any
+    /// shard count), averages the BN statistics under the same weights, and
+    /// re-applies the mask — stale updates were trained under old masks and
+    /// must not resurrect pruned weights. Returns `false` when the cohort
+    /// was degenerate (empty or without usable weight) and the global model
+    /// was left untouched.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_into_global(
+        &mut self,
+        accepted: &[(&DeviceUpdate, f64)],
+        anchor: &[f32],
+        ctx: &WireCtx,
+        rt: &ft_runtime::Runtime,
+        global: &mut dyn Model,
+        mask: &Mask,
+        ledger: &mut CostLedger,
+    ) -> bool {
+        let payloads: Vec<(&Payload, f64)> =
+            accepted.iter().map(|&(u, w)| (&u.payload, w)).collect();
+        let aggregator = self.env.cfg.aggregator;
+        let outcome = aggregator.aggregate_into(&payloads, anchor, ctx, rt, &mut self.agg_scratch);
+        ledger.record_clipped(outcome.clipped);
+        let progressed = match outcome.params {
+            Some(new_params) => {
+                set_flat_params(global, new_params);
+                let bn_updates: Vec<_> = accepted.iter().map(|&(u, w)| (u.bn.clone(), w)).collect();
+                if let Some(new_bn) = try_aggregate_bn_stats(&bn_updates) {
+                    for (dst, src) in global.bn_stats_mut().into_iter().zip(new_bn.iter()) {
+                        *dst = src.clone();
+                    }
+                }
+                true
+            }
+            None => false,
+        };
+        apply_mask(global, mask);
+        self.applied_mask = mask.clone();
+        progressed
+    }
+
+    /// The tail both loops share once a round's accounting is on the
+    /// ledger: the method hook (a moved mask bumps the wire epoch), the
+    /// round's FLOPs, periodic evaluation, the round counter, and the
+    /// metrics hub. Returns whether the hook moved the mask.
+    #[allow(clippy::too_many_arguments)]
+    fn finish_round(
+        &mut self,
+        global: &mut dyn Model,
+        mask: &mut Mask,
+        ledger: &mut CostLedger,
+        hook: &mut RoundHook<'_>,
+        opts: &RunOptions<'_>,
+        analytic_flops: f64,
+        cohort: usize,
+    ) -> bool {
+        let mask_before_hook = mask.clone();
+        let extra = hook(global, mask, self.round, ledger);
+        let mask_moved = *mask != mask_before_hook;
+        if mask_moved {
+            self.epoch += 1;
+        }
+        ledger.record_round_flops(analytic_flops + extra);
+        if should_eval(self.eval_every, self.round, self.env.cfg.rounds) {
+            self.history
+                .push(crate::train::evaluate(global, &self.env.test));
+        }
+        self.round += 1;
+        self.last_cohort = cohort;
+        self.publish_metrics(opts, ledger);
+        mask_moved
+    }
+
+    /// Aggregate: fold the surviving updates into the global model; an
+    /// empty (or zero-weight) cohort leaves it untouched and records a
+    /// zero-progress round.
     fn phase_aggregate(
         &mut self,
         rs: &mut BarrierRound,
@@ -725,35 +803,12 @@ impl ServerState<'_> {
                 ledger.record_fault(fault);
             }
         }
-        let surviving = survivor_payload_updates(&rs.updates, &rs.alive);
-        let aggregator = self.env.cfg.aggregator;
-        let outcome =
-            aggregator.aggregate_into(&surviving, &rs.anchor, &rs.ctx, rt, &mut self.agg_scratch);
-        ledger.record_clipped(outcome.clipped);
-        rs.progressed = match outcome.params {
-            Some(new_params) => {
-                set_flat_params(global, new_params);
-                let bn_updates: Vec<_> = rs
-                    .updates
-                    .iter()
-                    .zip(rs.alive.iter())
-                    .filter(|(_, &a)| a)
-                    .filter_map(|(d, _)| d.update().map(|u| (u.bn.clone(), u.samples as f64)))
-                    .collect();
-                if let Some(new_bn) = try_aggregate_bn_stats(&bn_updates) {
-                    for (dst, src) in global.bn_stats_mut().into_iter().zip(new_bn.iter()) {
-                        *dst = src.clone();
-                    }
-                }
-                true
-            }
-            None => {
-                ledger.record_zero_progress();
-                false
-            }
-        };
-        apply_mask(global, mask);
-        self.applied_mask = mask.clone();
+        let surviving = survivor_updates(&rs.updates, &rs.alive);
+        rs.progressed =
+            self.fold_into_global(&surviving, &rs.anchor, &rs.ctx, rt, global, mask, ledger);
+        if !rs.progressed {
+            ledger.record_zero_progress();
+        }
     }
 
     /// Advance: timeline + ledger accounting, the method hook, periodic
@@ -768,6 +823,7 @@ impl ServerState<'_> {
         ledger: &mut CostLedger,
         hook: &mut RoundHook<'_>,
         opts: &RunOptions<'_>,
+        rt: &ft_runtime::Runtime,
         deadline: Option<f64>,
         max_samples: f64,
     ) -> Result<bool, ServerError> {
@@ -797,7 +853,7 @@ impl ServerState<'_> {
         // the round's densities — paid even by devices that were dropped)
         // next to the measured payload bytes and the realized execution
         // costs the devices reported.
-        let mut round_flops = rs.per_sample_flops * max_samples * env.cfg.local_epochs as f64;
+        let round_flops = rs.per_sample_flops * max_samples * env.cfg.local_epochs as f64;
         ledger.add_comm(rs.analytic_bytes);
         ledger.record_payload_round(rs.broadcast_len, rs.max_upload);
         let max_realized = rs
@@ -806,34 +862,30 @@ impl ServerState<'_> {
             .filter_map(|d| d.update())
             .map(|u| u.realized_flops)
             .fold(0.0, f64::max);
-        let round_wall = if env.cfg.parallel {
-            rs.updates
-                .iter()
-                .filter_map(|d| d.update())
-                .map(|u| u.wall_secs)
-                .fold(0.0, f64::max)
+        // The round's training wall-clock: the slowest device when the
+        // cohort really ran side by side, the sum when it ran one device
+        // after another — `cfg.parallel` alone does not decide that.
+        let walls = rs
+            .updates
+            .iter()
+            .filter_map(|d| d.update())
+            .map(|u| u.wall_secs);
+        let round_wall = if fans_out(&env.cfg, rs.cohort.len(), rt) {
+            walls.fold(0.0, f64::max)
         } else {
-            rs.updates
-                .iter()
-                .filter_map(|d| d.update())
-                .map(|u| u.wall_secs)
-                .sum()
+            walls.sum()
         };
         ledger.record_realized_round(max_realized, round_wall);
 
-        let mask_before_hook = mask.clone();
-        round_flops += hook(global, mask, self.round, ledger);
-        if *mask != mask_before_hook {
-            self.epoch += 1;
-        }
-        ledger.record_round_flops(round_flops);
-
-        if should_eval(self.eval_every, self.round, env.cfg.rounds) {
-            self.history.push(crate::train::evaluate(global, &env.test));
-        }
-        self.round += 1;
-        self.last_cohort = rs.cohort.len();
-        self.publish_metrics(opts, ledger);
+        self.finish_round(
+            global,
+            mask,
+            ledger,
+            hook,
+            opts,
+            round_flops,
+            rs.cohort.len(),
+        );
         self.checkpoint_and_halt(&*global, mask, ledger, opts, None)
     }
 
@@ -1018,40 +1070,19 @@ impl ServerState<'_> {
 
             let mut aggregated = false;
             if buffer.len() >= k_needed {
-                // --- Aggregate: staleness-weighted payload aggregation
-                // over the buffered updates, decoded straight out of their
-                // wire form and applied to the *current* global.
+                // --- Aggregate: the buffered updates, weighted by sample
+                // count under the FedBuff staleness discount, folded into
+                // the *current* global. A fully-quarantined (all-zero-weight)
+                // buffer keeps it instead of dividing by zero.
                 let current = flat_params(&*global);
-                let param_updates: Vec<(&Payload, f64, usize)> = buffer
-                    .iter()
-                    .map(|b| (&b.update.payload, b.update.samples as f64, b.staleness))
-                    .collect();
-                let outcome = env
-                    .cfg
-                    .aggregator
-                    .aggregate_stale(&param_updates, &current, &ctx);
-                ledger.record_clipped(outcome.clipped);
-                // A fully-quarantined (all-zero-weight) buffer keeps the
-                // current global instead of dividing by zero.
-                set_flat_params(global, &outcome.params.unwrap_or(current));
-                let bn_updates: Vec<_> = buffer
+                let accepted: Vec<(&DeviceUpdate, f64)> = buffer
                     .iter()
                     .map(|b| {
-                        (
-                            b.update.bn.clone(),
-                            b.update.samples as f64 * staleness_weight(b.staleness),
-                        )
+                        let weight = b.update.samples as f64 * staleness_weight(b.staleness);
+                        (&b.update, weight)
                     })
                     .collect();
-                if let Some(new_bn) = try_aggregate_bn_stats(&bn_updates) {
-                    for (dst, src) in global.bn_stats_mut().into_iter().zip(new_bn.iter()) {
-                        *dst = src.clone();
-                    }
-                }
-                // Re-apply the mask: stale updates were trained under old
-                // masks and must not resurrect pruned weights.
-                apply_mask(global, mask);
-                self.applied_mask = mask.clone();
+                self.fold_into_global(&accepted, &current, &ctx, &rt, global, mask, ledger);
 
                 // --- Advance: per-device accounting (one round charges one
                 // model transfer — the heaviest in the buffer), the hook,
@@ -1078,23 +1109,13 @@ impl ServerState<'_> {
                 last_agg_secs = self.clock.now();
                 buffer.clear();
 
-                let mask_before_hook = mask.clone();
-                let extra = hook(global, mask, self.round, ledger);
                 // The hook may have adjusted the mask: refresh the cached
-                // densities and wire context (with a bumped epoch) for the
+                // densities and wire context (at the bumped epoch) for the
                 // tasks launched from here on.
-                if *mask != mask_before_hook {
-                    self.epoch += 1;
+                if self.finish_round(global, mask, ledger, hook, opts, analytic, k_needed) {
                     densities = densities_from_mask(mask);
                     ctx = std::sync::Arc::new(wire_ctx(&*global, mask, self.epoch));
                 }
-                ledger.record_round_flops(analytic + extra);
-                if should_eval(self.eval_every, self.round, env.cfg.rounds) {
-                    self.history.push(crate::train::evaluate(global, &env.test));
-                }
-                self.round += 1;
-                self.last_cohort = k_needed;
-                self.publish_metrics(opts, ledger);
                 aggregated = true;
             }
 
@@ -1425,6 +1446,69 @@ mod tests {
             );
         }));
         assert!(result.is_err(), "stub must have reached exchange_round");
+    }
+
+    /// [`InProcess`] that also adds up every delivered update's training
+    /// wall-clock, so a test can compare it with what the ledger recorded.
+    struct WallProbe {
+        device_wall_secs: f64,
+    }
+    impl Transport for WallProbe {
+        fn name(&self) -> &'static str {
+            "wall_probe"
+        }
+        fn is_local(&self) -> bool {
+            true
+        }
+        fn exchange_round(
+            &mut self,
+            req: &mut RoundRequest<'_>,
+        ) -> Result<Vec<Delivery>, TransportError> {
+            let deliveries = InProcess.exchange_round(req)?;
+            self.device_wall_secs += deliveries
+                .iter()
+                .filter_map(|d| d.update())
+                .map(|u| u.wall_secs)
+                .sum::<f64>();
+            Ok(deliveries)
+        }
+        fn deliver_update(&mut self, u: DeviceUpdate, _ctx: &WireCtx) -> DeviceUpdate {
+            u
+        }
+    }
+
+    #[test]
+    fn round_wall_under_a_sequential_pool_is_the_sum_of_device_walls() {
+        // `cfg.parallel` alone does not fan devices out: on a one-thread
+        // pool they train one after another, and the round's wall-clock is
+        // the sum of theirs. Taking the max under-reported it up to K×.
+        let mut env = ExperimentEnv::tiny_for_tests(5);
+        env.cfg.parallel = true;
+        env.cfg.threads = 1;
+        assert!(!env.cfg.runtime().is_parallel());
+        let mut model = env.build_model(&ModelSpec::small_cnn_test());
+        let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+        let mut ledger = CostLedger::new();
+        let mut transport = WallProbe {
+            device_wall_secs: 0.0,
+        };
+        run_with(
+            model.as_mut(),
+            &mut mask,
+            &env,
+            0,
+            &mut ledger,
+            &mut no_hook(),
+            RunOptions::new(&mut transport),
+        )
+        .expect("in-process run");
+        assert!(transport.device_wall_secs > 0.0);
+        assert!(
+            ledger.total_train_wall_secs() >= transport.device_wall_secs,
+            "recorded {} s for devices that trained {} s back to back",
+            ledger.total_train_wall_secs(),
+            transport.device_wall_secs
+        );
     }
 
     /// The in-memory byte-boundary transport reproduces the in-process run

@@ -381,6 +381,13 @@ pub fn train_one_device(
     )
 }
 
+/// Whether a cohort of `cohort` devices trains side by side on `rt`'s pool
+/// (one device per worker, kernels inline) rather than one device after
+/// another. The server's wall-clock accounting asks the same question.
+pub(crate) fn fans_out(cfg: &FlConfig, cohort: usize, rt: &Runtime) -> bool {
+    cfg.parallel && cohort > 1 && rt.is_parallel()
+}
+
 /// Trains every device from the same global model and returns their encoded
 /// updates in device order. When `cfg.parallel`, devices are fanned out over
 /// `rt`'s shared worker pool (bounded by `rt.threads()`, not one unbounded
@@ -414,7 +421,7 @@ pub fn train_devices_parallel(
         "one residual accumulator per device"
     );
     let needs_residual = wire.codec.uses_error_feedback();
-    let fan_out = cfg.parallel && parts.len() > 1 && rt.is_parallel();
+    let fan_out = fans_out(cfg, parts.len(), rt);
     // One thread budget for the whole run: either the devices occupy the
     // pool (kernels inline), or a lone device's kernels do.
     let kernel_rt = if fan_out { Runtime::sequential() } else { *rt };
@@ -470,7 +477,7 @@ pub(crate) fn train_devices_raw_parallel(
     round: usize,
     rt: &Runtime,
 ) -> Vec<LocalOutcome> {
-    let fan_out = cfg.parallel && parts.len() > 1 && rt.is_parallel();
+    let fan_out = fans_out(cfg, parts.len(), rt);
     let kernel_rt = if fan_out { Runtime::sequential() } else { *rt };
     let run_one = |k: usize, data: &Dataset| {
         train_one_device_raw(global, data, mask, cfg, round, k, 0, &kernel_rt)

@@ -659,7 +659,7 @@ impl Payload {
     /// scatter into the wrong coordinates), or if sizes are inconsistent.
     pub fn decode(&self, ctx: &WireCtx) -> Vec<f32> {
         let mut out = vec![0.0f32; self.len()];
-        self.for_each_coord(ctx, |i, v| out[i] = v);
+        self.decode_into(&mut out, ctx);
         out
     }
 
@@ -675,88 +675,17 @@ impl Payload {
     pub fn decode_into(&self, out: &mut [f32], ctx: &WireCtx) {
         assert_eq!(out.len(), self.len(), "decode buffer length mismatch");
         out.fill(0.0);
-        self.for_each_coord(ctx, |i, v| out[i] = v);
-    }
-
-    /// Adds `weight · value` into `acc` for every transmitted coordinate —
-    /// the decode-free accumulation primitive `fedavg_payloads` builds on
-    /// (no per-device dense vector is ever materialized for sparse
-    /// payloads).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`decode`](Self::decode), plus an `acc` length
-    /// mismatch.
-    pub fn accumulate_into(&self, weight: f64, acc: &mut [f64], ctx: &WireCtx) {
-        assert_eq!(acc.len(), self.len(), "accumulator length mismatch");
-        self.for_each_coord(ctx, |i, v| acc[i] += weight * v as f64);
-    }
-
-    /// Visits every transmitted `(flat coordinate, value)` pair.
-    fn for_each_coord(&self, ctx: &WireCtx, mut f: impl FnMut(usize, f32)) {
-        match self {
-            Payload::Dense { values } => {
-                for (i, &v) in values.iter().enumerate() {
-                    f(i, v);
-                }
-            }
-            Payload::MaskCsr {
-                epoch,
-                values,
-                indices,
-                len,
-            } => match indices {
-                Some(idx) => {
-                    assert_eq!(idx.len(), values.len(), "index/value count mismatch");
-                    for (&i, &v) in idx.iter().zip(values.iter()) {
-                        f(i as usize, v);
-                    }
-                }
-                None => {
-                    assert_eq!(
-                        *epoch, ctx.epoch,
-                        "values-only MaskCsr payload decoded under a different mask epoch"
-                    );
-                    assert_eq!(*len, ctx.len(), "payload/context length mismatch");
-                    let mut it = values.iter();
-                    for (i, &a) in ctx.alive.iter().enumerate() {
-                        if a {
-                            let &v = it.next().expect("fewer values than alive coordinates");
-                            f(i, v);
-                        }
-                    }
-                    assert!(it.next().is_none(), "more values than alive coordinates");
-                }
-            },
-            Payload::QuantInt8 { params, codes, .. } => {
-                let mut start = 0;
-                let mut seg_iter = ctx.segments.iter();
-                for p in params {
-                    let &seg = seg_iter.next().expect("segment/params count mismatch");
-                    for (i, &c) in codes[start..start + seg].iter().enumerate() {
-                        f(start + i, dequantize_one(c, *p));
-                    }
-                    start += seg;
-                }
-                assert_eq!(start, codes.len(), "segment/code count mismatch");
-            }
-            Payload::TopK {
-                indices, values, ..
-            } => {
-                for (&i, &v) in indices.iter().zip(values.iter()) {
-                    f(i as usize, v);
-                }
-            }
-        }
+        self.for_each_coord_in_range(ctx, 0..self.len(), 0, |i, v| out[i] = v);
     }
 
     /// Adds `weight · value` into `acc` for every transmitted coordinate
-    /// inside `plan`'s shard `s` — the per-shard half of the sharded
-    /// aggregation path. `acc` is the accumulator *slice for that shard
+    /// inside `plan`'s shard `s` — the accumulation primitive of the sharded
+    /// aggregation engine (no per-device dense vector is materialized for
+    /// sparse payloads). `acc` is the accumulator *slice for that shard
     /// only* (`acc.len() == plan.range(s).len()`, indexed relative to the
-    /// shard start). Per coordinate the visit order equals
-    /// [`accumulate_into`](Self::accumulate_into)'s, so summing a payload
-    /// shard-by-shard over a full plan is bit-identical to one full pass.
+    /// shard start). Shards partition the output coordinates, so summing a
+    /// payload shard-by-shard is bit-identical for any shard count — a
+    /// one-shard plan is the full pass.
     ///
     /// # Panics
     ///
@@ -770,23 +699,28 @@ impl Payload {
         plan: &ShardPlan,
         s: usize,
     ) {
+        plan.assert_matches(ctx);
         let range = plan.range(s);
         assert_eq!(acc.len(), range.len(), "shard accumulator length mismatch");
         let start = range.start;
-        self.for_each_coord_in_range(ctx, plan, s, |i, v| acc[i - start] += weight * v as f64);
+        self.for_each_coord_in_range(ctx, range, plan.alive_before(s), |i, v| {
+            acc[i - start] += weight * v as f64
+        });
     }
 
-    /// Visits every transmitted `(flat coordinate, value)` pair whose
-    /// coordinate falls inside `plan`'s shard `s`.
+    /// The one coordinate walk: visits every transmitted `(flat coordinate,
+    /// value)` pair whose coordinate falls inside `range`, in ascending
+    /// coordinate order. `alive_before` is the number of `ctx`-alive
+    /// coordinates before `range.start` — where a values-only `MaskCsr`
+    /// payload's value cursor starts (0 for the full `0..len` walk, the
+    /// plan's prefix count for a shard).
     fn for_each_coord_in_range(
         &self,
         ctx: &WireCtx,
-        plan: &ShardPlan,
-        s: usize,
+        range: std::ops::Range<usize>,
+        alive_before: usize,
         mut f: impl FnMut(usize, f32),
     ) {
-        plan.assert_matches(ctx);
-        let range = plan.range(s);
         match self {
             Payload::Dense { values } => {
                 assert_eq!(values.len(), ctx.len(), "payload/context length mismatch");
@@ -814,18 +748,30 @@ impl Payload {
                         "values-only MaskCsr payload decoded under a different mask epoch"
                     );
                     assert_eq!(*len, ctx.len(), "payload/context length mismatch");
-                    let mut cursor = plan.alive_before(s);
+                    let ends_vector = range.end == ctx.len();
+                    let mut cursor = alive_before;
                     for i in range {
                         if ctx.alive[i] {
-                            let &v = values.get(cursor).expect("fewer values than alive coords");
+                            let &v = values
+                                .get(cursor)
+                                .expect("fewer values than alive coordinates");
                             cursor += 1;
                             f(i, v);
                         }
                     }
+                    assert!(
+                        !ends_vector || cursor == values.len(),
+                        "more values than alive coordinates"
+                    );
                 }
             },
             Payload::QuantInt8 { params, codes, .. } => {
                 assert_eq!(codes.len(), ctx.len(), "segment/code count mismatch");
+                assert_eq!(
+                    params.len(),
+                    ctx.segments.len(),
+                    "segment/params count mismatch"
+                );
                 let mut start = 0usize;
                 for (p, &seg) in params.iter().zip(ctx.segments.iter()) {
                     let lo = start.max(range.start);
@@ -858,8 +804,7 @@ impl Payload {
 ///
 /// This is the steady-state decode path of the Collect dataplane: frames
 /// land in a pooled receive buffer, `parse` validates them in place, and
-/// [`accumulate_into`](Self::accumulate_into) /
-/// [`accumulate_shard_into`](Self::accumulate_shard_into) fold them into a
+/// [`accumulate_shard_into`](Self::accumulate_shard_into) folds them into a
 /// reusable `f64` accumulator without materializing an owned [`Payload`].
 /// Anything `parse` accepts can be materialized with
 /// [`to_payload`](Self::to_payload) — [`Payload::from_bytes`] is exactly
@@ -1109,7 +1054,7 @@ impl<'a> PayloadView<'a> {
     /// Panics if the view was parsed against a different context.
     pub fn decode(&self, ctx: &WireCtx) -> Vec<f32> {
         let mut out = vec![0.0f32; self.len()];
-        self.for_each_coord(ctx, |i, v| out[i] = v);
+        self.decode_into(&mut out, ctx);
         out
     }
 
@@ -1124,27 +1069,14 @@ impl<'a> PayloadView<'a> {
     pub fn decode_into(&self, out: &mut [f32], ctx: &WireCtx) {
         assert_eq!(out.len(), self.len(), "decode buffer length mismatch");
         out.fill(0.0);
-        self.for_each_coord(ctx, |i, v| out[i] = v);
+        self.for_each_coord_in_range(ctx, 0..self.len(), 0, |i, v| out[i] = v);
     }
 
-    /// Adds `weight · value` into `acc` for every transmitted coordinate,
-    /// reading values straight out of the receive buffer — bit-identical to
-    /// [`Payload::accumulate_into`] on the materialized payload (per
-    /// coordinate, the same `f32` values arrive in the same order).
-    ///
-    /// # Panics
-    ///
-    /// Panics on `acc` length mismatch or a context other than the one the
-    /// view was parsed against.
-    pub fn accumulate_into(&self, weight: f64, acc: &mut [f64], ctx: &WireCtx) {
-        assert_eq!(acc.len(), self.len(), "accumulator length mismatch");
-        self.for_each_coord(ctx, |i, v| acc[i] += weight * v as f64);
-    }
-
-    /// The shard-restricted sibling of [`accumulate_into`](Self::accumulate_into):
-    /// adds `weight · value` for the coordinates of `plan`'s shard `s` into
-    /// the shard's accumulator slice. See [`Payload::accumulate_shard_into`]
-    /// for the contract.
+    /// Adds `weight · value` for the coordinates of `plan`'s shard `s` into
+    /// the shard's accumulator slice, reading values straight out of the
+    /// receive buffer — bit-identical to [`Payload::accumulate_shard_into`]
+    /// on the materialized payload (per coordinate, the same `f32` values
+    /// arrive in the same order). See there for the contract.
     ///
     /// # Panics
     ///
@@ -1157,94 +1089,26 @@ impl<'a> PayloadView<'a> {
         plan: &ShardPlan,
         s: usize,
     ) {
+        plan.assert_matches(ctx);
         let range = plan.range(s);
         assert_eq!(acc.len(), range.len(), "shard accumulator length mismatch");
         let start = range.start;
-        self.for_each_coord_in_range(ctx, plan, s, |i, v| acc[i - start] += weight * v as f64);
+        self.for_each_coord_in_range(ctx, range, plan.alive_before(s), |i, v| {
+            acc[i - start] += weight * v as f64
+        });
     }
 
-    /// Visits every transmitted `(flat coordinate, value)` pair.
-    fn for_each_coord(&self, ctx: &WireCtx, mut f: impl FnMut(usize, f32)) {
-        match *self {
-            PayloadView::Dense { values, len } => {
-                assert_eq!(values.len(), 4 * len, "value byte count mismatch");
-                for k in 0..len {
-                    f(k, f32_at(values, k));
-                }
-            }
-            PayloadView::MaskCsr {
-                epoch,
-                values,
-                index_bytes,
-                nnz,
-                len,
-            } => match index_bytes {
-                Some(b) => {
-                    let mut r = WireReader::new(b);
-                    let mut k = 0usize;
-                    parse_segment_indices(&mut r, &ctx.segments, nnz, |i| {
-                        f(i as usize, f32_at(values, k));
-                        k += 1;
-                    })
-                    .expect("index bytes were validated at parse");
-                }
-                None => {
-                    assert_eq!(
-                        epoch, ctx.epoch,
-                        "values-only MaskCsr payload decoded under a different mask epoch"
-                    );
-                    assert_eq!(len, ctx.len(), "payload/context length mismatch");
-                    let mut k = 0usize;
-                    for (i, &a) in ctx.alive.iter().enumerate() {
-                        if a {
-                            assert!(k < nnz, "fewer values than alive coordinates");
-                            f(i, f32_at(values, k));
-                            k += 1;
-                        }
-                    }
-                    assert_eq!(k, nnz, "more values than alive coordinates");
-                }
-            },
-            PayloadView::QuantInt8 { params, codes, .. } => {
-                assert_eq!(codes.len(), ctx.len(), "segment/code count mismatch");
-                assert_eq!(
-                    params.len(),
-                    8 * ctx.segments.len(),
-                    "segment/params count mismatch"
-                );
-                let mut start = 0usize;
-                for (si, &seg) in ctx.segments.iter().enumerate() {
-                    let p = QuantParams {
-                        scale: f32_at(params, 2 * si),
-                        min: f32_at(params, 2 * si + 1),
-                    };
-                    for (i, &c) in codes[start..start + seg].iter().enumerate() {
-                        f(start + i, dequantize_one(c as i8, p));
-                    }
-                    start += seg;
-                }
-            }
-            PayloadView::TopK { pairs, .. } => {
-                for c in pairs.chunks_exact(8) {
-                    let i = u32::from_le_bytes(c[..4].try_into().expect("4 bytes"));
-                    let v = f32::from_le_bytes(c[4..].try_into().expect("4 bytes"));
-                    f(i as usize, v);
-                }
-            }
-        }
-    }
-
-    /// Visits every transmitted `(flat coordinate, value)` pair whose
-    /// coordinate falls inside `plan`'s shard `s`.
+    /// The view's one coordinate walk — same contract as the owned
+    /// payload's: every transmitted `(flat coordinate, value)` pair inside
+    /// `range`, ascending, with `alive_before` the `ctx`-alive count before
+    /// `range.start`.
     fn for_each_coord_in_range(
         &self,
         ctx: &WireCtx,
-        plan: &ShardPlan,
-        s: usize,
+        range: std::ops::Range<usize>,
+        alive_before: usize,
         mut f: impl FnMut(usize, f32),
     ) {
-        plan.assert_matches(ctx);
-        let range = plan.range(s);
         match *self {
             PayloadView::Dense { values, len } => {
                 assert_eq!(values.len(), 4 * len, "value byte count mismatch");
@@ -1276,7 +1140,8 @@ impl<'a> PayloadView<'a> {
                         "values-only MaskCsr payload decoded under a different mask epoch"
                     );
                     assert_eq!(len, ctx.len(), "payload/context length mismatch");
-                    let mut cursor = plan.alive_before(s);
+                    let ends_vector = range.end == ctx.len();
+                    let mut cursor = alive_before;
                     for i in range {
                         if ctx.alive[i] {
                             assert!(cursor < nnz, "fewer values than alive coordinates");
@@ -1284,10 +1149,19 @@ impl<'a> PayloadView<'a> {
                             cursor += 1;
                         }
                     }
+                    assert!(
+                        !ends_vector || cursor == nnz,
+                        "more values than alive coordinates"
+                    );
                 }
             },
             PayloadView::QuantInt8 { params, codes, .. } => {
                 assert_eq!(codes.len(), ctx.len(), "segment/code count mismatch");
+                assert_eq!(
+                    params.len(),
+                    8 * ctx.segments.len(),
+                    "segment/params count mismatch"
+                );
                 let mut start = 0usize;
                 for (si, &seg) in ctx.segments.iter().enumerate() {
                     let lo = start.max(range.start);
@@ -1744,6 +1618,11 @@ mod tests {
         assert_eq!(stale.encoded_len(&ctx), expect);
     }
 
+    /// The one-shard plan: the full pass of the single coordinate walk.
+    fn full_plan(ctx: &WireCtx) -> ShardPlan {
+        ShardPlan::build(ctx, std::iter::once(0..ctx.len()).collect())
+    }
+
     fn arb_codec() -> impl Strategy<Value = Codec> {
         (0usize..4, 0.05f32..1.0, 0usize..2).prop_map(|(tag, k_frac, ef)| match tag {
             0 => Codec::Dense,
@@ -1938,22 +1817,6 @@ mod tests {
             }
         }
 
-        /// Weighted accumulation is elementwise `weight · decode`.
-        #[test]
-        fn codec_accumulate_matches_decode(
-            (ctx, values) in arb_ctx(),
-            codec in arb_codec(),
-            weight in 0.1f64..4.0,
-        ) {
-            let p = codec.encode(&values, &ctx, ctx.epoch, Some(&mut Vec::new()));
-            let dec = p.decode(&ctx);
-            let mut acc = vec![0.0f64; ctx.len()];
-            p.accumulate_into(weight, &mut acc, &ctx);
-            for (&a, &d) in acc.iter().zip(dec.iter()) {
-                prop_assert!((a - weight * d as f64).abs() < 1e-9);
-            }
-        }
-
         /// TopK transmits exactly `ceil(k_frac · n)` coordinates and they
         /// are the largest magnitudes of its input.
         #[test]
@@ -2006,8 +1869,9 @@ mod tests {
 
             let mut acc_owned = vec![0.25f64; ctx.len()];
             let mut acc_view = vec![0.25f64; ctx.len()];
-            owned.accumulate_into(weight, &mut acc_owned, &ctx);
-            view.accumulate_into(weight, &mut acc_view, &ctx);
+            let plan = full_plan(&ctx);
+            owned.accumulate_shard_into(weight, &mut acc_owned, &ctx, &plan, 0);
+            view.accumulate_shard_into(weight, &mut acc_view, &ctx, &plan, 0);
             for (a, b) in acc_owned.iter().zip(acc_view.iter()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -2049,10 +1913,11 @@ mod tests {
             }
         }
 
-        /// Shard-by-shard accumulation over a `ShardPlan` is bit-identical
-        /// to one full sequential pass — for any shard count, for both the
-        /// owned payload and the borrowed view. This is the determinism
-        /// contract the sharded Collect dataplane rests on.
+        /// N-shard accumulate ≡ one-shard accumulate ≡ `decode` then a
+        /// weighted add, bit for bit — for any shard count, for both the
+        /// owned payload and the borrowed view (untransmitted coordinates
+        /// decode to zero and leave the accumulator untouched). This is the
+        /// determinism contract the sharded Collect dataplane rests on.
         #[test]
         fn codec_shard_accumulate_bit_identical_to_full(
             (ctx, values) in arb_ctx(),
@@ -2074,7 +1939,7 @@ mod tests {
             prop_assert!(plan.matches(&ctx, num_shards));
 
             let mut full = vec![0.5f64; n];
-            p.accumulate_into(weight, &mut full, &ctx);
+            p.accumulate_shard_into(weight, &mut full, &ctx, &full_plan(&ctx), 0);
 
             let mut sharded_owned = vec![0.5f64; n];
             let mut sharded_view = vec![0.5f64; n];
@@ -2086,6 +1951,9 @@ mod tests {
             for ((a, b), c) in full.iter().zip(sharded_owned.iter()).zip(sharded_view.iter()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
                 prop_assert_eq!(a.to_bits(), c.to_bits());
+            }
+            for (a, &d) in full.iter().zip(p.decode(&ctx).iter()) {
+                prop_assert_eq!(a.to_bits(), (0.5 + weight * d as f64).to_bits());
             }
         }
     }

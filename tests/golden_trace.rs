@@ -9,7 +9,11 @@
 //! - `tests/golden/deadline_maskcsr_trace.txt` — a `Deadline` run on the
 //!   same fleet under `MaskCsr` with a half-pruned first layer, so the
 //!   values-only sparse upload path (and its byte accounting) is pinned
-//!   bit-for-bit.
+//!   bit-for-bit;
+//! - `tests/golden/buffered_fedavg_trace.txt` — a `Buffered { buffer_k: 2 }`
+//!   run on the same fleet under `MaskCsr` and `FedAvg`, with a hook that
+//!   moves the mask once, so staleness-discounted weights and stale-epoch
+//!   (indexed) payloads go through the aggregation engine.
 //!
 //! Any refactor of the round loop, the aggregation path, the RNG
 //! derivation, the time model, or the codecs that changes observable
@@ -25,7 +29,7 @@ use fedtiny_suite::fl::{
     no_hook, run_federated_rounds, run_with, Codec, CostLedger, DeviceProfile, ExperimentEnv,
     ModelSpec, RunOptions, Scheduler, SimTime,
 };
-use fedtiny_suite::nn::{apply_mask, sparse_layout};
+use fedtiny_suite::nn::{apply_mask, flat_params, sparse_layout, Model};
 use fedtiny_suite::sparse::Mask;
 
 const SYNCHRONOUS_PATH: &str = concat!(
@@ -35,6 +39,10 @@ const SYNCHRONOUS_PATH: &str = concat!(
 const DEADLINE_MASKCSR_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/deadline_maskcsr_trace.txt"
+);
+const BUFFERED_FEDAVG_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/buffered_fedavg_trace.txt"
 );
 
 /// Renders one run's trace: one line per round with accuracy, simulated
@@ -146,6 +154,57 @@ fn deadline_maskcsr_trace() -> String {
     )
 }
 
+fn buffered_fedavg_trace() -> String {
+    let mut env = ExperimentEnv::tiny_for_tests(42);
+    env.fleet = DeviceProfile::fleet_mixed(env.num_devices());
+    env.scheduler = Scheduler::Buffered { buffer_k: 2 };
+    env.cfg.codec = Codec::MaskCsr;
+    let mut model = env.build_model(&ModelSpec::small_cnn_test());
+    let layout = sparse_layout(model.as_ref());
+    let mut mask = Mask::ones(&layout);
+    let mut ledger = CostLedger::new();
+    // Half-prune the first layer after the first aggregation: the device
+    // still in flight trained under mask epoch 0 and arrives at epoch 1, so
+    // its `MaskCsr` upload carries explicit indices and a staleness > 0.
+    let layer0 = layout.layer(0).len;
+    let mut hook = |_: &mut dyn Model, mask: &mut Mask, round: usize, _: &mut CostLedger| {
+        if round == 0 {
+            for i in (0..layer0).step_by(2) {
+                mask.set(0, i, false);
+            }
+        }
+        0.0
+    };
+    let history = run_federated_rounds(model.as_mut(), &mut mask, &env, 1, &mut ledger, &mut hook);
+    let mut out = render_trace(
+        "# Golden trace: Buffered(k=2) scheduler, mixed fleet, tiny env (seed 42),\n\
+         # small_cnn_test, MaskCsr codec, FedAvg, eval_every = 1; the hook half-prunes\n\
+         # layer 0 after aggregation 0, so a stale-epoch indexed payload is aggregated.\n\
+         # Regenerate: FT_BLESS=1 cargo test --test golden_trace\n",
+        &history,
+        &ledger,
+    );
+    // Accuracy on the tiny test split is a coarse witness of the aggregation
+    // arithmetic; the staleness of every applied arrival and an FNV-1a fold of
+    // the final parameter bits pin it exactly.
+    let staleness: Vec<String> = ledger
+        .timeline()
+        .iter()
+        .filter(|e| e.applied)
+        .map(|e| e.staleness.to_string())
+        .collect();
+    let fold = flat_params(model.as_ref())
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ v.to_bits() as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    out.push_str(&format!(
+        "applied_staleness={} params_fold={fold:016x}\n",
+        staleness.join(",")
+    ));
+    out
+}
+
 #[test]
 fn sim_golden_trace_synchronous_matches_committed() {
     compare_or_bless(SYNCHRONOUS_PATH, &synchronous_trace());
@@ -194,6 +253,11 @@ fn sim_golden_trace_synchronous_identical_over_byte_boundary() {
 #[test]
 fn sim_golden_trace_deadline_maskcsr_matches_committed() {
     compare_or_bless(DEADLINE_MASKCSR_PATH, &deadline_maskcsr_trace());
+}
+
+#[test]
+fn sim_golden_trace_buffered_fedavg_matches_committed() {
+    compare_or_bless(BUFFERED_FEDAVG_PATH, &buffered_fedavg_trace());
 }
 
 /// The same scenario is bit-identical across parallel and sequential device
