@@ -10,12 +10,18 @@
 //! The simulated makespans are also cross-checked across thread counts:
 //! they must be bit-identical (the runtime determinism contract), so this
 //! bench doubles as a smoke test of the parallel round loop.
+//!
+//! Two further records pin the buffered event loop's structure rather than
+//! its speed: allocator bytes per steady-state aggregation (the loop takes
+//! no snapshot of its in-flight tasks unless a checkpoint is due) and the
+//! mean number of tasks it trains per flush (launches are deferred and
+//! trained as cohorts, not one at a time).
 
 use ft_bench::BenchReport;
 use ft_data::{DatasetProfile, SynthConfig};
 use ft_fl::{
-    no_hook, run_federated_rounds, AggScratch, Aggregator, CostLedger, DeviceProfile,
-    ExperimentEnv, FlConfig, ModelSpec, Scheduler,
+    buffered_train_cohorts, no_hook, run_federated_rounds, AggScratch, Aggregator, CostLedger,
+    DeviceProfile, ExperimentEnv, FlConfig, ModelSpec, Scheduler,
 };
 use ft_nn::{sparse_layout, take_snapshot, wire_ctx};
 use ft_runtime::Runtime;
@@ -41,6 +47,15 @@ fn rounds() -> usize {
 }
 
 fn build_env(scheduler: Scheduler, threads: usize) -> ExperimentEnv {
+    build_env_sized(scheduler, threads, DEVICES, rounds())
+}
+
+fn build_env_sized(
+    scheduler: Scheduler,
+    threads: usize,
+    devices: usize,
+    rounds: usize,
+) -> ExperimentEnv {
     let quick = ft_bench::quick_mode();
     let synth = SynthConfig {
         profile: DatasetProfile::Cifar10,
@@ -51,8 +66,8 @@ fn build_env(scheduler: Scheduler, threads: usize) -> ExperimentEnv {
         seed: SEED,
     };
     let mut cfg = FlConfig::bench_default();
-    cfg.devices = DEVICES;
-    cfg.rounds = rounds();
+    cfg.devices = devices;
+    cfg.rounds = rounds;
     cfg.local_epochs = 1;
     cfg.seed = SEED;
     cfg.parallel = true;
@@ -65,7 +80,10 @@ fn build_env(scheduler: Scheduler, threads: usize) -> ExperimentEnv {
 /// One measured run: returns `(wall ns, realized FLOPs, sim makespan)` of
 /// the round loop only — environment setup is excluded.
 fn run_once(scheduler: Scheduler, threads: usize) -> (f64, f64, f64) {
-    let env = build_env(scheduler, threads);
+    run_env(&build_env(scheduler, threads))
+}
+
+fn run_env(env: &ExperimentEnv) -> (f64, f64, f64) {
     let mut model = env.build_model(&ModelSpec::SmallCnn { width: 4, input: 8 });
     let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
     let mut ledger = CostLedger::new();
@@ -73,7 +91,7 @@ fn run_once(scheduler: Scheduler, threads: usize) -> (f64, f64, f64) {
     let history = run_federated_rounds(
         model.as_mut(),
         &mut mask,
-        &env,
+        env,
         0,
         &mut ledger,
         &mut no_hook(),
@@ -165,6 +183,89 @@ fn measure_collect_alloc(report: &mut BenchReport) {
     );
 }
 
+/// Fleet, buffer and run length of the buffered-loop structure records. A
+/// wide fleet over a short buffer keeps one snapshot of the in-flight tasks
+/// (`BUFFERED_DEVICES` deltas) far above what an aggregation itself needs
+/// (`BUFFERED_K` restarts), so the two cannot be confused.
+const BUFFERED_DEVICES: usize = 16;
+const BUFFERED_K: usize = 2;
+const BUFFERED_ROUNDS: usize = 16;
+
+/// Records `buffered_alloc_bytes_per_aggregation` — allocator traffic of one
+/// steady-state aggregation with no checkpoint configured, taken at one
+/// thread (where it repeats exactly) as the difference between a run of
+/// `2R` and a run of `R` aggregations, which cancels set-up and the initial
+/// wave — and `buffered_train_cohort_mean`, the tasks trained per flush of
+/// the deferred-training loop on the widest pool of the grid.
+fn measure_buffered_loop(report: &mut BenchReport, threads: usize) {
+    let scheduler = Scheduler::Buffered {
+        buffer_k: BUFFERED_K,
+    };
+    // `(wall ns, allocated bytes, flushes, tasks)` of one run, set-up excluded.
+    let run_counting = |threads: usize, rounds: usize| {
+        let env = build_env_sized(scheduler, threads, BUFFERED_DEVICES, rounds);
+        let bytes_before = ft_bench::allocated_bytes();
+        let (flushes_before, tasks_before) = buffered_train_cohorts();
+        let (wall_ns, _, _) = run_env(&env);
+        let (flushes, tasks) = buffered_train_cohorts();
+        let bytes = ft_bench::allocated_bytes() - bytes_before;
+        (
+            wall_ns,
+            bytes,
+            flushes - flushes_before,
+            tasks - tasks_before,
+        )
+    };
+    let shape = format!("K{BUFFERED_DEVICES}xB{BUFFERED_K}");
+
+    let _ = run_counting(1, BUFFERED_ROUNDS); // warmup: thread-local trainer
+    let (_, short_bytes, ..) = run_counting(1, BUFFERED_ROUNDS);
+    let (long_ns, long_bytes, ..) = run_counting(1, 2 * BUFFERED_ROUNDS);
+    let per_agg = (long_bytes - short_bytes) as f64 / BUFFERED_ROUNDS as f64;
+    let agg_ns = long_ns / (2 * BUFFERED_ROUNDS) as f64;
+    // What one eager snapshot of the in-flight deltas alone would copy.
+    let env = build_env_sized(scheduler, 1, BUFFERED_DEVICES, 1);
+    let model = env.build_model(&ModelSpec::SmallCnn { width: 4, input: 8 });
+    let snapshot_bytes = (BUFFERED_DEVICES * take_snapshot(model.as_ref()).params.len() * 4) as f64;
+    assert!(
+        per_agg < snapshot_bytes,
+        "{per_agg:.0} B/aggregation with no checkpoint configured — an in-flight snapshot \
+         alone is {snapshot_bytes:.0} B: the loop is copying its tasks again"
+    );
+    report.push_alloc(
+        "buffered_alloc_bytes_per_aggregation",
+        &shape,
+        1,
+        agg_ns,
+        per_agg,
+    );
+    println!(
+        "{:<36} {:>8} {:>14.3} {:>20.1}",
+        "buffered_alloc_bytes_per_aggregation",
+        1,
+        agg_ns / 1e6,
+        per_agg
+    );
+
+    let (wall_ns, _, flushes, tasks) = run_counting(threads, 2 * BUFFERED_ROUNDS);
+    let cohort_mean = tasks as f64 / flushes.max(1) as f64;
+    let agg_ns = wall_ns / (2 * BUFFERED_ROUNDS) as f64;
+    report.push_count(
+        "buffered_train_cohort_mean",
+        &shape,
+        threads,
+        agg_ns,
+        cohort_mean,
+    );
+    println!(
+        "{:<36} {:>8} {:>14.3} {:>20.2}  ({tasks} tasks / {flushes} flushes)",
+        "buffered_train_cohort_mean",
+        threads,
+        agg_ns / 1e6,
+        cohort_mean
+    );
+}
+
 fn main() {
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -221,6 +322,11 @@ fn main() {
         "op", "threads", "wall_ms", "alloc_bytes/round"
     );
     measure_collect_alloc(&mut report);
+    println!(
+        "{:<36} {:>8} {:>14} {:>20}",
+        "op", "threads", "wall_ms/agg", "bytes | tasks/flush"
+    );
+    measure_buffered_loop(&mut report, *threads_grid.last().expect("nonempty grid"));
     let path = report.write();
     println!(
         "trajectory: {} records -> {} (host_threads={}, quick={})",

@@ -22,6 +22,15 @@
 //! **zero** bytes per round. A missing or unmeasured record is a hard
 //! failure — the alloc-free claim may not silently rot out of the report.
 //!
+//! The same report carries the buffered event loop's two structure records
+//! (shape `K16xB2`, both counts the program makes, so they repeat exactly):
+//! `buffered_alloc_bytes_per_aggregation` must stay within
+//! [`BUFFERED_ALLOC_HEADROOM`] of the committed value — an eager snapshot of
+//! the in-flight tasks alone more than triples it — and
+//! `buffered_train_cohort_mean` must be above 1.0: at exactly one task per
+//! flush the loop trains its launches one at a time again and no pool can
+//! help it. Missing records are hard failures.
+//!
 //! A fourth family gates the batched training engine from
 //! `BENCH_micro_ops.json`: the `train_step` record must show exactly zero
 //! allocator bytes per steady-state epoch and at least a 1.4x
@@ -45,6 +54,14 @@ use std::process::ExitCode;
 
 /// Minimum square dimension a "dense matmul ≥ 256²" record must have.
 const MIN_GATED_DIM: usize = 256;
+
+/// `buffered_alloc_bytes_per_aggregation` of the committed `BENCH_fleet.json`
+/// (16 devices, `buffer_k` 2, SmallCnn width 4 on 8×8 inputs, one thread).
+/// Re-measure and update together with the bench's shape.
+const BUFFERED_ALLOC_COMMITTED: f64 = 47_142.0;
+/// How far above the committed value the record may read before the gate
+/// fails (allocator-growth policy differs a little between toolchains).
+const BUFFERED_ALLOC_HEADROOM: f64 = 1.25;
 
 /// One parallel-speedup requirement against the report.
 struct SpeedupGate {
@@ -288,6 +305,57 @@ fn main() -> ExitCode {
                     );
                     failed = true;
                 }
+            }
+
+            // -- Buffered event loop structure (same report) ---------------
+            let measured = |op: &str, value: fn(&BenchRecord) -> f64| {
+                let record = fleet.records.iter().find(|r| r.op == op);
+                let found = record.filter(|r| value(r) >= 0.0);
+                if found.is_none() {
+                    eprintln!(
+                        "  FAIL {op}: record {} {fleet_path} — this gate cannot be skipped",
+                        if record.is_none() {
+                            "missing from"
+                        } else {
+                            "not measured in"
+                        }
+                    );
+                }
+                found
+            };
+            match measured("buffered_alloc_bytes_per_aggregation", |r| {
+                r.alloc_bytes_per_round
+            }) {
+                Some(r) => {
+                    evaluated += 1;
+                    let ceiling = BUFFERED_ALLOC_COMMITTED * BUFFERED_ALLOC_HEADROOM;
+                    let ok = r.alloc_bytes_per_round <= ceiling;
+                    failed |= !ok;
+                    println!(
+                        "  {:>4} buffered_alloc {}: {:.0} B/aggregation (committed {:.0}, \
+                         need <= {ceiling:.0})",
+                        if ok { "ok" } else { "FAIL" },
+                        r.shape,
+                        r.alloc_bytes_per_round,
+                        BUFFERED_ALLOC_COMMITTED
+                    );
+                }
+                None => failed = true,
+            }
+            match measured("buffered_train_cohort_mean", |r| r.count_per_iter) {
+                Some(r) => {
+                    evaluated += 1;
+                    let ok = r.count_per_iter > 1.0;
+                    failed |= !ok;
+                    println!(
+                        "  {:>4} buffered_train_cohort {} @{}t: {:.2} tasks/flush (need > 1)",
+                        if ok { "ok" } else { "FAIL" },
+                        r.shape,
+                        r.threads,
+                        r.count_per_iter
+                    );
+                }
+                None => failed = true,
             }
         }
     }

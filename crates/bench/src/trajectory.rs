@@ -59,12 +59,15 @@ pub struct BenchRecord {
     /// under the counting allocator ([`crate::CountingAlloc`]); `-1.0`
     /// means "not measured" (throughput-only records and legacy reports).
     pub alloc_bytes_per_round: f64,
+    /// A count the record exists to pin, per iteration (e.g. tasks trained
+    /// per flush of the buffered loop); `-1.0` means "not measured".
+    pub count_per_iter: f64,
 }
 
-// Hand-written so reports from before the `requested_threads` and
-// `alloc_bytes_per_round` fields (e.g. the committed baseline) still
-// parse: `requested_threads` defaults to `threads` (exactly what those
-// reports measured), `alloc_bytes_per_round` to the -1.0 "not measured"
+// Hand-written so reports from before the `requested_threads`,
+// `alloc_bytes_per_round` and `count_per_iter` fields (e.g. the committed
+// baseline) still parse: `requested_threads` defaults to `threads` (exactly
+// what those reports measured), the other two to the -1.0 "not measured"
 // sentinel. The derive shim has no per-field defaults.
 impl Deserialize for BenchRecord {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
@@ -73,10 +76,12 @@ impl Deserialize for BenchRecord {
             Ok(f) => Deserialize::from_value(f)?,
             Err(_) => threads,
         };
-        let alloc_bytes_per_round = match v.field("alloc_bytes_per_round") {
-            Ok(f) => Deserialize::from_value(f)?,
-            Err(_) => -1.0,
+        let or_unmeasured = |name: &str| match v.field(name) {
+            Ok(f) => Deserialize::from_value(f),
+            Err(_) => Ok(-1.0),
         };
+        let alloc_bytes_per_round = or_unmeasured("alloc_bytes_per_round")?;
+        let count_per_iter = or_unmeasured("count_per_iter")?;
         Ok(BenchRecord {
             op: Deserialize::from_value(v.field("op")?)?,
             shape: Deserialize::from_value(v.field("shape")?)?,
@@ -86,6 +91,7 @@ impl Deserialize for BenchRecord {
             ns_per_iter: Deserialize::from_value(v.field("ns_per_iter")?)?,
             gflops: Deserialize::from_value(v.field("gflops")?)?,
             alloc_bytes_per_round,
+            count_per_iter,
         })
     }
 }
@@ -146,6 +152,7 @@ impl BenchReport {
             ns_per_iter,
             gflops,
             alloc_bytes_per_round: -1.0,
+            count_per_iter: -1.0,
         });
     }
 
@@ -169,6 +176,31 @@ impl BenchReport {
             ns_per_iter,
             gflops: 0.0,
             alloc_bytes_per_round,
+            count_per_iter: -1.0,
+        });
+    }
+
+    /// Appends one count record: `count_per_iter` is a count the program
+    /// made per iteration (throughput and allocation fields are left at
+    /// "not applicable").
+    pub fn push_count(
+        &mut self,
+        op: &str,
+        shape: &str,
+        threads: usize,
+        ns_per_iter: f64,
+        count_per_iter: f64,
+    ) {
+        self.records.push(BenchRecord {
+            op: op.to_string(),
+            shape: shape.to_string(),
+            density: 1.0,
+            requested_threads: threads,
+            threads,
+            ns_per_iter,
+            gflops: 0.0,
+            alloc_bytes_per_round: -1.0,
+            count_per_iter,
         });
     }
 
@@ -291,20 +323,25 @@ mod tests {
         assert_eq!(back.records[0].requested_threads, 2);
         assert_eq!(back.records[0].threads, 2);
         assert_eq!(back.records[0].alloc_bytes_per_round, -1.0);
+        assert_eq!(back.records[0].count_per_iter, -1.0);
     }
 
-    /// Allocation records round-trip and throughput records carry the
-    /// "not measured" sentinel.
+    /// Allocation and count records round-trip and throughput records
+    /// carry the "not measured" sentinels.
     #[test]
     fn alloc_records_roundtrip() {
         let mut r = BenchReport::new("unit_test");
         r.push("matmul", "8x8x8", 1.0, 1, 1, 1000.0, 1024.0);
         r.push_alloc("collect_alloc_steady", "K6", 1, 500.0, 0.0);
+        r.push_count("buffered_train_cohort_mean", "K16xB2", 2, 500.0, 2.5);
         let json = serde_json::to_string(&r).expect("serializes");
         let back = BenchReport::from_json(&json).expect("parses");
         assert_eq!(back.records[0].alloc_bytes_per_round, -1.0);
+        assert_eq!(back.records[0].count_per_iter, -1.0);
         assert_eq!(back.records[1].op, "collect_alloc_steady");
         assert_eq!(back.records[1].alloc_bytes_per_round, 0.0);
+        assert_eq!(back.records[2].alloc_bytes_per_round, -1.0);
+        assert_eq!(back.records[2].count_per_iter, 2.5);
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub use sched::{
     broadcast_payload_len, device_round_cost, device_sim_secs, fleet_spread_deadline,
     PresenceSchedule, Scheduler,
 };
-pub use server::{run_with, RoundPhase, RunOptions, ServerError};
+pub use server::{buffered_train_cohorts, run_with, RoundPhase, RunOptions, ServerError};
 pub use spec::ModelSpec;
 pub use train::{
     device_rng_seed, eval_loss, evaluate, local_train, local_train_prox, local_train_scratch,

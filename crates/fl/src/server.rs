@@ -26,8 +26,11 @@
 //! event loop: `Collect` pops one simulated arrival at a time (updates
 //! cross the transport's byte boundary at arrival), `Aggregate`/`Advance`
 //! fire when the buffer fills, and `Broadcast` relaunches the finisher
-//! from the newest global. Because it interleaves device training with
-//! arrivals it requires a local transport ([`Transport::is_local`]).
+//! from the newest global. A launch only fixes the task's simulated finish
+//! time; the training itself is deferred and runs for every launched task
+//! side by side at the next point its result is needed (see
+//! `train_pending`). Because it interleaves device training with arrivals
+//! it requires a local transport ([`Transport::is_local`]).
 //!
 //! The machine is *behavior-preserving*: under the [`InProcess`] transport
 //! it reproduces the pre-refactor golden traces byte for byte, and the
@@ -51,16 +54,16 @@ use crate::sched::{
     broadcast_payload_len, device_round_cost, should_eval, survivor_updates, PresenceSchedule,
     Scheduler,
 };
-use crate::train::{
-    fans_out, train_devices_raw_parallel, train_one_device_raw, DeviceUpdate, LocalOutcome,
-};
+use crate::train::{fans_out, train_one_device_raw, DeviceUpdate, LocalOutcome};
 use crate::transport::{Delivery, InProcess, RoundRequest, Transport, TransportError};
 use ft_data::Dataset;
 use ft_metrics::{densities_from_mask, sparse_model_bytes, training_flops, SimClock};
 use ft_nn::{
-    apply_mask, flat_params, restore_snapshot, set_flat_params, take_snapshot, wire_ctx, Model,
+    apply_mask, flat_params, flat_params_into, restore_snapshot, set_flat_params, take_snapshot,
+    wire_ctx, Model,
 };
 use ft_sparse::{Codec, Mask, Payload, WireCtx};
+use std::cell::Cell;
 
 /// The four phases of one federated round. Exposed for observability and
 /// tests; [`run_with`] drives them in order.
@@ -116,6 +119,13 @@ pub enum ServerError {
         /// The offending codec's name.
         codec: &'static str,
     },
+    /// A buffered checkpoint was asked to persist an in-flight task whose
+    /// deferred training had not run — a bug in the event loop's flush
+    /// points, reported instead of writing a checkpoint that cannot resume.
+    UntrainedTask {
+        /// The device whose task had no trained outcome.
+        device: usize,
+    },
 }
 
 impl std::fmt::Display for ServerError {
@@ -135,6 +145,10 @@ impl std::fmt::Display for ServerError {
                 f,
                 "the {codec} codec keeps device-side error-feedback state and \
                  requires a local transport, got {transport}"
+            ),
+            ServerError::UntrainedTask { device } => write!(
+                f,
+                "in-flight task of device {device} reached a checkpoint untrained"
             ),
         }
     }
@@ -234,7 +248,26 @@ pub fn run_with(
     eval_every: usize,
     ledger: &mut CostLedger,
     hook: &mut RoundHook<'_>,
+    opts: RunOptions<'_>,
+) -> Result<Vec<f32>, ServerError> {
+    let rt = env.cfg.runtime();
+    run_on(global, mask, env, eval_every, ledger, hook, opts, rt)
+}
+
+/// [`run_with`] on an explicit worker pool — device fan-out and server-side
+/// kernel parallelism share its thread budget for the whole run. Tests pass
+/// [`Runtime::exact`](ft_runtime::Runtime::exact) to force real fan-out on
+/// any host.
+#[allow(clippy::too_many_arguments)]
+fn run_on(
+    global: &mut dyn Model,
+    mask: &mut Mask,
+    env: &ExperimentEnv,
+    eval_every: usize,
+    ledger: &mut CostLedger,
+    hook: &mut RoundHook<'_>,
     mut opts: RunOptions<'_>,
+    rt: ft_runtime::Runtime,
 ) -> Result<Vec<f32>, ServerError> {
     env.cfg.validate()?;
     env.scheduler.validate()?;
@@ -312,17 +345,27 @@ pub fn run_with(
         }
     }
 
+    global.set_runtime(rt);
     let result = match env.scheduler {
-        Scheduler::Synchronous => state.run_barrier(global, mask, ledger, hook, &mut opts, None),
-        Scheduler::Deadline { deadline_secs } => {
-            state.run_barrier(global, mask, ledger, hook, &mut opts, Some(deadline_secs))
+        Scheduler::Synchronous => {
+            state.run_barrier(global, mask, ledger, hook, &mut opts, rt, None)
         }
+        Scheduler::Deadline { deadline_secs } => state.run_barrier(
+            global,
+            mask,
+            ledger,
+            hook,
+            &mut opts,
+            rt,
+            Some(deadline_secs),
+        ),
         Scheduler::Buffered { buffer_k } => state.run_buffered(
             global,
             mask,
             ledger,
             hook,
             &mut opts,
+            rt,
             buffer_k,
             buffered_resume,
         ),
@@ -450,18 +493,19 @@ impl ServerState<'_> {
     }
 
     /// Saves a due checkpoint; returns `true` when the run should halt
-    /// (the `halt_after` kill-emulation hook).
+    /// (the `halt_after` kill-emulation hook). `buffered` snapshots the
+    /// buffered event loop and is only called when a checkpoint is written.
     fn checkpoint_and_halt(
         &self,
         global: &dyn Model,
         mask: &Mask,
         ledger: &CostLedger,
         opts: &RunOptions<'_>,
-        buffered: Option<BufferedState>,
+        buffered: impl FnOnce() -> Result<Option<BufferedState>, ServerError>,
     ) -> Result<bool, ServerError> {
         if let Some(spec) = &opts.checkpoint {
             if spec.due(self.round) || opts.halt_after == Some(self.round) {
-                self.checkpoint(global, mask, ledger, opts, buffered)
+                self.checkpoint(global, mask, ledger, opts, buffered()?)
                     .save(&spec.path)?;
             }
         }
@@ -475,6 +519,7 @@ impl ServerState<'_> {
     /// Barrier-style rounds through the explicit phase machine. Transplant
     /// of the old `run_barrier_rounds`: the arithmetic and its order are
     /// unchanged, so golden traces stay byte-identical.
+    #[allow(clippy::too_many_arguments)]
     fn run_barrier(
         &mut self,
         global: &mut dyn Model,
@@ -482,16 +527,13 @@ impl ServerState<'_> {
         ledger: &mut CostLedger,
         hook: &mut RoundHook<'_>,
         opts: &mut RunOptions<'_>,
+        rt: ft_runtime::Runtime,
         deadline: Option<f64>,
     ) -> Result<Vec<f32>, ServerError> {
         let env = self.env;
         let arch = global.arch();
         let max_samples = env.parts.iter().map(|p| p.len()).max().unwrap_or(0) as f64;
         let codec = env.cfg.codec;
-        // One worker pool for the whole run: device fan-out and server-side
-        // kernel parallelism share its thread budget.
-        let rt = env.cfg.runtime();
-        global.set_runtime(rt);
         let presence = opts.presence.clone().unwrap_or_default();
 
         while self.round < env.cfg.rounds {
@@ -720,9 +762,9 @@ impl ServerState<'_> {
     /// was degenerate (empty or without usable weight) and the global model
     /// was left untouched.
     #[allow(clippy::too_many_arguments)]
-    fn fold_into_global(
+    fn fold_into_global<'u>(
         &mut self,
-        accepted: &[(&DeviceUpdate, f64)],
+        accepted: impl Iterator<Item = (&'u DeviceUpdate, f64)> + Clone,
         anchor: &[f32],
         ctx: &WireCtx,
         rt: &ft_runtime::Runtime,
@@ -731,14 +773,14 @@ impl ServerState<'_> {
         ledger: &mut CostLedger,
     ) -> bool {
         let payloads: Vec<(&Payload, f64)> =
-            accepted.iter().map(|&(u, w)| (&u.payload, w)).collect();
+            accepted.clone().map(|(u, w)| (&u.payload, w)).collect();
         let aggregator = self.env.cfg.aggregator;
         let outcome = aggregator.aggregate_into(&payloads, anchor, ctx, rt, &mut self.agg_scratch);
         ledger.record_clipped(outcome.clipped);
         let progressed = match outcome.params {
             Some(new_params) => {
                 set_flat_params(global, new_params);
-                let bn_updates: Vec<_> = accepted.iter().map(|&(u, w)| (u.bn.clone(), w)).collect();
+                let bn_updates: Vec<_> = accepted.map(|(u, w)| (u.bn.clone(), w)).collect();
                 if let Some(new_bn) = try_aggregate_bn_stats(&bn_updates) {
                     for (dst, src) in global.bn_stats_mut().into_iter().zip(new_bn.iter()) {
                         *dst = src.clone();
@@ -804,8 +846,15 @@ impl ServerState<'_> {
             }
         }
         let surviving = survivor_updates(&rs.updates, &rs.alive);
-        rs.progressed =
-            self.fold_into_global(&surviving, &rs.anchor, &rs.ctx, rt, global, mask, ledger);
+        rs.progressed = self.fold_into_global(
+            surviving.iter().copied(),
+            &rs.anchor,
+            &rs.ctx,
+            rt,
+            global,
+            mask,
+            ledger,
+        );
         if !rs.progressed {
             ledger.record_zero_progress();
         }
@@ -886,7 +935,7 @@ impl ServerState<'_> {
             round_flops,
             rs.cohort.len(),
         );
-        self.checkpoint_and_halt(&*global, mask, ledger, opts, None)
+        self.checkpoint_and_halt(&*global, mask, ledger, opts, || Ok(None))
     }
 
     // -----------------------------------------------------------------
@@ -898,7 +947,16 @@ impl ServerState<'_> {
     /// arrival (the update crosses the transport byte boundary there),
     /// `Aggregate`/`Advance` fire once `buffer_k` updates are buffered, and
     /// `Broadcast` relaunches the finisher from the newest global.
-    /// Transplant of the old `run_buffered_rounds` — bit-identical.
+    ///
+    /// A launch ([`launch`](Self::launch)) fixes the task's simulated finish
+    /// time and nothing else; its training is deferred to the next flush
+    /// ([`train_pending`]), which trains every launched task side by side.
+    /// The flushes sit where a result is needed or its inputs are about to
+    /// change: when the arrival popped is still untrained, before the global
+    /// model is folded, and before a checkpoint snapshot. Global, mask and
+    /// epoch only move inside an aggregation, so a task trained late sees
+    /// exactly what it would have seen at launch and every trace is
+    /// bit-identical to training at launch time.
     #[allow(clippy::too_many_arguments)]
     fn run_buffered(
         &mut self,
@@ -907,6 +965,7 @@ impl ServerState<'_> {
         ledger: &mut CostLedger,
         hook: &mut RoundHook<'_>,
         opts: &mut RunOptions<'_>,
+        rt: ft_runtime::Runtime,
         buffer_k: usize,
         resume: Option<BufferedState>,
     ) -> Result<Vec<f32>, ServerError> {
@@ -918,9 +977,6 @@ impl ServerState<'_> {
         }
         let arch = global.arch();
         let codec = env.cfg.codec;
-        // The run's shared worker pool (see the barrier machine).
-        let rt = env.cfg.runtime();
-        global.set_runtime(rt);
         let k_needed = buffer_k.clamp(1, n);
         let mut task_counter = vec![0usize; n];
         let mut last_agg_secs = 0.0f64;
@@ -929,26 +985,18 @@ impl ServerState<'_> {
         // change (after an aggregation's hook) rather than on every event.
         let mut densities = densities_from_mask(mask);
         let mut ctx = std::sync::Arc::new(wire_ctx(&*global, mask, self.epoch));
-        let segments = ctx.segments.clone();
-
-        // Measured wire bytes of one task launched under `ctx`: broadcast
-        // down plus the (shared-epoch) encoded upload back.
-        let task_bytes = |codec: Codec, ctx: &WireCtx| -> (f64, f64) {
-            let down = broadcast_payload_len(codec, ctx) as f64;
-            let up = codec.encoded_len_for(ctx, true) as f64;
-            (down, up)
-        };
 
         let mut events = 0usize;
-        // Broadcast (initial wave): every device starts at t = 0 from
+        // Broadcast (initial wave): every device launches at t = 0 from
         // version 0 with the same `(seed, 0, device)` RNG streams as a
         // synchronous first round — or, on resume, the persisted in-flight
-        // tasks are rehydrated instead.
+        // tasks are rehydrated (already trained) instead.
         let mut in_flight: Vec<InFlight> = match resume {
             Some(b) => {
                 last_agg_secs = b.last_agg_secs;
                 events = b.events;
                 task_counter = b.task_counter;
+                let segments = &ctx.segments;
                 b.in_flight
                     .into_iter()
                     .map(|t| InFlight {
@@ -965,45 +1013,14 @@ impl ServerState<'_> {
                             segments.clone(),
                             t.ctx_epoch,
                         )),
-                        outcome: t.outcome,
+                        salt: 0,
+                        outcome: Some(t.outcome),
                     })
                     .collect()
             }
-            None => {
-                let outcomes =
-                    train_devices_raw_parallel(&*global, &env.parts, Some(mask), &env.cfg, 0, &rt);
-                outcomes
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, outcome)| {
-                        let profile = env.device_profile(k);
-                        let (flops, analytic_bytes) = device_round_cost(
-                            &arch,
-                            &densities,
-                            outcome.samples,
-                            env.cfg.local_epochs,
-                        );
-                        let (down, up) = task_bytes(codec, &ctx);
-                        let secs =
-                            self.clock
-                                .device_secs(&profile, flops, down + up, task_counter[k], k);
-                        let dropped = self.clock.dropout_hits(&profile, task_counter[k], k);
-                        task_counter[k] += 1;
-                        InFlight {
-                            device: k,
-                            start_secs: 0.0,
-                            finish_secs: secs,
-                            start_version: 0,
-                            dropped,
-                            analytic_flops: flops,
-                            analytic_bytes,
-                            download_bytes: down,
-                            ctx: ctx.clone(),
-                            outcome,
-                        }
-                    })
-                    .collect()
-            }
+            None => (0..n)
+                .map(|k| self.launch(k, &arch, &densities, &ctx, &mut task_counter))
+                .collect(),
         };
 
         // Safety valve: with pathological dropout (every update lost) the
@@ -1013,6 +1030,9 @@ impl ServerState<'_> {
         // arrival's timeline entry, flipped to applied once it aggregates.
         // Empty at every checkpoint boundary by construction.
         let mut buffer: Vec<BufferedArrival> = Vec::new();
+        // The global's flat parameters at each aggregation, refilled in
+        // place.
+        let mut current: Vec<f32> = Vec::new();
 
         while self.round < env.cfg.rounds && events < max_events {
             events += 1;
@@ -1029,6 +1049,12 @@ impl ServerState<'_> {
                 })
                 .map(|(i, _)| i)
                 .expect("nonempty fleet");
+            // Flush: the initial wave's first arrival, or a device that
+            // laps the window and delivers before the aggregation that
+            // would have trained it.
+            if in_flight[next].outcome.is_none() && !in_flight[next].dropped {
+                train_pending(&mut in_flight, &*global, mask, env, &rt);
+            }
             let task = in_flight.swap_remove(next);
             self.clock.advance_to(task.finish_secs);
             let staleness = self.round - task.start_version;
@@ -1049,17 +1075,21 @@ impl ServerState<'_> {
                 // now that the server's current mask epoch is known (a
                 // stale mask forces explicit indices), then push it across
                 // the transport's byte boundary. Lost updates are never
-                // encoded, so their error-feedback residual is untouched.
+                // encoded, so their error-feedback residual is untouched
+                // (and a lost task that was still pending is never trained).
                 let k = task.device;
                 let residual = codec
                     .uses_error_feedback()
                     .then_some(&mut self.residuals[k]);
-                let update = task.outcome.encode(codec, &task.ctx, self.epoch, residual);
+                let outcome = task.outcome.expect("arrivals are trained before delivery");
+                let update = outcome.encode(codec, &task.ctx, self.epoch, residual);
                 let update = opts.transport.deliver_update(update, &task.ctx);
                 let upload_bytes = update.payload.encoded_len(&task.ctx) as f64;
+                // FedBuff weight: sample count under the staleness discount.
+                let weight = update.samples as f64 * staleness_weight(staleness);
                 buffer.push(BufferedArrival {
                     update,
-                    staleness,
+                    weight,
                     analytic_flops: task.analytic_flops,
                     analytic_bytes: task.analytic_bytes,
                     download_bytes: task.download_bytes,
@@ -1070,19 +1100,25 @@ impl ServerState<'_> {
 
             let mut aggregated = false;
             if buffer.len() >= k_needed {
-                // --- Aggregate: the buffered updates, weighted by sample
-                // count under the FedBuff staleness discount, folded into
-                // the *current* global. A fully-quarantined (all-zero-weight)
+                // Flush: the fold is about to move the global the pending
+                // tasks were launched from. Nothing consumes them after the
+                // run's last aggregation unless a final checkpoint does.
+                if self.round + 1 < env.cfg.rounds || opts.checkpoint.is_some() {
+                    train_pending(&mut in_flight, &*global, mask, env, &rt);
+                }
+                // --- Aggregate: the buffered updates folded into the
+                // *current* global. A fully-quarantined (all-zero-weight)
                 // buffer keeps it instead of dividing by zero.
-                let current = flat_params(&*global);
-                let accepted: Vec<(&DeviceUpdate, f64)> = buffer
-                    .iter()
-                    .map(|b| {
-                        let weight = b.update.samples as f64 * staleness_weight(b.staleness);
-                        (&b.update, weight)
-                    })
-                    .collect();
-                self.fold_into_global(&accepted, &current, &ctx, &rt, global, mask, ledger);
+                flat_params_into(&*global, &mut current);
+                self.fold_into_global(
+                    buffer.iter().map(|b| (&b.update, b.weight)),
+                    &current,
+                    &ctx,
+                    &rt,
+                    global,
+                    mask,
+                    ledger,
+                );
 
                 // --- Advance: per-device accounting (one round charges one
                 // model transfer — the heaviest in the buffer), the hook,
@@ -1119,64 +1155,23 @@ impl ServerState<'_> {
                 aggregated = true;
             }
 
-            // --- Broadcast: the finisher restarts immediately from the
+            // --- Broadcast: the finisher relaunches immediately from the
             // current global (and the current mask/version — its next
-            // update is fresh by construction). No restart once the final
+            // update is fresh by construction). No relaunch once the final
             // round has aggregated.
             if self.round >= env.cfg.rounds {
                 break;
             }
-            let k = task.device;
-            let profile = env.device_profile(k);
-            // Mid-flight restarts train one device at a time on the
-            // caller's thread, so the device's kernels get the whole pool.
-            let outcome = train_one_device_raw(
-                &*global,
-                &env.parts[k],
-                Some(mask),
-                &env.cfg,
-                self.round,
-                k,
-                task_counter[k] as u64,
-                &rt,
-            );
-            let (flops, analytic_bytes) =
-                device_round_cost(&arch, &densities, outcome.samples, env.cfg.local_epochs);
-            let (down, up) = task_bytes(codec, &ctx);
-            let secs = self
-                .clock
-                .device_secs(&profile, flops, down + up, task_counter[k], k);
-            let dropped = self.clock.dropout_hits(&profile, task_counter[k], k);
-            task_counter[k] += 1;
-            in_flight.push(InFlight {
-                device: k,
-                start_secs: self.clock.now(),
-                finish_secs: self.clock.now() + secs,
-                start_version: self.round,
-                dropped,
-                analytic_flops: flops,
-                analytic_bytes,
-                download_bytes: down,
-                ctx: ctx.clone(),
-                outcome,
-            });
+            in_flight.push(self.launch(task.device, &arch, &densities, &ctx, &mut task_counter));
 
             // Post-aggregation boundary: the buffer is empty and the fleet
             // is fully in flight again — the state a buffered checkpoint
-            // captures.
+            // captures (flushed first: it persists trained tasks only).
             if aggregated
-                && self.checkpoint_and_halt(
-                    &*global,
-                    mask,
-                    ledger,
-                    opts,
-                    Some(buffered_state(
-                        last_agg_secs,
-                        events,
-                        &task_counter,
-                        &in_flight,
-                    )),
-                )?
+                && self.checkpoint_and_halt(&*global, mask, ledger, opts, || {
+                    train_pending(&mut in_flight, &*global, mask, env, &rt);
+                    buffered_state(last_agg_secs, events, &task_counter, &in_flight).map(Some)
+                })?
             {
                 return Ok(std::mem::take(&mut self.history));
             }
@@ -1196,21 +1191,53 @@ impl ServerState<'_> {
         }
         // Final-state checkpoint so a completed run resumes to a no-op.
         if let Some(spec) = &opts.checkpoint {
-            self.checkpoint(
-                &*global,
-                mask,
-                ledger,
-                opts,
-                Some(buffered_state(
-                    last_agg_secs,
-                    events,
-                    &task_counter,
-                    &in_flight,
-                )),
-            )
-            .save(&spec.path)?;
+            train_pending(&mut in_flight, &*global, mask, env, &rt);
+            let buffered = buffered_state(last_agg_secs, events, &task_counter, &in_flight)?;
+            self.checkpoint(&*global, mask, ledger, opts, Some(buffered))
+                .save(&spec.path)?;
         }
         Ok(std::mem::take(&mut self.history))
+    }
+
+    /// Buffered `Broadcast` for one device: launches its next task from the
+    /// current global, version, mask densities and wire context. Only the
+    /// simulated side is decided here — finish time (from the partition
+    /// size, not the trained model) and dropout; training is deferred to
+    /// [`train_pending`].
+    fn launch(
+        &self,
+        k: usize,
+        arch: &ft_nn::ArchInfo,
+        densities: &[f32],
+        ctx: &std::sync::Arc<WireCtx>,
+        task_counter: &mut [usize],
+    ) -> InFlight {
+        let env = self.env;
+        let codec = env.cfg.codec;
+        let profile = env.device_profile(k);
+        let (flops, analytic_bytes) =
+            device_round_cost(arch, densities, env.parts[k].len(), env.cfg.local_epochs);
+        // Measured wire bytes of the task: broadcast down plus the
+        // (shared-epoch) encoded upload back.
+        let down = broadcast_payload_len(codec, ctx) as f64;
+        let up = codec.encoded_len_for(ctx, true) as f64;
+        let task = task_counter[k];
+        let secs = self.clock.device_secs(&profile, flops, down + up, task, k);
+        let dropped = self.clock.dropout_hits(&profile, task, k);
+        task_counter[k] += 1;
+        InFlight {
+            device: k,
+            start_secs: self.clock.now(),
+            finish_secs: self.clock.now() + secs,
+            start_version: self.round,
+            dropped,
+            analytic_flops: flops,
+            analytic_bytes,
+            download_bytes: down,
+            ctx: ctx.clone(),
+            salt: task as u64,
+            outcome: None,
+        }
     }
 }
 
@@ -1231,13 +1258,18 @@ struct InFlight {
     /// Wire context (mask + epoch) the device trained under — shared with
     /// every other task launched under the same mask.
     ctx: std::sync::Arc<WireCtx>,
-    outcome: LocalOutcome,
+    /// Separates the RNG streams of a device's repeated tasks at one server
+    /// version (its task count at launch). Unused once trained.
+    salt: u64,
+    /// `None` from launch until [`train_pending`] runs.
+    outcome: Option<LocalOutcome>,
 }
 
 /// One buffered arrival awaiting aggregation.
 struct BufferedArrival {
     update: DeviceUpdate,
-    staleness: usize,
+    /// Aggregation weight, fixed at arrival.
+    weight: f64,
     analytic_flops: f64,
     analytic_bytes: f64,
     download_bytes: f64,
@@ -1245,20 +1277,78 @@ struct BufferedArrival {
     event_idx: usize,
 }
 
-/// Snapshots the buffered event-loop state for a checkpoint.
+thread_local! {
+    /// `(flushes, tasks)` of every [`train_pending`] call made on this thread.
+    static TRAIN_COHORTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Tally of the buffered loop's deferred training on the calling thread:
+/// how many flushes ran and how many tasks they trained in total, over
+/// every buffered run driven from this thread so far. Purely a statistic
+/// for benches and tests — tasks per flush is what decides whether the loop
+/// can use a parallel pool.
+pub fn buffered_train_cohorts() -> (u64, u64) {
+    TRAIN_COHORTS.get()
+}
+
+/// Trains every launched-but-untrained task, side by side when the pool
+/// fans out (sequential kernels inside a fanned cohort, the pool's kernels
+/// for a lone task — the rule `train_devices_parallel` uses). Each task
+/// trains from `global` under `mask` on its own `(start_version, device,
+/// salt)` RNG stream, so the caller must flush before either moves.
+fn train_pending(
+    in_flight: &mut [InFlight],
+    global: &dyn Model,
+    mask: &Mask,
+    env: &ExperimentEnv,
+    rt: &ft_runtime::Runtime,
+) {
+    let pending: Vec<&mut InFlight> = in_flight
+        .iter_mut()
+        .filter(|t| t.outcome.is_none())
+        .collect();
+    if pending.is_empty() {
+        return;
+    }
+    let (flushes, tasks) = TRAIN_COHORTS.get();
+    TRAIN_COHORTS.set((flushes + 1, tasks + pending.len() as u64));
+    let sequential = ft_runtime::Runtime::sequential();
+    let (pool, kernel_rt) = if fans_out(&env.cfg, pending.len(), rt) {
+        (*rt, sequential)
+    } else {
+        (sequential, *rt)
+    };
+    pool.scatter(pending, |t| {
+        t.outcome = Some(train_one_device_raw(
+            global,
+            &env.parts[t.device],
+            Some(mask),
+            &env.cfg,
+            t.start_version,
+            t.device,
+            t.salt,
+            &kernel_rt,
+        ));
+    });
+}
+
+/// Snapshots the buffered event-loop state for a checkpoint. Every task
+/// must have been trained ([`train_pending`]): the checkpoint persists
+/// outcomes, not launches.
 fn buffered_state(
     last_agg_secs: f64,
     events: usize,
     task_counter: &[usize],
     in_flight: &[InFlight],
-) -> BufferedState {
-    BufferedState {
-        last_agg_secs,
-        events,
-        task_counter: task_counter.to_vec(),
-        in_flight: in_flight
-            .iter()
-            .map(|t| TaskState {
+) -> Result<BufferedState, ServerError> {
+    let in_flight = in_flight
+        .iter()
+        .map(|t| {
+            let outcome = t
+                .outcome
+                .clone()
+                .ok_or(ServerError::UntrainedTask { device: t.device })?;
+            Ok(TaskState {
                 device: t.device,
                 start_secs: t.start_secs,
                 finish_secs: t.finish_secs,
@@ -1269,10 +1359,16 @@ fn buffered_state(
                 download_bytes: t.download_bytes,
                 ctx_epoch: t.ctx.epoch,
                 ctx_alive: t.ctx.alive.clone(),
-                outcome: t.outcome.clone(),
+                outcome,
             })
-            .collect(),
-    }
+        })
+        .collect::<Result<Vec<_>, ServerError>>()?;
+    Ok(BufferedState {
+        last_agg_secs,
+        events,
+        task_counter: task_counter.to_vec(),
+        in_flight,
+    })
 }
 
 /// Convenience used by the classic entry point: run on the [`InProcess`]
@@ -1509,6 +1605,168 @@ mod tests {
             ledger.total_train_wall_secs(),
             transport.device_wall_secs
         );
+    }
+
+    /// The deterministic projection of one buffered run: final parameter
+    /// bits, the timeline, and both payload histories.
+    type BufferedTrace = (Vec<u32>, Vec<TimelineEvent>, Vec<u64>, Vec<u64>);
+
+    /// One buffered run of `env` on the pool `rt`; also returns the
+    /// `(flushes, tasks)` its deferred training took.
+    fn buffered_run(
+        env: &ExperimentEnv,
+        rt: ft_runtime::Runtime,
+        halt_after: Option<usize>,
+    ) -> (BufferedTrace, (u64, u64)) {
+        let mut model = env.build_model(&ModelSpec::small_cnn_test());
+        let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+        let mut ledger = CostLedger::new();
+        let mut transport = SimTime;
+        let mut opts = RunOptions::new(&mut transport);
+        opts.halt_after = halt_after;
+        let before = buffered_train_cohorts();
+        run_on(
+            model.as_mut(),
+            &mut mask,
+            env,
+            0,
+            &mut ledger,
+            &mut no_hook(),
+            opts,
+            rt,
+        )
+        .expect("buffered run");
+        let after = buffered_train_cohorts();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let trace = (
+            flat_params(model.as_ref())
+                .iter()
+                .map(|v| v.to_bits())
+                .collect(),
+            ledger.timeline().to_vec(),
+            bits(ledger.payload_up_history()),
+            bits(ledger.payload_down_history()),
+        );
+        (trace, (after.0 - before.0, after.1 - before.1))
+    }
+
+    fn buffered_env(seed: u64, buffer_k: usize, fleet: Vec<crate::DeviceProfile>) -> ExperimentEnv {
+        let mut env = ExperimentEnv::tiny_for_tests(seed);
+        env.scheduler = Scheduler::Buffered { buffer_k };
+        env.fleet = fleet;
+        env.cfg.parallel = true;
+        env.cfg.rounds = 6;
+        env.cfg.codec = ft_sparse::Codec::TopK {
+            k_frac: 0.1,
+            error_feedback: true,
+        };
+        env.cfg.aggregator = crate::Aggregator::TrimmedMean { beta: 0.25 };
+        env
+    }
+
+    #[test]
+    fn sim_buffered_deferred_cohorts_match_sequential_bit_for_bit() {
+        // Error-feedback residuals, a rank rule and dropouts all ride on
+        // the order of arrivals; training the launches as a fanned cohort
+        // must not move any of them.
+        let n = ExperimentEnv::tiny_for_tests(33).num_devices();
+        let mut fleet = crate::DeviceProfile::fleet_mixed(n);
+        for p in &mut fleet {
+            p.dropout = p.dropout.max(0.2);
+        }
+        let env = buffered_env(33, 3, fleet);
+        let (seq, (seq_flushes, seq_tasks)) =
+            buffered_run(&env, ft_runtime::Runtime::sequential(), None);
+        let (par, par_cohorts) = buffered_run(&env, ft_runtime::Runtime::exact(4), None);
+        assert_eq!(seq, par, "a fanned cohort diverged from one-at-a-time");
+        assert_eq!((seq_flushes, seq_tasks), par_cohorts);
+        assert!(
+            seq.1.iter().any(|ev| !ev.applied),
+            "no update was lost: the dropout profile is not exercised"
+        );
+        assert!(
+            seq_tasks > seq_flushes,
+            "{seq_tasks} tasks over {seq_flushes} flushes: nothing ever trained side by side"
+        );
+    }
+
+    #[test]
+    fn sim_buffered_device_lapping_the_window_is_trained_at_its_arrival() {
+        // Device 0 is a thousand times faster than the rest, so it arrives
+        // again before the window it relaunched in has filled: its task is
+        // still pending when popped and must be flushed right there.
+        let n = ExperimentEnv::tiny_for_tests(34).num_devices();
+        let mut fleet = crate::DeviceProfile::fleet_uniform(n);
+        fleet[0].flops_per_sec *= 1e3;
+        fleet[0].bytes_per_sec *= 1e3;
+        let env = buffered_env(34, n, fleet);
+        let (seq, _) = buffered_run(&env, ft_runtime::Runtime::sequential(), None);
+        let (par, _) = buffered_run(&env, ft_runtime::Runtime::exact(4), None);
+        assert_eq!(seq, par);
+        let laps = seq
+            .1
+            .iter()
+            .filter(|ev| ev.device == 0 && ev.round == 0)
+            .count();
+        assert!(laps >= 2, "device 0 arrived {laps}x in the first window");
+    }
+
+    #[test]
+    fn buffered_tasks_nobody_consumes_are_never_trained() {
+        // No dropout, so every launch is trained unless the run ends (or
+        // halts) first; launches = the initial wave + one per arrival.
+        let n = ExperimentEnv::tiny_for_tests(35).num_devices();
+        let env = buffered_env(35, 2, crate::DeviceProfile::fleet_uniform(n));
+        let rt = ft_runtime::Runtime::sequential();
+        // Halted without a checkpoint: only the finisher relaunched after
+        // the aggregation is still pending, and it is dropped.
+        let (halted, (_, tasks)) = buffered_run(&env, rt, Some(1));
+        assert_eq!(tasks as usize, n + halted.1.len() - 1);
+        // Run to the end: the final aggregation's finisher is not
+        // relaunched, and the relaunches of the last window stay untrained.
+        let (full, (_, tasks)) = buffered_run(&env, rt, None);
+        let launched = n + full.1.len() - 1;
+        assert!(
+            (tasks as usize) < launched,
+            "{tasks} of {launched} launches trained: the last window's were not dropped"
+        );
+    }
+
+    #[test]
+    fn buffered_state_refuses_an_untrained_task_typed() {
+        let env = ExperimentEnv::tiny_for_tests(36);
+        let model = env.build_model(&ModelSpec::small_cnn_test());
+        let mask = Mask::ones(&sparse_layout(model.as_ref()));
+        let state = ServerState {
+            env: &env,
+            eval_every: 0,
+            clock: SimClock::new(36),
+            epoch: 0,
+            round: 0,
+            residuals: Vec::new(),
+            history: Vec::new(),
+            applied_mask: mask.clone(),
+            agg_scratch: crate::aggregate::AggScratch::new(),
+            published_events: 0,
+            last_cohort: 0,
+        };
+        let ctx = std::sync::Arc::new(wire_ctx(model.as_ref(), &mask, 0));
+        let mut task_counter = vec![0usize; env.num_devices()];
+        let mut in_flight = vec![state.launch(
+            1,
+            &model.arch(),
+            &densities_from_mask(&mask),
+            &ctx,
+            &mut task_counter,
+        )];
+        let err = buffered_state(0.0, 0, &task_counter, &in_flight)
+            .expect_err("a launch is not a checkpointable outcome");
+        assert!(matches!(err, ServerError::UntrainedTask { device: 1 }));
+        assert!(err.to_string().contains("untrained"));
+        let rt = ft_runtime::Runtime::sequential();
+        train_pending(&mut in_flight, model.as_ref(), &mask, &env, &rt);
+        let saved = buffered_state(0.0, 0, &task_counter, &in_flight).expect("trained");
+        assert_eq!(saved.in_flight.len(), 1);
     }
 
     /// The in-memory byte-boundary transport reproduces the in-process run

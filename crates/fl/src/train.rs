@@ -49,9 +49,9 @@ pub struct DeviceUpdate {
 }
 
 /// Raw device-side training outcome *before* wire encoding. Stays inside
-/// the crate: the buffered scheduler trains eagerly but encodes at
-/// arrival time (when the server's mask epoch is known), so it briefly
-/// holds this device-local state.
+/// the crate: the buffered scheduler encodes at arrival time (when the
+/// server's mask epoch is known), which can be after the task trained, so
+/// it briefly holds this device-local state.
 #[derive(Clone, Debug)]
 pub(crate) struct LocalOutcome {
     /// `θ_k − anchor`, dense, device-local.
@@ -461,46 +461,6 @@ pub fn train_devices_parallel(
             .zip(residuals.iter_mut())
             .enumerate()
             .map(|(k, (d, res))| run_one(k, d, res))
-            .collect()
-    }
-}
-
-/// [`train_devices_parallel`] without the wire encoding: returns the raw
-/// device-local outcomes. The buffered scheduler uses this because its
-/// devices encode at *arrival* time (when the server's mask epoch is
-/// known), not at training time.
-pub(crate) fn train_devices_raw_parallel(
-    global: &dyn Model,
-    parts: &[Dataset],
-    mask: Option<&Mask>,
-    cfg: &FlConfig,
-    round: usize,
-    rt: &Runtime,
-) -> Vec<LocalOutcome> {
-    let fan_out = fans_out(cfg, parts.len(), rt);
-    let kernel_rt = if fan_out { Runtime::sequential() } else { *rt };
-    let run_one = |k: usize, data: &Dataset| {
-        train_one_device_raw(global, data, mask, cfg, round, k, 0, &kernel_rt)
-    };
-    if fan_out {
-        let mut out: Vec<Option<LocalOutcome>> = (0..parts.len()).map(|_| None).collect();
-        let jobs: Vec<_> = parts
-            .iter()
-            .zip(out.iter_mut())
-            .enumerate()
-            .map(|(k, (data, slot))| (k, data, slot))
-            .collect();
-        rt.scatter(jobs, |(k, data, slot)| {
-            *slot = Some(run_one(k, data));
-        });
-        out.into_iter()
-            .map(|o| o.expect("device job completed"))
-            .collect()
-    } else {
-        parts
-            .iter()
-            .enumerate()
-            .map(|(k, d)| run_one(k, d))
             .collect()
     }
 }

@@ -173,6 +173,26 @@ fn ckpt_buffered_resume_reproduces_uninterrupted_trace() {
 }
 
 #[test]
+fn ckpt_buffered_halt_with_untrained_launches_resumes_exactly() {
+    // Every buffered checkpoint is taken right after the finisher's
+    // relaunch, i.e. with at least one launched-but-untrained task in
+    // flight. The snapshot has to train it first (a checkpoint persists
+    // outcomes, not launches) and the resumed run has to take it as
+    // trained — at every aggregation, with error-feedback residuals riding
+    // along.
+    let sched = Scheduler::Buffered { buffer_k: 3 };
+    let codec = Codec::TopK {
+        k_frac: 0.1,
+        error_feedback: true,
+    };
+    let full = run_uninterrupted(sched, codec, 17);
+    for k in 1..4 {
+        let resumed = run_killed_and_resumed(sched, codec, 17, k, &format!("buffered_topk_{k}"));
+        assert_eq!(full, resumed, "resume from aggregation {k} diverged");
+    }
+}
+
+#[test]
 fn ckpt_deadline_topk_resume_preserves_error_feedback_residuals() {
     // TopK with error feedback makes the per-device residuals part of the
     // run state; dropping them at the kill point would visibly shift every
