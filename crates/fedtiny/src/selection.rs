@@ -146,6 +146,7 @@ fn select(
                 updates.push((stats, dev.len() as f64));
             }
             // --- Server side: Eq. 4 weighted aggregation.
+            let updates: Vec<_> = updates.iter().map(|(s, w)| (s.as_slice(), *w)).collect();
             Some(aggregate_bn_stats(&updates))
         } else {
             None

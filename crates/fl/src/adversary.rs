@@ -11,14 +11,14 @@
 //! - [`AdversarialTransport`] — a wrapper around any local transport that
 //!   applies the *same byte-level corruption* to the same honest updates
 //!   and pushes them through the same screen
-//!   ([`crate::transport::screen_update_frame`]).
+//!   (`screen_update_frame` in [`crate::transport`]).
 //!
 //! Because the corrupted frame bytes are a pure function of `(seed, round,
 //! device)` and both paths share one corruption routine
-//! ([`Behavior::corrupt_update_body`]), a TCP byzantine run and its
+//! (`Behavior::corrupt_update_body`), a TCP byzantine run and its
 //! in-process twin quarantine the identical members with the identical
-//! [`FaultKind`]s — which is what lets golden adversarial traces pin the
-//! whole hostile pipeline byte for byte.
+//! [`crate::transport::FaultKind`]s — which is what lets golden
+//! adversarial traces pin the whole hostile pipeline byte for byte.
 
 use crate::train::{train_one_device, DeviceUpdate, WireSpec};
 use crate::transport::decode_round_frame;
@@ -50,20 +50,22 @@ pub enum Behavior {
     },
     /// Weight inflation: the update claims `factor`× its true sample count
     /// to dominate sample-weighted averaging. Caught by the sample-cap
-    /// screen as [`FaultKind::InflatedSamples`].
+    /// screen as [`crate::transport::FaultKind::InflatedSamples`].
     InflateSamples {
         /// Multiplier on the claimed sample count.
         factor: usize,
     },
     /// The UPDATE body is seed-derived garbage (framing stays intact, so
-    /// the stream survives). Quarantined as [`FaultKind::MalformedFrame`].
+    /// the stream survives). Quarantined as
+    /// [`crate::transport::FaultKind::MalformedFrame`].
     GarbageFrames,
     /// The honest UPDATE body truncated at a seed-derived offset.
-    /// Quarantined as [`FaultKind::MalformedFrame`].
+    /// Quarantined as [`crate::transport::FaultKind::MalformedFrame`].
     TruncatedFrames,
     /// From round 1 on, the update is stamped with the previous round —
-    /// a replayed capture. Quarantined as [`FaultKind::Replay`]; behaves
-    /// honestly at round 0 (there is nothing to replay yet).
+    /// a replayed capture. Quarantined as
+    /// [`crate::transport::FaultKind::Replay`]; behaves honestly at round 0
+    /// (there is nothing to replay yet).
     EpochReplay,
     /// Alternates garbage bodies (even rounds) with replays (odd rounds),
     /// so the device is hostile from round 0 onward.
@@ -229,7 +231,7 @@ fn poison_update(
 
 /// Wraps a local transport and corrupts the configured devices' updates at
 /// the byte level, exactly as their TCP twins would on the wire: the honest
-/// update is framed through [`Behavior::corrupt_update_body`] and screened
+/// update is framed through `Behavior::corrupt_update_body` and screened
 /// through the shared update screen, so the resulting [`Delivery`]s —
 /// survivors and quarantined faults alike — are identical to a tolerant
 /// TCP run with the same behaviors and seed.

@@ -41,7 +41,7 @@ pub fn staleness_weight(staleness: usize) -> f64 {
 /// # Panics
 ///
 /// Panics if `updates` is empty or the layer structures differ.
-pub fn aggregate_bn_stats(updates: &[(Vec<BnStats>, f64)]) -> Vec<BnStats> {
+pub fn aggregate_bn_stats(updates: &[(&[BnStats], f64)]) -> Vec<BnStats> {
     assert!(
         !updates.is_empty(),
         "bn aggregation needs at least one update"
@@ -54,7 +54,7 @@ pub fn aggregate_bn_stats(updates: &[(Vec<BnStats>, f64)]) -> Vec<BnStats> {
 /// [`aggregate_bn_stats`] without the degenerate-cohort panics: `None` when
 /// `updates` is empty or all weights are zero, so schedulers can keep the
 /// previous global statistics instead.
-pub fn try_aggregate_bn_stats(updates: &[(Vec<BnStats>, f64)]) -> Option<Vec<BnStats>> {
+pub fn try_aggregate_bn_stats(updates: &[(&[BnStats], f64)]) -> Option<Vec<BnStats>> {
     let total_w: f64 = updates.iter().map(|(_, w)| *w).sum();
     if updates.is_empty() || !total_w.is_finite() || total_w <= 0.0 {
         return None;
@@ -584,12 +584,12 @@ mod tests {
             mean: vec![3.0, 4.0],
             var: vec![3.0, 3.0],
         }];
-        let got = aggregate_bn_stats(&[(a.clone(), 1.0), (b, 1.0)]);
+        let got = aggregate_bn_stats(&[(&a, 1.0), (&b, 1.0)]);
         assert_eq!(got[0].mean, vec![2.0, 3.0]);
         assert_eq!(got[0].var, vec![2.0, 2.0]);
         // Degenerate cohorts keep the previous statistics, never NaN.
         assert_eq!(try_aggregate_bn_stats(&[]), None);
-        assert_eq!(try_aggregate_bn_stats(&[(a, 0.0)]), None);
+        assert_eq!(try_aggregate_bn_stats(&[(&a, 0.0)]), None);
     }
 
     #[test]
@@ -602,7 +602,7 @@ mod tests {
             mean: vec![10.0],
             var: vec![10.0],
         }];
-        let got = aggregate_bn_stats(&[(a, 9.0), (b, 1.0)]);
+        let got = aggregate_bn_stats(&[(&a, 9.0), (&b, 1.0)]);
         assert!((got[0].mean[0] - 1.0).abs() < 1e-6);
     }
 

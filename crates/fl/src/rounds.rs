@@ -17,7 +17,7 @@ use rand_chacha::ChaCha8Rng;
 pub type RoundHook<'a> = dyn FnMut(&mut dyn Model, &mut Mask, usize, &mut CostLedger) -> f64 + 'a;
 
 /// Runs `env.cfg.rounds` rounds of (masked) FedAvg under the environment's
-/// [`Scheduler`] and simulated device fleet:
+/// [`crate::Scheduler`] and simulated device fleet:
 ///
 /// 1. every device trains `E` local epochs from the global model with
 ///    gradients masked by `mask` (Eq. 5);

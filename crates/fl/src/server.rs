@@ -780,7 +780,7 @@ impl ServerState<'_> {
         let progressed = match outcome.params {
             Some(new_params) => {
                 set_flat_params(global, new_params);
-                let bn_updates: Vec<_> = accepted.map(|(u, w)| (u.bn.clone(), w)).collect();
+                let bn_updates: Vec<_> = accepted.map(|(u, w)| (u.bn.as_slice(), w)).collect();
                 if let Some(new_bn) = try_aggregate_bn_stats(&bn_updates) {
                     for (dst, src) in global.bn_stats_mut().into_iter().zip(new_bn.iter()) {
                         *dst = src.clone();

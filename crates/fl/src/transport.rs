@@ -38,7 +38,7 @@
 //! ## Hostile fleets
 //!
 //! A transport never trusts its devices. Every inbound UPDATE body passes
-//! one shared screen ([`screen_update_frame`]) — structural decode, claimed
+//! one shared screen (`screen_update_frame`) — structural decode, claimed
 //! identity, round/epoch freshness (replay detection), and a sample-count
 //! cap — before the server sees it. `exchange_round` therefore returns one
 //! [`Delivery`] per cohort member: either the screened update or the typed

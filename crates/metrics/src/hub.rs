@@ -19,7 +19,7 @@
 //!   raw-socket `printf`): the hub renders the text exposition format
 //!   (`text/plain; version=0.0.4`) and closes.
 //! - `WATCH` — the connection is registered as a trace subscriber and
-//!   receives every subsequent [`TimelineEvent`]-shaped frame live:
+//!   receives every subsequent `TimelineEvent`-shaped frame live:
 //!   `u32 LE body length | body`, body = `u8 kind(=1) | u64 device |
 //!   u64 round | f64 start_secs | f64 finish_secs | u8 applied |
 //!   u64 staleness` (floats as raw IEEE-754 bits, all little-endian —

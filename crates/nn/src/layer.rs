@@ -7,13 +7,13 @@
 
 use crate::param::{Param, ParamKind};
 use ft_runtime::Runtime;
-use ft_sparse::{BsrMatrix, CsrMatrix};
+use ft_sparse::CsrMatrix;
 use ft_tensor::{
-    avg_pool_global_backward_into, avg_pool_global_into_rt, bsr_dsmm_nt_into_rt, bsr_spmm_into_rt,
-    col2im_ld, conv2d_fused_into_rt, dsmm_into_rt, dsmm_nt_into_rt, im2col_batched_rt,
-    kaiming_normal, matmul_into_rt, matmul_nt_into_rt, matmul_nt_seg_into_rt, matmul_tn_into_rt,
-    max_pool2x2_backward_into, max_pool2x2_into_rt, sddmm_nt_seg_into_rt, sddmm_tn_into_rt,
-    spmm_into_rt, spmm_tn_into_rt, ConvGeom, Tensor,
+    avg_pool_global_backward_into, avg_pool_global_into_rt, col2im_ld, conv2d_fused_into_rt,
+    dsmm_into_rt, dsmm_nt_into_rt, im2col_batched_rt, kaiming_normal, matmul_into_rt,
+    matmul_nt_into_rt, matmul_nt_seg_into_rt, matmul_tn_into_rt, max_pool2x2_backward_into,
+    max_pool2x2_into_rt, sddmm_nt_seg_into_rt, sddmm_tn_into_rt, spmm_into_rt, spmm_tn_into_rt,
+    ConvGeom, Tensor,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -21,45 +21,23 @@ use serde::{Deserialize, Serialize};
 /// Default density crossover below which `Conv2d` / `Linear` switch from the
 /// dense GEMM kernels to the CSR sparse kernels.
 ///
-/// At densities above ~0.5 the CSR index traffic outweighs the skipped
-/// multiply-accumulates on these blocked CPU kernels, so the dense path wins;
-/// below it the sparse path wins and keeps winning proportionally to `1/d`.
-/// Override per model with [`crate::Model::set_sparse_crossover`].
+/// The 0.5 is uncalibrated: it was set before the dense GEMM and CSR kernels
+/// were rebuilt and has not been re-measured since (ROADMAP item 2 — the
+/// committed 512³ records put the forward break-even nearer 0.35). At the
+/// paper's densities (d ≤ 0.1) the sparse path wins by roughly `1/d` either
+/// way. Override per model with [`crate::Model::set_sparse_crossover`].
 pub const DEFAULT_SPARSE_CROSSOVER: f32 = 0.5;
-
-/// Tile edge of the block-sparse (BSR) forward packing.
-///
-/// Matches the widest unrolled path of the `ft-tensor` BSR kernels; small
-/// enough that structured masks (whole channels / im2col rows pruned
-/// together) still produce mostly-full tiles.
-pub const BSR_BLOCK: usize = 4;
-
-/// Average tile fill (`nnz / stored`) the forward pass must *strictly
-/// exceed* to be routed through the BSR kernels instead of CSR.
-///
-/// At or below this, the explicit zeros inside partially-alive tiles cost
-/// more flops than the dense tile loops save in index traffic (at fill 0.5
-/// BSR already executes 2× CSR's multiply-accumulates); a scattered
-/// magnitude mask at density `d` has expected fill ≈ `d` and stays on CSR.
-pub const BSR_MIN_FILL: f32 = 0.5;
 
 /// Cached sparse packing of a layer weight, keyed by the mask epoch that
 /// produced its structure.
 ///
 /// The structure is rebuilt only when [`Param::mask_epoch`] changes (a new
 /// mask was applied); between optimizer steps only the values are
-/// re-gathered, which is `O(nnz)` (plus `O(stored)` for the BSR tiles when
-/// present).
-///
-/// `csr` is always built: the backward pass (scatter/sampled-dense shapes)
-/// stays on it unconditionally. `bsr` is additionally built at rebuild time
-/// when the mask clusters — average tile fill strictly above
-/// [`BSR_MIN_FILL`] — and then takes over the *forward* GEMM only.
+/// re-gathered, which is `O(nnz)`.
 #[derive(Clone, Debug)]
 struct SparsePlan {
     epoch: u64,
     csr: CsrMatrix,
-    bsr: Option<BsrMatrix>,
 }
 
 /// Decides the execution path for a weight and keeps `plan` fresh: returns
@@ -84,18 +62,11 @@ fn refresh_plan(
         return false;
     }
     match plan {
-        Some(p) if p.epoch == w.mask_epoch => {
-            p.csr.refresh_values(w.data.data());
-            if let Some(bsr) = &mut p.bsr {
-                bsr.refresh_values(w.data.data());
-            }
-        }
+        Some(p) if p.epoch == w.mask_epoch => p.csr.refresh_values(w.data.data()),
         _ => {
-            let bsr = BsrMatrix::from_mask_values(bits, w.data.data(), rows, cols, BSR_BLOCK);
             *plan = Some(SparsePlan {
                 epoch: w.mask_epoch,
                 csr: CsrMatrix::from_mask_values(bits, w.data.data(), rows, cols),
-                bsr: (bsr.fill() > BSR_MIN_FILL).then_some(bsr),
             });
         }
     }
@@ -284,7 +255,7 @@ impl Conv2d {
     /// runs through a single kernel call: the dense path packs B-panels
     /// straight out of the image (implicit GEMM, no column matrix), the
     /// sparse path materializes the `[cr, n·cc]` column matrix into the
-    /// layer's scratch arena and runs CSR/BSR SpMM over it. Per-output
+    /// layer's scratch arena and runs CSR SpMM over it. Per-output
     /// accumulation order is a pure function of the k-decomposition, so the
     /// result is bit-identical to the per-sample composition.
     ///
@@ -319,20 +290,12 @@ impl Conv2d {
             scratch.cols_b.resize_for_overwrite(&[cr, n * cc]);
             im2col_batched_rt(&self.runtime, x.data(), n, &geom, scratch.cols_b.data_mut());
             let plan = self.plan.as_ref().expect("sparse path always has a plan");
-            match &plan.bsr {
-                Some(bsr) => bsr_spmm_into_rt(
-                    &self.runtime,
-                    bsr.view(),
-                    &scratch.cols_b,
-                    &mut scratch.out_b,
-                ),
-                None => spmm_into_rt(
-                    &self.runtime,
-                    plan.csr.view(),
-                    &scratch.cols_b,
-                    &mut scratch.out_b,
-                ),
-            }
+            spmm_into_rt(
+                &self.runtime,
+                plan.csr.view(),
+                &scratch.cols_b,
+                &mut scratch.out_b,
+            );
             cols_valid = true;
         } else if matches!(mode, Mode::Train) {
             // Training forward materializes the column matrix up front — the
@@ -385,9 +348,8 @@ impl Conv2d {
                     .copy_from_slice(&ob[c * n * cc + i * cc..][..cc]);
             }
         }
-        // BSR executes its tiles' explicit zeros, so it counts stored slots.
         let mac = match &self.plan {
-            Some(plan) if sparse => plan.bsr.as_ref().map_or(plan.csr.nnz(), |b| b.stored()),
+            Some(plan) if sparse => plan.csr.nnz(),
             _ => self.out_c * cr,
         };
         self.realized_flops += 2.0 * (n * cc * mac) as f64;
@@ -952,15 +914,12 @@ impl Linear {
         );
         out.resize_zeroed(&[n, self.out_dim]);
         match &self.plan {
-            // Y += X · Wᵀ with W in CSR (or BSR when the mask clusters).
-            Some(plan) if sparse => match &plan.bsr {
-                Some(bsr) => bsr_dsmm_nt_into_rt(&self.runtime, x, bsr.view(), out),
-                None => dsmm_nt_into_rt(&self.runtime, x, plan.csr.view(), out),
-            },
+            // Y += X · Wᵀ with W in CSR.
+            Some(plan) if sparse => dsmm_nt_into_rt(&self.runtime, x, plan.csr.view(), out),
             _ => matmul_nt_into_rt(&self.runtime, x, &self.w.data, out),
         }
         let mac = match &self.plan {
-            Some(plan) if sparse => plan.bsr.as_ref().map_or(plan.csr.nnz(), |b| b.stored()),
+            Some(plan) if sparse => plan.csr.nnz(),
             _ => self.out_dim * self.in_dim,
         };
         self.realized_flops += 2.0 * (n * mac) as f64;
@@ -1929,80 +1888,126 @@ mod tests {
         w.note_mask(&bits);
     }
 
+    /// Applies a *clustered* mask: the first `keep_rows` weight rows stay
+    /// fully alive, the rest are pruned (what structured / channel pruning
+    /// produces). It runs on the same CSR path as a scattered mask.
+    fn mask_param_rows(w: &mut Param, cols: usize, keep_rows: usize) {
+        let bits: Vec<bool> = (0..w.len()).map(|i| i / cols < keep_rows).collect();
+        for (v, &alive) in w.data.data_mut().iter_mut().zip(bits.iter()) {
+            if !alive {
+                *v = 0.0;
+            }
+        }
+        w.note_mask(&bits);
+    }
+
+    /// How a sparse-vs-dense test case masks its weight.
+    type MaskFn = fn(&mut Param);
+
     #[test]
     fn conv_sparse_forward_matches_dense_masked() {
-        let mut rng = rng();
-        let mut sparse = Conv2d::new(&mut rng, 3, 8, 3, 1, 1, true, "c");
-        mask_param(&mut sparse.w, 5); // density 0.2
-        let mut dense = sparse.clone();
-        sparse.set_sparse_crossover(1.0);
-        dense.set_sparse_crossover(0.0);
-        let x = ft_tensor::normal(&mut rng, &[4, 3, 8, 8], 0.0, 1.0);
-        let ys = sparse.forward(&x, Mode::Train);
-        let yd = dense.forward(&x, Mode::Train);
-        assert_close(ys.data(), yd.data(), 1e-5);
-        // The sparse path executed ~0.2x the dense MACs.
-        assert!(
-            sparse.realized_flops() < 0.3 * dense.realized_flops(),
-            "sparse {} vs dense {}",
-            sparse.realized_flops(),
-            dense.realized_flops()
-        );
+        // Scattered at density 0.2 over [8, 27], then clustered: 2 of the 8
+        // rows of [8, 18] alive.
+        let cases: [(usize, MaskFn); 2] = [
+            (3, |w| mask_param(w, 5)),
+            (2, |w| mask_param_rows(w, 18, 2)),
+        ];
+        for (in_c, mask) in cases {
+            let mut rng = rng();
+            let mut sparse = Conv2d::new(&mut rng, in_c, 8, 3, 1, 1, true, "c");
+            mask(&mut sparse.w);
+            let mut dense = sparse.clone();
+            sparse.set_sparse_crossover(1.0);
+            dense.set_sparse_crossover(0.0);
+            let x = ft_tensor::normal(&mut rng, &[4, in_c, 8, 8], 0.0, 1.0);
+            let ys = sparse.forward(&x, Mode::Train);
+            let yd = dense.forward(&x, Mode::Train);
+            assert_close(ys.data(), yd.data(), 1e-5);
+            // The sparse path executes one MAC per alive coordinate and
+            // output position: 2·n·cc·nnz, well under the dense count.
+            let nnz = sparse.w.mask_alive;
+            assert_eq!(sparse.realized_flops(), 2.0 * (4 * 8 * 8 * nnz) as f64);
+            assert!(
+                sparse.realized_flops() < 0.3 * dense.realized_flops(),
+                "sparse {} vs dense {}",
+                sparse.realized_flops(),
+                dense.realized_flops()
+            );
+        }
     }
 
     #[test]
     fn conv_sparse_backward_matches_dense_on_alive_coords() {
-        let mut rng = rng();
-        let mut sparse = Conv2d::new(&mut rng, 2, 6, 3, 1, 1, true, "c");
-        mask_param(&mut sparse.w, 4);
-        let mut dense = sparse.clone();
-        sparse.set_sparse_crossover(1.0);
-        dense.set_sparse_crossover(0.0);
-        let x = ft_tensor::normal(&mut rng, &[2, 2, 6, 6], 0.0, 1.0);
-        let go = ft_tensor::normal(&mut rng, &[2, 6, 6, 6], 0.0, 1.0);
-        let _ = sparse.forward(&x, Mode::Train);
-        let _ = dense.forward(&x, Mode::Train);
-        let gxs = sparse.backward(&go);
-        let gxd = dense.backward(&go);
-        // Input gradients agree exactly (pruned weights are zero either way).
-        assert_close(gxs.data(), gxd.data(), 1e-4);
-        // Weight gradients agree at mask-alive coordinates and are zero at
-        // pruned coordinates on the sparse path.
-        let bits = sparse.w.mask_bits.clone().expect("mask recorded");
-        for (i, &alive) in bits.iter().enumerate() {
-            if alive {
-                let (a, b) = (sparse.w.grad.data()[i], dense.w.grad.data()[i]);
-                assert!((a - b).abs() < 1e-3, "alive grad {i}: {a} vs {b}");
-            } else {
-                assert_eq!(sparse.w.grad.data()[i], 0.0, "pruned grad {i} nonzero");
+        // Scattered over [6, 18], then clustered: 4 of the 8 rows of [8, 18]
+        // alive.
+        let cases: [(usize, MaskFn); 2] = [
+            (6, |w| mask_param(w, 4)),
+            (8, |w| mask_param_rows(w, 18, 4)),
+        ];
+        for (out_c, mask) in cases {
+            let mut rng = rng();
+            let mut sparse = Conv2d::new(&mut rng, 2, out_c, 3, 1, 1, true, "c");
+            mask(&mut sparse.w);
+            let mut dense = sparse.clone();
+            sparse.set_sparse_crossover(1.0);
+            dense.set_sparse_crossover(0.0);
+            let x = ft_tensor::normal(&mut rng, &[2, 2, 6, 6], 0.0, 1.0);
+            let go = ft_tensor::normal(&mut rng, &[2, out_c, 6, 6], 0.0, 1.0);
+            let _ = sparse.forward(&x, Mode::Train);
+            let _ = dense.forward(&x, Mode::Train);
+            let gxs = sparse.backward(&go);
+            let gxd = dense.backward(&go);
+            // Input gradients agree exactly (pruned weights are zero either way).
+            assert_close(gxs.data(), gxd.data(), 1e-4);
+            // Weight gradients agree at mask-alive coordinates and are zero at
+            // pruned coordinates on the sparse path.
+            let bits = sparse.w.mask_bits.clone().expect("mask recorded");
+            for (i, &alive) in bits.iter().enumerate() {
+                if alive {
+                    let (a, b) = (sparse.w.grad.data()[i], dense.w.grad.data()[i]);
+                    assert!((a - b).abs() < 1e-3, "alive grad {i}: {a} vs {b}");
+                } else {
+                    assert_eq!(sparse.w.grad.data()[i], 0.0, "pruned grad {i} nonzero");
+                }
             }
         }
     }
 
     #[test]
     fn linear_sparse_paths_match_dense() {
-        let mut rng = rng();
-        let mut sparse = Linear::new(&mut rng, 32, 16, true, "fc");
-        mask_param(&mut sparse.w, 5);
-        let mut dense = sparse.clone();
-        sparse.set_sparse_crossover(1.0);
-        dense.set_sparse_crossover(0.0);
-        let x = ft_tensor::normal(&mut rng, &[8, 32], 0.0, 1.0);
-        let ys = sparse.forward(&x, Mode::Train);
-        let yd = dense.forward(&x, Mode::Train);
-        assert_close(ys.data(), yd.data(), 1e-5);
-        let go = ft_tensor::normal(&mut rng, &[8, 16], 0.0, 1.0);
-        let gxs = sparse.backward(&go);
-        let gxd = dense.backward(&go);
-        assert_close(gxs.data(), gxd.data(), 1e-4);
-        assert_close(sparse.b.grad.data(), dense.b.grad.data(), 1e-4);
-        let bits = sparse.w.mask_bits.clone().expect("mask recorded");
-        for (i, &alive) in bits.iter().enumerate() {
-            if alive {
-                let (a, b) = (sparse.w.grad.data()[i], dense.w.grad.data()[i]);
-                assert!((a - b).abs() < 1e-3, "alive grad {i}: {a} vs {b}");
-            } else {
-                assert_eq!(sparse.w.grad.data()[i], 0.0, "pruned grad {i} nonzero");
+        // Scattered at density 0.2 over [16, 32], then clustered: 4 of the 8
+        // rows of [8, 16] alive.
+        let cases: [(usize, usize, MaskFn); 2] = [
+            (32, 16, |w| mask_param(w, 5)),
+            (16, 8, |w| mask_param_rows(w, 16, 4)),
+        ];
+        for (in_dim, out_dim, mask) in cases {
+            let mut rng = rng();
+            let mut sparse = Linear::new(&mut rng, in_dim, out_dim, true, "fc");
+            mask(&mut sparse.w);
+            let mut dense = sparse.clone();
+            sparse.set_sparse_crossover(1.0);
+            dense.set_sparse_crossover(0.0);
+            let x = ft_tensor::normal(&mut rng, &[8, in_dim], 0.0, 1.0);
+            let ys = sparse.forward(&x, Mode::Train);
+            let yd = dense.forward(&x, Mode::Train);
+            assert_close(ys.data(), yd.data(), 1e-5);
+            // One MAC per alive coordinate and sample.
+            let nnz = sparse.w.mask_alive;
+            assert_eq!(sparse.realized_flops(), 2.0 * (8 * nnz) as f64);
+            let go = ft_tensor::normal(&mut rng, &[8, out_dim], 0.0, 1.0);
+            let gxs = sparse.backward(&go);
+            let gxd = dense.backward(&go);
+            assert_close(gxs.data(), gxd.data(), 1e-4);
+            assert_close(sparse.b.grad.data(), dense.b.grad.data(), 1e-4);
+            let bits = sparse.w.mask_bits.clone().expect("mask recorded");
+            for (i, &alive) in bits.iter().enumerate() {
+                if alive {
+                    let (a, b) = (sparse.w.grad.data()[i], dense.w.grad.data()[i]);
+                    assert!((a - b).abs() < 1e-3, "alive grad {i}: {a} vs {b}");
+                } else {
+                    assert_eq!(sparse.w.grad.data()[i], 0.0, "pruned grad {i} nonzero");
+                }
             }
         }
     }
@@ -2025,100 +2030,6 @@ mod tests {
         l.set_sparse_crossover(0.0);
         let _ = l.forward(&x, Mode::Train);
         assert_eq!(l.realized_flops(), 2.0 * 200.0);
-    }
-
-    /// Applies a *clustered* mask: the first `keep_rows` weight rows stay
-    /// fully alive, the rest are pruned. Whole BSR tiles end up fully alive
-    /// or fully dead, so the average tile fill is high.
-    fn mask_param_rows(w: &mut Param, cols: usize, keep_rows: usize) {
-        let bits: Vec<bool> = (0..w.len()).map(|i| i / cols < keep_rows).collect();
-        for (v, &alive) in w.data.data_mut().iter_mut().zip(bits.iter()) {
-            if !alive {
-                *v = 0.0;
-            }
-        }
-        w.note_mask(&bits);
-    }
-
-    /// A clustered mask (high tile fill) routes the forward pass through the
-    /// BSR kernels; the output matches the dense reference and the
-    /// realized-FLOPs counter switches to counting stored tile slots.
-    #[test]
-    fn clustered_mask_routes_linear_forward_through_bsr() {
-        let mut rng = rng();
-        let mut l = Linear::new(&mut rng, 16, 8, true, "fc");
-        let mut dense = l.clone();
-        mask_param_rows(&mut l.w, 16, 4);
-        mask_param_rows(&mut dense.w, 16, 4);
-        dense.set_sparse_crossover(0.0);
-        let x = ft_tensor::normal(&mut rng, &[3, 16], 0.0, 1.0);
-        let y = l.forward(&x, Mode::Train);
-        let plan = l.plan.as_ref().expect("sparse plan built");
-        let bsr = plan.bsr.as_ref().expect("clustered mask must engage BSR");
-        assert_eq!(bsr.fill(), 1.0);
-        assert_close(y.data(), dense.forward(&x, Mode::Train).data(), 1e-5);
-        // Block row 0 fully alive (4 rows × 16 cols), block row 1 unstored.
-        assert_eq!(bsr.stored(), 64);
-        assert_eq!(l.realized_flops(), 2.0 * 3.0 * 64.0);
-        // A scattered mask at the same density must stay on CSR.
-        let mut scattered = Linear::new(&mut rng, 16, 8, true, "fc");
-        mask_param(&mut scattered.w, 2);
-        let _ = scattered.forward(&x, Mode::Train);
-        let plan = scattered.plan.as_ref().expect("sparse plan built");
-        assert!(plan.bsr.is_none(), "scattered mask must not engage BSR");
-    }
-
-    #[test]
-    fn clustered_mask_routes_conv_forward_through_bsr() {
-        let mut rng = rng();
-        let mut c = Conv2d::new(&mut rng, 2, 8, 3, 1, 1, true, "c");
-        let mut dense = c.clone();
-        let cr = 2 * 3 * 3;
-        mask_param_rows(&mut c.w, cr, 4);
-        mask_param_rows(&mut dense.w, cr, 4);
-        dense.set_sparse_crossover(0.0);
-        let x = ft_tensor::normal(&mut rng, &[2, 2, 6, 6], 0.0, 1.0);
-        let y = c.forward(&x, Mode::Train);
-        let plan = c.plan.as_ref().expect("sparse plan built");
-        assert!(
-            plan.bsr.is_some(),
-            "clustered conv mask must engage BSR (fill {})",
-            BsrMatrix::from_mask_values(
-                c.w.mask_bits.as_ref().unwrap(),
-                c.w.data.data(),
-                8,
-                cr,
-                BSR_BLOCK,
-            )
-            .fill()
-        );
-        assert_close(y.data(), dense.forward(&x, Mode::Train).data(), 1e-4);
-        // Backward stays on CSR and still matches the dense gradients at
-        // alive coordinates.
-        let go = Tensor::ones(&[2, 8, 6, 6]);
-        let gx = c.backward(&go);
-        let gxd = dense.backward(&go);
-        assert_close(gx.data(), gxd.data(), 1e-4);
-    }
-
-    /// `refresh_plan` keeps the BSR values in sync with optimizer updates
-    /// between mask epochs (structure reused, values re-gathered).
-    #[test]
-    fn bsr_plan_refreshes_values_between_epochs() {
-        let mut rng = rng();
-        let mut l = Linear::new(&mut rng, 8, 8, true, "fc");
-        mask_param_rows(&mut l.w, 8, 4);
-        let x = Tensor::ones(&[1, 8]);
-        let _ = l.forward(&x, Mode::Train);
-        assert!(l.plan.as_ref().unwrap().bsr.is_some());
-        // Simulate an optimizer step on alive weights.
-        for v in l.w.data.data_mut().iter_mut() {
-            *v *= 2.0;
-        }
-        let y = l.forward(&x, Mode::Train);
-        let mut dense = l.clone();
-        dense.set_sparse_crossover(0.0);
-        assert_close(y.data(), dense.forward(&x, Mode::Train).data(), 1e-5);
     }
 
     #[test]
@@ -2200,8 +2111,15 @@ mod tests {
         let x = Tensor::ones(&[2, 16]);
         let _ = l.forward(&x, Mode::Train);
         let epoch0 = l.plan.as_ref().expect("plan built").epoch;
-        let _ = l.forward(&x, Mode::Train);
+        // An optimizer step within the epoch: structure kept, values re-gathered.
+        for v in l.w.data.data_mut().iter_mut() {
+            *v *= 2.0;
+        }
+        let y = l.forward(&x, Mode::Train);
         assert_eq!(l.plan.as_ref().expect("plan kept").epoch, epoch0);
+        let mut dense = l.clone();
+        dense.set_sparse_crossover(0.0);
+        assert_close(y.data(), dense.forward(&x, Mode::Train).data(), 1e-5);
         // A new mask invalidates the structure.
         mask_param(&mut l.w, 2);
         let _ = l.forward(&x, Mode::Train);

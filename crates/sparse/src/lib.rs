@@ -14,9 +14,6 @@
 //! - [`CsrMatrix`] — the row-compressed weight representation the sparse
 //!   execution engine packs masked weights into (kernels live in
 //!   `ft-tensor`; dispatch lives in `ft-nn`).
-//! - [`BsrMatrix`] — the block-sparse (tiled) sibling of [`CsrMatrix`] for
-//!   masks whose alive coordinates cluster; `ft-nn` routes forward passes
-//!   through it when the average tile fill is high enough.
 //! - [`TopKBuffer`] — the `O(k)` streaming buffer of Sec. III-D the devices
 //!   use to keep only the top-k gradient magnitudes of pruned coordinates.
 //! - [`cosine_prune_count`] — the paper's pruning-number schedule
@@ -36,7 +33,6 @@
 //! assert!((mask.density() - 15.0 / 16.0).abs() < 1e-6);
 //! ```
 
-mod bsr;
 mod codec;
 mod layout;
 mod mask;
@@ -44,7 +40,6 @@ mod prune;
 mod schedule;
 mod topk;
 
-pub use bsr::BsrMatrix;
 pub use codec::{
     sparse_index_width, topk_pairs_encoded_len, Codec, DecodeError, Payload, PayloadView,
     ShardPlan, WireCtx, WireReader, PAYLOAD_HEADER_BYTES,

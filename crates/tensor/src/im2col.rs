@@ -459,7 +459,7 @@ impl PackBSource for ImageCols<'_> {
 /// `[out_c, col_rows]` weight matrix and `cols_b(x)` is the batched im2col
 /// matrix of `x` (shape `[n, in_c, in_h, in_w]` flat) — except the column
 /// matrix is never materialized: the GEMM packs its `B` panels straight out
-/// of the images via [`ImageCols`]. Output shape is
+/// of the images via `ImageCols`. Output shape is
 /// `[out_c, n · col_cols]`, accumulating like the other `_into` kernels,
 /// and the result is bit-identical to `matmul_into_rt(w, cols_b, out)` on a
 /// materialized batched column matrix.

@@ -13,7 +13,7 @@
 //!   behaviour of mainstream array libraries: shape errors are programming
 //!   errors, not recoverable conditions.
 //! - Everything is deterministic given a seeded RNG; all experiment code in
-//!   the workspace threads [`rand_chacha::ChaCha8Rng`] seeds through.
+//!   the workspace threads `rand_chacha::ChaCha8Rng` seeds through.
 //!
 //! # Examples
 //!
@@ -26,7 +26,6 @@
 //! assert_eq!(c, a);
 //! ```
 
-mod bsr;
 mod im2col;
 mod init;
 mod matmul;
@@ -37,7 +36,6 @@ mod quant;
 mod spmm;
 mod tensor;
 
-pub use bsr::{bsr_dsmm_nt_into, bsr_dsmm_nt_into_rt, bsr_spmm_into, bsr_spmm_into_rt, BsrView};
 pub use ft_runtime::Runtime;
 pub use im2col::{
     col2im, col2im_ld, conv2d_direct, conv2d_fused_into_rt, im2col, im2col_batched,

@@ -4,10 +4,10 @@
 #![cfg(test)]
 
 use crate::{
-    bsr_dsmm_nt_into, bsr_spmm_into, col2im, dsmm_into, dsmm_nt_into, im2col, matmul_into,
-    matmul_nt_into, matmul_tn_into, spmm_into, spmm_tn_into, ConvGeom, Tensor,
+    col2im, dsmm_into, dsmm_nt_into, im2col, matmul_into, matmul_nt_into, matmul_tn_into,
+    spmm_into, spmm_tn_into, ConvGeom, Tensor,
 };
-use ft_sparse::{BsrMatrix, CsrMatrix};
+use ft_sparse::CsrMatrix;
 use proptest::prelude::*;
 
 fn small_matrix(max: usize) -> impl Strategy<Value = Tensor> {
@@ -358,73 +358,6 @@ proptest! {
         matmul_into(&a, &b, &mut seq);
         crate::matmul_into_rt(&rt, &a, &b, &mut par);
         prop_assert_eq!(seq.data(), par.data());
-    }
-}
-
-/// Rebuilds a `crate::BsrView` from a `BsrMatrix`'s raw parts (same
-/// dev-dependency double-build workaround as [`view_of`]).
-fn bsr_view_of(bsr: &BsrMatrix) -> crate::BsrView<'_> {
-    crate::BsrView {
-        rows: bsr.rows(),
-        cols: bsr.cols(),
-        block: bsr.block(),
-        row_ptr: bsr.row_ptr(),
-        col_idx: bsr.col_idx(),
-        vals: bsr.vals(),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// BSR and CSR pack the same mask + weights to the same dense matrix,
-    /// for arbitrary tile edges (including ones that don't divide the
-    /// shape).
-    #[test]
-    fn bsr_csr_pack_equivalence(
-        (rows, cols, mask, weights) in masked_weights(12),
-        block in 1usize..6,
-    ) {
-        let bsr = BsrMatrix::from_mask_values(&mask, &weights, rows, cols, block);
-        let csr = CsrMatrix::from_mask_values(&mask, &weights, rows, cols);
-        prop_assert_eq!(bsr.to_dense(), csr.to_dense());
-        prop_assert_eq!(bsr.nnz(), csr.nnz());
-    }
-
-    /// The BSR kernels agree with their CSR counterparts on the same mask,
-    /// and their `_rt` variants are bit-identical to sequential.
-    #[test]
-    fn bsr_kernels_match_csr(
-        (rows, cols, mask, weights) in masked_weights(9),
-        block in 1usize..6,
-        n in 1usize..8,
-        threads in adversarial_threads(),
-    ) {
-        let bsr = BsrMatrix::from_mask_values(&mask, &weights, rows, cols, block);
-        let csr = CsrMatrix::from_mask_values(&mask, &weights, rows, cols);
-        let rt = ft_runtime::Runtime::exact(threads).with_min_work(0);
-
-        // C += S · B
-        let b = rand_matrix(cols, n, 49);
-        let mut from_bsr = Tensor::ones(&[rows, n]);
-        let mut from_csr = Tensor::ones(&[rows, n]);
-        bsr_spmm_into(bsr_view_of(&bsr), &b, &mut from_bsr);
-        spmm_into(view_of(&csr), &b, &mut from_csr);
-        close(from_bsr.data(), from_csr.data());
-        let mut par = Tensor::ones(&[rows, n]);
-        crate::bsr_spmm_into_rt(&rt, bsr_view_of(&bsr), &b, &mut par);
-        prop_assert_eq!(from_bsr.data(), par.data());
-
-        // C += A · Sᵀ
-        let a = rand_matrix(n, cols, 50);
-        let mut from_bsr = Tensor::ones(&[n, rows]);
-        let mut from_csr = Tensor::ones(&[n, rows]);
-        bsr_dsmm_nt_into(&a, bsr_view_of(&bsr), &mut from_bsr);
-        dsmm_nt_into(&a, view_of(&csr), &mut from_csr);
-        close(from_bsr.data(), from_csr.data());
-        let mut par = Tensor::ones(&[n, rows]);
-        crate::bsr_dsmm_nt_into_rt(&rt, &a, bsr_view_of(&bsr), &mut par);
-        prop_assert_eq!(from_bsr.data(), par.data());
     }
 }
 
