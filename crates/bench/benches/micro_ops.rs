@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ft_bench::{allocated_bytes, measure_ns, BenchReport};
 use ft_data::Dataset;
 use ft_fl::{local_train_scratch, TrainScratch};
-use ft_nn::loss::softmax_cross_entropy;
-use ft_nn::models::SmallCnn;
+use ft_nn::loss::{softmax_cross_entropy, softmax_cross_entropy_into};
+use ft_nn::models::{ResNet18, SmallCnn};
 use ft_nn::optim::{Sgd, SgdConfig};
 use ft_nn::{apply_mask, sparse_layout, Linear, Mode, Model};
 use ft_runtime::Runtime;
@@ -146,16 +146,7 @@ fn sparse_epoch_benches(c: &mut Criterion) {
 
     for density in [1.0f32, 0.5, 0.2, 0.05] {
         let mut model = SmallCnn::new(&mut ChaCha8Rng::seed_from_u64(6), 8, 10, 3, 16);
-        let layout = sparse_layout(&model);
-        let weights: Vec<&[f32]> = model
-            .params()
-            .into_iter()
-            .filter(|p| p.prunable)
-            .map(|p| p.data.data())
-            .collect();
-        let mask = magnitude_mask(&layout, &weights, &uniform_density_vector(&layout, density));
-        drop(weights);
-        apply_mask(&mut model, &mask);
+        let mask = apply_magnitude_mask(&mut model, density);
 
         for (path, crossover) in [("dense", 0.0f32), ("sparse", 1.0)] {
             if density == 1.0 && path == "sparse" {
@@ -176,6 +167,22 @@ fn sparse_epoch_benches(c: &mut Criterion) {
         }
     }
     println!("acceptance: at density <= 0.2 the sparse epoch must be measurably faster than dense");
+}
+
+/// Magnitude-prunes every prunable layer of `model` to `density`, applies
+/// the mask and returns it.
+fn apply_magnitude_mask(model: &mut dyn Model, density: f32) -> Mask {
+    let layout = sparse_layout(model);
+    let weights: Vec<&[f32]> = model
+        .params()
+        .into_iter()
+        .filter(|p| p.prunable)
+        .map(|p| p.data.data())
+        .collect();
+    let mask = magnitude_mask(&layout, &weights, &uniform_density_vector(&layout, density));
+    drop(weights);
+    apply_mask(model, &mask);
+    mask
 }
 
 /// A random `[rows, cols]` dense tensor.
@@ -775,6 +782,54 @@ fn train_step_records(report: &mut BenchReport) {
     );
 }
 
+/// Pins the workspace of one device-side model at the benchmark's shape
+/// (ResNet18 width 0.25 on 16×16 inputs, batch 32, d = 0.05 mask) as two
+/// allocator counts, which repeat exactly: `resnet_step_first_alloc_bytes`
+/// — cloning the model and taking its first training step, i.e. every
+/// arena a fresh trainer grows — and `resnet_step_steady_alloc_bytes`, the
+/// traffic of each later step. `bench_check` gates both.
+fn resnet_step_records(report: &mut BenchReport) {
+    let (batch, classes, in_c, side) = (32usize, 10usize, 3usize, 16usize);
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
+    let mut base = ResNet18::new(&mut rng, 0.25, classes, in_c, side);
+    let mask = apply_magnitude_mask(&mut base, 0.05);
+    let x = ft_tensor::normal(&mut rng, &[batch, in_c, side, side], 0.0, 1.0);
+    let labels: Vec<usize> = (0..batch).map(|i| i % classes).collect();
+    let shape = format!("b{batch}x{in_c}x{side}x{side}");
+
+    let step = |model: &mut ResNet18, sgd: &mut Sgd, logits: &mut Tensor, grad: &mut Tensor| {
+        model.forward_into(&x, logits, Mode::Train);
+        let _ = softmax_cross_entropy_into(logits, &labels, grad);
+        model.backward_scratch(grad);
+        sgd.step(model, Some(&mask));
+        model.zero_grad();
+    };
+
+    let before = allocated_bytes();
+    let mut model = base.clone();
+    let mut sgd = Sgd::new(SgdConfig::default());
+    let (mut logits, mut grad) = (Tensor::default(), Tensor::default());
+    step(&mut model, &mut sgd, &mut logits, &mut grad);
+    let first = (allocated_bytes() - before) as f64;
+
+    let steady_steps = 4u32;
+    let before = allocated_bytes();
+    let t = std::time::Instant::now();
+    for _ in 0..steady_steps {
+        step(&mut model, &mut sgd, &mut logits, &mut grad);
+    }
+    let ns = t.elapsed().as_nanos() as f64 / f64::from(steady_steps);
+    let steady = (allocated_bytes() - before) as f64 / f64::from(steady_steps);
+    black_box(&model);
+
+    report.push_count("resnet_step_first_alloc_bytes", &shape, 1, ns, first);
+    report.push_count("resnet_step_steady_alloc_bytes", &shape, 1, ns, steady);
+    println!(
+        "resnet_step {shape} d=0.05: clone + first step {:.2} MB, steady step {steady:.0} B ({ns:.0} ns)",
+        first / 1e6
+    );
+}
+
 /// The persisted perf trajectory (`BENCH_micro_ops.json`): dense matmul,
 /// CSR spmm, and sddmm at 1 / 2 / 4 worker threads, with warmup strictly
 /// separated from measurement (see `ft_bench::trajectory`). The table rows
@@ -867,6 +922,7 @@ fn trajectory_benches(_c: &mut Criterion) {
     }
 
     train_step_records(&mut report);
+    resnet_step_records(&mut report);
 
     let path = report.write();
     println!(

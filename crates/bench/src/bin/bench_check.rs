@@ -39,6 +39,14 @@
 //! same run (the committed baseline carries the same record so the floor
 //! stays documented). Missing records are hard failures.
 //!
+//! A fifth family gates the workspace of one device-side model from the
+//! same report, as two allocator counts that repeat exactly (ResNet18 width
+//! 0.25 on 16×16 inputs, batch 32, d = 0.05): cloning the model and taking
+//! its first training step may allocate at most [`RESNET_FIRST_STEP_MAX`]
+//! bytes (`resnet_step_first_alloc_bytes`), and every later step exactly
+//! zero (`resnet_step_steady_alloc_bytes`). Missing records are hard
+//! failures.
+//!
 //! If *zero* gates end up evaluated the check fails loudly: a gate file
 //! that checks nothing is indistinguishable from a regression.
 //!
@@ -63,6 +71,11 @@ const BUFFERED_ALLOC_COMMITTED: f64 = 47_142.0;
 /// How far above the committed value the record may read before the gate
 /// fails (allocator-growth policy differs a little between toolchains).
 const BUFFERED_ALLOC_HEADROOM: f64 = 1.25;
+
+/// Ceiling on `resnet_step_first_alloc_bytes`: every arena a fresh trainer
+/// grows for one batch-32 step. The tile-sized conv workspace reads ≈ 30 MB;
+/// batch-wide column matrices read 126.6 MB.
+const RESNET_FIRST_STEP_MAX: f64 = 40e6;
 
 /// One parallel-speedup requirement against the report.
 struct SpeedupGate {
@@ -167,6 +180,14 @@ fn main() -> ExitCode {
             shape: "512x512x512",
             density: 0.2,
             min_ratio: 1.5,
+        },
+        // Four dot-product chains per CSR row instead of one: the
+        // single-chain kernel reads ≈ 1.3x the baseline, the quads ≈ 1.8x.
+        FloorGate {
+            op: "sddmm_nt",
+            shape: "512x512x64",
+            density: 0.05,
+            min_ratio: 1.4,
         },
     ];
     for gate in &floor_gates {
@@ -427,6 +448,41 @@ fn main() -> ExitCode {
                     "train_step record missing from baseline"
                 };
                 eprintln!("  FAIL train_step: {missing} — this gate cannot be skipped");
+                failed = true;
+            }
+        }
+    }
+
+    // -- One model's training workspace (resnet_step_*) --------------------
+    for (op, what, ceiling) in [
+        (
+            "resnet_step_first_alloc_bytes",
+            "clone + first step",
+            RESNET_FIRST_STEP_MAX,
+        ),
+        ("resnet_step_steady_alloc_bytes", "steady step", 0.0),
+    ] {
+        match report.records.iter().find(|r| r.op == op) {
+            Some(r) if r.count_per_iter >= 0.0 => {
+                evaluated += 1;
+                let ok = r.count_per_iter <= ceiling;
+                failed |= !ok;
+                println!(
+                    "  {:>4} resnet_step {} {what}: {:.0} B (need <= {ceiling:.0})",
+                    if ok { "ok" } else { "FAIL" },
+                    r.shape,
+                    r.count_per_iter
+                );
+            }
+            r => {
+                eprintln!(
+                    "  FAIL {op}: record {} the report — this gate cannot be skipped",
+                    if r.is_none() {
+                        "missing from"
+                    } else {
+                        "not measured in"
+                    }
+                );
                 failed = true;
             }
         }

@@ -132,23 +132,40 @@ pub struct Conv2d {
     scratch: ConvScratch,
 }
 
-/// Per-layer scratch arena: every buffer the batched conv engine touches,
-/// sized on first use for a given batch geometry and reused across batches,
-/// epochs, and rounds (same idiom as `AggScratch` in `ft_fl`).
+/// Byte budget of one column-matrix tile: `Conv2d` walks the batch in tiles
+/// of as many whole samples as fit, so the im2col matrix a kernel writes is
+/// read back out of L2 instead of DRAM and no arena grows with the batch. A
+/// 64 KiB – 1 MiB sweep bottomed out here on both the dense and the sparse
+/// path.
+const COL_TILE_BYTES: usize = 256 * 1024;
+
+/// Whole samples per tile for a batch of `n`: at least one (a single sample
+/// may exceed the budget), at most the batch.
+fn tile_samples(geom: &ConvGeom, n: usize) -> usize {
+    let sample_bytes = geom.col_rows() * geom.col_cols() * std::mem::size_of::<f32>();
+    (COL_TILE_BYTES / sample_bytes.max(1)).clamp(1, n.max(1))
+}
+
+/// Per-layer scratch arena: every buffer the tiled conv engine touches,
+/// sized on first use and reused across tiles, batches, epochs, and rounds
+/// (same idiom as `AggScratch` in `ft_fl`). The four matrices hold one tile
+/// of `t` whole samples ([`tile_samples`]), not the batch.
 #[derive(Clone, Debug, Default)]
 struct ConvScratch {
-    /// Batched column matrix `[cr, n·cc]`; sample `i` occupies columns
-    /// `i·cc..(i+1)·cc`. Materialized by the sparse forward, rebuilt from
-    /// `x_cache` in the dense backward (the dense forward packs B-panels
-    /// straight out of the image and never materializes it).
+    /// Column matrix of the current tile `[cr, t·cc]`; sample `i` of the
+    /// tile occupies columns `i·cc..(i+1)·cc`. Not used by the dense Eval
+    /// forward, which packs B-panels straight out of the image.
     cols_b: Tensor,
-    /// Forward output staging `[oc, n·cc]` before the NCHW scatter.
+    /// Forward output staging `[oc, t·cc]` before the NCHW scatter (the
+    /// dense Eval forward stages the whole batch, `[oc, n·cc]`).
     out_b: Tensor,
-    /// Backward `dY` staging `[oc, n·cc]` (repacked from NCHW).
+    /// Backward `dY` staging `[oc, t·cc]` (repacked from NCHW).
     gob: Tensor,
-    /// Column-space input gradient `[cr, n·cc]`.
+    /// Column-space input gradient `[cr, t·cc]`.
     dcol_b: Tensor,
-    /// Input copy kept by the dense forward so backward can rebuild columns.
+    /// Copy of the forward input `[n, in_c, h, w]` (one ninth of a 3×3
+    /// column matrix), kept whenever backward has to rebuild columns: the
+    /// batch spans several tiles, or the forward never materialized them.
     x_cache: Tensor,
     /// Sparse-path `dW` values at the CSR structure.
     grad_w_vals: Vec<f32>,
@@ -160,7 +177,9 @@ struct ConvMeta {
     batch: usize,
     /// Whether the forward pass ran on the sparse path (backward must match).
     sparse: bool,
-    /// Whether `scratch.cols_b` already holds this batch's column matrix.
+    /// Whether `scratch.cols_b` still holds the whole batch's column matrix
+    /// (a one-tile forward that materialized it); otherwise backward
+    /// rebuilds each tile from `scratch.x_cache`.
     cols_valid: bool,
 }
 
@@ -239,6 +258,34 @@ impl Conv2d {
         (self.in_c, self.out_c, self.kernel, self.stride, self.pad)
     }
 
+    /// This layer's convolution geometry over `h × w` inputs.
+    fn geom(&self, h: usize, w: usize) -> ConvGeom {
+        ConvGeom {
+            in_c: self.in_c,
+            in_h: h,
+            in_w: w,
+            kernel: self.kernel,
+            stride: self.stride,
+            pad: self.pad,
+        }
+    }
+
+    /// `(largest tile arena, tile budget)` in bytes for `side × side`
+    /// inputs: the budget is [`COL_TILE_BYTES`] rounded up to one sample's
+    /// column matrix.
+    #[cfg(test)]
+    pub(crate) fn arena_bytes(&self, side: usize) -> (usize, usize) {
+        let sc = &self.scratch;
+        let largest = [&sc.cols_b, &sc.dcol_b, &sc.out_b, &sc.gob]
+            .map(Tensor::numel)
+            .into_iter()
+            .max()
+            .expect("four arenas");
+        let geom = self.geom(side, side);
+        let sample = 4 * geom.col_rows() * geom.col_cols();
+        (4 * largest, COL_TILE_BYTES.max(sample))
+    }
+
     /// Forward pass over `[n, in_c, h, w]` (allocating wrapper around
     /// [`Conv2d::forward_into`]).
     ///
@@ -251,13 +298,18 @@ impl Conv2d {
         out
     }
 
-    /// Batched forward into a caller-owned output tensor. The whole batch
-    /// runs through a single kernel call: the dense path packs B-panels
-    /// straight out of the image (implicit GEMM, no column matrix), the
-    /// sparse path materializes the `[cr, n·cc]` column matrix into the
-    /// layer's scratch arena and runs CSR SpMM over it. Per-output
-    /// accumulation order is a pure function of the k-decomposition, so the
-    /// result is bit-identical to the per-sample composition.
+    /// Tiled forward into a caller-owned output tensor. The batch is walked
+    /// in tiles of whole samples whose column matrix fits 256 KiB; each
+    /// tile runs im2col → kernel → NCHW scatter through the layer's
+    /// tile-sized scratch: the sparse path and the dense training path
+    /// materialize the tile's `[cr, t·cc]` column matrix (CSR SpMM / plain
+    /// GEMM over it). The dense `Eval` path has no column matrix — it packs
+    /// B-panels straight out of the image (implicit GEMM) — and takes the
+    /// whole batch as one tile. Every kernel accumulates an output element
+    /// in ascending `k` / stored-entry order whatever column range it is
+    /// handed, so the result is bit-identical to the whole-batch call and
+    /// to the per-sample composition. A batch that fits one tile runs the
+    /// loop once and leaves its column matrix in place for backward.
     ///
     /// # Panics
     ///
@@ -271,87 +323,76 @@ impl Conv2d {
             self.in_c, s[1]
         );
         let (n, h, w) = (s[0], s[2], s[3]);
-        let geom = ConvGeom {
-            in_c: self.in_c,
-            in_h: h,
-            in_w: w,
-            kernel: self.kernel,
-            stride: self.stride,
-            pad: self.pad,
-        };
+        let geom = self.geom(h, w);
         let (cr, cc) = (geom.col_rows(), geom.col_cols());
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let sparse = refresh_plan(&mut self.plan, &self.w, self.crossover, self.out_c, cr);
+        let sparse_plan = if sparse { self.plan.as_ref() } else { None };
         out.resize_for_overwrite(&[n, self.out_c, oh, ow]);
-        let scratch = &mut self.scratch;
-        scratch.out_b.resize_zeroed(&[self.out_c, n * cc]);
-        let cols_valid;
-        if sparse {
-            scratch.cols_b.resize_for_overwrite(&[cr, n * cc]);
-            im2col_batched_rt(&self.runtime, x.data(), n, &geom, scratch.cols_b.data_mut());
-            let plan = self.plan.as_ref().expect("sparse path always has a plan");
-            spmm_into_rt(
-                &self.runtime,
-                plan.csr.view(),
-                &scratch.cols_b,
-                &mut scratch.out_b,
-            );
-            cols_valid = true;
-        } else if matches!(mode, Mode::Train) {
-            // Training forward materializes the column matrix up front — the
-            // backward dW GEMM needs it regardless — and runs a plain batched
-            // GEMM over it. The fused pack reads the same values in the same
-            // kernel order, so this is bit-identical while letting backward
-            // skip a full im2col rebuild.
-            scratch.cols_b.resize_for_overwrite(&[cr, n * cc]);
-            im2col_batched_rt(&self.runtime, x.data(), n, &geom, scratch.cols_b.data_mut());
-            self.w.data.reshape_in_place(&[self.out_c, cr]);
-            matmul_into_rt(
-                &self.runtime,
-                &self.w.data,
-                &scratch.cols_b,
-                &mut scratch.out_b,
-            );
-            self.w
-                .data
-                .reshape_in_place(&[self.out_c, self.in_c, self.kernel, self.kernel]);
-            cols_valid = true;
+        // The implicit GEMM has no column matrix to keep in cache, and narrow
+        // per-tile calls cost it half again its time: it takes the batch
+        // whole. Every other path builds each tile's columns up front (the
+        // training backward needs them regardless).
+        let fused = !sparse && matches!(mode, Mode::Eval);
+        let tile = if fused {
+            n.max(1)
         } else {
-            // Eval forward: implicit GEMM packs B-panels straight out of the
-            // image, never materializing the column matrix. Keep the input so
-            // a backward call could still rebuild it (im2col is a pure
-            // function of the input).
+            tile_samples(&geom, n)
+        };
+        let cols_valid = !fused && tile == n;
+        let scratch = &mut self.scratch;
+        if !cols_valid {
             scratch.x_cache.copy_from(x);
-            // Zero-copy `[oc, cr]` view of the weight: reshape in place for
-            // the kernel call and restore after, instead of copying the
-            // whole buffer through `reshaped`.
-            self.w.data.reshape_in_place(&[self.out_c, cr]);
-            conv2d_fused_into_rt(
-                &self.runtime,
-                &self.w.data,
-                x.data(),
-                n,
-                &geom,
-                &mut scratch.out_b,
-            );
-            self.w
-                .data
-                .reshape_in_place(&[self.out_c, self.in_c, self.kernel, self.kernel]);
-            cols_valid = false;
         }
-        // Scatter [oc, n·cc] back to NCHW [n, oc, oh, ow].
-        let ob = scratch.out_b.data();
+        // Zero-copy `[oc, cr]` view of the weight for the dense kernels:
+        // reshaped in place around the tile loop and restored after.
+        self.w.data.reshape_in_place(&[self.out_c, cr]);
+        let sample = geom.in_c * h * w;
         let od = out.data_mut();
-        for i in 0..n {
-            for c in 0..self.out_c {
-                od[(i * self.out_c + c) * cc..][..cc]
-                    .copy_from_slice(&ob[c * n * cc + i * cc..][..cc]);
+        for i0 in (0..n).step_by(tile) {
+            let tn = tile.min(n - i0);
+            let xs = &x.data()[i0 * sample..(i0 + tn) * sample];
+            scratch.out_b.resize_zeroed(&[self.out_c, tn * cc]);
+            if fused {
+                conv2d_fused_into_rt(
+                    &self.runtime,
+                    &self.w.data,
+                    xs,
+                    tn,
+                    &geom,
+                    &mut scratch.out_b,
+                );
+            } else {
+                scratch.cols_b.resize_for_overwrite(&[cr, tn * cc]);
+                im2col_batched_rt(&self.runtime, xs, tn, &geom, scratch.cols_b.data_mut());
+                match sparse_plan {
+                    Some(plan) => spmm_into_rt(
+                        &self.runtime,
+                        plan.csr.view(),
+                        &scratch.cols_b,
+                        &mut scratch.out_b,
+                    ),
+                    None => matmul_into_rt(
+                        &self.runtime,
+                        &self.w.data,
+                        &scratch.cols_b,
+                        &mut scratch.out_b,
+                    ),
+                }
+            }
+            // Scatter [oc, tn·cc] back to NCHW [n, oc, oh, ow].
+            let ob = scratch.out_b.data();
+            for i in 0..tn {
+                for c in 0..self.out_c {
+                    od[((i0 + i) * self.out_c + c) * cc..][..cc]
+                        .copy_from_slice(&ob[(c * tn + i) * cc..][..cc]);
+                }
             }
         }
-        let mac = match &self.plan {
-            Some(plan) if sparse => plan.csr.nnz(),
-            _ => self.out_c * cr,
-        };
+        self.w
+            .data
+            .reshape_in_place(&[self.out_c, self.in_c, self.kernel, self.kernel]);
+        let mac = sparse_plan.map_or(self.out_c * cr, |plan| plan.csr.nnz());
         self.realized_flops += 2.0 * (n * cc * mac) as f64;
         self.cache = Some(ConvMeta {
             geom,
@@ -373,11 +414,15 @@ impl Conv2d {
         gx
     }
 
-    /// Batched backward into a caller-owned input-gradient tensor. `dW` and
-    /// `dCol` each run as a single whole-batch kernel call; the weight
-    /// gradient accumulates straight into `w.grad` through a segmented-k
-    /// GEMM (one fresh accumulator per sample segment), which is
-    /// bit-identical to the per-sample loop followed by `add_assign`.
+    /// Tiled backward into a caller-owned input-gradient tensor, over the
+    /// same whole-sample tiles as the forward: per tile, `dY` is repacked,
+    /// the column matrix rebuilt from the kept input (a one-tile batch
+    /// reuses the forward's), and `dW`, `dCol` and col2im each run once.
+    /// The weight gradient accumulates straight into `w.grad` through a
+    /// segmented-k kernel — one fresh accumulator per sample segment, added
+    /// in sample order — and tiles are whole samples in ascending order, so
+    /// the result is bit-identical to the whole-batch call and to the
+    /// per-sample loop followed by `add_assign`.
     ///
     /// # Panics
     ///
@@ -399,7 +444,7 @@ impl Conv2d {
         self.backward_impl(grad_out, None);
     }
 
-    fn backward_impl(&mut self, grad_out: &Tensor, gx: Option<&mut Tensor>) {
+    fn backward_impl(&mut self, grad_out: &Tensor, mut gx: Option<&mut Tensor>) {
         let meta = self
             .cache
             .take()
@@ -418,109 +463,119 @@ impl Conv2d {
             None
         };
         let scratch = &mut self.scratch;
-        // Repack dY from NCHW [n, oc, cc] to the batched layout [oc, n·cc].
-        scratch.gob.resize_for_overwrite(&[self.out_c, n * cc]);
-        {
-            let gd = grad_out.data();
-            let gob = scratch.gob.data_mut();
-            for i in 0..n {
-                for c in 0..self.out_c {
-                    gob[c * n * cc + i * cc..][..cc]
-                        .copy_from_slice(&gd[(i * self.out_c + c) * cc..][..cc]);
-                }
-            }
-        }
-        if !meta.cols_valid {
-            // The dense forward went through the fused pack; rebuild the
-            // column matrix from the cached input for the dW GEMM.
-            scratch.cols_b.resize_for_overwrite(&[cr, n * cc]);
-            im2col_batched_rt(
-                &self.runtime,
-                scratch.x_cache.data(),
-                n,
-                &geom,
-                scratch.cols_b.data_mut(),
-            );
-        }
-        let want_gx = gx.is_some();
-        if want_gx {
-            scratch.dcol_b.resize_zeroed(&[cr, n * cc]);
+        let sample = geom.in_c * geom.in_h * geom.in_w;
+        if let Some(gx) = gx.as_deref_mut() {
+            gx.resize_zeroed(&[n, geom.in_c, geom.in_h, geom.in_w]);
         }
         match sparse_plan {
             Some(plan) => {
-                // dW (mask-alive coordinates only) += dY · colᵀ sampled at
-                // the CSR structure, one fresh accumulator per sample.
                 scratch.grad_w_vals.clear();
                 scratch.grad_w_vals.resize(plan.csr.nnz(), 0.0);
-                sddmm_nt_seg_into_rt(
+            }
+            None => {
+                // The dense kernels take `[oc, cr]` views of the weight and
+                // its gradient: reshaped in place around the tile loop.
+                self.w.grad.reshape_in_place(&[self.out_c, cr]);
+                self.w.data.reshape_in_place(&[self.out_c, cr]);
+            }
+        }
+        let tile = tile_samples(&geom, n);
+        let gd = grad_out.data();
+        for i0 in (0..n).step_by(tile) {
+            let tn = tile.min(n - i0);
+            // Repack dY from NCHW [tn, oc, cc] to the tile layout [oc, tn·cc].
+            scratch.gob.resize_for_overwrite(&[self.out_c, tn * cc]);
+            let gob = scratch.gob.data_mut();
+            for i in 0..tn {
+                for c in 0..self.out_c {
+                    gob[(c * tn + i) * cc..][..cc]
+                        .copy_from_slice(&gd[((i0 + i) * self.out_c + c) * cc..][..cc]);
+                }
+            }
+            if !meta.cols_valid {
+                scratch.cols_b.resize_for_overwrite(&[cr, tn * cc]);
+                im2col_batched_rt(
                     &self.runtime,
-                    plan.csr.view(),
-                    &scratch.gob,
-                    &scratch.cols_b,
-                    cc,
-                    &mut scratch.grad_w_vals,
+                    &scratch.x_cache.data()[i0 * sample..(i0 + tn) * sample],
+                    tn,
+                    &geom,
+                    scratch.cols_b.data_mut(),
                 );
-                if want_gx {
-                    // dCol = Wᵀ · dY through the sparse kernel.
-                    spmm_tn_into_rt(
+            }
+            if gx.is_some() {
+                scratch.dcol_b.resize_zeroed(&[cr, tn * cc]);
+            }
+            match sparse_plan {
+                Some(plan) => {
+                    // dW (mask-alive coordinates only) += dY · colᵀ sampled
+                    // at the CSR structure, one fresh accumulator per sample.
+                    sddmm_nt_seg_into_rt(
                         &self.runtime,
                         plan.csr.view(),
                         &scratch.gob,
-                        &mut scratch.dcol_b,
+                        &scratch.cols_b,
+                        cc,
+                        &mut scratch.grad_w_vals,
+                    );
+                    if gx.is_some() {
+                        // dCol = Wᵀ · dY through the sparse kernel.
+                        spmm_tn_into_rt(
+                            &self.runtime,
+                            plan.csr.view(),
+                            &scratch.gob,
+                            &mut scratch.dcol_b,
+                        );
+                    }
+                }
+                None => {
+                    // dW += dY · colᵀ ([oc, tn·cc] x [cr, tn·cc]ᵀ → [oc, cr]),
+                    // accumulated straight into the weight gradient.
+                    matmul_nt_seg_into_rt(
+                        &self.runtime,
+                        &scratch.gob,
+                        &scratch.cols_b,
+                        cc,
+                        &mut self.w.grad,
+                    );
+                    if gx.is_some() {
+                        // dCol = Wᵀ · dY ([oc,cr]ᵀ x [oc, tn·cc] → [cr, tn·cc]).
+                        matmul_tn_into_rt(
+                            &self.runtime,
+                            &self.w.data,
+                            &scratch.gob,
+                            &mut scratch.dcol_b,
+                        );
+                    }
+                }
+            }
+            if let Some(gx) = gx.as_deref_mut() {
+                let dcol = scratch.dcol_b.data();
+                let gxd = gx.data_mut();
+                for i in 0..tn {
+                    col2im_ld(
+                        &dcol[i * cc..],
+                        tn * cc,
+                        &geom,
+                        &mut gxd[(i0 + i) * sample..(i0 + i + 1) * sample],
                     );
                 }
+            }
+        }
+        let shape = [self.out_c, self.in_c, self.kernel, self.kernel];
+        let mac = match sparse_plan {
+            Some(plan) => {
                 plan.csr
                     .scatter_add(&scratch.grad_w_vals, self.w.grad.data_mut());
-                let passes = if want_gx { 4.0 } else { 2.0 };
-                self.realized_flops += passes * (n * cc * plan.csr.nnz()) as f64;
+                plan.csr.nnz()
             }
             None => {
-                // dW += dY · colᵀ ([oc, n·cc] x [cr, n·cc]ᵀ → [oc, cr]),
-                // accumulated straight into the reshaped weight gradient.
-                self.w.grad.reshape_in_place(&[self.out_c, cr]);
-                matmul_nt_seg_into_rt(
-                    &self.runtime,
-                    &scratch.gob,
-                    &scratch.cols_b,
-                    cc,
-                    &mut self.w.grad,
-                );
-                self.w
-                    .grad
-                    .reshape_in_place(&[self.out_c, self.in_c, self.kernel, self.kernel]);
-                if want_gx {
-                    // dCol = Wᵀ · dY ([oc,cr]ᵀ x [oc, n·cc] → [cr, n·cc]).
-                    self.w.data.reshape_in_place(&[self.out_c, cr]);
-                    matmul_tn_into_rt(
-                        &self.runtime,
-                        &self.w.data,
-                        &scratch.gob,
-                        &mut scratch.dcol_b,
-                    );
-                    self.w.data.reshape_in_place(&[
-                        self.out_c,
-                        self.in_c,
-                        self.kernel,
-                        self.kernel,
-                    ]);
-                }
-                let passes = if want_gx { 4.0 } else { 2.0 };
-                self.realized_flops += passes * (n * cc * self.out_c * cr) as f64;
+                self.w.grad.reshape_in_place(&shape);
+                self.w.data.reshape_in_place(&shape);
+                self.out_c * cr
             }
-        }
-        let Some(gx) = gx else { return };
-        gx.resize_zeroed(&[n, geom.in_c, geom.in_h, geom.in_w]);
-        let sample = geom.in_c * geom.in_h * geom.in_w;
-        let dcol = scratch.dcol_b.data();
-        let gxd = gx.data_mut();
-        for i in 0..n {
-            col2im_ld(
-                &dcol[i * cc..],
-                n * cc,
-                &geom,
-                &mut gxd[i * sample..(i + 1) * sample],
-            );
-        }
+        };
+        let passes = if gx.is_some() { 4.0 } else { 2.0 };
+        self.realized_flops += passes * (n * cc * mac) as f64;
     }
 }
 
@@ -2065,7 +2120,14 @@ mod tests {
     /// and the sparse dispatch paths.
     #[test]
     fn parallel_runtime_is_bit_identical_through_layers() {
-        for (density_keep, crossover) in [(1usize, 0.0f32), (4, 1.0)] {
+        // The 48×48 input is one sample per conv tile: five tiles a batch.
+        let cases = [
+            ([3usize, 2, 8, 8], 1usize, 0.0f32),
+            ([3, 2, 8, 8], 4, 1.0),
+            ([5, 2, 48, 48], 1, 0.0),
+            ([5, 2, 48, 48], 4, 1.0),
+        ];
+        for (x_shape, density_keep, crossover) in cases {
             let mut rng = rng();
             let mut seq_stack = Sequential::new();
             seq_stack
@@ -2088,11 +2150,11 @@ mod tests {
             let mut par_stack = seq_stack.clone();
             par_stack.set_runtime(Runtime::exact(4).with_min_work(0));
 
-            let x = ft_tensor::normal(&mut rng, &[3, 2, 8, 8], 0.0, 1.0);
+            let x = ft_tensor::normal(&mut rng, &x_shape, 0.0, 1.0);
             let ys = seq_stack.forward(&x, Mode::Train);
             let yp = par_stack.forward(&x, Mode::Train);
             assert_eq!(ys.data(), yp.data(), "forward diverged");
-            let g = ft_tensor::normal(&mut rng, &[3, 3], 0.0, 1.0);
+            let g = ft_tensor::normal(&mut rng, &[x_shape[0], 3], 0.0, 1.0);
             let gs = seq_stack.backward(&g);
             let gp = par_stack.backward(&g);
             assert_eq!(gs.data(), gp.data(), "input grads diverged");
@@ -2126,5 +2188,128 @@ mod tests {
         let plan = l.plan.as_ref().expect("plan rebuilt");
         assert_ne!(plan.epoch, epoch0);
         assert_eq!(plan.csr.nnz(), 16 * 8 / 2);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Sample `i` of a batch as its own `n = 1` tensor.
+    fn sample(t: &Tensor, i: usize) -> Tensor {
+        let per = t.numel() / t.shape()[0];
+        let mut shape = t.shape().to_vec();
+        shape[0] = 1;
+        Tensor::from_vec(t.data()[i * per..(i + 1) * per].to_vec(), &shape)
+    }
+
+    /// The per-sample composition of a conv layer — an oracle that shares
+    /// no tile loop with the engine: one `n = 1` forward and backward per
+    /// sample on a zeroed gradient, outputs and input gradients
+    /// concatenated, weight gradients `add_assign`ed in sample order.
+    fn per_sample_oracle(
+        layer: &Conv2d,
+        x: &Tensor,
+        go: &Tensor,
+        mode: Mode,
+    ) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let mut l = layer.clone();
+        let (mut y, mut gx) = (Vec::new(), Vec::new());
+        let mut gw = Tensor::zeros(l.w.grad.shape());
+        for i in 0..x.shape()[0] {
+            l.w.zero_grad();
+            y.extend(bits(&l.forward(&sample(x, i), mode)));
+            gx.extend(bits(&l.backward(&sample(go, i))));
+            gw.add_assign(&l.w.grad);
+        }
+        (y, gx, bits(&gw))
+    }
+
+    /// `(in_c, kernel, stride, pad, input side)` of the tile-boundary cases:
+    /// 3×3 and 1×1, stride 1 and 2, each sized so exactly three samples fit
+    /// one column tile (every case has a 12×12 output).
+    const TILE_GEOMS: [(usize, usize, usize, usize, usize); 4] = [
+        (16, 3, 1, 1, 12),
+        (16, 3, 2, 1, 24),
+        (128, 1, 1, 0, 12),
+        (128, 1, 2, 0, 24),
+    ];
+
+    /// Dense, scattered-sparse and clustered-sparse variants of one layer.
+    fn tile_variants(in_c: usize, kernel: usize, stride: usize, pad: usize) -> Vec<Conv2d> {
+        let base = Conv2d::new(&mut rng(), in_c, 8, kernel, stride, pad, true, "c");
+        let cr = in_c * kernel * kernel;
+        let mut scattered = base.clone();
+        mask_param(&mut scattered.w, 5);
+        scattered.set_sparse_crossover(1.0);
+        let mut clustered = base.clone();
+        mask_param_rows(&mut clustered.w, cr, 3);
+        clustered.set_sparse_crossover(1.0);
+        vec![base, scattered, clustered]
+    }
+
+    #[test]
+    fn tile_boundary_batches_match_per_sample_composition_bit_for_bit() {
+        for (in_c, kernel, stride, pad, side) in TILE_GEOMS {
+            let geom = ConvGeom {
+                in_c,
+                in_h: side,
+                in_w: side,
+                kernel,
+                stride,
+                pad,
+            };
+            let t = tile_samples(&geom, usize::MAX);
+            assert_eq!(t, 3, "case must put three samples in a tile");
+            for (v, layer) in tile_variants(in_c, kernel, stride, pad)
+                .into_iter()
+                .enumerate()
+            {
+                for n in [1, t - 1, t, t + 1, 2 * t + 1] {
+                    // Eval → backward is the SynFlow-style probe.
+                    for mode in [Mode::Train, Mode::Eval] {
+                        let tag = format!("k{kernel} s{stride} variant {v} n={n} {mode:?}");
+                        let mut rng = rng();
+                        let x = ft_tensor::normal(&mut rng, &[n, in_c, side, side], 0.0, 1.0);
+                        let go = ft_tensor::normal(&mut rng, &[n, 8, 12, 12], 0.0, 1.0);
+                        let (y, gx, gw) = per_sample_oracle(&layer, &x, &go, mode);
+                        // The oracle is sequential; the tiled layer runs on
+                        // the FT_THREADS pool (CI: 1 and 4).
+                        let mut l = layer.clone();
+                        l.set_runtime(Runtime::from_env().with_min_work(0));
+                        assert_eq!(bits(&l.forward(&x, mode)), y, "forward {tag}");
+                        assert_eq!(bits(&l.backward(&go)), gx, "gx {tag}");
+                        assert_eq!(bits(&l.w.grad), gw, "w.grad {tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every ftbench device sees a full batch and then a shorter one; the
+    /// second must not read anything the first left in the arenas, and the
+    /// arenas stay one tile however large the batch was.
+    #[test]
+    fn tile_arenas_are_reused_across_batch_sizes_and_stay_tile_sized() {
+        let (in_c, kernel, stride, pad, side) = TILE_GEOMS[0];
+        for layer in tile_variants(in_c, kernel, stride, pad) {
+            let mut l = layer.clone();
+            let mut rng = rng();
+            for n in [32usize, 18] {
+                let x = ft_tensor::normal(&mut rng, &[n, in_c, side, side], 0.0, 1.0);
+                let go = ft_tensor::normal(&mut rng, &[n, 8, 12, 12], 0.0, 1.0);
+                let (y, gx, gw) = per_sample_oracle(&layer, &x, &go, Mode::Train);
+                l.w.zero_grad();
+                assert_eq!(bits(&l.forward(&x, Mode::Train)), y, "forward n={n}");
+                assert_eq!(bits(&l.backward(&go)), gx, "gx n={n}");
+                assert_eq!(bits(&l.w.grad), gw, "w.grad n={n}");
+                // Three samples fill a tile; the arenas hold the last one.
+                let (cr, cc, last) = (in_c * kernel * kernel, 12 * 12, (n - 1) % 3 + 1);
+                assert!(3 * cr * cc * 4 <= COL_TILE_BYTES);
+                assert_eq!(l.scratch.cols_b.numel(), last * cr * cc);
+                assert_eq!(l.scratch.dcol_b.numel(), last * cr * cc);
+                assert_eq!(l.scratch.out_b.numel(), last * 8 * cc);
+                assert_eq!(l.scratch.gob.numel(), last * 8 * cc);
+            }
+        }
     }
 }

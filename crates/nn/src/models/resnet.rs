@@ -66,39 +66,96 @@ impl BasicBlock {
         }
     }
 
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut main = self.conv1.forward(x, mode);
-        main = self.bn1.forward(&main, mode);
-        main = self.relu1.forward(&main, mode);
-        main = self.conv2.forward(&main, mode);
-        main = self.bn2.forward(&main, mode);
-        let short = match &mut self.down {
+    /// Block forward over the model's shared activation buffers: `out`
+    /// doubles as a temporary until the final ReLU writes it, and the
+    /// residual add happens in place on the main branch.
+    fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, tmp: &mut [Tensor; 2], mode: Mode) {
+        let [main, short] = tmp;
+        self.conv1.forward_into(x, main, mode);
+        self.bn1.forward_into(main, out, mode);
+        self.relu1.forward_into(out, main, mode);
+        self.conv2.forward_into(main, out, mode);
+        self.bn2.forward_into(out, main, mode);
+        match &mut self.down {
             Some((conv, bn)) => {
-                let s = conv.forward(x, mode);
-                bn.forward(&s, mode)
+                conv.forward_into(x, out, mode);
+                bn.forward_into(out, short, mode);
+                main.add_assign(short);
             }
-            None => x.clone(),
-        };
-        let sum = main.add(&short);
-        self.relu_out.forward(&sum, mode)
+            None => main.add_assign(x),
+        }
+        self.relu_out.forward_into(main, out, mode);
     }
 
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let g_sum = self.relu_out.backward(grad);
+    /// Block backward over the same buffers: `gx` doubles as a temporary
+    /// until the main branch's input gradient lands in it, then the
+    /// shortcut's gradient is added in place.
+    fn backward_into(&mut self, grad: &Tensor, gx: &mut Tensor, tmp: &mut [Tensor; 2]) {
+        let [g_sum, g] = tmp;
+        self.relu_out.backward_into(grad, g_sum);
         // The addition fans the gradient to both branches.
-        let mut g_main = self.bn2.backward(&g_sum);
-        g_main = self.conv2.backward(&g_main);
-        g_main = self.relu1.backward(&g_main);
-        g_main = self.bn1.backward(&g_main);
-        let gx_main = self.conv1.backward(&g_main);
-        let gx_short = match &mut self.down {
-            Some((conv, bn)) => {
-                let g = bn.backward(&g_sum);
-                conv.backward(&g)
-            }
-            None => g_sum,
-        };
-        gx_main.add(&gx_short)
+        self.bn2.backward_into(g_sum, gx);
+        self.conv2.backward_into(gx, g);
+        self.relu1.backward_into(g, gx);
+        self.bn1.backward_into(gx, g);
+        self.conv1.backward_into(g, gx);
+        if let Some((conv, bn)) = &mut self.down {
+            bn.backward_into(g_sum, g);
+            conv.backward_into(g, g_sum);
+        }
+        gx.add_assign(g_sum);
+    }
+
+    fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
+        for p in [
+            &self.conv1.w,
+            &self.bn1.gamma,
+            &self.bn1.beta,
+            &self.conv2.w,
+            &self.bn2.gamma,
+            &self.bn2.beta,
+        ] {
+            f(p);
+        }
+        if let Some((conv, bn)) = &self.down {
+            f(&conv.w);
+            f(&bn.gamma);
+            f(&bn.beta);
+        }
+    }
+
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for p in [
+            &mut self.conv1.w,
+            &mut self.bn1.gamma,
+            &mut self.bn1.beta,
+            &mut self.conv2.w,
+            &mut self.bn2.gamma,
+            &mut self.bn2.beta,
+        ] {
+            f(p);
+        }
+        if let Some((conv, bn)) = &mut self.down {
+            f(&mut conv.w);
+            f(&mut bn.gamma);
+            f(&mut bn.beta);
+        }
+    }
+
+    fn for_each_bn_stats(&self, f: &mut dyn FnMut(&BnStats)) {
+        f(&self.bn1.stats);
+        f(&self.bn2.stats);
+        if let Some((_, bn)) = &self.down {
+            f(&bn.stats);
+        }
+    }
+
+    fn for_each_bn_stats_mut(&mut self, f: &mut dyn FnMut(&mut BnStats)) {
+        f(&mut self.bn1.stats);
+        f(&mut self.bn2.stats);
+        if let Some((_, bn)) = &mut self.down {
+            f(&mut bn.stats);
+        }
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -207,6 +264,20 @@ pub struct ResNet18 {
     fc: Linear,
     arch: ArchInfo,
     blocks: Vec<Vec<usize>>,
+    scratch: ResScratch,
+}
+
+/// The one set of activation buffers the whole network runs through: the
+/// running activation (or gradient) ping-pongs between `ping` and `pong`
+/// from block to block, and `tmp` holds a block's two branches. Each buffer
+/// grows to the widest stage it ever carries and is reused from then on, so
+/// a steady step allocates nothing — and the model holds four activation
+/// tensors, not seven per block.
+#[derive(Clone, Debug, Default)]
+struct ResScratch {
+    ping: Tensor,
+    pong: Tensor,
+    tmp: [Tensor; 2],
 }
 
 impl ResNet18 {
@@ -342,31 +413,49 @@ impl ResNet18 {
                 layers,
             },
             blocks: stage_groups,
+            scratch: ResScratch::default(),
         }
     }
 }
 
 impl Model for ResNet18 {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut h = self.stem_conv.forward(x, mode);
-        h = self.stem_bn.forward(&h, mode);
-        h = self.stem_relu.forward(&h, mode);
-        for block in &mut self.stages {
-            h = block.forward(&h, mode);
-        }
-        let pooled = self.gap.forward(&h, mode);
-        self.fc.forward(&pooled, mode)
+        let mut out = Tensor::default();
+        self.forward_into(x, &mut out, mode);
+        out
     }
 
     fn backward(&mut self, grad_logits: &Tensor) {
-        let mut g = self.fc.backward(grad_logits);
-        g = self.gap.backward(&g);
-        for block in self.stages.iter_mut().rev() {
-            g = block.backward(&g);
+        self.backward_scratch(grad_logits);
+    }
+
+    fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
+        let ResScratch { ping, pong, tmp } = &mut self.scratch;
+        self.stem_conv.forward_into(x, ping, mode);
+        self.stem_bn.forward_into(ping, pong, mode);
+        self.stem_relu.forward_into(pong, ping, mode);
+        for block in &mut self.stages {
+            block.forward_into(ping, pong, tmp, mode);
+            std::mem::swap(ping, pong);
         }
-        g = self.stem_relu.backward(&g);
-        g = self.stem_bn.backward(&g);
-        let _ = self.stem_conv.backward(&g);
+        self.gap.forward_into(ping, pong, mode);
+        self.fc.forward_into(pong, out, mode);
+    }
+
+    fn backward_scratch(&mut self, grad_logits: &Tensor) {
+        let ResScratch { ping, pong, tmp } = &mut self.scratch;
+        self.fc.backward_into(grad_logits, pong);
+        self.gap.backward_into(pong, ping);
+        for block in self.stages.iter_mut().rev() {
+            block.backward_into(ping, pong, tmp);
+            std::mem::swap(ping, pong);
+        }
+        self.stem_relu.backward_into(ping, pong);
+        self.stem_bn.backward_into(pong, ping);
+        // The stem's input gradient is dead, but `backward_params_only`
+        // would lower `realized_flops`, which run fingerprints fold in;
+        // switching it is a change of its own.
+        self.stem_conv.backward_into(ping, pong);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -407,6 +496,42 @@ impl Model for ResNet18 {
             v.extend(b.bn_stats_mut());
         }
         v
+    }
+
+    fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.stem_conv.w);
+        f(&self.stem_bn.gamma);
+        f(&self.stem_bn.beta);
+        for b in &self.stages {
+            b.for_each_param(f);
+        }
+        f(&self.fc.w);
+        f(&self.fc.b);
+    }
+
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.stem_conv.w);
+        f(&mut self.stem_bn.gamma);
+        f(&mut self.stem_bn.beta);
+        for b in &mut self.stages {
+            b.for_each_param_mut(f);
+        }
+        f(&mut self.fc.w);
+        f(&mut self.fc.b);
+    }
+
+    fn for_each_bn_stats(&self, f: &mut dyn FnMut(&BnStats)) {
+        f(&self.stem_bn.stats);
+        for b in &self.stages {
+            b.for_each_bn_stats(f);
+        }
+    }
+
+    fn for_each_bn_stats_mut(&mut self, f: &mut dyn FnMut(&mut BnStats)) {
+        f(&mut self.stem_bn.stats);
+        for b in &mut self.stages {
+            b.for_each_bn_stats_mut(f);
+        }
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
@@ -473,6 +598,192 @@ mod tests {
 
     fn tiny_resnet() -> ResNet18 {
         ResNet18::new(&mut ChaCha8Rng::seed_from_u64(5), 0.125, 10, 3, 8)
+    }
+
+    /// The allocating block composition the scratch path replaced: a fresh
+    /// tensor per layer, `x.clone()` for the identity shortcut and
+    /// `Tensor::add` for the residual sum. Kept as the oracle.
+    fn oracle_block_forward(b: &mut BasicBlock, x: &Tensor, mode: Mode) -> Tensor {
+        let mut main = b.conv1.forward(x, mode);
+        main = b.bn1.forward(&main, mode);
+        main = b.relu1.forward(&main, mode);
+        main = b.conv2.forward(&main, mode);
+        main = b.bn2.forward(&main, mode);
+        let short = match &mut b.down {
+            Some((conv, bn)) => {
+                let s = conv.forward(x, mode);
+                bn.forward(&s, mode)
+            }
+            None => x.clone(),
+        };
+        let sum = main.add(&short);
+        b.relu_out.forward(&sum, mode)
+    }
+
+    fn oracle_block_backward(b: &mut BasicBlock, grad: &Tensor) -> Tensor {
+        let g_sum = b.relu_out.backward(grad);
+        let mut g_main = b.bn2.backward(&g_sum);
+        g_main = b.conv2.backward(&g_main);
+        g_main = b.relu1.backward(&g_main);
+        g_main = b.bn1.backward(&g_main);
+        let gx_main = b.conv1.backward(&g_main);
+        let gx_short = match &mut b.down {
+            Some((conv, bn)) => {
+                let g = bn.backward(&g_sum);
+                conv.backward(&g)
+            }
+            None => g_sum,
+        };
+        gx_main.add(&gx_short)
+    }
+
+    fn oracle_forward(m: &mut ResNet18, x: &Tensor, mode: Mode) -> Tensor {
+        let mut h = m.stem_conv.forward(x, mode);
+        h = m.stem_bn.forward(&h, mode);
+        h = m.stem_relu.forward(&h, mode);
+        for block in &mut m.stages {
+            h = oracle_block_forward(block, &h, mode);
+        }
+        let pooled = m.gap.forward(&h, mode);
+        m.fc.forward(&pooled, mode)
+    }
+
+    fn oracle_backward(m: &mut ResNet18, grad_logits: &Tensor) {
+        let mut g = m.fc.backward(grad_logits);
+        g = m.gap.backward(&g);
+        for block in m.stages.iter_mut().rev() {
+            g = oracle_block_backward(block, &g);
+        }
+        g = m.stem_relu.backward(&g);
+        g = m.stem_bn.backward(&g);
+        let _ = m.stem_conv.backward(&g);
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Three SGD steps from the same seed, dense and at d = 0.05, a full
+    /// batch then a short one (stage 1 spans several conv tiles at both):
+    /// every logit, gradient, parameter and BN statistic of the scratch
+    /// path is `to_bits`-equal to the allocating oracle.
+    #[test]
+    fn scratch_path_matches_allocating_oracle_bit_for_bit() {
+        use crate::loss::softmax_cross_entropy;
+        use crate::optim::{Sgd, SgdConfig};
+        use ft_sparse::{magnitude_mask, uniform_density_vector};
+        for density in [1.0f32, 0.05] {
+            let mut oracle = tiny_resnet();
+            let mask = (density < 1.0).then(|| {
+                let layout = sparse_layout(&oracle);
+                let weights: Vec<&[f32]> = oracle
+                    .params()
+                    .into_iter()
+                    .filter(|p| p.prunable)
+                    .map(|p| p.data.data())
+                    .collect();
+                magnitude_mask(&layout, &weights, &uniform_density_vector(&layout, density))
+            });
+            if let Some(mask) = &mask {
+                crate::apply_mask(&mut oracle, mask);
+            }
+            // The oracle is sequential; the scratch path runs on the
+            // FT_THREADS pool (CI: 1 and 4).
+            let mut scratch = oracle.clone();
+            scratch.set_runtime(ft_runtime::Runtime::from_env().with_min_work(0));
+            let (mut sgd_o, mut sgd_s) = (
+                Sgd::new(SgdConfig::default()),
+                Sgd::new(SgdConfig::default()),
+            );
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            let mut logits = Tensor::default();
+            for n in [32usize, 18, 32] {
+                let x = ft_tensor::normal(&mut rng, &[n, 3, 8, 8], 0.0, 1.0);
+                let labels: Vec<usize> = (0..n).map(|i| i % 10).collect();
+                let expect = oracle_forward(&mut oracle, &x, Mode::Train);
+                scratch.forward_into(&x, &mut logits, Mode::Train);
+                assert_eq!(bits(logits.data()), bits(expect.data()), "logits n={n}");
+                let (_, grad) = softmax_cross_entropy(&expect, &labels);
+                oracle_backward(&mut oracle, &grad);
+                scratch.backward_scratch(&grad);
+                for (a, b) in oracle.params().iter().zip(scratch.params()) {
+                    assert_eq!(bits(a.grad.data()), bits(b.grad.data()), "{} grad", a.name);
+                }
+                sgd_o.step(&mut oracle, mask.as_ref());
+                sgd_s.step(&mut scratch, mask.as_ref());
+                for (a, b) in oracle.params().iter().zip(scratch.params()) {
+                    assert_eq!(bits(a.data.data()), bits(b.data.data()), "{}", a.name);
+                }
+                for (a, b) in oracle.bn_stats().iter().zip(scratch.bn_stats()) {
+                    assert_eq!(bits(&a.mean), bits(&b.mean), "bn mean n={n}");
+                    assert_eq!(bits(&a.var), bits(&b.var), "bn var n={n}");
+                }
+                assert_eq!(oracle.realized_flops(), scratch.realized_flops());
+                oracle.zero_grad();
+                scratch.zero_grad();
+            }
+        }
+    }
+
+    /// At the benchmark's shape (width 0.25, 16 px, batch 32) a training
+    /// step leaves no conv arena larger than one column tile.
+    #[test]
+    fn scratch_step_keeps_every_conv_arena_tile_sized() {
+        let mut m = ResNet18::new(&mut ChaCha8Rng::seed_from_u64(5), 0.25, 10, 3, 16);
+        let x = ft_tensor::normal(
+            &mut ChaCha8Rng::seed_from_u64(6),
+            &[32, 3, 16, 16],
+            0.0,
+            1.0,
+        );
+        let mut logits = Tensor::default();
+        m.forward_into(&x, &mut logits, Mode::Train);
+        m.backward_scratch(&Tensor::ones(&[32, 10]));
+        let mut side = 16;
+        let mut convs = vec![(&m.stem_conv, side)];
+        for b in &m.stages {
+            let out_side = if b.down.is_some() { side / 2 } else { side };
+            convs.push((&b.conv1, side));
+            convs.push((&b.conv2, out_side));
+            if let Some((down, _)) = &b.down {
+                convs.push((down, side));
+            }
+            side = out_side;
+        }
+        assert_eq!(convs.len(), 20);
+        for (conv, side) in convs {
+            let (largest, budget) = conv.arena_bytes(side);
+            assert!(
+                largest > 0 && largest <= budget,
+                "{}: {largest} > {budget}",
+                conv.w.name
+            );
+        }
+    }
+
+    /// The non-allocating visitors walk exactly the `params()` /
+    /// `bn_stats()` sequences (same objects, same order).
+    #[test]
+    fn scratch_visitors_follow_params_and_bn_stats_order() {
+        let mut m = tiny_resnet();
+        let params: Vec<*const Param> = m.params().into_iter().map(|p| p as *const _).collect();
+        let stats: Vec<*const BnStats> = m.bn_stats().into_iter().map(|s| s as *const _).collect();
+        assert_eq!(params.len(), 62);
+        assert_eq!(stats.len(), 20);
+
+        let mut seen = Vec::new();
+        m.for_each_param(&mut |p| seen.push(p as *const Param));
+        assert_eq!(seen, params);
+        seen.clear();
+        m.for_each_param_mut(&mut |p| seen.push(p as *const Param));
+        assert_eq!(seen, params);
+
+        let mut seen = Vec::new();
+        m.for_each_bn_stats(&mut |s| seen.push(s as *const BnStats));
+        assert_eq!(seen, stats);
+        seen.clear();
+        m.for_each_bn_stats_mut(&mut |s| seen.push(s as *const BnStats));
+        assert_eq!(seen, stats);
     }
 
     #[test]

@@ -266,6 +266,62 @@ proptest! {
         crate::sddmm_nt_into_rt(&rt, view_of(&csr), &a, &bt, &mut par);
         prop_assert_eq!(seq, par);
     }
+
+    /// Both sampled NT kernels consume a CSR row four entries at a time;
+    /// every slot must stay `to_bits`-equal to one sequential
+    /// `acc += a·b` chain per segment (`vals += acc` after each), for every
+    /// row length around the quad boundary and every segment width,
+    /// sequentially and on four workers.
+    #[test]
+    fn sddmm_nt_quads_bit_equal_one_chain_oracle(
+        row_lens in proptest::collection::vec(0usize..10, 1..6),
+        segs in 1usize..4,
+        seed in 0u64..1_000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let (rows, cols, c) = (row_lens.len(), 12usize, 16 * segs);
+        let mut row_ptr = vec![0usize];
+        let mut col_idx: Vec<u32> = Vec::new();
+        for &len in &row_lens {
+            let first = rng.gen_range(0..=cols - len);
+            col_idx.extend((first..first + len).map(|j| j as u32));
+            row_ptr.push(col_idx.len());
+        }
+        let structure = vec![0.0f32; col_idx.len()];
+        let view = crate::CsrView { rows, cols, row_ptr: &row_ptr, col_idx: &col_idx, vals: &structure };
+        let a = rand_matrix(rows, c, seed + 1);
+        let b = rand_matrix(cols, c, seed + 2);
+
+        let oracle = |seg: usize| {
+            let mut vals = vec![0.25f32; col_idx.len()];
+            for r in 0..rows {
+                for nz in row_ptr[r]..row_ptr[r + 1] {
+                    let j = col_idx[nz] as usize;
+                    for off in (0..c).step_by(seg) {
+                        let mut acc = 0.0f32;
+                        for i in off..off + seg {
+                            acc += a.data()[r * c + i] * b.data()[j * c + i];
+                        }
+                        vals[nz] += acc;
+                    }
+                }
+            }
+            vals
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        for rt in [ft_runtime::Runtime::sequential(), ft_runtime::Runtime::exact(4).with_min_work(0)] {
+            let mut vals = vec![0.25f32; col_idx.len()];
+            crate::sddmm_nt_into_rt(&rt, view, &a, &b, &mut vals);
+            prop_assert_eq!(bits(&vals), bits(&oracle(c)), "unsegmented");
+            for seg in [1usize, 4, 16, c] {
+                let mut vals = vec![0.25f32; col_idx.len()];
+                crate::sddmm_nt_seg_into_rt(&rt, view, &a, &b, seg, &mut vals);
+                prop_assert_eq!(bits(&vals), bits(&oracle(seg)), "seg={}", seg);
+            }
+        }
+    }
 }
 
 /// Dimensions adversarial to the blocked GEMM: 1, the register-tile edges

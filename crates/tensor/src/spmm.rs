@@ -592,8 +592,15 @@ pub fn sddmm_nt_seg_into_rt(
 }
 
 /// Segmented sampled NT product over the CSR-row range `rows`: per stored
-/// entry, one fresh-accumulator dot per `seg`-wide segment, ascending —
-/// exactly the op sequence of per-segment [`sddmm_nt_rows`] calls.
+/// entry, one fresh-accumulator dot per `seg`-wide segment, ascending
+/// (`seg == c` is the unsegmented product).
+///
+/// A row's entries are consumed four at a time: the four dot products share
+/// the `A` row and run as four independent accumulator chains, so the adds
+/// of one chain no longer wait on each other's latency. Every chain keeps
+/// its own mul-then-add sequence in ascending column order, so each slot is
+/// bit-identical to the one-entry-at-a-time loop (which the remainder still
+/// runs).
 fn sddmm_nt_seg_rows(
     s: CsrView<'_>,
     ad: &[f32],
@@ -607,13 +614,42 @@ fn sddmm_nt_seg_rows(
     for r in rows {
         let arow = &ad[r * c..(r + 1) * c];
         let range = s.row_ptr[r]..s.row_ptr[r + 1];
-        let local = range.start - base..range.end - base;
-        for (&j, val) in s.col_idx[range].iter().zip(&mut vals_chunk[local]) {
-            let brow = &bd[j as usize * c..(j as usize + 1) * c];
+        let cols = &s.col_idx[range.clone()];
+        let vals = &mut vals_chunk[range.start - base..range.end - base];
+        let brow = |j: u32| &bd[j as usize * c..(j as usize + 1) * c];
+        let mut quads = vals.chunks_exact_mut(4);
+        for (js, vs) in cols.chunks_exact(4).zip(&mut quads) {
+            let (b0, b1, b2, b3) = (brow(js[0]), brow(js[1]), brow(js[2]), brow(js[3]));
+            let mut off = 0usize;
+            while off < c {
+                let end = off + seg;
+                let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+                for ((((&av, &x0), &x1), &x2), &x3) in arow[off..end]
+                    .iter()
+                    .zip(&b0[off..end])
+                    .zip(&b1[off..end])
+                    .zip(&b2[off..end])
+                    .zip(&b3[off..end])
+                {
+                    a0 += av * x0;
+                    a1 += av * x1;
+                    a2 += av * x2;
+                    a3 += av * x3;
+                }
+                vs[0] += a0;
+                vs[1] += a1;
+                vs[2] += a2;
+                vs[3] += a3;
+                off = end;
+            }
+        }
+        let tail = &cols[cols.len() - cols.len() % 4..];
+        for (&j, val) in tail.iter().zip(quads.into_remainder()) {
+            let b = brow(j);
             let mut off = 0usize;
             while off < c {
                 let mut acc = 0.0f32;
-                for (&av, &bv) in arow[off..off + seg].iter().zip(brow[off..off + seg].iter()) {
+                for (&av, &bv) in arow[off..off + seg].iter().zip(&b[off..off + seg]) {
                     acc += av * bv;
                 }
                 *val += acc;
@@ -635,7 +671,8 @@ fn check_sddmm_nt(s: &CsrView<'_>, a: &Tensor, b: &Tensor, vals: &[f32]) -> usiz
 }
 
 /// Sampled NT product over the CSR-row range `rows`; `vals_chunk` holds
-/// exactly the stored entries of those rows.
+/// exactly the stored entries of those rows. One segment spanning the whole
+/// inner dimension is the same op sequence as the unsegmented dot.
 fn sddmm_nt_rows(
     s: CsrView<'_>,
     ad: &[f32],
@@ -644,20 +681,7 @@ fn sddmm_nt_rows(
     rows: Range<usize>,
     vals_chunk: &mut [f32],
 ) {
-    let base = s.row_ptr[rows.start];
-    for r in rows {
-        let arow = &ad[r * c..(r + 1) * c];
-        let range = s.row_ptr[r]..s.row_ptr[r + 1];
-        let local = range.start - base..range.end - base;
-        for (&j, val) in s.col_idx[range].iter().zip(&mut vals_chunk[local]) {
-            let brow = &bd[j as usize * c..(j as usize + 1) * c];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                acc += av * bv;
-            }
-            *val += acc;
-        }
-    }
+    sddmm_nt_seg_rows(s, ad, bd, c, c, rows, vals_chunk);
 }
 
 /// Sampled dense–dense product, TN layout: for each stored coordinate
