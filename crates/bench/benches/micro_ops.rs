@@ -16,8 +16,9 @@ use ft_sparse::{
     magnitude_mask, uniform_density_vector, CsrMatrix, Mask, SparseLayout, TopKBuffer,
 };
 use ft_tensor::{
-    matmul_into, matmul_into_rt, matmul_nt_into_rt, matmul_tn_into_rt, sddmm_nt_into_rt, spmm_into,
-    spmm_into_rt, ConvGeom, Tensor,
+    matmul_into, matmul_into_rt, matmul_nt_into_rt, matmul_tn_into_rt, sddmm_nt_into_rt,
+    spconv_backward_rt, spconv_forward_rt, spmm_into, spmm_into_rt, ConvGeom, SpConvBufs,
+    SpConvIndex, Tensor,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -183,6 +184,12 @@ fn apply_magnitude_mask(model: &mut dyn Model, density: f32) -> Mask {
     drop(weights);
     apply_mask(model, &mask);
     mask
+}
+
+/// Median of interleaved timing samples (sorts in place).
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+    v[v.len() / 2]
 }
 
 /// A random `[rows, cols]` dense tensor.
@@ -744,10 +751,6 @@ fn train_step_records(report: &mut BenchReport) {
         black_box(&legacy);
         legacy_times.push(t.elapsed().as_nanos() as f64);
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-        v[v.len() / 2]
-    };
     let new_ns = median(&mut new_times);
     let legacy_ns = median(&mut legacy_times);
 
@@ -782,26 +785,34 @@ fn train_step_records(report: &mut BenchReport) {
     );
 }
 
-/// Pins the workspace of one device-side model at the benchmark's shape
-/// (ResNet18 width 0.25 on 16×16 inputs, batch 32, d = 0.05 mask) as two
-/// allocator counts, which repeat exactly: `resnet_step_first_alloc_bytes`
-/// — cloning the model and taking its first training step, i.e. every
-/// arena a fresh trainer grows — and `resnet_step_steady_alloc_bytes`, the
-/// traffic of each later step. `bench_check` gates both.
+/// One device-side model at the benchmark's shape (ResNet18 width 0.25 on
+/// 16×16 inputs, batch 32). Two allocator counts under the d = 0.05 mask,
+/// which repeat exactly: `resnet_step_first_alloc_bytes` — cloning the model
+/// and taking its first training step, i.e. every arena a fresh trainer
+/// grows — and `resnet_step_steady_alloc_bytes`, the traffic of each later
+/// step. And two `resnet_step` timings, density 0.05 and 1.0 (the same model
+/// under an all-ones mask), steady steps interleaved so host drift hits both:
+/// their ratio is "time tracks nnz" as a number. `bench_check` gates all
+/// four.
 fn resnet_step_records(report: &mut BenchReport) {
     let (batch, classes, in_c, side) = (32usize, 10usize, 3usize, 16usize);
     let mut rng = ChaCha8Rng::seed_from_u64(31);
-    let mut base = ResNet18::new(&mut rng, 0.25, classes, in_c, side);
+    let fresh = ResNet18::new(&mut rng, 0.25, classes, in_c, side);
+    let mut base = fresh.clone();
     let mask = apply_magnitude_mask(&mut base, 0.05);
     let x = ft_tensor::normal(&mut rng, &[batch, in_c, side, side], 0.0, 1.0);
     let labels: Vec<usize> = (0..batch).map(|i| i % classes).collect();
     let shape = format!("b{batch}x{in_c}x{side}x{side}");
 
-    let step = |model: &mut ResNet18, sgd: &mut Sgd, logits: &mut Tensor, grad: &mut Tensor| {
+    let step = |model: &mut ResNet18,
+                mask: &Mask,
+                sgd: &mut Sgd,
+                logits: &mut Tensor,
+                grad: &mut Tensor| {
         model.forward_into(&x, logits, Mode::Train);
         let _ = softmax_cross_entropy_into(logits, &labels, grad);
         model.backward_scratch(grad);
-        sgd.step(model, Some(&mask));
+        sgd.step(model, Some(mask));
         model.zero_grad();
     };
 
@@ -809,18 +820,17 @@ fn resnet_step_records(report: &mut BenchReport) {
     let mut model = base.clone();
     let mut sgd = Sgd::new(SgdConfig::default());
     let (mut logits, mut grad) = (Tensor::default(), Tensor::default());
-    step(&mut model, &mut sgd, &mut logits, &mut grad);
+    step(&mut model, &mask, &mut sgd, &mut logits, &mut grad);
     let first = (allocated_bytes() - before) as f64;
 
     let steady_steps = 4u32;
     let before = allocated_bytes();
     let t = std::time::Instant::now();
     for _ in 0..steady_steps {
-        step(&mut model, &mut sgd, &mut logits, &mut grad);
+        step(&mut model, &mask, &mut sgd, &mut logits, &mut grad);
     }
     let ns = t.elapsed().as_nanos() as f64 / f64::from(steady_steps);
     let steady = (allocated_bytes() - before) as f64 / f64::from(steady_steps);
-    black_box(&model);
 
     report.push_count("resnet_step_first_alloc_bytes", &shape, 1, ns, first);
     report.push_count("resnet_step_steady_alloc_bytes", &shape, 1, ns, steady);
@@ -828,6 +838,90 @@ fn resnet_step_records(report: &mut BenchReport) {
         "resnet_step {shape} d=0.05: clone + first step {:.2} MB, steady step {steady:.0} B ({ns:.0} ns)",
         first / 1e6
     );
+
+    // The same weights dense: an all-ones mask keeps every layer on the GEMM.
+    let mut dense = fresh;
+    let ones = Mask::ones(&sparse_layout(&dense));
+    apply_mask(&mut dense, &ones);
+    let mut dense_sgd = Sgd::new(SgdConfig::default());
+    step(&mut dense, &ones, &mut dense_sgd, &mut logits, &mut grad);
+    let reps = if ft_bench::quick_mode() { 9usize } else { 21 };
+    let (mut sparse_ns, mut dense_ns) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    let (mut sparse_flops, mut dense_flops) = (0.0, 0.0);
+    for _ in 0..reps {
+        model.reset_realized_flops();
+        let t = std::time::Instant::now();
+        step(&mut model, &mask, &mut sgd, &mut logits, &mut grad);
+        sparse_ns.push(t.elapsed().as_nanos() as f64);
+        sparse_flops = model.realized_flops();
+        dense.reset_realized_flops();
+        let t = std::time::Instant::now();
+        step(&mut dense, &ones, &mut dense_sgd, &mut logits, &mut grad);
+        dense_ns.push(t.elapsed().as_nanos() as f64);
+        dense_flops = dense.realized_flops();
+    }
+    black_box((&model, &dense));
+    let (sparse_ns, dense_ns) = (median(&mut sparse_ns), median(&mut dense_ns));
+    report.push("resnet_step", &shape, 0.05, 1, 1, sparse_ns, sparse_flops);
+    report.push("resnet_step", &shape, 1.0, 1, 1, dense_ns, dense_flops);
+    println!(
+        "resnet_step {shape}: d=0.05 {:.2} ms, dense {:.2} ms, ratio {:.3} for {:.3} of the MACs",
+        sparse_ns / 1e6,
+        dense_ns / 1e6,
+        sparse_ns / dense_ns,
+        sparse_flops / dense_flops
+    );
+}
+
+/// The direct sparse convolution's three kernels, single-thread, at the
+/// first and the last residual stage of the benchmark's ResNet18 (batch 32,
+/// d = 0.05): 16 channels on 16 px and 128 channels on 2 px carry the same
+/// multiply-adds, so the pair shows what plane size costs. Each record
+/// includes its share of the layout transposes (`spconv_dx` is a backward
+/// without dW, `spconv_dw` one without dX).
+fn spconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
+    let (n, density) = (32usize, 0.05f64);
+    let rt = Runtime::sequential();
+    for (ch, side) in [(16usize, 16usize), (128, 2)] {
+        let g = ConvGeom {
+            in_c: ch,
+            in_h: side,
+            in_w: side,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let csr = rand_csr(rng, ch, g.col_rows(), density);
+        let idx = SpConvIndex::new(csr.view(), &g);
+        let x = rand_dense(rng, n, ch * side * side);
+        let dy = rand_dense(rng, n, ch * g.col_cols());
+        let mut bufs = SpConvBufs::default();
+        let mut out = vec![0.0f32; dy.numel()];
+        let mut gx = vec![0.0f32; x.numel()];
+        let mut vals = vec![0.0f32; csr.nnz()];
+        let shape = format!("b{n}x{ch}x{side}x{side}k3");
+        let flops = 2.0 * (csr.nnz() * g.col_cols() * n) as f64;
+        let fwd = measure_ns(|| {
+            spconv_forward_rt(&rt, &idx, csr.view(), x.data(), n, &mut bufs, &mut out);
+            black_box(&out);
+        });
+        let dw = measure_ns(|| {
+            vals.fill(0.0);
+            let slots = Some(&mut vals[..]);
+            spconv_backward_rt(&rt, &idx, csr.view(), dy.data(), n, &mut bufs, slots, None);
+            black_box(&vals);
+        });
+        let dx = measure_ns(|| {
+            let grad = Some(&mut gx[..]);
+            spconv_backward_rt(&rt, &idx, csr.view(), dy.data(), n, &mut bufs, None, grad);
+            black_box(&gx);
+        });
+        for (op, ns) in [("spconv_fwd", fwd), ("spconv_dw", dw), ("spconv_dx", dx)] {
+            report.push(op, &shape, density, 1, 1, ns, flops);
+            let gflops = report.records.last().expect("just pushed").gflops;
+            println!("{op:<10} {shape:>16} {density:>8.2}     1/1   {ns:>14.0} {gflops:>10.2}");
+        }
+    }
 }
 
 /// The persisted perf trajectory (`BENCH_micro_ops.json`): dense matmul,
@@ -921,6 +1015,7 @@ fn trajectory_benches(_c: &mut Criterion) {
         }
     }
 
+    spconv_records(&mut report, &mut rng);
     train_step_records(&mut report);
     resnet_step_records(&mut report);
 

@@ -47,6 +47,13 @@
 //! zero (`resnet_step_steady_alloc_bytes`). Missing records are hard
 //! failures.
 //!
+//! A sixth gate is "a sparse step's time tracks its nnz" as a number: the
+//! same report times one steady training step of that model at d = 0.05 and
+//! dense (`resnet_step`, densities 0.05 and 1.0, interleaved in one run), and
+//! the sparse step may take at most [`RESNET_SPARSE_STEP_MAX_RATIO`] of the
+//! dense one. Both sides come from the same run on the same host, so the
+//! ratio normalises host drift away. Missing records are hard failures.
+//!
 //! If *zero* gates end up evaluated the check fails loudly: a gate file
 //! that checks nothing is indistinguishable from a regression.
 //!
@@ -76,6 +83,11 @@ const BUFFERED_ALLOC_HEADROOM: f64 = 1.25;
 /// grows for one batch-32 step. The tile-sized conv workspace reads ≈ 30 MB;
 /// batch-wide column matrices read 126.6 MB.
 const RESNET_FIRST_STEP_MAX: f64 = 40e6;
+
+/// Ceiling on `resnet_step` ns at d = 0.05 over ns dense, for 0.062 of the
+/// multiply-adds: the im2col + CSR conv path read 0.36–0.48, the direct
+/// sparse convolution reads 0.19–0.25 on the same host.
+const RESNET_SPARSE_STEP_MAX_RATIO: f64 = 0.30;
 
 /// One parallel-speedup requirement against the report.
 struct SpeedupGate {
@@ -482,6 +494,40 @@ fn main() -> ExitCode {
                     } else {
                         "not measured in"
                     }
+                );
+                failed = true;
+            }
+        }
+    }
+
+    // -- Sparse step time against the dense step of the same run ----------
+    {
+        let step = |density: f64| {
+            report
+                .records
+                .iter()
+                .find(|r| r.op == "resnet_step" && r.density == density && r.ns_per_iter > 0.0)
+        };
+        match (step(0.05), step(1.0)) {
+            (Some(sparse), Some(dense)) => {
+                evaluated += 1;
+                let ratio = sparse.ns_per_iter / dense.ns_per_iter;
+                let ok = sparse.shape == dense.shape && ratio <= RESNET_SPARSE_STEP_MAX_RATIO;
+                failed |= !ok;
+                println!(
+                    "  {:>4} resnet_step {} d=0.05 / dense: {:.2} ms / {:.2} ms = {ratio:.3} \
+                     (need <= {RESNET_SPARSE_STEP_MAX_RATIO:.2})",
+                    if ok { "ok" } else { "FAIL" },
+                    sparse.shape,
+                    sparse.ns_per_iter / 1e6,
+                    dense.ns_per_iter / 1e6
+                );
+            }
+            (sparse, _) => {
+                eprintln!(
+                    "  FAIL resnet_step: d={} record missing from the report — \
+                     this gate cannot be skipped",
+                    if sparse.is_none() { "0.05" } else { "1.0" }
                 );
                 failed = true;
             }

@@ -10,7 +10,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How much of the model one adjustment round touches (Table III).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -98,32 +98,15 @@ pub struct AdjustmentReport {
     pub max_buffer: usize,
 }
 
-/// Performs one adjustment (Alg. 2 lines 10–26) on the layers of `unit`.
-///
-/// Device side: each device runs one forward/backward batch on the sparse
-/// model, streams the gradients of *pruned* coordinates of each target layer
-/// through a [`TopKBuffer`] of capacity `a_t^l`, and uploads the surviving
-/// `(index, gradient)` pairs. Server side: gradients are aggregated weighted
-/// by `|D_k|` (Eq. 7), the top `a_t^l` pruned coordinates by aggregated
-/// magnitude are grown, and the same number of surviving coordinates with
-/// the smallest weight magnitude (excluding the just-grown ones) are
-/// dropped. The mask is updated in place; grown weights start at zero.
-///
-/// # Panics
-///
-/// Panics if `mask` does not match the model's prunable layout.
-pub fn progressive_adjust(
-    global: &mut dyn Model,
-    mask: &mut Mask,
-    env: &ExperimentEnv,
+/// `a_t^l` per layer of `unit` at `round`, from the cosine schedule over
+/// *alive* counts; layers with nothing to adjust are left out.
+fn adjustment_counts(
+    mask: &Mask,
     cfg: &ProgressiveConfig,
     unit: &[usize],
     round: usize,
-) -> AdjustmentReport {
-    let mut report = AdjustmentReport::default();
-    // a_t^l per target layer, from the cosine schedule over *alive* counts.
-    let counts: Vec<(usize, usize)> = unit
-        .iter()
+) -> Vec<(usize, usize)> {
+    unit.iter()
         .map(|&l| {
             let alive = mask.layer_ones(l);
             let pruned = mask.layer(l).len() - alive;
@@ -131,31 +114,67 @@ pub fn progressive_adjust(
             (l, a)
         })
         .filter(|&(_, a)| a > 0)
-        .collect();
-    if counts.is_empty() {
-        return report;
-    }
+        .collect()
+}
 
-    // --- Device side: top-a gradients of pruned coordinates (Eq. 6).
-    let collect_one = |k: usize| -> Vec<Vec<(usize, f32)>> {
-        let mut model = global.clone_model();
-        // The grow step scores gradients of *pruned* coordinates, which the
-        // sparse execution path does not compute — force this probe batch
-        // onto the dense path. Its cost is already accounted below as the
-        // dense-minus-sparse backward share.
-        model.set_sparse_crossover(0.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            env.cfg.seed ^ 0x9d0f ^ ((round as u64) << 20) ^ ((k as u64) << 44),
-        );
-        let data = &env.parts[k];
-        let bs = env.cfg.batch_size.min(data.len());
-        let mut idx: Vec<usize> = (0..data.len()).collect();
-        idx.shuffle(&mut rng);
-        idx.truncate(bs);
-        let (x, y) = data.batch(&idx);
-        let logits = model.forward(&x, Mode::Train);
-        let (_, grad) = softmax_cross_entropy(&logits, &y);
-        model.backward(&grad);
+/// Device `k`'s probe batch of `round` (Eq. 6): one forward/backward on a
+/// throw-away clone of `global` in which exactly the prunable layers `dense`
+/// execute on the dense engine; returns the clone, gradients in place.
+///
+/// The grow step scores gradients of *pruned* coordinates, which the sparse
+/// execution path does not compute. Dropping a layer's mask record sends it
+/// to the dense engine — its weights are already zero where pruned — and
+/// every other layer keeps its sparse plan.
+fn probe(
+    global: &dyn Model,
+    env: &ExperimentEnv,
+    k: usize,
+    round: usize,
+    dense: &[usize],
+) -> Box<dyn Model> {
+    let mut model = global.clone_model();
+    let mut l = 0;
+    model.for_each_param_mut(&mut |p| {
+        if p.prunable {
+            if dense.contains(&l) {
+                p.mask_bits = None;
+            }
+            l += 1;
+        }
+    });
+    let mut rng = ChaCha8Rng::seed_from_u64(
+        env.cfg.seed ^ 0x9d0f ^ ((round as u64) << 20) ^ ((k as u64) << 44),
+    );
+    let data = &env.parts[k];
+    let bs = env.cfg.batch_size.min(data.len());
+    let mut idx: Vec<usize> = (0..data.len()).collect();
+    idx.shuffle(&mut rng);
+    idx.truncate(bs);
+    let (x, y) = data.batch(&idx);
+    let logits = model.forward(&x, Mode::Train);
+    let (_, grad) = softmax_cross_entropy(&logits, &y);
+    model.backward(&grad);
+    model
+}
+
+/// What one device uploads for an adjustment: per `(layer, a)` of the
+/// adjustment, its `a` largest pruned-coordinate gradients.
+type DeviceUpload = Vec<Vec<(usize, f32)>>;
+
+/// Device side of an adjustment (Alg. 2 lines 10–16): every device probes
+/// with the layers `dense` on the dense engine and streams the gradients of
+/// the *pruned* coordinates of each `(layer, a)` in `counts` through a
+/// [`TopKBuffer`] of capacity `a`.
+fn device_uploads(
+    global: &dyn Model,
+    mask: &Mask,
+    env: &ExperimentEnv,
+    counts: &[(usize, usize)],
+    round: usize,
+    dense: &[usize],
+) -> Vec<DeviceUpload> {
+    let collect_one = |k: usize| -> DeviceUpload {
+        let model = probe(global, env, k, round, dense);
         let prunable_pos = prunable_param_indices(model.as_ref());
         let params = model.params();
         counts
@@ -172,41 +191,97 @@ pub fn progressive_adjust(
             })
             .collect()
     };
-
     let rt = env.cfg.runtime();
-    let device_grads: Vec<Vec<Vec<(usize, f32)>>> =
-        if env.cfg.parallel && env.parts.len() > 1 && rt.is_parallel() {
-            // Devices draw on the run's bounded worker pool instead of one
-            // unbounded OS thread each.
-            type DeviceGrads = Vec<Vec<(usize, f32)>>;
-            let mut out: Vec<Option<DeviceGrads>> = vec![None; env.parts.len()];
-            let jobs: Vec<_> = out.iter_mut().enumerate().collect();
-            rt.scatter(jobs, |(k, slot)| *slot = Some(collect_one(k)));
-            out.into_iter()
-                .map(|o| o.expect("gradient job completed"))
-                .collect()
-        } else {
-            (0..env.parts.len()).map(collect_one).collect()
-        };
+    if env.cfg.parallel && env.parts.len() > 1 && rt.is_parallel() {
+        // Devices draw on the run's bounded worker pool instead of one
+        // unbounded OS thread each.
+        let mut out: Vec<Option<DeviceUpload>> = vec![None; env.parts.len()];
+        let jobs: Vec<_> = out.iter_mut().enumerate().collect();
+        rt.scatter(jobs, |(k, slot)| *slot = Some(collect_one(k)));
+        out.into_iter()
+            .map(|o| o.expect("gradient job completed"))
+            .collect()
+    } else {
+        (0..env.parts.len()).map(collect_one).collect()
+    }
+}
+
+/// Server side of the grow step (Alg. 2 line 19): Eq. 7's `|D_k|`-weighted
+/// sum of the devices' uploaded `(index, gradient)` pairs, then the `a`
+/// coordinates with the largest aggregated magnitude. Coordinates are
+/// ranked in ascending index order, so among equal magnitudes at the cut
+/// (exact zeros from a dead channel, typically) the lowest indices win —
+/// whatever order the pairs arrived in.
+fn select_grow(uploads: &[(&[(usize, f32)], f64)], a: usize) -> Vec<usize> {
+    let mut agg: BTreeMap<usize, f64> = BTreeMap::new();
+    for &(pairs, weight) in uploads {
+        for &(i, g) in pairs {
+            *agg.entry(i).or_insert(0.0) += weight * g as f64;
+        }
+    }
+    let mut ranked: Vec<(usize, f32)> = agg
+        .into_iter()
+        .map(|(i, g)| (i, (g as f32).abs()))
+        .filter(|(_, g)| g.is_finite())
+        .collect();
+    // Stable: equal magnitudes stay in ascending index order.
+    ranked.sort_by(|x, y| y.1.total_cmp(&x.1));
+    ranked.truncate(a);
+    ranked.into_iter().map(|(i, _)| i).collect()
+}
+
+/// Performs one adjustment (Alg. 2 lines 10–26) on the layers of `unit`.
+///
+/// Device side: each device runs one forward/backward batch on a copy of
+/// the sparse model in which only the adjusted layers execute dense (the
+/// grow step reads their pruned-coordinate gradients; every other layer
+/// stays on its sparse plan), streams the gradients of *pruned* coordinates
+/// of each target layer through a [`TopKBuffer`] of capacity `a_t^l`, and
+/// uploads the surviving `(index, gradient)` pairs. Server side: gradients
+/// are aggregated weighted by `|D_k|` (Eq. 7), the top `a_t^l` pruned
+/// coordinates by aggregated magnitude are grown, and the same number of
+/// surviving coordinates with the smallest weight magnitude (excluding the
+/// just-grown ones) are dropped. The mask is updated in place; grown weights
+/// start at zero.
+///
+/// # Panics
+///
+/// Panics if `mask` does not match the model's prunable layout.
+pub fn progressive_adjust(
+    global: &mut dyn Model,
+    mask: &mut Mask,
+    env: &ExperimentEnv,
+    cfg: &ProgressiveConfig,
+    unit: &[usize],
+    round: usize,
+) -> AdjustmentReport {
+    let mut report = AdjustmentReport::default();
+    let counts = adjustment_counts(mask, cfg, unit, round);
+    if counts.is_empty() {
+        return report;
+    }
+
+    // --- Device side: top-a gradients of pruned coordinates (Eq. 6). The
+    // probe's cost is accounted below as the dense-minus-sparse backward
+    // share of the adjusted layers.
+    let adjusted: Vec<usize> = counts.iter().map(|&(l, _)| l).collect();
+    let device_grads = device_uploads(global, mask, env, &counts, round, &adjusted);
 
     // --- Server side: Eq. 7 aggregation, then grow / drop.
     let weights = env.device_weights();
     let prunable_pos = prunable_param_indices(global);
     for (ui, &(l, a)) in counts.iter().enumerate() {
-        let mut agg: HashMap<usize, f64> = HashMap::new();
-        for (k, grads) in device_grads.iter().enumerate() {
-            for &(i, g) in &grads[ui] {
-                *agg.entry(i).or_insert(0.0) += weights[k] * g as f64;
-            }
-            report.comm_bytes += grads[ui].len() as f64 * 8.0;
-            report.payload_bytes += ft_sparse::topk_pairs_encoded_len(grads[ui].len()) as f64;
+        let uploads: Vec<(&[(usize, f32)], f64)> = device_grads
+            .iter()
+            .zip(&weights)
+            .map(|(grads, &w)| (grads[ui].as_slice(), w))
+            .collect();
+        for (pairs, _) in &uploads {
+            report.comm_bytes += pairs.len() as f64 * 8.0;
+            report.payload_bytes += ft_sparse::topk_pairs_encoded_len(pairs.len()) as f64;
         }
         // Grow: top-a pruned indices by |aggregated gradient|.
-        let mut grow_buf = TopKBuffer::new(a);
-        for (&i, &g) in &agg {
-            grow_buf.push(i, g as f32);
-        }
-        let grow: Vec<usize> = grow_buf.into_sorted().into_iter().map(|(i, _)| i).collect();
+        let grow = select_grow(&uploads, a);
 
         // Drop: a surviving coordinates with smallest |weight|, excluding
         // the just-grown ones (they are zero and would be dropped at once).
@@ -384,5 +459,103 @@ mod tests {
         assert!(report.max_buffer <= (0.31 * max_alive as f32) as usize + 1);
         assert!(report.comm_bytes > 0.0);
         assert!(report.extra_flops > 0.0);
+    }
+
+    /// Which of several tied coordinates at the cut is grown must not depend
+    /// on the order the pairs arrive in (the aggregate used to be walked in
+    /// hash order): the lowest indices win.
+    #[test]
+    fn grow_selection_breaks_ties_by_lowest_index_in_any_arrival_order() {
+        // A dead channel uploads exact zeros: 7, 3, 11 and 5 tie at the cut.
+        let a = [(7usize, 0.0f32), (2, -4.0), (3, 0.0), (11, 0.0)];
+        let b = [(5usize, 0.0f32), (9, 1.5), (3, 0.0)];
+        let forward = select_grow(&[(&a, 0.6), (&b, 0.4)], 4);
+        assert_eq!(forward, vec![2, 9, 3, 5]);
+        let (mut ra, mut rb) = (a, b);
+        ra.reverse();
+        rb.reverse();
+        assert_eq!(select_grow(&[(&ra, 0.6), (&rb, 0.4)], 4), forward);
+        // Devices in the other order: the sums are the same two-term sums.
+        assert_eq!(select_grow(&[(&rb, 0.4), (&ra, 0.6)], 4), forward);
+        // Non-finite aggregates are never grown; short lists are not padded.
+        let c = [(1usize, f32::INFINITY), (4, 2.0)];
+        assert_eq!(select_grow(&[(&c, 1.0)], 3), vec![4]);
+    }
+
+    /// The probe forces dense exactly where Algorithm 2 reads
+    /// pruned-coordinate gradients: the adjusted layers yield them, every
+    /// other prunable layer stays on its sparse plan (the realized-FLOPs
+    /// counter is the witness), and the coordinates grown are the ones an
+    /// all-dense probe grows.
+    #[test]
+    fn unit_only_probe_grows_what_the_all_dense_probe_grows() {
+        for density in [0.3f32, 0.4] {
+            let (env, model, mask) = setup(density);
+            let cfg = ProgressiveConfig::tiny_for_tests();
+            let all: Vec<usize> = (0..mask.num_layers()).collect();
+            let prunable_pos = prunable_param_indices(model.as_ref());
+            let arch = model.arch();
+            // Per prunable layer: output positions per sample.
+            let mut spatial = vec![0usize; mask.num_layers()];
+            for layer in &arch.layers {
+                match *layer {
+                    LayerArch::Conv {
+                        out_h,
+                        out_w,
+                        prunable_idx: Some(i),
+                        ..
+                    } => spatial[i] = out_h * out_w,
+                    LayerArch::Linear {
+                        prunable_idx: Some(i),
+                        ..
+                    } => spatial[i] = 1,
+                    _ => {}
+                }
+            }
+            for unit in [vec![0], vec![1], all.clone()] {
+                let counts = adjustment_counts(&mask, &cfg, &unit, 0);
+                assert_eq!(counts.len(), unit.len());
+
+                // Same grown set, layer by layer.
+                let of_unit = device_uploads(model.as_ref(), &mask, &env, &counts, 0, &unit);
+                let of_all = device_uploads(model.as_ref(), &mask, &env, &counts, 0, &all);
+                let weights = env.device_weights();
+                for (ui, &(l, a)) in counts.iter().enumerate() {
+                    let grown = |uploads: &[DeviceUpload]| {
+                        let lists: Vec<(&[(usize, f32)], f64)> = uploads
+                            .iter()
+                            .zip(&weights)
+                            .map(|(u, &w)| (u[ui].as_slice(), w))
+                            .collect();
+                        select_grow(&lists, a)
+                    };
+                    assert_eq!(grown(&of_unit), grown(&of_all), "layer {l} d={density}");
+                    assert_eq!(grown(&of_unit).len(), a);
+                }
+
+                // One device's probe, looked at directly.
+                let base = model.realized_flops();
+                let narrow = probe(model.as_ref(), &env, 0, 0, &unit);
+                let wide = probe(model.as_ref(), &env, 0, 0, &all);
+                let n = env.cfg.batch_size.min(env.parts[0].len());
+                let mut saved = 0.0;
+                for l in 0..mask.num_layers() {
+                    let g = narrow.params()[prunable_pos[l]].grad.data();
+                    let pruned_grad =
+                        (mask.layer(l).iter().zip(g)).any(|(&alive, &g)| !alive && g != 0.0);
+                    assert_eq!(pruned_grad, unit.contains(&l), "layer {l} unit {unit:?}");
+                    if !unit.contains(&l) {
+                        // Forward + dW + dX at nnz instead of every weight.
+                        let dead = mask.layer(l).len() - mask.layer_ones(l);
+                        saved += 6.0 * (n * spatial[l] * dead) as f64;
+                    }
+                }
+                assert_eq!(
+                    narrow.realized_flops() - base,
+                    wide.realized_flops() - base - saved,
+                    "unit {unit:?}: non-unit layers must run at 2·n·cc·nnz per pass"
+                );
+            }
+        }
     }
 }

@@ -12,20 +12,21 @@ use ft_tensor::{
     avg_pool_global_backward_into, avg_pool_global_into_rt, col2im_ld, conv2d_fused_into_rt,
     dsmm_into_rt, dsmm_nt_into_rt, im2col_batched_rt, kaiming_normal, matmul_into_rt,
     matmul_nt_into_rt, matmul_nt_seg_into_rt, matmul_tn_into_rt, max_pool2x2_backward_into,
-    max_pool2x2_into_rt, sddmm_nt_seg_into_rt, sddmm_tn_into_rt, spmm_into_rt, spmm_tn_into_rt,
-    ConvGeom, Tensor,
+    max_pool2x2_into_rt, sddmm_tn_into_rt, spconv_backward_rt, spconv_forward_rt, ConvGeom,
+    CsrView, SpConvBufs, SpConvIndex, Tensor,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Default density crossover below which `Conv2d` / `Linear` switch from the
-/// dense GEMM kernels to the CSR sparse kernels.
+/// dense GEMM kernels to the sparse engine.
 ///
-/// The 0.5 is uncalibrated: it was set before the dense GEMM and CSR kernels
-/// were rebuilt and has not been re-measured since (ROADMAP item 2 — the
-/// committed 512³ records put the forward break-even nearer 0.35). At the
-/// paper's densities (d ≤ 0.1) the sparse path wins by roughly `1/d` either
-/// way. Override per model with [`crate::Model::set_sparse_crossover`].
+/// The 0.5 is uncalibrated: it was set before the dense GEMM and the sparse
+/// kernels were rebuilt and has not been re-measured since (ROADMAP item 1's
+/// dispatch sweep). The direct sparse convolution moved the conv break-even
+/// up, so 0.5 now errs further on the low side; at the paper's densities
+/// (d ≤ 0.1) the sparse path wins by roughly `1/d` either way. Override per
+/// model with [`crate::Model::set_sparse_crossover`].
 pub const DEFAULT_SPARSE_CROSSOVER: f32 = 0.5;
 
 /// Cached sparse packing of a layer weight, keyed by the mask epoch that
@@ -33,11 +34,26 @@ pub const DEFAULT_SPARSE_CROSSOVER: f32 = 0.5;
 ///
 /// The structure is rebuilt only when [`Param::mask_epoch`] changes (a new
 /// mask was applied); between optimizer steps only the values are
-/// re-gathered, which is `O(nnz)`.
+/// re-gathered, which is `O(nnz)`. A convolution keeps the direct engine's
+/// offsets for its current input size beside the CSR structure they index.
 #[derive(Clone, Debug)]
 struct SparsePlan {
     epoch: u64,
     csr: CsrMatrix,
+    conv_index: Option<SpConvIndex>,
+}
+
+impl SparsePlan {
+    /// The CSR weight and its direct-convolution index for inputs of `geom`;
+    /// the index is built on first use and again whenever the input size
+    /// changes.
+    fn for_conv(&mut self, geom: &ConvGeom) -> (CsrView<'_>, &SpConvIndex) {
+        if self.conv_index.as_ref().map(SpConvIndex::geom) != Some(geom) {
+            self.conv_index = Some(SpConvIndex::new(self.csr.view(), geom));
+        }
+        let index = self.conv_index.as_ref().expect("index just ensured");
+        (self.csr.view(), index)
+    }
 }
 
 /// Decides the execution path for a weight and keeps `plan` fresh: returns
@@ -67,6 +83,7 @@ fn refresh_plan(
             *plan = Some(SparsePlan {
                 epoch: w.mask_epoch,
                 csr: CsrMatrix::from_mask_values(bits, w.data.data(), rows, cols),
+                conv_index: None,
             });
         }
     }
@@ -103,19 +120,25 @@ pub struct BnStats {
 // Conv2d
 // ---------------------------------------------------------------------------
 
-/// 2-D convolution with square kernels, computed via im2col + matmul.
+/// 2-D convolution with square kernels.
 ///
 /// Bias-free by convention in this workspace (every conv is followed by
 /// BatchNorm, which supplies the shift).
 ///
+/// Dense weights run as im2col + GEMM over cache-sized tiles of the batch.
 /// When a pruning mask has been applied (see [`Param::note_mask`]) and the
 /// layer's density is at or below its crossover, forward and backward run on
-/// the CSR sparse kernels instead of the dense GEMMs; outputs are identical
-/// up to float rounding, but the sparse backward only produces weight
-/// gradients at mask-alive coordinates (gradient scoring passes that need
-/// pruned-coordinate gradients must disable the sparse path via
-/// `set_sparse_crossover(0.0)`).
-#[derive(Clone, Debug)]
+/// the direct sparse engine instead ([`spconv_forward_rt`]): CSR weights
+/// against a zero-padded, sample-innermost copy of the input, no column
+/// matrix. Outputs are identical up to float rounding, but the sparse
+/// backward only produces weight gradients at mask-alive coordinates
+/// (gradient scoring passes that need pruned-coordinate gradients must take
+/// the layer off the sparse path, e.g. `set_sparse_crossover(0.0)`).
+///
+/// A clone copies the weight, the configuration and the sparse plan; it
+/// starts with empty scratch and no cached forward, like a layer that has
+/// never run.
+#[derive(Debug)]
 pub struct Conv2d {
     /// Kernel weights `[out_c, in_c, k, k]`.
     pub w: Param,
@@ -132,11 +155,29 @@ pub struct Conv2d {
     scratch: ConvScratch,
 }
 
-/// Byte budget of one column-matrix tile: `Conv2d` walks the batch in tiles
-/// of as many whole samples as fit, so the im2col matrix a kernel writes is
-/// read back out of L2 instead of DRAM and no arena grows with the batch. A
-/// 64 KiB – 1 MiB sweep bottomed out here on both the dense and the sparse
-/// path.
+impl Clone for Conv2d {
+    fn clone(&self) -> Self {
+        Conv2d {
+            w: self.w.clone(),
+            in_c: self.in_c,
+            out_c: self.out_c,
+            kernel: self.kernel,
+            stride: self.stride,
+            pad: self.pad,
+            crossover: self.crossover,
+            runtime: self.runtime,
+            plan: self.plan.clone(),
+            realized_flops: self.realized_flops,
+            cache: None,
+            scratch: ConvScratch::default(),
+        }
+    }
+}
+
+/// Byte budget of one column-matrix tile: the dense path walks the batch in
+/// tiles of as many whole samples as fit, so the im2col matrix a kernel
+/// writes is read back out of L2 instead of DRAM and no arena grows with the
+/// batch. A 64 KiB – 1 MiB sweep bottomed out here.
 const COL_TILE_BYTES: usize = 256 * 1024;
 
 /// Whole samples per tile for a batch of `n`: at least one (a single sample
@@ -146,11 +187,13 @@ fn tile_samples(geom: &ConvGeom, n: usize) -> usize {
     (COL_TILE_BYTES / sample_bytes.max(1)).clamp(1, n.max(1))
 }
 
-/// Per-layer scratch arena: every buffer the tiled conv engine touches,
-/// sized on first use and reused across tiles, batches, epochs, and rounds
-/// (same idiom as `AggScratch` in `ft_fl`). The four matrices hold one tile
-/// of `t` whole samples ([`tile_samples`]), not the batch.
-#[derive(Clone, Debug, Default)]
+/// Per-layer scratch arena: every buffer the conv engines touch, sized on
+/// first use and reused across tiles, batches, epochs, and rounds (same
+/// idiom as `AggScratch` in `ft_fl`). The four matrices belong to the dense
+/// path and hold one tile of `t` whole samples ([`tile_samples`]), not the
+/// batch; the sparse path never touches them and keeps its transposed input
+/// and staging in `spconv`.
+#[derive(Debug, Default)]
 struct ConvScratch {
     /// Column matrix of the current tile `[cr, t·cc]`; sample `i` of the
     /// tile occupies columns `i·cc..(i+1)·cc`. Not used by the dense Eval
@@ -163,10 +206,13 @@ struct ConvScratch {
     gob: Tensor,
     /// Column-space input gradient `[cr, t·cc]`.
     dcol_b: Tensor,
-    /// Copy of the forward input `[n, in_c, h, w]` (one ninth of a 3×3
+    /// Copy of the dense forward input `[n, in_c, h, w]` (one ninth of a 3×3
     /// column matrix), kept whenever backward has to rebuild columns: the
     /// batch spans several tiles, or the forward never materialized them.
     x_cache: Tensor,
+    /// The sparse path's buffers: the padded, sample-innermost input kept
+    /// for backward, and the transposed staging around the three kernels.
+    spconv: SpConvBufs,
     /// Sparse-path `dW` values at the CSR structure.
     grad_w_vals: Vec<f32>,
 }
@@ -177,9 +223,9 @@ struct ConvMeta {
     batch: usize,
     /// Whether the forward pass ran on the sparse path (backward must match).
     sparse: bool,
-    /// Whether `scratch.cols_b` still holds the whole batch's column matrix
-    /// (a one-tile forward that materialized it); otherwise backward
-    /// rebuilds each tile from `scratch.x_cache`.
+    /// Dense path: whether `scratch.cols_b` still holds the whole batch's
+    /// column matrix (a one-tile forward that materialized it); otherwise
+    /// backward rebuilds each tile from `scratch.x_cache`.
     cols_valid: bool,
 }
 
@@ -298,18 +344,19 @@ impl Conv2d {
         out
     }
 
-    /// Tiled forward into a caller-owned output tensor. The batch is walked
-    /// in tiles of whole samples whose column matrix fits 256 KiB; each
-    /// tile runs im2col → kernel → NCHW scatter through the layer's
-    /// tile-sized scratch: the sparse path and the dense training path
-    /// materialize the tile's `[cr, t·cc]` column matrix (CSR SpMM / plain
-    /// GEMM over it). The dense `Eval` path has no column matrix — it packs
+    /// Forward into a caller-owned output tensor.
+    ///
+    /// The sparse path hands the batch to the direct engine, which keeps its
+    /// transposed input for backward. The dense path walks the batch in
+    /// tiles of whole samples whose column matrix fits 256 KiB; each tile
+    /// runs im2col → GEMM → NCHW scatter through the layer's tile-sized
+    /// scratch. The dense `Eval` path has no column matrix — it packs
     /// B-panels straight out of the image (implicit GEMM) — and takes the
     /// whole batch as one tile. Every kernel accumulates an output element
-    /// in ascending `k` / stored-entry order whatever column range it is
-    /// handed, so the result is bit-identical to the whole-batch call and
-    /// to the per-sample composition. A batch that fits one tile runs the
-    /// loop once and leaves its column matrix in place for backward.
+    /// in ascending `k` / stored-entry order whatever samples it is handed,
+    /// so the result is bit-identical to the per-sample composition. A
+    /// dense batch that fits one tile runs the loop once and leaves its
+    /// column matrix in place for backward.
     ///
     /// # Panics
     ///
@@ -327,13 +374,33 @@ impl Conv2d {
         let (cr, cc) = (geom.col_rows(), geom.col_cols());
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let sparse = refresh_plan(&mut self.plan, &self.w, self.crossover, self.out_c, cr);
-        let sparse_plan = if sparse { self.plan.as_ref() } else { None };
         out.resize_for_overwrite(&[n, self.out_c, oh, ow]);
+        if sparse {
+            let plan = self.plan.as_mut().expect("refresh_plan kept the plan");
+            let (csr, index) = plan.for_conv(&geom);
+            spconv_forward_rt(
+                &self.runtime,
+                index,
+                csr,
+                x.data(),
+                n,
+                &mut self.scratch.spconv,
+                out.data_mut(),
+            );
+            self.realized_flops += 2.0 * (n * cc * csr.nnz()) as f64;
+            self.cache = Some(ConvMeta {
+                geom,
+                batch: n,
+                sparse,
+                cols_valid: false,
+            });
+            return;
+        }
         // The implicit GEMM has no column matrix to keep in cache, and narrow
         // per-tile calls cost it half again its time: it takes the batch
-        // whole. Every other path builds each tile's columns up front (the
-        // training backward needs them regardless).
-        let fused = !sparse && matches!(mode, Mode::Eval);
+        // whole. The training forward builds each tile's columns up front
+        // (its backward needs them regardless).
+        let fused = matches!(mode, Mode::Eval);
         let tile = if fused {
             n.max(1)
         } else {
@@ -344,8 +411,8 @@ impl Conv2d {
         if !cols_valid {
             scratch.x_cache.copy_from(x);
         }
-        // Zero-copy `[oc, cr]` view of the weight for the dense kernels:
-        // reshaped in place around the tile loop and restored after.
+        // Zero-copy `[oc, cr]` view of the weight for the GEMMs: reshaped in
+        // place around the tile loop and restored after.
         self.w.data.reshape_in_place(&[self.out_c, cr]);
         let sample = geom.in_c * h * w;
         let od = out.data_mut();
@@ -365,20 +432,12 @@ impl Conv2d {
             } else {
                 scratch.cols_b.resize_for_overwrite(&[cr, tn * cc]);
                 im2col_batched_rt(&self.runtime, xs, tn, &geom, scratch.cols_b.data_mut());
-                match sparse_plan {
-                    Some(plan) => spmm_into_rt(
-                        &self.runtime,
-                        plan.csr.view(),
-                        &scratch.cols_b,
-                        &mut scratch.out_b,
-                    ),
-                    None => matmul_into_rt(
-                        &self.runtime,
-                        &self.w.data,
-                        &scratch.cols_b,
-                        &mut scratch.out_b,
-                    ),
-                }
+                matmul_into_rt(
+                    &self.runtime,
+                    &self.w.data,
+                    &scratch.cols_b,
+                    &mut scratch.out_b,
+                );
             }
             // Scatter [oc, tn·cc] back to NCHW [n, oc, oh, ow].
             let ob = scratch.out_b.data();
@@ -392,8 +451,7 @@ impl Conv2d {
         self.w
             .data
             .reshape_in_place(&[self.out_c, self.in_c, self.kernel, self.kernel]);
-        let mac = sparse_plan.map_or(self.out_c * cr, |plan| plan.csr.nnz());
-        self.realized_flops += 2.0 * (n * cc * mac) as f64;
+        self.realized_flops += 2.0 * (n * cc * self.out_c * cr) as f64;
         self.cache = Some(ConvMeta {
             geom,
             batch: n,
@@ -414,15 +472,16 @@ impl Conv2d {
         gx
     }
 
-    /// Tiled backward into a caller-owned input-gradient tensor, over the
-    /// same whole-sample tiles as the forward: per tile, `dY` is repacked,
-    /// the column matrix rebuilt from the kept input (a one-tile batch
-    /// reuses the forward's), and `dW`, `dCol` and col2im each run once.
-    /// The weight gradient accumulates straight into `w.grad` through a
-    /// segmented-k kernel — one fresh accumulator per sample segment, added
-    /// in sample order — and tiles are whole samples in ascending order, so
-    /// the result is bit-identical to the whole-batch call and to the
-    /// per-sample loop followed by `add_assign`.
+    /// Backward into a caller-owned input-gradient tensor.
+    ///
+    /// The sparse path runs the direct engine's dW and dX kernels over the
+    /// input its forward kept. The dense path walks the same whole-sample
+    /// tiles as the forward: per tile, `dY` is repacked, the column matrix
+    /// rebuilt from the kept input (a one-tile batch reuses the forward's),
+    /// and `dW`, `dCol` and col2im each run once. On both, the weight
+    /// gradient takes one fresh accumulator per sample, added in sample
+    /// order, so the result is bit-identical to the per-sample loop followed
+    /// by `add_assign`.
     ///
     /// # Panics
     ///
@@ -457,28 +516,40 @@ impl Conv2d {
             &[n, self.out_c, geom.out_h(), geom.out_w()],
             "conv grad_out shape mismatch"
         );
-        let sparse_plan = if meta.sparse {
-            self.plan.as_ref()
-        } else {
-            None
-        };
         let scratch = &mut self.scratch;
+        let passes = if gx.is_some() { 4.0 } else { 2.0 };
+        if meta.sparse {
+            let plan = self.plan.as_ref().expect("sparse forward left its plan");
+            let index = plan.conv_index.as_ref().expect("and its index");
+            if let Some(gx) = gx.as_deref_mut() {
+                gx.resize_for_overwrite(&[n, geom.in_c, geom.in_h, geom.in_w]);
+            }
+            // dW lands at the CSR structure (mask-alive coordinates only).
+            scratch.grad_w_vals.clear();
+            scratch.grad_w_vals.resize(plan.csr.nnz(), 0.0);
+            spconv_backward_rt(
+                &self.runtime,
+                index,
+                plan.csr.view(),
+                grad_out.data(),
+                n,
+                &mut scratch.spconv,
+                Some(&mut scratch.grad_w_vals),
+                gx.map(Tensor::data_mut),
+            );
+            plan.csr
+                .scatter_add(&scratch.grad_w_vals, self.w.grad.data_mut());
+            self.realized_flops += passes * (n * cc * plan.csr.nnz()) as f64;
+            return;
+        }
         let sample = geom.in_c * geom.in_h * geom.in_w;
         if let Some(gx) = gx.as_deref_mut() {
             gx.resize_zeroed(&[n, geom.in_c, geom.in_h, geom.in_w]);
         }
-        match sparse_plan {
-            Some(plan) => {
-                scratch.grad_w_vals.clear();
-                scratch.grad_w_vals.resize(plan.csr.nnz(), 0.0);
-            }
-            None => {
-                // The dense kernels take `[oc, cr]` views of the weight and
-                // its gradient: reshaped in place around the tile loop.
-                self.w.grad.reshape_in_place(&[self.out_c, cr]);
-                self.w.data.reshape_in_place(&[self.out_c, cr]);
-            }
-        }
+        // The GEMMs take `[oc, cr]` views of the weight and its gradient:
+        // reshaped in place around the tile loop.
+        self.w.grad.reshape_in_place(&[self.out_c, cr]);
+        self.w.data.reshape_in_place(&[self.out_c, cr]);
         let tile = tile_samples(&geom, n);
         let gd = grad_out.data();
         for i0 in (0..n).step_by(tile) {
@@ -502,53 +573,24 @@ impl Conv2d {
                     scratch.cols_b.data_mut(),
                 );
             }
-            if gx.is_some() {
-                scratch.dcol_b.resize_zeroed(&[cr, tn * cc]);
-            }
-            match sparse_plan {
-                Some(plan) => {
-                    // dW (mask-alive coordinates only) += dY · colᵀ sampled
-                    // at the CSR structure, one fresh accumulator per sample.
-                    sddmm_nt_seg_into_rt(
-                        &self.runtime,
-                        plan.csr.view(),
-                        &scratch.gob,
-                        &scratch.cols_b,
-                        cc,
-                        &mut scratch.grad_w_vals,
-                    );
-                    if gx.is_some() {
-                        // dCol = Wᵀ · dY through the sparse kernel.
-                        spmm_tn_into_rt(
-                            &self.runtime,
-                            plan.csr.view(),
-                            &scratch.gob,
-                            &mut scratch.dcol_b,
-                        );
-                    }
-                }
-                None => {
-                    // dW += dY · colᵀ ([oc, tn·cc] x [cr, tn·cc]ᵀ → [oc, cr]),
-                    // accumulated straight into the weight gradient.
-                    matmul_nt_seg_into_rt(
-                        &self.runtime,
-                        &scratch.gob,
-                        &scratch.cols_b,
-                        cc,
-                        &mut self.w.grad,
-                    );
-                    if gx.is_some() {
-                        // dCol = Wᵀ · dY ([oc,cr]ᵀ x [oc, tn·cc] → [cr, tn·cc]).
-                        matmul_tn_into_rt(
-                            &self.runtime,
-                            &self.w.data,
-                            &scratch.gob,
-                            &mut scratch.dcol_b,
-                        );
-                    }
-                }
-            }
+            // dW += dY · colᵀ ([oc, tn·cc] x [cr, tn·cc]ᵀ → [oc, cr]),
+            // accumulated straight into the weight gradient.
+            matmul_nt_seg_into_rt(
+                &self.runtime,
+                &scratch.gob,
+                &scratch.cols_b,
+                cc,
+                &mut self.w.grad,
+            );
             if let Some(gx) = gx.as_deref_mut() {
+                // dCol = Wᵀ · dY ([oc,cr]ᵀ x [oc, tn·cc] → [cr, tn·cc]).
+                scratch.dcol_b.resize_zeroed(&[cr, tn * cc]);
+                matmul_tn_into_rt(
+                    &self.runtime,
+                    &self.w.data,
+                    &scratch.gob,
+                    &mut scratch.dcol_b,
+                );
                 let dcol = scratch.dcol_b.data();
                 let gxd = gx.data_mut();
                 for i in 0..tn {
@@ -562,20 +604,9 @@ impl Conv2d {
             }
         }
         let shape = [self.out_c, self.in_c, self.kernel, self.kernel];
-        let mac = match sparse_plan {
-            Some(plan) => {
-                plan.csr
-                    .scatter_add(&scratch.grad_w_vals, self.w.grad.data_mut());
-                plan.csr.nnz()
-            }
-            None => {
-                self.w.grad.reshape_in_place(&shape);
-                self.w.data.reshape_in_place(&shape);
-                self.out_c * cr
-            }
-        };
-        let passes = if gx.is_some() { 4.0 } else { 2.0 };
-        self.realized_flops += passes * (n * cc * mac) as f64;
+        self.w.grad.reshape_in_place(&shape);
+        self.w.data.reshape_in_place(&shape);
+        self.realized_flops += passes * (n * cc * self.out_c * cr) as f64;
     }
 }
 
@@ -589,7 +620,10 @@ impl Conv2d {
 /// the running statistics with momentum (`running = (1-m)·running +
 /// m·batch`). FedTiny's adaptive selection performs exactly this forward
 /// pass with frozen parameters to re-estimate `µ, σ` on device data.
-#[derive(Clone, Debug)]
+///
+/// A clone copies parameters, statistics and configuration; like every
+/// layer's, it starts with empty scratch and no cached forward.
+#[derive(Debug)]
 pub struct BatchNorm2d {
     /// Scale `γ`, initialized to 1.
     pub gamma: Param,
@@ -608,9 +642,24 @@ pub struct BatchNorm2d {
     scratch: BnScratch,
 }
 
+impl Clone for BatchNorm2d {
+    fn clone(&self) -> Self {
+        BatchNorm2d {
+            gamma: self.gamma.clone(),
+            beta: self.beta.clone(),
+            stats: self.stats.clone(),
+            channels: self.channels,
+            momentum: self.momentum,
+            eps: self.eps,
+            cache: None,
+            scratch: BnScratch::default(),
+        }
+    }
+}
+
 /// Reused across batches: normalized activations, per-channel statistics,
 /// and the batch shape the backward pass validates against.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct BnScratch {
     mean: Vec<f32>,
     var: Vec<f32>,
@@ -847,8 +896,9 @@ impl BatchNorm2d {
 /// Fully-connected layer `y = x Wᵀ + b` over `[n, in]`.
 ///
 /// Dispatches to the CSR sparse kernels below its density crossover exactly
-/// like [`Conv2d`] (see there for the gradient-coverage caveat).
-#[derive(Clone, Debug)]
+/// like [`Conv2d`] (see there for the gradient-coverage caveat, and for what
+/// a clone carries).
+#[derive(Debug)]
 pub struct Linear {
     /// Weights `[out, in]`.
     pub w: Param,
@@ -865,8 +915,25 @@ pub struct Linear {
     scratch: LinearScratch,
 }
 
+impl Clone for Linear {
+    fn clone(&self) -> Self {
+        Linear {
+            w: self.w.clone(),
+            b: self.b.clone(),
+            in_dim: self.in_dim,
+            out_dim: self.out_dim,
+            crossover: self.crossover,
+            runtime: self.runtime,
+            plan: self.plan.clone(),
+            realized_flops: self.realized_flops,
+            cache: None,
+            scratch: LinearScratch::default(),
+        }
+    }
+}
+
 /// Per-layer scratch arena reused across batches.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct LinearScratch {
     /// Copy of the forward input, consumed by the dW GEMM in backward.
     x_cache: Tensor,
@@ -1059,11 +1126,19 @@ impl Linear {
 // ---------------------------------------------------------------------------
 
 /// ReLU activation.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Relu {
     /// Reused activation mask (arena).
     mask: Vec<bool>,
     primed: bool,
+}
+
+/// The stateless layers hold nothing but scratch and the record of their
+/// last forward, so a clone is a fresh layer (on the source's runtime).
+impl Clone for Relu {
+    fn clone(&self) -> Self {
+        Relu::default()
+    }
 }
 
 impl Relu {
@@ -1124,7 +1199,7 @@ impl Relu {
 }
 
 /// 2×2 max pooling with stride 2.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct MaxPool2x2 {
     runtime: Runtime,
     /// Reused argmax indices (arena).
@@ -1132,6 +1207,15 @@ pub struct MaxPool2x2 {
     /// Reused input-shape record (arena).
     in_shape: Vec<usize>,
     primed: bool,
+}
+
+impl Clone for MaxPool2x2 {
+    fn clone(&self) -> Self {
+        MaxPool2x2 {
+            runtime: self.runtime,
+            ..MaxPool2x2::default()
+        }
+    }
 }
 
 impl MaxPool2x2 {
@@ -1185,12 +1269,21 @@ impl MaxPool2x2 {
 }
 
 /// Global average pooling `[n, c, h, w] → [n, c]`.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct GlobalAvgPool {
     runtime: Runtime,
     /// Reused input-shape record (arena).
     in_shape: Vec<usize>,
     primed: bool,
+}
+
+impl Clone for GlobalAvgPool {
+    fn clone(&self) -> Self {
+        GlobalAvgPool {
+            runtime: self.runtime,
+            ..GlobalAvgPool::default()
+        }
+    }
 }
 
 impl GlobalAvgPool {
@@ -1245,11 +1338,17 @@ impl GlobalAvgPool {
 }
 
 /// Flattens `[n, ...] → [n, prod(...)]`.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Flatten {
     /// Reused input-shape record (arena).
     in_shape: Vec<usize>,
     primed: bool,
+}
+
+impl Clone for Flatten {
+    fn clone(&self) -> Self {
+        Flatten::default()
+    }
 }
 
 impl Flatten {
@@ -1306,6 +1405,9 @@ impl Flatten {
 
 /// A closed sum of every layer type, enabling heterogeneous [`Sequential`]
 /// stacks without trait objects (and therefore cheap cloning).
+// A model holds a few dozen of these in one `Vec`; boxing the convolution
+// (two engines' worth of arena handles) would buy nothing there.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum AnyLayer {
     /// Convolution.
@@ -1498,13 +1600,23 @@ impl AnyLayer {
 ///
 /// Activations flow through a pair of ping-pong tensors owned by the stack,
 /// so a full forward/backward pass allocates nothing once the buffers have
-/// grown to the batch geometry.
-#[derive(Clone, Debug, Default)]
+/// grown to the batch geometry. A clone copies the layers and starts with
+/// empty buffers.
+#[derive(Debug, Default)]
 pub struct Sequential {
     /// The layers, in execution order.
     pub layers: Vec<AnyLayer>,
     ping: Tensor,
     pong: Tensor,
+}
+
+impl Clone for Sequential {
+    fn clone(&self) -> Self {
+        Sequential {
+            layers: self.layers.clone(),
+            ..Sequential::default()
+        }
+    }
 }
 
 impl Sequential {
@@ -2286,12 +2398,16 @@ mod tests {
     }
 
     /// Every ftbench device sees a full batch and then a shorter one; the
-    /// second must not read anything the first left in the arenas, and the
-    /// arenas stay one tile however large the batch was.
+    /// second must not read anything the first left in the arenas. The dense
+    /// arenas stay one tile however large the batch was; the sparse path
+    /// holds no column arena at all, only its padded eight-sample groups.
     #[test]
     fn tile_arenas_are_reused_across_batch_sizes_and_stay_tile_sized() {
         let (in_c, kernel, stride, pad, side) = TILE_GEOMS[0];
-        for layer in tile_variants(in_c, kernel, stride, pad) {
+        for (v, layer) in tile_variants(in_c, kernel, stride, pad)
+            .into_iter()
+            .enumerate()
+        {
             let mut l = layer.clone();
             let mut rng = rng();
             for n in [32usize, 18] {
@@ -2302,14 +2418,156 @@ mod tests {
                 assert_eq!(bits(&l.forward(&x, Mode::Train)), y, "forward n={n}");
                 assert_eq!(bits(&l.backward(&go)), gx, "gx n={n}");
                 assert_eq!(bits(&l.w.grad), gw, "w.grad n={n}");
-                // Three samples fill a tile; the arenas hold the last one.
-                let (cr, cc, last) = (in_c * kernel * kernel, 12 * 12, (n - 1) % 3 + 1);
-                assert!(3 * cr * cc * 4 <= COL_TILE_BYTES);
-                assert_eq!(l.scratch.cols_b.numel(), last * cr * cc);
-                assert_eq!(l.scratch.dcol_b.numel(), last * cr * cc);
-                assert_eq!(l.scratch.out_b.numel(), last * 8 * cc);
-                assert_eq!(l.scratch.gob.numel(), last * 8 * cc);
+                let sc = &l.scratch;
+                if v == 0 {
+                    // Three samples fill a tile; the arenas hold the last one.
+                    let (cr, cc, last) = (in_c * kernel * kernel, 12 * 12, (n - 1) % 3 + 1);
+                    assert!(3 * cr * cc * 4 <= COL_TILE_BYTES);
+                    assert_eq!(sc.cols_b.numel(), last * cr * cc);
+                    assert_eq!(sc.dcol_b.numel(), last * cr * cc);
+                    assert_eq!(sc.out_b.numel(), last * 8 * cc);
+                    assert_eq!(sc.gob.numel(), last * 8 * cc);
+                    assert_eq!(sc.spconv.kept_input_len(), 0);
+                } else {
+                    for arena in [&sc.cols_b, &sc.dcol_b, &sc.out_b, &sc.gob, &sc.x_cache] {
+                        assert_eq!(arena.numel(), 0, "sparse path grew a dense arena");
+                    }
+                    let padded = in_c * (side + 2 * pad) * (side + 2 * pad);
+                    assert_eq!(sc.spconv.kept_input_len(), n.div_ceil(8) * 8 * padded);
+                }
             }
         }
+    }
+
+    /// The sparse path as it ran before the direct engine, kept as the
+    /// layer-level oracle: per 256 KiB tile, im2col → CSR SpMM → NCHW
+    /// scatter forward, and dY repack → segmented SDDMM → CSR `Sᵀ·dY` →
+    /// col2im backward. Returns `(y, gx, w.grad after the batch, FLOPs)`.
+    fn csr_tile_loop_oracle(
+        layer: &Conv2d,
+        x: &Tensor,
+        go: &Tensor,
+        want_gx: bool,
+    ) -> (Tensor, Option<Tensor>, Tensor, f64) {
+        use ft_tensor::{sddmm_nt_seg_into_rt, spmm_into_rt, spmm_tn_into_rt};
+        let rt = Runtime::sequential();
+        let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+        let geom = layer.geom(h, w);
+        let (cr, cc, oc) = (geom.col_rows(), geom.col_cols(), layer.out_c);
+        let bits = layer.w.mask_bits.as_ref().expect("oracle needs a mask");
+        let csr = CsrMatrix::from_mask_values(bits, layer.w.data.data(), oc, cr);
+        let sample = geom.in_c * h * w;
+        let mut y = Tensor::zeros(&[n, oc, geom.out_h(), geom.out_w()]);
+        let mut gx = Tensor::zeros(&[n, geom.in_c, h, w]);
+        let mut grad_w_vals = vec![0.0f32; csr.nnz()];
+        let tile = tile_samples(&geom, n);
+        for i0 in (0..n).step_by(tile) {
+            let tn = tile.min(n - i0);
+            let mut cols_b = Tensor::zeros(&[cr, tn * cc]);
+            let xs = &x.data()[i0 * sample..(i0 + tn) * sample];
+            im2col_batched_rt(&rt, xs, tn, &geom, cols_b.data_mut());
+            let mut out_b = Tensor::zeros(&[oc, tn * cc]);
+            spmm_into_rt(&rt, csr.view(), &cols_b, &mut out_b);
+            let mut gob = Tensor::zeros(&[oc, tn * cc]);
+            for i in 0..tn {
+                for c in 0..oc {
+                    y.data_mut()[((i0 + i) * oc + c) * cc..][..cc]
+                        .copy_from_slice(&out_b.data()[(c * tn + i) * cc..][..cc]);
+                    gob.data_mut()[(c * tn + i) * cc..][..cc]
+                        .copy_from_slice(&go.data()[((i0 + i) * oc + c) * cc..][..cc]);
+                }
+            }
+            sddmm_nt_seg_into_rt(&rt, csr.view(), &gob, &cols_b, cc, &mut grad_w_vals);
+            if want_gx {
+                let mut dcol_b = Tensor::zeros(&[cr, tn * cc]);
+                spmm_tn_into_rt(&rt, csr.view(), &gob, &mut dcol_b);
+                for i in 0..tn {
+                    col2im_ld(
+                        &dcol_b.data()[i * cc..],
+                        tn * cc,
+                        &geom,
+                        &mut gx.data_mut()[(i0 + i) * sample..(i0 + i + 1) * sample],
+                    );
+                }
+            }
+        }
+        let mut gw = layer.w.grad.clone();
+        csr.scatter_add(&grad_w_vals, gw.data_mut());
+        let passes = if want_gx { 6.0 } else { 4.0 };
+        let flops = passes * (n * cc * csr.nnz()) as f64;
+        (y, want_gx.then_some(gx), gw, flops)
+    }
+
+    /// The direct engine behind `Conv2d` reproduces the CSR tile loop it
+    /// replaced — outputs, input gradients, accumulated weight gradients and
+    /// the realized-FLOPs counter — over one layer fed batch 32, then 18,
+    /// then 32 (index and buffers reused), then a different input size (the
+    /// index is rebuilt), with and without the input gradient.
+    #[test]
+    fn sparse_path_matches_the_csr_tile_loop_it_replaced_bit_for_bit() {
+        for (in_c, kernel, stride, pad, side) in TILE_GEOMS {
+            for (v, layer) in tile_variants(in_c, kernel, stride, pad)
+                .into_iter()
+                .enumerate()
+                .skip(1)
+            {
+                let mut l = layer;
+                l.set_runtime(Runtime::from_env().with_min_work(0));
+                let mut rng = rng();
+                let smaller = side - 2 * stride;
+                for (n, side, want_gx) in [
+                    (32usize, side, true),
+                    (18, side, true),
+                    (32, side, false),
+                    (9, smaller, true),
+                ] {
+                    let tag = format!("k{kernel} s{stride} variant {v} n={n} side={side}");
+                    let x = ft_tensor::normal(&mut rng, &[n, in_c, side, side], 0.0, 1.0);
+                    let out_side = l.geom(side, side).out_h();
+                    let go = ft_tensor::normal(&mut rng, &[n, 8, out_side, out_side], 0.0, 1.0);
+                    let (y, gx, gw, flops) = csr_tile_loop_oracle(&l, &x, &go, want_gx);
+                    l.reset_realized_flops();
+                    assert_eq!(bits(&l.forward(&x, Mode::Train)), bits(&y), "forward {tag}");
+                    let index = l.plan.as_ref().and_then(|p| p.conv_index.as_ref());
+                    assert_eq!(index.expect("sparse path").geom().in_h, side, "index {tag}");
+                    match gx {
+                        Some(gx) => assert_eq!(bits(&l.backward(&go)), bits(&gx), "gx {tag}"),
+                        None => l.backward_params_only(&go),
+                    }
+                    assert_eq!(bits(&l.w.grad), bits(&gw), "w.grad {tag}");
+                    assert_eq!(l.realized_flops(), flops, "flops {tag}");
+                }
+            }
+        }
+    }
+
+    /// A clone is a layer that has never run: the weight, the configuration
+    /// and the sparse plan are copied, scratch and the cached forward are not.
+    #[test]
+    fn scratch_is_not_cloned_and_the_forward_cache_is_cleared() {
+        let mut conv = tile_variants(4, 3, 1, 1).remove(1);
+        let x = ft_tensor::normal(&mut rng(), &[9, 4, 6, 6], 0.0, 1.0);
+        let y = conv.forward(&x, Mode::Train);
+        let fresh = conv.clone();
+        assert!(fresh.cache.is_none());
+        assert_eq!(fresh.scratch.spconv.kept_input_len(), 0);
+        assert!(fresh.plan.is_some(), "the plan is structure, not scratch");
+        let mut bn = BatchNorm2d::new(8, "bn");
+        let _ = bn.forward(&y, Mode::Train);
+        assert!(bn.clone().cache.is_none() && bn.clone().scratch.xhat.numel() == 0);
+        let mut relu = Relu::new();
+        let _ = relu.forward(&y, Mode::Train);
+        assert!(!relu.clone().primed && relu.clone().mask.is_empty());
+    }
+
+    /// Backward on a clone of a layer that ran forward is the "before
+    /// forward" panic, not a read of the source's buffers.
+    #[test]
+    #[should_panic(expected = "called before forward")]
+    fn scratch_free_clone_refuses_backward_before_its_own_forward() {
+        let mut conv = tile_variants(4, 3, 1, 1).remove(1);
+        let x = ft_tensor::normal(&mut rng(), &[9, 4, 6, 6], 0.0, 1.0);
+        let y = conv.forward(&x, Mode::Train);
+        let _ = conv.clone().backward(&y);
     }
 }

@@ -148,12 +148,15 @@ pub trait Model: Send + Sync {
     fn block_partition(&self) -> Vec<Vec<usize>>;
 
     /// Sets the density crossover below which weighted layers execute on the
-    /// sparse CSR kernels instead of the dense GEMMs. `0.0` forces the dense
-    /// path everywhere — required by gradient-scoring passes that read
-    /// gradients of *pruned* coordinates (grow steps), because the sparse
-    /// backward only produces mask-alive weight gradients. `1.0` forces the
-    /// sparse path for every masked layer. The default is
-    /// [`crate::layer::DEFAULT_SPARSE_CROSSOVER`].
+    /// sparse engine instead of the dense GEMMs. `0.0` forces the dense path
+    /// in *every* layer — what a gradient-scoring pass needs when it reads
+    /// gradients of *pruned* coordinates across the whole model (FedDST's
+    /// and PruneFL's grow scores), because the sparse backward only produces
+    /// mask-alive weight gradients. A pass that reads them in a few layers
+    /// only (FedTiny's progressive adjustment) takes just those layers off
+    /// the sparse path on a throw-away clone instead, by clearing their
+    /// [`Param::mask_bits`]. `1.0` forces the sparse path for every masked
+    /// layer. The default is [`crate::layer::DEFAULT_SPARSE_CROSSOVER`].
     fn set_sparse_crossover(&mut self, _crossover: f32) {}
 
     /// Hands every kernel-bearing layer the parallel

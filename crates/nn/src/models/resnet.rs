@@ -272,12 +272,19 @@ pub struct ResNet18 {
 /// from block to block, and `tmp` holds a block's two branches. Each buffer
 /// grows to the widest stage it ever carries and is reused from then on, so
 /// a steady step allocates nothing — and the model holds four activation
-/// tensors, not seven per block.
-#[derive(Clone, Debug, Default)]
+/// tensors, not seven per block. Like the layers' scratch, a clone of the
+/// model starts with these empty.
+#[derive(Debug, Default)]
 struct ResScratch {
     ping: Tensor,
     pong: Tensor,
     tmp: [Tensor; 2],
+}
+
+impl Clone for ResScratch {
+    fn clone(&self) -> Self {
+        ResScratch::default()
+    }
 }
 
 impl ResNet18 {

@@ -33,6 +33,7 @@ mod ops;
 mod pool;
 mod proptests;
 mod quant;
+mod spconv;
 mod spmm;
 mod tensor;
 
@@ -54,6 +55,7 @@ pub use pool::{
 pub use quant::{
     dequantize_affine_i8, dequantize_one, quant_error_bound, quantize_affine_i8, QuantParams,
 };
+pub use spconv::{spconv_backward_rt, spconv_forward_rt, SpConvBufs, SpConvIndex};
 pub use spmm::{
     dsmm_into, dsmm_into_rt, dsmm_nt_into, dsmm_nt_into_rt, sddmm_nt_into, sddmm_nt_into_rt,
     sddmm_nt_seg_into, sddmm_nt_seg_into_rt, sddmm_tn_into, sddmm_tn_into_rt, spmm_into,

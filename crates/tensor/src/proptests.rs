@@ -116,7 +116,7 @@ proptest! {
 /// this crate, so `CsrMatrix::view()`'s `CsrView` is a different *type*
 /// than `crate::CsrView` even though it is the same code. Reassembling the
 /// view from raw slices sidesteps that.
-fn view_of(csr: &CsrMatrix) -> crate::CsrView<'_> {
+pub(crate) fn view_of(csr: &CsrMatrix) -> crate::CsrView<'_> {
     crate::CsrView {
         rows: csr.rows(),
         cols: csr.cols(),
@@ -320,6 +320,41 @@ proptest! {
                 crate::sddmm_nt_seg_into_rt(&rt, view, &a, &b, seg, &mut vals);
                 prop_assert_eq!(bits(&vals), bits(&oracle(seg)), "seg={}", seg);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The direct sparse convolution against the route it replaced —
+    /// `im2col_batched` → `spmm_into` / `sddmm_nt_seg_into(seg = cc)` /
+    /// `spmm_tn_into` → per-sample `col2im_ld` — `to_bits`-equal in the
+    /// output, the weight gradient accumulated over two consecutive batches
+    /// and the input gradient: non-square planes down to one pixel, 1×1 and
+    /// 3×3 taps, both strides, with and without padding, batches around the
+    /// eight-sample group, structures from empty to full with an empty row
+    /// and an empty column, sequentially and on four workers.
+    #[test]
+    fn spconv_matches_im2col_csr_bit_for_bit(
+        (in_c, out_c) in (1usize..=6, 1usize..=9),
+        (in_h, in_w) in (1usize..=10, 1usize..=10),
+        (kernel, stride, pad) in (0usize..2, 1usize..=2, 0usize..=1),
+        (batch, density) in (0usize..5, 0usize..4),
+        dead in (0usize..9, 0usize..54),
+        seed in 0u64..1_000,
+    ) {
+        use crate::spconv::tests::{assert_matches_oracle, random_weight};
+        use rand::SeedableRng;
+        let kernel = [1usize, 3][kernel];
+        prop_assume!(in_h != in_w && in_h + 2 * pad >= kernel && in_w + 2 * pad >= kernel);
+        let n = [1usize, 7, 8, 9, 18][batch];
+        let density = [0.0f64, 0.05, 0.5, 1.0][density];
+        let g = ConvGeom { in_c, in_h, in_w, kernel, stride, pad };
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let w = random_weight(out_c, g.col_rows(), density, dead, &mut rng);
+        for rt in [ft_runtime::Runtime::sequential(), ft_runtime::Runtime::exact(4).with_min_work(0)] {
+            assert_matches_oracle(&rt, &w, &g, &[n, n], &mut rng);
         }
     }
 }
