@@ -54,6 +54,18 @@
 //! dense one. Both sides come from the same run on the same host, so the
 //! ratio normalises host drift away. Missing records are hard failures.
 //!
+//! A seventh family gates the paper's own stages from the FedTiny leg of
+//! `BENCH_fleet.json` (ResNet18 width 0.25 on 16 px inputs, six devices,
+//! d = 0.05, eight candidates), every comparison inside one report so host
+//! drift cancels: the candidate pool may cost at most
+//! [`SELECTION_POOL_MAX_RATIO`] single magnitude masks over the same weights
+//! (`selection_pool_ns` against `magnitude_mask_ns` — one ranking per layer,
+//! not one per candidate), one progressive adjustment at most one sparse
+//! training round (`progressive_adjust_ns` against `fedtiny_round_ns`), and
+//! such a round may allocate at most [`FEDTINY_ROUND_ALLOC_MAX`] bytes
+//! (`fedtiny_round_alloc_bytes` — pooled trainers, nothing cloned or
+//! regrown). Missing records are hard failures.
+//!
 //! If *zero* gates end up evaluated the check fails loudly: a gate file
 //! that checks nothing is indistinguishable from a regression.
 //!
@@ -88,6 +100,21 @@ const RESNET_FIRST_STEP_MAX: f64 = 40e6;
 /// multiply-adds: the im2col + CSR conv path read 0.36–0.48, the direct
 /// sparse convolution reads 0.19–0.25 on the same host.
 const RESNET_SPARSE_STEP_MAX_RATIO: f64 = 0.30;
+
+/// Ceiling on `selection_pool_ns` over `magnitude_mask_ns`, timed alternately
+/// in one run. A pool that ranks every layer once reads 1.5–1.8 (one
+/// ranking, then seven more masks to write out than the single call has; 2.2
+/// when each side runs in a tight loop of its own); one ranking per candidate
+/// reads ≈ 8, the pool size.
+const SELECTION_POOL_MAX_RATIO: f64 = 3.0;
+
+/// Ceiling on `fedtiny_round_alloc_bytes`, the whole-round allocation budget
+/// of the sparse training round: with pooled trainers it reads 24–36 MB (the
+/// payloads, the flat deltas, and arena growth when a trainer draws a larger
+/// batch than it has seen); a trainer rebuilt per worker per round reads
+/// ≈ 290 MB. A ceiling, not an equality: which trainer draws which device is
+/// a matter of timing.
+const FEDTINY_ROUND_ALLOC_MAX: f64 = 64e6;
 
 /// One parallel-speedup requirement against the report.
 struct SpeedupGate {
@@ -387,6 +414,51 @@ fn main() -> ExitCode {
                         r.shape,
                         r.threads,
                         r.count_per_iter
+                    );
+                }
+                None => failed = true,
+            }
+
+            // -- The paper's own stages (same report) ----------------------
+            let ns = |op: &str| measured(op, |r| r.ns_per_iter);
+            for (op, per, ceiling) in [
+                (
+                    "selection_pool_ns",
+                    "magnitude_mask_ns",
+                    SELECTION_POOL_MAX_RATIO,
+                ),
+                ("progressive_adjust_ns", "fedtiny_round_ns", 1.0),
+            ] {
+                match (ns(op), ns(per)) {
+                    (Some(a), Some(b)) => {
+                        evaluated += 1;
+                        let ratio = a.ns_per_iter / b.ns_per_iter;
+                        let ok = a.shape == b.shape && ratio <= ceiling;
+                        failed |= !ok;
+                        println!(
+                            "  {:>4} {op} {}: {:.2} ms / {per} {:.2} ms = {ratio:.2} \
+                             (need <= {ceiling:.1})",
+                            if ok { "ok" } else { "FAIL" },
+                            a.shape,
+                            a.ns_per_iter / 1e6,
+                            b.ns_per_iter / 1e6
+                        );
+                    }
+                    _ => failed = true,
+                }
+            }
+            match measured("fedtiny_round_alloc_bytes", |r| r.count_per_iter) {
+                Some(r) => {
+                    evaluated += 1;
+                    let ok = r.count_per_iter <= FEDTINY_ROUND_ALLOC_MAX;
+                    failed |= !ok;
+                    println!(
+                        "  {:>4} fedtiny_round_alloc {} @{}t: {:.1} MB/round (need <= {:.0})",
+                        if ok { "ok" } else { "FAIL" },
+                        r.shape,
+                        r.threads,
+                        r.count_per_iter / 1e6,
+                        FEDTINY_ROUND_ALLOC_MAX / 1e6
                     );
                 }
                 None => failed = true,

@@ -1,10 +1,11 @@
 //! Progressive pruning (Algorithm 2): grow/prune adjustments with `O(a)`
 //! device memory.
 
+use crate::on_device_models;
 use ft_fl::ExperimentEnv;
 use ft_metrics::{densities_from_mask, forward_flops, layer_forward_flops};
 use ft_nn::loss::softmax_cross_entropy;
-use ft_nn::{prunable_param_indices, LayerArch, Mode, Model};
+use ft_nn::{prunable_param_indices, LayerArch, Mode, Model, Runtime};
 use ft_sparse::{Mask, PruneSchedule, TopKBuffer};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -117,22 +118,21 @@ fn adjustment_counts(
         .collect()
 }
 
-/// Device `k`'s probe batch of `round` (Eq. 6): one forward/backward on a
-/// throw-away clone of `global` in which exactly the prunable layers `dense`
-/// execute on the dense engine; returns the clone, gradients in place.
+/// Device `k`'s probe batch of `round` (Eq. 6), run in place on `model` — a
+/// working copy of the global model the caller borrowed and will not keep:
+/// one forward pass, then a backward pass in which exactly the prunable
+/// layers `dense` execute on the dense engine and which stops once the
+/// shallowest of them has its gradient ([`Model::backward_down_to`]).
+/// Gradients are left in place; nothing beneath the stop is computed.
 ///
 /// The grow step scores gradients of *pruned* coordinates, which the sparse
 /// execution path does not compute. Dropping a layer's mask record sends it
 /// to the dense engine — its weights are already zero where pruned — and
-/// every other layer keeps its sparse plan.
-fn probe(
-    global: &dyn Model,
-    env: &ExperimentEnv,
-    k: usize,
-    round: usize,
-    dense: &[usize],
-) -> Box<dyn Model> {
-    let mut model = global.clone_model();
+/// every other layer keeps its sparse plan. With backward-order units the
+/// adjusted layers sit near the output, so most of the backward pass is
+/// never run; [`AdjustmentReport::extra_flops`] still bills all of it (it
+/// is the paper's analytic figure, and the ledger folds it in).
+fn probe(model: &mut dyn Model, env: &ExperimentEnv, k: usize, round: usize, dense: &[usize]) {
     let mut l = 0;
     model.for_each_param_mut(&mut |p| {
         if p.prunable {
@@ -153,18 +153,19 @@ fn probe(
     let (x, y) = data.batch(&idx);
     let logits = model.forward(&x, Mode::Train);
     let (_, grad) = softmax_cross_entropy(&logits, &y);
-    model.backward(&grad);
-    model
+    let shallowest = *dense.iter().min().expect("a probe reads some layer");
+    model.backward_down_to(&grad, shallowest);
 }
 
 /// What one device uploads for an adjustment: per `(layer, a)` of the
 /// adjustment, its `a` largest pruned-coordinate gradients.
 type DeviceUpload = Vec<Vec<(usize, f32)>>;
 
-/// Device side of an adjustment (Alg. 2 lines 10–16): every device probes
-/// with the layers `dense` on the dense engine and streams the gradients of
-/// the *pruned* coordinates of each `(layer, a)` in `counts` through a
-/// [`TopKBuffer`] of capacity `a`.
+/// Device side of an adjustment (Alg. 2 lines 10–16): every device probes on
+/// a borrowed device model ([`on_device_models`] over `rt`) with the layers
+/// `dense` on the dense engine and streams the gradients of the *pruned*
+/// coordinates of each `(layer, a)` in `counts` through a [`TopKBuffer`] of
+/// capacity `a`.
 fn device_uploads(
     global: &dyn Model,
     mask: &Mask,
@@ -172,10 +173,11 @@ fn device_uploads(
     counts: &[(usize, usize)],
     round: usize,
     dense: &[usize],
+    rt: &Runtime,
 ) -> Vec<DeviceUpload> {
-    let collect_one = |k: usize| -> DeviceUpload {
-        let model = probe(global, env, k, round, dense);
-        let prunable_pos = prunable_param_indices(model.as_ref());
+    let prunable_pos = prunable_param_indices(global);
+    on_device_models(global, &env.cfg, env.parts.len(), rt, |k, model| {
+        probe(model, env, k, round, dense);
         let params = model.params();
         counts
             .iter()
@@ -190,20 +192,7 @@ fn device_uploads(
                 buf.into_sorted()
             })
             .collect()
-    };
-    let rt = env.cfg.runtime();
-    if env.cfg.parallel && env.parts.len() > 1 && rt.is_parallel() {
-        // Devices draw on the run's bounded worker pool instead of one
-        // unbounded OS thread each.
-        let mut out: Vec<Option<DeviceUpload>> = vec![None; env.parts.len()];
-        let jobs: Vec<_> = out.iter_mut().enumerate().collect();
-        rt.scatter(jobs, |(k, slot)| *slot = Some(collect_one(k)));
-        out.into_iter()
-            .map(|o| o.expect("gradient job completed"))
-            .collect()
-    } else {
-        (0..env.parts.len()).map(collect_one).collect()
-    }
+    })
 }
 
 /// Server side of the grow step (Alg. 2 line 19): Eq. 7's `|D_k|`-weighted
@@ -232,10 +221,11 @@ fn select_grow(uploads: &[(&[(usize, f32)], f64)], a: usize) -> Vec<usize> {
 
 /// Performs one adjustment (Alg. 2 lines 10–26) on the layers of `unit`.
 ///
-/// Device side: each device runs one forward/backward batch on a copy of
-/// the sparse model in which only the adjusted layers execute dense (the
-/// grow step reads their pruned-coordinate gradients; every other layer
-/// stays on its sparse plan), streams the gradients of *pruned* coordinates
+/// Device side: each device runs one forward/backward batch on a working
+/// copy of the sparse model in which only the adjusted layers execute dense
+/// (the grow step reads their pruned-coordinate gradients; every other layer
+/// stays on its sparse plan) and whose backward pass stops beneath the
+/// shallowest of them, streams the gradients of *pruned* coordinates
 /// of each target layer through a [`TopKBuffer`] of capacity `a_t^l`, and
 /// uploads the surviving `(index, gradient)` pairs. Server side: gradients
 /// are aggregated weighted by `|D_k|` (Eq. 7), the top `a_t^l` pruned
@@ -265,7 +255,8 @@ pub fn progressive_adjust(
     // probe's cost is accounted below as the dense-minus-sparse backward
     // share of the adjusted layers.
     let adjusted: Vec<usize> = counts.iter().map(|&(l, _)| l).collect();
-    let device_grads = device_uploads(global, mask, env, &counts, round, &adjusted);
+    let rt = env.cfg.runtime();
+    let device_grads = device_uploads(global, mask, env, &counts, round, &adjusted, &rt);
 
     // --- Server side: Eq. 7 aggregation, then grow / drop.
     let weights = env.device_weights();
@@ -285,18 +276,18 @@ pub fn progressive_adjust(
 
         // Drop: a surviving coordinates with smallest |weight|, excluding
         // the just-grown ones (they are zero and would be dropped at once).
-        let wdata = {
-            let params = global.params();
-            params[prunable_pos[l]].data.data().to_vec()
-        };
         let mut alive: Vec<usize> = mask.alive_indices(l);
-        alive.sort_by(|&x, &y| {
-            wdata[x]
-                .abs()
-                .partial_cmp(&wdata[y].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(x.cmp(&y))
-        });
+        {
+            let params = global.params();
+            let wdata = params[prunable_pos[l]].data.data();
+            alive.sort_by(|&x, &y| {
+                wdata[x]
+                    .abs()
+                    .partial_cmp(&wdata[y].abs())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(x.cmp(&y))
+            });
+        }
         let drop_n = grow.len();
         let dropped: Vec<usize> = alive.into_iter().take(drop_n).collect();
 
@@ -483,42 +474,46 @@ mod tests {
     }
 
     /// The probe forces dense exactly where Algorithm 2 reads
-    /// pruned-coordinate gradients: the adjusted layers yield them, every
-    /// other prunable layer stays on its sparse plan (the realized-FLOPs
-    /// counter is the witness), and the coordinates grown are the ones an
-    /// all-dense probe grows.
+    /// pruned-coordinate gradients and stops beneath the unit: the adjusted
+    /// layers yield those gradients, every other prunable layer stays on its
+    /// sparse plan or is never reached (the realized-FLOPs counter is the
+    /// witness), and the coordinates grown are the ones an all-dense probe
+    /// grows.
     #[test]
     fn unit_only_probe_grows_what_the_all_dense_probe_grows() {
+        let rt = Runtime::sequential();
         for density in [0.3f32, 0.4] {
             let (env, model, mask) = setup(density);
             let cfg = ProgressiveConfig::tiny_for_tests();
             let all: Vec<usize> = (0..mask.num_layers()).collect();
             let prunable_pos = prunable_param_indices(model.as_ref());
-            let arch = model.arch();
-            // Per prunable layer: output positions per sample.
-            let mut spatial = vec![0usize; mask.num_layers()];
-            for layer in &arch.layers {
-                match *layer {
+            // Per weighted layer, in execution order: its mask layer and the
+            // multiply–accumulates of one pass per sample and stored weight.
+            let weighted: Vec<(Option<usize>, usize, usize)> = (model.arch().layers.iter())
+                .filter_map(|layer| match *layer {
                     LayerArch::Conv {
+                        in_c,
+                        out_c,
+                        kernel,
                         out_h,
                         out_w,
-                        prunable_idx: Some(i),
-                        ..
-                    } => spatial[i] = out_h * out_w,
+                        prunable_idx,
+                    } => Some((prunable_idx, out_h * out_w, out_c * in_c * kernel * kernel)),
                     LayerArch::Linear {
-                        prunable_idx: Some(i),
-                        ..
-                    } => spatial[i] = 1,
-                    _ => {}
-                }
-            }
+                        in_dim,
+                        out_dim,
+                        prunable_idx,
+                    } => Some((prunable_idx, 1, out_dim * in_dim)),
+                    LayerArch::BatchNorm { .. } => None,
+                })
+                .collect();
             for unit in [vec![0], vec![1], all.clone()] {
                 let counts = adjustment_counts(&mask, &cfg, &unit, 0);
                 assert_eq!(counts.len(), unit.len());
 
                 // Same grown set, layer by layer.
-                let of_unit = device_uploads(model.as_ref(), &mask, &env, &counts, 0, &unit);
-                let of_all = device_uploads(model.as_ref(), &mask, &env, &counts, 0, &all);
+                let of_unit = device_uploads(model.as_ref(), &mask, &env, &counts, 0, &unit, &rt);
+                let of_all = device_uploads(model.as_ref(), &mask, &env, &counts, 0, &all, &rt);
                 let weights = env.device_weights();
                 for (ui, &(l, a)) in counts.iter().enumerate() {
                     let grown = |uploads: &[DeviceUpload]| {
@@ -534,26 +529,44 @@ mod tests {
                 }
 
                 // One device's probe, looked at directly.
-                let base = model.realized_flops();
-                let narrow = probe(model.as_ref(), &env, 0, 0, &unit);
-                let wide = probe(model.as_ref(), &env, 0, 0, &all);
+                let (pruned_grads, realized) = ft_fl::with_device_model(model.as_ref(), &rt, |m| {
+                    probe(m, &env, 0, 0, &unit);
+                    let params = m.params();
+                    let pruned_grads: Vec<bool> = (0..mask.num_layers())
+                        .map(|l| {
+                            let g = params[prunable_pos[l]].grad.data();
+                            (mask.layer(l).iter().zip(g)).any(|(&alive, &g)| !alive && g != 0.0)
+                        })
+                        .collect();
+                    (pruned_grads, m.realized_flops())
+                });
+                let in_unit: Vec<bool> = all.iter().map(|l| unit.contains(l)).collect();
+                assert_eq!(pruned_grads, in_unit, "unit {unit:?}");
+
+                // Forward everywhere; backward from the output down to the
+                // unit's shallowest layer, which skips its input gradient;
+                // nothing beneath. Unit layers at every weight, the other
+                // prunable layers at nnz.
                 let n = env.cfg.batch_size.min(env.parts[0].len());
-                let mut saved = 0.0;
-                for l in 0..mask.num_layers() {
-                    let g = narrow.params()[prunable_pos[l]].grad.data();
-                    let pruned_grad =
-                        (mask.layer(l).iter().zip(g)).any(|(&alive, &g)| !alive && g != 0.0);
-                    assert_eq!(pruned_grad, unit.contains(&l), "layer {l} unit {unit:?}");
-                    if !unit.contains(&l) {
-                        // Forward + dW + dX at nnz instead of every weight.
-                        let dead = mask.layer(l).len() - mask.layer_ones(l);
-                        saved += 6.0 * (n * spatial[l] * dead) as f64;
-                    }
+                let stop = *unit.iter().min().unwrap();
+                let mut beneath = false;
+                let mut expect = 0.0;
+                for &(prunable, spatial, len) in weighted.iter().rev() {
+                    let stored = match prunable {
+                        Some(l) if !unit.contains(&l) => mask.layer_ones(l),
+                        _ => len,
+                    };
+                    let backward = match prunable {
+                        _ if beneath => 0.0,
+                        Some(l) if l == stop => 2.0,
+                        _ => 4.0,
+                    };
+                    expect += (2.0 + backward) * (n * spatial * stored) as f64;
+                    beneath |= prunable == Some(stop);
                 }
                 assert_eq!(
-                    narrow.realized_flops() - base,
-                    wide.realized_flops() - base - saved,
-                    "unit {unit:?}: non-unit layers must run at 2·n·cc·nnz per pass"
+                    realized, expect,
+                    "unit {unit:?}: 2·n·cc·stored per pass, no pass beneath the unit"
                 );
             }
         }

@@ -1,11 +1,13 @@
 //! Adaptive batch-normalization selection (Algorithm 1) and the vanilla
 //! selection ablation.
 
+use crate::on_device_models;
 use ft_data::Dataset;
 use ft_fl::{aggregate_bn_stats, eval_loss, ExperimentEnv};
 use ft_metrics::{bn_stats_bytes, densities_from_mask, forward_flops, sparse_model_bytes};
-use ft_nn::{apply_mask, bn_stats_encoded_len, sparse_layout, Mode, Model};
-use ft_sparse::{magnitude_mask, noisy_density_vector, Mask};
+use ft_nn::{apply_mask, bn_stats_encoded_len, sparse_layout, BnStats, Mode, Model, Runtime};
+use ft_sparse::{magnitude_masks, noisy_density_vector, Mask};
+use ft_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -66,6 +68,11 @@ pub struct SelectionOutcome {
 ///
 /// The first candidate always uses the exact uniform density vector (zero
 /// noise) so the pool contains the "obvious" baseline the noise perturbs.
+///
+/// Every candidate prunes the *same* weights, so each layer is ranked once
+/// and every candidate keeps a prefix of that ranking
+/// ([`magnitude_masks`]): the pool costs about what one mask does, and
+/// equal magnitudes at a cut go to the lowest index in every candidate.
 pub fn generate_candidate_pool(model: &dyn Model, cfg: &SelectionConfig) -> Vec<Mask> {
     let layout = sparse_layout(model);
     let params = model.params();
@@ -75,16 +82,16 @@ pub fn generate_candidate_pool(model: &dyn Model, cfg: &SelectionConfig) -> Vec<
         .map(|p| p.data.data())
         .collect();
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xca41_d1da);
-    (0..cfg.pool_size.max(1))
+    let densities: Vec<Vec<f32>> = (0..cfg.pool_size.max(1))
         .map(|i| {
-            let densities = if i == 0 {
+            if i == 0 {
                 ft_sparse::uniform_density_vector(&layout, cfg.d_target)
             } else {
                 noisy_density_vector(&mut rng, &layout, cfg.d_target, cfg.noise_spread)
-            };
-            magnitude_mask(&layout, &weights, &densities)
+            }
         })
-        .collect()
+        .collect();
+    magnitude_masks(&layout, &weights, &densities)
 }
 
 /// Algorithm 1: adaptive batch-normalization selection.
@@ -103,7 +110,7 @@ pub fn adaptive_bn_selection(
     env: &ExperimentEnv,
     candidates: &[Mask],
 ) -> SelectionOutcome {
-    select(global, env, candidates, true)
+    select(global, env, candidates, true, &env.cfg.runtime())
 }
 
 /// Vanilla selection (the Fig. 4 ablation): devices score candidates with
@@ -117,72 +124,84 @@ pub fn vanilla_selection(
     env: &ExperimentEnv,
     candidates: &[Mask],
 ) -> SelectionOutcome {
-    select(global, env, candidates, false)
+    select(global, env, candidates, false, &env.cfg.runtime())
 }
 
+/// Overwrites `model`'s BatchNorm running statistics with `stats`.
+fn set_bn_stats<'a>(model: &mut dyn Model, stats: impl IntoIterator<Item = &'a BnStats>) {
+    let mut stats = stats.into_iter();
+    model.for_each_bn_stats_mut(&mut |dst| {
+        let src = stats.next().expect("one set of statistics per BN layer");
+        dst.mean.copy_from_slice(&src.mean);
+        dst.var.copy_from_slice(&src.var);
+    });
+}
+
+/// One candidate's `|D̂_k|`-weighted loss over the devices' development
+/// splits, on `m`, a working copy of `global`. The candidate is built
+/// **once** — the mask applied and its sparse plans packed one time — and
+/// every device of both passes runs on it: what a device would do on a
+/// private copy depends only on the candidate and on the BN statistics it
+/// starts from, and those are put back before each device's turn.
+fn score_candidate(
+    global: &dyn Model,
+    m: &mut dyn Model,
+    mask: &Mask,
+    dev_sets: &[Dataset],
+    adapt_bn: bool,
+) -> f32 {
+    apply_mask(m, mask);
+    // --- Device side, pass 1: BN recalibration (skipped for vanilla).
+    if adapt_bn {
+        // Momentum 1.0: one forward pass replaces the running stats with
+        // this development split's batch statistics.
+        m.set_bn_momentum(1.0);
+        let global_stats = global.bn_stats();
+        let mut logits = Tensor::default();
+        let mut updates = Vec::with_capacity(dev_sets.len());
+        for dev in dev_sets {
+            // `1.0·batch + 0.0·running` still reads the running value (a
+            // NaN or an infinity there survives the zero), so each device
+            // starts from the global's, not its predecessor's.
+            set_bn_stats(m, global_stats.iter().copied());
+            let (x, _) = dev.full_batch();
+            m.forward_into(&x, &mut logits, Mode::Train);
+            let stats: Vec<_> = m.bn_stats().into_iter().cloned().collect();
+            updates.push((stats, dev.len() as f64));
+        }
+        // --- Server side: Eq. 4 weighted aggregation.
+        let updates: Vec<_> = updates.iter().map(|(s, w)| (s.as_slice(), *w)).collect();
+        set_bn_stats(m, &aggregate_bn_stats(&updates));
+    }
+
+    // --- Device side, pass 2: score the candidate by local loss (`Eval`
+    // forwards leave the model as they found it).
+    let mut num = 0.0f64;
+    let mut den = 0.0f64;
+    for dev in dev_sets {
+        let loss = eval_loss(m, dev);
+        num += loss as f64 * dev.len() as f64;
+        den += dev.len() as f64;
+    }
+    (num / den) as f32
+}
+
+/// Both selections, on the worker pool `rt`: one borrowed device model per
+/// candidate ([`on_device_models`]).
 fn select(
     global: &dyn Model,
     env: &ExperimentEnv,
     candidates: &[Mask],
     adapt_bn: bool,
+    rt: &Runtime,
 ) -> SelectionOutcome {
     assert!(!candidates.is_empty(), "candidate pool is empty");
     let dev_sets = device_dev_splits(env);
     let arch = global.arch();
 
-    let score_one = |mask: &Mask| -> f32 {
-        // --- Device side, pass 1: BN recalibration (skipped for vanilla).
-        let global_stats = if adapt_bn {
-            let mut updates = Vec::with_capacity(dev_sets.len());
-            for dev in &dev_sets {
-                let mut m = global.clone_model();
-                apply_mask(m.as_mut(), mask);
-                // Momentum 1.0: one forward pass replaces the running stats
-                // with this development split's batch statistics.
-                m.set_bn_momentum(1.0);
-                let (x, _) = dev.full_batch();
-                let _ = m.forward(&x, Mode::Train);
-                let stats: Vec<_> = m.bn_stats().into_iter().cloned().collect();
-                updates.push((stats, dev.len() as f64));
-            }
-            // --- Server side: Eq. 4 weighted aggregation.
-            let updates: Vec<_> = updates.iter().map(|(s, w)| (s.as_slice(), *w)).collect();
-            Some(aggregate_bn_stats(&updates))
-        } else {
-            None
-        };
-
-        // --- Device side, pass 2: score the candidate by local loss.
-        let mut num = 0.0f64;
-        let mut den = 0.0f64;
-        for dev in &dev_sets {
-            let mut m = global.clone_model();
-            apply_mask(m.as_mut(), mask);
-            if let Some(stats) = &global_stats {
-                for (dst, src) in m.bn_stats_mut().into_iter().zip(stats.iter()) {
-                    *dst = src.clone();
-                }
-            }
-            let loss = eval_loss(m.as_mut(), dev);
-            num += loss as f64 * dev.len() as f64;
-            den += dev.len() as f64;
-        }
-        (num / den) as f32
-    };
-
-    let rt = env.cfg.runtime();
-    let losses: Vec<f32> = if env.cfg.parallel && candidates.len() > 1 && rt.is_parallel() {
-        // Candidates draw on the run's bounded worker pool instead of one
-        // unbounded OS thread each.
-        let mut out: Vec<Option<f32>> = vec![None; candidates.len()];
-        let jobs: Vec<_> = candidates.iter().zip(out.iter_mut()).collect();
-        rt.scatter(jobs, |(mask, slot)| *slot = Some(score_one(mask)));
-        out.into_iter()
-            .map(|o| o.expect("selection job completed"))
-            .collect()
-    } else {
-        candidates.iter().map(score_one).collect()
-    };
+    let losses = on_device_models(global, &env.cfg, candidates.len(), rt, |c, m| {
+        score_candidate(global, m, &candidates[c], &dev_sets, adapt_bn)
+    });
 
     let selected = losses
         .iter()
@@ -258,6 +277,84 @@ mod tests {
         let env = ExperimentEnv::tiny_for_tests(1);
         let model = env.build_model(&ModelSpec::small_cnn_test());
         (env, model)
+    }
+
+    /// The form `score_candidate` replaced, kept as its oracle: a fresh
+    /// clone of the global model per candidate × device × pass.
+    fn score_on_a_clone_per_device(
+        global: &dyn Model,
+        mask: &Mask,
+        dev_sets: &[Dataset],
+        adapt_bn: bool,
+    ) -> f32 {
+        let global_stats = if adapt_bn {
+            let mut updates = Vec::with_capacity(dev_sets.len());
+            for dev in dev_sets {
+                let mut m = global.clone_model();
+                apply_mask(m.as_mut(), mask);
+                m.set_bn_momentum(1.0);
+                let (x, _) = dev.full_batch();
+                let _ = m.forward(&x, Mode::Train);
+                let stats: Vec<_> = m.bn_stats().into_iter().cloned().collect();
+                updates.push((stats, dev.len() as f64));
+            }
+            let updates: Vec<_> = updates.iter().map(|(s, w)| (s.as_slice(), *w)).collect();
+            Some(aggregate_bn_stats(&updates))
+        } else {
+            None
+        };
+        let mut num = 0.0f64;
+        let mut den = 0.0f64;
+        for dev in dev_sets {
+            let mut m = global.clone_model();
+            apply_mask(m.as_mut(), mask);
+            if let Some(stats) = &global_stats {
+                for (dst, src) in m.bn_stats_mut().into_iter().zip(stats.iter()) {
+                    *dst = src.clone();
+                }
+            }
+            let loss = eval_loss(m.as_mut(), dev);
+            num += loss as f64 * dev.len() as f64;
+            den += dev.len() as f64;
+        }
+        (num / den) as f32
+    }
+
+    /// One pooled model per candidate scores exactly like a clone per
+    /// device: adaptive and vanilla, candidates one after another and dealt to
+    /// four workers — on a global whose BN statistics have moved off
+    /// their initial values and whose pooled copies the previous case left
+    /// dirty (another candidate's mask, momentum 1.0, recalibrated
+    /// statistics).
+    #[test]
+    fn one_model_per_candidate_scores_like_a_clone_per_device() {
+        let (mut env, mut model) = setup();
+        env.cfg.parallel = true;
+        let (x, _) = env.parts[0].full_batch();
+        for _ in 0..3 {
+            let _ = model.forward(&x, Mode::Train);
+        }
+        let cfg = SelectionConfig {
+            d_target: 0.3,
+            pool_size: 5,
+            noise_spread: 0.5,
+            seed: 11,
+        };
+        let pool = generate_candidate_pool(model.as_ref(), &cfg);
+        let dev_sets = device_dev_splits(&env);
+        for adapt_bn in [true, false] {
+            let want: Vec<u32> = pool
+                .iter()
+                .map(|m| {
+                    score_on_a_clone_per_device(model.as_ref(), m, &dev_sets, adapt_bn).to_bits()
+                })
+                .collect();
+            for rt in [Runtime::sequential(), Runtime::exact(4)] {
+                let out = select(model.as_ref(), &env, &pool, adapt_bn, &rt);
+                let got: Vec<u32> = out.candidate_losses.iter().map(|l| l.to_bits()).collect();
+                assert_eq!(got, want, "adapt_bn={adapt_bn} threads={}", rt.threads());
+            }
+        }
     }
 
     #[test]

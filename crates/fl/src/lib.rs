@@ -90,7 +90,8 @@ pub use server::{buffered_train_cohorts, run_with, RoundPhase, RunOptions, Serve
 pub use spec::ModelSpec;
 pub use train::{
     device_rng_seed, eval_loss, evaluate, local_train, local_train_prox, local_train_scratch,
-    train_devices_parallel, train_one_device, DeviceUpdate, TrainScratch, WireSpec,
+    thread_budget, train_devices_parallel, train_one_device, with_device_model, DeviceUpdate,
+    TrainScratch, WireSpec,
 };
 pub use transport::{
     run_tcp_device, run_tcp_devices, Delivery, FaultKind, InProcess, RoundRequest, SimTime,

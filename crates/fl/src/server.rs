@@ -54,7 +54,7 @@ use crate::sched::{
     broadcast_payload_len, device_round_cost, should_eval, survivor_updates, PresenceSchedule,
     Scheduler,
 };
-use crate::train::{fans_out, train_one_device_raw, DeviceUpdate, LocalOutcome};
+use crate::train::{fans_out, thread_budget, train_one_device_raw, DeviceUpdate, LocalOutcome};
 use crate::transport::{Delivery, InProcess, RoundRequest, Transport, TransportError};
 use ft_data::Dataset;
 use ft_metrics::{densities_from_mask, sparse_model_bytes, training_flops, SimClock};
@@ -1293,7 +1293,7 @@ pub fn buffered_train_cohorts() -> (u64, u64) {
 
 /// Trains every launched-but-untrained task, side by side when the pool
 /// fans out (sequential kernels inside a fanned cohort, the pool's kernels
-/// for a lone task — the rule `train_devices_parallel` uses). Each task
+/// for a lone task: [`thread_budget`]). Each task
 /// trains from `global` under `mask` on its own `(start_version, device,
 /// salt)` RNG stream, so the caller must flush before either moves.
 fn train_pending(
@@ -1312,13 +1312,8 @@ fn train_pending(
     }
     let (flushes, tasks) = TRAIN_COHORTS.get();
     TRAIN_COHORTS.set((flushes + 1, tasks + pending.len() as u64));
-    let sequential = ft_runtime::Runtime::sequential();
-    let (pool, kernel_rt) = if fans_out(&env.cfg, pending.len(), rt) {
-        (*rt, sequential)
-    } else {
-        (sequential, *rt)
-    };
-    pool.scatter(pending, |t| {
+    let (fan_out, kernel_rt) = thread_budget(&env.cfg, pending.len(), rt);
+    fan_out.scatter(pending, |t| {
         t.outcome = Some(train_one_device_raw(
             global,
             &env.parts[t.device],

@@ -13,7 +13,7 @@ use ft_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::cell::RefCell;
+use std::sync::Mutex;
 
 /// Everything the encoder side of the update pipeline needs: the codec, the
 /// wire context (aliveness, segments, mask epoch) and the receiver's known
@@ -213,12 +213,18 @@ pub fn device_rng_seed(run_seed: u64, round: usize, device: usize) -> u64 {
     run_seed ^ (round as u64).wrapping_mul(0x9e37_79b9) ^ (device as u64) << 32
 }
 
-/// Per-worker cached device state: a device-local model restored from the
-/// global parameters each round instead of deep-cloned, plus the optimizer,
-/// training scratch and flat-vector arenas. One lives in each worker
-/// thread's TLS, so repeated rounds reuse every buffer (model weights,
-/// layer arenas, velocity, batch assembly) and the per-round cost drops to
-/// a handful of `memcpy`s.
+/// A device-local model and everything local training reuses around it:
+/// the optimizer, the batch-assembly scratch and the flat anchor. Trainers
+/// live in the process-wide [`TrainerPool`]; whoever needs a working copy of
+/// the global model — a training device, a selection candidate, a pruning
+/// probe — checks one out, has it restored from the global
+/// ([`DeviceTrainer::restore_from`]) instead of deep-cloning, and parks it
+/// again when done. A parked trainer keeps what a clone would have to
+/// regrow: the layers' scratch arenas (≈ 25 MB after one batch-32 step of
+/// the benchmark's ResNet18), the sparse plans of an unchanged mask, the
+/// optimizer's velocity and the batch buffers. It belongs to no thread: the
+/// scoped workers of [`Runtime::scatter`] die at every join, the trainers
+/// they used do not.
 struct DeviceTrainer {
     model: Box<dyn Model>,
     sgd: Sgd,
@@ -227,15 +233,28 @@ struct DeviceTrainer {
     arch: ArchInfo,
 }
 
-thread_local! {
-    static DEVICE_TRAINER: RefCell<Option<DeviceTrainer>> = const { RefCell::new(None) };
-}
-
 impl DeviceTrainer {
-    /// Restores the cached model to an exact functional copy of `global`:
-    /// parameters, gradients, BN running statistics and mask state. Layer
-    /// scratch arenas and cached sparse plans survive (they re-key on batch
-    /// geometry and mask epoch), which is the whole point of the cache.
+    /// A trainer around a fresh clone of `global`.
+    fn new(global: &dyn Model, arch: ArchInfo) -> Self {
+        DeviceTrainer {
+            model: global.clone_model(),
+            sgd: Sgd::default(),
+            scratch: TrainScratch::default(),
+            anchor: Vec::new(),
+            arch,
+        }
+    }
+
+    /// Makes the model an exact functional copy of `global`, whatever the
+    /// previous borrower did to it through the [`Model`] trait: parameters,
+    /// gradients, BN running statistics, BN momentum, every parameter's mask
+    /// record — a record the global does not have is *cleared* — the kernel
+    /// runtime (`rt`) and zeroed realized-FLOPs counters. Scratch arenas
+    /// survive, and so does the sparse plan of every layer whose mask record
+    /// is unchanged (plans re-key on the mask epoch, which only moves when
+    /// the bits do). Not restored, because the trait cannot read it back:
+    /// the sparse crossover — a borrower must not call
+    /// [`Model::set_sparse_crossover`].
     fn restore_from(&mut self, global: &dyn Model, rt: &Runtime) {
         flat_params_into(global, &mut self.anchor);
         set_flat_params(self.model.as_mut(), &self.anchor);
@@ -253,31 +272,126 @@ impl DeviceTrainer {
         self.model.for_each_param_mut(&mut |p| {
             let src = src_params[i];
             p.grad.copy_from(&src.grad);
-            if let Some(bits) = &src.mask_bits {
-                p.note_mask(bits);
+            match &src.mask_bits {
+                Some(bits) => p.note_mask(bits),
+                None => p.mask_bits = None,
             }
             i += 1;
         });
+        assert_eq!(i, src_params.len(), "parameter count mismatch");
+        self.model.set_bn_momentum(global.bn_momentum());
         self.model.set_runtime(*rt);
         self.model.reset_realized_flops();
     }
 
-    /// Whether the cached model can impersonate `global` after a restore:
-    /// same architecture, and no stale mask recorded on a parameter the
-    /// global considers unmasked (masks can be asserted but not cleared).
-    fn can_restore(&self, global: &dyn Model, arch: &ArchInfo) -> bool {
-        if self.arch != *arch {
-            return false;
+    /// One device's local training on the restored model: `cfg.local_epochs`
+    /// of masked SGD over `data` at the round's decayed learning rate, on the
+    /// `(seed, round, device, salt)` RNG stream.
+    fn train(
+        &mut self,
+        data: &Dataset,
+        mask: Option<&Mask>,
+        cfg: &FlConfig,
+        round: usize,
+        device: usize,
+        salt: u64,
+    ) -> LocalOutcome {
+        let mut sgd_cfg = cfg.sgd;
+        if cfg.lr_decay != 1.0 {
+            sgd_cfg.lr *= cfg.lr_decay.powi(round as i32);
         }
-        let src_params = global.params();
-        let mut ok = true;
-        let mut i = 0;
-        self.model.for_each_param(&mut |p| {
-            ok &= src_params[i].mask_bits.is_some() || p.mask_bits.is_none();
-            i += 1;
-        });
-        ok && i == src_params.len()
+        self.sgd.reset_with(sgd_cfg);
+        let mut rng = ChaCha8Rng::seed_from_u64(
+            device_rng_seed(cfg.seed, round, device) ^ salt.wrapping_mul(0xd1b5_4a32_d192_ed03),
+        );
+        let started = std::time::Instant::now();
+        local_train_scratch(
+            self.model.as_mut(),
+            data,
+            mask,
+            cfg.local_epochs,
+            cfg.batch_size,
+            &mut self.sgd,
+            &mut rng,
+            cfg.prox_mu,
+            &mut self.scratch,
+        );
+        let wall_secs = started.elapsed().as_secs_f64();
+        let mut delta = flat_params(self.model.as_ref());
+        for (d, &a) in delta.iter_mut().zip(self.anchor.iter()) {
+            *d -= a;
+        }
+        LocalOutcome {
+            delta,
+            bn: self.model.bn_stats().into_iter().cloned().collect(),
+            samples: data.len(),
+            realized_flops: self.model.realized_flops(),
+            wall_secs,
+        }
     }
+}
+
+/// The trainers nobody is using, most recently parked last.
+#[derive(Default)]
+struct TrainerPool(Mutex<Vec<DeviceTrainer>>);
+
+/// Most trainers the pool keeps parked; one more evicts the one parked
+/// longest. A fan-out borrows at most `rt.threads()` trainers at a time, so
+/// what is parked beyond the widest pool in use is a trainer nobody comes
+/// back for — a model of a run that ended. Eight covers four workers in each
+/// of two runs sharing a process (a TCP server beside its loopback fleet, two
+/// test threads), at ≈ 30 MB apiece for the benchmark's ResNet18.
+const MAX_PARKED: usize = 8;
+
+static POOL: TrainerPool = TrainerPool(Mutex::new(Vec::new()));
+
+impl TrainerPool {
+    /// Runs `f` on a trainer restored from `global`: the most recently parked
+    /// one of `global`'s architecture, or a new one around a clone if none
+    /// is parked. The trainer is parked again when `f` returns; if `f`
+    /// panics it is dropped with whatever `f` left in it. The lock is held
+    /// to take and to park, never across `f`, so a panicking borrower cannot
+    /// poison it.
+    fn with<R>(
+        &self,
+        global: &dyn Model,
+        rt: &Runtime,
+        f: impl FnOnce(&mut DeviceTrainer) -> R,
+    ) -> R {
+        let arch = global.arch();
+        let parked = {
+            let mut parked = self.0.lock().expect("trainer pool lock");
+            (parked.iter().rposition(|t| t.arch == arch)).map(|i| parked.remove(i))
+        };
+        let mut trainer = parked.unwrap_or_else(|| DeviceTrainer::new(global, arch));
+        trainer.restore_from(global, rt);
+        let out = f(&mut trainer);
+        let evicted = {
+            let mut parked = self.0.lock().expect("trainer pool lock");
+            parked.push(trainer);
+            (parked.len() > MAX_PARKED).then(|| parked.remove(0))
+        };
+        // Freed after the lock is released.
+        drop(evicted);
+        out
+    }
+}
+
+/// Lends `f` a working copy of `global` from the process-wide pool of device
+/// models, its kernels on `kernel_rt`: an exact functional copy — same
+/// parameters, gradients, BN statistics and momentum, mask records — that
+/// `f` may change in any way the [`Model`] trait allows except
+/// [`Model::set_sparse_crossover`], which the next borrower would inherit.
+/// Its realized-FLOPs counters start at zero. What `f` gets over
+/// `global.clone_model()` is a model whose arenas are already grown and
+/// whose sparse plans are already built, when an earlier borrower left them
+/// so; results are bit-identical either way.
+pub fn with_device_model<R>(
+    global: &dyn Model,
+    kernel_rt: &Runtime,
+    f: impl FnOnce(&mut dyn Model) -> R,
+) -> R {
+    POOL.with(global, kernel_rt, |t| f(t.model.as_mut()))
 }
 
 /// Trains one device from a snapshot of the global model and returns its
@@ -290,10 +404,10 @@ impl DeviceTrainer {
 /// (sequential when the caller already fans devices out across the pool;
 /// kernels are bit-identical either way).
 ///
-/// The device model is not cloned: each worker thread keeps a cached
-/// [`DeviceTrainer`] and restores it from `global` (bit-identical to a
-/// fresh clone, since training state is a pure function of the restored
-/// parameters and the round RNG stream).
+/// The device model is not cloned: it is a pooled trainer's, restored from
+/// `global` (bit-identical to a fresh clone, since training state is a pure
+/// function of the restored model and the round RNG stream) — the same pool
+/// [`with_device_model`] lends from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn train_one_device_raw(
     global: &dyn Model,
@@ -305,54 +419,8 @@ pub(crate) fn train_one_device_raw(
     salt: u64,
     rt: &Runtime,
 ) -> LocalOutcome {
-    DEVICE_TRAINER.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let arch = global.arch();
-        let reuse = slot.as_ref().is_some_and(|t| t.can_restore(global, &arch));
-        if !reuse {
-            *slot = Some(DeviceTrainer {
-                model: global.clone_model(),
-                sgd: Sgd::default(),
-                scratch: TrainScratch::default(),
-                anchor: Vec::new(),
-                arch,
-            });
-        }
-        let trainer = slot.as_mut().expect("trainer just installed");
-        trainer.restore_from(global, rt);
-
-        let mut sgd_cfg = cfg.sgd;
-        if cfg.lr_decay != 1.0 {
-            sgd_cfg.lr *= cfg.lr_decay.powi(round as i32);
-        }
-        trainer.sgd.reset_with(sgd_cfg);
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            device_rng_seed(cfg.seed, round, device) ^ salt.wrapping_mul(0xd1b5_4a32_d192_ed03),
-        );
-        let started = std::time::Instant::now();
-        local_train_scratch(
-            trainer.model.as_mut(),
-            data,
-            mask,
-            cfg.local_epochs,
-            cfg.batch_size,
-            &mut trainer.sgd,
-            &mut rng,
-            cfg.prox_mu,
-            &mut trainer.scratch,
-        );
-        let wall_secs = started.elapsed().as_secs_f64();
-        let mut delta = flat_params(trainer.model.as_ref());
-        for (d, &a) in delta.iter_mut().zip(trainer.anchor.iter()) {
-            *d -= a;
-        }
-        LocalOutcome {
-            delta,
-            bn: trainer.model.bn_stats().into_iter().cloned().collect(),
-            samples: data.len(),
-            realized_flops: trainer.model.realized_flops(),
-            wall_secs,
-        }
+    POOL.with(global, rt, |t| {
+        t.train(data, mask, cfg, round, device, salt)
     })
 }
 
@@ -388,11 +456,27 @@ pub(crate) fn fans_out(cfg: &FlConfig, cohort: usize, rt: &Runtime) -> bool {
     cfg.parallel && cohort > 1 && rt.is_parallel()
 }
 
+/// The one thread budget of a fan-out over `jobs` whole devices or selection
+/// candidates: `(fan_out, kernel_rt)` — the runtime the jobs are scattered
+/// on and the runtime each job's kernels get. Either the jobs occupy `rt`'s
+/// pool and their kernels run inline, or (one job, `cfg.parallel` off, a
+/// one-thread pool) the jobs run one after another and their kernels draw on
+/// `rt`; never both, so runnable threads stay within `rt.threads()`. Every
+/// device- or candidate-level fan-out in the workspace takes its two
+/// runtimes from here.
+pub fn thread_budget(cfg: &FlConfig, jobs: usize, rt: &Runtime) -> (Runtime, Runtime) {
+    if fans_out(cfg, jobs, rt) {
+        (*rt, Runtime::sequential())
+    } else {
+        (Runtime::sequential(), *rt)
+    }
+}
+
 /// Trains every device from the same global model and returns their encoded
 /// updates in device order. When `cfg.parallel`, devices are fanned out over
 /// `rt`'s shared worker pool (bounded by `rt.threads()`, not one unbounded
 /// OS thread per device); otherwise devices run sequentially and each
-/// device's *kernels* draw on `rt` instead.
+/// device's *kernels* draw on `rt` instead ([`thread_budget`]).
 ///
 /// `residuals` holds one error-feedback accumulator per device (an empty
 /// vector until its first use); codecs without error feedback leave them
@@ -421,12 +505,17 @@ pub fn train_devices_parallel(
         "one residual accumulator per device"
     );
     let needs_residual = wire.codec.uses_error_feedback();
-    let fan_out = fans_out(cfg, parts.len(), rt);
-    // One thread budget for the whole run: either the devices occupy the
-    // pool (kernels inline), or a lone device's kernels do.
-    let kernel_rt = if fan_out { Runtime::sequential() } else { *rt };
-    let run_one = |k: usize, data: &Dataset, res: &mut Vec<f32>| {
-        train_one_device(
+    let (fan_out, kernel_rt) = thread_budget(cfg, parts.len(), rt);
+    let mut out: Vec<Option<DeviceUpdate>> = (0..parts.len()).map(|_| None).collect();
+    let jobs: Vec<_> = parts
+        .iter()
+        .zip(residuals.iter_mut())
+        .zip(out.iter_mut())
+        .enumerate()
+        .map(|(k, ((data, res), slot))| (k, data, res, slot))
+        .collect();
+    fan_out.scatter(jobs, |(k, data, res, slot)| {
+        *slot = Some(train_one_device(
             global,
             data,
             mask,
@@ -437,32 +526,11 @@ pub fn train_devices_parallel(
             wire,
             needs_residual.then_some(res),
             &kernel_rt,
-        )
-    };
-
-    if fan_out {
-        let mut out: Vec<Option<DeviceUpdate>> = (0..parts.len()).map(|_| None).collect();
-        let jobs: Vec<_> = parts
-            .iter()
-            .zip(residuals.iter_mut())
-            .zip(out.iter_mut())
-            .enumerate()
-            .map(|(k, ((data, res), slot))| (k, data, res, slot))
-            .collect();
-        rt.scatter(jobs, |(k, data, res, slot)| {
-            *slot = Some(run_one(k, data, res));
-        });
-        out.into_iter()
-            .map(|u| u.expect("device job completed"))
-            .collect()
-    } else {
-        parts
-            .iter()
-            .zip(residuals.iter_mut())
-            .enumerate()
-            .map(|(k, (d, res))| run_one(k, d, res))
-            .collect()
-    }
+        ));
+    });
+    out.into_iter()
+        .map(|u| u.expect("device job completed"))
+        .collect()
 }
 
 /// Top-1 accuracy on a dataset in `Eval` mode, batched to bound memory.
@@ -581,6 +649,188 @@ mod tests {
         for (ua, ub) in a.iter().zip(b.iter()) {
             assert_eq!(ua.payload, ub.payload, "parallel/sequential divergence");
             assert_eq!(ua.samples, ub.samples);
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_outcome(got: &LocalOutcome, want: &LocalOutcome, what: &str) {
+        assert_eq!(bits(&got.delta), bits(&want.delta), "{what}: delta");
+        assert_eq!(got.bn.len(), want.bn.len());
+        for (g, w) in got.bn.iter().zip(&want.bn) {
+            assert_eq!(bits(&g.mean), bits(&w.mean), "{what}: BN mean");
+            assert_eq!(bits(&g.var), bits(&w.var), "{what}: BN var");
+        }
+        assert_eq!(got.realized_flops, want.realized_flops, "{what}: FLOPs");
+        assert_eq!(got.samples, want.samples);
+    }
+
+    /// A magnitude mask over `model`'s prunable weights at one density.
+    fn magnitude_mask_of(model: &dyn Model, density: f32) -> Mask {
+        let layout = sparse_layout(model);
+        let params = model.params();
+        let weights: Vec<&[f32]> = params
+            .iter()
+            .filter(|p| p.prunable)
+            .map(|p| p.data.data())
+            .collect();
+        let densities = ft_sparse::uniform_density_vector(&layout, density);
+        ft_sparse::magnitude_mask(&layout, &weights, &densities)
+    }
+
+    /// Whatever the previous borrowers did, a pooled trainer trains like one
+    /// that was never used: after a borrower that applied *another* mask,
+    /// set BN momentum to 1.0 and ran `Train` forwards (selection), and
+    /// after one that cleared two layers' mask records and ran a dense
+    /// backward (the pruning probe) — dense and at d = 0.05, sequential
+    /// kernels and four workers. The dense global has no mask records, so
+    /// there the restore has to *clear* the first borrower's.
+    #[test]
+    fn pooled_trainer_matches_fresh_clone_bit_for_bit() {
+        let env = ExperimentEnv::tiny_for_tests(6);
+        let data = &env.parts[0];
+        let (x, labels) = data.full_batch();
+        for (density, rt) in [
+            (1.0f32, Runtime::sequential()),
+            (1.0, Runtime::exact(4).with_min_work(0)),
+            (0.05, Runtime::sequential()),
+            (0.05, Runtime::exact(4).with_min_work(0)),
+        ] {
+            let what = format!("d={density} threads={}", rt.threads());
+            let mut global = env.build_model(&ModelSpec::small_cnn_test());
+            let mask = (density < 1.0).then(|| magnitude_mask_of(global.as_ref(), density));
+            if let Some(mask) = &mask {
+                apply_mask(global.as_mut(), mask);
+            }
+            let global = global.as_ref();
+            let train = |t: &mut DeviceTrainer| t.train(data, mask.as_ref(), &env.cfg, 2, 0, 0);
+            let fresh = TrainerPool::default().with(global, &rt, train);
+            assert!(fresh.delta.iter().any(|&d| d != 0.0), "{what}: no training");
+
+            let pool = TrainerPool::default();
+            let other = magnitude_mask_of(global, 0.4);
+            pool.with(global, &rt, |t| {
+                apply_mask(t.model.as_mut(), &other);
+                t.model.set_bn_momentum(1.0);
+                for _ in 0..2 {
+                    let _ = t.model.forward(&x, Mode::Train);
+                }
+            });
+            assert_same_outcome(&pool.with(global, &rt, train), &fresh, &what);
+
+            pool.with(global, &rt, |t| {
+                t.model.for_each_param_mut(&mut |p| p.mask_bits = None);
+                let logits = t.model.forward(&x, Mode::Train);
+                let (_, grad) = ft_nn::loss::softmax_cross_entropy(&logits, &labels);
+                t.model.backward(&grad);
+                assert!(t.model.params().iter().all(|p| p.grad.max_abs() > 0.0));
+            });
+            assert_same_outcome(&pool.with(global, &rt, train), &fresh, &what);
+            // One trainer served all four borrowers.
+            assert_eq!(pool.0.lock().unwrap().len(), 1, "{what}");
+        }
+    }
+
+    fn model_address(t: &DeviceTrainer) -> *const u8 {
+        t.model.as_ref() as *const dyn Model as *const u8
+    }
+
+    #[test]
+    fn pooled_check_out_matches_the_architecture_and_keeps_the_rest_parked() {
+        let env = ExperimentEnv::tiny_for_tests(7);
+        let rt = Runtime::sequential();
+        let narrow = env.build_model(&ModelSpec::small_cnn_test());
+        let wide = env.build_model(&ModelSpec::SmallCnn { width: 6, input: 8 });
+        let pool = TrainerPool::default();
+        let first = pool.with(narrow.as_ref(), &rt, |t| model_address(t));
+        // Another architecture: a new trainer, while the first stays parked.
+        let second = pool.with(wide.as_ref(), &rt, |t| {
+            assert_eq!(t.arch, wide.arch());
+            model_address(t)
+        });
+        assert_ne!(first, second);
+        assert_eq!(pool.0.lock().unwrap().len(), 2);
+        // …and is the one handed out when its architecture comes back.
+        let train = |t: &mut DeviceTrainer| {
+            (
+                model_address(t),
+                t.train(&env.parts[1], None, &env.cfg, 0, 1, 0),
+            )
+        };
+        let (again, got) = pool.with(narrow.as_ref(), &rt, train);
+        assert_eq!(again, first);
+        let (_, want) = TrainerPool::default().with(narrow.as_ref(), &rt, train);
+        assert_same_outcome(&got, &want, "parked trainer");
+        assert_eq!(pool.0.lock().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn pooled_parking_is_bounded() {
+        let env = ExperimentEnv::tiny_for_tests(7);
+        let rt = Runtime::sequential();
+        let pool = TrainerPool::default();
+        for width in 1..=MAX_PARKED + 2 {
+            let model = env.build_model(&ModelSpec::SmallCnn { width, input: 8 });
+            pool.with(model.as_ref(), &rt, |_| ());
+        }
+        let parked = pool.0.lock().unwrap();
+        assert_eq!(parked.len(), MAX_PARKED);
+        // The ones parked longest went first.
+        let newest = env.build_model(&ModelSpec::SmallCnn {
+            width: MAX_PARKED + 2,
+            input: 8,
+        });
+        assert_eq!(parked.last().unwrap().arch, newest.arch());
+    }
+
+    #[test]
+    fn pooled_panicking_borrower_does_not_poison_later_check_outs() {
+        let env = ExperimentEnv::tiny_for_tests(8);
+        let rt = Runtime::sequential();
+        let model = env.build_model(&ModelSpec::small_cnn_test());
+        let pool = TrainerPool::default();
+        pool.with(model.as_ref(), &rt, |_| ());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.with(model.as_ref(), &rt, |t| {
+                t.model.set_bn_momentum(1.0);
+                panic!("borrower fails");
+            })
+        }));
+        assert!(panicked.is_err());
+        // Its trainer is gone, the pool is not.
+        assert!(pool.0.lock().unwrap().is_empty());
+        let out = pool.with(model.as_ref(), &rt, |t| {
+            t.train(&env.parts[0], None, &env.cfg, 0, 0, 0)
+        });
+        assert_eq!(out.samples, env.parts[0].len());
+        assert_eq!(pool.0.lock().unwrap().len(), 1);
+    }
+
+    /// The one fan-out rule, and the model a borrower gets is on the runtime
+    /// it was promised: inside a fanned cohort the kernels are sequential,
+    /// for a lone job they get the pool.
+    #[test]
+    fn pooled_models_run_on_the_kernel_runtime_of_the_thread_budget() {
+        let env = ExperimentEnv::tiny_for_tests(9);
+        let mut cfg = env.cfg;
+        cfg.parallel = true;
+        let rt = Runtime::exact(4);
+        let seq = Runtime::sequential();
+        assert_eq!(thread_budget(&cfg, 6, &rt), (rt, seq));
+        assert_eq!(thread_budget(&cfg, 1, &rt), (seq, rt));
+        assert_eq!(thread_budget(&cfg, 6, &seq), (seq, seq));
+        cfg.parallel = false;
+        assert_eq!(thread_budget(&cfg, 6, &rt), (seq, rt));
+
+        let mut global = env.build_model(&ModelSpec::small_cnn_test());
+        global.set_runtime(rt);
+        cfg.parallel = true;
+        for jobs in [6usize, 1] {
+            let (_, kernel_rt) = thread_budget(&cfg, jobs, &rt);
+            let seen = with_device_model(global.as_ref(), &kernel_rt, |m| m.runtime());
+            assert_eq!(seen, kernel_rt, "{jobs} jobs");
         }
     }
 

@@ -274,6 +274,11 @@ impl Conv2d {
         self.runtime = rt;
     }
 
+    /// The runtime this layer's kernels execute on.
+    pub fn runtime(&self) -> Runtime {
+        self.runtime
+    }
+
     /// Output channel count.
     pub fn out_channels(&self) -> usize {
         self.out_c
@@ -709,6 +714,11 @@ impl BatchNorm2d {
     /// statistics with that split's exact batch statistics.
     pub fn set_momentum(&mut self, momentum: f32) {
         self.momentum = momentum.clamp(0.0, 1.0);
+    }
+
+    /// The running-statistics momentum.
+    pub fn momentum(&self) -> f32 {
+        self.momentum
     }
 
     /// Forward pass (allocating wrapper around [`BatchNorm2d::forward_into`]).
@@ -1694,7 +1704,40 @@ impl Sequential {
     /// result. Parameter gradients are identical to
     /// [`Sequential::backward_into`].
     pub fn backward_discard_input(&mut self, grad: &Tensor) {
+        self.backward_from(grad, 0);
+    }
+
+    /// Backward from the output down to the layer holding prunable weight
+    /// number `shallowest_prunable` (in [`Sequential::params`] order) and no
+    /// further: that layer accumulates its parameter gradients and, like
+    /// the leading layer of [`Sequential::backward_discard_input`], produces
+    /// no input gradient if it is a convolution. Every layer beneath it is
+    /// left as its forward pass left it, gradients untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stack has no such prunable weight.
+    pub fn backward_down_to(&mut self, grad: &Tensor, shallowest_prunable: usize) {
+        let stop = self
+            .layers
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| match l {
+                AnyLayer::Conv(c) => c.w.prunable,
+                AnyLayer::Linear(fc) => fc.w.prunable,
+                _ => false,
+            })
+            .nth(shallowest_prunable)
+            .map(|(idx, _)| idx)
+            .expect("prunable layer index out of range");
+        self.backward_from(grad, stop);
+    }
+
+    /// Backward through `layers[first..]` in reverse; `layers[first]` takes
+    /// the parameters-only path when it is a convolution.
+    fn backward_from(&mut self, grad: &Tensor, first: usize) {
         let Sequential { layers, ping, pong } = self;
+        let layers = &mut layers[first..];
         let n = layers.len();
         for (idx, l) in layers.iter_mut().rev().enumerate() {
             let src: &Tensor = if idx == 0 { grad } else { &*ping };
@@ -1777,6 +1820,15 @@ impl Sequential {
         }
     }
 
+    /// The BN momentum of the stack's first BatchNorm layer (`None` if it
+    /// has none); [`Sequential::set_bn_momentum`] keeps them all equal.
+    pub fn bn_momentum(&self) -> Option<f32> {
+        self.layers.iter().find_map(|l| match l {
+            AnyLayer::Bn(bn) => Some(bn.momentum()),
+            _ => None,
+        })
+    }
+
     /// Sets the sparse-dispatch crossover of every weighted layer.
     pub fn set_sparse_crossover(&mut self, crossover: f32) {
         for l in &mut self.layers {
@@ -1789,6 +1841,15 @@ impl Sequential {
         for l in &mut self.layers {
             l.set_runtime(rt);
         }
+    }
+
+    /// The runtime of the stack's first convolution (`None` if it has
+    /// none); [`Sequential::set_runtime`] keeps every layer on the same one.
+    pub fn runtime(&self) -> Option<Runtime> {
+        self.layers.iter().find_map(|l| match l {
+            AnyLayer::Conv(c) => Some(c.runtime()),
+            _ => None,
+        })
     }
 
     /// Total multiply–accumulate FLOPs actually executed by the stack.

@@ -89,6 +89,20 @@ pub trait Model: Send + Sync {
         self.backward(grad_logits);
     }
 
+    /// Backward pass that may stop once the layer holding prunable weight
+    /// number `shallowest_prunable` (a mask-layer index) has its gradient:
+    /// every parameter at or above the stopping point receives exactly the
+    /// gradient [`Model::backward`] gives it, bit for bit; parameters
+    /// beneath it may be left untouched. For a pass that reads gradients of
+    /// a few layers near the output only (FedTiny's progressive adjustment
+    /// reads one block's). The default runs the whole of
+    /// [`Model::backward`]; architectures override it to stop — the stacked
+    /// models at the layer itself, ResNet18 at the residual block that
+    /// contains it.
+    fn backward_down_to(&mut self, grad_logits: &Tensor, _shallowest_prunable: usize) {
+        self.backward(grad_logits);
+    }
+
     /// All parameters in deterministic execution order.
     fn params(&self) -> Vec<&Param>;
 
@@ -137,6 +151,12 @@ pub trait Model: Send + Sync {
     /// the batch statistics (FedTiny's BN adaptation).
     fn set_bn_momentum(&mut self, momentum: f32);
 
+    /// The momentum of the model's BatchNorm layers — one value, since
+    /// [`Model::set_bn_momentum`] is the only way to change it. Whoever
+    /// turns a used model back into a copy of another (`ft-fl`'s device-model
+    /// pool) reads it here.
+    fn bn_momentum(&self) -> f32;
+
     /// Deep copy as a boxed trait object.
     fn clone_model(&self) -> Box<dyn Model>;
 
@@ -154,9 +174,13 @@ pub trait Model: Send + Sync {
     /// and PruneFL's grow scores), because the sparse backward only produces
     /// mask-alive weight gradients. A pass that reads them in a few layers
     /// only (FedTiny's progressive adjustment) takes just those layers off
-    /// the sparse path on a throw-away clone instead, by clearing their
-    /// [`Param::mask_bits`]. `1.0` forces the sparse path for every masked
-    /// layer. The default is [`crate::layer::DEFAULT_SPARSE_CROSSOVER`].
+    /// the sparse path instead, by clearing their [`Param::mask_bits`] on a
+    /// model it borrowed from `ft-fl`'s device-model pool. `1.0` forces the
+    /// sparse path for every masked layer. The default is
+    /// [`crate::layer::DEFAULT_SPARSE_CROSSOVER`].
+    ///
+    /// The crossover has no getter and the pool does not put it back: call
+    /// this on a model you own (a clone), never on a borrowed one.
     fn set_sparse_crossover(&mut self, _crossover: f32) {}
 
     /// Hands every kernel-bearing layer the parallel
@@ -166,6 +190,12 @@ pub trait Model: Send + Sync {
     /// changes wall-clock, never outputs. Cloned models (e.g. per-device
     /// snapshots in `ft-fl`) inherit the runtime of their source.
     fn set_runtime(&mut self, _rt: ft_runtime::Runtime) {}
+
+    /// The runtime the model's kernels execute on: what the last
+    /// [`Model::set_runtime`] handed it, sequential before that.
+    fn runtime(&self) -> ft_runtime::Runtime {
+        ft_runtime::Runtime::sequential()
+    }
 
     /// Multiply–accumulate FLOPs actually executed by the model's forward
     /// and backward GEMMs since the last reset — the *realized* counterpart

@@ -425,6 +425,21 @@ impl ResNet18 {
     }
 }
 
+impl ResNet18 {
+    /// The classifier, the pooling and the residual blocks `first..`, output
+    /// to input; the gradient at block `first`'s input ends in
+    /// `scratch.ping`.
+    fn backward_blocks(&mut self, grad_logits: &Tensor, first: usize) {
+        let ResScratch { ping, pong, tmp } = &mut self.scratch;
+        self.fc.backward_into(grad_logits, pong);
+        self.gap.backward_into(pong, ping);
+        for block in self.stages[first..].iter_mut().rev() {
+            block.backward_into(ping, pong, tmp);
+            std::mem::swap(ping, pong);
+        }
+    }
+}
+
 impl Model for ResNet18 {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let mut out = Tensor::default();
@@ -450,19 +465,30 @@ impl Model for ResNet18 {
     }
 
     fn backward_scratch(&mut self, grad_logits: &Tensor) {
-        let ResScratch { ping, pong, tmp } = &mut self.scratch;
-        self.fc.backward_into(grad_logits, pong);
-        self.gap.backward_into(pong, ping);
-        for block in self.stages.iter_mut().rev() {
-            block.backward_into(ping, pong, tmp);
-            std::mem::swap(ping, pong);
-        }
+        self.backward_blocks(grad_logits, 0);
+        let ResScratch { ping, pong, .. } = &mut self.scratch;
         self.stem_relu.backward_into(ping, pong);
         self.stem_bn.backward_into(pong, ping);
         // The stem's input gradient is dead, but `backward_params_only`
         // would lower `realized_flops`, which run fingerprints fold in;
         // switching it is a change of its own.
         self.stem_conv.backward_into(ping, pong);
+    }
+
+    /// Stops beneath the residual block that holds the layer: the block runs
+    /// whole (both branches, its input gradient included), the blocks before
+    /// it and the stem not at all.
+    fn backward_down_to(&mut self, grad_logits: &Tensor, shallowest_prunable: usize) {
+        let mut prunable = 0;
+        let first = self
+            .stages
+            .iter()
+            .position(|b| {
+                prunable += 2 + usize::from(b.down.is_some());
+                shallowest_prunable < prunable
+            })
+            .expect("prunable layer index out of range");
+        self.backward_blocks(grad_logits, first);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -560,6 +586,10 @@ impl Model for ResNet18 {
         }
     }
 
+    fn bn_momentum(&self) -> f32 {
+        self.stem_bn.momentum()
+    }
+
     fn set_sparse_crossover(&mut self, crossover: f32) {
         self.stem_conv.set_sparse_crossover(crossover);
         for b in &mut self.stages {
@@ -575,6 +605,10 @@ impl Model for ResNet18 {
         }
         self.gap.set_runtime(rt);
         self.fc.set_runtime(rt);
+    }
+
+    fn runtime(&self) -> ft_runtime::Runtime {
+        self.stem_conv.runtime()
     }
 
     fn realized_flops(&self) -> f64 {

@@ -141,6 +141,10 @@ impl Model for SmallCnn {
         self.seq.backward_discard_input(grad_logits);
     }
 
+    fn backward_down_to(&mut self, grad_logits: &Tensor, shallowest_prunable: usize) {
+        self.seq.backward_down_to(grad_logits, shallowest_prunable);
+    }
+
     fn params(&self) -> Vec<&Param> {
         self.seq.params()
     }
@@ -177,6 +181,10 @@ impl Model for SmallCnn {
         self.seq.set_bn_momentum(momentum);
     }
 
+    fn bn_momentum(&self) -> f32 {
+        self.seq.bn_momentum().expect("the model has BatchNorm")
+    }
+
     fn clone_model(&self) -> Box<dyn Model> {
         Box::new(self.clone())
     }
@@ -196,6 +204,10 @@ impl Model for SmallCnn {
 
     fn set_runtime(&mut self, rt: ft_runtime::Runtime) {
         self.seq.set_runtime(rt);
+    }
+
+    fn runtime(&self) -> ft_runtime::Runtime {
+        self.seq.runtime().expect("the model has convolutions")
     }
 
     fn realized_flops(&self) -> f64 {

@@ -179,6 +179,10 @@ impl Model for Vgg11 {
         self.seq.backward_discard_input(grad_logits);
     }
 
+    fn backward_down_to(&mut self, grad_logits: &Tensor, shallowest_prunable: usize) {
+        self.seq.backward_down_to(grad_logits, shallowest_prunable);
+    }
+
     fn params(&self) -> Vec<&Param> {
         self.seq.params()
     }
@@ -215,6 +219,10 @@ impl Model for Vgg11 {
         self.seq.set_bn_momentum(momentum);
     }
 
+    fn bn_momentum(&self) -> f32 {
+        self.seq.bn_momentum().expect("the model has BatchNorm")
+    }
+
     fn clone_model(&self) -> Box<dyn Model> {
         Box::new(self.clone())
     }
@@ -233,6 +241,10 @@ impl Model for Vgg11 {
 
     fn set_runtime(&mut self, rt: ft_runtime::Runtime) {
         self.seq.set_runtime(rt);
+    }
+
+    fn runtime(&self) -> ft_runtime::Runtime {
+        self.seq.runtime().expect("the model has convolutions")
     }
 
     fn realized_flops(&self) -> f64 {

@@ -23,6 +23,18 @@
 //! thread count)` — never of timing — so a run is reproducible even against
 //! itself.
 //!
+//! ## Two kinds of jobs, one budget
+//!
+//! [`Runtime::scatter`] carries two kinds of jobs. Kernels deal it the
+//! row-chunks of one output; `ft-fl` and `fedtiny` deal it whole devices and
+//! whole selection candidates, each of which runs kernels of its own. The two
+//! never nest: a fan-out over devices hands every device a *sequential*
+//! runtime for its kernels (`ft_fl::thread_budget` is where that is
+//! decided), so runnable threads stay within [`Runtime::threads`]. Workers
+//! are scoped and die at the join; whatever should outlive them — a device's
+//! model and its arenas — lives in `ft-fl`'s device-model pool, not in a
+//! thread-local.
+//!
 //! A `Runtime` with one thread executes everything inline on the calling
 //! thread: `FT_THREADS=1` is the exact legacy sequential path.
 //!

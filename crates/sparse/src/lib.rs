@@ -18,8 +18,9 @@
 //!   use to keep only the top-k gradient magnitudes of pruned coordinates.
 //! - [`cosine_prune_count`] — the paper's pruning-number schedule
 //!   `a_t^l = 0.15 (1 + cos(tπ / (R_stop · E))) · n_l`.
-//! - [`magnitude_mask`] / [`random_mask`] / [`noisy_density_vector`] — mask
-//!   constructors used for coarse pruning and candidate-pool generation.
+//! - [`magnitude_mask`] / [`magnitude_masks`] / [`random_mask`] /
+//!   [`noisy_density_vector`] — mask constructors used for coarse pruning
+//!   and candidate-pool generation.
 //!
 //! # Examples
 //!
@@ -47,7 +48,7 @@ pub use codec::{
 pub use layout::{CsrMatrix, LayerSpec, SparseLayout};
 pub use mask::Mask;
 pub use prune::{
-    magnitude_mask, magnitude_mask_global, noisy_density_vector, random_mask,
+    magnitude_mask, magnitude_mask_global, magnitude_masks, noisy_density_vector, random_mask,
     uniform_density_vector,
 };
 pub use schedule::{cosine_prune_count, PruneSchedule};

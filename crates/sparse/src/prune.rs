@@ -100,40 +100,109 @@ pub fn overall_density(densities: &[f32], lens: &[usize]) -> f32 {
 }
 
 /// Magnitude-prunes each layer to its own density: keeps the
-/// `ceil(d_l · n_l)` weights with the largest `|w|` per layer.
+/// `ceil(d_l · n_l)` weights with the largest `|w|` per layer. The
+/// one-vector case of [`magnitude_masks`], and ranked by its rule.
 ///
 /// # Panics
 ///
 /// Panics if the number of weight buffers or densities mismatches the
 /// layout, or any buffer length differs from its spec.
 pub fn magnitude_mask(layout: &SparseLayout, weights: &[&[f32]], densities: &[f32]) -> Mask {
+    magnitude_masks(layout, weights, &[densities])
+        .pop()
+        .expect("one density vector, one mask")
+}
+
+/// One magnitude mask per density vector over the same weights — a
+/// selection candidate pool — ranking every layer **once**: a layer's
+/// coordinates are ordered by `|w|` descending (`total_cmp`), equal
+/// magnitudes by ascending index, non-finite values left out, as deep as
+/// the largest keep count any vector asks of that layer; each mask then
+/// keeps a prefix of that one ranking. So which of two equal magnitudes at a
+/// cut survives is a rule (the lowest index), the same in every mask, and
+/// `k` masks cost one partial sort per layer instead of `k`.
+///
+/// A layer with fewer finite weights than its keep count keeps them all and
+/// nothing else.
+///
+/// # Panics
+///
+/// Panics if the number of weight buffers, or the length of any density
+/// vector, mismatches the layout, or any buffer length differs from its
+/// spec.
+pub fn magnitude_masks<D: AsRef<[f32]>>(
+    layout: &SparseLayout,
+    weights: &[&[f32]],
+    densities: &[D],
+) -> Vec<Mask> {
     assert_eq!(
         weights.len(),
         layout.num_layers(),
         "weights/layout layer count mismatch"
     );
-    assert_eq!(
-        densities.len(),
-        layout.num_layers(),
-        "densities/layout layer count mismatch"
-    );
-    let mut layers = Vec::with_capacity(weights.len());
-    for (l, (&w, &d)) in weights.iter().zip(densities.iter()).enumerate() {
+    for d in densities {
+        assert_eq!(
+            d.as_ref().len(),
+            layout.num_layers(),
+            "densities/layout layer count mismatch"
+        );
+    }
+    let mut masks: Vec<Vec<Vec<bool>>> = densities
+        .iter()
+        .map(|_| Vec::with_capacity(weights.len()))
+        .collect();
+    let mut ranked = Vec::new();
+    for (l, &w) in weights.iter().enumerate() {
         assert_eq!(
             w.len(),
             layout.layer(l).len,
             "weight buffer length mismatch at layer {l}"
         );
-        let keep = keep_count(w.len(), d);
-        let mut m = vec![false; w.len()];
-        let mut buf = TopKBuffer::new(keep);
-        buf.extend_from_slice(w);
-        for (idx, _) in buf.into_sorted() {
-            m[idx] = true;
+        let keeps: Vec<usize> = densities
+            .iter()
+            .map(|d| keep_count(w.len(), d.as_ref()[l]))
+            .collect();
+        rank_by_magnitude(w, keeps.iter().copied().max().unwrap_or(0), &mut ranked);
+        for (layers, &keep) in masks.iter_mut().zip(&keeps) {
+            let mut m = vec![false; w.len()];
+            for &key in &ranked[..keep.min(ranked.len())] {
+                m[(key & INDEX_BITS) as usize] = true;
+            }
+            layers.push(m);
         }
-        layers.push(m);
     }
-    Mask::from_layers(layers)
+    masks.into_iter().map(Mask::from_layers).collect()
+}
+
+/// Low half of a ranking key: the coordinate's index.
+const INDEX_BITS: u64 = u32::MAX as u64;
+
+/// Fills `ranked` with the first `depth` coordinates of `w` in ranking
+/// order, as keys `(!|w|.to_bits(), index)` packed high to low. For finite
+/// values the bit pattern of `|w|` orders exactly like `total_cmp`, so
+/// ascending keys are descending magnitudes, then ascending indices — and no
+/// two keys are equal, so the unstable partition and sort are deterministic.
+fn rank_by_magnitude(w: &[f32], depth: usize, ranked: &mut Vec<u64>) {
+    assert!(
+        w.len() as u64 <= INDEX_BITS,
+        "layer too large to rank: {} weights",
+        w.len()
+    );
+    ranked.clear();
+    if depth == 0 {
+        return;
+    }
+    ranked.extend(
+        w.iter()
+            .enumerate()
+            .filter(|(_, v)| v.is_finite())
+            .map(|(i, v)| (u64::from(!v.abs().to_bits()) << 32) | i as u64),
+    );
+    if depth < ranked.len() {
+        ranked.select_nth_unstable(depth - 1);
+        ranked.truncate(depth);
+    }
+    ranked.sort_unstable();
 }
 
 /// Magnitude-prunes *globally*: keeps the `ceil(d · N)` weights with the
@@ -248,6 +317,63 @@ mod tests {
         assert_eq!(keep_count(10, 0.001), 1);
     }
 
+    /// Two equal magnitudes straddle the cut: the lower index survives,
+    /// wherever the pair sits relative to the larger weights around it. (The
+    /// heap this replaced kept whichever its sift order happened to leave.)
+    #[test]
+    fn magnitude_ties_at_the_cut_go_to_the_lowest_index() {
+        let l = SparseLayout::new(vec![("a".into(), 6)]);
+        // keep 3 of 6: 0.9, 0.7 and one of the two ±0.5.
+        let w = [0.5f32, 0.9, 0.1, -0.5, 0.7, 0.2];
+        let m = magnitude_mask(&l, &[&w], &[0.5]);
+        assert_eq!(m.layer(0), &[true, true, false, false, true, false]);
+        // The same multiset in another order: again the first ±0.5 wins.
+        let w = [0.2f32, -0.5, 0.7, 0.1, 0.9, 0.5];
+        let m = magnitude_mask(&l, &[&w], &[0.5]);
+        assert_eq!(m.layer(0), &[false, true, true, false, true, false]);
+        // A whole layer of ties keeps its first `keep` coordinates.
+        let m = magnitude_mask(&l, &[&[-0.0f32, 0.0, 0.0, -0.0, 0.0, 0.0]], &[0.5]);
+        assert_eq!(m.layer(0), &[true, true, true, false, false, false]);
+    }
+
+    #[test]
+    fn non_finite_weights_are_never_kept() {
+        let l = SparseLayout::new(vec![("a".into(), 5)]);
+        let w = [f32::NAN, 0.1, f32::INFINITY, -0.2, f32::NEG_INFINITY];
+        assert_eq!(
+            magnitude_mask(&l, &[&w], &[0.4]).layer(0),
+            &[false, true, false, true, false]
+        );
+        // Fewer finite weights than the keep count: all of them, no more.
+        assert_eq!(magnitude_mask(&l, &[&w], &[1.0]).layer_ones(0), 2);
+    }
+
+    #[test]
+    fn magnitude_masks_equal_one_call_per_vector() {
+        let l = layout();
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        // Quantised so every layer holds many equal magnitudes.
+        let mut draw = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| (rng.gen_range(-1.0f32..1.0) * 4.0).round() / 4.0)
+                .collect()
+        };
+        let (wa, wb) = (draw(10), draw(20));
+        let weights: [&[f32]; 2] = [&wa, &wb];
+        let pool = vec![
+            vec![0.3f32, 0.05],
+            vec![0.0, 1.0],
+            vec![0.75, 0.5],
+            vec![0.3, 0.05],
+        ];
+        let masks = magnitude_masks(&l, &weights, &pool);
+        assert_eq!(masks.len(), pool.len());
+        for (m, d) in masks.iter().zip(&pool) {
+            assert_eq!(m, &magnitude_mask(&l, &weights, d));
+        }
+        assert!(magnitude_masks(&l, &weights, &[] as &[Vec<f32>]).is_empty());
+    }
+
     #[test]
     fn uniform_vector() {
         let v = uniform_density_vector(&layout(), 0.25);
@@ -310,6 +436,36 @@ mod tests {
             let m = magnitude_mask(&l, &[&w], &[d]);
             let expect = if d <= 0.0 { 0 } else { ((d as f64 * n as f64).ceil() as usize).min(n) };
             prop_assert_eq!(m.layer_ones(0), expect);
+        }
+
+        /// The ranked form against the rule written out naively: a stable
+        /// full sort of the finite coordinates by descending `|w|`, first
+        /// `keep` kept. Values are drawn from a handful of magnitudes plus
+        /// NaN, ±inf and ±0.0, so cuts land on ties all the time.
+        #[test]
+        fn magnitude_masks_match_naive_stable_sort(
+            picks in proptest::collection::vec(0usize..9, 0..65),
+            d in 0usize..4,
+        ) {
+            const VALUES: [f32; 9] = [
+                f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 0.25, -0.25, 1.5, -3.0,
+            ];
+            let w: Vec<f32> = picks.iter().map(|&p| VALUES[p]).collect();
+            let density = [0.0f32, 0.05, 0.5, 1.0][d];
+            let l = SparseLayout::new(vec![("x".into(), w.len())]);
+
+            let mut order: Vec<usize> = (0..w.len()).filter(|&i| w[i].is_finite()).collect();
+            order.sort_by(|&a, &b| w[b].abs().total_cmp(&w[a].abs()));
+            let mut expect = vec![false; w.len()];
+            for &i in order.iter().take(keep_count(w.len(), density)) {
+                expect[i] = true;
+            }
+
+            let got = magnitude_mask(&l, &[&w], &[density]);
+            prop_assert_eq!(got.layer(0), &expect[..]);
+            // Asked for beside a deeper cut, the same mask comes back.
+            let pool = magnitude_masks(&l, &[&w], &[[1.0f32], [density]]);
+            prop_assert_eq!(pool[1].layer(0), &expect[..]);
         }
 
         /// Every weight kept by a magnitude mask is at least as large as
