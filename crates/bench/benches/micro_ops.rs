@@ -16,8 +16,9 @@ use ft_sparse::{
     magnitude_mask, uniform_density_vector, CsrMatrix, Mask, SparseLayout, TopKBuffer,
 };
 use ft_tensor::{
-    matmul_into, matmul_into_rt, matmul_nt_into_rt, matmul_tn_into_rt, sddmm_nt_into_rt,
-    spconv_backward_rt, spconv_forward_rt, spmm_into, spmm_into_rt, ConvGeom, SpConvBufs,
+    col2im_ld, dconv_backward_rt, dconv_forward_rt, im2col_batched, matmul_into, matmul_into_rt,
+    matmul_nt_into_rt, matmul_nt_seg_into, matmul_tn_into, matmul_tn_into_rt, sddmm_nt_into_rt,
+    spconv_backward_rt, spconv_forward_rt, spmm_into, spmm_into_rt, ConvBufs, ConvGeom,
     SpConvIndex, Tensor,
 };
 use rand::{Rng, SeedableRng};
@@ -873,33 +874,24 @@ fn resnet_step_records(report: &mut BenchReport) {
     );
 }
 
-/// The direct sparse convolution's three kernels, single-thread, at the
-/// first and the last residual stage of the benchmark's ResNet18 (batch 32,
-/// d = 0.05): 16 channels on 16 px and 128 channels on 2 px carry the same
-/// multiply-adds, so the pair shows what plane size costs. Each record
-/// includes its share of the layout transposes (`spconv_dx` is a backward
-/// without dW, `spconv_dw` one without dX).
+/// The direct sparse convolution's three kernels, single-thread, at
+/// [`stage_geoms`] and d = 0.05. Each record includes its share of the layout
+/// transposes (`spconv_dx` is a backward without dW, `spconv_dw` one without
+/// dX).
 fn spconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
-    let (n, density) = (32usize, 0.05f64);
+    let (n, density) = (CONV_BATCH, 0.05f64);
     let rt = Runtime::sequential();
-    for (ch, side) in [(16usize, 16usize), (128, 2)] {
-        let g = ConvGeom {
-            in_c: ch,
-            in_h: side,
-            in_w: side,
-            kernel: 3,
-            stride: 1,
-            pad: 1,
-        };
+    for (g, shape) in stage_geoms() {
+        let ch = g.in_c;
+        let side = g.in_h;
         let csr = rand_csr(rng, ch, g.col_rows(), density);
         let idx = SpConvIndex::new(csr.view(), &g);
         let x = rand_dense(rng, n, ch * side * side);
         let dy = rand_dense(rng, n, ch * g.col_cols());
-        let mut bufs = SpConvBufs::default();
+        let mut bufs = ConvBufs::default();
         let mut out = vec![0.0f32; dy.numel()];
         let mut gx = vec![0.0f32; x.numel()];
         let mut vals = vec![0.0f32; csr.nnz()];
-        let shape = format!("b{n}x{ch}x{side}x{side}k3");
         let flops = 2.0 * (csr.nnz() * g.col_cols() * n) as f64;
         let fwd = measure_ns(|| {
             spconv_forward_rt(&rt, &idx, csr.view(), x.data(), n, &mut bufs, &mut out);
@@ -921,6 +913,236 @@ fn spconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
             let gflops = report.records.last().expect("just pushed").gflops;
             println!("{op:<10} {shape:>16} {density:>8.2}     1/1   {ns:>14.0} {gflops:>10.2}");
         }
+    }
+}
+
+/// Medians of `a` and `b` timed alternately, sample by sample, so that host
+/// drift hits both alike (the `train_step` design); a sample repeats its side
+/// until it lasts a few milliseconds.
+fn alternate_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let (reps, sample_ns) = if ft_bench::quick_mode() {
+        (9usize, 2_000_000u128)
+    } else {
+        (21, 5_000_000)
+    };
+    let time = |f: &mut dyn FnMut(), iters: u32| {
+        let t = std::time::Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        t.elapsed().as_nanos() as f64 / f64::from(iters)
+    };
+    // One discarded call, then one warmed call to size the samples by.
+    let calibrate = |f: &mut dyn FnMut()| {
+        f();
+        (sample_ns as f64 / time(f, 1).max(1.0)).clamp(1.0, 65_536.0) as u32
+    };
+    let (iters_a, iters_b) = (calibrate(&mut a), calibrate(&mut b));
+    let (mut ns_a, mut ns_b) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for _ in 0..reps {
+        ns_a.push(time(&mut a, iters_a));
+        ns_b.push(time(&mut b, iters_b));
+    }
+    (median(&mut ns_a), median(&mut ns_b))
+}
+
+/// The two conv shapes the kernel records use: the first and the last
+/// residual stage of the benchmark's ResNet18 (batch 32) — 16 channels on
+/// 16 px and 128 channels on 2 px carry the same multiply-adds, so the pair
+/// shows what plane size costs.
+fn stage_geoms() -> [(ConvGeom, String); 2] {
+    [(16usize, 16usize), (128, 2)].map(|(ch, side)| {
+        let g = ConvGeom {
+            in_c: ch,
+            in_h: side,
+            in_w: side,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        (g, format!("b{CONV_BATCH}x{ch}x{side}x{side}k3"))
+    })
+}
+
+/// Batch of the conv kernel records.
+const CONV_BATCH: usize = 32;
+
+/// The direct dense convolution's three kernels, single-thread, each timed
+/// alternately with the im2col + GEMM route it replaced behind `Conv2d` and
+/// is pinned `to_bits`-equal to (`dconv_*` against `dconv_*_oracle`;
+/// `bench_check` gates their sum per shape). Each side includes its layout
+/// work: the direct engine its lane transposes, the oracle its `dY` repack,
+/// NCHW scatter, zeroing and col2im — but the oracle's dW reuses the column
+/// matrix its forward built.
+fn dconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
+    let (n, rt) = (CONV_BATCH, Runtime::sequential());
+    for (g, shape) in stage_geoms() {
+        let ch = g.in_c;
+        let (cr, cc) = (g.col_rows(), g.col_cols());
+        let sample = ch * g.in_h * g.in_w;
+        let w = rand_dense(rng, ch, cr);
+        let x = rand_dense(rng, n, sample);
+        let dy = rand_dense(rng, n, ch * cc);
+        let flops = 2.0 * (n * cc * ch * cr) as f64;
+
+        let mut bufs = ConvBufs::default();
+        let (mut out, mut gx) = (vec![0.0f32; dy.numel()], vec![0.0f32; x.numel()]);
+        let mut gw = vec![0.0f32; w.numel()];
+        let mut cols = Tensor::zeros(&[cr, n * cc]);
+        let (mut out_b, mut dy_b) = (Tensor::zeros(&[ch, n * cc]), Tensor::zeros(&[ch, n * cc]));
+        let mut dcol = Tensor::zeros(&[cr, n * cc]);
+        let mut gw_o = Tensor::zeros(&[ch, cr]);
+        let (mut out_o, mut gx_o) = (out.clone(), gx.clone());
+        // `[n, ch, cc]` ↔ `[ch, n·cc]`, the GEMM route's layout change:
+        // `(offset in NCHW, offset in rows)` of every `cc`-long run.
+        let runs = || (0..n * ch).map(|ic| (ic * cc, (ic % ch * n + ic / ch) * cc));
+        let to_rows = |nchw: &[f32], rows: &mut [f32]| {
+            for (a, b) in runs() {
+                rows[b..][..cc].copy_from_slice(&nchw[a..][..cc]);
+            }
+        };
+        let to_nchw = |rows: &[f32], nchw: &mut [f32]| {
+            for (a, b) in runs() {
+                nchw[a..][..cc].copy_from_slice(&rows[b..][..cc]);
+            }
+        };
+
+        let fwd = alternate_ns(
+            || {
+                dconv_forward_rt(&rt, &g, w.data(), x.data(), n, &mut bufs, &mut out);
+                black_box(&out);
+            },
+            || {
+                im2col_batched(x.data(), n, &g, cols.data_mut());
+                out_b.data_mut().fill(0.0);
+                matmul_into(&w, &cols, &mut out_b);
+                to_nchw(out_b.data(), &mut out_o);
+                black_box(&out_o);
+            },
+        );
+        let dw = alternate_ns(
+            || {
+                let grad = Some(&mut gw[..]);
+                dconv_backward_rt(&rt, &g, w.data(), dy.data(), n, &mut bufs, grad, None);
+                black_box(&gw);
+            },
+            || {
+                to_rows(dy.data(), dy_b.data_mut());
+                matmul_nt_seg_into(&dy_b, &cols, cc, &mut gw_o);
+                black_box(&gw_o);
+            },
+        );
+        let dx = alternate_ns(
+            || {
+                let grad = Some(&mut gx[..]);
+                dconv_backward_rt(&rt, &g, w.data(), dy.data(), n, &mut bufs, None, grad);
+                black_box(&gx);
+            },
+            || {
+                to_rows(dy.data(), dy_b.data_mut());
+                dcol.data_mut().fill(0.0);
+                matmul_tn_into(&w, &dy_b, &mut dcol);
+                gx_o.fill(0.0);
+                for (i, gx) in gx_o.chunks_mut(sample).enumerate() {
+                    col2im_ld(&dcol.data()[i * cc..], n * cc, &g, gx);
+                }
+                black_box(&gx_o);
+            },
+        );
+        for (op, (direct, oracle)) in [("dconv_fwd", fwd), ("dconv_dw", dw), ("dconv_dx", dx)] {
+            report.push(op, &shape, 1.0, 1, 1, direct, flops);
+            let gflops = report.records.last().expect("just pushed").gflops;
+            report.push(&format!("{op}_oracle"), &shape, 1.0, 1, 1, oracle, flops);
+            println!(
+                "{op:<10} {shape:>16} {:>8.2}     1/1   {direct:>14.0} {gflops:>10.2}   \
+                 {:.2}x its im2col + GEMM oracle",
+                1.0,
+                direct / oracle
+            );
+        }
+    }
+}
+
+/// `dispatch_sweep`: forward and backward (dW + dX in one call, as `Conv2d`
+/// makes it) of both direct engines over one masked weight, at six densities
+/// and the two stage shapes, each pair timed alternately. The dense engine
+/// multiplies the masked zeros like any weight, so its time is flat in `d`;
+/// where the CSR engine's line crosses it is what
+/// `ft_nn::DEFAULT_SPARSE_CROSSOVER` should say. Measurement only: nothing
+/// reads these records back.
+fn dispatch_sweep_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
+    let (n, rt) = (CONV_BATCH, Runtime::sequential());
+    for (g, shape) in stage_geoms() {
+        let ch = g.in_c;
+        let cr = g.col_rows();
+        let x = rand_dense(rng, n, ch * g.in_h * g.in_w);
+        let dy = rand_dense(rng, n, ch * g.col_cols());
+        let mut ratios = Vec::new();
+        for density in [0.05f64, 0.1, 0.25, 0.5, 0.75, 1.0] {
+            let csr = rand_csr(rng, ch, cr, density);
+            let mut w = vec![0.0f32; ch * cr];
+            csr.scatter_add(csr.vals(), &mut w);
+            let idx = SpConvIndex::new(csr.view(), &g);
+            let (mut dense, mut sparse) = (ConvBufs::default(), ConvBufs::default());
+            let (mut out_d, mut out_s) = (vec![0.0f32; dy.numel()], vec![0.0f32; dy.numel()]);
+            let (mut gx_d, mut gx_s) = (vec![0.0f32; x.numel()], vec![0.0f32; x.numel()]);
+            let (mut gw, mut vals) = (vec![0.0f32; w.len()], vec![0.0f32; csr.nnz()]);
+            let fwd = alternate_ns(
+                || {
+                    dconv_forward_rt(&rt, &g, &w, x.data(), n, &mut dense, &mut out_d);
+                    black_box(&out_d);
+                },
+                || {
+                    let s = csr.view();
+                    spconv_forward_rt(&rt, &idx, s, x.data(), n, &mut sparse, &mut out_s);
+                    black_box(&out_s);
+                },
+            );
+            let bwd = alternate_ns(
+                || {
+                    let (grad, gx) = (Some(&mut gw[..]), Some(&mut gx_d[..]));
+                    dconv_backward_rt(&rt, &g, &w, dy.data(), n, &mut dense, grad, gx);
+                    black_box((&gw, &gx_d));
+                },
+                || {
+                    vals.fill(0.0);
+                    let (s, slots, gx) = (csr.view(), Some(&mut vals[..]), Some(&mut gx_s[..]));
+                    spconv_backward_rt(&rt, &idx, s, dy.data(), n, &mut sparse, slots, gx);
+                    black_box((&vals, &gx_s));
+                },
+            );
+            let macs = (n * g.col_cols()) as f64;
+            for (dir, passes, (dense_ns, csr_ns)) in [("fwd", 2.0, fwd), ("bwd", 4.0, bwd)] {
+                let op = format!("dispatch_sweep_{dir}");
+                let dense_flops = passes * macs * (ch * cr) as f64;
+                report.push(
+                    &format!("{op}_dense"),
+                    &shape,
+                    density,
+                    1,
+                    1,
+                    dense_ns,
+                    dense_flops,
+                );
+                let csr_flops = passes * macs * csr.nnz() as f64;
+                report.push(
+                    &format!("{op}_csr"),
+                    &shape,
+                    density,
+                    1,
+                    1,
+                    csr_ns,
+                    csr_flops,
+                );
+            }
+            ratios.push((density, fwd.1 / fwd.0, bwd.1 / bwd.0));
+        }
+        let row = |pick: fn(&(f64, f64, f64)) -> f64| {
+            let cells = ratios.iter().map(|r| format!("{:.2}@{}", pick(r), r.0));
+            cells.collect::<Vec<_>>().join("  ")
+        };
+        println!("dispatch_sweep {shape} CSR / dense fwd: {}", row(|r| r.1));
+        println!("dispatch_sweep {shape} CSR / dense bwd: {}", row(|r| r.2));
     }
 }
 
@@ -1016,6 +1238,8 @@ fn trajectory_benches(_c: &mut Criterion) {
     }
 
     spconv_records(&mut report, &mut rng);
+    dconv_records(&mut report, &mut rng);
+    dispatch_sweep_records(&mut report, &mut rng);
     train_step_records(&mut report);
     resnet_step_records(&mut report);
 

@@ -66,6 +66,13 @@
 //! (`fedtiny_round_alloc_bytes` — pooled trainers, nothing cloned or
 //! regrown). Missing records are hard failures.
 //!
+//! An eighth family gates the direct dense convolution against the route it
+//! replaced behind `Conv2d`: at each of the two stage shapes the report times
+//! `dconv_fwd` / `dconv_dw` / `dconv_dx` alternately with the im2col + GEMM
+//! oracle (`dconv_*_oracle`), and the three direct kernels together may take
+//! at most [`DCONV_MAX_RATIO`] of the three oracle ones. Missing records are
+//! hard failures.
+//!
 //! If *zero* gates end up evaluated the check fails loudly: a gate file
 //! that checks nothing is indistinguishable from a regression.
 //!
@@ -97,9 +104,22 @@ const BUFFERED_ALLOC_HEADROOM: f64 = 1.25;
 const RESNET_FIRST_STEP_MAX: f64 = 40e6;
 
 /// Ceiling on `resnet_step` ns at d = 0.05 over ns dense, for 0.062 of the
-/// multiply-adds: the im2col + CSR conv path read 0.36–0.48, the direct
-/// sparse convolution reads 0.19–0.25 on the same host.
-const RESNET_SPARSE_STEP_MAX_RATIO: f64 = 0.30;
+/// multiply-adds: the measured ratio × 1.25. It was 0.30 while the dense step
+/// ran on im2col + GEMM (d = 0.05 step ≈ 19 ms over dense ≈ 80 ms = 0.21–0.25
+/// on the reference host); the direct dense engine took the *denominator* to
+/// ≈ 42 ms and left the d = 0.05 step where it was (≈ 18 ms), so the same
+/// sparse engine now reads 0.42–0.44 (0.429 committed) — a faster baseline,
+/// not a slower sparse step. What the gate still catches is the sparse path
+/// falling back to O(dense) work: im2col + CSR under today's dense step would
+/// read ≈ 0.9.
+const RESNET_SPARSE_STEP_MAX_RATIO: f64 = 0.54;
+
+/// Ceiling on `dconv_fwd + dconv_dw + dconv_dx` ns over the same three
+/// im2col + GEMM oracle records, per shape, timed alternately in one run:
+/// the direct engine reads 0.28–0.34 on 16 px planes and 0.41–0.54 on 2 px
+/// ones (where eight taps' worth of transposes ride on four pixels of
+/// multiply-adds).
+const DCONV_MAX_RATIO: f64 = 0.8;
 
 /// Ceiling on `selection_pool_ns` over `magnitude_mask_ns`, timed alternately
 /// in one run. A pool that ranks every layer once reads 1.5–1.8 (one
@@ -600,6 +620,43 @@ fn main() -> ExitCode {
                     "  FAIL resnet_step: d={} record missing from the report — \
                      this gate cannot be skipped",
                     if sparse.is_none() { "0.05" } else { "1.0" }
+                );
+                failed = true;
+            }
+        }
+    }
+
+    // -- Direct dense convolution against its im2col + GEMM oracle ---------
+    for shape in ["b32x16x16x16k3", "b32x128x2x2k3"] {
+        let sum = |suffix: &str| {
+            ["dconv_fwd", "dconv_dw", "dconv_dx"]
+                .iter()
+                .map(|op| {
+                    find(&report.records, &format!("{op}{suffix}"), shape, 1.0, 1)
+                        .map(|r| r.ns_per_iter)
+                        .filter(|&ns| ns > 0.0)
+                })
+                .sum::<Option<f64>>()
+        };
+        match (sum(""), sum("_oracle")) {
+            (Some(direct), Some(oracle)) => {
+                evaluated += 1;
+                let ratio = direct / oracle;
+                let ok = ratio <= DCONV_MAX_RATIO;
+                failed |= !ok;
+                println!(
+                    "  {:>4} dconv {shape} fwd + dW + dX: {:.2} ms / im2col + GEMM {:.2} ms = \
+                     {ratio:.3} (need <= {DCONV_MAX_RATIO:.1})",
+                    if ok { "ok" } else { "FAIL" },
+                    direct / 1e6,
+                    oracle / 1e6
+                );
+            }
+            (direct, _) => {
+                eprintln!(
+                    "  FAIL dconv {shape}: a dconv_*{} record is missing from the report — \
+                     this gate cannot be skipped",
+                    if direct.is_none() { "" } else { "_oracle" }
                 );
                 failed = true;
             }

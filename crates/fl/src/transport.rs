@@ -23,7 +23,8 @@
 //!
 //! ## Frame format
 //!
-//! Every frame is `u32 body_len | u8 kind | body` (little-endian):
+//! Every frame is `u32 body_len | u8 kind | body` (little-endian), and leaves
+//! its sender as one write on a `TCP_NODELAY` socket:
 //!
 //! | kind | body |
 //! |------|------|
@@ -386,15 +387,28 @@ pub(crate) fn encode_update_frame(
     ctx: &WireCtx,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(80 + 4 * u.payload.len());
-    put_u32(&mut out, device as u32);
-    put_u64(&mut out, round);
-    put_u64(&mut out, epoch);
-    put_u64(&mut out, u.samples as u64);
-    put_f64(&mut out, u.realized_flops);
-    put_f64(&mut out, u.wall_secs);
-    put_bn_stats(&mut out, &u.bn);
-    put_blob(&mut out, &u.payload.to_bytes(ctx));
+    encode_update_frame_into(&mut out, device, round, epoch, u, ctx);
     out
+}
+
+/// [`encode_update_frame`] appended to `out` — behind a header
+/// [`begin_frame`] reserved, the body is written where it will be sent from.
+pub(crate) fn encode_update_frame_into(
+    out: &mut Vec<u8>,
+    device: usize,
+    round: u64,
+    epoch: u64,
+    u: &DeviceUpdate,
+    ctx: &WireCtx,
+) {
+    put_u32(out, device as u32);
+    put_u64(out, round);
+    put_u64(out, epoch);
+    put_u64(out, u.samples as u64);
+    put_f64(out, u.realized_flops);
+    put_f64(out, u.wall_secs);
+    put_bn_stats(out, &u.bn);
+    put_blob(out, &u.payload.to_bytes(ctx));
 }
 
 /// Parses one UPDATE frame body back into `(device, round, epoch, update)`.
@@ -530,18 +544,50 @@ pub(crate) fn decode_round_frame(
     ))
 }
 
-/// Writes one length-prefixed frame.
+/// Bytes of a frame header: `u32 body_len | u8 kind`.
+const FRAME_HEADER: usize = 5;
+
+/// Starts a frame in `frame`: empties it and reserves the header, so that
+/// the body is appended in place and [`send_frame`] sends both at once.
+pub(crate) fn begin_frame(frame: &mut Vec<u8>) {
+    frame.clear();
+    frame.resize(FRAME_HEADER, 0);
+}
+
+/// Fills in the header of a frame started by [`begin_frame`] and writes the
+/// frame with a single `write_all`. Header, kind and body as three writes on
+/// an unbuffered socket were three syscalls and, with Nagle's algorithm on,
+/// up to three segments a frame.
+pub(crate) fn send_frame(
+    stream: &mut TcpStream,
+    kind: u8,
+    frame: &mut [u8],
+) -> std::io::Result<()> {
+    let body_len = frame
+        .len()
+        .checked_sub(FRAME_HEADER)
+        .and_then(|len| u32::try_from(len).ok())
+        .ok_or_else(|| {
+            let msg = format!("no frame of {} bytes (header included)", frame.len());
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, msg)
+        })?;
+    frame[..4].copy_from_slice(&body_len.to_le_bytes());
+    frame[4] = kind;
+    stream.write_all(frame)
+}
+
+/// Writes one length-prefixed frame around a finished `body`.
 pub(crate) fn write_frame(stream: &mut TcpStream, kind: u8, body: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(body.len() as u32).to_le_bytes())?;
-    stream.write_all(&[kind])?;
-    stream.write_all(body)?;
-    stream.flush()
+    let mut frame = Vec::with_capacity(FRAME_HEADER + body.len());
+    begin_frame(&mut frame);
+    frame.extend_from_slice(body);
+    send_frame(stream, kind, &mut frame)
 }
 
 /// Reads one length-prefixed frame, bounding the body at 1 GiB so a
 /// corrupt length prefix cannot trigger an absurd allocation.
 pub(crate) fn read_frame(stream: &mut TcpStream) -> Result<(u8, Vec<u8>), TransportError> {
-    let mut header = [0u8; 5];
+    let mut header = [0u8; FRAME_HEADER];
     stream.read_exact(&mut header)?;
     let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
     if len > 1 << 30 {
@@ -629,7 +675,7 @@ impl TcpTransport {
         let mut slots: Vec<Option<TcpStream>> = (0..devices).map(|_| None).collect();
         let mut connected = 0;
         while connected < devices {
-            let (mut stream, _) = listener.accept()?;
+            let mut stream = accept_nodelay(listener)?;
             let device = read_hello(&mut stream, devices)?;
             if slots[device].is_some() {
                 return Err(TransportError::Frame(format!(
@@ -688,7 +734,7 @@ impl TcpTransport {
         let mut connected = 0;
         let mut handshake_faults = 0;
         while connected < devices {
-            let (mut stream, _) = listener.accept()?;
+            let mut stream = accept_nodelay(&listener)?;
             match read_hello(&mut stream, devices) {
                 Ok(device) => {
                     let _ = stream.set_read_timeout(Some(handshake_timeout));
@@ -751,7 +797,7 @@ impl TcpTransport {
         }
         let mut waiting: Vec<usize> = rejoining.to_vec();
         while !waiting.is_empty() {
-            let (mut stream, _) = listener.accept()?;
+            let mut stream = accept_nodelay(listener)?;
             match read_hello(&mut stream, self.streams.len()) {
                 Ok(device) if self.streams[device].is_none() => {
                     let _ = stream.set_read_timeout(Some(self.handshake_timeout));
@@ -765,6 +811,15 @@ impl TcpTransport {
         }
         Ok(())
     }
+}
+
+/// Accepts one connection with Nagle's algorithm off: every frame is one
+/// write already ([`send_frame`]), so holding a small one back for the ACK of
+/// the last can only add latency.
+fn accept_nodelay(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// Reads and validates one HELLO frame, returning the claimed device id.
@@ -794,7 +849,7 @@ struct MuxRecv {
     /// Global device id: selects the stream and its receive buffer.
     device: usize,
     /// Frame header under assembly: `u32 body_len | u8 kind`.
-    header: [u8; 5],
+    header: [u8; FRAME_HEADER],
     /// Header bytes received so far.
     header_filled: usize,
     /// Body length parsed from the completed header.
@@ -848,7 +903,7 @@ fn collect_multiplexed(
         live.push(MuxRecv {
             pos,
             device,
-            header: [0; 5],
+            header: [0; FRAME_HEADER],
             header_filled: 0,
             body_len: 0,
             body_filled: 0,
@@ -1006,11 +1061,11 @@ impl Transport for TcpTransport {
             // round's cohort (the index the in-process loop trains it
             // under), then the shared snapshot. The frame buffer is
             // recycled across recipients and rounds.
-            broadcast_scratch.clear();
+            begin_frame(broadcast_scratch);
             put_u32(broadcast_scratch, pos as u32);
             broadcast_scratch.extend_from_slice(&shared);
             let stream = streams[k].as_mut().expect("checked live above");
-            if let Err(e) = write_frame(stream, FRAME_ROUND, broadcast_scratch) {
+            if let Err(e) = send_frame(stream, FRAME_ROUND, broadcast_scratch) {
                 if tolerant {
                     streams[k] = None;
                     broadcast_faults[pos] = Some(FaultKind::Disconnected(e.to_string()));
@@ -1127,6 +1182,7 @@ pub fn run_tcp_device(
     let rt = env.cfg.runtime();
     model.set_runtime(rt);
     let mut residual: Vec<f32> = Vec::new();
+    let mut frame = Vec::new();
     let data = env.parts.get(device).ok_or_else(|| {
         TransportError::Frame(format!("device {device} has no partition in this env"))
     })?;
@@ -1162,8 +1218,9 @@ pub fn run_tcp_device(
                     needs_residual.then_some(&mut residual),
                     &rt,
                 );
-                let frame = encode_update_frame(device, round as u64, epoch, &update, &ctx);
-                write_frame(&mut stream, FRAME_UPDATE, &frame)?;
+                begin_frame(&mut frame);
+                encode_update_frame_into(&mut frame, device, round as u64, epoch, &update, &ctx);
+                send_frame(&mut stream, FRAME_UPDATE, &mut frame)?;
             }
             other => {
                 return Err(TransportError::Frame(format!(
@@ -1218,6 +1275,7 @@ pub fn run_tcp_devices(
     model.set_runtime(rt);
     let needs_residual = env.cfg.codec.uses_error_feedback();
     let mut residuals: Vec<Vec<f32>> = vec![Vec::new(); devices.len()];
+    let mut frame = Vec::new();
     loop {
         for (i, device) in devices.clone().enumerate() {
             let stream = &mut streams[i];
@@ -1256,8 +1314,10 @@ pub fn run_tcp_devices(
                         needs_residual.then_some(&mut residuals[i]),
                         &rt,
                     );
-                    let frame = encode_update_frame(device, round as u64, epoch, &update, &ctx);
-                    write_frame(stream, FRAME_UPDATE, &frame)?;
+                    begin_frame(&mut frame);
+                    let round = round as u64;
+                    encode_update_frame_into(&mut frame, device, round, epoch, &update, &ctx);
+                    send_frame(stream, FRAME_UPDATE, &mut frame)?;
                 }
                 other => {
                     return Err(TransportError::Frame(format!(
@@ -1272,13 +1332,18 @@ pub fn run_tcp_devices(
 /// Connects to the server, retrying connection-refused/reset errors with a
 /// short backoff for ~30 seconds — client and server processes are usually
 /// launched concurrently, and the bind is a race the client should absorb.
+/// The stream comes back with Nagle's algorithm off, like the server's end
+/// (`accept_nodelay`).
 pub(crate) fn connect_with_retry(
     addr: impl ToSocketAddrs + Clone,
 ) -> Result<TcpStream, TransportError> {
     let mut last_err = None;
     for _ in 0..120 {
         match TcpStream::connect(addr.clone()) {
-            Ok(stream) => return Ok(stream),
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                return Ok(stream);
+            }
             Err(e)
                 if matches!(
                     e.kind(),
@@ -1378,6 +1443,72 @@ mod tests {
         };
         let uframe = encode_update_frame(0, 0, 0, &update, &ctx);
         assert!(decode_update_frame(&uframe[..10], &ctx).is_err());
+    }
+
+    /// A frame built in place — header reserved, body appended behind it,
+    /// both sent as one write — is byte for byte the `len | kind | body`
+    /// layout, and both of the server's readers parse it: the blocking
+    /// `read_frame` and the multiplexed collect loop.
+    #[test]
+    fn frames_sent_as_one_write_parse_from_both_readers() {
+        let ctx = WireCtx::dense(8);
+        let update = DeviceUpdate {
+            payload: Payload::Dense {
+                values: (0..8).map(|i| i as f32 * 0.5).collect(),
+            },
+            bn: Vec::new(),
+            samples: 3,
+            realized_flops: 1.0,
+            wall_secs: 0.0,
+        };
+        let body = encode_update_frame(0, 1, 2, &update, &ctx);
+        let mut frame = vec![0xAA; 3]; // recycled: stale bytes are dropped
+        begin_frame(&mut frame);
+        encode_update_frame_into(&mut frame, 0, 1, 2, &update, &ctx);
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = std::thread::spawn(move || {
+            let mut stream = connect_with_retry(addr).expect("connect");
+            assert!(stream.nodelay().expect("nodelay"));
+            for _ in 0..2 {
+                send_frame(&mut stream, FRAME_UPDATE, &mut frame).expect("send");
+            }
+            write_frame(&mut stream, FRAME_DONE, &[]).expect("done");
+            (stream, frame)
+        });
+        let mut stream = accept_nodelay(&listener).expect("accept");
+        assert!(stream.nodelay().expect("nodelay"));
+        let (kind, got) = read_frame(&mut stream).expect("blocking read");
+        assert_eq!((kind, &got), (FRAME_UPDATE, &body));
+
+        let mut streams = [Some(stream)];
+        let mut recv_bufs = [Vec::new()];
+        let mut outcomes = [None];
+        collect_multiplexed(
+            &mut streams,
+            &mut recv_bufs,
+            &[(0, 0)],
+            &mut outcomes,
+            false,
+            std::time::Duration::from_secs(5),
+        )
+        .expect("multiplexed read");
+        assert!(matches!(
+            outcomes[0],
+            Some(MuxOutcome::Frame { kind: FRAME_UPDATE })
+        ));
+        assert_eq!(recv_bufs[0], body);
+
+        let stream = streams[0].as_mut().expect("still live");
+        let (kind, got) = read_frame(stream).expect("blocking read");
+        assert_eq!((kind, got.len()), (FRAME_DONE, 0));
+
+        let (_socket, frame) = client.join().expect("client thread");
+        let mut three_writes = (body.len() as u32).to_le_bytes().to_vec();
+        three_writes.push(FRAME_UPDATE);
+        three_writes.extend_from_slice(&body);
+        assert_eq!(frame, three_writes);
     }
 
     #[test]

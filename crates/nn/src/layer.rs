@@ -9,24 +9,30 @@ use crate::param::{Param, ParamKind};
 use ft_runtime::Runtime;
 use ft_sparse::CsrMatrix;
 use ft_tensor::{
-    avg_pool_global_backward_into, avg_pool_global_into_rt, col2im_ld, conv2d_fused_into_rt,
-    dsmm_into_rt, dsmm_nt_into_rt, im2col_batched_rt, kaiming_normal, matmul_into_rt,
-    matmul_nt_into_rt, matmul_nt_seg_into_rt, matmul_tn_into_rt, max_pool2x2_backward_into,
-    max_pool2x2_into_rt, sddmm_tn_into_rt, spconv_backward_rt, spconv_forward_rt, ConvGeom,
-    CsrView, SpConvBufs, SpConvIndex, Tensor,
+    avg_pool_global_backward_into, avg_pool_global_into_rt, dconv_backward_rt, dconv_forward_rt,
+    dsmm_into_rt, dsmm_nt_into_rt, kaiming_normal, matmul_into_rt, matmul_nt_into_rt,
+    matmul_tn_into_rt, max_pool2x2_backward_into, max_pool2x2_into_rt, sddmm_tn_into_rt,
+    spconv_backward_rt, spconv_forward_rt, ConvBufs, ConvGeom, CsrView, SpConvIndex, Tensor,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Default density crossover below which `Conv2d` / `Linear` switch from the
-/// dense GEMM kernels to the sparse engine.
+/// Default density crossover at or below which `Conv2d` / `Linear` leave the
+/// dense engine for the sparse one.
 ///
-/// The 0.5 is uncalibrated: it was set before the dense GEMM and the sparse
-/// kernels were rebuilt and has not been re-measured since (ROADMAP item 1's
-/// dispatch sweep). The direct sparse convolution moved the conv break-even
-/// up, so 0.5 now errs further on the low side; at the paper's densities
-/// (d ≤ 0.1) the sparse path wins by roughly `1/d` either way. Override per
-/// model with [`crate::Model::set_sparse_crossover`].
+/// For convolutions the break-even is measured: `BENCH_micro_ops.json`'s
+/// `dispatch_sweep_*` records time both direct engines over one masked
+/// weight (batch 32, the first and the last ResNet18-w0.25 stage shape, one
+/// pinned core, four runs). CSR ÷ dense reads 0.12–0.22 at d = 0.05,
+/// 0.22–0.33 at 0.1, 0.52–0.68 at 0.25, **1.02–1.38 at 0.5**, 1.4–2.0 at
+/// 0.75 and 1.9–2.6 at 1.0, forward and backward alike: the lines cross at
+/// d ≈ 0.46–0.48, and at 0.38 for the forward pass on 2 × 2 planes. So 0.5
+/// sends a narrow band below it to an engine 2–38 % slower and everything
+/// else to the faster one — and at the paper's densities (d ≤ 0.1) the
+/// sparse engine wins three- to eightfold. The constant has not been moved
+/// to the measured value: that changes a dispatch decision, and with it the
+/// golden traces. `Linear`'s kernels have no sweep yet. Override per model
+/// with [`crate::Model::set_sparse_crossover`].
 pub const DEFAULT_SPARSE_CROSSOVER: f32 = 0.5;
 
 /// Cached sparse packing of a layer weight, keyed by the mask epoch that
@@ -125,15 +131,18 @@ pub struct BnStats {
 /// Bias-free by convention in this workspace (every conv is followed by
 /// BatchNorm, which supplies the shift).
 ///
-/// Dense weights run as im2col + GEMM over cache-sized tiles of the batch.
-/// When a pruning mask has been applied (see [`Param::note_mask`]) and the
-/// layer's density is at or below its crossover, forward and backward run on
-/// the direct sparse engine instead ([`spconv_forward_rt`]): CSR weights
-/// against a zero-padded, sample-innermost copy of the input, no column
-/// matrix. Outputs are identical up to float rounding, but the sparse
-/// backward only produces weight gradients at mask-alive coordinates
-/// (gradient scoring passes that need pruned-coordinate gradients must take
-/// the layer off the sparse path, e.g. `set_sparse_crossover(0.0)`).
+/// Both execution paths are direct engines over one layout — groups of eight
+/// samples transposed into a zero-padded, sample-innermost copy of the input
+/// — and neither builds a column matrix. Dense weights run on the
+/// register-blocked engine ([`dconv_forward_rt`]), at every batch size and in
+/// both modes. When a pruning mask has been applied (see
+/// [`Param::note_mask`]) and the layer's density is at or below its
+/// crossover, forward and backward run on the CSR engine instead
+/// ([`spconv_forward_rt`]). Outputs are identical up to float rounding, but
+/// the sparse backward only produces weight gradients at mask-alive
+/// coordinates (gradient scoring passes that need pruned-coordinate
+/// gradients must take the layer off the sparse path, e.g.
+/// `set_sparse_crossover(0.0)`).
 ///
 /// A clone copies the weight, the configuration and the sparse plan; it
 /// starts with empty scratch and no cached forward, like a layer that has
@@ -174,45 +183,15 @@ impl Clone for Conv2d {
     }
 }
 
-/// Byte budget of one column-matrix tile: the dense path walks the batch in
-/// tiles of as many whole samples as fit, so the im2col matrix a kernel
-/// writes is read back out of L2 instead of DRAM and no arena grows with the
-/// batch. A 64 KiB – 1 MiB sweep bottomed out here.
-const COL_TILE_BYTES: usize = 256 * 1024;
-
-/// Whole samples per tile for a batch of `n`: at least one (a single sample
-/// may exceed the budget), at most the batch.
-fn tile_samples(geom: &ConvGeom, n: usize) -> usize {
-    let sample_bytes = geom.col_rows() * geom.col_cols() * std::mem::size_of::<f32>();
-    (COL_TILE_BYTES / sample_bytes.max(1)).clamp(1, n.max(1))
-}
-
-/// Per-layer scratch arena: every buffer the conv engines touch, sized on
-/// first use and reused across tiles, batches, epochs, and rounds (same
-/// idiom as `AggScratch` in `ft_fl`). The four matrices belong to the dense
-/// path and hold one tile of `t` whole samples ([`tile_samples`]), not the
-/// batch; the sparse path never touches them and keeps its transposed input
-/// and staging in `spconv`.
+/// Per-layer scratch, sized on first use and reused across batches, epochs
+/// and rounds (same idiom as `AggScratch` in `ft_fl`): the direct engines'
+/// buffers — the kept input and the transposed `dY` cover the batch, the
+/// staging holds one eight-sample group per worker — shared by the dense and
+/// the sparse path, whichever ran last. Nothing here scales with
+/// `in_c·k²·oh·ow`.
 #[derive(Debug, Default)]
 struct ConvScratch {
-    /// Column matrix of the current tile `[cr, t·cc]`; sample `i` of the
-    /// tile occupies columns `i·cc..(i+1)·cc`. Not used by the dense Eval
-    /// forward, which packs B-panels straight out of the image.
-    cols_b: Tensor,
-    /// Forward output staging `[oc, t·cc]` before the NCHW scatter (the
-    /// dense Eval forward stages the whole batch, `[oc, n·cc]`).
-    out_b: Tensor,
-    /// Backward `dY` staging `[oc, t·cc]` (repacked from NCHW).
-    gob: Tensor,
-    /// Column-space input gradient `[cr, t·cc]`.
-    dcol_b: Tensor,
-    /// Copy of the dense forward input `[n, in_c, h, w]` (one ninth of a 3×3
-    /// column matrix), kept whenever backward has to rebuild columns: the
-    /// batch spans several tiles, or the forward never materialized them.
-    x_cache: Tensor,
-    /// The sparse path's buffers: the padded, sample-innermost input kept
-    /// for backward, and the transposed staging around the three kernels.
-    spconv: SpConvBufs,
+    bufs: ConvBufs,
     /// Sparse-path `dW` values at the CSR structure.
     grad_w_vals: Vec<f32>,
 }
@@ -223,10 +202,6 @@ struct ConvMeta {
     batch: usize,
     /// Whether the forward pass ran on the sparse path (backward must match).
     sparse: bool,
-    /// Dense path: whether `scratch.cols_b` still holds the whole batch's
-    /// column matrix (a one-tile forward that materialized it); otherwise
-    /// backward rebuilds each tile from `scratch.x_cache`.
-    cols_valid: bool,
 }
 
 impl Conv2d {
@@ -321,20 +296,24 @@ impl Conv2d {
         }
     }
 
-    /// `(largest tile arena, tile budget)` in bytes for `side × side`
-    /// inputs: the budget is [`COL_TILE_BYTES`] rounded up to one sample's
-    /// column matrix.
+    /// Floats (and offsets) this layer's scratch holds.
     #[cfg(test)]
-    pub(crate) fn arena_bytes(&self, side: usize) -> (usize, usize) {
-        let sc = &self.scratch;
-        let largest = [&sc.cols_b, &sc.dcol_b, &sc.out_b, &sc.gob]
-            .map(Tensor::numel)
-            .into_iter()
-            .max()
-            .expect("four arenas");
+    pub(crate) fn scratch_len(&self) -> usize {
+        self.scratch.bufs.total_len() + self.scratch.grad_w_vals.len()
+    }
+
+    /// What [`Conv2d::scratch_len`] may reach after a sequential step over
+    /// `n` samples of `side × side`: the padded input and `dY` (its rows an
+    /// odd number of lanes apart) of the batch rounded up to whole
+    /// eight-sample groups, one more group of each as staging, and three
+    /// weight-sized tables (the dense path's transposed weight and offsets,
+    /// the sparse path's gradient slots).
+    #[cfg(test)]
+    pub(crate) fn scratch_bound(&self, n: usize, side: usize) -> usize {
         let geom = self.geom(side, side);
-        let sample = 4 * geom.col_rows() * geom.col_cols();
-        (4 * largest, COL_TILE_BYTES.max(sample))
+        let padded = self.in_c * (side + 2 * self.pad) * (side + 2 * self.pad);
+        let group = 8 * (padded + self.out_c * (geom.col_cols() | 1));
+        (n.div_ceil(8) + 1) * group + 3 * (self.out_c + 6) * geom.col_rows() + geom.col_cols()
     }
 
     /// Forward pass over `[n, in_c, h, w]` (allocating wrapper around
@@ -351,22 +330,16 @@ impl Conv2d {
 
     /// Forward into a caller-owned output tensor.
     ///
-    /// The sparse path hands the batch to the direct engine, which keeps its
-    /// transposed input for backward. The dense path walks the batch in
-    /// tiles of whole samples whose column matrix fits 256 KiB; each tile
-    /// runs im2col → GEMM → NCHW scatter through the layer's tile-sized
-    /// scratch. The dense `Eval` path has no column matrix — it packs
-    /// B-panels straight out of the image (implicit GEMM) — and takes the
-    /// whole batch as one tile. Every kernel accumulates an output element
-    /// in ascending `k` / stored-entry order whatever samples it is handed,
-    /// so the result is bit-identical to the per-sample composition. A
-    /// dense batch that fits one tile runs the loop once and leaves its
-    /// column matrix in place for backward.
+    /// Either engine takes the whole batch, whatever its size and the mode,
+    /// and keeps its transposed input for backward. Both accumulate an
+    /// output element in ascending `k` / stored-entry order whatever samples
+    /// share its group, so the result is bit-identical to the per-sample
+    /// composition.
     ///
     /// # Panics
     ///
     /// Panics if the input is not rank-4 or the channel count differs.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
+    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, _mode: Mode) {
         let s = x.shape();
         assert_eq!(s.len(), 4, "conv input must be [n,c,h,w]");
         assert_eq!(
@@ -377,91 +350,23 @@ impl Conv2d {
         let (n, h, w) = (s[0], s[2], s[3]);
         let geom = self.geom(h, w);
         let (cr, cc) = (geom.col_rows(), geom.col_cols());
-        let (oh, ow) = (geom.out_h(), geom.out_w());
         let sparse = refresh_plan(&mut self.plan, &self.w, self.crossover, self.out_c, cr);
-        out.resize_for_overwrite(&[n, self.out_c, oh, ow]);
+        out.resize_for_overwrite(&[n, self.out_c, geom.out_h(), geom.out_w()]);
+        let bufs = &mut self.scratch.bufs;
         if sparse {
             let plan = self.plan.as_mut().expect("refresh_plan kept the plan");
             let (csr, index) = plan.for_conv(&geom);
-            spconv_forward_rt(
-                &self.runtime,
-                index,
-                csr,
-                x.data(),
-                n,
-                &mut self.scratch.spconv,
-                out.data_mut(),
-            );
+            spconv_forward_rt(&self.runtime, index, csr, x.data(), n, bufs, out.data_mut());
             self.realized_flops += 2.0 * (n * cc * csr.nnz()) as f64;
-            self.cache = Some(ConvMeta {
-                geom,
-                batch: n,
-                sparse,
-                cols_valid: false,
-            });
-            return;
-        }
-        // The implicit GEMM has no column matrix to keep in cache, and narrow
-        // per-tile calls cost it half again its time: it takes the batch
-        // whole. The training forward builds each tile's columns up front
-        // (its backward needs them regardless).
-        let fused = matches!(mode, Mode::Eval);
-        let tile = if fused {
-            n.max(1)
         } else {
-            tile_samples(&geom, n)
-        };
-        let cols_valid = !fused && tile == n;
-        let scratch = &mut self.scratch;
-        if !cols_valid {
-            scratch.x_cache.copy_from(x);
+            let w = self.w.data.data();
+            dconv_forward_rt(&self.runtime, &geom, w, x.data(), n, bufs, out.data_mut());
+            self.realized_flops += 2.0 * (n * cc * self.out_c * cr) as f64;
         }
-        // Zero-copy `[oc, cr]` view of the weight for the GEMMs: reshaped in
-        // place around the tile loop and restored after.
-        self.w.data.reshape_in_place(&[self.out_c, cr]);
-        let sample = geom.in_c * h * w;
-        let od = out.data_mut();
-        for i0 in (0..n).step_by(tile) {
-            let tn = tile.min(n - i0);
-            let xs = &x.data()[i0 * sample..(i0 + tn) * sample];
-            scratch.out_b.resize_zeroed(&[self.out_c, tn * cc]);
-            if fused {
-                conv2d_fused_into_rt(
-                    &self.runtime,
-                    &self.w.data,
-                    xs,
-                    tn,
-                    &geom,
-                    &mut scratch.out_b,
-                );
-            } else {
-                scratch.cols_b.resize_for_overwrite(&[cr, tn * cc]);
-                im2col_batched_rt(&self.runtime, xs, tn, &geom, scratch.cols_b.data_mut());
-                matmul_into_rt(
-                    &self.runtime,
-                    &self.w.data,
-                    &scratch.cols_b,
-                    &mut scratch.out_b,
-                );
-            }
-            // Scatter [oc, tn·cc] back to NCHW [n, oc, oh, ow].
-            let ob = scratch.out_b.data();
-            for i in 0..tn {
-                for c in 0..self.out_c {
-                    od[((i0 + i) * self.out_c + c) * cc..][..cc]
-                        .copy_from_slice(&ob[(c * tn + i) * cc..][..cc]);
-                }
-            }
-        }
-        self.w
-            .data
-            .reshape_in_place(&[self.out_c, self.in_c, self.kernel, self.kernel]);
-        self.realized_flops += 2.0 * (n * cc * self.out_c * cr) as f64;
         self.cache = Some(ConvMeta {
             geom,
             batch: n,
             sparse,
-            cols_valid,
         });
     }
 
@@ -479,14 +384,10 @@ impl Conv2d {
 
     /// Backward into a caller-owned input-gradient tensor.
     ///
-    /// The sparse path runs the direct engine's dW and dX kernels over the
-    /// input its forward kept. The dense path walks the same whole-sample
-    /// tiles as the forward: per tile, `dY` is repacked, the column matrix
-    /// rebuilt from the kept input (a one-tile batch reuses the forward's),
-    /// and `dW`, `dCol` and col2im each run once. On both, the weight
-    /// gradient takes one fresh accumulator per sample, added in sample
-    /// order, so the result is bit-identical to the per-sample loop followed
-    /// by `add_assign`.
+    /// The engine that ran the forward runs its dW and dX kernels over the
+    /// input that forward kept. On both, the weight gradient takes one fresh
+    /// accumulator per sample, added in sample order, so the result is
+    /// bit-identical to the per-sample loop followed by `add_assign`.
     ///
     /// # Panics
     ///
@@ -496,7 +397,7 @@ impl Conv2d {
     }
 
     /// Backward pass that only accumulates the parameter gradients,
-    /// skipping the input gradient entirely (no dCol GEMM, no col2im).
+    /// skipping the input gradient entirely (no dX kernel).
     /// For a network's leading convolution the input gradient is dead —
     /// there is no layer before it — so the training engine drops roughly
     /// half of the first conv's backward FLOPs by calling this.
@@ -508,7 +409,7 @@ impl Conv2d {
         self.backward_impl(grad_out, None);
     }
 
-    fn backward_impl(&mut self, grad_out: &Tensor, mut gx: Option<&mut Tensor>) {
+    fn backward_impl(&mut self, grad_out: &Tensor, gx: Option<&mut Tensor>) {
         let meta = self
             .cache
             .take()
@@ -523,12 +424,13 @@ impl Conv2d {
         );
         let scratch = &mut self.scratch;
         let passes = if gx.is_some() { 4.0 } else { 2.0 };
+        let gx = gx.map(|gx| {
+            gx.resize_for_overwrite(&[n, geom.in_c, geom.in_h, geom.in_w]);
+            gx.data_mut()
+        });
         if meta.sparse {
             let plan = self.plan.as_ref().expect("sparse forward left its plan");
             let index = plan.conv_index.as_ref().expect("and its index");
-            if let Some(gx) = gx.as_deref_mut() {
-                gx.resize_for_overwrite(&[n, geom.in_c, geom.in_h, geom.in_w]);
-            }
             // dW lands at the CSR structure (mask-alive coordinates only).
             scratch.grad_w_vals.clear();
             scratch.grad_w_vals.resize(plan.csr.nnz(), 0.0);
@@ -538,80 +440,26 @@ impl Conv2d {
                 plan.csr.view(),
                 grad_out.data(),
                 n,
-                &mut scratch.spconv,
+                &mut scratch.bufs,
                 Some(&mut scratch.grad_w_vals),
-                gx.map(Tensor::data_mut),
+                gx,
             );
             plan.csr
                 .scatter_add(&scratch.grad_w_vals, self.w.grad.data_mut());
             self.realized_flops += passes * (n * cc * plan.csr.nnz()) as f64;
-            return;
-        }
-        let sample = geom.in_c * geom.in_h * geom.in_w;
-        if let Some(gx) = gx.as_deref_mut() {
-            gx.resize_zeroed(&[n, geom.in_c, geom.in_h, geom.in_w]);
-        }
-        // The GEMMs take `[oc, cr]` views of the weight and its gradient:
-        // reshaped in place around the tile loop.
-        self.w.grad.reshape_in_place(&[self.out_c, cr]);
-        self.w.data.reshape_in_place(&[self.out_c, cr]);
-        let tile = tile_samples(&geom, n);
-        let gd = grad_out.data();
-        for i0 in (0..n).step_by(tile) {
-            let tn = tile.min(n - i0);
-            // Repack dY from NCHW [tn, oc, cc] to the tile layout [oc, tn·cc].
-            scratch.gob.resize_for_overwrite(&[self.out_c, tn * cc]);
-            let gob = scratch.gob.data_mut();
-            for i in 0..tn {
-                for c in 0..self.out_c {
-                    gob[(c * tn + i) * cc..][..cc]
-                        .copy_from_slice(&gd[((i0 + i) * self.out_c + c) * cc..][..cc]);
-                }
-            }
-            if !meta.cols_valid {
-                scratch.cols_b.resize_for_overwrite(&[cr, tn * cc]);
-                im2col_batched_rt(
-                    &self.runtime,
-                    &scratch.x_cache.data()[i0 * sample..(i0 + tn) * sample],
-                    tn,
-                    &geom,
-                    scratch.cols_b.data_mut(),
-                );
-            }
-            // dW += dY · colᵀ ([oc, tn·cc] x [cr, tn·cc]ᵀ → [oc, cr]),
-            // accumulated straight into the weight gradient.
-            matmul_nt_seg_into_rt(
+        } else {
+            dconv_backward_rt(
                 &self.runtime,
-                &scratch.gob,
-                &scratch.cols_b,
-                cc,
-                &mut self.w.grad,
+                &geom,
+                self.w.data.data(),
+                grad_out.data(),
+                n,
+                &mut scratch.bufs,
+                Some(self.w.grad.data_mut()),
+                gx,
             );
-            if let Some(gx) = gx.as_deref_mut() {
-                // dCol = Wᵀ · dY ([oc,cr]ᵀ x [oc, tn·cc] → [cr, tn·cc]).
-                scratch.dcol_b.resize_zeroed(&[cr, tn * cc]);
-                matmul_tn_into_rt(
-                    &self.runtime,
-                    &self.w.data,
-                    &scratch.gob,
-                    &mut scratch.dcol_b,
-                );
-                let dcol = scratch.dcol_b.data();
-                let gxd = gx.data_mut();
-                for i in 0..tn {
-                    col2im_ld(
-                        &dcol[i * cc..],
-                        tn * cc,
-                        &geom,
-                        &mut gxd[(i0 + i) * sample..(i0 + i + 1) * sample],
-                    );
-                }
-            }
+            self.realized_flops += passes * (n * cc * self.out_c * cr) as f64;
         }
-        let shape = [self.out_c, self.in_c, self.kernel, self.kernel];
-        self.w.grad.reshape_in_place(&shape);
-        self.w.data.reshape_in_place(&shape);
-        self.realized_flops += passes * (n * cc * self.out_c * cr) as f64;
     }
 }
 
@@ -1868,7 +1716,7 @@ impl Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_tensor::assert_close;
+    use ft_tensor::{assert_close, col2im_ld, im2col_batched_rt};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -2397,6 +2245,18 @@ mod tests {
         (y, gx, bits(&gw))
     }
 
+    /// Byte budget of one column-matrix tile of the im2col engines both
+    /// paths ran on before the direct ones; the CSR oracle below still walks
+    /// the batch in such tiles.
+    const COL_TILE_BYTES: usize = 256 * 1024;
+
+    /// Whole samples per tile for a batch of `n`: at least one, at most the
+    /// batch.
+    fn tile_samples(geom: &ConvGeom, n: usize) -> usize {
+        let sample_bytes = geom.col_rows() * geom.col_cols() * std::mem::size_of::<f32>();
+        (COL_TILE_BYTES / sample_bytes.max(1)).clamp(1, n.max(1))
+    }
+
     /// `(in_c, kernel, stride, pad, input side)` of the tile-boundary cases:
     /// 3×3 and 1×1, stride 1 and 2, each sized so exactly three samples fit
     /// one column tile (every case has a 12×12 output).
@@ -2437,7 +2297,8 @@ mod tests {
                 .into_iter()
                 .enumerate()
             {
-                for n in [1, t - 1, t, t + 1, 2 * t + 1] {
+                // Around the oracle's tile, then around the eight-sample group.
+                for n in [1, t - 1, t, t + 1, 2 * t + 1, 8, 9] {
                     // Eval → backward is the SynFlow-style probe.
                     for mode in [Mode::Train, Mode::Eval] {
                         let tag = format!("k{kernel} s{stride} variant {v} n={n} {mode:?}");
@@ -2459,11 +2320,12 @@ mod tests {
     }
 
     /// Every ftbench device sees a full batch and then a shorter one; the
-    /// second must not read anything the first left in the arenas. The dense
-    /// arenas stay one tile however large the batch was; the sparse path
-    /// holds no column arena at all, only its padded eight-sample groups.
+    /// second must not read anything the first left in the buffers, and on
+    /// either path those are the kept input, `dY` and one group of staging
+    /// per worker ([`Conv2d::scratch_bound`]) — under half the column matrix
+    /// of the batch — and back to the same size when the full batch returns.
     #[test]
-    fn tile_arenas_are_reused_across_batch_sizes_and_stay_tile_sized() {
+    fn scratch_holds_no_column_matrix_and_is_reused_across_batch_sizes() {
         let (in_c, kernel, stride, pad, side) = TILE_GEOMS[0];
         for (v, layer) in tile_variants(in_c, kernel, stride, pad)
             .into_iter()
@@ -2471,7 +2333,8 @@ mod tests {
         {
             let mut l = layer.clone();
             let mut rng = rng();
-            for n in [32usize, 18] {
+            let mut held = Vec::new();
+            for n in [32usize, 18, 32] {
                 let x = ft_tensor::normal(&mut rng, &[n, in_c, side, side], 0.0, 1.0);
                 let go = ft_tensor::normal(&mut rng, &[n, 8, 12, 12], 0.0, 1.0);
                 let (y, gx, gw) = per_sample_oracle(&layer, &x, &go, Mode::Train);
@@ -2479,23 +2342,42 @@ mod tests {
                 assert_eq!(bits(&l.forward(&x, Mode::Train)), y, "forward n={n}");
                 assert_eq!(bits(&l.backward(&go)), gx, "gx n={n}");
                 assert_eq!(bits(&l.w.grad), gw, "w.grad n={n}");
-                let sc = &l.scratch;
-                if v == 0 {
-                    // Three samples fill a tile; the arenas hold the last one.
-                    let (cr, cc, last) = (in_c * kernel * kernel, 12 * 12, (n - 1) % 3 + 1);
-                    assert!(3 * cr * cc * 4 <= COL_TILE_BYTES);
-                    assert_eq!(sc.cols_b.numel(), last * cr * cc);
-                    assert_eq!(sc.dcol_b.numel(), last * cr * cc);
-                    assert_eq!(sc.out_b.numel(), last * 8 * cc);
-                    assert_eq!(sc.gob.numel(), last * 8 * cc);
-                    assert_eq!(sc.spconv.kept_input_len(), 0);
-                } else {
-                    for arena in [&sc.cols_b, &sc.dcol_b, &sc.out_b, &sc.gob, &sc.x_cache] {
-                        assert_eq!(arena.numel(), 0, "sparse path grew a dense arena");
-                    }
-                    let padded = in_c * (side + 2 * pad) * (side + 2 * pad);
-                    assert_eq!(sc.spconv.kept_input_len(), n.div_ceil(8) * 8 * padded);
-                }
+                let padded = in_c * (side + 2 * pad) * (side + 2 * pad);
+                let kept = l.scratch.bufs.kept_input_len();
+                assert_eq!(kept, n.div_ceil(8) * 8 * padded, "variant {v}");
+                let (len, bound) = (l.scratch_len(), l.scratch_bound(n, side));
+                let columns = n * in_c * kernel * kernel * 12 * 12;
+                assert!(kept < len && len <= bound, "variant {v}: {len} > {bound}");
+                assert!(2 * bound < columns, "variant {v}: {bound} vs {columns}");
+                held.push(len);
+            }
+            assert_eq!(held[0], held[2], "variant {v}");
+            assert!(held[1] < held[0], "variant {v}");
+        }
+    }
+
+    /// The engines do not look at the mode: an `Eval` forward is a `Train`
+    /// forward, bit for bit, and backward runs from either.
+    #[test]
+    fn eval_forward_equals_train_forward_bit_for_bit() {
+        for (in_c, kernel, stride, pad, side) in TILE_GEOMS {
+            for (v, layer) in tile_variants(in_c, kernel, stride, pad)
+                .into_iter()
+                .enumerate()
+            {
+                let x = ft_tensor::normal(&mut rng(), &[11, in_c, side, side], 0.0, 1.0);
+                let go = Tensor::ones(&[11, 8, 12, 12]);
+                let (mut train, mut eval) = (layer.clone(), layer);
+                let tag = format!("k{kernel} s{stride} variant {v}");
+                let y = train.forward(&x, Mode::Train);
+                assert_eq!(bits(&eval.forward(&x, Mode::Eval)), bits(&y), "{tag}");
+                assert_eq!(
+                    bits(&eval.backward(&go)),
+                    bits(&train.backward(&go)),
+                    "{tag}"
+                );
+                assert_eq!(bits(&eval.w.grad), bits(&train.w.grad), "{tag}");
+                assert_eq!(eval.realized_flops(), train.realized_flops(), "{tag}");
             }
         }
     }
@@ -2611,7 +2493,7 @@ mod tests {
         let y = conv.forward(&x, Mode::Train);
         let fresh = conv.clone();
         assert!(fresh.cache.is_none());
-        assert_eq!(fresh.scratch.spconv.kept_input_len(), 0);
+        assert_eq!(fresh.scratch_len(), 0);
         assert!(fresh.plan.is_some(), "the plan is structure, not scratch");
         let mut bn = BatchNorm2d::new(8, "bn");
         let _ = bn.forward(&y, Mode::Train);

@@ -767,9 +767,10 @@ mod tests {
     }
 
     /// At the benchmark's shape (width 0.25, 16 px, batch 32) a training
-    /// step leaves no conv arena larger than one column tile.
+    /// step leaves every conv with its kept input, `dY` and one group of
+    /// staging, and nothing the size of a column matrix.
     #[test]
-    fn scratch_step_keeps_every_conv_arena_tile_sized() {
+    fn scratch_step_leaves_no_conv_a_column_matrix() {
         let mut m = ResNet18::new(&mut ChaCha8Rng::seed_from_u64(5), 0.25, 10, 3, 16);
         let x = ft_tensor::normal(
             &mut ChaCha8Rng::seed_from_u64(6),
@@ -793,12 +794,8 @@ mod tests {
         }
         assert_eq!(convs.len(), 20);
         for (conv, side) in convs {
-            let (largest, budget) = conv.arena_bytes(side);
-            assert!(
-                largest > 0 && largest <= budget,
-                "{}: {largest} > {budget}",
-                conv.w.name
-            );
+            let (len, bound) = (conv.scratch_len(), conv.scratch_bound(32, side));
+            assert!(len > 0 && len <= bound, "{}: {len} > {bound}", conv.w.name);
         }
     }
 

@@ -7,12 +7,11 @@
 //! without changing any per-output-element accumulation order (the GEMM `k`
 //! dimension — `col_rows` — is untouched by batching).
 //!
-//! [`conv2d_fused_into_rt`] goes one step further and never materializes the
-//! column matrix at all: an implicit-GEMM pack source generates the batched
-//! im2col values directly into the GEMM's packed `B` panels, byte-identical
-//! to packing a materialized matrix.
+//! No layer runs on these any more: `Conv2d` executes on the two direct
+//! engines ([`crate::dconv_forward_rt`], [`crate::spconv_forward_rt`]), and
+//! this route — im2col, a GEMM or CSR product, col2im — is the oracle their
+//! tests pin them against, bit for bit.
 
-use crate::matmul::{gemm_src, GemmShape, PackBSource};
 use crate::Tensor;
 use ft_runtime::Runtime;
 use std::ops::Range;
@@ -348,165 +347,6 @@ pub fn col2im_ld(col: &[f32], ld: usize, g: &ConvGeom, out: &mut [f32]) {
     }
 }
 
-/// Implicit-GEMM pack source: generates the batched im2col matrix
-/// `[col_rows, n · col_cols]` straight into the GEMM's packed `B` panels.
-/// Every generated value is the same pure copy (or structural zero) that
-/// [`im2col_batched`] would have written and that `pack_b` would then have
-/// copied, so the packed panels are byte-identical to the materialized
-/// path and the GEMM output is bit-identical.
-struct ImageCols<'a> {
-    x: &'a [f32],
-    g: ConvGeom,
-    oh: usize,
-    ow: usize,
-}
-
-impl ImageCols<'_> {
-    /// Fills `dst[..valid]` with batched-column values
-    /// `cols_b(row, j0..j0 + valid)` for the tap decoded from `row`,
-    /// walking the flat column index incrementally instead of dividing per
-    /// element.
-    #[inline]
-    fn fill_lane(&self, row: usize, j0: usize, valid: usize, dst: &mut [f32]) {
-        let g = &self.g;
-        let (c, kh, kw) = decode_tap(g, row);
-        let cc = self.oh * self.ow;
-        let plane_len = g.in_h * g.in_w;
-        let sample_len = g.in_c * plane_len;
-        let mut i = j0 / cc;
-        let jj = j0 % cc;
-        let mut oy = jj / self.ow;
-        let mut ox = jj - oy * self.ow;
-        if g.stride == 1 {
-            // Same run decomposition as `fill_tap`, chopped to the lane: a
-            // lane covers at most a few (sample, output-row) spans, each a
-            // zero-pad head, one contiguous copy, and a zero-pad tail.
-            let lead = g.pad.saturating_sub(kw).min(self.ow);
-            let hi = (g.in_w + g.pad).saturating_sub(kw).min(self.ow);
-            let mut done = 0usize;
-            while done < valid {
-                let run = (self.ow - ox).min(valid - done);
-                let seg = &mut dst[done..done + run];
-                let iy = (oy + kh) as isize - g.pad as isize;
-                if iy < 0 || iy as usize >= g.in_h {
-                    seg.fill(0.0);
-                } else {
-                    // Clip the tap's [lead, hi) copy window to [ox, ox+run).
-                    let s = lead.clamp(ox, ox + run) - ox;
-                    let e = hi.clamp(ox, ox + run) - ox;
-                    seg[..s].fill(0.0);
-                    if e > s {
-                        let ix0 = (kw + ox + s).saturating_sub(g.pad);
-                        let base = i * sample_len + c * plane_len + iy as usize * g.in_w;
-                        seg[s..e].copy_from_slice(&self.x[base + ix0..][..e - s]);
-                    }
-                    seg[e..].fill(0.0);
-                }
-                done += run;
-                ox += run;
-                if ox == self.ow {
-                    ox = 0;
-                    oy += 1;
-                    if oy == self.oh {
-                        oy = 0;
-                        i += 1;
-                    }
-                }
-            }
-            return;
-        }
-        for d in dst[..valid].iter_mut() {
-            let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-            let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-            *d = if iy >= 0 && (iy as usize) < g.in_h && ix >= 0 && (ix as usize) < g.in_w {
-                self.x[i * sample_len + c * plane_len + iy as usize * g.in_w + ix as usize]
-            } else {
-                0.0
-            };
-            ox += 1;
-            if ox == self.ow {
-                ox = 0;
-                oy += 1;
-                if oy == self.oh {
-                    oy = 0;
-                    i += 1;
-                }
-            }
-        }
-    }
-}
-
-impl PackBSource for ImageCols<'_> {
-    fn pack(&self, nr: usize, kr: Range<usize>, cols: Range<usize>, out: &mut [f32]) {
-        let kc = kr.len();
-        let mut j0 = cols.start;
-        let mut strip = 0usize;
-        while j0 < cols.end {
-            let valid = (cols.end - j0).min(nr);
-            let panel = &mut out[strip * kc * nr..(strip + 1) * kc * nr];
-            for kk in 0..kc {
-                let dst = &mut panel[kk * nr..(kk + 1) * nr];
-                self.fill_lane(kr.start + kk, j0, valid, dst);
-                dst[valid..].fill(0.0);
-            }
-            j0 += nr;
-            strip += 1;
-        }
-    }
-}
-
-/// Fused dense convolution: `out += W · cols_b(x)` where `W` is the
-/// `[out_c, col_rows]` weight matrix and `cols_b(x)` is the batched im2col
-/// matrix of `x` (shape `[n, in_c, in_h, in_w]` flat) — except the column
-/// matrix is never materialized: the GEMM packs its `B` panels straight out
-/// of the images via `ImageCols`. Output shape is
-/// `[out_c, n · col_cols]`, accumulating like the other `_into` kernels,
-/// and the result is bit-identical to `matmul_into_rt(w, cols_b, out)` on a
-/// materialized batched column matrix.
-///
-/// # Panics
-///
-/// Panics if shapes do not match the geometry.
-pub fn conv2d_fused_into_rt(
-    rt: &Runtime,
-    w: &Tensor,
-    x: &[f32],
-    n: usize,
-    g: &ConvGeom,
-    out: &mut Tensor,
-) {
-    let cr = g.col_rows();
-    let ncc = n * g.col_cols();
-    assert_eq!(w.shape(), &[w.shape()[0], cr], "fused conv weight shape");
-    let oc = w.shape()[0];
-    assert_eq!(
-        x.len(),
-        n * g.in_c * g.in_h * g.in_w,
-        "fused conv input length mismatch"
-    );
-    assert_eq!(out.shape(), &[oc, ncc], "fused conv output shape");
-    let src = ImageCols {
-        x,
-        g: *g,
-        oh: g.out_h(),
-        ow: g.out_w(),
-    };
-    let shape = GemmShape {
-        k: cr,
-        n: ncc,
-        lda: cr,
-        ldb: ncc,
-    };
-    if !rt.should_parallelize(oc.saturating_mul(cr).saturating_mul(ncc)) || oc <= 1 {
-        return gemm_src::<false, _>(&shape, w.data(), &src, 0..oc, out.data_mut());
-    }
-    let wd = w.data();
-    let jobs = rt.split_rows_mut(out.data_mut(), ncc.max(1));
-    rt.scatter(jobs, |(rows, cchunk)| {
-        gemm_src::<false, _>(&shape, wd, &src, rows, cchunk);
-    });
-}
-
 /// Reference direct convolution of one sample; used by tests to validate the
 /// im2col path. `w` has shape `[out_c, in_c, k, k]` flat.
 pub fn conv2d_direct(x: &[f32], w: &[f32], g: &ConvGeom, out_c: usize) -> Tensor {
@@ -725,38 +565,6 @@ mod tests {
             let mut got = vec![0.25f32; g.in_c * g.in_h * g.in_w];
             col2im_ld(&batched[i * cc..], n * cc, &g, &mut got);
             assert_eq!(got, expect, "sample {i}");
-        }
-    }
-
-    /// The fused implicit-GEMM conv must be *bit-identical* to the GEMM over
-    /// a materialized batched column matrix, at every thread count —
-    /// the packed panels are byte-equal, so the arithmetic is too.
-    #[test]
-    fn fused_conv_is_bit_identical_to_materialized_gemm() {
-        use crate::matmul::matmul_into;
-        for (n, oc, stride, pad) in [(1usize, 1usize, 1, 0), (2, 4, 2, 1), (7, 5, 1, 1)] {
-            let g = ConvGeom {
-                in_c: 3,
-                in_h: 9,
-                in_w: 6,
-                kernel: 3,
-                stride,
-                pad,
-            };
-            let (cr, cc) = (g.col_rows(), g.col_cols());
-            let x = rand_vec(n * g.in_c * g.in_h * g.in_w, 90 + n as u64);
-            let w = Tensor::from_vec(rand_vec(oc * cr, 91 + oc as u64), &[oc, cr]);
-            let mut cols_b = vec![0.0f32; cr * n * cc];
-            im2col_batched(&x, n, &g, &mut cols_b);
-            let colst = Tensor::from_vec(cols_b, &[cr, n * cc]);
-            let mut expect = Tensor::ones(&[oc, n * cc]);
-            matmul_into(&w, &colst, &mut expect);
-            for threads in [1usize, 2, 4] {
-                let rt = Runtime::exact(threads).with_min_work(0);
-                let mut got = Tensor::ones(&[oc, n * cc]);
-                conv2d_fused_into_rt(&rt, &w, &x, n, &g, &mut got);
-                assert_eq!(got.data(), expect.data(), "n={n} oc={oc} threads={threads}");
-            }
         }
     }
 

@@ -2,7 +2,9 @@
 //!
 //! This crate provides exactly the numerical substrate the federated pruning
 //! stack needs and nothing more: a row-major [`Tensor`] type, blocked
-//! matrix multiplication, im2col/col2im helpers for convolution, elementwise
+//! matrix multiplication, the two direct convolution engines
+//! ([`dconv_forward_rt`] for dense weights, [`spconv_forward_rt`] for CSR
+//! ones) with the im2col/col2im route they are tested against, elementwise
 //! arithmetic, reductions, seeded random initializers, and the CSR sparse
 //! kernels ([`spmm_into`], [`dsmm_nt_into`], [`sddmm_nt_into`], ...) that
 //! execute pruned layers in `O(nnz)` instead of `O(rows · cols)`.
@@ -26,6 +28,7 @@
 //! assert_eq!(c, a);
 //! ```
 
+mod dconv;
 mod im2col;
 mod init;
 mod matmul;
@@ -37,10 +40,11 @@ mod spconv;
 mod spmm;
 mod tensor;
 
+pub use dconv::{dconv_backward_rt, dconv_forward_rt};
 pub use ft_runtime::Runtime;
 pub use im2col::{
-    col2im, col2im_ld, conv2d_direct, conv2d_fused_into_rt, im2col, im2col_batched,
-    im2col_batched_rt, im2col_rt, ConvGeom,
+    col2im, col2im_ld, conv2d_direct, im2col, im2col_batched, im2col_batched_rt, im2col_rt,
+    ConvGeom,
 };
 pub use init::{kaiming_normal, normal, uniform, xavier_uniform};
 pub use matmul::{
@@ -55,7 +59,7 @@ pub use pool::{
 pub use quant::{
     dequantize_affine_i8, dequantize_one, quant_error_bound, quantize_affine_i8, QuantParams,
 };
-pub use spconv::{spconv_backward_rt, spconv_forward_rt, SpConvBufs, SpConvIndex};
+pub use spconv::{spconv_backward_rt, spconv_forward_rt, ConvBufs, SpConvIndex};
 pub use spmm::{
     dsmm_into, dsmm_into_rt, dsmm_nt_into, dsmm_nt_into_rt, sddmm_nt_into, sddmm_nt_into_rt,
     sddmm_nt_seg_into, sddmm_nt_seg_into_rt, sddmm_tn_into, sddmm_tn_into_rt, spmm_into,

@@ -1,8 +1,10 @@
 //! Cache-blocked, packed matrix-multiplication kernels.
 //!
-//! Three layouts are provided because convolution backward passes need
-//! products against transposed operands and materializing the transpose
-//! would double the memory traffic:
+//! Three layouts are provided because backward passes need products against
+//! transposed operands and materializing the transpose would double the
+//! memory traffic. `Linear` runs on them; for convolutions they are, with
+//! im2col / col2im around them, the route the direct dense engine
+//! ([`crate::dconv_forward_rt`]) reproduces bit for bit and is tested against:
 //!
 //! - [`matmul_into`]: `C = A · B`
 //! - [`matmul_tn_into`]: `C = Aᵀ · B`
@@ -50,7 +52,7 @@ use std::ops::Range;
 
 /// Depth (`k`) blocking: one packed `A` strip (`KC × MR`) and one packed `B`
 /// strip (`KC × NR`) stay L1-resident while the microkernel runs.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Column (`n`) blocking: the packed `B` panel (`KC × NC` ≤ 512 KiB) is
 /// sized for L2 and reused across every row tile.
 const NC: usize = 512;
@@ -259,38 +261,11 @@ fn pack_b<const BT: bool>(
 /// Shape and stride bundle for one GEMM call; `lda`/`ldb` are the row
 /// strides of the *stored* operands (so `m` for a transposed `A`, `k` for a
 /// transposed `B`).
-pub(crate) struct GemmShape {
-    pub(crate) k: usize,
-    pub(crate) n: usize,
-    pub(crate) lda: usize,
-    pub(crate) ldb: usize,
-}
-
-/// A source of packed `B` panels for the blocked driver. The only
-/// implementation the driver itself uses is [`SliceB`] (a stored matrix
-/// packed by [`pack_b`]); the im2col module provides a source that generates
-/// convolution columns on the fly, byte-identical to packing a materialized
-/// `cols` matrix, so the dense conv path never builds `cols` at all.
-///
-/// `pack` must fill `out` with `NR`-column strips covering `cols` at depth
-/// `kr`, zero-padding column lanes past `cols.end` — the exact layout
-/// documented on [`pack_b`].
-pub(crate) trait PackBSource {
-    fn pack(&self, nr: usize, kr: Range<usize>, cols: Range<usize>, out: &mut [f32]);
-}
-
-/// The standard panel source: a stored `[k × n]` (or `[n × k]` when
-/// `BT = true`) matrix with row stride `ldb`.
-pub(crate) struct SliceB<'a, const BT: bool> {
-    pub(crate) bd: &'a [f32],
-    pub(crate) ldb: usize,
-}
-
-impl<const BT: bool> PackBSource for SliceB<'_, BT> {
-    #[inline]
-    fn pack(&self, nr: usize, kr: Range<usize>, cols: Range<usize>, out: &mut [f32]) {
-        pack_b::<BT>(self.bd, self.ldb, nr, kr, cols, out);
-    }
+struct GemmShape {
+    k: usize,
+    n: usize,
+    lda: usize,
+    ldb: usize,
 }
 
 thread_local! {
@@ -305,10 +280,10 @@ thread_local! {
 /// `rows`, where `cchunk` holds exactly those rows. Shared by every layout
 /// and every microkernel; see the module docs for the blocking scheme and
 /// the accumulation-order contract.
-fn gemm_with<M: Micro, const AT: bool, B: PackBSource>(
+fn gemm_with<M: Micro, const AT: bool, const BT: bool>(
     shape: &GemmShape,
     ad: &[f32],
-    bsrc: &B,
+    bd: &[f32],
     rows: Range<usize>,
     cchunk: &mut [f32],
 ) {
@@ -331,7 +306,7 @@ fn gemm_with<M: Micro, const AT: bool, B: PackBSource>(
             let mut pc = 0;
             while pc < k {
                 let kc = (k - pc).min(KC);
-                bsrc.pack(M::NR, pc..pc + kc, jc..jc + nc, bpack);
+                pack_b::<BT>(bd, shape.ldb, M::NR, pc..pc + kc, jc..jc + nc, bpack);
                 let mut ic = rows.start;
                 while ic < rows.end {
                     let mc = (rows.end - ic).min(M::MC);
@@ -367,23 +342,7 @@ fn gemm_with<M: Micro, const AT: bool, B: PackBSource>(
 }
 
 /// Selects the microkernel (explicit SIMD when compiled in and supported,
-/// portable otherwise) and runs the blocked driver over an arbitrary packed
-/// `B` source.
-pub(crate) fn gemm_src<const AT: bool, B: PackBSource>(
-    shape: &GemmShape,
-    ad: &[f32],
-    bsrc: &B,
-    rows: Range<usize>,
-    cchunk: &mut [f32],
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx::available() {
-        return gemm_with::<avx::AvxFma, AT, B>(shape, ad, bsrc, rows, cchunk);
-    }
-    gemm_with::<Portable, AT, B>(shape, ad, bsrc, rows, cchunk)
-}
-
-/// Dispatches a stored-matrix `B` through [`gemm_src`].
+/// portable otherwise) and runs the blocked driver.
 fn gemm<const AT: bool, const BT: bool>(
     shape: &GemmShape,
     ad: &[f32],
@@ -391,8 +350,11 @@ fn gemm<const AT: bool, const BT: bool>(
     rows: Range<usize>,
     cchunk: &mut [f32],
 ) {
-    let bsrc = SliceB::<BT> { bd, ldb: shape.ldb };
-    gemm_src::<AT, _>(shape, ad, &bsrc, rows, cchunk)
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if avx::available() {
+        return gemm_with::<avx::AvxFma, AT, BT>(shape, ad, bd, rows, cchunk);
+    }
+    gemm_with::<Portable, AT, BT>(shape, ad, bd, rows, cchunk)
 }
 
 fn check_matmul(a: &Tensor, b: &Tensor, c: &Tensor) -> (usize, usize, usize) {

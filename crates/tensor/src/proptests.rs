@@ -359,6 +359,41 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The direct dense convolution against the route it replaced —
+    /// `im2col_batched` → `matmul_into` / `matmul_nt_seg_into(seg = cc)` /
+    /// `matmul_tn_into` → per-sample `col2im_ld` — `to_bits`-equal in the
+    /// output, the weight gradient accumulated over two consecutive batches
+    /// (with and without the input gradient) and the input gradient:
+    /// non-square planes down to one pixel, 1×1 and 3×3 taps, both strides,
+    /// with and without padding, channel counts on both sides of the register
+    /// blocks, batches around the eight-sample group, sequentially and on
+    /// four workers.
+    #[test]
+    fn dconv_matches_im2col_gemm_bit_for_bit(
+        (in_c, out_c) in (1usize..=13, 1usize..=13),
+        (in_h, in_w) in (1usize..=10, 1usize..=10),
+        (kernel, stride, pad) in (0usize..2, 1usize..=2, 0usize..=1),
+        batch in 0usize..5,
+        seed in 0u64..1_000,
+    ) {
+        use crate::dconv::tests::assert_matches_oracle;
+        use crate::spconv::tests::rand_vec;
+        use rand::SeedableRng;
+        let kernel = [1usize, 3][kernel];
+        prop_assume!(in_h != in_w && in_h + 2 * pad >= kernel && in_w + 2 * pad >= kernel);
+        let n = [1usize, 7, 8, 9, 18][batch];
+        let g = ConvGeom { in_c, in_h, in_w, kernel, stride, pad };
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let w = rand_vec(out_c * g.col_rows(), &mut rng);
+        for rt in [ft_runtime::Runtime::sequential(), ft_runtime::Runtime::exact(4).with_min_work(0)] {
+            assert_matches_oracle(&rt, &w, &g, &[n, n], &mut rng);
+        }
+    }
+}
+
 /// Dimensions adversarial to the blocked GEMM: 1, the register-tile edges
 /// and cache-block edges ± 1, and values straddling the packing panels —
 /// every combination exercises partial microtiles, partial panels, and

@@ -45,14 +45,14 @@ use std::ops::Range;
 
 /// Samples per lane vector (one AVX2 register of `f32`). Results do not
 /// depend on it: a lane never reads another lane.
-const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// One value per sample of a group.
 #[derive(Clone, Copy, Debug, Default)]
 #[repr(C, align(32))]
-struct Lane([f32; LANES]);
+pub(crate) struct Lane(pub(crate) [f32; LANES]);
 
-const ZERO: Lane = Lane([0.0; LANES]);
+pub(crate) const ZERO: Lane = Lane([0.0; LANES]);
 
 /// Geometry- and structure-keyed offsets of one sparse convolution: where
 /// every stored weight reads the padded input, and the CSC view dX walks.
@@ -128,9 +128,8 @@ impl SpConvIndex {
             col_entry[*slot as usize] = e as u32;
             *slot += 1;
         }
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let pixel = (0..oh * ow)
-            .map(|p| ((p / ow * wp + p % ow) * geom.stride) as u32)
+        let pixel = (0..geom.col_cols())
+            .map(|p| pixel_origin(geom, p) as u32)
             .collect();
         SpConvIndex {
             geom: *geom,
@@ -180,32 +179,62 @@ impl SpConvIndex {
 
 /// Offset, inside a group's padded input, of weight column `j`'s tap
 /// `(c, ky, kx)` at output pixel `(0, 0)`.
-fn tap_origin(g: &ConvGeom, j: usize) -> usize {
+pub(crate) fn tap_origin(g: &ConvGeom, j: usize) -> usize {
     let taps = g.kernel * g.kernel;
     let (c, ky, kx) = (j / taps, (j % taps) / g.kernel, j % g.kernel);
     (c * (g.in_h + 2 * g.pad) + ky) * (g.in_w + 2 * g.pad) + kx
 }
 
-/// The engine's buffers, grown on first use and reused from then on. The
-/// transposed padded input (kept from forward for backward) and the
-/// transposed output gradient (dX reads it by group, dW by CSR row) cover
-/// the batch; the staging of the output and of the padded input gradient
-/// holds one group per worker.
-#[derive(Debug, Default)]
-pub struct SpConvBufs {
-    xt: Vec<Lane>,
-    /// Geometry `xt`'s padding ring was zeroed for.
-    xt_geom: Option<ConvGeom>,
-    dy_t: Vec<Lane>,
-    out_t: Vec<Lane>,
-    gx_t: Vec<Lane>,
+/// Offset, inside a group's padded input, of the first tap of output pixel
+/// `p`'s window (`p` row-major): `y·s·(w + 2p) + x·s`.
+pub(crate) fn pixel_origin(g: &ConvGeom, p: usize) -> usize {
+    let ow = g.out_w();
+    (p / ow * (g.in_w + 2 * g.pad) + p % ow) * g.stride
 }
 
-impl SpConvBufs {
+/// The buffers of both direct engines — this one and the dense one
+/// ([`crate::dconv_forward_rt`]) — grown on first use and reused from then
+/// on, whichever engine ran last. The transposed padded input (kept from
+/// forward for backward) and the transposed output gradient (dX reads it by
+/// group, dW by weight row) cover the batch; the staging of the output and
+/// of the padded input gradient holds one group per worker. None of them
+/// scales with `in_c·k²·oh·ow`: there is no column matrix.
+#[derive(Debug, Default)]
+pub struct ConvBufs {
+    pub(crate) xt: Vec<Lane>,
+    /// Geometry `xt`'s padding ring was zeroed for.
+    pub(crate) xt_geom: Option<ConvGeom>,
+    pub(crate) dy_t: Vec<Lane>,
+    pub(crate) out_t: Vec<Lane>,
+    pub(crate) gx_t: Vec<Lane>,
+    /// What only the dense engine needs: its offset tables and the weight
+    /// transposed for dX.
+    pub(crate) dense: crate::dconv::DenseBufs,
+}
+
+impl ConvBufs {
     /// Floats in the kept input: `⌈n/8⌉·8·in_c·(h + 2p)·(w + 2p)` after a
     /// forward over `n` samples, 0 before the first.
     pub fn kept_input_len(&self) -> usize {
         self.xt.len() * LANES
+    }
+
+    /// Floats (or offsets) held by all buffers together.
+    pub fn total_len(&self) -> usize {
+        (self.xt.len() + self.dy_t.len() + self.out_t.len() + self.gx_t.len()) * LANES
+            + self.dense.len()
+    }
+
+    /// Sizes the kept input for `groups` groups of `geom`, its padding ring
+    /// `+0.0`. The interior is rewritten by every forward and the ring never
+    /// is, so the ring only needs zeroing when the layout under it changes.
+    pub(crate) fn size_kept_input(&mut self, geom: &ConvGeom, groups: usize) {
+        if self.xt_geom != Some(*geom) {
+            self.xt.clear();
+            self.xt_geom = Some(*geom);
+        }
+        let (hp, wp) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
+        self.xt.resize(groups * geom.in_c * hp * wp, ZERO);
     }
 }
 
@@ -222,7 +251,7 @@ fn worth_fanning_out(rt: &Runtime, s: &CsrView<'_>, idx: &SpConvIndex, groups: u
 /// over the whole batch; with one, each of its workers gets a contiguous
 /// run of groups and its own slot. `pass` walks the groups it is handed in
 /// order.
-fn over_groups(
+pub(crate) fn over_groups(
     fan_out: Option<&Runtime>,
     n: usize,
     (src, src_len): (&[f32], usize),
@@ -267,7 +296,7 @@ pub fn spconv_forward_rt(
     s: CsrView<'_>,
     x: &[f32],
     n: usize,
-    bufs: &mut SpConvBufs,
+    bufs: &mut ConvBufs,
     out: &mut [f32],
 ) {
     idx.check(&s);
@@ -275,16 +304,8 @@ pub fn spconv_forward_rt(
     assert_eq!(x.len(), n * sample_in, "spconv input length mismatch");
     assert_eq!(out.len(), n * sample_out, "spconv output length mismatch");
     let groups = n.div_ceil(LANES);
-    let SpConvBufs {
-        xt, xt_geom, out_t, ..
-    } = bufs;
-    // The interior is rewritten by every forward and the ring never is, so
-    // the ring only needs zeroing when the layout under it changes.
-    if *xt_geom != Some(idx.geom) {
-        xt.clear();
-        *xt_geom = Some(idx.geom);
-    }
-    xt.resize(groups * idx.group_in, ZERO);
+    bufs.size_kept_input(&idx.geom, groups);
+    let ConvBufs { xt, out_t, .. } = bufs;
     over_groups(
         worth_fanning_out(rt, &s, idx, groups).then_some(rt),
         n,
@@ -327,7 +348,7 @@ pub fn spconv_backward_rt(
     s: CsrView<'_>,
     dy: &[f32],
     n: usize,
-    bufs: &mut SpConvBufs,
+    bufs: &mut ConvBufs,
     grad_vals: Option<&mut [f32]>,
     gx: Option<&mut [f32]>,
 ) {
@@ -340,7 +361,7 @@ pub fn spconv_backward_rt(
         "spconv backward called before forward"
     );
     let fan_out = worth_fanning_out(rt, &s, idx, groups);
-    let SpConvBufs { xt, dy_t, gx_t, .. } = bufs;
+    let ConvBufs { xt, dy_t, gx_t, .. } = bufs;
     dy_t.resize(groups * sample_out, ZERO);
 
     // dY into lanes and, when asked for, dX — by group.
@@ -396,7 +417,7 @@ pub fn spconv_backward_rt(
 /// Eight `f32` lanes and the arithmetic of one kernel family. The kernels
 /// are written once over this trait and instantiated per family, like the
 /// dense GEMM's `Micro`.
-trait Lanes: Copy {
+pub(crate) trait Lanes: Copy {
     fn splat(v: f32) -> Self;
     fn load(src: &[f32; LANES]) -> Self;
     fn store(self, dst: &mut [f32; LANES]);
@@ -448,17 +469,17 @@ impl Lanes for Lane {
 /// `add` and `mul` round like the portable family's, so dW and dX gain
 /// vector width and keep their bits.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx {
+pub(crate) mod avx {
     use super::*;
     use std::arch::x86_64::*;
 
     #[derive(Clone, Copy)]
-    struct Ymm(__m256);
+    pub(crate) struct Ymm(__m256);
 
-    // SAFETY (every block below): `Ymm` is private to this module and only
-    // named by the three `target_feature(enable = "avx2,fma")` wrappers,
-    // which `simd_active()` guards; the pointers come from `[f32; 8]`
-    // references and the accesses are the unaligned forms.
+    // SAFETY (every block below): `Ymm` is only named by the
+    // `target_feature(enable = "avx2,fma")` wrappers of this module and of
+    // `dconv`, which `simd_active()` guards; the pointers come from
+    // `[f32; 8]` references and the accesses are the unaligned forms.
     impl Lanes for Ymm {
         #[inline(always)]
         fn splat(v: f32) -> Self {
@@ -567,12 +588,8 @@ mod avx {
 /// Whether the AVX2+FMA family runs — the same per-process choice as the
 /// dense GEMM and [`crate::spmm_into`], so the forward pass fuses exactly
 /// when they do.
-fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    return crate::matmul::simd_active();
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    false
-}
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+pub(crate) use crate::matmul::simd_active;
 
 /// One group of a forward pass: `x[valid ≤ 8, in_c, h, w]` into the lanes of
 /// `xt`, the kernel, `out_t` back out to `out[valid, out_c, oh, ow]`.
@@ -667,9 +684,10 @@ fn backward_job_impl<V: Lanes>(
 
 /// Walks the positions of `[in_c, h, w]` in flat order and yields where each
 /// lies in a lane buffer: inside the padded `[in_c, h + 2p, w + 2p]`
-/// ([`Cursor::interior`]) or at the same flat offset ([`Cursor::flat`]).
+/// ([`Cursor::interior`]), at the same flat offset ([`Cursor::flat`]), or in
+/// rows with a gap after each ([`Cursor::rows`]).
 #[derive(Clone, Copy)]
-struct Cursor {
+pub(crate) struct Cursor {
     at: usize,
     x: usize,
     y: usize,
@@ -681,7 +699,7 @@ struct Cursor {
 }
 
 impl Cursor {
-    fn flat() -> Self {
+    pub(crate) fn flat() -> Self {
         Cursor {
             at: 0,
             x: 0,
@@ -693,7 +711,16 @@ impl Cursor {
         }
     }
 
-    fn interior(g: &ConvGeom) -> Self {
+    /// Rows of `w` positions with `skip` unused lanes after each.
+    pub(crate) fn rows(w: usize, skip: usize) -> Self {
+        Cursor {
+            w,
+            row_skip: skip,
+            ..Cursor::flat()
+        }
+    }
+
+    pub(crate) fn interior(g: &ConvGeom) -> Self {
         let wp = g.in_w + 2 * g.pad;
         Cursor {
             at: g.pad * wp + g.pad,
@@ -729,7 +756,13 @@ impl Cursor {
 /// transposed into the lanes `at` walks. Full groups move as 8 × 8 register
 /// blocks.
 #[inline(always)]
-fn to_lanes<V: Lanes>(src: &[f32], sample: usize, valid: usize, dst: &mut [Lane], mut at: Cursor) {
+pub(crate) fn to_lanes<V: Lanes>(
+    src: &[f32],
+    sample: usize,
+    valid: usize,
+    dst: &mut [Lane],
+    mut at: Cursor,
+) {
     let mut i = 0;
     if valid == LANES {
         while i + LANES <= sample {
@@ -756,7 +789,7 @@ fn to_lanes<V: Lanes>(src: &[f32], sample: usize, valid: usize, dst: &mut [Lane]
 /// `dst[l·sample + i] = src[at(i)][l]` for `i < sample` and the `valid` live
 /// lanes — the inverse of [`to_lanes`]; dead lanes are dropped.
 #[inline(always)]
-fn from_lanes<V: Lanes>(
+pub(crate) fn from_lanes<V: Lanes>(
     src: &[Lane],
     mut at: Cursor,
     valid: usize,
@@ -1050,7 +1083,7 @@ pub(crate) mod tests {
     ) {
         let (s, cc) = (view_of(w), g.col_cols());
         let idx = SpConvIndex::new(s, g);
-        let mut bufs = SpConvBufs::default();
+        let mut bufs = ConvBufs::default();
         let mut grad = vec![0.25f32; s.nnz()];
         let mut grad_oracle = grad.clone();
         for &n in batches {
@@ -1142,7 +1175,7 @@ pub(crate) mod tests {
             view_of(&w),
             &dy,
             1,
-            &mut SpConvBufs::default(),
+            &mut ConvBufs::default(),
             None,
             Some(&mut gx),
         );
