@@ -1,25 +1,27 @@
 //! Criterion micro-benchmarks for the numerical substrate: convolution
 //! forward/backward, the `O(k)` top-k buffer vs a full sort, masked SGD
 //! steps, and BN-adaptation forward passes. These back the DESIGN.md
-//! ablation "top-k buffer vs full sort".
+//! ablation "top-k buffer vs full sort". The last target writes the
+//! persisted trajectory (`BENCH_micro_ops.json`) that `bench_check` gates:
+//! every record it holds times a kernel or a step the system runs, and every
+//! ratio a gate reads pairs two records of this one run.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ft_bench::{allocated_bytes, measure_ns, BenchReport};
 use ft_data::Dataset;
 use ft_fl::{local_train_scratch, TrainScratch};
-use ft_nn::loss::{softmax_cross_entropy, softmax_cross_entropy_into};
+use ft_nn::loss::softmax_cross_entropy_into;
 use ft_nn::models::{ResNet18, SmallCnn};
 use ft_nn::optim::{Sgd, SgdConfig};
-use ft_nn::{apply_mask, sparse_layout, Linear, Mode, Model};
+use ft_nn::{apply_mask, sparse_layout, Mode, Model};
 use ft_runtime::Runtime;
 use ft_sparse::{
     magnitude_mask, uniform_density_vector, CsrMatrix, Mask, SparseLayout, TopKBuffer,
 };
+use ft_tensor::oracle::{col2im_ld, im2col_batched, matmul_nt_seg_into};
 use ft_tensor::{
-    col2im_ld, dconv_backward_rt, dconv_forward_rt, im2col_batched, matmul_into, matmul_into_rt,
-    matmul_nt_into_rt, matmul_nt_seg_into, matmul_tn_into, matmul_tn_into_rt, sddmm_nt_into_rt,
-    spconv_backward_rt, spconv_forward_rt, spmm_into, spmm_into_rt, ConvBufs, ConvGeom,
-    SpConvIndex, Tensor,
+    dconv_backward_rt, dconv_forward_rt, matmul_into, matmul_into_rt, matmul_tn_into_rt,
+    spconv_backward_rt, spconv_forward_rt, ConvBufs, ConvGeom, SpConvIndex, Tensor,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -103,41 +105,6 @@ fn mask_benches(c: &mut Criterion) {
     c.bench_function("mask_density_1m", |b| b.iter(|| black_box(mask.density())));
 }
 
-/// Raw kernel comparison: dense GEMM vs CSR spmm on the same masked matrix.
-fn spmm_benches(c: &mut Criterion) {
-    let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let (m, k, n) = (256, 256, 128);
-    for density in [0.5f64, 0.2, 0.05] {
-        let mut dense = Tensor::zeros(&[m, k]);
-        let mut mask = vec![false; m * k];
-        for (v, bit) in dense.data_mut().iter_mut().zip(mask.iter_mut()) {
-            if rng.gen_range(0.0f64..1.0) < density {
-                *v = rng.gen_range(-1.0f32..1.0);
-                *bit = true;
-            }
-        }
-        let csr = CsrMatrix::from_mask_values(&mask, dense.data(), m, k);
-        let b_mat: Tensor = {
-            let data = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            Tensor::from_vec(data, &[k, n])
-        };
-        c.bench_function(&format!("matmul_256x256x128_d{density}"), |b| {
-            b.iter(|| {
-                let mut out = Tensor::zeros(&[m, n]);
-                matmul_into(&dense, &b_mat, &mut out);
-                black_box(out)
-            })
-        });
-        c.bench_function(&format!("spmm_256x256x128_d{density}"), |b| {
-            b.iter(|| {
-                let mut out = Tensor::zeros(&[m, n]);
-                spmm_into(csr.view(), &b_mat, &mut out);
-                black_box(out)
-            })
-        });
-    }
-}
-
 /// The acceptance check for the sparse execution engine: a full training
 /// epoch (forward + backward + masked SGD) through the SmallCnn profile,
 /// dense path vs sparse path, at and below the default crossover.
@@ -216,465 +183,12 @@ fn rand_csr(rng: &mut ChaCha8Rng, rows: usize, cols: usize, density: f64) -> Csr
     CsrMatrix::from_mask_values(&mask, &vals, rows, cols)
 }
 
-// ---------------------------------------------------------------------------
-// Legacy training-engine replica (the pre-batched per-sample path)
-// ---------------------------------------------------------------------------
-
-/// The convolution data path exactly as the engine computed it before the
-/// batched rewrite: one im2col + one GEMM *per sample*, a full reshaped
-/// copy of the weight tensor on every forward and backward, fresh column /
-/// output buffers each call, and the weight gradient staged in a dense
-/// `[oc, cr]` buffer before an `add_assign` pass into the accumulator. The
-/// `train_step` floor gate in `bench_check` measures the batched engine
-/// against this replica, so the committed baseline stays reproducible even
-/// though the legacy code itself is gone.
-struct LegacyConv {
-    w: Tensor,
-    grad_w: Tensor,
-    in_c: usize,
-    out_c: usize,
-    kernel: usize,
-    rt: Runtime,
-    cols: Tensor,
-    x_shape: Vec<usize>,
-}
-
-/// Scalar per-element im2col exactly as the pre-rewrite engine shipped it
-/// (bounds-checked gather per output position). The crate kernel has since
-/// grown contiguous-run fast paths; the replica keeps its own copy so the
-/// committed baseline measures the engine as it existed, not the engine
-/// after this rewrite's kernel work.
-fn legacy_im2col(x: &[f32], g: &ConvGeom, out: &mut [f32]) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cols = oh * ow;
-    let taps = g.kernel * g.kernel;
-    for row in 0..g.in_c * taps {
-        let c = row / taps;
-        let (kh, kw) = ((row % taps) / g.kernel, row % g.kernel);
-        let plane = &x[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
-        let dst = &mut out[row * cols..(row + 1) * cols];
-        let mut idx = 0usize;
-        for oy in 0..oh {
-            let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-            for ox in 0..ow {
-                let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                dst[idx] = if iy >= 0 && (iy as usize) < g.in_h && ix >= 0 && (ix as usize) < g.in_w
-                {
-                    plane[iy as usize * g.in_w + ix as usize]
-                } else {
-                    0.0
-                };
-                idx += 1;
-            }
-        }
-    }
-}
-
-/// Scalar accumulating col2im matching the pre-rewrite engine (see
-/// [`legacy_im2col`]).
-fn legacy_col2im(col: &[f32], g: &ConvGeom, out: &mut [f32]) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cols = oh * ow;
-    let mut row = 0usize;
-    for c in 0..g.in_c {
-        let base = c * g.in_h * g.in_w;
-        for kh in 0..g.kernel {
-            for kw in 0..g.kernel {
-                let src = &col[row * cols..(row + 1) * cols];
-                let mut idx = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                        if iy >= 0 && (iy as usize) < g.in_h && ix >= 0 && (ix as usize) < g.in_w {
-                            out[base + iy as usize * g.in_w + ix as usize] += src[idx];
-                        }
-                        idx += 1;
-                    }
-                }
-                row += 1;
-            }
-        }
-    }
-}
-
-impl LegacyConv {
-    fn new(rng: &mut ChaCha8Rng, in_c: usize, out_c: usize, kernel: usize) -> Self {
-        let shape = [out_c, in_c, kernel, kernel];
-        LegacyConv {
-            w: ft_tensor::kaiming_normal(rng, &shape),
-            grad_w: Tensor::zeros(&shape),
-            in_c,
-            out_c,
-            kernel,
-            rt: Runtime::sequential(),
-            cols: Tensor::default(),
-            x_shape: Vec::new(),
-        }
-    }
-
-    fn geom(&self, h: usize, w: usize) -> ConvGeom {
-        ConvGeom {
-            in_c: self.in_c,
-            in_h: h,
-            in_w: w,
-            kernel: self.kernel,
-            stride: 1,
-            pad: 1,
-        }
-    }
-
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let n = x.shape()[0];
-        let g = self.geom(x.shape()[2], x.shape()[3]);
-        let (oh, ow) = (g.out_h(), g.out_w());
-        let cc = oh * ow;
-        let cr = self.in_c * self.kernel * self.kernel;
-        let sample = self.in_c * g.in_h * g.in_w;
-        let w2 = self.w.reshaped(&[self.out_c, cr]);
-        let mut cols = Tensor::zeros(&[n, cr, cc]);
-        let mut out = Tensor::zeros(&[n, self.out_c, oh, ow]);
-        for i in 0..n {
-            let col_slice = &mut cols.data_mut()[i * cr * cc..(i + 1) * cr * cc];
-            legacy_im2col(&x.data()[i * sample..(i + 1) * sample], &g, col_slice);
-            let col_t = Tensor::from_vec(col_slice.to_vec(), &[cr, cc]);
-            let mut out_i = Tensor::zeros(&[self.out_c, cc]);
-            matmul_into_rt(&self.rt, &w2, &col_t, &mut out_i);
-            out.data_mut()[i * self.out_c * cc..(i + 1) * self.out_c * cc]
-                .copy_from_slice(out_i.data());
-        }
-        self.cols = cols;
-        self.x_shape = x.shape().to_vec();
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let n = grad_out.shape()[0];
-        let g = self.geom(self.x_shape[2], self.x_shape[3]);
-        let cc = g.out_h() * g.out_w();
-        let cr = self.in_c * self.kernel * self.kernel;
-        let sample = self.in_c * g.in_h * g.in_w;
-        let w2 = self.w.reshaped(&[self.out_c, cr]);
-        let mut grad_w2 = Tensor::zeros(&[self.out_c, cr]);
-        let mut gx = Tensor::zeros(&self.x_shape);
-        for i in 0..n {
-            let gob_i = Tensor::from_vec(
-                grad_out.data()[i * self.out_c * cc..(i + 1) * self.out_c * cc].to_vec(),
-                &[self.out_c, cc],
-            );
-            let col = Tensor::from_vec(
-                self.cols.data()[i * cr * cc..(i + 1) * cr * cc].to_vec(),
-                &[cr, cc],
-            );
-            matmul_nt_into_rt(&self.rt, &gob_i, &col, &mut grad_w2);
-            let mut dcol = Tensor::zeros(&[cr, cc]);
-            matmul_tn_into_rt(&self.rt, &w2, &gob_i, &mut dcol);
-            legacy_col2im(
-                dcol.data(),
-                &g,
-                &mut gx.data_mut()[i * sample..(i + 1) * sample],
-            );
-        }
-        let staged = grad_w2.reshaped(&[self.out_c, self.in_c, self.kernel, self.kernel]);
-        for (d, s) in self.grad_w.data_mut().iter_mut().zip(staged.data()) {
-            *d += s;
-        }
-        gx
-    }
-}
-
-/// Pre-rewrite BatchNorm2d: fresh `out` / `xhat` tensors and statistic
-/// vectors on every call, naive per-channel two-pass reduction loops —
-/// exactly the shape of the retired implementation.
-struct LegacyBn {
-    gamma: Tensor,
-    beta: Tensor,
-    ggrad: Tensor,
-    bgrad: Tensor,
-    run_mean: Vec<f32>,
-    run_var: Vec<f32>,
-    momentum: f32,
-    eps: f32,
-    channels: usize,
-    cache: Option<(Tensor, Vec<f32>, Vec<usize>)>,
-}
-
-impl LegacyBn {
-    fn new(channels: usize) -> Self {
-        LegacyBn {
-            gamma: Tensor::ones(&[channels]),
-            beta: Tensor::zeros(&[channels]),
-            ggrad: Tensor::zeros(&[channels]),
-            bgrad: Tensor::zeros(&[channels]),
-            run_mean: vec![0.0; channels],
-            run_var: vec![1.0; channels],
-            momentum: 0.1,
-            eps: 1e-5,
-            channels,
-            cache: None,
-        }
-    }
-
-    #[allow(clippy::needless_range_loop)] // verbatim replica of the retired loops
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let s = x.shape().to_vec();
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        assert_eq!(c, self.channels);
-        let plane = h * w;
-        let count = (n * plane) as f32;
-        let xd = x.data();
-        let mut out = Tensor::zeros(&s);
-        let mut mean = vec![0.0f32; c];
-        let mut var = vec![0.0f32; c];
-        for ci in 0..c {
-            let mut sum = 0.0f32;
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                sum += xd[base..base + plane].iter().sum::<f32>();
-            }
-            mean[ci] = sum / count;
-        }
-        for ci in 0..c {
-            let m = mean[ci];
-            let mut sq = 0.0f32;
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                sq += xd[base..base + plane]
-                    .iter()
-                    .map(|&v| (v - m) * (v - m))
-                    .sum::<f32>();
-            }
-            var[ci] = sq / count;
-        }
-        for ci in 0..c {
-            self.run_mean[ci] =
-                (1.0 - self.momentum) * self.run_mean[ci] + self.momentum * mean[ci];
-            self.run_var[ci] = (1.0 - self.momentum) * self.run_var[ci] + self.momentum * var[ci];
-        }
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut xhat = Tensor::zeros(&s);
-        {
-            let xh = xhat.data_mut();
-            let od = out.data_mut();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * plane;
-                    let (m, is) = (mean[ci], inv_std[ci]);
-                    let (g, b) = (self.gamma.data()[ci], self.beta.data()[ci]);
-                    for idx in base..base + plane {
-                        let xn = (xd[idx] - m) * is;
-                        xh[idx] = xn;
-                        od[idx] = g * xn + b;
-                    }
-                }
-            }
-        }
-        self.cache = Some((xhat, inv_std, s));
-        out
-    }
-
-    #[allow(clippy::needless_range_loop)] // verbatim replica of the retired loops
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (xhat, inv_std, s) = self.cache.take().expect("bn backward before forward");
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        let plane = h * w;
-        let count = (n * plane) as f32;
-        let god = grad_out.data();
-        let xh = xhat.data();
-        let mut gx = Tensor::zeros(&s);
-        for ci in 0..c {
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                for idx in base..base + plane {
-                    sum_dy += god[idx];
-                    sum_dy_xhat += god[idx] * xh[idx];
-                }
-            }
-            self.bgrad.data_mut()[ci] += sum_dy;
-            self.ggrad.data_mut()[ci] += sum_dy_xhat;
-            let g = self.gamma.data()[ci];
-            let is = inv_std[ci];
-            let gxd = gx.data_mut();
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                for idx in base..base + plane {
-                    gxd[idx] = g * is / count * (count * god[idx] - sum_dy - xh[idx] * sum_dy_xhat);
-                }
-            }
-        }
-        gx
-    }
-}
-
-/// Pre-rewrite ReLU: a fresh `Vec<bool>` mask plus a mapped output tensor
-/// per forward, and a cloned, branch-per-element zeroing pass per backward.
-struct LegacyRelu {
-    cache: Option<Vec<bool>>,
-}
-
-impl LegacyRelu {
-    fn new() -> Self {
-        LegacyRelu { cache: None }
-    }
-
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mask: Vec<bool> = x.data().iter().map(|&v| v > 0.0).collect();
-        let out = Tensor::from_vec(x.data().iter().map(|&v| v.max(0.0)).collect(), x.shape());
-        self.cache = Some(mask);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self.cache.take().expect("relu backward before forward");
-        let mut g = grad_out.clone();
-        for (v, &alive) in g.data_mut().iter_mut().zip(mask.iter()) {
-            if !alive {
-                *v = 0.0;
-            }
-        }
-        g
-    }
-}
-
-/// Pre-rewrite 2×2 max pool: the allocating kernel entry points plus a
-/// per-call argmax vector and input-shape copy, as the retired layer kept.
-struct LegacyPool {
-    rt: Runtime,
-    cache: Option<(Vec<usize>, Vec<usize>)>,
-}
-
-impl LegacyPool {
-    fn new() -> Self {
-        LegacyPool {
-            rt: Runtime::sequential(),
-            cache: None,
-        }
-    }
-
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (out, arg) = ft_tensor::max_pool2x2_rt(&self.rt, x);
-        self.cache = Some((arg, x.shape().to_vec()));
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (arg, shape) = self.cache.take().expect("pool backward before forward");
-        ft_tensor::max_pool2x2_backward(grad_out, &arg, &shape)
-    }
-}
-
-/// The SmallCnn profile assembled from the pre-rewrite layer replicas above
-/// (conv / BN / ReLU / max pool); global average pooling and the classifier
-/// head run through the allocating kernel entry points the retired layers
-/// wrapped. Together they reproduce the committed pre-rewrite engine —
-/// per-sample conv data path, per-call activations, and all the per-batch
-/// allocations — so the baseline stays meaningful as the shared kernels
-/// keep improving.
-struct LegacyCnn {
-    c1: LegacyConv,
-    bn1: LegacyBn,
-    r1: LegacyRelu,
-    p1: LegacyPool,
-    c2: LegacyConv,
-    bn2: LegacyBn,
-    r2: LegacyRelu,
-    p2: LegacyPool,
-    c3: LegacyConv,
-    bn3: LegacyBn,
-    r3: LegacyRelu,
-    gap_rt: Runtime,
-    gap_shape: Vec<usize>,
-    fc: Linear,
-}
-
-impl LegacyCnn {
-    fn new(rng: &mut ChaCha8Rng, width: usize, classes: usize, in_c: usize) -> Self {
-        let (c1, c2, c3) = (width, 2 * width, 4 * width);
-        LegacyCnn {
-            c1: LegacyConv::new(rng, in_c, c1, 3),
-            bn1: LegacyBn::new(c1),
-            r1: LegacyRelu::new(),
-            p1: LegacyPool::new(),
-            c2: LegacyConv::new(rng, c1, c2, 3),
-            bn2: LegacyBn::new(c2),
-            r2: LegacyRelu::new(),
-            p2: LegacyPool::new(),
-            c3: LegacyConv::new(rng, c2, c3, 3),
-            bn3: LegacyBn::new(c3),
-            r3: LegacyRelu::new(),
-            gap_rt: Runtime::sequential(),
-            gap_shape: Vec::new(),
-            fc: Linear::new(rng, c3, classes, false, "fc"),
-        }
-    }
-
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let h = self.c1.forward(x);
-        let h = self.bn1.forward(&h);
-        let h = self.r1.forward(&h);
-        let h = self.p1.forward(&h);
-        let h = self.c2.forward(&h);
-        let h = self.bn2.forward(&h);
-        let h = self.r2.forward(&h);
-        let h = self.p2.forward(&h);
-        let h = self.c3.forward(&h);
-        let h = self.bn3.forward(&h);
-        let h = self.r3.forward(&h);
-        self.gap_shape = h.shape().to_vec();
-        let h = ft_tensor::avg_pool_global_rt(&self.gap_rt, &h);
-        self.fc.forward(&h, Mode::Train)
-    }
-
-    fn backward(&mut self, grad: &Tensor) {
-        let g = self.fc.backward(grad);
-        let g = ft_tensor::avg_pool_global_backward(&g, &self.gap_shape);
-        let g = self.r3.backward(&g);
-        let g = self.bn3.backward(&g);
-        let g = self.c3.backward(&g);
-        let g = self.p2.backward(&g);
-        let g = self.r2.backward(&g);
-        let g = self.bn2.backward(&g);
-        let g = self.c2.backward(&g);
-        let g = self.p1.backward(&g);
-        let g = self.r1.backward(&g);
-        let g = self.bn1.backward(&g);
-        let _ = self.c1.backward(&g);
-    }
-
-    fn step(&mut self, lr: f32) {
-        for conv in [&mut self.c1, &mut self.c2, &mut self.c3] {
-            for (w, g) in conv.w.data_mut().iter_mut().zip(conv.grad_w.data().iter()) {
-                *w -= lr * g;
-            }
-            conv.grad_w.fill_zero();
-        }
-        for bn in [&mut self.bn1, &mut self.bn2, &mut self.bn3] {
-            for (w, g) in bn.gamma.data_mut().iter_mut().zip(bn.ggrad.data().iter()) {
-                *w -= lr * g;
-            }
-            for (w, g) in bn.beta.data_mut().iter_mut().zip(bn.bgrad.data().iter()) {
-                *w -= lr * g;
-            }
-            bn.ggrad.fill_zero();
-            bn.bgrad.fill_zero();
-        }
-        for p in [&mut self.fc.w, &mut self.fc.b] {
-            for (w, g) in p.data.data_mut().iter_mut().zip(p.grad.data().iter()) {
-                *w -= lr * g;
-            }
-            p.zero_grad();
-        }
-    }
-}
-
 /// Measures the training engine end to end and records `train_step` (the
-/// batched alloc-free engine) and `train_step_legacy` (the per-sample
-/// replica above) at one worker thread: median ns per epoch, realized
-/// GFLOP/s, and — under the counting allocator — allocator traffic per
-/// epoch. `bench_check` pins `train_step` to zero bytes per round and to a
-/// throughput floor over the committed baseline (the replica's numbers).
+/// batched alloc-free engine, SmallCnn, driven exactly like a device round)
+/// at one worker thread: median ns per epoch, realized GFLOP/s, and — under
+/// the counting allocator — allocator traffic per epoch, which `bench_check`
+/// pins to zero bytes. (Throughput is gated on the benchmark's own model:
+/// see [`resnet_step_records`].)
 fn train_step_records(report: &mut BenchReport) {
     let (n_samples, batch, width, classes, in_c, side) =
         (256usize, 32usize, 8usize, 10usize, 3usize, 16usize);
@@ -687,7 +201,6 @@ fn train_step_records(report: &mut BenchReport) {
     let shape = format!("b{batch}x{in_c}x{side}x{side}");
     let alloc_rounds = 4u64;
 
-    // -- The batched engine, driven exactly like a device round ------------
     let mut model = SmallCnn::new(
         &mut ChaCha8Rng::seed_from_u64(22),
         width,
@@ -703,7 +216,7 @@ fn train_step_records(report: &mut BenchReport) {
         |model: &mut SmallCnn, sgd: &mut Sgd, scratch: &mut TrainScratch, rng: &mut ChaCha8Rng| {
             local_train_scratch(model, &data, None, 1, batch, sgd, rng, 0.0, scratch);
         };
-    // Realized MAC FLOPs of one epoch (identical math in both engines).
+    // Realized MAC FLOPs of one epoch.
     model.reset_realized_flops();
     epoch(&mut model, &mut sgd, &mut scratch, &mut train_rng);
     let flops_per_epoch = model.realized_flops();
@@ -713,77 +226,25 @@ fn train_step_records(report: &mut BenchReport) {
     for _ in 0..alloc_rounds {
         epoch(&mut model, &mut sgd, &mut scratch, &mut train_rng);
     }
-    let new_alloc = (allocated_bytes() - before) as f64 / alloc_rounds as f64;
+    let alloc = (allocated_bytes() - before) as f64 / alloc_rounds as f64;
 
-    // -- The legacy per-sample replica -------------------------------------
-    let mut legacy = LegacyCnn::new(&mut ChaCha8Rng::seed_from_u64(22), width, classes, in_c);
-    let mut legacy_rng = ChaCha8Rng::seed_from_u64(23);
-    let legacy_epoch = |m: &mut LegacyCnn, rng: &mut ChaCha8Rng| {
-        for (x, y) in data.iter_batches(rng, batch) {
-            let logits = m.forward(&x);
-            let (_, grad) = softmax_cross_entropy(&logits, &y);
-            m.backward(&grad);
-            m.step(0.05);
-        }
-    };
-    legacy_epoch(&mut legacy, &mut legacy_rng);
-    legacy_epoch(&mut legacy, &mut legacy_rng);
-    let before = allocated_bytes();
-    for _ in 0..alloc_rounds {
-        legacy_epoch(&mut legacy, &mut legacy_rng);
-    }
-    let legacy_alloc = (allocated_bytes() - before) as f64 / alloc_rounds as f64;
-
-    // -- Interleaved A/B timing --------------------------------------------
-    // The two engines alternate epoch by epoch so slow frequency / thermal
-    // drift hits both equally; a block design (all of one engine, then all
-    // of the other) lets a few percent of drift masquerade as a speedup
-    // change. Medians over the interleaved reps are directly comparable.
     let reps = if ft_bench::quick_mode() { 9usize } else { 21 };
-    let mut new_times = Vec::with_capacity(reps);
-    let mut legacy_times = Vec::with_capacity(reps);
+    let mut times = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t = std::time::Instant::now();
         epoch(&mut model, &mut sgd, &mut scratch, &mut train_rng);
         black_box(&model);
-        new_times.push(t.elapsed().as_nanos() as f64);
-        let t = std::time::Instant::now();
-        legacy_epoch(&mut legacy, &mut legacy_rng);
-        black_box(&legacy);
-        legacy_times.push(t.elapsed().as_nanos() as f64);
+        times.push(t.elapsed().as_nanos() as f64);
     }
-    let new_ns = median(&mut new_times);
-    let legacy_ns = median(&mut legacy_times);
+    let ns = median(&mut times);
 
-    report.push("train_step", &shape, 1.0, 1, 1, new_ns, flops_per_epoch);
+    report.push("train_step", &shape, 1.0, 1, 1, ns, flops_per_epoch);
     report
         .records
         .last_mut()
         .expect("just pushed")
-        .alloc_bytes_per_round = new_alloc;
-    report.push(
-        "train_step_legacy",
-        &shape,
-        1.0,
-        1,
-        1,
-        legacy_ns,
-        flops_per_epoch,
-    );
-    report
-        .records
-        .last_mut()
-        .expect("just pushed")
-        .alloc_bytes_per_round = legacy_alloc;
-
-    println!(
-        "train_step: {:.0} ns/epoch, {:.1} B/epoch | legacy: {:.0} ns/epoch, {:.1} B/epoch | speedup {:.2}x",
-        new_ns,
-        new_alloc,
-        legacy_ns,
-        legacy_alloc,
-        legacy_ns / new_ns.max(1.0)
-    );
+        .alloc_bytes_per_round = alloc;
+    println!("train_step: {ns:.0} ns/epoch, {alloc:.1} B/epoch");
 }
 
 /// One device-side model at the benchmark's shape (ResNet18 width 0.25 on
@@ -793,8 +254,9 @@ fn train_step_records(report: &mut BenchReport) {
 /// grows — and `resnet_step_steady_alloc_bytes`, the traffic of each later
 /// step. And two `resnet_step` timings, density 0.05 and 1.0 (the same model
 /// under an all-ones mask), steady steps interleaved so host drift hits both:
-/// their ratio is "time tracks nnz" as a number. `bench_check` gates all
-/// four.
+/// their ratio is "time tracks nnz" as a number, and the dense step's
+/// GFLOP/s over the `dconv_fwd` record of this run is what a whole training
+/// step keeps of its convolution kernel. `bench_check` gates all five.
 fn resnet_step_records(report: &mut BenchReport) {
     let (batch, classes, in_c, side) = (32usize, 10usize, 3usize, 16usize);
     let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -1041,7 +503,7 @@ fn dconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
             || {
                 to_rows(dy.data(), dy_b.data_mut());
                 dcol.data_mut().fill(0.0);
-                matmul_tn_into(&w, &dy_b, &mut dcol);
+                matmul_tn_into_rt(&rt, &w, &dy_b, &mut dcol);
                 gx_o.fill(0.0);
                 for (i, gx) in gx_o.chunks_mut(sample).enumerate() {
                     col2im_ld(&dcol.data()[i * cc..], n * cc, &g, gx);
@@ -1068,8 +530,8 @@ fn dconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
 /// and the two stage shapes, each pair timed alternately. The dense engine
 /// multiplies the masked zeros like any weight, so its time is flat in `d`;
 /// where the CSR engine's line crosses it is what
-/// `ft_nn::DEFAULT_SPARSE_CROSSOVER` should say. Measurement only: nothing
-/// reads these records back.
+/// `ft_nn::DEFAULT_SPARSE_CROSSOVER` should say. `bench_check` reads the
+/// d = 0.05 pairs back as the sparse engine's floor; the rest is measurement.
 fn dispatch_sweep_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
     let (n, rt) = (CONV_BATCH, Runtime::sequential());
     for (g, shape) in stage_geoms() {
@@ -1146,10 +608,11 @@ fn dispatch_sweep_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
     }
 }
 
-/// The persisted perf trajectory (`BENCH_micro_ops.json`): dense matmul,
-/// CSR spmm, and sddmm at 1 / 2 / 4 worker threads, with warmup strictly
-/// separated from measurement (see `ft_bench::trajectory`). The table rows
-/// are printed alongside, mirroring the criterion output above.
+/// The persisted perf trajectory (`BENCH_micro_ops.json`): dense matmul at
+/// 1 / 2 / 4 worker threads with warmup strictly separated from measurement
+/// (see `ft_bench::trajectory`), then both convolution engines, the dispatch
+/// sweep and the training steps. The table rows are printed alongside,
+/// mirroring the criterion output above.
 fn trajectory_benches(_c: &mut Criterion) {
     let mut report = BenchReport::new("micro_ops");
     let mut rng = ChaCha8Rng::seed_from_u64(11);
@@ -1158,27 +621,6 @@ fn trajectory_benches(_c: &mut Criterion) {
         "\n{:<10} {:>12} {:>8} {:>9} {:>14} {:>10}",
         "op", "shape", "density", "req/eff", "ns/iter", "GFLOP/s"
     );
-    let emit = |report: &mut BenchReport,
-                op: &str,
-                shape: &str,
-                density: f64,
-                rt: &Runtime,
-                ns: f64,
-                flops: f64| {
-        report.push(op, shape, density, rt.requested(), rt.threads(), ns, flops);
-        let r = report.records.last().expect("just pushed");
-        println!(
-            "{:<10} {:>12} {:>8.2} {:>5}/{:<3} {:>14.0} {:>10.2}",
-            op,
-            shape,
-            density,
-            rt.requested(),
-            rt.threads(),
-            ns,
-            r.gflops
-        );
-    };
-
     // Dense matmul at the shapes the CI gate reads (≥256², plus the 512²
     // acceptance shape).
     for &dim in &[256usize, 512] {
@@ -1194,46 +636,13 @@ fn trajectory_benches(_c: &mut Criterion) {
                 matmul_into_rt(&rt, &a, &b, &mut out);
                 black_box(&out);
             });
-            emit(&mut report, "matmul", &shape, 1.0, &rt, ns, flops);
-        }
-    }
-
-    // CSR spmm on 512² structures at the engine's typical densities.
-    for &density in &[0.2f64, 0.05] {
-        let dim = 512usize;
-        let csr = rand_csr(&mut rng, dim, dim, density);
-        let b = rand_dense(&mut rng, dim, dim);
-        let shape = format!("{dim}x{dim}x{dim}");
-        let flops = 2.0 * (csr.nnz() * dim) as f64;
-        for &t in &threads_grid {
-            let rt = Runtime::new(t);
-            let mut out = Tensor::zeros(&[dim, dim]);
-            let ns = measure_ns(|| {
-                out.data_mut().fill(0.0);
-                spmm_into_rt(&rt, csr.view(), &b, &mut out);
-                black_box(&out);
-            });
-            emit(&mut report, "spmm", &shape, density, &rt, ns, flops);
-        }
-    }
-
-    // Sampled dense–dense product (the masked weight gradient).
-    {
-        let (dim, inner, density) = (512usize, 64usize, 0.05f64);
-        let csr = rand_csr(&mut rng, dim, dim, density);
-        let a = rand_dense(&mut rng, dim, inner);
-        let b = rand_dense(&mut rng, dim, inner);
-        let shape = format!("{dim}x{dim}x{inner}");
-        let flops = 2.0 * (csr.nnz() * inner) as f64;
-        for &t in &threads_grid {
-            let rt = Runtime::new(t);
-            let mut vals = vec![0.0f32; csr.nnz()];
-            let ns = measure_ns(|| {
-                vals.fill(0.0);
-                sddmm_nt_into_rt(&rt, csr.view(), &a, &b, &mut vals);
-                black_box(&vals);
-            });
-            emit(&mut report, "sddmm_nt", &shape, density, &rt, ns, flops);
+            let (req, eff) = (rt.requested(), rt.threads());
+            report.push("matmul", &shape, 1.0, req, eff, ns, flops);
+            let gflops = report.records.last().expect("just pushed").gflops;
+            println!(
+                "{:<10} {shape:>12} {:>8.2} {req:>5}/{eff:<3} {ns:>14.0} {gflops:>10.2}",
+                "matmul", 1.0
+            );
         }
     }
 
@@ -1257,6 +666,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = conv_benches, topk_benches, sgd_benches, bn_adapt_benches, mask_benches,
-        spmm_benches, sparse_epoch_benches, trajectory_benches
+        sparse_epoch_benches, trajectory_benches
 }
 criterion_main!(benches);

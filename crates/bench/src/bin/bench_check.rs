@@ -1,85 +1,79 @@
-//! CI gate over `BENCH_micro_ops.json`: fails when the kernels stop
-//! delivering their wins, so a PR cannot silently regress them.
+//! CI gate over `BENCH_micro_ops.json` and `BENCH_fleet.json`: fails when a
+//! kernel or a stage the system runs stops delivering its win, so a PR cannot
+//! silently regress it.
 //!
-//! Two families of gates:
+//! Two rules hold for every gate. It guards something a run executes — the
+//! GEMM under `Linear`, the two convolution engines, a training step, a
+//! round's stages — never a kernel that only tests call. And, one constant
+//! excepted, it compares two records of the *same* report, taken alternately
+//! in one run on one host, so host drift cancels and nothing committed has to
+//! be parsed. Every record a gate names is required: a missing one is a hard
+//! failure, never a skip, and if *zero* gates end up evaluated the check
+//! fails loudly — a gate file that checks nothing is indistinguishable from
+//! a regression.
 //!
-//! - **Single-thread floor** (always evaluated, any host): the current
-//!   report's 1-thread GFLOP/s must stay above a required ratio of the
-//!   *committed baseline* (`BENCH_baseline_micro_ops.json`, measured before
-//!   the blocked/packed kernel rewrite). Missing records are a hard
-//!   failure — this family cannot be skipped, so the check can never pass
-//!   vacuously.
-//! - **Parallel speedup** (scaled to what the measuring host can physically
-//!   show): multi-thread records must beat the 1-thread record of the same
-//!   shape. Records are paired by `requested_threads` (what the bench asked
-//!   for), not the post-clamp effective count. A host with fewer cores than
-//!   a gate's thread count skips that gate with a visible notice — speedup
-//!   cannot exist without cores.
+//! From `BENCH_micro_ops.json`:
 //!
-//! A third family gates the Collect dataplane's allocation budget from
-//! `BENCH_fleet.json`: the `collect_alloc_steady` record (pooled frames +
-//! zero-copy decode + recycled aggregation scratch) must allocate exactly
-//! **zero** bytes per round. A missing or unmeasured record is a hard
-//! failure — the alloc-free claim may not silently rot out of the report.
+//! - **g3, the `matmul` floor**: 512² at one thread must read at least
+//!   [`MATMUL_512_FLOOR_GFLOPS`]. The one absolute number left: it catches
+//!   the blocked, packed GEMM degrading to the triple loop it replaced.
+//! - **`matmul` speedups**, scaled to what the measuring host can physically
+//!   show: multi-thread records must beat the 1-thread record of the same
+//!   shape (paired by `requested_threads`, not the post-clamp count). A host
+//!   with fewer cores than a gate's thread count skips it with a visible
+//!   notice — speedup cannot exist without cores. Catches a fan-out that
+//!   costs more than it buys.
+//! - **g1, the `spconv` floor**: per stage shape, the CSR engine's
+//!   `dispatch_sweep_fwd_csr + dispatch_sweep_bwd_csr` at d = 0.05 may take
+//!   at most [`SPCONV_MAX_RATIO`] of the dense engine's `_dense` pair over
+//!   the same masked weight. Catches the paper's kernel doing `O(dense)`
+//!   work, losing its vector lanes, or paying for a column matrix again.
+//! - **g2, the training-step floor**: `resnet_step` at d = 1.0 (the
+//!   benchmark's own model, a whole forward + backward + SGD step) must keep
+//!   at least [`RESNET_STEP_MIN_EFFICIENCY`] of the GFLOP/s of the in-run
+//!   `dconv_fwd` record at the first stage shape. Catches everything
+//!   *around* the convolution kernel — layout changes, BN, ReLU, the
+//!   optimizer, a conv route that stages its operands — eating the kernel's
+//!   win.
+//! - **`train_step` allocation**: the batched engine's steady-state epoch
+//!   must allocate exactly zero bytes.
+//! - **`resnet_step_*` allocation**, two allocator counts that repeat
+//!   exactly (ResNet18 width 0.25 on 16×16 inputs, batch 32, d = 0.05):
+//!   cloning the model and taking its first training step may allocate at
+//!   most [`RESNET_FIRST_STEP_MAX`] bytes — a column matrix anywhere reads
+//!   four times that — and every later step exactly zero.
+//! - **`resnet_step` sparse ÷ dense**, "a sparse step's time tracks its nnz"
+//!   as a number: the d = 0.05 step may take at most
+//!   [`RESNET_SPARSE_STEP_MAX_RATIO`] of the dense one. g1 at model level:
+//!   catches a sparse layer falling back to the dense path.
+//! - **`dconv` against its oracle**: at each stage shape `dconv_fwd` +
+//!   `dconv_dw` + `dconv_dx` may take at most [`DCONV_MAX_RATIO`] of the
+//!   im2col + GEMM route (`dconv_*_oracle`) timed alternately. Catches the
+//!   direct dense engine losing to the route it replaced.
 //!
-//! The same report carries the buffered event loop's two structure records
-//! (shape `K16xB2`, both counts the program makes, so they repeat exactly):
-//! `buffered_alloc_bytes_per_aggregation` must stay within
-//! [`BUFFERED_ALLOC_HEADROOM`] of the committed value — an eager snapshot of
-//! the in-flight tasks alone more than triples it — and
-//! `buffered_train_cohort_mean` must be above 1.0: at exactly one task per
-//! flush the loop trains its launches one at a time again and no pool can
-//! help it. Missing records are hard failures.
+//! From `BENCH_fleet.json`:
 //!
-//! A fourth family gates the batched training engine from
-//! `BENCH_micro_ops.json`: the `train_step` record must show exactly zero
-//! allocator bytes per steady-state epoch and at least a 1.4x
-//! single-thread epoch-throughput floor over the `train_step_legacy`
-//! replica of the retired per-sample engine, measured interleaved in the
-//! same run (the committed baseline carries the same record so the floor
-//! stays documented). Missing records are hard failures.
-//!
-//! A fifth family gates the workspace of one device-side model from the
-//! same report, as two allocator counts that repeat exactly (ResNet18 width
-//! 0.25 on 16×16 inputs, batch 32, d = 0.05): cloning the model and taking
-//! its first training step may allocate at most [`RESNET_FIRST_STEP_MAX`]
-//! bytes (`resnet_step_first_alloc_bytes`), and every later step exactly
-//! zero (`resnet_step_steady_alloc_bytes`). Missing records are hard
-//! failures.
-//!
-//! A sixth gate is "a sparse step's time tracks its nnz" as a number: the
-//! same report times one steady training step of that model at d = 0.05 and
-//! dense (`resnet_step`, densities 0.05 and 1.0, interleaved in one run), and
-//! the sparse step may take at most [`RESNET_SPARSE_STEP_MAX_RATIO`] of the
-//! dense one. Both sides come from the same run on the same host, so the
-//! ratio normalises host drift away. Missing records are hard failures.
-//!
-//! A seventh family gates the paper's own stages from the FedTiny leg of
-//! `BENCH_fleet.json` (ResNet18 width 0.25 on 16 px inputs, six devices,
-//! d = 0.05, eight candidates), every comparison inside one report so host
-//! drift cancels: the candidate pool may cost at most
-//! [`SELECTION_POOL_MAX_RATIO`] single magnitude masks over the same weights
-//! (`selection_pool_ns` against `magnitude_mask_ns` — one ranking per layer,
-//! not one per candidate), one progressive adjustment at most one sparse
-//! training round (`progressive_adjust_ns` against `fedtiny_round_ns`), and
-//! such a round may allocate at most [`FEDTINY_ROUND_ALLOC_MAX`] bytes
-//! (`fedtiny_round_alloc_bytes` — pooled trainers, nothing cloned or
-//! regrown). Missing records are hard failures.
-//!
-//! An eighth family gates the direct dense convolution against the route it
-//! replaced behind `Conv2d`: at each of the two stage shapes the report times
-//! `dconv_fwd` / `dconv_dw` / `dconv_dx` alternately with the im2col + GEMM
-//! oracle (`dconv_*_oracle`), and the three direct kernels together may take
-//! at most [`DCONV_MAX_RATIO`] of the three oracle ones. Missing records are
-//! hard failures.
-//!
-//! If *zero* gates end up evaluated the check fails loudly: a gate file
-//! that checks nothing is indistinguishable from a regression.
+//! - **Collect allocation**: the `collect_alloc_steady` record (pooled
+//!   frames, zero-copy decode, recycled aggregation scratch) must allocate
+//!   exactly **zero** bytes per round.
+//! - **Buffered structure** (shape `K16xB2`, both counts the program makes,
+//!   so they repeat exactly): `buffered_alloc_bytes_per_aggregation` must
+//!   stay within [`BUFFERED_ALLOC_HEADROOM`] of the committed value — an
+//!   eager snapshot of the in-flight tasks alone more than triples it — and
+//!   `buffered_train_cohort_mean` must be above 1.0: at exactly one task per
+//!   flush the loop trains its launches one at a time again and no pool can
+//!   help it.
+//! - **FedTiny stages** (ResNet18 width 0.25 on 16 px inputs, six devices,
+//!   d = 0.05, eight candidates): the candidate pool may cost at most
+//!   [`SELECTION_POOL_MAX_RATIO`] single magnitude masks over the same
+//!   weights (one ranking per layer, not one per candidate), one progressive
+//!   adjustment at most one sparse training round, and such a round may
+//!   allocate at most [`FEDTINY_ROUND_ALLOC_MAX`] bytes (pooled trainers,
+//!   nothing cloned or regrown).
 //!
 //! ```bash
 //! cargo run --release -p ft-bench --bin bench_check \
-//!     [path/to/BENCH_micro_ops.json [path/to/BENCH_baseline_micro_ops.json \
-//!     [path/to/BENCH_fleet.json]]]
+//!     [path/to/BENCH_micro_ops.json [path/to/BENCH_fleet.json]]
 //! ```
 
 use ft_bench::trajectory::{BenchRecord, BenchReport};
@@ -88,6 +82,33 @@ use std::process::ExitCode;
 
 /// Minimum square dimension a "dense matmul ≥ 256²" record must have.
 const MIN_GATED_DIM: usize = 256;
+
+/// g3 — floor on `matmul` 512² at one thread, in GFLOP/s: three times the
+/// 15.23 the unblocked triple-loop kernel read on the reference host before
+/// the packed rewrite (PR 7; today's kernel reads 58–88 there). The only
+/// gate that is not a ratio inside one report, so a host more than ~1.5×
+/// slower than the reference can trip it with a healthy kernel.
+const MATMUL_512_FLOOR_GFLOPS: f64 = 3.0 * 15.23;
+
+/// The two conv shapes `micro_ops` times its kernel records at: the first
+/// and the last residual stage of the benchmark's ResNet18, batch 32.
+const STAGE_SHAPES: [&str; 2] = ["b32x16x16x16k3", "b32x128x2x2k3"];
+
+/// g1 — ceiling on `dispatch_sweep_fwd_csr + dispatch_sweep_bwd_csr` ns over
+/// the `_dense` pair at d = 0.05, per stage shape, timed alternately in one
+/// run: the sparse engine reads 0.20–0.24 on 16 px planes and 0.13 on 2 px
+/// ones for 0.05 of the multiply-adds (five consecutive full runs on the
+/// reference host: 0.230 0.210 0.242 0.223 0.203 and 0.126 0.128 0.133 0.134
+/// 0.128). An engine whose time does not track nnz reads ≥ 1; im2col + CSR
+/// (the column matrix back) reads ≈ 0.5.
+const SPCONV_MAX_RATIO: f64 = 0.30;
+
+/// g2 — floor on `resnet_step` d = 1.0 GFLOP/s over the in-run `dconv_fwd`
+/// GFLOP/s at `b32x16x16x16k3`: a whole dense training step of the
+/// benchmark's model reads 0.52–0.60 of its convolution kernel (38.8 / 65.7
+/// committed; five consecutive full runs: 0.591 0.604 0.545 0.602 0.598);
+/// the im2col + GEMM step the direct engine replaced would read ≈ 0.27.
+const RESNET_STEP_MIN_EFFICIENCY: f64 = 0.35;
 
 /// `buffered_alloc_bytes_per_aggregation` the gate is anchored to (16
 /// devices, `buffer_k` 2, SmallCnn width 4 on 8×8 inputs, one thread); the
@@ -108,7 +129,7 @@ const RESNET_FIRST_STEP_MAX: f64 = 40e6;
 /// ran on im2col + GEMM (d = 0.05 step ≈ 19 ms over dense ≈ 80 ms = 0.21–0.25
 /// on the reference host); the direct dense engine took the *denominator* to
 /// ≈ 42 ms and left the d = 0.05 step where it was (≈ 18 ms), so the same
-/// sparse engine now reads 0.42–0.44 (0.429 committed) — a faster baseline,
+/// sparse engine now reads 0.40–0.44 (0.415 committed) — a faster baseline,
 /// not a slower sparse step. What the gate still catches is the sparse path
 /// falling back to O(dense) work: im2col + CSR under today's dense step would
 /// read ≈ 0.9.
@@ -136,21 +157,11 @@ const SELECTION_POOL_MAX_RATIO: f64 = 3.0;
 /// a matter of timing.
 const FEDTINY_ROUND_ALLOC_MAX: f64 = 64e6;
 
-/// One parallel-speedup requirement against the report.
+/// One parallel-speedup requirement on the dense `matmul` records.
 struct SpeedupGate {
-    op: &'static str,
     min_dim: usize,
-    dense_only: bool,
     threads: usize,
     min_speedup: f64,
-}
-
-/// One single-thread throughput-ratio requirement against the baseline.
-struct FloorGate {
-    op: &'static str,
-    shape: &'static str,
-    density: f64,
-    min_ratio: f64,
 }
 
 /// Leading dimension of a `AxBxC` shape tag (0 when unparsable).
@@ -177,6 +188,18 @@ fn find<'a>(
     })
 }
 
+/// Total ns of the 1-thread records `ops` at `(shape, density)`; `None` when
+/// one of them is missing or unmeasured.
+fn sum_ns(records: &[BenchRecord], ops: &[String], shape: &str, density: f64) -> Option<f64> {
+    ops.iter()
+        .map(|op| {
+            find(records, op, shape, density, 1)
+                .map(|r| r.ns_per_iter)
+                .filter(|&ns| ns > 0.0)
+        })
+        .sum()
+}
+
 fn load_report(path: &str) -> Result<BenchReport, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     BenchReport::from_json(&json).map_err(|e| format!("cannot parse {path}: {e}"))
@@ -194,11 +217,6 @@ fn main() -> ExitCode {
             .to_string_lossy()
             .into_owned()
     });
-    let baseline_path = args.next().unwrap_or_else(|| {
-        root.join("BENCH_baseline_micro_ops.json")
-            .to_string_lossy()
-            .into_owned()
-    });
     let fleet_path = args
         .next()
         .unwrap_or_else(|| root.join("BENCH_fleet.json").to_string_lossy().into_owned());
@@ -209,15 +227,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let baseline = match load_report(&baseline_path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench_check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     println!(
-        "bench_check: {path} ({} records, host_threads={}, quick={}) vs baseline {baseline_path}",
+        "bench_check: {path} ({} records, host_threads={}, quick={})",
         report.records.len(),
         report.host_threads,
         report.quick
@@ -226,101 +237,57 @@ fn main() -> ExitCode {
     let mut evaluated = 0usize;
     let mut failed = false;
 
-    // -- Single-thread floors vs the committed baseline (never skipped) ----
-    let floor_gates = [
-        FloorGate {
-            op: "matmul",
-            shape: "512x512x512",
-            density: 1.0,
-            min_ratio: 3.0,
-        },
-        FloorGate {
-            op: "spmm",
-            shape: "512x512x512",
-            density: 0.2,
-            min_ratio: 1.5,
-        },
-        // Four dot-product chains per CSR row instead of one: the
-        // single-chain kernel reads ≈ 1.3x the baseline, the quads ≈ 1.8x.
-        FloorGate {
-            op: "sddmm_nt",
-            shape: "512x512x64",
-            density: 0.05,
-            min_ratio: 1.4,
-        },
-    ];
-    for gate in &floor_gates {
-        let cur = find(&report.records, gate.op, gate.shape, gate.density, 1);
-        let base = find(&baseline.records, gate.op, gate.shape, gate.density, 1);
-        let (Some(cur), Some(base)) = (cur, base) else {
+    // -- g3: the matmul floor ----------------------------------------------
+    match find(&report.records, "matmul", "512x512x512", 1.0, 1) {
+        Some(r) => {
+            evaluated += 1;
+            let ok = r.gflops >= MATMUL_512_FLOOR_GFLOPS;
+            failed |= !ok;
+            println!(
+                "  {:>4} g3 matmul 512x512x512 @1t: {:.2} GFLOP/s (need >= {MATMUL_512_FLOOR_GFLOPS:.2})",
+                if ok { "ok" } else { "FAIL" },
+                r.gflops
+            );
+        }
+        None => {
             eprintln!(
-                "  FAIL {} {} d={:.2} @1t: record missing from {} — this gate cannot be skipped",
-                gate.op,
-                gate.shape,
-                gate.density,
-                if cur.is_none() { "report" } else { "baseline" },
+                "  FAIL g3 matmul 512x512x512 @1t: record missing from the report — \
+                 this gate cannot be skipped"
             );
             failed = true;
-            continue;
-        };
-        evaluated += 1;
-        let ratio = cur.gflops / base.gflops.max(1e-9);
-        let verdict = if ratio >= gate.min_ratio {
-            "ok"
-        } else {
-            failed = true;
-            "FAIL"
-        };
-        println!(
-            "  {verdict:>4} {} {} d={:.2} @1t: {:.2} GFLOP/s vs baseline {:.2} = {ratio:.2}x (need >= {:.1}x)",
-            gate.op, gate.shape, gate.density, cur.gflops, base.gflops, gate.min_ratio
-        );
+        }
     }
 
     // -- Parallel speedups within the current report -----------------------
     let speedup_gates = [
         SpeedupGate {
-            op: "matmul",
             min_dim: MIN_GATED_DIM,
-            dense_only: true,
             threads: 2,
             min_speedup: 1.2,
         },
         SpeedupGate {
-            op: "matmul",
             min_dim: 512,
-            dense_only: true,
             threads: 4,
             min_speedup: 1.5,
-        },
-        SpeedupGate {
-            op: "spmm",
-            min_dim: 512,
-            dense_only: false,
-            threads: 4,
-            min_speedup: 1.3,
         },
     ];
     for gate in &speedup_gates {
         if report.host_threads < gate.threads {
             println!(
-                "  SKIP {} @{}t >= {:.1}x: host has {} core(s); a speedup needs at least {}",
-                gate.op, gate.threads, gate.min_speedup, report.host_threads, gate.threads
+                "  SKIP matmul @{}t >= {:.1}x: host has {} core(s); a speedup needs at least {}",
+                gate.threads, gate.min_speedup, report.host_threads, gate.threads
             );
             continue;
         }
-        // Every (shape, density) pair of this op that has both a 1-thread
-        // and a gate.threads-thread record is checked.
+        // Every shape that has both a 1-thread and a gate.threads-thread
+        // record is checked.
         let mut checked = 0usize;
         for base in report.records.iter().filter(|r| {
-            r.op == gate.op
-                && r.requested_threads == 1
-                && lead_dim(&r.shape) >= gate.min_dim
-                && (!gate.dense_only || r.density == 1.0)
+            r.op == "matmul" && r.requested_threads == 1 && lead_dim(&r.shape) >= gate.min_dim
         }) {
             let Some(par) = find(
                 &report.records,
-                gate.op,
+                "matmul",
                 &base.shape,
                 base.density,
                 gate.threads,
@@ -337,16 +304,47 @@ fn main() -> ExitCode {
                 "FAIL"
             };
             println!(
-                "  {verdict:>4} {} {} d={:.2} @{}t: {speedup:.2}x (need >= {:.1}x)",
-                gate.op, base.shape, base.density, gate.threads, gate.min_speedup
+                "  {verdict:>4} matmul {} @{}t: {speedup:.2}x (need >= {:.1}x)",
+                base.shape, gate.threads, gate.min_speedup
             );
         }
         if checked == 0 {
             eprintln!(
-                "  FAIL {} @{}t: no measurable (1t, {}t) record pair in the report",
-                gate.op, gate.threads, gate.threads
+                "  FAIL matmul @{}t: no measurable (1t, {}t) record pair in the report",
+                gate.threads, gate.threads
             );
             failed = true;
+        }
+    }
+
+    // -- g1: the sparse convolution engine against the dense one -----------
+    for shape in STAGE_SHAPES {
+        let sum = |engine: &str| {
+            let ops = ["fwd", "bwd"].map(|dir| format!("dispatch_sweep_{dir}_{engine}"));
+            sum_ns(&report.records, &ops, shape, 0.05)
+        };
+        match (sum("csr"), sum("dense")) {
+            (Some(csr), Some(dense)) => {
+                evaluated += 1;
+                let ratio = csr / dense;
+                let ok = ratio <= SPCONV_MAX_RATIO;
+                failed |= !ok;
+                println!(
+                    "  {:>4} g1 spconv {shape} d=0.05 fwd + bwd: {:.3} ms / dense engine {:.3} ms \
+                     = {ratio:.3} (need <= {SPCONV_MAX_RATIO:.2})",
+                    if ok { "ok" } else { "FAIL" },
+                    csr / 1e6,
+                    dense / 1e6
+                );
+            }
+            (csr, _) => {
+                eprintln!(
+                    "  FAIL g1 spconv {shape}: a dispatch_sweep_*_{} d=0.05 record is missing \
+                     from the report — this gate cannot be skipped",
+                    if csr.is_none() { "csr" } else { "dense" }
+                );
+                failed = true;
+            }
         }
     }
 
@@ -486,74 +484,28 @@ fn main() -> ExitCode {
         }
     }
 
-    // -- Training-engine floors (train_step) -------------------------------
-    // The batched alloc-free engine must (a) allocate zero bytes per epoch
-    // at steady state and (b) hold a 1.4x single-thread epoch-throughput
-    // floor over the committed pre-rewrite baseline. The in-run
-    // `train_step_legacy` replica re-measures the retired engine on the
-    // same host in the same interleaved run, so the ratio is host-fair;
-    // the committed baseline record documents the floor the replica must
-    // itself stay honest against. Any missing record is a hard failure.
+    // -- Training engine: zero steady-state allocation (train_step) --------
+    match report
+        .records
+        .iter()
+        .find(|r| r.op == "train_step" && r.requested_threads == 1)
     {
-        let cur = report
-            .records
-            .iter()
-            .find(|r| r.op == "train_step" && r.requested_threads == 1);
-        let legacy = report
-            .records
-            .iter()
-            .find(|r| r.op == "train_step_legacy" && r.requested_threads == 1);
-        let base = baseline
-            .records
-            .iter()
-            .find(|r| r.op == "train_step" && r.requested_threads == 1);
-        match (cur, legacy, base) {
-            (Some(cur), Some(legacy), Some(base)) => {
-                if cur.shape != legacy.shape || cur.shape != base.shape {
-                    eprintln!(
-                        "  FAIL train_step: geometry mismatch (report {}, legacy {}, baseline {})",
-                        cur.shape, legacy.shape, base.shape
-                    );
-                    failed = true;
-                } else {
-                    evaluated += 1;
-                    let alloc_ok = cur.alloc_bytes_per_round == 0.0;
-                    if !alloc_ok {
-                        failed = true;
-                    }
-                    println!(
-                        "  {:>4} train_step {} alloc: {:.1} B/epoch (need exactly 0)",
-                        if alloc_ok { "ok" } else { "FAIL" },
-                        cur.shape,
-                        cur.alloc_bytes_per_round
-                    );
-                    evaluated += 1;
-                    let speedup = legacy.ns_per_iter / cur.ns_per_iter.max(1.0);
-                    let floor_ok = speedup >= 1.4;
-                    if !floor_ok {
-                        failed = true;
-                    }
-                    println!(
-                        "  {:>4} train_step {} @1t: {speedup:.2}x vs in-run legacy replica \
-                         (need >= 1.4x; committed baseline {:.0} ns/epoch)",
-                        if floor_ok { "ok" } else { "FAIL" },
-                        cur.shape,
-                        base.ns_per_iter
-                    );
-                }
-            }
-            (cur, legacy, base) => {
-                let missing = if cur.is_none() {
-                    "train_step record missing from report"
-                } else if legacy.is_none() {
-                    "train_step_legacy record missing from report"
-                } else {
-                    debug_assert!(base.is_none());
-                    "train_step record missing from baseline"
-                };
-                eprintln!("  FAIL train_step: {missing} — this gate cannot be skipped");
-                failed = true;
-            }
+        Some(cur) => {
+            evaluated += 1;
+            let ok = cur.alloc_bytes_per_round == 0.0;
+            failed |= !ok;
+            println!(
+                "  {:>4} train_step {} alloc: {:.1} B/epoch (need exactly 0)",
+                if ok { "ok" } else { "FAIL" },
+                cur.shape,
+                cur.alloc_bytes_per_round
+            );
+        }
+        None => {
+            eprintln!(
+                "  FAIL train_step: record missing from the report — this gate cannot be skipped"
+            );
+            failed = true;
         }
     }
 
@@ -626,17 +578,50 @@ fn main() -> ExitCode {
         }
     }
 
+    // -- g2: a whole dense training step against its convolution kernel ----
+    {
+        let step = report
+            .records
+            .iter()
+            .find(|r| r.op == "resnet_step" && r.density == 1.0 && r.gflops > 0.0);
+        let kernel =
+            find(&report.records, "dconv_fwd", STAGE_SHAPES[0], 1.0, 1).filter(|r| r.gflops > 0.0);
+        match (step, kernel) {
+            (Some(step), Some(kernel)) => {
+                evaluated += 1;
+                let efficiency = step.gflops / kernel.gflops;
+                let ok = efficiency >= RESNET_STEP_MIN_EFFICIENCY;
+                failed |= !ok;
+                println!(
+                    "  {:>4} g2 resnet_step {} dense: {:.2} GFLOP/s / dconv_fwd {} {:.2} \
+                     = {efficiency:.3} (need >= {RESNET_STEP_MIN_EFFICIENCY:.2})",
+                    if ok { "ok" } else { "FAIL" },
+                    step.shape,
+                    step.gflops,
+                    kernel.shape,
+                    kernel.gflops
+                );
+            }
+            (step, _) => {
+                eprintln!(
+                    "  FAIL g2 resnet_step: the {} record is missing from the report — \
+                     this gate cannot be skipped",
+                    if step.is_none() {
+                        "resnet_step d=1.0"
+                    } else {
+                        "dconv_fwd"
+                    }
+                );
+                failed = true;
+            }
+        }
+    }
+
     // -- Direct dense convolution against its im2col + GEMM oracle ---------
-    for shape in ["b32x16x16x16k3", "b32x128x2x2k3"] {
+    for shape in STAGE_SHAPES {
         let sum = |suffix: &str| {
-            ["dconv_fwd", "dconv_dw", "dconv_dx"]
-                .iter()
-                .map(|op| {
-                    find(&report.records, &format!("{op}{suffix}"), shape, 1.0, 1)
-                        .map(|r| r.ns_per_iter)
-                        .filter(|&ns| ns > 0.0)
-                })
-                .sum::<Option<f64>>()
+            let ops = ["dconv_fwd", "dconv_dw", "dconv_dx"].map(|op| format!("{op}{suffix}"));
+            sum_ns(&report.records, &ops, shape, 1.0)
         };
         match (sum(""), sum("_oracle")) {
             (Some(direct), Some(oracle)) => {

@@ -35,9 +35,9 @@ pub fn quick_mode() -> bool {
 }
 
 /// One measured configuration of one operation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BenchRecord {
-    /// Operation name (`"matmul"`, `"spmm"`, `"fleet_synchronous"`, ...).
+    /// Operation name (`"matmul"`, `"spconv_fwd"`, `"fleet_synchronous"`, ...).
     pub op: String,
     /// Shape tag, e.g. `"512x512x512"` for GEMMs or `"K6xR8"` for fleet
     /// runs.
@@ -57,43 +57,11 @@ pub struct BenchRecord {
     pub gflops: f64,
     /// Allocator traffic per iteration in bytes, for records measured
     /// under the counting allocator ([`crate::CountingAlloc`]); `-1.0`
-    /// means "not measured" (throughput-only records and legacy reports).
+    /// means "not measured" (throughput-only records).
     pub alloc_bytes_per_round: f64,
     /// A count the record exists to pin, per iteration (e.g. tasks trained
     /// per flush of the buffered loop); `-1.0` means "not measured".
     pub count_per_iter: f64,
-}
-
-// Hand-written so reports from before the `requested_threads`,
-// `alloc_bytes_per_round` and `count_per_iter` fields (e.g. the committed
-// baseline) still parse: `requested_threads` defaults to `threads` (exactly
-// what those reports measured), the other two to the -1.0 "not measured"
-// sentinel. The derive shim has no per-field defaults.
-impl Deserialize for BenchRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let threads: usize = Deserialize::from_value(v.field("threads")?)?;
-        let requested_threads = match v.field("requested_threads") {
-            Ok(f) => Deserialize::from_value(f)?,
-            Err(_) => threads,
-        };
-        let or_unmeasured = |name: &str| match v.field(name) {
-            Ok(f) => Deserialize::from_value(f),
-            Err(_) => Ok(-1.0),
-        };
-        let alloc_bytes_per_round = or_unmeasured("alloc_bytes_per_round")?;
-        let count_per_iter = or_unmeasured("count_per_iter")?;
-        Ok(BenchRecord {
-            op: Deserialize::from_value(v.field("op")?)?,
-            shape: Deserialize::from_value(v.field("shape")?)?,
-            density: Deserialize::from_value(v.field("density")?)?,
-            requested_threads,
-            threads,
-            ns_per_iter: Deserialize::from_value(v.field("ns_per_iter")?)?,
-            gflops: Deserialize::from_value(v.field("gflops")?)?,
-            alloc_bytes_per_round,
-            count_per_iter,
-        })
-    }
 }
 
 /// A suite's full report: host facts plus the measured records.
@@ -304,26 +272,6 @@ mod tests {
         assert_eq!(back.records[0].threads, 2);
         // 1024 FLOPs in 1000ns ≈ 1.024 GFLOP/s.
         assert!((back.records[0].gflops - 1.024).abs() < 1e-9);
-    }
-
-    /// Reports written before the `requested_threads` field still parse;
-    /// the field defaults to the effective thread count.
-    #[test]
-    fn legacy_records_without_requested_threads_parse() {
-        let json = r#"{
-            "suite": "micro_ops",
-            "host_threads": 1,
-            "quick": true,
-            "records": [{
-                "op": "matmul", "shape": "8x8x8", "density": 1.0,
-                "threads": 2, "ns_per_iter": 1000.0, "gflops": 1.024
-            }]
-        }"#;
-        let back = BenchReport::from_json(json).expect("legacy report parses");
-        assert_eq!(back.records[0].requested_threads, 2);
-        assert_eq!(back.records[0].threads, 2);
-        assert_eq!(back.records[0].alloc_bytes_per_round, -1.0);
-        assert_eq!(back.records[0].count_per_iter, -1.0);
     }
 
     /// Allocation and count records round-trip and throughput records

@@ -2,8 +2,9 @@
 //!
 //! A thin orchestration layer over the existing harness: `cargo bench -p
 //! ft-bench` for the measurement binaries (they write `BENCH_*.json`
-//! reports) and `cargo run -p ft-bench --bin bench_check` for the gate
-//! that compares those reports against the committed baselines.
+//! reports) and `cargo run -p ft-bench --bin bench_check` for the gate over
+//! the reports just written — every gate but one absolute `matmul` floor
+//! pairs two records of the same run, so nothing committed is read back.
 
 use crate::args::Args;
 use std::process::Command;

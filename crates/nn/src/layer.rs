@@ -1716,7 +1716,7 @@ impl Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_tensor::{assert_close, col2im_ld, im2col_batched_rt};
+    use ft_tensor::assert_close;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -2383,17 +2383,17 @@ mod tests {
     }
 
     /// The sparse path as it ran before the direct engine, kept as the
-    /// layer-level oracle: per 256 KiB tile, im2col → CSR SpMM → NCHW
-    /// scatter forward, and dY repack → segmented SDDMM → CSR `Sᵀ·dY` →
-    /// col2im backward. Returns `(y, gx, w.grad after the batch, FLOPs)`.
+    /// layer-level oracle on `ft_tensor::oracle`'s sequential kernels: per
+    /// 256 KiB tile, im2col → CSR SpMM → NCHW scatter forward, and dY repack →
+    /// segmented SDDMM → CSR `Sᵀ·dY` → col2im backward. Returns `(y, gx,
+    /// w.grad after the batch, FLOPs)`.
     fn csr_tile_loop_oracle(
         layer: &Conv2d,
         x: &Tensor,
         go: &Tensor,
         want_gx: bool,
     ) -> (Tensor, Option<Tensor>, Tensor, f64) {
-        use ft_tensor::{sddmm_nt_seg_into_rt, spmm_into_rt, spmm_tn_into_rt};
-        let rt = Runtime::sequential();
+        use ft_tensor::oracle;
         let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let geom = layer.geom(h, w);
         let (cr, cc, oc) = (geom.col_rows(), geom.col_cols(), layer.out_c);
@@ -2408,9 +2408,9 @@ mod tests {
             let tn = tile.min(n - i0);
             let mut cols_b = Tensor::zeros(&[cr, tn * cc]);
             let xs = &x.data()[i0 * sample..(i0 + tn) * sample];
-            im2col_batched_rt(&rt, xs, tn, &geom, cols_b.data_mut());
+            oracle::im2col_batched(xs, tn, &geom, cols_b.data_mut());
             let mut out_b = Tensor::zeros(&[oc, tn * cc]);
-            spmm_into_rt(&rt, csr.view(), &cols_b, &mut out_b);
+            oracle::spmm_into(csr.view(), &cols_b, &mut out_b);
             let mut gob = Tensor::zeros(&[oc, tn * cc]);
             for i in 0..tn {
                 for c in 0..oc {
@@ -2420,12 +2420,12 @@ mod tests {
                         .copy_from_slice(&go.data()[((i0 + i) * oc + c) * cc..][..cc]);
                 }
             }
-            sddmm_nt_seg_into_rt(&rt, csr.view(), &gob, &cols_b, cc, &mut grad_w_vals);
+            oracle::sddmm_nt_seg_into(csr.view(), &gob, &cols_b, cc, &mut grad_w_vals);
             if want_gx {
                 let mut dcol_b = Tensor::zeros(&[cr, tn * cc]);
-                spmm_tn_into_rt(&rt, csr.view(), &gob, &mut dcol_b);
+                oracle::spmm_tn_into(csr.view(), &gob, &mut dcol_b);
                 for i in 0..tn {
-                    col2im_ld(
+                    oracle::col2im_ld(
                         &dcol_b.data()[i * cc..],
                         tn * cc,
                         &geom,

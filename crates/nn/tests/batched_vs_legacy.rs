@@ -6,10 +6,11 @@
 //! one sample at a time and accumulating — not merely close: golden traces
 //! and the federated aggregation paths compare checkpoints byte-wise. The
 //! per-sample reference here is the layer itself driven at `n = 1` (a
-//! single-sample batch degenerates to the legacy composition: one im2col,
-//! one GEMM per pass, one gradient accumulation per sample), so the
-//! property fails if batching, k-segmentation, or the fused eval pack ever
-//! reorders a floating-point reduction.
+//! single-sample batch is one occupied lane of the direct convolution
+//! engines' eight-sample group, or one row of `Linear`'s GEMM: one pass and
+//! one gradient accumulation per sample), so the property fails if lane
+//! grouping, register blocking or the batch-wide GEMM ever reorders a
+//! floating-point reduction.
 //!
 //! Geometries are adversarial: kernels bigger than the padded input are
 //! filtered out, but everything else — odd spatial dims, stride > kernel,

@@ -1,9 +1,9 @@
 //! Direct dense convolution: register-blocked kernels over the sparse
 //! engine's zero-padded, sample-innermost input, with no column matrix.
 //!
-//! The im2col route ([`crate::im2col_batched`] → [`crate::matmul_into`] /
-//! [`crate::matmul_nt_seg_into`] / [`crate::matmul_tn_into`] →
-//! [`crate::col2im_ld`]) writes nine times the input, re-packs it into GEMM
+//! The im2col route ([`crate::oracle::im2col_batched`] → [`crate::matmul_into`] /
+//! [`crate::oracle::matmul_nt_seg_into`] / [`crate::matmul_tn_into_rt`] →
+//! [`crate::oracle::col2im_ld`]) writes nine times the input, re-packs it into GEMM
 //! panels and reads it a third time, to feed a GEMM whose `M` is a layer's
 //! handful of output channels. This engine shares [`crate::spconv`]'s layout
 //! — groups of eight samples transposed once into
@@ -34,11 +34,11 @@
 //!   `+0.0`);
 //! - dW — per sample a fresh chain over the output pixels, cut into
 //!   [`KC`]-deep blocks when `oh·ow > KC`, added into the gradient
-//!   sample-major, block-minor — [`crate::matmul_nt_seg_into`]'s flush order
+//!   sample-major, block-minor — [`crate::oracle::matmul_nt_seg_into`]'s flush order
 //!   with `seg = oh·ow`;
 //! - dX — `tmp = Σ_o w·dY[o]` per [`KC`]-deep panel of `o` from `+0.0`,
 //!   `+0.0 + tmp` (the zeroed dCol), then added into the zeroed input
-//!   gradient in ascending `k`, as [`crate::col2im_ld`] folds dCol's rows.
+//!   gradient in ascending `k`, as [`crate::oracle::col2im_ld`] folds dCol's rows.
 //!
 //! Every multiply-add goes through [`Lanes::axpy`], which fuses in the
 //! AVX2+FMA family exactly as the GEMM's `AvxFma` microkernel does and
@@ -279,11 +279,11 @@ pub fn dconv_forward_rt(
 ///
 /// - `grad_w[out_c, in_c·k²]` *accumulates* the weight gradient, one fresh
 ///   accumulator per sample added in sample order — bit-identical to
-///   [`crate::matmul_nt_seg_into`] with `seg = oh·ow` over the batched
+///   [`crate::oracle::matmul_nt_seg_into`] with `seg = oh·ow` over the batched
 ///   column matrix;
 /// - `gx[n, in_c, h, w]` is *overwritten* with the input gradient —
-///   bit-identical to [`crate::matmul_tn_into`] into a zeroed matrix
-///   followed by per-sample [`crate::col2im_ld`] into a zeroed `gx`.
+///   bit-identical to [`crate::matmul_tn_into_rt`] into a zeroed matrix
+///   followed by per-sample [`crate::oracle::col2im_ld`] into a zeroed `gx`.
 ///
 /// Either output may be left out.
 ///
@@ -826,10 +826,9 @@ fn dw_job_impl<V: Lanes>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::oracle::{col2im_ld, im2col_batched, matmul_nt_seg_into};
     use crate::spconv::tests::{bits, rand_vec};
-    use crate::{
-        col2im_ld, im2col_batched, matmul_into, matmul_nt_seg_into, matmul_tn_into, Tensor,
-    };
+    use crate::{matmul_into, matmul_tn_into_rt, Tensor};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -865,7 +864,7 @@ pub(crate) mod tests {
         matmul_nt_seg_into(&dy_b, &cols, cc, &mut gw);
         grad.copy_from_slice(gw.data());
         let mut dcol = Tensor::zeros(&[cr, n * cc]);
-        matmul_tn_into(&w, &dy_b, &mut dcol);
+        matmul_tn_into_rt(&Runtime::sequential(), &w, &dy_b, &mut dcol);
         let sample = g.in_c * g.in_h * g.in_w;
         let mut gx = vec![0.0f32; n * sample];
         for i in 0..n {

@@ -10,10 +10,9 @@
 //! No layer runs on these any more: `Conv2d` executes on the two direct
 //! engines ([`crate::dconv_forward_rt`], [`crate::spconv_forward_rt`]), and
 //! this route — im2col, a GEMM or CSR product, col2im — is the oracle their
-//! tests pin them against, bit for bit.
+//! tests pin them against, bit for bit: sequential only, and reached through
+//! [`crate::oracle`]. [`ConvGeom`] is the one thing here the engines share.
 
-use crate::Tensor;
-use ft_runtime::Runtime;
 use std::ops::Range;
 
 /// Geometry of a 2-D convolution over a single sample.
@@ -86,26 +85,6 @@ fn checked_out(dim: usize, k: usize, s: usize, p: usize) -> usize {
 pub fn im2col(x: &[f32], g: &ConvGeom, out: &mut [f32]) {
     check_im2col(x, g, out);
     im2col_rows(x, g, 0..g.col_rows(), out);
-}
-
-/// [`im2col`] with the output rows (one per `(channel, kh, kw)` tap) fanned
-/// out over `rt`'s workers. Rows are written independently, so the parallel
-/// result is bit-identical to the sequential one.
-///
-/// # Panics
-///
-/// Panics on the same length mismatches as [`im2col`].
-pub fn im2col_rt(rt: &Runtime, x: &[f32], g: &ConvGeom, out: &mut [f32]) {
-    check_im2col(x, g, out);
-    let rows = g.col_rows();
-    if !rt.should_parallelize(out.len()) || rows <= 1 {
-        return im2col_rows(x, g, 0..rows, out);
-    }
-    let cols = g.col_cols();
-    let jobs = rt.split_rows_mut(out, cols.max(1));
-    rt.scatter(jobs, |(range, chunk)| {
-        im2col_rows(x, g, range, chunk);
-    });
 }
 
 fn check_im2col(x: &[f32], g: &ConvGeom, out: &[f32]) {
@@ -213,25 +192,6 @@ fn im2col_rows(x: &[f32], g: &ConvGeom, rows: Range<usize>, chunk: &mut [f32]) {
 pub fn im2col_batched(x: &[f32], n: usize, g: &ConvGeom, out: &mut [f32]) {
     check_im2col_batched(x, n, g, out);
     im2col_batched_rows(x, n, g, 0..g.col_rows(), out);
-}
-
-/// [`im2col_batched`] with the output rows fanned out over `rt`'s workers;
-/// bit-identical to the sequential form.
-///
-/// # Panics
-///
-/// Panics on the same length mismatches as [`im2col_batched`].
-pub fn im2col_batched_rt(rt: &Runtime, x: &[f32], n: usize, g: &ConvGeom, out: &mut [f32]) {
-    check_im2col_batched(x, n, g, out);
-    let rows = g.col_rows();
-    if !rt.should_parallelize(out.len()) || rows <= 1 {
-        return im2col_batched_rows(x, n, g, 0..rows, out);
-    }
-    let width = n * g.col_cols();
-    let jobs = rt.split_rows_mut(out, width.max(1));
-    rt.scatter(jobs, |(range, chunk)| {
-        im2col_batched_rows(x, n, g, range, chunk);
-    });
 }
 
 fn check_im2col_batched(x: &[f32], n: usize, g: &ConvGeom, out: &[f32]) {
@@ -347,45 +307,46 @@ pub fn col2im_ld(col: &[f32], ld: usize, g: &ConvGeom, out: &mut [f32]) {
     }
 }
 
-/// Reference direct convolution of one sample; used by tests to validate the
-/// im2col path. `w` has shape `[out_c, in_c, k, k]` flat.
-pub fn conv2d_direct(x: &[f32], w: &[f32], g: &ConvGeom, out_c: usize) -> Tensor {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let mut out = Tensor::zeros(&[out_c, oh, ow]);
-    let od = out.data_mut();
-    for oc in 0..out_c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0;
-                for ic in 0..g.in_c {
-                    for kh in 0..g.kernel {
-                        for kw in 0..g.kernel {
-                            let iy = (oy * g.stride + kh) as isize - g.pad as isize;
-                            let ix = (ox * g.stride + kw) as isize - g.pad as isize;
-                            if iy >= 0
-                                && (iy as usize) < g.in_h
-                                && ix >= 0
-                                && (ix as usize) < g.in_w
-                            {
-                                let xv = x[(ic * g.in_h + iy as usize) * g.in_w + ix as usize];
-                                let wv = w[((oc * g.in_c + ic) * g.kernel + kh) * g.kernel + kw];
-                                acc += xv * wv;
-                            }
-                        }
-                    }
-                }
-                od[(oc * oh + oy) * ow + ox] = acc;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assert_close;
+    use crate::{assert_close, Tensor};
     use rand::{Rng, SeedableRng};
+
+    /// Reference direct convolution of one sample, the nested loops im2col +
+    /// matmul must agree with. `w` has shape `[out_c, in_c, k, k]` flat.
+    fn conv2d_direct(x: &[f32], w: &[f32], g: &ConvGeom, out_c: usize) -> Tensor {
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let mut out = Tensor::zeros(&[out_c, oh, ow]);
+        let od = out.data_mut();
+        for oc in 0..out_c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0;
+                    for ic in 0..g.in_c {
+                        for kh in 0..g.kernel {
+                            for kw in 0..g.kernel {
+                                let iy = (oy * g.stride + kh) as isize - g.pad as isize;
+                                let ix = (ox * g.stride + kw) as isize - g.pad as isize;
+                                if iy >= 0
+                                    && (iy as usize) < g.in_h
+                                    && ix >= 0
+                                    && (ix as usize) < g.in_w
+                                {
+                                    let xv = x[(ic * g.in_h + iy as usize) * g.in_w + ix as usize];
+                                    let wv =
+                                        w[((oc * g.in_c + ic) * g.kernel + kh) * g.kernel + kw];
+                                    acc += xv * wv;
+                                }
+                            }
+                        }
+                    }
+                    od[(oc * oh + oy) * ow + ox] = acc;
+                }
+            }
+        }
+        out
+    }
 
     fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -478,26 +439,6 @@ mod tests {
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 
-    #[test]
-    fn im2col_rt_is_bit_identical() {
-        let g = ConvGeom {
-            in_c: 3,
-            in_h: 7,
-            in_w: 6,
-            kernel: 3,
-            stride: 1,
-            pad: 1,
-        };
-        let x = rand_vec(g.in_c * g.in_h * g.in_w, 55);
-        let mut seq = vec![0.0; g.col_rows() * g.col_cols()];
-        im2col(&x, &g, &mut seq);
-        for threads in [1usize, 2, 5, 64] {
-            let mut par = vec![0.0; seq.len()];
-            im2col_rt(&Runtime::exact(threads).with_min_work(0), &x, &g, &mut par);
-            assert_eq!(seq, par, "threads={threads}");
-        }
-    }
-
     /// The batched layout must be byte-identical to per-sample im2col calls
     /// interleaved into the `[cr, n·cc]` layout — the property that makes
     /// whole-batch GEMMs trace-compatible with the per-sample loop.
@@ -526,17 +467,6 @@ mod tests {
             let mut got = vec![1.0f32; cr * n * cc]; // overwritten, not accumulated
             im2col_batched(&x, n, &g, &mut got);
             assert_eq!(got, expect, "n={n} stride={stride} pad={pad}");
-            for threads in [1usize, 2, 4, 64] {
-                let mut par = vec![1.0f32; cr * n * cc];
-                im2col_batched_rt(
-                    &Runtime::exact(threads).with_min_work(0),
-                    &x,
-                    n,
-                    &g,
-                    &mut par,
-                );
-                assert_eq!(par, expect, "threads={threads} n={n}");
-            }
         }
     }
 

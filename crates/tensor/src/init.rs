@@ -12,18 +12,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, shape: &[usize], mean: f32, std: f32
     Tensor::from_vec(data, shape)
 }
 
-/// Samples a tensor with i.i.d. `U(lo, hi)` entries.
-///
-/// # Panics
-///
-/// Panics if `lo >= hi`.
-pub fn uniform<R: Rng + ?Sized>(rng: &mut R, shape: &[usize], lo: f32, hi: f32) -> Tensor {
-    assert!(lo < hi, "uniform range is empty: [{lo}, {hi})");
-    let n: usize = shape.iter().product();
-    let data = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
-    Tensor::from_vec(data, shape)
-}
-
 /// Kaiming (He) normal initialization for ReLU networks: `N(0, sqrt(2/fan_in)²)`.
 ///
 /// `fan_in` is inferred from the shape: for `[out, in]` linear weights it is
@@ -38,20 +26,6 @@ pub fn kaiming_normal<R: Rng + ?Sized>(rng: &mut R, shape: &[usize]) -> Tensor {
     assert!(fan_in > 0, "kaiming init needs nonzero fan-in");
     let std = (2.0 / fan_in as f32).sqrt();
     normal(rng, shape, 0.0, std)
-}
-
-/// Xavier/Glorot uniform initialization: `U(-a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`.
-///
-/// # Panics
-///
-/// Panics if the shape has fewer than 2 dims.
-pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, shape: &[usize]) -> Tensor {
-    assert!(shape.len() >= 2, "xavier init needs weight rank >= 2");
-    let fan_in: usize = shape[1..].iter().product();
-    let fan_out = shape[0];
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform(rng, shape, -a, a)
 }
 
 /// Box–Muller standard normal sample.
@@ -83,13 +57,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_respects_bounds() {
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let t = uniform(&mut rng, &[1000], -0.5, 0.5);
-        assert!(t.data().iter().all(|&x| (-0.5..0.5).contains(&x)));
-    }
-
-    #[test]
     fn kaiming_std_tracks_fan_in() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let t = kaiming_normal(&mut rng, &[64, 32, 3, 3]);
@@ -107,12 +74,5 @@ mod tests {
         let a = normal(&mut ChaCha8Rng::seed_from_u64(1), &[16], 0.0, 1.0);
         let b = normal(&mut ChaCha8Rng::seed_from_u64(1), &[16], 0.0, 1.0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "range is empty")]
-    fn uniform_rejects_empty_range() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let _ = uniform(&mut rng, &[1], 1.0, 1.0);
     }
 }

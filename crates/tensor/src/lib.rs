@@ -2,12 +2,17 @@
 //!
 //! This crate provides exactly the numerical substrate the federated pruning
 //! stack needs and nothing more: a row-major [`Tensor`] type, blocked
-//! matrix multiplication, the two direct convolution engines
-//! ([`dconv_forward_rt`] for dense weights, [`spconv_forward_rt`] for CSR
-//! ones) with the im2col/col2im route they are tested against, elementwise
-//! arithmetic, reductions, seeded random initializers, and the CSR sparse
-//! kernels ([`spmm_into`], [`dsmm_nt_into`], [`sddmm_nt_into`], ...) that
-//! execute pruned layers in `O(nnz)` instead of `O(rows · cols)`.
+//! matrix multiplication, the two direct convolution engines that execute
+//! every convolution ([`dconv_forward_rt`] for dense weights,
+//! [`spconv_forward_rt`] for pruned ones, in `O(nnz)` instead of
+//! `O(rows · cols)`), the CSR kernels behind a pruned `Linear`
+//! ([`dsmm_nt_into_rt`], [`sddmm_tn_into_rt`], [`dsmm_into_rt`]), pooling,
+//! elementwise arithmetic, reductions, seeded random initializers and the
+//! int8 quantizer of the wire codecs.
+//!
+//! The root exports one entry point per kernel — the one its caller uses.
+//! The im2col + GEMM / CSR route the convolution engines replaced survives
+//! as their sequential test reference, behind [`oracle`].
 //!
 //! Design notes:
 //! - Shapes are validated eagerly; mismatches panic with a descriptive
@@ -42,33 +47,34 @@ mod tensor;
 
 pub use dconv::{dconv_backward_rt, dconv_forward_rt};
 pub use ft_runtime::Runtime;
-pub use im2col::{
-    col2im, col2im_ld, conv2d_direct, im2col, im2col_batched, im2col_batched_rt, im2col_rt,
-    ConvGeom,
-};
-pub use init::{kaiming_normal, normal, uniform, xavier_uniform};
-pub use matmul::{
-    matmul_into, matmul_into_rt, matmul_nt_into, matmul_nt_into_rt, matmul_nt_seg_into,
-    matmul_nt_seg_into_rt, matmul_tn_into, matmul_tn_into_rt,
-};
+pub use im2col::ConvGeom;
+pub use init::{kaiming_normal, normal};
+pub use matmul::{matmul_into, matmul_into_rt, matmul_nt_into_rt, matmul_tn_into_rt};
 pub use pool::{
-    avg_pool_global, avg_pool_global_backward, avg_pool_global_backward_into,
-    avg_pool_global_into_rt, avg_pool_global_rt, max_pool2x2, max_pool2x2_backward,
-    max_pool2x2_backward_into, max_pool2x2_into_rt, max_pool2x2_rt,
+    avg_pool_global_backward_into, avg_pool_global_into_rt, max_pool2x2_backward_into,
+    max_pool2x2_into_rt,
 };
-pub use quant::{
-    dequantize_affine_i8, dequantize_one, quant_error_bound, quantize_affine_i8, QuantParams,
-};
+pub use quant::{dequantize_one, quantize_affine_i8, QuantParams};
 pub use spconv::{spconv_backward_rt, spconv_forward_rt, ConvBufs, SpConvIndex};
+// `spmm_into` and `sddmm_nt_into` are oracle kernels (see [`oracle`]); they
+// stay at the root as well because the whole-run benchmark
+// (`examples/ftbench`) times them under these names.
 pub use spmm::{
-    dsmm_into, dsmm_into_rt, dsmm_nt_into, dsmm_nt_into_rt, sddmm_nt_into, sddmm_nt_into_rt,
-    sddmm_nt_seg_into, sddmm_nt_seg_into_rt, sddmm_tn_into, sddmm_tn_into_rt, spmm_into,
-    spmm_into_rt, spmm_tn_into, spmm_tn_into_rt, CsrView,
+    dsmm_into_rt, dsmm_nt_into_rt, sddmm_nt_into, sddmm_tn_into_rt, spmm_into, CsrView,
 };
 pub use tensor::Tensor;
 
-/// Numerical tolerance used by the test-suites across the workspace.
-pub const TEST_EPS: f32 = 1e-4;
+/// The im2col route the direct convolution engines replaced, kept as their
+/// reference: im2col, a GEMM ([`matmul_into`] / `matmul_nt_seg_into` /
+/// [`matmul_tn_into_rt`]) or a CSR product, col2im. Sequential only — the
+/// engines under test run on a pool, and the property pinned is "parallel
+/// engine ≡ sequential oracle that shares no loop with it". Nothing outside
+/// tests and benches calls these.
+pub mod oracle {
+    pub use crate::im2col::{col2im, col2im_ld, im2col, im2col_batched};
+    pub use crate::matmul::matmul_nt_seg_into;
+    pub use crate::spmm::{sddmm_nt_into, sddmm_nt_seg_into, spmm_into, spmm_tn_into};
+}
 
 /// Asserts that two `f32` slices are elementwise close.
 ///

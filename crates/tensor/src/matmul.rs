@@ -6,9 +6,14 @@
 //! im2col / col2im around them, the route the direct dense engine
 //! ([`crate::dconv_forward_rt`]) reproduces bit for bit and is tested against:
 //!
-//! - [`matmul_into`]: `C = A · B`
-//! - [`matmul_tn_into`]: `C = Aᵀ · B`
-//! - [`matmul_nt_into`]: `C = A · Bᵀ`
+//! - [`matmul_into_rt`]: `C = A · B` (and its sequential form
+//!   [`matmul_into`], which [`Tensor::matmul`] and the oracles call)
+//! - [`matmul_tn_into_rt`]: `C = Aᵀ · B`
+//! - [`matmul_nt_into_rt`]: `C = A · Bᵀ`
+//!
+//! [`matmul_nt_seg_into`] — the segmented NT product the im2col route's
+//! weight gradient needs — is oracle-only, sequential, and reached through
+//! [`crate::oracle`].
 //!
 //! # Blocking scheme
 //!
@@ -35,9 +40,8 @@
 //!
 //! # Determinism
 //!
-//! Every kernel also has an `_rt` variant taking a
-//! [`Runtime`](ft_runtime::Runtime): the output is partitioned into
-//! contiguous row ranges (deterministic chunks, see
+//! The `_rt` kernels take a [`Runtime`](ft_runtime::Runtime): the output is
+//! partitioned into contiguous row ranges (deterministic chunks, see
 //! [`ft_runtime::chunk_ranges`]) and each worker runs the *same* blocked
 //! driver over its range, so parallel results are bit-for-bit identical to
 //! sequential ones. This holds because the accumulation order of any output
@@ -428,28 +432,12 @@ pub fn matmul_into_rt(rt: &Runtime, a: &Tensor, b: &Tensor, c: &mut Tensor) {
 }
 
 /// `C += Aᵀ[k×m]ᵀ · B[k×n]`, i.e. `A` has shape `[k, m]` and is consumed
-/// transposed, accumulating into `c` of shape `[m, n]`.
+/// transposed, accumulating into `c` of shape `[m, n]`; the output rows fan
+/// out over `rt`'s workers, bit-identical for any thread count.
 ///
 /// # Panics
 ///
 /// Panics on incompatible shapes.
-pub fn matmul_tn_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
-    let (k, m, n) = check_matmul_tn(a, b, c);
-    let shape = GemmShape {
-        k,
-        n,
-        lda: m,
-        ldb: n,
-    };
-    gemm::<true, false>(&shape, a.data(), b.data(), 0..m, c.data_mut());
-}
-
-/// [`matmul_tn_into`] with the output rows fanned out over `rt`'s workers.
-/// Bit-identical to the sequential kernel for any thread count.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`matmul_tn_into`].
 pub fn matmul_tn_into_rt(rt: &Runtime, a: &Tensor, b: &Tensor, c: &mut Tensor) {
     let (k, m, n) = check_matmul_tn(a, b, c);
     let shape = GemmShape {
@@ -469,28 +457,12 @@ pub fn matmul_tn_into_rt(rt: &Runtime, a: &Tensor, b: &Tensor, c: &mut Tensor) {
 }
 
 /// `C += A[m×k] · Bᵀ` where `B` has shape `[n, k]`, accumulating into `c`
-/// of shape `[m, n]`.
+/// of shape `[m, n]`; the output rows fan out over `rt`'s workers,
+/// bit-identical for any thread count.
 ///
 /// # Panics
 ///
 /// Panics on incompatible shapes.
-pub fn matmul_nt_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
-    let (m, k, n) = check_matmul_nt(a, b, c);
-    let shape = GemmShape {
-        k,
-        n,
-        lda: k,
-        ldb: k,
-    };
-    gemm::<false, true>(&shape, a.data(), b.data(), 0..m, c.data_mut());
-}
-
-/// [`matmul_nt_into`] with the output rows fanned out over `rt`'s workers.
-/// Bit-identical to the sequential kernel for any thread count.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`matmul_nt_into`].
 pub fn matmul_nt_into_rt(rt: &Runtime, a: &Tensor, b: &Tensor, c: &mut Tensor) {
     let (m, k, n) = check_matmul_nt(a, b, c);
     let shape = GemmShape {
@@ -623,7 +595,7 @@ fn gemm_nt_seg_with<M: Micro>(
 /// `C += A · Bᵀ` (`A` is `[m, k]`, `B` is `[n, k]`) computed as one blocked
 /// GEMM per `seg`-wide segment of `k`, ascending: the accumulator for every
 /// output element restarts at each segment boundary, so the result is
-/// bit-identical to calling [`matmul_nt_into`] once per segment with the
+/// bit-identical to calling [`matmul_nt_into_rt`] once per segment with the
 /// segment slices materialized as standalone matrices. This is the batched
 /// form of the per-sample weight-gradient loop (`seg` = one sample's
 /// columns), preserving the legacy accumulation order exactly.
@@ -639,28 +611,6 @@ pub fn matmul_nt_seg_into(a: &Tensor, b: &Tensor, seg: usize, c: &mut Tensor) {
         "matmul_nt_seg: segment {seg} must divide k={k}"
     );
     gemm_nt_segments(k, n, seg, a.data(), b.data(), 0..m, c.data_mut());
-}
-
-/// [`matmul_nt_seg_into`] with the output rows fanned out over `rt`'s
-/// workers. Bit-identical to the sequential kernel for any thread count.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`matmul_nt_seg_into`].
-pub fn matmul_nt_seg_into_rt(rt: &Runtime, a: &Tensor, b: &Tensor, seg: usize, c: &mut Tensor) {
-    let (m, k, n) = check_matmul_nt(a, b, c);
-    assert!(
-        seg > 0 && k % seg == 0,
-        "matmul_nt_seg: segment {seg} must divide k={k}"
-    );
-    if !rt.should_parallelize(m.saturating_mul(k).saturating_mul(n)) || m <= 1 {
-        return gemm_nt_segments(k, n, seg, a.data(), b.data(), 0..m, c.data_mut());
-    }
-    let (ad, bd) = (a.data(), b.data());
-    let jobs = rt.split_rows_mut(c.data_mut(), n.max(1));
-    rt.scatter(jobs, |(rows, cchunk)| {
-        gemm_nt_segments(k, n, seg, ad, bd, rows, cchunk);
-    });
 }
 
 impl Tensor {
@@ -767,11 +717,11 @@ mod tests {
             assert_close(c.data(), expect.data(), 1e-3);
 
             let mut c = Tensor::zeros(&[m, n]);
-            matmul_tn_into(&at, &b, &mut c);
+            matmul_tn_into_rt(&Runtime::sequential(), &at, &b, &mut c);
             assert_close(c.data(), expect.data(), 1e-3);
 
             let mut c = Tensor::zeros(&[m, n]);
-            matmul_nt_into(&a, &bt, &mut c);
+            matmul_nt_into_rt(&Runtime::sequential(), &a, &bt, &mut c);
             assert_close(c.data(), expect.data(), 1e-3);
         }
     }
@@ -781,7 +731,7 @@ mod tests {
         let a = rand_t(&[6, 3], 4); // k=6, m=3
         let b = rand_t(&[6, 5], 5);
         let mut c = Tensor::zeros(&[3, 5]);
-        matmul_tn_into(&a, &b, &mut c);
+        matmul_tn_into_rt(&Runtime::sequential(), &a, &b, &mut c);
         let expect = a.transposed().matmul(&b);
         assert_close(c.data(), expect.data(), 1e-4);
     }
@@ -791,7 +741,7 @@ mod tests {
         let a = rand_t(&[3, 6], 6);
         let b = rand_t(&[5, 6], 7); // n=5, k=6
         let mut c = Tensor::zeros(&[3, 5]);
-        matmul_nt_into(&a, &b, &mut c);
+        matmul_nt_into_rt(&Runtime::sequential(), &a, &b, &mut c);
         let expect = a.matmul(&b.transposed());
         assert_close(c.data(), expect.data(), 1e-4);
     }
@@ -835,14 +785,14 @@ mod tests {
             );
 
             let mut c = Tensor::zeros(&[m, n]);
-            matmul_tn_into(&at, &b, &mut c);
+            matmul_tn_into_rt(&Runtime::sequential(), &at, &b, &mut c);
             assert!(
                 c.data().iter().all(|v| v.is_nan()),
                 "matmul_tn swallowed 0 x {bad}"
             );
 
             let mut c = Tensor::zeros(&[m, n]);
-            matmul_nt_into(&a, &bt, &mut c);
+            matmul_nt_into_rt(&Runtime::sequential(), &a, &bt, &mut c);
             assert!(
                 c.data().iter().all(|v| v.is_nan()),
                 "matmul_nt swallowed 0 x {bad}"
@@ -862,8 +812,8 @@ mod tests {
         }
     }
 
-    /// Every parallel layout is bit-identical to its sequential kernel for
-    /// every thread count, including threads > rows and single-row outputs.
+    /// Every layout is bit-identical on one worker and on many, for every
+    /// thread count, including threads > rows and single-row outputs.
     #[test]
     fn rt_variants_are_bit_identical() {
         let cases = [
@@ -888,13 +838,13 @@ mod tests {
 
                 let mut seq = Tensor::ones(&[m, n]);
                 let mut par = Tensor::ones(&[m, n]);
-                matmul_tn_into(&at, &b, &mut seq);
+                matmul_tn_into_rt(&Runtime::sequential(), &at, &b, &mut seq);
                 matmul_tn_into_rt(&rt, &at, &b, &mut par);
                 assert_eq!(seq.data(), par.data(), "tn t={threads} {m}x{k}x{n}");
 
                 let mut seq = Tensor::ones(&[m, n]);
                 let mut par = Tensor::ones(&[m, n]);
-                matmul_nt_into(&a, &bt, &mut seq);
+                matmul_nt_into_rt(&Runtime::sequential(), &a, &bt, &mut seq);
                 matmul_nt_into_rt(&rt, &a, &bt, &mut par);
                 assert_eq!(seq.data(), par.data(), "nt t={threads} {m}x{k}x{n}");
             }
@@ -902,7 +852,7 @@ mod tests {
     }
 
     /// The segmented NT product must be *bit-identical* to running one
-    /// [`matmul_nt_into`] per materialized segment pair — that is the
+    /// [`matmul_nt_into_rt`] per materialized segment pair — that is the
     /// contract that lets the batched weight-gradient path replace the
     /// legacy per-sample loop without perturbing golden traces.
     #[test]
@@ -929,19 +879,17 @@ mod tests {
                     }
                     Tensor::from_vec(out, &[rows, seg])
                 };
-                matmul_nt_into(&slice(&a, m), &slice(&b, n), &mut expect);
+                matmul_nt_into_rt(
+                    &Runtime::sequential(),
+                    &slice(&a, m),
+                    &slice(&b, n),
+                    &mut expect,
+                );
             }
 
             let mut c = Tensor::ones(&[m, n]);
             matmul_nt_seg_into(&a, &b, seg, &mut c);
-            assert_eq!(c.data(), expect.data(), "seq {m}x{k}({seg})x{n}");
-
-            for threads in [1usize, 2, 4, 9] {
-                let rt = Runtime::exact(threads).with_min_work(0);
-                let mut p = Tensor::ones(&[m, n]);
-                matmul_nt_seg_into_rt(&rt, &a, &b, seg, &mut p);
-                assert_eq!(p.data(), expect.data(), "t={threads} {m}x{k}({seg})x{n}");
-            }
+            assert_eq!(c.data(), expect.data(), "{m}x{k}({seg})x{n}");
         }
     }
 

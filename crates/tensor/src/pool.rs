@@ -1,9 +1,10 @@
 //! Pooling kernels (2×2 max pooling and global average pooling).
 //!
-//! Both forward kernels have `_rt` variants that fan the `n·c` planes out
-//! over a [`Runtime`](ft_runtime::Runtime)'s workers; planes are written
-//! independently, so the parallel results (including argmax caches) are
-//! bit-identical to the sequential ones.
+//! Both forward kernels fan the `n·c` planes out over a
+//! [`Runtime`](ft_runtime::Runtime)'s workers; planes are written
+//! independently, so the results (including argmax caches) are bit-identical
+//! for any thread count. Every kernel writes into caller-owned buffers that
+//! it resizes in place, so a training loop allocates nothing once warm.
 
 use crate::Tensor;
 use ft_runtime::Runtime;
@@ -43,36 +44,13 @@ fn max_pool_planes(
     }
 }
 
-/// 2×2 max pooling with stride 2 over a `[n, c, h, w]` tensor.
+/// 2×2 max pooling with stride 2 over a `[n, c, h, w]` tensor, the `n·c`
+/// planes fanned out over `rt`'s workers.
 ///
-/// Returns the pooled tensor and the flat argmax indices (into the input
-/// buffer) needed by [`max_pool2x2_backward`]. Odd trailing rows/columns are
-/// dropped, matching the common `floor` convention.
-///
-/// # Panics
-///
-/// Panics if `x` is not rank-4 or either spatial dim is < 2.
-pub fn max_pool2x2(x: &Tensor) -> (Tensor, Vec<usize>) {
-    max_pool2x2_rt(&Runtime::sequential(), x)
-}
-
-/// [`max_pool2x2`] with the `n·c` planes fanned out over `rt`'s workers.
-/// Bit-identical to the sequential kernel for any thread count.
-///
-/// # Panics
-///
-/// Panics if `x` is not rank-4 or either spatial dim is < 2.
-pub fn max_pool2x2_rt(rt: &Runtime, x: &Tensor) -> (Tensor, Vec<usize>) {
-    let mut out = Tensor::default();
-    let mut arg = Vec::new();
-    max_pool2x2_into_rt(rt, x, &mut out, &mut arg);
-    (out, arg)
-}
-
-/// [`max_pool2x2_rt`] writing into caller-owned buffers: `out` and `arg`
-/// are resized to the pooled geometry (allocation-free once warm), so the
-/// training engine can reuse them across batches. Bit-identical to the
-/// allocating form.
+/// `out` receives the pooled tensor and `arg` the flat argmax indices (into
+/// the input buffer) needed by [`max_pool2x2_backward_into`]; both are
+/// resized to the pooled geometry (allocation-free once warm). Odd trailing
+/// rows/columns are dropped, matching the common `floor` convention.
 ///
 /// # Panics
 ///
@@ -108,20 +86,9 @@ pub fn max_pool2x2_into_rt(rt: &Runtime, x: &Tensor, out: &mut Tensor, arg: &mut
     });
 }
 
-/// Backward pass of [`max_pool2x2`]: routes each output gradient to the
-/// argmax input position.
-///
-/// # Panics
-///
-/// Panics if `grad_out.numel() != arg.len()`.
-pub fn max_pool2x2_backward(grad_out: &Tensor, arg: &[usize], input_shape: &[usize]) -> Tensor {
-    let mut gx = Tensor::default();
-    max_pool2x2_backward_into(grad_out, arg, input_shape, &mut gx);
-    gx
-}
-
-/// [`max_pool2x2_backward`] writing into a caller-owned gradient tensor
-/// (resized and zeroed in place; allocation-free once warm).
+/// Backward pass of [`max_pool2x2_into_rt`]: routes each output gradient to
+/// the argmax input position, into a caller-owned gradient tensor (resized
+/// and zeroed in place; allocation-free once warm).
 ///
 /// # Panics
 ///
@@ -140,29 +107,9 @@ pub fn max_pool2x2_backward_into(
     }
 }
 
-/// Global average pooling over a `[n, c, h, w]` tensor, producing `[n, c]`.
-///
-/// # Panics
-///
-/// Panics if `x` is not rank-4.
-pub fn avg_pool_global(x: &Tensor) -> Tensor {
-    avg_pool_global_rt(&Runtime::sequential(), x)
-}
-
-/// [`avg_pool_global`] with the `n·c` planes fanned out over `rt`'s
-/// workers. Bit-identical to the sequential kernel for any thread count.
-///
-/// # Panics
-///
-/// Panics if `x` is not rank-4.
-pub fn avg_pool_global_rt(rt: &Runtime, x: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    avg_pool_global_into_rt(rt, x, &mut out);
-    out
-}
-
-/// [`avg_pool_global_rt`] writing into a caller-owned tensor (resized in
-/// place; allocation-free once warm). Bit-identical to the allocating form.
+/// Global average pooling over a `[n, c, h, w]` tensor, producing `[n, c]`
+/// in a caller-owned tensor (resized in place; allocation-free once warm),
+/// the `n·c` planes fanned out over `rt`'s workers.
 ///
 /// # Panics
 ///
@@ -189,20 +136,9 @@ pub fn avg_pool_global_into_rt(rt: &Runtime, x: &Tensor, out: &mut Tensor) {
     rt.scatter(jobs, |(range, ochunk)| pool_planes(range, ochunk));
 }
 
-/// Backward pass of [`avg_pool_global`]: spreads each gradient uniformly over
-/// the spatial positions it averaged.
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent.
-pub fn avg_pool_global_backward(grad_out: &Tensor, input_shape: &[usize]) -> Tensor {
-    let mut gx = Tensor::default();
-    avg_pool_global_backward_into(grad_out, input_shape, &mut gx);
-    gx
-}
-
-/// [`avg_pool_global_backward`] writing into a caller-owned gradient tensor
-/// (resized in place; allocation-free once warm).
+/// Backward pass of [`avg_pool_global_into_rt`]: spreads each gradient
+/// uniformly over the spatial positions it averaged, into a caller-owned
+/// gradient tensor (resized in place; allocation-free once warm).
 ///
 /// # Panics
 ///
@@ -234,6 +170,24 @@ pub fn avg_pool_global_backward_into(grad_out: &Tensor, input_shape: &[usize], g
 mod tests {
     use super::*;
 
+    fn max_pool(rt: &Runtime, x: &Tensor) -> (Tensor, Vec<usize>) {
+        let (mut out, mut arg) = (Tensor::default(), Vec::new());
+        max_pool2x2_into_rt(rt, x, &mut out, &mut arg);
+        (out, arg)
+    }
+
+    fn max_pool_backward(g: &Tensor, arg: &[usize], shape: &[usize]) -> Tensor {
+        let mut gx = Tensor::default();
+        max_pool2x2_backward_into(g, arg, shape, &mut gx);
+        gx
+    }
+
+    fn avg_pool(rt: &Runtime, x: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        avg_pool_global_into_rt(rt, x, &mut out);
+        out
+    }
+
     #[test]
     fn max_pool_forward() {
         let x = Tensor::from_vec(
@@ -243,7 +197,7 @@ mod tests {
             ],
             &[1, 1, 4, 4],
         );
-        let (y, arg) = max_pool2x2(&x);
+        let (y, arg) = max_pool(&Runtime::sequential(), &x);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
         assert_eq!(arg, vec![5, 7, 13, 15]);
@@ -252,16 +206,16 @@ mod tests {
     #[test]
     fn max_pool_backward_routes_to_argmax() {
         let x = Tensor::from_vec(vec![1.0, 9.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let (_, arg) = max_pool2x2(&x);
+        let (_, arg) = max_pool(&Runtime::sequential(), &x);
         let g = Tensor::from_vec(vec![2.5], &[1, 1, 1, 1]);
-        let gx = max_pool2x2_backward(&g, &arg, &[1, 1, 2, 2]);
+        let gx = max_pool_backward(&g, &arg, &[1, 1, 2, 2]);
         assert_eq!(gx.data(), &[0.0, 2.5, 0.0, 0.0]);
     }
 
     #[test]
     fn max_pool_drops_odd_edges() {
         let x = Tensor::zeros(&[1, 1, 5, 3]);
-        let (y, _) = max_pool2x2(&x);
+        let (y, _) = max_pool(&Runtime::sequential(), &x);
         assert_eq!(y.shape(), &[1, 1, 2, 1]);
     }
 
@@ -271,11 +225,12 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0],
             &[1, 2, 2, 2],
         );
-        let y = avg_pool_global(&x);
+        let y = avg_pool(&Runtime::sequential(), &x);
         assert_eq!(y.shape(), &[1, 2]);
         assert_eq!(y.data(), &[2.5, 10.0]);
         let g = Tensor::from_vec(vec![4.0, 8.0], &[1, 2]);
-        let gx = avg_pool_global_backward(&g, &[1, 2, 2, 2]);
+        let mut gx = Tensor::default();
+        avg_pool_global_backward_into(&g, &[1, 2, 2, 2], &mut gx);
         assert_eq!(gx.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 
@@ -289,14 +244,14 @@ mod tests {
                 .collect(),
             &[3, 4, 6, 6],
         );
-        let (seq_y, seq_arg) = max_pool2x2(&x);
-        let seq_avg = avg_pool_global(&x);
+        let (seq_y, seq_arg) = max_pool(&Runtime::sequential(), &x);
+        let seq_avg = avg_pool(&Runtime::sequential(), &x);
         for threads in [1usize, 2, 5, 64] {
             let rt = Runtime::exact(threads).with_min_work(0);
-            let (y, arg) = max_pool2x2_rt(&rt, &x);
+            let (y, arg) = max_pool(&rt, &x);
             assert_eq!(y.data(), seq_y.data(), "maxpool threads={threads}");
             assert_eq!(arg, seq_arg, "argmax threads={threads}");
-            let avg = avg_pool_global_rt(&rt, &x);
+            let avg = avg_pool(&rt, &x);
             assert_eq!(avg.data(), seq_avg.data(), "avgpool threads={threads}");
         }
     }
@@ -306,9 +261,9 @@ mod tests {
         // Sum-of-output as loss: gradient wrt input of maxpool is an
         // indicator of argmax positions.
         let x = Tensor::from_vec(vec![0.1, 0.9, 0.4, 0.3], &[1, 1, 2, 2]);
-        let (y, arg) = max_pool2x2(&x);
+        let (y, arg) = max_pool(&Runtime::sequential(), &x);
         let g = Tensor::ones(y.shape());
-        let gx = max_pool2x2_backward(&g, &arg, x.shape());
+        let gx = max_pool_backward(&g, &arg, x.shape());
         assert_eq!(gx.data(), &[0.0, 1.0, 0.0, 0.0]);
     }
 }

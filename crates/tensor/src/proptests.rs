@@ -3,10 +3,12 @@
 
 #![cfg(test)]
 
+use crate::oracle::{col2im, im2col, sddmm_nt_into, sddmm_nt_seg_into, spmm_into, spmm_tn_into};
 use crate::{
-    col2im, dsmm_into, dsmm_nt_into, im2col, matmul_into, matmul_nt_into, matmul_tn_into,
-    spmm_into, spmm_tn_into, ConvGeom, Tensor,
+    dsmm_into_rt, dsmm_nt_into_rt, matmul_into, matmul_into_rt, matmul_nt_into_rt,
+    matmul_tn_into_rt, ConvGeom, Tensor,
 };
+use ft_runtime::Runtime;
 use ft_sparse::CsrMatrix;
 use proptest::prelude::*;
 
@@ -203,7 +205,7 @@ proptest! {
         let mut out_sparse = Tensor::zeros(&[cols, n]);
         let mut out_dense = Tensor::zeros(&[cols, n]);
         spmm_tn_into(view_of(&csr), &b, &mut out_sparse);
-        matmul_tn_into(&dense, &b, &mut out_dense);
+        matmul_tn_into_rt(&Runtime::sequential(), &dense, &b, &mut out_dense);
         close(out_sparse.data(), out_dense.data());
     }
 
@@ -216,29 +218,28 @@ proptest! {
         let a = rand_matrix(m, rows, 44);
         let mut out_sparse = Tensor::zeros(&[m, cols]);
         let mut out_dense = Tensor::zeros(&[m, cols]);
-        dsmm_into(&a, view_of(&csr), &mut out_sparse);
+        dsmm_into_rt(&Runtime::sequential(), &a, view_of(&csr), &mut out_sparse);
         matmul_into(&a, &dense, &mut out_dense);
         close(out_sparse.data(), out_dense.data());
         // C += A · Sᵀ
         let a = rand_matrix(m, cols, 45);
         let mut out_sparse = Tensor::zeros(&[m, rows]);
         let mut out_dense = Tensor::zeros(&[m, rows]);
-        dsmm_nt_into(&a, view_of(&csr), &mut out_sparse);
-        matmul_nt_into(&a, &dense, &mut out_dense);
+        dsmm_nt_into_rt(&Runtime::sequential(), &a, view_of(&csr), &mut out_sparse);
+        matmul_nt_into_rt(&Runtime::sequential(), &a, &dense, &mut out_dense);
         close(out_sparse.data(), out_dense.data());
     }
 
     /// The runtime determinism contract: for arbitrary shapes, densities,
-    /// and thread counts, the parallel matmul / spmm / sddmm kernels are
-    /// **bit-for-bit** equal to their sequential twins (`==` on the raw
-    /// f32 buffers, no tolerance).
+    /// and thread counts, the parallel matmul is **bit-for-bit** equal to
+    /// its sequential form (`==` on the raw f32 buffers, no tolerance).
     #[test]
     fn rt_kernels_bit_equal_sequential(
         (rows, cols, mask, weights) in masked_weights(9),
         n in 1usize..8,
         threads in 1usize..9,
     ) {
-        let rt = ft_runtime::Runtime::exact(threads).with_min_work(0);
+        let rt = Runtime::exact(threads).with_min_work(0);
         let csr = CsrMatrix::from_mask_values(&mask, &weights, rows, cols);
         let dense = Tensor::from_vec(csr.to_dense(), &[rows, cols]);
 
@@ -247,31 +248,14 @@ proptest! {
         let mut seq = Tensor::ones(&[rows, n]);
         let mut par = Tensor::ones(&[rows, n]);
         matmul_into(&dense, &b, &mut seq);
-        crate::matmul_into_rt(&rt, &dense, &b, &mut par);
+        matmul_into_rt(&rt, &dense, &b, &mut par);
         prop_assert_eq!(seq.data(), par.data());
-
-        // spmm: C += S · B
-        let mut seq = Tensor::ones(&[rows, n]);
-        let mut par = Tensor::ones(&[rows, n]);
-        spmm_into(view_of(&csr), &b, &mut seq);
-        crate::spmm_into_rt(&rt, view_of(&csr), &b, &mut par);
-        prop_assert_eq!(seq.data(), par.data());
-
-        // sddmm_nt: vals += (A · Bᵀ) ⊙ structure(S)
-        let a = rand_matrix(rows, n, 47);
-        let bt = rand_matrix(cols, n, 48);
-        let mut seq = vec![0.25f32; csr.nnz()];
-        let mut par = vec![0.25f32; csr.nnz()];
-        crate::sddmm_nt_into(view_of(&csr), &a, &bt, &mut seq);
-        crate::sddmm_nt_into_rt(&rt, view_of(&csr), &a, &bt, &mut par);
-        prop_assert_eq!(seq, par);
     }
 
     /// Both sampled NT kernels consume a CSR row four entries at a time;
     /// every slot must stay `to_bits`-equal to one sequential
     /// `acc += a·b` chain per segment (`vals += acc` after each), for every
-    /// row length around the quad boundary and every segment width,
-    /// sequentially and on four workers.
+    /// row length around the quad boundary and every segment width.
     #[test]
     fn sddmm_nt_quads_bit_equal_one_chain_oracle(
         row_lens in proptest::collection::vec(0usize..10, 1..6),
@@ -311,15 +295,13 @@ proptest! {
         };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
-        for rt in [ft_runtime::Runtime::sequential(), ft_runtime::Runtime::exact(4).with_min_work(0)] {
+        let mut vals = vec![0.25f32; col_idx.len()];
+        sddmm_nt_into(view, &a, &b, &mut vals);
+        prop_assert_eq!(bits(&vals), bits(&oracle(c)), "unsegmented");
+        for seg in [1usize, 4, 16, c] {
             let mut vals = vec![0.25f32; col_idx.len()];
-            crate::sddmm_nt_into_rt(&rt, view, &a, &b, &mut vals);
-            prop_assert_eq!(bits(&vals), bits(&oracle(c)), "unsegmented");
-            for seg in [1usize, 4, 16, c] {
-                let mut vals = vec![0.25f32; col_idx.len()];
-                crate::sddmm_nt_seg_into_rt(&rt, view, &a, &b, seg, &mut vals);
-                prop_assert_eq!(bits(&vals), bits(&oracle(seg)), "seg={}", seg);
-            }
+            sddmm_nt_seg_into(view, &a, &b, seg, &mut vals);
+            prop_assert_eq!(bits(&vals), bits(&oracle(seg)), "seg={}", seg);
         }
     }
 }
@@ -353,7 +335,7 @@ proptest! {
         let g = ConvGeom { in_c, in_h, in_w, kernel, stride, pad };
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let w = random_weight(out_c, g.col_rows(), density, dead, &mut rng);
-        for rt in [ft_runtime::Runtime::sequential(), ft_runtime::Runtime::exact(4).with_min_work(0)] {
+        for rt in [Runtime::sequential(), Runtime::exact(4).with_min_work(0)] {
             assert_matches_oracle(&rt, &w, &g, &[n, n], &mut rng);
         }
     }
@@ -364,7 +346,7 @@ proptest! {
 
     /// The direct dense convolution against the route it replaced —
     /// `im2col_batched` → `matmul_into` / `matmul_nt_seg_into(seg = cc)` /
-    /// `matmul_tn_into` → per-sample `col2im_ld` — `to_bits`-equal in the
+    /// `matmul_tn_into_rt` → per-sample `col2im_ld` — `to_bits`-equal in the
     /// output, the weight gradient accumulated over two consecutive batches
     /// (with and without the input gradient) and the input gradient:
     /// non-square planes down to one pixel, 1×1 and 3×3 taps, both strides,
@@ -388,7 +370,7 @@ proptest! {
         let g = ConvGeom { in_c, in_h, in_w, kernel, stride, pad };
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let w = rand_vec(out_c * g.col_rows(), &mut rng);
-        for rt in [ft_runtime::Runtime::sequential(), ft_runtime::Runtime::exact(4).with_min_work(0)] {
+        for rt in [Runtime::sequential(), Runtime::exact(4).with_min_work(0)] {
             assert_matches_oracle(&rt, &w, &g, &[n, n], &mut rng);
         }
     }
@@ -452,14 +434,14 @@ proptest! {
 
         let at = a.transposed();
         let mut c = Tensor::zeros(&[m, n]);
-        matmul_tn_into(&at, &b, &mut c);
+        matmul_tn_into_rt(&Runtime::sequential(), &at, &b, &mut c);
         for (i, (x, y)) in c.data().iter().zip(reference.iter()).enumerate() {
             prop_assert!((x - y).abs() <= tol, "matmul_tn index {}: {} vs {}", i, x, y);
         }
 
         let bt = b.transposed();
         let mut c = Tensor::zeros(&[m, n]);
-        matmul_nt_into(&a, &bt, &mut c);
+        matmul_nt_into_rt(&Runtime::sequential(), &a, &bt, &mut c);
         for (i, (x, y)) in c.data().iter().zip(reference.iter()).enumerate() {
             prop_assert!((x - y).abs() <= tol, "matmul_nt index {}: {} vs {}", i, x, y);
         }
@@ -476,13 +458,13 @@ proptest! {
         threads in adversarial_threads(),
         seed in 0u64..1_000,
     ) {
-        let rt = ft_runtime::Runtime::exact(threads).with_min_work(0);
+        let rt = Runtime::exact(threads).with_min_work(0);
         let a = rand_matrix(m, k, seed);
         let b = rand_matrix(k, n, seed ^ 0xBEEF);
         let mut seq = Tensor::ones(&[m, n]);
         let mut par = Tensor::ones(&[m, n]);
         matmul_into(&a, &b, &mut seq);
-        crate::matmul_into_rt(&rt, &a, &b, &mut par);
+        matmul_into_rt(&rt, &a, &b, &mut par);
         prop_assert_eq!(seq.data(), par.data());
     }
 }

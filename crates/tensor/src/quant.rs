@@ -63,28 +63,6 @@ pub fn dequantize_one(code: i8, params: QuantParams) -> f32 {
     params.min + params.scale * (code as i16 + 128) as f32
 }
 
-/// Reconstructs a block of codes into `out` (same length).
-///
-/// # Panics
-///
-/// Panics if `out.len() != codes.len()`.
-pub fn dequantize_affine_i8(codes: &[i8], params: QuantParams, out: &mut [f32]) {
-    assert_eq!(
-        out.len(),
-        codes.len(),
-        "dequantization buffer length mismatch"
-    );
-    for (o, &c) in out.iter_mut().zip(codes.iter()) {
-        *o = dequantize_one(c, params);
-    }
-}
-
-/// Worst-case absolute reconstruction error of a block quantized with
-/// `params`: half a quantization step.
-pub fn quant_error_bound(params: QuantParams) -> f32 {
-    0.5 * params.scale
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,8 +71,7 @@ mod tests {
     fn roundtrip(values: &[f32]) -> (Vec<f32>, QuantParams) {
         let mut codes = vec![0i8; values.len()];
         let p = quantize_affine_i8(values, &mut codes);
-        let mut back = vec![0.0f32; values.len()];
-        dequantize_affine_i8(&codes, p, &mut back);
+        let back = codes.iter().map(|&c| dequantize_one(c, p)).collect();
         (back, p)
     }
 
@@ -125,8 +102,7 @@ mod tests {
     fn non_finite_values_clamp_to_range() {
         let mut codes = vec![0i8; 4];
         let p = quantize_affine_i8(&[f32::NAN, -2.0, f32::INFINITY, 2.0], &mut codes);
-        let mut back = vec![0.0f32; 4];
-        dequantize_affine_i8(&codes, p, &mut back);
+        let back: Vec<f32> = codes.iter().map(|&c| dequantize_one(c, p)).collect();
         assert!(back.iter().all(|v| v.is_finite()));
         assert!((-2.0..=2.0).contains(&back[0]));
     }
@@ -140,7 +116,7 @@ mod tests {
             values in proptest::collection::vec(-10.0f32..10.0, 1..200),
         ) {
             let (back, p) = roundtrip(&values);
-            let bound = quant_error_bound(p) + 1e-6;
+            let bound = 0.5 * p.scale + 1e-6;
             for (&v, &b) in values.iter().zip(back.iter()) {
                 prop_assert!((v - b).abs() <= bound, "{v} -> {b} exceeds {bound}");
             }

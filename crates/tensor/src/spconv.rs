@@ -1,9 +1,9 @@
 //! Direct sparse convolution: CSR weights against a zero-padded,
 //! sample-innermost input, with no column matrix anywhere.
 //!
-//! The im2col route ([`crate::im2col_batched`] → [`crate::spmm_into`] /
-//! [`crate::sddmm_nt_seg_into`] / [`crate::spmm_tn_into`] →
-//! [`crate::col2im_ld`]) builds and folds a `[in_c·k², n·oh·ow]` matrix whose
+//! The im2col route ([`crate::oracle::im2col_batched`] → [`crate::oracle::spmm_into`] /
+//! [`crate::oracle::sddmm_nt_seg_into`] / [`crate::oracle::spmm_tn_into`] →
+//! [`crate::oracle::col2im_ld`]) builds and folds a `[in_c·k², n·oh·ow]` matrix whose
 //! rows a pruning mask makes almost all dead. This engine keeps the same
 //! arithmetic and drops the matrix:
 //!
@@ -29,7 +29,7 @@
 //! **Bit identity.** A lane is a sample, and each lane runs exactly the
 //! scalar operation sequence the im2col + CSR route runs for that sample:
 //! the same products in the same order from the same `+0.0` start, fused in
-//! the forward pass exactly when [`crate::spmm_into`] fuses (the AVX2+FMA
+//! the forward pass exactly when [`crate::oracle::spmm_into`] fuses (the AVX2+FMA
 //! family) and never elsewhere. Padded taps multiply a stored `+0.0` like
 //! im2col's structural zeros; nothing is skipped or reassociated. (dX leaves
 //! out the columns with no stored entry: their `tmp` is `+0.0`, and adding
@@ -283,7 +283,7 @@ pub(crate) fn over_groups(
 /// Sparse convolution forward: `out[n, out_c, oh, ow] = W ∗ x` for
 /// `x[n, in_c, h, w]` and the CSR weight `s`, overwriting `out`. The
 /// transposed input stays in `bufs` for [`spconv_backward_rt`].
-/// Bit-identical to im2col → [`crate::spmm_into`] into a zeroed output, on
+/// Bit-identical to im2col → [`crate::oracle::spmm_into`] into a zeroed output, on
 /// any runtime.
 ///
 /// # Panics
@@ -329,11 +329,11 @@ pub fn spconv_forward_rt(
 ///
 /// - `grad_vals` (one slot per stored entry) *accumulates* the weight
 ///   gradient, one fresh accumulator per sample added in sample order —
-///   bit-identical to [`crate::sddmm_nt_seg_into`] with `seg = oh·ow` over
+///   bit-identical to [`crate::oracle::sddmm_nt_seg_into`] with `seg = oh·ow` over
 ///   the batched column matrix;
 /// - `gx[n, in_c, h, w]` is *overwritten* with the input gradient —
-///   bit-identical to [`crate::spmm_tn_into`] into a zeroed matrix followed
-///   by per-sample [`crate::col2im_ld`] into a zeroed `gx`.
+///   bit-identical to [`crate::oracle::spmm_tn_into`] into a zeroed matrix followed
+///   by per-sample [`crate::oracle::col2im_ld`] into a zeroed `gx`.
 ///
 /// Either output may be left out.
 ///
@@ -424,7 +424,7 @@ pub(crate) trait Lanes: Copy {
     fn add(self, rhs: Self) -> Self;
     fn mul(self, rhs: Self) -> Self;
     /// `self + v·x` as this family's forward pass rounds it: fused where
-    /// [`crate::spmm_into`] fuses, mul-then-add where it does not.
+    /// [`crate::oracle::spmm_into`] fuses, mul-then-add where it does not.
     fn axpy(self, v: Self, x: Self) -> Self;
     /// `out[k][l] = rows[l][k]`.
     fn transpose(rows: [Self; LANES]) -> [Self; LANES];
@@ -465,7 +465,7 @@ impl Lanes for Lane {
 
 /// The AVX2+FMA family: the same kernels on `__m256`, entered only through
 /// the `target_feature` wrappers at the bottom of the module. Only `axpy`
-/// — the forward pass — fuses, as [`crate::spmm_into`]'s AVX2 kernel does;
+/// — the forward pass — fuses, as [`crate::oracle::spmm_into`]'s AVX2 kernel does;
 /// `add` and `mul` round like the portable family's, so dW and dX gain
 /// vector width and keep their bits.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -586,7 +586,7 @@ pub(crate) mod avx {
 }
 
 /// Whether the AVX2+FMA family runs — the same per-process choice as the
-/// dense GEMM and [`crate::spmm_into`], so the forward pass fuses exactly
+/// dense GEMM and [`crate::oracle::spmm_into`], so the forward pass fuses exactly
 /// when they do.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub(crate) use crate::matmul::simd_active;
@@ -984,8 +984,9 @@ fn dw_job_impl<V: Lanes>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::oracle::{col2im_ld, im2col_batched, sddmm_nt_seg_into, spmm_into, spmm_tn_into};
     use crate::proptests::view_of;
-    use crate::{col2im_ld, im2col_batched, sddmm_nt_seg_into, spmm_into, spmm_tn_into, Tensor};
+    use crate::Tensor;
     use ft_sparse::CsrMatrix;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;

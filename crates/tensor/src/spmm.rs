@@ -1,33 +1,39 @@
 //! Sparse matrix kernels over a borrowed CSR view.
 //!
-//! These are the execution back-end of the workspace's sparse engine: when a
-//! layer's weight density drops below the dispatch crossover, `ft-nn`
-//! repacks the weight into CSR (see `ft_sparse::CsrMatrix`) and routes its
-//! GEMMs here instead of the dense kernels in [`crate::matmul`]. Each kernel
-//! touches only the stored nonzeros, so work scales with `nnz` rather than
-//! `rows · cols`.
+//! Each kernel touches only the stored nonzeros, so work scales with `nnz`
+//! rather than `rows · cols`. They fall in two groups (`S` is the CSR
+//! operand, `A`/`B` dense):
 //!
-//! Kernel naming mirrors the dense kernels (`S` is the CSR operand, `A`/`B`
-//! dense):
+//! **Production — `Linear`'s sparse path.** When a prunable `Linear`'s
+//! weight density drops below the dispatch crossover, `ft-nn` repacks the
+//! weight into CSR (see `ft_sparse::CsrMatrix`) and routes its three GEMMs
+//! here instead of [`crate::matmul`]. `ResNet18`'s and `SmallCnn`'s
+//! classifiers are not prunable; `Vgg11`'s hidden classifier is, and VGG11
+//! is the model of `fig4_ablation`, `fig5_pool_size`, `table1_cost`,
+//! `table2_bn_overhead` and `table3_schedule` — that layer is these
+//! kernels' user. Each takes a [`Runtime`]: output rows (or CSR rows, for the
+//! sampled product) are partitioned into deterministic contiguous chunks and
+//! every worker runs the same loop body over its range, so results are
+//! bit-for-bit identical for any thread count.
+//!
+//! - [`dsmm_nt_into_rt`]: `C += A · Sᵀ` (forward, `Y = X · Wᵀ`)
+//! - [`sddmm_tn_into_rt`]: `vals[nz] += Σₙ A[n, row(nz)] · B[n, col(nz)]`
+//!   (the weight gradient at mask-alive coordinates only)
+//! - [`dsmm_into_rt`]: `C += A · S` (input gradient, `dX = dY · W`)
+//!
+//! **Oracle — the im2col + CSR convolution route.** Convolutions run on
+//! [`crate::spconv_forward_rt`]; the route it replaced is what its tests pin
+//! it to, bit for bit. These are sequential only and reached through
+//! [`crate::oracle`] (`spmm_into` and `sddmm_nt_into` also stay at the crate
+//! root, where the whole-run benchmark times them).
 //!
 //! - [`spmm_into`]: `C += S · B` (sparse × dense)
 //! - [`spmm_tn_into`]: `C += Sᵀ · B`
-//! - [`dsmm_into`]: `C += A · S` (dense × sparse)
-//! - [`dsmm_nt_into`]: `C += A · Sᵀ`
-//! - [`sddmm_nt_into`]: `vals[nz] += A[row(nz), :] · B[col(nz), :]` — the
-//!   sampled dense–dense product that computes weight gradients only at
-//!   mask-alive coordinates
-//! - [`sddmm_tn_into`]: `vals[nz] += Σₙ A[n, row(nz)] · B[n, col(nz)]`
+//! - [`sddmm_nt_into`] / [`sddmm_nt_seg_into`]:
+//!   `vals[nz] += A[row(nz), :] · B[col(nz), :]`, whole or per column segment
 //!
 //! All kernels accumulate into their output, matching the dense `_into`
 //! conventions.
-//!
-//! Every kernel also has an `_rt` variant taking a
-//! [`Runtime`](ft_runtime::Runtime): output rows (for the GEMM-shaped
-//! kernels) or CSR rows (for the sampled products) are partitioned into
-//! deterministic contiguous chunks and each worker runs the same loop body
-//! over its range — parallel results are bit-for-bit identical to the
-//! sequential kernels for any thread count.
 
 use crate::Tensor;
 use ft_runtime::Runtime;
@@ -116,24 +122,6 @@ impl<'a> CsrView<'a> {
 pub fn spmm_into(s: CsrView<'_>, b: &Tensor, c: &mut Tensor) {
     let n = check_spmm(&s, b, c);
     spmm_rows(s, b.data(), n, 0..s.rows, c.data_mut());
-}
-
-/// [`spmm_into`] with the output rows fanned out over `rt`'s workers.
-/// Bit-identical to the sequential kernel for any thread count.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`spmm_into`].
-pub fn spmm_into_rt(rt: &Runtime, s: CsrView<'_>, b: &Tensor, c: &mut Tensor) {
-    let n = check_spmm(&s, b, c);
-    if !rt.should_parallelize(s.nnz().saturating_mul(n)) || s.rows <= 1 {
-        return spmm_rows(s, b.data(), n, 0..s.rows, c.data_mut());
-    }
-    let bd = b.data();
-    let jobs = rt.split_rows_mut(c.data_mut(), n.max(1));
-    rt.scatter(jobs, |(rows, cchunk)| {
-        spmm_rows(s, bd, n, rows, cchunk);
-    });
 }
 
 fn check_spmm(s: &CsrView<'_>, b: &Tensor, c: &Tensor) -> usize {
@@ -330,7 +318,7 @@ mod avx {
 
 /// `C += Sᵀ · B` where `S` is `[k×m]` CSR and `B` is `[k×n]`.
 ///
-/// The sparse analogue of [`crate::matmul_tn_into`]: for every stored
+/// The sparse analogue of [`crate::matmul_tn_into_rt`]: for every stored
 /// `(p, i, v)` the kernel scatters `v · B[p, :]` into `C[i, :]`.
 ///
 /// # Panics
@@ -338,31 +326,7 @@ mod avx {
 /// Panics if shapes are incompatible or the view is malformed.
 pub fn spmm_tn_into(s: CsrView<'_>, b: &Tensor, c: &mut Tensor) {
     let n = check_spmm_tn(&s, b, c);
-    spmm_tn_rows(s, b.data(), n, 0..s.cols, c.data_mut());
-}
-
-/// [`spmm_tn_into`] with the output rows fanned out over `rt`'s workers.
-/// Each worker scans the full CSR structure but scatters only into its own
-/// output-row range, preserving the sequential per-element accumulation
-/// order — bit-identical for any thread count.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`spmm_tn_into`].
-pub fn spmm_tn_into_rt(rt: &Runtime, s: CsrView<'_>, b: &Tensor, c: &mut Tensor) {
-    let n = check_spmm_tn(&s, b, c);
-    // Every worker rescans the full index structure and keeps only its own
-    // output rows, so the fan-out costs ~threads × the index traffic; it
-    // only pays off when the per-entry useful work (`n` columns) clearly
-    // outweighs that rescan — for narrow `B` stay sequential.
-    if !rt.should_parallelize(s.nnz().saturating_mul(n)) || s.cols <= 1 || n < 2 * rt.threads() {
-        return spmm_tn_rows(s, b.data(), n, 0..s.cols, c.data_mut());
-    }
-    let bd = b.data();
-    let jobs = rt.split_rows_mut(c.data_mut(), n.max(1));
-    rt.scatter(jobs, |(rows, cchunk)| {
-        spmm_tn_rows(s, bd, n, rows, cchunk);
-    });
+    spmm_tn_rows(s, b.data(), n, c.data_mut());
 }
 
 fn check_spmm_tn(s: &CsrView<'_>, b: &Tensor, c: &Tensor) -> usize {
@@ -374,19 +338,14 @@ fn check_spmm_tn(s: &CsrView<'_>, b: &Tensor, c: &Tensor) -> usize {
     n
 }
 
-/// `C += Sᵀ · B` restricted to the output-row range `rows`: scans every
-/// stored entry in sequential order, scattering only those whose column
-/// index lands in `rows`.
-fn spmm_tn_rows(s: CsrView<'_>, bd: &[f32], n: usize, rows: Range<usize>, cchunk: &mut [f32]) {
+/// `C += Sᵀ · B`: scans every stored entry in sequential order, scattering
+/// `v · B[p, :]` into the output row its column index names.
+fn spmm_tn_rows(s: CsrView<'_>, bd: &[f32], n: usize, cd: &mut [f32]) {
     for p in 0..s.rows {
         let brow = &bd[p * n..(p + 1) * n];
         for nz in s.row_ptr[p]..s.row_ptr[p + 1] {
             let (i, v) = (s.col_idx[nz] as usize, s.vals[nz]);
-            if !rows.contains(&i) {
-                continue;
-            }
-            let local = i - rows.start;
-            let crow = &mut cchunk[local * n..(local + 1) * n];
+            let crow = &mut cd[i * n..(i + 1) * n];
             for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
                 *cv += v * bv;
             }
@@ -394,25 +353,16 @@ fn spmm_tn_rows(s: CsrView<'_>, bd: &[f32], n: usize, rows: Range<usize>, cchunk
     }
 }
 
-/// `C += A[m×k] · S` where `S` is `[k×n]` CSR.
+/// `C += A[m×k] · S` where `S` is `[k×n]` CSR, the output rows fanned out
+/// over `rt`'s workers (bit-identical for any thread count).
 ///
-/// Used for linear input gradients (`dX = dY · W`): each scalar `A[i, p]`
-/// scatters `A[i, p] · S[p, :]` along the sparse row.
+/// Production — `Linear`'s input gradient (`dX = dY · W`), reached through
+/// VGG11's hidden classifier: each scalar `A[i, p]` scatters
+/// `A[i, p] · S[p, :]` along the sparse row.
 ///
 /// # Panics
 ///
 /// Panics if shapes are incompatible or the view is malformed.
-pub fn dsmm_into(a: &Tensor, s: CsrView<'_>, c: &mut Tensor) {
-    let (m, k) = check_dsmm(a, &s, c);
-    dsmm_rows(a.data(), s, k, 0..m, c.data_mut());
-}
-
-/// [`dsmm_into`] with the output rows fanned out over `rt`'s workers.
-/// Bit-identical to the sequential kernel for any thread count.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`dsmm_into`].
 pub fn dsmm_into_rt(rt: &Runtime, a: &Tensor, s: CsrView<'_>, c: &mut Tensor) {
     let (m, k) = check_dsmm(a, &s, c);
     if !rt.should_parallelize(m.saturating_mul(s.nnz())) || m <= 1 {
@@ -450,26 +400,16 @@ fn dsmm_rows(ad: &[f32], s: CsrView<'_>, k: usize, rows: Range<usize>, cchunk: &
     }
 }
 
-/// `C += A[m×k] · Sᵀ` where `S` is `[n×k]` CSR.
+/// `C += A[m×k] · Sᵀ` where `S` is `[n×k]` CSR, the output rows fanned out
+/// over `rt`'s workers (bit-identical for any thread count).
 ///
-/// Used for linear forward passes (`Y = X · Wᵀ`): `C[i, r]` accumulates the
-/// dot product of `A[i, :]` with sparse row `r`, gathering from the dense
-/// row.
+/// Production — `Linear`'s forward pass (`Y = X · Wᵀ`), reached through
+/// VGG11's hidden classifier: `C[i, r]` accumulates the dot product of
+/// `A[i, :]` with sparse row `r`, gathering from the dense row.
 ///
 /// # Panics
 ///
 /// Panics if shapes are incompatible or the view is malformed.
-pub fn dsmm_nt_into(a: &Tensor, s: CsrView<'_>, c: &mut Tensor) {
-    let (m, k) = check_dsmm_nt(a, &s, c);
-    dsmm_nt_rows(a.data(), s, k, 0..m, c.data_mut());
-}
-
-/// [`dsmm_nt_into`] with the output rows fanned out over `rt`'s workers.
-/// Bit-identical to the sequential kernel for any thread count.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`dsmm_nt_into`].
 pub fn dsmm_nt_into_rt(rt: &Runtime, a: &Tensor, s: CsrView<'_>, c: &mut Tensor) {
     let (m, k) = check_dsmm_nt(a, &s, c);
     if !rt.should_parallelize(m.saturating_mul(s.nnz())) || m <= 1 {
@@ -523,25 +463,6 @@ pub fn sddmm_nt_into(s: CsrView<'_>, a: &Tensor, b: &Tensor, vals: &mut [f32]) {
     sddmm_nt_rows(s, a.data(), b.data(), c, 0..s.rows, vals);
 }
 
-/// [`sddmm_nt_into`] with the CSR rows fanned out over `rt`'s workers (the
-/// `vals` buffer is split at `row_ptr` boundaries). Bit-identical to the
-/// sequential kernel for any thread count.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`sddmm_nt_into`].
-pub fn sddmm_nt_into_rt(rt: &Runtime, s: CsrView<'_>, a: &Tensor, b: &Tensor, vals: &mut [f32]) {
-    let c = check_sddmm_nt(&s, a, b, vals);
-    if !rt.should_parallelize(s.nnz().saturating_mul(c)) || s.rows <= 1 {
-        return sddmm_nt_rows(s, a.data(), b.data(), c, 0..s.rows, vals);
-    }
-    let (ad, bd) = (a.data(), b.data());
-    let jobs = rt.split_at_offsets_mut(vals, s.rows, |r| s.row_ptr[r]);
-    rt.scatter(jobs, |(rows, chunk)| {
-        sddmm_nt_rows(s, ad, bd, c, rows, chunk);
-    });
-}
-
 /// Segmented [`sddmm_nt_into`]: the dot product for every stored coordinate
 /// is evaluated one `seg`-wide column segment at a time (fresh accumulator
 /// per segment, `vals[nz] += acc` after each), ascending. Bit-identical to
@@ -560,35 +481,6 @@ pub fn sddmm_nt_seg_into(s: CsrView<'_>, a: &Tensor, b: &Tensor, seg: usize, val
         "sddmm_nt_seg: segment {seg} must divide c={c}"
     );
     sddmm_nt_seg_rows(s, a.data(), b.data(), c, seg, 0..s.rows, vals);
-}
-
-/// [`sddmm_nt_seg_into`] with the CSR rows fanned out over `rt`'s workers.
-/// Bit-identical to the sequential kernel for any thread count.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`sddmm_nt_seg_into`].
-pub fn sddmm_nt_seg_into_rt(
-    rt: &Runtime,
-    s: CsrView<'_>,
-    a: &Tensor,
-    b: &Tensor,
-    seg: usize,
-    vals: &mut [f32],
-) {
-    let c = check_sddmm_nt(&s, a, b, vals);
-    assert!(
-        seg > 0 && c.is_multiple_of(seg),
-        "sddmm_nt_seg: segment {seg} must divide c={c}"
-    );
-    if !rt.should_parallelize(s.nnz().saturating_mul(c)) || s.rows <= 1 {
-        return sddmm_nt_seg_rows(s, a.data(), b.data(), c, seg, 0..s.rows, vals);
-    }
-    let (ad, bd) = (a.data(), b.data());
-    let jobs = rt.split_at_offsets_mut(vals, s.rows, |r| s.row_ptr[r]);
-    rt.scatter(jobs, |(rows, chunk)| {
-        sddmm_nt_seg_rows(s, ad, bd, c, seg, rows, chunk);
-    });
 }
 
 /// Segmented sampled NT product over the CSR-row range `rows`: per stored
@@ -688,27 +580,18 @@ fn sddmm_nt_rows(
 /// `(r, j)` of the structure `s`, accumulates `Σₙ A[n, r] · B[n, j]` into
 /// `vals[nz]`.
 ///
-/// This computes `(Aᵀ · B) ⊙ structure(S)` — the masked linear weight
-/// gradient `dW = dYᵀ · X` restricted to mask-alive coordinates. `s.vals`
-/// is ignored (structure only).
+/// Production — `Linear`'s masked weight gradient, reached through VGG11's
+/// hidden classifier: this computes `(Aᵀ · B) ⊙ structure(S)`, i.e.
+/// `dW = dYᵀ · X` restricted to mask-alive coordinates. `s.vals` is ignored
+/// (structure only). The CSR rows fan out over `rt`'s workers (the `vals`
+/// buffer is split at `row_ptr` boundaries; every worker keeps the
+/// batch-outer loop, so per-slot accumulation order is unchanged):
+/// bit-identical for any thread count.
 ///
 /// # Panics
 ///
 /// Panics if shapes are incompatible, the view is malformed, or `vals` does
 /// not have one slot per stored entry.
-pub fn sddmm_tn_into(s: CsrView<'_>, a: &Tensor, b: &Tensor, vals: &mut [f32]) {
-    let (n1, r, k) = check_sddmm_tn(&s, a, b, vals);
-    sddmm_tn_rows(s, a.data(), b.data(), n1, r, k, 0..s.rows, vals);
-}
-
-/// [`sddmm_tn_into`] with the CSR rows fanned out over `rt`'s workers (the
-/// `vals` buffer is split at `row_ptr` boundaries; every worker keeps the
-/// batch-outer loop, so per-slot accumulation order is unchanged).
-/// Bit-identical to the sequential kernel for any thread count.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`sddmm_tn_into`].
 pub fn sddmm_tn_into_rt(rt: &Runtime, s: CsrView<'_>, a: &Tensor, b: &Tensor, vals: &mut [f32]) {
     let (n1, r, k) = check_sddmm_tn(&s, a, b, vals);
     if !rt.should_parallelize(n1.saturating_mul(s.nnz())) || s.rows <= 1 {
@@ -779,7 +662,7 @@ fn dims2(t: &Tensor, name: &str) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{assert_close, matmul_into, matmul_nt_into, matmul_tn_into};
+    use crate::{assert_close, matmul_into, matmul_nt_into_rt, matmul_tn_into_rt};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -853,7 +736,7 @@ mod tests {
 
     /// The column-blocked, quad-unrolled spmm path (wide `B` crossing the
     /// `SPMM_NC` slice boundary, rows with ≥ 4 stored entries plus a tail)
-    /// agrees with the dense GEMM and is bit-identical across thread counts.
+    /// agrees with the dense GEMM.
     #[test]
     fn spmm_blocked_wide_matches_dense() {
         let f = Fixture::random(13, 40, 0.35, 77);
@@ -864,12 +747,6 @@ mod tests {
         spmm_into(f.view(), &b, &mut sparse);
         matmul_into(&f.dense, &b, &mut dense);
         assert_close(sparse.data(), dense.data(), 1e-4);
-        for threads in [2usize, 3, 64] {
-            let rt = Runtime::exact(threads).with_min_work(0);
-            let mut par = Tensor::zeros(&[13, n]);
-            spmm_into_rt(&rt, f.view(), &b, &mut par);
-            assert_eq!(sparse.data(), par.data(), "threads={threads}");
-        }
     }
 
     #[test]
@@ -880,7 +757,7 @@ mod tests {
             let mut sparse = Tensor::zeros(&[4, 8]);
             let mut dense = Tensor::zeros(&[4, 8]);
             spmm_tn_into(f.view(), &b, &mut sparse);
-            matmul_tn_into(&f.dense, &b, &mut dense);
+            matmul_tn_into_rt(&Runtime::sequential(), &f.dense, &b, &mut dense);
             assert_close(sparse.data(), dense.data(), 1e-5);
         }
     }
@@ -892,7 +769,7 @@ mod tests {
             let a = rand_t(&[3, 5], seed + 300);
             let mut sparse = Tensor::zeros(&[3, 7]);
             let mut dense = Tensor::zeros(&[3, 7]);
-            dsmm_into(&a, f.view(), &mut sparse);
+            dsmm_into_rt(&Runtime::sequential(), &a, f.view(), &mut sparse);
             matmul_into(&a, &f.dense, &mut dense);
             assert_close(sparse.data(), dense.data(), 1e-5);
         }
@@ -905,8 +782,8 @@ mod tests {
             let a = rand_t(&[4, 5], seed + 400);
             let mut sparse = Tensor::zeros(&[4, 6]);
             let mut dense = Tensor::zeros(&[4, 6]);
-            dsmm_nt_into(&a, f.view(), &mut sparse);
-            matmul_nt_into(&a, &f.dense, &mut dense);
+            dsmm_nt_into_rt(&Runtime::sequential(), &a, f.view(), &mut sparse);
+            matmul_nt_into_rt(&Runtime::sequential(), &a, &f.dense, &mut dense);
             assert_close(sparse.data(), dense.data(), 1e-5);
         }
     }
@@ -921,7 +798,7 @@ mod tests {
             let mut vals = vec![0.0f32; f.vals.len()];
             sddmm_nt_into(f.view(), &a, &b, &mut vals);
             let mut dense = Tensor::zeros(&[5, 6]);
-            matmul_nt_into(&a, &b, &mut dense);
+            matmul_nt_into_rt(&Runtime::sequential(), &a, &b, &mut dense);
             for r in 0..5 {
                 for nz in f.row_ptr[r]..f.row_ptr[r + 1] {
                     let j = f.col_idx[nz] as usize;
@@ -962,14 +839,7 @@ mod tests {
 
             let mut vals = vec![0.5f32; f.vals.len()];
             sddmm_nt_seg_into(f.view(), &a, &b, seg, &mut vals);
-            assert_eq!(vals, expect, "seq seed={seed} seg={seg}");
-
-            for threads in [1usize, 2, 4, 64] {
-                let rt = Runtime::exact(threads).with_min_work(0);
-                let mut par = vec![0.5f32; f.vals.len()];
-                sddmm_nt_seg_into_rt(&rt, f.view(), &a, &b, seg, &mut par);
-                assert_eq!(par, expect, "threads={threads} seed={seed}");
-            }
+            assert_eq!(vals, expect, "seed={seed} seg={seg}");
         }
     }
 
@@ -981,9 +851,9 @@ mod tests {
             let a = rand_t(&[8, 4], seed + 700);
             let b = rand_t(&[8, 6], seed + 800);
             let mut vals = vec![0.0f32; f.vals.len()];
-            sddmm_tn_into(f.view(), &a, &b, &mut vals);
+            sddmm_tn_into_rt(&Runtime::sequential(), f.view(), &a, &b, &mut vals);
             let mut dense = Tensor::zeros(&[4, 6]);
-            matmul_tn_into(&a, &b, &mut dense);
+            matmul_tn_into_rt(&Runtime::sequential(), &a, &b, &mut dense);
             for r in 0..4 {
                 for nz in f.row_ptr[r]..f.row_ptr[r + 1] {
                     let j = f.col_idx[nz] as usize;
@@ -1017,57 +887,36 @@ mod tests {
         spmm_into(f.view(), &b, &mut c);
     }
 
-    /// Every sparse `_rt` kernel is bit-identical to its sequential twin for
-    /// every thread count, across densities including nnz = 0.
+    /// Every `_rt` kernel is bit-identical on one worker and on many, across
+    /// densities including nnz = 0.
     #[test]
     fn rt_variants_are_bit_identical() {
+        let seq_rt = Runtime::sequential();
         for (seed, density) in [(1u64, 0.0), (2, 0.05), (3, 0.4), (4, 1.0)] {
             let f = Fixture::random(9, 7, density, seed);
-            let b_k = rand_t(&[7, 5], seed + 10); // for spmm: S[9x7] · B[7x5]
-            let b_r = rand_t(&[9, 5], seed + 11); // for spmm_tn: Sᵀ[7x9]ᵀ · B[9x5]
             let a_m = rand_t(&[4, 9], seed + 12); // for dsmm: A[4x9] · S[9x7]
             let a_nt = rand_t(&[4, 7], seed + 13); // for dsmm_nt: A[4x7] · Sᵀ
-            let sd_a = rand_t(&[9, 6], seed + 14); // sddmm_nt: A[9x6], B[7x6]
-            let sd_b = rand_t(&[7, 6], seed + 15);
             let tn_a = rand_t(&[8, 9], seed + 16); // sddmm_tn: A[8x9], B[8x7]
             let tn_b = rand_t(&[8, 7], seed + 17);
-            for threads in [1usize, 2, 3, 64] {
+            for threads in [2usize, 3, 64] {
                 let rt = Runtime::exact(threads).with_min_work(0);
                 let tag = format!("d={density} t={threads}");
 
-                let mut seq = Tensor::ones(&[9, 5]);
-                let mut par = Tensor::ones(&[9, 5]);
-                spmm_into(f.view(), &b_k, &mut seq);
-                spmm_into_rt(&rt, f.view(), &b_k, &mut par);
-                assert_eq!(seq.data(), par.data(), "spmm {tag}");
-
-                let mut seq = Tensor::ones(&[7, 5]);
-                let mut par = Tensor::ones(&[7, 5]);
-                spmm_tn_into(f.view(), &b_r, &mut seq);
-                spmm_tn_into_rt(&rt, f.view(), &b_r, &mut par);
-                assert_eq!(seq.data(), par.data(), "spmm_tn {tag}");
-
                 let mut seq = Tensor::ones(&[4, 7]);
                 let mut par = Tensor::ones(&[4, 7]);
-                dsmm_into(&a_m, f.view(), &mut seq);
+                dsmm_into_rt(&seq_rt, &a_m, f.view(), &mut seq);
                 dsmm_into_rt(&rt, &a_m, f.view(), &mut par);
                 assert_eq!(seq.data(), par.data(), "dsmm {tag}");
 
                 let mut seq = Tensor::ones(&[4, 9]);
                 let mut par = Tensor::ones(&[4, 9]);
-                dsmm_nt_into(&a_nt, f.view(), &mut seq);
+                dsmm_nt_into_rt(&seq_rt, &a_nt, f.view(), &mut seq);
                 dsmm_nt_into_rt(&rt, &a_nt, f.view(), &mut par);
                 assert_eq!(seq.data(), par.data(), "dsmm_nt {tag}");
 
                 let mut seq = vec![0.5f32; f.vals.len()];
                 let mut par = vec![0.5f32; f.vals.len()];
-                sddmm_nt_into(f.view(), &sd_a, &sd_b, &mut seq);
-                sddmm_nt_into_rt(&rt, f.view(), &sd_a, &sd_b, &mut par);
-                assert_eq!(seq, par, "sddmm_nt {tag}");
-
-                let mut seq = vec![0.5f32; f.vals.len()];
-                let mut par = vec![0.5f32; f.vals.len()];
-                sddmm_tn_into(f.view(), &tn_a, &tn_b, &mut seq);
+                sddmm_tn_into_rt(&seq_rt, f.view(), &tn_a, &tn_b, &mut seq);
                 sddmm_tn_into_rt(&rt, f.view(), &tn_a, &tn_b, &mut par);
                 assert_eq!(seq, par, "sddmm_tn {tag}");
             }
