@@ -28,17 +28,17 @@ use fedtiny::{adaptive_bn_selection, generate_candidate_pool, ProgressiveConfig,
 use ft_bench::{measure_ns, BenchReport};
 use ft_data::{DatasetProfile, SynthConfig};
 use ft_fl::{
-    buffered_train_cohorts, no_hook, run_federated_rounds, AggScratch, Aggregator, CostLedger,
-    DeviceProfile, ExperimentEnv, FlConfig, ModelSpec, Scheduler,
+    buffered_train_cohorts, no_hook, run_federated_rounds, CostLedger, DeviceProfile,
+    ExperimentEnv, FlConfig, ModelSpec, Scheduler,
 };
-use ft_nn::{apply_mask, sparse_layout, take_snapshot, wire_ctx};
-use ft_runtime::Runtime;
-use ft_sparse::{magnitude_mask, uniform_density_vector, Codec, Mask, PayloadView};
+use ft_nn::{apply_mask, sparse_layout, take_snapshot};
+use ft_sparse::{magnitude_mask, uniform_density_vector, Codec, Mask};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Every byte this process allocates is counted, so the collect-dataplane
-/// records below can pin allocator traffic per round, not just wall time.
+/// Every byte this process allocates is counted, so the structure records
+/// below can pin allocator traffic per aggregation and per training round,
+/// not just wall time.
 #[global_allocator]
 static ALLOC: ft_bench::CountingAlloc = ft_bench::CountingAlloc;
 
@@ -109,87 +109,6 @@ fn run_env(env: &ExperimentEnv) -> (f64, f64, f64) {
     assert!(!history.is_empty());
     let realized: f64 = ledger.realized_flops_history().iter().sum();
     (wall_ns, realized, ledger.sim_makespan_secs())
-}
-
-/// Rounds the collect-alloc loop runs for one measurement.
-fn alloc_rounds() -> usize {
-    if ft_bench::quick_mode() {
-        16
-    } else {
-        64
-    }
-}
-
-/// Measures allocator traffic per round of the Collect → Aggregate hot
-/// path and records it as `collect_alloc_steady`: wire bytes land in a
-/// recycled per-device frame pool, [`PayloadView`] decodes straight out of
-/// the receive buffer, and the sharded [`AggScratch`] is reused round over
-/// round. After the warmup round builds the pools, a round must allocate
-/// **zero** bytes.
-fn measure_collect_alloc(report: &mut BenchReport) {
-    let env = build_env(Scheduler::Synchronous, 1);
-    let model = env.build_model(&ModelSpec::SmallCnn { width: 4, input: 8 });
-    let layout = sparse_layout(model.as_ref());
-    let mut mask = Mask::ones(&layout);
-    for i in 0..layout.layer(0).len {
-        if i % 3 == 0 {
-            mask.set(0, i, false);
-        }
-    }
-    let epoch = 3;
-    let ctx = wire_ctx(model.as_ref(), &mask, epoch);
-    let anchor = take_snapshot(model.as_ref()).params;
-    let weights = [1.0f64, 2.0, 0.5, 1.5, 3.0, 1.0];
-    // One frame per device, as the transport's recv pool would hold them.
-    let wire: Vec<Vec<u8>> = (0..DEVICES)
-        .map(|d| {
-            let delta: Vec<f32> = (0..ctx.len())
-                .map(|i| ((i * 31 + d * 7) as f32).sin() * 0.01)
-                .collect();
-            Codec::MaskCsr
-                .encode(&delta, &ctx, epoch, None)
-                .to_bytes(&ctx)
-        })
-        .collect();
-    let agg = Aggregator::FedAvg;
-    let rt = Runtime::sequential();
-
-    // Pooled receive + zero-copy decode + recycled scratch.
-    let mut scratch = AggScratch::new();
-    let mut recv: Vec<Vec<u8>> = (0..DEVICES).map(|_| Vec::new()).collect();
-    let mut steady_round = || {
-        for (slot, bytes) in recv.iter_mut().zip(&wire) {
-            slot.clear();
-            slot.extend_from_slice(bytes);
-        }
-        let views: [PayloadView<'_>; DEVICES] = std::array::from_fn(|i| {
-            PayloadView::parse(&recv[i], &ctx).expect("pooled frame parses")
-        });
-        let pairs: [(&PayloadView<'_>, f64); DEVICES] =
-            std::array::from_fn(|i| (&views[i], weights[i]));
-        let got = agg.aggregate_into(&pairs, &anchor, &ctx, &rt, &mut scratch);
-        let params = got.params.expect("cohort is non-degenerate");
-        std::hint::black_box(params[0]);
-    };
-    steady_round(); // warmup builds the pools
-    let rounds = alloc_rounds();
-    let before = ft_bench::allocated_bytes();
-    let t = Instant::now();
-    for _ in 0..rounds {
-        steady_round();
-    }
-    let steady_ns = t.elapsed().as_nanos() as f64 / rounds as f64;
-    let steady_bytes = (ft_bench::allocated_bytes() - before) as f64 / rounds as f64;
-
-    let shape = format!("K{DEVICES}");
-    report.push_alloc("collect_alloc_steady", &shape, 1, steady_ns, steady_bytes);
-    println!(
-        "{:<20} {:>8} {:>14.3} {:>20.1}",
-        "collect_alloc_steady",
-        1,
-        steady_ns / 1e6,
-        steady_bytes
-    );
 }
 
 /// Fleet, buffer and run length of the buffered-loop structure records. A
@@ -493,11 +412,6 @@ fn main() {
             );
         }
     }
-    println!(
-        "{:<20} {:>8} {:>14} {:>20}",
-        "op", "threads", "wall_ms", "alloc_bytes/round"
-    );
-    measure_collect_alloc(&mut report);
     println!(
         "{:<36} {:>8} {:>14} {:>20}",
         "op", "threads", "wall_ms/agg", "bytes | tasks/flush"

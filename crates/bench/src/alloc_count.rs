@@ -1,10 +1,10 @@
 //! A counting global allocator for allocation-budget benches.
 //!
-//! The event-driven Collect dataplane claims a steady-state round allocates
-//! *nothing*: frame buffers are pooled, [`ft_sparse::PayloadView`] decodes
-//! out of the receive buffer, and the sharded aggregation scratch is
-//! recycled. Claims like that rot silently — the only durable proof is a
-//! counter under the allocator. A bench binary installs [`CountingAlloc`]
+//! The training engine claims a steady-state step allocates *nothing*, the
+//! buffered event loop that an aggregation copies none of its in-flight
+//! tasks, a FedTiny round that its trainers are pooled. Claims like that rot
+//! silently — the only durable proof is a counter under the allocator. A
+//! bench binary installs [`CountingAlloc`]
 //! as its `#[global_allocator]`, brackets the measured loop with
 //! [`allocated_bytes`] snapshots, and pins the delta per round in its
 //! `BENCH_*.json` report, where `bench_check` gates it.

@@ -53,9 +53,6 @@
 //!
 //! From `BENCH_fleet.json`:
 //!
-//! - **Collect allocation**: the `collect_alloc_steady` record (pooled
-//!   frames, zero-copy decode, recycled aggregation scratch) must allocate
-//!   exactly **zero** bytes per round.
 //! - **Buffered structure** (shape `K16xB2`, both counts the program makes,
 //!   so they repeat exactly): `buffered_alloc_bytes_per_aggregation` must
 //!   stay within [`BUFFERED_ALLOC_HEADROOM`] of the committed value — an
@@ -348,45 +345,13 @@ fn main() -> ExitCode {
         }
     }
 
-    // -- Collect dataplane allocation budget (BENCH_fleet.json) ------------
+    // -- Buffered event loop structure (BENCH_fleet.json) ------------------
     match load_report(&fleet_path) {
         Err(e) => {
-            eprintln!("  FAIL collect_alloc: {e} — the allocation gate cannot be skipped");
+            eprintln!("  FAIL fleet report: {e} — its gates cannot be skipped");
             failed = true;
         }
         Ok(fleet) => {
-            let steady = fleet
-                .records
-                .iter()
-                .find(|r| r.op == "collect_alloc_steady");
-            match steady {
-                Some(steady) if steady.alloc_bytes_per_round >= 0.0 => {
-                    evaluated += 1;
-                    let verdict = if steady.alloc_bytes_per_round == 0.0 {
-                        "ok"
-                    } else {
-                        failed = true;
-                        "FAIL"
-                    };
-                    println!(
-                        "  {verdict:>4} collect_alloc: steady {:.1} B/round (need 0)",
-                        steady.alloc_bytes_per_round
-                    );
-                }
-                steady => {
-                    let missing = match steady {
-                        None => "collect_alloc_steady record missing",
-                        Some(_) => "alloc_bytes_per_round not measured",
-                    };
-                    eprintln!(
-                        "  FAIL collect_alloc: {missing} from {fleet_path} — \
-                         this gate cannot be skipped"
-                    );
-                    failed = true;
-                }
-            }
-
-            // -- Buffered event loop structure (same report) ---------------
             let measured = |op: &str, value: fn(&BenchRecord) -> f64| {
                 let record = fleet.records.iter().find(|r| r.op == op);
                 let found = record.filter(|r| value(r) >= 0.0);

@@ -280,13 +280,13 @@ mod tests {
     fn alloc_records_roundtrip() {
         let mut r = BenchReport::new("unit_test");
         r.push("matmul", "8x8x8", 1.0, 1, 1, 1000.0, 1024.0);
-        r.push_alloc("collect_alloc_steady", "K6", 1, 500.0, 0.0);
+        r.push_alloc("train_step", "K6", 1, 500.0, 0.0);
         r.push_count("buffered_train_cohort_mean", "K16xB2", 2, 500.0, 2.5);
         let json = serde_json::to_string(&r).expect("serializes");
         let back = BenchReport::from_json(&json).expect("parses");
         assert_eq!(back.records[0].alloc_bytes_per_round, -1.0);
         assert_eq!(back.records[0].count_per_iter, -1.0);
-        assert_eq!(back.records[1].op, "collect_alloc_steady");
+        assert_eq!(back.records[1].op, "train_step");
         assert_eq!(back.records[1].alloc_bytes_per_round, 0.0);
         assert_eq!(back.records[2].alloc_bytes_per_round, -1.0);
         assert_eq!(back.records[2].count_per_iter, 2.5);

@@ -37,7 +37,7 @@ pub mod selection;
 
 mod runner;
 
-pub use progressive::{Granularity, ProgressiveConfig};
+pub use progressive::{probe_devices, Granularity, ProgressiveConfig};
 pub use runner::{run_fedtiny, run_fedtiny_with, FedTinyConfig, FedTinyRunOptions, SelectionMode};
 pub use selection::{
     adaptive_bn_selection, generate_candidate_pool, vanilla_selection, SelectionConfig,

@@ -7,6 +7,7 @@ use ft_metrics::{densities_from_mask, forward_flops, layer_forward_flops};
 use ft_nn::loss::softmax_cross_entropy;
 use ft_nn::{prunable_param_indices, LayerArch, Mode, Model, Runtime};
 use ft_sparse::{Mask, PruneSchedule, TopKBuffer};
+use ft_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -118,6 +119,20 @@ fn adjustment_counts(
         .collect()
 }
 
+/// The one batch device `k` probes on at `round`: `batch_size` of its samples,
+/// drawn from a stream of `(seed, round, k)` — every method that probes
+/// scores a `(round, device)` on the same one.
+fn probe_batch(env: &ExperimentEnv, k: usize, round: usize) -> (Tensor, Vec<usize>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(
+        env.cfg.seed ^ 0x9d0f ^ ((round as u64) << 20) ^ ((k as u64) << 44),
+    );
+    let data = &env.parts[k];
+    let mut idx: Vec<usize> = (0..data.len()).collect();
+    idx.shuffle(&mut rng);
+    idx.truncate(env.cfg.batch_size.min(data.len()));
+    data.batch(&idx)
+}
+
 /// Device `k`'s probe batch of `round` (Eq. 6), run in place on `model` — a
 /// working copy of the global model the caller borrowed and will not keep:
 /// one forward pass, then a backward pass in which exactly the prunable
@@ -142,30 +157,50 @@ fn probe(model: &mut dyn Model, env: &ExperimentEnv, k: usize, round: usize, den
             l += 1;
         }
     });
-    let mut rng = ChaCha8Rng::seed_from_u64(
-        env.cfg.seed ^ 0x9d0f ^ ((round as u64) << 20) ^ ((k as u64) << 44),
-    );
-    let data = &env.parts[k];
-    let bs = env.cfg.batch_size.min(data.len());
-    let mut idx: Vec<usize> = (0..data.len()).collect();
-    idx.shuffle(&mut rng);
-    idx.truncate(bs);
-    let (x, y) = data.batch(&idx);
+    let (x, y) = probe_batch(env, k, round);
     let logits = model.forward(&x, Mode::Train);
     let (_, grad) = softmax_cross_entropy(&logits, &y);
     let shallowest = *dense.iter().min().expect("a probe reads some layer");
     model.backward_down_to(&grad, shallowest);
 }
 
+/// The device-side gradient probe every grow/prune method shares (FedTiny's
+/// and FedDST's adjustment, PruneFL's adaptive pruning): every device of
+/// `env` takes a working copy of `global` borrowed from `ft-fl`'s
+/// device-model pool (nothing is cloned; the devices fan out over `rt` under
+/// the run's one thread budget), draws its probe batch of `round`, and runs
+/// one forward pass and a backward pass in which exactly the prunable layers
+/// `dense` execute on the dense engine — so their *pruned* coordinates get
+/// gradients — and which stops beneath the shallowest of them. `read(k, m)`
+/// then takes what device `k` needs from its model `m`, whose
+/// [`Param::grad`](ft_nn::Param) fields hold the gradients. Returns the
+/// devices' results in device order, the same bits for any `rt`.
+///
+/// # Panics
+///
+/// Panics if `dense` is empty.
+pub fn probe_devices<T: Send>(
+    global: &dyn Model,
+    env: &ExperimentEnv,
+    round: usize,
+    dense: &[usize],
+    rt: &Runtime,
+    read: impl Fn(usize, &dyn Model) -> T + Sync,
+) -> Vec<T> {
+    on_device_models(global, &env.cfg, env.parts.len(), rt, |k, model| {
+        probe(model, env, k, round, dense);
+        read(k, model)
+    })
+}
+
 /// What one device uploads for an adjustment: per `(layer, a)` of the
 /// adjustment, its `a` largest pruned-coordinate gradients.
 type DeviceUpload = Vec<Vec<(usize, f32)>>;
 
-/// Device side of an adjustment (Alg. 2 lines 10–16): every device probes on
-/// a borrowed device model ([`on_device_models`] over `rt`) with the layers
-/// `dense` on the dense engine and streams the gradients of the *pruned*
-/// coordinates of each `(layer, a)` in `counts` through a [`TopKBuffer`] of
-/// capacity `a`.
+/// Device side of an adjustment (Alg. 2 lines 10–16): every device probes
+/// with the layers `dense` on the dense engine ([`probe_devices`]) and
+/// streams the gradients of the *pruned* coordinates of each `(layer, a)` in
+/// `counts` through a [`TopKBuffer`] of capacity `a`.
 fn device_uploads(
     global: &dyn Model,
     mask: &Mask,
@@ -176,8 +211,7 @@ fn device_uploads(
     rt: &Runtime,
 ) -> Vec<DeviceUpload> {
     let prunable_pos = prunable_param_indices(global);
-    on_device_models(global, &env.cfg, env.parts.len(), rt, |k, model| {
-        probe(model, env, k, round, dense);
+    probe_devices(global, env, round, dense, rt, |_, model| {
         let params = model.params();
         counts
             .iter()
@@ -471,6 +505,50 @@ mod tests {
         // Non-finite aggregates are never grown; short lists are not padded.
         let c = [(1usize, f32::INFINITY), (4, 2.0)];
         assert_eq!(select_grow(&[(&c, 1.0)], 3), vec![4]);
+    }
+
+    /// The exposed probe: one result per device, in device order, the same
+    /// bits on one worker and fanned out over four; and with every prunable
+    /// layer dense, a device's gradients are those of a fresh clone forced
+    /// dense (`set_sparse_crossover(0.0)`) running a whole backward pass on
+    /// the same batch — the clone-per-device pass the baselines used to run.
+    #[test]
+    fn probe_devices_is_ordered_thread_invariant_and_equals_a_dense_clone() {
+        let (mut env, model, mask) = setup(0.3);
+        env.cfg.parallel = true;
+        let round = 2;
+        let all: Vec<usize> = (0..mask.num_layers()).collect();
+        let prunable_pos = prunable_param_indices(model.as_ref());
+        let prunable_grads = |m: &dyn Model| -> Vec<Vec<u32>> {
+            let params = m.params();
+            (prunable_pos.iter())
+                .map(|&pi| params[pi].grad.data().iter().map(|g| g.to_bits()).collect())
+                .collect()
+        };
+        let probe_on = |rt: Runtime| {
+            probe_devices(model.as_ref(), &env, round, &all, &rt, |k, m| {
+                (k, prunable_grads(m))
+            })
+        };
+        let one = probe_on(Runtime::exact(1));
+        let devices: Vec<usize> = one.iter().map(|&(k, _)| k).collect();
+        assert_eq!(devices, (0..env.parts.len()).collect::<Vec<_>>());
+        assert_eq!(one, probe_on(Runtime::exact(4)));
+
+        for (k, grads) in &one {
+            let mut clone = model.clone_model();
+            clone.set_sparse_crossover(0.0);
+            let (x, y) = probe_batch(&env, *k, round);
+            let logits = clone.forward(&x, Mode::Train);
+            clone.backward(&softmax_cross_entropy(&logits, &y).1);
+            assert_eq!(grads, &prunable_grads(clone.as_ref()), "device {k}");
+            // Pruned coordinates did get gradients: the layers ran dense.
+            let params = clone.params();
+            for l in 0..mask.num_layers() {
+                let g = params[prunable_pos[l]].grad.data();
+                assert!((mask.layer(l).iter().zip(g)).any(|(&alive, &g)| !alive && g != 0.0));
+            }
+        }
     }
 
     /// The probe forces dense exactly where Algorithm 2 reads

@@ -20,16 +20,13 @@
 //! [`crate::transport::FaultKind`]s — which is what lets golden
 //! adversarial traces pin the whole hostile pipeline byte for byte.
 
-use crate::train::{train_one_device, DeviceUpdate, WireSpec};
-use crate::transport::decode_round_frame;
+use crate::train::DeviceUpdate;
 #[cfg(test)]
 use crate::transport::FaultKind;
 use crate::transport::{
-    connect_with_retry, encode_update_frame, read_frame, screen_update_frame, write_frame,
-    Delivery, RoundRequest, Transport, TransportError, FRAME_DONE, FRAME_HELLO, FRAME_ROUND,
-    FRAME_UPDATE,
+    connect_with_retry, encode_update_frame, encode_update_frame_into, screen_update_frame,
+    serve_devices, Delivery, RoundRequest, Transport, TransportError, FRAME_HELLO,
 };
-use ft_nn::{apply_mask, restore_snapshot, wire_ctx};
 use ft_sparse::{Codec, WireCtx};
 use std::io::Write;
 use std::net::ToSocketAddrs;
@@ -324,9 +321,9 @@ impl<T: Transport> Transport for AdversarialTransport<T> {
 /// Runs one misbehaving device against a (tolerant) TCP server: connect
 /// and identify (after a botched handshake for
 /// [`Behavior::MidHandshakeDisconnect`]), then for every ROUND frame train
-/// honestly — same RNG streams and kernels as [`crate::run_tcp_device`] —
-/// and reply with the behavior's corrupted UPDATE body. Deterministic for
-/// a fixed `(env, behavior, seed)`.
+/// honestly — the client loop of [`crate::run_tcp_device`] — and reply with
+/// the behavior's corrupted UPDATE body. Deterministic for a fixed
+/// `(env, behavior, seed)`.
 pub fn run_byzantine_tcp_device(
     addr: impl ToSocketAddrs + Clone,
     device: usize,
@@ -338,62 +335,12 @@ pub fn run_byzantine_tcp_device(
     if matches!(behavior, Behavior::MidHandshakeDisconnect) {
         botched_handshake(addr.clone())?;
     }
-    let mut stream = connect_with_retry(addr)?;
-    let mut hello = Vec::new();
-    crate::bytes::put_u32(&mut hello, device as u32);
-    write_frame(&mut stream, FRAME_HELLO, &hello)?;
-
-    let mut model = env.build_model(spec);
-    let rt = env.cfg.runtime();
-    model.set_runtime(rt);
-    let data = env.parts.get(device).ok_or_else(|| {
-        TransportError::Frame(format!("device {device} has no partition in this env"))
-    })?;
-
-    loop {
-        let (kind, body) = read_frame(&mut stream)?;
-        match kind {
-            FRAME_DONE => return Ok(()),
-            FRAME_ROUND => {
-                let (cohort_pos, round, epoch, snapshot, mask) = decode_round_frame(&body)?;
-                restore_snapshot(model.as_mut(), &snapshot);
-                apply_mask(model.as_mut(), &mask);
-                let ctx = wire_ctx(model.as_ref(), &mask, epoch);
-                let wire = WireSpec {
-                    codec: env.cfg.codec,
-                    ctx: &ctx,
-                    peer_epoch: epoch,
-                };
-                let update = train_one_device(
-                    model.as_ref(),
-                    data,
-                    Some(&mask),
-                    &env.cfg,
-                    round,
-                    cohort_pos,
-                    0,
-                    &wire,
-                    None,
-                    &rt,
-                );
-                let frame = behavior.corrupt_update_body(
-                    device,
-                    round as u64,
-                    epoch,
-                    &update,
-                    &ctx,
-                    env.cfg.codec,
-                    seed,
-                );
-                write_frame(&mut stream, FRAME_UPDATE, &frame)?;
-            }
-            other => {
-                return Err(TransportError::Frame(format!(
-                    "unexpected frame kind {other} from server"
-                )))
-            }
-        }
-    }
+    let codec = env.cfg.codec;
+    let corrupted = |frame: &mut Vec<u8>, device, round, epoch, update: &_, ctx: &_| {
+        let body = behavior.corrupt_update_body(device, round, epoch, update, ctx, codec, seed);
+        frame.extend_from_slice(&body);
+    };
+    serve_devices(addr, device..device + 1, env, spec, None, corrupted)
 }
 
 /// Opens a connection whose HELLO length prefix promises a body that never
@@ -419,57 +366,9 @@ pub fn run_churn_tcp_device(
     spec: &crate::ModelSpec,
     leave_after: usize,
 ) -> Result<(), TransportError> {
-    let mut stream = connect_with_retry(addr)?;
-    let mut hello = Vec::new();
-    crate::bytes::put_u32(&mut hello, device as u32);
-    write_frame(&mut stream, FRAME_HELLO, &hello)?;
-
-    let mut model = env.build_model(spec);
-    let rt = env.cfg.runtime();
-    model.set_runtime(rt);
-    let data = env.parts.get(device).ok_or_else(|| {
-        TransportError::Frame(format!("device {device} has no partition in this env"))
-    })?;
-
-    loop {
-        let (kind, body) = read_frame(&mut stream)?;
-        match kind {
-            FRAME_DONE => return Ok(()),
-            FRAME_ROUND => {
-                let (cohort_pos, round, epoch, snapshot, mask) = decode_round_frame(&body)?;
-                restore_snapshot(model.as_mut(), &snapshot);
-                apply_mask(model.as_mut(), &mask);
-                let ctx = wire_ctx(model.as_ref(), &mask, epoch);
-                let wire = WireSpec {
-                    codec: env.cfg.codec,
-                    ctx: &ctx,
-                    peer_epoch: epoch,
-                };
-                let update = train_one_device(
-                    model.as_ref(),
-                    data,
-                    Some(&mask),
-                    &env.cfg,
-                    round,
-                    cohort_pos,
-                    0,
-                    &wire,
-                    None,
-                    &rt,
-                );
-                let frame = encode_update_frame(device, round as u64, epoch, &update, &ctx);
-                write_frame(&mut stream, FRAME_UPDATE, &frame)?;
-                if round >= leave_after {
-                    return Ok(());
-                }
-            }
-            other => {
-                return Err(TransportError::Frame(format!(
-                    "unexpected frame kind {other} from server"
-                )))
-            }
-        }
-    }
+    let last = Some(leave_after as u64);
+    let devices = device..device + 1;
+    serve_devices(addr, devices, env, spec, last, encode_update_frame_into)
 }
 
 #[cfg(test)]
@@ -477,7 +376,7 @@ mod tests {
     use super::*;
     use crate::spec::ModelSpec;
     use crate::ExperimentEnv;
-    use ft_nn::sparse_layout;
+    use ft_nn::{sparse_layout, wire_ctx};
     use ft_sparse::Mask;
 
     fn fixture() -> (DeviceUpdate, WireCtx) {

@@ -9,7 +9,7 @@
 //! output coordinates are split into disjoint ranges, cached per mask
 //! epoch), **accumulate / rank** (each shard folds the cohort in cohort
 //! order, so any shard count is bit-identical to one pass), **anchor add**.
-//! Sparse payloads are accumulated straight out of their wire form; only
+//! Sparse payloads are accumulated straight out of their encoded form; only
 //! the robust rules decode to dense deltas, into recycled buffers.
 //!
 //! Both scheduler loops call it the same way. Staleness is not a second
@@ -25,7 +25,7 @@
 use crate::config::ConfigError;
 use ft_nn::BnStats;
 use ft_runtime::Runtime;
-use ft_sparse::{Payload, PayloadView, ShardPlan, WireCtx};
+use ft_sparse::{Payload, ShardPlan, WireCtx};
 use serde::{Deserialize, Serialize};
 
 /// FedBuff-style staleness discount: an update computed `staleness` server
@@ -187,65 +187,6 @@ impl Aggregator {
     }
 }
 
-/// An encoded update the sharded aggregation engine can drain: the owned
-/// [`Payload`] (both scheduler loops' buffered updates) and the borrowed
-/// [`PayloadView`] (the zero-copy receive path) answer the same three
-/// questions, so [`Aggregator::aggregate_into`] serves both without a copy.
-pub trait ShardAccumulate: Sync {
-    /// Decoded flat length.
-    fn vec_len(&self) -> usize;
-    /// Adds `weight · value` for the coordinates of `plan`'s shard `s` into
-    /// the shard's accumulator slice (see [`Payload::accumulate_shard_into`]).
-    fn shard_accumulate(
-        &self,
-        weight: f64,
-        acc: &mut [f64],
-        ctx: &WireCtx,
-        plan: &ShardPlan,
-        s: usize,
-    );
-    /// Dense decode into a caller-owned buffer (zero-filled first).
-    fn dense_decode_into(&self, out: &mut [f32], ctx: &WireCtx);
-}
-
-impl ShardAccumulate for Payload {
-    fn vec_len(&self) -> usize {
-        self.len()
-    }
-    fn shard_accumulate(
-        &self,
-        weight: f64,
-        acc: &mut [f64],
-        ctx: &WireCtx,
-        plan: &ShardPlan,
-        s: usize,
-    ) {
-        self.accumulate_shard_into(weight, acc, ctx, plan, s);
-    }
-    fn dense_decode_into(&self, out: &mut [f32], ctx: &WireCtx) {
-        self.decode_into(out, ctx);
-    }
-}
-
-impl ShardAccumulate for PayloadView<'_> {
-    fn vec_len(&self) -> usize {
-        self.len()
-    }
-    fn shard_accumulate(
-        &self,
-        weight: f64,
-        acc: &mut [f64],
-        ctx: &WireCtx,
-        plan: &ShardPlan,
-        s: usize,
-    ) {
-        self.accumulate_shard_into(weight, acc, ctx, plan, s);
-    }
-    fn dense_decode_into(&self, out: &mut [f32], ctx: &WireCtx) {
-        self.decode_into(out, ctx);
-    }
-}
-
 /// Round-persistent scratch for [`Aggregator::aggregate_into`]: every buffer
 /// the sharded engine touches lives here and is recycled round over round,
 /// so a steady-state round (same mask epoch, same cohort size) allocates
@@ -352,8 +293,7 @@ impl Aggregator {
     /// pairs against `anchor` — the round's anchor under the barrier loop,
     /// the current global under the buffered one — decoding-and-accumulating
     /// each update shard-by-shard on `rt`'s pool and reusing every buffer in
-    /// `scratch` across rounds. Accepts owned [`Payload`]s and borrowed
-    /// [`PayloadView`]s alike (anything [`ShardAccumulate`]).
+    /// `scratch` across rounds.
     ///
     /// The weighted rules (`FedAvg`, `NormClipped`) skip updates whose
     /// weight is NaN, infinite, zero or negative *before* the normalizing
@@ -372,9 +312,9 @@ impl Aggregator {
     /// length other than `anchor.len()`, or a values-only `MaskCsr` payload
     /// encoded under a different mask epoch than `ctx` (caller bug —
     /// hostile payloads are screened before they reach this).
-    pub fn aggregate_into<'s, P: ShardAccumulate>(
+    pub fn aggregate_into<'s>(
         &self,
-        updates: &[(&P, f64)],
+        updates: &[(&Payload, f64)],
         anchor: &[f32],
         ctx: &WireCtx,
         rt: &Runtime,
@@ -382,7 +322,7 @@ impl Aggregator {
     ) -> AggregateRef<'s> {
         for (p, _) in updates {
             assert_eq!(
-                p.vec_len(),
+                p.len(),
                 anchor.len(),
                 "payload length differs from the global model"
             );
@@ -426,7 +366,7 @@ impl Aggregator {
 /// those. Returns `false` when no update carries usable weight (empty,
 /// all-zero, or fully quarantined cohort): the caller keeps the previous
 /// global instead of dividing by zero.
-fn screen_weights<P>(updates: &[(&P, f64)], weights: &mut Vec<f64>) -> bool {
+fn screen_weights(updates: &[(&Payload, f64)], weights: &mut Vec<f64>) -> bool {
     let usable = |w: f64| w.is_finite() && w > 0.0;
     let total_w: f64 = updates.iter().map(|(_, w)| *w).filter(|&w| usable(w)).sum();
     weights.clear();
@@ -443,8 +383,8 @@ fn screen_weights<P>(updates: &[(&P, f64)], weights: &mut Vec<f64>) -> bool {
 
 /// Dense-decodes every update into one of the recycled delta buffers
 /// (aligned with `updates`), fanned out per update on `rt`.
-fn decode_all<'d, P: ShardAccumulate>(
-    updates: &[(&P, f64)],
+fn decode_all<'d>(
+    updates: &[(&Payload, f64)],
     deltas: &'d mut Vec<Vec<f32>>,
     ctx: &WireCtx,
     rt: &Runtime,
@@ -453,12 +393,12 @@ fn decode_all<'d, P: ShardAccumulate>(
     for d in deltas.iter_mut() {
         d.resize(ctx.len(), 0.0);
     }
-    let decode_jobs: Vec<(&P, &mut Vec<f32>)> = updates
+    let decode_jobs: Vec<(&Payload, &mut Vec<f32>)> = updates
         .iter()
         .map(|(p, _)| *p)
         .zip(deltas.iter_mut())
         .collect();
-    rt.scatter(decode_jobs, |(p, d)| p.dense_decode_into(d, ctx));
+    rt.scatter(decode_jobs, |(p, d)| p.decode_into(d, ctx));
     deltas
 }
 
@@ -466,8 +406,8 @@ fn decode_all<'d, P: ShardAccumulate>(
 /// reduces sorted per-coordinate columns shard-parallel. Per coordinate the
 /// column is gathered in cohort order and sorted with `total_cmp`, so
 /// adversarial NaNs land at the tails where a trim removes them first.
-fn rank_into<'s, P: ShardAccumulate>(
-    updates: &[(&P, f64)],
+fn rank_into<'s>(
+    updates: &[(&Payload, f64)],
     anchor: &[f32],
     ctx: &WireCtx,
     rt: &Runtime,
@@ -507,8 +447,8 @@ fn rank_into<'s, P: ShardAccumulate>(
 /// decodes the cohort, computes each usable delta's norm sequentially (one
 /// full-vector `f64` sum) and folds the clip `min(1, τ / ‖δ‖₂)` into its
 /// weight. The accumulation and the anchor add fan out shard-parallel.
-fn weighted_into<'s, P: ShardAccumulate>(
-    updates: &[(&P, f64)],
+fn weighted_into<'s>(
+    updates: &[(&Payload, f64)],
     anchor: &[f32],
     tau: Option<f64>,
     ctx: &WireCtx,
@@ -554,7 +494,7 @@ fn weighted_into<'s, P: ShardAccumulate>(
                         *a += wn * d as f64;
                     }
                 }
-                None => p.shard_accumulate(wn, acc_s, ctx, plan, s),
+                None => p.accumulate_shard_into(wn, acc_s, ctx, plan, s),
             }
         }
     });
@@ -811,22 +751,16 @@ mod tests {
     /// the same scratch (stale contents of the recycled buffers must not
     /// leak through), and requires `to_bits` equality with the naive
     /// reference over the dense-decoded updates. Returns the result.
-    fn assert_matches_oracle<P: ShardAccumulate>(
+    fn assert_matches_oracle(
         rule: Aggregator,
-        updates: &[(&P, f64)],
+        updates: &[(&Payload, f64)],
         anchor: &[f32],
         ctx: &WireCtx,
         scratch: &mut AggScratch,
         what: &str,
     ) -> Option<Vec<f32>> {
-        let deltas: Vec<(Vec<f32>, f64)> = updates
-            .iter()
-            .map(|&(p, w)| {
-                let mut delta = vec![0.0; p.vec_len()];
-                p.dense_decode_into(&mut delta, ctx);
-                (delta, w)
-            })
-            .collect();
+        let deltas: Vec<(Vec<f32>, f64)> =
+            updates.iter().map(|&(p, w)| (p.decode(ctx), w)).collect();
         let (want, want_clipped) = naive_aggregate(rule, &deltas, anchor);
         for threads in [1usize, 2, 4] {
             let rt = Runtime::exact(threads).with_min_work(0);
@@ -845,9 +779,9 @@ mod tests {
 
     #[test]
     fn aggregator_engine_matches_naive_oracle_bit_exactly() {
-        // Every rule × codec × thread count × {owned, view} × {plain,
-        // staleness-discounted, hostile} weights, plus the degenerate
-        // cohorts, against the one naive reference. Golden traces rest on it.
+        // Every rule × codec × thread count × {plain, staleness-discounted,
+        // hostile} weights, plus the degenerate cohorts, against the one
+        // naive reference. Golden traces rest on it.
         let n = 37; // awkward length: uneven shard splits
         let mut ctx = WireCtx::dense(n);
         ctx.epoch = 5;
@@ -897,22 +831,12 @@ mod tests {
                     codec.encode(&raw_delta(d), &ctx, peer, None)
                 })
                 .collect();
-            let frames: Vec<Vec<u8>> = payloads.iter().map(|p| p.to_bytes(&ctx)).collect();
-            let views: Vec<PayloadView<'_>> = frames
-                .iter()
-                .map(|b| PayloadView::parse(b, &ctx).expect("own frame parses"))
-                .collect();
             for (weights, kind) in [(&plain, "plain"), (&stale, "stale"), (&hostile, "hostile")] {
-                let owned: Vec<(&Payload, f64)> =
+                let cohort: Vec<(&Payload, f64)> =
                     payloads.iter().zip(weights.iter().copied()).collect();
-                let viewed: Vec<(&PayloadView<'_>, f64)> =
-                    views.iter().zip(weights.iter().copied()).collect();
                 let what = format!("{codec:?}, {kind} weights");
                 for rule in RULES {
-                    let a = assert_matches_oracle(rule, &owned, &anchor, &ctx, &mut scratch, &what);
-                    let b =
-                        assert_matches_oracle(rule, &viewed, &anchor, &ctx, &mut scratch, &what);
-                    assert_eq!(bits(a.as_deref()), bits(b.as_deref()), "owned vs view");
+                    assert_matches_oracle(rule, &cohort, &anchor, &ctx, &mut scratch, &what);
                 }
             }
             // The hostile cohort is not a no-op for the weighted rules: the

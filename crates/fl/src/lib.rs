@@ -6,8 +6,10 @@
 //!
 //! - [`ExperimentEnv`] — a generated dataset, its Dirichlet non-iid split
 //!   across `K` devices, and the shared [`FlConfig`].
-//! - [`local_train`] / [`train_devices_parallel`] — `E` epochs of (masked)
-//!   SGD per device, optionally fanned out over OS threads.
+//! - [`local_train_scratch`] / [`train_devices_parallel`] — `E` epochs of
+//!   (masked) SGD per device, optionally fanned out over OS threads;
+//!   [`with_device_model`] lends the same pooled device models to whoever
+//!   else needs a working copy of the global (selection, the pruning probe).
 //! - [`Aggregator::aggregate_into`] / [`aggregate_bn_stats`] — the one
 //!   aggregation engine (`anchor + Σ wₖ·decode(Δₖ)`, or a robust rank rule,
 //!   Eq. 7) and the size-weighted average of BatchNorm running statistics
@@ -16,7 +18,8 @@
 //!   ([`staleness_weight`]), not as a second API.
 //! - The typed update pipeline: a [`DeviceUpdate`] carries an encoded
 //!   [`Payload`] (delta against the round anchor under the run's
-//!   [`Codec`]), the engine decodes-and-accumulates it shard by shard
+//!   [`Codec`]) — over `SimTime` and TCP parsed straight out of the receive
+//!   buffer — the engine decodes-and-accumulates it shard by shard
 //!   without materializing per-device dense vectors ([`AggScratch`] is
 //!   recycled round over round), and the schedulers bill the `SimClock`
 //!   and [`CostLedger`] with *measured* `encoded_len()` bytes next to the
@@ -24,8 +27,8 @@
 //! - [`Scheduler`] — how the server closes rounds over the environment's
 //!   simulated [`DeviceProfile`] fleet: synchronous barrier, deadline cut,
 //!   or FedBuff-style buffered asynchrony, all on a virtual clock.
-//! - [`server`] — the transport-agnostic round state machine (Broadcast →
-//!   Collect → Aggregate → Advance) behind every scheduler, with
+//! - [`server`] — the transport-agnostic round loop (four phase functions:
+//!   Broadcast → Collect → Aggregate → Advance) behind every scheduler, with
 //!   checkpoint/resume ([`Checkpoint`], [`CheckpointSpec`]) that reproduces
 //!   an interrupted run's final trace byte for byte.
 //! - [`transport`] — how updates reach the server: [`InProcess`] (function
@@ -68,7 +71,7 @@ pub use adversary::{
 };
 pub use aggregate::{
     aggregate_bn_stats, staleness_weight, try_aggregate_bn_stats, AggScratch, AggregateRef,
-    Aggregator, ShardAccumulate,
+    Aggregator,
 };
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointSpec, CheckpointSummary};
 pub use config::{ConfigError, FlConfig, MAX_THREADS};
@@ -86,12 +89,12 @@ pub use sched::{
     broadcast_payload_len, device_round_cost, device_sim_secs, fleet_spread_deadline,
     PresenceSchedule, Scheduler,
 };
-pub use server::{buffered_train_cohorts, run_with, RoundPhase, RunOptions, ServerError};
+pub use server::{buffered_train_cohorts, run_with, RunOptions, ServerError};
 pub use spec::ModelSpec;
 pub use train::{
-    device_rng_seed, eval_loss, evaluate, local_train, local_train_prox, local_train_scratch,
-    thread_budget, train_devices_parallel, train_one_device, with_device_model, DeviceUpdate,
-    TrainScratch, WireSpec,
+    device_rng_seed, eval_loss, evaluate, local_train_scratch, thread_budget,
+    train_devices_parallel, train_one_device, with_device_model, DeviceUpdate, TrainScratch,
+    WireSpec,
 };
 pub use transport::{
     run_tcp_device, run_tcp_devices, Delivery, FaultKind, InProcess, RoundRequest, SimTime,

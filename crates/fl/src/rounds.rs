@@ -35,7 +35,7 @@ pub type RoundHook<'a> = dyn FnMut(&mut dyn Model, &mut Mask, usize, &mut CostLe
 /// nonempty).
 ///
 /// This is the classic in-process entry point: a thin wrapper over the
-/// transport-agnostic round state machine in [`crate::server`] running on
+/// transport-agnostic round loop in [`crate::server`] running on
 /// the [`crate::transport::InProcess`] transport. Use
 /// [`crate::server::run_with`] directly to pick another transport
 /// (`SimTime`, TCP) or to checkpoint/resume the run.

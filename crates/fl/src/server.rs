@@ -1,7 +1,9 @@
-//! The transport-agnostic federation server: an explicit round state
-//! machine extracted from the old in-process scheduler loops.
+//! The transport-agnostic federation server: the round loop behind every
+//! scheduler.
 //!
-//! Every round walks the same four phases:
+//! Every round walks the same four phases — four functions
+//! (`phase_broadcast`, `phase_collect`, `phase_aggregate`, `phase_advance`)
+//! that a barrier round calls in order:
 //!
 //! ```text
 //!   Broadcast ──▶ Collect ──▶ Aggregate ──▶ Advance ──▶ (next round)
@@ -32,10 +34,9 @@
 //! `train_pending`). Because it interleaves device training with arrivals
 //! it requires a local transport ([`Transport::is_local`]).
 //!
-//! The machine is *behavior-preserving*: under the [`InProcess`] transport
-//! it reproduces the pre-refactor golden traces byte for byte, and the
-//! `SimTime` transport proves on every run that a real encode → bytes →
-//! decode boundary changes nothing.
+//! Under the [`InProcess`] transport the loop reproduces the committed
+//! golden traces byte for byte, and the `SimTime` transport proves on every
+//! run that a real encode → bytes → decode boundary changes nothing.
 //!
 //! ## Checkpoint / resume
 //!
@@ -64,33 +65,6 @@ use ft_nn::{
 };
 use ft_sparse::{Codec, Mask, Payload, WireCtx};
 use std::cell::Cell;
-
-/// The four phases of one federated round. Exposed for observability and
-/// tests; [`run_with`] drives them in order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RoundPhase {
-    /// Pin the round anchor and ship the global snapshot to the cohort.
-    Broadcast,
-    /// Move device updates across the transport and decide survival
-    /// (deadline cut / buffer fill).
-    Collect,
-    /// Fold the surviving payloads into the global model.
-    Aggregate,
-    /// Account, run the method hook, evaluate, checkpoint, advance.
-    Advance,
-}
-
-impl RoundPhase {
-    /// The phase that follows this one (`Advance` wraps to `Broadcast`).
-    pub fn next(self) -> RoundPhase {
-        match self {
-            RoundPhase::Broadcast => RoundPhase::Collect,
-            RoundPhase::Collect => RoundPhase::Aggregate,
-            RoundPhase::Aggregate => RoundPhase::Advance,
-            RoundPhase::Advance => RoundPhase::Broadcast,
-        }
-    }
-}
 
 /// Why a server run could not start or finish.
 #[derive(Debug)]
@@ -232,7 +206,7 @@ impl<'a> RunOptions<'a> {
     }
 }
 
-/// Runs `env.cfg.rounds` federated rounds through the phase machine on the
+/// Runs `env.cfg.rounds` federated rounds through the four phases on the
 /// given transport, with optional checkpoint/resume. Behavior under
 /// [`InProcess`] is identical to the classic
 /// [`run_federated_rounds`](crate::run_federated_rounds) — that function is
@@ -378,7 +352,7 @@ fn run_on(
     result
 }
 
-/// Cross-round server state shared by both machine shapes.
+/// Cross-round server state shared by both round loops.
 struct ServerState<'e> {
     env: &'e ExperimentEnv,
     eval_every: usize,
@@ -513,12 +487,10 @@ impl ServerState<'_> {
     }
 
     // -----------------------------------------------------------------
-    // Barrier machine (Synchronous, Deadline)
+    // Barrier rounds (Synchronous, Deadline)
     // -----------------------------------------------------------------
 
-    /// Barrier-style rounds through the explicit phase machine. Transplant
-    /// of the old `run_barrier_rounds`: the arithmetic and its order are
-    /// unchanged, so golden traces stay byte-identical.
+    /// Barrier-style rounds: the four phases, in order, once per round.
     #[allow(clippy::too_many_arguments)]
     fn run_barrier(
         &mut self,
@@ -537,55 +509,31 @@ impl ServerState<'_> {
         let presence = opts.presence.clone().unwrap_or_default();
 
         while self.round < env.cfg.rounds {
-            let mut phase = RoundPhase::Broadcast;
-            let mut rs: Option<BarrierRound> = None;
-            // One full revolution of the machine = one round.
-            let halt = loop {
-                phase = match phase {
-                    RoundPhase::Broadcast => {
-                        let local = opts.transport.is_local();
-                        rs = Some(self.phase_broadcast(&*global, mask, codec, local, &presence));
-                        RoundPhase::Collect
-                    }
-                    RoundPhase::Collect => {
-                        self.phase_collect(
-                            rs.as_mut().expect("broadcast ran"),
-                            &*global,
-                            mask,
-                            &arch,
-                            codec,
-                            &rt,
-                            deadline,
-                            &presence,
-                            &mut *opts.transport,
-                        )?;
-                        RoundPhase::Aggregate
-                    }
-                    RoundPhase::Aggregate => {
-                        self.phase_aggregate(
-                            rs.as_mut().expect("collect ran"),
-                            global,
-                            mask,
-                            &rt,
-                            ledger,
-                        );
-                        RoundPhase::Advance
-                    }
-                    RoundPhase::Advance => {
-                        break self.phase_advance(
-                            rs.take().expect("aggregate ran"),
-                            global,
-                            mask,
-                            ledger,
-                            hook,
-                            opts,
-                            &rt,
-                            deadline,
-                            max_samples,
-                        )?;
-                    }
-                };
-            };
+            let local = opts.transport.is_local();
+            let mut rs = self.phase_broadcast(&*global, mask, codec, local, &presence);
+            self.phase_collect(
+                &mut rs,
+                &*global,
+                mask,
+                &arch,
+                codec,
+                &rt,
+                deadline,
+                &presence,
+                &mut *opts.transport,
+            )?;
+            self.phase_aggregate(&mut rs, global, mask, &rt, ledger);
+            let halt = self.phase_advance(
+                rs,
+                global,
+                mask,
+                ledger,
+                hook,
+                opts,
+                &rt,
+                deadline,
+                max_samples,
+            )?;
             if halt {
                 return Ok(std::mem::take(&mut self.history));
             }
@@ -939,11 +887,11 @@ impl ServerState<'_> {
     }
 
     // -----------------------------------------------------------------
-    // Buffered machine (FedBuff-style event loop)
+    // Buffered rounds (FedBuff-style event loop)
     // -----------------------------------------------------------------
 
     /// FedBuff-style buffered asynchronous rounds as the event-driven
-    /// instantiation of the phase machine: `Collect` pops one simulated
+    /// instantiation of the four phases: `Collect` pops one simulated
     /// arrival (the update crosses the transport byte boundary there),
     /// `Aggregate`/`Advance` fire once `buffer_k` updates are buffered, and
     /// `Broadcast` relaunches the finisher from the newest global.
@@ -1397,14 +1345,6 @@ mod tests {
     use crate::spec::ModelSpec;
     use crate::transport::SimTime;
     use ft_nn::sparse_layout;
-
-    #[test]
-    fn phase_order_cycles() {
-        assert_eq!(RoundPhase::Broadcast.next(), RoundPhase::Collect);
-        assert_eq!(RoundPhase::Collect.next(), RoundPhase::Aggregate);
-        assert_eq!(RoundPhase::Aggregate.next(), RoundPhase::Advance);
-        assert_eq!(RoundPhase::Advance.next(), RoundPhase::Broadcast);
-    }
 
     #[test]
     fn run_with_rejects_invalid_config_typed() {

@@ -104,52 +104,13 @@ pub struct TrainScratch {
 }
 
 /// Runs `epochs` of mini-batch SGD on `model` over `data`, with gradients
-/// masked by `mask` when given (Eq. 5). The RNG drives batch shuffling only.
-pub fn local_train(
-    model: &mut dyn Model,
-    data: &Dataset,
-    mask: Option<&Mask>,
-    epochs: usize,
-    batch_size: usize,
-    sgd: &mut Sgd,
-    rng: &mut ChaCha8Rng,
-) {
-    local_train_prox(model, data, mask, epochs, batch_size, sgd, rng, 0.0);
-}
-
-/// [`local_train`] with an optional FedProx proximal term: when `mu > 0`,
-/// each step adds `µ(θ − θ_global)` to the gradient, where `θ_global` is the
-/// model's state at entry (Li et al., "Federated Optimization in
-/// Heterogeneous Networks").
-#[allow(clippy::too_many_arguments)]
-pub fn local_train_prox(
-    model: &mut dyn Model,
-    data: &Dataset,
-    mask: Option<&Mask>,
-    epochs: usize,
-    batch_size: usize,
-    sgd: &mut Sgd,
-    rng: &mut ChaCha8Rng,
-    mu: f32,
-) {
-    let mut scratch = TrainScratch::default();
-    local_train_scratch(
-        model,
-        data,
-        mask,
-        epochs,
-        batch_size,
-        sgd,
-        rng,
-        mu,
-        &mut scratch,
-    );
-}
-
-/// [`local_train_prox`] running through caller-owned [`TrainScratch`]
-/// buffers. Bit-identical to the allocating form (same RNG draws, same
-/// batch order, same kernel sequence); a reused scratch just skips the
-/// per-batch allocations.
+/// masked by `mask` when given (Eq. 5); the RNG drives batch shuffling only.
+/// With `mu > 0` each step adds the FedProx proximal term `µ(θ − θ_global)`
+/// to the gradient, `θ_global` being the model's state at entry (Li et al.,
+/// "Federated Optimization in Heterogeneous Networks"). Runs through
+/// caller-owned [`TrainScratch`] buffers: a reused scratch skips the
+/// per-batch allocations and changes nothing else (same RNG draws, same
+/// batch order, same kernel sequence).
 #[allow(clippy::too_many_arguments)]
 pub fn local_train_scratch(
     model: &mut dyn Model,
@@ -605,7 +566,18 @@ mod tests {
             ..Default::default()
         });
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        local_train(model.as_mut(), data, None, 8, 8, &mut sgd, &mut rng);
+        let mut scratch = TrainScratch::default();
+        local_train_scratch(
+            model.as_mut(),
+            data,
+            None,
+            8,
+            8,
+            &mut sgd,
+            &mut rng,
+            0.0,
+            &mut scratch,
+        );
         let after = eval_loss(model.as_mut(), data);
         assert!(after < before, "loss {before} -> {after}");
     }

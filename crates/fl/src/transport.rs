@@ -1,6 +1,6 @@
 //! Transports: how device updates reach the server.
 //!
-//! The round state machine in [`crate::server`] never talks to devices
+//! The round loop in [`crate::server`] never talks to devices
 //! directly — it hands a [`RoundRequest`] to a [`Transport`] and gets the
 //! cohort's [`DeviceUpdate`]s back. Three implementations ship:
 //!
@@ -424,13 +424,15 @@ pub(crate) fn decode_update_frame(
     let realized_flops = r.f64()?;
     let wall_secs = r.f64()?;
     let bn = r.bn_stats()?;
-    let payload_bytes = r.blob()?;
+    // Borrowed, not copied out: the payload is parsed in the receive buffer.
+    let payload_len = r.u32()? as usize;
+    let payload_bytes = r.take(payload_len)?;
     if r.remaining() != 0 {
         return Err(TransportError::Frame(
             "trailing bytes in update frame".into(),
         ));
     }
-    let payload = Payload::from_bytes(&payload_bytes, ctx)
+    let payload = Payload::from_bytes(payload_bytes, ctx)
         .map_err(|e| TransportError::Frame(format!("payload: {e}")))?;
     Ok((
         device,
@@ -614,12 +616,11 @@ pub(crate) fn read_frame(stream: &mut TcpStream) -> Result<(u8, Vec<u8>), Transp
 /// - **strict** ([`listen`](Self::listen) / [`accept_fleet`](Self::accept_fleet)):
 ///   the bit-identity harness — any malformed frame or dead stream aborts
 ///   the run with a typed error. This is the pre-hardening behavior.
-/// - **tolerant** ([`listen_tolerant`](Self::listen_tolerant) /
-///   [`accept_fleet_tolerant`](Self::accept_fleet_tolerant)): the hostile-
-///   fleet posture — bad handshakes are refused and counted, bad frames
-///   quarantine their sender as a [`Delivery::Faulted`], dead streams are
-///   dropped, and (because the listener is retained) departed devices may
-///   rejoin between rounds via [`RoundRequest::rejoining`].
+/// - **tolerant** ([`accept_fleet_tolerant`](Self::accept_fleet_tolerant)):
+///   the hostile-fleet posture — bad handshakes are refused and counted,
+///   bad frames quarantine their sender as a [`Delivery::Faulted`], dead
+///   streams are dropped, and (because the listener is retained) departed
+///   devices may rejoin between rounds via [`RoundRequest::rejoining`].
 ///
 /// Only barrier schedulers (`Synchronous`, `Deadline`) are supported — the
 /// buffered event loop interleaves training with arrivals and requires a
@@ -643,14 +644,13 @@ pub struct TcpTransport {
     /// Recycled per-recipient broadcast frame (cohort-position prefix +
     /// shared snapshot), rebuilt in place for every cohort member.
     broadcast_scratch: Vec<u8>,
-    /// HELLO-phase read timeout armed on tolerantly accepted streams (the
-    /// collect phase uses the config's `collect_timeout_secs` instead).
-    handshake_timeout: std::time::Duration,
 }
 
-/// Default read timeout a tolerant server arms on accepted streams for the
-/// handshake/rejoin phase, and the legacy value of the per-round collect
-/// timeout (now the `FlConfig::collect_timeout_secs` knob).
+/// Read timeout a tolerant server arms on every accepted stream for the
+/// handshake/rejoin phase, so a half-written rejoin HELLO cannot hang the
+/// server between rounds. The per-round collect deadline is a separate knob
+/// ([`FlConfig::collect_timeout_secs`]) and travels with the
+/// [`RoundRequest`].
 const TOLERANT_READ_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// How long the multiplexed collect loop sleeps when a full readiness sweep
@@ -692,18 +692,7 @@ impl TcpTransport {
             handshake_faults: 0,
             recv_bufs: (0..devices).map(|_| Vec::new()).collect(),
             broadcast_scratch: Vec::new(),
-            handshake_timeout: TOLERANT_READ_TIMEOUT,
         })
-    }
-
-    /// Binds `addr` and fills the fleet tolerantly — see
-    /// [`accept_fleet_tolerant`](Self::accept_fleet_tolerant).
-    pub fn listen_tolerant(
-        addr: impl ToSocketAddrs,
-        devices: usize,
-    ) -> Result<Self, TransportError> {
-        let listener = TcpListener::bind(addr)?;
-        Self::accept_fleet_tolerant(listener, devices)
     }
 
     /// Fills the fleet under the hostile posture: handshakes that are
@@ -716,20 +705,6 @@ impl TcpTransport {
         listener: TcpListener,
         devices: usize,
     ) -> Result<Self, TransportError> {
-        Self::accept_fleet_tolerant_with_timeout(listener, devices, TOLERANT_READ_TIMEOUT)
-    }
-
-    /// [`accept_fleet_tolerant`](Self::accept_fleet_tolerant) with an
-    /// explicit handshake read timeout, armed on every accepted stream so a
-    /// half-written rejoin HELLO cannot hang the server between rounds. The
-    /// per-round collect deadline is a separate knob
-    /// ([`FlConfig::collect_timeout_secs`]) and travels with the
-    /// [`RoundRequest`].
-    pub fn accept_fleet_tolerant_with_timeout(
-        listener: TcpListener,
-        devices: usize,
-        handshake_timeout: std::time::Duration,
-    ) -> Result<Self, TransportError> {
         let mut slots: Vec<Option<TcpStream>> = (0..devices).map(|_| None).collect();
         let mut connected = 0;
         let mut handshake_faults = 0;
@@ -737,7 +712,7 @@ impl TcpTransport {
             let mut stream = accept_nodelay(&listener)?;
             match read_hello(&mut stream, devices) {
                 Ok(device) => {
-                    let _ = stream.set_read_timeout(Some(handshake_timeout));
+                    let _ = stream.set_read_timeout(Some(TOLERANT_READ_TIMEOUT));
                     if slots[device].is_some() {
                         handshake_faults += 1;
                     } else {
@@ -755,7 +730,6 @@ impl TcpTransport {
             handshake_faults,
             recv_bufs: (0..devices).map(|_| Vec::new()).collect(),
             broadcast_scratch: Vec::new(),
-            handshake_timeout,
         })
     }
 
@@ -800,7 +774,7 @@ impl TcpTransport {
             let mut stream = accept_nodelay(listener)?;
             match read_hello(&mut stream, self.streams.len()) {
                 Ok(device) if self.streams[device].is_none() => {
-                    let _ = stream.set_read_timeout(Some(self.handshake_timeout));
+                    let _ = stream.set_read_timeout(Some(TOLERANT_READ_TIMEOUT));
                     self.streams[device] = Some(stream);
                     waiting.retain(|&w| w != device);
                 }
@@ -1157,93 +1131,130 @@ impl Transport for TcpTransport {
 // TCP client (device side)
 // ---------------------------------------------------------------------------
 
-/// Runs one device's side of the TCP protocol until the server hangs up:
-/// connect (retrying refused connections for ~30 s, so clients may launch
-/// before the server finishes binding), identify as `device`, then for
-/// every ROUND frame restore the broadcast snapshot, train locally (same
-/// RNG streams, same kernels as the in-process path — the final aggregate
-/// is bit-identical), and reply with the encoded update frame.
+/// Answers one ROUND body for `device`: restores the broadcast snapshot into
+/// `model`, applies the mask and trains locally — same RNG streams, same
+/// kernels as the in-process path, so the final aggregate is bit-identical —
+/// under the *cohort-positional* index the server assigned for this round.
+/// The in-process loop derives device RNG streams from that position, so
+/// this is what keeps TCP bit-identical under partial participation. Hands
+/// back `(round, mask epoch, update, wire context of the update)`.
+fn answer_round(
+    body: &[u8],
+    model: &mut dyn Model,
+    device: usize,
+    env: &crate::ExperimentEnv,
+    residual: Option<&mut Vec<f32>>,
+    rt: &Runtime,
+) -> Result<(u64, u64, DeviceUpdate, WireCtx), TransportError> {
+    let data = env.parts.get(device).ok_or_else(|| {
+        TransportError::Frame(format!("device {device} has no partition in this env"))
+    })?;
+    let (cohort_pos, round, epoch, snapshot, mask) = decode_round_frame(body)?;
+    restore_snapshot(model, &snapshot);
+    apply_mask(model, &mask);
+    let ctx = wire_ctx(model, &mask, epoch);
+    let wire = WireSpec {
+        codec: env.cfg.codec,
+        ctx: &ctx,
+        peer_epoch: epoch,
+    };
+    let (model, mask, cfg) = (&*model, Some(&mask), &env.cfg);
+    let update = crate::train::train_one_device(
+        model, data, mask, cfg, round, cohort_pos, 0, &wire, residual, rt,
+    );
+    Ok((round as u64, epoch, update, ctx))
+}
+
+/// The device side of the TCP protocol, shared by every client: connect one
+/// socket per device of `devices` (retrying refused connections for ~30 s,
+/// so clients may launch before the server finishes binding), identify each
+/// with its HELLO, then serve the sockets in lockstep device order until the
+/// server hangs up. The sockets share one model instance and one training
+/// loop; each keeps its own error-feedback residual. Every ROUND frame is
+/// answered by [`answer_round`]; `body(frame, device, round, epoch, update,
+/// ctx)` appends the UPDATE body to send, and the client hangs up once it
+/// has replied to round `leave_after` — the clients differ in nothing else.
 ///
 /// `env` must be built from the same seed and configuration as the
 /// server's (the synthetic datasets are pure functions of the seed, so both
 /// ends derive identical partitions without ever shipping data).
+pub(crate) fn serve_devices(
+    addr: impl ToSocketAddrs + Clone,
+    devices: std::ops::Range<usize>,
+    env: &crate::ExperimentEnv,
+    spec: &crate::ModelSpec,
+    leave_after: Option<u64>,
+    mut body: impl FnMut(&mut Vec<u8>, usize, u64, u64, &DeviceUpdate, &WireCtx),
+) -> Result<(), TransportError> {
+    let mut streams = Vec::with_capacity(devices.len());
+    for device in devices.clone() {
+        let mut stream = connect_with_retry(addr.clone())?;
+        write_frame(&mut stream, FRAME_HELLO, &(device as u32).to_le_bytes())?;
+        streams.push(stream);
+    }
+    let mut model = env.build_model(spec);
+    let rt = env.cfg.runtime();
+    model.set_runtime(rt);
+    let needs_residual = env.cfg.codec.uses_error_feedback();
+    let mut residuals: Vec<Vec<f32>> = vec![Vec::new(); devices.len()];
+    let mut frame = Vec::new();
+    loop {
+        for (i, device) in devices.clone().enumerate() {
+            let stream = &mut streams[i];
+            let (kind, round_body) = read_frame(stream)?;
+            match kind {
+                FRAME_DONE if i == 0 => return Ok(()),
+                FRAME_DONE => {
+                    return Err(TransportError::Frame(format!(
+                        "server hung up on device {device} mid-round"
+                    )))
+                }
+                FRAME_ROUND => {
+                    let residual = needs_residual.then_some(&mut residuals[i]);
+                    let (round, epoch, update, ctx) =
+                        answer_round(&round_body, model.as_mut(), device, env, residual, &rt)?;
+                    begin_frame(&mut frame);
+                    body(&mut frame, device, round, epoch, &update, &ctx);
+                    send_frame(stream, FRAME_UPDATE, &mut frame)?;
+                    if leave_after.is_some_and(|last| round >= last) {
+                        return Ok(());
+                    }
+                }
+                other => {
+                    return Err(TransportError::Frame(format!(
+                        "unexpected frame kind {other} from server"
+                    )))
+                }
+            }
+        }
+    }
+}
+
+/// Runs one device's side of the TCP protocol until the server hangs up
+/// (`serve_devices` over one socket): for every ROUND frame, train locally
+/// on the broadcast snapshot and reply with the update as trained, stamped
+/// with the round and mask epoch it answers.
 pub fn run_tcp_device(
     addr: impl ToSocketAddrs + Clone,
     device: usize,
     env: &crate::ExperimentEnv,
     spec: &crate::ModelSpec,
 ) -> Result<(), TransportError> {
-    let mut stream = connect_with_retry(addr)?;
-    let mut hello = Vec::new();
-    put_u32(&mut hello, device as u32);
-    write_frame(&mut stream, FRAME_HELLO, &hello)?;
-
-    let mut model = env.build_model(spec);
-    let rt = env.cfg.runtime();
-    model.set_runtime(rt);
-    let mut residual: Vec<f32> = Vec::new();
-    let mut frame = Vec::new();
-    let data = env.parts.get(device).ok_or_else(|| {
-        TransportError::Frame(format!("device {device} has no partition in this env"))
-    })?;
-
-    loop {
-        let (kind, body) = read_frame(&mut stream)?;
-        match kind {
-            FRAME_DONE => return Ok(()),
-            FRAME_ROUND => {
-                let (cohort_pos, round, epoch, snapshot, mask) = decode_round_frame(&body)?;
-                restore_snapshot(model.as_mut(), &snapshot);
-                apply_mask(model.as_mut(), &mask);
-                let ctx = wire_ctx(model.as_ref(), &mask, epoch);
-                let wire = WireSpec {
-                    codec: env.cfg.codec,
-                    ctx: &ctx,
-                    peer_epoch: epoch,
-                };
-                let needs_residual = env.cfg.codec.uses_error_feedback();
-                // Train under the *cohort-positional* index the server
-                // assigned for this round — the in-process loop derives
-                // device RNG streams from that position, so this is what
-                // keeps TCP bit-identical under partial participation.
-                let update = crate::train::train_one_device(
-                    model.as_ref(),
-                    data,
-                    Some(&mask),
-                    &env.cfg,
-                    round,
-                    cohort_pos,
-                    0,
-                    &wire,
-                    needs_residual.then_some(&mut residual),
-                    &rt,
-                );
-                begin_frame(&mut frame);
-                encode_update_frame_into(&mut frame, device, round as u64, epoch, &update, &ctx);
-                send_frame(&mut stream, FRAME_UPDATE, &mut frame)?;
-            }
-            other => {
-                return Err(TransportError::Frame(format!(
-                    "unexpected frame kind {other} from server"
-                )))
-            }
-        }
-    }
+    let devices = device..device + 1;
+    serve_devices(addr, devices, env, spec, None, encode_update_frame_into)
 }
 
 /// Runs many devices' sides of the TCP protocol from one thread — the
 /// client half of a 10k-device loopback fleet, where a thread per device
-/// would exhaust the machine long before the transport does. Each device
-/// in `devices` gets its own socket (its own HELLO, its own error-feedback
-/// residual); they share one model instance and one training loop.
+/// would exhaust the machine long before the transport does.
 ///
-/// The sockets are served in lockstep device order, which is deadlock-free
-/// because the server's barrier protocol writes every cohort member's
-/// ROUND broadcast before reading any UPDATE, and its multiplexed collect
-/// loop drains earlier devices' replies while this loop is still working
-/// through later ones. Lockstep requires every device to appear in every
-/// cohort, so the config must run full participation; anything else would
-/// leave this loop blocked on a socket the server never wrote to.
+/// Serving the sockets in lockstep device order is deadlock-free because
+/// the server's barrier protocol writes every cohort member's ROUND
+/// broadcast before reading any UPDATE, and its multiplexed collect loop
+/// drains earlier devices' replies while this loop is still working through
+/// later ones. Lockstep requires every device to appear in every cohort, so
+/// the config must run full participation; anything else would leave this
+/// loop blocked on a socket the server never wrote to.
 pub fn run_tcp_devices(
     addr: impl ToSocketAddrs + Clone,
     devices: std::ops::Range<usize>,
@@ -1261,72 +1272,7 @@ pub fn run_tcp_devices(
             env.cfg.participation
         )));
     }
-    let mut streams = Vec::with_capacity(devices.len());
-    let mut hello = Vec::new();
-    for device in devices.clone() {
-        let mut stream = connect_with_retry(addr.clone())?;
-        hello.clear();
-        put_u32(&mut hello, device as u32);
-        write_frame(&mut stream, FRAME_HELLO, &hello)?;
-        streams.push(stream);
-    }
-    let mut model = env.build_model(spec);
-    let rt = env.cfg.runtime();
-    model.set_runtime(rt);
-    let needs_residual = env.cfg.codec.uses_error_feedback();
-    let mut residuals: Vec<Vec<f32>> = vec![Vec::new(); devices.len()];
-    let mut frame = Vec::new();
-    loop {
-        for (i, device) in devices.clone().enumerate() {
-            let stream = &mut streams[i];
-            let (kind, body) = read_frame(stream)?;
-            match kind {
-                FRAME_DONE if i == 0 => return Ok(()),
-                FRAME_DONE => {
-                    return Err(TransportError::Frame(format!(
-                        "server hung up on device {device} mid-round"
-                    )))
-                }
-                FRAME_ROUND => {
-                    let (cohort_pos, round, epoch, snapshot, mask) = decode_round_frame(&body)?;
-                    restore_snapshot(model.as_mut(), &snapshot);
-                    apply_mask(model.as_mut(), &mask);
-                    let ctx = wire_ctx(model.as_ref(), &mask, epoch);
-                    let wire = WireSpec {
-                        codec: env.cfg.codec,
-                        ctx: &ctx,
-                        peer_epoch: epoch,
-                    };
-                    let data = env.parts.get(device).ok_or_else(|| {
-                        TransportError::Frame(format!(
-                            "device {device} has no partition in this env"
-                        ))
-                    })?;
-                    let update = crate::train::train_one_device(
-                        model.as_ref(),
-                        data,
-                        Some(&mask),
-                        &env.cfg,
-                        round,
-                        cohort_pos,
-                        0,
-                        &wire,
-                        needs_residual.then_some(&mut residuals[i]),
-                        &rt,
-                    );
-                    begin_frame(&mut frame);
-                    let round = round as u64;
-                    encode_update_frame_into(&mut frame, device, round, epoch, &update, &ctx);
-                    send_frame(stream, FRAME_UPDATE, &mut frame)?;
-                }
-                other => {
-                    return Err(TransportError::Frame(format!(
-                        "unexpected frame kind {other} from server"
-                    )))
-                }
-            }
-        }
-    }
+    serve_devices(addr, devices, env, spec, None, encode_update_frame_into)
 }
 
 /// Connects to the server, retrying connection-refused/reset errors with a

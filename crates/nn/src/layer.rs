@@ -1337,9 +1337,9 @@ impl AnyLayer {
         }
     }
 
-    /// Visits the layer's parameters in the same order as
-    /// [`AnyLayer::params`] without allocating.
-    pub fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
+    /// Visits the layer's parameters in a fixed order (weight then bias,
+    /// γ then β) without allocating.
+    pub fn for_each_param<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
         match self {
             AnyLayer::Conv(l) => f(&l.w),
             AnyLayer::Bn(l) => {
@@ -1355,8 +1355,8 @@ impl AnyLayer {
     }
 
     /// Visits the layer's parameters mutably, in the same order as
-    /// [`AnyLayer::params`], without allocating.
-    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    /// [`AnyLayer::for_each_param`], without allocating.
+    pub fn for_each_param_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         match self {
             AnyLayer::Conv(l) => f(&mut l.w),
             AnyLayer::Bn(l) => {
@@ -1368,27 +1368,6 @@ impl AnyLayer {
                 f(&mut l.b);
             }
             _ => {}
-        }
-    }
-
-    /// Immutable references to the layer's parameters, in a fixed order.
-    pub fn params(&self) -> Vec<&Param> {
-        match self {
-            AnyLayer::Conv(l) => vec![&l.w],
-            AnyLayer::Bn(l) => vec![&l.gamma, &l.beta],
-            AnyLayer::Linear(l) => vec![&l.w, &l.b],
-            _ => Vec::new(),
-        }
-    }
-
-    /// Mutable references to the layer's parameters, in the same order as
-    /// [`AnyLayer::params`].
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        match self {
-            AnyLayer::Conv(l) => vec![&mut l.w],
-            AnyLayer::Bn(l) => vec![&mut l.gamma, &mut l.beta],
-            AnyLayer::Linear(l) => vec![&mut l.w, &mut l.b],
-            _ => Vec::new(),
         }
     }
 
@@ -1556,8 +1535,8 @@ impl Sequential {
     }
 
     /// Backward from the output down to the layer holding prunable weight
-    /// number `shallowest_prunable` (in [`Sequential::params`] order) and no
-    /// further: that layer accumulates its parameter gradients and, like
+    /// number `shallowest_prunable` (in [`Sequential::for_each_param`] order)
+    /// and no further: that layer accumulates its parameter gradients and, like
     /// the leading layer of [`Sequential::backward_discard_input`], produces
     /// no input gradient if it is a convolution. Every layer beneath it is
     /// left as its forward pass left it, gradients untouched.
@@ -1603,7 +1582,7 @@ impl Sequential {
     }
 
     /// Visits every parameter in execution order without allocating.
-    pub fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
+    pub fn for_each_param<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
         for l in &self.layers {
             l.for_each_param(f);
         }
@@ -1611,14 +1590,14 @@ impl Sequential {
 
     /// Visits every parameter mutably, in execution order, without
     /// allocating.
-    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    pub fn for_each_param_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         for l in &mut self.layers {
             l.for_each_param_mut(f);
         }
     }
 
     /// Visits the BN statistics of every BatchNorm layer in order.
-    pub fn for_each_bn_stats(&self, f: &mut dyn FnMut(&BnStats)) {
+    pub fn for_each_bn_stats<'a>(&'a self, f: &mut dyn FnMut(&'a BnStats)) {
         for l in &self.layers {
             if let Some(s) = l.bn_stats() {
                 f(s);
@@ -1627,38 +1606,12 @@ impl Sequential {
     }
 
     /// Visits the BN statistics of every BatchNorm layer, mutably, in order.
-    pub fn for_each_bn_stats_mut(&mut self, f: &mut dyn FnMut(&mut BnStats)) {
+    pub fn for_each_bn_stats_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut BnStats)) {
         for l in &mut self.layers {
             if let Some(s) = l.bn_stats_mut() {
                 f(s);
             }
         }
-    }
-
-    /// All parameters in execution order.
-    pub fn params(&self) -> Vec<&Param> {
-        self.layers.iter().flat_map(|l| l.params()).collect()
-    }
-
-    /// All parameters, mutably, in execution order.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
-    /// BN statistics of every BatchNorm layer, in order.
-    pub fn bn_stats(&self) -> Vec<&BnStats> {
-        self.layers.iter().filter_map(|l| l.bn_stats()).collect()
-    }
-
-    /// Mutable BN statistics of every BatchNorm layer, in order.
-    pub fn bn_stats_mut(&mut self) -> Vec<&mut BnStats> {
-        self.layers
-            .iter_mut()
-            .filter_map(|l| l.bn_stats_mut())
-            .collect()
     }
 
     /// Sets the BN momentum of every BatchNorm layer.
@@ -1928,8 +1881,10 @@ mod tests {
         assert_eq!(y.shape(), &[3, 4]);
         let gx = seq.backward(&Tensor::ones(&[3, 4]));
         assert_eq!(gx.shape(), &[3, 1, 4, 4]);
-        assert_eq!(seq.params().len(), 1 + 2 + 2); // conv w, bn γβ, fc w+b
-        assert_eq!(seq.bn_stats().len(), 1);
+        let (mut params, mut bns) = (0, 0);
+        seq.for_each_param(&mut |_| params += 1);
+        seq.for_each_bn_stats(&mut |_| bns += 1);
+        assert_eq!((params, bns), (1 + 2 + 2, 1)); // conv w, bn γβ, fc w+b
     }
 
     #[test]
@@ -2159,13 +2114,11 @@ mod tests {
                 .push(AnyLayer::GlobalAvg(GlobalAvgPool::new()))
                 .push(AnyLayer::Linear(Linear::new(&mut rng, 4, 3, true, "fc")));
             if density_keep > 1 {
-                for l in &mut seq_stack.layers {
-                    for p in l.params_mut() {
-                        if p.prunable {
-                            mask_param(p, density_keep);
-                        }
+                seq_stack.for_each_param_mut(&mut |p| {
+                    if p.prunable {
+                        mask_param(p, density_keep);
                     }
-                }
+                });
             }
             seq_stack.set_sparse_crossover(crossover);
             let mut par_stack = seq_stack.clone();
@@ -2179,9 +2132,13 @@ mod tests {
             let gs = seq_stack.backward(&g);
             let gp = par_stack.backward(&g);
             assert_eq!(gs.data(), gp.data(), "input grads diverged");
-            for (a, b) in seq_stack.params().iter().zip(par_stack.params().iter()) {
+            let mut par_params = Vec::new();
+            par_stack.for_each_param(&mut |p| par_params.push(p));
+            let mut par_params = par_params.into_iter();
+            seq_stack.for_each_param(&mut |a| {
+                let b = par_params.next().expect("same stack");
                 assert_eq!(a.grad.data(), b.grad.data(), "param grads diverged");
-            }
+            });
             assert_eq!(seq_stack.realized_flops(), par_stack.realized_flops());
         }
     }

@@ -68,83 +68,77 @@ pub struct ArchInfo {
 /// interact with models through this trait, so adding a new architecture
 /// means implementing exactly these methods.
 pub trait Model: Send + Sync {
-    /// Forward pass producing logits `[n, classes]`.
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
+    /// Forward pass into a caller-owned logits tensor `[n, classes]`,
+    /// through the model's internal scratch arenas: allocation-free at
+    /// steady state.
+    fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode);
 
-    /// Backward pass from the logits gradient; accumulates into
-    /// [`Param::grad`].
+    /// [`Model::forward_into`] into a fresh tensor.
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let mut out = Tensor::default();
+        self.forward_into(x, &mut out, mode);
+        out
+    }
+
+    /// Backward pass from the logits gradient, all the way to the input;
+    /// accumulates into [`Param::grad`].
     fn backward(&mut self, grad_logits: &Tensor);
 
-    /// Forward pass into a caller-owned logits tensor. The default
-    /// delegates to [`Model::forward`]; architectures with internal scratch
-    /// arenas override this to run allocation-free at steady state.
-    fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
-        *out = self.forward(x, mode);
-    }
+    /// Backward pass that discards the input gradient — what a training step
+    /// runs. Parameter gradients are those of [`Model::backward`].
+    fn backward_scratch(&mut self, grad_logits: &Tensor);
 
-    /// Backward pass that discards the input gradient. The default
-    /// delegates to [`Model::backward`]; arena-backed architectures
-    /// override this to avoid materializing the returned gradient.
-    fn backward_scratch(&mut self, grad_logits: &Tensor) {
-        self.backward(grad_logits);
-    }
-
-    /// Backward pass that may stop once the layer holding prunable weight
+    /// Backward pass that stops once the layer holding prunable weight
     /// number `shallowest_prunable` (a mask-layer index) has its gradient:
     /// every parameter at or above the stopping point receives exactly the
     /// gradient [`Model::backward`] gives it, bit for bit; parameters
-    /// beneath it may be left untouched. For a pass that reads gradients of
+    /// beneath it are left untouched. For a pass that reads gradients of
     /// a few layers near the output only (FedTiny's progressive adjustment
-    /// reads one block's). The default runs the whole of
-    /// [`Model::backward`]; architectures override it to stop — the stacked
-    /// models at the layer itself, ResNet18 at the residual block that
-    /// contains it.
-    fn backward_down_to(&mut self, grad_logits: &Tensor, _shallowest_prunable: usize) {
-        self.backward(grad_logits);
-    }
+    /// reads one block's). The stacked models stop at the layer itself,
+    /// ResNet18 at the residual block that contains it.
+    fn backward_down_to(&mut self, grad_logits: &Tensor, shallowest_prunable: usize);
 
-    /// All parameters in deterministic execution order.
-    fn params(&self) -> Vec<&Param>;
+    /// Visits every parameter in deterministic execution order, without
+    /// allocating.
+    fn for_each_param<'a>(&'a self, f: &mut dyn FnMut(&'a Param));
 
-    /// All parameters, mutably, in the same order as [`Model::params`].
-    fn params_mut(&mut self) -> Vec<&mut Param>;
-
-    /// Visits every parameter in [`Model::params`] order. The default
-    /// collects through [`Model::params`]; arena-backed models override it
-    /// to iterate without allocating.
-    fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
-        for p in self.params() {
-            f(p);
-        }
-    }
-
-    /// Visits every parameter mutably, in [`Model::params`] order, without
-    /// allocating (when overridden).
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for p in self.params_mut() {
-            f(p);
-        }
-    }
+    /// Visits every parameter mutably, in [`Model::for_each_param`] order,
+    /// without allocating.
+    fn for_each_param_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param));
 
     /// Visits every BatchNorm layer's running statistics in execution order.
-    fn for_each_bn_stats(&self, f: &mut dyn FnMut(&BnStats)) {
-        for s in self.bn_stats() {
-            f(s);
-        }
-    }
+    fn for_each_bn_stats<'a>(&'a self, f: &mut dyn FnMut(&'a BnStats));
 
     /// Visits every BatchNorm layer's running statistics mutably.
-    fn for_each_bn_stats_mut(&mut self, f: &mut dyn FnMut(&mut BnStats)) {
-        for s in self.bn_stats_mut() {
-            f(s);
-        }
+    fn for_each_bn_stats_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut BnStats));
+
+    /// All parameters, collected in [`Model::for_each_param`] order.
+    fn params(&self) -> Vec<&Param> {
+        let mut v = Vec::new();
+        self.for_each_param(&mut |p| v.push(p));
+        v
+    }
+
+    /// All parameters, mutably, in the same order as [`Model::params`].
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut v = Vec::new();
+        self.for_each_param_mut(&mut |p| v.push(p));
+        v
     }
 
     /// Running statistics of every BatchNorm layer, in execution order.
-    fn bn_stats(&self) -> Vec<&BnStats>;
+    fn bn_stats(&self) -> Vec<&BnStats> {
+        let mut v = Vec::new();
+        self.for_each_bn_stats(&mut |s| v.push(s));
+        v
+    }
 
     /// Mutable running statistics of every BatchNorm layer.
-    fn bn_stats_mut(&mut self) -> Vec<&mut BnStats>;
+    fn bn_stats_mut(&mut self) -> Vec<&mut BnStats> {
+        let mut v = Vec::new();
+        self.for_each_bn_stats_mut(&mut |s| v.push(s));
+        v
+    }
 
     /// Overrides the momentum of every BatchNorm layer. Setting 1.0 makes a
     /// single `Train`-mode forward pass replace the running statistics with
@@ -168,45 +162,40 @@ pub trait Model: Send + Sync {
     fn block_partition(&self) -> Vec<Vec<usize>>;
 
     /// Sets the density crossover below which weighted layers execute on the
-    /// sparse engine instead of the dense GEMMs. `0.0` forces the dense path
-    /// in *every* layer — what a gradient-scoring pass needs when it reads
-    /// gradients of *pruned* coordinates across the whole model (FedDST's
-    /// and PruneFL's grow scores), because the sparse backward only produces
-    /// mask-alive weight gradients. A pass that reads them in a few layers
-    /// only (FedTiny's progressive adjustment) takes just those layers off
-    /// the sparse path instead, by clearing their [`Param::mask_bits`] on a
-    /// model it borrowed from `ft-fl`'s device-model pool. `1.0` forces the
-    /// sparse path for every masked layer. The default is
-    /// [`crate::layer::DEFAULT_SPARSE_CROSSOVER`].
+    /// sparse engine instead of the dense one. `0.0` forces the dense path
+    /// in *every* layer — what a server-side scoring pass on a clone needs
+    /// when it reads gradients of *pruned* coordinates across the whole
+    /// model (the at-init probes), because the sparse backward only produces
+    /// mask-alive weight gradients. A device-side pass that reads them in
+    /// some layers (the grow/prune probe FedTiny, FedDST and PruneFL share)
+    /// takes just those layers off the sparse path instead, by clearing
+    /// their [`Param::mask_bits`] on a model it borrowed from `ft-fl`'s
+    /// device-model pool. `1.0` forces the sparse path for every masked
+    /// layer. Layers start at [`crate::layer::DEFAULT_SPARSE_CROSSOVER`].
     ///
     /// The crossover has no getter and the pool does not put it back: call
     /// this on a model you own (a clone), never on a borrowed one.
-    fn set_sparse_crossover(&mut self, _crossover: f32) {}
+    fn set_sparse_crossover(&mut self, crossover: f32);
 
     /// Hands every kernel-bearing layer the parallel
-    /// [`Runtime`](ft_runtime::Runtime) its GEMM / im2col / pooling kernels
-    /// execute on. Models default to the sequential runtime; because the
-    /// parallel kernels are bit-identical to the sequential ones, this only
-    /// changes wall-clock, never outputs. Cloned models (e.g. per-device
-    /// snapshots in `ft-fl`) inherit the runtime of their source.
-    fn set_runtime(&mut self, _rt: ft_runtime::Runtime) {}
+    /// [`Runtime`](ft_runtime::Runtime) its convolution / GEMM / pooling
+    /// kernels execute on. Models start on the sequential runtime; because
+    /// the parallel kernels are bit-identical to the sequential ones, this
+    /// only changes wall-clock, never outputs. Cloned models (e.g.
+    /// per-device snapshots in `ft-fl`) inherit the runtime of their source.
+    fn set_runtime(&mut self, rt: ft_runtime::Runtime);
 
     /// The runtime the model's kernels execute on: what the last
     /// [`Model::set_runtime`] handed it, sequential before that.
-    fn runtime(&self) -> ft_runtime::Runtime {
-        ft_runtime::Runtime::sequential()
-    }
+    fn runtime(&self) -> ft_runtime::Runtime;
 
     /// Multiply–accumulate FLOPs actually executed by the model's forward
-    /// and backward GEMMs since the last reset — the *realized* counterpart
-    /// of `ft-metrics`' analytic counts. Models that do not track this
-    /// return 0.
-    fn realized_flops(&self) -> f64 {
-        0.0
-    }
+    /// and backward kernels since the last reset — the *realized*
+    /// counterpart of `ft-metrics`' analytic counts.
+    fn realized_flops(&self) -> f64;
 
     /// Clears the realized-FLOPs counters.
-    fn reset_realized_flops(&mut self) {}
+    fn reset_realized_flops(&mut self);
 
     /// Clears every gradient accumulator.
     fn zero_grad(&mut self) {

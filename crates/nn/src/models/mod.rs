@@ -9,6 +9,103 @@
 //! structure (which is what the pruning algorithms operate on) is identical
 //! at every scale.
 
+/// `impl Model` for a model that is one `Sequential` stack (`seq`) beside
+/// its static description (`arch`) and its Fig. 2 blocks (`blocks`): every
+/// method forwards to the stack. [`SmallCnn`] and [`Vgg11`] differ in how
+/// they are built, not in how they run.
+macro_rules! impl_stacked_model {
+    ($model:ty) => {
+        impl crate::model::Model for $model {
+            fn forward_into(
+                &mut self,
+                x: &ft_tensor::Tensor,
+                out: &mut ft_tensor::Tensor,
+                mode: crate::layer::Mode,
+            ) {
+                self.seq.forward_into(x, out, mode);
+            }
+
+            fn backward(&mut self, grad_logits: &ft_tensor::Tensor) {
+                let _ = self.seq.backward(grad_logits);
+            }
+
+            fn backward_scratch(&mut self, grad_logits: &ft_tensor::Tensor) {
+                self.seq.backward_discard_input(grad_logits);
+            }
+
+            fn backward_down_to(
+                &mut self,
+                grad_logits: &ft_tensor::Tensor,
+                shallowest_prunable: usize,
+            ) {
+                self.seq.backward_down_to(grad_logits, shallowest_prunable);
+            }
+
+            fn for_each_param<'a>(&'a self, f: &mut dyn FnMut(&'a crate::param::Param)) {
+                self.seq.for_each_param(f);
+            }
+
+            fn for_each_param_mut<'a>(
+                &'a mut self,
+                f: &mut dyn FnMut(&'a mut crate::param::Param),
+            ) {
+                self.seq.for_each_param_mut(f);
+            }
+
+            fn for_each_bn_stats<'a>(&'a self, f: &mut dyn FnMut(&'a crate::layer::BnStats)) {
+                self.seq.for_each_bn_stats(f);
+            }
+
+            fn for_each_bn_stats_mut<'a>(
+                &'a mut self,
+                f: &mut dyn FnMut(&'a mut crate::layer::BnStats),
+            ) {
+                self.seq.for_each_bn_stats_mut(f);
+            }
+
+            fn set_bn_momentum(&mut self, momentum: f32) {
+                self.seq.set_bn_momentum(momentum);
+            }
+
+            fn bn_momentum(&self) -> f32 {
+                self.seq.bn_momentum().expect("the model has BatchNorm")
+            }
+
+            fn clone_model(&self) -> Box<dyn crate::model::Model> {
+                Box::new(self.clone())
+            }
+
+            fn arch(&self) -> crate::model::ArchInfo {
+                self.arch.clone()
+            }
+
+            fn block_partition(&self) -> Vec<Vec<usize>> {
+                self.blocks.clone()
+            }
+
+            fn set_sparse_crossover(&mut self, crossover: f32) {
+                self.seq.set_sparse_crossover(crossover);
+            }
+
+            fn set_runtime(&mut self, rt: ft_runtime::Runtime) {
+                self.seq.set_runtime(rt);
+            }
+
+            fn runtime(&self) -> ft_runtime::Runtime {
+                self.seq.runtime().expect("the model has convolutions")
+            }
+
+            fn realized_flops(&self) -> f64 {
+                self.seq.realized_flops()
+            }
+
+            fn reset_realized_flops(&mut self) {
+                self.seq.reset_realized_flops();
+            }
+        }
+    };
+}
+
 mod resnet;
 mod small_cnn;
 mod vgg;

@@ -106,7 +106,7 @@ impl BasicBlock {
         gx.add_assign(g_sum);
     }
 
-    fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
+    fn for_each_param<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
         for p in [
             &self.conv1.w,
             &self.bn1.gamma,
@@ -124,7 +124,7 @@ impl BasicBlock {
         }
     }
 
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn for_each_param_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         for p in [
             &mut self.conv1.w,
             &mut self.bn1.gamma,
@@ -142,7 +142,7 @@ impl BasicBlock {
         }
     }
 
-    fn for_each_bn_stats(&self, f: &mut dyn FnMut(&BnStats)) {
+    fn for_each_bn_stats<'a>(&'a self, f: &mut dyn FnMut(&'a BnStats)) {
         f(&self.bn1.stats);
         f(&self.bn2.stats);
         if let Some((_, bn)) = &self.down {
@@ -150,60 +150,12 @@ impl BasicBlock {
         }
     }
 
-    fn for_each_bn_stats_mut(&mut self, f: &mut dyn FnMut(&mut BnStats)) {
+    fn for_each_bn_stats_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut BnStats)) {
         f(&mut self.bn1.stats);
         f(&mut self.bn2.stats);
         if let Some((_, bn)) = &mut self.down {
             f(&mut bn.stats);
         }
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut v = vec![
-            &self.conv1.w,
-            &self.bn1.gamma,
-            &self.bn1.beta,
-            &self.conv2.w,
-            &self.bn2.gamma,
-            &self.bn2.beta,
-        ];
-        if let Some((conv, bn)) = &self.down {
-            v.extend([&conv.w, &bn.gamma, &bn.beta]);
-        }
-        v
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = vec![
-            &mut self.conv1.w,
-            &mut self.bn1.gamma,
-            &mut self.bn1.beta,
-            &mut self.conv2.w,
-            &mut self.bn2.gamma,
-            &mut self.bn2.beta,
-        ];
-        if let Some((conv, bn)) = &mut self.down {
-            v.push(&mut conv.w);
-            v.push(&mut bn.gamma);
-            v.push(&mut bn.beta);
-        }
-        v
-    }
-
-    fn bn_stats(&self) -> Vec<&BnStats> {
-        let mut v = vec![&self.bn1.stats, &self.bn2.stats];
-        if let Some((_, bn)) = &self.down {
-            v.push(&bn.stats);
-        }
-        v
-    }
-
-    fn bn_stats_mut(&mut self) -> Vec<&mut BnStats> {
-        let mut v = vec![&mut self.bn1.stats, &mut self.bn2.stats];
-        if let Some((_, bn)) = &mut self.down {
-            v.push(&mut bn.stats);
-        }
-        v
     }
 
     fn set_bn_momentum(&mut self, momentum: f32) {
@@ -441,12 +393,6 @@ impl ResNet18 {
 }
 
 impl Model for ResNet18 {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(x, &mut out, mode);
-        out
-    }
-
     fn backward(&mut self, grad_logits: &Tensor) {
         self.backward_scratch(grad_logits);
     }
@@ -491,47 +437,7 @@ impl Model for ResNet18 {
         self.backward_blocks(grad_logits, first);
     }
 
-    fn params(&self) -> Vec<&Param> {
-        let mut v = vec![&self.stem_conv.w, &self.stem_bn.gamma, &self.stem_bn.beta];
-        for b in &self.stages {
-            v.extend(b.params());
-        }
-        v.push(&self.fc.w);
-        v.push(&self.fc.b);
-        v
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = vec![
-            &mut self.stem_conv.w,
-            &mut self.stem_bn.gamma,
-            &mut self.stem_bn.beta,
-        ];
-        for b in &mut self.stages {
-            v.extend(b.params_mut());
-        }
-        v.push(&mut self.fc.w);
-        v.push(&mut self.fc.b);
-        v
-    }
-
-    fn bn_stats(&self) -> Vec<&BnStats> {
-        let mut v = vec![&self.stem_bn.stats];
-        for b in &self.stages {
-            v.extend(b.bn_stats());
-        }
-        v
-    }
-
-    fn bn_stats_mut(&mut self) -> Vec<&mut BnStats> {
-        let mut v = vec![&mut self.stem_bn.stats];
-        for b in &mut self.stages {
-            v.extend(b.bn_stats_mut());
-        }
-        v
-    }
-
-    fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
+    fn for_each_param<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
         f(&self.stem_conv.w);
         f(&self.stem_bn.gamma);
         f(&self.stem_bn.beta);
@@ -542,7 +448,7 @@ impl Model for ResNet18 {
         f(&self.fc.b);
     }
 
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    fn for_each_param_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
         f(&mut self.stem_conv.w);
         f(&mut self.stem_bn.gamma);
         f(&mut self.stem_bn.beta);
@@ -553,14 +459,14 @@ impl Model for ResNet18 {
         f(&mut self.fc.b);
     }
 
-    fn for_each_bn_stats(&self, f: &mut dyn FnMut(&BnStats)) {
+    fn for_each_bn_stats<'a>(&'a self, f: &mut dyn FnMut(&'a BnStats)) {
         f(&self.stem_bn.stats);
         for b in &self.stages {
             b.for_each_bn_stats(f);
         }
     }
 
-    fn for_each_bn_stats_mut(&mut self, f: &mut dyn FnMut(&mut BnStats)) {
+    fn for_each_bn_stats_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut BnStats)) {
         f(&mut self.stem_bn.stats);
         for b in &mut self.stages {
             b.for_each_bn_stats_mut(f);

@@ -1,12 +1,9 @@
 //! The 3-convolution dense baseline of Tables IV and V.
 
 use crate::layer::{
-    AnyLayer, BatchNorm2d, BnStats, Conv2d, GlobalAvgPool, Linear, MaxPool2x2, Mode, Relu,
-    Sequential,
+    AnyLayer, BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2x2, Relu, Sequential,
 };
-use crate::model::{contiguous_blocks, ArchInfo, LayerArch, Model};
-use crate::param::Param;
-use ft_tensor::Tensor;
+use crate::model::{contiguous_blocks, ArchInfo, LayerArch};
 use rand::Rng;
 
 /// A small CNN with three convolution layers (Sec. IV-G): conv-BN-ReLU-pool
@@ -18,6 +15,7 @@ use rand::Rng;
 pub struct SmallCnn {
     seq: Sequential,
     arch: ArchInfo,
+    blocks: Vec<Vec<usize>>,
 }
 
 impl SmallCnn {
@@ -120,109 +118,23 @@ impl SmallCnn {
             classes,
             layers,
         };
-        SmallCnn { seq, arch }
+        SmallCnn {
+            seq,
+            arch,
+            // Only two prunable layers: every granularity degenerates gracefully.
+            blocks: contiguous_blocks(2, 5),
+        }
     }
 }
 
-impl Model for SmallCnn {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        self.seq.forward(x, mode)
-    }
-
-    fn backward(&mut self, grad_logits: &Tensor) {
-        let _ = self.seq.backward(grad_logits);
-    }
-
-    fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
-        self.seq.forward_into(x, out, mode);
-    }
-
-    fn backward_scratch(&mut self, grad_logits: &Tensor) {
-        self.seq.backward_discard_input(grad_logits);
-    }
-
-    fn backward_down_to(&mut self, grad_logits: &Tensor, shallowest_prunable: usize) {
-        self.seq.backward_down_to(grad_logits, shallowest_prunable);
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        self.seq.params()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.seq.params_mut()
-    }
-
-    fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
-        self.seq.for_each_param(f);
-    }
-
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.seq.for_each_param_mut(f);
-    }
-
-    fn bn_stats(&self) -> Vec<&BnStats> {
-        self.seq.bn_stats()
-    }
-
-    fn bn_stats_mut(&mut self) -> Vec<&mut BnStats> {
-        self.seq.bn_stats_mut()
-    }
-
-    fn for_each_bn_stats(&self, f: &mut dyn FnMut(&BnStats)) {
-        self.seq.for_each_bn_stats(f);
-    }
-
-    fn for_each_bn_stats_mut(&mut self, f: &mut dyn FnMut(&mut BnStats)) {
-        self.seq.for_each_bn_stats_mut(f);
-    }
-
-    fn set_bn_momentum(&mut self, momentum: f32) {
-        self.seq.set_bn_momentum(momentum);
-    }
-
-    fn bn_momentum(&self) -> f32 {
-        self.seq.bn_momentum().expect("the model has BatchNorm")
-    }
-
-    fn clone_model(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
-    }
-
-    fn arch(&self) -> ArchInfo {
-        self.arch.clone()
-    }
-
-    fn block_partition(&self) -> Vec<Vec<usize>> {
-        // Only two prunable layers: every granularity degenerates gracefully.
-        contiguous_blocks(2, 5)
-    }
-
-    fn set_sparse_crossover(&mut self, crossover: f32) {
-        self.seq.set_sparse_crossover(crossover);
-    }
-
-    fn set_runtime(&mut self, rt: ft_runtime::Runtime) {
-        self.seq.set_runtime(rt);
-    }
-
-    fn runtime(&self) -> ft_runtime::Runtime {
-        self.seq.runtime().expect("the model has convolutions")
-    }
-
-    fn realized_flops(&self) -> f64 {
-        self.seq.realized_flops()
-    }
-
-    fn reset_realized_flops(&mut self) {
-        self.seq.reset_realized_flops();
-    }
-}
+impl_stacked_model!(SmallCnn);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{flat_params, sparse_layout};
+    use crate::layer::Mode;
+    use crate::model::{flat_params, sparse_layout, Model};
+    use ft_tensor::Tensor;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

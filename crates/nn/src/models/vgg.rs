@@ -1,12 +1,8 @@
 //! VGG11 with batch normalization.
 
 use super::scaled;
-use crate::layer::{
-    AnyLayer, BatchNorm2d, BnStats, Conv2d, Flatten, Linear, MaxPool2x2, Mode, Relu, Sequential,
-};
-use crate::model::{ArchInfo, LayerArch, Model};
-use crate::param::Param;
-use ft_tensor::Tensor;
+use crate::layer::{AnyLayer, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2x2, Relu, Sequential};
+use crate::model::{ArchInfo, LayerArch};
 use rand::Rng;
 
 /// Configuration string of VGG11: channel counts with `None` marking a 2×2
@@ -162,104 +158,14 @@ impl Vgg11 {
     }
 }
 
-impl Model for Vgg11 {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        self.seq.forward(x, mode)
-    }
-
-    fn backward(&mut self, grad_logits: &Tensor) {
-        let _ = self.seq.backward(grad_logits);
-    }
-
-    fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
-        self.seq.forward_into(x, out, mode);
-    }
-
-    fn backward_scratch(&mut self, grad_logits: &Tensor) {
-        self.seq.backward_discard_input(grad_logits);
-    }
-
-    fn backward_down_to(&mut self, grad_logits: &Tensor, shallowest_prunable: usize) {
-        self.seq.backward_down_to(grad_logits, shallowest_prunable);
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        self.seq.params()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.seq.params_mut()
-    }
-
-    fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
-        self.seq.for_each_param(f);
-    }
-
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.seq.for_each_param_mut(f);
-    }
-
-    fn bn_stats(&self) -> Vec<&BnStats> {
-        self.seq.bn_stats()
-    }
-
-    fn bn_stats_mut(&mut self) -> Vec<&mut BnStats> {
-        self.seq.bn_stats_mut()
-    }
-
-    fn for_each_bn_stats(&self, f: &mut dyn FnMut(&BnStats)) {
-        self.seq.for_each_bn_stats(f);
-    }
-
-    fn for_each_bn_stats_mut(&mut self, f: &mut dyn FnMut(&mut BnStats)) {
-        self.seq.for_each_bn_stats_mut(f);
-    }
-
-    fn set_bn_momentum(&mut self, momentum: f32) {
-        self.seq.set_bn_momentum(momentum);
-    }
-
-    fn bn_momentum(&self) -> f32 {
-        self.seq.bn_momentum().expect("the model has BatchNorm")
-    }
-
-    fn clone_model(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
-    }
-
-    fn arch(&self) -> ArchInfo {
-        self.arch.clone()
-    }
-
-    fn block_partition(&self) -> Vec<Vec<usize>> {
-        self.blocks.clone()
-    }
-
-    fn set_sparse_crossover(&mut self, crossover: f32) {
-        self.seq.set_sparse_crossover(crossover);
-    }
-
-    fn set_runtime(&mut self, rt: ft_runtime::Runtime) {
-        self.seq.set_runtime(rt);
-    }
-
-    fn runtime(&self) -> ft_runtime::Runtime {
-        self.seq.runtime().expect("the model has convolutions")
-    }
-
-    fn realized_flops(&self) -> f64 {
-        self.seq.realized_flops()
-    }
-
-    fn reset_realized_flops(&mut self) {
-        self.seq.reset_realized_flops();
-    }
-}
+impl_stacked_model!(Vgg11);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::sparse_layout;
+    use crate::layer::Mode;
+    use crate::model::{sparse_layout, Model};
+    use ft_tensor::Tensor;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -53,11 +53,6 @@ impl Sgd {
         self.cfg
     }
 
-    /// Updates the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
-    }
-
     /// Re-arms the optimizer with a fresh configuration and zeroed velocity,
     /// keeping the velocity buffers allocated. Equivalent to replacing the
     /// optimizer with `Sgd::new(cfg)` but allocation-free, which is how the

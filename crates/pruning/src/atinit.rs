@@ -7,7 +7,7 @@
 use ft_data::Dataset;
 use ft_nn::loss::softmax_cross_entropy;
 use ft_nn::{prunable_param_indices, sparse_layout, Mode, Model};
-use ft_sparse::{magnitude_mask, uniform_density_vector, Mask, SparseLayout, TopKBuffer};
+use ft_sparse::{global_topk_mask, magnitude_mask, uniform_density_vector, Mask, SparseLayout};
 use ft_tensor::Tensor;
 
 /// Number of iterative pruning steps for SNIP/SynFlow. The paper uses 100
@@ -54,7 +54,7 @@ pub fn snip_mask(model: &dyn Model, public: &Dataset, d_target: f32, steps: usiz
         let (_, grad) = softmax_cross_entropy(&logits, &y);
         probe.backward(&grad);
         let scores = saliency_scores(probe.as_ref(), &mask);
-        mask = global_topk_mask(&layout, &scores, d_step);
+        mask = global_topk_mask(&layout, &scores, keep_of(&layout, d_step));
     }
     mask
 }
@@ -96,7 +96,7 @@ pub fn synflow_mask(model: &dyn Model, d_target: f32, steps: usize) -> Mask {
         // R = Σ logits ⇒ grad_logits = 1.
         probe.backward(&Tensor::ones(logits.shape()));
         let scores = saliency_scores(probe.as_ref(), &mask);
-        mask = global_topk_mask(&layout, &scores, d_step);
+        mask = global_topk_mask(&layout, &scores, keep_of(&layout, d_step));
     }
     mask
 }
@@ -154,43 +154,19 @@ pub fn grasp_mask(model: &dyn Model, public: &Dataset, d_target: f32) -> Mask {
     let (_, grad) = softmax_cross_entropy(&logits, &y);
     probe2.backward(&grad);
 
-    // Keep the lowest s_i = -w_i (Hg)_i, i.e. prune the largest. We rank by
-    // the negated score through the magnitude-agnostic path below.
+    // Keep the lowest s_i = -w_i (Hg)_i, i.e. prune the largest: rank by the
+    // negated score, w_i (Hg)_i, highest first.
     let pos = prunable_param_indices(model);
     let params = model.params();
     let params2 = probe2.params();
-    // Count of weights to keep globally.
-    let total = layout.total_len();
-    let keep = (((d_target as f64) * total as f64).ceil() as usize).min(total);
-    // Collect (flat index, score); keep the `keep` smallest scores.
-    let mut scored: Vec<(usize, f32)> = Vec::with_capacity(total);
-    let mut offset = 0usize;
-    for &pi in pos.iter() {
-        let w = params[pi].data.data();
-        let g_before = &g1[pi];
-        let g_after = params2[pi].grad.data();
-        for i in 0..w.len() {
-            let hg = (g_after[i] - g_before[i]) / eps;
-            scored.push((offset + i, -w[i] * hg));
-        }
-        offset += w.len();
-    }
-    scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    scored.truncate(keep);
-
-    let mut layers: Vec<Vec<bool>> = layout.iter().map(|s| vec![false; s.len]).collect();
-    let lens = layout.lens();
-    for (flat, _) in scored {
-        let mut rem = flat;
-        for (l, &n) in lens.iter().enumerate() {
-            if rem < n {
-                layers[l][rem] = true;
-                break;
-            }
-            rem -= n;
-        }
-    }
-    Mask::from_layers(layers)
+    let scores: Vec<f32> = (pos.iter())
+        .flat_map(|&pi| {
+            let w = params[pi].data.data();
+            let (g_before, g_after) = (&g1[pi], params2[pi].grad.data());
+            (0..w.len()).map(move |i| w[i] * ((g_after[i] - g_before[i]) / eps))
+        })
+        .collect();
+    global_topk_mask(&layout, &scores, keep_of(&layout, d_target))
 }
 
 /// Exponential density schedule `d_step = d_target^(step/steps)` used by the
@@ -199,57 +175,37 @@ fn step_density(d_target: f32, step: usize, steps: usize) -> f32 {
     d_target.powf(step as f32 / steps as f32)
 }
 
-/// `|g ⊙ w|` per prunable layer; pruned coordinates score 0 so they stay
-/// pruned under global ranking.
-fn saliency_scores(model: &dyn Model, mask: &Mask) -> Vec<Vec<f32>> {
+/// `|g ⊙ w|` over the flat prunable coordinates. A coordinate that is pruned
+/// or scores exactly zero gets NaN — never kept by the global ranking — so
+/// pruned coordinates stay pruned and a dead one is not kept to fill a quota.
+fn saliency_scores(model: &dyn Model, mask: &Mask) -> Vec<f32> {
     let pos = prunable_param_indices(model);
     let params = model.params();
-    pos.iter()
-        .enumerate()
-        .map(|(l, &pi)| {
-            let w = params[pi].data.data();
-            let g = params[pi].grad.data();
-            w.iter()
-                .zip(g.iter())
-                .enumerate()
-                .map(|(i, (&wv, &gv))| if mask.get(l, i) { (wv * gv).abs() } else { 0.0 })
-                .collect()
-        })
-        .collect()
+    let mut scores = Vec::with_capacity(mask.total_len());
+    for (l, &pi) in pos.iter().enumerate() {
+        let (w, g) = (params[pi].data.data(), params[pi].grad.data());
+        scores.extend((0..w.len()).map(|i| {
+            let s = (w[i] * g[i]).abs();
+            if mask.get(l, i) && s > 0.0 {
+                s
+            } else {
+                f32::NAN
+            }
+        }));
+    }
+    scores
 }
 
-/// Keeps the global top `ceil(d·N)` coordinates by score.
-fn global_topk_mask(layout: &SparseLayout, scores: &[Vec<f32>], density: f32) -> Mask {
+/// The `ceil(d·N)` coordinates a global density `d` keeps of the layout's `N`.
+pub(crate) fn keep_of(layout: &SparseLayout, density: f32) -> usize {
     let total = layout.total_len();
-    let keep = (((density as f64) * total as f64).ceil() as usize).min(total);
-    let mut buf = TopKBuffer::new(keep);
-    let mut offset = 0usize;
-    for s in scores {
-        for (i, &v) in s.iter().enumerate() {
-            if v > 0.0 {
-                buf.push(offset + i, v);
-            }
-        }
-        offset += s.len();
-    }
-    let mut layers: Vec<Vec<bool>> = layout.iter().map(|spec| vec![false; spec.len]).collect();
-    let lens = layout.lens();
-    for (flat, _) in buf.into_sorted() {
-        let mut rem = flat;
-        for (l, &n) in lens.iter().enumerate() {
-            if rem < n {
-                layers[l][rem] = true;
-                break;
-            }
-            rem -= n;
-        }
-    }
-    Mask::from_layers(layers)
+    (((density as f64) * total as f64).ceil() as usize).min(total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
     use ft_fl::{ExperimentEnv, ModelSpec};
 
     fn setup() -> (ExperimentEnv, Box<dyn Model>) {

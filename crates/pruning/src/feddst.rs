@@ -7,16 +7,23 @@
 //! gradient aggregation followed by magnitude pruning. Devices spend extra
 //! recovery epochs around each adjustment (3 training + 2 fine-tuning per
 //! paper), which is what makes FedDST's adjustment rounds expensive.
+//!
+//! The adjustment *is* FedTiny's:
+//! [`progressive_adjust`](fedtiny::progressive::progressive_adjust) over all
+//! layers at [`Granularity::Entire`] — the same probe batch per `(round,
+//! device)`, the same pooled engine, the same top-`a_t` uploads, Eq. 7
+//! aggregate and tie-break. What is FedDST's own is here: the random initial
+//! mask (no selection stage), adjusting from round 0, the recovery-epoch
+//! surcharge, and the mask bits in the device-memory model.
 
+use fedtiny::progressive::progressive_adjust;
+use fedtiny::{Granularity, ProgressiveConfig};
 use ft_fl::{run_federated_rounds, CostLedger, ExperimentEnv, ModelSpec, RunResult};
 use ft_metrics::{densities_from_mask, device_memory_bytes, training_flops, ExtraMemory};
-use ft_nn::loss::softmax_cross_entropy;
-use ft_nn::{apply_mask, prunable_param_indices, sparse_layout, Mode, Model};
-use ft_sparse::{random_mask, uniform_density_vector, Mask, PruneSchedule, TopKBuffer};
-use rand::seq::SliceRandom;
+use ft_nn::{apply_mask, sparse_layout, Model};
+use ft_sparse::{random_mask, uniform_density_vector, Mask, PruneSchedule};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
 
 /// Extra local epochs spent recovering grown weights per adjustment (the
 /// paper configures 3 adjustment + 2 fine-tuning epochs).
@@ -30,6 +37,27 @@ pub fn run_feddst(
     schedule: PruneSchedule,
     eval_every: usize,
 ) -> RunResult {
+    let (global, mask, ledger, history) = feddst_rounds(env, spec, d_target, schedule, eval_every);
+    let densities = densities_from_mask(&mask);
+    RunResult::from_ledger(
+        "feddst",
+        history,
+        mask.density(),
+        device_memory_bytes(&global.arch(), &densities, ExtraMemory::MaskBits),
+        env.cfg.codec.name(),
+        &ledger,
+    )
+}
+
+/// The run itself: the final global model and mask, the ledger and the
+/// accuracy history.
+pub(crate) fn feddst_rounds(
+    env: &ExperimentEnv,
+    spec: &ModelSpec,
+    d_target: f32,
+    schedule: PruneSchedule,
+    eval_every: usize,
+) -> (Box<dyn Model>, Mask, CostLedger, Vec<f32>) {
     let mut global = env.build_model(spec);
     let layout = sparse_layout(global.as_ref());
     let mut rng = ChaCha8Rng::seed_from_u64(env.cfg.seed ^ 0x00fe_dd57);
@@ -43,148 +71,40 @@ pub fn run_feddst(
     let arch = global.arch();
     let mut ledger = CostLedger::new();
     let max_samples = env.parts.iter().map(|p| p.len()).max().unwrap_or(0) as f64;
+    let entire = ProgressiveConfig {
+        schedule,
+        granularity: Granularity::Entire,
+        backward_order: false,
+        start_round: 0,
+    };
+    let all_layers: Vec<usize> = (0..mask.num_layers()).collect();
 
-    let history = {
-        let mut hook = |model: &mut dyn Model,
-                        mask: &mut Mask,
-                        round: usize,
-                        ledger: &mut CostLedger|
-         -> f64 {
+    let mut hook =
+        |model: &mut dyn Model, mask: &mut Mask, round: usize, ledger: &mut CostLedger| -> f64 {
             if !schedule.adjusts_at(round) {
                 return 0.0;
             }
-            adjust_entire_model(model, mask, env, &schedule, round, ledger);
+            let report = progressive_adjust(model, mask, env, &entire, &all_layers, round);
+            ledger.add_comm(report.comm_bytes);
+            ledger.add_payload_comm(report.payload_bytes);
             // Recovery epochs around the adjustment.
             let densities = densities_from_mask(mask);
             RECOVERY_EPOCHS * training_flops(&arch, &densities) * max_samples
         };
-        run_federated_rounds(
-            global.as_mut(),
-            &mut mask,
-            env,
-            eval_every,
-            &mut ledger,
-            &mut hook,
-        )
-    };
-
-    let densities = densities_from_mask(&mask);
-    RunResult::from_ledger(
-        "feddst",
-        history,
-        mask.density(),
-        device_memory_bytes(&arch, &densities, ExtraMemory::MaskBits),
-        env.cfg.codec.name(),
-        &ledger,
-    )
-}
-
-/// RigL-style grow/drop over every prunable layer: devices upload the top
-/// `a_t^l` gradients of pruned coordinates, the server aggregates (weighted)
-/// and grows the winners, dropping the smallest-magnitude survivors.
-fn adjust_entire_model(
-    global: &mut dyn Model,
-    mask: &mut Mask,
-    env: &ExperimentEnv,
-    schedule: &PruneSchedule,
-    round: usize,
-    ledger: &mut CostLedger,
-) {
-    let counts: Vec<(usize, usize)> = (0..mask.num_layers())
-        .map(|l| {
-            let alive = mask.layer_ones(l);
-            let pruned = mask.layer(l).len() - alive;
-            (l, schedule.count_at(round, alive).min(pruned).min(alive))
-        })
-        .filter(|&(_, a)| a > 0)
-        .collect();
-    if counts.is_empty() {
-        return;
-    }
-    let weights = env.device_weights();
-    let mut agg: Vec<HashMap<usize, f64>> = vec![HashMap::new(); counts.len()];
-    for (k, data) in env.parts.iter().enumerate() {
-        let mut model = global.clone_model();
-        // Grow scoring reads gradients of pruned coordinates; the sparse
-        // execution path only produces mask-alive gradients.
-        model.set_sparse_crossover(0.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            env.cfg.seed ^ 0xd57 ^ ((round as u64) << 20) ^ ((k as u64) << 44),
-        );
-        let bs = env.cfg.batch_size.min(data.len());
-        let mut idx: Vec<usize> = (0..data.len()).collect();
-        idx.shuffle(&mut rng);
-        idx.truncate(bs);
-        let (x, y) = data.batch(&idx);
-        let logits = model.forward(&x, Mode::Train);
-        let (_, grad) = softmax_cross_entropy(&logits, &y);
-        model.backward(&grad);
-        let pos = prunable_param_indices(model.as_ref());
-        let params = model.params();
-        for (ui, &(l, a)) in counts.iter().enumerate() {
-            let g = params[pos[l]].grad.data();
-            let mut buf = TopKBuffer::new(a);
-            for (i, alive) in mask.layer(l).iter().enumerate() {
-                if !alive {
-                    buf.push(i, g[i]);
-                }
-            }
-            let top = buf.into_sorted();
-            ledger.add_comm(top.len() as f64 * 8.0);
-            ledger.add_payload_comm(ft_sparse::topk_pairs_encoded_len(top.len()) as f64);
-            for (i, gv) in top {
-                *agg[ui].entry(i).or_insert(0.0) += weights[k] * gv as f64;
-            }
-        }
-    }
-    let pos = prunable_param_indices(global);
-    for (ui, &(l, a)) in counts.iter().enumerate() {
-        let mut grow_buf = TopKBuffer::new(a);
-        for (&i, &g) in &agg[ui] {
-            grow_buf.push(i, g as f32);
-        }
-        let grow: Vec<usize> = grow_buf.into_sorted().into_iter().map(|(i, _)| i).collect();
-        let wdata = global.params()[pos[l]].data.data().to_vec();
-        let mut alive = mask.alive_indices(l);
-        alive.sort_by(|&x, &y| {
-            wdata[x]
-                .abs()
-                .partial_cmp(&wdata[y].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(x.cmp(&y))
-        });
-        let dropped: Vec<usize> = alive.into_iter().take(grow.len()).collect();
-        for &i in &grow {
-            mask.set(l, i, true);
-        }
-        for &i in &dropped {
-            mask.set(l, i, false);
-        }
-        let mut params = global.params_mut();
-        let w = params[pos[l]].data.data_mut();
-        for &i in &dropped {
-            w[i] = 0.0;
-        }
-    }
+    let history = run_federated_rounds(
+        global.as_mut(),
+        &mut mask,
+        env,
+        eval_every,
+        &mut ledger,
+        &mut hook,
+    );
+    (global, mask, ledger, history)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn feddst_preserves_density() {
-        let env = ExperimentEnv::tiny_for_tests(40);
-        let schedule = PruneSchedule {
-            delta_r: 1,
-            r_stop: 2,
-            local_iters: 1,
-        };
-        let r = run_feddst(&env, &ModelSpec::small_cnn_test(), 0.2, schedule, 2);
-        assert_eq!(r.method, "feddst");
-        assert!(r.final_density <= 0.21, "density {}", r.final_density);
-        assert!(r.max_round_flops > 0.0);
-    }
 
     #[test]
     fn adjustment_rounds_cost_more() {

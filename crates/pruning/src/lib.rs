@@ -20,6 +20,8 @@
 //! prunes the global model so all devices share one structure.
 
 mod atinit;
+#[cfg(test)]
+mod engine_tests;
 mod feddst;
 mod fixed;
 mod lotteryfl;

@@ -8,17 +8,24 @@
 //! intermediate model is much denser than the target (~0.34× max FLOPs):
 //! the density anneals from `d0 = max(d_target, 0.34)` down to `d_target`
 //! by `R_stop`.
+//!
+//! Shared with FedTiny: the device probe ([`fedtiny::probe_devices`] — the
+//! same batch per `(round, device)` and the same pooled engine, with *every*
+//! prunable layer dense, since PruneFL reads them all) and the global
+//! top-k ranking ([`ft_sparse::global_topk_mask`]). PruneFL's own: the
+//! server-side saliency initialisation, full-size uploads folded in device
+//! order, the `w² + g²` importance, the annealed density and the dense
+//! scores in the device-memory model.
 
+use crate::atinit::keep_of;
+use fedtiny::probe_devices;
 use ft_fl::{run_federated_rounds, CostLedger, ExperimentEnv, ModelSpec, RunResult};
 use ft_metrics::{
     densities_from_mask, device_memory_bytes, forward_flops_dense, total_params, ExtraMemory,
 };
 use ft_nn::loss::softmax_cross_entropy;
 use ft_nn::{apply_mask, prunable_param_indices, sparse_layout, Mode, Model};
-use ft_sparse::{Mask, PruneSchedule, SparseLayout, TopKBuffer};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use ft_sparse::{global_topk_mask, Mask, PruneSchedule, SparseLayout};
 
 /// Initial density of PruneFL's server-side coarse model. Matches the
 /// ~0.34× max-FLOPs factor Table I reports at every target density.
@@ -58,7 +65,7 @@ pub fn run_prunefl(
                 return 0.0;
             }
             // Devices upload full-size gradients from one local batch.
-            let agg = aggregated_dense_grads(model, env, round);
+            let agg = aggregated_probe_grads(model, env, round);
             // Anneal density toward the target.
             let frac = (round as f32 / schedule.r_stop.max(1) as f32).min(1.0);
             let d_round = d0 * (d_target / d0).powf(frac);
@@ -66,22 +73,15 @@ pub fn run_prunefl(
             // either already useful (trained magnitude) or promising
             // (large aggregated gradient). Pure g² would discard every
             // trained weight at each adjustment and collapse accuracy.
-            let keep = (((d_round as f64) * total as f64).ceil() as usize).min(total);
-            let mut buf = TopKBuffer::new(keep);
-            let mut offset = 0usize;
-            {
-                let pos = ft_nn::prunable_param_indices(model);
+            let scores: Vec<f32> = {
+                let pos = prunable_param_indices(model);
                 let params = model.params();
-                for (l, g) in agg.iter().enumerate() {
-                    let w = params[pos[l]].data.data();
-                    for (i, &gv) in g.iter().enumerate() {
-                        buf.push(offset + i, w[i] * w[i] + gv * gv);
-                    }
-                    offset += g.len();
-                }
-            }
-            let new_mask = mask_from_flat(&sparse_layout(model), buf.into_sorted());
-            *mask = new_mask;
+                let weights = pos.iter().map(|&pi| params[pi].data.data());
+                (weights.zip(&agg))
+                    .flat_map(|(w, g)| w.iter().zip(g).map(|(w, g)| w * w + g * g))
+                    .collect()
+            };
+            *mask = global_topk_mask(&layout, &scores, keep_of(&layout, d_round));
             apply_mask(model, mask);
             peak_density = peak_density.max(mask.density());
             // Comm: dense gradients up (4 B/param/device), new mask down.
@@ -135,78 +135,42 @@ fn server_saliency_mask(
     probe.backward(&grad);
     let pos = prunable_param_indices(probe.as_ref());
     let params = probe.params();
-    let total = layout.total_len();
-    let keep = (((density as f64) * total as f64).ceil() as usize).min(total);
-    let mut buf = TopKBuffer::new(keep);
-    let mut offset = 0usize;
-    for &pi in &pos {
-        let w = params[pi].data.data();
-        let g = params[pi].grad.data();
-        for i in 0..w.len() {
-            buf.push(offset + i, (w[i] * g[i]).abs());
-        }
-        offset += w.len();
-    }
-    mask_from_flat(layout, buf.into_sorted())
+    let scores: Vec<f32> = (pos.iter())
+        .flat_map(|&pi| {
+            let (w, g) = (params[pi].data.data(), params[pi].grad.data());
+            w.iter().zip(g).map(|(w, g)| (w * g).abs())
+        })
+        .collect();
+    global_topk_mask(layout, &scores, keep_of(layout, density))
 }
 
-/// Weighted-average dense gradients of every prunable layer, one batch per
-/// device (what PruneFL devices upload during adaptive pruning).
-fn aggregated_dense_grads(global: &dyn Model, env: &ExperimentEnv, round: usize) -> Vec<Vec<f32>> {
+/// Weighted-average dense gradients of every prunable layer, one probe batch
+/// per device (what PruneFL devices upload during adaptive pruning), folded
+/// in device order.
+fn aggregated_probe_grads(global: &dyn Model, env: &ExperimentEnv, round: usize) -> Vec<Vec<f32>> {
     let weights = env.device_weights();
-    let mut agg: Option<Vec<Vec<f32>>> = None;
-    for (k, data) in env.parts.iter().enumerate() {
-        let mut model = global.clone_model();
-        // PruneFL devices upload *dense* gradients (that is the method's
-        // cost story) — the sparse path must not truncate them.
-        model.set_sparse_crossover(0.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(
-            env.cfg.seed ^ 0x9f1e ^ ((round as u64) << 20) ^ ((k as u64) << 44),
-        );
-        let bs = env.cfg.batch_size.min(data.len());
-        let mut idx: Vec<usize> = (0..data.len()).collect();
-        idx.shuffle(&mut rng);
-        idx.truncate(bs);
-        let (x, y) = data.batch(&idx);
-        let logits = model.forward(&x, Mode::Train);
-        let (_, grad) = softmax_cross_entropy(&logits, &y);
-        model.backward(&grad);
-        let pos = prunable_param_indices(model.as_ref());
-        let params = model.params();
+    let pos = prunable_param_indices(global);
+    // PruneFL devices upload *dense* gradients (that is the method's cost
+    // story): every prunable layer runs dense in the probe.
+    let all_layers: Vec<usize> = (0..pos.len()).collect();
+    let rt = env.cfg.runtime();
+    let uploads = probe_devices(global, env, round, &all_layers, &rt, |k, model| {
         let w = weights[k] as f32;
-        let grads: Vec<Vec<f32>> = pos
-            .iter()
+        let params = model.params();
+        pos.iter()
             .map(|&pi| params[pi].grad.data().iter().map(|&g| g * w).collect())
-            .collect();
-        match &mut agg {
-            None => agg = Some(grads),
-            Some(acc) => {
-                for (a, g) in acc.iter_mut().zip(grads.iter()) {
-                    for (av, &gv) in a.iter_mut().zip(g.iter()) {
-                        *av += gv;
-                    }
-                }
+            .collect::<Vec<Vec<f32>>>()
+    });
+    let mut uploads = uploads.into_iter();
+    let mut agg = uploads.next().expect("at least one device");
+    for grads in uploads {
+        for (a, g) in agg.iter_mut().zip(&grads) {
+            for (av, &gv) in a.iter_mut().zip(g) {
+                *av += gv;
             }
         }
     }
-    agg.expect("at least one device")
-}
-
-/// Converts global flat-index selections back into a layered mask.
-fn mask_from_flat(layout: &SparseLayout, selected: Vec<(usize, f32)>) -> Mask {
-    let mut layers: Vec<Vec<bool>> = layout.iter().map(|s| vec![false; s.len]).collect();
-    let lens = layout.lens();
-    for (flat, _) in selected {
-        let mut rem = flat;
-        for (l, &n) in lens.iter().enumerate() {
-            if rem < n {
-                layers[l][rem] = true;
-                break;
-            }
-            rem -= n;
-        }
-    }
-    Mask::from_layers(layers)
+    agg
 }
 
 #[cfg(test)]

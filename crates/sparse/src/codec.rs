@@ -567,9 +567,9 @@ impl Payload {
         }
     }
 
-    /// Serializes the payload to actual wire bytes (little-endian). Mainly
-    /// exists so tests can pin [`encoded_len`](Self::encoded_len) to a real
-    /// byte stream; the simulation itself only bills sizes.
+    /// Serializes the payload to its wire bytes (little-endian): what an
+    /// UPDATE frame carries over TCP and across `SimTime`'s byte boundary,
+    /// and exactly [`encoded_len`](Self::encoded_len) bytes long.
     pub fn to_bytes(&self, ctx: &WireCtx) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len(ctx));
         let tag: u8 = match self {
@@ -642,9 +642,8 @@ impl Payload {
     /// paths of [`decode`](Self::decode).
     ///
     /// Implemented as [`PayloadView::parse`] followed by
-    /// [`PayloadView::to_payload`]: the borrowed zero-copy parser is the
-    /// single validation authority, so the owned and view decode paths can
-    /// never drift apart.
+    /// [`PayloadView::to_payload`]: the borrowed parser is the single
+    /// validation authority.
     pub fn from_bytes(bytes: &[u8], ctx: &WireCtx) -> Result<Payload, DecodeError> {
         Ok(PayloadView::parse(bytes, ctx)?.to_payload(ctx))
     }
@@ -797,18 +796,13 @@ impl Payload {
     }
 }
 
-/// A *borrowed* parse of a payload wire frame: the exact validation of
-/// [`Payload::from_bytes`] (typed [`DecodeError`], never a panic) with zero
-/// copies — every variant holds slices straight into the receive buffer,
-/// and values are re-read with `f32::from_le_bytes` at visit time.
-///
-/// This is the steady-state decode path of the Collect dataplane: frames
-/// land in a pooled receive buffer, `parse` validates them in place, and
-/// [`accumulate_shard_into`](Self::accumulate_shard_into) folds them into a
-/// reusable `f64` accumulator without materializing an owned [`Payload`].
-/// Anything `parse` accepts can be materialized with
-/// [`to_payload`](Self::to_payload) — [`Payload::from_bytes`] is exactly
-/// that composition, so the two paths cannot drift.
+/// A *borrowed* parse of a payload wire frame — the wire parser: the whole
+/// validation of [`Payload::from_bytes`] (typed [`DecodeError`], never a
+/// panic) with zero copies, every variant holding slices straight into the
+/// receive buffer. Anything [`parse`](Self::parse) accepts is materialized
+/// with [`to_payload`](Self::to_payload); [`Payload::from_bytes`] is exactly
+/// that composition, and the owned [`Payload`] it yields is what the server
+/// decodes and accumulates.
 #[derive(Clone, Copy, Debug)]
 pub enum PayloadView<'a> {
     /// Every coordinate as raw little-endian `f32` bytes.
@@ -864,8 +858,8 @@ impl<'a> PayloadView<'a> {
     /// [`Payload::from_bytes`] accepts and rejects everything else with the
     /// same typed [`DecodeError`] (`from_bytes` *is* this parse followed by
     /// [`to_payload`](Self::to_payload)). In particular the indexed
-    /// `MaskCsr` and `TopK` structures are walked once here, so the
-    /// accumulate methods can re-walk them infallibly.
+    /// `MaskCsr` and `TopK` structures are walked once here, so
+    /// `to_payload` re-reads them infallibly.
     pub fn parse(bytes: &'a [u8], ctx: &WireCtx) -> Result<PayloadView<'a>, DecodeError> {
         let mut r = WireReader::new(bytes);
         let tag = r.u8()?;
@@ -971,31 +965,6 @@ impl<'a> PayloadView<'a> {
         }
     }
 
-    /// Length of the decoded flat vector.
-    pub fn len(&self) -> usize {
-        match *self {
-            PayloadView::Dense { len, .. }
-            | PayloadView::MaskCsr { len, .. }
-            | PayloadView::QuantInt8 { len, .. }
-            | PayloadView::TopK { len, .. } => len,
-        }
-    }
-
-    /// Whether the decoded vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Name of the codec that produced this payload.
-    pub fn codec_name(&self) -> &'static str {
-        match self {
-            PayloadView::Dense { .. } => "dense",
-            PayloadView::MaskCsr { .. } => "mask_csr",
-            PayloadView::QuantInt8 { .. } => "quant_int8",
-            PayloadView::TopK { .. } => "top_k",
-        }
-    }
-
     /// Materializes the owned [`Payload`] this view describes. Infallible:
     /// everything fallible happened in [`parse`](Self::parse).
     pub fn to_payload(&self, ctx: &WireCtx) -> Payload {
@@ -1041,152 +1010,6 @@ impl<'a> PayloadView<'a> {
                     indices,
                     values,
                     len,
-                }
-            }
-        }
-    }
-
-    /// Decodes to a full flat vector (untransmitted coordinates are zero) —
-    /// test/diagnostic convenience; the hot path accumulates instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view was parsed against a different context.
-    pub fn decode(&self, ctx: &WireCtx) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len()];
-        self.decode_into(&mut out, ctx);
-        out
-    }
-
-    /// [`decode`](Self::decode) into a caller-owned buffer: zero-fills `out`
-    /// and writes every transmitted coordinate, straight out of the receive
-    /// buffer. The alloc-free sibling of [`Payload::decode_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an `out` length mismatch or a context other than the one
-    /// the view was parsed against.
-    pub fn decode_into(&self, out: &mut [f32], ctx: &WireCtx) {
-        assert_eq!(out.len(), self.len(), "decode buffer length mismatch");
-        out.fill(0.0);
-        self.for_each_coord_in_range(ctx, 0..self.len(), 0, |i, v| out[i] = v);
-    }
-
-    /// Adds `weight · value` for the coordinates of `plan`'s shard `s` into
-    /// the shard's accumulator slice, reading values straight out of the
-    /// receive buffer — bit-identical to [`Payload::accumulate_shard_into`]
-    /// on the materialized payload (per coordinate, the same `f32` values
-    /// arrive in the same order). See there for the contract.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Payload::accumulate_shard_into`].
-    pub fn accumulate_shard_into(
-        &self,
-        weight: f64,
-        acc: &mut [f64],
-        ctx: &WireCtx,
-        plan: &ShardPlan,
-        s: usize,
-    ) {
-        plan.assert_matches(ctx);
-        let range = plan.range(s);
-        assert_eq!(acc.len(), range.len(), "shard accumulator length mismatch");
-        let start = range.start;
-        self.for_each_coord_in_range(ctx, range, plan.alive_before(s), |i, v| {
-            acc[i - start] += weight * v as f64
-        });
-    }
-
-    /// The view's one coordinate walk — same contract as the owned
-    /// payload's: every transmitted `(flat coordinate, value)` pair inside
-    /// `range`, ascending, with `alive_before` the `ctx`-alive count before
-    /// `range.start`.
-    fn for_each_coord_in_range(
-        &self,
-        ctx: &WireCtx,
-        range: std::ops::Range<usize>,
-        alive_before: usize,
-        mut f: impl FnMut(usize, f32),
-    ) {
-        match *self {
-            PayloadView::Dense { values, len } => {
-                assert_eq!(values.len(), 4 * len, "value byte count mismatch");
-                for i in range {
-                    f(i, f32_at(values, i));
-                }
-            }
-            PayloadView::MaskCsr {
-                epoch,
-                values,
-                index_bytes,
-                nnz,
-                len,
-            } => match index_bytes {
-                Some(b) => {
-                    let mut r = WireReader::new(b);
-                    let mut k = 0usize;
-                    parse_segment_indices(&mut r, &ctx.segments, nnz, |i| {
-                        if range.contains(&(i as usize)) {
-                            f(i as usize, f32_at(values, k));
-                        }
-                        k += 1;
-                    })
-                    .expect("index bytes were validated at parse");
-                }
-                None => {
-                    assert_eq!(
-                        epoch, ctx.epoch,
-                        "values-only MaskCsr payload decoded under a different mask epoch"
-                    );
-                    assert_eq!(len, ctx.len(), "payload/context length mismatch");
-                    let ends_vector = range.end == ctx.len();
-                    let mut cursor = alive_before;
-                    for i in range {
-                        if ctx.alive[i] {
-                            assert!(cursor < nnz, "fewer values than alive coordinates");
-                            f(i, f32_at(values, cursor));
-                            cursor += 1;
-                        }
-                    }
-                    assert!(
-                        !ends_vector || cursor == nnz,
-                        "more values than alive coordinates"
-                    );
-                }
-            },
-            PayloadView::QuantInt8 { params, codes, .. } => {
-                assert_eq!(codes.len(), ctx.len(), "segment/code count mismatch");
-                assert_eq!(
-                    params.len(),
-                    8 * ctx.segments.len(),
-                    "segment/params count mismatch"
-                );
-                let mut start = 0usize;
-                for (si, &seg) in ctx.segments.iter().enumerate() {
-                    let lo = start.max(range.start);
-                    let hi = (start + seg).min(range.end);
-                    if lo < hi {
-                        let p = QuantParams {
-                            scale: f32_at(params, 2 * si),
-                            min: f32_at(params, 2 * si + 1),
-                        };
-                        for (off, &code) in codes[lo..hi].iter().enumerate() {
-                            f(lo + off, dequantize_one(code as i8, p));
-                        }
-                    }
-                    start += seg;
-                }
-            }
-            PayloadView::TopK { pairs, .. } => {
-                for c in pairs.chunks_exact(8) {
-                    let i = u32::from_le_bytes(c[..4].try_into().expect("4 bytes"));
-                    if range.contains(&(i as usize)) {
-                        f(
-                            i as usize,
-                            f32::from_le_bytes(c[4..].try_into().expect("4 bytes")),
-                        );
-                    }
                 }
             }
         }
@@ -1329,10 +1152,9 @@ fn write_segment_indices(indices: &[u32], segments: &[usize], out: &mut Vec<u8>)
 }
 
 /// Walks the per-segment index encoding, handing every decoded flat index
-/// to `sink` in ascending order — the validation core behind both the
-/// owned decode ([`read_segment_indices`]) and the borrowed
-/// [`PayloadView`], which validates once at parse time and re-walks the
-/// same bytes allocation-free at accumulate time. Rejects any frame a real
+/// to `sink` in ascending order — the validation core behind
+/// [`PayloadView::parse`] (which only validates) and
+/// [`read_segment_indices`] (which collects). Rejects any frame a real
 /// encoder could not have produced: out-of-range or unsorted offsets, a
 /// sparse-flagged segment that covers every entry, or a total index count
 /// that disagrees with the value count.
@@ -1847,40 +1669,6 @@ mod tests {
             }
         }
 
-        /// Zero-copy decode-accumulate is BIT-identical to the owned path:
-        /// for every codec × alive pattern × epoch, `PayloadView::parse`
-        /// accepts exactly what `Payload::from_bytes` accepts, materializes
-        /// the identical payload, and its accumulator matches bit for bit.
-        #[test]
-        fn codec_view_accumulate_bit_identical_to_owned(
-            (ctx, values) in arb_ctx(),
-            codec in arb_codec(),
-            shared in 0usize..2,
-            weight in 0.1f64..4.0,
-        ) {
-            let peer = if shared == 1 { ctx.epoch } else { ctx.epoch.wrapping_add(1) };
-            let p = codec.encode(&values, &ctx, peer, Some(&mut Vec::new()));
-            let bytes = p.to_bytes(&ctx);
-            let owned = Payload::from_bytes(&bytes, &ctx).expect("valid frame");
-            let view = PayloadView::parse(&bytes, &ctx).expect("valid frame");
-            prop_assert_eq!(&view.to_payload(&ctx), &owned);
-            prop_assert_eq!(view.codec_name(), owned.codec_name());
-            prop_assert_eq!(view.len(), owned.len());
-
-            let mut acc_owned = vec![0.25f64; ctx.len()];
-            let mut acc_view = vec![0.25f64; ctx.len()];
-            let plan = full_plan(&ctx);
-            owned.accumulate_shard_into(weight, &mut acc_owned, &ctx, &plan, 0);
-            view.accumulate_shard_into(weight, &mut acc_view, &ctx, &plan, 0);
-            for (a, b) in acc_owned.iter().zip(acc_view.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            let dv = view.decode(&ctx);
-            for (a, b) in owned.decode(&ctx).iter().zip(dv.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-
         /// Every truncation prefix and single-byte mutation of a valid
         /// frame yields the SAME typed `DecodeError` (never a panic) from
         /// the borrowed parser as from the owned one, and anything the
@@ -1914,10 +1702,10 @@ mod tests {
         }
 
         /// N-shard accumulate ≡ one-shard accumulate ≡ `decode` then a
-        /// weighted add, bit for bit — for any shard count, for both the
-        /// owned payload and the borrowed view (untransmitted coordinates
-        /// decode to zero and leave the accumulator untouched). This is the
-        /// determinism contract the sharded Collect dataplane rests on.
+        /// weighted add, bit for bit — for any shard count (untransmitted
+        /// coordinates decode to zero and leave the accumulator untouched).
+        /// This is the determinism contract the sharded aggregation engine
+        /// rests on.
         #[test]
         fn codec_shard_accumulate_bit_identical_to_full(
             (ctx, values) in arb_ctx(),
@@ -1928,8 +1716,6 @@ mod tests {
         ) {
             let peer = if shared == 1 { ctx.epoch } else { ctx.epoch.wrapping_add(1) };
             let p = codec.encode(&values, &ctx, peer, Some(&mut Vec::new()));
-            let bytes = p.to_bytes(&ctx);
-            let view = PayloadView::parse(&bytes, &ctx).expect("valid frame");
 
             let n = ctx.len();
             let ranges: Vec<_> = (0..num_shards)
@@ -1941,16 +1727,12 @@ mod tests {
             let mut full = vec![0.5f64; n];
             p.accumulate_shard_into(weight, &mut full, &ctx, &full_plan(&ctx), 0);
 
-            let mut sharded_owned = vec![0.5f64; n];
-            let mut sharded_view = vec![0.5f64; n];
+            let mut sharded = vec![0.5f64; n];
             for s in 0..plan.num_shards() {
-                let r = plan.range(s);
-                p.accumulate_shard_into(weight, &mut sharded_owned[r.clone()], &ctx, &plan, s);
-                view.accumulate_shard_into(weight, &mut sharded_view[r], &ctx, &plan, s);
+                p.accumulate_shard_into(weight, &mut sharded[plan.range(s)], &ctx, &plan, s);
             }
-            for ((a, b), c) in full.iter().zip(sharded_owned.iter()).zip(sharded_view.iter()) {
+            for (a, b) in full.iter().zip(sharded.iter()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
-                prop_assert_eq!(a.to_bits(), c.to_bits());
             }
             for (a, &d) in full.iter().zip(p.decode(&ctx).iter()) {
                 prop_assert_eq!(a.to_bits(), (0.5 + weight * d as f64).to_bits());

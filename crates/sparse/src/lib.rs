@@ -20,7 +20,8 @@
 //!   `a_t^l = 0.15 (1 + cos(tπ / (R_stop · E))) · n_l`.
 //! - [`magnitude_mask`] / [`magnitude_masks`] / [`random_mask`] /
 //!   [`noisy_density_vector`] — mask constructors used for coarse pruning
-//!   and candidate-pool generation.
+//!   and candidate-pool generation; [`global_topk_mask`] — the global
+//!   ranking every score-based pruner ends in.
 //!
 //! # Examples
 //!
@@ -48,8 +49,8 @@ pub use codec::{
 pub use layout::{CsrMatrix, LayerSpec, SparseLayout};
 pub use mask::Mask;
 pub use prune::{
-    magnitude_mask, magnitude_mask_global, magnitude_masks, noisy_density_vector, random_mask,
-    uniform_density_vector,
+    global_topk_mask, magnitude_mask, magnitude_mask_global, magnitude_masks, noisy_density_vector,
+    random_mask, uniform_density_vector,
 };
 pub use schedule::{cosine_prune_count, PruneSchedule};
 pub use topk::TopKBuffer;

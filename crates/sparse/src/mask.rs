@@ -65,15 +65,6 @@ impl Mask {
         &self.layers[l]
     }
 
-    /// Mutable access to the boolean vector of layer `l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is out of range.
-    pub fn layer_mut(&mut self, l: usize) -> &mut Vec<bool> {
-        &mut self.layers[l]
-    }
-
     /// Sets one bit.
     ///
     /// # Panics

@@ -2,7 +2,7 @@
 //! uniform-noise layer-wise density vectors used for candidate-pool
 //! generation (Sec. IV-A2).
 
-use crate::{Mask, SparseLayout, TopKBuffer};
+use crate::{Mask, SparseLayout};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -206,8 +206,8 @@ fn rank_by_magnitude(w: &[f32], depth: usize, ranked: &mut Vec<u64>) {
 }
 
 /// Magnitude-prunes *globally*: keeps the `ceil(d · N)` weights with the
-/// largest `|w|` across all layers together. Used by LotteryFL-style
-/// iterative magnitude pruning.
+/// largest `|w|` across all layers together ([`global_topk_mask`] over
+/// `|w|`). Used by LotteryFL-style iterative magnitude pruning.
 ///
 /// # Panics
 ///
@@ -218,28 +218,64 @@ pub fn magnitude_mask_global(layout: &SparseLayout, weights: &[&[f32]], density:
         layout.num_layers(),
         "weights/layout layer count mismatch"
     );
-    let total = layout.total_len();
-    let keep = keep_count(total, density);
-    let mut buf = TopKBuffer::new(keep);
-    let mut offset = 0usize;
-    for (l, &w) in weights.iter().enumerate() {
+    for (l, w) in weights.iter().enumerate() {
         assert_eq!(
             w.len(),
             layout.layer(l).len,
             "weight buffer length mismatch at layer {l}"
         );
-        for (i, &v) in w.iter().enumerate() {
-            buf.push(offset + i, v);
+    }
+    let scores: Vec<f32> = weights
+        .iter()
+        .flat_map(|w| w.iter().map(|v| v.abs()))
+        .collect();
+    global_topk_mask(layout, &scores, keep_count(scores.len(), density))
+}
+
+/// Keeps the `keep` highest-scoring coordinates of all layers together.
+/// `scores` holds one value per coordinate in flat (layer-major) order; they
+/// are ranked descending, equal scores by ascending flat index — which of
+/// several tied coordinates at the cut survives is a rule, not the accident
+/// of a heap's sift order — and a non-finite score is never kept (with fewer
+/// than `keep` finite scores, all of those are kept and nothing else). The
+/// one "global top-k over flat scores → layered mask" step behind
+/// [`magnitude_mask_global`] and `ft-pruning`'s score-based pruners (SNIP,
+/// SynFlow, GraSP, PruneFL).
+///
+/// # Panics
+///
+/// Panics if `scores.len()` differs from the layout's total length.
+pub fn global_topk_mask(layout: &SparseLayout, scores: &[f32], keep: usize) -> Mask {
+    assert_eq!(
+        scores.len(),
+        layout.total_len(),
+        "scores/layout length mismatch"
+    );
+    let mut ranked: Vec<usize> = (0..scores.len())
+        .filter(|&i| scores[i].is_finite())
+        .collect();
+    if keep < ranked.len() {
+        if keep > 0 {
+            // Finite scores and distinct indices make this a strict total
+            // order, so the unstable partition is deterministic.
+            ranked.select_nth_unstable_by(keep - 1, |&a, &b| {
+                let by_score = scores[b].partial_cmp(&scores[a]).expect("finite scores");
+                by_score.then(a.cmp(&b))
+            });
         }
-        offset += w.len();
+        ranked.truncate(keep);
     }
-    let mut layers: Vec<Vec<bool>> = layout.iter().map(|s| vec![false; s.len]).collect();
-    let lens = layout.lens();
-    for (flat, _) in buf.into_sorted() {
-        let (layer, idx) = unflatten(flat, &lens);
-        layers[layer][idx] = true;
+    let mut flat = vec![false; scores.len()];
+    for i in ranked {
+        flat[i] = true;
     }
-    Mask::from_layers(layers)
+    let mut rest = flat.as_slice();
+    let layers = layout.iter().map(|spec| {
+        let (layer, tail) = rest.split_at(spec.len);
+        rest = tail;
+        layer.to_vec()
+    });
+    Mask::from_layers(layers.collect())
 }
 
 /// Random mask at per-layer densities, used for FedDST's random initial
@@ -262,17 +298,6 @@ pub fn random_mask<R: Rng + ?Sized>(rng: &mut R, layout: &SparseLayout, densitie
         layers.push(m);
     }
     Mask::from_layers(layers)
-}
-
-fn unflatten(flat: usize, lens: &[usize]) -> (usize, usize) {
-    let mut rem = flat;
-    for (l, &n) in lens.iter().enumerate() {
-        if rem < n {
-            return (l, rem);
-        }
-        rem -= n;
-    }
-    panic!("flat index {flat} out of range");
 }
 
 #[cfg(test)]
@@ -304,6 +329,36 @@ mod tests {
         // keep top ceil(0.5*4)=2: 0.9 (a0) and 0.8 (b0)
         assert_eq!(m.layer(0), &[true, false]);
         assert_eq!(m.layer(1), &[true, false]);
+    }
+
+    /// The shared global top-k, on the cases its four callers used to settle
+    /// each their own way (a heap's sift order, a stable sort, `v > 0.0`).
+    #[test]
+    fn global_topk_ties_go_to_the_lowest_flat_index_and_non_finite_is_never_kept() {
+        let l = SparseLayout::new(vec![("a".into(), 3), ("b".into(), 4)]);
+        let s = [0.5f32, 2.0, f32::NAN, 0.5, f32::INFINITY, 0.5, -1.0];
+        let kept = |keep: usize| {
+            let m = global_topk_mask(&l, &s, keep);
+            [m.layer(0).to_vec(), m.layer(1).to_vec()].concat()
+        };
+        // Three 0.5s tie at the cut; they are admitted in flat-index order,
+        // across the layer boundary. Scores are signed: -1.0 ranks last.
+        assert_eq!(kept(0), [false; 7]);
+        assert_eq!(kept(1), [false, true, false, false, false, false, false]);
+        assert_eq!(kept(2), [true, true, false, false, false, false, false]);
+        assert_eq!(kept(3), [true, true, false, true, false, false, false]);
+        assert_eq!(kept(4), [true, true, false, true, false, true, false]);
+        // `keep = total`: every finite score and nothing else.
+        assert_eq!(kept(7), [true, true, false, true, false, true, true]);
+        // ±0.0 are one score; a layer of ties keeps its first coordinates.
+        let zeros = [-0.0f32, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0];
+        let m = global_topk_mask(&l, &zeros, 4);
+        assert_eq!((m.layer_ones(0), m.layer(1)[0]), (3, true));
+        assert_eq!(m.ones_count(), 4);
+        // The magnitude form ranks `|w|` through it.
+        let m = magnitude_mask_global(&l, &[&[0.5, -2.0, 0.1], &[-0.5, 0.2, 0.5, 0.0]], 0.4);
+        assert_eq!(m.layer(0), &[true, true, false]);
+        assert_eq!(m.layer(1), &[true, false, false, false]);
     }
 
     #[test]
@@ -466,6 +521,34 @@ mod tests {
             // Asked for beside a deeper cut, the same mask comes back.
             let pool = magnitude_masks(&l, &[&w], &[[1.0f32], [density]]);
             prop_assert_eq!(pool[1].layer(0), &expect[..]);
+        }
+
+        /// The global top-k against the rule written out naively: a stable
+        /// full sort of the finite flat scores, descending, first `keep`
+        /// kept — over two layers, with cuts landing on ties all the time.
+        #[test]
+        fn global_topk_matches_naive_stable_sort(
+            picks in proptest::collection::vec(0usize..9, 0..65),
+            split in 0usize..65,
+            keep in 0usize..70,
+        ) {
+            const VALUES: [f32; 9] = [
+                f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 0.25, -0.25, 1.5, -3.0,
+            ];
+            let s: Vec<f32> = picks.iter().map(|&p| VALUES[p]).collect();
+            let split = split.min(s.len());
+            let l = SparseLayout::new(vec![("a".into(), split), ("b".into(), s.len() - split)]);
+
+            let mut order: Vec<usize> = (0..s.len()).filter(|&i| s[i].is_finite()).collect();
+            order.sort_by(|&a, &b| s[b].partial_cmp(&s[a]).unwrap());
+            let mut expect = vec![false; s.len()];
+            for &i in order.iter().take(keep) {
+                expect[i] = true;
+            }
+
+            let got = global_topk_mask(&l, &s, keep);
+            prop_assert_eq!(got.layer(0), &expect[..split]);
+            prop_assert_eq!(got.layer(1), &expect[split..]);
         }
 
         /// Every weight kept by a magnitude mask is at least as large as
