@@ -60,7 +60,7 @@ pub struct BenchRecord {
     /// means "not measured" (throughput-only records).
     pub alloc_bytes_per_round: f64,
     /// A count the record exists to pin, per iteration (e.g. tasks trained
-    /// per flush of the buffered loop); `-1.0` means "not measured".
+    /// per buffered flush); `-1.0` means "not measured".
     pub count_per_iter: f64,
 }
 

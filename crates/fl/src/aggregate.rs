@@ -12,10 +12,10 @@
 //! Sparse payloads are accumulated straight out of their encoded form; only
 //! the robust rules decode to dense deltas, into recycled buffers.
 //!
-//! Both scheduler loops call it the same way. Staleness is not a second
-//! API: the buffered loop passes effective weights `samples ·`
-//! [`staleness_weight`]`(s)` (the FedBuff discount) where the barrier loop
-//! passes `samples`.
+//! Every close of the server's round loop calls it the same way. Staleness
+//! is not a second API: an arrival weighs `samples ·`
+//! [`staleness_weight`]`(s)` (the FedBuff discount), which for a barrier
+//! round's never-stale arrivals is exactly `samples`.
 //!
 //! The [`Aggregator`] enum layers the robust rules of the trimmed-mean /
 //! median family (Yin et al., ICML'18) and norm-bounded clipping on top of
@@ -290,8 +290,8 @@ fn for_each_shard<T: Send>(
 
 impl Aggregator {
     /// The aggregation engine: combines the accepted `(update, weight)`
-    /// pairs against `anchor` — the round's anchor under the barrier loop,
-    /// the current global under the buffered one — decoding-and-accumulating
+    /// pairs against `anchor` — the global as it stands when the server's
+    /// window closes — decoding-and-accumulating
     /// each update shard-by-shard on `rt`'s pool and reusing every buffer in
     /// `scratch` across rounds.
     ///

@@ -27,7 +27,7 @@ use crate::bytes::{
     ByteReader, ReadError,
 };
 use crate::ledger::CostLedger;
-use crate::sched::Scheduler;
+use crate::sched::{Scheduler, Sim};
 use crate::train::LocalOutcome;
 use crate::ExperimentEnv;
 use ft_nn::ModelSnapshot;
@@ -105,14 +105,9 @@ impl From<ReadError> for CheckpointError {
 /// One in-flight device task of a buffered run, as persisted.
 #[derive(Clone, Debug)]
 pub(crate) struct TaskState {
-    pub(crate) device: usize,
-    pub(crate) start_secs: f64,
-    pub(crate) finish_secs: f64,
-    pub(crate) start_version: usize,
-    pub(crate) dropped: bool,
-    pub(crate) analytic_flops: f64,
-    pub(crate) analytic_bytes: f64,
-    pub(crate) download_bytes: f64,
+    /// Everything but `secs`, which is not persisted: it is read only
+    /// against a barrier's deadline, and only buffered runs persist tasks.
+    pub(crate) sim: Sim,
     /// Mask epoch of the wire context the task trained under.
     pub(crate) ctx_epoch: u64,
     /// Aliveness of that context (segments are the model's, stored once).
@@ -154,8 +149,8 @@ pub struct Checkpoint {
     pub(crate) history: Vec<f32>,
     pub(crate) snapshot: ModelSnapshot,
     pub(crate) mask_layers: Vec<Vec<bool>>,
-    /// The mask most recently *applied* to the model (`apply_mask` in the
-    /// Aggregate phase). A hook may have moved `mask_layers` past it
+    /// The mask most recently *applied* to the model (`apply_mask` at a
+    /// fold). A hook may have moved `mask_layers` past it
     /// without re-applying; the sparse-dispatch state the devices clone
     /// follows the applied mask, so resume must re-arm exactly this one.
     pub(crate) applied_mask_layers: Vec<Vec<bool>>,
@@ -537,14 +532,14 @@ impl Checkpoint {
             }
             put_u32(&mut out, b.in_flight.len() as u32);
             for t in &b.in_flight {
-                put_u64(&mut out, t.device as u64);
-                put_f64(&mut out, t.start_secs);
-                put_f64(&mut out, t.finish_secs);
-                put_u64(&mut out, t.start_version as u64);
-                put_bool(&mut out, t.dropped);
-                put_f64(&mut out, t.analytic_flops);
-                put_f64(&mut out, t.analytic_bytes);
-                put_f64(&mut out, t.download_bytes);
+                put_u64(&mut out, t.sim.device as u64);
+                put_f64(&mut out, t.sim.start_secs);
+                put_f64(&mut out, t.sim.finish_secs);
+                put_u64(&mut out, t.sim.start_version as u64);
+                put_bool(&mut out, t.sim.dropped);
+                put_f64(&mut out, t.sim.analytic_flops);
+                put_f64(&mut out, t.sim.analytic_bytes);
+                put_f64(&mut out, t.sim.download_bytes);
                 put_u64(&mut out, t.ctx_epoch);
                 put_bitvec(&mut out, &t.ctx_alive);
                 put_f32_vec(&mut out, &t.outcome.delta);
@@ -610,15 +605,19 @@ impl Checkpoint {
             let n_tasks = r.u32()? as usize;
             let mut in_flight = Vec::with_capacity(n_tasks.min(65536));
             for _ in 0..n_tasks {
+                let (device, start_secs, finish_secs) = (r.len_u64()?, r.f64()?, r.f64()?);
                 in_flight.push(TaskState {
-                    device: r.len_u64()?,
-                    start_secs: r.f64()?,
-                    finish_secs: r.f64()?,
-                    start_version: r.len_u64()?,
-                    dropped: r.boolean()?,
-                    analytic_flops: r.f64()?,
-                    analytic_bytes: r.f64()?,
-                    download_bytes: r.f64()?,
+                    sim: Sim {
+                        device,
+                        start_secs,
+                        secs: finish_secs - start_secs,
+                        finish_secs,
+                        start_version: r.len_u64()?,
+                        dropped: r.boolean()?,
+                        analytic_flops: r.f64()?,
+                        analytic_bytes: r.f64()?,
+                        download_bytes: r.f64()?,
+                    },
                     ctx_epoch: r.u64()?,
                     ctx_alive: r.bitvec()?,
                     outcome: LocalOutcome {
@@ -803,14 +802,17 @@ mod tests {
                 events: 11,
                 task_counter: vec![1, 2, 3],
                 in_flight: vec![TaskState {
-                    device: 2,
-                    start_secs: 1.0,
-                    finish_secs: 9.0,
-                    start_version: 1,
-                    dropped: false,
-                    analytic_flops: 1e8,
-                    analytic_bytes: 2048.0,
-                    download_bytes: 1024.0,
+                    sim: Sim {
+                        device: 2,
+                        start_secs: 1.0,
+                        secs: 8.0,
+                        finish_secs: 9.0,
+                        start_version: 1,
+                        dropped: false,
+                        analytic_flops: 1e8,
+                        analytic_bytes: 2048.0,
+                        download_bytes: 1024.0,
+                    },
                     ctx_epoch: 2,
                     ctx_alive: vec![true, true, false],
                     outcome: LocalOutcome {

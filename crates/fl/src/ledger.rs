@@ -108,17 +108,9 @@ impl CostLedger {
         self.zero_progress += 1;
     }
 
-    /// Appends one device-task event to the per-device timeline and
-    /// returns its index (so a buffered scheduler can flip `applied` once
-    /// the update actually reaches an aggregate).
-    pub fn record_timeline(&mut self, event: TimelineEvent) -> usize {
+    /// Appends one device-task event to the per-device timeline.
+    pub fn record_timeline(&mut self, event: TimelineEvent) {
         self.timeline.push(event);
-        self.timeline.len() - 1
-    }
-
-    /// Marks a previously recorded timeline event as applied.
-    pub(crate) fn set_timeline_applied(&mut self, idx: usize) {
-        self.timeline[idx].applied = true;
     }
 
     /// Counts one quarantined delivery under its fault class (hostile or

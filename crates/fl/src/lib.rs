@@ -27,10 +27,11 @@
 //! - [`Scheduler`] — how the server closes rounds over the environment's
 //!   simulated [`DeviceProfile`] fleet: synchronous barrier, deadline cut,
 //!   or FedBuff-style buffered asynchrony, all on a virtual clock.
-//! - [`server`] — the transport-agnostic round loop (four phase functions:
-//!   Broadcast → Collect → Aggregate → Advance) behind every scheduler, with
-//!   checkpoint/resume ([`Checkpoint`], [`CheckpointSpec`]) that reproduces
-//!   an interrupted run's final trace byte for byte.
+//! - [`server`] — the transport-agnostic round loop behind every scheduler:
+//!   one event loop in which device tasks launch, arrive into a window, and
+//!   the window folds into the global model when it closes. Checkpoint /
+//!   resume ([`Checkpoint`], [`CheckpointSpec`]) reproduces an interrupted
+//!   run's final trace byte for byte.
 //! - [`transport`] — how updates reach the server: [`InProcess`] (function
 //!   calls, the golden-trace-pinned classic), [`SimTime`] (every update
 //!   crosses a real in-memory frame boundary), and [`TcpTransport`] /
@@ -84,7 +85,7 @@ pub use ft_metrics::{
 pub use ft_runtime::{resolve_threads, Runtime};
 pub use ft_sparse::{Codec, Payload, WireCtx};
 pub use ledger::{CostLedger, RunResult, TimelineEvent};
-pub use rounds::{no_hook, run_federated_rounds, schedule_fits, RoundHook};
+pub use rounds::{no_hook, run_federated_rounds, RoundHook};
 pub use sched::{
     broadcast_payload_len, device_round_cost, device_sim_secs, fleet_spread_deadline,
     PresenceSchedule, Scheduler,

@@ -1,6 +1,5 @@
 //! The generic federated round loop shared by every pruning method.
 
-use crate::config::FlConfig;
 use crate::env::ExperimentEnv;
 use crate::ledger::CostLedger;
 use ft_nn::Model;
@@ -34,11 +33,14 @@ pub type RoundHook<'a> = dyn FnMut(&mut dyn Model, &mut Mask, usize, &mut CostLe
 /// makespan are recorded in `ledger`. Returns the accuracy history (always
 /// nonempty).
 ///
-/// This is the classic in-process entry point: a thin wrapper over the
-/// transport-agnostic round loop in [`crate::server`] running on
-/// the [`crate::transport::InProcess`] transport. Use
-/// [`crate::server::run_with`] directly to pick another transport
-/// (`SimTime`, TCP) or to checkpoint/resume the run.
+/// This is [`crate::server::run_with`] on the
+/// [`crate::transport::InProcess`] transport; call `run_with` directly to
+/// pick another transport (`SimTime`, TCP) or to checkpoint/resume the run.
+///
+/// # Panics
+///
+/// Panics if the run fails, which an in-process run only does on an
+/// invalid configuration.
 pub fn run_federated_rounds(
     global: &mut dyn Model,
     mask: &mut Mask,
@@ -47,7 +49,10 @@ pub fn run_federated_rounds(
     ledger: &mut CostLedger,
     hook: &mut RoundHook<'_>,
 ) -> Vec<f32> {
-    crate::server::run_in_process(global, mask, env, eval_every, ledger, hook)
+    let mut transport = crate::transport::InProcess;
+    let opts = crate::server::RunOptions::new(&mut transport);
+    crate::server::run_with(global, mask, env, eval_every, ledger, hook, opts)
+        .unwrap_or_else(|e| panic!("federated run failed: {e}"))
 }
 
 /// Samples the participating device indices for one round: all devices at
@@ -72,12 +77,6 @@ pub(crate) fn sample_cohort(env: &ExperimentEnv, round: usize) -> Vec<usize> {
 /// Convenience: the no-op hook for methods with a fixed mask.
 pub fn no_hook() -> impl FnMut(&mut dyn Model, &mut Mask, usize, &mut CostLedger) -> f64 {
     |_: &mut dyn Model, _: &mut Mask, _: usize, _: &mut CostLedger| 0.0
-}
-
-/// Checks whether `cfg` rounds make the loop's `t = round · E` counter
-/// consistent with a schedule horizon (diagnostic helper used by tests).
-pub fn schedule_fits(cfg: &FlConfig, r_stop: usize) -> bool {
-    cfg.rounds > 0 && r_stop > 0
 }
 
 #[cfg(test)]

@@ -36,8 +36,6 @@
 //! ledger but not in its link time.
 
 use crate::env::ExperimentEnv;
-use crate::train::DeviceUpdate;
-use crate::transport::Delivery;
 use ft_metrics::{sparse_model_bytes, training_flops, DeviceProfile};
 use ft_nn::ArchInfo;
 use ft_sparse::{Codec, WireCtx};
@@ -112,6 +110,16 @@ impl Scheduler {
             }
         }
     }
+
+    /// Simulated seconds after its launch past which the server stops
+    /// waiting for an upload: the deadline, or `∞` for the policies that
+    /// have none.
+    pub(crate) fn cutoff_secs(&self) -> f64 {
+        match *self {
+            Scheduler::Deadline { deadline_secs } => deadline_secs,
+            Scheduler::Synchronous | Scheduler::Buffered { .. } => f64::INFINITY,
+        }
+    }
 }
 
 /// Analytic cost of one local-training task at the given mask densities:
@@ -164,6 +172,24 @@ pub fn fleet_spread_deadline(env: &ExperimentEnv, arch: &ArchInfo, densities: &[
     (fastest * slowest).sqrt()
 }
 
+/// What the simulated fleet fixed for a task at its launch.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Sim {
+    pub(crate) device: usize,
+    pub(crate) start_secs: f64,
+    /// Simulated seconds from launch to arrival.
+    pub(crate) secs: f64,
+    pub(crate) finish_secs: f64,
+    /// The server version (closed rounds) the task was launched from.
+    pub(crate) start_version: usize,
+    /// The upload is lost on the way (dropout).
+    pub(crate) dropped: bool,
+    pub(crate) analytic_flops: f64,
+    pub(crate) analytic_bytes: f64,
+    /// Measured broadcast bytes the device downloaded at launch.
+    pub(crate) download_bytes: f64,
+}
+
 /// Whether the round loop evaluates after round `round` of `rounds`.
 pub(crate) fn should_eval(eval_every: usize, round: usize, rounds: usize) -> bool {
     (eval_every > 0 && round % eval_every == eval_every - 1) || round + 1 == rounds
@@ -178,23 +204,6 @@ pub fn broadcast_payload_len(codec: Codec, ctx: &WireCtx) -> usize {
         Codec::Dense => Codec::Dense.encoded_len_for(ctx, true),
         _ => Codec::MaskCsr.encoded_len_for(ctx, true),
     }
-}
-
-/// Weighted updates of the surviving cohort members: `(update, |D_k|)`
-/// pairs. Quarantined (faulted) deliveries and members the scheduler cut
-/// carry no weight; for the survivors the weights always sum to the
-/// participating sample count (the invariant every aggregation in the
-/// paper relies on).
-pub(crate) fn survivor_updates<'a>(
-    updates: &'a [Delivery],
-    alive: &[bool],
-) -> Vec<(&'a DeviceUpdate, f64)> {
-    updates
-        .iter()
-        .zip(alive.iter())
-        .filter(|(_, &a)| a)
-        .filter_map(|(d, _)| d.update().map(|u| (u, u.samples as f64)))
-        .collect()
 }
 
 /// The fleet's dynamic registry: which devices are enrolled at which
@@ -238,11 +247,6 @@ impl PresenceSchedule {
         self
     }
 
-    /// Whether any absence window exists at all.
-    pub fn is_trivial(&self) -> bool {
-        self.windows.is_empty()
-    }
-
     /// Whether `device` is enrolled (present) at `round`.
     pub fn enrolled(&self, round: usize, device: usize) -> bool {
         !self
@@ -273,8 +277,7 @@ mod tests {
     use crate::rounds::{no_hook, run_federated_rounds};
     use crate::spec::ModelSpec;
     use ft_nn::{apply_mask, flat_params, sparse_layout};
-    use ft_sparse::{Mask, Payload};
-    use proptest::prelude::*;
+    use ft_sparse::Mask;
 
     /// Runs one policy end-to-end on a mixed fleet and returns everything
     /// the determinism tests compare bit-for-bit.
@@ -373,6 +376,29 @@ mod tests {
         assert_eq!(a.0, b.0, "accuracy history diverged");
         assert_eq!(a.1, b.1, "final parameters diverged");
         assert_eq!(a.2, b.2, "ledger diverged");
+    }
+
+    #[test]
+    fn sim_deadline_unbounded_equals_synchronous() {
+        // One close rule: a barrier round closes when its last member has
+        // arrived or been cut. With a deadline no device can miss, nothing
+        // is ever cut, so Deadline must be Synchronous bit for bit.
+        let unbounded = run_policy(
+            Scheduler::Deadline {
+                deadline_secs: f64::MAX,
+            },
+            true,
+            12,
+        );
+        let synchronous = run_policy(Scheduler::Synchronous, true, 12);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&unbounded.0), bits(&synchronous.0), "history diverged");
+        assert_eq!(
+            bits(&unbounded.1),
+            bits(&synchronous.1),
+            "parameters diverged"
+        );
+        assert_eq!(unbounded.2, synchronous.2, "ledger diverged");
     }
 
     #[test]
@@ -649,41 +675,5 @@ mod tests {
             1,
         );
         assert!(sparse < fast);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The weights handed to the aggregator always sum to the
-        /// participating (surviving) sample count.
-        #[test]
-        fn sim_survivor_weights_sum_to_sample_count(
-            samples in proptest::collection::vec(1usize..500, 1..8),
-            alive_bits in proptest::collection::vec(0u32..2, 1..8),
-        ) {
-            let n = samples.len().min(alive_bits.len());
-            let updates: Vec<DeviceUpdate> = samples[..n]
-                .iter()
-                .map(|&s| DeviceUpdate {
-                    payload: Payload::Dense { values: vec![0.0] },
-                    bn: Vec::new(),
-                    samples: s,
-                    realized_flops: 0.0,
-                    wall_secs: 0.0,
-                })
-                .collect();
-            let alive: Vec<bool> = alive_bits[..n].iter().map(|&b| b == 1).collect();
-            let deliveries: Vec<Delivery> = updates.into_iter().map(Delivery::Update).collect();
-            let got = survivor_updates(&deliveries, &alive);
-            let weight_sum: f64 = got.iter().map(|(_, w)| *w).sum();
-            let expected: usize = samples[..n]
-                .iter()
-                .zip(alive.iter())
-                .filter(|(_, &a)| a)
-                .map(|(&s, _)| s)
-                .sum();
-            prop_assert_eq!(got.len(), alive.iter().filter(|&&a| a).count());
-            prop_assert!((weight_sum - expected as f64).abs() < 1e-9);
-        }
     }
 }

@@ -243,9 +243,11 @@ pub trait Transport {
     /// Stable lowercase name for run headers and reports.
     fn name(&self) -> &'static str;
 
-    /// Whether device training runs inside the server process. The
-    /// buffered scheduler interleaves training with its event loop and
-    /// therefore requires a local transport.
+    /// Whether device training runs inside the server process. Two things
+    /// the round loop does need it, and the server refuses them with a
+    /// typed error over any other transport: the buffered launch rule
+    /// trains deferred tasks in-process, and error-feedback codecs have
+    /// their device-side residual rolled back when an upload is lost.
     fn is_local(&self) -> bool;
 
     /// Runs one barrier round: broadcast the request's global snapshot to
@@ -259,8 +261,8 @@ pub trait Transport {
     ) -> Result<Vec<Delivery>, TransportError>;
 
     /// Ships one already-encoded update across the transport's byte
-    /// boundary (the buffered loop calls this at arrival time). Local
-    /// transports may return it unchanged.
+    /// boundary (the server calls this when a buffered task arrives).
+    /// Local transports may return it unchanged.
     fn deliver_update(&mut self, update: DeviceUpdate, ctx: &WireCtx) -> DeviceUpdate;
 
     /// Tears the transport down after the final round (e.g. sends DONE
@@ -1115,8 +1117,8 @@ impl Transport for TcpTransport {
     }
 
     fn deliver_update(&mut self, update: DeviceUpdate, _ctx: &WireCtx) -> DeviceUpdate {
-        // Unreachable in practice: the buffered loop rejects non-local
-        // transports before it starts.
+        // Unreachable in practice: the server refuses buffered runs over
+        // non-local transports before they start.
         update
     }
 

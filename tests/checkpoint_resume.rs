@@ -12,11 +12,12 @@
 use fedtiny::{run_fedtiny, run_fedtiny_with, FedTinyConfig, FedTinyRunOptions};
 use fedtiny_suite::fl::{
     no_hook, run_federated_rounds, run_with, CheckpointSpec, Codec, CostLedger, DeviceProfile,
-    ExperimentEnv, InProcess, ModelSpec, RunOptions, Scheduler, ServerError,
+    ExperimentEnv, InProcess, MetricsHub, ModelSpec, RunOptions, Scheduler, ServerError,
 };
 use fedtiny_suite::nn::{flat_params, sparse_layout, Model};
 use fedtiny_suite::sparse::Mask;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// A unique temp path per test (the OS temp dir is shared across runs).
 fn temp_ckpt(name: &str) -> PathBuf {
@@ -493,4 +494,57 @@ fn ckpt_changed_hyperparameters_are_rejected() {
     assert!(matches!(err, ServerError::Checkpoint(_)));
     assert!(err.to_string().contains("run configuration"));
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn ckpt_resuming_a_finished_run_publishes_its_ledger() {
+    // Resuming a run that had already finished does no round — but it
+    // leaves through the loop's own exit, so a metrics hub attached to the
+    // resume still reports the restored ledger's totals.
+    for sched in [Scheduler::Synchronous, Scheduler::Buffered { buffer_k: 2 }] {
+        let path = temp_ckpt(&format!("finished_{}", sched.name()));
+        let run = |resume: bool, metrics: Option<Arc<MetricsHub>>| {
+            let env = build_env(sched, Codec::MaskCsr, 11);
+            let mut model = env.build_model(&ModelSpec::small_cnn_test());
+            let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+            let mut ledger = CostLedger::new();
+            let mut transport = InProcess;
+            let mut opts = RunOptions::new(&mut transport);
+            opts.checkpoint = Some(CheckpointSpec::every_round(&path));
+            opts.resume = resume;
+            opts.metrics = metrics;
+            let history = run_with(
+                model.as_mut(),
+                &mut mask,
+                &env,
+                1,
+                &mut ledger,
+                &mut no_hook(),
+                opts,
+            )
+            .expect("run");
+            (history, ledger, env.cfg.rounds)
+        };
+        let (history, ledger, rounds) = run(false, None);
+        let hub = MetricsHub::new();
+        let (resumed_history, resumed_ledger, _) = run(true, Some(Arc::clone(&hub)));
+        std::fs::remove_file(&path).ok();
+        assert_eq!(resumed_history, history, "{sched:?}: history not restored");
+        let up = ledger.total_payload_upload_bytes();
+        assert_eq!(resumed_ledger.total_payload_upload_bytes(), up);
+
+        let body = hub.render_text();
+        let value = |name: &str| -> f64 {
+            body.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("{name} missing from\n{body}"))
+        };
+        assert_eq!(value("ft_rounds_completed"), rounds as f64, "{sched:?}");
+        assert!(up > 0.0);
+        assert_eq!(
+            value("ft_payload_bytes_total{direction=\"up\"}").to_bits(),
+            up.to_bits(),
+            "{sched:?}: the hub missed the restored ledger"
+        );
+    }
 }
