@@ -37,6 +37,24 @@ impl Method {
         }
     }
 
+    /// The inverse of [`name`](Self::name): every method, baselines and the
+    /// GraSP extension included, parses from the name its records carry.
+    pub fn from_name(name: &str) -> Option<Method> {
+        Some(match name {
+            "fedtiny" => Method::FedTiny,
+            "vanilla" => Method::Vanilla,
+            "adaptive_bn" => Method::AdaptiveBnOnly,
+            "vanilla+prog" => Method::VanillaProgressive,
+            "small_model" => Method::SmallModel,
+            other => Method::Baseline(
+                BaselineMethod::all()
+                    .into_iter()
+                    .chain([BaselineMethod::Grasp])
+                    .find(|b| b.name() == other)?,
+            ),
+        })
+    }
+
     /// The method set of Fig. 3 / Table I (baselines + FedTiny).
     pub fn figure3_set() -> Vec<Method> {
         let mut v: Vec<Method> = BaselineMethod::figure3_set()
@@ -147,18 +165,27 @@ mod tests {
     use crate::scale::{Scale, ScaleKind};
     use ft_data::DatasetProfile;
 
+    /// Every method runs at smoke scale, and a record's `method` field feeds
+    /// back into `--method`: it is the name the method parses from.
     #[test]
     fn every_method_runs_at_smoke_scale() {
         let s = Scale::new(ScaleKind::Smoke);
         let env = s.env(DatasetProfile::Cifar10, 0);
         let spec = s.resnet();
-        for m in [
+        let mut methods = vec![
             Method::FedTiny,
             Method::Vanilla,
+            Method::AdaptiveBnOnly,
+            Method::VanillaProgressive,
             Method::SmallModel,
-            Method::Baseline(BaselineMethod::SynFlow),
-        ] {
+            Method::Baseline(BaselineMethod::Grasp),
+        ];
+        methods.extend(BaselineMethod::all().map(Method::Baseline));
+        assert_eq!(methods.len(), 13);
+        for m in methods {
+            assert_eq!(Method::from_name(&m.name()), Some(m));
             let r = run_method(&env, &spec, m, 0.2);
+            assert_eq!(r.method, m.name());
             assert!((0.0..=1.0).contains(&r.accuracy), "{m:?}");
         }
     }

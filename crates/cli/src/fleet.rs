@@ -1,21 +1,24 @@
 //! Fleet commands: `ft run`, `ft serve`, `ft device`, `ft resume`.
 //!
-//! These absorb what the `tcp_fleet` and `straggler_fleet` examples used to
-//! do: the same seeds, the same environments, the same reference-twin
-//! bit-identity assertions — one knob surface instead of two. The examples
-//! remain as thin wrappers that translate their legacy flags onto these
-//! subcommands.
+//! One knob surface over seeded preset fleets: an in-process run, the
+//! straggler preset's scheduler comparison, a TCP server (with real device
+//! processes or loopback client threads) and the in-process reference twin
+//! its final model is asserted bit-identical to. Every one of those runs
+//! goes through one call, `run_fleet`, which also makes the one choice
+//! between the plain and the adversarial in-process transport.
+//! `ft run --method` is not a fleet command: it runs one experiment of the
+//! paper's evaluation ([`crate::experiment`]).
 
 use crate::args::{die, Args};
 use ft_data::{DatasetProfile, SynthConfig};
 use ft_fl::{
-    fleet_spread_deadline, no_hook, resolve_threads, run_byzantine_tcp_device,
-    run_federated_rounds, run_tcp_device, run_with, AdversarialTransport, Aggregator, Behavior,
-    CheckpointSpec, Codec, CostLedger, DeviceProfile, ExperimentEnv, FlConfig, InProcess,
-    MetricsEndpoint, MetricsHub, ModelSpec, RunOptions, RunResult, Scheduler, TimelineEvent,
+    fleet_spread_deadline, no_hook, resolve_threads, run_byzantine_tcp_device, run_tcp_device,
+    run_with, AdversarialTransport, Aggregator, Behavior, CheckpointSpec, Codec, CostLedger,
+    DeviceProfile, ExperimentEnv, FlConfig, InProcess, MetricsEndpoint, MetricsHub, ModelSpec,
+    RunOptions, RunResult, Scheduler, TcpTransport, TimelineEvent, Transport,
 };
 use ft_metrics::{device_memory_bytes, ExtraMemory};
-use ft_nn::{flat_params, sparse_layout};
+use ft_nn::{flat_params, sparse_layout, Model};
 use ft_sparse::Mask;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -49,6 +52,7 @@ impl Preset {
 }
 
 /// The knob surface shared by every fleet command.
+#[derive(Clone)]
 struct FleetOptions {
     preset: Preset,
     devices: usize,
@@ -216,23 +220,27 @@ impl FleetOptions {
         }
     }
 
+    /// The `--byzantine` table as the run headers print it, `-` when clean.
+    fn byzantine_label(&self) -> String {
+        if self.byzantine.is_empty() {
+            return "-".to_string();
+        }
+        self.byzantine
+            .iter()
+            .map(|(d, b)| format!("{d}:{}", b.name()))
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
     /// Self-describing run header (transport, codec, aggregator,
-    /// adversaries, checkpoint path) — same shape the examples printed.
+    /// adversaries, checkpoint path).
     fn print_header(&self, transport: &str) {
-        let byzantine = if self.byzantine.is_empty() {
-            "-".to_string()
-        } else {
-            self.byzantine
-                .iter()
-                .map(|(d, b)| format!("{d}:{}", b.name()))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
         println!(
-            "transport: {transport} | codec: {} | aggregator: {} | byzantine: {byzantine} | \
+            "transport: {transport} | codec: {} | aggregator: {} | byzantine: {} | \
              devices: {} | rounds: {} | checkpoint: {}{}",
             self.codec.name(),
             self.aggregator.name(),
+            self.byzantine_label(),
             self.devices,
             self.rounds,
             self.checkpoint.as_deref().unwrap_or("-"),
@@ -288,45 +296,53 @@ fn print_quarantine_stats(aggregator: Aggregator, ledger: &CostLedger) {
 /// `ft run`: an in-process fleet. The straggler preset compares the three
 /// round schedulers; demo and lab run once and print the shared summary.
 pub fn cmd_run(argv: &[String]) -> i32 {
-    let a = Args::new(argv);
-    let opts = FleetOptions::parse(&a, false);
-    let metrics = start_metrics(&opts);
-    let hub = metrics.as_ref().map(|(h, _)| h);
-    match opts.preset {
-        Preset::Straggler => run_straggler(&opts, hub),
-        _ => run_single(&opts, hub),
-    }
+    run_in_process(&FleetOptions::parse(&Args::new(argv), false))
 }
 
 /// `ft resume`: shorthand for `ft run --resume`; the checkpoint is
 /// mandatory (resuming without one would silently start fresh).
 pub fn cmd_resume(argv: &[String]) -> i32 {
-    let a = Args::new(argv);
-    let mut opts = FleetOptions::parse(&a, false);
+    let mut opts = FleetOptions::parse(&Args::new(argv), false);
     if opts.checkpoint.is_none() {
         die("ft resume requires --checkpoint <path>");
     }
     opts.resume = true;
-    let metrics = start_metrics(&opts);
+    run_in_process(&opts)
+}
+
+fn run_in_process(opts: &FleetOptions) -> i32 {
+    let metrics = start_metrics(opts);
     let hub = metrics.as_ref().map(|(h, _)| h);
     match opts.preset {
-        Preset::Straggler => run_straggler(&opts, hub),
-        _ => run_single(&opts, hub),
+        Preset::Straggler => run_straggler(opts, hub),
+        _ => run_single(opts, hub),
     }
 }
 
-/// One in-process run on the preset's environment; prints the uniform
-/// run summary every method in the workspace reports.
-fn run_single(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
-    opts.print_header("in_process");
-    let env = opts.build_env(None);
-    let spec = opts.model_spec();
-    let mut model = env.build_model(&spec);
+/// The one run call of every fleet command: the preset's model, from a
+/// ones mask, through `run_with` under `opts`' checkpoint, resume and halt
+/// knobs, with the allocation gauge published to `hub`. Without a `tcp`
+/// transport the fleet runs in-process — through the seeded adversary when
+/// `--byzantine` names one. Either transport's rejected handshakes land in
+/// the returned ledger, next to the accuracy history and the final model.
+/// A run error exits 1.
+fn run_fleet(
+    opts: &FleetOptions,
+    scheduler: Option<Scheduler>,
+    mut tcp: Option<&mut TcpTransport>,
+    hub: Option<&Arc<MetricsHub>>,
+) -> (Vec<f32>, Box<dyn Model>, CostLedger) {
+    let env = opts.build_env(scheduler);
+    let mut model = env.build_model(&opts.model_spec());
     let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
     let mut ledger = CostLedger::new();
-    let hostile = opts.hostile();
     let mut plain = InProcess;
     let mut adversarial = AdversarialTransport::new(InProcess, opts.behaviors(), ADV_SEED);
+    let transport: &mut dyn Transport = match tcp.as_deref_mut() {
+        Some(tcp) => tcp,
+        None if opts.hostile() => &mut adversarial,
+        None => &mut plain,
+    };
     let alloc_before = ft_bench::allocated_bytes();
     let history = run_with(
         model.as_mut(),
@@ -336,11 +352,7 @@ fn run_single(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
         &mut ledger,
         &mut no_hook(),
         RunOptions {
-            transport: if hostile {
-                &mut adversarial
-            } else {
-                &mut plain
-            },
+            transport,
             checkpoint: opts.checkpoint.as_ref().map(CheckpointSpec::every_round),
             resume: opts.resume,
             halt_after: opts.halt_after,
@@ -354,22 +366,31 @@ fn run_single(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
         eprintln!("ft: run failed: {e}");
         std::process::exit(1);
     });
-    if hostile {
-        ledger.record_handshake_faults(adversarial.handshake_faults());
-    }
     publish_alloc(hub, alloc_before, opts.rounds);
-    let arch = model.arch();
-    let densities = ft_metrics::densities_from_mask(&mask);
+    ledger.record_handshake_faults(match tcp {
+        Some(tcp) => tcp.handshake_faults(),
+        None => adversarial.handshake_faults(),
+    });
+    (history, model, ledger)
+}
+
+/// One in-process run on the preset's environment; prints the uniform
+/// run summary every method in the workspace reports.
+fn run_single(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
+    opts.print_header("in_process");
+    let (history, model, ledger) = run_fleet(opts, None, None, hub);
+    // Plain rounds never move the ones mask the run starts from.
+    let densities = vec![1.0f32; sparse_layout(model.as_ref()).num_layers()];
     let result = RunResult::from_ledger(
         format!("run:{}", opts.preset.name()),
         history,
-        mask.density(),
-        device_memory_bytes(&arch, &densities, ExtraMemory::None),
-        env.cfg.codec.name(),
+        1.0,
+        device_memory_bytes(&model.arch(), &densities, ExtraMemory::None),
+        opts.codec.name(),
         &ledger,
     );
     println!("{}", result.format_summary());
-    if hostile {
+    if opts.hostile() {
         print_quarantine_stats(opts.aggregator, &ledger);
     }
     if let Some(halted) = opts.halt_after {
@@ -380,7 +401,7 @@ fn run_single(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
 
 /// The straggler comparison: the same fleet under the synchronous,
 /// deadline and buffered schedulers, plus the buffered timeline excerpt
-/// and the host-parallelism report (ports the `straggler_fleet` example).
+/// and the host-parallelism report.
 fn run_straggler(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
     let resolved = resolve_threads(opts.threads);
     let deadline_secs = {
@@ -394,20 +415,12 @@ fn run_straggler(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
         Scheduler::Deadline { deadline_secs },
         Scheduler::Buffered { buffer_k: 3 },
     ];
-    let byzantine_label = if opts.byzantine.is_empty() {
-        "-".to_string()
-    } else {
-        opts.byzantine
-            .iter()
-            .map(|(d, b)| format!("{d}:{}", b.name()))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
     println!(
-        "transport: in_process | wire codec: {} | aggregator: {} | byzantine: {byzantine_label} | \
+        "transport: in_process | wire codec: {} | aggregator: {} | byzantine: {} | \
          worker threads: {resolved} | checkpoint: {}{}",
         opts.codec.name(),
         opts.aggregator.name(),
+        opts.byzantine_label(),
         opts.checkpoint
             .as_deref()
             .map(|p| format!("{p}.<scheduler>"))
@@ -420,7 +433,6 @@ fn run_straggler(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
     );
     let mut buffered_timeline: Vec<TimelineEvent> = Vec::new();
     let mut sync_wall = None;
-    let alloc_before = ft_bench::allocated_bytes();
     for policy in policies {
         let (top1, ledger, wall) = straggler_run(opts, policy, opts.threads, true, hub);
         if matches!(policy, Scheduler::Synchronous) {
@@ -459,7 +471,6 @@ fn run_straggler(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
             buffered_timeline = ledger.timeline().to_vec();
         }
     }
-    publish_alloc(hub, alloc_before, opts.rounds * policies.len());
 
     println!("\nbuffered timeline (first 12 arrivals):");
     println!(
@@ -505,7 +516,7 @@ fn run_straggler(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
 }
 
 /// One scheduler's run for the straggler comparison; returns the final
-/// accuracy, the ledger, and the host wall-clock of the round loop.
+/// accuracy, the ledger, and the host wall-clock of the run.
 fn straggler_run(
     opts: &FleetOptions,
     scheduler: Scheduler,
@@ -513,65 +524,20 @@ fn straggler_run(
     durable: bool,
     hub: Option<&Arc<MetricsHub>>,
 ) -> (f32, CostLedger, f64) {
-    let mut sub = FleetOptions {
-        preset: opts.preset,
-        devices: opts.devices,
-        rounds: opts.rounds,
-        codec: opts.codec,
-        aggregator: opts.aggregator,
-        byzantine: opts.byzantine.clone(),
+    let sub = FleetOptions {
         threads,
-        checkpoint: None,
-        resume: opts.resume,
+        // Each policy saves to its own `<path>.<scheduler>` file so the
+        // three runs never collide.
+        checkpoint: opts
+            .checkpoint
+            .as_ref()
+            .filter(|_| durable)
+            .map(|p| format!("{p}.{}", scheduler.name())),
         halt_after: None,
-        metrics: None,
-        no_verify: opts.no_verify,
+        ..opts.clone()
     };
-    if durable {
-        sub.checkpoint = opts.checkpoint.clone();
-    }
-    let env = sub.build_env(Some(scheduler));
-    let mut model = env.build_model(&sub.model_spec());
-    let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
-    let mut ledger = CostLedger::new();
     let started = std::time::Instant::now();
-    let hostile = sub.hostile();
-    let mut plain = InProcess;
-    let mut adversarial = AdversarialTransport::new(InProcess, sub.behaviors(), ADV_SEED);
-    let history = run_with(
-        model.as_mut(),
-        &mut mask,
-        &env,
-        0,
-        &mut ledger,
-        &mut no_hook(),
-        RunOptions {
-            transport: if hostile {
-                &mut adversarial
-            } else {
-                &mut plain
-            },
-            // Each policy saves to its own `<path>.<scheduler>` file so
-            // the three runs never collide.
-            checkpoint: sub
-                .checkpoint
-                .as_deref()
-                .map(|p| CheckpointSpec::every_round(format!("{p}.{}", scheduler.name()))),
-            resume: sub.resume,
-            halt_after: None,
-            hook_save: None,
-            hook_load: None,
-            presence: None,
-            metrics: hub.cloned(),
-        },
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("ft: run failed: {e}");
-        std::process::exit(1);
-    });
-    if hostile {
-        ledger.record_handshake_faults(adversarial.handshake_faults());
-    }
+    let (history, _, ledger) = run_fleet(&sub, Some(scheduler), None, hub);
     let wall = started.elapsed().as_secs_f64();
     (*history.last().expect("nonempty history"), ledger, wall)
 }
@@ -588,28 +554,25 @@ pub fn cmd_serve(argv: &[String]) -> i32 {
     }
     let metrics = start_metrics(&opts);
     let hub = metrics.as_ref().map(|(h, _)| h);
-    match a.get("--listen") {
+    // A hostile fleet needs the tolerant accept loop (handshake screening);
+    // a clean one keeps the strict listener.
+    let (mut transport, clients) = match a.get("--listen") {
         Some(addr) => {
             opts.print_header("tcp (server)");
             println!(
                 "listening on {addr}, waiting for {} devices...",
                 opts.devices
             );
-            // A hostile fleet needs the tolerant accept loop (handshake
-            // screening); a clean one keeps the strict listener.
-            let mut transport = if opts.byzantine.is_empty() {
-                ft_fl::TcpTransport::listen(addr, opts.devices)
+            let transport = if opts.byzantine.is_empty() {
+                TcpTransport::listen(addr, opts.devices)
                     .unwrap_or_else(|e| die(&format!("listen failed: {e}")))
             } else {
                 let listener =
                     TcpListener::bind(addr).unwrap_or_else(|e| die(&format!("listen failed: {e}")));
-                ft_fl::TcpTransport::accept_fleet_tolerant(listener, opts.devices)
+                TcpTransport::accept_fleet_tolerant(listener, opts.devices)
                     .unwrap_or_else(|e| die(&format!("accept failed: {e}")))
             };
-            let mut tcp = run_server(&mut transport, &opts, hub);
-            tcp.2.record_handshake_faults(transport.handshake_faults());
-            assert_matches_reference(&tcp, &opts);
-            0
+            (transport, Vec::new())
         }
         None => {
             opts.print_header("tcp (demo: server + client threads)");
@@ -633,22 +596,21 @@ pub fn cmd_serve(argv: &[String]) -> i32 {
                     })
                 })
                 .collect();
-            let mut transport = if opts.byzantine.is_empty() {
-                ft_fl::TcpTransport::accept_fleet(&listener, opts.devices)
-                    .unwrap_or_else(|e| die(&format!("accept failed: {e}")))
+            let transport = if opts.byzantine.is_empty() {
+                TcpTransport::accept_fleet(&listener, opts.devices)
             } else {
-                ft_fl::TcpTransport::accept_fleet_tolerant(listener, opts.devices)
-                    .unwrap_or_else(|e| die(&format!("accept failed: {e}")))
-            };
-            let mut tcp = run_server(&mut transport, &opts, hub);
-            tcp.2.record_handshake_faults(transport.handshake_faults());
-            for c in clients {
-                c.join().expect("client thread");
+                TcpTransport::accept_fleet_tolerant(listener, opts.devices)
             }
-            assert_matches_reference(&tcp, &opts);
-            0
+            .unwrap_or_else(|e| die(&format!("accept failed: {e}")));
+            (transport, clients)
         }
+    };
+    let tcp = run_fleet(&opts, None, Some(&mut transport), hub);
+    for c in clients {
+        c.join().expect("client thread");
     }
+    assert_matches_reference(tcp, &opts);
+    0
 }
 
 /// `ft device`: one TCP device (honest or, when listed in `--byzantine`,
@@ -684,136 +646,66 @@ pub fn cmd_device(argv: &[String]) -> i32 {
     0
 }
 
-/// Runs the server rounds over an accepted TCP fleet and returns
-/// `(final accuracy, final params, ledger)`.
-fn run_server(
-    transport: &mut ft_fl::TcpTransport,
-    opts: &FleetOptions,
-    hub: Option<&Arc<MetricsHub>>,
-) -> (f32, Vec<f32>, CostLedger) {
-    let env = opts.build_env(None);
-    let mut model = env.build_model(&opts.model_spec());
-    let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
-    let mut ledger = CostLedger::new();
-    let alloc_before = ft_bench::allocated_bytes();
-    let history = run_with(
-        model.as_mut(),
-        &mut mask,
-        &env,
-        0,
-        &mut ledger,
-        &mut no_hook(),
-        RunOptions {
-            transport,
-            checkpoint: opts.checkpoint.as_ref().map(CheckpointSpec::every_round),
-            resume: opts.resume,
-            halt_after: opts.halt_after,
-            hook_save: None,
-            hook_load: None,
-            presence: None,
-            metrics: hub.cloned(),
-        },
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("ft: server run failed: {e}");
-        std::process::exit(1);
-    });
-    publish_alloc(hub, alloc_before, opts.rounds);
-    let acc = history.last().copied().unwrap_or(f32::NAN);
-    (acc, flat_params(model.as_ref()), ledger)
-}
-
-/// The in-process reference run of the same seed. A clean fleet takes the
-/// classic `run_federated_rounds` path; a hostile one replays the same
-/// adversary schedule through [`AdversarialTransport`], so the reference
-/// quarantines the identical bytes the TCP server saw.
-fn run_reference(opts: &FleetOptions) -> (f32, Vec<f32>, CostLedger) {
-    let env = opts.build_env(None);
-    let mut model = env.build_model(&opts.model_spec());
-    let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
-    let mut ledger = CostLedger::new();
-    let history = if opts.byzantine.is_empty() {
-        run_federated_rounds(
-            model.as_mut(),
-            &mut mask,
-            &env,
-            0,
-            &mut ledger,
-            &mut no_hook(),
-        )
-    } else {
-        let mut transport = AdversarialTransport::new(InProcess, opts.behaviors(), ADV_SEED);
-        let history = run_with(
-            model.as_mut(),
-            &mut mask,
-            &env,
-            0,
-            &mut ledger,
-            &mut no_hook(),
-            RunOptions::new(&mut transport),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("ft: reference run failed: {e}");
-            std::process::exit(1);
-        });
-        ledger.record_handshake_faults(transport.handshake_faults());
-        history
-    };
-    let acc = history.last().copied().unwrap_or(f32::NAN);
-    (acc, flat_params(model.as_ref()), ledger)
-}
-
-/// Compares the TCP run against the in-process reference and exits
-/// non-zero on any drift. Skipped for halted (checkpoint-partial) runs
-/// and under `--no-verify`.
-fn assert_matches_reference(tcp: &(f32, Vec<f32>, CostLedger), opts: &FleetOptions) {
+/// Compares the TCP run against the in-process reference run of the same
+/// seed and exits non-zero on any drift. A hostile reference replays the
+/// same adversary schedule through [`AdversarialTransport`], so it
+/// quarantines the identical bytes the TCP server saw. Skipped for halted
+/// (checkpoint-partial) runs and under `--no-verify`.
+fn assert_matches_reference(tcp: (Vec<f32>, Box<dyn Model>, CostLedger), opts: &FleetOptions) {
+    let (history, model, ledger) = tcp;
+    let top1 = history.last().copied().unwrap_or(f32::NAN);
     if let Some(halted) = opts.halt_after {
         println!("halted after {halted} rounds — checkpoint saved, reference comparison skipped");
         return;
     }
     if opts.no_verify {
         println!(
-            "tcp top1 {:.4} ({:.1} simulated seconds, {:.1} KB measured uploads; \
+            "tcp top1 {top1:.4} ({:.1} simulated seconds, {:.1} KB measured uploads; \
              reference comparison skipped by --no-verify)",
-            tcp.0,
-            tcp.2.sim_makespan_secs(),
-            tcp.2.total_payload_upload_bytes() / 1e3,
+            ledger.sim_makespan_secs(),
+            ledger.total_payload_upload_bytes() / 1e3,
         );
         if opts.hostile() {
-            print_quarantine_stats(opts.aggregator, &tcp.2);
+            print_quarantine_stats(opts.aggregator, &ledger);
         }
         return;
     }
-    let reference = run_reference(opts);
-    let drifted = tcp
-        .1
+    // The reference never touches the checkpoint: resuming the TCP run's
+    // final one would compare the run with itself.
+    let in_process = FleetOptions {
+        checkpoint: None,
+        ..opts.clone()
+    };
+    let (ref_history, ref_model, ref_ledger) = run_fleet(&in_process, None, None, None);
+    let ref_top1 = ref_history.last().copied().unwrap_or(f32::NAN);
+    let ref_params = flat_params(ref_model.as_ref());
+    let drifted = flat_params(model.as_ref())
         .iter()
-        .zip(reference.1.iter())
+        .zip(&ref_params)
         .filter(|(a, b)| a.to_bits() != b.to_bits())
         .count();
     println!(
-        "tcp top1 {:.4} | in_process top1 {:.4} | parameter drift: {drifted}/{} coordinates",
-        tcp.0,
-        reference.0,
-        reference.1.len(),
+        "tcp top1 {top1:.4} | in_process top1 {ref_top1:.4} | parameter drift: {drifted}/{} \
+         coordinates",
+        ref_params.len(),
     );
     assert_eq!(
         drifted, 0,
         "TCP run diverged from the in-process run — the byte boundary changed the math"
     );
-    assert_eq!(tcp.0.to_bits(), reference.0.to_bits(), "accuracy drifted");
+    assert_eq!(top1.to_bits(), ref_top1.to_bits(), "accuracy drifted");
     if opts.hostile() {
         assert_eq!(
-            tcp.2.faults(),
-            reference.2.faults(),
+            ledger.faults(),
+            ref_ledger.faults(),
             "TCP quarantine counters diverged from the in-process adversary twin"
         );
-        print_quarantine_stats(opts.aggregator, &tcp.2);
+        print_quarantine_stats(opts.aggregator, &ledger);
     }
     println!(
         "ok: final aggregated model is bit-identical across the TCP byte boundary \
          ({:.1} simulated seconds, {:.1} KB measured uploads)",
-        tcp.2.sim_makespan_secs(),
-        tcp.2.total_payload_upload_bytes() / 1e3,
+        ledger.sim_makespan_secs(),
+        ledger.total_payload_upload_bytes() / 1e3,
     );
 }

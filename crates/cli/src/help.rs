@@ -25,10 +25,11 @@ Every command accepts --help. Fleet commands accept
 `ft watch` trace stream from the same listener.";
 
 pub const RUN: &str = "\
-ft run — run a fleet in-process
+ft run — run a fleet in-process, or one experiment with --method
 
 USAGE:
     ft run [--preset demo|straggler|lab] [options]
+    ft run --method <name> [method options]
 
 PRESETS:
     demo       4 devices x 6 rounds, dense wire, synchronous (default)
@@ -46,7 +47,18 @@ OPTIONS:
     --checkpoint <path>    Save a checkpoint every round
     --resume               Resume from --checkpoint if the file exists
     --halt-after <n>       Stop after n rounds (kill emulation)
-    --metrics <addr>       Serve live metrics + trace stream, e.g. 127.0.0.1:9090";
+    --metrics <addr>       Serve live metrics + trace stream, e.g. 127.0.0.1:9090
+
+METHOD OPTIONS (print the RunResult as JSON; no other option is accepted):
+    --method <name>        fedtiny | vanilla | adaptive_bn | vanilla+prog |
+                           small_model | fedavg | flpqsu | snip | synflow |
+                           grasp | prunefl | feddst | lotteryfl
+    --dataset <name>       cifar10 (default) | cifar100 | cinic10 | svhn
+    --model <name>         resnet18 (default) | vgg11 | small_cnn
+    --density <d>          Target density in (0, 1] (default 0.05)
+    --preset <scale>       smoke | lab | paper (default lab, or $FT_SCALE)
+    --seed <n>             Environment seed (default 0)
+    --alpha <a>            Dirichlet non-iid concentration (default 0.5)";
 
 pub const SERVE: &str = "\
 ft serve — run the federation server over TCP

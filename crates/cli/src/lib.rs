@@ -3,9 +3,11 @@
 //! One binary for everything an operator does with a fleet: run it
 //! (in-process or across real TCP sockets), watch it live (Prometheus-style
 //! metrics endpoint plus a length-prefixed trace-frame stream), checkpoint
-//! it, inspect and diff the checkpoints, and drive the benchmark harness.
+//! it, inspect and diff the checkpoints, and drive the benchmark harness —
+//! and for running any method of the paper's evaluation as one experiment.
 //!
 //! ```bash
+//! ft run --method fedtiny --preset smoke         # one experiment, JSON record
 //! ft run --preset lab --metrics 127.0.0.1:9090   # in-process fleet + metrics
 //! ft serve --demo --devices 4                    # TCP server + client threads
 //! ft serve --listen 127.0.0.1:7070               # TCP server, real processes
@@ -24,6 +26,7 @@
 pub mod args;
 pub mod bench;
 pub mod ckpt;
+pub mod experiment;
 pub mod fleet;
 pub mod help;
 pub mod watch;
@@ -41,6 +44,9 @@ pub fn dispatch(argv: &[String]) -> i32 {
         "-h" | "--help" | "help" => {
             println!("{}", help::for_topic(rest.first().map(String::as_str)));
             0
+        }
+        "run" if rest.iter().any(|a| a == "--method") => {
+            with_help(rest, help::RUN, experiment::cmd_run)
         }
         "run" => with_help(rest, help::RUN, fleet::cmd_run),
         "serve" => with_help(rest, help::SERVE, fleet::cmd_serve),

@@ -298,8 +298,8 @@ pub(crate) fn run_sparse_rounds_with(
 fn method_name(cfg: &FedTinyConfig) -> String {
     match (cfg.selection, cfg.progressive.is_some()) {
         (SelectionMode::AdaptiveBn, true) => "fedtiny".into(),
-        (SelectionMode::AdaptiveBn, false) => "adaptive_bn_selection".into(),
-        (SelectionMode::Vanilla, true) => "vanilla+progressive".into(),
+        (SelectionMode::AdaptiveBn, false) => "adaptive_bn".into(),
+        (SelectionMode::Vanilla, true) => "vanilla+prog".into(),
         (SelectionMode::Vanilla, false) => "vanilla".into(),
     }
 }
@@ -350,7 +350,7 @@ mod tests {
             "density {}",
             result.final_density
         ); // ceil rounding adds <1 weight/layer
-        assert_eq!(result.method, "adaptive_bn_selection");
+        assert_eq!(result.method, "adaptive_bn");
     }
 
     #[test]

@@ -56,6 +56,12 @@ pub enum ConfigError {
         /// The rejected per-stream quiet timeout, in wall seconds.
         collect_timeout_secs: f64,
     },
+    /// `alpha` is non-finite or non-positive: the Dirichlet split has no
+    /// such concentration.
+    BadAlpha {
+        /// The rejected Dirichlet concentration.
+        alpha: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -88,6 +94,9 @@ impl std::fmt::Display for ConfigError {
                     f,
                     "collect_timeout_secs = {collect_timeout_secs} must be finite and positive"
                 )
+            }
+            ConfigError::BadAlpha { alpha } => {
+                write!(f, "Dirichlet alpha = {alpha} must be finite and positive")
             }
         }
     }
@@ -192,8 +201,9 @@ impl FlConfig {
     /// Structural validation, run by [`crate::ExperimentEnv::try_new`] and
     /// the server loop before anything expensive happens: rejects configs
     /// that could only panic or hang downstream (`devices == 0`,
-    /// `batch_size == 0`, `local_epochs == 0`, NaN participation, or a
-    /// worker pool beyond [`MAX_THREADS`]).
+    /// `batch_size == 0`, `local_epochs == 0`, NaN participation, a
+    /// non-finite or non-positive Dirichlet `alpha`, or a worker pool beyond
+    /// [`MAX_THREADS`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.devices == 0 {
             return Err(ConfigError::NoDevices);
@@ -211,6 +221,9 @@ impl FlConfig {
         }
         if self.participation.is_nan() {
             return Err(ConfigError::BadParticipation);
+        }
+        if !self.alpha.is_finite() || self.alpha <= 0.0 {
+            return Err(ConfigError::BadAlpha { alpha: self.alpha });
         }
         if !self.collect_timeout_secs.is_finite() || self.collect_timeout_secs <= 0.0 {
             return Err(ConfigError::BadCollectTimeout {
@@ -365,6 +378,12 @@ mod tests {
                 }) => assert_eq!(collect_timeout_secs.to_bits(), bad.to_bits()),
                 other => panic!("collect_timeout_secs = {bad} must be rejected, got {other:?}"),
             }
+            let mut c = base;
+            c.alpha = bad;
+            match c.validate() {
+                Err(ConfigError::BadAlpha { alpha }) => assert_eq!(alpha.to_bits(), bad.to_bits()),
+                other => panic!("alpha = {bad} must be rejected, got {other:?}"),
+            }
         }
         let mut c = base;
         c.collect_timeout_secs = 0.25; // sub-second is unusual but legal
@@ -393,6 +412,9 @@ mod tests {
         }
         .to_string()
         .contains("-3"));
+        assert!(ConfigError::BadAlpha { alpha: -0.5 }
+            .to_string()
+            .contains("-0.5"));
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! ```
 
 use fedtiny_suite::data::{DatasetProfile, SynthConfig};
-use fedtiny_suite::fedtiny::{run_fedtiny, FedTinyConfig, ProgressiveConfig, SelectionMode};
+use fedtiny_suite::fedtiny::{run_fedtiny, FedTinyConfig};
 use fedtiny_suite::fl::{ExperimentEnv, FlConfig, ModelSpec};
 use fedtiny_suite::pruning::{run_baseline, BaselineMethod};
-use fedtiny_suite::sparse::PruneSchedule;
+use ft_bench::methods::fedtiny_config;
 
 fn main() {
     let synth = SynthConfig {
@@ -40,19 +40,9 @@ fn main() {
         let synflow = run_baseline(&env, &spec, BaselineMethod::SynFlow, d, 0);
         let feddst = run_baseline(&env, &spec, BaselineMethod::FedDst, d, 0);
         let ft_cfg = FedTinyConfig {
-            model: spec,
-            d_target: d,
             pool_size: 6,
-            noise_spread: 0.5,
-            selection: SelectionMode::AdaptiveBn,
-            progressive: Some(ProgressiveConfig {
-                schedule: PruneSchedule::scaled_for(env.cfg.rounds, env.cfg.local_epochs),
-                granularity: fedtiny_suite::fedtiny::Granularity::Block,
-                backward_order: true,
-                start_round: 2,
-            }),
-            codec: fedtiny_suite::fl::Codec::MaskCsr,
             eval_every: 0,
+            ..fedtiny_config(&env, &spec, d)
         };
         let fedtiny = run_fedtiny(&env, &ft_cfg);
         println!(

@@ -10,10 +10,10 @@
 use fedtiny_suite::data::{DatasetProfile, SynthConfig};
 use fedtiny_suite::fedtiny::{
     adaptive_bn_selection, generate_candidate_pool, run_fedtiny, vanilla_selection, FedTinyConfig,
-    ProgressiveConfig, SelectionConfig, SelectionMode,
+    SelectionConfig, SelectionMode,
 };
 use fedtiny_suite::fl::{ExperimentEnv, FlConfig, ModelSpec};
-use fedtiny_suite::sparse::PruneSchedule;
+use ft_bench::methods::fedtiny_config;
 
 fn main() {
     let spec = ModelSpec::ResNet18 {
@@ -56,19 +56,9 @@ fn main() {
 
         // And how does each choice train out (selection-only arms)?
         let base = FedTinyConfig {
-            model: spec,
-            d_target: 0.1,
             pool_size: 8,
-            noise_spread: 0.5,
-            selection: SelectionMode::AdaptiveBn,
-            progressive: Some(ProgressiveConfig {
-                schedule: PruneSchedule::scaled_for(env.cfg.rounds, env.cfg.local_epochs),
-                granularity: fedtiny_suite::fedtiny::Granularity::Block,
-                backward_order: true,
-                start_round: 2,
-            }),
-            codec: fedtiny_suite::fl::Codec::MaskCsr,
             eval_every: 0,
+            ..fedtiny_config(&env, &spec, 0.1)
         };
         let acc_adapt = run_fedtiny(&env, &base).accuracy;
         let mut vcfg = base;

@@ -7,9 +7,9 @@
 //! ```
 
 use fedtiny_suite::data::{DatasetProfile, SynthConfig};
-use fedtiny_suite::fedtiny::{run_fedtiny, FedTinyConfig, ProgressiveConfig};
+use fedtiny_suite::fedtiny::{run_fedtiny, FedTinyConfig};
 use fedtiny_suite::fl::{ExperimentEnv, FlConfig, ModelSpec};
-use fedtiny_suite::sparse::PruneSchedule;
+use ft_bench::methods::fedtiny_config;
 
 fn run_with_participation(participation: f32) -> (f32, f32) {
     let synth = SynthConfig {
@@ -27,23 +27,14 @@ fn run_with_participation(participation: f32) -> (f32, f32) {
     cfg.participation = participation;
     cfg.seed = 31;
     let env = ExperimentEnv::new(synth, cfg);
+    let spec = ModelSpec::ResNet18 {
+        width: 0.125,
+        input: 8,
+    };
     let ft = FedTinyConfig {
-        model: ModelSpec::ResNet18 {
-            width: 0.125,
-            input: 8,
-        },
-        d_target: 0.1,
         pool_size: 4,
-        noise_spread: 0.5,
-        selection: fedtiny_suite::fedtiny::SelectionMode::AdaptiveBn,
-        progressive: Some(ProgressiveConfig {
-            schedule: PruneSchedule::scaled_for(env.cfg.rounds, env.cfg.local_epochs),
-            granularity: fedtiny_suite::fedtiny::Granularity::Block,
-            backward_order: true,
-            start_round: 2,
-        }),
-        codec: fedtiny_suite::fl::Codec::MaskCsr,
         eval_every: 0,
+        ..fedtiny_config(&env, &spec, 0.1)
     };
     let r = run_fedtiny(&env, &ft);
     (r.accuracy, r.final_density)

@@ -10,6 +10,7 @@ use fedtiny_suite::fedtiny::{
     adaptive_bn_selection, generate_candidate_pool, run_fedtiny, FedTinyConfig, SelectionConfig,
 };
 use fedtiny_suite::fl::{ExperimentEnv, FlConfig, ModelSpec};
+use ft_bench::methods::fedtiny_config;
 
 fn main() {
     // 1. A federated environment: synthetic CIFAR-10 split across 4 devices
@@ -59,18 +60,13 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    // 3. The full pipeline: selection + sparse FedAvg + progressive pruning.
-    let mut ft = FedTinyConfig::paper_default(spec, 0.05, env.cfg.local_epochs);
-    ft.pool_size = 6;
-    ft.progressive = Some(fedtiny_suite::fedtiny::ProgressiveConfig {
-        schedule: fedtiny_suite::sparse::PruneSchedule::scaled_for(
-            env.cfg.rounds,
-            env.cfg.local_epochs,
-        ),
-        granularity: fedtiny_suite::fedtiny::Granularity::Block,
-        backward_order: true,
-        start_round: 2,
-    });
+    // 3. The full pipeline: selection + sparse FedAvg + progressive pruning,
+    //    on the paper's schedule scaled to this run's 12 rounds.
+    let ft = FedTinyConfig {
+        pool_size: 6,
+        eval_every: 10,
+        ..fedtiny_config(&env, &spec, 0.05)
+    };
     let result = run_fedtiny(&env, &ft);
     println!("{}", result.format_summary());
 }
