@@ -79,7 +79,6 @@ fn build_env_sized(
     cfg.rounds = rounds;
     cfg.local_epochs = 1;
     cfg.seed = SEED;
-    cfg.parallel = true;
     cfg.threads = threads;
     let env = ExperimentEnv::new(synth, cfg);
     let fleet = DeviceProfile::fleet_mixed(env.num_devices());

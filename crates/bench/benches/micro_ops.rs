@@ -214,7 +214,7 @@ fn train_step_records(report: &mut BenchReport) {
     let mut train_rng = ChaCha8Rng::seed_from_u64(23);
     let epoch =
         |model: &mut SmallCnn, sgd: &mut Sgd, scratch: &mut TrainScratch, rng: &mut ChaCha8Rng| {
-            local_train_scratch(model, &data, None, 1, batch, sgd, rng, 0.0, scratch);
+            local_train_scratch(model, &data, None, 1, batch, sgd, rng, scratch);
         };
     // Realized MAC FLOPs of one epoch.
     model.reset_realized_flops();

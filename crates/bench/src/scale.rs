@@ -98,16 +98,11 @@ impl Scale {
             batch_size: 32,
             sgd: SgdConfig {
                 lr: 0.05,
-                momentum: 0.0,
-                weight_decay: 0.0,
                 clip_norm: 2.0,
             },
             alpha: 0.5,
             dev_fraction: 0.25,
             participation: 1.0,
-            prox_mu: 0.0,
-            lr_decay: 1.0,
-            parallel: true,
             threads: 0,
             codec: ft_fl::Codec::Dense,
             aggregator: ft_fl::Aggregator::FedAvg,

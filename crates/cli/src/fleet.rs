@@ -13,9 +13,9 @@ use crate::args::{die, Args};
 use ft_data::{DatasetProfile, SynthConfig};
 use ft_fl::{
     fleet_spread_deadline, no_hook, resolve_threads, run_byzantine_tcp_device, run_tcp_device,
-    run_with, AdversarialTransport, Aggregator, Behavior, CheckpointSpec, Codec, CostLedger,
-    DeviceProfile, ExperimentEnv, FlConfig, InProcess, MetricsEndpoint, MetricsHub, ModelSpec,
-    RunOptions, RunResult, Scheduler, TcpTransport, TimelineEvent, Transport,
+    run_with, AdversarialTransport, Aggregator, Behavior, Codec, CostLedger, DeviceProfile,
+    ExperimentEnv, FlConfig, InProcess, MetricsEndpoint, MetricsHub, ModelSpec, RunOptions,
+    RunResult, Scheduler, TcpTransport, TimelineEvent, Transport,
 };
 use ft_metrics::{device_memory_bytes, ExtraMemory};
 use ft_nn::{flat_params, sparse_layout, Model};
@@ -353,7 +353,7 @@ fn run_fleet(
         &mut no_hook(),
         RunOptions {
             transport,
-            checkpoint: opts.checkpoint.as_ref().map(CheckpointSpec::every_round),
+            checkpoint: opts.checkpoint.as_ref().map(Into::into),
             resume: opts.resume,
             halt_after: opts.halt_after,
             hook_save: None,
@@ -554,8 +554,6 @@ pub fn cmd_serve(argv: &[String]) -> i32 {
     }
     let metrics = start_metrics(&opts);
     let hub = metrics.as_ref().map(|(h, _)| h);
-    // A hostile fleet needs the tolerant accept loop (handshake screening);
-    // a clean one keeps the strict listener.
     let (mut transport, clients) = match a.get("--listen") {
         Some(addr) => {
             opts.print_header("tcp (server)");
@@ -563,15 +561,8 @@ pub fn cmd_serve(argv: &[String]) -> i32 {
                 "listening on {addr}, waiting for {} devices...",
                 opts.devices
             );
-            let transport = if opts.byzantine.is_empty() {
-                TcpTransport::listen(addr, opts.devices)
-                    .unwrap_or_else(|e| die(&format!("listen failed: {e}")))
-            } else {
-                let listener =
-                    TcpListener::bind(addr).unwrap_or_else(|e| die(&format!("listen failed: {e}")));
-                TcpTransport::accept_fleet_tolerant(listener, opts.devices)
-                    .unwrap_or_else(|e| die(&format!("accept failed: {e}")))
-            };
+            let transport = TcpTransport::listen(addr, opts.devices)
+                .unwrap_or_else(|e| die(&format!("listen failed: {e}")));
             (transport, Vec::new())
         }
         None => {
@@ -596,12 +587,8 @@ pub fn cmd_serve(argv: &[String]) -> i32 {
                     })
                 })
                 .collect();
-            let transport = if opts.byzantine.is_empty() {
-                TcpTransport::accept_fleet(&listener, opts.devices)
-            } else {
-                TcpTransport::accept_fleet_tolerant(listener, opts.devices)
-            }
-            .unwrap_or_else(|e| die(&format!("accept failed: {e}")));
+            let transport = TcpTransport::accept_fleet(&listener, opts.devices)
+                .unwrap_or_else(|e| die(&format!("accept failed: {e}")));
             (transport, clients)
         }
     };

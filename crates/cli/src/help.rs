@@ -71,6 +71,11 @@ MODES:
     --demo            Loopback fleet: server + client threads in one process
                       on an ephemeral port (the default)
 
+The server trusts no device, whether or not --byzantine is given: a bad
+handshake is refused and counted, a malformed, replayed or inflated update
+is quarantined, and a stream silent for 30 s is dropped. An honest fleet
+trips none of it.
+
 OPTIONS:
     --devices <n>          Fleet size (default 4)
     --rounds <n>           Round count (default 6)

@@ -44,7 +44,7 @@ pub use selection::{
     SelectionOutcome,
 };
 
-use ft_fl::{thread_budget, with_device_model, FlConfig};
+use ft_fl::{thread_budget, with_device_model};
 use ft_nn::{Model, Runtime};
 
 /// Runs `job(i, model)` for every `i` in `0..jobs` — selection candidates,
@@ -55,12 +55,11 @@ use ft_nn::{Model, Runtime};
 /// another with `rt`'s kernels, and nothing is cloned either way.
 pub(crate) fn on_device_models<T: Send>(
     global: &dyn Model,
-    cfg: &FlConfig,
     jobs: usize,
     rt: &Runtime,
     job: impl Fn(usize, &mut dyn Model) -> T + Sync,
 ) -> Vec<T> {
-    let (fan_out, kernel_rt) = thread_budget(cfg, jobs, rt);
+    let (fan_out, kernel_rt) = thread_budget(jobs, rt);
     let mut out: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
     fan_out.scatter(out.iter_mut().enumerate().collect(), |(i, slot)| {
         *slot = Some(with_device_model(global, &kernel_rt, |m| job(i, m)));
@@ -76,23 +75,21 @@ mod tests {
     /// One thread budget in every fan-out: with four workers and several
     /// jobs, each job's model runs sequential kernels (the probe used to
     /// inherit the run's pool and spawn from inside a fanned job); a lone
-    /// job gets the pool; with `parallel` off the jobs queue and the kernels
-    /// get it.
+    /// job gets the pool; on a one-thread pool the jobs queue on sequential
+    /// kernels, whatever pool the global was handed.
     #[test]
     fn fanned_jobs_get_sequential_models_and_a_lone_job_the_pool() {
-        let mut env = ExperimentEnv::tiny_for_tests(3);
+        let env = ExperimentEnv::tiny_for_tests(3);
         let mut global = env.build_model(&ModelSpec::small_cnn_test());
-        let rt = Runtime::exact(4);
+        let (rt, seq) = (Runtime::exact(4), Runtime::sequential());
         // The server hands the global the run's pool; borrowers must not
         // inherit it.
         global.set_runtime(rt);
-        let runtimes = |env: &ExperimentEnv, jobs: usize| {
-            on_device_models(global.as_ref(), &env.cfg, jobs, &rt, |_, m| m.runtime())
+        let runtimes = |rt: &Runtime, jobs: usize| {
+            on_device_models(global.as_ref(), jobs, rt, |_, m| m.runtime())
         };
-        env.cfg.parallel = true;
-        assert_eq!(runtimes(&env, 6), vec![Runtime::sequential(); 6]);
-        assert_eq!(runtimes(&env, 1), vec![rt]);
-        env.cfg.parallel = false;
-        assert_eq!(runtimes(&env, 3), vec![rt; 3]);
+        assert_eq!(runtimes(&rt, 6), vec![seq; 6]);
+        assert_eq!(runtimes(&rt, 1), vec![rt]);
+        assert_eq!(runtimes(&seq, 3), vec![seq; 3]);
     }
 }

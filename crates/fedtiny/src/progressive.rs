@@ -187,7 +187,7 @@ pub fn probe_devices<T: Send>(
     rt: &Runtime,
     read: impl Fn(usize, &dyn Model) -> T + Sync,
 ) -> Vec<T> {
-    on_device_models(global, &env.cfg, env.parts.len(), rt, |k, model| {
+    on_device_models(global, env.parts.len(), rt, |k, model| {
         probe(model, env, k, round, dense);
         read(k, model)
     })
@@ -514,8 +514,7 @@ mod tests {
     /// the same batch — the clone-per-device pass the baselines used to run.
     #[test]
     fn probe_devices_is_ordered_thread_invariant_and_equals_a_dense_clone() {
-        let (mut env, model, mask) = setup(0.3);
-        env.cfg.parallel = true;
+        let (env, model, mask) = setup(0.3);
         let round = 2;
         let all: Vec<usize> = (0..mask.num_layers()).collect();
         let prunable_pos = prunable_param_indices(model.as_ref());

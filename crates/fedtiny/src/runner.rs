@@ -5,14 +5,15 @@ use crate::selection::{
     adaptive_bn_selection, generate_candidate_pool, vanilla_selection, SelectionConfig,
 };
 use ft_fl::{
-    run_with, CheckpointSpec, Codec, CostLedger, ExperimentEnv, InProcess, ModelSpec, RunOptions,
-    RunResult, ServerError, Transport,
+    run_with, Codec, CostLedger, ExperimentEnv, InProcess, ModelSpec, RunOptions, RunResult,
+    ServerError, Transport,
 };
 use ft_metrics::{densities_from_mask, device_memory_bytes, ExtraMemory};
 use ft_nn::{apply_mask, Model};
 use ft_sparse::Mask;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::path::PathBuf;
 
 /// Which coarse-pruning selection the pipeline uses (Fig. 4 ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,8 +102,8 @@ impl Default for FedTinyConfig {
 pub struct FedTinyRunOptions<'a> {
     /// Transport for the federated fine-tuning rounds.
     pub transport: &'a mut dyn Transport,
-    /// Save a checkpoint here at round boundaries.
-    pub checkpoint: Option<CheckpointSpec>,
+    /// Save a checkpoint to this file after every completed round.
+    pub checkpoint: Option<PathBuf>,
     /// Resume from an existing checkpoint at that path (missing file =
     /// fresh start).
     pub resume: bool,

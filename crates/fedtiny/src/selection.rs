@@ -199,7 +199,7 @@ fn select(
     let dev_sets = device_dev_splits(env);
     let arch = global.arch();
 
-    let losses = on_device_models(global, &env.cfg, candidates.len(), rt, |c, m| {
+    let losses = on_device_models(global, candidates.len(), rt, |c, m| {
         score_candidate(global, m, &candidates[c], &dev_sets, adapt_bn)
     });
 
@@ -328,8 +328,7 @@ mod tests {
     /// statistics).
     #[test]
     fn one_model_per_candidate_scores_like_a_clone_per_device() {
-        let (mut env, mut model) = setup();
-        env.cfg.parallel = true;
+        let (env, mut model) = setup();
         let (x, _) = env.parts[0].full_batch();
         for _ in 0..3 {
             let _ = model.forward(&x, Mode::Train);
@@ -535,9 +534,9 @@ mod tests {
             seed: 6,
         };
         let pool = generate_candidate_pool(model.as_ref(), &cfg);
-        env.cfg.parallel = false;
+        env.cfg.threads = 1;
         let seq = adaptive_bn_selection(model.as_ref(), &env, &pool);
-        env.cfg.parallel = true;
+        env.cfg.threads = 4;
         let par = adaptive_bn_selection(model.as_ref(), &env, &pool);
         assert_eq!(seq.selected, par.selected);
         assert_eq!(seq.candidate_losses, par.candidate_losses);

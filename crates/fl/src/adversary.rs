@@ -7,7 +7,7 @@
 //!
 //! - [`run_byzantine_tcp_device`] — a TCP client that trains honestly and
 //!   then corrupts its UPDATE frame (or its handshake) on the wire, against
-//!   a tolerant [`crate::TcpTransport`].
+//!   a [`crate::TcpTransport`] server.
 //! - [`AdversarialTransport`] — a wrapper around any local transport that
 //!   applies the *same byte-level corruption* to the same honest updates
 //!   and pushes them through the same screen
@@ -68,7 +68,7 @@ pub enum Behavior {
     /// so the device is hostile from round 0 onward.
     GarbageOrReplay,
     /// Opens a connection, abandons the HELLO mid-frame, hangs up, then
-    /// reconnects and behaves honestly — exercising the tolerant accept's
+    /// reconnects and behaves honestly — exercising the TCP accept's
     /// handshake screening.
     MidHandshakeDisconnect,
 }
@@ -230,8 +230,8 @@ fn poison_update(
 /// the byte level, exactly as their TCP twins would on the wire: the honest
 /// update is framed through `Behavior::corrupt_update_body` and screened
 /// through the shared update screen, so the resulting [`Delivery`]s —
-/// survivors and quarantined faults alike — are identical to a tolerant
-/// TCP run with the same behaviors and seed.
+/// survivors and quarantined faults alike — are identical to a TCP run with
+/// the same behaviors and seed.
 ///
 /// `behaviors` is indexed by *global device id*; devices beyond its length
 /// are honest. Barrier schedulers only (like every corruption here, the
@@ -248,8 +248,8 @@ impl<T: Transport> AdversarialTransport<T> {
     /// Wraps `inner`; `behaviors[k]` is device `k`'s behavior.
     pub fn new(inner: T, behaviors: Vec<Behavior>, seed: u64) -> Self {
         // A handshake attacker botches exactly one connection attempt
-        // before reconnecting honestly — mirror the count the tolerant
-        // TCP accept would have recorded.
+        // before reconnecting honestly — mirror the count the TCP accept
+        // would have recorded.
         let handshake_faults = behaviors
             .iter()
             .filter(|b| matches!(b, Behavior::MidHandshakeDisconnect))
@@ -262,7 +262,7 @@ impl<T: Transport> AdversarialTransport<T> {
         }
     }
 
-    /// Connection attempts a tolerant TCP accept would have refused.
+    /// Connection attempts a TCP accept would have refused.
     pub fn handshake_faults(&self) -> usize {
         self.handshake_faults
     }
@@ -318,7 +318,7 @@ impl<T: Transport> Transport for AdversarialTransport<T> {
 // TCP clients: byzantine and churning devices
 // ---------------------------------------------------------------------------
 
-/// Runs one misbehaving device against a (tolerant) TCP server: connect
+/// Runs one misbehaving device against a TCP server: connect
 /// and identify (after a botched handshake for
 /// [`Behavior::MidHandshakeDisconnect`]), then for every ROUND frame train
 /// honestly — the client loop of [`crate::run_tcp_device`] — and reply with
@@ -344,7 +344,7 @@ pub fn run_byzantine_tcp_device(
 }
 
 /// Opens a connection whose HELLO length prefix promises a body that never
-/// arrives, then hangs up — the tolerant accept counts one refused
+/// arrives, then hangs up — the TCP accept counts one refused
 /// handshake and keeps waiting for the real fleet.
 fn botched_handshake(addr: impl ToSocketAddrs + Clone) -> Result<(), TransportError> {
     let mut stream = connect_with_retry(addr)?;

@@ -547,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_staleness_weight_decays_from_one() {
+    fn sim_staleness_weight_shrinks_from_one() {
         assert_eq!(staleness_weight(0), 1.0);
         assert!(staleness_weight(1) < 1.0);
         assert!(staleness_weight(8) < staleness_weight(3));

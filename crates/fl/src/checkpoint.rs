@@ -32,35 +32,11 @@ use crate::train::LocalOutcome;
 use crate::ExperimentEnv;
 use ft_nn::ModelSnapshot;
 use ft_sparse::Codec;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"FTCK";
 // v2: the ledger blob grew fault/quarantine counters.
 const VERSION: u32 = 2;
-
-/// Where and how often the server saves checkpoints.
-#[derive(Clone, Debug)]
-pub struct CheckpointSpec {
-    /// Checkpoint file path (written atomically: temp file + rename).
-    pub path: PathBuf,
-    /// Save every this many completed rounds (0 is treated as 1).
-    pub every: usize,
-}
-
-impl CheckpointSpec {
-    /// A spec that saves to `path` after every completed round.
-    pub fn every_round(path: impl Into<PathBuf>) -> Self {
-        CheckpointSpec {
-            path: path.into(),
-            every: 1,
-        }
-    }
-
-    /// Whether a checkpoint is due after `rounds_done` completed rounds.
-    pub(crate) fn due(&self, rounds_done: usize) -> bool {
-        rounds_done.is_multiple_of(self.every.max(1))
-    }
-}
 
 /// Why a checkpoint failed to save, load, or match the resuming run.
 #[derive(Clone, Debug, PartialEq)]
@@ -139,7 +115,7 @@ pub struct Checkpoint {
     /// history shape mid-run, so it is part of the fingerprint).
     pub(crate) eval_every: usize,
     /// The *full* `FlConfig` as canonical JSON: any hyperparameter change
-    /// (batch size, local epochs, lr schedule, proximal term, …) alters
+    /// (batch size, local epochs, learning rate, participation, …) alters
     /// the remaining rounds' math and must refuse to resume.
     pub(crate) cfg_json: String,
     /// Rounds (or buffered versions) completed so far.
@@ -459,7 +435,7 @@ impl Checkpoint {
     /// `env` (and its evaluation cadence) describes. The named checks give
     /// readable errors for the common mismatches; the full-config JSON
     /// fingerprint catches every remaining hyperparameter (batch size,
-    /// local epochs, lr schedule, participation, …) whose change would
+    /// local epochs, learning rate, participation, …) whose change would
     /// make the resumed rounds silently diverge.
     pub fn validate_against(
         &self,

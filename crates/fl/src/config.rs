@@ -49,9 +49,8 @@ pub enum ConfigError {
         /// The rejected L2 threshold.
         tau: f64,
     },
-    /// `collect_timeout_secs` is non-finite or non-positive: a tolerant
-    /// Collect phase could never (or would instantly) time a silent device
-    /// out.
+    /// `collect_timeout_secs` is non-finite or non-positive: a TCP Collect
+    /// phase could never (or would instantly) time a silent device out.
     BadCollectTimeout {
         /// The rejected per-stream quiet timeout, in wall seconds.
         collect_timeout_secs: f64,
@@ -61,6 +60,12 @@ pub enum ConfigError {
     BadAlpha {
         /// The rejected Dirichlet concentration.
         alpha: f64,
+    },
+    /// `dev_fraction` is outside `(0, 1]` (NaN included): no device could
+    /// carve a development split from its partition.
+    BadDevFraction {
+        /// The rejected development-split fraction.
+        dev_fraction: f32,
     },
 }
 
@@ -98,6 +103,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadAlpha { alpha } => {
                 write!(f, "Dirichlet alpha = {alpha} must be finite and positive")
             }
+            ConfigError::BadDevFraction { dev_fraction } => {
+                write!(f, "dev_fraction = {dev_fraction} must lie in (0, 1]")
+            }
         }
     }
 }
@@ -106,10 +114,10 @@ impl std::error::Error for ConfigError {}
 
 /// Shared federated-learning knobs (Sec. IV-A1 of the paper).
 ///
-/// `Deserialize` is hand-written (the derive shim has no `#[serde(default)]`)
-/// so configs serialized before `collect_timeout_secs` existed still load,
-/// getting the legacy 30 s constant.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+/// Local training is the paper's plain FedAvg: devices run on parallel
+/// workers whenever the pool has more than one ([`threads`](Self::threads)),
+/// with a constant learning rate and no proximal term.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FlConfig {
     /// Number of participating devices `K` (paper: 10).
     pub devices: usize,
@@ -129,14 +137,6 @@ pub struct FlConfig {
     /// Fraction of devices participating per round (1.0 = all devices, the
     /// paper's setting; lower values model realistic partial participation).
     pub participation: f32,
-    /// FedProx proximal coefficient µ; 0 disables the proximal term (the
-    /// paper uses plain FedAvg). When set, each local step adds
-    /// `µ(θ − θ_global)` to the gradient.
-    pub prox_mu: f32,
-    /// Per-round multiplicative learning-rate decay (1.0 = constant lr).
-    pub lr_decay: f32,
-    /// Run devices on parallel OS threads.
-    pub parallel: bool,
     /// Worker threads of the run's [`ft_runtime::Runtime`] pool: device
     /// fan-out and kernel parallelism both draw from this one budget.
     /// `0` = auto (the `FT_THREADS` environment variable if set, otherwise
@@ -152,49 +152,15 @@ pub struct FlConfig {
     /// sample-weighted averaging; the robust rules defend against poisoned
     /// cohort members at extra decode cost.
     pub aggregator: Aggregator,
-    /// Per-stream quiet timeout of a *tolerant* Collect phase, in wall
-    /// seconds: a device whose stream makes no read progress for this long
-    /// is quarantined as disconnected instead of hanging the round. Strict
-    /// transports (the bit-identity harness) ignore it and wait
-    /// indefinitely. Purely a liveness knob — it never changes what an
-    /// on-time fleet computes, so golden traces are unaffected. Large
-    /// fleets on slow links should raise it; absent from older configs it
-    /// deserializes to the legacy 30 s constant.
+    /// Per-stream quiet timeout of a TCP Collect phase, in wall seconds: a
+    /// device whose stream makes no read progress for this long is
+    /// quarantined as disconnected instead of hanging the round. Purely a
+    /// liveness knob — it never changes what an on-time fleet computes, so
+    /// golden traces are unaffected. Large fleets on slow links should
+    /// raise it.
     pub collect_timeout_secs: f64,
     /// Master seed for the whole run.
     pub seed: u64,
-}
-
-/// The pre-knob hardcoded tolerant-read timeout, kept as the deserialize
-/// default so existing configs and checkpoints keep their exact behavior.
-fn default_collect_timeout_secs() -> f64 {
-    30.0
-}
-
-impl Deserialize for FlConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(FlConfig {
-            devices: Deserialize::from_value(v.field("devices")?)?,
-            rounds: Deserialize::from_value(v.field("rounds")?)?,
-            local_epochs: Deserialize::from_value(v.field("local_epochs")?)?,
-            batch_size: Deserialize::from_value(v.field("batch_size")?)?,
-            sgd: Deserialize::from_value(v.field("sgd")?)?,
-            alpha: Deserialize::from_value(v.field("alpha")?)?,
-            dev_fraction: Deserialize::from_value(v.field("dev_fraction")?)?,
-            participation: Deserialize::from_value(v.field("participation")?)?,
-            prox_mu: Deserialize::from_value(v.field("prox_mu")?)?,
-            lr_decay: Deserialize::from_value(v.field("lr_decay")?)?,
-            parallel: Deserialize::from_value(v.field("parallel")?)?,
-            threads: Deserialize::from_value(v.field("threads")?)?,
-            codec: Deserialize::from_value(v.field("codec")?)?,
-            aggregator: Deserialize::from_value(v.field("aggregator")?)?,
-            collect_timeout_secs: match v.get("collect_timeout_secs") {
-                Some(t) => Deserialize::from_value(t)?,
-                None => default_collect_timeout_secs(),
-            },
-            seed: Deserialize::from_value(v.field("seed")?)?,
-        })
-    }
 }
 
 impl FlConfig {
@@ -202,8 +168,8 @@ impl FlConfig {
     /// the server loop before anything expensive happens: rejects configs
     /// that could only panic or hang downstream (`devices == 0`,
     /// `batch_size == 0`, `local_epochs == 0`, NaN participation, a
-    /// non-finite or non-positive Dirichlet `alpha`, or a worker pool beyond
-    /// [`MAX_THREADS`]).
+    /// non-finite or non-positive Dirichlet `alpha`, a `dev_fraction` outside
+    /// `(0, 1]`, or a worker pool beyond [`MAX_THREADS`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.devices == 0 {
             return Err(ConfigError::NoDevices);
@@ -225,6 +191,12 @@ impl FlConfig {
         if !self.alpha.is_finite() || self.alpha <= 0.0 {
             return Err(ConfigError::BadAlpha { alpha: self.alpha });
         }
+        // Written so that NaN fails it too.
+        if !(self.dev_fraction > 0.0 && self.dev_fraction <= 1.0) {
+            return Err(ConfigError::BadDevFraction {
+                dev_fraction: self.dev_fraction,
+            });
+        }
         if !self.collect_timeout_secs.is_finite() || self.collect_timeout_secs <= 0.0 {
             return Err(ConfigError::BadCollectTimeout {
                 collect_timeout_secs: self.collect_timeout_secs,
@@ -241,7 +213,8 @@ impl FlConfig {
         ft_runtime::Runtime::new(ft_runtime::resolve_threads(self.threads))
     }
 
-    /// The paper's settings (expensive; used by `FT_SCALE=paper` benches).
+    /// The paper's settings (Sec. IV-A1); the workspace's harnesses run
+    /// their own scaled-down presets, so only tests construct this one.
     pub fn paper_default() -> Self {
         FlConfig {
             devices: 10,
@@ -252,13 +225,10 @@ impl FlConfig {
             alpha: 0.5,
             dev_fraction: 0.1,
             participation: 1.0,
-            prox_mu: 0.0,
-            lr_decay: 1.0,
-            parallel: true,
             threads: 0,
             codec: Codec::Dense,
             aggregator: Aggregator::FedAvg,
-            collect_timeout_secs: default_collect_timeout_secs(),
+            collect_timeout_secs: 30.0,
             seed: 0,
         }
     }
@@ -272,20 +242,15 @@ impl FlConfig {
             batch_size: 32,
             sgd: SgdConfig {
                 lr: 0.08,
-                momentum: 0.0,
-                weight_decay: 0.0,
                 clip_norm: 2.0,
             },
             alpha: 0.5,
             dev_fraction: 0.2,
             participation: 1.0,
-            prox_mu: 0.0,
-            lr_decay: 1.0,
-            parallel: true,
             threads: 0,
             codec: Codec::Dense,
             aggregator: Aggregator::FedAvg,
-            collect_timeout_secs: default_collect_timeout_secs(),
+            collect_timeout_secs: 30.0,
             seed: 0,
         }
     }
@@ -299,20 +264,15 @@ impl FlConfig {
             batch_size: 16,
             sgd: SgdConfig {
                 lr: 0.1,
-                momentum: 0.0,
-                weight_decay: 0.0,
                 clip_norm: 0.0,
             },
             alpha: 0.5,
             dev_fraction: 0.5,
             participation: 1.0,
-            prox_mu: 0.0,
-            lr_decay: 1.0,
-            parallel: false,
             threads: 0,
             codec: Codec::Dense,
             aggregator: Aggregator::FedAvg,
-            collect_timeout_secs: default_collect_timeout_secs(),
+            collect_timeout_secs: 30.0,
             seed: 0,
         }
     }
@@ -385,6 +345,19 @@ mod tests {
                 other => panic!("alpha = {bad} must be rejected, got {other:?}"),
             }
         }
+        for bad in [0.0, -0.5, 1.5, f32::NAN] {
+            let mut c = base;
+            c.dev_fraction = bad;
+            match c.validate() {
+                Err(ConfigError::BadDevFraction { dev_fraction }) => {
+                    assert_eq!(dev_fraction.to_bits(), bad.to_bits())
+                }
+                other => panic!("dev_fraction = {bad} must be rejected, got {other:?}"),
+            }
+        }
+        let mut c = base;
+        c.dev_fraction = 1.0; // the whole partition is a legal dev split
+        assert_eq!(c.validate(), Ok(()));
         let mut c = base;
         c.collect_timeout_secs = 0.25; // sub-second is unusual but legal
         assert_eq!(c.validate(), Ok(()));
@@ -415,28 +388,9 @@ mod tests {
         assert!(ConfigError::BadAlpha { alpha: -0.5 }
             .to_string()
             .contains("-0.5"));
-    }
-
-    #[test]
-    fn collect_timeout_defaults_when_absent_from_serialized_config() {
-        let mut cfg = FlConfig::tiny_for_tests();
-        cfg.collect_timeout_secs = 7.5;
-        // Round-trips carry the knob through...
-        let back = FlConfig::from_value(&cfg.to_value()).unwrap();
-        assert_eq!(back, cfg);
-        // ...and a pre-knob serialized config (no such key) gets the legacy
-        // 30 s constant instead of a missing-field error.
-        let legacy = match cfg.to_value() {
-            serde::Value::Map(pairs) => serde::Value::Map(
-                pairs
-                    .into_iter()
-                    .filter(|(k, _)| k != "collect_timeout_secs")
-                    .collect(),
-            ),
-            other => panic!("FlConfig must serialize to a map, got {other:?}"),
-        };
-        let loaded = FlConfig::from_value(&legacy).unwrap();
-        assert_eq!(loaded.collect_timeout_secs, 30.0);
+        assert!(ConfigError::BadDevFraction { dev_fraction: 1.5 }
+            .to_string()
+            .contains("1.5"));
     }
 
     #[test]

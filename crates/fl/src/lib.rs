@@ -7,7 +7,7 @@
 //! - [`ExperimentEnv`] — a generated dataset, its Dirichlet non-iid split
 //!   across `K` devices, and the shared [`FlConfig`].
 //! - [`local_train_scratch`] / [`train_devices_parallel`] — `E` epochs of
-//!   (masked) SGD per device, optionally fanned out over OS threads;
+//!   (masked) SGD per device, fanned out over the run's worker pool;
 //!   [`with_device_model`] lends the same pooled device models to whoever
 //!   else needs a working copy of the global (selection, the pruning probe).
 //! - [`Aggregator::aggregate_into`] / [`aggregate_bn_stats`] — the one
@@ -30,7 +30,7 @@
 //! - [`server`] — the transport-agnostic round loop behind every scheduler:
 //!   one event loop in which device tasks launch, arrive into a window, and
 //!   the window folds into the global model when it closes. Checkpoint /
-//!   resume ([`Checkpoint`], [`CheckpointSpec`]) reproduces an interrupted
+//!   resume ([`Checkpoint`], [`RunOptions::checkpoint`]) reproduces an interrupted
 //!   run's final trace byte for byte.
 //! - [`transport`] — how updates reach the server: [`InProcess`] (function
 //!   calls, the golden-trace-pinned classic), [`SimTime`] (every update
@@ -74,7 +74,7 @@ pub use aggregate::{
     aggregate_bn_stats, staleness_weight, try_aggregate_bn_stats, AggScratch, AggregateRef,
     Aggregator,
 };
-pub use checkpoint::{Checkpoint, CheckpointError, CheckpointSpec, CheckpointSummary};
+pub use checkpoint::{Checkpoint, CheckpointError, CheckpointSummary};
 pub use config::{ConfigError, FlConfig, MAX_THREADS};
 pub use env::ExperimentEnv;
 pub use ft_metrics::{

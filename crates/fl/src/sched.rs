@@ -288,7 +288,7 @@ mod tests {
         codec: Codec,
     ) -> (Vec<f32>, Vec<f32>, String) {
         let mut env = ExperimentEnv::tiny_for_tests(seed);
-        env.cfg.parallel = parallel;
+        env.cfg.threads = if parallel { 4 } else { 1 };
         env.cfg.codec = codec;
         env.fleet = DeviceProfile::fleet_mixed(env.num_devices());
         env.scheduler = scheduler;

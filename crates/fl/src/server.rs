@@ -36,7 +36,7 @@
 //! reproduces the committed golden traces.
 
 use crate::aggregate::{staleness_weight, try_aggregate_bn_stats, AggScratch};
-use crate::checkpoint::{BufferedState, Checkpoint, CheckpointError, CheckpointSpec, TaskState};
+use crate::checkpoint::{BufferedState, Checkpoint, CheckpointError, TaskState};
 use crate::config::ConfigError;
 use crate::env::ExperimentEnv;
 use crate::ledger::{CostLedger, TimelineEvent};
@@ -57,6 +57,7 @@ use ft_nn::{
 use ft_runtime::Runtime;
 use ft_sparse::{Mask, Payload, WireCtx};
 use std::cell::Cell;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Why a server run could not start or finish.
@@ -150,9 +151,10 @@ pub type HookLoad<'a> = &'a dyn Fn(&[u8]);
 pub struct RunOptions<'a> {
     /// The transport device updates travel over.
     pub transport: &'a mut dyn Transport,
-    /// Save a [`Checkpoint`] here at round boundaries, and always at the
-    /// end of the run, so resuming a finished run is a no-op.
-    pub checkpoint: Option<CheckpointSpec>,
+    /// Save a [`Checkpoint`] to this file (atomically: temp file + rename)
+    /// after every completed round, and always at the end of the run, so
+    /// resuming a finished run is a no-op.
+    pub checkpoint: Option<PathBuf>,
     /// If the checkpoint file already exists, resume from it instead of
     /// starting over (a missing file starts fresh, so passing `--resume`
     /// unconditionally is idempotent).
@@ -239,8 +241,8 @@ pub fn run_with(
     // Resume: pick up a previous run's state if a matching checkpoint
     // exists at the configured path.
     let resumed = match (&opts.checkpoint, opts.resume) {
-        (Some(spec), true) if spec.path.exists() => {
-            let ck = Checkpoint::load(&spec.path)?;
+        (Some(path), true) if path.exists() => {
+            let ck = Checkpoint::load(path)?;
             ck.validate_against(env, eval_every)?;
             Some(ck)
         }
@@ -733,11 +735,10 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             let flops = training_flops(&self.arch, &self.densities)
                 * max_samples
                 * env.cfg.local_epochs as f64;
-            // Training wall-clock: the slowest device when the cohort
-            // really ran side by side, the sum when it ran one device after
-            // another — `cfg.parallel` alone does not decide that.
+            // Training wall-clock: the slowest device when the cohort ran
+            // side by side, the sum when it ran one device after another.
             let walls = window.iter().filter_map(|a| a.update.as_ref());
-            let wall = if fans_out(&env.cfg, window.len(), &self.rt) {
+            let wall = if fans_out(window.len(), &self.rt) {
                 walls.map(|u| u.wall_secs).fold(0.0, f64::max)
             } else {
                 walls.map(|u| u.wall_secs).sum()
@@ -837,7 +838,7 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
         let (flushes, trained) = TRAIN_COHORTS.get();
         TRAIN_COHORTS.set((flushes + 1, trained + pending.len() as u64));
         let (env, global, mask) = (self.env, &*self.global, &*self.mask);
-        let (fan_out, kernel_rt) = thread_budget(&env.cfg, pending.len(), &self.rt);
+        let (fan_out, kernel_rt) = thread_budget(pending.len(), &self.rt);
         fan_out.scatter(pending, |t| {
             t.work = Work::Trained(train_one_device_raw(
                 global,
@@ -852,20 +853,13 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
         });
     }
 
-    /// Saves a due checkpoint — every `spec.every` rounds, at `halt_after`,
-    /// at the end of the run — and returns whether to halt. A buffered run
-    /// persists its in-flight tasks, flushed first (outcomes, not launches);
-    /// a barrier has nothing in flight between rounds.
+    /// Saves the checkpoint, if the run keeps one, and returns whether to
+    /// halt (`halt_after`). A buffered run persists its in-flight tasks,
+    /// flushed first (outcomes, not launches); a barrier has nothing in
+    /// flight between rounds.
     fn checkpoint_and_halt(&mut self) -> Result<bool, ServerError> {
         let halt = self.opts.halt_after == Some(self.round);
-        let end = self.round >= self.env.cfg.rounds;
-        let due = self
-            .opts
-            .checkpoint
-            .as_ref()
-            .filter(|spec| spec.due(self.round) || halt || end)
-            .map(|spec| spec.path.clone());
-        if let Some(path) = due {
+        if let Some(path) = self.opts.checkpoint.clone() {
             let buffered = if matches!(self.env.scheduler, Scheduler::Buffered { .. }) {
                 self.train_pending();
                 Some(self.in_flight_state()?)
@@ -1214,11 +1208,10 @@ mod tests {
 
     #[test]
     fn round_wall_under_a_sequential_pool_is_the_sum_of_device_walls() {
-        // `cfg.parallel` alone does not fan devices out: on a one-thread
-        // pool they train one after another, and the round's wall-clock is
-        // the sum of theirs. Taking the max under-reported it up to K×.
+        // On a one-thread pool devices train one after another, and the
+        // round's wall-clock is the sum of theirs. Taking the max
+        // under-reported it up to K×.
         let mut env = ExperimentEnv::tiny_for_tests(5);
-        env.cfg.parallel = true;
         env.cfg.threads = 1;
         assert!(!env.cfg.runtime().is_parallel());
         let mut model = env.build_model(&ModelSpec::small_cnn_test());
@@ -1295,7 +1288,6 @@ mod tests {
         let mut env = ExperimentEnv::tiny_for_tests(seed);
         env.scheduler = Scheduler::Buffered { buffer_k };
         env.fleet = fleet;
-        env.cfg.parallel = true;
         env.cfg.rounds = 6;
         env.cfg.codec = ft_sparse::Codec::TopK {
             k_frac: 0.1,

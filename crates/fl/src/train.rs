@@ -87,8 +87,8 @@ impl LocalOutcome {
 
 /// Reusable buffers for the local-training loop: one of these per worker
 /// makes every epoch of [`local_train_scratch`] allocation-free at steady
-/// state (batch assembly, forward activations, loss gradient, proximal
-/// anchor all live here or inside the model's own arenas).
+/// state (batch assembly, forward activations and the loss gradient all
+/// live here or inside the model's own arenas).
 #[derive(Clone, Debug, Default)]
 pub struct TrainScratch {
     /// Shuffled sample order for the current epoch.
@@ -99,18 +99,13 @@ pub struct TrainScratch {
     logits: Tensor,
     /// Loss gradient w.r.t. the logits.
     grad: Tensor,
-    /// FedProx anchor (`θ_global` at entry); only filled when `mu > 0`.
-    prox_anchor: Vec<f32>,
 }
 
 /// Runs `epochs` of mini-batch SGD on `model` over `data`, with gradients
 /// masked by `mask` when given (Eq. 5); the RNG drives batch shuffling only.
-/// With `mu > 0` each step adds the FedProx proximal term `µ(θ − θ_global)`
-/// to the gradient, `θ_global` being the model's state at entry (Li et al.,
-/// "Federated Optimization in Heterogeneous Networks"). Runs through
-/// caller-owned [`TrainScratch`] buffers: a reused scratch skips the
-/// per-batch allocations and changes nothing else (same RNG draws, same
-/// batch order, same kernel sequence).
+/// Runs through caller-owned [`TrainScratch`] buffers: a reused scratch
+/// skips the per-batch allocations and changes nothing else (same RNG draws,
+/// same batch order, same kernel sequence).
 #[allow(clippy::too_many_arguments)]
 pub fn local_train_scratch(
     model: &mut dyn Model,
@@ -120,12 +115,8 @@ pub fn local_train_scratch(
     batch_size: usize,
     sgd: &mut Sgd,
     rng: &mut ChaCha8Rng,
-    mu: f32,
     scratch: &mut TrainScratch,
 ) {
-    if mu > 0.0 {
-        flat_params_into(model, &mut scratch.prox_anchor);
-    }
     let bs = batch_size.max(1);
     for _ in 0..epochs {
         scratch.order.clear();
@@ -140,31 +131,9 @@ pub fn local_train_scratch(
             let _ =
                 softmax_cross_entropy_into(&scratch.logits, &scratch.buf.labels, &mut scratch.grad);
             model.backward_scratch(&scratch.grad);
-            if mu > 0.0 {
-                add_proximal_term(model, &scratch.prox_anchor, mu);
-            }
             sgd.step(model, mask);
             model.zero_grad();
         }
-    }
-}
-
-/// Adds `µ(θ − θ_anchor)` to every gradient accumulator.
-fn add_proximal_term(model: &mut dyn Model, anchor: &[f32], mu: f32) {
-    let mut offset = 0;
-    for p in model.params_mut() {
-        let n = p.len();
-        let a = &anchor[offset..offset + n];
-        for ((g, w), &w0) in p
-            .grad
-            .data_mut()
-            .iter_mut()
-            .zip(p.data.data().iter())
-            .zip(a.iter())
-        {
-            *g += mu * (w - w0);
-        }
-        offset += n;
     }
 }
 
@@ -182,8 +151,8 @@ pub fn device_rng_seed(run_seed: u64, round: usize, device: usize) -> u64 {
 /// ([`DeviceTrainer::restore_from`]) instead of deep-cloning, and parks it
 /// again when done. A parked trainer keeps what a clone would have to
 /// regrow: the layers' scratch arenas (≈ 25 MB after one batch-32 step of
-/// the benchmark's ResNet18), the sparse plans of an unchanged mask, the
-/// optimizer's velocity and the batch buffers. It belongs to no thread: the
+/// the benchmark's ResNet18), the sparse plans of an unchanged mask and the
+/// batch buffers. It belongs to no thread: the
 /// scoped workers of [`Runtime::scatter`] die at every join, the trainers
 /// they used do not.
 struct DeviceTrainer {
@@ -246,8 +215,8 @@ impl DeviceTrainer {
     }
 
     /// One device's local training on the restored model: `cfg.local_epochs`
-    /// of masked SGD over `data` at the round's decayed learning rate, on the
-    /// `(seed, round, device, salt)` RNG stream.
+    /// of masked SGD over `data`, on the `(seed, round, device, salt)` RNG
+    /// stream.
     fn train(
         &mut self,
         data: &Dataset,
@@ -257,11 +226,7 @@ impl DeviceTrainer {
         device: usize,
         salt: u64,
     ) -> LocalOutcome {
-        let mut sgd_cfg = cfg.sgd;
-        if cfg.lr_decay != 1.0 {
-            sgd_cfg.lr *= cfg.lr_decay.powi(round as i32);
-        }
-        self.sgd.reset_with(sgd_cfg);
+        self.sgd.reset_with(cfg.sgd);
         let mut rng = ChaCha8Rng::seed_from_u64(
             device_rng_seed(cfg.seed, round, device) ^ salt.wrapping_mul(0xd1b5_4a32_d192_ed03),
         );
@@ -274,7 +239,6 @@ impl DeviceTrainer {
             cfg.batch_size,
             &mut self.sgd,
             &mut rng,
-            cfg.prox_mu,
             &mut self.scratch,
         );
         let wall_secs = started.elapsed().as_secs_f64();
@@ -357,7 +321,7 @@ pub fn with_device_model<R>(
 
 /// Trains one device from a snapshot of the global model and returns its
 /// *raw* outcome (the dense delta, not yet encoded). `round` selects the
-/// RNG stream and the decayed learning rate; `salt` further separates
+/// RNG stream; `salt` further separates
 /// repeated tasks of the same `(round, device)` pair (buffered schedulers
 /// restart a device at an unchanged server version) — barrier schedulers
 /// pass `0`, which leaves the classic `(seed, round, device)` stream
@@ -413,20 +377,19 @@ pub fn train_one_device(
 /// Whether a cohort of `cohort` devices trains side by side on `rt`'s pool
 /// (one device per worker, kernels inline) rather than one device after
 /// another. The server's wall-clock accounting asks the same question.
-pub(crate) fn fans_out(cfg: &FlConfig, cohort: usize, rt: &Runtime) -> bool {
-    cfg.parallel && cohort > 1 && rt.is_parallel()
+pub(crate) fn fans_out(cohort: usize, rt: &Runtime) -> bool {
+    cohort > 1 && rt.is_parallel()
 }
 
 /// The one thread budget of a fan-out over `jobs` whole devices or selection
 /// candidates: `(fan_out, kernel_rt)` — the runtime the jobs are scattered
 /// on and the runtime each job's kernels get. Either the jobs occupy `rt`'s
-/// pool and their kernels run inline, or (one job, `cfg.parallel` off, a
-/// one-thread pool) the jobs run one after another and their kernels draw on
-/// `rt`; never both, so runnable threads stay within `rt.threads()`. Every
-/// device- or candidate-level fan-out in the workspace takes its two
-/// runtimes from here.
-pub fn thread_budget(cfg: &FlConfig, jobs: usize, rt: &Runtime) -> (Runtime, Runtime) {
-    if fans_out(cfg, jobs, rt) {
+/// pool and their kernels run inline, or (one job, a one-thread pool) the
+/// job runs alone and its kernels draw on `rt`; never both, so runnable
+/// threads stay within `rt.threads()`. Every device- or candidate-level
+/// fan-out in the workspace takes its two runtimes from here.
+pub fn thread_budget(jobs: usize, rt: &Runtime) -> (Runtime, Runtime) {
+    if fans_out(jobs, rt) {
         (*rt, Runtime::sequential())
     } else {
         (Runtime::sequential(), *rt)
@@ -434,10 +397,10 @@ pub fn thread_budget(cfg: &FlConfig, jobs: usize, rt: &Runtime) -> (Runtime, Run
 }
 
 /// Trains every device from the same global model and returns their encoded
-/// updates in device order. When `cfg.parallel`, devices are fanned out over
-/// `rt`'s shared worker pool (bounded by `rt.threads()`, not one unbounded
-/// OS thread per device); otherwise devices run sequentially and each
-/// device's *kernels* draw on `rt` instead ([`thread_budget`]).
+/// updates in device order. Devices are fanned out over `rt`'s shared worker
+/// pool (bounded by `rt.threads()`, not one unbounded OS thread per device);
+/// a lone device, or a one-thread pool, trains on `rt`'s kernels instead
+/// ([`thread_budget`]).
 ///
 /// `residuals` holds one error-feedback accumulator per device (an empty
 /// vector until its first use); codecs without error feedback leave them
@@ -466,7 +429,7 @@ pub fn train_devices_parallel(
         "one residual accumulator per device"
     );
     let needs_residual = wire.codec.uses_error_feedback();
-    let (fan_out, kernel_rt) = thread_budget(cfg, parts.len(), rt);
+    let (fan_out, kernel_rt) = thread_budget(parts.len(), rt);
     let mut out: Vec<Option<DeviceUpdate>> = (0..parts.len()).map(|_| None).collect();
     let jobs: Vec<_> = parts
         .iter()
@@ -575,7 +538,6 @@ mod tests {
             8,
             &mut sgd,
             &mut rng,
-            0.0,
             &mut scratch,
         );
         let after = eval_loss(model.as_mut(), data);
@@ -592,16 +554,12 @@ mod tests {
             ctx: &ctx,
             peer_epoch: 0,
         };
-        let mut cfg_par = env.cfg;
-        cfg_par.parallel = true;
-        let mut cfg_seq = env.cfg;
-        cfg_seq.parallel = false;
         let n = env.parts.len();
         let a = train_devices_parallel(
             model.as_ref(),
             &env.parts,
             None,
-            &cfg_par,
+            &env.cfg,
             3,
             &wire,
             &mut no_residuals(n),
@@ -611,7 +569,7 @@ mod tests {
             model.as_ref(),
             &env.parts,
             None,
-            &cfg_seq,
+            &env.cfg,
             3,
             &wire,
             &mut no_residuals(n),
@@ -786,21 +744,16 @@ mod tests {
     #[test]
     fn pooled_models_run_on_the_kernel_runtime_of_the_thread_budget() {
         let env = ExperimentEnv::tiny_for_tests(9);
-        let mut cfg = env.cfg;
-        cfg.parallel = true;
         let rt = Runtime::exact(4);
         let seq = Runtime::sequential();
-        assert_eq!(thread_budget(&cfg, 6, &rt), (rt, seq));
-        assert_eq!(thread_budget(&cfg, 1, &rt), (seq, rt));
-        assert_eq!(thread_budget(&cfg, 6, &seq), (seq, seq));
-        cfg.parallel = false;
-        assert_eq!(thread_budget(&cfg, 6, &rt), (seq, rt));
+        assert_eq!(thread_budget(6, &rt), (rt, seq));
+        assert_eq!(thread_budget(1, &rt), (seq, rt));
+        assert_eq!(thread_budget(6, &seq), (seq, seq));
 
         let mut global = env.build_model(&ModelSpec::small_cnn_test());
         global.set_runtime(rt);
-        cfg.parallel = true;
         for jobs in [6usize, 1] {
-            let (_, kernel_rt) = thread_budget(&cfg, jobs, &rt);
+            let (_, kernel_rt) = thread_budget(jobs, &rt);
             let seen = with_device_model(global.as_ref(), &kernel_rt, |m| m.runtime());
             assert_eq!(seen, kernel_rt, "{jobs} jobs");
         }

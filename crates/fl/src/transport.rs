@@ -43,11 +43,10 @@
 //! identity, round/epoch freshness (replay detection), and a sample-count
 //! cap — before the server sees it. `exchange_round` therefore returns one
 //! [`Delivery`] per cohort member: either the screened update or the typed
-//! [`FaultKind`] it was quarantined under. A *tolerant* TCP transport
-//! ([`TcpTransport::accept_fleet_tolerant`]) survives garbage frames,
-//! replays, disconnects, and abandoned handshakes by quarantining the
-//! offender and carrying on; the default strict transport (the
-//! bit-identity harness) still fails fast on the first bad frame.
+//! [`FaultKind`] it was quarantined under. The TCP transport survives
+//! garbage frames, replays, disconnects, silent streams and abandoned
+//! handshakes by quarantining the offender and carrying on; an honest fleet
+//! trips none of it, so its run stays bit-identical to [`InProcess`].
 
 use crate::bytes::{
     put_bitvec, put_blob, put_bn_stats, put_f64, put_u32, put_u64, ByteReader, ReadError,
@@ -156,18 +155,6 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-impl FaultKind {
-    /// The strict-mode conversion: a fault a tolerant transport would
-    /// quarantine becomes the hard frame error the bit-identity harness
-    /// fails on.
-    fn into_frame_error(self) -> TransportError {
-        match self {
-            FaultKind::MalformedFrame(msg) => TransportError::Frame(msg),
-            other => TransportError::Frame(other.to_string()),
-        }
-    }
-}
-
 /// One cohort member's result for one barrier round: the screened update,
 /// or the fault it was quarantined under. Returned by
 /// [`Transport::exchange_round`] **in cohort order** so aggregation order
@@ -210,7 +197,7 @@ pub struct RoundRequest<'a> {
     pub ctx: &'a WireCtx,
     /// The server's current mask epoch.
     pub epoch: u64,
-    /// Round index (selects device RNG streams and lr decay).
+    /// Round index (selects device RNG streams).
     pub round: usize,
     /// Global device indices of this round's cohort.
     pub cohort: &'a [usize],
@@ -253,8 +240,7 @@ pub trait Transport {
     /// Runs one barrier round: broadcast the request's global snapshot to
     /// the cohort and collect one delivery per member, in cohort order. A
     /// `Delivery::Faulted` quarantines that member without failing the
-    /// round; `Err` aborts the run (server-side failure, or any device
-    /// fault under a strict transport).
+    /// round; `Err` aborts the run (a server-side failure).
     fn exchange_round(
         &mut self,
         req: &mut RoundRequest<'_>,
@@ -613,16 +599,15 @@ pub(crate) fn read_frame(stream: &mut TcpStream) -> Result<(u8, Vec<u8>), Transp
 /// HELLO frame. Length-prefixed frames carry the global snapshot down and
 /// the encoded updates back, so every exchanged byte is a real wire byte.
 ///
-/// Two trust postures:
-///
-/// - **strict** ([`listen`](Self::listen) / [`accept_fleet`](Self::accept_fleet)):
-///   the bit-identity harness — any malformed frame or dead stream aborts
-///   the run with a typed error. This is the pre-hardening behavior.
-/// - **tolerant** ([`accept_fleet_tolerant`](Self::accept_fleet_tolerant)):
-///   the hostile-fleet posture — bad handshakes are refused and counted,
-///   bad frames quarantine their sender as a [`Delivery::Faulted`], dead
-///   streams are dropped, and (because the listener is retained) departed
-///   devices may rejoin between rounds via [`RoundRequest::rejoining`].
+/// A server cannot know ahead of time whether its fleet is hostile, so it
+/// has one posture and never trusts its devices: bad handshakes are refused
+/// and counted ([`handshake_faults`](Self::handshake_faults)), bad frames
+/// quarantine their sender as a [`Delivery::Faulted`], a stream silent past
+/// [`FlConfig::collect_timeout_secs`] or dead is dropped, and (because the
+/// listener is retained) departed devices may rejoin between rounds via
+/// [`RoundRequest::rejoining`]. Only a server-side socket failure aborts a
+/// round. An honest fleet never trips any of it, and its run is
+/// bit-identical to [`InProcess`].
 ///
 /// Only barrier schedulers (`Synchronous`, `Deadline`) are supported — the
 /// buffered event loop interleaves training with arrivals and requires a
@@ -632,10 +617,8 @@ pub struct TcpTransport {
     /// One stream slot per device, indexed by device id. `None` = departed
     /// or quarantined-dead.
     streams: Vec<Option<TcpStream>>,
-    /// Quarantine instead of abort on device faults.
-    tolerant: bool,
-    /// Retained listener for between-round rejoins (tolerant mode only).
-    listener: Option<TcpListener>,
+    /// The accepting listener, retained for between-round rejoins.
+    listener: TcpListener,
     /// Connection attempts refused during accept/rejoin.
     handshake_faults: usize,
     /// Per-device receive buffers, recycled across rounds: the multiplexed
@@ -648,12 +631,12 @@ pub struct TcpTransport {
     broadcast_scratch: Vec<u8>,
 }
 
-/// Read timeout a tolerant server arms on every accepted stream for the
-/// handshake/rejoin phase, so a half-written rejoin HELLO cannot hang the
-/// server between rounds. The per-round collect deadline is a separate knob
-/// ([`FlConfig::collect_timeout_secs`]) and travels with the
-/// [`RoundRequest`].
-const TOLERANT_READ_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
+/// Read timeout the server arms on every accepted stream before reading its
+/// HELLO, so a half-written handshake — at accept or at a rejoin between
+/// rounds — is refused instead of hanging the server. The per-round collect
+/// deadline is a separate knob ([`FlConfig::collect_timeout_secs`]) and
+/// travels with the [`RoundRequest`].
+const HANDSHAKE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// How long the multiplexed collect loop sleeps when a full readiness sweep
 /// over every pending stream made no progress — long enough to stay off the
@@ -662,9 +645,7 @@ const TOLERANT_READ_TIMEOUT: std::time::Duration = std::time::Duration::from_sec
 const MUX_IDLE_SLEEP: std::time::Duration = std::time::Duration::from_micros(500);
 
 impl TcpTransport {
-    /// Binds `addr` and accepts exactly `devices` clients, each of which
-    /// must open with a HELLO frame carrying a unique device id in
-    /// `0..devices`. Strict: any bad handshake aborts the accept.
+    /// Binds `addr` and accepts the fleet ([`accept_fleet`](Self::accept_fleet)).
     pub fn listen(addr: impl ToSocketAddrs, devices: usize) -> Result<Self, TransportError> {
         let listener = TcpListener::bind(addr)?;
         Self::accept_fleet(&listener, devices)
@@ -672,63 +653,32 @@ impl TcpTransport {
 
     /// Accepts `devices` HELLO-identified clients on an existing listener
     /// (lets tests bind port 0 first and hand the resolved address to their
-    /// client threads). Strict: any bad handshake aborts the accept.
+    /// client threads), each claiming a device id in `0..devices`.
+    /// Handshakes that are malformed, truncated, out of range or abandoned
+    /// mid-frame are refused and counted without aborting; a duplicate
+    /// device id replaces the earlier stream (latest connection wins — the
+    /// reconnect case) and counts the loser. Keeps a clone of `listener` so
+    /// departed devices can rejoin later.
     pub fn accept_fleet(listener: &TcpListener, devices: usize) -> Result<Self, TransportError> {
-        let mut slots: Vec<Option<TcpStream>> = (0..devices).map(|_| None).collect();
-        let mut connected = 0;
-        while connected < devices {
-            let mut stream = accept_nodelay(listener)?;
-            let device = read_hello(&mut stream, devices)?;
-            if slots[device].is_some() {
-                return Err(TransportError::Frame(format!(
-                    "device id {device} connected twice"
-                )));
-            }
-            slots[device] = Some(stream);
-            connected += 1;
-        }
-        Ok(TcpTransport {
-            streams: slots,
-            tolerant: false,
-            listener: None,
-            handshake_faults: 0,
-            recv_bufs: (0..devices).map(|_| Vec::new()).collect(),
-            broadcast_scratch: Vec::new(),
-        })
-    }
-
-    /// Fills the fleet under the hostile posture: handshakes that are
-    /// malformed, truncated, out of range, or abandoned mid-frame are
-    /// refused and counted ([`handshake_faults`](Self::handshake_faults))
-    /// without aborting; a duplicate device id replaces the earlier stream
-    /// (latest connection wins — the reconnect case) and counts the loser.
-    /// Takes listener ownership so departed devices can rejoin later.
-    pub fn accept_fleet_tolerant(
-        listener: TcpListener,
-        devices: usize,
-    ) -> Result<Self, TransportError> {
-        let mut slots: Vec<Option<TcpStream>> = (0..devices).map(|_| None).collect();
+        let listener = listener.try_clone()?;
+        let mut streams: Vec<Option<TcpStream>> = (0..devices).map(|_| None).collect();
         let mut connected = 0;
         let mut handshake_faults = 0;
         while connected < devices {
-            let mut stream = accept_nodelay(&listener)?;
-            match read_hello(&mut stream, devices) {
-                Ok(device) => {
-                    let _ = stream.set_read_timeout(Some(TOLERANT_READ_TIMEOUT));
-                    if slots[device].is_some() {
+            match accept_hello(&listener, devices)? {
+                (stream, Some(device)) => {
+                    if streams[device].replace(stream).is_some() {
                         handshake_faults += 1;
                     } else {
                         connected += 1;
                     }
-                    slots[device] = Some(stream);
                 }
-                Err(_) => handshake_faults += 1,
+                (_, None) => handshake_faults += 1,
             }
         }
         Ok(TcpTransport {
-            streams: slots,
-            tolerant: true,
-            listener: Some(listener),
+            streams,
+            listener,
             handshake_faults,
             recv_bufs: (0..devices).map(|_| Vec::new()).collect(),
             broadcast_scratch: Vec::new(),
@@ -752,16 +702,6 @@ impl TcpTransport {
     /// makes the rejoin race-free: the device's new connection is fully
     /// established before the round broadcast.
     fn reconnect_rejoining(&mut self, rejoining: &[usize]) -> Result<(), TransportError> {
-        if rejoining.is_empty() {
-            return Ok(());
-        }
-        let listener = self.listener.as_ref().ok_or_else(|| {
-            TransportError::Frame(
-                "this transport cannot re-accept departed devices \
-                 (accept the fleet with accept_fleet_tolerant to retain the listener)"
-                    .into(),
-            )
-        })?;
         for &d in rejoining {
             if d >= self.streams.len() {
                 return Err(TransportError::Frame(format!(
@@ -773,16 +713,14 @@ impl TcpTransport {
         }
         let mut waiting: Vec<usize> = rejoining.to_vec();
         while !waiting.is_empty() {
-            let mut stream = accept_nodelay(listener)?;
-            match read_hello(&mut stream, self.streams.len()) {
-                Ok(device) if self.streams[device].is_none() => {
-                    let _ = stream.set_read_timeout(Some(TOLERANT_READ_TIMEOUT));
+            match accept_hello(&self.listener, self.streams.len())? {
+                (stream, Some(device)) if self.streams[device].is_none() => {
                     self.streams[device] = Some(stream);
                     waiting.retain(|&w| w != device);
                 }
                 // A valid HELLO for a live slot is an impostor (or a
                 // reconnect we did not schedule): refuse and count it.
-                Ok(_) | Err(_) => self.handshake_faults += 1,
+                _ => self.handshake_faults += 1,
             }
         }
         Ok(())
@@ -796,6 +734,19 @@ fn accept_nodelay(listener: &TcpListener) -> std::io::Result<TcpStream> {
     let (stream, _) = listener.accept()?;
     stream.set_nodelay(true)?;
     Ok(stream)
+}
+
+/// Accepts one connection and reads its HELLO under [`HANDSHAKE_TIMEOUT`]:
+/// the stream, and the device id it claims — `None` for a refused handshake.
+/// Only a failing listener is an error.
+fn accept_hello(
+    listener: &TcpListener,
+    devices: usize,
+) -> std::io::Result<(TcpStream, Option<usize>)> {
+    let mut stream = accept_nodelay(listener)?;
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    let device = read_hello(&mut stream, devices).ok();
+    Ok((stream, device))
 }
 
 /// Reads and validates one HELLO frame, returning the claimed device id.
@@ -817,8 +768,8 @@ fn read_hello(stream: &mut TcpStream, devices: usize) -> Result<usize, Transport
 }
 
 /// Per-stream progress of the multiplexed collect loop: where the next
-/// received byte lands (header or body) and when a tolerant server gives
-/// the stream up as silent.
+/// received byte lands (header or body) and when the server gives the
+/// stream up as silent.
 struct MuxRecv {
     /// Index within this round's cohort (the slot in `outcomes`).
     pos: usize,
@@ -832,8 +783,8 @@ struct MuxRecv {
     body_len: usize,
     /// Body bytes received so far.
     body_filled: usize,
-    /// Instant after which a tolerant server quarantines the stream;
-    /// re-armed on every received byte. Ignored by strict servers.
+    /// Instant after which the server quarantines the stream; re-armed on
+    /// every received byte.
     deadline: std::time::Instant,
 }
 
@@ -856,19 +807,15 @@ enum MuxOutcome {
 /// collect reuses the capacity instead of allocating per frame), and every
 /// pending member leaves with a [`MuxOutcome`] in its cohort slot.
 ///
-/// Fault posture matches the old blocking loop exactly: a tolerant server
-/// converts EOF/io errors and oversize length prefixes into quarantine
-/// faults and kills the stream, and additionally quarantines any stream
-/// that stays silent past `timeout` (the [`FlConfig::collect_timeout_secs`]
-/// knob); a strict server aborts on the first io or framing error and never
-/// times out. Surviving streams are restored to blocking mode on exit so
-/// the next round's broadcast writes behave.
+/// EOF, io errors and oversize length prefixes quarantine their stream and
+/// kill it, and so does silence past `timeout` (the
+/// [`FlConfig::collect_timeout_secs`] knob). Surviving streams are restored
+/// to blocking mode on exit so the next round's broadcast writes behave.
 fn collect_multiplexed(
     streams: &mut [Option<TcpStream>],
     recv_bufs: &mut [Vec<u8>],
     pending: &[(usize, usize)],
     outcomes: &mut [Option<MuxOutcome>],
-    tolerant: bool,
     timeout: std::time::Duration,
 ) -> Result<(), TransportError> {
     let armed = std::time::Instant::now() + timeout;
@@ -888,33 +835,16 @@ fn collect_multiplexed(
     }
     while !live.is_empty() {
         let mut progressed = false;
-        let mut hard: Option<TransportError> = None;
         live.retain_mut(|st| {
-            if hard.is_some() {
-                return true; // aborting the round; survivors are moot
-            }
             let stream = streams[st.device].as_mut().expect("registered live");
-            loop {
+            let fault = loop {
                 let res = if st.header_filled < st.header.len() {
                     stream.read(&mut st.header[st.header_filled..])
                 } else {
                     stream.read(&mut recv_bufs[st.device][st.body_filled..st.body_len])
                 };
                 match res {
-                    Ok(0) => {
-                        let e = std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-collect",
-                        );
-                        if !tolerant {
-                            hard = Some(e.into());
-                            return true;
-                        }
-                        streams[st.device] = None;
-                        outcomes[st.pos] =
-                            Some(MuxOutcome::Fault(FaultKind::Disconnected(e.to_string())));
-                        return false;
-                    }
+                    Ok(0) => break FaultKind::Disconnected("connection closed mid-collect".into()),
                     Ok(n) => {
                         progressed = true;
                         st.deadline = std::time::Instant::now() + timeout;
@@ -925,15 +855,9 @@ fn collect_multiplexed(
                                     u32::from_le_bytes(st.header[..4].try_into().expect("4 bytes"))
                                         as usize;
                                 if len > 1 << 30 {
-                                    let msg = format!("frame of {len} bytes refused");
-                                    if !tolerant {
-                                        hard = Some(TransportError::Frame(msg));
-                                        return true;
-                                    }
-                                    streams[st.device] = None;
-                                    outcomes[st.pos] =
-                                        Some(MuxOutcome::Fault(FaultKind::MalformedFrame(msg)));
-                                    return false;
+                                    break FaultKind::MalformedFrame(format!(
+                                        "frame of {len} bytes refused"
+                                    ));
                                 }
                                 st.body_len = len;
                                 let buf = &mut recv_bufs[st.device];
@@ -954,34 +878,22 @@ fn collect_multiplexed(
                             std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                         ) =>
                     {
-                        if tolerant && std::time::Instant::now() >= st.deadline {
-                            streams[st.device] = None;
-                            outcomes[st.pos] =
-                                Some(MuxOutcome::Fault(FaultKind::Disconnected(format!(
-                                    "no bytes for {:.1}s during collect",
-                                    timeout.as_secs_f64()
-                                ))));
-                            return false;
-                        }
-                        return true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        if !tolerant {
-                            hard = Some(e.into());
+                        if std::time::Instant::now() < st.deadline {
                             return true;
                         }
-                        streams[st.device] = None;
-                        outcomes[st.pos] =
-                            Some(MuxOutcome::Fault(FaultKind::Disconnected(e.to_string())));
-                        return false;
+                        break FaultKind::Disconnected(format!(
+                            "no bytes for {:.1}s during collect",
+                            timeout.as_secs_f64()
+                        ));
                     }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) => break FaultKind::Disconnected(e.to_string()),
                 }
-            }
+            };
+            streams[st.device] = None;
+            outcomes[st.pos] = Some(MuxOutcome::Fault(fault));
+            false
         });
-        if let Some(e) = hard {
-            return Err(e);
-        }
         if !progressed && !live.is_empty() {
             std::thread::sleep(MUX_IDLE_SLEEP);
         }
@@ -1016,23 +928,18 @@ impl Transport for TcpTransport {
             streams,
             recv_bufs,
             broadcast_scratch,
-            tolerant,
             ..
         } = self;
-        let tolerant = *tolerant;
         // Broadcast phase: a member whose stream is dead (or dies on
         // write) is quarantined here and skipped during collection.
         let mut broadcast_faults: Vec<Option<FaultKind>> = vec![None; req.cohort.len()];
         for (pos, &k) in req.cohort.iter().enumerate() {
-            if !matches!(streams.get(k), Some(Some(_))) {
-                if tolerant {
-                    broadcast_faults[pos] = Some(FaultKind::Disconnected(format!(
-                        "no live stream for device {k}"
-                    )));
-                    continue;
-                }
-                return Err(TransportError::Frame(format!("no stream for device {k}")));
-            }
+            let Some(Some(stream)) = streams.get_mut(k) else {
+                broadcast_faults[pos] = Some(FaultKind::Disconnected(format!(
+                    "no live stream for device {k}"
+                )));
+                continue;
+            };
             // Per-recipient prefix: the device's position within this
             // round's cohort (the index the in-process loop trains it
             // under), then the shared snapshot. The frame buffer is
@@ -1040,14 +947,9 @@ impl Transport for TcpTransport {
             begin_frame(broadcast_scratch);
             put_u32(broadcast_scratch, pos as u32);
             broadcast_scratch.extend_from_slice(&shared);
-            let stream = streams[k].as_mut().expect("checked live above");
             if let Err(e) = send_frame(stream, FRAME_ROUND, broadcast_scratch) {
-                if tolerant {
-                    streams[k] = None;
-                    broadcast_faults[pos] = Some(FaultKind::Disconnected(e.to_string()));
-                } else {
-                    return Err(e.into());
-                }
+                streams[k] = None;
+                broadcast_faults[pos] = Some(FaultKind::Disconnected(e.to_string()));
             }
         }
         // Collection phase: one readiness loop over every pending stream,
@@ -1065,14 +967,7 @@ impl Transport for TcpTransport {
         let mut outcomes: Vec<Option<MuxOutcome>> = Vec::with_capacity(req.cohort.len());
         outcomes.resize_with(req.cohort.len(), || None);
         let timeout = std::time::Duration::from_secs_f64(req.cfg.collect_timeout_secs);
-        collect_multiplexed(
-            streams,
-            recv_bufs,
-            &pending,
-            &mut outcomes,
-            tolerant,
-            timeout,
-        )?;
+        collect_multiplexed(streams, recv_bufs, &pending, &mut outcomes, timeout)?;
         // Screening phase, in cohort order, so delivery order — and with it
         // the aggregation — is independent of arrival order. Decode-level
         // faults keep the stream (the length-prefixed framing is intact, so
@@ -1095,23 +990,18 @@ impl Transport for TcpTransport {
                 MuxOutcome::Frame { kind } => kind,
             };
             if kind != FRAME_UPDATE {
-                let msg = format!("expected UPDATE from device {k}, got frame kind {kind}");
-                if !tolerant {
-                    return Err(TransportError::Frame(msg));
-                }
-                out.push(Delivery::Faulted(FaultKind::MalformedFrame(msg)));
+                out.push(Delivery::Faulted(FaultKind::MalformedFrame(format!(
+                    "expected UPDATE from device {k}, got frame kind {kind}"
+                ))));
                 continue;
             }
             let cap = req.sample_caps.get(pos).map(|&c| c as u64);
-            match screen_update_frame(&recv_bufs[k], req.ctx, k, req.round as u64, req.epoch, cap) {
-                Ok(update) => out.push(Delivery::Update(update)),
-                Err(fault) => {
-                    if !tolerant {
-                        return Err(fault.into_frame_error());
-                    }
-                    out.push(Delivery::Faulted(fault));
-                }
-            }
+            let screened =
+                screen_update_frame(&recv_bufs[k], req.ctx, k, req.round as u64, req.epoch, cap);
+            out.push(match screened {
+                Ok(update) => Delivery::Update(update),
+                Err(fault) => Delivery::Faulted(fault),
+            });
         }
         Ok(out)
     }
@@ -1438,7 +1328,6 @@ mod tests {
             &mut recv_bufs,
             &[(0, 0)],
             &mut outcomes,
-            false,
             std::time::Duration::from_secs(5),
         )
         .expect("multiplexed read");
@@ -1580,12 +1469,12 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
 
-            /// A tolerant accept survives an arbitrary (well-framed) garbage
+            /// The accept survives an arbitrary (well-framed) garbage
             /// handshake: the junk connection is refused or slotted per the
             /// HELLO rules, a following honest HELLO always completes the
             /// fleet, and nothing panics.
             #[test]
-            fn tolerant_accept_survives_garbage_hello(
+            fn accept_survives_garbage_hello(
                 kind in 0usize..256,
                 junk in proptest::collection::vec(0usize..256, 0..8),
             ) {
@@ -1601,8 +1490,8 @@ mod tests {
                     // Keep both sockets open until the server has accepted.
                     (garbage, honest)
                 });
-                let transport = TcpTransport::accept_fleet_tolerant(listener, 1)
-                    .expect("tolerant accept never aborts on a bad handshake");
+                let transport = TcpTransport::accept_fleet(&listener, 1)
+                    .expect("accept never aborts on a bad handshake");
                 prop_assert_eq!(transport.devices(), 1);
                 let _sockets = client.join().expect("client thread");
             }
@@ -1612,12 +1501,12 @@ mod tests {
     /// Fuzzers driving corrupted frames through the *multiplexed* collect
     /// loop over a real socket — not just the body screen: truncations and
     /// mutations must land as typed quarantine deliveries, never a panic,
-    /// never a hang, and never a hard error on a tolerant server.
+    /// never a hang, and never a hard error.
     mod mux {
         use super::*;
         use proptest::prelude::*;
 
-        /// Runs one tolerant `exchange_round` against a fake device whose
+        /// Runs one `exchange_round` against a fake device whose
         /// raw UPDATE wire bytes are rewritten by `transform` (returning
         /// the bytes to send and whether to drop the socket afterwards).
         /// The valid input frame is stamped for device 0, round 0, epoch 5
@@ -1658,8 +1547,7 @@ mod tests {
                     Some(stream)
                 }
             });
-            let mut transport =
-                TcpTransport::accept_fleet_tolerant(listener, 1).expect("tolerant accept");
+            let mut transport = TcpTransport::accept_fleet(&listener, 1).expect("accept");
             // Join *before* the round: the corrupted bytes are already in
             // the socket buffer, so the collect loop never waits on the
             // quiet deadline.
@@ -1683,7 +1571,7 @@ mod tests {
             };
             transport
                 .exchange_round(&mut req)
-                .expect("tolerant round never hard-fails")
+                .expect("a device fault never hard-fails the round")
         }
 
         proptest! {

@@ -4,19 +4,12 @@ use crate::model::{mask_grads, Model};
 use ft_sparse::Mask;
 use serde::{Deserialize, Serialize};
 
-/// SGD hyperparameters.
-///
-/// Momentum and weight decay default to the values used throughout the
-/// paper's experiments (plain SGD, no decay); both knobs exist because the
-/// ablation benches exercise them.
+/// SGD hyperparameters: plain SGD (no momentum, no weight decay), the
+/// paper's local optimizer.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SgdConfig {
     /// Learning rate `η`.
     pub lr: f32,
-    /// Classical momentum coefficient; 0 disables momentum.
-    pub momentum: f32,
-    /// L2 weight decay; 0 disables it.
-    pub weight_decay: f32,
     /// Global gradient-norm clip; 0 disables clipping.
     pub clip_norm: f32,
 }
@@ -25,27 +18,22 @@ impl Default for SgdConfig {
     fn default() -> Self {
         SgdConfig {
             lr: 0.05,
-            momentum: 0.0,
-            weight_decay: 0.0,
             clip_norm: 0.0,
         }
     }
 }
 
-/// SGD optimizer state (velocity buffers when momentum is enabled).
+/// The SGD optimizer. Plain SGD keeps no state between steps beyond its
+/// configuration.
 #[derive(Clone, Debug, Default)]
 pub struct Sgd {
     cfg: SgdConfig,
-    velocity: Vec<Vec<f32>>,
 }
 
 impl Sgd {
     /// Creates an optimizer with the given configuration.
     pub fn new(cfg: SgdConfig) -> Self {
-        Sgd {
-            cfg,
-            velocity: Vec::new(),
-        }
+        Sgd { cfg }
     }
 
     /// The configuration in use.
@@ -53,20 +41,16 @@ impl Sgd {
         self.cfg
     }
 
-    /// Re-arms the optimizer with a fresh configuration and zeroed velocity,
-    /// keeping the velocity buffers allocated. Equivalent to replacing the
-    /// optimizer with `Sgd::new(cfg)` but allocation-free, which is how the
-    /// per-device trainer cache starts each local round.
+    /// Re-arms the optimizer with a fresh configuration — equivalent to
+    /// replacing it with `Sgd::new(cfg)`, which is how the per-device
+    /// trainer cache starts each local round.
     pub fn reset_with(&mut self, cfg: SgdConfig) {
         self.cfg = cfg;
-        for v in &mut self.velocity {
-            v.iter_mut().for_each(|x| *x = 0.0);
-        }
     }
 
-    /// One SGD step. When `mask` is given, the gradients of pruned weights
-    /// are zeroed first (Eq. 5: `θ ← θ − η ∇L ⊙ m`), so pruned weights stay
-    /// exactly zero.
+    /// One SGD step, `θ ← θ − η ∇L`. When `mask` is given, the gradients of
+    /// pruned weights are zeroed first (Eq. 5: `θ ← θ − η ∇L ⊙ m`), so pruned
+    /// weights stay exactly zero.
     ///
     /// # Panics
     ///
@@ -78,35 +62,11 @@ impl Sgd {
         if self.cfg.clip_norm > 0.0 {
             clip_gradients(model, self.cfg.clip_norm);
         }
-        let cfg = self.cfg;
-        let velocity = &mut self.velocity;
-        let mut i = 0;
+        let lr = self.cfg.lr;
         model.for_each_param_mut(&mut |p| {
-            if cfg.momentum > 0.0 {
-                if velocity.len() <= i {
-                    velocity.push(vec![0.0; p.len()]);
-                } else if velocity[i].len() != p.len() {
-                    velocity[i].clear();
-                    velocity[i].resize(p.len(), 0.0);
-                }
-                let vel = &mut velocity[i];
-                for ((w, g), v) in p
-                    .data
-                    .data_mut()
-                    .iter_mut()
-                    .zip(p.grad.data().iter())
-                    .zip(vel.iter_mut())
-                {
-                    let grad = g + cfg.weight_decay * *w;
-                    *v = cfg.momentum * *v + grad;
-                    *w -= cfg.lr * *v;
-                }
-            } else {
-                for (w, g) in p.data.data_mut().iter_mut().zip(p.grad.data().iter()) {
-                    *w -= cfg.lr * (g + cfg.weight_decay * *w);
-                }
+            for (w, g) in p.data.data_mut().iter_mut().zip(p.grad.data().iter()) {
+                *w -= lr * g;
             }
-            i += 1;
         });
     }
 }
@@ -194,43 +154,5 @@ mod tests {
         }
         // Alive weights did move.
         assert!(prunable[0].data.data()[layout.layer(0).len - 1] != 0.0);
-    }
-
-    #[test]
-    fn momentum_accelerates_along_constant_gradient() {
-        // With constant grad g, momentum accumulates: after 2 steps the
-        // parameter moved further than 2 * lr * g.
-        let (mut model, x, y) = setup();
-        let w0 = model.params()[0].data.data()[0];
-        let mut opt = Sgd::new(SgdConfig {
-            lr: 0.01,
-            momentum: 0.9,
-            ..Default::default()
-        });
-        for _ in 0..3 {
-            let logits = model.forward(&x, Mode::Train);
-            let (_, grad) = softmax_cross_entropy(&logits, &y);
-            model.backward(&grad);
-            opt.step(&mut model, None);
-            model.zero_grad();
-        }
-        assert_ne!(model.params()[0].data.data()[0], w0);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let (mut model, _, _) = setup();
-        let norm0: f32 = model.params().iter().map(|p| p.data.norm2()).sum();
-        let mut opt = Sgd::new(SgdConfig {
-            lr: 0.1,
-            weight_decay: 0.1,
-            ..Default::default()
-        });
-        // No forward/backward: gradients are zero, so only decay acts.
-        for _ in 0..5 {
-            opt.step(&mut model, None);
-        }
-        let norm1: f32 = model.params().iter().map(|p| p.data.norm2()).sum();
-        assert!(norm1 < norm0);
     }
 }

@@ -11,8 +11,8 @@
 
 use fedtiny::{run_fedtiny, run_fedtiny_with, FedTinyConfig, FedTinyRunOptions};
 use fedtiny_suite::fl::{
-    no_hook, run_federated_rounds, run_with, CheckpointSpec, Codec, CostLedger, DeviceProfile,
-    ExperimentEnv, InProcess, MetricsHub, ModelSpec, RunOptions, Scheduler, ServerError,
+    no_hook, run_federated_rounds, run_with, Codec, CostLedger, DeviceProfile, ExperimentEnv,
+    InProcess, MetricsHub, ModelSpec, RunOptions, Scheduler, ServerError,
 };
 use fedtiny_suite::nn::{flat_params, sparse_layout, Model};
 use fedtiny_suite::sparse::Mask;
@@ -107,7 +107,7 @@ fn run_killed_and_resumed(
             &mut no_hook(),
             RunOptions {
                 transport: &mut transport,
-                checkpoint: Some(CheckpointSpec::every_round(&path)),
+                checkpoint: Some(path.clone()),
                 resume: false,
                 halt_after: Some(halt_after),
                 hook_save: None,
@@ -135,7 +135,7 @@ fn run_killed_and_resumed(
         &mut no_hook(),
         RunOptions {
             transport: &mut transport,
-            checkpoint: Some(CheckpointSpec::every_round(&path)),
+            checkpoint: Some(path.clone()),
             resume: true,
             halt_after: None,
             hook_save: None,
@@ -244,7 +244,7 @@ fn ckpt_mismatched_run_is_rejected_with_typed_error() {
             &mut no_hook(),
             RunOptions {
                 transport: &mut transport,
-                checkpoint: Some(CheckpointSpec::every_round(&path)),
+                checkpoint: Some(path.clone()),
                 resume: false,
                 halt_after: Some(1),
                 hook_save: None,
@@ -270,7 +270,7 @@ fn ckpt_mismatched_run_is_rejected_with_typed_error() {
         &mut no_hook(),
         RunOptions {
             transport: &mut transport,
-            checkpoint: Some(CheckpointSpec::every_round(&path)),
+            checkpoint: Some(path.clone()),
             resume: true,
             halt_after: None,
             hook_save: None,
@@ -305,7 +305,7 @@ fn ckpt_corrupt_file_is_rejected_not_panicking() {
         &mut no_hook(),
         RunOptions {
             transport: &mut transport,
-            checkpoint: Some(CheckpointSpec::every_round(&path)),
+            checkpoint: Some(path.clone()),
             resume: true,
             halt_after: None,
             hook_save: None,
@@ -335,7 +335,7 @@ fn ckpt_fedtiny_resume_matches_uninterrupted_run() {
         &cfg,
         FedTinyRunOptions {
             transport: &mut transport,
-            checkpoint: Some(CheckpointSpec::every_round(&path)),
+            checkpoint: Some(path.clone()),
             resume: false,
             halt_after: Some(2),
             metrics: None,
@@ -350,7 +350,7 @@ fn ckpt_fedtiny_resume_matches_uninterrupted_run() {
         &cfg,
         FedTinyRunOptions {
             transport: &mut transport,
-            checkpoint: Some(CheckpointSpec::every_round(&path)),
+            checkpoint: Some(path.clone()),
             resume: true,
             halt_after: None,
             metrics: None,
@@ -404,7 +404,7 @@ fn ckpt_fedtiny_halt_before_first_eval_returns_nan_not_panic() {
         &cfg,
         FedTinyRunOptions {
             transport: &mut transport,
-            checkpoint: Some(CheckpointSpec::every_round(&path)),
+            checkpoint: Some(path.clone()),
             resume: false,
             halt_after: Some(1),
             metrics: None,
@@ -421,7 +421,7 @@ fn ckpt_fedtiny_halt_before_first_eval_returns_nan_not_panic() {
         &cfg,
         FedTinyRunOptions {
             transport: &mut transport,
-            checkpoint: Some(CheckpointSpec::every_round(&path)),
+            checkpoint: Some(path.clone()),
             resume: true,
             halt_after: None,
             metrics: None,
@@ -455,7 +455,7 @@ fn ckpt_changed_hyperparameters_are_rejected() {
             &mut no_hook(),
             RunOptions {
                 transport: &mut transport,
-                checkpoint: Some(CheckpointSpec::every_round(&path)),
+                checkpoint: Some(path.clone()),
                 resume: false,
                 halt_after: Some(1),
                 hook_save: None,
@@ -481,7 +481,7 @@ fn ckpt_changed_hyperparameters_are_rejected() {
         &mut no_hook(),
         RunOptions {
             transport: &mut transport,
-            checkpoint: Some(CheckpointSpec::every_round(&path)),
+            checkpoint: Some(path.clone()),
             resume: true,
             halt_after: None,
             hook_save: None,
@@ -510,7 +510,7 @@ fn ckpt_resuming_a_finished_run_publishes_its_ledger() {
             let mut ledger = CostLedger::new();
             let mut transport = InProcess;
             let mut opts = RunOptions::new(&mut transport);
-            opts.checkpoint = Some(CheckpointSpec::every_round(&path));
+            opts.checkpoint = Some(path.clone());
             opts.resume = resume;
             opts.metrics = metrics;
             let history = run_with(

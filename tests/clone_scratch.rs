@@ -87,15 +87,12 @@ fn clones_carry_no_scratch_and_train_like_their_source() {
         }
 
         // Three SGD steps on the clone equal three on the original, bit for
-        // bit (momentum lives in the optimizer, so each side gets its own).
+        // bit.
         let (mut a, mut b) = (stepped, clone);
-        let (mut sgd_a, mut sgd_b) = (
-            Sgd::new(SgdConfig::default()),
-            Sgd::new(SgdConfig::default()),
-        );
+        let mut sgd = Sgd::new(SgdConfig::default());
         for _ in 0..3 {
-            step(&mut a, &mut sgd_a, mask.as_ref(), &x, &labels);
-            step(&mut b, &mut sgd_b, mask.as_ref(), &x, &labels);
+            step(&mut a, &mut sgd, mask.as_ref(), &x, &labels);
+            step(&mut b, &mut sgd, mask.as_ref(), &x, &labels);
             assert_eq!(state_bits(&a), state_bits(&b), "d={density}");
         }
         assert_eq!(a.realized_flops(), b.realized_flops());

@@ -111,6 +111,11 @@ fn run_over_tcp(devices: usize, seed: u64) -> Trace {
     });
     let mut transport = TcpTransport::accept_fleet(&listener, devices).expect("fleet connects");
     assert_eq!(transport.devices(), devices);
+    assert_eq!(
+        transport.handshake_faults(),
+        0,
+        "an honest HELLO was refused"
+    );
 
     let mut model = env.build_model(&ModelSpec::small_cnn_test());
     let mut mask = initial_mask(&env);
@@ -126,6 +131,13 @@ fn run_over_tcp(devices: usize, seed: u64) -> Trace {
         RunOptions::new(&mut transport),
     )
     .expect("tcp fleet run");
+    // The collect quiet timeout applies to every TCP run: no device of an
+    // honest fleet may be quarantined as silent, however large the fleet.
+    assert!(
+        ledger.faults().is_clean(),
+        "an honest fleet was quarantined: {:?}",
+        ledger.faults()
+    );
     client.join().expect("client thread");
     project(&history, &flat_params(model.as_ref()), &ledger)
 }

@@ -273,7 +273,7 @@ fn sim_every_policy_parallel_equals_sequential_trace() {
     ] {
         let run = |parallel: bool| -> (Vec<f32>, Vec<String>, usize) {
             let mut env = ExperimentEnv::tiny_for_tests(42);
-            env.cfg.parallel = parallel;
+            env.cfg.threads = if parallel { 4 } else { 1 };
             env.fleet = DeviceProfile::fleet_mixed(env.num_devices());
             env.scheduler = scheduler;
             let mut model = env.build_model(&ModelSpec::small_cnn_test());

@@ -14,7 +14,7 @@
 //!   of pinned damage. Regenerate after an intentional change with
 //!   `FT_BLESS=1 cargo test --test hostile_fleet`.
 //! - **TCP ≡ in-process equivalence** — the same hostile fleet over real
-//!   loopback sockets (tolerant accept) produces the bit-identical trace
+//!   loopback sockets produces the bit-identical trace
 //!   and the identical fault counters as its [`AdversarialTransport`]
 //!   twin, and the server finishes every round without a panic.
 //! - **Churn** — devices leaving and rejoining (from the live run's
@@ -76,16 +76,11 @@ fn hostile_env(aggregator: Aggregator) -> ExperimentEnv {
         batch_size: 16,
         sgd: SgdConfig {
             lr: 0.1,
-            momentum: 0.0,
-            weight_decay: 0.0,
             clip_norm: 0.0,
         },
         alpha: 10.0,
         dev_fraction: 0.5,
         participation: 1.0,
-        prox_mu: 0.0,
-        lr_decay: 1.0,
-        parallel: true,
         threads: 0,
         codec: Codec::Dense,
         aggregator,
@@ -280,7 +275,7 @@ fn byzantine_fedavg_damage_is_pinned() {
 }
 
 /// The acceptance scenario: the seeded 10-device fleet with its Byzantine
-/// members over real loopback sockets. The tolerant server completes every
+/// members over real loopback sockets. The TCP server completes every
 /// round without a panic, and the whole run — accuracy bits, parameter
 /// bits, ledger axes, and fault counters — is bit-identical to the
 /// in-process adversarial twin.
@@ -311,8 +306,7 @@ fn byzantine_tcp_fleet_matches_in_process_twin_bit_exactly() {
             })
         })
         .collect();
-    let mut transport =
-        TcpTransport::accept_fleet_tolerant(listener, DEVICES).expect("tolerant accept");
+    let mut transport = TcpTransport::accept_fleet(&listener, DEVICES).expect("accept");
 
     let mut model = env.build_model(&ModelSpec::small_cnn_test());
     let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
@@ -429,8 +423,7 @@ fn run_churn_over_tcp(seed: u64, churns: &[Churn]) -> Trace {
         }));
     }
 
-    let mut transport =
-        TcpTransport::accept_fleet_tolerant(listener, devices).expect("tolerant accept");
+    let mut transport = TcpTransport::accept_fleet(&listener, devices).expect("accept");
     let mut model = env.build_model(&ModelSpec::small_cnn_test());
     let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
     let mut ledger = CostLedger::new();
@@ -526,7 +519,7 @@ fn overlapping_churn_of_two_devices_matches_in_process_twin() {
 }
 
 /// An *unscheduled* mid-round death: the device HELLOs and vanishes. The
-/// tolerant server quarantines it as a disconnect every round it is
+/// TCP server quarantines it as a disconnect every round it is
 /// expected and still completes the run — a typed fault, never a panic.
 #[test]
 fn mid_round_kill_is_quarantined_not_fatal() {
@@ -556,8 +549,7 @@ fn mid_round_kill_is_quarantined_not_fatal() {
         // Read nothing; dropping the stream kills it mid-round.
     }));
 
-    let mut transport =
-        TcpTransport::accept_fleet_tolerant(listener, devices).expect("tolerant accept");
+    let mut transport = TcpTransport::accept_fleet(&listener, devices).expect("accept");
     let mut model = env.build_model(&ModelSpec::small_cnn_test());
     let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
     let mut ledger = CostLedger::new();
@@ -570,7 +562,7 @@ fn mid_round_kill_is_quarantined_not_fatal() {
         &mut no_hook(),
         RunOptions::new(&mut transport),
     )
-    .expect("an unscheduled death must not abort the tolerant run");
+    .expect("an unscheduled death must not abort the run");
     for t in threads {
         t.join().expect("client thread");
     }

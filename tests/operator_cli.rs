@@ -157,6 +157,12 @@ fn tcp_run_scrape_matches_ledger_exactly() {
     for c in clients {
         c.join().expect("client thread");
     }
+    assert_eq!(
+        transport.handshake_faults(),
+        0,
+        "an honest HELLO was refused"
+    );
+    assert!(ledger.faults().is_clean(), "{:?}", ledger.faults());
 
     let body = scrape(addr);
 
@@ -397,7 +403,7 @@ fn ckpt_inspect_matches_golden() {
     let mut ledger = CostLedger::new();
     let mut transport = InProcess;
     let mut opts = RunOptions::new(&mut transport);
-    opts.checkpoint = Some(fedtiny_suite::fl::CheckpointSpec::every_round(&path));
+    opts.checkpoint = Some(path.clone());
     run_with(
         model.as_mut(),
         &mut mask,

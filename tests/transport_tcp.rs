@@ -1,15 +1,17 @@
 //! Loopback-TCP federation net: the same run exchanged over real sockets
 //! (length-prefixed frames on 127.0.0.1) must reach the bit-identical
 //! final aggregated model — and the identical deterministic ledger — as
-//! the in-process transport of the same seed.
+//! the in-process transport of the same seed. The server screens every
+//! handshake and frame, and an honest fleet trips none of it.
 
 use fedtiny_suite::fl::{
-    no_hook, run_federated_rounds, run_tcp_device, run_with, Codec, CostLedger, ExperimentEnv,
-    ModelSpec, RunOptions, Scheduler, TcpTransport,
+    no_hook, run_federated_rounds, run_tcp_device, run_tcp_devices, run_with, Codec, CostLedger,
+    ExperimentEnv, ModelSpec, RunOptions, Scheduler, TcpTransport,
 };
 use fedtiny_suite::nn::{apply_mask, flat_params, sparse_layout};
 use fedtiny_suite::sparse::Mask;
-use std::net::TcpListener;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 
 /// Builds the shared environment; `half_prune` kills every even
 /// coordinate of the first prunable layer so sparse values-only uploads
@@ -127,24 +129,40 @@ fn run_over_tcp_part(
     let mut transport =
         TcpTransport::accept_fleet(&listener, env.num_devices()).expect("fleet connects");
     assert_eq!(transport.devices(), env.num_devices());
+    assert_eq!(
+        transport.handshake_faults(),
+        0,
+        "an honest HELLO was refused"
+    );
+    let trace = serve(&env, &mut transport, half_prune);
+    for c in clients {
+        c.join().expect("client thread");
+    }
+    trace
+}
 
+/// The server side of a TCP run over an accepted fleet. Every fleet here is
+/// honest, so nothing may be quarantined.
+fn serve(env: &ExperimentEnv, transport: &mut TcpTransport, half_prune: bool) -> Trace {
     let mut model = env.build_model(&ModelSpec::small_cnn_test());
-    let mut mask = initial_mask(&env, half_prune);
+    let mut mask = initial_mask(env, half_prune);
     apply_mask(model.as_mut(), &mask);
     let mut ledger = CostLedger::new();
     let history = run_with(
         model.as_mut(),
         &mut mask,
-        &env,
+        env,
         1,
         &mut ledger,
         &mut no_hook(),
-        RunOptions::new(&mut transport),
+        RunOptions::new(transport),
     )
     .expect("tcp run");
-    for c in clients {
-        c.join().expect("client thread");
-    }
+    assert!(
+        ledger.faults().is_clean(),
+        "an honest fleet was quarantined: {:?}",
+        ledger.faults()
+    );
     project(&history, &flat_params(model.as_ref()), &ledger)
 }
 
@@ -175,25 +193,37 @@ fn tcp_quantized_deadline_matches_in_process_bit_exactly() {
     assert_eq!(tcp, local, "quantized deadline TCP run diverged");
 }
 
+/// A second HELLO for a device id already connected is the reconnect case:
+/// the server counts the refused handshake, keeps the latest connection,
+/// and the run stays bit-identical to in-process.
 #[test]
-fn tcp_rejects_duplicate_device_ids() {
+fn tcp_duplicate_hello_is_counted_and_the_latest_connection_serves() {
+    let env = build_env(Scheduler::Synchronous, Codec::Dense, 0);
+    let devices = env.num_devices();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
-    let clients: Vec<_> = (0..2)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let env = build_env(Scheduler::Synchronous, Codec::Dense, 0);
-                // Both claim device 0; the server must refuse the fleet.
-                let _ = run_tcp_device(addr, 0, &env, &ModelSpec::small_cnn_test());
-            })
-        })
-        .collect();
-    let err = TcpTransport::accept_fleet(&listener, 2).expect_err("duplicate id must be rejected");
-    assert!(err.to_string().contains("twice"), "unexpected error: {err}");
-    drop(listener);
-    for c in clients {
-        let _ = c.join();
-    }
+    // A stale connection claims device 0 first: HELLO is a u32 body length
+    // (4), the kind byte (1) and the u32 device id (0).
+    let mut stale = TcpStream::connect(addr).expect("connect");
+    stale
+        .write_all(&[4, 0, 0, 0, 1, 0, 0, 0, 0])
+        .expect("stale hello");
+    // Then the real fleet, device 0 first, from one lockstep client. The
+    // accept queue is FIFO, so the server reads the stale HELLO before the
+    // real one.
+    let client = std::thread::spawn(move || {
+        let env = build_env(Scheduler::Synchronous, Codec::Dense, 0);
+        run_tcp_devices(addr, 0..devices, &env, &ModelSpec::small_cnn_test())
+            .unwrap_or_else(|e| panic!("client fleet failed: {e}"));
+    });
+    let mut transport =
+        TcpTransport::accept_fleet(&listener, devices).expect("a duplicate HELLO is not fatal");
+    assert_eq!(transport.handshake_faults(), 1);
+    let tcp = serve(&env, &mut transport, false);
+    client.join().expect("client thread");
+    drop(stale);
+    let local = run_in_process(Scheduler::Synchronous, Codec::Dense, 0, false);
+    assert_eq!(tcp, local, "the latest device-0 connection did not serve");
 }
 
 #[test]
