@@ -162,33 +162,6 @@ pub fn small_spec_for(spec: &ModelSpec) -> ModelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::{Scale, ScaleKind};
-    use ft_data::DatasetProfile;
-
-    /// Every method runs at smoke scale, and a record's `method` field feeds
-    /// back into `--method`: it is the name the method parses from.
-    #[test]
-    fn every_method_runs_at_smoke_scale() {
-        let s = Scale::new(ScaleKind::Smoke);
-        let env = s.env(DatasetProfile::Cifar10, 0);
-        let spec = s.resnet();
-        let mut methods = vec![
-            Method::FedTiny,
-            Method::Vanilla,
-            Method::AdaptiveBnOnly,
-            Method::VanillaProgressive,
-            Method::SmallModel,
-            Method::Baseline(BaselineMethod::Grasp),
-        ];
-        methods.extend(BaselineMethod::all().map(Method::Baseline));
-        assert_eq!(methods.len(), 13);
-        for m in methods {
-            assert_eq!(Method::from_name(&m.name()), Some(m));
-            let r = run_method(&env, &spec, m, 0.2);
-            assert_eq!(r.method, m.name());
-            assert!((0.0..=1.0).contains(&r.accuracy), "{m:?}");
-        }
-    }
 
     #[test]
     fn figure3_set_has_six_methods() {
