@@ -18,21 +18,20 @@ fn main() {
         DatasetProfile::Cifar100,
         DatasetProfile::Cinic10,
     ];
-    let methods = Method::figure3_set();
+    let methods = Method::FIGURE3;
     let densities = scale.density_grid();
 
     for profile in profiles {
         let env = scale.env(profile, 3);
         let spec = scale.resnet();
-        let mut header = vec!["density".to_string()];
-        header.extend(methods.iter().map(|m| m.name()));
-        let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
+        let mut header = vec!["density"];
+        header.extend(methods.map(Method::name));
         let mut table = Table::new(
             &format!(
                 "Fig. 3 — top-1 accuracy vs density ({}, ResNet18)",
                 profile.name()
             ),
-            &header_refs,
+            header,
         );
         let mut cost_table = Table::new(
             &format!(
@@ -40,7 +39,7 @@ fn main() {
                  (FedTiny, {}, ResNet18)",
                 profile.name()
             ),
-            &[
+            [
                 "density",
                 "analytic_flops",
                 "realized_flops",
@@ -51,7 +50,7 @@ fn main() {
             let mut row = vec![format!("{d}")];
             for &m in &methods {
                 let r = run_method(&env, &spec, m, d);
-                if m.name() == "fedtiny" {
+                if m == Method::FedTiny {
                     cost_table.row(vec![
                         format!("{d}"),
                         format!("{:.3e}", r.max_round_flops),

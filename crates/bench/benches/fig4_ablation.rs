@@ -13,12 +13,11 @@ fn main() {
     let scale = Scale::from_env();
     let env = scale.env(DatasetProfile::Cifar10, 5);
     let spec = scale.vgg();
-    let arms = Method::ablation_set();
+    let arms = Method::ABLATION;
 
-    let mut header = vec!["density".to_string()];
-    header.extend(arms.iter().map(|m| m.name()));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Table::new("Fig. 4 — module ablation (VGG11, CIFAR-10)", &header_refs);
+    let mut header = vec!["density"];
+    header.extend(arms.map(Method::name));
+    let mut table = Table::new("Fig. 4 — module ablation (VGG11, CIFAR-10)", header);
 
     for &d in &scale.density_grid() {
         let mut row = vec![format!("{d}")];

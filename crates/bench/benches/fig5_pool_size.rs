@@ -23,7 +23,7 @@ fn main() {
 
     let mut table = Table::new(
         "Fig. 5 — pool size vs accuracy and selection communication (VGG11, CIFAR-10)",
-        &["density", "pool", "d*pool", "top1", "selection_comm"],
+        ["density", "pool", "d*pool", "top1", "selection_comm"],
     );
     for &d in &densities {
         for &c in pools {

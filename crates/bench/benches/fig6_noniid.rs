@@ -9,7 +9,6 @@
 use ft_bench::table::acc;
 use ft_bench::{run_method, Method, Scale, Table};
 use ft_data::DatasetProfile;
-use ft_pruning::BaselineMethod;
 
 fn main() {
     let scale = Scale::from_env();
@@ -19,18 +18,13 @@ fn main() {
         _ => *scale.table_densities().last().expect("nonempty"),
     };
     let alphas = [0.3f64, 0.5, 0.7, 1.0];
-    let methods = [
-        Method::Baseline(BaselineMethod::SynFlow),
-        Method::Baseline(BaselineMethod::PruneFl),
-        Method::FedTiny,
-    ];
+    let methods = [Method::SynFlow, Method::PruneFl, Method::FedTiny];
 
-    let mut header = vec!["alpha".to_string()];
-    header.extend(methods.iter().map(|m| m.name()));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
+    let mut header = vec!["alpha"];
+    header.extend(methods.map(Method::name));
     let mut table = Table::new(
         &format!("Fig. 6 — accuracy vs non-iid degree (ResNet18, CIFAR-10, d={d})"),
-        &header_refs,
+        header,
     );
     for &alpha in &alphas {
         let env = scale.env_with_alpha(DatasetProfile::Cifar10, alpha, 9);

@@ -49,7 +49,7 @@ fn main() {
 
     let mut table = Table::new(
         "Communication compression — accuracy vs measured upload bytes (small CNN, CIFAR-10)",
-        &[
+        [
             "density",
             "codec",
             "top1",

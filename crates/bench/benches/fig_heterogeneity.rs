@@ -45,7 +45,7 @@ fn main() {
             "Fig. heterogeneity — accuracy vs simulated makespan \
              (FedTiny d={d_target}, mixed fleet, seed {seed}, deadline {deadline_secs:.1}s, K={buffer_k})"
         ),
-        &[
+        [
             "scheduler",
             "top1",
             "density",

@@ -9,7 +9,6 @@
 use ft_bench::table::{acc, factor, mb};
 use ft_bench::{run_method, Method, Scale, Table};
 use ft_data::DatasetProfile;
-use ft_pruning::BaselineMethod;
 
 fn main() {
     let scale = Scale::from_env();
@@ -18,15 +17,10 @@ fn main() {
     for (model_name, spec) in [("ResNet18", scale.resnet()), ("VGG11", scale.vgg())] {
         let mut table = Table::new(
             &format!("Table I — accuracy and training cost ({model_name}, CIFAR-10)"),
-            &["density", "method", "top1", "max_flops", "memory"],
+            ["density", "method", "top1", "max_flops", "memory"],
         );
         // Dense FedAvg reference first (density 1 row of the paper).
-        let dense = run_method(
-            &env,
-            &spec,
-            Method::Baseline(BaselineMethod::FedAvgDense),
-            1.0,
-        );
+        let dense = run_method(&env, &spec, Method::FedAvg, 1.0);
         table.row(vec![
             "1".into(),
             "fedavg".into(),
@@ -34,18 +28,21 @@ fn main() {
             format!("1x({:.2e})", dense.max_round_flops),
             mb(dense.memory_bytes),
         ]);
-        let methods: Vec<Method> = BaselineMethod::all()
-            .into_iter()
-            .filter(|m| *m != BaselineMethod::FedAvgDense)
-            .map(Method::Baseline)
-            .chain([Method::FedTiny])
-            .collect();
+        let methods = [
+            Method::FlPqsu,
+            Method::Snip,
+            Method::SynFlow,
+            Method::PruneFl,
+            Method::FedDst,
+            Method::LotteryFl,
+            Method::FedTiny,
+        ];
         for &d in &scale.table_densities() {
             for &m in &methods {
                 let r = run_method(&env, &spec, m, d);
                 table.row(vec![
                     format!("{d}"),
-                    m.name(),
+                    m.name().into(),
                     acc(r.accuracy),
                     factor(r.max_round_flops, dense.max_round_flops),
                     mb(r.memory_bytes),

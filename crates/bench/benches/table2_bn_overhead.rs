@@ -1,11 +1,12 @@
 //! Table II: extra FLOPs spent in the adaptive BN selection module at the
-//! optimal pool size `C* = 0.1/d`, compared to the training FLOPs of one
-//! round.
+//! pool size FedTiny's runs use (`C* = 0.1/d`, clamped to `[4, 32]`),
+//! compared to the training FLOPs of one round.
 //!
 //! Paper shape: the one-off selection overhead is below (or around) one
 //! round of sparse training — negligible across hundreds of rounds.
 
 use fedtiny::{adaptive_bn_selection, generate_candidate_pool, SelectionConfig};
+use ft_bench::methods::fedtiny_config;
 use ft_bench::table::flops;
 use ft_bench::{Scale, Table};
 use ft_data::DatasetProfile;
@@ -18,7 +19,7 @@ fn main() {
 
     let mut table = Table::new(
         "Table II — extra FLOPs in adaptive BN selection (VGG11, CIFAR-10)",
-        &[
+        [
             "density",
             "pool(C*)",
             "extra_flops_selection",
@@ -27,12 +28,13 @@ fn main() {
         ],
     );
     for &d in &scale.table_densities() {
-        let pool_size = SelectionConfig::optimal_pool_size(d).clamp(2, 64);
+        // The selection every FedTiny run at this density makes.
+        let cfg = fedtiny_config(&env, &spec, d);
         let global = env.build_model(&spec);
         let sel = SelectionConfig {
             d_target: d,
-            pool_size,
-            noise_spread: 0.5,
+            pool_size: cfg.pool_size,
+            noise_spread: cfg.noise_spread,
             seed: env.cfg.seed,
         };
         let pool = generate_candidate_pool(global.as_ref(), &sel);
@@ -43,7 +45,7 @@ fn main() {
             training_flops(&global.arch(), &densities) * max_samples * env.cfg.local_epochs as f64;
         table.row(vec![
             format!("{d}"),
-            format!("{pool_size}"),
+            format!("{}", cfg.pool_size),
             flops(outcome.extra_flops),
             flops(round),
             format!("{:.2}", outcome.extra_flops / round),

@@ -33,10 +33,9 @@ fn main() {
 
     let mut header = vec!["schedule".to_string()];
     header.extend(densities.iter().map(|d| format!("d={d}")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut table = Table::new(
         "Table III — pruning scheduling strategies (VGG11, CIFAR-10)",
-        &header_refs,
+        header,
     );
 
     for &(label, granularity, backward, dr_div, rs_div) in rows {

@@ -8,7 +8,6 @@
 use ft_bench::table::acc;
 use ft_bench::{run_method, Method, Scale, Table};
 use ft_data::DatasetProfile;
-use ft_pruning::BaselineMethod;
 
 fn main() {
     let scale = Scale::from_env();
@@ -18,8 +17,8 @@ fn main() {
         _ => *scale.table_densities().last().expect("nonempty"),
     };
     let methods = [
-        Method::Baseline(BaselineMethod::SynFlow),
-        Method::Baseline(BaselineMethod::PruneFl),
+        Method::SynFlow,
+        Method::PruneFl,
         Method::SmallModel,
         Method::FedTiny,
     ];
@@ -30,15 +29,14 @@ fn main() {
         DatasetProfile::Cifar100,
     ];
 
-    let mut header = vec!["method".to_string()];
-    header.extend(profiles.iter().map(|p| p.name().to_string()));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
+    let mut header = vec!["method"];
+    header.extend(profiles.map(|p| p.name()));
     let mut table = Table::new(
         &format!("Table IV — ResNet18 at d={d} vs small dense model"),
-        &header_refs,
+        header,
     );
     for &m in &methods {
-        let mut row = vec![m.name()];
+        let mut row = vec![m.name().to_string()];
         for &p in &profiles {
             let env = scale.env(p, 10);
             let r = run_method(&env, &spec, m, d);

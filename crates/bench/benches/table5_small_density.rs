@@ -8,7 +8,6 @@
 use ft_bench::table::acc;
 use ft_bench::{run_method, Method, Scale, Table};
 use ft_data::DatasetProfile;
-use ft_pruning::BaselineMethod;
 
 fn main() {
     let scale = Scale::from_env();
@@ -19,21 +18,20 @@ fn main() {
         _ => scale.density_grid(),
     };
     let methods = [
-        Method::Baseline(BaselineMethod::SynFlow),
-        Method::Baseline(BaselineMethod::PruneFl),
+        Method::SynFlow,
+        Method::PruneFl,
         Method::SmallModel,
         Method::FedTiny,
     ];
 
     let mut header = vec!["method".to_string()];
     header.extend(densities.iter().map(|d| format!("d={d}")));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut table = Table::new(
         "Table V — ResNet18 vs small model across densities (CIFAR-10)",
-        &header_refs,
+        header,
     );
     for &m in &methods {
-        let mut row = vec![m.name()];
+        let mut row = vec![m.name().to_string()];
         for &d in &densities {
             let r = run_method(&env, &spec, m, d);
             row.push(acc(r.accuracy));

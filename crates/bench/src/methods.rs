@@ -1,14 +1,19 @@
-//! One uniform entry point over FedTiny, its ablations, every baseline, and
-//! the small dense model.
+//! The method table: FedTiny, its Fig. 4 ablation arms, every baseline of
+//! Sec. IV-A3 and the small dense model, each one [`Method`] that
+//! [`run_method`] runs.
 
 use fedtiny::{run_fedtiny, FedTinyConfig, ProgressiveConfig, SelectionMode};
-use ft_fl::{ExperimentEnv, ModelSpec, RunResult};
+use ft_fl::{Codec, ExperimentEnv, ModelSpec, RunResult};
 use ft_metrics::ExtraMemory;
-use ft_pruning::{run_baseline, run_with_fixed_mask, BaselineMethod};
+use ft_nn::sparse_layout;
+use ft_pruning::{
+    grasp_mask, l1_oneshot_mask, run_feddst, run_lotteryfl, run_prunefl, run_with_fixed_mask,
+    snip_mask, synflow_mask, DEFAULT_ITERATIVE_STEPS,
+};
 use ft_sparse::{Mask, PruneSchedule};
 
 /// Everything the experiment benches can run.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Method {
     /// Full FedTiny (adaptive BN selection + progressive pruning).
     FedTiny,
@@ -18,66 +23,91 @@ pub enum Method {
     AdaptiveBnOnly,
     /// Fig. 4 arm: vanilla selection + progressive pruning.
     VanillaProgressive,
-    /// One of the paper's baselines.
-    Baseline(BaselineMethod),
+    /// Dense FedAvg (upper bound; first row of Table I; density ignored).
+    FedAvg,
+    /// FL-PQSU's pruning stage: one-shot L1 at initialization.
+    FlPqsu,
+    /// SNIP: iterative connection sensitivity at initialization.
+    Snip,
+    /// SynFlow: iterative data-free pruning at initialization.
+    SynFlow,
+    /// PruneFL: server init + full-gradient adaptive pruning.
+    PruneFl,
+    /// FedDST: random init + on-device mask adjustment.
+    FedDst,
+    /// LotteryFL: iterative magnitude pruning with rewinding.
+    LotteryFl,
+    /// GraSP (extension, not in the paper's tables): gradient-flow
+    /// preserving at-init pruning on the server's public data.
+    Grasp,
     /// The dense small 3-conv model of Tables IV/V (density ignored).
     SmallModel,
 }
 
 impl Method {
-    /// Stable report name.
-    pub fn name(&self) -> String {
+    /// Every method, in the order the golden record lists them.
+    pub const ALL: [Method; 13] = [
+        Method::FedTiny,
+        Method::Vanilla,
+        Method::AdaptiveBnOnly,
+        Method::VanillaProgressive,
+        Method::FedAvg,
+        Method::FlPqsu,
+        Method::Snip,
+        Method::SynFlow,
+        Method::PruneFl,
+        Method::FedDst,
+        Method::LotteryFl,
+        Method::Grasp,
+        Method::SmallModel,
+    ];
+
+    /// The method set of Fig. 3 / Table I (sparse baselines + FedTiny).
+    pub const FIGURE3: [Method; 6] = [
+        Method::FlPqsu,
+        Method::Snip,
+        Method::SynFlow,
+        Method::PruneFl,
+        Method::FedDst,
+        Method::FedTiny,
+    ];
+
+    /// The four ablation arms of Fig. 4.
+    pub const ABLATION: [Method; 4] = [
+        Method::Vanilla,
+        Method::AdaptiveBnOnly,
+        Method::VanillaProgressive,
+        Method::FedTiny,
+    ];
+
+    /// Stable report name; the `method` field of the method's records.
+    pub fn name(self) -> &'static str {
         match self {
-            Method::FedTiny => "fedtiny".into(),
-            Method::Vanilla => "vanilla".into(),
-            Method::AdaptiveBnOnly => "adaptive_bn".into(),
-            Method::VanillaProgressive => "vanilla+prog".into(),
-            Method::Baseline(b) => b.name().into(),
-            Method::SmallModel => "small_model".into(),
+            Method::FedTiny => "fedtiny",
+            Method::Vanilla => "vanilla",
+            Method::AdaptiveBnOnly => "adaptive_bn",
+            Method::VanillaProgressive => "vanilla+prog",
+            Method::FedAvg => "fedavg",
+            Method::FlPqsu => "flpqsu",
+            Method::Snip => "snip",
+            Method::SynFlow => "synflow",
+            Method::PruneFl => "prunefl",
+            Method::FedDst => "feddst",
+            Method::LotteryFl => "lotteryfl",
+            Method::Grasp => "grasp",
+            Method::SmallModel => "small_model",
         }
     }
 
-    /// The inverse of [`name`](Self::name): every method, baselines and the
-    /// GraSP extension included, parses from the name its records carry.
+    /// The inverse of [`name`](Self::name).
     pub fn from_name(name: &str) -> Option<Method> {
-        Some(match name {
-            "fedtiny" => Method::FedTiny,
-            "vanilla" => Method::Vanilla,
-            "adaptive_bn" => Method::AdaptiveBnOnly,
-            "vanilla+prog" => Method::VanillaProgressive,
-            "small_model" => Method::SmallModel,
-            other => Method::Baseline(
-                BaselineMethod::all()
-                    .into_iter()
-                    .chain([BaselineMethod::Grasp])
-                    .find(|b| b.name() == other)?,
-            ),
-        })
-    }
-
-    /// The method set of Fig. 3 / Table I (baselines + FedTiny).
-    pub fn figure3_set() -> Vec<Method> {
-        let mut v: Vec<Method> = BaselineMethod::figure3_set()
-            .into_iter()
-            .map(Method::Baseline)
-            .collect();
-        v.push(Method::FedTiny);
-        v
-    }
-
-    /// The four ablation arms of Fig. 4.
-    pub fn ablation_set() -> [Method; 4] {
-        [
-            Method::Vanilla,
-            Method::AdaptiveBnOnly,
-            Method::VanillaProgressive,
-            Method::FedTiny,
-        ]
+        Self::ALL.into_iter().find(|m| m.name() == name)
     }
 }
 
 /// Builds the FedTiny config a bench run uses: schedule scaled to the
-/// environment, pool size `C* = 0.1/d` (capped for tiny pools), paper noise.
+/// environment, pool size `C* = 0.1/d` (capped for tiny pools), paper noise,
+/// and an evaluation every fifth of the run.
 pub fn fedtiny_config(env: &ExperimentEnv, spec: &ModelSpec, d_target: f32) -> FedTinyConfig {
     let schedule = PruneSchedule::scaled_for(env.cfg.rounds, env.cfg.local_epochs);
     FedTinyConfig {
@@ -92,54 +122,76 @@ pub fn fedtiny_config(env: &ExperimentEnv, spec: &ModelSpec, d_target: f32) -> F
             backward_order: true,
             start_round: schedule.delta_r,
         }),
-        codec: ft_fl::Codec::MaskCsr,
+        codec: Codec::MaskCsr,
         eval_every: (env.cfg.rounds / 5).max(1),
     }
 }
 
 /// Runs `method` on `env` at the target density and returns the uniform
 /// result record.
+///
+/// Each method exchanges updates in its own wire format: the dense runs
+/// (and LotteryFL, whose devices train the dense model) speak `Dense`,
+/// every sparse method uploads mask-structured `MaskCsr` deltas. The
+/// iterative baselines share FedTiny's scaled schedule (`ΔR = rounds/30`,
+/// `R_stop = rounds/3`, the paper's 10/100 at 300 rounds) and its
+/// evaluation cadence.
 pub fn run_method(
     env: &ExperimentEnv,
     spec: &ModelSpec,
     method: Method,
     d_target: f32,
 ) -> RunResult {
-    let eval_every = (env.cfg.rounds / 5).max(1);
+    let codec = match method {
+        Method::FedAvg | Method::LotteryFl | Method::SmallModel => Codec::Dense,
+        _ => Codec::MaskCsr,
+    };
+    let env = &*env.codec_view(codec);
+    let mut fedtiny = fedtiny_config(env, spec, d_target);
+    let schedule = fedtiny
+        .progressive
+        .expect("FedTiny prunes progressively")
+        .schedule;
+    let eval_every = fedtiny.eval_every;
     match method {
-        Method::FedTiny => run_fedtiny(env, &fedtiny_config(env, spec, d_target)),
-        Method::Vanilla => {
-            let mut cfg = fedtiny_config(env, spec, d_target);
-            cfg.selection = SelectionMode::Vanilla;
-            cfg.progressive = None;
-            run_fedtiny(env, &cfg)
+        Method::FedTiny | Method::Vanilla | Method::AdaptiveBnOnly | Method::VanillaProgressive => {
+            if matches!(method, Method::Vanilla | Method::VanillaProgressive) {
+                fedtiny.selection = SelectionMode::Vanilla;
+            }
+            if matches!(method, Method::Vanilla | Method::AdaptiveBnOnly) {
+                fedtiny.progressive = None;
+            }
+            run_fedtiny(env, &fedtiny)
         }
-        Method::AdaptiveBnOnly => {
-            let mut cfg = fedtiny_config(env, spec, d_target);
-            cfg.progressive = None;
-            run_fedtiny(env, &cfg)
-        }
-        Method::VanillaProgressive => {
-            let mut cfg = fedtiny_config(env, spec, d_target);
-            cfg.selection = SelectionMode::Vanilla;
-            run_fedtiny(env, &cfg)
-        }
-        Method::Baseline(b) => run_baseline(env, spec, b, d_target, eval_every),
-        Method::SmallModel => {
-            let small = small_spec_for(spec);
-            let model = env.build_model(&small);
-            let mask = Mask::ones(&ft_nn::sparse_layout(model.as_ref()));
-            let mut r = run_with_fixed_mask(
-                env,
-                &small,
-                &mask,
-                "small_model",
-                ExtraMemory::None,
-                eval_every,
-            );
-            // A dense model stores no indices.
-            r.memory_bytes = 8.0 * ft_metrics::total_params(&model.arch()) as f64;
-            r
+        Method::PruneFl => run_prunefl(env, spec, d_target, schedule, eval_every),
+        Method::FedDst => run_feddst(env, spec, d_target, schedule, eval_every),
+        Method::LotteryFl => run_lotteryfl(env, spec, d_target, schedule, eval_every),
+        // Fixed-mask runs: an at-init mask, or a ones mask for the dense
+        // runs, whose devices hold a weight and a gradient per parameter.
+        Method::FlPqsu
+        | Method::Snip
+        | Method::SynFlow
+        | Method::Grasp
+        | Method::FedAvg
+        | Method::SmallModel => {
+            let spec = match method {
+                Method::SmallModel => small_spec_for(spec),
+                _ => *spec,
+            };
+            let model = env.build_model(&spec);
+            let (model, public) = (model.as_ref(), &env.server_public);
+            let steps = DEFAULT_ITERATIVE_STEPS;
+            let (mask, extra) = match method {
+                Method::FlPqsu => (l1_oneshot_mask(model, d_target), ExtraMemory::None),
+                Method::Snip => (snip_mask(model, public, d_target, steps), ExtraMemory::None),
+                Method::SynFlow => (synflow_mask(model, d_target, steps), ExtraMemory::None),
+                Method::Grasp => (grasp_mask(model, public, d_target), ExtraMemory::None),
+                _ => (
+                    Mask::ones(&sparse_layout(model)),
+                    ExtraMemory::DenseTraining,
+                ),
+            };
+            run_with_fixed_mask(env, &spec, &mask, method.name(), extra, eval_every)
         }
     }
 }
@@ -151,7 +203,7 @@ pub fn small_spec_for(spec: &ModelSpec) -> ModelSpec {
     let width = match spec {
         ModelSpec::ResNet18 { width, .. } | ModelSpec::Vgg11 { width, .. } => {
             // Full ResNet18 at 1% ≈ 112k params; SmallCnn(width w) has
-            // ≈ 8.3k·(w/4)² params at lab scale — width 8·w_spec lands near.
+            // ≈ 8.3k·(w/4)² params at lab scale — width 64·w_spec lands near.
             ((64.0 * width) as usize).max(2)
         }
         ModelSpec::SmallCnn { width, .. } => *width,
@@ -164,14 +216,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn figure3_set_has_six_methods() {
-        assert_eq!(Method::figure3_set().len(), 6);
+    fn names_are_unique_and_parse_back() {
+        let names: std::collections::HashSet<&str> = Method::ALL.map(Method::name).into();
+        assert_eq!(names.len(), Method::ALL.len());
+        for m in Method::ALL {
+            assert_eq!(Method::from_name(m.name()), Some(m));
+        }
+        assert_eq!(Method::from_name("nope"), None);
+    }
+
+    /// Every method runs end to end on the tiny environment and keeps its
+    /// density budget (the dense runs report 1).
+    #[test]
+    fn every_method_runs_on_the_tiny_env() {
+        let env = ExperimentEnv::tiny_for_tests(60);
+        let spec = ModelSpec::small_cnn_test();
+        for m in Method::ALL {
+            let r = run_method(&env, &spec, m, 0.2);
+            assert_eq!(r.method, m.name());
+            assert!((0.0..=1.0).contains(&r.accuracy), "{m:?}");
+            assert!(r.max_round_flops > 0.0, "{m:?}");
+            assert!(r.memory_bytes > 0.0, "{m:?}");
+            match m {
+                Method::FedAvg | Method::SmallModel => assert_eq!(r.final_density, 1.0),
+                _ => assert!(r.final_density <= 0.35, "{m:?}: {}", r.final_density),
+            }
+        }
     }
 
     #[test]
-    fn ablation_names_are_distinct() {
-        let names: std::collections::HashSet<String> =
-            Method::ablation_set().iter().map(|m| m.name()).collect();
-        assert_eq!(names.len(), 4);
+    fn sparse_methods_cost_less_than_dense_lotteryfl() {
+        let env = ExperimentEnv::tiny_for_tests(61);
+        let spec = ModelSpec::small_cnn_test();
+        let synflow = run_method(&env, &spec, Method::SynFlow, 0.05);
+        let lottery = run_method(&env, &spec, Method::LotteryFl, 0.05);
+        let dense = run_method(&env, &spec, Method::FedAvg, 0.05);
+        assert!(synflow.max_round_flops < lottery.max_round_flops);
+        assert!(synflow.memory_bytes < lottery.memory_bytes);
+        assert_eq!(lottery.memory_bytes, dense.memory_bytes);
     }
 }

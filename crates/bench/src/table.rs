@@ -11,10 +11,10 @@ pub struct Table {
 
 impl Table {
     /// Starts a table with a title and column names.
-    pub fn new(title: &str, header: &[&str]) -> Self {
+    pub fn new<S: Into<String>>(title: &str, header: impl IntoIterator<Item = S>) -> Self {
         Table {
             title: title.to_string(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
     }
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn renders_aligned() {
-        let mut t = Table::new("demo", &["method", "acc"]);
+        let mut t = Table::new("demo", ["method", "acc"]);
         t.row(vec!["fedtiny".into(), "0.8523".into()]);
         t.row(vec!["snip".into(), "0.72".into()]);
         let s = t.render();
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn rejects_ragged_rows() {
-        let mut t = Table::new("x", &["a", "b"]);
+        let mut t = Table::new("x", ["a", "b"]);
         t.row(vec!["only-one".into()]);
     }
 

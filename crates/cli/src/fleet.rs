@@ -17,7 +17,7 @@ use ft_fl::{
     ExperimentEnv, FlConfig, InProcess, MetricsEndpoint, MetricsHub, ModelSpec, RunOptions,
     RunResult, Scheduler, TcpTransport, TimelineEvent, Transport,
 };
-use ft_metrics::{device_memory_bytes, ExtraMemory};
+use ft_metrics::ExtraMemory;
 use ft_nn::{flat_params, sparse_layout, Model};
 use ft_sparse::Mask;
 use std::net::TcpListener;
@@ -380,12 +380,12 @@ fn run_single(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
     opts.print_header("in_process");
     let (history, model, ledger) = run_fleet(opts, None, None, hub);
     // Plain rounds never move the ones mask the run starts from.
-    let densities = vec![1.0f32; sparse_layout(model.as_ref()).num_layers()];
     let result = RunResult::from_ledger(
         format!("run:{}", opts.preset.name()),
         history,
-        1.0,
-        device_memory_bytes(&model.arch(), &densities, ExtraMemory::None),
+        &Mask::ones(&sparse_layout(model.as_ref())),
+        &model.arch(),
+        ExtraMemory::None,
         opts.codec.name(),
         &ledger,
     );

@@ -8,7 +8,7 @@ use ft_fl::{
     run_with, Codec, CostLedger, ExperimentEnv, InProcess, ModelSpec, RunOptions, RunResult,
     ServerError, Transport,
 };
-use ft_metrics::{densities_from_mask, device_memory_bytes, ExtraMemory};
+use ft_metrics::ExtraMemory;
 use ft_nn::{apply_mask, Model};
 use ft_sparse::Mask;
 use serde::{Deserialize, Serialize};
@@ -170,27 +170,67 @@ pub fn run_fedtiny_with(
     ledger.add_comm(outcome.comm_bytes);
     ledger.add_payload_comm(outcome.payload_bytes);
 
-    // --- Module 2: sparse FedAvg + progressive pruning.
-    let (history, max_buffer) = run_sparse_rounds_with(
+    // --- Module 2: sparse FedAvg + progressive pruning (Alg. 2 lines
+    // 10–26), with the hook's counters in the checkpoint. Interior
+    // mutability lets the round hook, the checkpoint saver, and the
+    // checkpoint loader share them without aliasing conflicts.
+    let progressive = cfg.progressive.as_ref();
+    let state = RefCell::new(ProgState::default());
+    let units = progressive.map(|p| p.units(global.as_ref(), mask.num_layers()));
+    let mut hook =
+        |model: &mut dyn Model, mask: &mut Mask, round: usize, ledger: &mut CostLedger| -> f64 {
+            let (Some(pcfg), Some(units)) = (progressive, units.as_ref()) else {
+                return 0.0;
+            };
+            if round < pcfg.start_round || !pcfg.schedule.adjusts_at(round) {
+                return 0.0;
+            }
+            let mut st = state.borrow_mut();
+            let unit = &units[st.adjustment_counter % units.len()];
+            let report = progressive_adjust(model, mask, env, pcfg, unit, round);
+            if report.adjusted.is_empty() {
+                return 0.0;
+            }
+            st.adjustment_counter += 1;
+            st.max_buffer = st.max_buffer.max(report.max_buffer);
+            ledger.add_comm(report.comm_bytes);
+            ledger.add_payload_comm(report.payload_bytes);
+            report.extra_flops
+        };
+    let hook_save = || state.borrow().to_bytes();
+    let hook_load = |bytes: &[u8]| {
+        if let Some(st) = ProgState::from_bytes(bytes) {
+            *state.borrow_mut() = st;
+        }
+    };
+    let history = run_with(
         global.as_mut(),
         &mut mask,
         env,
-        cfg.progressive.as_ref(),
         cfg.eval_every,
         &mut ledger,
-        opts,
+        &mut hook,
+        RunOptions {
+            transport: opts.transport,
+            checkpoint: opts.checkpoint,
+            resume: opts.resume,
+            halt_after: opts.halt_after,
+            hook_save: Some(&hook_save),
+            hook_load: Some(&hook_load),
+            presence: None,
+            metrics: opts.metrics,
+        },
     )?;
-
     // A run halted before its first evaluation point has an empty history
     // (the checkpoint carries the real state); `from_ledger` reports NaN
     // rather than panicking out of a Result-returning API.
-    let arch = global.arch();
-    let densities = densities_from_mask(&mask);
+    let max_buffer = state.borrow().max_buffer;
     Ok(RunResult::from_ledger(
         method_name(cfg),
         history,
-        mask.density(),
-        device_memory_bytes(&arch, &densities, ExtraMemory::TopKBuffer(max_buffer)),
+        &mask,
+        &global.arch(),
+        ExtraMemory::TopKBuffer(max_buffer),
         cfg.codec.name(),
         &ledger,
     ))
@@ -222,78 +262,6 @@ impl ProgState {
             max_buffer: u64::from_le_bytes(bytes[8..].try_into().ok()?) as usize,
         })
     }
-}
-
-/// The shared sparse-FedAvg round loop (also used by ablations): trains,
-/// aggregates, optionally adjusts the mask, and evaluates periodically on
-/// the given transport, with optional checkpoint/resume. Returns the
-/// accuracy history and the largest top-k buffer used.
-pub(crate) fn run_sparse_rounds_with(
-    global: &mut dyn Model,
-    mask: &mut Mask,
-    env: &ExperimentEnv,
-    progressive: Option<&ProgressiveConfig>,
-    eval_every: usize,
-    ledger: &mut CostLedger,
-    opts: FedTinyRunOptions<'_>,
-) -> Result<(Vec<f32>, usize), ServerError> {
-    // Interior mutability lets the round hook, the checkpoint saver, and
-    // the checkpoint loader share the counters without aliasing conflicts.
-    let state = RefCell::new(ProgState::default());
-    let units = progressive.map(|p| p.units(global, mask.num_layers()));
-
-    let history = {
-        let mut hook = |model: &mut dyn Model,
-                        mask: &mut Mask,
-                        round: usize,
-                        ledger: &mut CostLedger|
-         -> f64 {
-            // Progressive adjustment (Alg. 2 lines 10–26).
-            let (Some(pcfg), Some(units)) = (progressive, units.as_ref()) else {
-                return 0.0;
-            };
-            if round < pcfg.start_round || !pcfg.schedule.adjusts_at(round) {
-                return 0.0;
-            }
-            let mut st = state.borrow_mut();
-            let unit = &units[st.adjustment_counter % units.len()];
-            let report = progressive_adjust(model, mask, env, pcfg, unit, round);
-            if report.adjusted.is_empty() {
-                return 0.0;
-            }
-            st.adjustment_counter += 1;
-            st.max_buffer = st.max_buffer.max(report.max_buffer);
-            ledger.add_comm(report.comm_bytes);
-            ledger.add_payload_comm(report.payload_bytes);
-            report.extra_flops
-        };
-        let hook_save = || state.borrow().to_bytes();
-        let hook_load = |bytes: &[u8]| {
-            if let Some(st) = ProgState::from_bytes(bytes) {
-                *state.borrow_mut() = st;
-            }
-        };
-        run_with(
-            global,
-            mask,
-            env,
-            eval_every,
-            ledger,
-            &mut hook,
-            RunOptions {
-                transport: opts.transport,
-                checkpoint: opts.checkpoint,
-                resume: opts.resume,
-                halt_after: opts.halt_after,
-                hook_save: Some(&hook_save),
-                hook_load: Some(&hook_load),
-                presence: None,
-                metrics: opts.metrics.clone(),
-            },
-        )?
-    };
-    let max_buffer = state.borrow().max_buffer;
-    Ok((history, max_buffer))
 }
 
 fn method_name(cfg: &FedTinyConfig) -> String {

@@ -1,7 +1,9 @@
 //! Cost bookkeeping and the uniform result type every method runner returns.
 
 use crate::transport::FaultKind;
-use ft_metrics::FaultCounters;
+use ft_metrics::{densities_from_mask, device_memory_bytes, ExtraMemory, FaultCounters};
+use ft_nn::ArchInfo;
+use ft_sparse::Mask;
 use serde::{Deserialize, Serialize};
 
 /// One device-side training task as the fleet simulation saw it.
@@ -401,17 +403,20 @@ pub struct RunResult {
 
 impl RunResult {
     /// The one shared constructor for every method runner: all
-    /// ledger-derived fields come straight from the ledger's accessors, so
-    /// runners can't drift in *which* total they report. The caller
-    /// supplies only what the ledger cannot know — the method name, the
-    /// accuracy history, the final mask density, the device memory model,
-    /// and the wire codec. An empty history reports `NaN` accuracy (the
-    /// halted-before-first-eval case of Result-returning runners).
+    /// ledger-derived fields come straight from the ledger's accessors, and
+    /// the final density and device memory from the final mask under the
+    /// method's [`ExtraMemory`], so runners can't drift in *which* total
+    /// they report. The caller supplies only what the ledger cannot know —
+    /// the method name, the accuracy history, the final mask, the
+    /// architecture, the memory surcharge and the wire codec. An empty
+    /// history reports `NaN` accuracy (the halted-before-first-eval case of
+    /// Result-returning runners).
     pub fn from_ledger(
         method: impl Into<String>,
         history: Vec<f32>,
-        final_density: f32,
-        memory_bytes: f64,
+        mask: &Mask,
+        arch: &ArchInfo,
+        extra_memory: ExtraMemory,
         codec: impl Into<String>,
         ledger: &CostLedger,
     ) -> Self {
@@ -419,9 +424,9 @@ impl RunResult {
             method: method.into(),
             accuracy: history.last().copied().unwrap_or(f32::NAN),
             history,
-            final_density,
+            final_density: mask.density(),
             max_round_flops: ledger.max_round_flops(),
-            memory_bytes,
+            memory_bytes: device_memory_bytes(arch, &densities_from_mask(mask), extra_memory),
             comm_bytes: ledger.total_comm_bytes(),
             payload_comm_bytes: ledger.total_payload_bytes(),
             payload_upload_bytes: ledger.total_payload_upload_bytes(),

@@ -19,7 +19,7 @@
 use fedtiny::progressive::progressive_adjust;
 use fedtiny::{Granularity, ProgressiveConfig};
 use ft_fl::{run_federated_rounds, CostLedger, ExperimentEnv, ModelSpec, RunResult};
-use ft_metrics::{densities_from_mask, device_memory_bytes, training_flops, ExtraMemory};
+use ft_metrics::{densities_from_mask, training_flops, ExtraMemory};
 use ft_nn::{apply_mask, sparse_layout, Model};
 use ft_sparse::{random_mask, uniform_density_vector, Mask, PruneSchedule};
 use rand::SeedableRng;
@@ -38,12 +38,12 @@ pub fn run_feddst(
     eval_every: usize,
 ) -> RunResult {
     let (global, mask, ledger, history) = feddst_rounds(env, spec, d_target, schedule, eval_every);
-    let densities = densities_from_mask(&mask);
     RunResult::from_ledger(
         "feddst",
         history,
-        mask.density(),
-        device_memory_bytes(&global.arch(), &densities, ExtraMemory::MaskBits),
+        &mask,
+        &global.arch(),
+        ExtraMemory::MaskBits,
         env.cfg.codec.name(),
         &ledger,
     )

@@ -1,8 +1,9 @@
-//! Runners for methods whose mask is fixed before training (SNIP, SynFlow,
-//! FL-PQSU) and the dense FedAvg upper bound.
+//! The runner for methods whose mask is fixed before training: SNIP,
+//! SynFlow, FL-PQSU, GraSP, and under a ones mask the dense FedAvg upper
+//! bound and the small dense model.
 
 use ft_fl::{no_hook, run_federated_rounds, CostLedger, ExperimentEnv, ModelSpec, RunResult};
-use ft_metrics::{densities_from_mask, device_memory_bytes, ExtraMemory};
+use ft_metrics::ExtraMemory;
 use ft_nn::{apply_mask, sparse_layout};
 use ft_sparse::Mask;
 
@@ -39,31 +40,15 @@ pub fn run_with_fixed_mask(
         &mut ledger,
         &mut no_hook(),
     );
-    let arch = global.arch();
-    let densities = densities_from_mask(&mask);
     RunResult::from_ledger(
         method,
         history,
-        mask.density(),
-        device_memory_bytes(&arch, &densities, extra_memory),
+        &mask,
+        &global.arch(),
+        extra_memory,
         env.cfg.codec.name(),
         &ledger,
     )
-}
-
-/// The dense FedAvg upper bound (first row of Table I). Always exchanges
-/// `Codec::Dense` payloads — sparse wire formats would misrepresent the
-/// dense baseline's traffic.
-pub fn run_fedavg_dense(env: &ExperimentEnv, spec: &ModelSpec, eval_every: usize) -> RunResult {
-    let env = &*env.codec_view(ft_fl::Codec::Dense);
-    let model = env.build_model(spec);
-    let mask = Mask::ones(&sparse_layout(model.as_ref()));
-    drop(model);
-    let mut result = run_with_fixed_mask(env, spec, &mask, "fedavg", ExtraMemory::None, eval_every);
-    // A dense model needs no index storage: report plain dense bytes.
-    let arch = env.build_model(spec).arch();
-    result.memory_bytes = 8.0 * ft_metrics::total_params(&arch) as f64;
-    result
 }
 
 #[cfg(test)]
@@ -84,22 +69,15 @@ mod tests {
     }
 
     #[test]
-    fn dense_fedavg_reports_density_one() {
-        let env = ExperimentEnv::tiny_for_tests(21);
-        let r = run_fedavg_dense(&env, &ModelSpec::small_cnn_test(), 2);
-        assert_eq!(r.final_density, 1.0);
-        assert_eq!(r.method, "fedavg");
-        assert!(r.memory_bytes > 0.0);
-    }
-
-    #[test]
     fn sparse_run_costs_less_than_dense() {
         let env = ExperimentEnv::tiny_for_tests(22);
         let spec = ModelSpec::small_cnn_test();
         let model = env.build_model(&spec);
         let mask = l1_oneshot_mask(model.as_ref(), 0.05);
+        let ones = Mask::ones(&sparse_layout(model.as_ref()));
         let sparse = run_with_fixed_mask(&env, &spec, &mask, "x", ExtraMemory::None, 0);
-        let dense = run_fedavg_dense(&env, &spec, 0);
+        let dense = run_with_fixed_mask(&env, &spec, &ones, "x", ExtraMemory::DenseTraining, 0);
+        assert_eq!(dense.final_density, 1.0);
         assert!(sparse.max_round_flops < dense.max_round_flops);
         assert!(sparse.memory_bytes < dense.memory_bytes);
         assert!(sparse.comm_bytes < dense.comm_bytes);

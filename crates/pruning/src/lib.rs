@@ -1,14 +1,18 @@
-//! Baseline federated pruning methods (Sec. IV-A3 of the paper).
+//! Baseline federated pruning methods (Sec. IV-A3 of the paper): their
+//! runners and at-init masks.
 //!
-//! Every baseline produces the same [`ft_fl::RunResult`] as FedTiny so the
-//! bench harnesses can tabulate them side by side:
+//! Every runner produces the same [`ft_fl::RunResult`] as FedTiny so the
+//! bench harnesses can tabulate them side by side. The method table that
+//! names them, picks each one's wire codec and schedule, and dispatches to
+//! these pieces is `ft_bench::Method` / `ft_bench::run_method`:
 //!
 //! | Method | Where pruning happens | Extra device cost |
 //! |---|---|---|
-//! | [`run_fedavg_dense`] | none (dense upper bound) | — |
+//! | FedAvg ([`run_with_fixed_mask`], ones mask) | none (dense upper bound) | trains the dense model |
 //! | FL-PQSU ([`l1_oneshot_mask`]) | server, one-shot L1 at init | none |
 //! | SNIP ([`snip_mask`]) | server, iterative sensitivity at init | none |
 //! | SynFlow ([`synflow_mask`]) | server, iterative data-free at init | none |
+//! | GraSP ([`grasp_mask`], extension) | server, gradient flow at init | none |
 //! | PruneFL ([`run_prunefl`]) | server init + full-gradient adaptation | dense scores in memory |
 //! | FedDST ([`run_feddst`]) | random init + device mask adjustment | extra recovery epochs |
 //! | LotteryFL ([`run_lotteryfl`]) | iterative magnitude + rewind | trains the dense model |
@@ -26,11 +30,9 @@ mod feddst;
 mod fixed;
 mod lotteryfl;
 mod prunefl;
-mod registry;
 
-pub use atinit::{grasp_mask, l1_oneshot_mask, snip_mask, synflow_mask};
+pub use atinit::{grasp_mask, l1_oneshot_mask, snip_mask, synflow_mask, DEFAULT_ITERATIVE_STEPS};
 pub use feddst::run_feddst;
-pub use fixed::{run_fedavg_dense, run_with_fixed_mask};
+pub use fixed::run_with_fixed_mask;
 pub use lotteryfl::run_lotteryfl;
 pub use prunefl::run_prunefl;
-pub use registry::{run_baseline, BaselineMethod};

@@ -8,7 +8,7 @@
 //! dense level (Table I's 1× row).
 
 use ft_fl::{run_federated_rounds, CostLedger, ExperimentEnv, ModelSpec, RunResult};
-use ft_metrics::{dense_download_bytes, device_memory_bytes, forward_flops_dense, ExtraMemory};
+use ft_metrics::{dense_download_bytes, forward_flops_dense, ExtraMemory};
 use ft_nn::{apply_mask, flat_params, set_flat_params, sparse_layout, Model};
 use ft_sparse::{magnitude_mask_global, Mask, PruneSchedule};
 
@@ -23,8 +23,7 @@ pub fn run_lotteryfl(
 ) -> RunResult {
     let mut global = env.build_model(spec);
     let theta0 = flat_params(global.as_ref());
-    let layout = sparse_layout(global.as_ref());
-    let mut mask = Mask::ones(&layout);
+    let mut mask = Mask::ones(&sparse_layout(global.as_ref()));
     let arch = global.arch();
     let mut ledger = CostLedger::new();
 
@@ -81,12 +80,9 @@ pub fn run_lotteryfl(
     let mut result = RunResult::from_ledger(
         "lotteryfl",
         history,
-        mask.density(),
-        device_memory_bytes(
-            &arch,
-            &vec![1.0; layout.num_layers()],
-            ExtraMemory::DenseTraining,
-        ),
+        &mask,
+        &arch,
+        ExtraMemory::DenseTraining,
         env.cfg.codec.name(),
         &ledger,
     );
@@ -122,7 +118,9 @@ mod tests {
             local_iters: 1,
         };
         let lottery = run_lotteryfl(&env, &spec, 0.1, schedule, 0);
-        let dense = crate::fixed::run_fedavg_dense(&env, &spec, 0);
+        let ones = Mask::ones(&sparse_layout(env.build_model(&spec).as_ref()));
+        let dense =
+            crate::run_with_fixed_mask(&env, &spec, &ones, "fedavg", ExtraMemory::DenseTraining, 0);
         assert!(
             (lottery.max_round_flops - dense.max_round_flops).abs() / dense.max_round_flops < 0.01
         );

@@ -20,9 +20,7 @@
 use crate::atinit::keep_of;
 use fedtiny::probe_devices;
 use ft_fl::{run_federated_rounds, CostLedger, ExperimentEnv, ModelSpec, RunResult};
-use ft_metrics::{
-    densities_from_mask, device_memory_bytes, forward_flops_dense, total_params, ExtraMemory,
-};
+use ft_metrics::{forward_flops_dense, total_params, ExtraMemory};
 use ft_nn::loss::softmax_cross_entropy;
 use ft_nn::{apply_mask, prunable_param_indices, sparse_layout, Mode, Model};
 use ft_sparse::{global_topk_mask, Mask, PruneSchedule, SparseLayout};
@@ -53,7 +51,6 @@ pub fn run_prunefl(
     let total = layout.total_len();
     let batch_flops = |bs: f64| 3.0 * forward_flops_dense(&arch) * bs;
     let mut ledger = CostLedger::new();
-    let mut peak_density = mask.density();
 
     let history = {
         let mut hook = |model: &mut dyn Model,
@@ -83,7 +80,6 @@ pub fn run_prunefl(
             };
             *mask = global_topk_mask(&layout, &scores, keep_of(&layout, d_round));
             apply_mask(model, mask);
-            peak_density = peak_density.max(mask.density());
             // Comm: dense gradients up (4 B/param/device), new mask down.
             ledger.add_comm(4.0 * total_params(&arch) as f64 * env.num_devices() as f64);
             ledger.add_comm(total as f64 / 8.0);
@@ -108,12 +104,12 @@ pub fn run_prunefl(
         )
     };
 
-    let densities = densities_from_mask(&mask);
     RunResult::from_ledger(
         "prunefl",
         history,
-        mask.density(),
-        device_memory_bytes(&arch, &densities, ExtraMemory::DenseScores),
+        &mask,
+        &arch,
+        ExtraMemory::DenseScores,
         env.cfg.codec.name(),
         &ledger,
     )

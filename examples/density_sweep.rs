@@ -8,8 +8,8 @@
 use fedtiny_suite::data::{DatasetProfile, SynthConfig};
 use fedtiny_suite::fedtiny::{run_fedtiny, FedTinyConfig};
 use fedtiny_suite::fl::{ExperimentEnv, FlConfig, ModelSpec};
-use fedtiny_suite::pruning::{run_baseline, BaselineMethod};
 use ft_bench::methods::fedtiny_config;
+use ft_bench::{run_method, Method};
 
 fn main() {
     let synth = SynthConfig {
@@ -37,8 +37,8 @@ fn main() {
         "density", "synflow", "feddst", "fedtiny"
     );
     for d in [0.5f32, 0.2, 0.05, 0.02] {
-        let synflow = run_baseline(&env, &spec, BaselineMethod::SynFlow, d, 0);
-        let feddst = run_baseline(&env, &spec, BaselineMethod::FedDst, d, 0);
+        let synflow = run_method(&env, &spec, Method::SynFlow, d);
+        let feddst = run_method(&env, &spec, Method::FedDst, d);
         let ft_cfg = FedTinyConfig {
             pool_size: 6,
             eval_every: 0,

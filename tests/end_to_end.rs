@@ -4,7 +4,7 @@
 use fedtiny_suite::data::{DatasetProfile, SynthConfig};
 use fedtiny_suite::fedtiny::{run_fedtiny, FedTinyConfig, SelectionMode};
 use fedtiny_suite::fl::{evaluate, ExperimentEnv, FlConfig, ModelSpec};
-use fedtiny_suite::pruning::{run_baseline, BaselineMethod};
+use ft_bench::{run_method, Method};
 
 fn small_env(seed: u64) -> ExperimentEnv {
     let synth = SynthConfig {
@@ -42,10 +42,10 @@ fn fedtiny_learns_above_chance_on_resnet() {
 fn every_method_produces_consistent_cost_ordering() {
     let env = small_env(101);
     let spec = ModelSpec::small_cnn_test();
-    let dense = run_baseline(&env, &spec, BaselineMethod::FedAvgDense, 1.0, 0);
-    let synflow = run_baseline(&env, &spec, BaselineMethod::SynFlow, 0.1, 0);
-    let prunefl = run_baseline(&env, &spec, BaselineMethod::PruneFl, 0.1, 0);
-    let lottery = run_baseline(&env, &spec, BaselineMethod::LotteryFl, 0.1, 0);
+    let dense = run_method(&env, &spec, Method::FedAvg, 1.0);
+    let synflow = run_method(&env, &spec, Method::SynFlow, 0.1);
+    let prunefl = run_method(&env, &spec, Method::PruneFl, 0.1);
+    let lottery = run_method(&env, &spec, Method::LotteryFl, 0.1);
 
     // Table I's qualitative cost structure.
     assert!(synflow.max_round_flops < dense.max_round_flops);
@@ -68,7 +68,7 @@ fn fedtiny_cheaper_than_prunefl_and_better_memory() {
     let mut cfg = FedTinyConfig::tiny_for_tests(0.1);
     cfg.model = spec;
     let ft = run_fedtiny(&env, &cfg);
-    let prunefl = run_baseline(&env, &spec, BaselineMethod::PruneFl, 0.1, 0);
+    let prunefl = run_method(&env, &spec, Method::PruneFl, 0.1);
     assert!(ft.max_round_flops < prunefl.max_round_flops);
     assert!(ft.memory_bytes < prunefl.memory_bytes);
 }
@@ -110,7 +110,7 @@ fn dense_fedavg_is_the_accuracy_upper_bound_given_budget() {
     // should land in the neighbourhood of dense FedAvg.
     let env = small_env(105);
     let spec = ModelSpec::small_cnn_test();
-    let dense = run_baseline(&env, &spec, BaselineMethod::FedAvgDense, 1.0, 0);
+    let dense = run_method(&env, &spec, Method::FedAvg, 1.0);
     let mut cfg = FedTinyConfig::tiny_for_tests(0.9);
     cfg.model = spec;
     let ft = run_fedtiny(&env, &cfg);

@@ -9,8 +9,8 @@ use fedtiny_suite::fl::{
     Scheduler,
 };
 use fedtiny_suite::nn::{flat_params, sparse_layout};
-use fedtiny_suite::pruning::{run_baseline, BaselineMethod};
 use fedtiny_suite::sparse::Mask;
+use ft_bench::{run_method, Method};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -66,12 +66,8 @@ fn extreme_density_one_weight_layers() {
 fn baselines_survive_extreme_density() {
     let env = ExperimentEnv::tiny_for_tests(203);
     let spec = ModelSpec::small_cnn_test();
-    for method in [
-        BaselineMethod::SynFlow,
-        BaselineMethod::FlPqsu,
-        BaselineMethod::FedDst,
-    ] {
-        let r = run_baseline(&env, &spec, method, 0.002, 0);
+    for method in [Method::SynFlow, Method::FlPqsu, Method::FedDst] {
+        let r = run_method(&env, &spec, method, 0.002);
         assert!((0.0..=1.0).contains(&r.accuracy), "{method:?}");
     }
 }

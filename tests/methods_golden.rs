@@ -17,27 +17,17 @@ use fedtiny_suite::data::DatasetProfile;
 use fedtiny_suite::fl::RunResult;
 use ft_bench::{run_method, Method, Scale, ScaleKind};
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/methods_smoke.txt");
-
-/// Every method, in the order of the golden file.
-const METHODS: [&str; 13] = [
-    "fedtiny",
-    "vanilla",
-    "adaptive_bn",
-    "vanilla+prog",
-    "fedavg",
-    "flpqsu",
-    "snip",
-    "synflow",
-    "prunefl",
-    "feddst",
-    "lotteryfl",
-    "grasp",
-    "small_model",
-];
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/methods_smoke.txt"
+);
 
 fn render(r: &RunResult) -> String {
-    let history: Vec<String> = r.history.iter().map(|a| format!("{:08x}", a.to_bits())).collect();
+    let history: Vec<String> = r
+        .history
+        .iter()
+        .map(|a| format!("{:08x}", a.to_bits()))
+        .collect();
     format!(
         "{} codec={} accuracy={:08x} history=[{}] final_density={:08x} \
          max_round_flops={:016x} memory_bytes={:016x} comm_bytes={:016x} \
@@ -72,12 +62,11 @@ fn every_method_matches_its_smoke_golden() {
          # f32/f64 fields as hex bits; train_wall_secs (host time) omitted.\n\
          # Regenerate: FT_BLESS=1 cargo test --test methods_golden\n",
     );
-    for name in METHODS {
-        let m = Method::from_name(name).unwrap_or_else(|| panic!("{name} does not parse"));
-        assert_eq!(m.name(), name);
+    for m in Method::ALL {
+        assert_eq!(Method::from_name(m.name()), Some(m));
         let r = run_method(&env, &spec, m, 0.2);
-        assert_eq!(r.method, name);
-        assert!((0.0..=1.0).contains(&r.accuracy), "{name}");
+        assert_eq!(r.method, m.name());
+        assert!((0.0..=1.0).contains(&r.accuracy), "{m:?}");
         got.push_str(&render(&r));
     }
     if std::env::var("FT_BLESS").is_ok() {
