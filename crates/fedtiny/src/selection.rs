@@ -5,7 +5,7 @@ use crate::on_device_models;
 use ft_data::Dataset;
 use ft_fl::{aggregate_bn_stats, eval_loss, ExperimentEnv};
 use ft_metrics::{bn_stats_bytes, densities_from_mask, forward_flops, sparse_model_bytes};
-use ft_nn::{apply_mask, bn_stats_encoded_len, sparse_layout, BnStats, Mode, Model, Runtime};
+use ft_nn::{apply_mask, bn_stats_encoded_len, set_bn_stats, sparse_layout, Mode, Model, Runtime};
 use ft_sparse::{magnitude_masks, noisy_density_vector, Mask};
 use ft_tensor::Tensor;
 use rand::SeedableRng;
@@ -125,16 +125,6 @@ pub fn vanilla_selection(
     candidates: &[Mask],
 ) -> SelectionOutcome {
     select(global, env, candidates, false, &env.cfg.runtime())
-}
-
-/// Overwrites `model`'s BatchNorm running statistics with `stats`.
-fn set_bn_stats<'a>(model: &mut dyn Model, stats: impl IntoIterator<Item = &'a BnStats>) {
-    let mut stats = stats.into_iter();
-    model.for_each_bn_stats_mut(&mut |dst| {
-        let src = stats.next().expect("one set of statistics per BN layer");
-        dst.mean.copy_from_slice(&src.mean);
-        dst.var.copy_from_slice(&src.var);
-    });
 }
 
 /// One candidate's `|D̂_k|`-weighted loss over the devices' development
@@ -309,9 +299,7 @@ mod tests {
             let mut m = global.clone_model();
             apply_mask(m.as_mut(), mask);
             if let Some(stats) = &global_stats {
-                for (dst, src) in m.bn_stats_mut().into_iter().zip(stats.iter()) {
-                    *dst = src.clone();
-                }
+                set_bn_stats(m.as_mut(), stats);
             }
             let loss = eval_loss(m.as_mut(), dev);
             num += loss as f64 * dev.len() as f64;

@@ -24,8 +24,9 @@ use crate::train::DeviceUpdate;
 #[cfg(test)]
 use crate::transport::FaultKind;
 use crate::transport::{
-    connect_with_retry, encode_update_frame, encode_update_frame_into, screen_update_frame,
-    serve_devices, Delivery, RoundRequest, Transport, TransportError, FRAME_HELLO,
+    bn_channels, connect_with_retry, encode_update_frame, encode_update_frame_into,
+    screen_update_frame, serve_devices, Delivery, RoundRequest, Transport, TransportError,
+    FRAME_HELLO,
 };
 use ft_sparse::{Codec, WireCtx};
 use std::io::Write;
@@ -283,6 +284,7 @@ impl<T: Transport> Transport for AdversarialTransport<T> {
     ) -> Result<Vec<Delivery>, TransportError> {
         let (round, epoch, codec) = (req.round as u64, req.epoch, req.cfg.codec);
         let deliveries = self.inner.exchange_round(req)?;
+        let bn = bn_channels(req.global);
         Ok(deliveries
             .into_iter()
             .enumerate()
@@ -294,7 +296,7 @@ impl<T: Transport> Transport for AdversarialTransport<T> {
                         let body = behavior
                             .corrupt_update_body(k, round, epoch, &u, req.ctx, codec, self.seed);
                         let cap = req.sample_caps.get(pos).map(|&c| c as u64);
-                        match screen_update_frame(&body, req.ctx, k, round, epoch, cap) {
+                        match screen_update_frame(&body, req.ctx, k, round, epoch, cap, &bn) {
                             Ok(update) => Delivery::Update(update),
                             Err(fault) => Delivery::Faulted(fault),
                         }
@@ -436,7 +438,7 @@ mod tests {
                 let a = behavior.corrupt_update_body(3, round, 0, &update, &ctx, Codec::Dense, 42);
                 let b = behavior.corrupt_update_body(3, round, 0, &update, &ctx, Codec::Dense, 42);
                 assert_eq!(a, b, "{behavior:?} must be reproducible");
-                let fault = screen_update_frame(&a, &ctx, 3, round, 0, cap)
+                let fault = screen_update_frame(&a, &ctx, 3, round, 0, cap, &[])
                     .expect_err("corruption must be quarantined, not accepted");
                 match behavior {
                     Behavior::GarbageFrames | Behavior::TruncatedFrames => {
@@ -470,7 +472,7 @@ mod tests {
         let behavior = Behavior::SignFlip { scale: 4.0 };
         let body = behavior.corrupt_update_body(1, 2, 0, &update, &ctx, Codec::Dense, 7);
         let screened =
-            screen_update_frame(&body, &ctx, 1, 2, 0, Some(64)).expect("valid poisoned frame");
+            screen_update_frame(&body, &ctx, 1, 2, 0, Some(64), &[]).expect("valid poisoned frame");
         let honest = update.payload.decode(&ctx);
         let poisoned = screened.payload.decode(&ctx);
         for (h, p) in honest.iter().zip(poisoned.iter()) {
@@ -483,11 +485,11 @@ mod tests {
         let (update, ctx) = fixture();
         let body =
             Behavior::EpochReplay.corrupt_update_body(0, 0, 0, &update, &ctx, Codec::Dense, 7);
-        assert!(screen_update_frame(&body, &ctx, 0, 0, 0, None).is_ok());
+        assert!(screen_update_frame(&body, &ctx, 0, 0, 0, None, &[]).is_ok());
         let body =
             Behavior::EpochReplay.corrupt_update_body(0, 3, 0, &update, &ctx, Codec::Dense, 7);
         assert!(matches!(
-            screen_update_frame(&body, &ctx, 0, 3, 0, None),
+            screen_update_frame(&body, &ctx, 0, 3, 0, None, &[]),
             Err(FaultKind::Replay {
                 got_round: 2,
                 want_round: 3,

@@ -1,4 +1,6 @@
-//! The generic federated round loop shared by every pruning method.
+//! The round hook every pruning method plugs into the round loop, cohort
+//! sampling, and [`run_federated_rounds`], the in-process entry point to
+//! that loop (which lives in [`crate::server`]).
 
 use crate::env::ExperimentEnv;
 use crate::ledger::CostLedger;

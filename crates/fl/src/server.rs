@@ -51,8 +51,8 @@ use crate::transport::{Delivery, RoundRequest, Transport, TransportError};
 use ft_data::Dataset;
 use ft_metrics::{densities_from_mask, sparse_model_bytes, training_flops, SimClock};
 use ft_nn::{
-    apply_mask, flat_params_into, restore_snapshot, set_flat_params, take_snapshot, wire_ctx,
-    ArchInfo, Model,
+    apply_mask, flat_params_into, restore_snapshot, set_bn_stats, set_flat_params, take_snapshot,
+    wire_ctx, ArchInfo, Model,
 };
 use ft_runtime::Runtime;
 use ft_sparse::{Mask, Payload, WireCtx};
@@ -515,11 +515,9 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             self.residuals[k] = r;
         }
 
-        let per_sample_flops = training_flops(&self.arch, &self.densities);
-        let analytic_bytes = 2.0 * sparse_model_bytes(&self.arch, &self.densities);
         let download = broadcast_payload_len(codec, &ctx) as f64;
         let start = self.clock.now();
-        let clock = &self.clock;
+        let (clock, arch, densities) = (&self.clock, &self.arch, &self.densities);
         let tasks: Vec<Task> = deliveries
             .into_iter()
             .zip(&cohort)
@@ -530,15 +528,16 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
                 // arrives at once, carrying nothing. `device_secs` and
                 // `dropout_hits` are pure functions of `(round, device)`,
                 // so skipping them perturbs nobody else.
-                let (flops, secs, dropped) = match delivery.update() {
+                let samples = delivery.update().map_or(0, |u| u.samples);
+                let (flops, analytic_bytes) =
+                    device_round_cost(arch, densities, samples, env.cfg.local_epochs);
+                let (secs, dropped) = match delivery.update() {
                     Some(u) => {
-                        let flops =
-                            per_sample_flops * u.samples as f64 * env.cfg.local_epochs as f64;
                         let upload = u.payload.encoded_len(&ctx) as f64;
                         let secs = clock.device_secs(&profile, flops, download + upload, round, k);
-                        (flops, secs, clock.dropout_hits(&profile, round, k))
+                        (secs, clock.dropout_hits(&profile, round, k))
                     }
-                    None => (0.0, 0.0, false),
+                    None => (0.0, false),
                 };
                 Task {
                     sim: Sim {
@@ -801,9 +800,7 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
                 set_flat_params(&mut *self.global, new_params);
                 let bn_updates: Vec<_> = accepted.map(|(u, w)| (u.bn.as_slice(), w)).collect();
                 if let Some(new_bn) = try_aggregate_bn_stats(&bn_updates) {
-                    for (dst, src) in self.global.bn_stats_mut().into_iter().zip(new_bn.iter()) {
-                        *dst = src.clone();
-                    }
+                    set_bn_stats(&mut *self.global, &new_bn);
                 }
                 true
             }

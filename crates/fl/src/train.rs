@@ -5,7 +5,8 @@ use ft_data::{BatchBuf, Dataset};
 use ft_nn::loss::{cross_entropy_loss_only, softmax_cross_entropy_into};
 use ft_nn::optim::Sgd;
 use ft_nn::{
-    accuracy, flat_params, flat_params_into, set_flat_params, ArchInfo, BnStats, Mode, Model,
+    accuracy, flat_params, flat_params_into, set_bn_stats, set_flat_params, ArchInfo, BnStats,
+    Mode, Model,
 };
 use ft_runtime::Runtime;
 use ft_sparse::{Codec, Mask, Payload, WireCtx};
@@ -188,15 +189,7 @@ impl DeviceTrainer {
     fn restore_from(&mut self, global: &dyn Model, rt: &Runtime) {
         flat_params_into(global, &mut self.anchor);
         set_flat_params(self.model.as_mut(), &self.anchor);
-        let src_bn = global.bn_stats();
-        let mut l = 0;
-        self.model.for_each_bn_stats_mut(&mut |dst| {
-            let s = src_bn.get(l).expect("BatchNorm layer count mismatch");
-            dst.mean.copy_from_slice(&s.mean);
-            dst.var.copy_from_slice(&s.var);
-            l += 1;
-        });
-        assert_eq!(l, src_bn.len(), "BatchNorm layer count mismatch");
+        set_bn_stats(self.model.as_mut(), global.bn_stats());
         let src_params = global.params();
         let mut i = 0;
         self.model.for_each_param_mut(&mut |p| {
@@ -458,29 +451,20 @@ pub fn train_devices_parallel(
 }
 
 /// Top-1 accuracy on a dataset in `Eval` mode, batched to bound memory.
-/// Batches are assembled through a reused [`BatchBuf`] (no per-batch index
-/// vector or image copy allocation).
 pub fn evaluate(model: &mut dyn Model, data: &Dataset) -> f32 {
-    assert!(!data.is_empty(), "cannot evaluate on an empty dataset");
-    let mut correct = 0.0f64;
-    let mut seen = 0usize;
-    let n = data.len();
-    let bs = 64;
-    let mut buf = BatchBuf::default();
-    let mut logits = Tensor::default();
-    let mut i = 0;
-    while i < n {
-        data.batch_range_into(i, (i + bs).min(n), &mut buf);
-        model.forward_into(&buf.images, &mut logits, Mode::Eval);
-        correct += accuracy(&logits, &buf.labels) as f64 * buf.labels.len() as f64;
-        seen += buf.labels.len();
-        i += bs;
-    }
-    (correct / seen as f64) as f32
+    eval_mean(model, data, accuracy)
 }
 
 /// Mean cross-entropy loss on a dataset in `Eval` mode (Alg. 1 line 19).
 pub fn eval_loss(model: &mut dyn Model, data: &Dataset) -> f32 {
+    eval_mean(model, data, cross_entropy_loss_only)
+}
+
+/// The `Eval`-mode walk behind [`evaluate`] and [`eval_loss`]: batches of
+/// 64 in dataset order, assembled through a reused [`BatchBuf`] (no
+/// per-batch index vector or image copy allocation), each batch's
+/// `stat(logits, labels)` weighted by its size, averaged over the dataset.
+fn eval_mean(model: &mut dyn Model, data: &Dataset, stat: fn(&Tensor, &[usize]) -> f32) -> f32 {
     assert!(!data.is_empty(), "cannot evaluate on an empty dataset");
     let mut total = 0.0f64;
     let mut seen = 0usize;
@@ -492,7 +476,7 @@ pub fn eval_loss(model: &mut dyn Model, data: &Dataset) -> f32 {
     while i < n {
         data.batch_range_into(i, (i + bs).min(n), &mut buf);
         model.forward_into(&buf.images, &mut logits, Mode::Eval);
-        total += cross_entropy_loss_only(&logits, &buf.labels) as f64 * buf.labels.len() as f64;
+        total += stat(&logits, &buf.labels) as f64 * buf.labels.len() as f64;
         seen += buf.labels.len();
         i += bs;
     }

@@ -436,11 +436,22 @@ pub(crate) fn decode_update_frame(
     ))
 }
 
+/// Channel count of every BatchNorm layer of `model`, in
+/// [`Model::for_each_bn_stats`] order: the shape the BN section of an
+/// UPDATE answering a broadcast of `model` must have.
+pub(crate) fn bn_channels(model: &dyn Model) -> Vec<usize> {
+    let mut out = Vec::new();
+    model.for_each_bn_stats(&mut |s| out.push(s.mean.len()));
+    out
+}
+
 /// The one shared screen every inbound UPDATE body passes before the
 /// server sees it, regardless of transport: structural decode, claimed
-/// identity, round/epoch freshness, and the sample-count cap. Returning
-/// the same [`FaultKind`] from every transport is what keeps adversarial
-/// runs bit-identical between TCP and the in-process harness.
+/// identity, round/epoch freshness, the sample-count cap, and the shape of
+/// the BN section against the global model's channel counts (see
+/// [`bn_channels`]). Returning the same [`FaultKind`]
+/// from every transport is what keeps adversarial runs bit-identical
+/// between TCP and the in-process harness.
 pub(crate) fn screen_update_frame(
     body: &[u8],
     ctx: &WireCtx,
@@ -448,6 +459,7 @@ pub(crate) fn screen_update_frame(
     want_round: u64,
     want_epoch: u64,
     sample_cap: Option<u64>,
+    bn_channels: &[usize],
 ) -> Result<DeviceUpdate, FaultKind> {
     let (device, round, epoch, update) = decode_update_frame(body, ctx).map_err(|e| {
         FaultKind::MalformedFrame(match e {
@@ -475,6 +487,14 @@ pub(crate) fn screen_update_frame(
                 cap,
             });
         }
+    }
+    let shape_ok = update.bn.len() == bn_channels.len()
+        && (update.bn.iter().zip(bn_channels)).all(|(s, &c)| s.mean.len() == c && s.var.len() == c);
+    if !shape_ok {
+        return Err(FaultKind::MalformedFrame(format!(
+            "BatchNorm section does not match the model's {} layers",
+            bn_channels.len()
+        )));
     }
     Ok(update)
 }
@@ -973,6 +993,7 @@ impl Transport for TcpTransport {
         // faults keep the stream (the length-prefixed framing is intact, so
         // the connection can still carry next round); io/framing faults
         // killed it inside the readiness loop.
+        let bn = bn_channels(req.global);
         let mut out = Vec::with_capacity(req.cohort.len());
         for (pos, &k) in req.cohort.iter().enumerate() {
             if let Some(fault) = broadcast_faults[pos].take() {
@@ -996,8 +1017,8 @@ impl Transport for TcpTransport {
                 continue;
             }
             let cap = req.sample_caps.get(pos).map(|&c| c as u64);
-            let screened =
-                screen_update_frame(&recv_bufs[k], req.ctx, k, req.round as u64, req.epoch, cap);
+            let (round, body) = (req.round as u64, &recv_bufs[k]);
+            let screened = screen_update_frame(body, req.ctx, k, round, req.epoch, cap, &bn);
             out.push(match screened {
                 Ok(update) => Delivery::Update(update),
                 Err(fault) => Delivery::Faulted(fault),
@@ -1363,23 +1384,81 @@ mod tests {
         assert_eq!(back.samples, update.samples);
     }
 
+    /// A loopback fleet of three devices in which device 1 drops its last
+    /// BatchNorm layer from every otherwise honest UPDATE: the screen
+    /// quarantines that frame as malformed each round, and the run completes
+    /// on the two honest members instead of panicking in the BN fold.
+    #[test]
+    fn corrupt_bn_shape_update_is_quarantined_every_round() {
+        let env = ExperimentEnv::tiny_for_tests(11);
+        let spec = ModelSpec::small_cnn_test();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client_env = env.clone();
+        let client = std::thread::spawn(move || {
+            let body = |frame: &mut Vec<u8>, device, round, epoch, u: &DeviceUpdate, ctx: &_| {
+                let mut u = u.clone();
+                if device == 1 {
+                    u.bn.pop();
+                }
+                encode_update_frame_into(frame, device, round, epoch, &u, ctx);
+            };
+            serve_devices(addr, 0..3, &client_env, &spec, None, body)
+        });
+        let mut transport = TcpTransport::accept_fleet(&listener, 3).expect("accept");
+        let mut model = env.build_model(&spec);
+        let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+        let mut ledger = crate::CostLedger::new();
+        let history = crate::run_with(
+            model.as_mut(),
+            &mut mask,
+            &env,
+            1,
+            &mut ledger,
+            &mut crate::no_hook(),
+            crate::RunOptions::new(&mut transport),
+        )
+        .expect("a bad BN section is a device fault, not a server failure");
+        client
+            .join()
+            .expect("client thread")
+            .expect("devices served");
+        assert_eq!(history.len(), env.cfg.rounds);
+        let faults = ledger.faults();
+        assert_eq!(faults.malformed_frames, env.cfg.rounds as u64);
+        assert_eq!(faults.total_quarantined(), env.cfg.rounds as u64);
+    }
+
     mod corruption {
         use super::*;
+        use ft_nn::BnStats;
         use proptest::prelude::*;
 
-        /// A valid UPDATE body for device 3, round 4, epoch 2, claiming 9
-        /// samples — the fixed point the fuzzers mutate away from.
-        fn sample_update_body(ctx: &WireCtx) -> Vec<u8> {
-            let update = DeviceUpdate {
+        /// Channel counts of the fixture's BatchNorm layers.
+        const BN: &[usize] = &[4, 2, 3];
+
+        /// The update behind [`sample_update_body`].
+        fn sample_update(ctx: &WireCtx) -> DeviceUpdate {
+            let stats = |c: usize| BnStats {
+                mean: (0..c).map(|i| i as f32 * 0.25).collect(),
+                var: vec![1.0; c],
+            };
+            DeviceUpdate {
                 payload: Payload::Dense {
                     values: (0..ctx.len()).map(|i| (i as f32).cos()).collect(),
                 },
-                bn: Vec::new(),
+                bn: BN.iter().map(|&c| stats(c)).collect(),
                 samples: 9,
                 realized_flops: 3.0e6,
                 wall_secs: 0.5,
-            };
-            encode_update_frame(3, 4, 2, &update, ctx)
+            }
+        }
+
+        /// A valid UPDATE body for device 3, round 4, epoch 2, claiming 9
+        /// samples, with a BN section of [`BN`]'s shape — the fixed point
+        /// the fuzzers mutate away from.
+        fn sample_update_body(ctx: &WireCtx) -> Vec<u8> {
+            encode_update_frame(3, 4, 2, &sample_update(ctx), ctx)
         }
 
         proptest! {
@@ -1399,8 +1478,12 @@ mod tests {
                     let i = pos % body.len();
                     body[i] ^= xor as u8;
                 }
-                match screen_update_frame(&body, &ctx, 3, 4, 2, Some(9)) {
-                    Ok(u) => prop_assert!(u.samples as u64 <= 9),
+                match screen_update_frame(&body, &ctx, 3, 4, 2, Some(9), BN) {
+                    Ok(u) => {
+                        prop_assert!(u.samples as u64 <= 9);
+                        let channels: Vec<usize> = u.bn.iter().map(|s| s.mean.len()).collect();
+                        prop_assert_eq!(channels, BN.to_vec());
+                    }
                     Err(FaultKind::MalformedFrame(_))
                     | Err(FaultKind::Replay { .. })
                     | Err(FaultKind::InflatedSamples { .. }) => {}
@@ -1418,7 +1501,7 @@ mod tests {
                 let ctx = WireCtx::dense(16);
                 let body = sample_update_body(&ctx);
                 prop_assume!(cut < body.len());
-                let got = screen_update_frame(&body[..cut], &ctx, 3, 4, 2, None);
+                let got = screen_update_frame(&body[..cut], &ctx, 3, 4, 2, None, BN);
                 prop_assert!(
                     matches!(got, Err(FaultKind::MalformedFrame(_))),
                     "cut at {}: {:?}",
@@ -1437,7 +1520,7 @@ mod tests {
             ) {
                 let ctx = WireCtx::dense(16);
                 let body = sample_update_body(&ctx); // stamped round 4, epoch 2
-                match screen_update_frame(&body, &ctx, 3, want_round, want_epoch, None) {
+                match screen_update_frame(&body, &ctx, 3, want_round, want_epoch, None, BN) {
                     Err(FaultKind::Replay {
                         got_round,
                         want_round: wr,
@@ -1457,12 +1540,47 @@ mod tests {
             fn inflated_sample_claims_are_quarantined(cap in 0u64..9) {
                 let ctx = WireCtx::dense(16);
                 let body = sample_update_body(&ctx); // claims 9 samples
-                match screen_update_frame(&body, &ctx, 3, 4, 2, Some(cap)) {
+                match screen_update_frame(&body, &ctx, 3, 4, 2, Some(cap), BN) {
                     Err(FaultKind::InflatedSamples { claimed, cap: c }) => {
                         prop_assert_eq!((claimed, c), (9, cap));
                     }
                     other => prop_assert!(false, "expected inflation fault, got {other:?}"),
                 }
+            }
+
+            /// An otherwise valid update whose BN section has the wrong
+            /// shape — a layer dropped or duplicated, one layer's channels
+            /// grown or shrunk — is a typed malformed-frame fault, so it
+            /// never reaches the BN aggregation.
+            #[test]
+            fn corrupt_bn_shapes_are_malformed(
+                op in 0usize..4,
+                layer in 0usize..3,
+                delta in 1usize..4,
+            ) {
+                let ctx = WireCtx::dense(16);
+                let mut update = sample_update(&ctx);
+                match op {
+                    0 => drop(update.bn.remove(layer)),
+                    1 => update.bn.insert(layer, update.bn[layer].clone()),
+                    _ => {
+                        let s = &mut update.bn[layer];
+                        let c = s.mean.len();
+                        let c = if op == 2 { c + delta } else { c.saturating_sub(delta) };
+                        s.mean.resize(c, 0.0);
+                        s.var.resize(c, 1.0);
+                    }
+                }
+                let body = encode_update_frame(3, 4, 2, &update, &ctx);
+                let got = screen_update_frame(&body, &ctx, 3, 4, 2, Some(9), BN);
+                prop_assert!(
+                    matches!(got, Err(FaultKind::MalformedFrame(_))),
+                    "op {} layer {} delta {}: {:?}",
+                    op,
+                    layer,
+                    delta,
+                    got
+                );
             }
         }
 

@@ -1394,6 +1394,14 @@ impl AnyLayer {
         }
     }
 
+    /// The BN momentum if this is a BatchNorm layer.
+    pub fn bn_momentum(&self) -> Option<f32> {
+        match self {
+            AnyLayer::Bn(l) => Some(l.momentum()),
+            _ => None,
+        }
+    }
+
     /// Sets the sparse-dispatch crossover if this layer has weights.
     pub fn set_sparse_crossover(&mut self, crossover: f32) {
         match self {
@@ -1411,6 +1419,14 @@ impl AnyLayer {
             AnyLayer::MaxPool(l) => l.set_runtime(rt),
             AnyLayer::GlobalAvg(l) => l.set_runtime(rt),
             _ => {}
+        }
+    }
+
+    /// The runtime if this is a convolution (a model reports its first).
+    pub fn runtime(&self) -> Option<Runtime> {
+        match self {
+            AnyLayer::Conv(l) => Some(l.runtime()),
+            _ => None,
         }
     }
 
@@ -1535,7 +1551,7 @@ impl Sequential {
     }
 
     /// Backward from the output down to the layer holding prunable weight
-    /// number `shallowest_prunable` (in [`Sequential::for_each_param`] order)
+    /// number `shallowest_prunable` (in parameter order, front to back)
     /// and no further: that layer accumulates its parameter gradients and, like
     /// the leading layer of [`Sequential::backward_discard_input`], produces
     /// no input gradient if it is a convolution. Every layer beneath it is
@@ -1578,90 +1594,6 @@ impl Sequential {
                 l.backward_into(src, pong);
                 std::mem::swap(ping, pong);
             }
-        }
-    }
-
-    /// Visits every parameter in execution order without allocating.
-    pub fn for_each_param<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
-        for l in &self.layers {
-            l.for_each_param(f);
-        }
-    }
-
-    /// Visits every parameter mutably, in execution order, without
-    /// allocating.
-    pub fn for_each_param_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
-        for l in &mut self.layers {
-            l.for_each_param_mut(f);
-        }
-    }
-
-    /// Visits the BN statistics of every BatchNorm layer in order.
-    pub fn for_each_bn_stats<'a>(&'a self, f: &mut dyn FnMut(&'a BnStats)) {
-        for l in &self.layers {
-            if let Some(s) = l.bn_stats() {
-                f(s);
-            }
-        }
-    }
-
-    /// Visits the BN statistics of every BatchNorm layer, mutably, in order.
-    pub fn for_each_bn_stats_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut BnStats)) {
-        for l in &mut self.layers {
-            if let Some(s) = l.bn_stats_mut() {
-                f(s);
-            }
-        }
-    }
-
-    /// Sets the BN momentum of every BatchNorm layer.
-    pub fn set_bn_momentum(&mut self, momentum: f32) {
-        for l in &mut self.layers {
-            l.set_bn_momentum(momentum);
-        }
-    }
-
-    /// The BN momentum of the stack's first BatchNorm layer (`None` if it
-    /// has none); [`Sequential::set_bn_momentum`] keeps them all equal.
-    pub fn bn_momentum(&self) -> Option<f32> {
-        self.layers.iter().find_map(|l| match l {
-            AnyLayer::Bn(bn) => Some(bn.momentum()),
-            _ => None,
-        })
-    }
-
-    /// Sets the sparse-dispatch crossover of every weighted layer.
-    pub fn set_sparse_crossover(&mut self, crossover: f32) {
-        for l in &mut self.layers {
-            l.set_sparse_crossover(crossover);
-        }
-    }
-
-    /// Sets the parallel runtime of every kernel-bearing layer.
-    pub fn set_runtime(&mut self, rt: Runtime) {
-        for l in &mut self.layers {
-            l.set_runtime(rt);
-        }
-    }
-
-    /// The runtime of the stack's first convolution (`None` if it has
-    /// none); [`Sequential::set_runtime`] keeps every layer on the same one.
-    pub fn runtime(&self) -> Option<Runtime> {
-        self.layers.iter().find_map(|l| match l {
-            AnyLayer::Conv(c) => Some(c.runtime()),
-            _ => None,
-        })
-    }
-
-    /// Total multiply–accumulate FLOPs actually executed by the stack.
-    pub fn realized_flops(&self) -> f64 {
-        self.layers.iter().map(AnyLayer::realized_flops).sum()
-    }
-
-    /// Clears every layer's realized-FLOPs counter.
-    pub fn reset_realized_flops(&mut self) {
-        for l in &mut self.layers {
-            l.reset_realized_flops();
         }
     }
 }
@@ -1882,8 +1814,10 @@ mod tests {
         let gx = seq.backward(&Tensor::ones(&[3, 4]));
         assert_eq!(gx.shape(), &[3, 1, 4, 4]);
         let (mut params, mut bns) = (0, 0);
-        seq.for_each_param(&mut |_| params += 1);
-        seq.for_each_bn_stats(&mut |_| bns += 1);
+        for l in &seq.layers {
+            l.for_each_param(&mut |_| params += 1);
+            bns += usize::from(l.bn_stats().is_some());
+        }
         assert_eq!((params, bns), (1 + 2 + 2, 1)); // conv w, bn γβ, fc w+b
     }
 
@@ -2113,16 +2047,20 @@ mod tests {
                 .push(AnyLayer::MaxPool(MaxPool2x2::new()))
                 .push(AnyLayer::GlobalAvg(GlobalAvgPool::new()))
                 .push(AnyLayer::Linear(Linear::new(&mut rng, 4, 3, true, "fc")));
-            if density_keep > 1 {
-                seq_stack.for_each_param_mut(&mut |p| {
-                    if p.prunable {
-                        mask_param(p, density_keep);
-                    }
-                });
+            for l in &mut seq_stack.layers {
+                if density_keep > 1 {
+                    l.for_each_param_mut(&mut |p| {
+                        if p.prunable {
+                            mask_param(p, density_keep);
+                        }
+                    });
+                }
+                l.set_sparse_crossover(crossover);
             }
-            seq_stack.set_sparse_crossover(crossover);
             let mut par_stack = seq_stack.clone();
-            par_stack.set_runtime(Runtime::exact(4).with_min_work(0));
+            for l in &mut par_stack.layers {
+                l.set_runtime(Runtime::exact(4).with_min_work(0));
+            }
 
             let x = ft_tensor::normal(&mut rng, &x_shape, 0.0, 1.0);
             let ys = seq_stack.forward(&x, Mode::Train);
@@ -2132,14 +2070,16 @@ mod tests {
             let gs = seq_stack.backward(&g);
             let gp = par_stack.backward(&g);
             assert_eq!(gs.data(), gp.data(), "input grads diverged");
-            let mut par_params = Vec::new();
-            par_stack.for_each_param(&mut |p| par_params.push(p));
-            let mut par_params = par_params.into_iter();
-            seq_stack.for_each_param(&mut |a| {
-                let b = par_params.next().expect("same stack");
-                assert_eq!(a.grad.data(), b.grad.data(), "param grads diverged");
-            });
-            assert_eq!(seq_stack.realized_flops(), par_stack.realized_flops());
+            for (a, b) in seq_stack.layers.iter().zip(&par_stack.layers) {
+                let mut par_params = Vec::new();
+                b.for_each_param(&mut |p| par_params.push(p));
+                let mut par_params = par_params.into_iter();
+                a.for_each_param(&mut |a| {
+                    let b = par_params.next().expect("same stack");
+                    assert_eq!(a.grad.data(), b.grad.data(), "param grads diverged");
+                });
+                assert_eq!(a.realized_flops(), b.realized_flops());
+            }
         }
     }
 

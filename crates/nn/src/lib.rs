@@ -47,7 +47,7 @@ pub use layer::{
 };
 pub use model::{
     accuracy, apply_mask, bn_stats_encoded_len, flat_params, flat_params_into, mask_grads,
-    prunable_param_indices, restore_snapshot, set_flat_params, sparse_layout, take_snapshot,
-    wire_ctx, ArchInfo, LayerArch, Model, ModelSnapshot,
+    prunable_param_indices, restore_snapshot, set_bn_stats, set_flat_params, sparse_layout,
+    take_snapshot, wire_ctx, ArchInfo, LayerArch, Model, ModelSnapshot,
 };
 pub use param::{Param, ParamKind};

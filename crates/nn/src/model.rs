@@ -1,7 +1,7 @@
 //! The [`Model`] trait and model-generic helpers (flat parameter vectors,
 //! mask application, sparse layouts, accuracy).
 
-use crate::layer::{BnStats, Mode};
+use crate::layer::{AnyLayer, BnStats, Mode};
 use crate::param::Param;
 use ft_sparse::{Mask, SparseLayout, WireCtx};
 use ft_tensor::Tensor;
@@ -66,7 +66,16 @@ pub struct ArchInfo {
 ///
 /// The federated simulator, the pruning baselines, and FedTiny itself only
 /// interact with models through this trait, so adding a new architecture
-/// means implementing exactly these methods.
+/// means implementing exactly its nine required methods:
+/// [`Model::forward_into`], [`Model::backward`], [`Model::backward_scratch`],
+/// [`Model::backward_down_to`], [`Model::for_each_layer`],
+/// [`Model::for_each_layer_mut`], [`Model::clone_model`], [`Model::arch`]
+/// and [`Model::block_partition`].
+///
+/// Everything that only walks the layers — parameters, BatchNorm statistics
+/// and momentum, the sparse crossover, the kernel runtime, realized FLOPs —
+/// is a provided method over the two layer visitors and [`AnyLayer`]'s
+/// per-kind dispatch, so a new per-layer question is one provided method.
 pub trait Model: Send + Sync {
     /// Forward pass into a caller-owned logits tensor `[n, classes]`,
     /// through the model's internal scratch arenas: allocation-free at
@@ -98,19 +107,36 @@ pub trait Model: Send + Sync {
     /// ResNet18 at the residual block that contains it.
     fn backward_down_to(&mut self, grad_logits: &Tensor, shallowest_prunable: usize);
 
+    /// Visits every layer in execution order (a residual block's shortcut
+    /// after its main branch), without allocating. Flat parameter vectors,
+    /// wire contexts and checkpoints all follow this order.
+    fn for_each_layer<'a>(&'a self, f: &mut dyn FnMut(&'a AnyLayer));
+
+    /// Visits every layer mutably, in [`Model::for_each_layer`] order,
+    /// without allocating.
+    fn for_each_layer_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut AnyLayer));
+
     /// Visits every parameter in deterministic execution order, without
     /// allocating.
-    fn for_each_param<'a>(&'a self, f: &mut dyn FnMut(&'a Param));
+    fn for_each_param<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        self.for_each_layer(&mut |l| l.for_each_param(f));
+    }
 
     /// Visits every parameter mutably, in [`Model::for_each_param`] order,
     /// without allocating.
-    fn for_each_param_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param));
+    fn for_each_param_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        self.for_each_layer_mut(&mut |l| l.for_each_param_mut(f));
+    }
 
     /// Visits every BatchNorm layer's running statistics in execution order.
-    fn for_each_bn_stats<'a>(&'a self, f: &mut dyn FnMut(&'a BnStats));
+    fn for_each_bn_stats<'a>(&'a self, f: &mut dyn FnMut(&'a BnStats)) {
+        self.for_each_layer(&mut |l| l.bn_stats().into_iter().for_each(&mut *f));
+    }
 
     /// Visits every BatchNorm layer's running statistics mutably.
-    fn for_each_bn_stats_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut BnStats));
+    fn for_each_bn_stats_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut BnStats)) {
+        self.for_each_layer_mut(&mut |l| l.bn_stats_mut().into_iter().for_each(&mut *f));
+    }
 
     /// All parameters, collected in [`Model::for_each_param`] order.
     fn params(&self) -> Vec<&Param> {
@@ -143,13 +169,23 @@ pub trait Model: Send + Sync {
     /// Overrides the momentum of every BatchNorm layer. Setting 1.0 makes a
     /// single `Train`-mode forward pass replace the running statistics with
     /// the batch statistics (FedTiny's BN adaptation).
-    fn set_bn_momentum(&mut self, momentum: f32);
+    fn set_bn_momentum(&mut self, momentum: f32) {
+        self.for_each_layer_mut(&mut |l| l.set_bn_momentum(momentum));
+    }
 
     /// The momentum of the model's BatchNorm layers — one value, since
     /// [`Model::set_bn_momentum`] is the only way to change it. Whoever
     /// turns a used model back into a copy of another (`ft-fl`'s device-model
-    /// pool) reads it here.
-    fn bn_momentum(&self) -> f32;
+    /// pool) reads it here, from the first BatchNorm layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model has no BatchNorm layer.
+    fn bn_momentum(&self) -> f32 {
+        let mut first = None;
+        self.for_each_layer(&mut |l| first = first.or_else(|| l.bn_momentum()));
+        first.expect("the model has BatchNorm")
+    }
 
     /// Deep copy as a boxed trait object.
     fn clone_model(&self) -> Box<dyn Model>;
@@ -175,7 +211,9 @@ pub trait Model: Send + Sync {
     ///
     /// The crossover has no getter and the pool does not put it back: call
     /// this on a model you own (a clone), never on a borrowed one.
-    fn set_sparse_crossover(&mut self, crossover: f32);
+    fn set_sparse_crossover(&mut self, crossover: f32) {
+        self.for_each_layer_mut(&mut |l| l.set_sparse_crossover(crossover));
+    }
 
     /// Hands every kernel-bearing layer the parallel
     /// [`Runtime`](ft_runtime::Runtime) its convolution / GEMM / pooling
@@ -183,19 +221,37 @@ pub trait Model: Send + Sync {
     /// the parallel kernels are bit-identical to the sequential ones, this
     /// only changes wall-clock, never outputs. Cloned models (e.g.
     /// per-device snapshots in `ft-fl`) inherit the runtime of their source.
-    fn set_runtime(&mut self, rt: ft_runtime::Runtime);
+    fn set_runtime(&mut self, rt: ft_runtime::Runtime) {
+        self.for_each_layer_mut(&mut |l| l.set_runtime(rt));
+    }
 
     /// The runtime the model's kernels execute on: what the last
-    /// [`Model::set_runtime`] handed it, sequential before that.
-    fn runtime(&self) -> ft_runtime::Runtime;
+    /// [`Model::set_runtime`] handed it, sequential before that. Read from
+    /// the first convolution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model has no convolution.
+    fn runtime(&self) -> ft_runtime::Runtime {
+        let mut first = None;
+        self.for_each_layer(&mut |l| first = first.or_else(|| l.runtime()));
+        first.expect("the model has convolutions")
+    }
 
     /// Multiply–accumulate FLOPs actually executed by the model's forward
     /// and backward kernels since the last reset — the *realized*
-    /// counterpart of `ft-metrics`' analytic counts.
-    fn realized_flops(&self) -> f64;
+    /// counterpart of `ft-metrics`' analytic counts. Every layer's count is
+    /// an integer below 2^53, so the sum is exact in any order.
+    fn realized_flops(&self) -> f64 {
+        let mut total = 0.0;
+        self.for_each_layer(&mut |l| total += l.realized_flops());
+        total
+    }
 
     /// Clears the realized-FLOPs counters.
-    fn reset_realized_flops(&mut self);
+    fn reset_realized_flops(&mut self) {
+        self.for_each_layer_mut(&mut |l| l.reset_realized_flops());
+    }
 
     /// Clears every gradient accumulator.
     fn zero_grad(&mut self) {
@@ -386,20 +442,33 @@ pub fn take_snapshot(model: &dyn Model) -> ModelSnapshot {
 /// from the model's.
 pub fn restore_snapshot(model: &mut dyn Model, snap: &ModelSnapshot) {
     set_flat_params(model, &snap.params);
-    let mut l = 0;
+    set_bn_stats(model, &snap.bn);
+}
+
+/// Overwrites every BatchNorm layer's running statistics with `stats`, one
+/// set per layer in [`Model::for_each_bn_stats`] order — the one writer of
+/// BN statistics into a model. Element copies, so the destination buffers
+/// are reused.
+///
+/// # Panics
+///
+/// Panics if `stats` has a different number of sets than the model has
+/// BatchNorm layers, or a set's channel count differs from its layer's.
+pub fn set_bn_stats<'s>(model: &mut dyn Model, stats: impl IntoIterator<Item = &'s BnStats>) {
+    let mut stats = stats.into_iter();
     model.for_each_bn_stats_mut(&mut |dst| {
-        let src = snap
-            .bn
-            .get(l)
-            .expect("BatchNorm layer count mismatch: snapshot has too few");
+        let src = stats
+            .next()
+            .expect("BatchNorm layer count mismatch: too few sets");
         assert_eq!(dst.mean.len(), src.mean.len(), "BatchNorm channel mismatch");
-        // Element copies instead of `clone()` so the restore reuses the
-        // destination buffers.
+        assert_eq!(dst.var.len(), src.var.len(), "BatchNorm channel mismatch");
         dst.mean.copy_from_slice(&src.mean);
         dst.var.copy_from_slice(&src.var);
-        l += 1;
     });
-    assert_eq!(l, snap.bn.len(), "BatchNorm layer count mismatch");
+    assert!(
+        stats.next().is_none(),
+        "BatchNorm layer count mismatch: too many sets"
+    );
 }
 
 /// Exact wire bytes of one full set of BatchNorm statistics (what a device

@@ -1,9 +1,8 @@
 //! CIFAR-style ResNet18.
 
 use super::scaled;
-use crate::layer::{BatchNorm2d, BnStats, Conv2d, GlobalAvgPool, Linear, Mode, Relu};
+use crate::layer::{AnyLayer, BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Mode, Relu};
 use crate::model::{ArchInfo, LayerArch, Model};
-use crate::param::Param;
 use ft_tensor::Tensor;
 use rand::Rng;
 
@@ -11,13 +10,13 @@ use rand::Rng;
 /// 1×1-conv-BN downsample shortcut.
 #[derive(Clone, Debug)]
 struct BasicBlock {
-    conv1: Conv2d,
-    bn1: BatchNorm2d,
-    relu1: Relu,
-    conv2: Conv2d,
-    bn2: BatchNorm2d,
-    down: Option<(Conv2d, BatchNorm2d)>,
-    relu_out: Relu,
+    conv1: AnyLayer,
+    bn1: AnyLayer,
+    relu1: AnyLayer,
+    conv2: AnyLayer,
+    bn2: AnyLayer,
+    down: Option<(AnyLayer, AnyLayer)>,
+    relu_out: AnyLayer,
 }
 
 impl BasicBlock {
@@ -29,41 +28,45 @@ impl BasicBlock {
         stride: usize,
         name: &str,
     ) -> Self {
-        let down = if stride != 1 || in_c != out_c {
-            Some((
-                Conv2d::new(
-                    rng,
-                    in_c,
-                    out_c,
-                    1,
-                    stride,
-                    0,
-                    true,
-                    &format!("{name}.down"),
-                ),
-                BatchNorm2d::new(out_c, &format!("{name}.down.bn")),
+        let conv = |rng: &mut R, in_c, kernel, stride, pad, part: &str| {
+            let name = format!("{name}.{part}");
+            AnyLayer::Conv(Conv2d::new(
+                rng, in_c, out_c, kernel, stride, pad, true, &name,
             ))
-        } else {
-            None
         };
+        let bn = |part: &str| AnyLayer::Bn(BatchNorm2d::new(out_c, &format!("{name}.{part}")));
+        let down = (stride != 1 || in_c != out_c)
+            .then(|| (conv(rng, in_c, 1, stride, 0, "down"), bn("down.bn")));
         BasicBlock {
-            conv1: Conv2d::new(
-                rng,
-                in_c,
-                out_c,
-                3,
-                stride,
-                1,
-                true,
-                &format!("{name}.conv1"),
-            ),
-            bn1: BatchNorm2d::new(out_c, &format!("{name}.bn1")),
-            relu1: Relu::new(),
-            conv2: Conv2d::new(rng, out_c, out_c, 3, 1, 1, true, &format!("{name}.conv2")),
-            bn2: BatchNorm2d::new(out_c, &format!("{name}.bn2")),
+            conv1: conv(rng, in_c, 3, stride, 1, "conv1"),
+            bn1: bn("bn1"),
+            relu1: AnyLayer::Relu(Relu::new()),
+            conv2: conv(rng, out_c, 3, 1, 1, "conv2"),
+            bn2: bn("bn2"),
             down,
-            relu_out: Relu::new(),
+            relu_out: AnyLayer::Relu(Relu::new()),
         }
+    }
+
+    /// The block's layers in execution order: the main branch, the
+    /// shortcut, the closing ReLU.
+    fn layers(&self) -> impl Iterator<Item = &AnyLayer> {
+        let main = [&self.conv1, &self.bn1, &self.relu1, &self.conv2, &self.bn2];
+        let short = self.down.iter().flat_map(|(conv, bn)| [conv, bn]);
+        main.into_iter().chain(short).chain([&self.relu_out])
+    }
+
+    /// [`BasicBlock::layers`], mutably.
+    fn layers_mut(&mut self) -> impl Iterator<Item = &mut AnyLayer> {
+        let main = [
+            &mut self.conv1,
+            &mut self.bn1,
+            &mut self.relu1,
+            &mut self.conv2,
+            &mut self.bn2,
+        ];
+        let short = self.down.iter_mut().flat_map(|(conv, bn)| [conv, bn]);
+        main.into_iter().chain(short).chain([&mut self.relu_out])
     }
 
     /// Block forward over the model's shared activation buffers: `out`
@@ -105,98 +108,6 @@ impl BasicBlock {
         }
         gx.add_assign(g_sum);
     }
-
-    fn for_each_param<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
-        for p in [
-            &self.conv1.w,
-            &self.bn1.gamma,
-            &self.bn1.beta,
-            &self.conv2.w,
-            &self.bn2.gamma,
-            &self.bn2.beta,
-        ] {
-            f(p);
-        }
-        if let Some((conv, bn)) = &self.down {
-            f(&conv.w);
-            f(&bn.gamma);
-            f(&bn.beta);
-        }
-    }
-
-    fn for_each_param_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
-        for p in [
-            &mut self.conv1.w,
-            &mut self.bn1.gamma,
-            &mut self.bn1.beta,
-            &mut self.conv2.w,
-            &mut self.bn2.gamma,
-            &mut self.bn2.beta,
-        ] {
-            f(p);
-        }
-        if let Some((conv, bn)) = &mut self.down {
-            f(&mut conv.w);
-            f(&mut bn.gamma);
-            f(&mut bn.beta);
-        }
-    }
-
-    fn for_each_bn_stats<'a>(&'a self, f: &mut dyn FnMut(&'a BnStats)) {
-        f(&self.bn1.stats);
-        f(&self.bn2.stats);
-        if let Some((_, bn)) = &self.down {
-            f(&bn.stats);
-        }
-    }
-
-    fn for_each_bn_stats_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut BnStats)) {
-        f(&mut self.bn1.stats);
-        f(&mut self.bn2.stats);
-        if let Some((_, bn)) = &mut self.down {
-            f(&mut bn.stats);
-        }
-    }
-
-    fn set_bn_momentum(&mut self, momentum: f32) {
-        self.bn1.set_momentum(momentum);
-        self.bn2.set_momentum(momentum);
-        if let Some((_, bn)) = &mut self.down {
-            bn.set_momentum(momentum);
-        }
-    }
-
-    fn set_sparse_crossover(&mut self, crossover: f32) {
-        self.conv1.set_sparse_crossover(crossover);
-        self.conv2.set_sparse_crossover(crossover);
-        if let Some((conv, _)) = &mut self.down {
-            conv.set_sparse_crossover(crossover);
-        }
-    }
-
-    fn set_runtime(&mut self, rt: ft_runtime::Runtime) {
-        self.conv1.set_runtime(rt);
-        self.conv2.set_runtime(rt);
-        if let Some((conv, _)) = &mut self.down {
-            conv.set_runtime(rt);
-        }
-    }
-
-    fn realized_flops(&self) -> f64 {
-        let mut f = self.conv1.realized_flops() + self.conv2.realized_flops();
-        if let Some((conv, _)) = &self.down {
-            f += conv.realized_flops();
-        }
-        f
-    }
-
-    fn reset_realized_flops(&mut self) {
-        self.conv1.reset_realized_flops();
-        self.conv2.reset_realized_flops();
-        if let Some((conv, _)) = &mut self.down {
-            conv.reset_realized_flops();
-        }
-    }
 }
 
 /// CIFAR-style ResNet18: a 3×3 stem (no max-pool), four stages of two
@@ -208,12 +119,12 @@ impl BasicBlock {
 /// blocks (one per stage, the last stage split in two) per Fig. 2.
 #[derive(Clone, Debug)]
 pub struct ResNet18 {
-    stem_conv: Conv2d,
-    stem_bn: BatchNorm2d,
-    stem_relu: Relu,
+    stem_conv: AnyLayer,
+    stem_bn: AnyLayer,
+    stem_relu: AnyLayer,
     stages: Vec<BasicBlock>, // 8 blocks: 2 per stage
-    gap: GlobalAvgPool,
-    fc: Linear,
+    gap: AnyLayer,
+    fc: AnyLayer,
     arch: ArchInfo,
     blocks: Vec<Vec<usize>>,
     scratch: ResScratch,
@@ -263,7 +174,6 @@ impl ResNet18 {
             scaled(512, width),
         ];
         let stem_conv = Conv2d::new(rng, in_c, c[0], 3, 1, 1, false, "stem.conv");
-        let stem_bn = BatchNorm2d::new(c[0], "stem.bn");
 
         let mut stages = Vec::with_capacity(8);
         let mut layers = Vec::new();
@@ -359,12 +269,12 @@ impl ResNet18 {
         });
 
         ResNet18 {
-            stem_conv,
-            stem_bn,
-            stem_relu: Relu::new(),
+            stem_conv: AnyLayer::Conv(stem_conv),
+            stem_bn: AnyLayer::Bn(BatchNorm2d::new(c[0], "stem.bn")),
+            stem_relu: AnyLayer::Relu(Relu::new()),
             stages,
-            gap: GlobalAvgPool::new(),
-            fc,
+            gap: AnyLayer::GlobalAvg(GlobalAvgPool::new()),
+            fc: AnyLayer::Linear(fc),
             arch: ArchInfo {
                 name: "resnet18".into(),
                 input: [in_c, input_size, input_size],
@@ -437,40 +347,18 @@ impl Model for ResNet18 {
         self.backward_blocks(grad_logits, first);
     }
 
-    fn for_each_param<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
-        f(&self.stem_conv.w);
-        f(&self.stem_bn.gamma);
-        f(&self.stem_bn.beta);
-        for b in &self.stages {
-            b.for_each_param(f);
-        }
-        f(&self.fc.w);
-        f(&self.fc.b);
+    fn for_each_layer<'a>(&'a self, f: &mut dyn FnMut(&'a AnyLayer)) {
+        let stem = [&self.stem_conv, &self.stem_bn, &self.stem_relu];
+        let blocks = self.stages.iter().flat_map(BasicBlock::layers);
+        let head = [&self.gap, &self.fc];
+        stem.into_iter().chain(blocks).chain(head).for_each(f);
     }
 
-    fn for_each_param_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
-        f(&mut self.stem_conv.w);
-        f(&mut self.stem_bn.gamma);
-        f(&mut self.stem_bn.beta);
-        for b in &mut self.stages {
-            b.for_each_param_mut(f);
-        }
-        f(&mut self.fc.w);
-        f(&mut self.fc.b);
-    }
-
-    fn for_each_bn_stats<'a>(&'a self, f: &mut dyn FnMut(&'a BnStats)) {
-        f(&self.stem_bn.stats);
-        for b in &self.stages {
-            b.for_each_bn_stats(f);
-        }
-    }
-
-    fn for_each_bn_stats_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut BnStats)) {
-        f(&mut self.stem_bn.stats);
-        for b in &mut self.stages {
-            b.for_each_bn_stats_mut(f);
-        }
+    fn for_each_layer_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut AnyLayer)) {
+        let stem = [&mut self.stem_conv, &mut self.stem_bn, &mut self.stem_relu];
+        let blocks = self.stages.iter_mut().flat_map(BasicBlock::layers_mut);
+        let head = [&mut self.gap, &mut self.fc];
+        stem.into_iter().chain(blocks).chain(head).for_each(f);
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
@@ -484,67 +372,26 @@ impl Model for ResNet18 {
     fn block_partition(&self) -> Vec<Vec<usize>> {
         self.blocks.clone()
     }
-
-    fn set_bn_momentum(&mut self, momentum: f32) {
-        self.stem_bn.set_momentum(momentum);
-        for b in &mut self.stages {
-            b.set_bn_momentum(momentum);
-        }
-    }
-
-    fn bn_momentum(&self) -> f32 {
-        self.stem_bn.momentum()
-    }
-
-    fn set_sparse_crossover(&mut self, crossover: f32) {
-        self.stem_conv.set_sparse_crossover(crossover);
-        for b in &mut self.stages {
-            b.set_sparse_crossover(crossover);
-        }
-        self.fc.set_sparse_crossover(crossover);
-    }
-
-    fn set_runtime(&mut self, rt: ft_runtime::Runtime) {
-        self.stem_conv.set_runtime(rt);
-        for b in &mut self.stages {
-            b.set_runtime(rt);
-        }
-        self.gap.set_runtime(rt);
-        self.fc.set_runtime(rt);
-    }
-
-    fn runtime(&self) -> ft_runtime::Runtime {
-        self.stem_conv.runtime()
-    }
-
-    fn realized_flops(&self) -> f64 {
-        self.stem_conv.realized_flops()
-            + self
-                .stages
-                .iter()
-                .map(BasicBlock::realized_flops)
-                .sum::<f64>()
-            + self.fc.realized_flops()
-    }
-
-    fn reset_realized_flops(&mut self) {
-        self.stem_conv.reset_realized_flops();
-        for b in &mut self.stages {
-            b.reset_realized_flops();
-        }
-        self.fc.reset_realized_flops();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::BnStats;
     use crate::model::sparse_layout;
+    use crate::param::Param;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn tiny_resnet() -> ResNet18 {
         ResNet18::new(&mut ChaCha8Rng::seed_from_u64(5), 0.125, 10, 3, 8)
+    }
+
+    fn conv(layer: &AnyLayer) -> &Conv2d {
+        match layer {
+            AnyLayer::Conv(c) => c,
+            other => panic!("not a convolution: {other:?}"),
+        }
     }
 
     /// The allocating block composition the scratch path replaced: a fresh
@@ -688,13 +535,13 @@ mod tests {
         m.forward_into(&x, &mut logits, Mode::Train);
         m.backward_scratch(&Tensor::ones(&[32, 10]));
         let mut side = 16;
-        let mut convs = vec![(&m.stem_conv, side)];
+        let mut convs = vec![(conv(&m.stem_conv), side)];
         for b in &m.stages {
             let out_side = if b.down.is_some() { side / 2 } else { side };
-            convs.push((&b.conv1, side));
-            convs.push((&b.conv2, out_side));
+            convs.push((conv(&b.conv1), side));
+            convs.push((conv(&b.conv2), out_side));
             if let Some((down, _)) = &b.down {
-                convs.push((down, side));
+                convs.push((conv(down), side));
             }
             side = out_side;
         }
@@ -792,7 +639,7 @@ mod tests {
         let y = m.forward(&x, Mode::Train);
         m.backward(&Tensor::ones(y.shape()));
         assert!(
-            m.stem_conv.w.grad.max_abs() > 0.0,
+            conv(&m.stem_conv).w.grad.max_abs() > 0.0,
             "residual paths must reach the stem"
         );
     }
