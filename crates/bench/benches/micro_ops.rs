@@ -43,7 +43,7 @@ fn conv_benches(c: &mut Criterion) {
     c.bench_function("small_cnn_forward_backward_b8", |b| {
         b.iter(|| {
             let y = model.forward(&x, Mode::Train);
-            model.backward(&Tensor::ones(y.shape()));
+            model.backward_scratch(&Tensor::ones(y.shape()));
             model.zero_grad();
         })
     });
@@ -107,7 +107,8 @@ fn mask_benches(c: &mut Criterion) {
 
 /// The acceptance check for the sparse execution engine: a full training
 /// epoch (forward + backward + masked SGD) through the SmallCnn profile,
-/// dense path vs sparse path, at and below the default crossover.
+/// dense path vs sparse path, at and below the crossover. The dense twin is
+/// the same masked model with its mask records cleared.
 fn sparse_epoch_benches(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     let x = ft_tensor::normal(&mut rng, &[16, 3, 16, 16], 0.0, 1.0);
@@ -117,18 +118,20 @@ fn sparse_epoch_benches(c: &mut Criterion) {
         let mut model = SmallCnn::new(&mut ChaCha8Rng::seed_from_u64(6), 8, 10, 3, 16);
         let mask = apply_magnitude_mask(&mut model, density);
 
-        for (path, crossover) in [("dense", 0.0f32), ("sparse", 1.0)] {
+        for path in ["dense", "sparse"] {
             if density == 1.0 && path == "sparse" {
                 continue; // identical to dense by construction
             }
             let mut m = model.clone();
-            m.set_sparse_crossover(crossover);
+            if path == "dense" {
+                m.for_each_param_mut(&mut |p| p.mask_bits = None);
+            }
             let mut sgd = Sgd::new(SgdConfig::default());
             c.bench_function(&format!("small_cnn_epoch_{path}_d{density}"), |b| {
                 b.iter(|| {
                     let logits = m.forward(&x, Mode::Train);
                     let (_, grad) = ft_nn::loss::softmax_cross_entropy(&logits, &labels);
-                    m.backward(&grad);
+                    m.backward_scratch(&grad);
                     sgd.step(&mut m, Some(&mask));
                     m.zero_grad();
                 })

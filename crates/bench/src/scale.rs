@@ -16,12 +16,26 @@ pub enum ScaleKind {
 }
 
 impl ScaleKind {
-    /// Reads `FT_SCALE` (`smoke` / `lab` / `paper`), defaulting to `Lab`.
-    pub fn from_env() -> Self {
+    /// The scale called `smoke`, `lab` or `paper`; any other name is an
+    /// error that lists those three.
+    pub fn from_name(name: &str) -> Result<Self, String> {
+        match name {
+            "smoke" => Ok(ScaleKind::Smoke),
+            "lab" => Ok(ScaleKind::Lab),
+            "paper" => Ok(ScaleKind::Paper),
+            other => Err(format!(
+                "unknown scale {other:?}; expected smoke | lab | paper"
+            )),
+        }
+    }
+
+    /// Reads `FT_SCALE` through [`ScaleKind::from_name`], defaulting to
+    /// `Lab` when it is unset or empty. A misspelt value is an error, never
+    /// a silent lab-scale run.
+    pub fn from_env() -> Result<Self, String> {
         match std::env::var("FT_SCALE").unwrap_or_default().as_str() {
-            "smoke" => ScaleKind::Smoke,
-            "paper" => ScaleKind::Paper,
-            _ => ScaleKind::Lab,
+            "" => Ok(ScaleKind::Lab),
+            name => Self::from_name(name).map_err(|e| format!("FT_SCALE: {e}")),
         }
     }
 }
@@ -85,8 +99,13 @@ impl Scale {
     }
 
     /// The preset selected by `FT_SCALE`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `FT_SCALE` is set to something other than `smoke`, `lab`
+    /// or `paper`.
     pub fn from_env() -> Self {
-        Self::new(ScaleKind::from_env())
+        Self::new(ScaleKind::from_env().unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// Federated-learning configuration at this scale.
@@ -208,6 +227,24 @@ mod tests {
         assert_eq!(env.num_devices(), 3);
         let m = env.build_model(&s.resnet());
         assert_eq!(m.arch().input, [3, 8, 8]);
+    }
+
+    #[test]
+    fn scale_names_round_trip_and_a_typo_is_an_error() {
+        for (name, kind) in [
+            ("smoke", ScaleKind::Smoke),
+            ("lab", ScaleKind::Lab),
+            ("paper", ScaleKind::Paper),
+        ] {
+            assert_eq!(ScaleKind::from_name(name), Ok(kind));
+        }
+        for typo in ["smok", "Lab", "demo"] {
+            let err = ScaleKind::from_name(typo).unwrap_err();
+            assert!(
+                err.contains(typo) && err.contains("smoke | lab | paper"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

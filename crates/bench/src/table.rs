@@ -1,7 +1,6 @@
 //! Minimal aligned-table printer for the experiment harnesses.
 
-/// Accumulates rows and prints them as an aligned text table, plus an
-/// optional JSON dump for EXPERIMENTS.md bookkeeping.
+/// Accumulates rows and prints them as an aligned text table.
 #[derive(Clone, Debug)]
 pub struct Table {
     title: String,

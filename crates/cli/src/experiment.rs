@@ -58,7 +58,7 @@ fn parse(argv: &[String]) -> Result<Experiment, String> {
     let mut dataset = DatasetProfile::Cifar10;
     let mut model = "resnet18";
     let mut density = 0.05f32;
-    let mut scale = ScaleKind::from_env();
+    let mut scale = None;
     let mut seed = 0u64;
     let mut alpha = None;
 
@@ -93,17 +93,7 @@ fn parse(argv: &[String]) -> Result<Experiment, String> {
                 }
             }
             "--preset" => {
-                scale = match value()? {
-                    "smoke" => ScaleKind::Smoke,
-                    "lab" => ScaleKind::Lab,
-                    "paper" => ScaleKind::Paper,
-                    other => {
-                        return Err(format!(
-                            "preset {other:?} is not a method scale; \
-                             with --method use smoke | lab | paper"
-                        ))
-                    }
-                }
+                scale = Some(ScaleKind::from_name(value()?).map_err(|e| format!("--preset: {e}"))?)
             }
             "--seed" => seed = value()?.parse().map_err(|e| format!("bad seed: {e}"))?,
             "--alpha" => alpha = Some(value()?.parse().map_err(|e| format!("bad alpha: {e}"))?),
@@ -115,7 +105,10 @@ fn parse(argv: &[String]) -> Result<Experiment, String> {
             }
         }
     }
-    let scale = Scale::new(scale);
+    let scale = Scale::new(match scale {
+        Some(kind) => kind,
+        None => ScaleKind::from_env()?,
+    });
     let spec = match model {
         "resnet18" => scale.resnet(),
         "vgg11" => scale.vgg(),

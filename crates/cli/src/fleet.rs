@@ -13,9 +13,9 @@ use crate::args::{die, Args};
 use ft_data::{DatasetProfile, SynthConfig};
 use ft_fl::{
     fleet_spread_deadline, no_hook, resolve_threads, run_byzantine_tcp_device, run_tcp_device,
-    run_with, AdversarialTransport, Aggregator, Behavior, Codec, CostLedger, DeviceProfile,
-    ExperimentEnv, FlConfig, InProcess, MetricsEndpoint, MetricsHub, ModelSpec, RunOptions,
-    RunResult, Scheduler, TcpTransport, TimelineEvent, Transport,
+    run_with, AdversarialTransport, Aggregator, Behavior, Codec, ConfigError, CostLedger,
+    DeviceProfile, ExperimentEnv, FlConfig, InProcess, MetricsEndpoint, MetricsHub, ModelSpec,
+    RunOptions, RunResult, Scheduler, TcpTransport, TimelineEvent, Transport,
 };
 use ft_metrics::ExtraMemory;
 use ft_nn::{flat_params, sparse_layout, Model};
@@ -167,8 +167,9 @@ impl FleetOptions {
 
     /// The environment every end of this fleet derives from the preset's
     /// seed — synthetic datasets are pure functions of it, so no training
-    /// data ever crosses a wire, only snapshots and update deltas.
-    fn build_env(&self, scheduler: Option<Scheduler>) -> ExperimentEnv {
+    /// data ever crosses a wire, only snapshots and update deltas. A config
+    /// the environment rejects (e.g. `--devices 0`) is its typed error.
+    fn build_env(&self, scheduler: Option<Scheduler>) -> Result<ExperimentEnv, ConfigError> {
         let (synth, mut cfg) = match self.preset {
             Preset::Lab => {
                 let scale = ft_bench::Scale::new(ft_bench::ScaleKind::Lab);
@@ -202,15 +203,21 @@ impl FleetOptions {
         cfg.codec = self.codec;
         cfg.aggregator = self.aggregator;
         cfg.threads = self.threads;
-        let env = ExperimentEnv::new(synth, cfg);
+        let env = ExperimentEnv::try_new(synth, cfg)?;
         let env = match self.preset {
             Preset::Straggler => env.with_fleet(DeviceProfile::fleet_mixed(self.devices)),
             _ => env,
         };
-        match scheduler {
+        Ok(match scheduler {
             Some(s) => env.with_scheduler(s),
             None => env,
-        }
+        })
+    }
+
+    /// [`FleetOptions::build_env`], or exit 2 with the config error.
+    fn env(&self, scheduler: Option<Scheduler>) -> ExperimentEnv {
+        self.build_env(scheduler)
+            .unwrap_or_else(|e| die(&format!("invalid fleet config: {e}")))
     }
 
     fn model_spec(&self) -> ModelSpec {
@@ -332,7 +339,7 @@ fn run_fleet(
     mut tcp: Option<&mut TcpTransport>,
     hub: Option<&Arc<MetricsHub>>,
 ) -> (Vec<f32>, Box<dyn Model>, CostLedger) {
-    let env = opts.build_env(scheduler);
+    let env = opts.env(scheduler);
     let mut model = env.build_model(&opts.model_spec());
     let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
     let mut ledger = CostLedger::new();
@@ -405,7 +412,7 @@ fn run_single(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
 fn run_straggler(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
     let resolved = resolve_threads(opts.threads);
     let deadline_secs = {
-        let env = opts.build_env(Some(Scheduler::Synchronous));
+        let env = opts.env(Some(Scheduler::Synchronous));
         let model = env.build_model(&opts.model_spec());
         let densities = vec![1.0f32; sparse_layout(model.as_ref()).num_layers()];
         fleet_spread_deadline(&env, &model.arch(), &densities)
@@ -574,7 +581,7 @@ pub fn cmd_serve(argv: &[String]) -> i32 {
             let clients: Vec<_> = (0..opts.devices)
                 .map(|k| {
                     let behavior = behaviors[k];
-                    let env = opts.build_env(None);
+                    let env = opts.env(None);
                     let spec = opts.model_spec();
                     std::thread::spawn(move || {
                         match behavior {
@@ -612,7 +619,7 @@ pub fn cmd_device(argv: &[String]) -> i32 {
         die("ft device requires --device <k>");
     };
     opts.print_header("tcp (device)");
-    let env = opts.build_env(None);
+    let env = opts.env(None);
     let behavior = opts
         .byzantine
         .iter()
@@ -695,4 +702,30 @@ fn assert_matches_reference(tcp: (Vec<f32>, Box<dyn Model>, CostLedger), opts: &
         ledger.sim_makespan_secs(),
         ledger.total_payload_upload_bytes() / 1e3,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fleet config the environment rejects is its typed error, which the
+    /// commands turn into exit 2 — not a panic inside `ExperimentEnv::new`.
+    #[test]
+    fn invalid_fleet_configs_are_typed_errors() {
+        for (line, want) in [
+            ("--devices 0", ConfigError::NoDevices),
+            (
+                "--aggregator trimmed_mean:0.7",
+                ConfigError::BadTrimFraction { beta: 0.7 },
+            ),
+            (
+                "--threads 5000",
+                ConfigError::TooManyThreads { threads: 5000 },
+            ),
+        ] {
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let opts = FleetOptions::parse(&Args::new(&argv), false);
+            assert_eq!(opts.build_env(None).err(), Some(want), "{line}");
+        }
+    }
 }

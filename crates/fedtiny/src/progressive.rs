@@ -509,9 +509,9 @@ mod tests {
 
     /// The exposed probe: one result per device, in device order, the same
     /// bits on one worker and fanned out over four; and with every prunable
-    /// layer dense, a device's gradients are those of a fresh clone forced
-    /// dense (`set_sparse_crossover(0.0)`) running a whole backward pass on
-    /// the same batch — the clone-per-device pass the baselines used to run.
+    /// layer dense, a device's gradients are those of a fresh clone with its
+    /// mask records cleared running a whole backward pass on the same batch
+    /// — the clone-per-device pass the baselines used to run.
     #[test]
     fn probe_devices_is_ordered_thread_invariant_and_equals_a_dense_clone() {
         let (env, model, mask) = setup(0.3);
@@ -536,10 +536,10 @@ mod tests {
 
         for (k, grads) in &one {
             let mut clone = model.clone_model();
-            clone.set_sparse_crossover(0.0);
+            clone.for_each_param_mut(&mut |p| p.mask_bits = None);
             let (x, y) = probe_batch(&env, *k, round);
             let logits = clone.forward(&x, Mode::Train);
-            clone.backward(&softmax_cross_entropy(&logits, &y).1);
+            clone.backward_scratch(&softmax_cross_entropy(&logits, &y).1);
             assert_eq!(grads, &prunable_grads(clone.as_ref()), "device {k}");
             // Pruned coordinates did get gradients: the layers ran dense.
             let params = clone.params();

@@ -183,9 +183,7 @@ impl DeviceTrainer {
     /// runtime (`rt`) and zeroed realized-FLOPs counters. Scratch arenas
     /// survive, and so does the sparse plan of every layer whose mask record
     /// is unchanged (plans re-key on the mask epoch, which only moves when
-    /// the bits do). Not restored, because the trait cannot read it back:
-    /// the sparse crossover — a borrower must not call
-    /// [`Model::set_sparse_crossover`].
+    /// the bits do).
     fn restore_from(&mut self, global: &dyn Model, rt: &Runtime) {
         flat_params_into(global, &mut self.anchor);
         set_flat_params(self.model.as_mut(), &self.anchor);
@@ -298,9 +296,8 @@ impl TrainerPool {
 /// Lends `f` a working copy of `global` from the process-wide pool of device
 /// models, its kernels on `kernel_rt`: an exact functional copy — same
 /// parameters, gradients, BN statistics and momentum, mask records — that
-/// `f` may change in any way the [`Model`] trait allows except
-/// [`Model::set_sparse_crossover`], which the next borrower would inherit.
-/// Its realized-FLOPs counters start at zero. What `f` gets over
+/// `f` may change in any way the [`Model`] trait allows. Its realized-FLOPs
+/// counters start at zero. What `f` gets over
 /// `global.clone_model()` is a model whose arenas are already grown and
 /// whose sparse plans are already built, when an earlier borrower left them
 /// so; results are bit-identical either way.
@@ -638,7 +635,7 @@ mod tests {
                 t.model.for_each_param_mut(&mut |p| p.mask_bits = None);
                 let logits = t.model.forward(&x, Mode::Train);
                 let (_, grad) = ft_nn::loss::softmax_cross_entropy(&logits, &labels);
-                t.model.backward(&grad);
+                t.model.backward_scratch(&grad);
                 assert!(t.model.params().iter().all(|p| p.grad.max_abs() > 0.0));
             });
             assert_same_outcome(&pool.with(global, &rt, train), &fresh, &what);

@@ -17,8 +17,11 @@ use ft_tensor::{
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Default density crossover at or below which `Conv2d` / `Linear` leave the
-/// dense engine for the sparse one.
+/// Density at or below which a `Conv2d` / `Linear` whose weight carries a
+/// mask record ([`Param::mask_bits`]) leaves the dense engine for the sparse
+/// one. It is the only dispatch input besides the record itself: a layer
+/// without a record — never masked, or its record cleared by a pass that
+/// reads pruned-coordinate gradients — runs dense.
 ///
 /// For convolutions the break-even is measured: `BENCH_micro_ops.json`'s
 /// `dispatch_sweep_*` records time both direct engines over one masked
@@ -31,8 +34,7 @@ use serde::{Deserialize, Serialize};
 /// else to the faster one — and at the paper's densities (d ≤ 0.1) the
 /// sparse engine wins three- to eightfold. The constant has not been moved
 /// to the measured value: that changes a dispatch decision, and with it the
-/// golden traces. `Linear`'s kernels have no sweep yet. Override per model
-/// with [`crate::Model::set_sparse_crossover`].
+/// golden traces. `Linear`'s kernels have no sweep yet.
 pub const DEFAULT_SPARSE_CROSSOVER: f32 = 0.5;
 
 /// Cached sparse packing of a layer weight, keyed by the mask epoch that
@@ -63,26 +65,17 @@ impl SparsePlan {
 }
 
 /// Decides the execution path for a weight and keeps `plan` fresh: returns
-/// `true` (and a valid, value-refreshed plan) when the weight should run
-/// sparse, `false` (and clears the plan) when it should run dense.
-fn refresh_plan(
-    plan: &mut Option<SparsePlan>,
-    w: &Param,
-    crossover: f32,
-    rows: usize,
-    cols: usize,
-) -> bool {
-    let Some(bits) = w.mask_bits.as_ref() else {
-        *plan = None;
-        return false;
+/// `true` (and a valid, value-refreshed plan) when the weight carries a mask
+/// record at density ≤ [`DEFAULT_SPARSE_CROSSOVER`], `false` (and clears the
+/// plan) otherwise.
+fn refresh_plan(plan: &mut Option<SparsePlan>, w: &Param, rows: usize, cols: usize) -> bool {
+    let bits = match &w.mask_bits {
+        Some(bits) if w.mask_density() <= DEFAULT_SPARSE_CROSSOVER => bits,
+        _ => {
+            *plan = None;
+            return false;
+        }
     };
-    // `crossover == 0.0` must force the dense path unconditionally (the
-    // contract the gradient-scoring probes rely on) — including for a
-    // fully-pruned layer, where `density (0.0) > crossover (0.0)` is false.
-    if crossover == 0.0 || w.mask_density() > crossover {
-        *plan = None;
-        return false;
-    }
     match plan {
         Some(p) if p.epoch == w.mask_epoch => p.csr.refresh_values(w.data.data()),
         _ => {
@@ -135,14 +128,13 @@ pub struct BnStats {
 /// samples transposed into a zero-padded, sample-innermost copy of the input
 /// — and neither builds a column matrix. Dense weights run on the
 /// register-blocked engine ([`dconv_forward_rt`]), at every batch size and in
-/// both modes. When a pruning mask has been applied (see
-/// [`Param::note_mask`]) and the layer's density is at or below its
-/// crossover, forward and backward run on the CSR engine instead
-/// ([`spconv_forward_rt`]). Outputs are identical up to float rounding, but
-/// the sparse backward only produces weight gradients at mask-alive
-/// coordinates (gradient scoring passes that need pruned-coordinate
-/// gradients must take the layer off the sparse path, e.g.
-/// `set_sparse_crossover(0.0)`).
+/// both modes. When the weight carries a mask record (see
+/// [`Param::note_mask`]) at density ≤ [`DEFAULT_SPARSE_CROSSOVER`], forward
+/// and backward run on the CSR engine instead ([`spconv_forward_rt`]).
+/// Outputs are identical up to float rounding, but the sparse backward only
+/// produces weight gradients at mask-alive coordinates: a scoring pass that
+/// needs pruned-coordinate gradients clears the record
+/// (`w.mask_bits = None`), which runs the layer dense.
 ///
 /// A clone copies the weight, the configuration and the sparse plan; it
 /// starts with empty scratch and no cached forward, like a layer that has
@@ -156,7 +148,6 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     pad: usize,
-    crossover: f32,
     runtime: Runtime,
     plan: Option<SparsePlan>,
     realized_flops: f64,
@@ -173,7 +164,6 @@ impl Clone for Conv2d {
             kernel: self.kernel,
             stride: self.stride,
             pad: self.pad,
-            crossover: self.crossover,
             runtime: self.runtime,
             plan: self.plan.clone(),
             realized_flops: self.realized_flops,
@@ -233,7 +223,6 @@ impl Conv2d {
             kernel,
             stride,
             pad,
-            crossover: DEFAULT_SPARSE_CROSSOVER,
             runtime: Runtime::sequential(),
             plan: None,
             realized_flops: 0.0,
@@ -257,15 +246,6 @@ impl Conv2d {
     /// Output channel count.
     pub fn out_channels(&self) -> usize {
         self.out_c
-    }
-
-    /// Sets the density crossover below which this layer runs on the sparse
-    /// kernels (0.0 forces dense, 1.0 forces sparse whenever masked).
-    pub fn set_sparse_crossover(&mut self, crossover: f32) {
-        self.crossover = crossover.clamp(0.0, 1.0);
-        if self.crossover == 0.0 {
-            self.plan = None;
-        }
     }
 
     /// Multiply–accumulate FLOPs actually executed by this layer's forward
@@ -316,19 +296,7 @@ impl Conv2d {
         (n.div_ceil(8) + 1) * group + 3 * (self.out_c + 6) * geom.col_rows() + geom.col_cols()
     }
 
-    /// Forward pass over `[n, in_c, h, w]` (allocating wrapper around
-    /// [`Conv2d::forward_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not rank-4 or the channel count differs.
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(x, &mut out, mode);
-        out
-    }
-
-    /// Forward into a caller-owned output tensor.
+    /// Forward over `[n, in_c, h, w]` into a caller-owned output tensor.
     ///
     /// Either engine takes the whole batch, whatever its size and the mode,
     /// and keeps its transposed input for backward. Both accumulate an
@@ -350,7 +318,7 @@ impl Conv2d {
         let (n, h, w) = (s[0], s[2], s[3]);
         let geom = self.geom(h, w);
         let (cr, cc) = (geom.col_rows(), geom.col_cols());
-        let sparse = refresh_plan(&mut self.plan, &self.w, self.crossover, self.out_c, cr);
+        let sparse = refresh_plan(&mut self.plan, &self.w, self.out_c, cr);
         out.resize_for_overwrite(&[n, self.out_c, geom.out_h(), geom.out_w()]);
         let bufs = &mut self.scratch.bufs;
         if sparse {
@@ -370,19 +338,8 @@ impl Conv2d {
         });
     }
 
-    /// Backward pass: accumulates `w.grad` and returns the input gradient
-    /// (allocating wrapper around [`Conv2d::backward_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut gx = Tensor::default();
-        self.backward_into(grad_out, &mut gx);
-        gx
-    }
-
-    /// Backward into a caller-owned input-gradient tensor.
+    /// Backward pass: accumulates `w.grad` and writes the input gradient into
+    /// a caller-owned tensor.
     ///
     /// The engine that ran the forward runs its dW and dX kernels over the
     /// input that forward kept. On both, the weight gradient takes one fresh
@@ -569,17 +526,6 @@ impl BatchNorm2d {
         self.momentum
     }
 
-    /// Forward pass (allocating wrapper around [`BatchNorm2d::forward_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input is not `[n, c, h, w]` with matching channels.
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(x, &mut out, mode);
-        out
-    }
-
     /// Forward pass into a caller-owned output; statistics and normalized
     /// activations land in the layer's scratch arena.
     ///
@@ -678,22 +624,10 @@ impl BatchNorm2d {
         }
     }
 
-    /// Backward pass (allocating wrapper around
-    /// [`BatchNorm2d::backward_into`]). After a `Train`-mode forward the
-    /// full batch-statistic gradient is used; after an `Eval`-mode forward
-    /// the running statistics are constants, so `∂y/∂x = γ/σ` (used e.g. by
-    /// SynFlow's linearized probe).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called without a preceding forward.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut gx = Tensor::default();
-        self.backward_into(grad_out, &mut gx);
-        gx
-    }
-
-    /// Backward pass into a caller-owned input-gradient tensor.
+    /// Backward pass into a caller-owned input-gradient tensor. After a
+    /// `Train`-mode forward the full batch-statistic gradient is used; after
+    /// an `Eval`-mode forward the running statistics are constants, so
+    /// `∂y/∂x = γ/σ` (used e.g. by SynFlow's linearized probe).
     ///
     /// # Panics
     ///
@@ -753,7 +687,7 @@ impl BatchNorm2d {
 
 /// Fully-connected layer `y = x Wᵀ + b` over `[n, in]`.
 ///
-/// Dispatches to the CSR sparse kernels below its density crossover exactly
+/// Dispatches to the CSR sparse kernels on a low-density mask record exactly
 /// like [`Conv2d`] (see there for the gradient-coverage caveat, and for what
 /// a clone carries).
 #[derive(Debug)]
@@ -764,7 +698,6 @@ pub struct Linear {
     pub b: Param,
     in_dim: usize,
     out_dim: usize,
-    crossover: f32,
     runtime: Runtime,
     plan: Option<SparsePlan>,
     realized_flops: f64,
@@ -780,7 +713,6 @@ impl Clone for Linear {
             b: self.b.clone(),
             in_dim: self.in_dim,
             out_dim: self.out_dim,
-            crossover: self.crossover,
             runtime: self.runtime,
             plan: self.plan.clone(),
             realized_flops: self.realized_flops,
@@ -823,7 +755,6 @@ impl Linear {
             ),
             in_dim,
             out_dim,
-            crossover: DEFAULT_SPARSE_CROSSOVER,
             runtime: Runtime::sequential(),
             plan: None,
             realized_flops: 0.0,
@@ -844,15 +775,6 @@ impl Linear {
         self.runtime = rt;
     }
 
-    /// Sets the density crossover below which this layer runs on the sparse
-    /// kernels (0.0 forces dense, 1.0 forces sparse whenever masked).
-    pub fn set_sparse_crossover(&mut self, crossover: f32) {
-        self.crossover = crossover.clamp(0.0, 1.0);
-        if self.crossover == 0.0 {
-            self.plan = None;
-        }
-    }
-
     /// Multiply–accumulate FLOPs actually executed since the last
     /// [`Linear::reset_realized_flops`].
     pub fn realized_flops(&self) -> f64 {
@@ -864,19 +786,7 @@ impl Linear {
         self.realized_flops = 0.0;
     }
 
-    /// Forward pass over `[n, in]` (allocating wrapper around
-    /// [`Linear::forward_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(x, &mut out, mode);
-        out
-    }
-
-    /// Forward pass into a caller-owned output tensor.
+    /// Forward pass over `[n, in]` into a caller-owned output tensor.
     ///
     /// # Panics
     ///
@@ -885,13 +795,7 @@ impl Linear {
         assert_eq!(x.shape().len(), 2, "linear input must be [n, in]");
         assert_eq!(x.shape()[1], self.in_dim, "linear input dim mismatch");
         let n = x.shape()[0];
-        let sparse = refresh_plan(
-            &mut self.plan,
-            &self.w,
-            self.crossover,
-            self.out_dim,
-            self.in_dim,
-        );
+        let sparse = refresh_plan(&mut self.plan, &self.w, self.out_dim, self.in_dim);
         out.resize_zeroed(&[n, self.out_dim]);
         match &self.plan {
             // Y += X · Wᵀ with W in CSR.
@@ -911,17 +815,6 @@ impl Linear {
         }
         self.scratch.x_cache.copy_from(x);
         self.cache = Some(sparse);
-    }
-
-    /// Backward pass (allocating wrapper around [`Linear::backward_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut gx = Tensor::default();
-        self.backward_into(grad_out, &mut gx);
-        gx
     }
 
     /// Backward pass into a caller-owned input-gradient tensor.
@@ -1005,13 +898,6 @@ impl Relu {
         Relu::default()
     }
 
-    /// Forward pass (allocating wrapper around [`Relu::forward_into`]).
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(x, &mut out, mode);
-        out
-    }
-
     /// Forward pass (any shape) into a caller-owned output tensor.
     pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, _mode: Mode) {
         self.mask.clear();
@@ -1021,17 +907,6 @@ impl Relu {
             *o = v.max(0.0);
         }
         self.primed = true;
-    }
-
-    /// Backward pass (allocating wrapper around [`Relu::backward_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward` or with a mismatched shape.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut gx = Tensor::default();
-        self.backward_into(grad_out, &mut gx);
-        gx
     }
 
     /// Backward pass into a caller-owned input-gradient tensor.
@@ -1087,31 +962,12 @@ impl MaxPool2x2 {
         self.runtime = rt;
     }
 
-    /// Forward pass (allocating wrapper around [`MaxPool2x2::forward_into`]).
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(x, &mut out, mode);
-        out
-    }
-
     /// Forward pass over `[n, c, h, w]` into a caller-owned output tensor.
     pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, _mode: Mode) {
         max_pool2x2_into_rt(&self.runtime, x, out, &mut self.arg);
         self.in_shape.clear();
         self.in_shape.extend_from_slice(x.shape());
         self.primed = true;
-    }
-
-    /// Backward pass (allocating wrapper around
-    /// [`MaxPool2x2::backward_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut gx = Tensor::default();
-        self.backward_into(grad_out, &mut gx);
-        gx
     }
 
     /// Backward pass into a caller-owned input-gradient tensor.
@@ -1155,32 +1011,12 @@ impl GlobalAvgPool {
         self.runtime = rt;
     }
 
-    /// Forward pass (allocating wrapper around
-    /// [`GlobalAvgPool::forward_into`]).
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(x, &mut out, mode);
-        out
-    }
-
     /// Forward pass into a caller-owned output tensor.
     pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, _mode: Mode) {
         self.in_shape.clear();
         self.in_shape.extend_from_slice(x.shape());
         avg_pool_global_into_rt(&self.runtime, x, out);
         self.primed = true;
-    }
-
-    /// Backward pass (allocating wrapper around
-    /// [`GlobalAvgPool::backward_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut gx = Tensor::default();
-        self.backward_into(grad_out, &mut gx);
-        gx
     }
 
     /// Backward pass into a caller-owned input-gradient tensor.
@@ -1215,13 +1051,6 @@ impl Flatten {
         Flatten::default()
     }
 
-    /// Forward pass (allocating wrapper around [`Flatten::forward_into`]).
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(x, &mut out, mode);
-        out
-    }
-
     /// Forward pass into a caller-owned output tensor.
     pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, _mode: Mode) {
         self.in_shape.clear();
@@ -1231,17 +1060,6 @@ impl Flatten {
         out.copy_from(x);
         out.reshape_in_place(&[n, rest]);
         self.primed = true;
-    }
-
-    /// Backward pass (allocating wrapper around [`Flatten::backward_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut gx = Tensor::default();
-        self.backward_into(grad_out, &mut gx);
-        gx
     }
 
     /// Backward pass into a caller-owned input-gradient tensor.
@@ -1285,32 +1103,6 @@ pub enum AnyLayer {
 }
 
 impl AnyLayer {
-    /// Forward dispatch.
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        match self {
-            AnyLayer::Conv(l) => l.forward(x, mode),
-            AnyLayer::Bn(l) => l.forward(x, mode),
-            AnyLayer::Relu(l) => l.forward(x, mode),
-            AnyLayer::MaxPool(l) => l.forward(x, mode),
-            AnyLayer::GlobalAvg(l) => l.forward(x, mode),
-            AnyLayer::Flatten(l) => l.forward(x, mode),
-            AnyLayer::Linear(l) => l.forward(x, mode),
-        }
-    }
-
-    /// Backward dispatch.
-    pub fn backward(&mut self, grad: &Tensor) -> Tensor {
-        match self {
-            AnyLayer::Conv(l) => l.backward(grad),
-            AnyLayer::Bn(l) => l.backward(grad),
-            AnyLayer::Relu(l) => l.backward(grad),
-            AnyLayer::MaxPool(l) => l.backward(grad),
-            AnyLayer::GlobalAvg(l) => l.backward(grad),
-            AnyLayer::Flatten(l) => l.backward(grad),
-            AnyLayer::Linear(l) => l.backward(grad),
-        }
-    }
-
     /// Alloc-free forward dispatch into a caller-owned output tensor.
     pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
         match self {
@@ -1402,15 +1194,6 @@ impl AnyLayer {
         }
     }
 
-    /// Sets the sparse-dispatch crossover if this layer has weights.
-    pub fn set_sparse_crossover(&mut self, crossover: f32) {
-        match self {
-            AnyLayer::Conv(l) => l.set_sparse_crossover(crossover),
-            AnyLayer::Linear(l) => l.set_sparse_crossover(crossover),
-            _ => {}
-        }
-    }
-
     /// Sets the parallel runtime of every kernel-bearing layer.
     pub fn set_runtime(&mut self, rt: Runtime) {
         match self {
@@ -1484,14 +1267,6 @@ impl Sequential {
         self
     }
 
-    /// Forward through every layer (allocating wrapper around
-    /// [`Sequential::forward_into`]).
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(x, &mut out, mode);
-        out
-    }
-
     /// Forward through every layer into a caller-owned output tensor,
     /// ping-ponging intermediate activations between two reused buffers.
     pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
@@ -1512,40 +1287,11 @@ impl Sequential {
         }
     }
 
-    /// Backward through every layer in reverse (allocating wrapper around
-    /// [`Sequential::backward_into`]).
-    pub fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut gx = Tensor::default();
-        self.backward_into(grad, &mut gx);
-        gx
-    }
-
-    /// Backward through every layer in reverse into a caller-owned
-    /// input-gradient tensor.
-    pub fn backward_into(&mut self, grad: &Tensor, gx: &mut Tensor) {
-        let Sequential { layers, ping, pong } = self;
-        let n = layers.len();
-        if n == 0 {
-            gx.copy_from(grad);
-            return;
-        }
-        for (idx, l) in layers.iter_mut().rev().enumerate() {
-            let src: &Tensor = if idx == 0 { grad } else { &*ping };
-            if idx == n - 1 {
-                l.backward_into(src, gx);
-            } else {
-                l.backward_into(src, pong);
-                std::mem::swap(ping, pong);
-            }
-        }
-    }
-
     /// Backward through every layer in reverse, discarding the network
     /// input gradient. The leading layer only accumulates its parameter
-    /// gradients — for a leading convolution this skips the dCol GEMM and
-    /// col2im entirely, since no layer sits before it to consume the
-    /// result. Parameter gradients are identical to
-    /// [`Sequential::backward_into`].
+    /// gradients — for a leading convolution this skips the dX kernel
+    /// entirely, since no layer sits before it to consume the result; its
+    /// weight gradient does not depend on whether dX runs.
     pub fn backward_discard_input(&mut self, grad: &Tensor) {
         self.backward_from(grad, 0);
     }
@@ -1598,6 +1344,60 @@ impl Sequential {
     }
 }
 
+/// Allocating passes for the unit tests: each call returns a fresh tensor.
+#[cfg(test)]
+pub(crate) trait Fresh {
+    /// The forward pass into a new tensor.
+    fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor;
+    /// The backward pass into a new tensor.
+    fn bwd(&mut self, grad: &Tensor) -> Tensor;
+}
+
+#[cfg(test)]
+macro_rules! impl_fresh {
+    ($($layer:ty),*) => {$(
+        impl Fresh for $layer {
+            fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+                let mut out = Tensor::default();
+                self.forward_into(x, &mut out, mode);
+                out
+            }
+
+            fn bwd(&mut self, grad: &Tensor) -> Tensor {
+                let mut gx = Tensor::default();
+                self.backward_into(grad, &mut gx);
+                gx
+            }
+        }
+    )*};
+}
+
+#[cfg(test)]
+impl_fresh!(
+    Conv2d,
+    BatchNorm2d,
+    Linear,
+    Relu,
+    MaxPool2x2,
+    GlobalAvgPool,
+    Flatten,
+    AnyLayer
+);
+
+/// A stack's input gradient: its layers' backward passes, last to first.
+#[cfg(test)]
+impl Fresh for Sequential {
+    fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let mut out = Tensor::default();
+        self.forward_into(x, &mut out, mode);
+        out
+    }
+
+    fn bwd(&mut self, grad: &Tensor) -> Tensor {
+        (self.layers.iter_mut().rev()).fold(grad.clone(), |g, l| l.bwd(&g))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1618,10 +1418,10 @@ mod tests {
     fn conv_forward_shape() {
         let mut c = Conv2d::new(&mut rng(), 3, 5, 3, 1, 1, true, "c");
         let x = Tensor::ones(&[2, 3, 8, 8]);
-        let y = c.forward(&x, Mode::Train);
+        let y = c.fwd(&x, Mode::Train);
         assert_eq!(y.shape(), &[2, 5, 8, 8]);
         let mut c2 = Conv2d::new(&mut rng(), 3, 4, 3, 2, 1, true, "c2");
-        let y2 = c2.forward(&x, Mode::Train);
+        let y2 = c2.fwd(&x, Mode::Train);
         assert_eq!(y2.shape(), &[2, 4, 4, 4]);
         let _ = grad_check_conv;
     }
@@ -1631,9 +1431,9 @@ mod tests {
         let mut rng = rng();
         let mut c = Conv2d::new(&mut rng, 2, 3, 3, 1, 1, true, "c");
         let x = ft_tensor::normal(&mut rng, &[1, 2, 4, 4], 0.0, 1.0);
-        let y = c.forward(&x, Mode::Train);
+        let y = c.fwd(&x, Mode::Train);
         let gy = Tensor::ones(y.shape());
-        let gx = c.backward(&gy);
+        let gx = c.bwd(&gy);
 
         // Finite differences wrt input.
         let eps = 1e-3;
@@ -1642,10 +1442,10 @@ mod tests {
             xp.data_mut()[check] += eps;
             let mut xm = x.clone();
             xm.data_mut()[check] -= eps;
-            let yp = c.forward(&xp, Mode::Train).sum();
-            let _ = c.backward(&Tensor::ones(&[1, 3, 4, 4])); // clear cache
-            let ym = c.forward(&xm, Mode::Train).sum();
-            let _ = c.backward(&Tensor::ones(&[1, 3, 4, 4]));
+            let yp = c.fwd(&xp, Mode::Train).sum();
+            let _ = c.bwd(&Tensor::ones(&[1, 3, 4, 4])); // clear cache
+            let ym = c.fwd(&xm, Mode::Train).sum();
+            let _ = c.bwd(&Tensor::ones(&[1, 3, 4, 4]));
             let num = (yp - ym) / (2.0 * eps);
             assert!(
                 (gx.data()[check] - num).abs() < 1e-2,
@@ -1657,19 +1457,19 @@ mod tests {
 
         // Finite differences wrt a few weights.
         let mut c2 = Conv2d::new(&mut rng, 2, 3, 3, 1, 1, true, "c");
-        let _ = c2.forward(&x, Mode::Train);
+        let _ = c2.fwd(&x, Mode::Train);
         let gw = {
-            let _ = c2.backward(&Tensor::ones(&[1, 3, 4, 4]));
+            let _ = c2.bwd(&Tensor::ones(&[1, 3, 4, 4]));
             c2.w.grad.clone()
         };
         for check in [0usize, 10, 25] {
             let orig = c2.w.data.data()[check];
             c2.w.data.data_mut()[check] = orig + eps;
-            let yp = c2.forward(&x, Mode::Train).sum();
-            let _ = c2.backward(&Tensor::ones(&[1, 3, 4, 4]));
+            let yp = c2.fwd(&x, Mode::Train).sum();
+            let _ = c2.bwd(&Tensor::ones(&[1, 3, 4, 4]));
             c2.w.data.data_mut()[check] = orig - eps;
-            let ym = c2.forward(&x, Mode::Train).sum();
-            let _ = c2.backward(&Tensor::ones(&[1, 3, 4, 4]));
+            let ym = c2.fwd(&x, Mode::Train).sum();
+            let _ = c2.bwd(&Tensor::ones(&[1, 3, 4, 4]));
             c2.w.data.data_mut()[check] = orig;
             let num = (yp - ym) / (2.0 * eps);
             assert!(
@@ -1687,7 +1487,7 @@ mod tests {
         l.w.data = Tensor::from_vec(vec![1.0, 0.0, -1.0, 0.5, 0.5, 0.5], &[2, 3]);
         l.b.data = Tensor::from_vec(vec![0.1, -0.1], &[2]);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
-        let y = l.forward(&x, Mode::Train);
+        let y = l.fwd(&x, Mode::Train);
         assert_close(y.data(), &[1.0 - 3.0 + 0.1, 6.0 * 0.5 - 0.1], 1e-6);
     }
 
@@ -1696,18 +1496,18 @@ mod tests {
         let mut rng = rng();
         let mut l = Linear::new(&mut rng, 4, 3, true, "fc");
         let x = ft_tensor::normal(&mut rng, &[2, 4], 0.0, 1.0);
-        let y = l.forward(&x, Mode::Train);
-        let gx = l.backward(&Tensor::ones(y.shape()));
+        let y = l.fwd(&x, Mode::Train);
+        let gx = l.bwd(&Tensor::ones(y.shape()));
         let eps = 1e-3;
         for check in 0..8 {
             let mut xp = x.clone();
             xp.data_mut()[check] += eps;
-            let yp = l.forward(&xp, Mode::Train).sum();
-            let _ = l.backward(&Tensor::ones(&[2, 3]));
+            let yp = l.fwd(&xp, Mode::Train).sum();
+            let _ = l.bwd(&Tensor::ones(&[2, 3]));
             let mut xm = x.clone();
             xm.data_mut()[check] -= eps;
-            let ym = l.forward(&xm, Mode::Train).sum();
-            let _ = l.backward(&Tensor::ones(&[2, 3]));
+            let ym = l.fwd(&xm, Mode::Train).sum();
+            let _ = l.bwd(&Tensor::ones(&[2, 3]));
             let num = (yp - ym) / (2.0 * eps);
             assert!((gx.data()[check] - num).abs() < 1e-2);
         }
@@ -1720,7 +1520,7 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0],
             &[1, 2, 2, 2],
         );
-        let y = bn.forward(&x, Mode::Train);
+        let y = bn.fwd(&x, Mode::Train);
         // Each channel should be ~zero-mean, unit-var after normalization.
         for c in 0..2 {
             let ch: Vec<f32> = (0..4).map(|i| y.data()[c * 4 + i]).collect();
@@ -1738,7 +1538,7 @@ mod tests {
         bn.stats.mean = vec![5.0];
         bn.stats.var = vec![4.0];
         let x = Tensor::from_vec(vec![5.0, 7.0], &[2, 1, 1, 1]);
-        let y = bn.forward(&x, Mode::Eval);
+        let y = bn.fwd(&x, Mode::Eval);
         assert_close(y.data(), &[0.0, 2.0 / (4.0f32 + 1e-5).sqrt()], 1e-4);
     }
 
@@ -1747,20 +1547,20 @@ mod tests {
         let mut rng = rng();
         let mut bn = BatchNorm2d::new(2, "bn");
         let x = ft_tensor::normal(&mut rng, &[2, 2, 2, 2], 1.0, 2.0);
-        let y = bn.forward(&x, Mode::Train);
+        let y = bn.fwd(&x, Mode::Train);
         // Loss = sum(y * w) for a fixed random w so the gradient is nontrivial.
         let wv = ft_tensor::normal(&mut rng, &[16], 0.0, 1.0);
         let gy = Tensor::from_vec(wv.data().to_vec(), y.shape());
-        let gx = bn.backward(&gy);
+        let gx = bn.bwd(&gy);
         let eps = 2e-3;
         for check in [0usize, 5, 11, 15] {
             let mut bn2 = BatchNorm2d::new(2, "bn");
             let mut xp = x.clone();
             xp.data_mut()[check] += eps;
-            let yp = bn2.forward(&xp, Mode::Train).mul(&gy).sum();
+            let yp = bn2.fwd(&xp, Mode::Train).mul(&gy).sum();
             let mut xm = x.clone();
             xm.data_mut()[check] -= eps;
-            let ym = bn2.forward(&xm, Mode::Train).mul(&gy).sum();
+            let ym = bn2.fwd(&xm, Mode::Train).mul(&gy).sum();
             let num = (yp - ym) / (2.0 * eps);
             assert!(
                 (gx.data()[check] - num).abs() < 2e-2,
@@ -1775,9 +1575,9 @@ mod tests {
     fn relu_masks_negatives() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0, 0.0], &[3]);
-        let y = r.forward(&x, Mode::Train);
+        let y = r.fwd(&x, Mode::Train);
         assert_eq!(y.data(), &[0.0, 2.0, 0.0]);
-        let g = r.backward(&Tensor::ones(&[3]));
+        let g = r.bwd(&Tensor::ones(&[3]));
         assert_eq!(g.data(), &[0.0, 1.0, 0.0]);
     }
 
@@ -1785,9 +1585,9 @@ mod tests {
     fn flatten_roundtrip() {
         let mut f = Flatten::new();
         let x = Tensor::ones(&[2, 3, 4, 4]);
-        let y = f.forward(&x, Mode::Train);
+        let y = f.fwd(&x, Mode::Train);
         assert_eq!(y.shape(), &[2, 48]);
-        let g = f.backward(&y);
+        let g = f.bwd(&y);
         assert_eq!(g.shape(), &[2, 3, 4, 4]);
     }
 
@@ -1809,9 +1609,9 @@ mod tests {
             "fc",
         )));
         let x = ft_tensor::normal(&mut rng, &[3, 1, 4, 4], 0.0, 1.0);
-        let y = seq.forward(&x, Mode::Train);
+        let y = seq.fwd(&x, Mode::Train);
         assert_eq!(y.shape(), &[3, 4]);
-        let gx = seq.backward(&Tensor::ones(&[3, 4]));
+        let gx = seq.bwd(&Tensor::ones(&[3, 4]));
         assert_eq!(gx.shape(), &[3, 1, 4, 4]);
         let (mut params, mut bns) = (0, 0);
         for l in &seq.layers {
@@ -1825,9 +1625,9 @@ mod tests {
     fn maxpool_layer_roundtrip() {
         let mut p = MaxPool2x2::new();
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]);
-        let y = p.forward(&x, Mode::Train);
+        let y = p.fwd(&x, Mode::Train);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        let g = p.backward(&Tensor::ones(y.shape()));
+        let g = p.bwd(&Tensor::ones(y.shape()));
         assert_eq!(g.shape(), x.shape());
         assert_eq!(g.sum(), 4.0);
     }
@@ -1836,7 +1636,7 @@ mod tests {
     fn global_avg_pool_layer() {
         let mut p = GlobalAvgPool::new();
         let x = Tensor::ones(&[2, 3, 4, 4]);
-        let y = p.forward(&x, Mode::Train);
+        let y = p.fwd(&x, Mode::Train);
         assert_eq!(y.shape(), &[2, 3]);
         assert_close(y.data(), &[1.0; 6], 1e-6);
     }
@@ -1882,11 +1682,10 @@ mod tests {
             let mut sparse = Conv2d::new(&mut rng, in_c, 8, 3, 1, 1, true, "c");
             mask(&mut sparse.w);
             let mut dense = sparse.clone();
-            sparse.set_sparse_crossover(1.0);
-            dense.set_sparse_crossover(0.0);
+            dense.w.mask_bits = None;
             let x = ft_tensor::normal(&mut rng, &[4, in_c, 8, 8], 0.0, 1.0);
-            let ys = sparse.forward(&x, Mode::Train);
-            let yd = dense.forward(&x, Mode::Train);
+            let ys = sparse.fwd(&x, Mode::Train);
+            let yd = dense.fwd(&x, Mode::Train);
             assert_close(ys.data(), yd.data(), 1e-5);
             // The sparse path executes one MAC per alive coordinate and
             // output position: 2·n·cc·nnz, well under the dense count.
@@ -1914,14 +1713,13 @@ mod tests {
             let mut sparse = Conv2d::new(&mut rng, 2, out_c, 3, 1, 1, true, "c");
             mask(&mut sparse.w);
             let mut dense = sparse.clone();
-            sparse.set_sparse_crossover(1.0);
-            dense.set_sparse_crossover(0.0);
+            dense.w.mask_bits = None;
             let x = ft_tensor::normal(&mut rng, &[2, 2, 6, 6], 0.0, 1.0);
             let go = ft_tensor::normal(&mut rng, &[2, out_c, 6, 6], 0.0, 1.0);
-            let _ = sparse.forward(&x, Mode::Train);
-            let _ = dense.forward(&x, Mode::Train);
-            let gxs = sparse.backward(&go);
-            let gxd = dense.backward(&go);
+            let _ = sparse.fwd(&x, Mode::Train);
+            let _ = dense.fwd(&x, Mode::Train);
+            let gxs = sparse.bwd(&go);
+            let gxd = dense.bwd(&go);
             // Input gradients agree exactly (pruned weights are zero either way).
             assert_close(gxs.data(), gxd.data(), 1e-4);
             // Weight gradients agree at mask-alive coordinates and are zero at
@@ -1951,18 +1749,17 @@ mod tests {
             let mut sparse = Linear::new(&mut rng, in_dim, out_dim, true, "fc");
             mask(&mut sparse.w);
             let mut dense = sparse.clone();
-            sparse.set_sparse_crossover(1.0);
-            dense.set_sparse_crossover(0.0);
+            dense.w.mask_bits = None;
             let x = ft_tensor::normal(&mut rng, &[8, in_dim], 0.0, 1.0);
-            let ys = sparse.forward(&x, Mode::Train);
-            let yd = dense.forward(&x, Mode::Train);
+            let ys = sparse.fwd(&x, Mode::Train);
+            let yd = dense.fwd(&x, Mode::Train);
             assert_close(ys.data(), yd.data(), 1e-5);
             // One MAC per alive coordinate and sample.
             let nnz = sparse.w.mask_alive;
             assert_eq!(sparse.realized_flops(), 2.0 * (8 * nnz) as f64);
             let go = ft_tensor::normal(&mut rng, &[8, out_dim], 0.0, 1.0);
-            let gxs = sparse.backward(&go);
-            let gxd = dense.backward(&go);
+            let gxs = sparse.bwd(&go);
+            let gxd = dense.bwd(&go);
             assert_close(gxs.data(), gxd.data(), 1e-4);
             assert_close(sparse.b.grad.data(), dense.b.grad.data(), 1e-4);
             let bits = sparse.w.mask_bits.clone().expect("mask recorded");
@@ -1977,51 +1774,37 @@ mod tests {
         }
     }
 
+    /// The one dispatch rule: a weighted layer runs sparse exactly when its
+    /// weight carries a mask record at density ≤ `DEFAULT_SPARSE_CROSSOVER`.
+    /// A cleared record runs dense and yields a gradient at every coordinate
+    /// — even for a fully pruned layer, whose record would run sparse —
+    /// which is what the grow-scoring probes rely on.
     #[test]
-    fn dispatch_respects_crossover_and_density() {
-        let mut rng = rng();
-        let mut l = Linear::new(&mut rng, 20, 10, true, "fc");
-        let x = Tensor::ones(&[1, 20]);
-        // Unmasked: dense (full MAC count).
-        let _ = l.forward(&x, Mode::Train);
-        assert_eq!(l.realized_flops(), 2.0 * 200.0);
-        // Masked at density 0.5 with default crossover 0.5: sparse.
-        l.reset_realized_flops();
-        mask_param(&mut l.w, 2);
-        let _ = l.forward(&x, Mode::Train);
-        assert_eq!(l.realized_flops(), 2.0 * 100.0);
-        // Crossover 0 forces dense again.
-        l.reset_realized_flops();
-        l.set_sparse_crossover(0.0);
-        let _ = l.forward(&x, Mode::Train);
-        assert_eq!(l.realized_flops(), 2.0 * 200.0);
-    }
-
-    #[test]
-    fn crossover_zero_forces_dense_even_when_fully_pruned() {
-        // A zero-density layer must still take the dense path under
-        // crossover 0.0 — the grow-scoring probes depend on dense weight
-        // gradients to revive fully-pruned layers.
-        let mut rng = rng();
-        let mut l = Linear::new(&mut rng, 6, 4, true, "fc");
-        let bits = vec![false; l.w.len()];
-        for v in l.w.data.data_mut().iter_mut() {
-            *v = 0.0;
+    fn dispatch_is_sparse_exactly_on_a_record_at_or_below_the_crossover() {
+        /// One step from zeroed gradients: the sparse plan's stored entries
+        /// (`None` on the dense path) and the realized FLOPs.
+        fn step(l: &mut Linear) -> (Option<usize>, f64) {
+            l.reset_realized_flops();
+            l.w.zero_grad();
+            let y = l.fwd(&Tensor::ones(&[2, 20]), Mode::Train);
+            let _ = l.bwd(&Tensor::ones(y.shape()));
+            (l.plan.as_ref().map(|p| p.csr.nnz()), l.realized_flops())
         }
-        l.w.note_mask(&bits);
-        l.set_sparse_crossover(0.0);
-        let x = Tensor::ones(&[2, 6]);
-        let _ = l.forward(&x, Mode::Train);
-        assert!(
-            l.plan.is_none(),
-            "crossover 0.0 must not build a sparse plan"
-        );
-        // Dense backward produces gradients at pruned coordinates.
-        let _ = l.backward(&Tensor::ones(&[2, 4]));
-        assert!(
-            l.w.grad.data().iter().any(|&g| g != 0.0),
-            "dense backward must produce pruned-coordinate gradients"
-        );
+        // Forward and backward: six MACs per stored weight and sample.
+        let dense = (None, 12.0 * 200.0);
+        let mut l = Linear::new(&mut rng(), 20, 10, true, "fc");
+        assert_eq!(step(&mut l), dense, "no record");
+        mask_param(&mut l.w, 4);
+        assert_eq!(step(&mut l), (Some(50), 12.0 * 50.0), "d = 0.25");
+        mask_param_rows(&mut l.w, 20, 5);
+        assert_eq!(step(&mut l), (Some(100), 12.0 * 100.0), "d = 0.5");
+        mask_param_rows(&mut l.w, 20, 6);
+        assert_eq!(step(&mut l), dense, "d = 0.6");
+        mask_param_rows(&mut l.w, 20, 0);
+        assert_eq!(step(&mut l), (Some(0), 0.0), "d = 0");
+        l.w.mask_bits = None;
+        assert_eq!(step(&mut l), dense, "cleared");
+        assert!(l.w.grad.data().iter().all(|&g| g != 0.0));
     }
 
     /// A whole layer stack produces bit-identical activations, gradients,
@@ -2032,12 +1815,12 @@ mod tests {
     fn parallel_runtime_is_bit_identical_through_layers() {
         // The 48×48 input is one sample per conv tile: five tiles a batch.
         let cases = [
-            ([3usize, 2, 8, 8], 1usize, 0.0f32),
-            ([3, 2, 8, 8], 4, 1.0),
-            ([5, 2, 48, 48], 1, 0.0),
-            ([5, 2, 48, 48], 4, 1.0),
+            ([3usize, 2, 8, 8], 1usize),
+            ([3, 2, 8, 8], 4),
+            ([5, 2, 48, 48], 1),
+            ([5, 2, 48, 48], 4),
         ];
-        for (x_shape, density_keep, crossover) in cases {
+        for (x_shape, density_keep) in cases {
             let mut rng = rng();
             let mut seq_stack = Sequential::new();
             seq_stack
@@ -2048,14 +1831,11 @@ mod tests {
                 .push(AnyLayer::GlobalAvg(GlobalAvgPool::new()))
                 .push(AnyLayer::Linear(Linear::new(&mut rng, 4, 3, true, "fc")));
             for l in &mut seq_stack.layers {
-                if density_keep > 1 {
-                    l.for_each_param_mut(&mut |p| {
-                        if p.prunable {
-                            mask_param(p, density_keep);
-                        }
-                    });
-                }
-                l.set_sparse_crossover(crossover);
+                l.for_each_param_mut(&mut |p| {
+                    if p.prunable && density_keep > 1 {
+                        mask_param(p, density_keep);
+                    }
+                });
             }
             let mut par_stack = seq_stack.clone();
             for l in &mut par_stack.layers {
@@ -2063,12 +1843,12 @@ mod tests {
             }
 
             let x = ft_tensor::normal(&mut rng, &x_shape, 0.0, 1.0);
-            let ys = seq_stack.forward(&x, Mode::Train);
-            let yp = par_stack.forward(&x, Mode::Train);
+            let ys = seq_stack.fwd(&x, Mode::Train);
+            let yp = par_stack.fwd(&x, Mode::Train);
             assert_eq!(ys.data(), yp.data(), "forward diverged");
             let g = ft_tensor::normal(&mut rng, &[x_shape[0], 3], 0.0, 1.0);
-            let gs = seq_stack.backward(&g);
-            let gp = par_stack.backward(&g);
+            let gs = seq_stack.bwd(&g);
+            let gp = par_stack.bwd(&g);
             assert_eq!(gs.data(), gp.data(), "input grads diverged");
             for (a, b) in seq_stack.layers.iter().zip(&par_stack.layers) {
                 let mut par_params = Vec::new();
@@ -2089,20 +1869,20 @@ mod tests {
         let mut l = Linear::new(&mut rng, 16, 8, true, "fc");
         mask_param(&mut l.w, 4);
         let x = Tensor::ones(&[2, 16]);
-        let _ = l.forward(&x, Mode::Train);
+        let _ = l.fwd(&x, Mode::Train);
         let epoch0 = l.plan.as_ref().expect("plan built").epoch;
         // An optimizer step within the epoch: structure kept, values re-gathered.
         for v in l.w.data.data_mut().iter_mut() {
             *v *= 2.0;
         }
-        let y = l.forward(&x, Mode::Train);
+        let y = l.fwd(&x, Mode::Train);
         assert_eq!(l.plan.as_ref().expect("plan kept").epoch, epoch0);
         let mut dense = l.clone();
-        dense.set_sparse_crossover(0.0);
-        assert_close(y.data(), dense.forward(&x, Mode::Train).data(), 1e-5);
+        dense.w.mask_bits = None;
+        assert_close(y.data(), dense.fwd(&x, Mode::Train).data(), 1e-5);
         // A new mask invalidates the structure.
         mask_param(&mut l.w, 2);
-        let _ = l.forward(&x, Mode::Train);
+        let _ = l.fwd(&x, Mode::Train);
         let plan = l.plan.as_ref().expect("plan rebuilt");
         assert_ne!(plan.epoch, epoch0);
         assert_eq!(plan.csr.nnz(), 16 * 8 / 2);
@@ -2135,8 +1915,8 @@ mod tests {
         let mut gw = Tensor::zeros(l.w.grad.shape());
         for i in 0..x.shape()[0] {
             l.w.zero_grad();
-            y.extend(bits(&l.forward(&sample(x, i), mode)));
-            gx.extend(bits(&l.backward(&sample(go, i))));
+            y.extend(bits(&l.fwd(&sample(x, i), mode)));
+            gx.extend(bits(&l.bwd(&sample(go, i))));
             gw.add_assign(&l.w.grad);
         }
         (y, gx, bits(&gw))
@@ -2170,10 +1950,8 @@ mod tests {
         let cr = in_c * kernel * kernel;
         let mut scattered = base.clone();
         mask_param(&mut scattered.w, 5);
-        scattered.set_sparse_crossover(1.0);
         let mut clustered = base.clone();
         mask_param_rows(&mut clustered.w, cr, 3);
-        clustered.set_sparse_crossover(1.0);
         vec![base, scattered, clustered]
     }
 
@@ -2207,8 +1985,8 @@ mod tests {
                         // the FT_THREADS pool (CI: 1 and 4).
                         let mut l = layer.clone();
                         l.set_runtime(Runtime::from_env().with_min_work(0));
-                        assert_eq!(bits(&l.forward(&x, mode)), y, "forward {tag}");
-                        assert_eq!(bits(&l.backward(&go)), gx, "gx {tag}");
+                        assert_eq!(bits(&l.fwd(&x, mode)), y, "forward {tag}");
+                        assert_eq!(bits(&l.bwd(&go)), gx, "gx {tag}");
                         assert_eq!(bits(&l.w.grad), gw, "w.grad {tag}");
                     }
                 }
@@ -2236,8 +2014,8 @@ mod tests {
                 let go = ft_tensor::normal(&mut rng, &[n, 8, 12, 12], 0.0, 1.0);
                 let (y, gx, gw) = per_sample_oracle(&layer, &x, &go, Mode::Train);
                 l.w.zero_grad();
-                assert_eq!(bits(&l.forward(&x, Mode::Train)), y, "forward n={n}");
-                assert_eq!(bits(&l.backward(&go)), gx, "gx n={n}");
+                assert_eq!(bits(&l.fwd(&x, Mode::Train)), y, "forward n={n}");
+                assert_eq!(bits(&l.bwd(&go)), gx, "gx n={n}");
                 assert_eq!(bits(&l.w.grad), gw, "w.grad n={n}");
                 let padded = in_c * (side + 2 * pad) * (side + 2 * pad);
                 let kept = l.scratch.bufs.kept_input_len();
@@ -2266,13 +2044,9 @@ mod tests {
                 let go = Tensor::ones(&[11, 8, 12, 12]);
                 let (mut train, mut eval) = (layer.clone(), layer);
                 let tag = format!("k{kernel} s{stride} variant {v}");
-                let y = train.forward(&x, Mode::Train);
-                assert_eq!(bits(&eval.forward(&x, Mode::Eval)), bits(&y), "{tag}");
-                assert_eq!(
-                    bits(&eval.backward(&go)),
-                    bits(&train.backward(&go)),
-                    "{tag}"
-                );
+                let y = train.fwd(&x, Mode::Train);
+                assert_eq!(bits(&eval.fwd(&x, Mode::Eval)), bits(&y), "{tag}");
+                assert_eq!(bits(&eval.bwd(&go)), bits(&train.bwd(&go)), "{tag}");
                 assert_eq!(bits(&eval.w.grad), bits(&train.w.grad), "{tag}");
                 assert_eq!(eval.realized_flops(), train.realized_flops(), "{tag}");
             }
@@ -2367,11 +2141,11 @@ mod tests {
                     let go = ft_tensor::normal(&mut rng, &[n, 8, out_side, out_side], 0.0, 1.0);
                     let (y, gx, gw, flops) = csr_tile_loop_oracle(&l, &x, &go, want_gx);
                     l.reset_realized_flops();
-                    assert_eq!(bits(&l.forward(&x, Mode::Train)), bits(&y), "forward {tag}");
+                    assert_eq!(bits(&l.fwd(&x, Mode::Train)), bits(&y), "forward {tag}");
                     let index = l.plan.as_ref().and_then(|p| p.conv_index.as_ref());
                     assert_eq!(index.expect("sparse path").geom().in_h, side, "index {tag}");
                     match gx {
-                        Some(gx) => assert_eq!(bits(&l.backward(&go)), bits(&gx), "gx {tag}"),
+                        Some(gx) => assert_eq!(bits(&l.bwd(&go)), bits(&gx), "gx {tag}"),
                         None => l.backward_params_only(&go),
                     }
                     assert_eq!(bits(&l.w.grad), bits(&gw), "w.grad {tag}");
@@ -2387,16 +2161,16 @@ mod tests {
     fn scratch_is_not_cloned_and_the_forward_cache_is_cleared() {
         let mut conv = tile_variants(4, 3, 1, 1).remove(1);
         let x = ft_tensor::normal(&mut rng(), &[9, 4, 6, 6], 0.0, 1.0);
-        let y = conv.forward(&x, Mode::Train);
+        let y = conv.fwd(&x, Mode::Train);
         let fresh = conv.clone();
         assert!(fresh.cache.is_none());
         assert_eq!(fresh.scratch_len(), 0);
         assert!(fresh.plan.is_some(), "the plan is structure, not scratch");
         let mut bn = BatchNorm2d::new(8, "bn");
-        let _ = bn.forward(&y, Mode::Train);
+        let _ = bn.fwd(&y, Mode::Train);
         assert!(bn.clone().cache.is_none() && bn.clone().scratch.xhat.numel() == 0);
         let mut relu = Relu::new();
-        let _ = relu.forward(&y, Mode::Train);
+        let _ = relu.fwd(&y, Mode::Train);
         assert!(!relu.clone().primed && relu.clone().mask.is_empty());
     }
 
@@ -2407,7 +2181,7 @@ mod tests {
     fn scratch_free_clone_refuses_backward_before_its_own_forward() {
         let mut conv = tile_variants(4, 3, 1, 1).remove(1);
         let x = ft_tensor::normal(&mut rng(), &[9, 4, 6, 6], 0.0, 1.0);
-        let y = conv.forward(&x, Mode::Train);
-        let _ = conv.clone().backward(&y);
+        let y = conv.fwd(&x, Mode::Train);
+        let _ = conv.clone().bwd(&y);
     }
 }

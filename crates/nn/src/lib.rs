@@ -18,6 +18,12 @@
 //!   parameters, no gradients).
 //! - [`loss::softmax_cross_entropy`] and [`optim::SgdConfig`].
 //!
+//! Every layer runs one way: its passes write into caller-owned tensors
+//! (`forward_into` / `backward_into`; [`Model::forward`] is the one
+//! allocating convenience), and a `Conv2d` / `Linear` runs on the sparse
+//! kernels exactly when its weight's mask record is at density ≤
+//! [`DEFAULT_SPARSE_CROSSOVER`].
+//!
 //! # Examples
 //!
 //! ```

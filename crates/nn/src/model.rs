@@ -66,16 +66,19 @@ pub struct ArchInfo {
 ///
 /// The federated simulator, the pruning baselines, and FedTiny itself only
 /// interact with models through this trait, so adding a new architecture
-/// means implementing exactly its nine required methods:
-/// [`Model::forward_into`], [`Model::backward`], [`Model::backward_scratch`],
+/// means implementing exactly its eight required methods:
+/// [`Model::forward_into`], [`Model::backward_scratch`],
 /// [`Model::backward_down_to`], [`Model::for_each_layer`],
 /// [`Model::for_each_layer_mut`], [`Model::clone_model`], [`Model::arch`]
-/// and [`Model::block_partition`].
+/// and [`Model::block_partition`]. No pass returns the network's input
+/// gradient: no caller reads it.
 ///
 /// Everything that only walks the layers — parameters, BatchNorm statistics
-/// and momentum, the sparse crossover, the kernel runtime, realized FLOPs —
-/// is a provided method over the two layer visitors and [`AnyLayer`]'s
-/// per-kind dispatch, so a new per-layer question is one provided method.
+/// and momentum, the kernel runtime, realized FLOPs — is a provided method
+/// over the two layer visitors and [`AnyLayer`]'s per-kind dispatch, so a
+/// new per-layer question is one provided method. Which kernels a weighted
+/// layer runs is not a model setting: its weight's mask record decides (see
+/// [`crate::DEFAULT_SPARSE_CROSSOVER`]).
 pub trait Model: Send + Sync {
     /// Forward pass into a caller-owned logits tensor `[n, classes]`,
     /// through the model's internal scratch arenas: allocation-free at
@@ -89,18 +92,15 @@ pub trait Model: Send + Sync {
         out
     }
 
-    /// Backward pass from the logits gradient, all the way to the input;
-    /// accumulates into [`Param::grad`].
-    fn backward(&mut self, grad_logits: &Tensor);
-
-    /// Backward pass that discards the input gradient — what a training step
-    /// runs. Parameter gradients are those of [`Model::backward`].
+    /// Backward pass from the logits gradient through every layer,
+    /// accumulating into [`Param::grad`] and discarding the input gradient
+    /// — what a training step and the server-side scoring probes run.
     fn backward_scratch(&mut self, grad_logits: &Tensor);
 
     /// Backward pass that stops once the layer holding prunable weight
     /// number `shallowest_prunable` (a mask-layer index) has its gradient:
     /// every parameter at or above the stopping point receives exactly the
-    /// gradient [`Model::backward`] gives it, bit for bit; parameters
+    /// gradient [`Model::backward_scratch`] gives it, bit for bit; parameters
     /// beneath it are left untouched. For a pass that reads gradients of
     /// a few layers near the output only (FedTiny's progressive adjustment
     /// reads one block's). The stacked models stop at the layer itself,
@@ -196,24 +196,6 @@ pub trait Model: Send + Sync {
     /// Partition of *prunable layer indices* into the blocks progressive
     /// pruning iterates over (Fig. 2 of the paper: 5 blocks).
     fn block_partition(&self) -> Vec<Vec<usize>>;
-
-    /// Sets the density crossover below which weighted layers execute on the
-    /// sparse engine instead of the dense one. `0.0` forces the dense path
-    /// in *every* layer — what a server-side scoring pass on a clone needs
-    /// when it reads gradients of *pruned* coordinates across the whole
-    /// model (the at-init probes), because the sparse backward only produces
-    /// mask-alive weight gradients. A device-side pass that reads them in
-    /// some layers (the grow/prune probe FedTiny, FedDST and PruneFL share)
-    /// takes just those layers off the sparse path instead, by clearing
-    /// their [`Param::mask_bits`] on a model it borrowed from `ft-fl`'s
-    /// device-model pool. `1.0` forces the sparse path for every masked
-    /// layer. Layers start at [`crate::layer::DEFAULT_SPARSE_CROSSOVER`].
-    ///
-    /// The crossover has no getter and the pool does not put it back: call
-    /// this on a model you own (a clone), never on a borrowed one.
-    fn set_sparse_crossover(&mut self, crossover: f32) {
-        self.for_each_layer_mut(&mut |l| l.set_sparse_crossover(crossover));
-    }
 
     /// Hands every kernel-bearing layer the parallel
     /// [`Runtime`](ft_runtime::Runtime) its convolution / GEMM / pooling
@@ -338,7 +320,8 @@ pub fn sparse_layout(model: &dyn Model) -> SparseLayout {
 /// Also records the mask on each prunable [`Param`] (bits, density, and a
 /// bumped epoch), which is what arms the sparse execution dispatch in
 /// `Conv2d` / `Linear`: from the next forward pass on, layers whose density
-/// is at or below their crossover run on the CSR kernels.
+/// is at or below [`crate::DEFAULT_SPARSE_CROSSOVER`] run on the CSR
+/// kernels.
 ///
 /// # Panics
 ///

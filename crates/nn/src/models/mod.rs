@@ -26,10 +26,6 @@ macro_rules! impl_stacked_model {
                 self.seq.forward_into(x, out, mode);
             }
 
-            fn backward(&mut self, grad_logits: &ft_tensor::Tensor) {
-                let _ = self.seq.backward(grad_logits);
-            }
-
             fn backward_scratch(&mut self, grad_logits: &ft_tensor::Tensor) {
                 self.seq.backward_discard_input(grad_logits);
             }
@@ -101,8 +97,8 @@ mod tests {
     /// For every unit of `block_partition()`, dense and with the rest of the
     /// model on its sparse plan (the pruning probe's set-up: the unit's own
     /// mask records cleared): `backward_down_to` the unit's shallowest layer
-    /// gives every parameter from that layer up the bits `backward` gives
-    /// it, and leaves every gradient beneath the stopping point zero — the
+    /// gives every parameter from that layer up the bits `backward_scratch`
+    /// gives it, and leaves every gradient beneath the stopping point zero — the
     /// layer itself in a stacked model, the start of its residual block in
     /// ResNet18.
     #[test]
@@ -147,7 +143,7 @@ mod tests {
 
                 let logits = full.forward(&x, Mode::Train);
                 let (_, grad) = softmax_cross_entropy(&logits, &labels);
-                full.backward(&grad);
+                full.backward_scratch(&grad);
                 let _ = short.forward(&x, Mode::Train);
                 short.backward_down_to(&grad, stop);
 

@@ -303,10 +303,6 @@ impl ResNet18 {
 }
 
 impl Model for ResNet18 {
-    fn backward(&mut self, grad_logits: &Tensor) {
-        self.backward_scratch(grad_logits);
-    }
-
     fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
         let ResScratch { ping, pong, tmp } = &mut self.scratch;
         self.stem_conv.forward_into(x, ping, mode);
@@ -377,7 +373,7 @@ impl Model for ResNet18 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::BnStats;
+    use crate::layer::{BnStats, Fresh};
     use crate::model::sparse_layout;
     use crate::param::Param;
     use rand::SeedableRng;
@@ -398,33 +394,33 @@ mod tests {
     /// tensor per layer, `x.clone()` for the identity shortcut and
     /// `Tensor::add` for the residual sum. Kept as the oracle.
     fn oracle_block_forward(b: &mut BasicBlock, x: &Tensor, mode: Mode) -> Tensor {
-        let mut main = b.conv1.forward(x, mode);
-        main = b.bn1.forward(&main, mode);
-        main = b.relu1.forward(&main, mode);
-        main = b.conv2.forward(&main, mode);
-        main = b.bn2.forward(&main, mode);
+        let mut main = b.conv1.fwd(x, mode);
+        main = b.bn1.fwd(&main, mode);
+        main = b.relu1.fwd(&main, mode);
+        main = b.conv2.fwd(&main, mode);
+        main = b.bn2.fwd(&main, mode);
         let short = match &mut b.down {
             Some((conv, bn)) => {
-                let s = conv.forward(x, mode);
-                bn.forward(&s, mode)
+                let s = conv.fwd(x, mode);
+                bn.fwd(&s, mode)
             }
             None => x.clone(),
         };
         let sum = main.add(&short);
-        b.relu_out.forward(&sum, mode)
+        b.relu_out.fwd(&sum, mode)
     }
 
     fn oracle_block_backward(b: &mut BasicBlock, grad: &Tensor) -> Tensor {
-        let g_sum = b.relu_out.backward(grad);
-        let mut g_main = b.bn2.backward(&g_sum);
-        g_main = b.conv2.backward(&g_main);
-        g_main = b.relu1.backward(&g_main);
-        g_main = b.bn1.backward(&g_main);
-        let gx_main = b.conv1.backward(&g_main);
+        let g_sum = b.relu_out.bwd(grad);
+        let mut g_main = b.bn2.bwd(&g_sum);
+        g_main = b.conv2.bwd(&g_main);
+        g_main = b.relu1.bwd(&g_main);
+        g_main = b.bn1.bwd(&g_main);
+        let gx_main = b.conv1.bwd(&g_main);
         let gx_short = match &mut b.down {
             Some((conv, bn)) => {
-                let g = bn.backward(&g_sum);
-                conv.backward(&g)
+                let g = bn.bwd(&g_sum);
+                conv.bwd(&g)
             }
             None => g_sum,
         };
@@ -432,25 +428,25 @@ mod tests {
     }
 
     fn oracle_forward(m: &mut ResNet18, x: &Tensor, mode: Mode) -> Tensor {
-        let mut h = m.stem_conv.forward(x, mode);
-        h = m.stem_bn.forward(&h, mode);
-        h = m.stem_relu.forward(&h, mode);
+        let mut h = m.stem_conv.fwd(x, mode);
+        h = m.stem_bn.fwd(&h, mode);
+        h = m.stem_relu.fwd(&h, mode);
         for block in &mut m.stages {
             h = oracle_block_forward(block, &h, mode);
         }
-        let pooled = m.gap.forward(&h, mode);
-        m.fc.forward(&pooled, mode)
+        let pooled = m.gap.fwd(&h, mode);
+        m.fc.fwd(&pooled, mode)
     }
 
     fn oracle_backward(m: &mut ResNet18, grad_logits: &Tensor) {
-        let mut g = m.fc.backward(grad_logits);
-        g = m.gap.backward(&g);
+        let mut g = m.fc.bwd(grad_logits);
+        g = m.gap.bwd(&g);
         for block in m.stages.iter_mut().rev() {
             g = oracle_block_backward(block, &g);
         }
-        g = m.stem_relu.backward(&g);
-        g = m.stem_bn.backward(&g);
-        let _ = m.stem_conv.backward(&g);
+        g = m.stem_relu.bwd(&g);
+        g = m.stem_bn.bwd(&g);
+        let _ = m.stem_conv.bwd(&g);
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -583,7 +579,7 @@ mod tests {
         let x = Tensor::zeros(&[2, 3, 8, 8]);
         let y = m.forward(&x, Mode::Train);
         assert_eq!(y.shape(), &[2, 10]);
-        m.backward(&Tensor::ones(y.shape()));
+        m.backward_scratch(&Tensor::ones(y.shape()));
         assert!(m.params().iter().any(|p| p.grad.max_abs() > 0.0));
     }
 
@@ -637,7 +633,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let x = ft_tensor::normal(&mut rng, &[2, 3, 8, 8], 0.0, 1.0);
         let y = m.forward(&x, Mode::Train);
-        m.backward(&Tensor::ones(y.shape()));
+        m.backward_scratch(&Tensor::ones(y.shape()));
         assert!(
             conv(&m.stem_conv).w.grad.max_abs() > 0.0,
             "residual paths must reach the stem"

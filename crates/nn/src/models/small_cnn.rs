@@ -155,7 +155,7 @@ mod tests {
         let mut m = model();
         let x = Tensor::ones(&[2, 3, 8, 8]);
         let y = m.forward(&x, Mode::Train);
-        m.backward(&Tensor::ones(y.shape()));
+        m.backward_scratch(&Tensor::ones(y.shape()));
         let total_grad: f32 = m.params().iter().map(|p| p.grad.max_abs()).sum();
         assert!(total_grad > 0.0);
     }

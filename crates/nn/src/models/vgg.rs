@@ -179,7 +179,7 @@ mod tests {
         let x = Tensor::zeros(&[2, 3, 16, 16]);
         let y = m.forward(&x, Mode::Train);
         assert_eq!(y.shape(), &[2, 10]);
-        m.backward(&Tensor::ones(y.shape()));
+        m.backward_scratch(&Tensor::ones(y.shape()));
     }
 
     #[test]

@@ -111,14 +111,14 @@ mod tests {
         });
         let logits = model.forward(&x, Mode::Train);
         let (loss0, grad) = softmax_cross_entropy(&logits, &y);
-        model.backward(&grad);
+        model.backward_scratch(&grad);
         opt.step(&mut model, None);
         model.zero_grad();
         let mut last = loss0;
         for _ in 0..10 {
             let logits = model.forward(&x, Mode::Train);
             let (loss, grad) = softmax_cross_entropy(&logits, &y);
-            model.backward(&grad);
+            model.backward_scratch(&grad);
             opt.step(&mut model, None);
             model.zero_grad();
             last = loss;
@@ -143,7 +143,7 @@ mod tests {
         for _ in 0..3 {
             let logits = model.forward(&x, Mode::Train);
             let (_, grad) = softmax_cross_entropy(&logits, &y);
-            model.backward(&grad);
+            model.backward_scratch(&grad);
             opt.step(&mut model, Some(&mask));
             model.zero_grad();
         }

@@ -18,7 +18,8 @@
 //! game, across dense and sparse (CSR-dispatched) weights and 1- vs
 //! 4-thread runtimes.
 
-use ft_nn::{Conv2d, Linear, Mode, Relu, Runtime};
+use ft_nn::{Conv2d, Linear, Mode, Param, Relu, Runtime};
+use ft_tensor::Tensor;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -28,33 +29,50 @@ fn rand_vec(rng: &mut ChaCha8Rng, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
 }
 
-/// Masks roughly 70% of the weight away (keeping at least one alive) and
-/// forces the sparse dispatch by lifting the crossover to 1.0.
-fn sparsify_conv(layer: &mut Conv2d, rng: &mut ChaCha8Rng) {
-    let n = layer.w.len();
+/// Masks roughly 70% of the weight away and records the mask, keeping at
+/// most half of it alive so the layer dispatches sparse, and at least one
+/// weight where that fits.
+fn sparsify(w: &mut Param, rng: &mut ChaCha8Rng) {
+    let n = w.len();
     let mut bits: Vec<bool> = (0..n).map(|_| rng.gen_range(0.0f32..1.0) < 0.3).collect();
-    bits[0] = true;
-    for (v, &b) in layer.w.data.data_mut().iter_mut().zip(bits.iter()) {
+    bits[0] = n > 1;
+    let excess = bits.iter().filter(|&&b| b).count().saturating_sub(n / 2);
+    for b in bits.iter_mut().rev().filter(|b| **b).take(excess) {
+        *b = false;
+    }
+    for (v, &b) in w.data.data_mut().iter_mut().zip(bits.iter()) {
         if !b {
             *v = 0.0;
         }
     }
-    layer.w.note_mask(&bits);
-    layer.set_sparse_crossover(1.0);
+    w.note_mask(&bits);
 }
 
-fn sparsify_linear(layer: &mut Linear, rng: &mut ChaCha8Rng) {
-    let n = layer.w.len();
-    let mut bits: Vec<bool> = (0..n).map(|_| rng.gen_range(0.0f32..1.0) < 0.3).collect();
-    bits[0] = true;
-    for (v, &b) in layer.w.data.data_mut().iter_mut().zip(bits.iter()) {
-        if !b {
-            *v = 0.0;
-        }
-    }
-    layer.w.note_mask(&bits);
-    layer.set_sparse_crossover(1.0);
+/// The layers' passes into fresh tensors.
+trait Fresh {
+    fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor;
+    fn bwd(&mut self, grad: &Tensor) -> Tensor;
 }
+
+macro_rules! impl_fresh {
+    ($($layer:ty),*) => {$(
+        impl Fresh for $layer {
+            fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+                let mut out = Tensor::default();
+                self.forward_into(x, &mut out, mode);
+                out
+            }
+
+            fn bwd(&mut self, grad: &Tensor) -> Tensor {
+                let mut gx = Tensor::default();
+                self.backward_into(grad, &mut gx);
+                gx
+            }
+        }
+    )*};
+}
+
+impl_fresh!(Conv2d, Linear, Relu);
 
 /// Batch sizes exercised: the degenerate single sample, the smallest true
 /// batch, and one that is not a multiple of any blocking factor.
@@ -92,32 +110,32 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut batched = Conv2d::new(&mut rng, in_c, out_c, kernel, stride, pad, true, "c");
         if sparse == 1 {
-            sparsify_conv(&mut batched, &mut rng);
+            sparsify(&mut batched.w, &mut rng);
         }
         let mut per_sample = batched.clone();
         let mut threaded = batched.clone();
         threaded.set_runtime(Runtime::exact(4));
         let mut fused_eval = batched.clone();
 
-        let x = ft_tensor::Tensor::from_vec(
+        let x = Tensor::from_vec(
             rand_vec(&mut rng, n * in_c * h * w),
             &[n, in_c, h, w],
         );
-        let out = batched.forward(&x, Mode::Train);
-        let go = ft_tensor::Tensor::from_vec(
+        let out = batched.fwd(&x, Mode::Train);
+        let go = Tensor::from_vec(
             rand_vec(&mut rng, out.numel()),
             out.shape(),
         );
-        let gx = batched.backward(&go);
+        let gx = batched.bwd(&go);
 
         // The fused implicit-GEMM eval path reads the same packed values in
         // the same kernel order as the materialized train path.
-        let out_eval = fused_eval.forward(&x, Mode::Eval);
+        let out_eval = fused_eval.fwd(&x, Mode::Eval);
         prop_assert_eq!(out_eval.data(), out.data());
 
         // 4 worker threads must be byte-identical to sequential.
-        let out_t = threaded.forward(&x, Mode::Train);
-        let gx_t = threaded.backward(&go);
+        let out_t = threaded.fwd(&x, Mode::Train);
+        let gx_t = threaded.bwd(&go);
         prop_assert_eq!(out_t.data(), out.data());
         prop_assert_eq!(gx_t.data(), gx.data());
         prop_assert_eq!(threaded.w.grad.data(), batched.w.grad.data());
@@ -127,17 +145,17 @@ proptest! {
         let sample_in = in_c * h * w;
         let sample_out = out.numel() / n;
         for i in 0..n {
-            let xi = ft_tensor::Tensor::from_vec(
+            let xi = Tensor::from_vec(
                 x.data()[i * sample_in..(i + 1) * sample_in].to_vec(),
                 &[1, in_c, h, w],
             );
-            let oi = per_sample.forward(&xi, Mode::Train);
+            let oi = per_sample.fwd(&xi, Mode::Train);
             prop_assert_eq!(oi.data(), &out.data()[i * sample_out..(i + 1) * sample_out]);
-            let goi = ft_tensor::Tensor::from_vec(
+            let goi = Tensor::from_vec(
                 go.data()[i * sample_out..(i + 1) * sample_out].to_vec(),
                 oi.shape(),
             );
-            let gi = per_sample.backward(&goi);
+            let gi = per_sample.bwd(&goi);
             prop_assert_eq!(gi.data(), &gx.data()[i * sample_in..(i + 1) * sample_in]);
         }
         prop_assert_eq!(per_sample.w.grad.data(), batched.w.grad.data());
@@ -154,36 +172,36 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut batched = Linear::new(&mut rng, in_dim, out_dim, true, "fc");
         if sparse == 1 {
-            sparsify_linear(&mut batched, &mut rng);
+            sparsify(&mut batched.w, &mut rng);
         }
         let mut per_sample = batched.clone();
         let mut threaded = batched.clone();
         threaded.set_runtime(Runtime::exact(4));
 
-        let x = ft_tensor::Tensor::from_vec(rand_vec(&mut rng, n * in_dim), &[n, in_dim]);
-        let out = batched.forward(&x, Mode::Train);
-        let go = ft_tensor::Tensor::from_vec(rand_vec(&mut rng, out.numel()), out.shape());
-        let gx = batched.backward(&go);
+        let x = Tensor::from_vec(rand_vec(&mut rng, n * in_dim), &[n, in_dim]);
+        let out = batched.fwd(&x, Mode::Train);
+        let go = Tensor::from_vec(rand_vec(&mut rng, out.numel()), out.shape());
+        let gx = batched.bwd(&go);
 
-        let out_t = threaded.forward(&x, Mode::Train);
-        let gx_t = threaded.backward(&go);
+        let out_t = threaded.fwd(&x, Mode::Train);
+        let gx_t = threaded.bwd(&go);
         prop_assert_eq!(out_t.data(), out.data());
         prop_assert_eq!(gx_t.data(), gx.data());
         prop_assert_eq!(threaded.w.grad.data(), batched.w.grad.data());
         prop_assert_eq!(threaded.b.grad.data(), batched.b.grad.data());
 
         for i in 0..n {
-            let xi = ft_tensor::Tensor::from_vec(
+            let xi = Tensor::from_vec(
                 x.data()[i * in_dim..(i + 1) * in_dim].to_vec(),
                 &[1, in_dim],
             );
-            let oi = per_sample.forward(&xi, Mode::Train);
+            let oi = per_sample.fwd(&xi, Mode::Train);
             prop_assert_eq!(oi.data(), &out.data()[i * out_dim..(i + 1) * out_dim]);
-            let goi = ft_tensor::Tensor::from_vec(
+            let goi = Tensor::from_vec(
                 go.data()[i * out_dim..(i + 1) * out_dim].to_vec(),
                 &[1, out_dim],
             );
-            let gi = per_sample.backward(&goi);
+            let gi = per_sample.bwd(&goi);
             prop_assert_eq!(gi.data(), &gx.data()[i * in_dim..(i + 1) * in_dim]);
         }
         // The retired engine already fed Linear whole batches, so batched dW
@@ -206,22 +224,22 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut batched = Relu::new();
         let mut per_sample = Relu::new();
-        let x = ft_tensor::Tensor::from_vec(rand_vec(&mut rng, n * len), &[n, len]);
-        let out = batched.forward(&x, Mode::Train);
-        let go = ft_tensor::Tensor::from_vec(rand_vec(&mut rng, out.numel()), out.shape());
-        let gx = batched.backward(&go);
+        let x = Tensor::from_vec(rand_vec(&mut rng, n * len), &[n, len]);
+        let out = batched.fwd(&x, Mode::Train);
+        let go = Tensor::from_vec(rand_vec(&mut rng, out.numel()), out.shape());
+        let gx = batched.bwd(&go);
         for i in 0..n {
-            let xi = ft_tensor::Tensor::from_vec(
+            let xi = Tensor::from_vec(
                 x.data()[i * len..(i + 1) * len].to_vec(),
                 &[1, len],
             );
-            let oi = per_sample.forward(&xi, Mode::Train);
+            let oi = per_sample.fwd(&xi, Mode::Train);
             prop_assert_eq!(oi.data(), &out.data()[i * len..(i + 1) * len]);
-            let goi = ft_tensor::Tensor::from_vec(
+            let goi = Tensor::from_vec(
                 go.data()[i * len..(i + 1) * len].to_vec(),
                 &[1, len],
             );
-            let gi = per_sample.backward(&goi);
+            let gi = per_sample.bwd(&goi);
             prop_assert_eq!(gi.data(), &gx.data()[i * len..(i + 1) * len]);
         }
     }

@@ -52,7 +52,7 @@ pub fn snip_mask(model: &dyn Model, public: &Dataset, d_target: f32, steps: usiz
         let (x, y) = public.full_batch();
         let logits = probe.forward(&x, Mode::Train);
         let (_, grad) = softmax_cross_entropy(&logits, &y);
-        probe.backward(&grad);
+        probe.backward_scratch(&grad);
         let scores = saliency_scores(probe.as_ref(), &mask);
         mask = global_topk_mask(&layout, &scores, keep_of(&layout, d_step));
     }
@@ -94,7 +94,7 @@ pub fn synflow_mask(model: &dyn Model, d_target: f32, steps: usize) -> Mask {
         let ones = Tensor::ones(&[1, c, h, w]);
         let logits = probe.forward(&ones, Mode::Eval);
         // R = Σ logits ⇒ grad_logits = 1.
-        probe.backward(&Tensor::ones(logits.shape()));
+        probe.backward_scratch(&Tensor::ones(logits.shape()));
         let scores = saliency_scores(probe.as_ref(), &mask);
         mask = global_topk_mask(&layout, &scores, keep_of(&layout, d_step));
     }
@@ -123,7 +123,7 @@ pub fn grasp_mask(model: &dyn Model, public: &Dataset, d_target: f32) -> Mask {
     let mut probe1 = model.clone_model();
     let logits = probe1.forward(&x, Mode::Train);
     let (_, grad) = softmax_cross_entropy(&logits, &y);
-    probe1.backward(&grad);
+    probe1.backward_scratch(&grad);
     let g1: Vec<Vec<f32>> = probe1
         .params()
         .iter()
@@ -152,7 +152,7 @@ pub fn grasp_mask(model: &dyn Model, public: &Dataset, d_target: f32) -> Mask {
     }
     let logits = probe2.forward(&x, Mode::Train);
     let (_, grad) = softmax_cross_entropy(&logits, &y);
-    probe2.backward(&grad);
+    probe2.backward_scratch(&grad);
 
     // Keep the lowest s_i = -w_i (Hg)_i, i.e. prune the largest: rank by the
     // negated score, w_i (Hg)_i, highest first.

@@ -122,13 +122,13 @@ fn server_saliency_mask(
     layout: &SparseLayout,
     density: f32,
 ) -> Mask {
+    // `model` carries no mask record yet, so every layer of the probe runs
+    // dense and yields the dense `g ⊙ w` scores saliency needs.
     let mut probe = model.clone_model();
-    // Saliency needs dense `g ⊙ w` scores; keep the probe off the sparse path.
-    probe.set_sparse_crossover(0.0);
     let (x, y) = env.server_public.full_batch();
     let logits = probe.forward(&x, Mode::Train);
     let (_, grad) = softmax_cross_entropy(&logits, &y);
-    probe.backward(&grad);
+    probe.backward_scratch(&grad);
     let pos = prunable_param_indices(probe.as_ref());
     let params = probe.params();
     let scores: Vec<f32> = (pos.iter())

@@ -27,7 +27,7 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
 fn step(model: &mut ResNet18, sgd: &mut Sgd, mask: Option<&Mask>, x: &Tensor, labels: &[usize]) {
     let logits = model.forward(x, Mode::Train);
     let (_, grad) = softmax_cross_entropy(&logits, labels);
-    model.backward(&grad);
+    model.backward_scratch(&grad);
     sgd.step(model, mask);
     model.zero_grad();
 }

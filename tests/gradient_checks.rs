@@ -25,7 +25,7 @@ fn check_model_gradients(model: &mut dyn Model, in_c: usize, size: usize, classe
     // its own tight per-layer check in ft-nn.
     let logits = model.forward(&x, Mode::Eval);
     let (_, grad) = softmax_cross_entropy(&logits, &y);
-    model.backward(&grad);
+    model.backward_scratch(&grad);
     let analytic: Vec<Vec<f32>> = model
         .params()
         .iter()
@@ -99,7 +99,7 @@ fn zero_grad_clears_every_accumulator() {
     let mut model = ResNet18::new(&mut rng, 0.125, 10, 3, 8);
     let x = normal(&mut rng, &[1, 3, 8, 8], 0.0, 1.0);
     let logits = model.forward(&x, Mode::Train);
-    model.backward(&Tensor::ones(logits.shape()));
+    model.backward_scratch(&Tensor::ones(logits.shape()));
     assert!(model.params().iter().any(|p| p.grad.max_abs() > 0.0));
     model.zero_grad();
     assert!(model.params().iter().all(|p| p.grad.max_abs() == 0.0));
@@ -134,7 +134,7 @@ fn gradients_accumulate_across_batches() {
     let run = |m: &mut SmallCnn| {
         let logits = m.forward(&x, Mode::Train);
         let (_, grad) = softmax_cross_entropy(&logits, &[0, 1]);
-        m.backward(&grad);
+        m.backward_scratch(&grad);
     };
     run(&mut model);
     let once = model.params()[0].grad.data().to_vec();

@@ -5,8 +5,9 @@
 //! shape, kind, prunable), every BatchNorm statistics length in
 //! `for_each_bn_stats` order, the BN momentum and kernel runtime the model
 //! reports after setting them, and the bits of `realized_flops()` after one
-//! training step of a masked copy on the sparse path (crossover 1.0) and on
-//! the dense path (crossover 0.0), then after a reset. Flat parameter
+//! training step of a masked copy on the sparse path (its mask records, at
+//! d = 0.3) and on the dense path (the records cleared), then after a
+//! reset. Flat parameter
 //! vectors, wire contexts and checkpoints all follow this order, so a walk
 //! that moves shows up here as a readable diff in
 //! `tests/golden/model_layout.txt`.
@@ -28,10 +29,13 @@ use std::fmt::Write;
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/model_layout.txt");
 
 /// Realized FLOPs of one `Train` forward plus `backward_scratch` on a copy
-/// of `masked` at the given sparse crossover.
-fn step_flops(masked: &dyn Model, crossover: f32, x: &Tensor) -> f64 {
+/// of `masked`, on the sparse path or, its mask records cleared, the dense
+/// one.
+fn step_flops(masked: &dyn Model, sparse: bool, x: &Tensor) -> f64 {
     let mut m = masked.clone_model();
-    m.set_sparse_crossover(crossover);
+    if !sparse {
+        m.for_each_param_mut(&mut |p| p.mask_bits = None);
+    }
     m.reset_realized_flops();
     let logits = m.forward(x, Mode::Train);
     m.backward_scratch(&Tensor::ones(logits.shape()));
@@ -76,14 +80,9 @@ fn render(model: &mut dyn Model, out: &mut String) {
     };
     apply_mask(model, &mask);
     let x = normal(&mut ChaCha8Rng::seed_from_u64(9), &[4, 3, 8, 8], 0.0, 1.0);
-    for crossover in [1.0f32, 0.0] {
-        let flops = step_flops(model, crossover, &x);
-        writeln!(
-            out,
-            "  realized_flops crossover={crossover:.1} {:016x}",
-            flops.to_bits()
-        )
-        .unwrap();
+    for (path, sparse) in [("sparse", true), ("dense", false)] {
+        let flops = step_flops(model, sparse, &x);
+        writeln!(out, "  realized_flops path={path} {:016x}", flops.to_bits()).unwrap();
     }
     let mut m = model.clone_model();
     let logits = m.forward(&x, Mode::Train);

@@ -1,6 +1,7 @@
 //! End-to-end checks of the sparse execution engine: the sparse path must
 //! produce the same numbers as the dense-masked path while executing
-//! measurably fewer FLOPs at low density.
+//! measurably fewer FLOPs at low density. The dense side is the same masked
+//! model with its mask records cleared.
 
 use fedtiny_suite::fedtiny::{run_fedtiny, FedTinyConfig};
 use fedtiny_suite::fl::ExperimentEnv;
@@ -35,8 +36,7 @@ fn sparse_forward_matches_dense_masked_forward() {
     // sparse forward agrees with the dense-masked forward within 1e-5.
     let (mut sparse, _) = masked_model(0.2, 7);
     let (mut dense, _) = masked_model(0.2, 7);
-    sparse.set_sparse_crossover(1.0);
-    dense.set_sparse_crossover(0.0);
+    dense.for_each_param_mut(&mut |p| p.mask_bits = None);
     let x = normal(
         &mut ChaCha8Rng::seed_from_u64(99),
         &[4, 3, 16, 16],
@@ -59,15 +59,14 @@ fn sparse_training_step_executes_fewer_flops() {
     // the dense MAC count (the prunable layers dominate this model).
     let (mut sparse, _) = masked_model(0.2, 11);
     let (mut dense, _) = masked_model(0.2, 11);
-    sparse.set_sparse_crossover(1.0);
-    dense.set_sparse_crossover(0.0);
+    dense.for_each_param_mut(&mut |p| p.mask_bits = None);
     let x = normal(&mut ChaCha8Rng::seed_from_u64(5), &[8, 3, 16, 16], 0.0, 1.0);
 
     for model in [&mut sparse, &mut dense] {
         model.reset_realized_flops();
         let y = model.forward(&x, Mode::Train);
         let gy = fedtiny_suite::tensor::Tensor::ones(y.shape());
-        model.backward(&gy);
+        model.backward_scratch(&gy);
     }
     let (s, d) = (sparse.realized_flops(), dense.realized_flops());
     assert!(s > 0.0 && d > 0.0);
@@ -83,8 +82,7 @@ fn sparse_and_dense_training_agree_after_a_step() {
     // together (alive weight gradients match; pruned coordinates stay 0).
     let (mut sparse, mask) = masked_model(0.2, 13);
     let (mut dense, _) = masked_model(0.2, 13);
-    sparse.set_sparse_crossover(1.0);
-    dense.set_sparse_crossover(0.0);
+    dense.for_each_param_mut(&mut |p| p.mask_bits = None);
     let x = normal(&mut ChaCha8Rng::seed_from_u64(3), &[4, 3, 16, 16], 0.0, 1.0);
     let labels: Vec<usize> = (0..4).map(|i| i % 10).collect();
 
@@ -97,7 +95,7 @@ fn sparse_and_dense_training_agree_after_a_step() {
         });
         let logits = model.forward(&x, Mode::Train);
         let (_, grad) = softmax_cross_entropy(&logits, &labels);
-        model.backward(&grad);
+        model.backward_scratch(&grad);
         sgd.step(model.as_mut(), Some(&mask));
         model.zero_grad();
     }
