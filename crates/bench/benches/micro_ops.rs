@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the numerical substrate: convolution
-//! forward/backward, the `O(k)` top-k buffer vs a full sort, masked SGD
-//! steps, and BN-adaptation forward passes. These back the DESIGN.md
-//! ablation "top-k buffer vs full sort". The last target writes the
+//! forward/backward, the `O(k)` top-k buffer vs a full sort (the ablation
+//! behind progressive pruning's `O(a)` device buffer), masked SGD steps, and
+//! BN-adaptation forward passes. The last target writes the
 //! persisted trajectory (`BENCH_micro_ops.json`) that `bench_check` gates:
 //! every record it holds times a kernel or a step the system runs, and every
 //! ratio a gate reads pairs two records of this one run.
@@ -18,10 +18,11 @@ use ft_runtime::Runtime;
 use ft_sparse::{
     magnitude_mask, uniform_density_vector, CsrMatrix, Mask, SparseLayout, TopKBuffer,
 };
-use ft_tensor::oracle::{col2im_ld, im2col_batched, matmul_nt_seg_into};
+use ft_tensor::oracle::{self, col2im_ld, im2col_batched, matmul_nt_seg_into};
 use ft_tensor::{
-    dconv_backward_rt, dconv_forward_rt, matmul_into, matmul_into_rt, matmul_tn_into_rt,
-    spconv_backward_rt, spconv_forward_rt, ConvBufs, ConvGeom, SpConvIndex, Tensor,
+    bn_backward, bn_batch_stats, bn_normalize, dconv_backward_rt, dconv_forward_rt, matmul_into,
+    matmul_into_rt, matmul_tn_into_rt, spconv_backward_rt, spconv_forward_rt, ConvBufs, ConvGeom,
+    SpConvIndex, Tensor,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -298,6 +299,19 @@ fn resnet_step_records(report: &mut BenchReport) {
     let ns = t.elapsed().as_nanos() as f64 / f64::from(steady_steps);
     let steady = (allocated_bytes() - before) as f64 / f64::from(steady_steps);
 
+    // The masked step alone, repeated on one backward pass's gradients — of
+    // a copy, which the repeated steps carry far from `model`'s weights.
+    let mut stepped = model.clone();
+    stepped.forward_into(&x, &mut logits, Mode::Train);
+    let _ = softmax_cross_entropy_into(&logits, &labels, &mut grad);
+    stepped.backward_scratch(&grad);
+    let step_ns = measure_ns(|| {
+        sgd.step(&mut stepped, Some(&mask));
+        black_box(&stepped);
+    });
+    report.push("masked_sgd_step", &shape, 0.05, 1, 1, step_ns, 0.0);
+    println!("masked_sgd_step {shape} d=0.05: {:.3} ms", step_ns / 1e6);
+
     report.push_count("resnet_step_first_alloc_bytes", &shape, 1, ns, first);
     report.push_count("resnet_step_steady_alloc_bytes", &shape, 1, ns, steady);
     println!(
@@ -528,6 +542,99 @@ fn dconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
     }
 }
 
+/// BatchNorm's Train forward (batch statistics, the inverse deviations,
+/// the normalising pass: `bn_fwd`) and its backward (`bn_bwd`) at the two
+/// stage shapes, single-thread, each timed alternately with the scalar loops
+/// it is pinned `to_bits`-equal to (`_oracle`, [`ft_tensor::oracle`];
+/// `bench_check` gates their sum per shape as g4).
+fn bn_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
+    let n = CONV_BATCH;
+    for (c, side) in [(16usize, 16usize), (128, 2)] {
+        let shape = format!("b{n}x{c}x{side}x{side}");
+        let plane = side * side;
+        let (x, dy) = (rand_dense(rng, n, c * plane), rand_dense(rng, n, c * plane));
+        let (gamma, beta) = (rand_dense(rng, 1, c), rand_dense(rng, 1, c));
+        let (gamma, beta) = (gamma.data(), beta.data());
+        // Each side's statistics, activations and gradients.
+        let fresh = || {
+            let per_channel = || vec![0.0f32; c];
+            let per_element = || vec![0.0f32; x.numel()];
+            (
+                [per_channel(), per_channel(), per_channel()],
+                [per_element(), per_element(), per_element()],
+                [per_channel(), per_channel()],
+            )
+        };
+        let ([mut mean, mut var, mut inv_std], [mut xhat, mut out, mut gx], [mut gg, mut gb]) =
+            fresh();
+        let (
+            [mut mean_o, mut var_o, mut inv_o],
+            [mut xhat_o, mut out_o, mut gx_o],
+            [mut gg_o, mut gb_o],
+        ) = fresh();
+        let inverse = |var: &[f32], inv_std: &mut [f32]| {
+            for (i, v) in inv_std.iter_mut().zip(var) {
+                *i = 1.0 / (v + 1e-5).sqrt();
+            }
+        };
+        let fwd = alternate_ns(
+            || {
+                bn_batch_stats(x.data(), plane, &mut mean, &mut var);
+                inverse(&var, &mut inv_std);
+                bn_normalize(
+                    x.data(),
+                    plane,
+                    &mean,
+                    &inv_std,
+                    gamma,
+                    beta,
+                    &mut xhat,
+                    &mut out,
+                );
+                black_box(&out);
+            },
+            || {
+                oracle::bn_batch_stats(x.data(), plane, &mut mean_o, &mut var_o);
+                inverse(&var_o, &mut inv_o);
+                let (m, is) = (&mean_o, &inv_o);
+                oracle::bn_normalize(x.data(), plane, m, is, gamma, beta, &mut xhat_o, &mut out_o);
+                black_box(&out_o);
+            },
+        );
+        let bwd = alternate_ns(
+            || {
+                let (gg, gb) = (&mut gg, &mut gb);
+                bn_backward(
+                    dy.data(),
+                    &xhat,
+                    plane,
+                    gamma,
+                    &inv_std,
+                    true,
+                    gg,
+                    gb,
+                    &mut gx,
+                );
+                black_box(&gx);
+            },
+            || {
+                let (dy, is, gg, gb) = (dy.data(), &inv_o, &mut gg_o, &mut gb_o);
+                oracle::bn_backward(dy, &xhat_o, plane, gamma, is, true, gg, gb, &mut gx_o);
+                black_box(&gx_o);
+            },
+        );
+        for (op, (kernel, reference)) in [("bn_fwd", fwd), ("bn_bwd", bwd)] {
+            report.push(op, &shape, 1.0, 1, 1, kernel, 0.0);
+            report.push(&format!("{op}_oracle"), &shape, 1.0, 1, 1, reference, 0.0);
+            println!(
+                "{op:<10} {shape:>16}   {:.1} us, {:.2}x its scalar oracle",
+                kernel / 1e3,
+                kernel / reference
+            );
+        }
+    }
+}
+
 /// `dispatch_sweep`: forward and backward (dW + dX in one call, as `Conv2d`
 /// makes it) of both direct engines over one masked weight, at six densities
 /// and the two stage shapes, each pair timed alternately. The dense engine
@@ -613,8 +720,8 @@ fn dispatch_sweep_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
 
 /// The persisted perf trajectory (`BENCH_micro_ops.json`): dense matmul at
 /// 1 / 2 / 4 worker threads with warmup strictly separated from measurement
-/// (see `ft_bench::trajectory`), then both convolution engines, the dispatch
-/// sweep and the training steps. The table rows are printed alongside,
+/// (see `ft_bench::trajectory`), then both convolution engines, the
+/// batch-norm kernels, the dispatch sweep and the training steps. The table rows are printed alongside,
 /// mirroring the criterion output above.
 fn trajectory_benches(_c: &mut Criterion) {
     let mut report = BenchReport::new("micro_ops");
@@ -651,6 +758,7 @@ fn trajectory_benches(_c: &mut Criterion) {
 
     spconv_records(&mut report, &mut rng);
     dconv_records(&mut report, &mut rng);
+    bn_records(&mut report, &mut rng);
     dispatch_sweep_records(&mut report, &mut rng);
     train_step_records(&mut report);
     resnet_step_records(&mut report);

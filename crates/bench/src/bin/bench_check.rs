@@ -50,6 +50,10 @@
 //!   `dconv_dw` + `dconv_dx` may take at most [`DCONV_MAX_RATIO`] of the
 //!   im2col + GEMM route (`dconv_*_oracle`) timed alternately. Catches the
 //!   direct dense engine losing to the route it replaced.
+//! - **g4, the batch-norm kernels**: at each BN shape `bn_fwd` + `bn_bwd`
+//!   may take at most [`BN_MAX_RATIO`] of the scalar loops they are pinned
+//!   `to_bits`-equal to (`bn_*_oracle`), timed alternately. Catches the
+//!   reductions losing their lanes — one scalar chain per channel again.
 //!
 //! From `BENCH_fleet.json`:
 //!
@@ -102,10 +106,12 @@ const SPCONV_MAX_RATIO: f64 = 0.30;
 
 /// g2 — floor on `resnet_step` d = 1.0 GFLOP/s over the in-run `dconv_fwd`
 /// GFLOP/s at `b32x16x16x16k3`: a whole dense training step of the
-/// benchmark's model reads 0.52–0.60 of its convolution kernel (38.8 / 65.7
-/// committed; five consecutive full runs: 0.591 0.604 0.545 0.602 0.598);
-/// the im2col + GEMM step the direct engine replaced would read ≈ 0.27.
-const RESNET_STEP_MIN_EFFICIENCY: f64 = 0.35;
+/// benchmark's model reads 0.74–0.78 of its convolution kernel since
+/// BatchNorm runs on vector kernels (0.779 committed; it read 0.52–0.60
+/// before, under a 0.35 floor). A step that keeps half of that — the
+/// doctored report of `bench_check_gates` — must fail; the im2col + GEMM
+/// step the direct engine replaced read ≈ 0.27.
+const RESNET_STEP_MIN_EFFICIENCY: f64 = 0.45;
 
 /// `buffered_alloc_bytes_per_aggregation` the gate is anchored to (16
 /// devices, `buffer_k` 2, SmallCnn width 4 on 8×8 inputs, one thread); the
@@ -138,6 +144,18 @@ const RESNET_SPARSE_STEP_MAX_RATIO: f64 = 0.54;
 /// ones (where eight taps' worth of transposes ride on four pixels of
 /// multiply-adds).
 const DCONV_MAX_RATIO: f64 = 0.8;
+
+/// The two activation shapes `micro_ops` times the batch-norm kernels at:
+/// the first and the last residual stage's BN of the benchmark's ResNet18,
+/// batch 32.
+const BN_SHAPES: [&str; 2] = ["b32x16x16x16", "b32x128x2x2"];
+
+/// g4 — ceiling on `bn_fwd + bn_bwd` ns over the `_oracle` pair, per BN
+/// shape, timed alternately in one run. The vector kernels read 0.49–0.50 on
+/// 16 px planes and 0.33–0.38 on 2 px ones (0.488 and 0.330 committed;
+/// their elementwise passes stream at memory speed like the oracle's, the
+/// reductions run 3–4× faster); scalar reduction chains read ≈ 1.
+const BN_MAX_RATIO: f64 = 0.7;
 
 /// Ceiling on `selection_pool_ns` over `magnitude_mask_ns`, timed alternately
 /// in one run. A pool that ranks every layer once reads 1.5–1.8 (one
@@ -607,6 +625,37 @@ fn main() -> ExitCode {
                     "  FAIL dconv {shape}: a dconv_*{} record is missing from the report — \
                      this gate cannot be skipped",
                     if direct.is_none() { "" } else { "_oracle" }
+                );
+                failed = true;
+            }
+        }
+    }
+
+    // -- g4: the batch-norm kernels against their scalar oracle ------------
+    for shape in BN_SHAPES {
+        let sum = |suffix: &str| {
+            let ops = ["bn_fwd", "bn_bwd"].map(|op| format!("{op}{suffix}"));
+            sum_ns(&report.records, &ops, shape, 1.0)
+        };
+        match (sum(""), sum("_oracle")) {
+            (Some(kernel), Some(oracle)) => {
+                evaluated += 1;
+                let ratio = kernel / oracle;
+                let ok = ratio <= BN_MAX_RATIO;
+                failed |= !ok;
+                println!(
+                    "  {:>4} g4 bn {shape} fwd + bwd: {:.1} us / scalar oracle {:.1} us = \
+                     {ratio:.3} (need <= {BN_MAX_RATIO:.1})",
+                    if ok { "ok" } else { "FAIL" },
+                    kernel / 1e3,
+                    oracle / 1e3
+                );
+            }
+            (kernel, _) => {
+                eprintln!(
+                    "  FAIL g4 bn {shape}: a bn_*{} record is missing from the report — \
+                     this gate cannot be skipped",
+                    if kernel.is_none() { "" } else { "_oracle" }
                 );
                 failed = true;
             }

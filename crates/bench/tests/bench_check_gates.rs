@@ -44,11 +44,11 @@ fn is_sweep(r: &BenchRecord, engine: &str) -> bool {
 }
 
 #[test]
-fn committed_reports_pass_with_g1_g2_g3_evaluated() {
+fn committed_reports_pass_with_g1_to_g4_evaluated() {
     let report = committed_micro_ops();
     let (passed, text) = check("committed", &report);
     assert!(passed, "{text}");
-    for gate in ["ok g1 ", "ok g2 ", "ok g3 "] {
+    for gate in ["ok g1 ", "ok g2 ", "ok g3 ", "ok g4 "] {
         assert!(text.contains(gate), "{gate:?} not evaluated:\n{text}");
     }
     // The committed report times nothing the system does not run.
@@ -120,4 +120,30 @@ fn g3_fails_when_matmul_reads_30_gflops() {
     matmul.gflops = 30.0;
     let (passed, text) = check("g3_slow", &report);
     assert!(!passed && text.contains("FAIL g3 matmul"), "{text}");
+}
+
+/// Batch-norm kernels as slow as the scalar loops they replaced.
+#[test]
+fn g4_fails_when_bn_takes_oracle_time() {
+    let mut report = committed_micro_ops();
+    let oracles: Vec<BenchRecord> = report
+        .records
+        .iter()
+        .filter(|r| r.op.starts_with("bn_") && r.op.ends_with("_oracle"))
+        .cloned()
+        .collect();
+    assert_eq!(oracles.len(), 4, "fwd + bwd at two shapes");
+    for r in report
+        .records
+        .iter_mut()
+        .filter(|r| r.op == "bn_fwd" || r.op == "bn_bwd")
+    {
+        let twin = oracles
+            .iter()
+            .find(|o| o.shape == r.shape && o.op == format!("{}_oracle", r.op))
+            .expect("oracle twin");
+        r.ns_per_iter = twin.ns_per_iter;
+    }
+    let (passed, text) = check("g4_slow", &report);
+    assert!(!passed && text.contains("FAIL g4 bn"), "{text}");
 }

@@ -6,8 +6,11 @@
 //! prototype pattern; samples are `signal · prototype + noise · N(0, 1)`.
 //! Per-dataset profiles mirror the relative difficulty and size of the real
 //! datasets (SVHN easiest, CINIC-10 hardest and largest, CIFAR-100 has 100
-//! classes). See DESIGN.md §2 for why this substitution preserves the
-//! behaviour the paper measures.
+//! classes). The substitution keeps what the paper's comparisons rest on:
+//! every method trains and is scored on the same class-conditional data,
+//! device heterogeneity comes from the same Dirichlet label split, and
+//! difficulty is ordered across profiles as across the real corpora.
+//! Absolute accuracies are not comparable with the paper's.
 //!
 //! Non-iid federated splits use the standard Dirichlet(α) partition over
 //! class proportions (Sec. IV-A1 of the paper, following Luo et al.).

@@ -228,7 +228,7 @@ impl Checkpoint {
             residual_devices: self.residuals.iter().filter(|r| !r.is_empty()).count(),
             timeline_events: self.ledger.timeline().len(),
             zero_progress_rounds: self.ledger.zero_progress_rounds(),
-            payload_down_bytes: self.ledger.payload_down_history().iter().sum(),
+            payload_down_bytes: self.ledger.total_payload_download_bytes(),
             payload_up_bytes: self.ledger.total_payload_upload_bytes(),
             analytic_comm_bytes: self.ledger.total_comm_bytes(),
             max_round_flops: self.ledger.max_round_flops(),

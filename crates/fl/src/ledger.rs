@@ -78,6 +78,13 @@ pub struct CostLedger {
     faults: FaultCounters,
 }
 
+/// `Σ v` folded from `+0.0`: an empty history totals `+0.0`, where
+/// `iter().sum()` starts from (and so returns) `-0.0`. Every non-empty sum
+/// of non-negative entries is unchanged.
+fn sum(v: &[f64]) -> f64 {
+    v.iter().fold(0.0, |acc, x| acc + x)
+}
+
 impl CostLedger {
     /// Creates an empty ledger.
     pub fn new() -> Self {
@@ -191,7 +198,7 @@ impl CostLedger {
     /// Total device-training wall-clock over all recorded rounds, in
     /// seconds.
     pub fn total_train_wall_secs(&self) -> f64 {
-        self.wall_secs.iter().sum()
+        sum(&self.wall_secs)
     }
 
     /// Total *analytic* communication in bytes.
@@ -202,14 +209,17 @@ impl CostLedger {
     /// Total *measured* payload bytes (uploads + broadcasts + one-off
     /// exchanges), from actually-encoded payloads.
     pub fn total_payload_bytes(&self) -> f64 {
-        self.payload_down_bytes.iter().sum::<f64>()
-            + self.payload_up_bytes.iter().sum::<f64>()
-            + self.payload_extra_bytes
+        sum(&self.payload_down_bytes) + sum(&self.payload_up_bytes) + self.payload_extra_bytes
     }
 
     /// Total measured device → server upload bytes across rounds.
     pub fn total_payload_upload_bytes(&self) -> f64 {
-        self.payload_up_bytes.iter().sum()
+        sum(&self.payload_up_bytes)
+    }
+
+    /// Total measured server → device broadcast bytes across rounds.
+    pub fn total_payload_download_bytes(&self) -> f64 {
+        sum(&self.payload_down_bytes)
     }
 
     /// Per-round measured upload bytes (heaviest device), in round order.
@@ -233,7 +243,7 @@ impl CostLedger {
     /// [`total_train_wall_secs`](Self::total_train_wall_secs) which measures
     /// the simulator host.
     pub fn sim_makespan_secs(&self) -> f64 {
-        self.sim_secs.iter().sum()
+        sum(&self.sim_secs)
     }
 
     /// Longest simulated single-round span, zero if nothing was recorded.
@@ -475,6 +485,20 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn empty_ledger_totals_are_positive_zero() {
+        let l = CostLedger::new();
+        for total in [
+            l.total_train_wall_secs(),
+            l.total_payload_bytes(),
+            l.total_payload_upload_bytes(),
+            l.total_payload_download_bytes(),
+            l.sim_makespan_secs(),
+        ] {
+            assert_eq!(total.to_bits(), 0, "{total}");
+        }
+    }
 
     #[test]
     fn ledger_tracks_max_and_totals() {

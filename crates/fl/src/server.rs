@@ -941,7 +941,7 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             rounds_completed: self.round as u64,
             cohort_size: self.last_cohort as u64,
             devices: self.env.num_devices() as u64,
-            payload_down_bytes: self.ledger.payload_down_history().iter().sum(),
+            payload_down_bytes: self.ledger.total_payload_download_bytes(),
             payload_up_bytes: self.ledger.total_payload_upload_bytes(),
             sim_makespan_secs: self.ledger.sim_makespan_secs(),
             zero_progress_rounds: self.ledger.zero_progress_rounds() as u64,

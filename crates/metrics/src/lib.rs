@@ -7,7 +7,7 @@
 //! [`ft_nn::ArchInfo`] plus per-layer densities, so costs are exact, deterministic
 //! and independent of the host machine.
 //!
-//! Conventions (documented in DESIGN.md):
+//! Conventions:
 //! - A multiply-accumulate counts as 2 FLOPs.
 //! - Backward pass ≈ 2× forward, so training ≈ 3× forward
 //!   (the standard estimate the paper also relies on).

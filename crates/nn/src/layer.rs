@@ -9,10 +9,11 @@ use crate::param::{Param, ParamKind};
 use ft_runtime::Runtime;
 use ft_sparse::CsrMatrix;
 use ft_tensor::{
-    avg_pool_global_backward_into, avg_pool_global_into_rt, dconv_backward_rt, dconv_forward_rt,
-    dsmm_into_rt, dsmm_nt_into_rt, kaiming_normal, matmul_into_rt, matmul_nt_into_rt,
-    matmul_tn_into_rt, max_pool2x2_backward_into, max_pool2x2_into_rt, sddmm_tn_into_rt,
-    spconv_backward_rt, spconv_forward_rt, ConvBufs, ConvGeom, CsrView, SpConvIndex, Tensor,
+    avg_pool_global_backward_into, avg_pool_global_into_rt, bn_backward, bn_batch_stats,
+    bn_normalize, dconv_backward_rt, dconv_forward_rt, dsmm_into_rt, dsmm_nt_into_rt,
+    kaiming_normal, matmul_into_rt, matmul_nt_into_rt, matmul_tn_into_rt,
+    max_pool2x2_backward_into, max_pool2x2_into_rt, sddmm_tn_into_rt, spconv_backward_rt,
+    spconv_forward_rt, ConvBufs, ConvGeom, CsrView, SpConvIndex, Tensor,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -527,101 +528,45 @@ impl BatchNorm2d {
     }
 
     /// Forward pass into a caller-owned output; statistics and normalized
-    /// activations land in the layer's scratch arena.
+    /// activations land in the layer's scratch arena. The arithmetic is
+    /// `ft_tensor`'s batch-norm kernels.
     ///
     /// # Panics
     ///
     /// Panics if the input is not `[n, c, h, w]` with matching channels.
-    #[allow(clippy::needless_range_loop)] // index math mirrors the NCHW layout
     pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
         let s = x.shape();
         assert_eq!(s.len(), 4, "batchnorm input must be [n,c,h,w]");
         assert_eq!(s[1], self.channels, "batchnorm channel mismatch");
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        let plane = h * w;
-        let count = (n * plane) as f32;
-        let xd = x.data();
+        let (c, plane) = (s[1], s[2] * s[3]);
         out.resize_for_overwrite(s);
         let scratch = &mut self.scratch;
         scratch.batch_shape.clear();
         scratch.batch_shape.extend_from_slice(s);
         scratch.xhat.resize_for_overwrite(s);
-
-        match mode {
-            Mode::Train => {
-                scratch.mean.clear();
-                scratch.mean.resize(c, 0.0);
-                scratch.var.clear();
-                scratch.var.resize(c, 0.0);
-                for ci in 0..c {
-                    let mut sum = 0.0f32;
-                    for ni in 0..n {
-                        let base = (ni * c + ci) * plane;
-                        sum += xd[base..base + plane].iter().sum::<f32>();
-                    }
-                    scratch.mean[ci] = sum / count;
-                }
-                for ci in 0..c {
-                    let m = scratch.mean[ci];
-                    let mut sq = 0.0f32;
-                    for ni in 0..n {
-                        let base = (ni * c + ci) * plane;
-                        sq += xd[base..base + plane]
-                            .iter()
-                            .map(|&v| (v - m) * (v - m))
-                            .sum::<f32>();
-                    }
-                    scratch.var[ci] = sq / count;
-                }
-                for ci in 0..c {
-                    self.stats.mean[ci] = (1.0 - self.momentum) * self.stats.mean[ci]
-                        + self.momentum * scratch.mean[ci];
-                    self.stats.var[ci] = (1.0 - self.momentum) * self.stats.var[ci]
-                        + self.momentum * scratch.var[ci];
-                }
-                scratch.inv_std.clear();
-                scratch
-                    .inv_std
-                    .extend(scratch.var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
-                let xh = scratch.xhat.data_mut();
-                let od = out.data_mut();
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let base = (ni * c + ci) * plane;
-                        let (m, is) = (scratch.mean[ci], scratch.inv_std[ci]);
-                        let (g, b) = (self.gamma.data.data()[ci], self.beta.data.data()[ci]);
-                        for idx in base..base + plane {
-                            let xn = (xd[idx] - m) * is;
-                            xh[idx] = xn;
-                            od[idx] = g * xn + b;
-                        }
-                    }
-                }
-                self.cache = Some(true);
+        let batch = mode == Mode::Train;
+        let (mean, var) = if batch {
+            scratch.mean.resize(c, 0.0);
+            scratch.var.resize(c, 0.0);
+            bn_batch_stats(x.data(), plane, &mut scratch.mean, &mut scratch.var);
+            let m = self.momentum;
+            let running = self.stats.mean.iter_mut().zip(self.stats.var.iter_mut());
+            for ((rm, rv), (&bm, &bv)) in running.zip(scratch.mean.iter().zip(&scratch.var)) {
+                *rm = (1.0 - m) * *rm + m * bm;
+                *rv = (1.0 - m) * *rv + m * bv;
             }
-            Mode::Eval => {
-                scratch.inv_std.clear();
-                scratch
-                    .inv_std
-                    .extend(self.stats.var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
-                let xh = scratch.xhat.data_mut();
-                let od = out.data_mut();
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let base = (ni * c + ci) * plane;
-                        let m = self.stats.mean[ci];
-                        let is = scratch.inv_std[ci];
-                        let (g, b) = (self.gamma.data.data()[ci], self.beta.data.data()[ci]);
-                        for idx in base..base + plane {
-                            let xn = (xd[idx] - m) * is;
-                            xh[idx] = xn;
-                            od[idx] = g * xn + b;
-                        }
-                    }
-                }
-                self.cache = Some(false);
-            }
-        }
+            (&scratch.mean, &scratch.var)
+        } else {
+            (&self.stats.mean, &self.stats.var)
+        };
+        scratch.inv_std.clear();
+        scratch
+            .inv_std
+            .extend(var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
+        let (g, b) = (self.gamma.data.data(), self.beta.data.data());
+        let (xh, od) = (scratch.xhat.data_mut(), out.data_mut());
+        bn_normalize(x.data(), plane, mean, &scratch.inv_std, g, b, xh, od);
+        self.cache = Some(batch);
     }
 
     /// Backward pass into a caller-owned input-gradient tensor. After a
@@ -637,47 +582,25 @@ impl BatchNorm2d {
             .cache
             .take()
             .expect("BatchNorm2d::backward requires a forward first");
-        let scratch = &mut self.scratch;
+        let scratch = &self.scratch;
         let s = &scratch.batch_shape;
         assert_eq!(
             grad_out.shape(),
             &s[..],
             "batchnorm grad_out shape mismatch"
         );
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        let plane = h * w;
-        let count = (n * plane) as f32;
-        let god = grad_out.data();
-        let xh = scratch.xhat.data();
-
         gx.resize_for_overwrite(s);
-        for ci in 0..c {
-            // Per-channel reductions.
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                for idx in base..base + plane {
-                    sum_dy += god[idx];
-                    sum_dy_xhat += god[idx] * xh[idx];
-                }
-            }
-            self.beta.grad.data_mut()[ci] += sum_dy;
-            self.gamma.grad.data_mut()[ci] += sum_dy_xhat;
-            let g = self.gamma.data.data()[ci];
-            let is = scratch.inv_std[ci];
-            let gxd = gx.data_mut();
-            for ni in 0..n {
-                let base = (ni * c + ci) * plane;
-                for idx in base..base + plane {
-                    gxd[idx] = if batch_mode {
-                        g * is / count * (count * god[idx] - sum_dy - xh[idx] * sum_dy_xhat)
-                    } else {
-                        g * is * god[idx]
-                    };
-                }
-            }
-        }
+        bn_backward(
+            grad_out.data(),
+            scratch.xhat.data(),
+            s[2] * s[3],
+            self.gamma.data.data(),
+            &scratch.inv_std,
+            batch_mode,
+            self.gamma.grad.data_mut(),
+            self.beta.grad.data_mut(),
+            gx.data_mut(),
+        );
     }
 }
 
@@ -922,11 +845,12 @@ impl Relu {
             self.mask.len(),
             "relu grad shape mismatch"
         );
-        gx.copy_from(grad_out);
-        // Branchless select: the mask is ~50/50 in practice, so a
+        gx.resize_for_overwrite(grad_out.shape());
+        // One branchless select pass: the mask is ~50/50 in practice, so a
         // conditional store would mispredict on half the elements.
-        for (v, &alive) in gx.data_mut().iter_mut().zip(self.mask.iter()) {
-            *v = if alive { *v } else { 0.0 };
+        let pairs = grad_out.data().iter().zip(&self.mask);
+        for (v, (&g, &alive)) in gx.data_mut().iter_mut().zip(pairs) {
+            *v = if alive { g } else { 0.0 };
         }
     }
 }

@@ -26,7 +26,7 @@ const VGG11_CFG: &[Option<usize>] = &[
 /// VGG11 with batch normalization, width multiplier and configurable input
 /// resolution.
 ///
-/// Deviations from the ImageNet original, documented in `DESIGN.md`:
+/// Deviations from the ImageNet original:
 /// - pooling steps that would shrink the spatial size below 2 are skipped,
 ///   so the topology also runs on small synthetic inputs;
 /// - the classifier is `Linear(512·s² → 512) → ReLU → Linear(512 → classes)`

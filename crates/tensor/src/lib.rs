@@ -6,13 +6,15 @@
 //! every convolution ([`dconv_forward_rt`] for dense weights,
 //! [`spconv_forward_rt`] for pruned ones, in `O(nnz)` instead of
 //! `O(rows · cols)`), the CSR kernels behind a pruned `Linear`
-//! ([`dsmm_nt_into_rt`], [`sddmm_tn_into_rt`], [`dsmm_into_rt`]), pooling,
-//! elementwise arithmetic, reductions, seeded random initializers and the
-//! int8 quantizer of the wire codecs.
+//! ([`dsmm_nt_into_rt`], [`sddmm_tn_into_rt`], [`dsmm_into_rt`]), the
+//! batch-norm kernels ([`bn_batch_stats`], [`bn_normalize`],
+//! [`bn_backward`]), pooling, elementwise arithmetic, reductions, seeded
+//! random initializers and the int8 quantizer of the wire codecs.
 //!
 //! The root exports one entry point per kernel — the one its caller uses.
-//! The im2col + GEMM / CSR route the convolution engines replaced survives
-//! as their sequential test reference, behind [`oracle`].
+//! The im2col + GEMM / CSR route the convolution engines replaced, and the
+//! scalar loops the batch-norm kernels replaced, survive as their
+//! sequential test references, behind [`oracle`].
 //!
 //! Design notes:
 //! - Shapes are validated eagerly; mismatches panic with a descriptive
@@ -33,6 +35,7 @@
 //! assert_eq!(c, a);
 //! ```
 
+mod bn;
 mod dconv;
 mod im2col;
 mod init;
@@ -45,6 +48,7 @@ mod spconv;
 mod spmm;
 mod tensor;
 
+pub use bn::{bn_backward, bn_batch_stats, bn_normalize};
 pub use dconv::{dconv_backward_rt, dconv_forward_rt};
 pub use ft_runtime::Runtime;
 pub use im2col::ConvGeom;
@@ -68,9 +72,11 @@ pub use tensor::Tensor;
 /// reference: im2col, a GEMM ([`matmul_into`] / `matmul_nt_seg_into` /
 /// [`matmul_tn_into_rt`]) or a CSR product, col2im. Sequential only — the
 /// engines under test run on a pool, and the property pinned is "parallel
-/// engine ≡ sequential oracle that shares no loop with it". Nothing outside
-/// tests and benches calls these.
+/// engine ≡ sequential oracle that shares no loop with it". Beside them, the
+/// scalar batch-norm loops the `bn_*` kernels are pinned `to_bits`-equal
+/// to. Nothing outside tests and benches calls these.
 pub mod oracle {
+    pub use crate::bn::oracle::{bn_backward, bn_batch_stats, bn_normalize};
     pub use crate::im2col::{col2im, col2im_ld, im2col, im2col_batched};
     pub use crate::matmul::matmul_nt_seg_into;
     pub use crate::spmm::{sddmm_nt_into, sddmm_nt_seg_into, spmm_into, spmm_tn_into};

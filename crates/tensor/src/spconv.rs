@@ -422,6 +422,7 @@ pub(crate) trait Lanes: Copy {
     fn load(src: &[f32; LANES]) -> Self;
     fn store(self, dst: &mut [f32; LANES]);
     fn add(self, rhs: Self) -> Self;
+    fn sub(self, rhs: Self) -> Self;
     fn mul(self, rhs: Self) -> Self;
     /// `self + v·x` as this family's forward pass rounds it: fused where
     /// [`crate::oracle::spmm_into`] fuses, mul-then-add where it does not.
@@ -448,6 +449,10 @@ impl Lanes for Lane {
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
         Lane(std::array::from_fn(|l| self.0[l] + rhs.0[l]))
+    }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        Lane(std::array::from_fn(|l| self.0[l] - rhs.0[l]))
     }
     #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
@@ -496,6 +501,10 @@ pub(crate) mod avx {
         #[inline(always)]
         fn add(self, rhs: Self) -> Self {
             Ymm(unsafe { _mm256_add_ps(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn sub(self, rhs: Self) -> Self {
+            Ymm(unsafe { _mm256_sub_ps(self.0, rhs.0) })
         }
         #[inline(always)]
         fn mul(self, rhs: Self) -> Self {
