@@ -52,7 +52,7 @@ fn samples(len: usize, c: usize, plane: usize) -> usize {
 /// of samples.
 pub fn bn_batch_stats(x: &[f32], plane: usize, mean: &mut [f32], var: &mut [f32]) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::spconv::simd_active() {
+    if crate::matmul::simd_active() {
         // SAFETY: `simd_active` verified avx2+fma at runtime.
         return unsafe { avx::batch_stats(x, plane, mean, var) };
     }
@@ -78,7 +78,7 @@ pub fn bn_normalize(
     out: &mut [f32],
 ) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::spconv::simd_active() {
+    if crate::matmul::simd_active() {
         // SAFETY: `simd_active` verified avx2+fma at runtime.
         return unsafe { avx::normalize(x, plane, [mean, inv_std, gamma, beta], xhat, out) };
     }
@@ -110,7 +110,7 @@ pub fn bn_backward(
     let consts = [gamma, inv_std];
     let grads = [grad_gamma, grad_beta];
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::spconv::simd_active() {
+    if crate::matmul::simd_active() {
         // SAFETY: `simd_active` verified avx2+fma at runtime.
         return unsafe { avx::backward(dy, xhat, plane, consts, batch_stats, grads, gx) };
     }

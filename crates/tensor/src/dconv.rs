@@ -51,9 +51,9 @@
 //! forward and dX, weight rows for dW, every worker walking its groups in
 //! ascending order — which the tests pin with those kernels as the oracle.
 
-use crate::matmul::KC;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use crate::spconv::simd_active;
+use crate::matmul::simd_active;
+use crate::matmul::KC;
 use crate::spconv::{
     from_lanes, over_groups, pixel_origin, tap_origin, to_lanes, ConvBufs, Cursor, Lane, Lanes,
     LANES, ZERO,

@@ -13,8 +13,6 @@
 //! tests pin them against, bit for bit: sequential only, and reached through
 //! [`crate::oracle`]. [`ConvGeom`] is the one thing here the engines share.
 
-use std::ops::Range;
-
 /// Geometry of a 2-D convolution over a single sample.
 ///
 /// The same geometry object drives the forward im2col, the backward
@@ -75,7 +73,8 @@ fn checked_out(dim: usize, k: usize, s: usize, p: usize) -> usize {
 }
 
 /// Unfolds one sample `x` of shape `[in_c, in_h, in_w]` (given as a flat
-/// slice) into a `[col_rows, col_cols]` matrix written into `out`.
+/// slice) into a `[col_rows, col_cols]` matrix written into `out` — the
+/// batched layout at `n = 1`.
 ///
 /// Padding positions contribute zeros.
 ///
@@ -83,21 +82,7 @@ fn checked_out(dim: usize, k: usize, s: usize, p: usize) -> usize {
 ///
 /// Panics if slice lengths do not match the geometry.
 pub fn im2col(x: &[f32], g: &ConvGeom, out: &mut [f32]) {
-    check_im2col(x, g, out);
-    im2col_rows(x, g, 0..g.col_rows(), out);
-}
-
-fn check_im2col(x: &[f32], g: &ConvGeom, out: &[f32]) {
-    assert_eq!(
-        x.len(),
-        g.in_c * g.in_h * g.in_w,
-        "im2col input length mismatch"
-    );
-    assert_eq!(
-        out.len(),
-        g.col_rows() * g.col_cols(),
-        "im2col output length mismatch"
-    );
+    im2col_batched(x, 1, g, out);
 }
 
 /// Decodes a column-matrix row index into its `(channel, kh, kw)` tap.
@@ -160,26 +145,6 @@ fn fill_tap(
     }
 }
 
-/// Unfolds the output-row range `rows` (each row is one `(c, kh, kw)` tap in
-/// lexicographic order); `chunk` holds exactly those rows.
-fn im2col_rows(x: &[f32], g: &ConvGeom, rows: Range<usize>, chunk: &mut [f32]) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cols = oh * ow;
-    for (local, row) in rows.enumerate() {
-        let (c, kh, kw) = decode_tap(g, row);
-        let plane = &x[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
-        fill_tap(
-            plane,
-            g,
-            oh,
-            ow,
-            kh,
-            kw,
-            &mut chunk[local * cols..(local + 1) * cols],
-        );
-    }
-}
-
 /// Unfolds a whole batch `x` of shape `[n, in_c, in_h, in_w]` (flat) into
 /// the batched column layout `[col_rows, n · col_cols]`: sample `i`'s
 /// per-sample im2col matrix occupies the column slice `i·cc..(i+1)·cc` of
@@ -191,7 +156,19 @@ fn im2col_rows(x: &[f32], g: &ConvGeom, rows: Range<usize>, chunk: &mut [f32]) {
 /// Panics if slice lengths do not match the geometry.
 pub fn im2col_batched(x: &[f32], n: usize, g: &ConvGeom, out: &mut [f32]) {
     check_im2col_batched(x, n, g, out);
-    im2col_batched_rows(x, n, g, 0..g.col_rows(), out);
+    let (oh, ow) = (g.out_h(), g.out_w());
+    let cc = oh * ow;
+    let plane_len = g.in_h * g.in_w;
+    let sample_len = g.in_c * plane_len;
+    // Tap rows `(c, kh, kw)` in lexicographic order.
+    for row in 0..g.col_rows() {
+        let (c, kh, kw) = decode_tap(g, row);
+        let dst_row = &mut out[row * n * cc..(row + 1) * n * cc];
+        for i in 0..n {
+            let plane = &x[i * sample_len + c * plane_len..][..plane_len];
+            fill_tap(plane, g, oh, ow, kh, kw, &mut dst_row[i * cc..(i + 1) * cc]);
+        }
+    }
 }
 
 fn check_im2col_batched(x: &[f32], n: usize, g: &ConvGeom, out: &[f32]) {
@@ -205,21 +182,6 @@ fn check_im2col_batched(x: &[f32], n: usize, g: &ConvGeom, out: &[f32]) {
         g.col_rows() * n * g.col_cols(),
         "im2col_batched output length mismatch"
     );
-}
-
-fn im2col_batched_rows(x: &[f32], n: usize, g: &ConvGeom, rows: Range<usize>, chunk: &mut [f32]) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let cc = oh * ow;
-    let plane_len = g.in_h * g.in_w;
-    let sample_len = g.in_c * plane_len;
-    for (local, row) in rows.enumerate() {
-        let (c, kh, kw) = decode_tap(g, row);
-        let dst_row = &mut chunk[local * n * cc..(local + 1) * n * cc];
-        for i in 0..n {
-            let plane = &x[i * sample_len + c * plane_len..][..plane_len];
-            fill_tap(plane, g, oh, ow, kh, kw, &mut dst_row[i * cc..(i + 1) * cc]);
-        }
-    }
 }
 
 /// Folds a `[col_rows, col_cols]` matrix back into the input layout,

@@ -60,9 +60,10 @@ pub use pool::{
 };
 pub use quant::{dequantize_one, quantize_affine_i8, QuantParams};
 pub use spconv::{spconv_backward_rt, spconv_forward_rt, ConvBufs, SpConvIndex};
-// `spmm_into` and `sddmm_nt_into` are oracle kernels (see [`oracle`]); they
-// stay at the root as well because the whole-run benchmark
-// (`examples/ftbench`) times them under these names.
+// `spmm_into` and `sddmm_nt_into` are oracle kernels (see [`oracle`]): plain
+// loops no production path calls. They stay at the root as well because the
+// whole-run benchmark (`examples/ftbench`) times them under these names, as
+// `tensor.spmm_gflops` and `tensor.sddmm_gflops`.
 pub use spmm::{
     dsmm_into_rt, dsmm_nt_into_rt, sddmm_nt_into, sddmm_tn_into_rt, spmm_into, CsrView,
 };

@@ -106,12 +106,18 @@ impl Micro for Portable {
     }
 }
 
-/// Whether the explicit AVX2+FMA kernels are active in this process (shared
-/// with the sparse kernels in [`crate::spmm`], so dense and sparse paths
-/// always make the same choice).
+/// Whether the explicit AVX2+FMA kernels are active in this process — the
+/// one switch every kernel family in this crate reads, so dense, sparse,
+/// convolution and batch-norm kernels always make the same choice.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub(crate) fn simd_active() -> bool {
     avx::available()
+}
+
+/// Without the `simd` feature, or off x86-64, no explicit kernel exists.
+#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+pub(crate) fn simd_active() -> bool {
+    false
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]

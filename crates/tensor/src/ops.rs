@@ -104,11 +104,6 @@ impl Tensor {
         self.data().iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 
-    /// The L2 norm of the flattened tensor.
-    pub fn norm2(&self) -> f32 {
-        self.data().iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Index of the maximum element of each row of a rank-2 tensor.
     ///
     /// Ties resolve to the lowest index, matching `argmax` conventions.
@@ -195,7 +190,6 @@ mod tests {
         assert_eq!(a.sum(), 2.0);
         assert_eq!(a.mean(), 2.0 / 3.0);
         assert_eq!(a.max_abs(), 3.0);
-        assert!((a.norm2() - 14.0f32.sqrt()).abs() < 1e-6);
     }
 
     #[test]

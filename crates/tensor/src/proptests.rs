@@ -252,12 +252,11 @@ proptest! {
         prop_assert_eq!(seq.data(), par.data());
     }
 
-    /// Both sampled NT kernels consume a CSR row four entries at a time;
-    /// every slot must stay `to_bits`-equal to one sequential
-    /// `acc += a·b` chain per segment (`vals += acc` after each), for every
-    /// row length around the quad boundary and every segment width.
+    /// Both sampled NT kernels keep every slot `to_bits`-equal to one
+    /// sequential `acc += a·b` chain per segment (`vals += acc` after each),
+    /// for row lengths 0–9 and every segment width.
     #[test]
-    fn sddmm_nt_quads_bit_equal_one_chain_oracle(
+    fn sddmm_nt_bit_equal_one_chain_oracle(
         row_lens in proptest::collection::vec(0usize..10, 1..6),
         segs in 1usize..4,
         seed in 0u64..1_000,

@@ -29,16 +29,18 @@
 //! **Bit identity.** A lane is a sample, and each lane runs exactly the
 //! scalar operation sequence the im2col + CSR route runs for that sample:
 //! the same products in the same order from the same `+0.0` start, fused in
-//! the forward pass exactly when [`crate::oracle::spmm_into`] fuses (the AVX2+FMA
-//! family) and never elsewhere. Padded taps multiply a stored `+0.0` like
-//! im2col's structural zeros; nothing is skipped or reassociated. (dX leaves
-//! out the columns with no stored entry: their `tmp` is `+0.0`, and adding
-//! `+0.0` to a sum that started at `+0.0` never changes it.) Outputs, weight
-//! gradients and input gradients are therefore `to_bits`-equal to the
-//! im2col route at any batch size and thread count — groups fan out over the
-//! [`Runtime`] for forward and dX, CSR rows for dW — which the tests pin
-//! against those kernels as the oracle.
+//! the forward pass exactly when `simd_active()` (the AVX2+FMA family, as in
+//! [`crate::oracle::spmm_into`]) and never elsewhere. Padded taps multiply a
+//! stored `+0.0` like im2col's structural zeros; nothing is skipped or
+//! reassociated. (dX leaves out the columns with no stored entry: their
+//! `tmp` is `+0.0`, and adding `+0.0` to a sum that started at `+0.0` never
+//! changes it.) Outputs, weight gradients and input gradients are therefore
+//! `to_bits`-equal to the im2col route at any batch size and thread count —
+//! groups fan out over the [`Runtime`] for forward and dX, CSR rows for dW —
+//! which the tests pin against those kernels as the oracle.
 
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+use crate::matmul::simd_active;
 use crate::{ConvGeom, CsrView};
 use ft_runtime::Runtime;
 use std::ops::Range;
@@ -424,8 +426,9 @@ pub(crate) trait Lanes: Copy {
     fn add(self, rhs: Self) -> Self;
     fn sub(self, rhs: Self) -> Self;
     fn mul(self, rhs: Self) -> Self;
-    /// `self + v·x` as this family's forward pass rounds it: fused where
-    /// [`crate::oracle::spmm_into`] fuses, mul-then-add where it does not.
+    /// `self + v·x` as this family's forward pass rounds it: fused in the
+    /// AVX2+FMA family, mul-then-add in the portable one — the rule
+    /// [`crate::oracle::spmm_into`] follows.
     fn axpy(self, v: Self, x: Self) -> Self;
     /// `out[k][l] = rows[l][k]`.
     fn transpose(rows: [Self; LANES]) -> [Self; LANES];
@@ -470,9 +473,9 @@ impl Lanes for Lane {
 
 /// The AVX2+FMA family: the same kernels on `__m256`, entered only through
 /// the `target_feature` wrappers at the bottom of the module. Only `axpy`
-/// — the forward pass — fuses, as [`crate::oracle::spmm_into`]'s AVX2 kernel does;
-/// `add` and `mul` round like the portable family's, so dW and dX gain
-/// vector width and keep their bits.
+/// — the forward pass — fuses, as [`crate::oracle::spmm_into`] does whenever
+/// this family runs; `add` and `mul` round like the portable family's, so dW
+/// and dX gain vector width and keep their bits.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub(crate) mod avx {
     use super::*;
@@ -593,12 +596,6 @@ pub(crate) mod avx {
         dw_job_impl::<Ymm>(idx, xt, dy_t, valid, entries, vals)
     }
 }
-
-/// Whether the AVX2+FMA family runs — the same per-process choice as the
-/// dense GEMM and [`crate::oracle::spmm_into`], so the forward pass fuses exactly
-/// when they do.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) use crate::matmul::simd_active;
 
 /// One group of a forward pass: `x[valid ≤ 8, in_c, h, w]` into the lanes of
 /// `xt`, the kernel, `out_t` back out to `out[valid, out_c, oh, ow]`.

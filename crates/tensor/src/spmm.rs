@@ -35,6 +35,7 @@
 //! All kernels accumulate into their output, matching the dense `_into`
 //! conventions.
 
+use crate::matmul::simd_active;
 use crate::Tensor;
 use ft_runtime::Runtime;
 use std::ops::Range;
@@ -65,8 +66,8 @@ impl<'a> CsrView<'a> {
         self.vals.len()
     }
 
-    /// Checks the structural invariants (row pointer monotone and in range,
-    /// column indices in range, parallel arrays equal length).
+    /// Checks the structural invariants (row pointer from 0 to `nnz` and
+    /// monotone, column indices in range, parallel arrays equal length).
     ///
     /// # Panics
     ///
@@ -82,6 +83,7 @@ impl<'a> CsrView<'a> {
             self.vals.len(),
             "csr col_idx/vals length mismatch"
         );
+        assert_eq!(self.row_ptr[0], 0, "csr row_ptr must start at 0");
         assert_eq!(
             *self.row_ptr.last().unwrap_or(&0),
             self.vals.len(),
@@ -101,7 +103,10 @@ impl<'a> CsrView<'a> {
 /// `C += S[m×k] · B[k×n]`.
 ///
 /// The sparse analogue of [`crate::matmul_into`]: row `i` of `C` accumulates
-/// `v · B[j, :]` for every stored `(i, j, v)`, streaming `B` and `C` rows.
+/// `v · B[j, :]` for every stored `(i, j, v)`, in ascending stored order.
+/// Each step is one fused multiply-add exactly when `simd_active()` (the
+/// AVX2+FMA family, the rounding [`crate::spconv_forward_rt`]'s forward
+/// pass is pinned to) and a multiply then an add otherwise.
 ///
 /// # Panics
 ///
@@ -121,7 +126,23 @@ impl<'a> CsrView<'a> {
 /// ```
 pub fn spmm_into(s: CsrView<'_>, b: &Tensor, c: &mut Tensor) {
     let n = check_spmm(&s, b, c);
-    spmm_rows(s, b.data(), n, 0..s.rows, c.data_mut());
+    let fused = simd_active();
+    let (bd, cd) = (b.data(), c.data_mut());
+    for i in 0..s.rows {
+        let crow = &mut cd[i * n..(i + 1) * n];
+        for nz in s.row_ptr[i]..s.row_ptr[i + 1] {
+            let (v, brow) = (s.vals[nz], &bd[s.col_idx[nz] as usize * n..][..n]);
+            if fused {
+                for (cv, &bv) in crow.iter_mut().zip(brow) {
+                    *cv = v.mul_add(bv, *cv);
+                }
+            } else {
+                for (cv, &bv) in crow.iter_mut().zip(brow) {
+                    *cv += v * bv;
+                }
+            }
+        }
+    }
 }
 
 fn check_spmm(s: &CsrView<'_>, b: &Tensor, c: &Tensor) -> usize {
@@ -131,189 +152,6 @@ fn check_spmm(s: &CsrView<'_>, b: &Tensor, c: &Tensor) -> usize {
     let (cm, cn) = dims2(c, "C");
     assert_eq!((cm, cn), (s.rows, n), "spmm output shape mismatch");
     n
-}
-
-/// Column-block width for [`spmm_rows`]: the kernel sweeps `B` and `C` in
-/// `SPMM_NC`-column slices so the gathered `B` rows of one slice stay
-/// cache-resident across all the sparse rows that touch them.
-const SPMM_NC: usize = 256;
-
-/// `C += S · B` restricted to the output-row range `rows`; `cchunk` holds
-/// exactly those rows.
-///
-/// Blocked two ways, neither of which changes the per-element accumulation
-/// order (ascending stored-entry order, exactly the naive kernel's):
-///
-/// - columns are processed in [`SPMM_NC`]-wide slices (the blocking knob of
-///   the dense driver applied to the sparse streaming kernel), and
-/// - stored entries are consumed four at a time, so each `C` row slice is
-///   loaded and stored once per quad instead of once per entry — the quad's
-///   four multiply-adds are issued sequentially per output element, keeping
-///   results bit-identical to the one-entry-at-a-time loop.
-///
-/// With the `simd` feature on a CPU with AVX2+FMA, the same loop runs with
-/// explicit fused multiply-adds (see [`avx::spmm_rows_fma`]); like the dense
-/// kernels, fusion rounds differently from the portable mul-then-add path,
-/// but the choice is fixed per process so sequential and parallel runs stay
-/// bit-identical to each other.
-fn spmm_rows(s: CsrView<'_>, bd: &[f32], n: usize, rows: Range<usize>, cchunk: &mut [f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::matmul::simd_active() {
-        // SAFETY: `simd_active` verified avx2+fma at runtime.
-        return unsafe { avx::spmm_rows_fma(s, bd, n, rows, cchunk) };
-    }
-    spmm_rows_portable(s, bd, n, rows, cchunk)
-}
-
-fn spmm_rows_portable(
-    s: CsrView<'_>,
-    bd: &[f32],
-    n: usize,
-    rows: Range<usize>,
-    cchunk: &mut [f32],
-) {
-    let mut jc = 0;
-    while jc < n {
-        let nc = (n - jc).min(SPMM_NC);
-        for (local, i) in rows.clone().enumerate() {
-            let crow = &mut cchunk[local * n + jc..local * n + jc + nc];
-            let (start, end) = (s.row_ptr[i], s.row_ptr[i + 1]);
-            let mut nz = start;
-            while nz + 4 <= end {
-                let j0 = s.col_idx[nz] as usize;
-                let j1 = s.col_idx[nz + 1] as usize;
-                let j2 = s.col_idx[nz + 2] as usize;
-                let j3 = s.col_idx[nz + 3] as usize;
-                let (v0, v1, v2, v3) = (s.vals[nz], s.vals[nz + 1], s.vals[nz + 2], s.vals[nz + 3]);
-                let b0 = &bd[j0 * n + jc..][..nc];
-                let b1 = &bd[j1 * n + jc..][..nc];
-                let b2 = &bd[j2 * n + jc..][..nc];
-                let b3 = &bd[j3 * n + jc..][..nc];
-                for (idx, cv) in crow.iter_mut().enumerate() {
-                    let mut acc = *cv;
-                    acc += v0 * b0[idx];
-                    acc += v1 * b1[idx];
-                    acc += v2 * b2[idx];
-                    acc += v3 * b3[idx];
-                    *cv = acc;
-                }
-                nz += 4;
-            }
-            while nz < end {
-                let (j, v) = (s.col_idx[nz] as usize, s.vals[nz]);
-                let brow = &bd[j * n + jc..][..nc];
-                for (cv, &bv) in crow.iter_mut().zip(brow.iter()) {
-                    *cv += v * bv;
-                }
-                nz += 1;
-            }
-        }
-        jc += nc;
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx {
-    use super::{CsrView, SPMM_NC};
-    use std::arch::x86_64::*;
-    use std::ops::Range;
-
-    /// [`super::spmm_rows_portable`] with explicit AVX2 fused multiply-adds:
-    /// same column blocking, same four-entries-at-a-time consumption, same
-    /// ascending per-element accumulation order. The column slice is swept
-    /// in 8-lane vectors with a scalar `mul_add` tail — `f32::mul_add` is
-    /// the same fused IEEE operation as `_mm256_fmadd_ps`, so lane width
-    /// doesn't affect results.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn spmm_rows_fma(
-        s: CsrView<'_>,
-        bd: &[f32],
-        n: usize,
-        rows: Range<usize>,
-        cchunk: &mut [f32],
-    ) {
-        let mut jc = 0;
-        while jc < n {
-            let nc = (n - jc).min(SPMM_NC);
-            for (local, i) in rows.clone().enumerate() {
-                let crow = &mut cchunk[local * n + jc..local * n + jc + nc];
-                let (start, end) = (s.row_ptr[i], s.row_ptr[i + 1]);
-                let mut nz = start;
-                while nz + 4 <= end {
-                    let j0 = s.col_idx[nz] as usize;
-                    let j1 = s.col_idx[nz + 1] as usize;
-                    let j2 = s.col_idx[nz + 2] as usize;
-                    let j3 = s.col_idx[nz + 3] as usize;
-                    let (v0, v1, v2, v3) =
-                        (s.vals[nz], s.vals[nz + 1], s.vals[nz + 2], s.vals[nz + 3]);
-                    let b0 = &bd[j0 * n + jc..][..nc];
-                    let b1 = &bd[j1 * n + jc..][..nc];
-                    let b2 = &bd[j2 * n + jc..][..nc];
-                    let b3 = &bd[j3 * n + jc..][..nc];
-                    // SAFETY: all slices checked to length nc; idx + 8 <= nc
-                    // inside the vector loop.
-                    unsafe {
-                        let (w0, w1, w2, w3) = (
-                            _mm256_set1_ps(v0),
-                            _mm256_set1_ps(v1),
-                            _mm256_set1_ps(v2),
-                            _mm256_set1_ps(v3),
-                        );
-                        let mut idx = 0usize;
-                        while idx + 8 <= nc {
-                            let cp = crow.as_mut_ptr().add(idx);
-                            let mut acc = _mm256_loadu_ps(cp);
-                            acc = _mm256_fmadd_ps(w0, _mm256_loadu_ps(b0.as_ptr().add(idx)), acc);
-                            acc = _mm256_fmadd_ps(w1, _mm256_loadu_ps(b1.as_ptr().add(idx)), acc);
-                            acc = _mm256_fmadd_ps(w2, _mm256_loadu_ps(b2.as_ptr().add(idx)), acc);
-                            acc = _mm256_fmadd_ps(w3, _mm256_loadu_ps(b3.as_ptr().add(idx)), acc);
-                            _mm256_storeu_ps(cp, acc);
-                            idx += 8;
-                        }
-                        while idx < nc {
-                            let mut acc = crow[idx];
-                            acc = v0.mul_add(b0[idx], acc);
-                            acc = v1.mul_add(b1[idx], acc);
-                            acc = v2.mul_add(b2[idx], acc);
-                            acc = v3.mul_add(b3[idx], acc);
-                            crow[idx] = acc;
-                            idx += 1;
-                        }
-                    }
-                    nz += 4;
-                }
-                while nz < end {
-                    let (j, v) = (s.col_idx[nz] as usize, s.vals[nz]);
-                    let brow = &bd[j * n + jc..][..nc];
-                    // SAFETY: as above.
-                    unsafe {
-                        let w = _mm256_set1_ps(v);
-                        let mut idx = 0usize;
-                        while idx + 8 <= nc {
-                            let cp = crow.as_mut_ptr().add(idx);
-                            let acc = _mm256_fmadd_ps(
-                                w,
-                                _mm256_loadu_ps(brow.as_ptr().add(idx)),
-                                _mm256_loadu_ps(cp),
-                            );
-                            _mm256_storeu_ps(cp, acc);
-                            idx += 8;
-                        }
-                        while idx < nc {
-                            crow[idx] = v.mul_add(brow[idx], crow[idx]);
-                            idx += 1;
-                        }
-                    }
-                    nz += 1;
-                }
-            }
-            jc += nc;
-        }
-    }
 }
 
 /// `C += Sᵀ · B` where `S` is `[k×m]` CSR and `B` is `[k×n]`.
@@ -452,7 +290,8 @@ fn dsmm_nt_rows(ad: &[f32], s: CsrView<'_>, k: usize, rows: Range<usize>, cchunk
 ///
 /// This computes `(A · Bᵀ) ⊙ structure(S)` without materializing the dense
 /// product — exactly the masked weight gradient `dW = dY · colᵀ` restricted
-/// to mask-alive coordinates. `s.vals` is ignored (structure only).
+/// to mask-alive coordinates. `s.vals` is ignored (structure only). It is
+/// [`sddmm_nt_seg_into`] with one segment spanning the inner dimension.
 ///
 /// # Panics
 ///
@@ -460,7 +299,8 @@ fn dsmm_nt_rows(ad: &[f32], s: CsrView<'_>, k: usize, rows: Range<usize>, cchunk
 /// not have one slot per stored entry.
 pub fn sddmm_nt_into(s: CsrView<'_>, a: &Tensor, b: &Tensor, vals: &mut [f32]) {
     let c = check_sddmm_nt(&s, a, b, vals);
-    sddmm_nt_rows(s, a.data(), b.data(), c, 0..s.rows, vals);
+    // An empty inner dimension has no segment to sum, at any width.
+    sddmm_nt_seg(s, a.data(), b.data(), c, c.max(1), vals);
 }
 
 /// Segmented [`sddmm_nt_into`]: the dot product for every stored coordinate
@@ -480,72 +320,22 @@ pub fn sddmm_nt_seg_into(s: CsrView<'_>, a: &Tensor, b: &Tensor, seg: usize, val
         seg > 0 && c.is_multiple_of(seg),
         "sddmm_nt_seg: segment {seg} must divide c={c}"
     );
-    sddmm_nt_seg_rows(s, a.data(), b.data(), c, seg, 0..s.rows, vals);
+    sddmm_nt_seg(s, a.data(), b.data(), c, seg, vals);
 }
 
-/// Segmented sampled NT product over the CSR-row range `rows`: per stored
-/// entry, one fresh-accumulator dot per `seg`-wide segment, ascending
-/// (`seg == c` is the unsegmented product).
-///
-/// A row's entries are consumed four at a time: the four dot products share
-/// the `A` row and run as four independent accumulator chains, so the adds
-/// of one chain no longer wait on each other's latency. Every chain keeps
-/// its own mul-then-add sequence in ascending column order, so each slot is
-/// bit-identical to the one-entry-at-a-time loop (which the remainder still
-/// runs).
-fn sddmm_nt_seg_rows(
-    s: CsrView<'_>,
-    ad: &[f32],
-    bd: &[f32],
-    c: usize,
-    seg: usize,
-    rows: Range<usize>,
-    vals_chunk: &mut [f32],
-) {
-    let base = s.row_ptr[rows.start];
-    for r in rows {
+/// Per stored entry and per `seg`-wide segment, ascending: one mul-then-add
+/// chain from `+0.0`, added into the entry's slot.
+fn sddmm_nt_seg(s: CsrView<'_>, ad: &[f32], bd: &[f32], c: usize, seg: usize, vals: &mut [f32]) {
+    for r in 0..s.rows {
         let arow = &ad[r * c..(r + 1) * c];
-        let range = s.row_ptr[r]..s.row_ptr[r + 1];
-        let cols = &s.col_idx[range.clone()];
-        let vals = &mut vals_chunk[range.start - base..range.end - base];
-        let brow = |j: u32| &bd[j as usize * c..(j as usize + 1) * c];
-        let mut quads = vals.chunks_exact_mut(4);
-        for (js, vs) in cols.chunks_exact(4).zip(&mut quads) {
-            let (b0, b1, b2, b3) = (brow(js[0]), brow(js[1]), brow(js[2]), brow(js[3]));
-            let mut off = 0usize;
-            while off < c {
-                let end = off + seg;
-                let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for ((((&av, &x0), &x1), &x2), &x3) in arow[off..end]
-                    .iter()
-                    .zip(&b0[off..end])
-                    .zip(&b1[off..end])
-                    .zip(&b2[off..end])
-                    .zip(&b3[off..end])
-                {
-                    a0 += av * x0;
-                    a1 += av * x1;
-                    a2 += av * x2;
-                    a3 += av * x3;
-                }
-                vs[0] += a0;
-                vs[1] += a1;
-                vs[2] += a2;
-                vs[3] += a3;
-                off = end;
-            }
-        }
-        let tail = &cols[cols.len() - cols.len() % 4..];
-        for (&j, val) in tail.iter().zip(quads.into_remainder()) {
-            let b = brow(j);
-            let mut off = 0usize;
-            while off < c {
+        for nz in s.row_ptr[r]..s.row_ptr[r + 1] {
+            let brow = &bd[s.col_idx[nz] as usize * c..][..c];
+            for (asg, bsg) in arow.chunks_exact(seg).zip(brow.chunks_exact(seg)) {
                 let mut acc = 0.0f32;
-                for (&av, &bv) in arow[off..off + seg].iter().zip(&b[off..off + seg]) {
+                for (&av, &bv) in asg.iter().zip(bsg) {
                     acc += av * bv;
                 }
-                *val += acc;
-                off += seg;
+                vals[nz] += acc;
             }
         }
     }
@@ -560,20 +350,6 @@ fn check_sddmm_nt(s: &CsrView<'_>, a: &Tensor, b: &Tensor, vals: &[f32]) -> usiz
     assert_eq!(k, s.cols, "sddmm_nt col count mismatch");
     assert_eq!(vals.len(), s.nnz(), "sddmm_nt output slot count mismatch");
     c
-}
-
-/// Sampled NT product over the CSR-row range `rows`; `vals_chunk` holds
-/// exactly the stored entries of those rows. One segment spanning the whole
-/// inner dimension is the same op sequence as the unsegmented dot.
-fn sddmm_nt_rows(
-    s: CsrView<'_>,
-    ad: &[f32],
-    bd: &[f32],
-    c: usize,
-    rows: Range<usize>,
-    vals_chunk: &mut [f32],
-) {
-    sddmm_nt_seg_rows(s, ad, bd, c, c, rows, vals_chunk);
 }
 
 /// Sampled dense–dense product, TN layout: for each stored coordinate
@@ -721,32 +497,25 @@ mod tests {
         Tensor::from_vec((0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect(), shape)
     }
 
+    /// Empty to full structures, and a wide `B` (`n = 273`) whose rows hold
+    /// four or more stored entries plus a tail.
     #[test]
     fn spmm_matches_dense() {
-        for (seed, density) in [(1u64, 0.1), (2, 0.5), (3, 1.0), (4, 0.0)] {
-            let f = Fixture::random(7, 5, density, seed);
-            let b = rand_t(&[5, 9], seed + 100);
-            let mut sparse = Tensor::ones(&[7, 9]);
-            let mut dense = Tensor::ones(&[7, 9]);
+        for (seed, (m, k, n), density, tol) in [
+            (1u64, (7, 5, 9), 0.1, 1e-5),
+            (2, (7, 5, 9), 0.5, 1e-5),
+            (3, (7, 5, 9), 1.0, 1e-5),
+            (4, (7, 5, 9), 0.0, 1e-5),
+            (77, (13, 40, 273), 0.35, 1e-4),
+        ] {
+            let f = Fixture::random(m, k, density, seed);
+            let b = rand_t(&[k, n], seed + 100);
+            let mut sparse = Tensor::ones(&[m, n]);
+            let mut dense = Tensor::ones(&[m, n]);
             spmm_into(f.view(), &b, &mut sparse);
             matmul_into(&f.dense, &b, &mut dense);
-            assert_close(sparse.data(), dense.data(), 1e-5);
+            assert_close(sparse.data(), dense.data(), tol);
         }
-    }
-
-    /// The column-blocked, quad-unrolled spmm path (wide `B` crossing the
-    /// `SPMM_NC` slice boundary, rows with ≥ 4 stored entries plus a tail)
-    /// agrees with the dense GEMM.
-    #[test]
-    fn spmm_blocked_wide_matches_dense() {
-        let f = Fixture::random(13, 40, 0.35, 77);
-        let n = SPMM_NC + 17; // forces a second, partial column slice
-        let b = rand_t(&[40, n], 78);
-        let mut sparse = Tensor::zeros(&[13, n]);
-        let mut dense = Tensor::zeros(&[13, n]);
-        spmm_into(f.view(), &b, &mut sparse);
-        matmul_into(&f.dense, &b, &mut dense);
-        assert_close(sparse.data(), dense.data(), 1e-4);
     }
 
     #[test]
@@ -932,6 +701,21 @@ mod tests {
             row_ptr: &[0, 1],
             col_idx: &[0],
             vals: &[1.0],
+        };
+        v.validate();
+    }
+
+    /// A row pointer that does not start at 0 would shift every sampled
+    /// kernel's slots, which rebase on `row_ptr[rows.start]`.
+    #[test]
+    #[should_panic(expected = "row_ptr")]
+    fn validate_rejects_row_ptr_not_starting_at_zero() {
+        let v = CsrView {
+            rows: 1,
+            cols: 2,
+            row_ptr: &[1, 2],
+            col_idx: &[0, 1],
+            vals: &[1.0, 2.0],
         };
         v.validate();
     }

@@ -116,33 +116,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Returns a copy with a new shape covering the same number of elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshaped(&self, shape: &[usize]) -> Tensor {
-        let n: usize = shape.iter().product();
-        assert_eq!(
-            n,
-            self.data.len(),
-            "cannot reshape {:?} ({} elems) into {:?} ({} elems)",
-            self.shape,
-            self.data.len(),
-            shape,
-            n
-        );
-        Tensor {
-            shape: shape.to_vec(),
-            data: self.data.clone(),
-        }
-    }
-
     /// Reshapes in place (no copy; reuses the shape buffer, so a
     /// steady-state reshape performs no allocation).
     ///
@@ -209,18 +182,6 @@ impl Tensor {
         self.data[i * c + j]
     }
 
-    /// Element at a 4-D index (`[n, c, h, w]` convention).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank-4 or the index is out of bounds.
-    pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
-        assert_eq!(self.shape.len(), 4, "at4 requires a rank-4 tensor");
-        let (sn, sc, sh, sw) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
-        assert!(n < sn && c < sc && h < sh && w < sw, "index out of bounds");
-        self.data[((n * sc + c) * sh + h) * sw + w]
-    }
-
     /// Returns the transpose of a rank-2 tensor.
     ///
     /// # Panics
@@ -272,26 +233,9 @@ mod tests {
     }
 
     #[test]
-    fn reshape_roundtrip() {
-        let t = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]);
-        let r = t.reshaped(&[3, 2]);
-        assert_eq!(r.shape(), &[3, 2]);
-        assert_eq!(r.data(), t.data());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot reshape")]
-    fn reshape_rejects_count_mismatch() {
-        let t = Tensor::zeros(&[4]);
-        let _ = t.reshaped(&[3]);
-    }
-
-    #[test]
-    fn at2_and_at4_indexing() {
+    fn at2_indexing() {
         let t = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]);
         assert_eq!(t.at2(1, 2), 5.0);
-        let t4 = Tensor::from_vec((0..16).map(|x| x as f32).collect(), &[2, 2, 2, 2]);
-        assert_eq!(t4.at4(1, 0, 1, 1), 11.0);
     }
 
     #[test]
