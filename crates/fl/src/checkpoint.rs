@@ -371,42 +371,24 @@ impl Checkpoint {
                 .max(self.residuals.len().abs_diff(other.residuals.len()));
             out.push(format!("residuals: differ for {n} devices"));
         }
+        // Every deterministic ledger axis (all but host wall-clock): a value,
+        // or for a history how many entries differ.
+        let axes = self.ledger.deterministic_axes().into_iter();
+        let pairs = axes.zip(other.ledger.deterministic_axes());
+        for ((axis, a), (_, b)) in pairs.filter(|((_, a), (_, b))| a != b) {
+            out.push(match (&a[..], &b[..]) {
+                ([a], [b]) => format!("ledger.{axis}: {a} != {b}"),
+                _ => {
+                    let n = a.iter().zip(&b).filter(|(x, y)| x != y).count();
+                    format!(
+                        "ledger.{axis}: {} vs {} entries, {n} differ",
+                        a.len(),
+                        b.len()
+                    )
+                }
+            });
+        }
         let (sa, sb) = (self.summary(), other.summary());
-        let mut ledger_scalar = |field: &str, a: String, b: String| {
-            if a != b {
-                out.push(format!("ledger.{field}: {a} != {b}"));
-            }
-        };
-        ledger_scalar(
-            "timeline_events",
-            sa.timeline_events.to_string(),
-            sb.timeline_events.to_string(),
-        );
-        ledger_scalar(
-            "zero_progress_rounds",
-            sa.zero_progress_rounds.to_string(),
-            sb.zero_progress_rounds.to_string(),
-        );
-        ledger_scalar(
-            "payload_down_bytes",
-            format!("{:?}", sa.payload_down_bytes),
-            format!("{:?}", sb.payload_down_bytes),
-        );
-        ledger_scalar(
-            "payload_up_bytes",
-            format!("{:?}", sa.payload_up_bytes),
-            format!("{:?}", sb.payload_up_bytes),
-        );
-        ledger_scalar(
-            "analytic_comm_bytes",
-            format!("{:?}", sa.analytic_comm_bytes),
-            format!("{:?}", sb.analytic_comm_bytes),
-        );
-        ledger_scalar(
-            "faults",
-            format!("{:?}", sa.faults),
-            format!("{:?}", sb.faults),
-        );
         if sa.kind != sb.kind {
             out.push(format!("kind: {} != {}", sa.kind, sb.kind));
         }
@@ -907,6 +889,66 @@ mod tests {
             ck.validate_against(&other, 1),
             Err(CheckpointError::Mismatch("run configuration"))
         );
+    }
+
+    /// `ft ckpt diff` sees every deterministic ledger axis, histories and
+    /// timeline contents included, floats by their bits, and nothing in a
+    /// self-diff or in host wall-clock.
+    #[test]
+    fn ckpt_diff_covers_every_deterministic_ledger_axis() {
+        let sample = sample_checkpoint(false);
+        assert!(sample.diff(&sample.clone()).is_empty());
+        fn event(finish_secs: f64) -> crate::ledger::TimelineEvent {
+            crate::ledger::TimelineEvent {
+                device: 0,
+                round: 1,
+                start_secs: 0.0,
+                finish_secs,
+                applied: true,
+                staleness: 0,
+            }
+        }
+        // Each change runs on both sides, with `x = +0.0` and with `x`.
+        type Change = fn(&mut CostLedger, f64);
+        let changes: [(&str, f64, Change); 12] = [
+            ("round_flops", 1.0, |l, x| l.record_round_flops(x)),
+            ("realized_flops", 1.0, |l, x| {
+                l.record_realized_round(x, 0.5)
+            }),
+            ("sim_secs", 1.0, |l, x| l.record_sim_round(x)),
+            ("sim_secs", -0.0, |l, x| l.record_sim_round(x)),
+            ("analytic_comm_bytes", 1.0, |l, x| l.add_comm(x)),
+            ("payload_down_bytes", 1.0, |l, x| {
+                l.record_payload_round(x, 8.0)
+            }),
+            ("payload_up_bytes", 1.0, |l, x| {
+                l.record_payload_round(8.0, x)
+            }),
+            ("payload_extra_bytes", 1.0, |l, x| l.add_payload_comm(x)),
+            ("extra_flops", 1.0, |l, x| l.add_extra_flops(x)),
+            ("zero_progress_rounds", 1.0, |l, x| {
+                if x > 0.0 {
+                    l.record_zero_progress()
+                }
+            }),
+            ("timeline", 1.0, |l, x| l.record_timeline(event(1.0 + x))),
+            ("faults", 1.0, |l, x| l.record_clipped(x as usize)),
+        ];
+        for (axis, x, change) in changes {
+            let (mut a, mut b) = (sample.clone(), sample.clone());
+            change(&mut a.ledger, 0.0);
+            change(&mut b.ledger, x);
+            let diff = a.diff(&b);
+            let prefix = format!("ledger.{axis}: ");
+            assert!(
+                diff.len() == 1 && diff[0].starts_with(&prefix),
+                "{axis} at {x:?}: {diff:?}"
+            );
+        }
+        let (mut a, mut b) = (sample.clone(), sample);
+        a.ledger.record_realized_round(1.0, 0.5);
+        b.ledger.record_realized_round(1.0, 9.0);
+        assert!(a.diff(&b).is_empty(), "wall-clock is not run state");
     }
 
     #[test]

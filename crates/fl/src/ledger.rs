@@ -85,6 +85,16 @@ fn sum(v: &[f64]) -> f64 {
     v.iter().fold(0.0, |acc, x| acc + x)
 }
 
+/// `v` as `{:?}` prints it, the shortest text that parses back to the same
+/// bits; a NaN, which `{:?}` prints alike whatever its bits, as its bits.
+fn exact(v: f64) -> String {
+    if v.is_nan() {
+        format!("NaN({:#018x})", v.to_bits())
+    } else {
+        format!("{v:?}")
+    }
+}
+
 impl CostLedger {
     /// Creates an empty ledger.
     pub fn new() -> Self {
@@ -284,6 +294,37 @@ impl CostLedger {
     /// Number of recorded rounds.
     pub fn rounds(&self) -> usize {
         self.round_flops.len()
+    }
+
+    /// Every deterministic axis, named: all but the host wall-clock, each as
+    /// the exact renderings of its entries, so two ledgers agree here exactly
+    /// when every float agrees bit for bit.
+    pub(crate) fn deterministic_axes(&self) -> [(&'static str, Vec<String>); 11] {
+        let floats = |v: &[f64]| v.iter().map(|&x| exact(x)).collect();
+        let event = |e: &TimelineEvent| {
+            format!(
+                "device {} round {} {}..{} applied={} staleness={}",
+                e.device,
+                e.round,
+                exact(e.start_secs),
+                exact(e.finish_secs),
+                e.applied,
+                e.staleness
+            )
+        };
+        [
+            ("round_flops", floats(&self.round_flops)),
+            ("realized_flops", floats(&self.realized_flops)),
+            ("sim_secs", floats(&self.sim_secs)),
+            ("analytic_comm_bytes", floats(&[self.comm_bytes])),
+            ("payload_down_bytes", floats(&self.payload_down_bytes)),
+            ("payload_up_bytes", floats(&self.payload_up_bytes)),
+            ("payload_extra_bytes", floats(&[self.payload_extra_bytes])),
+            ("extra_flops", floats(&[self.extra_flops])),
+            ("zero_progress_rounds", vec![self.zero_progress.to_string()]),
+            ("timeline", self.timeline.iter().map(event).collect()),
+            ("faults", vec![format!("{:?}", self.faults)]),
+        ]
     }
 
     /// Serializes the full ledger into a checkpoint blob (bit-exact floats;

@@ -307,32 +307,12 @@ mod tests {
         (
             history,
             flat_params(model.as_ref()),
-            ledger_fingerprint(&ledger),
+            format!("{:?}", ledger.deterministic_axes()),
         )
     }
 
     fn run_policy(scheduler: Scheduler, parallel: bool, seed: u64) -> (Vec<f32>, Vec<f32>, String) {
         run_policy_with_codec(scheduler, parallel, seed, Codec::Dense)
-    }
-
-    /// The deterministic projection of a ledger: everything except host
-    /// wall-clock, with floats rendered bit-exactly.
-    fn ledger_fingerprint(ledger: &CostLedger) -> String {
-        let bits = |v: &[f64]| -> Vec<String> {
-            v.iter().map(|x| format!("{:016x}", x.to_bits())).collect()
-        };
-        format!(
-            "flops={:?} realized={:?} sim={:?} comm={:016x} up={:?} down={:?} extra={:016x} zero={} timeline={}",
-            bits(ledger.round_flops_history()),
-            bits(ledger.realized_flops_history()),
-            bits(ledger.sim_secs_history()),
-            ledger.total_comm_bytes().to_bits(),
-            bits(ledger.payload_up_history()),
-            bits(ledger.payload_down_history()),
-            ledger.extra_flops().to_bits(),
-            ledger.zero_progress_rounds(),
-            serde_json::to_string(&ledger.timeline().to_vec()).expect("timeline serializes"),
-        )
     }
 
     /// A fleet with no timing noise where the last device is 100x slower
@@ -516,6 +496,43 @@ mod tests {
         assert_eq!(ledger.zero_progress_rounds(), 0, "fast tier should land");
         // The cut round can never span longer than the deadline.
         assert!(ledger.max_sim_round_secs() <= d + 1e-9);
+    }
+
+    /// `ft_round_cohort_size` counts the updates the last round accepted:
+    /// the straggler a deadline cut is a cohort member, not an update.
+    #[test]
+    fn sim_cohort_gauge_counts_accepted_updates_on_a_barrier() {
+        let mut env = ExperimentEnv::tiny_for_tests(5);
+        env.fleet = two_speed_fleet(env.num_devices());
+        let d = two_speed_deadline(&env);
+        env.scheduler = Scheduler::Deadline { deadline_secs: d };
+        let mut model = env.build_model(&ModelSpec::small_cnn_test());
+        let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+        let mut ledger = CostLedger::new();
+        let hub = ft_metrics::MetricsHub::new();
+        let mut transport = crate::InProcess;
+        let mut opts = crate::server::RunOptions::new(&mut transport);
+        opts.metrics = Some(hub.clone());
+        crate::server::run_with(
+            model.as_mut(),
+            &mut mask,
+            &env,
+            0,
+            &mut ledger,
+            &mut no_hook(),
+            opts,
+        )
+        .expect("run");
+        let last = env.cfg.rounds - 1;
+        let members = ledger.timeline().iter().filter(|e| e.round == last);
+        let applied = members.clone().filter(|e| e.applied).count();
+        assert!(
+            applied > 0 && applied < members.count(),
+            "the last round must apply some updates and cut some"
+        );
+        let scrape = hub.render_text();
+        let gauge = format!("\nft_round_cohort_size {applied}\n");
+        assert!(scrape.contains(&gauge), "want {gauge:?} in:\n{scrape}");
     }
 
     #[test]

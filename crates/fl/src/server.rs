@@ -716,7 +716,8 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             with_update.fold(0.0, f64::max)
         };
         let (up, realized) = (max(|a, _| a.upload_bytes), max(|_, u| u.realized_flops));
-        let (flops, comm, down, wall, span, cohort) = if buffered {
+        let cohort = window.iter().filter(|a| a.accepted).count();
+        let (flops, comm, down, wall, span) = if buffered {
             // One aggregation charges one model transfer and one device's
             // training: the heaviest in the buffer.
             (
@@ -725,7 +726,6 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
                 max(|a, _| a.sim.download_bytes),
                 max(|_, u| u.wall_secs),
                 self.clock.now() - self.opened_at,
-                window.iter().filter(|a| a.accepted).count(),
             )
         } else {
             // Paper-style analytic cost: the fleet's heaviest device at the
@@ -748,7 +748,7 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             self.clock.advance_to(self.opened_at + span);
             let comm = 2.0 * sparse_model_bytes(&self.arch, &self.densities);
             let down = broadcast_payload_len(env.cfg.codec, &self.ctx) as f64;
-            (flops, comm, down, wall, span, window.len())
+            (flops, comm, down, wall, span)
         };
         self.ledger.record_sim_round(span);
         self.ledger.add_comm(comm);

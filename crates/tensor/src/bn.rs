@@ -1,7 +1,8 @@
 //! Batch normalisation over `[n, c, plane]` activations (`plane = h·w`):
 //! the batch statistics, the normalising pass and the backward pass behind
-//! `ft_nn`'s `BatchNorm2d`, on the same two kernel families as the direct
-//! convolution engines (AVX2 and portable [`Lanes`]).
+//! `ft_nn`'s `BatchNorm2d`. Like the direct convolution engines, each kernel
+//! is a [`LaneJob`] that [`run_lanes`] runs on the AVX2 or the portable
+//! [`Lanes`] family.
 //!
 //! **Bit identity.** The sequential loops these kernels replaced survive as
 //! [`crate::oracle::bn_batch_stats`], [`crate::oracle::bn_normalize`] and
@@ -29,7 +30,7 @@
 //! [`SMALL_PLANE`]), where they walk a block of eight channels as one flat
 //! run against per-element copies of the constants.
 
-use crate::spconv::{Lane, Lanes, LANES};
+use crate::lanes::{run_lanes, LaneJob, Lanes, LANES};
 
 /// Planes below this size that are not a multiple of [`LANES`] are walked
 /// eight channels at a time (see the module docs).
@@ -51,12 +52,7 @@ fn samples(len: usize, c: usize, plane: usize) -> usize {
 /// Panics if `var` and `mean` differ in length or `x` is not a whole number
 /// of samples.
 pub fn bn_batch_stats(x: &[f32], plane: usize, mean: &mut [f32], var: &mut [f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::matmul::simd_active() {
-        // SAFETY: `simd_active` verified avx2+fma at runtime.
-        return unsafe { avx::batch_stats(x, plane, mean, var) };
-    }
-    batch_stats::<Lane>(x, plane, mean, var)
+    run_lanes(BatchStats(x, plane, mean, var))
 }
 
 /// `x̂ = (x − mean)·inv_std` into `xhat` and `γ·x̂ + β` into `out`, with the
@@ -77,12 +73,7 @@ pub fn bn_normalize(
     xhat: &mut [f32],
     out: &mut [f32],
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::matmul::simd_active() {
-        // SAFETY: `simd_active` verified avx2+fma at runtime.
-        return unsafe { avx::normalize(x, plane, [mean, inv_std, gamma, beta], xhat, out) };
-    }
-    normalize::<Lane>(x, plane, [mean, inv_std, gamma, beta], xhat, out)
+    run_lanes(Normalize(x, plane, [mean, inv_std, gamma, beta], xhat, out))
 }
 
 /// The backward pass of [`bn_normalize`] given `dy` and the forward's
@@ -107,62 +98,16 @@ pub fn bn_backward(
     grad_beta: &mut [f32],
     gx: &mut [f32],
 ) {
-    let consts = [gamma, inv_std];
-    let grads = [grad_gamma, grad_beta];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::matmul::simd_active() {
-        // SAFETY: `simd_active` verified avx2+fma at runtime.
-        return unsafe { avx::backward(dy, xhat, plane, consts, batch_stats, grads, gx) };
-    }
-    backward::<Lane>(dy, xhat, plane, consts, batch_stats, grads, gx)
+    run_lanes(Backward(
+        dy,
+        xhat,
+        plane,
+        [gamma, inv_std],
+        batch_stats,
+        [grad_gamma, grad_beta],
+        gx,
+    ))
 }
-
-/// The AVX2 family: the kernels below on `__m256`, entered only here.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx {
-    use crate::spconv::avx::Ymm;
-
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn batch_stats(x: &[f32], plane: usize, mean: &mut [f32], var: &mut [f32]) {
-        super::batch_stats::<Ymm>(x, plane, mean, var)
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn normalize(
-        x: &[f32],
-        plane: usize,
-        consts: [&[f32]; 4],
-        xhat: &mut [f32],
-        out: &mut [f32],
-    ) {
-        super::normalize::<Ymm>(x, plane, consts, xhat, out)
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn backward(
-        dy: &[f32],
-        xhat: &[f32],
-        plane: usize,
-        consts: [&[f32]; 2],
-        batch_stats: bool,
-        grads: [&mut [f32]; 2],
-        gx: &mut [f32],
-    ) {
-        super::backward::<Ymm>(dy, xhat, plane, consts, batch_stats, grads, gx)
-    }
-}
-
-// Everything below is `#[inline(always)]`: the AVX2 family exists only as
-// code inlined into its `target_feature` wrappers.
 
 #[inline(always)]
 fn load<V: Lanes>(src: &[f32], at: usize) -> V {
@@ -170,8 +115,8 @@ fn load<V: Lanes>(src: &[f32], at: usize) -> V {
 }
 
 /// `[f(0), f(1), …]` — `std::array::from_fn` for vectors, spelled out so
-/// that it always inlines into the AVX2 wrappers (a vector crossing a call
-/// into code compiled without AVX2 goes through memory).
+/// that it always inlines into the AVX2 family's entry point (a vector
+/// crossing a call into code compiled without AVX2 goes through memory).
 #[inline(always)]
 fn vectors<V: Lanes, const N: usize>(f: impl Fn(usize) -> V) -> [V; N] {
     let mut out = [V::splat(0.0); N];
@@ -208,8 +153,8 @@ fn transposed<V: Lanes>(srcs: &[&[f32]; 2], rows: &[usize; LANES], p: usize) -> 
 }
 
 /// Two reduction chains per lane, fed one pixel at a time. (A trait rather
-/// than a closure so that `feed` is certain to inline into the AVX2
-/// wrappers.)
+/// than a closure so that `feed` is certain to inline into the AVX2 family's
+/// entry point.)
 trait Chains<V: Lanes> {
     /// Adds one pixel: `v[k]` is source `k`'s pixel vector.
     fn feed(&mut self, v: [V; 2]);
@@ -330,13 +275,19 @@ fn stat<V: Lanes, const SQUARES: bool>(
     }
 }
 
-#[inline(always)]
-fn batch_stats<V: Lanes>(x: &[f32], plane: usize, mean: &mut [f32], var: &mut [f32]) {
-    let c = mean.len();
-    assert_eq!(var.len(), c, "batchnorm statistics length mismatch");
-    let shape = [samples(x.len(), c, plane), c, plane];
-    stat::<V, false>(x, shape, &[], mean);
-    stat::<V, true>(x, shape, mean, var);
+/// [`bn_batch_stats`]'s operands `(x, plane, mean, var)`.
+struct BatchStats<'a>(&'a [f32], usize, &'a mut [f32], &'a mut [f32]);
+
+impl LaneJob for BatchStats<'_> {
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let BatchStats(x, plane, mean, var) = self;
+        let c = mean.len();
+        assert_eq!(var.len(), c, "batchnorm statistics length mismatch");
+        let shape = [samples(x.len(), c, plane), c, plane];
+        stat::<V, false>(x, shape, &[], mean);
+        stat::<V, true>(x, shape, mean, var);
+    }
 }
 
 /// `outputs = f(inputs, consts)` elementwise over `[n, c, plane]`, a block
@@ -427,100 +378,115 @@ fn run<V: Lanes, const I: usize, const K: usize, const O: usize>(
     }
 }
 
-#[inline(always)]
-fn normalize<V: Lanes>(
-    x: &[f32],
-    plane: usize,
-    consts: [&[f32]; 4],
-    xhat: &mut [f32],
-    out: &mut [f32],
-) {
-    let c = consts[0].len();
-    assert!(
-        consts.iter().all(|k| k.len() == c),
-        "batchnorm constants length mismatch"
-    );
-    assert!(
-        xhat.len() == x.len() && out.len() == x.len(),
-        "batchnorm buffer mismatch"
-    );
-    let shape = [samples(x.len(), c, plane), c, plane];
-    let block = |chans: std::ops::Range<usize>| {
-        std::array::from_fn(|j| consts.map(|k| k[(chans.start + j).min(chans.end - 1)]))
-    };
-    per_channel(
-        shape,
-        [x],
-        [xhat, out],
-        block,
-        |[x]: [V; 1], [m, is, g, b]| {
-            let xn = x.sub(m).mul(is);
-            [xn, g.mul(xn).add(b)]
-        },
-    );
+/// [`bn_normalize`]'s operands `(x, plane, [mean, inv_std, gamma, beta],
+/// xhat, out)`.
+struct Normalize<'a>(
+    &'a [f32],
+    usize,
+    [&'a [f32]; 4],
+    &'a mut [f32],
+    &'a mut [f32],
+);
+
+impl LaneJob for Normalize<'_> {
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let Normalize(x, plane, consts, xhat, out) = self;
+        let c = consts[0].len();
+        assert!(
+            consts.iter().all(|k| k.len() == c),
+            "batchnorm constants length mismatch"
+        );
+        assert!(
+            xhat.len() == x.len() && out.len() == x.len(),
+            "batchnorm buffer mismatch"
+        );
+        let shape = [samples(x.len(), c, plane), c, plane];
+        let block = |chans: std::ops::Range<usize>| {
+            std::array::from_fn(|j| consts.map(|k| k[(chans.start + j).min(chans.end - 1)]))
+        };
+        per_channel(
+            shape,
+            [x],
+            [xhat, out],
+            block,
+            |[x]: [V; 1], [m, is, g, b]| {
+                let xn = x.sub(m).mul(is);
+                [xn, g.mul(xn).add(b)]
+            },
+        );
+    }
 }
 
-#[inline(always)]
-fn backward<V: Lanes>(
-    dy: &[f32],
-    xhat: &[f32],
-    plane: usize,
-    [gamma, inv_std]: [&[f32]; 2],
-    batch_stats: bool,
-    [grad_gamma, grad_beta]: [&mut [f32]; 2],
-    gx: &mut [f32],
-) {
-    let c = gamma.len();
-    assert!(
-        inv_std.len() == c && grad_gamma.len() == c && grad_beta.len() == c,
-        "batchnorm per-channel length mismatch"
-    );
-    assert!(
-        xhat.len() == dy.len() && gx.len() == dy.len(),
-        "batchnorm buffer mismatch"
-    );
-    let n = samples(dy.len(), c, plane);
-    let count = (n * plane) as f32;
-    // Lane `j` is channel `c0 + j`: its two chains over (sample, pixel), then
-    // the block's constants (γ·inv_std / count, Σdy, Σdy·x̂) after a Train
-    // forward, (γ·inv_std, 0, 0) after an Eval one.
-    let block = |chans: std::ops::Range<usize>| {
-        let mut sums = GradSums {
-            dy: V::splat(0.0),
-            dy_xhat: V::splat(0.0),
-        };
-        for ni in 0..n {
-            let rows = rows((ni * c + chans.start) * plane, plane, chans.len());
-            pixel_vectors(&[dy, xhat], &rows, plane, &mut sums);
-        }
-        let (sum_dy, sum_dy_xhat) = (lanes(sums.dy), lanes(sums.dy_xhat));
-        let mut consts = [[0.0f32; 3]; LANES];
-        for (j, ci) in chans.enumerate() {
-            grad_beta[ci] += sum_dy[j];
-            grad_gamma[ci] += sum_dy_xhat[j];
-            let gi = gamma[ci] * inv_std[ci];
-            consts[j] = if batch_stats {
-                [gi / count, sum_dy[j], sum_dy_xhat[j]]
-            } else {
-                [gi, 0.0, 0.0]
+/// [`bn_backward`]'s operands `(dy, xhat, plane, [gamma, inv_std],
+/// batch_stats, [grad_gamma, grad_beta], gx)`.
+struct Backward<'a>(
+    &'a [f32],
+    &'a [f32],
+    usize,
+    [&'a [f32]; 2],
+    bool,
+    [&'a mut [f32]; 2],
+    &'a mut [f32],
+);
+
+impl LaneJob for Backward<'_> {
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let Backward(dy, xhat, plane, [gamma, inv_std], batch_stats, [grad_gamma, grad_beta], gx) =
+            self;
+        let c = gamma.len();
+        assert!(
+            inv_std.len() == c && grad_gamma.len() == c && grad_beta.len() == c,
+            "batchnorm per-channel length mismatch"
+        );
+        assert!(
+            xhat.len() == dy.len() && gx.len() == dy.len(),
+            "batchnorm buffer mismatch"
+        );
+        let n = samples(dy.len(), c, plane);
+        let count = (n * plane) as f32;
+        // Lane `j` is channel `c0 + j`: its two chains over (sample, pixel), then
+        // the block's constants (γ·inv_std / count, Σdy, Σdy·x̂) after a Train
+        // forward, (γ·inv_std, 0, 0) after an Eval one.
+        let block = |chans: std::ops::Range<usize>| {
+            let mut sums = GradSums {
+                dy: V::splat(0.0),
+                dy_xhat: V::splat(0.0),
             };
-        }
-        consts
-    };
-    let cnt = V::splat(count);
-    per_channel(
-        [n, c, plane],
-        [dy, xhat],
-        [gx],
-        block,
-        |[d, xh]: [V; 2], [k, s1, s2]| {
-            if batch_stats {
-                [k.mul(cnt.mul(d).sub(s1).sub(xh.mul(s2)))]
-            } else {
-                [k.mul(d)]
+            for ni in 0..n {
+                let rows = rows((ni * c + chans.start) * plane, plane, chans.len());
+                pixel_vectors(&[dy, xhat], &rows, plane, &mut sums);
             }
-        },
-    );
+            let (sum_dy, sum_dy_xhat) = (lanes(sums.dy), lanes(sums.dy_xhat));
+            let mut consts = [[0.0f32; 3]; LANES];
+            for (j, ci) in chans.enumerate() {
+                grad_beta[ci] += sum_dy[j];
+                grad_gamma[ci] += sum_dy_xhat[j];
+                let gi = gamma[ci] * inv_std[ci];
+                consts[j] = if batch_stats {
+                    [gi / count, sum_dy[j], sum_dy_xhat[j]]
+                } else {
+                    [gi, 0.0, 0.0]
+                };
+            }
+            consts
+        };
+        let cnt = V::splat(count);
+        per_channel(
+            [n, c, plane],
+            [dy, xhat],
+            [gx],
+            block,
+            |[d, xh]: [V; 2], [k, s1, s2]| {
+                if batch_stats {
+                    [k.mul(cnt.mul(d).sub(s1).sub(xh.mul(s2)))]
+                } else {
+                    [k.mul(d)]
+                }
+            },
+        );
+    }
 }
 
 /// The sequential loops the kernels above replaced, kept as their reference

@@ -41,22 +41,21 @@
 //!   gradient in ascending `k`, as [`crate::oracle::col2im_ld`] folds dCol's rows.
 //!
 //! Every multiply-add goes through [`Lanes::axpy`], which fuses in the
-//! AVX2+FMA family exactly as the GEMM's `AvxFma` microkernel does and
-//! rounds twice in the portable family like `Portable`. Padded taps multiply
-//! the ring's stored `+0.0` like im2col's structural zeros, and the ring of
-//! `gxT` absorbs what col2im clips. Register blocks that run past the last
-//! channel recompute it and drop the result. Outputs, weight gradients and
-//! input gradients are therefore `to_bits`-equal to the GEMM route at any
-//! batch size and thread count — groups fan out over the [`Runtime`] for
-//! forward and dX, weight rows for dW, every worker walking its groups in
-//! ascending order — which the tests pin with those kernels as the oracle.
+//! AVX2+FMA family exactly as the GEMM's `AvxFma` microkernel does and rounds
+//! twice in the portable family like `Portable`; each kernel is a [`LaneJob`]
+//! per group, and [`run_lanes`] picks the family. Padded taps multiply the
+//! ring's stored `+0.0` like im2col's structural zeros, and the ring of `gxT`
+//! absorbs what col2im clips. Register blocks that run past the last channel
+//! recompute it and drop the result. Outputs, weight gradients and input
+//! gradients are therefore `to_bits`-equal to the GEMM route at any batch
+//! size and thread count — groups fan out over the [`Runtime`] for forward
+//! and dX, weight rows for dW, every worker walking its groups in ascending
+//! order — which the tests pin with those kernels as the oracle.
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use crate::matmul::simd_active;
+use crate::lanes::{run_lanes, Lane, LaneJob, Lanes, LANES, ZERO};
 use crate::matmul::KC;
 use crate::spconv::{
-    from_lanes, over_groups, pixel_origin, tap_origin, to_lanes, ConvBufs, Cursor, Lane, Lanes,
-    LANES, ZERO,
+    from_lanes, over_groups, pixel_origin, tap_origin, to_lanes, ConvBufs, Cursor,
 };
 use crate::ConvGeom;
 use ft_runtime::Runtime;
@@ -92,7 +91,7 @@ pub(crate) struct DenseBufs {
     /// output channel side by side, in the order dX reads them.
     w_t: Vec<f32>,
     /// Per worker, `[4][blocks][8]` transposed dW chains, used when a
-    /// sample's chain is cut into blocks (see [`dw_job`]).
+    /// sample's chain is cut into blocks (see [`Dw`]).
     dw_stage: Vec<Lane>,
 }
 
@@ -268,7 +267,7 @@ pub fn dconv_forward_rt(
                 .zip(xt.chunks_mut(group_in))
                 .zip(out.chunks_mut(LANES * sample_out));
             for ((x, xt), out) in groups {
-                forward_job(&sh, w, x, xt, out_t, out);
+                run_lanes(Forward(&sh, w, x, xt, out_t, out));
             }
         },
     );
@@ -345,7 +344,7 @@ pub fn dconv_backward_rt(
     match gx {
         None => {
             for (dy, dy_t) in (dy.chunks(LANES * sample_out)).zip(dy_t.chunks_mut(group_dy)) {
-                backward_job(&sh, w_t, dy, dy_t, None);
+                run_lanes(Backward(&sh, w_t, dy, dy_t, None));
             }
         }
         Some(gx) => {
@@ -362,7 +361,7 @@ pub fn dconv_backward_rt(
                         .zip(dy_t.chunks_mut(group_dy))
                         .zip(gx.chunks_mut(LANES * sample_in));
                     for ((dy, dy_t), gx) in groups {
-                        backward_job(&sh, w_t, dy, dy_t, Some((&mut *gx_t, gx)));
+                        run_lanes(Backward(&sh, w_t, dy, dy_t, Some((&mut *gx_t, gx))));
                     }
                 },
             );
@@ -383,7 +382,7 @@ pub fn dconv_backward_rt(
             let groups = xt.chunks(group_in).zip(dy_t.chunks(group_dy));
             for (gi, (xt, dy_t)) in groups.enumerate() {
                 let valid = LANES.min(n - gi * LANES);
-                dw_job(&sh, xt, dy_t, valid, rows.clone(), grad, stage);
+                run_lanes(Dw(&sh, xt, dy_t, valid, rows.clone(), grad, stage));
             }
         };
         if out_c > 1 && fan_out {
@@ -403,149 +402,55 @@ pub fn dconv_backward_rt(
     }
 }
 
-/// The AVX2+FMA family: the kernels below instantiated on `__m256`, entered
-/// only through these `target_feature` wrappers.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx {
-    use super::*;
-    use crate::spconv::avx::Ymm;
+/// One group of a forward pass, `(sh, w, x, xt, out_t, out)`: `x[valid ≤ 8,
+/// in_c, h, w]` into the lanes of `xt`, the kernel, `out_t` back out to
+/// `out[valid, out_c, oh, ow]`.
+struct Forward<'a>(
+    &'a Shape<'a>,
+    &'a [f32],
+    &'a [f32],
+    &'a mut [Lane],
+    &'a mut [Lane],
+    &'a mut [f32],
+);
 
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn forward_job(
-        sh: &Shape<'_>,
-        w: &[f32],
-        x: &[f32],
-        xt: &mut [Lane],
-        out_t: &mut [Lane],
-        out: &mut [f32],
-    ) {
-        forward_job_impl::<Ymm>(sh, w, x, xt, out_t, out)
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn backward_job(
-        sh: &Shape<'_>,
-        w_t: &[f32],
-        dy: &[f32],
-        dy_t: &mut [Lane],
-        gx: Option<(&mut [Lane], &mut [f32])>,
-    ) {
-        backward_job_impl::<Ymm>(sh, w_t, dy, dy_t, gx)
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dw_job(
-        sh: &Shape<'_>,
-        xt: &[Lane],
-        dy_t: &[Lane],
-        valid: usize,
-        rows: Range<usize>,
-        grad: &mut [f32],
-        stage: &mut [Lane],
-    ) {
-        dw_job_impl::<Ymm>(sh, xt, dy_t, valid, rows, grad, stage)
+impl LaneJob for Forward<'_> {
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let Forward(sh, w, x, xt, out_t, out) = self;
+        let (sample_in, sample_out) = (sh.sample_in(), sh.sample_out());
+        let valid = x.len() / sample_in;
+        to_lanes::<V>(x, sample_in, valid, xt, Cursor::interior(sh.geom));
+        forward_kernel::<V>(sh, w, xt, out_t);
+        from_lanes::<V>(out_t, Cursor::flat(), valid, sample_out, out);
     }
 }
 
-/// One group of a forward pass: `x[valid ≤ 8, in_c, h, w]` into the lanes of
-/// `xt`, the kernel, `out_t` back out to `out[valid, out_c, oh, ow]`.
-fn forward_job(
-    sh: &Shape<'_>,
-    w: &[f32],
-    x: &[f32],
-    xt: &mut [Lane],
-    out_t: &mut [Lane],
-    out: &mut [f32],
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: `simd_active` verified avx2+fma at runtime.
-        return unsafe { avx::forward_job(sh, w, x, xt, out_t, out) };
-    }
-    forward_job_impl::<Lane>(sh, w, x, xt, out_t, out)
-}
+/// One group of a backward pass, `(sh, w_t, dy, dy_t, gx)`: `dy[valid, out_c,
+/// oh, ow]` into the lanes of `dy_t` and, given `gx = (gx_t, gx)`, the dX
+/// kernel over the transposed weight `w_t` and its result back out to
+/// `gx[valid, in_c, h, w]`.
+struct Backward<'a>(
+    &'a Shape<'a>,
+    &'a [f32],
+    &'a [f32],
+    &'a mut [Lane],
+    Option<(&'a mut [Lane], &'a mut [f32])>,
+);
 
-/// One group of a backward pass: `dy[valid, out_c, oh, ow]` into the lanes
-/// of `dy_t` and, given `(gx_t, gx)`, the dX kernel over the transposed
-/// weight `w_t` and its result back out to `gx[valid, in_c, h, w]`.
-fn backward_job(
-    sh: &Shape<'_>,
-    w_t: &[f32],
-    dy: &[f32],
-    dy_t: &mut [Lane],
-    gx: Option<(&mut [Lane], &mut [f32])>,
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: `simd_active` verified avx2+fma at runtime.
-        return unsafe { avx::backward_job(sh, w_t, dy, dy_t, gx) };
-    }
-    backward_job_impl::<Lane>(sh, w_t, dy, dy_t, gx)
-}
-
-/// One group's contribution to the weight-gradient rows `rows` (`grad`
-/// holds exactly those rows); `stage` is this worker's.
-fn dw_job(
-    sh: &Shape<'_>,
-    xt: &[Lane],
-    dy_t: &[Lane],
-    valid: usize,
-    rows: Range<usize>,
-    grad: &mut [f32],
-    stage: &mut [Lane],
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: `simd_active` verified avx2+fma at runtime.
-        return unsafe { avx::dw_job(sh, xt, dy_t, valid, rows, grad, stage) };
-    }
-    dw_job_impl::<Lane>(sh, xt, dy_t, valid, rows, grad, stage)
-}
-
-// Everything below is `#[inline(always)]`: the AVX2 family exists only as
-// code inlined into its `target_feature` wrappers.
-
-#[inline(always)]
-fn forward_job_impl<V: Lanes>(
-    sh: &Shape<'_>,
-    w: &[f32],
-    x: &[f32],
-    xt: &mut [Lane],
-    out_t: &mut [Lane],
-    out: &mut [f32],
-) {
-    let (sample_in, sample_out) = (sh.sample_in(), sh.sample_out());
-    let valid = x.len() / sample_in;
-    to_lanes::<V>(x, sample_in, valid, xt, Cursor::interior(sh.geom));
-    forward_kernel::<V>(sh, w, xt, out_t);
-    from_lanes::<V>(out_t, Cursor::flat(), valid, sample_out, out);
-}
-
-#[inline(always)]
-fn backward_job_impl<V: Lanes>(
-    sh: &Shape<'_>,
-    w_t: &[f32],
-    dy: &[f32],
-    dy_t: &mut [Lane],
-    gx: Option<(&mut [Lane], &mut [f32])>,
-) {
-    let (sample_in, sample_out) = (sh.sample_in(), sh.sample_out());
-    let valid = dy.len() / sample_out;
-    let rows = Cursor::rows(sh.cc(), sh.dy_row() - sh.cc());
-    to_lanes::<V>(dy, sample_out, valid, dy_t, rows);
-    if let Some((gx_t, gx)) = gx {
-        gx_t.fill(ZERO);
-        dx_kernel::<V>(sh, w_t, dy_t, gx_t);
-        from_lanes::<V>(gx_t, Cursor::interior(sh.geom), valid, sample_in, gx);
+impl LaneJob for Backward<'_> {
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let Backward(sh, w_t, dy, dy_t, gx) = self;
+        let (sample_in, sample_out) = (sh.sample_in(), sh.sample_out());
+        let valid = dy.len() / sample_out;
+        let rows = Cursor::rows(sh.cc(), sh.dy_row() - sh.cc());
+        to_lanes::<V>(dy, sample_out, valid, dy_t, rows);
+        if let Some((gx_t, gx)) = gx {
+            gx_t.fill(ZERO);
+            dx_kernel::<V>(sh, w_t, dy_t, gx_t);
+            from_lanes::<V>(gx_t, Cursor::interior(sh.geom), valid, sample_in, gx);
+        }
     }
 }
 
@@ -710,113 +615,120 @@ fn dx_kernel<V: Lanes>(sh: &Shape<'_>, w_t: &[f32], dy_t: &[Lane], gx_t: &mut [L
     }
 }
 
-/// dW over one group for the weight rows `rows`: per element and sample a
-/// fresh chain `Σ_p dy_t[o][p] · xt[origin_k + pixel_p]` per [`KC`] output
-/// pixels, then the `valid` live lanes added to the element sample-major,
-/// block-minor. Four rows × two taps share a register block; the chains of a
-/// row's eight consecutive taps are transposed, so lane `l` of all eight is
-/// one vector and a sample is one vector add. A chain cut into blocks waits
-/// in `stage`, transposed, `[row][block][lane]`, until its last block is in;
-/// a whole chain is flushed from registers (through `stage` it cost a fifth
-/// more on 2 × 2 planes).
-#[inline(always)]
-fn dw_job_impl<V: Lanes>(
-    sh: &Shape<'_>,
-    xt: &[Lane],
-    dy_t: &[Lane],
-    valid: usize,
-    rows: Range<usize>,
-    grad: &mut [f32],
-    stage: &mut [Lane],
-) {
+/// dW over one group, `(sh, xt, dy_t, valid, rows, grad, stage)`, for the
+/// weight rows `rows` (`grad` holds exactly those rows; `stage` is this
+/// worker's): per element and sample a fresh chain
+/// `Σ_p dy_t[o][p] · xt[origin_k + pixel_p]` per [`KC`] output pixels, then
+/// the `valid` live lanes added to the element sample-major, block-minor.
+/// Four rows × two taps share a register block; the chains of a row's eight
+/// consecutive taps are transposed, so lane `l` of all eight is one vector
+/// and a sample is one vector add. A chain cut into blocks waits in `stage`,
+/// transposed, `[row][block][lane]`, until its last block is in; a whole
+/// chain is flushed from registers (through `stage` it cost a fifth more on
+/// 2 × 2 planes).
+struct Dw<'a>(
+    &'a Shape<'a>,
+    &'a [Lane],
+    &'a [Lane],
+    usize,
+    Range<usize>,
+    &'a mut [f32],
+    &'a mut [Lane],
+);
+
+impl LaneJob for Dw<'_> {
     #[inline(always)]
-    fn chains<V: Lanes>(
-        sh: &Shape<'_>,
-        xt: &[Lane],
-        dy: [&[Lane]; DW_ROWS],
-        taps: [usize; DW_TAPS],
-        pixel: &[u32],
-    ) -> [[V; DW_TAPS]; DW_ROWS] {
-        assert!(dy.iter().all(|dy| dy.len() == pixel.len()));
-        let origin = taps.map(|k| sh.origin[k] as usize);
-        let mut acc = [[V::splat(0.0); DW_TAPS]; DW_ROWS];
-        for (p, &px) in pixel.iter().enumerate() {
-            // SAFETY: `p < pixel.len()`, every `dy[i]`'s length as just
-            // asserted; `origin[e]` and `px` are entries of the tables
-            // `sh.reach` bounds, and `dw_job_impl` checked
-            // `sh.reach < xt.len()`.
-            let (d, x): ([V; DW_ROWS], [V; DW_TAPS]) = unsafe {
-                (
-                    std::array::from_fn(|i| lane_at(dy[i], p)),
-                    std::array::from_fn(|e| lane_at(xt, origin[e] + px as usize)),
-                )
-            };
-            rank1(&mut acc, d, x);
-        }
-        acc
-    }
-    /// `slots[t] = (…(slots[t] + addends[0][t]) + addends[1][t]) + …`.
-    #[inline(always)]
-    fn flush<V: Lanes>(slots: &mut [f32], addends: impl Iterator<Item = V>) {
+    fn run<V: Lanes>(self) {
         #[inline(always)]
-        fn add_all<V: Lanes>(octet: &mut [f32; LANES], addends: impl Iterator<Item = V>) {
-            let mut sum = V::load(octet);
-            for v in addends {
-                sum = sum.add(v);
+        fn chains<V: Lanes>(
+            sh: &Shape<'_>,
+            xt: &[Lane],
+            dy: [&[Lane]; DW_ROWS],
+            taps: [usize; DW_TAPS],
+            pixel: &[u32],
+        ) -> [[V; DW_TAPS]; DW_ROWS] {
+            assert!(dy.iter().all(|dy| dy.len() == pixel.len()));
+            let origin = taps.map(|k| sh.origin[k] as usize);
+            let mut acc = [[V::splat(0.0); DW_TAPS]; DW_ROWS];
+            for (p, &px) in pixel.iter().enumerate() {
+                // SAFETY: `p < pixel.len()`, every `dy[i]`'s length as just
+                // asserted; `origin[e]` and `px` are entries of the tables
+                // `sh.reach` bounds, and `Dw::run` checked
+                // `sh.reach < xt.len()`.
+                let (d, x): ([V; DW_ROWS], [V; DW_TAPS]) = unsafe {
+                    (
+                        std::array::from_fn(|i| lane_at(dy[i], p)),
+                        std::array::from_fn(|e| lane_at(xt, origin[e] + px as usize)),
+                    )
+                };
+                rank1(&mut acc, d, x);
             }
-            sum.store(octet);
+            acc
         }
-        match <&mut [f32; LANES]>::try_from(&mut *slots) {
-            Ok(octet) => add_all(octet, addends),
-            // The last taps of a row: fewer than eight slots.
-            Err(_) => {
-                let mut octet = [0.0; LANES];
-                octet[..slots.len()].copy_from_slice(slots);
-                add_all(&mut octet, addends);
-                slots.copy_from_slice(&octet[..slots.len()]);
-            }
-        }
-    }
-    assert!(sh.reach < xt.len(), "dconv group shorter than its geometry");
-    let (cr, cc, blocks) = (sh.cr(), sh.cc(), sh.dw_blocks());
-    for o in rows.clone().step_by(DW_ROWS) {
-        // Rows and taps past the last repeat it; the flush drops them.
-        let live = DW_ROWS.min(rows.end - o);
-        let dy: [&[Lane]; DW_ROWS] =
-            std::array::from_fn(|i| &dy_t[(o + i).min(rows.end - 1) * sh.dy_row()..][..cc]);
-        for k in (0..cr).step_by(LANES) {
-            let at = (o - rows.start) * cr + k;
-            let width = LANES.min(cr - k);
-            for b in 0..blocks {
-                let span = b * KC..cc.min((b + 1) * KC);
-                let dy: [&[Lane]; DW_ROWS] = std::array::from_fn(|i| &dy[i][span.clone()]);
-                let mut acc = [[V::splat(0.0); LANES]; DW_ROWS];
-                for e in (0..LANES).step_by(DW_TAPS) {
-                    let taps = std::array::from_fn(|j| (k + e + j).min(cr - 1));
-                    let block = chains::<V>(sh, xt, dy, taps, &sh.pixel[span.clone()]);
-                    for (acc, block) in acc.iter_mut().zip(block) {
-                        acc[e..e + DW_TAPS].copy_from_slice(&block);
-                    }
+        /// `slots[t] = (…(slots[t] + addends[0][t]) + addends[1][t]) + …`.
+        #[inline(always)]
+        fn flush<V: Lanes>(slots: &mut [f32], addends: impl Iterator<Item = V>) {
+            #[inline(always)]
+            fn add_all<V: Lanes>(octet: &mut [f32; LANES], addends: impl Iterator<Item = V>) {
+                let mut sum = V::load(octet);
+                for v in addends {
+                    sum = sum.add(v);
                 }
-                for (i, acc) in acc.into_iter().enumerate().take(live) {
-                    let samples = V::transpose(acc);
-                    if blocks == 1 {
-                        let slots = &mut grad[at + i * cr..][..width];
-                        flush(slots, samples.into_iter().take(valid));
-                    } else {
-                        let lanes = &mut stage[(i * blocks + b) * LANES..][..LANES];
-                        for (lane, v) in lanes.iter_mut().zip(samples) {
-                            v.store(&mut lane.0);
+                sum.store(octet);
+            }
+            match <&mut [f32; LANES]>::try_from(&mut *slots) {
+                Ok(octet) => add_all(octet, addends),
+                // The last taps of a row: fewer than eight slots.
+                Err(_) => {
+                    let mut octet = [0.0; LANES];
+                    octet[..slots.len()].copy_from_slice(slots);
+                    add_all(&mut octet, addends);
+                    slots.copy_from_slice(&octet[..slots.len()]);
+                }
+            }
+        }
+        let Dw(sh, xt, dy_t, valid, rows, grad, stage) = self;
+        assert!(sh.reach < xt.len(), "dconv group shorter than its geometry");
+        let (cr, cc, blocks) = (sh.cr(), sh.cc(), sh.dw_blocks());
+        for o in rows.clone().step_by(DW_ROWS) {
+            // Rows and taps past the last repeat it; the flush drops them.
+            let live = DW_ROWS.min(rows.end - o);
+            let dy: [&[Lane]; DW_ROWS] =
+                std::array::from_fn(|i| &dy_t[(o + i).min(rows.end - 1) * sh.dy_row()..][..cc]);
+            for k in (0..cr).step_by(LANES) {
+                let at = (o - rows.start) * cr + k;
+                let width = LANES.min(cr - k);
+                for b in 0..blocks {
+                    let span = b * KC..cc.min((b + 1) * KC);
+                    let dy: [&[Lane]; DW_ROWS] = std::array::from_fn(|i| &dy[i][span.clone()]);
+                    let mut acc = [[V::splat(0.0); LANES]; DW_ROWS];
+                    for e in (0..LANES).step_by(DW_TAPS) {
+                        let taps = std::array::from_fn(|j| (k + e + j).min(cr - 1));
+                        let block = chains::<V>(sh, xt, dy, taps, &sh.pixel[span.clone()]);
+                        for (acc, block) in acc.iter_mut().zip(block) {
+                            acc[e..e + DW_TAPS].copy_from_slice(&block);
+                        }
+                    }
+                    for (i, acc) in acc.into_iter().enumerate().take(live) {
+                        let samples = V::transpose(acc);
+                        if blocks == 1 {
+                            let slots = &mut grad[at + i * cr..][..width];
+                            flush(slots, samples.into_iter().take(valid));
+                        } else {
+                            let lanes = &mut stage[(i * blocks + b) * LANES..][..LANES];
+                            for (lane, v) in lanes.iter_mut().zip(samples) {
+                                v.store(&mut lane.0);
+                            }
                         }
                     }
                 }
-            }
-            if blocks > 1 {
-                for (i, stage) in stage.chunks(blocks * LANES).enumerate().take(live) {
-                    let chains = (0..valid)
-                        .flat_map(|l| stage[l..].iter().step_by(LANES))
-                        .map(|lane| V::load(&lane.0));
-                    flush(&mut grad[at + i * cr..][..width], chains);
+                if blocks > 1 {
+                    for (i, stage) in stage.chunks(blocks * LANES).enumerate().take(live) {
+                        let chains = (0..valid)
+                            .flat_map(|l| stage[l..].iter().step_by(LANES))
+                            .map(|lane| V::load(&lane.0));
+                        flush(&mut grad[at + i * cr..][..width], chains);
+                    }
                 }
             }
         }

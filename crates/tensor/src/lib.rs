@@ -11,6 +11,10 @@
 //! [`bn_backward`]), pooling, elementwise arithmetic, reductions, seeded
 //! random initializers and the int8 quantizer of the wire codecs.
 //!
+//! The convolution engines and the batch-norm kernels run on one of two
+//! kernel families, AVX2+FMA or portable, picked in one place: each kernel
+//! is a job handed to `lanes::run_lanes`.
+//!
 //! The root exports one entry point per kernel — the one its caller uses.
 //! The im2col + GEMM / CSR route the convolution engines replaced, and the
 //! scalar loops the batch-norm kernels replaced, survive as their
@@ -39,6 +43,7 @@ mod bn;
 mod dconv;
 mod im2col;
 mod init;
+mod lanes;
 mod matmul;
 mod ops;
 mod pool;

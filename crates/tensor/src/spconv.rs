@@ -30,7 +30,8 @@
 //! scalar operation sequence the im2col + CSR route runs for that sample:
 //! the same products in the same order from the same `+0.0` start, fused in
 //! the forward pass exactly when `simd_active()` (the AVX2+FMA family, as in
-//! [`crate::oracle::spmm_into`]) and never elsewhere. Padded taps multiply a
+//! [`crate::oracle::spmm_into`]) and never elsewhere. Each of the three passes
+//! is a [`LaneJob`] per group, and [`run_lanes`] picks its family. Padded taps multiply a
 //! stored `+0.0` like im2col's structural zeros; nothing is skipped or
 //! reassociated. (dX leaves out the columns with no stored entry: their
 //! `tmp` is `+0.0`, and adding `+0.0` to a sum that started at `+0.0` never
@@ -39,22 +40,10 @@
 //! groups fan out over the [`Runtime`] for forward and dX, CSR rows for dW —
 //! which the tests pin against those kernels as the oracle.
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use crate::matmul::simd_active;
+use crate::lanes::{run_lanes, Lane, LaneJob, Lanes, LANES, ZERO};
 use crate::{ConvGeom, CsrView};
 use ft_runtime::Runtime;
 use std::ops::Range;
-
-/// Samples per lane vector (one AVX2 register of `f32`). Results do not
-/// depend on it: a lane never reads another lane.
-pub(crate) const LANES: usize = 8;
-
-/// One value per sample of a group.
-#[derive(Clone, Copy, Debug, Default)]
-#[repr(C, align(32))]
-pub(crate) struct Lane(pub(crate) [f32; LANES]);
-
-pub(crate) const ZERO: Lane = Lane([0.0; LANES]);
 
 /// Geometry- and structure-keyed offsets of one sparse convolution: where
 /// every stored weight reads the padded input, and the CSC view dX walks.
@@ -320,7 +309,7 @@ pub fn spconv_forward_rt(
                 .zip(xt.chunks_mut(idx.group_in))
                 .zip(out.chunks_mut(LANES * sample_out));
             for ((x, xt), out) in groups {
-                forward_job(idx, &s, x, xt, out_t, out);
+                run_lanes(Forward(idx, s, x, xt, out_t, out));
             }
         },
     );
@@ -370,7 +359,7 @@ pub fn spconv_backward_rt(
     match gx {
         None => {
             for (dy, dy_t) in (dy.chunks(LANES * sample_out)).zip(dy_t.chunks_mut(sample_out)) {
-                backward_job(idx, &s, dy, dy_t, None);
+                run_lanes(Backward(idx, s, dy, dy_t, None));
             }
         }
         Some(gx) => {
@@ -387,7 +376,7 @@ pub fn spconv_backward_rt(
                         .zip(dy_t.chunks_mut(sample_out))
                         .zip(gx.chunks_mut(LANES * sample_in));
                     for ((dy, dy_t), gx) in groups {
-                        backward_job(idx, &s, dy, dy_t, Some((&mut *gx_t, gx)));
+                        run_lanes(Backward(idx, s, dy, dy_t, Some((&mut *gx_t, gx))));
                     }
                 },
             );
@@ -404,7 +393,7 @@ pub fn spconv_backward_rt(
             let groups = xt.chunks(idx.group_in).zip(dy_t.chunks(sample_out));
             for (gi, (xt, dy_t)) in groups.enumerate() {
                 let valid = LANES.min(n - gi * LANES);
-                dw_job(idx, xt, dy_t, valid, entries.clone(), chunk);
+                run_lanes(Dw(idx, xt, dy_t, valid, entries.clone(), chunk));
             }
         };
         if s.rows > 1 && fan_out {
@@ -416,275 +405,53 @@ pub fn spconv_backward_rt(
     }
 }
 
-/// Eight `f32` lanes and the arithmetic of one kernel family. The kernels
-/// are written once over this trait and instantiated per family, like the
-/// dense GEMM's `Micro`.
-pub(crate) trait Lanes: Copy {
-    fn splat(v: f32) -> Self;
-    fn load(src: &[f32; LANES]) -> Self;
-    fn store(self, dst: &mut [f32; LANES]);
-    fn add(self, rhs: Self) -> Self;
-    fn sub(self, rhs: Self) -> Self;
-    fn mul(self, rhs: Self) -> Self;
-    /// `self + v·x` as this family's forward pass rounds it: fused in the
-    /// AVX2+FMA family, mul-then-add in the portable one — the rule
-    /// [`crate::oracle::spmm_into`] follows.
-    fn axpy(self, v: Self, x: Self) -> Self;
-    /// `out[k][l] = rows[l][k]`.
-    fn transpose(rows: [Self; LANES]) -> [Self; LANES];
-}
+/// One group of a forward pass, `(idx, s, x, xt, out_t, out)`: `x[valid ≤ 8,
+/// in_c, h, w]` into the lanes of `xt`, the kernel, `out_t` back out to
+/// `out[valid, out_c, oh, ow]`.
+struct Forward<'a>(
+    &'a SpConvIndex,
+    CsrView<'a>,
+    &'a [f32],
+    &'a mut [Lane],
+    &'a mut [Lane],
+    &'a mut [f32],
+);
 
-/// The portable family: plain lane loops the autovectorizer turns into
-/// whatever the target baseline offers; every operation rounds once.
-impl Lanes for Lane {
+impl LaneJob for Forward<'_> {
     #[inline(always)]
-    fn splat(v: f32) -> Self {
-        Lane([v; LANES])
-    }
-    #[inline(always)]
-    fn load(src: &[f32; LANES]) -> Self {
-        Lane(*src)
-    }
-    #[inline(always)]
-    fn store(self, dst: &mut [f32; LANES]) {
-        *dst = self.0;
-    }
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        Lane(std::array::from_fn(|l| self.0[l] + rhs.0[l]))
-    }
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        Lane(std::array::from_fn(|l| self.0[l] - rhs.0[l]))
-    }
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        Lane(std::array::from_fn(|l| self.0[l] * rhs.0[l]))
-    }
-    #[inline(always)]
-    fn axpy(self, v: Self, x: Self) -> Self {
-        self.add(v.mul(x))
-    }
-    #[inline(always)]
-    fn transpose(rows: [Self; LANES]) -> [Self; LANES] {
-        std::array::from_fn(|k| Lane(std::array::from_fn(|l| rows[l].0[k])))
+    fn run<V: Lanes>(self) {
+        let Forward(idx, s, x, xt, out_t, out) = self;
+        let (sample_in, sample_out) = (idx.sample_in(), idx.sample_out());
+        let valid = x.len() / sample_in;
+        to_lanes::<V>(x, sample_in, valid, xt, Cursor::interior(&idx.geom));
+        forward_kernel::<V>(idx, &s, xt, out_t);
+        from_lanes::<V>(out_t, Cursor::flat(), valid, sample_out, out);
     }
 }
 
-/// The AVX2+FMA family: the same kernels on `__m256`, entered only through
-/// the `target_feature` wrappers at the bottom of the module. Only `axpy`
-/// — the forward pass — fuses, as [`crate::oracle::spmm_into`] does whenever
-/// this family runs; `add` and `mul` round like the portable family's, so dW
-/// and dX gain vector width and keep their bits.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) mod avx {
-    use super::*;
-    use std::arch::x86_64::*;
+/// One group of a backward pass, `(idx, s, dy, dy_t, gx)`: `dy[valid, out_c,
+/// oh, ow]` into the lanes of `dy_t` and, given `gx = (gx_t, gx)`, the dX
+/// kernel and its result back out to `gx[valid, in_c, h, w]`.
+struct Backward<'a>(
+    &'a SpConvIndex,
+    CsrView<'a>,
+    &'a [f32],
+    &'a mut [Lane],
+    Option<(&'a mut [Lane], &'a mut [f32])>,
+);
 
-    #[derive(Clone, Copy)]
-    pub(crate) struct Ymm(__m256);
-
-    // SAFETY (every block below): `Ymm` is only named by the
-    // `target_feature(enable = "avx2,fma")` wrappers of this module and of
-    // `dconv`, which `simd_active()` guards; the pointers come from
-    // `[f32; 8]` references and the accesses are the unaligned forms.
-    impl Lanes for Ymm {
-        #[inline(always)]
-        fn splat(v: f32) -> Self {
-            Ymm(unsafe { _mm256_set1_ps(v) })
+impl LaneJob for Backward<'_> {
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let Backward(idx, s, dy, dy_t, gx) = self;
+        let (sample_in, sample_out) = (idx.sample_in(), idx.sample_out());
+        let valid = dy.len() / sample_out;
+        to_lanes::<V>(dy, sample_out, valid, dy_t, Cursor::flat());
+        if let Some((gx_t, gx)) = gx {
+            gx_t.fill(ZERO);
+            dx_kernel::<V>(idx, &s, dy_t, gx_t);
+            from_lanes::<V>(gx_t, Cursor::interior(&idx.geom), valid, sample_in, gx);
         }
-        #[inline(always)]
-        fn load(src: &[f32; LANES]) -> Self {
-            Ymm(unsafe { _mm256_loadu_ps(src.as_ptr()) })
-        }
-        #[inline(always)]
-        fn store(self, dst: &mut [f32; LANES]) {
-            unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), self.0) }
-        }
-        #[inline(always)]
-        fn add(self, rhs: Self) -> Self {
-            Ymm(unsafe { _mm256_add_ps(self.0, rhs.0) })
-        }
-        #[inline(always)]
-        fn sub(self, rhs: Self) -> Self {
-            Ymm(unsafe { _mm256_sub_ps(self.0, rhs.0) })
-        }
-        #[inline(always)]
-        fn mul(self, rhs: Self) -> Self {
-            Ymm(unsafe { _mm256_mul_ps(self.0, rhs.0) })
-        }
-        #[inline(always)]
-        fn axpy(self, v: Self, x: Self) -> Self {
-            Ymm(unsafe { _mm256_fmadd_ps(v.0, x.0, self.0) })
-        }
-        #[inline(always)]
-        fn transpose(r: [Self; LANES]) -> [Self; LANES] {
-            unsafe {
-                // 32-bit, then 64-bit interleaves inside each 128-bit half,
-                // then the halves are exchanged.
-                let t: [__m256; 8] = std::array::from_fn(|i| {
-                    let (a, b) = (r[i & !1].0, r[i | 1].0);
-                    if i & 1 == 0 {
-                        _mm256_unpacklo_ps(a, b)
-                    } else {
-                        _mm256_unpackhi_ps(a, b)
-                    }
-                });
-                let u: [__m256; 8] = std::array::from_fn(|i| {
-                    let (a, b) = (t[(i & 4) | (i & 1)], t[(i & 4) | (i & 1) | 2]);
-                    if i & 2 == 0 {
-                        _mm256_shuffle_ps::<0b0100_0100>(a, b)
-                    } else {
-                        _mm256_shuffle_ps::<0b1110_1110>(a, b)
-                    }
-                });
-                // `u[i]` holds columns `c` and `c + 4` of rows 0–3 (`i < 4`)
-                // or rows 4–7, where `c = [0, 2, 1, 3][i & 3]`.
-                std::array::from_fn(|k| {
-                    let i = [0, 2, 1, 3][k & 3];
-                    Ymm(if k < 4 {
-                        _mm256_permute2f128_ps::<0x20>(u[i], u[i + 4])
-                    } else {
-                        _mm256_permute2f128_ps::<0x31>(u[i], u[i + 4])
-                    })
-                })
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn forward_job(
-        idx: &SpConvIndex,
-        s: &CsrView<'_>,
-        x: &[f32],
-        xt: &mut [Lane],
-        out_t: &mut [Lane],
-        out: &mut [f32],
-    ) {
-        forward_job_impl::<Ymm>(idx, s, x, xt, out_t, out)
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn backward_job(
-        idx: &SpConvIndex,
-        s: &CsrView<'_>,
-        dy: &[f32],
-        dy_t: &mut [Lane],
-        gx: Option<(&mut [Lane], &mut [f32])>,
-    ) {
-        backward_job_impl::<Ymm>(idx, s, dy, dy_t, gx)
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn dw_job(
-        idx: &SpConvIndex,
-        xt: &[Lane],
-        dy_t: &[Lane],
-        valid: usize,
-        entries: Range<usize>,
-        vals: &mut [f32],
-    ) {
-        dw_job_impl::<Ymm>(idx, xt, dy_t, valid, entries, vals)
-    }
-}
-
-/// One group of a forward pass: `x[valid ≤ 8, in_c, h, w]` into the lanes of
-/// `xt`, the kernel, `out_t` back out to `out[valid, out_c, oh, ow]`.
-fn forward_job(
-    idx: &SpConvIndex,
-    s: &CsrView<'_>,
-    x: &[f32],
-    xt: &mut [Lane],
-    out_t: &mut [Lane],
-    out: &mut [f32],
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: `simd_active` verified avx2+fma at runtime.
-        return unsafe { avx::forward_job(idx, s, x, xt, out_t, out) };
-    }
-    forward_job_impl::<Lane>(idx, s, x, xt, out_t, out)
-}
-
-/// One group of a backward pass: `dy[valid, out_c, oh, ow]` into the lanes
-/// of `dy_t` and, given `(gx_t, gx)`, the dX kernel and its result back out
-/// to `gx[valid, in_c, h, w]`.
-fn backward_job(
-    idx: &SpConvIndex,
-    s: &CsrView<'_>,
-    dy: &[f32],
-    dy_t: &mut [Lane],
-    gx: Option<(&mut [Lane], &mut [f32])>,
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: `simd_active` verified avx2+fma at runtime.
-        return unsafe { avx::backward_job(idx, s, dy, dy_t, gx) };
-    }
-    backward_job_impl::<Lane>(idx, s, dy, dy_t, gx)
-}
-
-/// One group's contribution to the weight-gradient slots of `entries`
-/// (`vals[0]` is the slot of `entries.start`).
-fn dw_job(
-    idx: &SpConvIndex,
-    xt: &[Lane],
-    dy_t: &[Lane],
-    valid: usize,
-    entries: Range<usize>,
-    vals: &mut [f32],
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_active() {
-        // SAFETY: `simd_active` verified avx2+fma at runtime.
-        return unsafe { avx::dw_job(idx, xt, dy_t, valid, entries, vals) };
-    }
-    dw_job_impl::<Lane>(idx, xt, dy_t, valid, entries, vals)
-}
-
-// Everything below is `#[inline(always)]`: the AVX2 family exists only as
-// code inlined into its `target_feature` wrappers.
-
-#[inline(always)]
-fn forward_job_impl<V: Lanes>(
-    idx: &SpConvIndex,
-    s: &CsrView<'_>,
-    x: &[f32],
-    xt: &mut [Lane],
-    out_t: &mut [Lane],
-    out: &mut [f32],
-) {
-    let (sample_in, sample_out) = (idx.sample_in(), idx.sample_out());
-    let valid = x.len() / sample_in;
-    to_lanes::<V>(x, sample_in, valid, xt, Cursor::interior(&idx.geom));
-    forward_kernel::<V>(idx, s, xt, out_t);
-    from_lanes::<V>(out_t, Cursor::flat(), valid, sample_out, out);
-}
-
-#[inline(always)]
-fn backward_job_impl<V: Lanes>(
-    idx: &SpConvIndex,
-    s: &CsrView<'_>,
-    dy: &[f32],
-    dy_t: &mut [Lane],
-    gx: Option<(&mut [Lane], &mut [f32])>,
-) {
-    let (sample_in, sample_out) = (idx.sample_in(), idx.sample_out());
-    let valid = dy.len() / sample_out;
-    to_lanes::<V>(dy, sample_out, valid, dy_t, Cursor::flat());
-    if let Some((gx_t, gx)) = gx {
-        gx_t.fill(ZERO);
-        dx_kernel::<V>(idx, s, dy_t, gx_t);
-        from_lanes::<V>(gx_t, Cursor::interior(&idx.geom), valid, sample_in, gx);
     }
 }
 
@@ -929,61 +696,67 @@ fn dx_kernel<V: Lanes>(idx: &SpConvIndex, s: &CsrView<'_>, dy_t: &[Lane], gx_t: 
     }
 }
 
-/// dW over one group for the stored entries `entries`: per entry a fresh
-/// accumulator, `acc += dy·x` over the output pixels in ascending order,
-/// then the `valid` live lanes added to the slot in ascending sample order.
-/// Eight entries run interleaved so their add chains hide each other's
+/// dW over one group, `(idx, xt, dy_t, valid, entries, vals)`, for the stored
+/// entries `entries` (`vals[0]` is the slot of `entries.start`): per entry a
+/// fresh accumulator, `acc += dy·x` over the output pixels in ascending
+/// order, then the `valid` live lanes added to the slot in ascending sample
+/// order. Eight entries run interleaved so their add chains hide each other's
 /// latency, and their lane sums run as one vector — the accumulators
 /// transposed, so lane `l` of every entry is added at step `l`.
-#[inline(always)]
-fn dw_job_impl<V: Lanes>(
-    idx: &SpConvIndex,
-    xt: &[Lane],
-    dy_t: &[Lane],
-    valid: usize,
-    entries: Range<usize>,
-    vals: &mut [f32],
-) {
+struct Dw<'a>(
+    &'a SpConvIndex,
+    &'a [Lane],
+    &'a [Lane],
+    usize,
+    Range<usize>,
+    &'a mut [f32],
+);
+
+impl LaneJob for Dw<'_> {
     #[inline(always)]
-    fn chains<V: Lanes, const E: usize>(
-        idx: &SpConvIndex,
-        xt: &[Lane],
-        dy_t: &[Lane],
-        e0: usize,
-    ) -> [V; E] {
-        let cc = idx.cc();
-        let taps: [&[Lane]; E] = std::array::from_fn(|k| &xt[idx.origin[e0 + k] as usize..]);
-        let dys: [&[Lane]; E] =
-            std::array::from_fn(|k| &dy_t[idx.entry_row[e0 + k] as usize * cc..][..cc]);
-        let mut acc = [V::splat(0.0); E];
-        for (p, &px) in idx.pixel.iter().enumerate() {
-            for k in 0..E {
-                let (d, x) = (V::load(&dys[k][p].0), V::load(&taps[k][px as usize].0));
-                acc[k] = acc[k].add(d.mul(x));
+    fn run<V: Lanes>(self) {
+        #[inline(always)]
+        fn chains<V: Lanes, const E: usize>(
+            idx: &SpConvIndex,
+            xt: &[Lane],
+            dy_t: &[Lane],
+            e0: usize,
+        ) -> [V; E] {
+            let cc = idx.cc();
+            let taps: [&[Lane]; E] = std::array::from_fn(|k| &xt[idx.origin[e0 + k] as usize..]);
+            let dys: [&[Lane]; E] =
+                std::array::from_fn(|k| &dy_t[idx.entry_row[e0 + k] as usize * cc..][..cc]);
+            let mut acc = [V::splat(0.0); E];
+            for (p, &px) in idx.pixel.iter().enumerate() {
+                for k in 0..E {
+                    let (d, x) = (V::load(&dys[k][p].0), V::load(&taps[k][px as usize].0));
+                    acc[k] = acc[k].add(d.mul(x));
+                }
             }
+            acc
         }
-        acc
-    }
-    let mut e = entries.start;
-    while e + LANES <= entries.end {
-        let acc = chains::<V, LANES>(idx, xt, dy_t, e);
-        let octet = &mut vals[e - entries.start..][..LANES];
-        let octet: &mut [f32; LANES] = octet.try_into().expect("eight slots");
-        let mut sum = V::load(octet);
-        for lane in V::transpose(acc).into_iter().take(valid) {
-            sum = sum.add(lane);
+        let Dw(idx, xt, dy_t, valid, entries, vals) = self;
+        let mut e = entries.start;
+        while e + LANES <= entries.end {
+            let acc = chains::<V, LANES>(idx, xt, dy_t, e);
+            let octet = &mut vals[e - entries.start..][..LANES];
+            let octet: &mut [f32; LANES] = octet.try_into().expect("eight slots");
+            let mut sum = V::load(octet);
+            for lane in V::transpose(acc).into_iter().take(valid) {
+                sum = sum.add(lane);
+            }
+            sum.store(octet);
+            e += LANES;
         }
-        sum.store(octet);
-        e += LANES;
-    }
-    while e < entries.end {
-        let [acc] = chains::<V, 1>(idx, xt, dy_t, e);
-        let mut samples = [0.0; LANES];
-        acc.store(&mut samples);
-        for &sample in &samples[..valid] {
-            vals[e - entries.start] += sample;
+        while e < entries.end {
+            let [acc] = chains::<V, 1>(idx, xt, dy_t, e);
+            let mut samples = [0.0; LANES];
+            acc.store(&mut samples);
+            for &sample in &samples[..valid] {
+                vals[e - entries.start] += sample;
+            }
+            e += 1;
         }
-        e += 1;
     }
 }
 
