@@ -22,7 +22,7 @@ use ft_tensor::oracle::{self, col2im_ld, im2col_batched, matmul_nt_seg_into};
 use ft_tensor::{
     bn_backward, bn_batch_stats, bn_normalize, dconv_backward_rt, dconv_forward_rt, matmul_into,
     matmul_into_rt, matmul_tn_into_rt, spconv_backward_rt, spconv_forward_rt, ConvBufs, ConvGeom,
-    SpConvIndex, Tensor,
+    LaneTensor, SpConvIndex, Tensor,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -354,37 +354,31 @@ fn resnet_step_records(report: &mut BenchReport) {
 }
 
 /// The direct sparse convolution's three kernels, single-thread, at
-/// [`stage_geoms`] and d = 0.05. Each record includes its share of the layout
-/// transposes (`spconv_dx` is a backward without dW, `spconv_dw` one without
-/// dX).
+/// [`stage_geoms`] and d = 0.05, on lane activations as a model hands them
+/// over (`spconv_dx` is a backward without dW, `spconv_dw` one without dX).
 fn spconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
     let (n, density) = (CONV_BATCH, 0.05f64);
     let rt = Runtime::sequential();
     for (g, shape) in stage_geoms() {
         let ch = g.in_c;
-        let side = g.in_h;
         let csr = rand_csr(rng, ch, g.col_rows(), density);
-        let idx = SpConvIndex::new(csr.view(), &g);
-        let x = rand_dense(rng, n, ch * side * side);
-        let dy = rand_dense(rng, n, ch * g.col_cols());
-        let mut bufs = ConvBufs::default();
-        let mut out = vec![0.0f32; dy.numel()];
-        let mut gx = vec![0.0f32; x.numel()];
+        let idx = SpConvIndex::new(csr.view(), &g, g.pad);
+        let (x, dy) = conv_operands(rng, &g);
+        let (mut out, mut gx) = (LaneTensor::default(), LaneTensor::default());
         let mut vals = vec![0.0f32; csr.nnz()];
         let flops = 2.0 * (csr.nnz() * g.col_cols() * n) as f64;
         let fwd = measure_ns(|| {
-            spconv_forward_rt(&rt, &idx, csr.view(), x.data(), n, &mut bufs, &mut out);
+            spconv_forward_rt(&rt, &idx, csr.view(), &x, &mut out);
             black_box(&out);
         });
         let dw = measure_ns(|| {
             vals.fill(0.0);
             let slots = Some(&mut vals[..]);
-            spconv_backward_rt(&rt, &idx, csr.view(), dy.data(), n, &mut bufs, slots, None);
+            spconv_backward_rt(&rt, &idx, csr.view(), &x, &dy, slots, None);
             black_box(&vals);
         });
         let dx = measure_ns(|| {
-            let grad = Some(&mut gx[..]);
-            spconv_backward_rt(&rt, &idx, csr.view(), dy.data(), n, &mut bufs, None, grad);
+            spconv_backward_rt(&rt, &idx, csr.view(), &x, &dy, None, Some(&mut gx));
             black_box(&gx);
         });
         for (op, ns) in [("spconv_fwd", fwd), ("spconv_dw", dw), ("spconv_dx", dx)] {
@@ -446,13 +440,31 @@ fn stage_geoms() -> [(ConvGeom, String); 2] {
 /// Batch of the conv kernel records.
 const CONV_BATCH: usize = 32;
 
+/// Random input and output gradient of a batch of [`CONV_BATCH`] through
+/// `g` (as many output channels as input ones), in lanes as a model hands
+/// them to a convolution: the input with a ring of the padding.
+fn conv_operands(rng: &mut ChaCha8Rng, g: &ConvGeom) -> (LaneTensor, LaneTensor) {
+    let (n, ch) = (CONV_BATCH, g.in_c);
+    let lanes = |t: Tensor, shape, ring| {
+        let mut l = LaneTensor::default();
+        l.copy_from_nchw(t.data(), shape, ring);
+        l
+    };
+    let x = rand_dense(rng, n, ch * g.in_h * g.in_w);
+    let dy = rand_dense(rng, n, ch * g.col_cols());
+    (
+        lanes(x, [n, ch, g.in_h, g.in_w], g.pad),
+        lanes(dy, [n, ch, g.out_h(), g.out_w()], 0),
+    )
+}
+
 /// The direct dense convolution's three kernels, single-thread, each timed
 /// alternately with the im2col + GEMM route it replaced behind `Conv2d` and
 /// is pinned `to_bits`-equal to (`dconv_*` against `dconv_*_oracle`;
-/// `bench_check` gates their sum per shape). Each side includes its layout
-/// work: the direct engine its lane transposes, the oracle its `dY` repack,
-/// NCHW scatter, zeroing and col2im — but the oracle's dW reuses the column
-/// matrix its forward built.
+/// `bench_check` gates their sum per shape). Each side works on its route's
+/// layout: the direct engine on lane activations as a model hands them over,
+/// the oracle on NCHW with its `dY` repack, NCHW scatter, zeroing and col2im
+/// — but the oracle's dW reuses the column matrix its forward built.
 fn dconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
     let (n, rt) = (CONV_BATCH, Runtime::sequential());
     for (g, shape) in stage_geoms() {
@@ -463,15 +475,22 @@ fn dconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
         let x = rand_dense(rng, n, sample);
         let dy = rand_dense(rng, n, ch * cc);
         let flops = 2.0 * (n * cc * ch * cr) as f64;
+        let lanes = |t: &Tensor, shape, ring| {
+            let mut l = LaneTensor::default();
+            l.copy_from_nchw(t.data(), shape, ring);
+            l
+        };
+        let lx = lanes(&x, [n, ch, g.in_h, g.in_w], g.pad);
+        let ldy = lanes(&dy, [n, ch, g.out_h(), g.out_w()], 0);
 
         let mut bufs = ConvBufs::default();
-        let (mut out, mut gx) = (vec![0.0f32; dy.numel()], vec![0.0f32; x.numel()]);
+        let (mut out, mut gx) = (LaneTensor::default(), LaneTensor::default());
         let mut gw = vec![0.0f32; w.numel()];
         let mut cols = Tensor::zeros(&[cr, n * cc]);
         let (mut out_b, mut dy_b) = (Tensor::zeros(&[ch, n * cc]), Tensor::zeros(&[ch, n * cc]));
         let mut dcol = Tensor::zeros(&[cr, n * cc]);
         let mut gw_o = Tensor::zeros(&[ch, cr]);
-        let (mut out_o, mut gx_o) = (out.clone(), gx.clone());
+        let (mut out_o, mut gx_o) = (vec![0.0f32; dy.numel()], vec![0.0f32; x.numel()]);
         // `[n, ch, cc]` ↔ `[ch, n·cc]`, the GEMM route's layout change:
         // `(offset in NCHW, offset in rows)` of every `cc`-long run.
         let runs = || (0..n * ch).map(|ic| (ic * cc, (ic % ch * n + ic / ch) * cc));
@@ -488,7 +507,7 @@ fn dconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
 
         let fwd = alternate_ns(
             || {
-                dconv_forward_rt(&rt, &g, w.data(), x.data(), n, &mut bufs, &mut out);
+                dconv_forward_rt(&rt, &g, w.data(), &lx, &mut bufs, &mut out);
                 black_box(&out);
             },
             || {
@@ -502,7 +521,7 @@ fn dconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
         let dw = alternate_ns(
             || {
                 let grad = Some(&mut gw[..]);
-                dconv_backward_rt(&rt, &g, w.data(), dy.data(), n, &mut bufs, grad, None);
+                dconv_backward_rt(&rt, &g, w.data(), &lx, &ldy, &mut bufs, grad, None);
                 black_box(&gw);
             },
             || {
@@ -513,8 +532,8 @@ fn dconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
         );
         let dx = alternate_ns(
             || {
-                let grad = Some(&mut gx[..]);
-                dconv_backward_rt(&rt, &g, w.data(), dy.data(), n, &mut bufs, None, grad);
+                let grad = Some(&mut gx);
+                dconv_backward_rt(&rt, &g, w.data(), &lx, &ldy, &mut bufs, None, grad);
                 black_box(&gx);
             },
             || {
@@ -542,36 +561,41 @@ fn dconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
     }
 }
 
-/// BatchNorm's Train forward (batch statistics, the inverse deviations,
-/// the normalising pass: `bn_fwd`) and its backward (`bn_bwd`) at the two
-/// stage shapes, single-thread, each timed alternately with the scalar loops
-/// it is pinned `to_bits`-equal to (`_oracle`, [`ft_tensor::oracle`];
-/// `bench_check` gates their sum per shape as g4).
+/// BatchNorm with its ReLU — the layer every convolution but a residual
+/// block's second feeds — at the two stage shapes, single-thread: the Train
+/// forward (batch statistics, the inverse deviations, the fused normalising
+/// pass: `bn_fwd`) and its backward (`bn_bwd`) on lane activations, each
+/// timed alternately with the scalar NCHW loops it is pinned `to_bits`-equal
+/// to followed by the separate ReLU pass (and its mask) the layers ran
+/// before (`_oracle`, [`ft_tensor::oracle`]; `bench_check` gates their sum
+/// per shape as g4).
 fn bn_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
     let n = CONV_BATCH;
     for (c, side) in [(16usize, 16usize), (128, 2)] {
         let shape = format!("b{n}x{c}x{side}x{side}");
         let plane = side * side;
         let (x, dy) = (rand_dense(rng, n, c * plane), rand_dense(rng, n, c * plane));
+        let lanes = |t: &Tensor, ring| {
+            let mut l = LaneTensor::default();
+            l.copy_from_nchw(t.data(), [n, c, side, side], ring);
+            l
+        };
+        let (lx, ldy) = (lanes(&x, 0), lanes(&dy, 1));
         let (gamma, beta) = (rand_dense(rng, 1, c), rand_dense(rng, 1, c));
         let (gamma, beta) = (gamma.data(), beta.data());
-        // Each side's statistics, activations and gradients.
-        let fresh = || {
-            let per_channel = || vec![0.0f32; c];
-            let per_element = || vec![0.0f32; x.numel()];
-            (
-                [per_channel(), per_channel(), per_channel()],
-                [per_element(), per_element(), per_element()],
-                [per_channel(), per_channel()],
-            )
-        };
-        let ([mut mean, mut var, mut inv_std], [mut xhat, mut out, mut gx], [mut gg, mut gb]) =
-            fresh();
-        let (
-            [mut mean_o, mut var_o, mut inv_o],
-            [mut xhat_o, mut out_o, mut gx_o],
-            [mut gg_o, mut gb_o],
-        ) = fresh();
+        let per_channel = || vec![0.0f32; c];
+        let per_element = || vec![0.0f32; x.numel()];
+        let ([mut mean, mut var, mut inv_std], [mut gg, mut gb]) = (
+            [per_channel(), per_channel(), per_channel()],
+            [per_channel(), per_channel()],
+        );
+        let ([mut mean_o, mut var_o, mut inv_o], [mut gg_o, mut gb_o]) = (
+            [per_channel(), per_channel(), per_channel()],
+            [per_channel(), per_channel()],
+        );
+        let (mut out, mut gx) = (LaneTensor::default(), LaneTensor::default());
+        let [mut xhat_o, mut out_o, mut dz_o, mut gx_o] =
+            [per_element(), per_element(), per_element(), per_element()];
         let inverse = |var: &[f32], inv_std: &mut [f32]| {
             for (i, v) in inv_std.iter_mut().zip(var) {
                 *i = 1.0 / (v + 1e-5).sqrt();
@@ -579,18 +603,9 @@ fn bn_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
         };
         let fwd = alternate_ns(
             || {
-                bn_batch_stats(x.data(), plane, &mut mean, &mut var);
+                bn_batch_stats(&lx, &mut mean, &mut var);
                 inverse(&var, &mut inv_std);
-                bn_normalize(
-                    x.data(),
-                    plane,
-                    &mean,
-                    &inv_std,
-                    gamma,
-                    beta,
-                    &mut xhat,
-                    &mut out,
-                );
+                bn_normalize(&lx, &mean, &inv_std, gamma, beta, true, 1, &mut out);
                 black_box(&out);
             },
             || {
@@ -598,28 +613,23 @@ fn bn_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
                 inverse(&var_o, &mut inv_o);
                 let (m, is) = (&mean_o, &inv_o);
                 oracle::bn_normalize(x.data(), plane, m, is, gamma, beta, &mut xhat_o, &mut out_o);
+                out_o.iter_mut().for_each(|v| *v = v.max(0.0));
                 black_box(&out_o);
             },
         );
         let bwd = alternate_ns(
             || {
+                let consts = [&mean[..], &inv_std, gamma, beta];
                 let (gg, gb) = (&mut gg, &mut gb);
-                bn_backward(
-                    dy.data(),
-                    &xhat,
-                    plane,
-                    gamma,
-                    &inv_std,
-                    true,
-                    gg,
-                    gb,
-                    &mut gx,
-                );
+                bn_backward(&lx, &ldy, consts, true, true, gg, gb, &mut gx);
                 black_box(&gx);
             },
             || {
-                let (dy, is, gg, gb) = (dy.data(), &inv_o, &mut gg_o, &mut gb_o);
-                oracle::bn_backward(dy, &xhat_o, plane, gamma, is, true, gg, gb, &mut gx_o);
+                for ((d, &g), &o) in dz_o.iter_mut().zip(dy.data()).zip(&out_o) {
+                    *d = if o > 0.0 { g } else { 0.0 };
+                }
+                let (is, gg, gb) = (&inv_o, &mut gg_o, &mut gb_o);
+                oracle::bn_backward(&dz_o, &xhat_o, plane, gamma, is, true, gg, gb, &mut gx_o);
                 black_box(&gx_o);
             },
         );
@@ -647,39 +657,37 @@ fn dispatch_sweep_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
     for (g, shape) in stage_geoms() {
         let ch = g.in_c;
         let cr = g.col_rows();
-        let x = rand_dense(rng, n, ch * g.in_h * g.in_w);
-        let dy = rand_dense(rng, n, ch * g.col_cols());
+        let (x, dy) = conv_operands(rng, &g);
         let mut ratios = Vec::new();
         for density in [0.05f64, 0.1, 0.25, 0.5, 0.75, 1.0] {
             let csr = rand_csr(rng, ch, cr, density);
             let mut w = vec![0.0f32; ch * cr];
             csr.scatter_add(csr.vals(), &mut w);
-            let idx = SpConvIndex::new(csr.view(), &g);
-            let (mut dense, mut sparse) = (ConvBufs::default(), ConvBufs::default());
-            let (mut out_d, mut out_s) = (vec![0.0f32; dy.numel()], vec![0.0f32; dy.numel()]);
-            let (mut gx_d, mut gx_s) = (vec![0.0f32; x.numel()], vec![0.0f32; x.numel()]);
+            let idx = SpConvIndex::new(csr.view(), &g, g.pad);
+            let mut dense = ConvBufs::default();
+            let (mut out_d, mut out_s) = (LaneTensor::default(), LaneTensor::default());
+            let (mut gx_d, mut gx_s) = (LaneTensor::default(), LaneTensor::default());
             let (mut gw, mut vals) = (vec![0.0f32; w.len()], vec![0.0f32; csr.nnz()]);
             let fwd = alternate_ns(
                 || {
-                    dconv_forward_rt(&rt, &g, &w, x.data(), n, &mut dense, &mut out_d);
+                    dconv_forward_rt(&rt, &g, &w, &x, &mut dense, &mut out_d);
                     black_box(&out_d);
                 },
                 || {
-                    let s = csr.view();
-                    spconv_forward_rt(&rt, &idx, s, x.data(), n, &mut sparse, &mut out_s);
+                    spconv_forward_rt(&rt, &idx, csr.view(), &x, &mut out_s);
                     black_box(&out_s);
                 },
             );
             let bwd = alternate_ns(
                 || {
-                    let (grad, gx) = (Some(&mut gw[..]), Some(&mut gx_d[..]));
-                    dconv_backward_rt(&rt, &g, &w, dy.data(), n, &mut dense, grad, gx);
+                    let (grad, gx) = (Some(&mut gw[..]), Some(&mut gx_d));
+                    dconv_backward_rt(&rt, &g, &w, &x, &dy, &mut dense, grad, gx);
                     black_box((&gw, &gx_d));
                 },
                 || {
                     vals.fill(0.0);
-                    let (s, slots, gx) = (csr.view(), Some(&mut vals[..]), Some(&mut gx_s[..]));
-                    spconv_backward_rt(&rt, &idx, s, dy.data(), n, &mut sparse, slots, gx);
+                    let (s, slots, gx) = (csr.view(), Some(&mut vals[..]), Some(&mut gx_s));
+                    spconv_backward_rt(&rt, &idx, s, &x, &dy, slots, gx);
                     black_box((&vals, &gx_s));
                 },
             );

@@ -78,6 +78,12 @@ impl<'a> Args<'a> {
     }
 }
 
+/// The first `--flag` of `argv` that `accepted` does not name: an option
+/// the subcommand would otherwise silently ignore.
+pub fn unknown_flag<'a>(argv: &'a [String], accepted: &[&str]) -> Option<&'a str> {
+    (argv.iter().map(String::as_str)).find(|a| a.starts_with("--") && !accepted.contains(a))
+}
+
 /// Prints a usage error and exits with the conventional usage status.
 pub fn die(msg: &str) -> ! {
     eprintln!("ft: {msg}");

@@ -13,6 +13,9 @@ use std::process::Command;
 /// fleet trajectory (the two the CI bench-smoke job runs).
 const DEFAULT_BENCHES: [&str; 2] = ["micro_ops", "fleet_trajectory"];
 
+/// The options `ft bench` accepts.
+pub const FLAGS: &[&str] = &["--quick", "--bench", "--check-only"];
+
 pub fn cmd_bench(argv: &[String]) -> i32 {
     let a = Args::new(argv);
     let quick = a.has("--quick");

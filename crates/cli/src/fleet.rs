@@ -68,6 +68,59 @@ struct FleetOptions {
     no_verify: bool,
 }
 
+/// The options the fleet subcommands parse: `ft run` and `ft resume`
+/// accept exactly these.
+pub const RUN_FLAGS: &[&str] = &[
+    "--preset",
+    "--devices",
+    "--rounds",
+    "--codec",
+    "--aggregator",
+    "--byzantine",
+    "--threads",
+    "--checkpoint",
+    "--resume",
+    "--halt-after",
+    "--metrics",
+    "--no-verify",
+];
+
+/// `ft serve`'s options: the shared ones and its two modes.
+pub const SERVE_FLAGS: &[&str] = &[
+    "--preset",
+    "--devices",
+    "--rounds",
+    "--codec",
+    "--aggregator",
+    "--byzantine",
+    "--threads",
+    "--checkpoint",
+    "--resume",
+    "--halt-after",
+    "--metrics",
+    "--no-verify",
+    "--listen",
+    "--demo",
+];
+
+/// `ft device`'s options: the shared ones and where to connect as whom.
+pub const DEVICE_FLAGS: &[&str] = &[
+    "--preset",
+    "--devices",
+    "--rounds",
+    "--codec",
+    "--aggregator",
+    "--byzantine",
+    "--threads",
+    "--checkpoint",
+    "--resume",
+    "--halt-after",
+    "--metrics",
+    "--no-verify",
+    "--connect",
+    "--device",
+];
+
 impl FleetOptions {
     /// Parses the shared flags. `tcp` selects the TCP codec policy: `top_k`
     /// defaults to error feedback ON, but error-feedback residuals live on

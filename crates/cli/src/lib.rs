@@ -45,16 +45,32 @@ pub fn dispatch(argv: &[String]) -> i32 {
             println!("{}", help::for_topic(rest.first().map(String::as_str)));
             0
         }
+        // `--method` runs parse their own, closed, option list.
         "run" if rest.iter().any(|a| a == "--method") => {
-            with_help(rest, help::RUN, experiment::cmd_run)
+            with_help(rest, help::RUN, None, experiment::cmd_run)
         }
-        "run" => with_help(rest, help::RUN, fleet::cmd_run),
-        "serve" => with_help(rest, help::SERVE, fleet::cmd_serve),
-        "device" => with_help(rest, help::DEVICE, fleet::cmd_device),
-        "resume" => with_help(rest, help::RESUME, fleet::cmd_resume),
-        "ckpt" => with_help(rest, help::CKPT, ckpt::cmd_ckpt),
-        "watch" => with_help(rest, help::WATCH, watch::cmd_watch),
-        "bench" => with_help(rest, help::BENCH, bench::cmd_bench),
+        "run" => with_help(rest, help::RUN, Some(fleet::RUN_FLAGS), fleet::cmd_run),
+        "serve" => with_help(
+            rest,
+            help::SERVE,
+            Some(fleet::SERVE_FLAGS),
+            fleet::cmd_serve,
+        ),
+        "device" => with_help(
+            rest,
+            help::DEVICE,
+            Some(fleet::DEVICE_FLAGS),
+            fleet::cmd_device,
+        ),
+        "resume" => with_help(
+            rest,
+            help::RESUME,
+            Some(fleet::RUN_FLAGS),
+            fleet::cmd_resume,
+        ),
+        "ckpt" => with_help(rest, help::CKPT, Some(&[]), ckpt::cmd_ckpt),
+        "watch" => with_help(rest, help::WATCH, Some(watch::FLAGS), watch::cmd_watch),
+        "bench" => with_help(rest, help::BENCH, Some(bench::FLAGS), bench::cmd_bench),
         other => {
             eprintln!("ft: unknown command {other:?}\n");
             eprintln!("{}", help::TOP);
@@ -63,10 +79,28 @@ pub fn dispatch(argv: &[String]) -> i32 {
     }
 }
 
-fn with_help(rest: &[String], help_text: &str, run: fn(&[String]) -> i32) -> i32 {
+/// Prints `help_text` for `-h` / `--help`; refuses a `--flag` the
+/// subcommand does not declare in `accepted` (exit 2, before anything runs);
+/// runs it otherwise. `None` leaves the check to the subcommand.
+fn with_help(
+    rest: &[String],
+    help_text: &str,
+    accepted: Option<&[&str]>,
+    run: fn(&[String]) -> i32,
+) -> i32 {
     if rest.iter().any(|a| a == "-h" || a == "--help") {
         println!("{help_text}");
         return 0;
+    }
+    if let Some(flag) = accepted.and_then(|ok| args::unknown_flag(rest, ok)) {
+        let ok = accepted.unwrap_or_default();
+        let list = if ok.is_empty() {
+            "none".into()
+        } else {
+            ok.join(" ")
+        };
+        eprintln!("ft: unknown option {flag} (accepted: {list})");
+        return 2;
     }
     run(rest)
 }

@@ -11,6 +11,9 @@ use ft_fl::{read_trace_frame, TraceEvent, TraceStreamError};
 use std::io::Write;
 use std::net::TcpStream;
 
+/// The options `ft watch` accepts.
+pub const FLAGS: &[&str] = &["--limit"];
+
 pub fn cmd_watch(argv: &[String]) -> i32 {
     let a = Args::new(argv);
     let positionals = a.positionals();

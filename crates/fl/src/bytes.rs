@@ -131,10 +131,19 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
-    /// A `u32`-counted bit vector, packed 8 bools per byte.
+    /// A `u32`-counted bit vector, packed 8 bools per byte. The padding
+    /// bits of the last byte must be zero, as the writer leaves them: a set
+    /// one would decode to the same bits as the canonical bytes, so two
+    /// inputs would mean one value.
     pub fn bitvec(&mut self) -> Result<Vec<bool>, ReadError> {
         let n = self.u32()? as usize;
         let bytes = self.take(n.div_ceil(8))?;
+        if bytes
+            .last()
+            .is_some_and(|&b| !n.is_multiple_of(8) && b >> (n % 8) != 0)
+        {
+            return Err(ReadError::Corrupt("bit vector padding not zero"));
+        }
         Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
     }
 
@@ -275,5 +284,24 @@ mod tests {
         }
         let mut r = ByteReader::new(&[2u8]);
         assert_eq!(r.boolean(), Err(ReadError::Corrupt("flag not 0/1")));
+    }
+
+    /// Ten bits take two bytes; the six high bits of the second are padding
+    /// and must be zero — setting any of them is a typed error, not a second
+    /// encoding of the same bits.
+    #[test]
+    fn bitvec_rejects_set_padding_bits() {
+        let bits = [
+            true, false, true, true, false, false, true, false, true, true,
+        ];
+        let mut out = Vec::new();
+        put_bitvec(&mut out, &bits);
+        assert_eq!(ByteReader::new(&out).bitvec().unwrap(), bits.to_vec());
+        for pad in 2..8 {
+            let mut bad = out.clone();
+            *bad.last_mut().unwrap() |= 1 << pad;
+            let err = ByteReader::new(&bad).bitvec();
+            assert_eq!(err, Err(ReadError::Corrupt("bit vector padding not zero")));
+        }
     }
 }

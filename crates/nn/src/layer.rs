@@ -1,19 +1,36 @@
 //! Concrete layers with manual forward/backward passes.
 //!
-//! Every layer caches what its backward pass needs during `forward`, so a
-//! model's backward pass is simply the layers' backward calls in reverse
-//! order. Parameter gradients *accumulate* into [`Param::grad`]; call
-//! [`Param::zero_grad`] (or `Model::zero_grad`) between batches.
+//! **Activations.** A 4-D activation lives in the lane layout
+//! ([`LaneTensor`], `[group][c][h + 2r][w + 2r][lane]`, lane = sample) from
+//! the model's input to its pooling head: [`Conv2d`], [`BatchNorm2d`] and
+//! [`MaxPool2x2`] read and write it, [`GlobalAvgPool`] and [`Flatten`] turn
+//! it into the `[n, features]` [`Tensor`] that [`Linear`] and the flat
+//! [`Relu`] work on. An activation that feeds a convolution carries the
+//! `+0.0` ring that convolution reads as its padding
+//! ([`AnyLayer::input_ring`], set on the layer before by
+//! [`AnyLayer::set_output_ring`]), so nothing is transposed between two
+//! convolutions; a `BatchNorm2d` built
+//! [`with_relu`](BatchNorm2d::with_relu) applies the ReLU that follows it in
+//! the same pass, backward included. NCHW is converted in two places only:
+//! the model's input, once per batch, and [`Flatten`].
+//!
+//! **Passes.** Every layer owns its output ([`AnyLayer::output`]) and keeps
+//! it until its next forward, so a backward pass is handed the layer's
+//! forward input by whoever owns it — the layer before, or the model for
+//! its first — instead of each layer keeping a copy. Gradients flow through
+//! buffers the caller owns. Parameter gradients *accumulate* into
+//! [`Param::grad`]; call [`Param::zero_grad`] (or `Model::zero_grad`) between
+//! batches.
 
 use crate::param::{Param, ParamKind};
 use ft_runtime::Runtime;
 use ft_sparse::CsrMatrix;
 use ft_tensor::{
-    avg_pool_global_backward_into, avg_pool_global_into_rt, bn_backward, bn_batch_stats,
-    bn_normalize, dconv_backward_rt, dconv_forward_rt, dsmm_into_rt, dsmm_nt_into_rt,
-    kaiming_normal, matmul_into_rt, matmul_nt_into_rt, matmul_tn_into_rt,
-    max_pool2x2_backward_into, max_pool2x2_into_rt, sddmm_tn_into_rt, spconv_backward_rt,
-    spconv_forward_rt, ConvBufs, ConvGeom, CsrView, SpConvIndex, Tensor,
+    avg_pool_global, avg_pool_global_backward, bn_backward, bn_batch_stats, bn_normalize,
+    dconv_backward_rt, dconv_forward_rt, dsmm_into_rt, dsmm_nt_into_rt, kaiming_normal,
+    matmul_into_rt, matmul_nt_into_rt, matmul_tn_into_rt, max_pool2x2, max_pool2x2_backward,
+    sddmm_tn_into_rt, spconv_backward_rt, spconv_forward_rt, ConvBufs, ConvGeom, CsrView,
+    LaneTensor, SpConvIndex, Tensor,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -44,7 +61,8 @@ pub const DEFAULT_SPARSE_CROSSOVER: f32 = 0.5;
 /// The structure is rebuilt only when [`Param::mask_epoch`] changes (a new
 /// mask was applied); between optimizer steps only the values are
 /// re-gathered, which is `O(nnz)`. A convolution keeps the direct engine's
-/// offsets for its current input size beside the CSR structure they index.
+/// offsets for its current input size and ring beside the CSR structure
+/// they index.
 #[derive(Clone, Debug)]
 struct SparsePlan {
     epoch: u64,
@@ -53,12 +71,12 @@ struct SparsePlan {
 }
 
 impl SparsePlan {
-    /// The CSR weight and its direct-convolution index for inputs of `geom`;
-    /// the index is built on first use and again whenever the input size
-    /// changes.
-    fn for_conv(&mut self, geom: &ConvGeom) -> (CsrView<'_>, &SpConvIndex) {
-        if self.conv_index.as_ref().map(SpConvIndex::geom) != Some(geom) {
-            self.conv_index = Some(SpConvIndex::new(self.csr.view(), geom));
+    /// The CSR weight and its direct-convolution index for inputs of `geom`
+    /// with a ring of `ring`; the index is built on first use and again
+    /// whenever the input's layout changes.
+    fn for_conv(&mut self, geom: &ConvGeom, ring: usize) -> (CsrView<'_>, &SpConvIndex) {
+        if self.conv_index.as_ref().map(SpConvIndex::layout) != Some((geom, ring)) {
+            self.conv_index = Some(SpConvIndex::new(self.csr.view(), geom, ring));
         }
         let index = self.conv_index.as_ref().expect("index just ensured");
         (self.csr.view(), index)
@@ -116,6 +134,63 @@ pub struct BnStats {
     pub var: Vec<f32>,
 }
 
+/// What flows between two layers: a 4-D activation in the lane layout, or
+/// a `[n, features]` matrix.
+#[derive(Clone, Copy, Debug)]
+pub enum Act<'a> {
+    /// `[n, c, h, w]` in the lane layout.
+    Lanes(&'a LaneTensor),
+    /// `[n, features]`.
+    Flat(&'a Tensor),
+}
+
+impl<'a> Act<'a> {
+    /// The lane activation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a flat one: the layer reading it needs a 4-D input.
+    pub fn lanes(self) -> &'a LaneTensor {
+        match self {
+            Act::Lanes(t) => t,
+            Act::Flat(t) => panic!("layer needs a 4-D activation, got {:?}", t.shape()),
+        }
+    }
+
+    /// The flat activation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a 4-D one: the layer reading it needs `[n, features]`.
+    pub fn flat(self) -> &'a Tensor {
+        match self {
+            Act::Flat(t) => t,
+            Act::Lanes(t) => panic!("layer needs [n, features], got {:?}", t.shape()),
+        }
+    }
+}
+
+/// Where a backward pass writes the gradient of its layer's input: the
+/// lane buffer for a 4-D input, the flat one otherwise. Each grows to the
+/// largest gradient it carries and is reused.
+#[derive(Debug, Default)]
+pub struct Grads {
+    /// A 4-D input's gradient.
+    pub lanes: LaneTensor,
+    /// A `[n, features]` input's gradient.
+    pub flat: Tensor,
+}
+
+impl Grads {
+    /// The buffer of `kind`'s kind, read as an activation.
+    pub(crate) fn of_kind(&self, kind: Act<'_>) -> Act<'_> {
+        match kind {
+            Act::Lanes(_) => Act::Lanes(&self.lanes),
+            Act::Flat(_) => Act::Flat(&self.flat),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Conv2d
 // ---------------------------------------------------------------------------
@@ -125,11 +200,11 @@ pub struct BnStats {
 /// Bias-free by convention in this workspace (every conv is followed by
 /// BatchNorm, which supplies the shift).
 ///
-/// Both execution paths are direct engines over one layout — groups of eight
-/// samples transposed into a zero-padded, sample-innermost copy of the input
-/// — and neither builds a column matrix. Dense weights run on the
-/// register-blocked engine ([`dconv_forward_rt`]), at every batch size and in
-/// both modes. When the weight carries a mask record (see
+/// Both execution paths are direct engines over the activation layout —
+/// they read the input [`LaneTensor`] in place (its ring is the padding) and
+/// write the output one — and neither builds a column matrix. Dense weights
+/// run on the register-blocked engine ([`dconv_forward_rt`]), at every batch
+/// size and in both modes. When the weight carries a mask record (see
 /// [`Param::note_mask`]) at density ≤ [`DEFAULT_SPARSE_CROSSOVER`], forward
 /// and backward run on the CSR engine instead ([`spconv_forward_rt`]).
 /// Outputs are identical up to float rounding, but the sparse backward only
@@ -154,6 +229,7 @@ pub struct Conv2d {
     realized_flops: f64,
     cache: Option<ConvMeta>,
     scratch: ConvScratch,
+    out: LaneTensor,
 }
 
 impl Clone for Conv2d {
@@ -170,16 +246,15 @@ impl Clone for Conv2d {
             realized_flops: self.realized_flops,
             cache: None,
             scratch: ConvScratch::default(),
+            out: LaneTensor::default(),
         }
     }
 }
 
 /// Per-layer scratch, sized on first use and reused across batches, epochs
-/// and rounds (same idiom as `AggScratch` in `ft_fl`): the direct engines'
-/// buffers — the kept input and the transposed `dY` cover the batch, the
-/// staging holds one eight-sample group per worker — shared by the dense and
-/// the sparse path, whichever ran last. Nothing here scales with
-/// `in_c·k²·oh·ow`.
+/// and rounds (same idiom as `AggScratch` in `ft_fl`): the dense engine's
+/// tables and its odd-strided copy of `dY`, and the sparse path's gradient
+/// slots. Nothing here scales with `in_c·k²·oh·ow`.
 #[derive(Debug, Default)]
 struct ConvScratch {
     bufs: ConvBufs,
@@ -190,6 +265,8 @@ struct ConvScratch {
 #[derive(Clone, Copy, Debug)]
 struct ConvMeta {
     geom: ConvGeom,
+    /// The forward input's ring and batch: backward must be handed the same.
+    ring: usize,
     batch: usize,
     /// Whether the forward pass ran on the sparse path (backward must match).
     sparse: bool,
@@ -229,6 +306,7 @@ impl Conv2d {
             realized_flops: 0.0,
             cache: None,
             scratch: ConvScratch::default(),
+            out: LaneTensor::default(),
         }
     }
 
@@ -250,7 +328,7 @@ impl Conv2d {
     }
 
     /// Multiply–accumulate FLOPs actually executed by this layer's forward
-    /// and backward GEMMs since the last [`Conv2d::reset_realized_flops`].
+    /// and backward kernels since the last [`Conv2d::reset_realized_flops`].
     pub fn realized_flops(&self) -> f64 {
         self.realized_flops
     }
@@ -277,131 +355,111 @@ impl Conv2d {
         }
     }
 
-    /// Floats (and offsets) this layer's scratch holds.
+    /// Floats (and offsets) this layer's scratch and output hold.
     #[cfg(test)]
     pub(crate) fn scratch_len(&self) -> usize {
-        self.scratch.bufs.total_len() + self.scratch.grad_w_vals.len()
+        self.scratch.bufs.total_len() + self.scratch.grad_w_vals.len() + self.out.len()
     }
 
     /// What [`Conv2d::scratch_len`] may reach after a sequential step over
-    /// `n` samples of `side × side`: the padded input and `dY` (its rows an
-    /// odd number of lanes apart) of the batch rounded up to whole
-    /// eight-sample groups, one more group of each as staging, and three
-    /// weight-sized tables (the dense path's transposed weight and offsets,
-    /// the sparse path's gradient slots).
+    /// `n` samples of `side × side`: the output of the batch rounded up to
+    /// whole eight-sample groups, one group of `dY` with its rows an odd
+    /// number of lanes apart, and three weight-sized tables (the dense
+    /// path's transposed weight and offsets, the sparse path's gradient
+    /// slots).
     #[cfg(test)]
     pub(crate) fn scratch_bound(&self, n: usize, side: usize) -> usize {
         let geom = self.geom(side, side);
-        let padded = self.in_c * (side + 2 * self.pad) * (side + 2 * self.pad);
-        let group = 8 * (padded + self.out_c * (geom.col_cols() | 1));
-        (n.div_ceil(8) + 1) * group + 3 * (self.out_c + 6) * geom.col_rows() + geom.col_cols()
+        let cc = geom.col_cols();
+        let out = n.div_ceil(8) * 8 * self.out_c * cc;
+        out + 8 * self.out_c * (cc | 1) + 3 * (self.out_c + 6) * geom.col_rows() + cc
     }
 
-    /// Forward over `[n, in_c, h, w]` into a caller-owned output tensor.
+    /// The output of the last forward, `[n, out_c, oh, ow]` with no ring.
+    pub fn output(&self) -> &LaneTensor {
+        &self.out
+    }
+
+    /// Forward over `x` (`[n, in_c, h, w]`, a ring of at least the padding)
+    /// into [`Conv2d::output`].
     ///
-    /// Either engine takes the whole batch, whatever its size and the mode,
-    /// and keeps its transposed input for backward. Both accumulate an
-    /// output element in ascending `k` / stored-entry order whatever samples
-    /// share its group, so the result is bit-identical to the per-sample
-    /// composition.
+    /// Either engine takes the whole batch, whatever its size and the mode.
+    /// Both accumulate an output element in ascending `k` / stored-entry
+    /// order whatever samples share its group, so the result is
+    /// bit-identical to the per-sample composition.
     ///
     /// # Panics
     ///
-    /// Panics if the input is not rank-4 or the channel count differs.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, _mode: Mode) {
-        let s = x.shape();
-        assert_eq!(s.len(), 4, "conv input must be [n,c,h,w]");
+    /// Panics if the channel count differs or the ring is narrower than the
+    /// padding.
+    pub fn forward(&mut self, x: &LaneTensor, _mode: Mode) {
+        let [n, c, h, w] = x.shape();
         assert_eq!(
-            s[1], self.in_c,
-            "conv expected {} input channels, got {}",
-            self.in_c, s[1]
+            c, self.in_c,
+            "conv expected {} input channels, got {c}",
+            self.in_c
         );
-        let (n, h, w) = (s[0], s[2], s[3]);
-        let geom = self.geom(h, w);
+        let (geom, ring) = (self.geom(h, w), x.ring());
         let (cr, cc) = (geom.col_rows(), geom.col_cols());
         let sparse = refresh_plan(&mut self.plan, &self.w, self.out_c, cr);
-        out.resize_for_overwrite(&[n, self.out_c, geom.out_h(), geom.out_w()]);
-        let bufs = &mut self.scratch.bufs;
         if sparse {
             let plan = self.plan.as_mut().expect("refresh_plan kept the plan");
-            let (csr, index) = plan.for_conv(&geom);
-            spconv_forward_rt(&self.runtime, index, csr, x.data(), n, bufs, out.data_mut());
+            let (csr, index) = plan.for_conv(&geom, ring);
+            spconv_forward_rt(&self.runtime, index, csr, x, &mut self.out);
             self.realized_flops += 2.0 * (n * cc * csr.nnz()) as f64;
         } else {
-            let w = self.w.data.data();
-            dconv_forward_rt(&self.runtime, &geom, w, x.data(), n, bufs, out.data_mut());
+            let (w, bufs) = (self.w.data.data(), &mut self.scratch.bufs);
+            dconv_forward_rt(&self.runtime, &geom, w, x, bufs, &mut self.out);
             self.realized_flops += 2.0 * (n * cc * self.out_c * cr) as f64;
         }
         self.cache = Some(ConvMeta {
             geom,
+            ring,
             batch: n,
             sparse,
         });
     }
 
-    /// Backward pass: accumulates `w.grad` and writes the input gradient into
-    /// a caller-owned tensor.
+    /// Backward pass from `dy` (the output's shape) over the forward's input
+    /// `x`: accumulates `w.grad` and, given `gx`, writes the input gradient
+    /// there in `x`'s layout. Without `gx` no dX kernel runs — for a
+    /// network's leading convolution, whose input gradient nothing reads.
     ///
-    /// The engine that ran the forward runs its dW and dX kernels over the
-    /// input that forward kept. On both, the weight gradient takes one fresh
-    /// accumulator per sample, added in sample order, so the result is
-    /// bit-identical to the per-sample loop followed by `add_assign`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward_into(&mut self, grad_out: &Tensor, gx: &mut Tensor) {
-        self.backward_impl(grad_out, Some(gx));
-    }
-
-    /// Backward pass that only accumulates the parameter gradients,
-    /// skipping the input gradient entirely (no dX kernel).
-    /// For a network's leading convolution the input gradient is dead —
-    /// there is no layer before it — so the training engine drops roughly
-    /// half of the first conv's backward FLOPs by calling this.
+    /// The engine that ran the forward runs its dW and dX kernels. On both,
+    /// the weight gradient takes one fresh accumulator per sample, added in
+    /// sample order, so the result is bit-identical to the per-sample loop
+    /// followed by `add_assign`.
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward`.
-    pub fn backward_params_only(&mut self, grad_out: &Tensor) {
-        self.backward_impl(grad_out, None);
-    }
-
-    fn backward_impl(&mut self, grad_out: &Tensor, gx: Option<&mut Tensor>) {
+    /// Panics if called before `forward`, or with an `x` or `dy` that does
+    /// not match it.
+    pub fn backward(&mut self, x: &LaneTensor, dy: &LaneTensor, gx: Option<&mut LaneTensor>) {
         let meta = self
             .cache
             .take()
             .expect("Conv2d::backward called before forward");
         let geom = meta.geom;
-        let (cr, cc) = (geom.col_rows(), geom.col_cols());
-        let n = meta.batch;
+        let (cr, cc, n) = (geom.col_rows(), geom.col_cols(), meta.batch);
+        assert!(
+            x.shape() == [n, geom.in_c, geom.in_h, geom.in_w] && x.ring() == meta.ring,
+            "conv backward input is not the forward's"
+        );
         assert_eq!(
-            grad_out.shape(),
-            &[n, self.out_c, geom.out_h(), geom.out_w()],
+            dy.shape(),
+            [n, self.out_c, geom.out_h(), geom.out_w()],
             "conv grad_out shape mismatch"
         );
         let scratch = &mut self.scratch;
         let passes = if gx.is_some() { 4.0 } else { 2.0 };
-        let gx = gx.map(|gx| {
-            gx.resize_for_overwrite(&[n, geom.in_c, geom.in_h, geom.in_w]);
-            gx.data_mut()
-        });
         if meta.sparse {
             let plan = self.plan.as_ref().expect("sparse forward left its plan");
             let index = plan.conv_index.as_ref().expect("and its index");
             // dW lands at the CSR structure (mask-alive coordinates only).
             scratch.grad_w_vals.clear();
             scratch.grad_w_vals.resize(plan.csr.nnz(), 0.0);
-            spconv_backward_rt(
-                &self.runtime,
-                index,
-                plan.csr.view(),
-                grad_out.data(),
-                n,
-                &mut scratch.bufs,
-                Some(&mut scratch.grad_w_vals),
-                gx,
-            );
+            let vals = Some(&mut scratch.grad_w_vals[..]);
+            spconv_backward_rt(&self.runtime, index, plan.csr.view(), x, dy, vals, gx);
             plan.csr
                 .scatter_add(&scratch.grad_w_vals, self.w.grad.data_mut());
             self.realized_flops += passes * (n * cc * plan.csr.nnz()) as f64;
@@ -410,8 +468,8 @@ impl Conv2d {
                 &self.runtime,
                 &geom,
                 self.w.data.data(),
-                grad_out.data(),
-                n,
+                x,
+                dy,
                 &mut scratch.bufs,
                 Some(self.w.grad.data_mut()),
                 gx,
@@ -425,12 +483,17 @@ impl Conv2d {
 // BatchNorm2d
 // ---------------------------------------------------------------------------
 
-/// Batch normalization over the channel dimension of `[n, c, h, w]`.
+/// Batch normalization over the channel dimension of `[n, c, h, w]`,
+/// optionally with the ReLU that follows it fused in
+/// ([`BatchNorm2d::with_relu`]).
 ///
 /// In `Train` mode the layer normalizes with batch statistics and updates
 /// the running statistics with momentum (`running = (1-m)·running +
 /// m·batch`). FedTiny's adaptive selection performs exactly this forward
 /// pass with frozen parameters to re-estimate `µ, σ` on device data.
+///
+/// Its output carries the ring a following convolution reads as padding
+/// ([`AnyLayer::set_output_ring`]; none by default).
 ///
 /// A clone copies parameters, statistics and configuration; like every
 /// layer's, it starts with empty scratch and no cached forward.
@@ -445,12 +508,16 @@ pub struct BatchNorm2d {
     channels: usize,
     momentum: f32,
     eps: f32,
+    relu: bool,
+    /// The output's ring.
+    ring: usize,
     /// `Some(batch_mode)` after a forward: whether normalization used batch
     /// statistics (Train) — the backward pass then includes the
     /// statistic-dependent terms — or fixed running statistics (Eval),
     /// where the statistics are constants.
     cache: Option<bool>,
     scratch: BnScratch,
+    out: LaneTensor,
 }
 
 impl Clone for BatchNorm2d {
@@ -462,21 +529,22 @@ impl Clone for BatchNorm2d {
             channels: self.channels,
             momentum: self.momentum,
             eps: self.eps,
+            relu: self.relu,
+            ring: self.ring,
             cache: None,
             scratch: BnScratch::default(),
+            out: LaneTensor::default(),
         }
     }
 }
 
-/// Reused across batches: normalized activations, per-channel statistics,
-/// and the batch shape the backward pass validates against.
+/// Reused across batches: the statistics the last forward normalized with
+/// (the backward pass recomputes `x̂` from them), the batch variance.
 #[derive(Debug, Default)]
 struct BnScratch {
     mean: Vec<f32>,
     var: Vec<f32>,
     inv_std: Vec<f32>,
-    xhat: Tensor,
-    batch_shape: Vec<usize>,
 }
 
 impl BatchNorm2d {
@@ -503,9 +571,18 @@ impl BatchNorm2d {
             channels,
             momentum: 0.1,
             eps: 1e-5,
+            relu: false,
+            ring: 0,
             cache: None,
             scratch: BnScratch::default(),
+            out: LaneTensor::default(),
         }
+    }
+
+    /// The same layer followed by a ReLU, in one pass each way.
+    pub fn with_relu(mut self) -> Self {
+        self.relu = true;
+        self
     }
 
     /// Channel count.
@@ -527,79 +604,75 @@ impl BatchNorm2d {
         self.momentum
     }
 
-    /// Forward pass into a caller-owned output; statistics and normalized
-    /// activations land in the layer's scratch arena. The arithmetic is
+    /// Forward pass over `x` into its output. The arithmetic is
     /// `ft_tensor`'s batch-norm kernels.
     ///
     /// # Panics
     ///
-    /// Panics if the input is not `[n, c, h, w]` with matching channels.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
-        let s = x.shape();
-        assert_eq!(s.len(), 4, "batchnorm input must be [n,c,h,w]");
-        assert_eq!(s[1], self.channels, "batchnorm channel mismatch");
-        let (c, plane) = (s[1], s[2] * s[3]);
-        out.resize_for_overwrite(s);
+    /// Panics if the channel count differs.
+    pub fn forward(&mut self, x: &LaneTensor, mode: Mode) {
+        let c = x.shape()[1];
+        assert_eq!(c, self.channels, "batchnorm channel mismatch");
         let scratch = &mut self.scratch;
-        scratch.batch_shape.clear();
-        scratch.batch_shape.extend_from_slice(s);
-        scratch.xhat.resize_for_overwrite(s);
         let batch = mode == Mode::Train;
-        let (mean, var) = if batch {
+        if batch {
             scratch.mean.resize(c, 0.0);
             scratch.var.resize(c, 0.0);
-            bn_batch_stats(x.data(), plane, &mut scratch.mean, &mut scratch.var);
+            bn_batch_stats(x, &mut scratch.mean, &mut scratch.var);
             let m = self.momentum;
             let running = self.stats.mean.iter_mut().zip(self.stats.var.iter_mut());
             for ((rm, rv), (&bm, &bv)) in running.zip(scratch.mean.iter().zip(&scratch.var)) {
                 *rm = (1.0 - m) * *rm + m * bm;
                 *rv = (1.0 - m) * *rv + m * bv;
             }
-            (&scratch.mean, &scratch.var)
         } else {
-            (&self.stats.mean, &self.stats.var)
-        };
+            scratch.mean.clone_from(&self.stats.mean);
+            scratch.var.clone_from(&self.stats.var);
+        }
         scratch.inv_std.clear();
-        scratch
-            .inv_std
-            .extend(var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
+        (scratch.inv_std).extend(scratch.var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
         let (g, b) = (self.gamma.data.data(), self.beta.data.data());
-        let (xh, od) = (scratch.xhat.data_mut(), out.data_mut());
-        bn_normalize(x.data(), plane, mean, &scratch.inv_std, g, b, xh, od);
+        let (m, is) = (&scratch.mean, &scratch.inv_std);
+        bn_normalize(x, m, is, g, b, self.relu, self.ring, &mut self.out);
         self.cache = Some(batch);
     }
 
-    /// Backward pass into a caller-owned input-gradient tensor. After a
-    /// `Train`-mode forward the full batch-statistic gradient is used; after
-    /// an `Eval`-mode forward the running statistics are constants, so
-    /// `∂y/∂x = γ/σ` (used e.g. by SynFlow's linearized probe).
+    /// Backward pass from `dy` (the output's layout) over the forward's
+    /// input `x`, into `gx` (`x`'s layout). After a `Train`-mode forward the
+    /// full batch-statistic gradient is used; after an `Eval`-mode forward
+    /// the running statistics are constants, so `∂y/∂x = γ/σ` (used e.g. by
+    /// SynFlow's linearized probe). With the ReLU fused, `dy` is first
+    /// masked where the pre-activation was not positive. `γ` and `β` must
+    /// be the forward's (an optimizer step comes after the backward pass).
     ///
     /// # Panics
     ///
-    /// Panics if called without a preceding forward.
-    pub fn backward_into(&mut self, grad_out: &Tensor, gx: &mut Tensor) {
+    /// Panics if called without a preceding forward, or with operands that
+    /// do not match it.
+    pub fn backward(&mut self, x: &LaneTensor, dy: &LaneTensor, gx: &mut LaneTensor) {
         let batch_mode = self
             .cache
             .take()
             .expect("BatchNorm2d::backward requires a forward first");
-        let scratch = &self.scratch;
-        let s = &scratch.batch_shape;
-        assert_eq!(
-            grad_out.shape(),
-            &s[..],
+        assert!(
+            dy.same_layout(&self.out) && x.shape() == self.out.shape(),
             "batchnorm grad_out shape mismatch"
         );
-        gx.resize_for_overwrite(s);
+        let s = &self.scratch;
         bn_backward(
-            grad_out.data(),
-            scratch.xhat.data(),
-            s[2] * s[3],
-            self.gamma.data.data(),
-            &scratch.inv_std,
+            x,
+            dy,
+            [
+                &s.mean,
+                &s.inv_std,
+                self.gamma.data.data(),
+                self.beta.data.data(),
+            ],
+            self.relu,
             batch_mode,
             self.gamma.grad.data_mut(),
             self.beta.grad.data_mut(),
-            gx.data_mut(),
+            gx,
         );
     }
 }
@@ -626,7 +699,9 @@ pub struct Linear {
     realized_flops: f64,
     /// `Some(sparse)` after a forward: which path ran (backward must match).
     cache: Option<bool>,
-    scratch: LinearScratch,
+    /// Sparse-path `dW` values at the CSR structure.
+    vals: Vec<f32>,
+    out: Tensor,
 }
 
 impl Clone for Linear {
@@ -640,18 +715,10 @@ impl Clone for Linear {
             plan: self.plan.clone(),
             realized_flops: self.realized_flops,
             cache: None,
-            scratch: LinearScratch::default(),
+            vals: Vec::new(),
+            out: Tensor::default(),
         }
     }
-}
-
-/// Per-layer scratch arena reused across batches.
-#[derive(Debug, Default)]
-struct LinearScratch {
-    /// Copy of the forward input, consumed by the dW GEMM in backward.
-    x_cache: Tensor,
-    /// Sparse-path `dW` values at the CSR structure.
-    vals: Vec<f32>,
 }
 
 impl Linear {
@@ -682,7 +749,8 @@ impl Linear {
             plan: None,
             realized_flops: 0.0,
             cache: None,
-            scratch: LinearScratch::default(),
+            vals: Vec::new(),
+            out: Tensor::default(),
         }
     }
 
@@ -709,16 +777,22 @@ impl Linear {
         self.realized_flops = 0.0;
     }
 
-    /// Forward pass over `[n, in]` into a caller-owned output tensor.
+    /// The output of the last forward, `[n, out]`.
+    pub fn output(&self) -> &Tensor {
+        &self.out
+    }
+
+    /// Forward pass over `[n, in]` into [`Linear::output`].
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, _mode: Mode) {
+    pub fn forward(&mut self, x: &Tensor, _mode: Mode) {
         assert_eq!(x.shape().len(), 2, "linear input must be [n, in]");
         assert_eq!(x.shape()[1], self.in_dim, "linear input dim mismatch");
         let n = x.shape()[0];
         let sparse = refresh_plan(&mut self.plan, &self.w, self.out_dim, self.in_dim);
+        let out = &mut self.out;
         out.resize_zeroed(&[n, self.out_dim]);
         match &self.plan {
             // Y += X · Wᵀ with W in CSR.
@@ -730,28 +804,26 @@ impl Linear {
             _ => self.out_dim * self.in_dim,
         };
         self.realized_flops += 2.0 * (n * mac) as f64;
-        let od = out.data_mut();
-        for i in 0..n {
-            for (j, &bv) in self.b.data.data().iter().enumerate() {
-                od[i * self.out_dim + j] += bv;
+        for row in out.data_mut().chunks_exact_mut(self.out_dim) {
+            for (o, &bv) in row.iter_mut().zip(self.b.data.data()) {
+                *o += bv;
             }
         }
-        self.scratch.x_cache.copy_from(x);
         self.cache = Some(sparse);
     }
 
-    /// Backward pass into a caller-owned input-gradient tensor.
+    /// Backward pass from `grad_out` over the forward's input `x`, into
+    /// `gx`.
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward`.
-    pub fn backward_into(&mut self, grad_out: &Tensor, gx: &mut Tensor) {
+    /// Panics if called before `forward`, or on shape mismatch.
+    pub fn backward(&mut self, x: &Tensor, grad_out: &Tensor, gx: &mut Tensor) {
         let was_sparse = self
             .cache
             .take()
             .expect("Linear::backward called before forward");
-        let scratch = &mut self.scratch;
-        let n = scratch.x_cache.shape()[0];
+        let n = x.shape()[0];
         assert_eq!(
             grad_out.shape(),
             &[n, self.out_dim],
@@ -763,23 +835,18 @@ impl Linear {
             Some(plan) => {
                 // dW (mask-alive coordinates only) += dYᵀ · X sampled at the
                 // CSR structure.
-                scratch.vals.clear();
-                scratch.vals.resize(plan.csr.nnz(), 0.0);
-                sddmm_tn_into_rt(
-                    &self.runtime,
-                    plan.csr.view(),
-                    grad_out,
-                    &scratch.x_cache,
-                    &mut scratch.vals,
-                );
-                plan.csr.scatter_add(&scratch.vals, self.w.grad.data_mut());
+                self.vals.clear();
+                self.vals.resize(plan.csr.nnz(), 0.0);
+                let csr = plan.csr.view();
+                sddmm_tn_into_rt(&self.runtime, csr, grad_out, x, &mut self.vals);
+                plan.csr.scatter_add(&self.vals, self.w.grad.data_mut());
                 // dX = dY · W through the sparse kernel.
                 dsmm_into_rt(&self.runtime, grad_out, plan.csr.view(), gx);
                 self.realized_flops += 4.0 * (n * plan.csr.nnz()) as f64;
             }
             None => {
                 // dW += dYᵀ · X   ([n,out]ᵀ x [n,in] → [out,in])
-                matmul_tn_into_rt(&self.runtime, grad_out, &scratch.x_cache, &mut self.w.grad);
+                matmul_tn_into_rt(&self.runtime, grad_out, x, &mut self.w.grad);
                 // dX = dY · W   ([n,out] x [out,in] → [n,in])
                 matmul_into_rt(&self.runtime, grad_out, &self.w.data, gx);
                 self.realized_flops += 4.0 * (n * self.out_dim * self.in_dim) as f64;
@@ -799,16 +866,17 @@ impl Linear {
 // Stateless layers
 // ---------------------------------------------------------------------------
 
-/// ReLU activation.
+/// ReLU over `[n, features]` (a ReLU between 4-D activations is fused into
+/// the [`BatchNorm2d`] before it, or into a residual block's sum).
+///
+/// The stateless layers hold nothing but their output and the record of
+/// their last forward, so a clone is a fresh layer.
 #[derive(Debug, Default)]
 pub struct Relu {
-    /// Reused activation mask (arena).
-    mask: Vec<bool>,
+    out: Tensor,
     primed: bool,
 }
 
-/// The stateless layers hold nothing but scratch and the record of their
-/// last forward, so a clone is a fresh layer (on the source's runtime).
 impl Clone for Relu {
     fn clone(&self) -> Self {
         Relu::default()
@@ -821,55 +889,59 @@ impl Relu {
         Relu::default()
     }
 
-    /// Forward pass (any shape) into a caller-owned output tensor.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, _mode: Mode) {
-        self.mask.clear();
-        self.mask.extend(x.data().iter().map(|&v| v > 0.0));
-        out.resize_for_overwrite(x.shape());
-        for (o, &v) in out.data_mut().iter_mut().zip(x.data().iter()) {
+    /// The output of the last forward.
+    pub fn output(&self) -> &Tensor {
+        &self.out
+    }
+
+    /// Forward pass into [`Relu::output`].
+    pub fn forward(&mut self, x: &Tensor, _mode: Mode) {
+        self.out.resize_for_overwrite(x.shape());
+        for (o, &v) in self.out.data_mut().iter_mut().zip(x.data()) {
             *o = v.max(0.0);
         }
         self.primed = true;
     }
 
-    /// Backward pass into a caller-owned input-gradient tensor.
+    /// Backward pass into `gx`: `dy` where the output is positive (where
+    /// the input was), `+0.0` elsewhere.
     ///
     /// # Panics
     ///
     /// Panics if called before `forward` or with a mismatched shape.
-    pub fn backward_into(&mut self, grad_out: &Tensor, gx: &mut Tensor) {
+    pub fn backward(&mut self, grad_out: &Tensor, gx: &mut Tensor) {
         assert!(self.primed, "Relu::backward called before forward");
         self.primed = false;
         assert_eq!(
             grad_out.numel(),
-            self.mask.len(),
+            self.out.numel(),
             "relu grad shape mismatch"
         );
         gx.resize_for_overwrite(grad_out.shape());
         // One branchless select pass: the mask is ~50/50 in practice, so a
         // conditional store would mispredict on half the elements.
-        let pairs = grad_out.data().iter().zip(&self.mask);
-        for (v, (&g, &alive)) in gx.data_mut().iter_mut().zip(pairs) {
-            *v = if alive { g } else { 0.0 };
+        let pairs = grad_out.data().iter().zip(self.out.data());
+        for (v, (&g, &o)) in gx.data_mut().iter_mut().zip(pairs) {
+            *v = if o > 0.0 { g } else { 0.0 };
         }
     }
 }
 
-/// 2×2 max pooling with stride 2.
+/// 2×2 max pooling with stride 2; its output carries the ring a following
+/// convolution reads ([`AnyLayer::set_output_ring`]). Backward recomputes
+/// each window's winner from the forward's input.
 #[derive(Debug, Default)]
 pub struct MaxPool2x2 {
-    runtime: Runtime,
-    /// Reused argmax indices (arena).
-    arg: Vec<usize>,
-    /// Reused input-shape record (arena).
-    in_shape: Vec<usize>,
+    /// The output's ring.
+    ring: usize,
+    out: LaneTensor,
     primed: bool,
 }
 
 impl Clone for MaxPool2x2 {
     fn clone(&self) -> Self {
         MaxPool2x2 {
-            runtime: self.runtime,
+            ring: self.ring,
             ..MaxPool2x2::default()
         }
     }
@@ -881,46 +953,34 @@ impl MaxPool2x2 {
         MaxPool2x2::default()
     }
 
-    /// Sets the parallel runtime the pooling kernel executes on.
-    pub fn set_runtime(&mut self, rt: Runtime) {
-        self.runtime = rt;
-    }
-
-    /// Forward pass over `[n, c, h, w]` into a caller-owned output tensor.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, _mode: Mode) {
-        max_pool2x2_into_rt(&self.runtime, x, out, &mut self.arg);
-        self.in_shape.clear();
-        self.in_shape.extend_from_slice(x.shape());
+    /// Forward pass into its output.
+    pub fn forward(&mut self, x: &LaneTensor, _mode: Mode) {
+        max_pool2x2(x, self.ring, &mut self.out);
         self.primed = true;
     }
 
-    /// Backward pass into a caller-owned input-gradient tensor.
+    /// Backward pass over the forward's input `x` into `gx`.
     ///
     /// # Panics
     ///
     /// Panics if called before `forward`.
-    pub fn backward_into(&mut self, grad_out: &Tensor, gx: &mut Tensor) {
+    pub fn backward(&mut self, x: &LaneTensor, grad_out: &LaneTensor, gx: &mut LaneTensor) {
         assert!(self.primed, "MaxPool2x2::backward before forward");
         self.primed = false;
-        max_pool2x2_backward_into(grad_out, &self.arg, &self.in_shape, gx);
+        max_pool2x2_backward(x, grad_out, gx);
     }
 }
 
 /// Global average pooling `[n, c, h, w] → [n, c]`.
 #[derive(Debug, Default)]
 pub struct GlobalAvgPool {
-    runtime: Runtime,
-    /// Reused input-shape record (arena).
-    in_shape: Vec<usize>,
+    out: Tensor,
     primed: bool,
 }
 
 impl Clone for GlobalAvgPool {
     fn clone(&self) -> Self {
-        GlobalAvgPool {
-            runtime: self.runtime,
-            ..GlobalAvgPool::default()
-        }
+        GlobalAvgPool::default()
     }
 }
 
@@ -930,36 +990,29 @@ impl GlobalAvgPool {
         GlobalAvgPool::default()
     }
 
-    /// Sets the parallel runtime the pooling kernel executes on.
-    pub fn set_runtime(&mut self, rt: Runtime) {
-        self.runtime = rt;
-    }
-
-    /// Forward pass into a caller-owned output tensor.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, _mode: Mode) {
-        self.in_shape.clear();
-        self.in_shape.extend_from_slice(x.shape());
-        avg_pool_global_into_rt(&self.runtime, x, out);
+    /// Forward pass into its output.
+    pub fn forward(&mut self, x: &LaneTensor, _mode: Mode) {
+        avg_pool_global(x, &mut self.out);
         self.primed = true;
     }
 
-    /// Backward pass into a caller-owned input-gradient tensor.
+    /// Backward pass into `gx`, in the layout of the forward's input `x`.
     ///
     /// # Panics
     ///
     /// Panics if called before `forward`.
-    pub fn backward_into(&mut self, grad_out: &Tensor, gx: &mut Tensor) {
+    pub fn backward(&mut self, x: &LaneTensor, grad_out: &Tensor, gx: &mut LaneTensor) {
         assert!(self.primed, "GlobalAvgPool::backward before forward");
         self.primed = false;
-        avg_pool_global_backward_into(grad_out, &self.in_shape, gx);
+        avg_pool_global_backward(grad_out, x.shape(), x.ring(), gx);
     }
 }
 
-/// Flattens `[n, ...] → [n, prod(...)]`.
+/// Flattens `[n, c, h, w] → [n, c·h·w]`: the one place an activation leaves
+/// the lane layout (`from_lanes`), and its gradient enters it again.
 #[derive(Debug, Default)]
 pub struct Flatten {
-    /// Reused input-shape record (arena).
-    in_shape: Vec<usize>,
+    out: Tensor,
     primed: bool,
 }
 
@@ -975,27 +1028,23 @@ impl Flatten {
         Flatten::default()
     }
 
-    /// Forward pass into a caller-owned output tensor.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, _mode: Mode) {
-        self.in_shape.clear();
-        self.in_shape.extend_from_slice(x.shape());
-        let n = x.shape()[0];
-        let rest: usize = x.shape()[1..].iter().product();
-        out.copy_from(x);
-        out.reshape_in_place(&[n, rest]);
+    /// Forward pass into its output.
+    pub fn forward(&mut self, x: &LaneTensor, _mode: Mode) {
+        let [n, c, h, w] = x.shape();
+        self.out.resize_for_overwrite(&[n, c * h * w]);
+        x.copy_to_nchw(self.out.data_mut());
         self.primed = true;
     }
 
-    /// Backward pass into a caller-owned input-gradient tensor.
+    /// Backward pass into `gx`, in the layout of the forward's input `x`.
     ///
     /// # Panics
     ///
     /// Panics if called before `forward`.
-    pub fn backward_into(&mut self, grad_out: &Tensor, gx: &mut Tensor) {
+    pub fn backward(&mut self, x: &LaneTensor, grad_out: &Tensor, gx: &mut LaneTensor) {
         assert!(self.primed, "Flatten::backward before forward");
         self.primed = false;
-        gx.copy_from(grad_out);
-        gx.reshape_in_place(&self.in_shape);
+        gx.copy_from_nchw(grad_out.data(), x.shape(), x.ring());
     }
 }
 
@@ -1003,7 +1052,7 @@ impl Flatten {
 // AnyLayer + Sequential
 // ---------------------------------------------------------------------------
 
-/// A closed sum of every layer type, enabling heterogeneous [`Sequential`]
+/// A closed sum of every layer type, enabling heterogeneous [`Sequential`](crate::Sequential)
 /// stacks without trait objects (and therefore cheap cloning).
 // A model holds a few dozen of these in one `Vec`; boxing the convolution
 // (two engines' worth of arena handles) would buy nothing there.
@@ -1012,9 +1061,9 @@ impl Flatten {
 pub enum AnyLayer {
     /// Convolution.
     Conv(Conv2d),
-    /// Batch normalization.
+    /// Batch normalization (with or without its ReLU).
     Bn(BatchNorm2d),
-    /// ReLU.
+    /// ReLU over `[n, features]`.
     Relu(Relu),
     /// 2×2 max pooling.
     MaxPool(MaxPool2x2),
@@ -1027,29 +1076,86 @@ pub enum AnyLayer {
 }
 
 impl AnyLayer {
-    /// Alloc-free forward dispatch into a caller-owned output tensor.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
+    /// Forward dispatch into the layer's own output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not the kind of activation the layer reads.
+    pub fn forward(&mut self, x: Act<'_>, mode: Mode) {
         match self {
-            AnyLayer::Conv(l) => l.forward_into(x, out, mode),
-            AnyLayer::Bn(l) => l.forward_into(x, out, mode),
-            AnyLayer::Relu(l) => l.forward_into(x, out, mode),
-            AnyLayer::MaxPool(l) => l.forward_into(x, out, mode),
-            AnyLayer::GlobalAvg(l) => l.forward_into(x, out, mode),
-            AnyLayer::Flatten(l) => l.forward_into(x, out, mode),
-            AnyLayer::Linear(l) => l.forward_into(x, out, mode),
+            AnyLayer::Conv(l) => l.forward(x.lanes(), mode),
+            AnyLayer::Bn(l) => l.forward(x.lanes(), mode),
+            AnyLayer::Relu(l) => l.forward(x.flat(), mode),
+            AnyLayer::MaxPool(l) => l.forward(x.lanes(), mode),
+            AnyLayer::GlobalAvg(l) => l.forward(x.lanes(), mode),
+            AnyLayer::Flatten(l) => l.forward(x.lanes(), mode),
+            AnyLayer::Linear(l) => l.forward(x.flat(), mode),
         }
     }
 
-    /// Alloc-free backward dispatch into a caller-owned gradient tensor.
-    pub fn backward_into(&mut self, grad: &Tensor, gx: &mut Tensor) {
+    /// The ring this layer's input must carry: a convolution's padding,
+    /// none for every other layer.
+    pub fn input_ring(&self) -> usize {
         match self {
-            AnyLayer::Conv(l) => l.backward_into(grad, gx),
-            AnyLayer::Bn(l) => l.backward_into(grad, gx),
-            AnyLayer::Relu(l) => l.backward_into(grad, gx),
-            AnyLayer::MaxPool(l) => l.backward_into(grad, gx),
-            AnyLayer::GlobalAvg(l) => l.backward_into(grad, gx),
-            AnyLayer::Flatten(l) => l.backward_into(grad, gx),
-            AnyLayer::Linear(l) => l.backward_into(grad, gx),
+            AnyLayer::Conv(l) => l.pad,
+            _ => 0,
+        }
+    }
+
+    /// Has a batch norm or a max pool write its output with a ring of
+    /// `ring` lanes, the [`input_ring`](AnyLayer::input_ring) of the layer
+    /// it feeds. Any other layer's output is either flat or a convolution's,
+    /// which feeds a batch norm; asking those for a ring is a wiring error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ring > 0` and the layer is neither.
+    pub fn set_output_ring(&mut self, ring: usize) {
+        match self {
+            AnyLayer::Bn(l) => l.ring = ring,
+            AnyLayer::MaxPool(l) => l.ring = ring,
+            _ => assert_eq!(
+                ring, 0,
+                "only a batch norm or a max pool feeds a ringed input"
+            ),
+        }
+    }
+
+    /// The output of the layer's last forward.
+    pub fn output(&self) -> Act<'_> {
+        match self {
+            AnyLayer::Conv(l) => Act::Lanes(l.output()),
+            AnyLayer::Bn(l) => Act::Lanes(&l.out),
+            AnyLayer::Relu(l) => Act::Flat(l.output()),
+            AnyLayer::MaxPool(l) => Act::Lanes(&l.out),
+            AnyLayer::GlobalAvg(l) => Act::Flat(&l.out),
+            AnyLayer::Flatten(l) => Act::Flat(&l.out),
+            AnyLayer::Linear(l) => Act::Flat(l.output()),
+        }
+    }
+
+    /// Backward dispatch from `dy` over the forward's input `x`, the input
+    /// gradient into `gx` (the buffer of `x`'s kind). A convolution handed
+    /// no `gx` only accumulates its weight gradient; every other layer
+    /// needs one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is not the kind the layer works on, or a
+    /// non-convolution is handed no `gx`.
+    pub fn backward(&mut self, x: Act<'_>, dy: Act<'_>, gx: Option<&mut Grads>) {
+        if let AnyLayer::Conv(l) = self {
+            return l.backward(x.lanes(), dy.lanes(), gx.map(|g| &mut g.lanes));
+        }
+        let gx = gx.expect("only a convolution skips its input gradient");
+        match self {
+            AnyLayer::Conv(_) => unreachable!("handled above"),
+            AnyLayer::Bn(l) => l.backward(x.lanes(), dy.lanes(), &mut gx.lanes),
+            AnyLayer::Relu(l) => l.backward(dy.flat(), &mut gx.flat),
+            AnyLayer::MaxPool(l) => l.backward(x.lanes(), dy.lanes(), &mut gx.lanes),
+            AnyLayer::GlobalAvg(l) => l.backward(x.lanes(), dy.flat(), &mut gx.lanes),
+            AnyLayer::Flatten(l) => l.backward(x.lanes(), dy.flat(), &mut gx.lanes),
+            AnyLayer::Linear(l) => l.backward(x.flat(), dy.flat(), &mut gx.flat),
         }
     }
 
@@ -1118,13 +1224,12 @@ impl AnyLayer {
         }
     }
 
-    /// Sets the parallel runtime of every kernel-bearing layer.
+    /// Sets the parallel runtime of every layer whose kernels fan out (the
+    /// convolutions and `Linear`).
     pub fn set_runtime(&mut self, rt: Runtime) {
         match self {
             AnyLayer::Conv(l) => l.set_runtime(rt),
             AnyLayer::Linear(l) => l.set_runtime(rt),
-            AnyLayer::MaxPool(l) => l.set_runtime(rt),
-            AnyLayer::GlobalAvg(l) => l.set_runtime(rt),
             _ => {}
         }
     }
@@ -1156,141 +1261,116 @@ impl AnyLayer {
     }
 }
 
-/// An ordered stack of layers executed front to back.
-///
-/// Activations flow through a pair of ping-pong tensors owned by the stack,
-/// so a full forward/backward pass allocates nothing once the buffers have
-/// grown to the batch geometry. A clone copies the layers and starts with
-/// empty buffers.
-#[derive(Debug, Default)]
-pub struct Sequential {
-    /// The layers, in execution order.
-    pub layers: Vec<AnyLayer>,
-    ping: Tensor,
-    pong: Tensor,
-}
-
-impl Clone for Sequential {
-    fn clone(&self) -> Self {
-        Sequential {
-            layers: self.layers.clone(),
-            ..Sequential::default()
-        }
-    }
-}
-
-impl Sequential {
-    /// Creates an empty stack.
-    pub fn new() -> Self {
-        Sequential::default()
-    }
-
-    /// Appends a layer (builder style).
-    pub fn push(&mut self, layer: AnyLayer) -> &mut Self {
-        self.layers.push(layer);
-        self
-    }
-
-    /// Forward through every layer into a caller-owned output tensor,
-    /// ping-ponging intermediate activations between two reused buffers.
-    pub fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
-        let Sequential { layers, ping, pong } = self;
-        let n = layers.len();
-        if n == 0 {
-            out.copy_from(x);
-            return;
-        }
-        for (idx, l) in layers.iter_mut().enumerate() {
-            let src: &Tensor = if idx == 0 { x } else { &*ping };
-            if idx == n - 1 {
-                l.forward_into(src, out, mode);
-            } else {
-                l.forward_into(src, pong, mode);
-                std::mem::swap(ping, pong);
-            }
-        }
-    }
-
-    /// Backward through every layer in reverse, discarding the network
-    /// input gradient. The leading layer only accumulates its parameter
-    /// gradients — for a leading convolution this skips the dX kernel
-    /// entirely, since no layer sits before it to consume the result; its
-    /// weight gradient does not depend on whether dX runs.
-    pub fn backward_discard_input(&mut self, grad: &Tensor) {
-        self.backward_from(grad, 0);
-    }
-
-    /// Backward from the output down to the layer holding prunable weight
-    /// number `shallowest_prunable` (in parameter order, front to back)
-    /// and no further: that layer accumulates its parameter gradients and, like
-    /// the leading layer of [`Sequential::backward_discard_input`], produces
-    /// no input gradient if it is a convolution. Every layer beneath it is
-    /// left as its forward pass left it, gradients untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stack has no such prunable weight.
-    pub fn backward_down_to(&mut self, grad: &Tensor, shallowest_prunable: usize) {
-        let stop = self
-            .layers
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| match l {
-                AnyLayer::Conv(c) => c.w.prunable,
-                AnyLayer::Linear(fc) => fc.w.prunable,
-                _ => false,
-            })
-            .nth(shallowest_prunable)
-            .map(|(idx, _)| idx)
-            .expect("prunable layer index out of range");
-        self.backward_from(grad, stop);
-    }
-
-    /// Backward through `layers[first..]` in reverse; `layers[first]` takes
-    /// the parameters-only path when it is a convolution.
-    fn backward_from(&mut self, grad: &Tensor, first: usize) {
-        let Sequential { layers, ping, pong } = self;
-        let layers = &mut layers[first..];
-        let n = layers.len();
-        for (idx, l) in layers.iter_mut().rev().enumerate() {
-            let src: &Tensor = if idx == 0 { grad } else { &*ping };
-            if idx == n - 1 {
-                if let AnyLayer::Conv(c) = l {
-                    c.backward_params_only(src);
-                } else {
-                    l.backward_into(src, pong);
-                }
-            } else {
-                l.backward_into(src, pong);
-                std::mem::swap(ping, pong);
-            }
-        }
-    }
-}
-
-/// Allocating passes for the unit tests: each call returns a fresh tensor.
+/// The layers' passes on NCHW tensors, for the unit tests: each converts at
+/// its boundary — a 4-D input into lanes (with the ring the layer reads), the
+/// output and the input gradient
+/// back — and `bwd` is handed the forward's input again, which the layer
+/// reads instead of keeping.
 #[cfg(test)]
 pub(crate) trait Fresh {
     /// The forward pass into a new tensor.
     fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor;
-    /// The backward pass into a new tensor.
-    fn bwd(&mut self, grad: &Tensor) -> Tensor;
+    /// The backward pass over the forward's input `x`, into a new tensor.
+    fn bwd(&mut self, x: &Tensor, grad: &Tensor) -> Tensor;
+}
+
+/// `x` (`[n, c, h, w]`) in lanes with a ring of `ring`.
+#[cfg(test)]
+pub(crate) fn lanes(x: &Tensor, ring: usize) -> LaneTensor {
+    let s = x.shape();
+    let mut t = LaneTensor::default();
+    t.copy_from_nchw(x.data(), [s[0], s[1], s[2], s[3]], ring);
+    t
+}
+
+/// An activation as an NCHW (or flat) tensor.
+#[cfg(test)]
+pub(crate) fn nchw(a: Act<'_>) -> Tensor {
+    match a {
+        Act::Flat(t) => t.clone(),
+        Act::Lanes(t) => {
+            let mut out = Tensor::zeros(&t.shape());
+            t.copy_to_nchw(out.data_mut());
+            out
+        }
+    }
+}
+
+/// An activation a test owns.
+#[cfg(test)]
+pub(crate) enum Owned {
+    Lanes(LaneTensor),
+    Flat(Tensor),
 }
 
 #[cfg(test)]
+impl Owned {
+    /// `x` as the input of `layer`.
+    pub(crate) fn input(layer: &AnyLayer, x: &Tensor) -> Owned {
+        match x.shape().len() {
+            4 if !matches!(layer, AnyLayer::Relu(_)) => Owned::Lanes(lanes(x, layer.input_ring())),
+            _ => Owned::Flat(x.clone()),
+        }
+    }
+
+    /// `g` in the layout of `like`.
+    fn like(like: Act<'_>, g: &Tensor) -> Owned {
+        match like {
+            Act::Lanes(o) => Owned::Lanes(lanes(g, o.ring())),
+            Act::Flat(_) => Owned::Flat(g.clone()),
+        }
+    }
+
+    pub(crate) fn act(&self) -> Act<'_> {
+        match self {
+            Owned::Lanes(t) => Act::Lanes(t),
+            Owned::Flat(t) => Act::Flat(t),
+        }
+    }
+}
+
+#[cfg(test)]
+impl Fresh for AnyLayer {
+    fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let x = Owned::input(self, x);
+        self.forward(x.act(), mode);
+        nchw(self.output())
+    }
+
+    fn bwd(&mut self, x: &Tensor, grad: &Tensor) -> Tensor {
+        let x = Owned::input(self, x);
+        let dy = Owned::like(self.output(), grad);
+        let mut gx = Grads::default();
+        self.backward(x.act(), dy.act(), Some(&mut gx));
+        match x {
+            Owned::Lanes(_) => nchw(Act::Lanes(&gx.lanes)),
+            Owned::Flat(_) => gx.flat,
+        }
+    }
+}
+
+/// A concrete layer's passes are its [`AnyLayer`] variant's: the layer is
+/// moved into one for the call and back.
+#[cfg(test)]
 macro_rules! impl_fresh {
-    ($($layer:ty),*) => {$(
-        impl Fresh for $layer {
-            fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-                let mut out = Tensor::default();
-                self.forward_into(x, &mut out, mode);
+    ($($layer:ident => $variant:ident($blank:expr)),*) => {$(
+        impl $layer {
+            fn through_any<T>(&mut self, f: impl FnOnce(&mut AnyLayer) -> T) -> T {
+                let mut any = AnyLayer::$variant(std::mem::replace(self, $blank));
+                let out = f(&mut any);
+                let AnyLayer::$variant(l) = any else { unreachable!() };
+                *self = l;
                 out
             }
+        }
 
-            fn bwd(&mut self, grad: &Tensor) -> Tensor {
-                let mut gx = Tensor::default();
-                self.backward_into(grad, &mut gx);
-                gx
+        impl Fresh for $layer {
+            fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+                self.through_any(|l| l.fwd(x, mode))
+            }
+
+            fn bwd(&mut self, x: &Tensor, grad: &Tensor) -> Tensor {
+                self.through_any(|l| l.bwd(x, grad))
             }
         }
     )*};
@@ -1298,38 +1378,23 @@ macro_rules! impl_fresh {
 
 #[cfg(test)]
 impl_fresh!(
-    Conv2d,
-    BatchNorm2d,
-    Linear,
-    Relu,
-    MaxPool2x2,
-    GlobalAvgPool,
-    Flatten,
-    AnyLayer
+    Conv2d => Conv(Conv2d::new(&mut <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(0), 1, 1, 1, 1, 0, false, "")),
+    BatchNorm2d => Bn(BatchNorm2d::new(0, "")),
+    Linear => Linear(Linear::new(&mut <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(0), 1, 1, false, "")),
+    Relu => Relu(Relu::new()),
+    MaxPool2x2 => MaxPool(MaxPool2x2::new()),
+    GlobalAvgPool => GlobalAvg(GlobalAvgPool::new()),
+    Flatten => Flatten(Flatten::new())
 );
 
-/// A stack's input gradient: its layers' backward passes, last to first.
 #[cfg(test)]
-impl Fresh for Sequential {
-    fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(x, &mut out, mode);
-        out
-    }
-
-    fn bwd(&mut self, grad: &Tensor) -> Tensor {
-        (self.layers.iter_mut().rev()).fold(grad.clone(), |g, l| l.bwd(&g))
-    }
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ft_tensor::assert_close;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn rng() -> ChaCha8Rng {
+    pub(crate) fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(42)
     }
 
@@ -1357,7 +1422,7 @@ mod tests {
         let x = ft_tensor::normal(&mut rng, &[1, 2, 4, 4], 0.0, 1.0);
         let y = c.fwd(&x, Mode::Train);
         let gy = Tensor::ones(y.shape());
-        let gx = c.bwd(&gy);
+        let gx = c.bwd(&x, &gy);
 
         // Finite differences wrt input.
         let eps = 1e-3;
@@ -1367,9 +1432,9 @@ mod tests {
             let mut xm = x.clone();
             xm.data_mut()[check] -= eps;
             let yp = c.fwd(&xp, Mode::Train).sum();
-            let _ = c.bwd(&Tensor::ones(&[1, 3, 4, 4])); // clear cache
+            let _ = c.bwd(&xp, &Tensor::ones(&[1, 3, 4, 4])); // clear cache
             let ym = c.fwd(&xm, Mode::Train).sum();
-            let _ = c.bwd(&Tensor::ones(&[1, 3, 4, 4]));
+            let _ = c.bwd(&xm, &Tensor::ones(&[1, 3, 4, 4]));
             let num = (yp - ym) / (2.0 * eps);
             assert!(
                 (gx.data()[check] - num).abs() < 1e-2,
@@ -1383,17 +1448,17 @@ mod tests {
         let mut c2 = Conv2d::new(&mut rng, 2, 3, 3, 1, 1, true, "c");
         let _ = c2.fwd(&x, Mode::Train);
         let gw = {
-            let _ = c2.bwd(&Tensor::ones(&[1, 3, 4, 4]));
+            let _ = c2.bwd(&x, &Tensor::ones(&[1, 3, 4, 4]));
             c2.w.grad.clone()
         };
         for check in [0usize, 10, 25] {
             let orig = c2.w.data.data()[check];
             c2.w.data.data_mut()[check] = orig + eps;
             let yp = c2.fwd(&x, Mode::Train).sum();
-            let _ = c2.bwd(&Tensor::ones(&[1, 3, 4, 4]));
+            let _ = c2.bwd(&x, &Tensor::ones(&[1, 3, 4, 4]));
             c2.w.data.data_mut()[check] = orig - eps;
             let ym = c2.fwd(&x, Mode::Train).sum();
-            let _ = c2.bwd(&Tensor::ones(&[1, 3, 4, 4]));
+            let _ = c2.bwd(&x, &Tensor::ones(&[1, 3, 4, 4]));
             c2.w.data.data_mut()[check] = orig;
             let num = (yp - ym) / (2.0 * eps);
             assert!(
@@ -1421,17 +1486,17 @@ mod tests {
         let mut l = Linear::new(&mut rng, 4, 3, true, "fc");
         let x = ft_tensor::normal(&mut rng, &[2, 4], 0.0, 1.0);
         let y = l.fwd(&x, Mode::Train);
-        let gx = l.bwd(&Tensor::ones(y.shape()));
+        let gx = l.bwd(&x, &Tensor::ones(y.shape()));
         let eps = 1e-3;
         for check in 0..8 {
             let mut xp = x.clone();
             xp.data_mut()[check] += eps;
             let yp = l.fwd(&xp, Mode::Train).sum();
-            let _ = l.bwd(&Tensor::ones(&[2, 3]));
+            let _ = l.bwd(&xp, &Tensor::ones(&[2, 3]));
             let mut xm = x.clone();
             xm.data_mut()[check] -= eps;
             let ym = l.fwd(&xm, Mode::Train).sum();
-            let _ = l.bwd(&Tensor::ones(&[2, 3]));
+            let _ = l.bwd(&xm, &Tensor::ones(&[2, 3]));
             let num = (yp - ym) / (2.0 * eps);
             assert!((gx.data()[check] - num).abs() < 1e-2);
         }
@@ -1475,7 +1540,7 @@ mod tests {
         // Loss = sum(y * w) for a fixed random w so the gradient is nontrivial.
         let wv = ft_tensor::normal(&mut rng, &[16], 0.0, 1.0);
         let gy = Tensor::from_vec(wv.data().to_vec(), y.shape());
-        let gx = bn.bwd(&gy);
+        let gx = bn.bwd(&x, &gy);
         let eps = 2e-3;
         for check in [0usize, 5, 11, 15] {
             let mut bn2 = BatchNorm2d::new(2, "bn");
@@ -1501,7 +1566,7 @@ mod tests {
         let x = Tensor::from_vec(vec![-1.0, 2.0, 0.0], &[3]);
         let y = r.fwd(&x, Mode::Train);
         assert_eq!(y.data(), &[0.0, 2.0, 0.0]);
-        let g = r.bwd(&Tensor::ones(&[3]));
+        let g = r.bwd(&x, &Tensor::ones(&[3]));
         assert_eq!(g.data(), &[0.0, 1.0, 0.0]);
     }
 
@@ -1511,38 +1576,8 @@ mod tests {
         let x = Tensor::ones(&[2, 3, 4, 4]);
         let y = f.fwd(&x, Mode::Train);
         assert_eq!(y.shape(), &[2, 48]);
-        let g = f.bwd(&y);
+        let g = f.bwd(&x, &y);
         assert_eq!(g.shape(), &[2, 3, 4, 4]);
-    }
-
-    #[test]
-    fn sequential_composes() {
-        let mut rng = rng();
-        let mut seq = Sequential::new();
-        seq.push(AnyLayer::Conv(Conv2d::new(
-            &mut rng, 1, 2, 3, 1, 1, true, "c",
-        )))
-        .push(AnyLayer::Bn(BatchNorm2d::new(2, "bn")))
-        .push(AnyLayer::Relu(Relu::new()))
-        .push(AnyLayer::Flatten(Flatten::new()))
-        .push(AnyLayer::Linear(Linear::new(
-            &mut rng,
-            2 * 16,
-            4,
-            true,
-            "fc",
-        )));
-        let x = ft_tensor::normal(&mut rng, &[3, 1, 4, 4], 0.0, 1.0);
-        let y = seq.fwd(&x, Mode::Train);
-        assert_eq!(y.shape(), &[3, 4]);
-        let gx = seq.bwd(&Tensor::ones(&[3, 4]));
-        assert_eq!(gx.shape(), &[3, 1, 4, 4]);
-        let (mut params, mut bns) = (0, 0);
-        for l in &seq.layers {
-            l.for_each_param(&mut |_| params += 1);
-            bns += usize::from(l.bn_stats().is_some());
-        }
-        assert_eq!((params, bns), (1 + 2 + 2, 1)); // conv w, bn γβ, fc w+b
     }
 
     #[test]
@@ -1551,7 +1586,7 @@ mod tests {
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]);
         let y = p.fwd(&x, Mode::Train);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        let g = p.bwd(&Tensor::ones(y.shape()));
+        let g = p.bwd(&x, &Tensor::ones(y.shape()));
         assert_eq!(g.shape(), x.shape());
         assert_eq!(g.sum(), 4.0);
     }
@@ -1567,7 +1602,7 @@ mod tests {
 
     /// Applies an every-other-weight mask directly to a weight param,
     /// zeroing and recording it like `ft_nn::apply_mask` does.
-    fn mask_param(w: &mut Param, keep_every: usize) {
+    pub(crate) fn mask_param(w: &mut Param, keep_every: usize) {
         let bits: Vec<bool> = (0..w.len()).map(|i| i % keep_every == 0).collect();
         for (v, &alive) in w.data.data_mut().iter_mut().zip(bits.iter()) {
             if !alive {
@@ -1642,8 +1677,8 @@ mod tests {
             let go = ft_tensor::normal(&mut rng, &[2, out_c, 6, 6], 0.0, 1.0);
             let _ = sparse.fwd(&x, Mode::Train);
             let _ = dense.fwd(&x, Mode::Train);
-            let gxs = sparse.bwd(&go);
-            let gxd = dense.bwd(&go);
+            let gxs = sparse.bwd(&x, &go);
+            let gxd = dense.bwd(&x, &go);
             // Input gradients agree exactly (pruned weights are zero either way).
             assert_close(gxs.data(), gxd.data(), 1e-4);
             // Weight gradients agree at mask-alive coordinates and are zero at
@@ -1682,8 +1717,8 @@ mod tests {
             let nnz = sparse.w.mask_alive;
             assert_eq!(sparse.realized_flops(), 2.0 * (8 * nnz) as f64);
             let go = ft_tensor::normal(&mut rng, &[8, out_dim], 0.0, 1.0);
-            let gxs = sparse.bwd(&go);
-            let gxd = dense.bwd(&go);
+            let gxs = sparse.bwd(&x, &go);
+            let gxd = dense.bwd(&x, &go);
             assert_close(gxs.data(), gxd.data(), 1e-4);
             assert_close(sparse.b.grad.data(), dense.b.grad.data(), 1e-4);
             let bits = sparse.w.mask_bits.clone().expect("mask recorded");
@@ -1710,8 +1745,9 @@ mod tests {
         fn step(l: &mut Linear) -> (Option<usize>, f64) {
             l.reset_realized_flops();
             l.w.zero_grad();
-            let y = l.fwd(&Tensor::ones(&[2, 20]), Mode::Train);
-            let _ = l.bwd(&Tensor::ones(y.shape()));
+            let x = Tensor::ones(&[2, 20]);
+            let y = l.fwd(&x, Mode::Train);
+            let _ = l.bwd(&x, &Tensor::ones(y.shape()));
             (l.plan.as_ref().map(|p| p.csr.nnz()), l.realized_flops())
         }
         // Forward and backward: six MACs per stored weight and sample.
@@ -1729,62 +1765,6 @@ mod tests {
         l.w.mask_bits = None;
         assert_eq!(step(&mut l), dense, "cleared");
         assert!(l.w.grad.data().iter().all(|&g| g != 0.0));
-    }
-
-    /// A whole layer stack produces bit-identical activations, gradients,
-    /// and realized-FLOPs counters on the parallel runtime — the layer-level
-    /// face of the runtime determinism contract, covering both the dense
-    /// and the sparse dispatch paths.
-    #[test]
-    fn parallel_runtime_is_bit_identical_through_layers() {
-        // The 48×48 input is one sample per conv tile: five tiles a batch.
-        let cases = [
-            ([3usize, 2, 8, 8], 1usize),
-            ([3, 2, 8, 8], 4),
-            ([5, 2, 48, 48], 1),
-            ([5, 2, 48, 48], 4),
-        ];
-        for (x_shape, density_keep) in cases {
-            let mut rng = rng();
-            let mut seq_stack = Sequential::new();
-            seq_stack
-                .push(AnyLayer::Conv(Conv2d::new(
-                    &mut rng, 2, 4, 3, 1, 1, true, "c",
-                )))
-                .push(AnyLayer::MaxPool(MaxPool2x2::new()))
-                .push(AnyLayer::GlobalAvg(GlobalAvgPool::new()))
-                .push(AnyLayer::Linear(Linear::new(&mut rng, 4, 3, true, "fc")));
-            for l in &mut seq_stack.layers {
-                l.for_each_param_mut(&mut |p| {
-                    if p.prunable && density_keep > 1 {
-                        mask_param(p, density_keep);
-                    }
-                });
-            }
-            let mut par_stack = seq_stack.clone();
-            for l in &mut par_stack.layers {
-                l.set_runtime(Runtime::exact(4).with_min_work(0));
-            }
-
-            let x = ft_tensor::normal(&mut rng, &x_shape, 0.0, 1.0);
-            let ys = seq_stack.fwd(&x, Mode::Train);
-            let yp = par_stack.fwd(&x, Mode::Train);
-            assert_eq!(ys.data(), yp.data(), "forward diverged");
-            let g = ft_tensor::normal(&mut rng, &[x_shape[0], 3], 0.0, 1.0);
-            let gs = seq_stack.bwd(&g);
-            let gp = par_stack.bwd(&g);
-            assert_eq!(gs.data(), gp.data(), "input grads diverged");
-            for (a, b) in seq_stack.layers.iter().zip(&par_stack.layers) {
-                let mut par_params = Vec::new();
-                b.for_each_param(&mut |p| par_params.push(p));
-                let mut par_params = par_params.into_iter();
-                a.for_each_param(&mut |a| {
-                    let b = par_params.next().expect("same stack");
-                    assert_eq!(a.grad.data(), b.grad.data(), "param grads diverged");
-                });
-                assert_eq!(a.realized_flops(), b.realized_flops());
-            }
-        }
     }
 
     #[test]
@@ -1840,7 +1820,7 @@ mod tests {
         for i in 0..x.shape()[0] {
             l.w.zero_grad();
             y.extend(bits(&l.fwd(&sample(x, i), mode)));
-            gx.extend(bits(&l.bwd(&sample(go, i))));
+            gx.extend(bits(&l.bwd(&sample(x, i), &sample(go, i))));
             gw.add_assign(&l.w.grad);
         }
         (y, gx, bits(&gw))
@@ -1910,7 +1890,7 @@ mod tests {
                         let mut l = layer.clone();
                         l.set_runtime(Runtime::from_env().with_min_work(0));
                         assert_eq!(bits(&l.fwd(&x, mode)), y, "forward {tag}");
-                        assert_eq!(bits(&l.bwd(&go)), gx, "gx {tag}");
+                        assert_eq!(bits(&l.bwd(&x, &go)), gx, "gx {tag}");
                         assert_eq!(bits(&l.w.grad), gw, "w.grad {tag}");
                     }
                 }
@@ -1920,8 +1900,8 @@ mod tests {
 
     /// Every ftbench device sees a full batch and then a shorter one; the
     /// second must not read anything the first left in the buffers, and on
-    /// either path those are the kept input, `dY` and one group of staging
-    /// per worker ([`Conv2d::scratch_bound`]) — under half the column matrix
+    /// either path those are the output, the dense engine's copy of `dY` and
+    /// its tables ([`Conv2d::scratch_bound`]) — under half the column matrix
     /// of the batch — and back to the same size when the full batch returns.
     #[test]
     fn scratch_holds_no_column_matrix_and_is_reused_across_batch_sizes() {
@@ -1939,11 +1919,11 @@ mod tests {
                 let (y, gx, gw) = per_sample_oracle(&layer, &x, &go, Mode::Train);
                 l.w.zero_grad();
                 assert_eq!(bits(&l.fwd(&x, Mode::Train)), y, "forward n={n}");
-                assert_eq!(bits(&l.bwd(&go)), gx, "gx n={n}");
+                assert_eq!(bits(&l.bwd(&x, &go)), gx, "gx n={n}");
                 assert_eq!(bits(&l.w.grad), gw, "w.grad n={n}");
-                let padded = in_c * (side + 2 * pad) * (side + 2 * pad);
-                let kept = l.scratch.bufs.kept_input_len();
-                assert_eq!(kept, n.div_ceil(8) * 8 * padded, "variant {v}");
+                // The conv keeps its output (its input is the layer before's).
+                let kept = l.output().len();
+                assert_eq!(kept, n.div_ceil(8) * 8 * 8 * 12 * 12, "variant {v}");
                 let (len, bound) = (l.scratch_len(), l.scratch_bound(n, side));
                 let columns = n * in_c * kernel * kernel * 12 * 12;
                 assert!(kept < len && len <= bound, "variant {v}: {len} > {bound}");
@@ -1970,7 +1950,7 @@ mod tests {
                 let tag = format!("k{kernel} s{stride} variant {v}");
                 let y = train.fwd(&x, Mode::Train);
                 assert_eq!(bits(&eval.fwd(&x, Mode::Eval)), bits(&y), "{tag}");
-                assert_eq!(bits(&eval.bwd(&go)), bits(&train.bwd(&go)), "{tag}");
+                assert_eq!(bits(&eval.bwd(&x, &go)), bits(&train.bwd(&x, &go)), "{tag}");
                 assert_eq!(bits(&eval.w.grad), bits(&train.w.grad), "{tag}");
                 assert_eq!(eval.realized_flops(), train.realized_flops(), "{tag}");
             }
@@ -2067,10 +2047,14 @@ mod tests {
                     l.reset_realized_flops();
                     assert_eq!(bits(&l.fwd(&x, Mode::Train)), bits(&y), "forward {tag}");
                     let index = l.plan.as_ref().and_then(|p| p.conv_index.as_ref());
-                    assert_eq!(index.expect("sparse path").geom().in_h, side, "index {tag}");
+                    assert_eq!(
+                        index.expect("sparse path").layout().0.in_h,
+                        side,
+                        "index {tag}"
+                    );
                     match gx {
-                        Some(gx) => assert_eq!(bits(&l.bwd(&go)), bits(&gx), "gx {tag}"),
-                        None => l.backward_params_only(&go),
+                        Some(gx) => assert_eq!(bits(&l.bwd(&x, &go)), bits(&gx), "gx {tag}"),
+                        None => l.backward(&lanes(&x, pad), &lanes(&go, 0), None),
                     }
                     assert_eq!(bits(&l.w.grad), bits(&gw), "w.grad {tag}");
                     assert_eq!(l.realized_flops(), flops, "flops {tag}");
@@ -2092,10 +2076,10 @@ mod tests {
         assert!(fresh.plan.is_some(), "the plan is structure, not scratch");
         let mut bn = BatchNorm2d::new(8, "bn");
         let _ = bn.fwd(&y, Mode::Train);
-        assert!(bn.clone().cache.is_none() && bn.clone().scratch.xhat.numel() == 0);
+        assert!(bn.clone().cache.is_none() && bn.clone().out.is_empty());
         let mut relu = Relu::new();
         let _ = relu.fwd(&y, Mode::Train);
-        assert!(!relu.clone().primed && relu.clone().mask.is_empty());
+        assert!(!relu.clone().primed && relu.clone().out.numel() == 0);
     }
 
     /// Backward on a clone of a layer that ran forward is the "before
@@ -2106,6 +2090,6 @@ mod tests {
         let mut conv = tile_variants(4, 3, 1, 1).remove(1);
         let x = ft_tensor::normal(&mut rng(), &[9, 4, 6, 6], 0.0, 1.0);
         let y = conv.fwd(&x, Mode::Train);
-        let _ = conv.clone().bwd(&y);
+        let _ = conv.clone().bwd(&x, &y);
     }
 }

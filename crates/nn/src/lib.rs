@@ -8,8 +8,8 @@
 //! Key types:
 //! - [`Param`] — a weight tensor plus its gradient accumulator and pruning
 //!   metadata.
-//! - [`AnyLayer`] / [`Sequential`] — compositional layers with caches for
-//!   backprop.
+//! - [`AnyLayer`] / [`Sequential`] — compositional layers that own their
+//!   outputs for backprop.
 //! - [`Model`] — the object-safe trait the federated simulator drives;
 //!   constructors: [`models::SmallCnn`], [`models::Vgg11`],
 //!   [`models::ResNet18`].
@@ -18,11 +18,13 @@
 //!   parameters, no gradients).
 //! - [`loss::softmax_cross_entropy`] and [`optim::SgdConfig`].
 //!
-//! Every layer runs one way: its passes write into caller-owned tensors
-//! (`forward_into` / `backward_into`; [`Model::forward`] is the one
-//! allocating convenience), and a `Conv2d` / `Linear` runs on the sparse
-//! kernels exactly when its weight's mask record is at density ≤
-//! [`DEFAULT_SPARSE_CROSSOVER`].
+//! Every layer runs one way: a 4-D activation stays in the lane layout
+//! ([`ft_tensor::LaneTensor`]) from the model's input to its pooling head,
+//! every layer owns its output ([`AnyLayer::output`]) and its backward pass
+//! is handed the forward's input ([`Act`]) and writes the input gradient into
+//! caller-owned [`Grads`] ([`Model::forward`] is the one allocating
+//! convenience), and a `Conv2d` / `Linear` runs on the sparse kernels exactly
+//! when its weight's mask record is at density ≤ [`DEFAULT_SPARSE_CROSSOVER`].
 //!
 //! # Examples
 //!
@@ -45,11 +47,12 @@ mod model;
 pub mod models;
 pub mod optim;
 mod param;
+mod sequential;
 
 pub use ft_runtime::Runtime;
 pub use layer::{
-    AnyLayer, BatchNorm2d, BnStats, Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2x2, Mode, Relu,
-    Sequential, DEFAULT_SPARSE_CROSSOVER,
+    Act, AnyLayer, BatchNorm2d, BnStats, Conv2d, Flatten, GlobalAvgPool, Grads, Linear, MaxPool2x2,
+    Mode, Relu, DEFAULT_SPARSE_CROSSOVER,
 };
 pub use model::{
     accuracy, apply_mask, bn_stats_encoded_len, flat_params, flat_params_into, mask_grads,
@@ -57,3 +60,4 @@ pub use model::{
     take_snapshot, wire_ctx, ArchInfo, LayerArch, Model, ModelSnapshot,
 };
 pub use param::{Param, ParamKind};
+pub use sequential::Sequential;

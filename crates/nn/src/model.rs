@@ -80,9 +80,10 @@ pub struct ArchInfo {
 /// layer runs is not a model setting: its weight's mask record decides (see
 /// [`crate::DEFAULT_SPARSE_CROSSOVER`]).
 pub trait Model: Send + Sync {
-    /// Forward pass into a caller-owned logits tensor `[n, classes]`,
-    /// through the model's internal scratch arenas: allocation-free at
-    /// steady state.
+    /// Forward pass from NCHW images `x` into a caller-owned logits tensor
+    /// `[n, classes]`, through the model's internal scratch arenas:
+    /// allocation-free at steady state. `x` enters the lane activation
+    /// layout here, once per batch.
     fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode);
 
     /// [`Model::forward_into`] into a fresh tensor.
@@ -198,7 +199,7 @@ pub trait Model: Send + Sync {
     fn block_partition(&self) -> Vec<Vec<usize>>;
 
     /// Hands every kernel-bearing layer the parallel
-    /// [`Runtime`](ft_runtime::Runtime) its convolution / GEMM / pooling
+    /// [`Runtime`](ft_runtime::Runtime) its convolution and GEMM
     /// kernels execute on. Models start on the sequential runtime; because
     /// the parallel kernels are bit-identical to the sequential ones, this
     /// only changes wall-clock, never outputs. Cloned models (e.g.

@@ -1,22 +1,37 @@
 //! CIFAR-style ResNet18.
 
 use super::scaled;
-use crate::layer::{AnyLayer, BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Mode, Relu};
+use crate::layer::{Act, AnyLayer, BatchNorm2d, Conv2d, GlobalAvgPool, Grads, Linear, Mode};
 use crate::model::{ArchInfo, LayerArch, Model};
-use ft_tensor::Tensor;
+use ft_tensor::{relu_backward, residual_relu, LaneTensor, Tensor};
 use rand::Rng;
 
-/// One residual basic block: two 3×3 conv-BN pairs with an optional
-/// 1×1-conv-BN downsample shortcut.
+/// One residual basic block: two 3×3 conv-BN pairs (the first BN with its
+/// ReLU fused) with an optional 1×1-conv-BN downsample shortcut, and the
+/// closing `max(main + shortcut, 0)` into the block's output.
 #[derive(Clone, Debug)]
 struct BasicBlock {
     conv1: AnyLayer,
     bn1: AnyLayer,
-    relu1: AnyLayer,
     conv2: AnyLayer,
     bn2: AnyLayer,
     down: Option<(AnyLayer, AnyLayer)>,
-    relu_out: AnyLayer,
+    /// The ring of the block's output: what the next block's convolutions
+    /// read, none before the pooling.
+    out_ring: usize,
+    /// The block's output; a clone starts without one.
+    out: BlockOut,
+}
+
+/// A residual block's output, carrying the ring the next block's
+/// convolutions read. Scratch: a clone starts empty.
+#[derive(Debug, Default)]
+struct BlockOut(LaneTensor);
+
+impl Clone for BlockOut {
+    fn clone(&self) -> Self {
+        BlockOut::default()
+    }
 }
 
 impl BasicBlock {
@@ -34,26 +49,41 @@ impl BasicBlock {
                 rng, in_c, out_c, kernel, stride, pad, true, &name,
             ))
         };
-        let bn = |part: &str| AnyLayer::Bn(BatchNorm2d::new(out_c, &format!("{name}.{part}")));
-        let down = (stride != 1 || in_c != out_c)
-            .then(|| (conv(rng, in_c, 1, stride, 0, "down"), bn("down.bn")));
+        let bn = |part: &str| BatchNorm2d::new(out_c, &format!("{name}.{part}"));
+        let down = (stride != 1 || in_c != out_c).then(|| {
+            (
+                conv(rng, in_c, 1, stride, 0, "down"),
+                AnyLayer::Bn(bn("down.bn")),
+            )
+        });
+        // Drawn in this order: the weights follow from the seed.
+        let conv1 = conv(rng, in_c, 3, stride, 1, "conv1");
+        let conv2 = conv(rng, out_c, 3, 1, 1, "conv2");
+        let mut bn1 = AnyLayer::Bn(bn("bn1").with_relu());
+        bn1.set_output_ring(conv2.input_ring());
         BasicBlock {
-            conv1: conv(rng, in_c, 3, stride, 1, "conv1"),
-            bn1: bn("bn1"),
-            relu1: AnyLayer::Relu(Relu::new()),
-            conv2: conv(rng, out_c, 3, 1, 1, "conv2"),
-            bn2: bn("bn2"),
+            conv1,
+            bn1,
+            conv2,
+            bn2: AnyLayer::Bn(bn("bn2")),
             down,
-            relu_out: AnyLayer::Relu(Relu::new()),
+            out_ring: 0,
+            out: BlockOut::default(),
         }
     }
 
-    /// The block's layers in execution order: the main branch, the
-    /// shortcut, the closing ReLU.
+    /// The ring the block's input must carry: what its convolutions read.
+    fn input_ring(&self) -> usize {
+        let down = self.down.as_ref().map_or(0, |(conv, _)| conv.input_ring());
+        self.conv1.input_ring().max(down)
+    }
+
+    /// The block's layers in execution order: the main branch, then the
+    /// shortcut.
     fn layers(&self) -> impl Iterator<Item = &AnyLayer> {
-        let main = [&self.conv1, &self.bn1, &self.relu1, &self.conv2, &self.bn2];
+        let main = [&self.conv1, &self.bn1, &self.conv2, &self.bn2];
         let short = self.down.iter().flat_map(|(conv, bn)| [conv, bn]);
-        main.into_iter().chain(short).chain([&self.relu_out])
+        main.into_iter().chain(short)
     }
 
     /// [`BasicBlock::layers`], mutably.
@@ -61,52 +91,59 @@ impl BasicBlock {
         let main = [
             &mut self.conv1,
             &mut self.bn1,
-            &mut self.relu1,
             &mut self.conv2,
             &mut self.bn2,
         ];
         let short = self.down.iter_mut().flat_map(|(conv, bn)| [conv, bn]);
-        main.into_iter().chain(short).chain([&mut self.relu_out])
+        main.into_iter().chain(short)
     }
 
-    /// Block forward over the model's shared activation buffers: `out`
-    /// doubles as a temporary until the final ReLU writes it, and the
-    /// residual add happens in place on the main branch.
-    fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, tmp: &mut [Tensor; 2], mode: Mode) {
-        let [main, short] = tmp;
-        self.conv1.forward_into(x, main, mode);
-        self.bn1.forward_into(main, out, mode);
-        self.relu1.forward_into(out, main, mode);
-        self.conv2.forward_into(main, out, mode);
-        self.bn2.forward_into(out, main, mode);
-        match &mut self.down {
+    /// Block forward from `x`: every layer into its own output, then the
+    /// residual sum and its ReLU into the block's.
+    fn forward(&mut self, x: &LaneTensor, mode: Mode) {
+        self.conv1.forward(Act::Lanes(x), mode);
+        self.bn1.forward(self.conv1.output(), mode);
+        self.conv2.forward(self.bn1.output(), mode);
+        self.bn2.forward(self.conv2.output(), mode);
+        let short = match &mut self.down {
             Some((conv, bn)) => {
-                conv.forward_into(x, out, mode);
-                bn.forward_into(out, short, mode);
-                main.add_assign(short);
+                conv.forward(Act::Lanes(x), mode);
+                bn.forward(conv.output(), mode);
+                bn.output().lanes()
             }
-            None => main.add_assign(x),
-        }
-        self.relu_out.forward_into(main, out, mode);
+            None => x,
+        };
+        let main = self.bn2.output().lanes();
+        residual_relu(main, short, self.out_ring, &mut self.out.0);
     }
 
-    /// Block backward over the same buffers: `gx` doubles as a temporary
-    /// until the main branch's input gradient lands in it, then the
-    /// shortcut's gradient is added in place.
-    fn backward_into(&mut self, grad: &Tensor, gx: &mut Tensor, tmp: &mut [Tensor; 2]) {
+    /// Block backward from `grad` (the output's gradient) over the forward's
+    /// input `x`, the input gradient into `gx.lanes`: the closing ReLU's mask
+    /// into `tmp[0]`, which the main branch and the shortcut both read, then
+    /// the main branch through `tmp[1]` and `gx`, then the shortcut's
+    /// gradient added in place.
+    fn backward(
+        &mut self,
+        x: &LaneTensor,
+        grad: &LaneTensor,
+        gx: &mut Grads,
+        tmp: &mut [Grads; 2],
+    ) {
         let [g_sum, g] = tmp;
-        self.relu_out.backward_into(grad, g_sum);
-        // The addition fans the gradient to both branches.
-        self.bn2.backward_into(g_sum, gx);
-        self.conv2.backward_into(gx, g);
-        self.relu1.backward_into(g, gx);
-        self.bn1.backward_into(gx, g);
-        self.conv1.backward_into(g, gx);
+        relu_backward(grad, &self.out.0, 0, &mut g_sum.lanes);
+        let g_sum_act = Act::Lanes(&g_sum.lanes);
+        self.bn2.backward(self.conv2.output(), g_sum_act, Some(g));
+        self.conv2
+            .backward(self.bn1.output(), Act::Lanes(&g.lanes), Some(gx));
+        self.bn1
+            .backward(self.conv1.output(), Act::Lanes(&gx.lanes), Some(g));
+        self.conv1
+            .backward(Act::Lanes(x), Act::Lanes(&g.lanes), Some(gx));
         if let Some((conv, bn)) = &mut self.down {
-            bn.backward_into(g_sum, g);
-            conv.backward_into(g, g_sum);
+            bn.backward(conv.output(), Act::Lanes(&g_sum.lanes), Some(g));
+            conv.backward(Act::Lanes(x), Act::Lanes(&g.lanes), Some(g_sum));
         }
-        gx.add_assign(g_sum);
+        gx.lanes.add_assign(&g_sum.lanes);
     }
 }
 
@@ -121,7 +158,6 @@ impl BasicBlock {
 pub struct ResNet18 {
     stem_conv: AnyLayer,
     stem_bn: AnyLayer,
-    stem_relu: AnyLayer,
     stages: Vec<BasicBlock>, // 8 blocks: 2 per stage
     gap: AnyLayer,
     fc: AnyLayer,
@@ -130,18 +166,19 @@ pub struct ResNet18 {
     scratch: ResScratch,
 }
 
-/// The one set of activation buffers the whole network runs through: the
-/// running activation (or gradient) ping-pongs between `ping` and `pong`
-/// from block to block, and `tmp` holds a block's two branches. Each buffer
-/// grows to the widest stage it ever carries and is reused from then on, so
-/// a steady step allocates nothing — and the model holds four activation
-/// tensors, not seven per block. Like the layers' scratch, a clone of the
-/// model starts with these empty.
+/// The network's input in the lane layout and the gradient buffers a
+/// backward pass runs through: the running gradient ping-pongs between
+/// `ping` and `pong` from block to block, and `tmp` holds a block's two
+/// branches. The activations themselves are the layers' and blocks' own
+/// outputs. Each buffer grows to the widest stage it ever carries and is
+/// reused from then on, so a steady step allocates nothing. Like the
+/// layers' scratch, a clone of the model starts with these empty.
 #[derive(Debug, Default)]
 struct ResScratch {
-    ping: Tensor,
-    pong: Tensor,
-    tmp: [Tensor; 2],
+    input: LaneTensor,
+    ping: Grads,
+    pong: Grads,
+    tmp: [Grads; 2],
 }
 
 impl Clone for ResScratch {
@@ -261,6 +298,14 @@ impl ResNet18 {
         stage_groups.push(a.to_vec());
         stage_groups.push(b.to_vec());
 
+        // Each block writes the ring the next one reads; the last feeds the
+        // pooling.
+        for i in 1..stages.len() {
+            stages[i - 1].out_ring = stages[i].input_ring();
+        }
+        let mut stem_bn = AnyLayer::Bn(BatchNorm2d::new(c[0], "stem.bn").with_relu());
+        stem_bn.set_output_ring(stages[0].input_ring());
+
         let fc = Linear::new(rng, prev_c, classes, false, "fc");
         layers.push(LayerArch::Linear {
             in_dim: prev_c,
@@ -270,8 +315,7 @@ impl ResNet18 {
 
         ResNet18 {
             stem_conv: AnyLayer::Conv(stem_conv),
-            stem_bn: AnyLayer::Bn(BatchNorm2d::new(c[0], "stem.bn")),
-            stem_relu: AnyLayer::Relu(Relu::new()),
+            stem_bn,
             stages,
             gap: AnyLayer::GlobalAvg(GlobalAvgPool::new()),
             fc: AnyLayer::Linear(fc),
@@ -288,15 +332,35 @@ impl ResNet18 {
 }
 
 impl ResNet18 {
+    /// The input activation of residual block `i`: the stem's output or
+    /// the block before's.
+    fn block_input<'a>(
+        stem_bn: &'a AnyLayer,
+        stages: &'a [BasicBlock],
+        i: usize,
+    ) -> &'a LaneTensor {
+        match i {
+            0 => stem_bn.output().lanes(),
+            _ => &stages[i - 1].out.0,
+        }
+    }
+
     /// The classifier, the pooling and the residual blocks `first..`, output
     /// to input; the gradient at block `first`'s input ends in
-    /// `scratch.ping`.
+    /// `scratch.ping.lanes`.
     fn backward_blocks(&mut self, grad_logits: &Tensor, first: usize) {
-        let ResScratch { ping, pong, tmp } = &mut self.scratch;
-        self.fc.backward_into(grad_logits, pong);
-        self.gap.backward_into(pong, ping);
-        for block in self.stages[first..].iter_mut().rev() {
-            block.backward_into(ping, pong, tmp);
+        let ResScratch {
+            ping, pong, tmp, ..
+        } = &mut self.scratch;
+        let last = &self.stages.last().expect("eight blocks").out.0;
+        self.fc
+            .backward(self.gap.output(), Act::Flat(grad_logits), Some(pong));
+        self.gap
+            .backward(Act::Lanes(last), Act::Flat(&pong.flat), Some(ping));
+        for i in (first..self.stages.len()).rev() {
+            let (before, rest) = self.stages.split_at_mut(i);
+            let x = ResNet18::block_input(&self.stem_bn, before, i);
+            rest[0].backward(x, &ping.lanes, pong, tmp);
             std::mem::swap(ping, pong);
         }
     }
@@ -304,27 +368,35 @@ impl ResNet18 {
 
 impl Model for ResNet18 {
     fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, mode: Mode) {
-        let ResScratch { ping, pong, tmp } = &mut self.scratch;
-        self.stem_conv.forward_into(x, ping, mode);
-        self.stem_bn.forward_into(ping, pong, mode);
-        self.stem_relu.forward_into(pong, ping, mode);
-        for block in &mut self.stages {
-            block.forward_into(ping, pong, tmp, mode);
-            std::mem::swap(ping, pong);
+        let s = x.shape();
+        assert_eq!(s.len(), 4, "ResNet18 input must be [n,c,h,w]");
+        let input = &mut self.scratch.input;
+        let ring = self.stem_conv.input_ring();
+        input.copy_from_nchw(x.data(), [s[0], s[1], s[2], s[3]], ring);
+        self.stem_conv.forward(Act::Lanes(input), mode);
+        self.stem_bn.forward(self.stem_conv.output(), mode);
+        for i in 0..self.stages.len() {
+            let (before, rest) = self.stages.split_at_mut(i);
+            rest[0].forward(ResNet18::block_input(&self.stem_bn, before, i), mode);
         }
-        self.gap.forward_into(ping, pong, mode);
-        self.fc.forward_into(pong, out, mode);
+        let last = &self.stages.last().expect("eight blocks").out.0;
+        self.gap.forward(Act::Lanes(last), mode);
+        self.fc.forward(self.gap.output(), mode);
+        out.copy_from(self.fc.output().flat());
     }
 
     fn backward_scratch(&mut self, grad_logits: &Tensor) {
         self.backward_blocks(grad_logits, 0);
-        let ResScratch { ping, pong, .. } = &mut self.scratch;
-        self.stem_relu.backward_into(ping, pong);
-        self.stem_bn.backward_into(pong, ping);
-        // The stem's input gradient is dead, but `backward_params_only`
+        let ResScratch {
+            input, ping, pong, ..
+        } = &mut self.scratch;
+        let (stem_out, dy) = (self.stem_conv.output(), Act::Lanes(&ping.lanes));
+        self.stem_bn.backward(stem_out, dy, Some(pong));
+        // The stem's input gradient is dead, but the parameters-only path
         // would lower `realized_flops`, which run fingerprints fold in;
         // switching it is a change of its own.
-        self.stem_conv.backward_into(ping, pong);
+        let dy = Act::Lanes(&pong.lanes);
+        self.stem_conv.backward(Act::Lanes(input), dy, Some(ping));
     }
 
     /// Stops beneath the residual block that holds the layer: the block runs
@@ -344,14 +416,14 @@ impl Model for ResNet18 {
     }
 
     fn for_each_layer<'a>(&'a self, f: &mut dyn FnMut(&'a AnyLayer)) {
-        let stem = [&self.stem_conv, &self.stem_bn, &self.stem_relu];
+        let stem = [&self.stem_conv, &self.stem_bn];
         let blocks = self.stages.iter().flat_map(BasicBlock::layers);
         let head = [&self.gap, &self.fc];
         stem.into_iter().chain(blocks).chain(head).for_each(f);
     }
 
     fn for_each_layer_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut AnyLayer)) {
-        let stem = [&mut self.stem_conv, &mut self.stem_bn, &mut self.stem_relu];
+        let stem = [&mut self.stem_conv, &mut self.stem_bn];
         let blocks = self.stages.iter_mut().flat_map(BasicBlock::layers_mut);
         let head = [&mut self.gap, &mut self.fc];
         stem.into_iter().chain(blocks).chain(head).for_each(f);
@@ -390,63 +462,101 @@ mod tests {
         }
     }
 
-    /// The allocating block composition the scratch path replaced: a fresh
-    /// tensor per layer, `x.clone()` for the identity shortcut and
-    /// `Tensor::add` for the residual sum. Kept as the oracle.
-    fn oracle_block_forward(b: &mut BasicBlock, x: &Tensor, mode: Mode) -> Tensor {
-        let mut main = b.conv1.fwd(x, mode);
-        main = b.bn1.fwd(&main, mode);
-        main = b.relu1.fwd(&main, mode);
-        main = b.conv2.fwd(&main, mode);
-        main = b.bn2.fwd(&main, mode);
-        let short = match &mut b.down {
-            Some((conv, bn)) => {
-                let s = conv.fwd(x, mode);
-                bn.fwd(&s, mode)
-            }
-            None => x.clone(),
-        };
-        let sum = main.add(&short);
-        b.relu_out.fwd(&sum, mode)
+    /// What an oracle block forward produced: every layer's input, and the
+    /// block's output.
+    struct Trace {
+        x: Tensor,
+        h1: Tensor,
+        a1: Tensor,
+        h2: Tensor,
+        hd: Option<Tensor>,
+        out: Tensor,
     }
 
-    fn oracle_block_backward(b: &mut BasicBlock, grad: &Tensor) -> Tensor {
-        let g_sum = b.relu_out.bwd(grad);
-        let mut g_main = b.bn2.bwd(&g_sum);
-        g_main = b.conv2.bwd(&g_main);
-        g_main = b.relu1.bwd(&g_main);
-        g_main = b.bn1.bwd(&g_main);
-        let gx_main = b.conv1.bwd(&g_main);
-        let gx_short = match &mut b.down {
+    /// The allocating block composition on NCHW tensors: a fresh tensor per
+    /// layer, converted into and out of lanes at each layer's boundary,
+    /// `x.clone()` for the identity shortcut, `Tensor::add` and `max(0.0)`
+    /// for the residual sum and its ReLU. Kept as the oracle of the scratch
+    /// path's buffer reuse.
+    fn oracle_block_forward(b: &mut BasicBlock, x: &Tensor, mode: Mode) -> Trace {
+        let h1 = b.conv1.fwd(x, mode);
+        let a1 = b.bn1.fwd(&h1, mode);
+        let h2 = b.conv2.fwd(&a1, mode);
+        let main = b.bn2.fwd(&h2, mode);
+        let (hd, short) = match &mut b.down {
             Some((conv, bn)) => {
-                let g = bn.bwd(&g_sum);
-                conv.bwd(&g)
+                let hd = conv.fwd(x, mode);
+                let s = bn.fwd(&hd, mode);
+                (Some(hd), s)
             }
-            None => g_sum,
+            None => (None, x.clone()),
+        };
+        let sum = main.add(&short);
+        let out = Tensor::from_vec(sum.data().iter().map(|v| v.max(0.0)).collect(), sum.shape());
+        Trace {
+            x: x.clone(),
+            h1,
+            a1,
+            h2,
+            hd,
+            out,
+        }
+    }
+
+    fn oracle_block_backward(b: &mut BasicBlock, t: &Trace, grad: &Tensor) -> Tensor {
+        let masked = grad.data().iter().zip(t.out.data());
+        let g_sum = masked
+            .map(|(&g, &o)| if o > 0.0 { g } else { 0.0 })
+            .collect();
+        let g_sum = Tensor::from_vec(g_sum, grad.shape());
+        let mut g_main = b.bn2.bwd(&t.h2, &g_sum);
+        g_main = b.conv2.bwd(&t.a1, &g_main);
+        g_main = b.bn1.bwd(&t.h1, &g_main);
+        let gx_main = b.conv1.bwd(&t.x, &g_main);
+        let gx_short = match (&mut b.down, &t.hd) {
+            (Some((conv, bn)), Some(hd)) => {
+                let g = bn.bwd(hd, &g_sum);
+                conv.bwd(&t.x, &g)
+            }
+            _ => g_sum,
         };
         gx_main.add(&gx_short)
     }
 
-    fn oracle_forward(m: &mut ResNet18, x: &Tensor, mode: Mode) -> Tensor {
-        let mut h = m.stem_conv.fwd(x, mode);
-        h = m.stem_bn.fwd(&h, mode);
-        h = m.stem_relu.fwd(&h, mode);
+    /// The oracle forward: logits, and what its backward reads.
+    fn oracle_forward(
+        m: &mut ResNet18,
+        x: &Tensor,
+        mode: Mode,
+    ) -> (Tensor, Vec<Tensor>, Vec<Trace>) {
+        let h = m.stem_conv.fwd(x, mode);
+        let mut a = m.stem_bn.fwd(&h, mode);
+        let mut traces = Vec::new();
         for block in &mut m.stages {
-            h = oracle_block_forward(block, &h, mode);
+            let t = oracle_block_forward(block, &a, mode);
+            a = t.out.clone();
+            traces.push(t);
         }
-        let pooled = m.gap.fwd(&h, mode);
-        m.fc.fwd(&pooled, mode)
+        let pooled = m.gap.fwd(&a, mode);
+        let logits = m.fc.fwd(&pooled, mode);
+        (logits, vec![x.clone(), h, a, pooled], traces)
     }
 
-    fn oracle_backward(m: &mut ResNet18, grad_logits: &Tensor) {
-        let mut g = m.fc.bwd(grad_logits);
-        g = m.gap.bwd(&g);
-        for block in m.stages.iter_mut().rev() {
-            g = oracle_block_backward(block, &g);
+    fn oracle_backward(
+        m: &mut ResNet18,
+        (inputs, traces): (&[Tensor], &[Trace]),
+        grad_logits: &Tensor,
+    ) {
+        let [x, h, last, pooled] = inputs else {
+            unreachable!()
+        };
+        let mut g = m.fc.bwd(pooled, grad_logits);
+        g = m.gap.bwd(last, &g);
+        for (block, t) in m.stages.iter_mut().zip(traces).rev() {
+            g = oracle_block_backward(block, t, &g);
         }
-        g = m.stem_relu.bwd(&g);
-        g = m.stem_bn.bwd(&g);
-        let _ = m.stem_conv.bwd(&g);
+        g = m.stem_bn.bwd(h, &g);
+        let _ = m.stem_conv.bwd(x, &g);
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -490,11 +600,11 @@ mod tests {
             for n in [32usize, 18, 32] {
                 let x = ft_tensor::normal(&mut rng, &[n, 3, 8, 8], 0.0, 1.0);
                 let labels: Vec<usize> = (0..n).map(|i| i % 10).collect();
-                let expect = oracle_forward(&mut oracle, &x, Mode::Train);
+                let (expect, inputs, traces) = oracle_forward(&mut oracle, &x, Mode::Train);
                 scratch.forward_into(&x, &mut logits, Mode::Train);
                 assert_eq!(bits(logits.data()), bits(expect.data()), "logits n={n}");
                 let (_, grad) = softmax_cross_entropy(&expect, &labels);
-                oracle_backward(&mut oracle, &grad);
+                oracle_backward(&mut oracle, (&inputs, &traces), &grad);
                 scratch.backward_scratch(&grad);
                 for (a, b) in oracle.params().iter().zip(scratch.params()) {
                     assert_eq!(bits(a.grad.data()), bits(b.grad.data()), "{} grad", a.name);
@@ -516,8 +626,8 @@ mod tests {
     }
 
     /// At the benchmark's shape (width 0.25, 16 px, batch 32) a training
-    /// step leaves every conv with its kept input, `dY` and one group of
-    /// staging, and nothing the size of a column matrix.
+    /// step leaves every conv with its output and the dense engine's `dY`
+    /// copy and tables, and nothing the size of a column matrix.
     #[test]
     fn scratch_step_leaves_no_conv_a_column_matrix() {
         let mut m = ResNet18::new(&mut ChaCha8Rng::seed_from_u64(5), 0.25, 10, 3, 16);

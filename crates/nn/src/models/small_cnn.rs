@@ -1,9 +1,8 @@
 //! The 3-convolution dense baseline of Tables IV and V.
 
-use crate::layer::{
-    AnyLayer, BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2x2, Relu, Sequential,
-};
+use crate::layer::{AnyLayer, BatchNorm2d, Conv2d, GlobalAvgPool, Linear, MaxPool2x2};
 use crate::model::{contiguous_blocks, ArchInfo, LayerArch};
+use crate::sequential::Sequential;
 use rand::Rng;
 
 /// A small CNN with three convolution layers (Sec. IV-G): conv-BN-ReLU-pool
@@ -56,12 +55,11 @@ impl SmallCnn {
             out_w: s,
             prunable_idx: None,
         });
-        seq.push(AnyLayer::Bn(BatchNorm2d::new(c1, "bn1")));
+        seq.push(AnyLayer::Bn(BatchNorm2d::new(c1, "bn1").with_relu()));
         layers.push(LayerArch::BatchNorm {
             channels: c1,
             spatial: s * s,
         });
-        seq.push(AnyLayer::Relu(Relu::new()));
         seq.push(AnyLayer::MaxPool(MaxPool2x2::new()));
         s /= 2;
 
@@ -76,12 +74,11 @@ impl SmallCnn {
             out_w: s,
             prunable_idx: Some(0),
         });
-        seq.push(AnyLayer::Bn(BatchNorm2d::new(c2, "bn2")));
+        seq.push(AnyLayer::Bn(BatchNorm2d::new(c2, "bn2").with_relu()));
         layers.push(LayerArch::BatchNorm {
             channels: c2,
             spatial: s * s,
         });
-        seq.push(AnyLayer::Relu(Relu::new()));
         seq.push(AnyLayer::MaxPool(MaxPool2x2::new()));
         s /= 2;
 
@@ -96,12 +93,11 @@ impl SmallCnn {
             out_w: s,
             prunable_idx: Some(1),
         });
-        seq.push(AnyLayer::Bn(BatchNorm2d::new(c3, "bn3")));
+        seq.push(AnyLayer::Bn(BatchNorm2d::new(c3, "bn3").with_relu()));
         layers.push(LayerArch::BatchNorm {
             channels: c3,
             spatial: s * s,
         });
-        seq.push(AnyLayer::Relu(Relu::new()));
         seq.push(AnyLayer::GlobalAvg(GlobalAvgPool::new()));
 
         // Output layer is never prunable.

@@ -1,8 +1,9 @@
 //! VGG11 with batch normalization.
 
 use super::scaled;
-use crate::layer::{AnyLayer, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2x2, Relu, Sequential};
+use crate::layer::{AnyLayer, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2x2, Relu};
 use crate::model::{ArchInfo, LayerArch};
+use crate::sequential::Sequential;
 use rand::Rng;
 
 /// Configuration string of VGG11: channel counts with `None` marking a 2×2
@@ -91,12 +92,13 @@ impl Vgg11 {
                         out_w: s,
                         prunable_idx: idx,
                     });
-                    seq.push(AnyLayer::Bn(BatchNorm2d::new(out_c, &format!("{name}.bn"))));
+                    seq.push(AnyLayer::Bn(
+                        BatchNorm2d::new(out_c, &format!("{name}.bn")).with_relu(),
+                    ));
                     layers.push(LayerArch::BatchNorm {
                         channels: out_c,
                         spatial: s * s,
                     });
-                    seq.push(AnyLayer::Relu(Relu::new()));
                     prev_c = out_c;
                 }
                 None => {

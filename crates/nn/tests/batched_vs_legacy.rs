@@ -19,7 +19,7 @@
 //! 4-thread runtimes.
 
 use ft_nn::{Conv2d, Linear, Mode, Param, Relu, Runtime};
-use ft_tensor::Tensor;
+use ft_tensor::{LaneTensor, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -48,31 +48,67 @@ fn sparsify(w: &mut Param, rng: &mut ChaCha8Rng) {
     w.note_mask(&bits);
 }
 
-/// The layers' passes into fresh tensors.
+/// The layers' passes into fresh tensors. A convolution works on lane
+/// activations: its operands are converted at this boundary (the input with
+/// a ring of its padding), and it reads the forward's input again in
+/// backward, so `bwd` is handed it.
 trait Fresh {
     fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor;
-    fn bwd(&mut self, grad: &Tensor) -> Tensor;
+    fn bwd(&mut self, x: &Tensor, grad: &Tensor) -> Tensor;
 }
 
-macro_rules! impl_fresh {
-    ($($layer:ty),*) => {$(
-        impl Fresh for $layer {
-            fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-                let mut out = Tensor::default();
-                self.forward_into(x, &mut out, mode);
-                out
-            }
-
-            fn bwd(&mut self, grad: &Tensor) -> Tensor {
-                let mut gx = Tensor::default();
-                self.backward_into(grad, &mut gx);
-                gx
-            }
-        }
-    )*};
+fn lanes(x: &Tensor, ring: usize) -> LaneTensor {
+    let s = x.shape();
+    let mut t = LaneTensor::default();
+    t.copy_from_nchw(x.data(), [s[0], s[1], s[2], s[3]], ring);
+    t
 }
 
-impl_fresh!(Conv2d, Linear, Relu);
+fn nchw(t: &LaneTensor) -> Tensor {
+    let mut out = Tensor::zeros(&t.shape());
+    t.copy_to_nchw(out.data_mut());
+    out
+}
+
+impl Fresh for Conv2d {
+    fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.forward(&lanes(x, self.geometry().4), mode);
+        nchw(self.output())
+    }
+
+    fn bwd(&mut self, x: &Tensor, grad: &Tensor) -> Tensor {
+        let mut gx = LaneTensor::default();
+        let x = lanes(x, self.geometry().4);
+        self.backward(&x, &lanes(grad, 0), Some(&mut gx));
+        nchw(&gx)
+    }
+}
+
+impl Fresh for Linear {
+    fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.forward(x, mode);
+        self.output().clone()
+    }
+
+    fn bwd(&mut self, x: &Tensor, grad: &Tensor) -> Tensor {
+        let mut gx = Tensor::default();
+        self.backward(x, grad, &mut gx);
+        gx
+    }
+}
+
+impl Fresh for Relu {
+    fn fwd(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.forward(x, mode);
+        self.output().clone()
+    }
+
+    fn bwd(&mut self, _x: &Tensor, grad: &Tensor) -> Tensor {
+        let mut gx = Tensor::default();
+        self.backward(grad, &mut gx);
+        gx
+    }
+}
 
 /// Batch sizes exercised: the degenerate single sample, the smallest true
 /// batch, and one that is not a multiple of any blocking factor.
@@ -126,7 +162,7 @@ proptest! {
             rand_vec(&mut rng, out.numel()),
             out.shape(),
         );
-        let gx = batched.bwd(&go);
+        let gx = batched.bwd(&x, &go);
 
         // The fused implicit-GEMM eval path reads the same packed values in
         // the same kernel order as the materialized train path.
@@ -135,7 +171,7 @@ proptest! {
 
         // 4 worker threads must be byte-identical to sequential.
         let out_t = threaded.fwd(&x, Mode::Train);
-        let gx_t = threaded.bwd(&go);
+        let gx_t = threaded.bwd(&x, &go);
         prop_assert_eq!(out_t.data(), out.data());
         prop_assert_eq!(gx_t.data(), gx.data());
         prop_assert_eq!(threaded.w.grad.data(), batched.w.grad.data());
@@ -155,7 +191,7 @@ proptest! {
                 go.data()[i * sample_out..(i + 1) * sample_out].to_vec(),
                 oi.shape(),
             );
-            let gi = per_sample.bwd(&goi);
+            let gi = per_sample.bwd(&xi, &goi);
             prop_assert_eq!(gi.data(), &gx.data()[i * sample_in..(i + 1) * sample_in]);
         }
         prop_assert_eq!(per_sample.w.grad.data(), batched.w.grad.data());
@@ -181,10 +217,10 @@ proptest! {
         let x = Tensor::from_vec(rand_vec(&mut rng, n * in_dim), &[n, in_dim]);
         let out = batched.fwd(&x, Mode::Train);
         let go = Tensor::from_vec(rand_vec(&mut rng, out.numel()), out.shape());
-        let gx = batched.bwd(&go);
+        let gx = batched.bwd(&x, &go);
 
         let out_t = threaded.fwd(&x, Mode::Train);
-        let gx_t = threaded.bwd(&go);
+        let gx_t = threaded.bwd(&x, &go);
         prop_assert_eq!(out_t.data(), out.data());
         prop_assert_eq!(gx_t.data(), gx.data());
         prop_assert_eq!(threaded.w.grad.data(), batched.w.grad.data());
@@ -201,7 +237,7 @@ proptest! {
                 go.data()[i * out_dim..(i + 1) * out_dim].to_vec(),
                 &[1, out_dim],
             );
-            let gi = per_sample.bwd(&goi);
+            let gi = per_sample.bwd(&xi, &goi);
             prop_assert_eq!(gi.data(), &gx.data()[i * in_dim..(i + 1) * in_dim]);
         }
         // The retired engine already fed Linear whole batches, so batched dW
@@ -227,7 +263,7 @@ proptest! {
         let x = Tensor::from_vec(rand_vec(&mut rng, n * len), &[n, len]);
         let out = batched.fwd(&x, Mode::Train);
         let go = Tensor::from_vec(rand_vec(&mut rng, out.numel()), out.shape());
-        let gx = batched.bwd(&go);
+        let gx = batched.bwd(&x, &go);
         for i in 0..n {
             let xi = Tensor::from_vec(
                 x.data()[i * len..(i + 1) * len].to_vec(),
@@ -239,7 +275,7 @@ proptest! {
                 go.data()[i * len..(i + 1) * len].to_vec(),
                 &[1, len],
             );
-            let gi = per_sample.bwd(&goi);
+            let gi = per_sample.bwd(&xi, &goi);
             prop_assert_eq!(gi.data(), &gx.data()[i * len..(i + 1) * len]);
         }
     }

@@ -5,10 +5,11 @@
 //! [`crate::oracle::matmul_nt_seg_into`] / [`crate::matmul_tn_into_rt`] →
 //! [`crate::oracle::col2im_ld`]) writes nine times the input, re-packs it into GEMM
 //! panels and reads it a third time, to feed a GEMM whose `M` is a layer's
-//! handful of output channels. This engine shares [`crate::spconv`]'s layout
-//! — groups of eight samples transposed once into
-//! `xT[c][y + pad][x + pad][lane]`, so every operand is one lane vector at
-//! `origin(c, ky, kx) + pixel(y, x)` — and runs three kernels on it, each
+//! handful of output channels. This engine runs on [`crate::spconv`]'s layout
+//! — the network's [`LaneTensor`] activations, groups of eight samples as
+//! `[c][y + r][x + r][lane]` with a `+0.0` ring `r ≥ pad`, so every operand
+//! is one lane vector at `origin(c, ky, kx) + pixel(y, x)` — reading its
+//! input and writing its output in place, and runs three kernels on it, each
 //! holding a block of accumulators in registers like the GEMM's microkernel:
 //!
 //! - **Forward**: six output channels × two pixels, over the weight columns
@@ -18,7 +19,10 @@
 //!   transposed so lane `l` of all eight is one vector, and the live lanes
 //!   are added into `w.grad` in ascending sample order.
 //! - **dX**: six input channels × two pixels, over the output channels in
-//!   ascending order, added into a zeroed padded `gxT`. Taps of different
+//!   ascending order, added into the zeroed input-gradient group (its ring
+//!   zeroed again afterwards). A group's `dY` rows are first copied an odd
+//!   number of lanes apart (see [`Shape::dy_row`]) — a copy, not a
+//!   transpose; dW reads `dY` in place. Taps of different
 //!   channels never meet in an element, and within a channel the order of
 //!   the walk ([`dx_kernel`]) hands every element its taps in ascending `k`
 //!   without staging them.
@@ -44,20 +48,19 @@
 //! AVX2+FMA family exactly as the GEMM's `AvxFma` microkernel does and rounds
 //! twice in the portable family like `Portable`; each kernel is a [`LaneJob`]
 //! per group, and [`run_lanes`] picks the family. Padded taps multiply the
-//! ring's stored `+0.0` like im2col's structural zeros, and the ring of `gxT`
-//! absorbs what col2im clips. Register blocks that run past the last channel
+//! ring's stored `+0.0` like im2col's structural zeros, and the ring of the
+//! input gradient absorbs what col2im clips. Register blocks that run past the last channel
 //! recompute it and drop the result. Outputs, weight gradients and input
 //! gradients are therefore `to_bits`-equal to the GEMM route at any batch
 //! size and thread count — groups fan out over the [`Runtime`] for forward
 //! and dX, weight rows for dW, every worker walking its groups in ascending
 //! order — which the tests pin with those kernels as the oracle.
 
+use crate::act::zero_ring;
 use crate::lanes::{run_lanes, Lane, LaneJob, Lanes, LANES, ZERO};
 use crate::matmul::KC;
-use crate::spconv::{
-    from_lanes, over_groups, pixel_origin, tap_origin, to_lanes, ConvBufs, Cursor,
-};
-use crate::ConvGeom;
+use crate::spconv::{for_groups, pixel_origin, tap_origin};
+use crate::{ConvGeom, LaneTensor};
 use ft_runtime::Runtime;
 use std::ops::Range;
 
@@ -72,54 +75,64 @@ const PX: usize = 2;
 const DW_ROWS: usize = 4;
 const DW_TAPS: usize = 2;
 
-/// What the dense engine keeps beside the shared lane buffers: the offset
-/// tables of its current geometry, the weight transposed for dX, and the
-/// per-worker staging of dW's blocked chains.
+/// What the dense engine keeps between calls, grown on first use and reused
+/// from then on: the offset tables of its current geometry and ring, the
+/// weight transposed for dX, `dY` with its rows an odd number of lanes apart,
+/// and the per-worker staging of dW's blocked chains. None of it scales with
+/// `in_c·k²·oh·ow`: there is no column matrix. (The sparse engine reads and
+/// writes the activations themselves and needs none of it.)
 #[derive(Debug, Default)]
-pub(crate) struct DenseBufs {
-    /// Geometry `origin` and `pixel` were built for.
-    geom: Option<ConvGeom>,
+pub struct ConvBufs {
+    /// Geometry and input ring `origin` and `pixel` were built for.
+    layout: Option<(ConvGeom, usize)>,
     /// Per weight column `k`: offset of its tap at output pixel `(0, 0)`.
     origin: Vec<u32>,
     /// Per output pixel, row-major: offset of its window's first tap.
     pixel: Vec<u32>,
-    /// The largest `origin[k] + pixel[p]`: inside a group's padded input,
-    /// and the one bound the kernels' unchecked loads rest on. Written with
-    /// the tables it describes, by [`DenseBufs::index`] and nothing else.
+    /// The largest `origin[k] + pixel[p]`: inside an input group, and the
+    /// one bound the kernels' unchecked loads rest on. Written with the
+    /// tables it describes, by [`ConvBufs::index`] and nothing else.
     reach: usize,
     /// `[in_c/6][k²][out_c][6]`: the six channels' weights of one tap and
     /// output channel side by side, in the order dX reads them.
     w_t: Vec<f32>,
+    /// Per worker, one group's `dY` with its rows `dy_row` apart, for dX.
+    dy_t: Vec<Lane>,
     /// Per worker, `[4][blocks][8]` transposed dW chains, used when a
     /// sample's chain is cut into blocks (see [`Dw`]).
     dw_stage: Vec<Lane>,
 }
 
-impl DenseBufs {
-    pub(crate) fn len(&self) -> usize {
-        self.origin.len() + self.pixel.len() + self.w_t.len() + self.dw_stage.len() * LANES
+impl ConvBufs {
+    /// Floats (or offsets) held by all buffers together.
+    pub fn total_len(&self) -> usize {
+        self.origin.len()
+            + self.pixel.len()
+            + self.w_t.len()
+            + (self.dy_t.len() + self.dw_stage.len()) * LANES
     }
 
-    /// Builds the offset tables on first use and whenever the geometry
-    /// changes.
-    fn index(&mut self, g: &ConvGeom) {
-        if self.geom == Some(*g) {
+    /// Builds the offset tables on first use and whenever the geometry or
+    /// the input's ring changes.
+    fn index(&mut self, g: &ConvGeom, ring: usize) {
+        if self.layout == Some((*g, ring)) {
             return;
         }
-        let (hp, wp) = (g.in_h + 2 * g.pad, g.in_w + 2 * g.pad);
+        assert!(ring >= g.pad, "dconv input ring {ring} < pad {}", g.pad);
+        let (hp, wp) = (g.in_h + 2 * ring, g.in_w + 2 * ring);
         assert!(
             g.in_c * hp * wp <= u32::MAX as usize,
             "dconv geometry exceeds u32 offsets"
         );
         self.origin.clear();
         self.origin
-            .extend((0..g.col_rows()).map(|k| tap_origin(g, k) as u32));
+            .extend((0..g.col_rows()).map(|k| tap_origin(g, ring, k) as u32));
         self.pixel.clear();
         self.pixel
-            .extend((0..g.col_cols()).map(|p| pixel_origin(g, p) as u32));
+            .extend((0..g.col_cols()).map(|p| pixel_origin(g, ring, p) as u32));
         let max = |table: &[u32]| table.iter().max().map_or(0, |&at| at as usize);
         self.reach = max(&self.origin) + max(&self.pixel);
-        self.geom = Some(*g);
+        self.layout = Some((*g, ring));
     }
 
     /// Transposes `w[out_c][in_c·k²]` into `w_t`. The slots of a last
@@ -144,10 +157,12 @@ impl DenseBufs {
 #[derive(Clone, Copy)]
 struct Shape<'a> {
     geom: &'a ConvGeom,
+    /// The input's ring.
+    ring: usize,
     out_c: usize,
     origin: &'a [u32],
     pixel: &'a [u32],
-    /// `origin[k] + pixel[p] ≤ reach` for every pair: [`DenseBufs::reach`].
+    /// `origin[k] + pixel[p] ≤ reach` for every pair: [`ConvBufs::reach`].
     reach: usize,
 }
 
@@ -162,13 +177,8 @@ impl Shape<'_> {
         self.pixel.len()
     }
 
-    /// Floats in one input sample `[in_c, h, w]`.
-    fn sample_in(&self) -> usize {
-        self.geom.in_c * self.geom.in_h * self.geom.in_w
-    }
-
-    /// Floats in one output sample `[out_c, oh, ow]`.
-    fn sample_out(&self) -> usize {
+    /// Lanes in one output group `[out_c, oh, ow]`.
+    fn group_out(&self) -> usize {
         self.out_c * self.cc()
     }
 
@@ -185,13 +195,13 @@ impl Shape<'_> {
         self.out_c * self.dy_row()
     }
 
-    /// Lanes in one padded input plane, `(h + 2p)·(w + 2p)`.
+    /// Lanes in one input plane, `(h + 2r)·(w + 2r)`.
     fn plane(&self) -> usize {
-        let g = self.geom;
-        (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad)
+        let (g, r) = (self.geom, self.ring);
+        (g.in_h + 2 * r) * (g.in_w + 2 * r)
     }
 
-    /// Lanes in one group's padded input.
+    /// Lanes in one input group.
     fn group_in(&self) -> usize {
         self.geom.in_c * self.plane()
     }
@@ -207,6 +217,16 @@ impl Shape<'_> {
         let work = (self.out_c * self.cr()).saturating_mul(self.cc());
         rt.should_parallelize(work.saturating_mul(groups))
     }
+
+    /// `x` must be an input of this geometry and ring.
+    fn check_input(&self, x: &LaneTensor) {
+        let g = self.geom;
+        assert_eq!(
+            (&x.shape()[1..], x.ring()),
+            (&[g.in_c, g.in_h, g.in_w][..], self.ring),
+            "dconv input does not match its geometry"
+        );
+    }
 }
 
 /// `out_c` of a `[out_c, in_c·k²]` weight slice.
@@ -219,170 +239,145 @@ fn out_channels(w: &[f32], geom: &ConvGeom) -> usize {
     w.len() / cr
 }
 
-/// Dense convolution forward: `out[n, out_c, oh, ow] = W ∗ x` for
-/// `x[n, in_c, h, w]` and the row-major weight `w[out_c, in_c·k²]`,
-/// overwriting `out`. The transposed input stays in `bufs` for
-/// [`dconv_backward_rt`]. Bit-identical to im2col → [`crate::matmul_into`]
-/// into a zeroed output, on any runtime.
+/// Dense convolution forward: `out[n, out_c, oh, ow] = W ∗ x` for the input
+/// activation `x` (geometry `geom`, any ring `≥ pad`) and the row-major
+/// weight `w[out_c, in_c·k²]`; `out` is resized with no ring and
+/// overwritten. Bit-identical to im2col → [`crate::matmul_into`] into a
+/// zeroed output, on any runtime.
 ///
 /// # Panics
 ///
-/// Panics if `w` is not whole rows of `in_c·k²` or a slice length does not
-/// match `n` and the geometry.
+/// Panics if `w` is not whole rows of `in_c·k²` or `x` not an input of
+/// `geom`.
 pub fn dconv_forward_rt(
     rt: &Runtime,
     geom: &ConvGeom,
     w: &[f32],
-    x: &[f32],
-    n: usize,
+    x: &LaneTensor,
     bufs: &mut ConvBufs,
-    out: &mut [f32],
+    out: &mut LaneTensor,
 ) {
     let out_c = out_channels(w, geom);
-    let groups = n.div_ceil(LANES);
-    bufs.dense.index(geom);
-    bufs.size_kept_input(geom, groups);
-    let ConvBufs {
-        xt, out_t, dense, ..
-    } = bufs;
+    bufs.index(geom, x.ring());
     let sh = Shape {
         geom,
+        ring: x.ring(),
         out_c,
-        origin: &dense.origin,
-        pixel: &dense.pixel,
-        reach: dense.reach,
+        origin: &bufs.origin,
+        pixel: &bufs.pixel,
+        reach: bufs.reach,
     };
-    let (sample_in, sample_out, group_in) = (sh.sample_in(), sh.sample_out(), sh.group_in());
-    assert_eq!(x.len(), n * sample_in, "dconv input length mismatch");
-    assert_eq!(out.len(), n * sample_out, "dconv output length mismatch");
-    over_groups(
-        sh.worth_fanning_out(rt, groups).then_some(rt),
-        n,
-        (x, sample_in),
-        (xt, group_in),
-        (out_t, sample_out),
-        (out, sample_out),
-        |x, xt, out_t, out| {
-            let groups = (x.chunks(LANES * sample_in))
-                .zip(xt.chunks_mut(group_in))
-                .zip(out.chunks_mut(LANES * sample_out));
-            for ((x, xt), out) in groups {
-                run_lanes(Forward(&sh, w, x, xt, out_t, out));
-            }
+    sh.check_input(x);
+    out.resize([x.shape()[0], out_c, geom.out_h(), geom.out_w()], 0);
+    let (xs, group_in) = (x.lanes(), sh.group_in());
+    let fan_out = sh.worth_fanning_out(rt, x.groups()).then_some(rt);
+    let no_slots = (&mut Vec::new(), 0);
+    for_groups(
+        fan_out,
+        out.lanes_mut(),
+        sh.group_out(),
+        no_slots,
+        |gi, out, _| {
+            run_lanes(Forward(&sh, w, &xs[gi * group_in..][..group_in], out));
         },
     );
 }
 
-/// Dense convolution backward from `dy[n, out_c, oh, ow]`, over the input
-/// the last [`dconv_forward_rt`] left in `bufs`:
+/// Dense convolution backward from `dy[n, out_c, oh, ow]` (no ring) over the
+/// forward's input `x`:
 ///
 /// - `grad_w[out_c, in_c·k²]` *accumulates* the weight gradient, one fresh
 ///   accumulator per sample added in sample order — bit-identical to
 ///   [`crate::oracle::matmul_nt_seg_into`] with `seg = oh·ow` over the batched
 ///   column matrix;
-/// - `gx[n, in_c, h, w]` is *overwritten* with the input gradient —
-///   bit-identical to [`crate::matmul_tn_into_rt`] into a zeroed matrix
-///   followed by per-sample [`crate::oracle::col2im_ld`] into a zeroed `gx`.
+/// - `gx` is resized to `x`'s layout and *overwritten* with the input
+///   gradient — bit-identical to [`crate::matmul_tn_into_rt`] into a zeroed
+///   matrix followed by per-sample [`crate::oracle::col2im_ld`] into a zeroed
+///   `gx`.
 ///
 /// Either output may be left out.
 ///
 /// # Panics
 ///
-/// Panics if `bufs` does not hold the forward input of `n` samples of this
-/// geometry, or a slice length is wrong.
+/// Panics if `x` is not an input of `geom`, `dy` not its output's layout, or
+/// a slice length is wrong.
 #[allow(clippy::too_many_arguments)] // the kernel's natural operands
 pub fn dconv_backward_rt(
     rt: &Runtime,
     geom: &ConvGeom,
     w: &[f32],
-    dy: &[f32],
-    n: usize,
+    x: &LaneTensor,
+    dy: &LaneTensor,
     bufs: &mut ConvBufs,
     grad_w: Option<&mut [f32]>,
-    gx: Option<&mut [f32]>,
+    gx: Option<&mut LaneTensor>,
 ) {
     let out_c = out_channels(w, geom);
-    let groups = n.div_ceil(LANES);
-    bufs.dense.index(geom);
-    let ConvBufs {
-        xt,
-        xt_geom,
-        dy_t,
-        gx_t,
-        dense,
-        ..
-    } = bufs;
+    bufs.index(geom, x.ring());
     if gx.is_some() {
-        dense.transpose_weight(w, geom, out_c);
+        bufs.transpose_weight(w, geom, out_c);
     }
-    let DenseBufs {
+    let ConvBufs {
         origin,
         pixel,
         reach,
         w_t,
+        dy_t,
         dw_stage,
         ..
-    } = dense;
+    } = bufs;
     let sh = Shape {
         geom,
+        ring: x.ring(),
         out_c,
         origin,
         pixel,
         reach: *reach,
     };
-    let (sample_in, sample_out, group_in) = (sh.sample_in(), sh.sample_out(), sh.group_in());
-    assert_eq!(dy.len(), n * sample_out, "dconv dy length mismatch");
+    sh.check_input(x);
+    let n = x.shape()[0];
     assert!(
-        *xt_geom == Some(*geom) && xt.len() == groups * group_in,
-        "dconv backward called before forward"
+        dy.shape() == [n, out_c, geom.out_h(), geom.out_w()] && dy.ring() == 0,
+        "dconv dy is not the output's layout"
     );
+    let (groups, group_in) = (x.groups(), sh.group_in());
     let fan_out = sh.worth_fanning_out(rt, groups);
-    let group_dy = sh.group_dy();
-    dy_t.resize(groups * group_dy, ZERO);
+    let (cc, dy_row, group_out) = (sh.cc(), sh.dy_row(), sh.group_out());
+    let dys = dy.lanes();
 
-    // dY into lanes and, when asked for, dX — by group.
-    match gx {
-        None => {
-            for (dy, dy_t) in (dy.chunks(LANES * sample_out)).zip(dy_t.chunks_mut(group_dy)) {
-                run_lanes(Backward(&sh, w_t, dy, dy_t, None));
-            }
-        }
-        Some(gx) => {
-            assert_eq!(gx.len(), n * sample_in, "dconv gx length mismatch");
-            over_groups(
-                fan_out.then_some(rt),
-                n,
-                (dy, sample_out),
-                (dy_t, group_dy),
-                (gx_t, group_in),
-                (gx, sample_in),
-                |dy, dy_t, gx_t, gx| {
-                    let groups = (dy.chunks(LANES * sample_out))
-                        .zip(dy_t.chunks_mut(group_dy))
-                        .zip(gx.chunks_mut(LANES * sample_in));
-                    for ((dy, dy_t), gx) in groups {
-                        run_lanes(Backward(&sh, w_t, dy, dy_t, Some((&mut *gx_t, gx))));
-                    }
-                },
-            );
-        }
+    if let Some(gx) = gx {
+        gx.resize(x.shape(), x.ring());
+        let slots = (dy_t, sh.group_dy());
+        for_groups(
+            fan_out.then_some(rt),
+            gx.lanes_mut(),
+            group_in,
+            slots,
+            |gi, gx, dy_t| {
+                // This group's `dY`, its rows `dy_row` apart.
+                let dy = &dys[gi * group_out..][..group_out];
+                for (dst, src) in dy_t.chunks_mut(dy_row).zip(dy.chunks(cc)) {
+                    dst[..cc].copy_from_slice(src);
+                }
+                run_lanes(Dx(&sh, w_t, dy_t, gx));
+            },
+        );
     }
 
     // dW: weight rows split over the workers, each walking the groups in
     // ascending order so every element adds its samples in order.
     if let Some(grad) = grad_w {
         assert_eq!(grad.len(), w.len(), "dconv weight gradient length mismatch");
-        let (xt, dy_t) = (&xt[..], &dy_t[..]);
+        let xs = x.lanes();
         // Only a chain cut into blocks is staged.
         let stage_len = match sh.dw_blocks() {
             1 => 0,
             blocks => DW_ROWS * blocks * LANES,
         };
         let run = |((rows, grad), stage): ((Range<usize>, &mut [f32]), &mut [Lane])| {
-            let groups = xt.chunks(group_in).zip(dy_t.chunks(group_dy));
+            let groups = xs.chunks(group_in).zip(dys.chunks(group_out));
             for (gi, (xt, dy_t)) in groups.enumerate() {
-                let valid = LANES.min(n - gi * LANES);
-                run_lanes(Dw(&sh, xt, dy_t, valid, rows.clone(), grad, stage));
+                run_lanes(Dw(&sh, xt, dy_t, x.live(gi), rows.clone(), grad, stage));
             }
         };
         if out_c > 1 && fan_out {
@@ -402,55 +397,29 @@ pub fn dconv_backward_rt(
     }
 }
 
-/// One group of a forward pass, `(sh, w, x, xt, out_t, out)`: `x[valid ≤ 8,
-/// in_c, h, w]` into the lanes of `xt`, the kernel, `out_t` back out to
-/// `out[valid, out_c, oh, ow]`.
-struct Forward<'a>(
-    &'a Shape<'a>,
-    &'a [f32],
-    &'a [f32],
-    &'a mut [Lane],
-    &'a mut [Lane],
-    &'a mut [f32],
-);
+/// One group of a forward pass, `(sh, w, xt, out_t)`.
+struct Forward<'a>(&'a Shape<'a>, &'a [f32], &'a [Lane], &'a mut [Lane]);
 
 impl LaneJob for Forward<'_> {
     #[inline(always)]
     fn run<V: Lanes>(self) {
-        let Forward(sh, w, x, xt, out_t, out) = self;
-        let (sample_in, sample_out) = (sh.sample_in(), sh.sample_out());
-        let valid = x.len() / sample_in;
-        to_lanes::<V>(x, sample_in, valid, xt, Cursor::interior(sh.geom));
+        let Forward(sh, w, xt, out_t) = self;
         forward_kernel::<V>(sh, w, xt, out_t);
-        from_lanes::<V>(out_t, Cursor::flat(), valid, sample_out, out);
     }
 }
 
-/// One group of a backward pass, `(sh, w_t, dy, dy_t, gx)`: `dy[valid, out_c,
-/// oh, ow]` into the lanes of `dy_t` and, given `gx = (gx_t, gx)`, the dX
-/// kernel over the transposed weight `w_t` and its result back out to
-/// `gx[valid, in_c, h, w]`.
-struct Backward<'a>(
-    &'a Shape<'a>,
-    &'a [f32],
-    &'a [f32],
-    &'a mut [Lane],
-    Option<(&'a mut [Lane], &'a mut [f32])>,
-);
+/// One group of dX, `(sh, w_t, dy_t, gx_t)`: `gx_t` zeroed, the kernel over
+/// the transposed weight `w_t`, the ring zeroed again.
+struct Dx<'a>(&'a Shape<'a>, &'a [f32], &'a [Lane], &'a mut [Lane]);
 
-impl LaneJob for Backward<'_> {
+impl LaneJob for Dx<'_> {
     #[inline(always)]
     fn run<V: Lanes>(self) {
-        let Backward(sh, w_t, dy, dy_t, gx) = self;
-        let (sample_in, sample_out) = (sh.sample_in(), sh.sample_out());
-        let valid = dy.len() / sample_out;
-        let rows = Cursor::rows(sh.cc(), sh.dy_row() - sh.cc());
-        to_lanes::<V>(dy, sample_out, valid, dy_t, rows);
-        if let Some((gx_t, gx)) = gx {
-            gx_t.fill(ZERO);
-            dx_kernel::<V>(sh, w_t, dy_t, gx_t);
-            from_lanes::<V>(gx_t, Cursor::interior(sh.geom), valid, sample_in, gx);
-        }
+        let Dx(sh, w_t, dy_t, gx_t) = self;
+        gx_t.fill(ZERO);
+        dx_kernel::<V>(sh, w_t, dy_t, gx_t);
+        let g = sh.geom;
+        zero_ring(gx_t, [g.in_c, g.in_h, g.in_w], sh.ring);
     }
 }
 
@@ -694,7 +663,7 @@ impl LaneJob for Dw<'_> {
             // Rows and taps past the last repeat it; the flush drops them.
             let live = DW_ROWS.min(rows.end - o);
             let dy: [&[Lane]; DW_ROWS] =
-                std::array::from_fn(|i| &dy_t[(o + i).min(rows.end - 1) * sh.dy_row()..][..cc]);
+                std::array::from_fn(|i| &dy_t[(o + i).min(rows.end - 1) * cc..][..cc]);
             for k in (0..cr).step_by(LANES) {
                 let at = (o - rows.start) * cr + k;
                 let width = LANES.min(cr - k);
@@ -739,7 +708,7 @@ impl LaneJob for Dw<'_> {
 pub(crate) mod tests {
     use super::*;
     use crate::oracle::{col2im_ld, im2col_batched, matmul_nt_seg_into};
-    use crate::spconv::tests::{bits, rand_vec};
+    use crate::spconv::tests::{bits, lanes_of, nchw_of, rand_vec};
     use crate::{matmul_into, matmul_tn_into_rt, Tensor};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -831,21 +800,28 @@ pub(crate) mod tests {
         bufs: &mut ConvBufs,
         (grad, grad_oracle): (&mut [f32], &mut [f32]),
     ) {
+        use crate::act::tests::assert_ring_and_dead_lanes_zero;
         let entry = grad_oracle.to_vec();
         let (out_o, gx_o) = im2col_gemm_oracle(w, g, x, dy, n, grad_oracle);
-        let mut out = vec![f32::NAN; out_o.len()];
-        dconv_forward_rt(rt, g, w, x, n, bufs, &mut out);
-        assert_eq!(bits(&out), bits(&out_o), "forward n={n} {g:?}");
+        // Odd batches read an input whose ring is one wider than the padding.
+        let ring = g.pad + n % 2;
+        let lx = lanes_of(x, [n, g.in_c, g.in_h, g.in_w], ring);
+        let mut out = LaneTensor::default();
+        dconv_forward_rt(rt, g, w, &lx, bufs, &mut out);
+        assert_ring_and_dead_lanes_zero(&out, "forward");
+        assert_eq!(bits(&nchw_of(&out)), bits(&out_o), "forward n={n} {g:?}");
+        let ldy = lanes_of(dy, out.shape(), 0);
         let mut params_only = entry;
-        dconv_backward_rt(rt, g, w, dy, n, bufs, Some(&mut params_only), None);
+        dconv_backward_rt(rt, g, w, &lx, &ldy, bufs, Some(&mut params_only), None);
         assert_eq!(
             bits(&params_only),
             bits(grad_oracle),
             "dW alone n={n} {g:?}"
         );
-        let mut gx = vec![f32::NAN; gx_o.len()];
-        dconv_backward_rt(rt, g, w, dy, n, bufs, Some(grad), Some(&mut gx));
-        assert_eq!(bits(&gx), bits(&gx_o), "gx n={n} {g:?}");
+        let mut gx = LaneTensor::default();
+        dconv_backward_rt(rt, g, w, &lx, &ldy, bufs, Some(grad), Some(&mut gx));
+        assert_ring_and_dead_lanes_zero(&gx, "gx");
+        assert_eq!(bits(&nchw_of(&gx)), bits(&gx_o), "gx n={n} {g:?}");
         assert_eq!(bits(grad), bits(grad_oracle), "dW n={n} {g:?}");
     }
 
@@ -986,20 +962,17 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before forward")]
-    fn dconv_backward_needs_the_forward_input() {
+    #[should_panic(expected = "does not match its geometry")]
+    fn dconv_refuses_an_input_of_another_geometry() {
         let g = geom(1, (3, 3), 3, 1, 1);
-        let (w, dy) = (vec![0.5; 2 * 9], vec![0.0; 2 * 9]);
-        let mut gx = vec![0.0; 9];
-        dconv_backward_rt(
+        let (w, x) = (vec![0.5; 2 * 9], lanes_of(&[0.0; 16], [1, 1, 4, 4], 1));
+        dconv_forward_rt(
             &Runtime::sequential(),
             &g,
             &w,
-            &dy,
-            1,
+            &x,
             &mut ConvBufs::default(),
-            None,
-            Some(&mut gx),
+            &mut LaneTensor::default(),
         );
     }
 }

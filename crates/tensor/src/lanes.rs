@@ -43,6 +43,30 @@ pub(crate) trait Lanes: Copy {
     fn axpy(self, v: Self, x: Self) -> Self;
     /// `out[k][l] = rows[l][k]`.
     fn transpose(rows: [Self; LANES]) -> [Self; LANES];
+    /// `self > 0 ? self : +0.0` per lane — `f32::max(self, 0.0)`, whose
+    /// x86-64 lowering is exactly this (a NaN or a `−0.0` gives `+0.0`).
+    fn relu(self) -> Self;
+    /// All-ones bits where `self > rhs`, zero bits elsewhere (NaN compares
+    /// false): a mask for [`Lanes::and`] and [`Lanes::select`].
+    fn gt(self, rhs: Self) -> Self;
+    /// All-ones bits where `self == rhs`, zero bits elsewhere.
+    fn eq(self, rhs: Self) -> Self;
+    /// `self` where `mask` is all ones, `+0.0` where it is zero.
+    fn and(self, mask: Self) -> Self;
+    /// `a` where `mask` is all ones, `b` where it is zero.
+    fn select(mask: Self, a: Self, b: Self) -> Self;
+}
+
+/// The bits of a set mask lane.
+pub(crate) const ALL_ONES: f32 = f32::from_bits(u32::MAX);
+
+/// All-ones in the first `live` lanes, zero bits in the rest: the mask
+/// that keeps a group's dead lanes `+0.0`.
+#[inline(always)]
+pub(crate) fn live_mask<V: Lanes>(live: usize) -> V {
+    V::load(&std::array::from_fn(
+        |l| if l < live { ALL_ONES } else { 0.0 },
+    ))
 }
 
 /// A lane kernel: its operands, and its body written once over the family.
@@ -104,6 +128,46 @@ impl Lanes for Lane {
     fn transpose(rows: [Self; LANES]) -> [Self; LANES] {
         std::array::from_fn(|k| Lane(std::array::from_fn(|l| rows[l].0[k])))
     }
+    #[inline(always)]
+    fn relu(self) -> Self {
+        Lane(self.0.map(|v| if v > 0.0 { v } else { 0.0 }))
+    }
+    #[inline(always)]
+    fn gt(self, rhs: Self) -> Self {
+        Lane(std::array::from_fn(|l| {
+            if self.0[l] > rhs.0[l] {
+                ALL_ONES
+            } else {
+                0.0
+            }
+        }))
+    }
+    #[inline(always)]
+    fn eq(self, rhs: Self) -> Self {
+        Lane(std::array::from_fn(|l| {
+            if self.0[l] == rhs.0[l] {
+                ALL_ONES
+            } else {
+                0.0
+            }
+        }))
+    }
+    #[inline(always)]
+    fn and(self, mask: Self) -> Self {
+        Lane(std::array::from_fn(|l| {
+            f32::from_bits(self.0[l].to_bits() & mask.0[l].to_bits())
+        }))
+    }
+    #[inline(always)]
+    fn select(mask: Self, a: Self, b: Self) -> Self {
+        Lane(std::array::from_fn(|l| {
+            if mask.0[l].to_bits() != 0 {
+                a.0[l]
+            } else {
+                b.0[l]
+            }
+        }))
+    }
 }
 
 /// The AVX2+FMA family: the same kernels on `__m256`. Only `axpy` — the
@@ -114,6 +178,10 @@ impl Lanes for Lane {
 mod avx {
     use super::{Lanes, LANES};
     use std::arch::x86_64::*;
+
+    /// `_CMP_GT_OQ` and `_CMP_EQ_OQ`: ordered, so a NaN lane compares false.
+    const GT: i32 = _CMP_GT_OQ;
+    const EQ: i32 = _CMP_EQ_OQ;
 
     #[derive(Clone, Copy)]
     pub(super) struct Ymm(__m256);
@@ -150,6 +218,27 @@ mod avx {
         #[inline(always)]
         fn axpy(self, v: Self, x: Self) -> Self {
             Ymm(unsafe { _mm256_fmadd_ps(v.0, x.0, self.0) })
+        }
+        #[inline(always)]
+        fn relu(self) -> Self {
+            // `maxps a, b` is `a > b ? a : b`.
+            Ymm(unsafe { _mm256_max_ps(self.0, _mm256_setzero_ps()) })
+        }
+        #[inline(always)]
+        fn gt(self, rhs: Self) -> Self {
+            Ymm(unsafe { _mm256_cmp_ps::<GT>(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn eq(self, rhs: Self) -> Self {
+            Ymm(unsafe { _mm256_cmp_ps::<EQ>(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn and(self, mask: Self) -> Self {
+            Ymm(unsafe { _mm256_and_ps(self.0, mask.0) })
+        }
+        #[inline(always)]
+        fn select(mask: Self, a: Self, b: Self) -> Self {
+            Ymm(unsafe { _mm256_blendv_ps(b.0, a.0, mask.0) })
         }
         #[inline(always)]
         fn transpose(r: [Self; LANES]) -> [Self; LANES] {

@@ -1,269 +1,375 @@
-//! Pooling kernels (2×2 max pooling and global average pooling).
+//! Pooling over a [`LaneTensor`]: 2×2 max pooling and global average
+//! pooling, each a [`LaneJob`] on the AVX2 or the portable [`Lanes`] family.
 //!
-//! Both forward kernels fan the `n·c` planes out over a
-//! [`Runtime`](ft_runtime::Runtime)'s workers; planes are written
-//! independently, so the results (including argmax caches) are bit-identical
-//! for any thread count. Every kernel writes into caller-owned buffers that
-//! it resizes in place, so a training loop allocates nothing once warm.
+//! Lane = sample, so every window, and every plane's average, is one lane
+//! vector chain over the same positions the NCHW loops walk, in the same
+//! order:
+//!
+//! - **max pooling** starts from the window's top-left value and replaces it
+//!   with the top-right, bottom-left, bottom-right one in turn when that one
+//!   is strictly greater — [`Lanes::gt`] then [`Lanes::select`], so ties and
+//!   NaNs keep the earlier value exactly as the scalar `>` does. Backward
+//!   recomputes the winner from the forward's input instead of storing it,
+//!   and routes `+0.0 + dy` there (the scalar path added `dy` into a zeroed
+//!   gradient), `+0.0` elsewhere — odd trailing rows and columns included.
+//! - **global average pooling** is, per sample and channel, an `f32` `sum()`
+//!   over the plane (from `-0.0`) divided by `h·w`; backward spreads
+//!   `dy / (h·w)` over the plane.
+//!
+//! The sequential NCHW loops these replaced are the oracle
+//! ([`crate::oracle::max_pool2x2_into`] and friends), pinned `to_bits`-equal
+//! by the tests. Outputs are written whole, ring and dead lanes `+0.0`.
 
-use crate::Tensor;
-use ft_runtime::Runtime;
-use std::ops::Range;
+use crate::lanes::{run_lanes, LaneJob, Lanes, LANES, ZERO};
+use crate::{LaneTensor, Tensor};
 
-/// Max-pools the plane range `planes`; `ochunk`/`achunk` hold exactly those
-/// planes' outputs.
-#[allow(clippy::too_many_arguments)] // mirrors the kernel's natural operands
-fn max_pool_planes(
-    xd: &[f32],
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
-    planes: Range<usize>,
-    ochunk: &mut [f32],
-    achunk: &mut [usize],
-) {
-    for (local, plane) in planes.enumerate() {
-        let base = plane * h * w;
-        let obase = local * oh * ow;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best_idx = base + (2 * oy) * w + 2 * ox;
-                let mut best = xd[best_idx];
-                for (dy, dx) in [(0, 1), (1, 0), (1, 1)] {
-                    let idx = base + (2 * oy + dy) * w + 2 * ox + dx;
-                    if xd[idx] > best {
-                        best = xd[idx];
-                        best_idx = idx;
-                    }
-                }
-                ochunk[obase + oy * ow + ox] = best;
-                achunk[obase + oy * ow + ox] = best_idx;
-            }
-        }
-    }
-}
-
-/// 2×2 max pooling with stride 2 over a `[n, c, h, w]` tensor, the `n·c`
-/// planes fanned out over `rt`'s workers.
-///
-/// `out` receives the pooled tensor and `arg` the flat argmax indices (into
-/// the input buffer) needed by [`max_pool2x2_backward_into`]; both are
-/// resized to the pooled geometry (allocation-free once warm). Odd trailing
-/// rows/columns are dropped, matching the common `floor` convention.
+/// 2×2 max pooling with stride 2 of `x` into `out` (resized to
+/// `[n, c, h/2, w/2]` with a ring of `ring`). Odd trailing rows and columns
+/// are dropped, the common `floor` convention.
 ///
 /// # Panics
 ///
-/// Panics if `x` is not rank-4 or either spatial dim is < 2.
-pub fn max_pool2x2_into_rt(rt: &Runtime, x: &Tensor, out: &mut Tensor, arg: &mut Vec<usize>) {
-    let s = x.shape();
-    assert_eq!(s.len(), 4, "max_pool2x2 requires [n,c,h,w]");
-    let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
+/// Panics if either spatial dim is < 2.
+pub fn max_pool2x2(x: &LaneTensor, ring: usize, out: &mut LaneTensor) {
+    let [n, c, h, w] = x.shape();
     assert!(
         h >= 2 && w >= 2,
         "max_pool2x2 needs spatial dims >= 2, got {h}x{w}"
     );
-    let (oh, ow) = (h / 2, w / 2);
-    out.resize_for_overwrite(&[n, c, oh, ow]);
-    arg.clear();
-    arg.resize(n * c * oh * ow, 0);
-    let xd = x.data();
-    let planes = n * c;
-    if !rt.should_parallelize(planes.saturating_mul(h * w)) || planes <= 1 {
-        return max_pool_planes(xd, h, w, oh, ow, 0..planes, out.data_mut(), arg);
-    }
-    // `split_rows_mut` chunks both buffers identically (same plane count,
-    // same runtime), so zipping them pairs each range with its slices.
-    let out_parts = rt.split_rows_mut(out.data_mut(), oh * ow);
-    let arg_parts = rt.split_rows_mut(arg, oh * ow);
-    let jobs: Vec<_> = out_parts
-        .into_iter()
-        .zip(arg_parts)
-        .map(|((range, ochunk), (_, achunk))| (range, ochunk, achunk))
-        .collect();
-    rt.scatter(jobs, |(range, ochunk, achunk)| {
-        max_pool_planes(xd, h, w, oh, ow, range, ochunk, achunk);
-    });
+    out.resize([n, c, h / 2, w / 2], ring);
+    run_lanes(MaxPool(x, None, out))
 }
 
-/// Backward pass of [`max_pool2x2_into_rt`]: routes each output gradient to
-/// the argmax input position, into a caller-owned gradient tensor (resized
-/// and zeroed in place; allocation-free once warm).
+/// Backward pass of [`max_pool2x2`] from its input `x` and the output
+/// gradient `dy`: `gx` (resized to `x`'s layout) holds `+0.0 + dy` at each
+/// window's winner and `+0.0` everywhere else.
 ///
 /// # Panics
 ///
-/// Panics if `grad_out.numel() != arg.len()`.
-pub fn max_pool2x2_backward_into(
-    grad_out: &Tensor,
-    arg: &[usize],
-    input_shape: &[usize],
-    gx: &mut Tensor,
-) {
-    assert_eq!(grad_out.numel(), arg.len(), "argmax cache length mismatch");
-    gx.resize_zeroed(input_shape);
-    let gd = gx.data_mut();
-    for (g, &idx) in grad_out.data().iter().zip(arg.iter()) {
-        gd[idx] += g;
-    }
-}
-
-/// Global average pooling over a `[n, c, h, w]` tensor, producing `[n, c]`
-/// in a caller-owned tensor (resized in place; allocation-free once warm),
-/// the `n·c` planes fanned out over `rt`'s workers.
-///
-/// # Panics
-///
-/// Panics if `x` is not rank-4.
-pub fn avg_pool_global_into_rt(rt: &Runtime, x: &Tensor, out: &mut Tensor) {
-    let s = x.shape();
-    assert_eq!(s.len(), 4, "avg_pool_global requires [n,c,h,w]");
-    let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-    let area = (h * w) as f32;
-    out.resize_for_overwrite(&[n, c]);
-    let xd = x.data();
-    let pool_planes = |planes: Range<usize>, ochunk: &mut [f32]| {
-        for (local, plane) in planes.enumerate() {
-            let base = plane * h * w;
-            let sum: f32 = xd[base..base + h * w].iter().sum();
-            ochunk[local] = sum / area;
-        }
-    };
-    let planes = n * c;
-    if !rt.should_parallelize(planes.saturating_mul(h * w)) || planes <= 1 {
-        return pool_planes(0..planes, out.data_mut());
-    }
-    let jobs = rt.split_rows_mut(out.data_mut(), 1);
-    rt.scatter(jobs, |(range, ochunk)| pool_planes(range, ochunk));
-}
-
-/// Backward pass of [`avg_pool_global_into_rt`]: spreads each gradient
-/// uniformly over the spatial positions it averaged, into a caller-owned
-/// gradient tensor (resized in place; allocation-free once warm).
-///
-/// # Panics
-///
-/// Panics if shapes are inconsistent.
-pub fn avg_pool_global_backward_into(grad_out: &Tensor, input_shape: &[usize], gx: &mut Tensor) {
-    assert_eq!(input_shape.len(), 4, "input shape must be [n,c,h,w]");
-    let (n, c, h, w) = (
-        input_shape[0],
-        input_shape[1],
-        input_shape[2],
-        input_shape[3],
+/// Panics if `dy` is not the pooled shape of `x`.
+pub fn max_pool2x2_backward(x: &LaneTensor, dy: &LaneTensor, gx: &mut LaneTensor) {
+    let [n, c, h, w] = x.shape();
+    assert_eq!(
+        dy.shape(),
+        [n, c, h / 2, w / 2],
+        "max_pool2x2 grad shape mismatch"
     );
-    assert_eq!(grad_out.shape(), &[n, c], "grad_out must be [n,c]");
+    gx.resize(x.shape(), x.ring());
+    run_lanes(MaxPool(x, Some(dy), gx))
+}
+
+/// Global average pooling of `x` into `out` (`[n, c]`, resized in place).
+pub fn avg_pool_global(x: &LaneTensor, out: &mut Tensor) {
+    let [n, c, _, _] = x.shape();
+    out.resize_for_overwrite(&[n, c]);
+    run_lanes(AvgPool(x, out.data_mut()))
+}
+
+/// Backward pass of [`avg_pool_global`]: `gx` (resized to `shape` with a
+/// ring of `ring`) holds `dy[n, c] / (h·w)` at every position of plane
+/// `(n, c)`.
+///
+/// # Panics
+///
+/// Panics if `dy` is not `[n, c]` of `shape`.
+pub fn avg_pool_global_backward(dy: &Tensor, shape: [usize; 4], ring: usize, gx: &mut LaneTensor) {
+    let [n, c, h, w] = shape;
+    assert_eq!(dy.shape(), &[n, c], "grad_out must be [n,c]");
+    gx.resize(shape, ring);
     let area = (h * w) as f32;
-    gx.resize_for_overwrite(input_shape);
-    let gd = gx.data_mut();
-    for ni in 0..n {
+    let group = gx.group_len();
+    for (g, dst) in gx.lanes_mut().chunks_mut(group.max(1)).enumerate() {
+        dst.fill(ZERO);
+        let live = LANES.min(n - g * LANES);
         for ci in 0..c {
-            let g = grad_out.data()[ni * c + ci] / area;
-            let base = (ni * c + ci) * h * w;
-            for v in &mut gd[base..base + h * w] {
-                *v = g;
+            let mut v = ZERO;
+            for (l, vl) in v.0[..live].iter_mut().enumerate() {
+                *vl = dy.data()[(g * LANES + l) * c + ci] / area;
             }
+            let wp = w + 2 * ring;
+            let plane = &mut dst[ci * (h + 2 * ring) * wp..];
+            for y in 0..h {
+                plane[(y + ring) * wp + ring..][..w].fill(v);
+            }
+        }
+    }
+}
+
+/// Both passes of the max pool, `(x, dy, out)`: forward into `out` when `dy`
+/// is `None`, backward into `out` = `gx` otherwise.
+struct MaxPool<'a>(&'a LaneTensor, Option<&'a LaneTensor>, &'a mut LaneTensor);
+
+impl LaneJob for MaxPool<'_> {
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let MaxPool(x, dy, out) = self;
+        let [_, c, h, w] = x.shape();
+        let (oh, ow) = (h / 2, w / 2);
+        let zero = V::splat(0.0);
+        let (src, group) = (x.lanes(), x.group_len());
+        let out_group = out.group_len();
+        // Where the forward's output position `(ci, oy, ox)` lies in `out`.
+        let (r, [_, _, ohp, owp]) = (out.ring(), out.shape());
+        let (ohp, owp) = (ohp + 2 * r, owp + 2 * r);
+        let pooled = |ci: usize, oy: usize, ox: usize| (ci * ohp + oy + r) * owp + ox + r;
+        for (g, dst) in out.lanes_mut().chunks_mut(out_group.max(1)).enumerate() {
+            dst.fill(ZERO);
+            let src = &src[g * group..][..group];
+            for ci in 0..c {
+                for oy in 0..oh {
+                    let top = x.at(ci, 2 * oy, 0);
+                    let bottom = x.at(ci, 2 * oy + 1, 0);
+                    for ox in 0..ow {
+                        let taps = [
+                            top + 2 * ox,
+                            top + 2 * ox + 1,
+                            bottom + 2 * ox,
+                            bottom + 2 * ox + 1,
+                        ];
+                        let v: [V; 4] = std::array::from_fn(|t| V::load(&src[taps[t]].0));
+                        let mut best = v[0];
+                        let mut arg = zero;
+                        for (t, &vt) in v.iter().enumerate().skip(1) {
+                            let wins = vt.gt(best);
+                            best = V::select(wins, vt, best);
+                            arg = V::select(wins, V::splat(t as f32), arg);
+                        }
+                        match dy {
+                            None => best.store(&mut dst[pooled(ci, oy, ox)].0),
+                            Some(dy) => {
+                                let d =
+                                    V::load(&dy.lanes()[g * dy.group_len() + dy.at(ci, oy, ox)].0);
+                                let d = zero.add(d);
+                                for (t, &at) in taps.iter().enumerate() {
+                                    V::select(arg.eq(V::splat(t as f32)), d, zero)
+                                        .store(&mut dst[at].0);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`avg_pool_global`]'s operands `(x, out)`.
+struct AvgPool<'a>(&'a LaneTensor, &'a mut [f32]);
+
+impl LaneJob for AvgPool<'_> {
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let AvgPool(x, out) = self;
+        let [n, c, h, w] = x.shape();
+        let area = (h * w) as f32;
+        let (src, group) = (x.lanes(), x.group_len());
+        for g in 0..x.groups() {
+            let src = &src[g * group..];
+            for ci in 0..c {
+                let mut sum = V::splat(-0.0);
+                for y in 0..h {
+                    for v in &src[x.at(ci, y, 0)..][..w] {
+                        sum = sum.add(V::load(&v.0));
+                    }
+                }
+                let mut lanes = [0.0f32; LANES];
+                sum.store(&mut lanes);
+                for (l, &s) in lanes.iter().enumerate().take(LANES.min(n - g * LANES)) {
+                    out[(g * LANES + l) * c + ci] = s / area;
+                }
+            }
+        }
+    }
+}
+
+/// The sequential NCHW loops the lane kernels replaced, kept as their
+/// reference ([`crate::oracle`]).
+pub(crate) mod oracle {
+    use crate::Tensor;
+
+    /// 2×2 max pooling with stride 2 over `[n, c, h, w]` into `out`, the
+    /// flat argmax of every window into `arg`.
+    pub fn max_pool2x2_into(x: &Tensor, out: &mut Tensor, arg: &mut Vec<usize>) {
+        let s = x.shape();
+        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
+        let (oh, ow) = (h / 2, w / 2);
+        out.resize_for_overwrite(&[n, c, oh, ow]);
+        arg.clear();
+        arg.resize(n * c * oh * ow, 0);
+        let xd = x.data();
+        for plane in 0..n * c {
+            let (base, obase) = (plane * h * w, plane * oh * ow);
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best_idx = base + (2 * oy) * w + 2 * ox;
+                    let mut best = xd[best_idx];
+                    for (dy, dx) in [(0, 1), (1, 0), (1, 1)] {
+                        let idx = base + (2 * oy + dy) * w + 2 * ox + dx;
+                        if xd[idx] > best {
+                            best = xd[idx];
+                            best_idx = idx;
+                        }
+                    }
+                    out.data_mut()[obase + oy * ow + ox] = best;
+                    arg[obase + oy * ow + ox] = best_idx;
+                }
+            }
+        }
+    }
+
+    /// Routes each output gradient to its window's argmax, in a zeroed `gx`.
+    pub fn max_pool2x2_backward_into(
+        grad_out: &Tensor,
+        arg: &[usize],
+        input_shape: &[usize],
+        gx: &mut Tensor,
+    ) {
+        gx.resize_zeroed(input_shape);
+        let gd = gx.data_mut();
+        for (g, &idx) in grad_out.data().iter().zip(arg.iter()) {
+            gd[idx] += g;
+        }
+    }
+
+    /// Global average pooling `[n, c, h, w] → [n, c]`.
+    pub fn avg_pool_global_into(x: &Tensor, out: &mut Tensor) {
+        let s = x.shape();
+        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
+        out.resize_for_overwrite(&[n, c]);
+        let area = (h * w) as f32;
+        for (plane, o) in out.data_mut().iter_mut().enumerate() {
+            let sum: f32 = x.data()[plane * h * w..][..h * w].iter().sum();
+            *o = sum / area;
+        }
+    }
+
+    /// Spreads each gradient uniformly over the plane it averaged.
+    pub fn avg_pool_global_backward_into(
+        grad_out: &Tensor,
+        input_shape: &[usize],
+        gx: &mut Tensor,
+    ) {
+        let area = (input_shape[2] * input_shape[3]) as f32;
+        let plane = input_shape[2] * input_shape[3];
+        gx.resize_for_overwrite(input_shape);
+        for (dst, &g) in gx.data_mut().chunks_mut(plane).zip(grad_out.data()) {
+            dst.fill(g / area);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::*;
     use super::*;
+    use crate::act::tests::{assert_ring_and_dead_lanes_zero, BATCHES, SIDES};
+    use crate::spconv::tests::{bits, rand_vec};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
-    fn max_pool(rt: &Runtime, x: &Tensor) -> (Tensor, Vec<usize>) {
-        let (mut out, mut arg) = (Tensor::default(), Vec::new());
-        max_pool2x2_into_rt(rt, x, &mut out, &mut arg);
-        (out, arg)
+    fn lanes(x: &[f32], shape: [usize; 4], ring: usize) -> LaneTensor {
+        let mut t = LaneTensor::default();
+        t.copy_from_nchw(x, shape, ring);
+        t
     }
 
-    fn max_pool_backward(g: &Tensor, arg: &[usize], shape: &[usize]) -> Tensor {
-        let mut gx = Tensor::default();
-        max_pool2x2_backward_into(g, arg, shape, &mut gx);
-        gx
-    }
-
-    fn avg_pool(rt: &Runtime, x: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        avg_pool_global_into_rt(rt, x, &mut out);
+    fn nchw(t: &LaneTensor) -> Vec<f32> {
+        let mut out = vec![f32::NAN; t.shape().iter().product()];
+        t.copy_to_nchw(&mut out);
         out
     }
 
+    /// Both pools, forward and backward, equal the NCHW oracle `to_bits` at
+    /// every property batch size and plane (odd ones too), with ties, `−0.0`
+    /// and NaN inside windows, and write their ring and dead lanes `+0.0`.
     #[test]
-    fn max_pool_forward() {
-        let x = Tensor::from_vec(
-            vec![
-                1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
-                16.0,
-            ],
-            &[1, 1, 4, 4],
-        );
-        let (y, arg) = max_pool(&Runtime::sequential(), &x);
-        assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
-        assert_eq!(arg, vec![5, 7, 13, 15]);
-    }
+    fn pools_match_the_nchw_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        for n in BATCHES {
+            for side in SIDES.into_iter().chain([3, 5]) {
+                let c = 3;
+                let shape = [n, c, side, side];
+                let len = n * c * side * side;
+                let mut x = rand_vec(len, &mut rng);
+                // Ties, signed zeros and a NaN.
+                for (i, v) in x.iter_mut().enumerate() {
+                    match i % 11 {
+                        3 => *v = 0.5,
+                        4 => *v = 0.5,
+                        5 => *v = -0.0,
+                        9 if i % 3 == 0 => *v = f32::NAN,
+                        _ => {}
+                    }
+                }
+                let xt = Tensor::from_vec(x.clone(), &[n, c, side, side]);
+                let lx = lanes(&x, shape, 1);
+                let tag = format!("n{n} {side}px");
 
-    #[test]
-    fn max_pool_backward_routes_to_argmax() {
-        let x = Tensor::from_vec(vec![1.0, 9.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let (_, arg) = max_pool(&Runtime::sequential(), &x);
-        let g = Tensor::from_vec(vec![2.5], &[1, 1, 1, 1]);
-        let gx = max_pool_backward(&g, &arg, &[1, 1, 2, 2]);
-        assert_eq!(gx.data(), &[0.0, 2.5, 0.0, 0.0]);
-    }
+                let mut avg = Tensor::default();
+                avg_pool_global(&lx, &mut avg);
+                let mut avg_o = Tensor::default();
+                avg_pool_global_into(&xt, &mut avg_o);
+                assert_eq!(bits(avg.data()), bits(avg_o.data()), "gap {tag}");
+                let g = Tensor::from_vec(rand_vec(n * c, &mut rng), &[n, c]);
+                let mut gx = LaneTensor::default();
+                avg_pool_global_backward(&g, shape, 1, &mut gx);
+                assert_ring_and_dead_lanes_zero(&gx, &tag);
+                let mut gx_o = Tensor::default();
+                avg_pool_global_backward_into(&g, xt.shape(), &mut gx_o);
+                assert_eq!(bits(&nchw(&gx)), bits(gx_o.data()), "gap bwd {tag}");
 
-    #[test]
-    fn max_pool_drops_odd_edges() {
-        let x = Tensor::zeros(&[1, 1, 5, 3]);
-        let (y, _) = max_pool(&Runtime::sequential(), &x);
-        assert_eq!(y.shape(), &[1, 1, 2, 1]);
-    }
-
-    #[test]
-    fn avg_pool_forward_and_backward() {
-        let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0],
-            &[1, 2, 2, 2],
-        );
-        let y = avg_pool(&Runtime::sequential(), &x);
-        assert_eq!(y.shape(), &[1, 2]);
-        assert_eq!(y.data(), &[2.5, 10.0]);
-        let g = Tensor::from_vec(vec![4.0, 8.0], &[1, 2]);
-        let mut gx = Tensor::default();
-        avg_pool_global_backward_into(&g, &[1, 2, 2, 2], &mut gx);
-        assert_eq!(gx.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn pool_rt_variants_are_bit_identical() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(8);
-        let x = Tensor::from_vec(
-            (0..3 * 4 * 6 * 6)
-                .map(|_| rng.gen_range(-1.0..1.0))
-                .collect(),
-            &[3, 4, 6, 6],
-        );
-        let (seq_y, seq_arg) = max_pool(&Runtime::sequential(), &x);
-        let seq_avg = avg_pool(&Runtime::sequential(), &x);
-        for threads in [1usize, 2, 5, 64] {
-            let rt = Runtime::exact(threads).with_min_work(0);
-            let (y, arg) = max_pool(&rt, &x);
-            assert_eq!(y.data(), seq_y.data(), "maxpool threads={threads}");
-            assert_eq!(arg, seq_arg, "argmax threads={threads}");
-            let avg = avg_pool(&rt, &x);
-            assert_eq!(avg.data(), seq_avg.data(), "avgpool threads={threads}");
+                if side < 2 {
+                    continue;
+                }
+                let mut out = LaneTensor::default();
+                max_pool2x2(&lx, 1, &mut out);
+                assert_ring_and_dead_lanes_zero(&out, &tag);
+                let (mut out_o, mut arg) = (Tensor::default(), Vec::new());
+                max_pool2x2_into(&xt, &mut out_o, &mut arg);
+                assert_eq!(bits(&nchw(&out)), bits(out_o.data()), "maxpool {tag}");
+                let mut dy = rand_vec(out_o.numel(), &mut rng);
+                dy[0] = -0.0;
+                let dy_t = Tensor::from_vec(dy.clone(), out_o.shape());
+                let ldy = lanes(&dy, out.shape(), 1);
+                max_pool2x2_backward(&lx, &ldy, &mut gx);
+                assert_ring_and_dead_lanes_zero(&gx, &tag);
+                max_pool2x2_backward_into(&dy_t, &arg, xt.shape(), &mut gx_o);
+                assert_eq!(bits(&nchw(&gx)), bits(gx_o.data()), "maxpool bwd {tag}");
+            }
         }
     }
 
     #[test]
-    fn pooling_gradient_check() {
-        // Sum-of-output as loss: gradient wrt input of maxpool is an
-        // indicator of argmax positions.
-        let x = Tensor::from_vec(vec![0.1, 0.9, 0.4, 0.3], &[1, 1, 2, 2]);
-        let (y, arg) = max_pool(&Runtime::sequential(), &x);
-        let g = Tensor::ones(y.shape());
-        let gx = max_pool_backward(&g, &arg, x.shape());
-        assert_eq!(gx.data(), &[0.0, 1.0, 0.0, 0.0]);
+    fn max_pool_forward_and_backward_by_hand() {
+        let x: Vec<f32> = (1..=16).map(|v| v as f32).collect();
+        let lx = lanes(&x, [1, 1, 4, 4], 0);
+        let mut y = LaneTensor::default();
+        max_pool2x2(&lx, 0, &mut y);
+        assert_eq!(y.shape(), [1, 1, 2, 2]);
+        assert_eq!(nchw(&y), [6.0, 8.0, 14.0, 16.0]);
+        let dy = lanes(&[2.5, 1.0, 1.0, 1.0], [1, 1, 2, 2], 0);
+        let mut gx = LaneTensor::default();
+        max_pool2x2_backward(&lx, &dy, &mut gx);
+        let g = nchw(&gx);
+        assert_eq!(
+            (g[5], g[7], g[13], g[15], g.iter().sum::<f32>()),
+            (2.5, 1.0, 1.0, 1.0, 5.5)
+        );
+    }
+
+    #[test]
+    fn avg_pool_forward_and_backward_by_hand() {
+        let x = [1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0];
+        let mut y = Tensor::default();
+        avg_pool_global(&lanes(&x, [1, 2, 2, 2], 1), &mut y);
+        assert_eq!(y.data(), &[2.5, 10.0]);
+        let mut gx = LaneTensor::default();
+        avg_pool_global_backward(
+            &Tensor::from_vec(vec![4.0, 8.0], &[1, 2]),
+            [1, 2, 2, 2],
+            1,
+            &mut gx,
+        );
+        assert_eq!(nchw(&gx), [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 }

@@ -378,57 +378,19 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The batch-norm kernels against the loops they replaced
-    /// (`crate::oracle::bn_*`), `to_bits`-equal: batch mean and variance,
-    /// `x̂` and the output of a Train forward on them and of an Eval forward
-    /// on running statistics, each followed by its backward (`Σdy` and
-    /// `Σdy·x̂` accumulated onto non-zero gradients, the input gradient).
-    /// Batches on both sides of the eight-sample group, channel counts off
-    /// the eight-channel block, planes from one pixel to 16 × 16 including
-    /// the ones that are not a multiple of eight; inputs carry signed zeros.
+    /// The batch-norm kernels against the NCHW loops they replaced
+    /// (`crate::oracle::bn_*`, then `max(·, 0)` and its mask when the ReLU
+    /// is fused), `to_bits`-equal, at random batches, channel counts off
+    /// the eight-channel block and planes, with and without the ReLU, into
+    /// outputs with and without a ring (see `bn::tests::assert_bn_matches`).
     #[test]
     fn bn_kernels_match_oracle_bit_for_bit(
         (n, c) in (1usize..=40, 1usize..=130),
-        plane in 0usize..6,
+        (h, w) in (1usize..=16, 1usize..=16),
+        (relu, ring) in (0usize..2, 0usize..2),
         seed in 0u64..1_000,
     ) {
-        use crate::oracle;
-        use crate::spconv::tests::{bits, rand_vec};
-        use rand::SeedableRng;
-        let plane = [1usize, 4, 9, 16, 64, 256][plane];
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let len = n * c * plane;
-        let mut x = rand_vec(len, &mut rng);
-        let dy = rand_vec(len, &mut rng);
-        for (i, v) in x.iter_mut().enumerate().step_by(7) {
-            *v = if i % 2 == 0 { 0.0 } else { -0.0 };
-        }
-        let (gamma, beta) = (rand_vec(c, &mut rng), rand_vec(c, &mut rng));
-        let grads = (rand_vec(c, &mut rng), rand_vec(c, &mut rng));
-        let running = rand_vec(c, &mut rng);
-        let (mut mean, mut var) = (vec![0.0; c], vec![0.0; c]);
-        let (mut mean_o, mut var_o) = (vec![0.0; c], vec![0.0; c]);
-        crate::bn_batch_stats(&x, plane, &mut mean, &mut var);
-        oracle::bn_batch_stats(&x, plane, &mut mean_o, &mut var_o);
-        prop_assert_eq!(bits(&mean), bits(&mean_o), "mean");
-        prop_assert_eq!(bits(&var), bits(&var_o), "var");
-        let train = (mean, var.iter().map(|&v| 1.0 / (v + 1e-5f32).sqrt()).collect::<Vec<_>>());
-        let eval = (running.clone(), running.iter().map(|&v| 1.0 / (v.abs() + 1e-5f32).sqrt()).collect());
-        for (batch, (mean, inv_std)) in [(true, train), (false, eval)] {
-            let (mut xhat, mut out) = (vec![0.0; len], vec![0.0; len]);
-            let (mut xhat_o, mut out_o) = (vec![0.0; len], vec![0.0; len]);
-            crate::bn_normalize(&x, plane, &mean, &inv_std, &gamma, &beta, &mut xhat, &mut out);
-            oracle::bn_normalize(&x, plane, &mean, &inv_std, &gamma, &beta, &mut xhat_o, &mut out_o);
-            prop_assert_eq!(bits(&xhat), bits(&xhat_o), "xhat, batch {}", batch);
-            prop_assert_eq!(bits(&out), bits(&out_o), "out, batch {}", batch);
-            let ((mut gg, mut gb), mut gx) = (grads.clone(), vec![0.0; len]);
-            let ((mut gg_o, mut gb_o), mut gx_o) = (grads.clone(), vec![0.0; len]);
-            crate::bn_backward(&dy, &xhat, plane, &gamma, &inv_std, batch, &mut gg, &mut gb, &mut gx);
-            oracle::bn_backward(&dy, &xhat, plane, &gamma, &inv_std, batch, &mut gg_o, &mut gb_o, &mut gx_o);
-            prop_assert_eq!(bits(&gb), bits(&gb_o), "grad beta (sum dy), batch {}", batch);
-            prop_assert_eq!(bits(&gg), bits(&gg_o), "grad gamma (sum dy xhat), batch {}", batch);
-            prop_assert_eq!(bits(&gx), bits(&gx_o), "gx, batch {}", batch);
-        }
+        crate::bn::tests::assert_bn_matches([n, c, h, w], relu == 1, ring, seed);
     }
 }
 

@@ -7,24 +7,28 @@
 //! rows a pruning mask makes almost all dead. This engine keeps the same
 //! arithmetic and drops the matrix:
 //!
-//! - **Layout.** The batch is cut into groups of [`LANES`] samples. A group's
-//!   input is transposed once into `xT[c][y + pad][x + pad][lane]` — zero
-//!   padded, the sample index innermost — so the operand of a stored weight
-//!   `(o, c, ky, kx)` at output pixel `(y, x)` is one aligned lane vector at
-//!   `origin(c, ky, kx) + pixel(y, x)`, two offsets an [`SpConvIndex`]
-//!   precomputes per stored entry and per output pixel. Any stride, any
-//!   plane size, always a full vector, and the padding ring answers every
-//!   out-of-image tap with the `+0.0` im2col would have written there.
+//! - **Layout.** Input and output are [`LaneTensor`]s — the network's
+//!   activation layout, groups of [`LANES`] samples as
+//!   `[c][y + r][x + r][lane]` with a `+0.0` ring of `r ≥ pad` — so the
+//!   operand of a stored weight `(o, c, ky, kx)` at output pixel `(y, x)` is
+//!   one aligned lane vector at `origin(c, ky, kx) + pixel(y, x)`, two
+//!   offsets an [`SpConvIndex`] precomputes per stored entry and per output
+//!   pixel. Any stride, any plane size, always a full vector, and the ring
+//!   answers every out-of-image tap with the `+0.0` im2col would have written
+//!   there. Nothing is transposed: the engine reads the activation the layer
+//!   before wrote and writes the one the layer after reads.
 //! - **Forward** accumulates each output pixel over its CSR row's entries in
-//!   ascending stored order, a block of pixels held in registers.
+//!   ascending stored order, a block of pixels held in registers, straight
+//!   into the output group (ring 0).
 //! - **dW** gives every stored entry one fresh accumulator vector (lane =
 //!   sample), walks the output pixels in ascending order with mul-then-add,
 //!   eight entries interleaved, then adds the live lanes into the entry's
 //!   slot in ascending sample order.
 //! - **dX** walks the weight columns `(c, ky, kx)` in ascending order through
 //!   a CSC view of the same structure: `tmp = Σ_o v·dY[o]` (ascending `o`,
-//!   mul-then-add from `+0.0`), added once into a zeroed padded `gxT` at the
-//!   tap's offset; the padding ring absorbs what col2im would have clipped.
+//!   mul-then-add from `+0.0`), added once into the zeroed input-gradient
+//!   group at the tap's offset; the ring absorbs what col2im would have
+//!   clipped and is zeroed again afterwards.
 //!
 //! **Bit identity.** A lane is a sample, and each lane runs exactly the
 //! scalar operation sequence the im2col + CSR route runs for that sample:
@@ -35,33 +39,37 @@
 //! stored `+0.0` like im2col's structural zeros; nothing is skipped or
 //! reassociated. (dX leaves out the columns with no stored entry: their
 //! `tmp` is `+0.0`, and adding `+0.0` to a sum that started at `+0.0` never
-//! changes it.) Outputs, weight gradients and input gradients are therefore
+//! changes it.) Dead lanes hold `+0.0` on the way in, so they hold `+0.0` on
+//! the way out. Outputs, weight gradients and input gradients are therefore
 //! `to_bits`-equal to the im2col route at any batch size and thread count —
 //! groups fan out over the [`Runtime`] for forward and dX, CSR rows for dW —
 //! which the tests pin against those kernels as the oracle.
 
+use crate::act::zero_ring;
 use crate::lanes::{run_lanes, Lane, LaneJob, Lanes, LANES, ZERO};
-use crate::{ConvGeom, CsrView};
+use crate::{ConvGeom, CsrView, LaneTensor};
 use ft_runtime::Runtime;
 use std::ops::Range;
 
 /// Geometry- and structure-keyed offsets of one sparse convolution: where
-/// every stored weight reads the padded input, and the CSC view dX walks.
-/// Built once per (mask structure, input size) and reused while the values
-/// change underneath it.
+/// every stored weight reads the ringed input, and the CSC view dX walks.
+/// Built once per (mask structure, input size, ring) and reused while the
+/// values change underneath it.
 #[derive(Clone, Debug)]
 pub struct SpConvIndex {
     geom: ConvGeom,
+    /// The input's ring, `≥ geom.pad`.
+    ring: usize,
     out_c: usize,
-    /// Lanes in one group's padded input: `in_c · (h + 2p) · (w + 2p)`.
+    /// Lanes in one group of the input: `in_c · (h + 2r) · (w + 2r)`.
     group_in: usize,
     /// Per stored entry, CSR order: offset of its tap `(c, ky, kx)` at output
-    /// pixel `(0, 0)` inside a group's padded input.
+    /// pixel `(0, 0)` inside an input group.
     origin: Vec<u32>,
     /// Per stored entry: its CSR row (output channel).
     entry_row: Vec<u32>,
     /// Per output pixel, row-major: offset of its window's first tap,
-    /// `y·s·(w + 2p) + x·s`. `origin[e] + pixel[p] < group_in` for every
+    /// `y·s·(w + 2r) + x·s`. `origin[e] + pixel[p] < group_in` for every
     /// pair — the bound the kernels index by.
     pixel: Vec<u32>,
     /// CSC view: column `j`'s entries are `col_ptr[j]..col_ptr[j + 1]` of
@@ -73,13 +81,14 @@ pub struct SpConvIndex {
 
 impl SpConvIndex {
     /// Indexes the structure of `s` (`[out_c, in_c·k²]`; values ignored)
-    /// for inputs of geometry `geom`.
+    /// for inputs of geometry `geom` carrying a ring of `ring`.
     ///
     /// # Panics
     ///
     /// Panics if `s` is malformed or empty-shaped, its column count is not
-    /// `geom`'s `col_rows`, or a padded group does not fit `u32` offsets.
-    pub fn new(s: CsrView<'_>, geom: &ConvGeom) -> Self {
+    /// `geom`'s `col_rows`, `ring < geom.pad`, or an input group does not fit
+    /// `u32` offsets.
+    pub fn new(s: CsrView<'_>, geom: &ConvGeom, ring: usize) -> Self {
         s.validate();
         let cr = geom.col_rows();
         assert_eq!(s.cols, cr, "spconv weight columns differ from in_c·k²");
@@ -87,7 +96,12 @@ impl SpConvIndex {
             s.rows > 0 && cr > 0,
             "spconv needs input and output channels"
         );
-        let (hp, wp) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
+        assert!(
+            ring >= geom.pad,
+            "spconv input ring {ring} < pad {}",
+            geom.pad
+        );
+        let (hp, wp) = (geom.in_h + 2 * ring, geom.in_w + 2 * ring);
         let group_in = geom.in_c * hp * wp;
         assert!(
             group_in <= u32::MAX as usize && s.nnz() <= u32::MAX as usize,
@@ -96,7 +110,7 @@ impl SpConvIndex {
         let origin = s
             .col_idx
             .iter()
-            .map(|&j| tap_origin(geom, j as usize) as u32)
+            .map(|&j| tap_origin(geom, ring, j as usize) as u32)
             .collect();
         let mut entry_row = Vec::with_capacity(s.nnz());
         let mut col_ptr = vec![0u32; cr + 1];
@@ -120,10 +134,11 @@ impl SpConvIndex {
             *slot += 1;
         }
         let pixel = (0..geom.col_cols())
-            .map(|p| pixel_origin(geom, p) as u32)
+            .map(|p| pixel_origin(geom, ring, p) as u32)
             .collect();
         SpConvIndex {
             geom: *geom,
+            ring,
             out_c: s.rows,
             group_in,
             origin,
@@ -135,9 +150,9 @@ impl SpConvIndex {
         }
     }
 
-    /// The input geometry this index was built for.
-    pub fn geom(&self) -> &ConvGeom {
-        &self.geom
+    /// The input geometry and ring this index was built for.
+    pub fn layout(&self) -> (&ConvGeom, usize) {
+        (&self.geom, self.ring)
     }
 
     /// Output pixels per sample and channel.
@@ -145,13 +160,8 @@ impl SpConvIndex {
         self.pixel.len()
     }
 
-    /// Floats in one input sample `[in_c, h, w]`.
-    fn sample_in(&self) -> usize {
-        self.geom.in_c * self.geom.in_h * self.geom.in_w
-    }
-
-    /// Floats in one output sample `[out_c, oh, ow]`.
-    fn sample_out(&self) -> usize {
+    /// Lanes in one output group `[out_c, oh, ow]`.
+    fn group_out(&self) -> usize {
         self.out_c * self.cc()
     }
 
@@ -166,67 +176,32 @@ impl SpConvIndex {
             "spconv index was built for a different structure"
         );
     }
+
+    /// `x` must be an input of this index's geometry and ring.
+    fn check_input(&self, x: &LaneTensor) {
+        let g = &self.geom;
+        assert_eq!(
+            (&x.shape()[1..], x.ring()),
+            (&[g.in_c, g.in_h, g.in_w][..], self.ring),
+            "spconv input does not match its index"
+        );
+    }
 }
 
-/// Offset, inside a group's padded input, of weight column `j`'s tap
-/// `(c, ky, kx)` at output pixel `(0, 0)`.
-pub(crate) fn tap_origin(g: &ConvGeom, j: usize) -> usize {
+/// Offset, inside an input group with a ring of `ring`, of weight column
+/// `j`'s tap `(c, ky, kx)` at output pixel `(0, 0)`.
+pub(crate) fn tap_origin(g: &ConvGeom, ring: usize, j: usize) -> usize {
     let taps = g.kernel * g.kernel;
     let (c, ky, kx) = (j / taps, (j % taps) / g.kernel, j % g.kernel);
-    (c * (g.in_h + 2 * g.pad) + ky) * (g.in_w + 2 * g.pad) + kx
+    let skip = ring - g.pad;
+    (c * (g.in_h + 2 * ring) + ky + skip) * (g.in_w + 2 * ring) + kx + skip
 }
 
-/// Offset, inside a group's padded input, of the first tap of output pixel
-/// `p`'s window (`p` row-major): `y·s·(w + 2p) + x·s`.
-pub(crate) fn pixel_origin(g: &ConvGeom, p: usize) -> usize {
+/// Offset, inside an input group with a ring of `ring`, of the first tap of
+/// output pixel `p`'s window (`p` row-major): `y·s·(w + 2r) + x·s`.
+pub(crate) fn pixel_origin(g: &ConvGeom, ring: usize, p: usize) -> usize {
     let ow = g.out_w();
-    (p / ow * (g.in_w + 2 * g.pad) + p % ow) * g.stride
-}
-
-/// The buffers of both direct engines — this one and the dense one
-/// ([`crate::dconv_forward_rt`]) — grown on first use and reused from then
-/// on, whichever engine ran last. The transposed padded input (kept from
-/// forward for backward) and the transposed output gradient (dX reads it by
-/// group, dW by weight row) cover the batch; the staging of the output and
-/// of the padded input gradient holds one group per worker. None of them
-/// scales with `in_c·k²·oh·ow`: there is no column matrix.
-#[derive(Debug, Default)]
-pub struct ConvBufs {
-    pub(crate) xt: Vec<Lane>,
-    /// Geometry `xt`'s padding ring was zeroed for.
-    pub(crate) xt_geom: Option<ConvGeom>,
-    pub(crate) dy_t: Vec<Lane>,
-    pub(crate) out_t: Vec<Lane>,
-    pub(crate) gx_t: Vec<Lane>,
-    /// What only the dense engine needs: its offset tables and the weight
-    /// transposed for dX.
-    pub(crate) dense: crate::dconv::DenseBufs,
-}
-
-impl ConvBufs {
-    /// Floats in the kept input: `⌈n/8⌉·8·in_c·(h + 2p)·(w + 2p)` after a
-    /// forward over `n` samples, 0 before the first.
-    pub fn kept_input_len(&self) -> usize {
-        self.xt.len() * LANES
-    }
-
-    /// Floats (or offsets) held by all buffers together.
-    pub fn total_len(&self) -> usize {
-        (self.xt.len() + self.dy_t.len() + self.out_t.len() + self.gx_t.len()) * LANES
-            + self.dense.len()
-    }
-
-    /// Sizes the kept input for `groups` groups of `geom`, its padding ring
-    /// `+0.0`. The interior is rewritten by every forward and the ring never
-    /// is, so the ring only needs zeroing when the layout under it changes.
-    pub(crate) fn size_kept_input(&mut self, geom: &ConvGeom, groups: usize) {
-        if self.xt_geom != Some(*geom) {
-            self.xt.clear();
-            self.xt_geom = Some(*geom);
-        }
-        let (hp, wp) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
-        self.xt.resize(groups * geom.in_c * hp * wp, ZERO);
-    }
+    (p / ow * (g.in_w + 2 * ring) + p % ow) * g.stride
 }
 
 /// Whether a pass over `groups` groups is worth fanning out on `rt`. The
@@ -235,165 +210,134 @@ fn worth_fanning_out(rt: &Runtime, s: &CsrView<'_>, idx: &SpConvIndex, groups: u
     rt.should_parallelize(s.nnz().saturating_mul(idx.cc()).saturating_mul(groups))
 }
 
-/// Runs `pass(src, lanes, slot, dst)` over the groups of a batch of `n`.
-/// `src` and `dst` hold whole samples (`.1` floats each), `lanes` one block
-/// of `.1` lanes per group, and `slots` is resized to one staging block of
-/// `.1` lanes per worker. Without a runtime to fan out on that is one call
-/// over the whole batch; with one, each of its workers gets a contiguous
-/// run of groups and its own slot. `pass` walks the groups it is handed in
-/// order.
-pub(crate) fn over_groups(
+/// Runs `pass(g, dst_g, slot)` over the groups of `dst` (`group_len` lanes
+/// each), in order; `slots` is resized to one staging slot of `slot_len`
+/// lanes per worker. Without a runtime to fan out on that is one loop on the
+/// calling thread; with one, each of its workers gets a contiguous run of
+/// groups and a slot of its own.
+pub(crate) fn for_groups(
     fan_out: Option<&Runtime>,
-    n: usize,
-    (src, src_len): (&[f32], usize),
-    (lanes, lanes_len): (&mut [Lane], usize),
+    dst: &mut [Lane],
+    group_len: usize,
     (slots, slot_len): (&mut Vec<Lane>, usize),
-    (dst, dst_len): (&mut [f32], usize),
-    pass: impl Fn(&[f32], &mut [Lane], &mut [Lane], &mut [f32]) + Sync,
+    pass: impl Fn(usize, &mut [Lane], &mut [Lane]) + Sync,
 ) {
-    let groups = n.div_ceil(LANES);
-    let Some(rt) = fan_out.filter(|_| groups > 1) else {
-        slots.resize(slot_len, ZERO);
-        return pass(src, lanes, slots, dst);
+    let groups = dst.len().checked_div(group_len).unwrap_or(0);
+    let run = |first: usize, dst: &mut [Lane], slot: &mut [Lane]| {
+        for (g, dst) in dst.chunks_mut(group_len).enumerate() {
+            pass(first + g, dst, slot);
+        }
     };
-    slots.resize(rt.threads().min(groups) * slot_len, ZERO);
-    let samples = |g: usize| (g * LANES).min(n);
-    let lanes = rt.split_at_offsets_mut(lanes, groups, |g| g * lanes_len);
-    let dsts = rt.split_at_offsets_mut(dst, groups, |g| samples(g) * dst_len);
-    let jobs = (lanes.into_iter().zip(dsts))
-        .zip(slots.chunks_mut(slot_len))
-        .map(|(((g, lanes), (_, dst)), slot)| {
-            let src = &src[samples(g.start) * src_len..samples(g.end) * src_len];
-            (src, lanes, slot, dst)
-        });
-    rt.scatter(jobs.collect(), |(src, lanes, slot, dst)| {
-        pass(src, lanes, slot, dst)
-    });
+    match fan_out.filter(|_| groups > 1) {
+        None => {
+            slots.resize(slot_len, ZERO);
+            run(0, dst, slots)
+        }
+        Some(rt) => {
+            let jobs = rt.split_at_offsets_mut(dst, groups, |g| g * group_len);
+            slots.resize(jobs.len() * slot_len, ZERO);
+            let mut rest = &mut slots[..];
+            let jobs: Vec<_> = (jobs.into_iter())
+                .map(|job| {
+                    let (slot, tail) = std::mem::take(&mut rest).split_at_mut(slot_len);
+                    rest = tail;
+                    (job, slot)
+                })
+                .collect();
+            rt.scatter(jobs, |((g, dst), slot)| run(g.start, dst, slot));
+        }
+    }
 }
 
-/// Sparse convolution forward: `out[n, out_c, oh, ow] = W ∗ x` for
-/// `x[n, in_c, h, w]` and the CSR weight `s`, overwriting `out`. The
-/// transposed input stays in `bufs` for [`spconv_backward_rt`].
-/// Bit-identical to im2col → [`crate::oracle::spmm_into`] into a zeroed output, on
-/// any runtime.
+/// Sparse convolution forward: `out[n, out_c, oh, ow] = W ∗ x` for the input
+/// activation `x` (the index's geometry and ring) and the CSR weight `s`;
+/// `out` is resized with no ring and overwritten. Bit-identical to im2col →
+/// [`crate::oracle::spmm_into`] into a zeroed output, on any runtime.
 ///
 /// # Panics
 ///
-/// Panics if `s` is not the structure `idx` was built from or a slice length
-/// does not match `n` and the geometry.
+/// Panics if `s` is not the structure `idx` was built from or `x` not an
+/// input of its geometry and ring.
 pub fn spconv_forward_rt(
     rt: &Runtime,
     idx: &SpConvIndex,
     s: CsrView<'_>,
-    x: &[f32],
-    n: usize,
-    bufs: &mut ConvBufs,
-    out: &mut [f32],
+    x: &LaneTensor,
+    out: &mut LaneTensor,
 ) {
     idx.check(&s);
-    let (sample_in, sample_out) = (idx.sample_in(), idx.sample_out());
-    assert_eq!(x.len(), n * sample_in, "spconv input length mismatch");
-    assert_eq!(out.len(), n * sample_out, "spconv output length mismatch");
-    let groups = n.div_ceil(LANES);
-    bufs.size_kept_input(&idx.geom, groups);
-    let ConvBufs { xt, out_t, .. } = bufs;
-    over_groups(
-        worth_fanning_out(rt, &s, idx, groups).then_some(rt),
-        n,
-        (x, sample_in),
-        (xt, idx.group_in),
-        (out_t, sample_out),
-        (out, sample_out),
-        |x, xt, out_t, out| {
-            let groups = (x.chunks(LANES * sample_in))
-                .zip(xt.chunks_mut(idx.group_in))
-                .zip(out.chunks_mut(LANES * sample_out));
-            for ((x, xt), out) in groups {
-                run_lanes(Forward(idx, s, x, xt, out_t, out));
-            }
+    idx.check_input(x);
+    let g = &idx.geom;
+    out.resize([x.n(), idx.out_c, g.out_h(), g.out_w()], 0);
+    let (xs, group_in) = (x.lanes(), idx.group_in);
+    let fan_out = worth_fanning_out(rt, &s, idx, x.groups()).then_some(rt);
+    let no_slots = (&mut Vec::new(), 0);
+    for_groups(
+        fan_out,
+        out.lanes_mut(),
+        idx.group_out(),
+        no_slots,
+        |gi, out, _| {
+            run_lanes(Forward(idx, s, &xs[gi * group_in..][..group_in], out));
         },
     );
 }
 
-/// Sparse convolution backward from `dy[n, out_c, oh, ow]`, over the input
-/// the last [`spconv_forward_rt`] left in `bufs`:
+/// Sparse convolution backward from `dy[n, out_c, oh, ow]` (no ring) over
+/// the forward's input `x`:
 ///
 /// - `grad_vals` (one slot per stored entry) *accumulates* the weight
 ///   gradient, one fresh accumulator per sample added in sample order —
 ///   bit-identical to [`crate::oracle::sddmm_nt_seg_into`] with `seg = oh·ow` over
 ///   the batched column matrix;
-/// - `gx[n, in_c, h, w]` is *overwritten* with the input gradient —
-///   bit-identical to [`crate::oracle::spmm_tn_into`] into a zeroed matrix followed
-///   by per-sample [`crate::oracle::col2im_ld`] into a zeroed `gx`.
+/// - `gx` is resized to `x`'s layout and *overwritten* with the input
+///   gradient — bit-identical to [`crate::oracle::spmm_tn_into`] into a zeroed
+///   matrix followed by per-sample [`crate::oracle::col2im_ld`] into a zeroed
+///   `gx`.
 ///
 /// Either output may be left out.
 ///
 /// # Panics
 ///
-/// Panics if `s` is not the structure `idx` was built from, `bufs` does not
-/// hold the forward input of `n` samples, or a slice length is wrong.
-#[allow(clippy::too_many_arguments)] // the kernel's natural operands
+/// Panics if `s` is not the structure `idx` was built from, `x` is not an
+/// input of its geometry and ring, or `dy` not its output's shape.
 pub fn spconv_backward_rt(
     rt: &Runtime,
     idx: &SpConvIndex,
     s: CsrView<'_>,
-    dy: &[f32],
-    n: usize,
-    bufs: &mut ConvBufs,
+    x: &LaneTensor,
+    dy: &LaneTensor,
     grad_vals: Option<&mut [f32]>,
-    gx: Option<&mut [f32]>,
+    gx: Option<&mut LaneTensor>,
 ) {
     idx.check(&s);
-    let (sample_in, sample_out) = (idx.sample_in(), idx.sample_out());
-    let groups = n.div_ceil(LANES);
-    assert_eq!(dy.len(), n * sample_out, "spconv dy length mismatch");
+    idx.check_input(x);
+    let g = &idx.geom;
     assert!(
-        bufs.xt_geom == Some(idx.geom) && bufs.xt.len() == groups * idx.group_in,
-        "spconv backward called before forward"
+        dy.shape() == [x.n(), idx.out_c, g.out_h(), g.out_w()] && dy.ring() == 0,
+        "spconv dy is not the output's layout"
     );
-    let fan_out = worth_fanning_out(rt, &s, idx, groups);
-    let ConvBufs { xt, dy_t, gx_t, .. } = bufs;
-    dy_t.resize(groups * sample_out, ZERO);
+    let fan_out = worth_fanning_out(rt, &s, idx, x.groups());
+    let (group_in, group_out) = (idx.group_in, idx.group_out());
+    let (xs, dys) = (x.lanes(), dy.lanes());
 
-    // dY into lanes and, when asked for, dX — by group.
-    match gx {
-        None => {
-            for (dy, dy_t) in (dy.chunks(LANES * sample_out)).zip(dy_t.chunks_mut(sample_out)) {
-                run_lanes(Backward(idx, s, dy, dy_t, None));
-            }
-        }
-        Some(gx) => {
-            assert_eq!(gx.len(), n * sample_in, "spconv gx length mismatch");
-            over_groups(
-                fan_out.then_some(rt),
-                n,
-                (dy, sample_out),
-                (dy_t, sample_out),
-                (gx_t, idx.group_in),
-                (gx, sample_in),
-                |dy, dy_t, gx_t, gx| {
-                    let groups = (dy.chunks(LANES * sample_out))
-                        .zip(dy_t.chunks_mut(sample_out))
-                        .zip(gx.chunks_mut(LANES * sample_in));
-                    for ((dy, dy_t), gx) in groups {
-                        run_lanes(Backward(idx, s, dy, dy_t, Some((&mut *gx_t, gx))));
-                    }
-                },
-            );
-        }
+    if let Some(gx) = gx {
+        gx.resize(x.shape(), x.ring());
+        let (fan_out, no_slots) = (fan_out.then_some(rt), (&mut Vec::new(), 0));
+        for_groups(fan_out, gx.lanes_mut(), group_in, no_slots, |gi, gx, _| {
+            run_lanes(Dx(idx, s, &dys[gi * group_out..][..group_out], gx));
+        });
     }
 
     // dW: CSR rows split at `row_ptr`, every worker walking the groups in
     // ascending order so each slot adds its samples in order.
     if let Some(vals) = grad_vals {
         assert_eq!(vals.len(), s.nnz(), "spconv grad slot count mismatch");
-        let (xt, dy_t) = (&xt[..], &dy_t[..]);
         let run = |(rows, chunk): (Range<usize>, &mut [f32])| {
             let entries = s.row_ptr[rows.start]..s.row_ptr[rows.end];
-            let groups = xt.chunks(idx.group_in).zip(dy_t.chunks(sample_out));
+            let groups = xs.chunks(group_in).zip(dys.chunks(group_out));
             for (gi, (xt, dy_t)) in groups.enumerate() {
-                let valid = LANES.min(n - gi * LANES);
-                run_lanes(Dw(idx, xt, dy_t, valid, entries.clone(), chunk));
+                run_lanes(Dw(idx, xt, dy_t, x.live(gi), entries.clone(), chunk));
             }
         };
         if s.rows > 1 && fan_out {
@@ -405,190 +349,29 @@ pub fn spconv_backward_rt(
     }
 }
 
-/// One group of a forward pass, `(idx, s, x, xt, out_t, out)`: `x[valid ≤ 8,
-/// in_c, h, w]` into the lanes of `xt`, the kernel, `out_t` back out to
-/// `out[valid, out_c, oh, ow]`.
-struct Forward<'a>(
-    &'a SpConvIndex,
-    CsrView<'a>,
-    &'a [f32],
-    &'a mut [Lane],
-    &'a mut [Lane],
-    &'a mut [f32],
-);
+/// One group of a forward pass, `(idx, s, xt, out_t)`.
+struct Forward<'a>(&'a SpConvIndex, CsrView<'a>, &'a [Lane], &'a mut [Lane]);
 
 impl LaneJob for Forward<'_> {
     #[inline(always)]
     fn run<V: Lanes>(self) {
-        let Forward(idx, s, x, xt, out_t, out) = self;
-        let (sample_in, sample_out) = (idx.sample_in(), idx.sample_out());
-        let valid = x.len() / sample_in;
-        to_lanes::<V>(x, sample_in, valid, xt, Cursor::interior(&idx.geom));
+        let Forward(idx, s, xt, out_t) = self;
         forward_kernel::<V>(idx, &s, xt, out_t);
-        from_lanes::<V>(out_t, Cursor::flat(), valid, sample_out, out);
     }
 }
 
-/// One group of a backward pass, `(idx, s, dy, dy_t, gx)`: `dy[valid, out_c,
-/// oh, ow]` into the lanes of `dy_t` and, given `gx = (gx_t, gx)`, the dX
-/// kernel and its result back out to `gx[valid, in_c, h, w]`.
-struct Backward<'a>(
-    &'a SpConvIndex,
-    CsrView<'a>,
-    &'a [f32],
-    &'a mut [Lane],
-    Option<(&'a mut [Lane], &'a mut [f32])>,
-);
+/// One group of dX, `(idx, s, dy_t, gx_t)`: `gx_t` zeroed, the kernel, the
+/// ring zeroed again.
+struct Dx<'a>(&'a SpConvIndex, CsrView<'a>, &'a [Lane], &'a mut [Lane]);
 
-impl LaneJob for Backward<'_> {
+impl LaneJob for Dx<'_> {
     #[inline(always)]
     fn run<V: Lanes>(self) {
-        let Backward(idx, s, dy, dy_t, gx) = self;
-        let (sample_in, sample_out) = (idx.sample_in(), idx.sample_out());
-        let valid = dy.len() / sample_out;
-        to_lanes::<V>(dy, sample_out, valid, dy_t, Cursor::flat());
-        if let Some((gx_t, gx)) = gx {
-            gx_t.fill(ZERO);
-            dx_kernel::<V>(idx, &s, dy_t, gx_t);
-            from_lanes::<V>(gx_t, Cursor::interior(&idx.geom), valid, sample_in, gx);
-        }
-    }
-}
-
-/// Walks the positions of `[in_c, h, w]` in flat order and yields where each
-/// lies in a lane buffer: inside the padded `[in_c, h + 2p, w + 2p]`
-/// ([`Cursor::interior`]), at the same flat offset ([`Cursor::flat`]), or in
-/// rows with a gap after each ([`Cursor::rows`]).
-#[derive(Clone, Copy)]
-pub(crate) struct Cursor {
-    at: usize,
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    /// Padding lanes between two rows, and the further ones between planes.
-    row_skip: usize,
-    plane_skip: usize,
-}
-
-impl Cursor {
-    pub(crate) fn flat() -> Self {
-        Cursor {
-            at: 0,
-            x: 0,
-            y: 0,
-            w: usize::MAX,
-            h: usize::MAX,
-            row_skip: 0,
-            plane_skip: 0,
-        }
-    }
-
-    /// Rows of `w` positions with `skip` unused lanes after each.
-    pub(crate) fn rows(w: usize, skip: usize) -> Self {
-        Cursor {
-            w,
-            row_skip: skip,
-            ..Cursor::flat()
-        }
-    }
-
-    pub(crate) fn interior(g: &ConvGeom) -> Self {
-        let wp = g.in_w + 2 * g.pad;
-        Cursor {
-            at: g.pad * wp + g.pad,
-            x: 0,
-            y: 0,
-            w: g.in_w,
-            h: g.in_h,
-            row_skip: 2 * g.pad,
-            plane_skip: 2 * g.pad * wp,
-        }
-    }
-
-    #[inline(always)]
-    fn next(&mut self) -> usize {
-        let at = self.at;
-        self.at += 1;
-        self.x += 1;
-        if self.x == self.w {
-            self.x = 0;
-            self.at += self.row_skip;
-            self.y += 1;
-            if self.y == self.h {
-                self.y = 0;
-                self.at += self.plane_skip;
-            }
-        }
-        at
-    }
-}
-
-/// `dst[at(i)][l] = src[l·sample + i]` for `i < sample` and the `valid` live
-/// lanes, `+0.0` in the rest: up to eight whole samples of `sample` floats,
-/// transposed into the lanes `at` walks. Full groups move as 8 × 8 register
-/// blocks.
-#[inline(always)]
-pub(crate) fn to_lanes<V: Lanes>(
-    src: &[f32],
-    sample: usize,
-    valid: usize,
-    dst: &mut [Lane],
-    mut at: Cursor,
-) {
-    let mut i = 0;
-    if valid == LANES {
-        while i + LANES <= sample {
-            let rows: [V; LANES] = std::array::from_fn(|l| {
-                let row = &src[l * sample + i..][..LANES];
-                V::load(row.try_into().expect("eight floats"))
-            });
-            for v in V::transpose(rows) {
-                v.store(&mut dst[at.next()].0);
-            }
-            i += LANES;
-        }
-    }
-    while i < sample {
-        let mut v = ZERO;
-        for (l, vl) in v.0[..valid].iter_mut().enumerate() {
-            *vl = src[l * sample + i];
-        }
-        dst[at.next()] = v;
-        i += 1;
-    }
-}
-
-/// `dst[l·sample + i] = src[at(i)][l]` for `i < sample` and the `valid` live
-/// lanes — the inverse of [`to_lanes`]; dead lanes are dropped.
-#[inline(always)]
-pub(crate) fn from_lanes<V: Lanes>(
-    src: &[Lane],
-    mut at: Cursor,
-    valid: usize,
-    sample: usize,
-    dst: &mut [f32],
-) {
-    let mut i = 0;
-    if valid == LANES {
-        while i + LANES <= sample {
-            let mut block = [V::splat(0.0); LANES];
-            for v in &mut block {
-                *v = V::load(&src[at.next()].0);
-            }
-            for (l, v) in V::transpose(block).into_iter().enumerate() {
-                let row = &mut dst[l * sample + i..][..LANES];
-                v.store(row.try_into().expect("eight floats"));
-            }
-            i += LANES;
-        }
-    }
-    while i < sample {
-        let v = src[at.next()];
-        for (l, &vl) in v.0[..valid].iter().enumerate() {
-            dst[l * sample + i] = vl;
-        }
-        i += 1;
+        let Dx(idx, s, dy_t, gx_t) = self;
+        gx_t.fill(ZERO);
+        dx_kernel::<V>(idx, &s, dy_t, gx_t);
+        let g = &idx.geom;
+        zero_ring(gx_t, [g.in_c, g.in_h, g.in_w], idx.ring);
     }
 }
 
@@ -680,7 +463,7 @@ fn dx_kernel<V: Lanes>(idx: &SpConvIndex, s: &CsrView<'_>, dy_t: &[Lane], gx_t: 
             continue;
         }
         let (rows, entries) = (&idx.col_row[col.clone()], &idx.col_entry[col]);
-        let taps = &mut gx_t[tap_origin(&idx.geom, j)..];
+        let taps = &mut gx_t[tap_origin(&idx.geom, idx.ring, j)..];
         let mut p = 0;
         while p < cc {
             let (dy, pixel) = (&dy_t[p..], &idx.pixel[p..]);
@@ -851,9 +634,24 @@ pub(crate) mod tests {
         (out, gx)
     }
 
+    /// `x` (`[n, c, h, w]`) in lanes with a ring of `ring`.
+    pub(crate) fn lanes_of(x: &[f32], shape: [usize; 4], ring: usize) -> LaneTensor {
+        let mut t = LaneTensor::default();
+        t.copy_from_nchw(x, shape, ring);
+        t
+    }
+
+    /// The interior of `t` as NCHW.
+    pub(crate) fn nchw_of(t: &LaneTensor) -> Vec<f32> {
+        let mut out = vec![f32::NAN; t.shape().iter().product()];
+        t.copy_to_nchw(&mut out);
+        out
+    }
+
     /// Forward, dW (accumulated over `batches` consecutive batches of `n`
-    /// on one index and one set of buffers) and dX of the engine against the
-    /// im2col + CSR route, `to_bits`, on `rt`.
+    /// on one index) and dX of the engine against the im2col + CSR route,
+    /// `to_bits`, on `rt`, over inputs whose ring is the padding and one
+    /// wider; the outputs' rings and dead lanes are `+0.0`.
     pub(crate) fn assert_matches_oracle(
         rt: &Runtime,
         w: &CsrMatrix,
@@ -861,35 +659,28 @@ pub(crate) mod tests {
         batches: &[usize],
         rng: &mut ChaCha8Rng,
     ) {
+        use crate::act::tests::assert_ring_and_dead_lanes_zero;
         let (s, cc) = (view_of(w), g.col_cols());
-        let idx = SpConvIndex::new(s, g);
-        let mut bufs = ConvBufs::default();
-        let mut grad = vec![0.25f32; s.nnz()];
-        let mut grad_oracle = grad.clone();
-        for &n in batches {
-            let x = rand_vec(n * g.in_c * g.in_h * g.in_w, rng);
-            let dy = rand_vec(n * s.rows * cc, rng);
-            let (out_o, gx_o) = im2col_csr_oracle(s, g, &x, &dy, n, &mut grad_oracle);
-            let mut out = vec![f32::NAN; out_o.len()];
-            spconv_forward_rt(rt, &idx, s, &x, n, &mut bufs, &mut out);
-            assert_eq!(bits(&out), bits(&out_o), "forward n={n} {g:?}");
-            assert_eq!(
-                bufs.kept_input_len(),
-                n.div_ceil(8) * 8 * g.in_c * (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad)
-            );
-            let mut gx = vec![f32::NAN; gx_o.len()];
-            spconv_backward_rt(
-                rt,
-                &idx,
-                s,
-                &dy,
-                n,
-                &mut bufs,
-                Some(&mut grad),
-                Some(&mut gx),
-            );
-            assert_eq!(bits(&gx), bits(&gx_o), "gx n={n} {g:?}");
-            assert_eq!(bits(&grad), bits(&grad_oracle), "dW n={n} {g:?}");
+        for ring in [g.pad, g.pad + 1] {
+            let idx = SpConvIndex::new(s, g, ring);
+            let mut grad = vec![0.25f32; s.nnz()];
+            let mut grad_oracle = grad.clone();
+            let (mut out, mut gx) = (LaneTensor::default(), LaneTensor::default());
+            for &n in batches {
+                let x = rand_vec(n * g.in_c * g.in_h * g.in_w, rng);
+                let dy = rand_vec(n * s.rows * cc, rng);
+                let (out_o, gx_o) = im2col_csr_oracle(s, g, &x, &dy, n, &mut grad_oracle);
+                let lx = lanes_of(&x, [n, g.in_c, g.in_h, g.in_w], ring);
+                spconv_forward_rt(rt, &idx, s, &lx, &mut out);
+                let tag = format!("n={n} r{ring} {g:?}");
+                assert_ring_and_dead_lanes_zero(&out, &tag);
+                assert_eq!(bits(&nchw_of(&out)), bits(&out_o), "forward {tag}");
+                let ldy = lanes_of(&dy, out.shape(), 0);
+                spconv_backward_rt(rt, &idx, s, &lx, &ldy, Some(&mut grad), Some(&mut gx));
+                assert_ring_and_dead_lanes_zero(&gx, &tag);
+                assert_eq!(bits(&nchw_of(&gx)), bits(&gx_o), "gx {tag}");
+                assert_eq!(bits(&grad), bits(&grad_oracle), "dW {tag}");
+            }
         }
     }
 
@@ -935,8 +726,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before forward")]
-    fn spconv_backward_needs_the_forward_input() {
+    #[should_panic(expected = "does not match its index")]
+    fn spconv_refuses_an_input_of_another_ring() {
         let g = ConvGeom {
             in_c: 1,
             in_h: 3,
@@ -946,18 +737,14 @@ pub(crate) mod tests {
             pad: 1,
         };
         let w = random_weight(2, 9, 1.0, (9, 9), &mut ChaCha8Rng::seed_from_u64(1));
-        let idx = SpConvIndex::new(view_of(&w), &g);
-        let dy = vec![0.0; 2 * 9];
-        let mut gx = vec![0.0; 9];
-        spconv_backward_rt(
+        let idx = SpConvIndex::new(view_of(&w), &g, 1);
+        let x = lanes_of(&[0.0; 9], [1, 1, 3, 3], 2);
+        spconv_forward_rt(
             &Runtime::sequential(),
             &idx,
             view_of(&w),
-            &dy,
-            1,
-            &mut ConvBufs::default(),
-            None,
-            Some(&mut gx),
+            &x,
+            &mut LaneTensor::default(),
         );
     }
 }

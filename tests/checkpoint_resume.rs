@@ -11,8 +11,8 @@
 
 use fedtiny::{run_fedtiny, run_fedtiny_with, FedTinyConfig, FedTinyRunOptions};
 use fedtiny_suite::fl::{
-    no_hook, run_federated_rounds, run_with, Codec, CostLedger, DeviceProfile, ExperimentEnv,
-    InProcess, MetricsHub, ModelSpec, RunOptions, Scheduler, ServerError,
+    no_hook, run_federated_rounds, run_with, Checkpoint, Codec, CostLedger, DeviceProfile,
+    ExperimentEnv, InProcess, MetricsHub, ModelSpec, RunOptions, Scheduler, ServerError,
 };
 use fedtiny_suite::nn::{flat_params, sparse_layout, Model};
 use fedtiny_suite::sparse::Mask;
@@ -547,4 +547,84 @@ fn ckpt_resuming_a_finished_run_publishes_its_ledger() {
             "{sched:?}: the hub missed the restored ledger"
         );
     }
+}
+
+/// The bytes of a checkpoint written after `halt_after` rounds of a run of
+/// `spec` under `scheduler`.
+fn sample_checkpoint(scheduler: Scheduler, spec: &ModelSpec, halt_after: usize) -> Vec<u8> {
+    let path = temp_ckpt(&format!("fuzz_sample_{}", scheduler.name()));
+    let env = build_env(scheduler, Codec::MaskCsr, 5);
+    let mut model = env.build_model(spec);
+    let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+    let mut ledger = CostLedger::new();
+    let mut transport = InProcess;
+    let mut opts = RunOptions::new(&mut transport);
+    opts.checkpoint = Some(path.clone());
+    opts.halt_after = Some(halt_after);
+    run_with(
+        model.as_mut(),
+        &mut mask,
+        &env,
+        1,
+        &mut ledger,
+        &mut no_hook(),
+        opts,
+    )
+    .expect("halted sample run");
+    let bytes = std::fs::read(&path).expect("read sample checkpoint");
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+/// Mutation fuzz of the checkpoint decoder: every mutant of two sample
+/// checkpoints — one synchronous, one buffered with tasks in flight, both of
+/// a model whose mask layers are not whole bytes — either fails with a typed
+/// error or decodes to a checkpoint that re-serialises to exactly the
+/// mutant's bytes. Never a panic, and never a second encoding of one value
+/// (set padding bits in a packed bit vector were one). Mutations: a flipped
+/// bit, a replaced byte, a truncation, a deleted or an inserted byte, from a
+/// fixed seed.
+#[test]
+fn ckpt_decoder_mutants_are_typed_errors_or_canonical() {
+    use rand::{Rng, SeedableRng};
+    // `SmallCnn` at width 1: a 2·1·3·3 = 18-bit mask layer, six padding bits.
+    let spec = ModelSpec::SmallCnn { width: 1, input: 8 };
+    let samples = [
+        sample_checkpoint(Scheduler::Synchronous, &spec, 2),
+        sample_checkpoint(Scheduler::Buffered { buffer_k: 2 }, &spec, 2),
+    ];
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x0f0f);
+    let (mut errors, mut decoded) = (0usize, 0usize);
+    for sample in &samples {
+        let canonical = Checkpoint::from_bytes(sample).expect("sample decodes");
+        assert_eq!(&canonical.to_bytes(), sample, "sample is canonical");
+        for _ in 0..12_000 {
+            let mut m = sample.clone();
+            let at = rng.gen_range(0..m.len());
+            match rng.gen_range(0..5u32) {
+                0 | 1 => m[at] ^= 1 << rng.gen_range(0..8u32),
+                2 => m[at] = rng.gen_range(0..=255u32) as u8,
+                3 => m.truncate(at),
+                _ if rng.gen_range(0..2u32) == 0 => {
+                    m.remove(at);
+                }
+                _ => m.insert(at, rng.gen_range(0..=255u32) as u8),
+            }
+            match Checkpoint::from_bytes(&m) {
+                Err(_) => errors += 1,
+                Ok(c) => {
+                    decoded += 1;
+                    assert!(
+                        c.to_bytes() == m,
+                        "a mutant decoded to a non-canonical checkpoint"
+                    );
+                }
+            }
+        }
+    }
+    // Both outcomes occur: the mutants reach past the header.
+    assert!(
+        errors > 0 && decoded > 0,
+        "{errors} errors, {decoded} decodes"
+    );
 }

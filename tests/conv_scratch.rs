@@ -6,7 +6,7 @@
 //! holds one test and nothing runs beside it.
 
 use fedtiny_suite::nn::{Conv2d, Mode};
-use fedtiny_suite::tensor::{normal, Tensor};
+use fedtiny_suite::tensor::{normal, LaneTensor};
 use ft_bench::{allocated_bytes, CountingAlloc};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -19,19 +19,26 @@ fn a_dense_conv_grows_its_scratch_once_and_never_a_column_matrix() {
     let (in_c, out_c, side) = (16usize, 8usize, 12usize);
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let mut conv = Conv2d::new(&mut rng, in_c, out_c, 3, 1, 1, true, "c");
-    let batches: Vec<(Tensor, Tensor)> = [32usize, 18, 32, 1]
+    // The layer works on lane activations; the NCHW operands are converted
+    // here, outside the measured steps.
+    let lanes = |shape: [usize; 4], ring, rng: &mut ChaCha8Rng| {
+        let mut t = LaneTensor::default();
+        t.copy_from_nchw(normal(rng, &shape, 0.0, 1.0).data(), shape, ring);
+        t
+    };
+    let batches: Vec<(LaneTensor, LaneTensor)> = [32usize, 18, 32, 1]
         .into_iter()
         .map(|n| {
-            let x = normal(&mut rng, &[n, in_c, side, side], 0.0, 1.0);
-            let dy = normal(&mut rng, &[n, out_c, side, side], 0.0, 1.0);
+            let x = lanes([n, in_c, side, side], 1, &mut rng);
+            let dy = lanes([n, out_c, side, side], 0, &mut rng);
             (x, dy)
         })
         .collect();
-    let (mut y, mut gx) = (Tensor::default(), Tensor::default());
-    let mut step = |(x, dy): &(Tensor, Tensor), mode: Mode| {
+    let mut gx = LaneTensor::default();
+    let mut step = |(x, dy): &(LaneTensor, LaneTensor), mode: Mode| {
         let before = allocated_bytes();
-        conv.forward_into(x, &mut y, mode);
-        conv.backward_into(dy, &mut gx);
+        conv.forward(x, mode);
+        conv.backward(x, dy, Some(&mut gx));
         allocated_bytes() - before
     };
 

@@ -434,3 +434,28 @@ fn ckpt_inspect_matches_golden() {
     let again = fedtiny_suite::fl::Checkpoint::from_bytes(&ckpt.to_bytes()).expect("round-trip");
     assert!(ckpt.diff(&again).is_empty());
 }
+
+/// An option a subcommand does not declare is a usage error (exit 2) before
+/// anything runs, never silently ignored: a misspelt `--rounds` must not run
+/// the default round count. Declared options still run.
+#[test]
+fn unknown_options_are_refused_not_ignored() {
+    let dispatch = |line: &str| {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        ft_cli::dispatch(&argv)
+    };
+    for line in [
+        "run --round 3",
+        "run --bogus",
+        "run --rounds 1 --batch 0",
+        "resume --checkpoint none.ckpt --bogus",
+        "serve --demo --bogus 1",
+        "device --connect 127.0.0.1:1 --device 0 --bogus",
+        "ckpt inspect none.ckpt --bogus",
+        "watch 127.0.0.1:1 --bogus",
+        "bench --bogus",
+    ] {
+        assert_eq!(dispatch(line), 2, "{line}");
+    }
+    assert_eq!(dispatch("run --rounds 0 --devices 2"), 0);
+}
