@@ -353,13 +353,14 @@ fn resnet_step_records(report: &mut BenchReport) {
     );
 }
 
-/// The direct sparse convolution's three kernels, single-thread, at
-/// [`stage_geoms`] and d = 0.05, on lane activations as a model hands them
-/// over (`spconv_dx` is a backward without dW, `spconv_dw` one without dX).
+/// The direct sparse convolution's three kernels, single-thread, at all
+/// four [`resnet_stage_geoms`] and d = 0.05, on lane activations as a model
+/// hands them over (`spconv_dx` is a backward without dW, `spconv_dw` one
+/// without dX).
 fn spconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
     let (n, density) = (CONV_BATCH, 0.05f64);
     let rt = Runtime::sequential();
-    for (g, shape) in stage_geoms() {
+    for (g, shape) in resnet_stage_geoms() {
         let ch = g.in_c;
         let csr = rand_csr(rng, ch, g.col_rows(), density);
         let idx = SpConvIndex::new(csr.view(), &g, g.pad);
@@ -419,12 +420,11 @@ fn alternate_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
     (median(&mut ns_a), median(&mut ns_b))
 }
 
-/// The two conv shapes the kernel records use: the first and the last
-/// residual stage of the benchmark's ResNet18 (batch 32) — 16 channels on
-/// 16 px and 128 channels on 2 px carry the same multiply-adds, so the pair
-/// shows what plane size costs.
-fn stage_geoms() -> [(ConvGeom, String); 2] {
-    [(16usize, 16usize), (128, 2)].map(|(ch, side)| {
+/// The four residual stages of the benchmark's ResNet18 (batch 32), as
+/// their stride-1 3×3 convolutions: 16 channels on 16 px down to 128 on
+/// 2 px, every one the same multiply-adds.
+fn resnet_stage_geoms() -> [(ConvGeom, String); 4] {
+    [(16usize, 16usize), (32, 8), (64, 4), (128, 2)].map(|(ch, side)| {
         let g = ConvGeom {
             in_c: ch,
             in_h: side,
@@ -435,6 +435,14 @@ fn stage_geoms() -> [(ConvGeom, String); 2] {
         };
         (g, format!("b{CONV_BATCH}x{ch}x{side}x{side}k3"))
     })
+}
+
+/// The two conv shapes most kernel records use: the first and the last
+/// stage of [`resnet_stage_geoms`], so the pair shows what plane size
+/// costs.
+fn stage_geoms() -> [(ConvGeom, String); 2] {
+    let [first, _, _, last] = resnet_stage_geoms();
+    [first, last]
 }
 
 /// Batch of the conv kernel records.

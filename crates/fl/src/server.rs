@@ -54,7 +54,7 @@ use ft_nn::{
     apply_mask, flat_params_into, restore_snapshot, set_bn_stats, set_flat_params, take_snapshot,
     wire_ctx, ArchInfo, Model,
 };
-use ft_runtime::Runtime;
+use ft_runtime::{chunk_ranges, Runtime};
 use ft_sparse::{Mask, Payload, WireCtx};
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -734,13 +734,17 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             let flops = training_flops(&self.arch, &self.densities)
                 * max_samples
                 * env.cfg.local_epochs as f64;
-            // Training wall-clock: the slowest device when the cohort ran
-            // side by side, the sum when it ran one device after another.
-            let walls = window.iter().filter_map(|a| a.update.as_ref());
+            // Training wall-clock: the busiest worker's share. The pool
+            // deals the cohort — ascending device ids, the window's order —
+            // in contiguous batches, one per worker, and a worker trains its
+            // batch device after device; one thread trains them all.
+            let wall_of = |a: &Arrival| a.update.as_ref().map_or(0.0, |u| u.wall_secs);
             let wall = if fans_out(window.len(), &self.rt) {
-                walls.map(|u| u.wall_secs).fold(0.0, f64::max)
+                (chunk_ranges(window.len(), self.rt.threads()).into_iter())
+                    .map(|batch| window[batch].iter().map(wall_of).sum::<f64>())
+                    .fold(0.0, f64::max)
             } else {
-                walls.map(|u| u.wall_secs).sum()
+                window.iter().map(wall_of).sum()
             };
             // Simulated span: the slowest member, cut at the deadline.
             let slowest = window.iter().map(|a| a.sim.secs).fold(0.0, f64::max);
@@ -1231,6 +1235,48 @@ mod tests {
         assert!(
             ledger.total_train_wall_secs() >= transport.device_wall_secs,
             "recorded {} s for devices that trained {} s back to back",
+            ledger.total_train_wall_secs(),
+            transport.device_wall_secs
+        );
+    }
+
+    #[test]
+    fn round_wall_under_a_two_thread_pool_is_the_busiest_workers_share() {
+        // Ten devices on two workers run as two batches of five, each
+        // trained device after device: the round took at least half of the
+        // devices' summed wall-clock. Taking the slowest device booked a
+        // fifth of that. `Runtime::exact` keeps the pool at two threads on
+        // a one-core host too.
+        let mut cfg = crate::FlConfig::tiny_for_tests();
+        (cfg.devices, cfg.seed, cfg.alpha) = (10, 5, 100.0);
+        let synth = ft_data::SynthConfig::tiny_for_tests(ft_data::DatasetProfile::Cifar10, 5);
+        let env = ExperimentEnv::new(synth, cfg);
+        assert_eq!(env.num_devices(), 10);
+        let mut model = env.build_model(&ModelSpec::small_cnn_test());
+        let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+        let mut ledger = CostLedger::new();
+        let mut transport = WallProbe {
+            device_wall_secs: 0.0,
+        };
+        let opts = RunOptions::new(&mut transport);
+        let mut hook = no_hook();
+        let rt = Runtime::exact(2);
+        Server::new(
+            &env,
+            0,
+            model.as_mut(),
+            &mut mask,
+            &mut ledger,
+            &mut hook,
+            opts,
+            rt,
+        )
+        .run()
+        .expect("in-process run");
+        assert!(transport.device_wall_secs > 0.0);
+        assert!(
+            ledger.total_train_wall_secs() >= transport.device_wall_secs / 2.0,
+            "recorded {} s for ten devices that trained {} s on two workers",
             ledger.total_train_wall_secs(),
             transport.device_wall_secs
         );
