@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the numerical substrate: convolution
 //! forward/backward, the `O(k)` top-k buffer vs a full sort (the ablation
 //! behind progressive pruning's `O(a)` device buffer), masked SGD steps, and
-//! BN-adaptation forward passes. The last target writes the
+//! BN-adaptation forward passes, and the TCP path's frame coders. The last
+//! target writes the
 //! persisted trajectory (`BENCH_micro_ops.json`) that `bench_check` gates:
 //! every record it holds times a kernel or a step the system runs, and every
 //! ratio a gate reads pairs two records of this one run.
@@ -9,11 +10,15 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ft_bench::{allocated_bytes, measure_ns, BenchReport};
 use ft_data::Dataset;
-use ft_fl::{local_train_scratch, TrainScratch};
+use ft_fl::transport::{
+    begin_frame, decode_round_frame, decode_update_frame, encode_round_frame,
+    encode_update_frame_into,
+};
+use ft_fl::{local_train_scratch, Codec, DeviceUpdate, TrainScratch};
 use ft_nn::loss::softmax_cross_entropy_into;
 use ft_nn::models::{ResNet18, SmallCnn};
 use ft_nn::optim::{Sgd, SgdConfig};
-use ft_nn::{apply_mask, sparse_layout, Mode, Model};
+use ft_nn::{apply_mask, sparse_layout, take_snapshot, wire_ctx, Mode, Model};
 use ft_runtime::Runtime;
 use ft_sparse::{
     magnitude_mask, uniform_density_vector, CsrMatrix, Mask, SparseLayout, TopKBuffer,
@@ -351,6 +356,87 @@ fn resnet_step_records(report: &mut BenchReport) {
         sparse_ns / dense_ns,
         sparse_flops / dense_flops
     );
+}
+
+/// The TCP path's frame coders, single-thread, at the two models the
+/// system ships over it: SmallCnn width 16 on 8×8 inputs (`wide_fleet_tcp`'s)
+/// and ResNet18 width 0.25 on 16×16 (the benchmark's), each under a
+/// d = 0.05 magnitude mask. `frame_update_encode` writes a `Dense` UPDATE
+/// into a reused frame buffer (the device's send path), `frame_update_decode`
+/// parses it back (the server's screen), `frame_round_encode` builds the
+/// shared snapshot of a ROUND frame (once per round on the server) and
+/// `frame_round_decode` parses a ROUND body (the device's receive path).
+/// Each record holds the median ns per frame, the frame's bytes per ns —
+/// GB/s — in its `gflops` field, and the allocator traffic per frame at
+/// steady state; `bench_check` pins `frame_update_encode`'s to zero.
+fn frame_records(report: &mut BenchReport) {
+    let mut rng = ChaCha8Rng::seed_from_u64(41);
+    let models: [(Box<dyn Model>, &str); 2] = [
+        (
+            Box::new(SmallCnn::new(&mut rng, 16, 10, 3, 8)),
+            "small_cnn_w16_8px",
+        ),
+        (
+            Box::new(ResNet18::new(&mut rng, 0.25, 10, 3, 16)),
+            "resnet18_w0.25_16px",
+        ),
+    ];
+    for (mut model, shape) in models {
+        let mask = apply_magnitude_mask(model.as_mut(), 0.05);
+        let ctx = wire_ctx(model.as_ref(), &mask, 3);
+        let snapshot = take_snapshot(model.as_ref());
+        let delta: Vec<f32> = (0..ctx.len()).map(|i| (i as f32 * 0.37).sin()).collect();
+        let update = DeviceUpdate {
+            payload: Codec::Dense.encode(&delta, &ctx, 3, None),
+            bn: snapshot.bn.clone(),
+            samples: 4,
+            realized_flops: 0.0,
+            wall_secs: 0.0,
+        };
+        let mut frame = Vec::new();
+        begin_frame(&mut frame);
+        encode_update_frame_into(&mut frame, 1, 7, 3, &update, &ctx);
+        let update_body = frame[5..].to_vec();
+        let round_shared = encode_round_frame(7, 3, &snapshot, &mask);
+        let mut round_body = 5u32.to_le_bytes().to_vec();
+        round_body.extend_from_slice(&round_shared);
+
+        let mut time = |op: &str, bytes: usize, f: &mut dyn FnMut()| {
+            f();
+            let steady = 4u32;
+            let before = allocated_bytes();
+            for _ in 0..steady {
+                f();
+            }
+            let alloc = (allocated_bytes() - before) as f64 / f64::from(steady);
+            let ns = measure_ns(&mut *f);
+            report.push(op, shape, mask.density() as f64, 1, 1, ns, bytes as f64);
+            report
+                .records
+                .last_mut()
+                .expect("just pushed")
+                .alloc_bytes_per_round = alloc;
+            println!(
+                "{op} {shape}: {:.1} us, {:.2} GB/s, {alloc:.0} B/frame allocated",
+                ns / 1e3,
+                bytes as f64 / ns
+            );
+        };
+        time("frame_update_encode", update_body.len(), &mut || {
+            begin_frame(&mut frame);
+            encode_update_frame_into(&mut frame, 1, 7, 3, &update, &ctx);
+            black_box(&frame);
+        });
+        time("frame_update_decode", update_body.len(), &mut || {
+            black_box(decode_update_frame(&update_body, &ctx).expect("own frame"));
+        });
+        time("frame_round_encode", round_shared.len(), &mut || {
+            black_box(encode_round_frame(7, 3, &snapshot, &mask));
+        });
+        time("frame_round_decode", round_body.len(), &mut || {
+            black_box(decode_round_frame(&round_body).expect("own frame"));
+        });
+    }
 }
 
 /// The direct sparse convolution's three kernels, single-thread, at all
@@ -778,6 +864,7 @@ fn trajectory_benches(_c: &mut Criterion) {
     dispatch_sweep_records(&mut report, &mut rng);
     train_step_records(&mut report);
     resnet_step_records(&mut report);
+    frame_records(&mut report);
 
     let path = report.write();
     println!(

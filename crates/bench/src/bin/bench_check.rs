@@ -54,6 +54,10 @@
 //!   may take at most [`BN_MAX_RATIO`] of the scalar loops they are pinned
 //!   `to_bits`-equal to (`bn_*_oracle`), timed alternately. Catches the
 //!   reductions losing their lanes — one scalar chain per channel again.
+//! - **`frame_update_encode` allocation**: a device encoding an UPDATE into
+//!   its reused frame buffer must allocate exactly zero bytes at steady
+//!   state, at every model shape recorded. Catches the payload going
+//!   through a temporary `Vec` on its way into the frame again.
 //!
 //! From `BENCH_fleet.json`:
 //!
@@ -527,6 +531,30 @@ fn main() -> ExitCode {
                 failed = true;
             }
         }
+    }
+
+    // -- TCP path: an UPDATE encoded into a reused frame allocates nothing --
+    let encodes: Vec<&BenchRecord> = (report.records.iter())
+        .filter(|r| r.op == "frame_update_encode")
+        .collect();
+    if encodes.is_empty() {
+        eprintln!(
+            "  FAIL frame_update_encode: record missing from the report — \
+             this gate cannot be skipped"
+        );
+        failed = true;
+    }
+    for r in encodes {
+        let measured = r.alloc_bytes_per_round >= 0.0;
+        let ok = measured && r.alloc_bytes_per_round == 0.0;
+        evaluated += usize::from(measured);
+        failed |= !ok;
+        println!(
+            "  {:>4} frame_update_encode {} alloc: {:.0} B/frame (need exactly 0)",
+            if ok { "ok" } else { "FAIL" },
+            r.shape,
+            r.alloc_bytes_per_round
+        );
     }
 
     // -- Sparse step time against the dense step of the same run ----------

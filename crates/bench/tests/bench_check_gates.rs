@@ -147,3 +147,31 @@ fn g4_fails_when_bn_takes_oracle_time() {
     let (passed, text) = check("g4_slow", &report);
     assert!(!passed && text.contains("FAIL g4 bn"), "{text}");
 }
+
+/// An UPDATE encoder that builds its payload in a temporary `Vec` again —
+/// the 97 KB a `wide_fleet_tcp` frame carries — and one whose record is
+/// gone: both fail the frame allocation gate.
+#[test]
+fn frame_encode_gate_fails_when_the_encoder_allocates() {
+    let committed = committed_micro_ops();
+    let mut report = committed.clone();
+    let encode = report
+        .records
+        .iter_mut()
+        .find(|r| r.op == "frame_update_encode")
+        .expect("frame_update_encode record");
+    encode.alloc_bytes_per_round = 97_000.0;
+    let (passed, text) = check("frame_alloc", &report);
+    assert!(
+        !passed && text.contains("FAIL frame_update_encode"),
+        "{text}"
+    );
+
+    let mut report = committed;
+    report.records.retain(|r| r.op != "frame_update_encode");
+    let (passed, text) = check("frame_missing", &report);
+    assert!(
+        !passed && text.contains("FAIL frame_update_encode") && text.contains("missing"),
+        "{text}"
+    );
+}

@@ -8,10 +8,12 @@
 //! cursor the payload codecs parse with, so there is exactly one
 //! bounds-checking implementation in the workspace — and layers the
 //! richer structured reads (counted vectors, bit vectors, BN statistics)
-//! this crate's formats need on top.
+//! this crate's formats need on top. Every vector goes through the bulk
+//! coders of [`ft_sparse::wire`], one pass per vector.
 
 use ft_nn::BnStats;
-use ft_sparse::{DecodeError, WireReader};
+use ft_sparse::wire::{self, WireReader};
+use ft_sparse::DecodeError;
 
 /// Reason a binary blob failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -115,14 +117,7 @@ impl<'a> ByteReader<'a> {
     /// A `u32`-counted vector of `f64`s.
     pub fn f64_vec(&mut self) -> Result<Vec<f64>, ReadError> {
         let n = self.u32()? as usize;
-        let bytes = self.take(
-            n.checked_mul(8)
-                .ok_or(ReadError::Corrupt("count overflow"))?,
-        )?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
+        self.inner.f64_vec(n).map_err(cursor_err)
     }
 
     /// A `u32`-counted byte blob.
@@ -144,7 +139,7 @@ impl<'a> ByteReader<'a> {
         {
             return Err(ReadError::Corrupt("bit vector padding not zero"));
         }
-        Ok((0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
+        Ok(wire::bits(bytes, n))
     }
 
     /// One set of BatchNorm statistics written by [`put_bn_stats`].
@@ -191,17 +186,13 @@ pub fn put_bool(out: &mut Vec<u8>, v: bool) {
 /// Appends a `u32`-counted `f32` vector.
 pub fn put_f32_vec(out: &mut Vec<u8>, v: &[f32]) {
     put_u32(out, v.len() as u32);
-    for &x in v {
-        put_f32(out, x);
-    }
+    wire::put_f32s(out, v);
 }
 
 /// Appends a `u32`-counted `f64` vector.
 pub fn put_f64_vec(out: &mut Vec<u8>, v: &[f64]) {
     put_u32(out, v.len() as u32);
-    for &x in v {
-        put_f64(out, x);
-    }
+    wire::put_f64s(out, v);
 }
 
 /// Appends a `u32`-counted byte blob.
@@ -213,13 +204,7 @@ pub fn put_blob(out: &mut Vec<u8>, v: &[u8]) {
 /// Appends a `u32`-counted bit vector, packed 8 bools per byte.
 pub fn put_bitvec(out: &mut Vec<u8>, bits: &[bool]) {
     put_u32(out, bits.len() as u32);
-    let mut packed = vec![0u8; bits.len().div_ceil(8)];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            packed[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out.extend_from_slice(&packed);
+    wire::put_bits(out, bits);
 }
 
 /// Appends one set of BatchNorm statistics (layer count, then per layer the
@@ -284,6 +269,88 @@ mod tests {
         }
         let mut r = ByteReader::new(&[2u8]);
         assert_eq!(r.boolean(), Err(ReadError::Corrupt("flag not 0/1")));
+    }
+
+    /// The counted-vector writers and readers the frames and checkpoints
+    /// use, against the per-element loops they replaced: the same bytes out,
+    /// `to_bits`-equal values back — NaN payloads, ±0.0, subnormals and
+    /// infinities included — and a bit vector with a set padding bit still
+    /// refused, at every length from empty to a ragged 4097.
+    #[test]
+    fn frame_vector_coders_match_per_element_oracle() {
+        let f32_bits = [0x7fc0_1234u32, 0xff80_0001, 0x8000_0000, 0, 1, 0x807f_ffff];
+        let f32_bits = f32_bits.into_iter().chain([0x7f80_0000, 0xff80_0000]);
+        let f32_bits: Vec<u32> = f32_bits.collect();
+        for n in [0usize, 1, 7, 8, 9, 4097] {
+            let word = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7;
+            let f: Vec<f32> = (0..n)
+                .map(|i| f32::from_bits(f32_bits.get(i).copied().unwrap_or(word(i) as u32)))
+                .collect();
+            let d: Vec<f64> = (0..n)
+                .map(|i| f64::from_bits(word(i) ^ (0x7ff0_0000_0000_0001 * (i as u64 % 2))))
+                .collect();
+            let bits: Vec<bool> = (0..n).map(|i| word(i) % 3 == 0).collect();
+            let bn = [BnStats {
+                mean: f.clone(),
+                var: f.iter().rev().copied().collect(),
+            }];
+
+            // The per-element loops the writers replaced.
+            let mut oracle = Vec::new();
+            let count =
+                |out: &mut Vec<u8>, n: usize| out.extend_from_slice(&(n as u32).to_le_bytes());
+            for v in [&f, &bn[0].mean] {
+                count(&mut oracle, v.len());
+                for x in v {
+                    oracle.extend_from_slice(&x.to_le_bytes());
+                }
+            }
+            count(&mut oracle, n);
+            for x in &d {
+                oracle.extend_from_slice(&x.to_le_bytes());
+            }
+            count(&mut oracle, n);
+            let mut packed = vec![0u8; n.div_ceil(8)];
+            for (i, &b) in bits.iter().enumerate() {
+                packed[i / 8] |= u8::from(b) << (i % 8);
+            }
+            oracle.extend_from_slice(&packed);
+            count(&mut oracle, 1);
+            for v in [&bn[0].mean, &bn[0].var] {
+                count(&mut oracle, v.len());
+                for x in v {
+                    oracle.extend_from_slice(&x.to_le_bytes());
+                }
+            }
+
+            let mut out = Vec::new();
+            put_f32_vec(&mut out, &f);
+            put_f32_vec(&mut out, &bn[0].mean);
+            put_f64_vec(&mut out, &d);
+            put_bitvec(&mut out, &bits);
+            put_bn_stats(&mut out, &bn);
+            assert_eq!(out, oracle, "n={n}");
+
+            let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut r = ByteReader::new(&out);
+            assert_eq!(to_bits(&r.f32_vec().unwrap()), to_bits(&f), "n={n}");
+            assert_eq!(to_bits(&r.f32_vec().unwrap()), to_bits(&f), "n={n}");
+            let back: Vec<u64> = r.f64_vec().unwrap().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(back, d.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+            assert_eq!(r.bitvec().unwrap(), bits, "n={n}");
+            let stats = r.bn_stats().unwrap();
+            assert_eq!(to_bits(&stats[0].mean), to_bits(&bn[0].mean), "n={n}");
+            assert_eq!(to_bits(&stats[0].var), to_bits(&bn[0].var), "n={n}");
+            assert_eq!(r.remaining(), 0);
+
+            if n % 8 != 0 {
+                let mut bad = Vec::new();
+                put_bitvec(&mut bad, &bits);
+                *bad.last_mut().unwrap() |= 0x80;
+                let err = ByteReader::new(&bad).bitvec();
+                assert_eq!(err, Err(ReadError::Corrupt("bit vector padding not zero")));
+            }
+        }
     }
 
     /// Ten bits take two bytes; the six high bits of the second are padding

@@ -48,16 +48,16 @@
 //! handshakes by quarantining the offender and carrying on; an honest fleet
 //! trips none of it, so its run stays bit-identical to [`InProcess`].
 
-use crate::bytes::{
-    put_bitvec, put_blob, put_bn_stats, put_f64, put_u32, put_u64, ByteReader, ReadError,
-};
+use crate::bytes::{put_bitvec, put_bn_stats, put_f64, put_u32, put_u64, ByteReader, ReadError};
 use crate::config::FlConfig;
 use crate::train::{train_devices_parallel, DeviceUpdate, WireSpec};
 use ft_data::Dataset;
-use ft_nn::{apply_mask, restore_snapshot, take_snapshot, wire_ctx, Model, ModelSnapshot};
+use ft_nn::{
+    apply_mask, restore_snapshot, sparse_layout, take_snapshot, wire_ctx, Model, ModelSnapshot,
+};
 use ft_runtime::Runtime;
-use ft_sparse::{Mask, Payload, WireCtx};
-use std::io::{Read, Write};
+use ft_sparse::{Codec, Mask, Payload, WireCtx};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 
 /// Frame kinds of the wire protocol.
@@ -374,14 +374,17 @@ pub(crate) fn encode_update_frame(
     u: &DeviceUpdate,
     ctx: &WireCtx,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(80 + 4 * u.payload.len());
+    let bn = u.bn.iter().map(|s| s.mean.len());
+    let len = UPDATE_FIXED_BYTES + bn_section_len(bn) + 4 + u.payload.encoded_len(ctx);
+    let mut out = Vec::with_capacity(len);
     encode_update_frame_into(&mut out, device, round, epoch, u, ctx);
     out
 }
 
-/// [`encode_update_frame`] appended to `out` — behind a header
-/// [`begin_frame`] reserved, the body is written where it will be sent from.
-pub(crate) fn encode_update_frame_into(
+/// Appends one UPDATE frame body to `out` — behind a header [`begin_frame`]
+/// reserved, the body is written where it will be sent from, the payload
+/// included: within `out`'s capacity this allocates nothing.
+pub fn encode_update_frame_into(
     out: &mut Vec<u8>,
     device: usize,
     round: u64,
@@ -396,11 +399,35 @@ pub(crate) fn encode_update_frame_into(
     put_f64(out, u.realized_flops);
     put_f64(out, u.wall_secs);
     put_bn_stats(out, &u.bn);
-    put_blob(out, &u.payload.to_bytes(ctx));
+    let len = u.payload.encoded_len(ctx);
+    put_u32(out, len as u32);
+    let start = out.len();
+    u.payload.write_to(ctx, out);
+    assert_eq!(out.len() - start, len, "payload length prefix");
+}
+
+/// Bytes of an UPDATE body's fixed fields: device, round, epoch, samples,
+/// realized FLOPs and wall seconds.
+const UPDATE_FIXED_BYTES: usize = 4 + 5 * 8;
+
+/// Bytes of a BN section ([`put_bn_stats`]) over layers of `channels`.
+fn bn_section_len(channels: impl IntoIterator<Item = usize>) -> usize {
+    4 + channels.into_iter().map(|c| 2 * (4 + 4 * c)).sum::<usize>()
+}
+
+/// The largest UPDATE body an honest device can send in a round whose
+/// codec is `codec`, wire context `ctx` and BN shape `bn_channels`: the
+/// fixed fields, the BN section and the counted payload. An indexed
+/// `MaskCsr` payload is never shorter than a values-only one, and every
+/// other codec's size depends on neither, so the indexed size bounds them
+/// all. The collect loop refuses a longer length prefix before allocating.
+pub(crate) fn max_update_body_len(codec: Codec, ctx: &WireCtx, bn_channels: &[usize]) -> usize {
+    let bn = bn_channels.iter().copied();
+    UPDATE_FIXED_BYTES + bn_section_len(bn) + 4 + codec.encoded_len_for(ctx, false)
 }
 
 /// Parses one UPDATE frame body back into `(device, round, epoch, update)`.
-pub(crate) fn decode_update_frame(
+pub fn decode_update_frame(
     bytes: &[u8],
     ctx: &WireCtx,
 ) -> Result<(usize, u64, u64, DeviceUpdate), TransportError> {
@@ -503,13 +530,15 @@ pub(crate) fn screen_update_frame(
 /// server's mask epoch, and the full global snapshot (params + BN stats +
 /// mask bits). The per-recipient cohort position is prepended separately
 /// by the sender, so this (large) part is encoded once per round.
-pub(crate) fn encode_round_frame(
+pub fn encode_round_frame(
     round: usize,
     epoch: u64,
     snapshot: &ModelSnapshot,
     mask: &Mask,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + 4 * snapshot.params.len());
+    let bn = snapshot.bn.iter().map(|s| s.mean.len());
+    let mask_lens = (0..mask.num_layers()).map(|l| mask.layer(l).len());
+    let mut out = Vec::with_capacity(round_tail_len(snapshot.params.len(), bn, mask_lens));
     put_u64(&mut out, round as u64);
     put_u64(&mut out, epoch);
     crate::bytes::put_f32_vec(&mut out, &snapshot.params);
@@ -526,7 +555,7 @@ pub(crate) fn encode_round_frame(
 /// the device's index *within this round's cohort* — the in-process loop
 /// derives RNG streams from that positional index, so the device side must
 /// train under it (not under its global id) to stay bit-identical.
-pub(crate) fn decode_round_frame(
+pub fn decode_round_frame(
     bytes: &[u8],
 ) -> Result<(usize, usize, u64, ModelSnapshot, Mask), TransportError> {
     let mut r = ByteReader::new(bytes);
@@ -554,12 +583,34 @@ pub(crate) fn decode_round_frame(
     ))
 }
 
+/// Bytes of the shared tail of a ROUND body ([`encode_round_frame`]) over
+/// `params` parameters, BN layers of `bn` channels and mask layers of
+/// `mask_lens` bits.
+fn round_tail_len(
+    params: usize,
+    bn: impl IntoIterator<Item = usize>,
+    mask_lens: impl IntoIterator<Item = usize>,
+) -> usize {
+    let mask_bytes: usize = mask_lens.into_iter().map(|n| 4 + n.div_ceil(8)).sum();
+    8 + 8 + (4 + 4 * params) + bn_section_len(bn) + 4 + mask_bytes
+}
+
+/// Exact length of a ROUND body (cohort position included) that
+/// broadcasts `model` under a mask over its sparse layout: the bound a
+/// device holds the server's length prefix to before it allocates.
+pub(crate) fn round_body_len(model: &dyn Model) -> usize {
+    let params: usize = model.params().iter().map(|p| p.len()).sum();
+    let layout = sparse_layout(model);
+    4 + round_tail_len(params, bn_channels(model), layout.iter().map(|l| l.len))
+}
+
 /// Bytes of a frame header: `u32 body_len | u8 kind`.
 const FRAME_HEADER: usize = 5;
 
-/// Starts a frame in `frame`: empties it and reserves the header, so that
-/// the body is appended in place and [`send_frame`] sends both at once.
-pub(crate) fn begin_frame(frame: &mut Vec<u8>) {
+/// Starts a frame in `frame`: empties it and reserves the 5-byte header, so
+/// that the body is appended in place and header and body leave in one
+/// write.
+pub fn begin_frame(frame: &mut Vec<u8>) {
     frame.clear();
     frame.resize(FRAME_HEADER, 0);
 }
@@ -594,21 +645,46 @@ pub(crate) fn write_frame(stream: &mut TcpStream, kind: u8, body: &[u8]) -> std:
     send_frame(stream, kind, &mut frame)
 }
 
-/// Reads one length-prefixed frame, bounding the body at 1 GiB so a
-/// corrupt length prefix cannot trigger an absurd allocation.
-pub(crate) fn read_frame(stream: &mut TcpStream) -> Result<(u8, Vec<u8>), TransportError> {
+/// Writes `parts` in full with vectored writes: one frame assembled from
+/// several buffers without copying them into one.
+fn write_all_vectored(
+    stream: &mut TcpStream,
+    mut parts: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    while !parts.is_empty() {
+        match stream.write_vectored(parts) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Reads one length-prefixed frame into `body`, reusing its capacity, and
+/// returns the frame kind. A length prefix above `max_len` is refused
+/// before anything is allocated.
+pub(crate) fn read_frame(
+    stream: &mut TcpStream,
+    body: &mut Vec<u8>,
+    max_len: usize,
+) -> Result<u8, TransportError> {
     let mut header = [0u8; FRAME_HEADER];
     stream.read_exact(&mut header)?;
     let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-    if len > 1 << 30 {
+    if len > max_len {
         return Err(TransportError::Frame(format!(
-            "frame of {len} bytes refused"
+            "frame of {len} bytes refused: at most {max_len} expected"
         )));
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok((header[4], body))
+    body.resize(len, 0);
+    stream.read_exact(body)?;
+    Ok(header[4])
 }
+
+/// Body bytes of a HELLO frame: the `u32` device id.
+const HELLO_BODY: usize = 4;
 
 // ---------------------------------------------------------------------------
 // TCP transport (server side)
@@ -641,14 +717,15 @@ pub struct TcpTransport {
     listener: TcpListener,
     /// Connection attempts refused during accept/rejoin.
     handshake_faults: usize,
+    /// Per-device HELLO-identified connections that arrived while the
+    /// server was accepting another device's rejoin, held until their own
+    /// device's rejoin round.
+    parked: Vec<Option<TcpStream>>,
     /// Per-device receive buffers, recycled across rounds: the multiplexed
     /// collect loop reads each UPDATE body straight into its device's slot
     /// and the screen decodes from there — steady-state rounds reuse the
     /// same capacity instead of allocating a fresh `Vec` per frame.
     recv_bufs: Vec<Vec<u8>>,
-    /// Recycled per-recipient broadcast frame (cohort-position prefix +
-    /// shared snapshot), rebuilt in place for every cohort member.
-    broadcast_scratch: Vec<u8>,
 }
 
 /// Read timeout the server arms on every accepted stream before reading its
@@ -700,8 +777,8 @@ impl TcpTransport {
             streams,
             listener,
             handshake_faults,
+            parked: (0..devices).map(|_| None).collect(),
             recv_bufs: (0..devices).map(|_| Vec::new()).collect(),
-            broadcast_scratch: Vec::new(),
         })
     }
 
@@ -715,13 +792,18 @@ impl TcpTransport {
         self.handshake_faults
     }
 
-    /// Drops the stale streams of `rejoining` devices and blocking-accepts
-    /// their fresh HELLOs (slotting any other valid arrival for an empty
-    /// slot along the way, so concurrent rejoiners cannot deadlock each
-    /// other). The server drives this from its presence schedule, which
-    /// makes the rejoin race-free: the device's new connection is fully
-    /// established before the round broadcast.
+    /// Replaces the stale streams of `rejoining` devices with their fresh
+    /// connections: one parked at an earlier rejoin, else the next HELLO for
+    /// the device from a blocking accept. A valid HELLO from any other
+    /// device is parked for that device's own rejoin round — a device may
+    /// reconnect as soon as it left, before the round that readmits it —
+    /// and a later one for the same device replaces it (latest connection
+    /// wins, the loser is counted, as at [`accept_fleet`](Self::accept_fleet)).
+    /// The server drives this from its presence schedule, which makes the
+    /// rejoin race-free: the device's new connection is fully established
+    /// before the round broadcast.
     fn reconnect_rejoining(&mut self, rejoining: &[usize]) -> Result<(), TransportError> {
+        let mut waiting = Vec::new();
         for &d in rejoining {
             if d >= self.streams.len() {
                 return Err(TransportError::Frame(format!(
@@ -729,18 +811,23 @@ impl TcpTransport {
                     self.streams.len()
                 )));
             }
-            self.streams[d] = None;
+            self.streams[d] = self.parked[d].take();
+            if self.streams[d].is_none() {
+                waiting.push(d);
+            }
         }
-        let mut waiting: Vec<usize> = rejoining.to_vec();
         while !waiting.is_empty() {
             match accept_hello(&self.listener, self.streams.len())? {
-                (stream, Some(device)) if self.streams[device].is_none() => {
+                (stream, Some(device)) if waiting.contains(&device) => {
                     self.streams[device] = Some(stream);
                     waiting.retain(|&w| w != device);
                 }
-                // A valid HELLO for a live slot is an impostor (or a
-                // reconnect we did not schedule): refuse and count it.
-                _ => self.handshake_faults += 1,
+                (stream, Some(device)) => {
+                    if self.parked[device].replace(stream).is_some() {
+                        self.handshake_faults += 1;
+                    }
+                }
+                (_, None) => self.handshake_faults += 1,
             }
         }
         Ok(())
@@ -771,7 +858,8 @@ fn accept_hello(
 
 /// Reads and validates one HELLO frame, returning the claimed device id.
 fn read_hello(stream: &mut TcpStream, devices: usize) -> Result<usize, TransportError> {
-    let (kind, body) = read_frame(stream)?;
+    let mut body = Vec::with_capacity(HELLO_BODY);
+    let kind = read_frame(stream, &mut body, HELLO_BODY)?;
     if kind != FRAME_HELLO {
         return Err(TransportError::Frame(format!(
             "expected HELLO, got frame kind {kind}"
@@ -808,35 +896,32 @@ struct MuxRecv {
     deadline: std::time::Instant,
 }
 
-/// What the readiness loop settled for one pending cohort member.
-enum MuxOutcome {
-    /// A complete frame of this kind landed in the device's receive buffer.
-    Frame {
-        /// The frame kind byte from the header.
-        kind: u8,
-    },
-    /// The stream faulted mid-collect and was dropped.
-    Fault(FaultKind),
-}
-
-/// Reads exactly one frame from every `pending` stream through a single
-/// nonblocking readiness loop: each sweep polls every still-pending socket,
-/// draining whatever bytes the kernel has, and a sweep that moves no bytes
-/// at all sleeps [`MUX_IDLE_SLEEP`] before retrying. Frame bodies land in
-/// the per-device `recv_bufs` slot (recycled across rounds — a steady-state
-/// collect reuses the capacity instead of allocating per frame), and every
-/// pending member leaves with a [`MuxOutcome`] in its cohort slot.
+/// Reads exactly one frame from every `pending` `(cohort position, device)`
+/// stream through a single nonblocking readiness loop: each sweep polls
+/// every still-pending socket, draining whatever bytes the kernel has, and
+/// a sweep that moves no bytes at all sleeps [`MUX_IDLE_SLEEP`] before
+/// retrying. Frame bodies land in the per-device `recv_bufs` slot (recycled
+/// across rounds — a steady-state collect reuses the capacity instead of
+/// allocating per frame), and the moment a frame's last byte lands,
+/// `screen(position, device, kind, body)` turns it into the member's
+/// [`Delivery`], stored in its cohort slot of `out`. Screening at arrival
+/// overlaps with the devices still training; the caller reads `out` in
+/// cohort order, so the order of arrival decides nothing.
 ///
-/// EOF, io errors and oversize length prefixes quarantine their stream and
-/// kill it, and so does silence past `timeout` (the
+/// EOF, io errors and a length prefix above `max_body` quarantine their
+/// stream and kill it (an oversize prefix before anything is allocated),
+/// and so does silence past `timeout` (the
 /// [`FlConfig::collect_timeout_secs`] knob). Surviving streams are restored
 /// to blocking mode on exit so the next round's broadcast writes behave.
+#[allow(clippy::too_many_arguments)]
 fn collect_multiplexed(
     streams: &mut [Option<TcpStream>],
     recv_bufs: &mut [Vec<u8>],
     pending: &[(usize, usize)],
-    outcomes: &mut [Option<MuxOutcome>],
+    out: &mut [Option<Delivery>],
     timeout: std::time::Duration,
+    max_body: usize,
+    mut screen: impl FnMut(usize, usize, u8, &[u8]) -> Delivery,
 ) -> Result<(), TransportError> {
     let armed = std::time::Instant::now() + timeout;
     let mut live: Vec<MuxRecv> = Vec::with_capacity(pending.len());
@@ -874,21 +959,21 @@ fn collect_multiplexed(
                                 let len =
                                     u32::from_le_bytes(st.header[..4].try_into().expect("4 bytes"))
                                         as usize;
-                                if len > 1 << 30 {
+                                if len > max_body {
                                     break FaultKind::MalformedFrame(format!(
-                                        "frame of {len} bytes refused"
+                                        "frame of {len} bytes refused: an UPDATE this round \
+                                         has at most {max_body}"
                                     ));
                                 }
                                 st.body_len = len;
-                                let buf = &mut recv_bufs[st.device];
-                                buf.clear();
-                                buf.resize(len, 0);
+                                recv_bufs[st.device].resize(len, 0);
                             }
                         } else {
                             st.body_filled += n;
                         }
                         if st.header_filled == st.header.len() && st.body_filled == st.body_len {
-                            outcomes[st.pos] = Some(MuxOutcome::Frame { kind: st.header[4] });
+                            let body = &recv_bufs[st.device][..st.body_len];
+                            out[st.pos] = Some(screen(st.pos, st.device, st.header[4], body));
                             return false;
                         }
                     }
@@ -911,7 +996,7 @@ fn collect_multiplexed(
                 }
             };
             streams[st.device] = None;
-            outcomes[st.pos] = Some(MuxOutcome::Fault(fault));
+            out[st.pos] = Some(Delivery::Faulted(fault));
             false
         });
         if !progressed && !live.is_empty() {
@@ -945,86 +1030,75 @@ impl Transport for TcpTransport {
         let snapshot = take_snapshot(req.global);
         let shared = encode_round_frame(req.round, req.epoch, &snapshot, req.mask);
         let Self {
-            streams,
-            recv_bufs,
-            broadcast_scratch,
-            ..
+            streams, recv_bufs, ..
         } = self;
         // Broadcast phase: a member whose stream is dead (or dies on
-        // write) is quarantined here and skipped during collection.
-        let mut broadcast_faults: Vec<Option<FaultKind>> = vec![None; req.cohort.len()];
+        // write) is quarantined here and skipped during collection. Each
+        // frame is its header, the device's position within this round's
+        // cohort (the index the in-process loop trains it under) and the
+        // shared snapshot, sent as one vectored write: the snapshot is
+        // encoded once and never copied per recipient.
+        let mut out: Vec<Option<Delivery>> = vec![None; req.cohort.len()];
+        let body_len = u32::try_from(4 + shared.len())
+            .map_err(|_| TransportError::Frame("ROUND frame over 4 GiB".into()))?;
         for (pos, &k) in req.cohort.iter().enumerate() {
             let Some(Some(stream)) = streams.get_mut(k) else {
-                broadcast_faults[pos] = Some(FaultKind::Disconnected(format!(
+                out[pos] = Some(Delivery::Faulted(FaultKind::Disconnected(format!(
                     "no live stream for device {k}"
-                )));
+                ))));
                 continue;
             };
-            // Per-recipient prefix: the device's position within this
-            // round's cohort (the index the in-process loop trains it
-            // under), then the shared snapshot. The frame buffer is
-            // recycled across recipients and rounds.
-            begin_frame(broadcast_scratch);
-            put_u32(broadcast_scratch, pos as u32);
-            broadcast_scratch.extend_from_slice(&shared);
-            if let Err(e) = send_frame(stream, FRAME_ROUND, broadcast_scratch) {
+            let mut head = [0u8; FRAME_HEADER + 4];
+            head[..4].copy_from_slice(&body_len.to_le_bytes());
+            head[4] = FRAME_ROUND;
+            head[FRAME_HEADER..].copy_from_slice(&(pos as u32).to_le_bytes());
+            let mut parts = [IoSlice::new(&head), IoSlice::new(&shared)];
+            if let Err(e) = write_all_vectored(stream, &mut parts) {
                 streams[k] = None;
-                broadcast_faults[pos] = Some(FaultKind::Disconnected(e.to_string()));
+                out[pos] = Some(Delivery::Faulted(FaultKind::Disconnected(e.to_string())));
             }
         }
         // Collection phase: one readiness loop over every pending stream,
         // reading whichever socket has bytes — no cohort member can stall
         // the members behind it, and one server thread owns the whole
-        // fleet's sockets. Arrival order is whatever the kernel delivers;
-        // determinism is restored by screening in cohort order below.
+        // fleet's sockets. Each UPDATE is screened the moment it lands,
+        // into its member's cohort slot: screening is a pure function of
+        // the frame and this round's context, so the deliveries — read
+        // back in cohort order below, and with them the aggregation — are
+        // independent of arrival order. Decode-level faults keep the
+        // stream (the length-prefixed framing is intact, so the connection
+        // can still carry next round); io/framing faults kill it inside
+        // the readiness loop.
         let pending: Vec<(usize, usize)> = req
             .cohort
             .iter()
             .enumerate()
-            .filter(|&(pos, _)| broadcast_faults[pos].is_none())
+            .filter(|&(pos, _)| out[pos].is_none())
             .map(|(pos, &k)| (pos, k))
             .collect();
-        let mut outcomes: Vec<Option<MuxOutcome>> = Vec::with_capacity(req.cohort.len());
-        outcomes.resize_with(req.cohort.len(), || None);
-        let timeout = std::time::Duration::from_secs_f64(req.cfg.collect_timeout_secs);
-        collect_multiplexed(streams, recv_bufs, &pending, &mut outcomes, timeout)?;
-        // Screening phase, in cohort order, so delivery order — and with it
-        // the aggregation — is independent of arrival order. Decode-level
-        // faults keep the stream (the length-prefixed framing is intact, so
-        // the connection can still carry next round); io/framing faults
-        // killed it inside the readiness loop.
         let bn = bn_channels(req.global);
-        let mut out = Vec::with_capacity(req.cohort.len());
-        for (pos, &k) in req.cohort.iter().enumerate() {
-            if let Some(fault) = broadcast_faults[pos].take() {
-                out.push(Delivery::Faulted(fault));
-                continue;
-            }
-            let kind = match outcomes[pos]
-                .take()
-                .expect("readiness loop settles every member")
-            {
-                MuxOutcome::Fault(fault) => {
-                    out.push(Delivery::Faulted(fault));
-                    continue;
-                }
-                MuxOutcome::Frame { kind } => kind,
-            };
+        let max_body = max_update_body_len(req.cfg.codec, req.ctx, &bn);
+        let timeout = std::time::Duration::from_secs_f64(req.cfg.collect_timeout_secs);
+        let (round, epoch, ctx, caps) = (req.round as u64, req.epoch, req.ctx, req.sample_caps);
+        let screen = |pos: usize, k: usize, kind: u8, body: &[u8]| {
             if kind != FRAME_UPDATE {
-                out.push(Delivery::Faulted(FaultKind::MalformedFrame(format!(
+                return Delivery::Faulted(FaultKind::MalformedFrame(format!(
                     "expected UPDATE from device {k}, got frame kind {kind}"
-                ))));
-                continue;
+                )));
             }
-            let cap = req.sample_caps.get(pos).map(|&c| c as u64);
-            let (round, body) = (req.round as u64, &recv_bufs[k]);
-            let screened = screen_update_frame(body, req.ctx, k, round, req.epoch, cap, &bn);
-            out.push(match screened {
+            let cap = caps.get(pos).map(|&c| c as u64);
+            match screen_update_frame(body, ctx, k, round, epoch, cap, &bn) {
                 Ok(update) => Delivery::Update(update),
                 Err(fault) => Delivery::Faulted(fault),
-            });
-        }
-        Ok(out)
+            }
+        };
+        collect_multiplexed(
+            streams, recv_bufs, &pending, &mut out, timeout, max_body, screen,
+        )?;
+        Ok(out
+            .into_iter()
+            .map(|d| d.expect("every member is settled at broadcast or collect"))
+            .collect())
     }
 
     fn deliver_update(&mut self, update: DeviceUpdate, _ctx: &WireCtx) -> DeviceUpdate {
@@ -1110,11 +1184,14 @@ pub(crate) fn serve_devices(
     model.set_runtime(rt);
     let needs_residual = env.cfg.codec.uses_error_feedback();
     let mut residuals: Vec<Vec<f32>> = vec![Vec::new(); devices.len()];
-    let mut frame = Vec::new();
+    // One receive and one send buffer serve every frame; a ROUND longer
+    // than this model's snapshot and mask is refused before allocating.
+    let max_round = round_body_len(model.as_ref());
+    let (mut round_body, mut frame) = (Vec::new(), Vec::new());
     loop {
         for (i, device) in devices.clone().enumerate() {
             let stream = &mut streams[i];
-            let (kind, round_body) = read_frame(stream)?;
+            let kind = read_frame(stream, &mut round_body, max_round)?;
             match kind {
                 FRAME_DONE if i == 0 => return Ok(()),
                 FRAME_DONE => {
@@ -1271,6 +1348,11 @@ mod tests {
         let mut frame = Vec::new();
         put_u32(&mut frame, 1); // cohort position prefix
         frame.extend_from_slice(&encode_round_frame(7, 2, &snapshot, &mask));
+        assert_eq!(
+            frame.len(),
+            round_body_len(model.as_ref()),
+            "the device's bound is exact"
+        );
         let (pos, round, epoch, snap, mask_back) = decode_round_frame(&frame).expect("roundtrip");
         assert_eq!(pos, 1);
         assert_eq!(round, 7);
@@ -1338,28 +1420,33 @@ mod tests {
         });
         let mut stream = accept_nodelay(&listener).expect("accept");
         assert!(stream.nodelay().expect("nodelay"));
-        let (kind, got) = read_frame(&mut stream).expect("blocking read");
+        let mut got = Vec::new();
+        let kind = read_frame(&mut stream, &mut got, body.len()).expect("blocking read");
         assert_eq!((kind, &got), (FRAME_UPDATE, &body));
 
         let mut streams = [Some(stream)];
         let mut recv_bufs = [Vec::new()];
-        let mut outcomes = [None];
+        let mut out = [None];
+        let mut screened = Vec::new();
         collect_multiplexed(
             &mut streams,
             &mut recv_bufs,
             &[(0, 0)],
-            &mut outcomes,
+            &mut out,
             std::time::Duration::from_secs(5),
+            body.len(),
+            |pos, device, kind, got| {
+                screened.push((pos, device, kind, got.to_vec()));
+                let (_, _, _, update) = decode_update_frame(got, &ctx).expect("decodes");
+                Delivery::Update(update)
+            },
         )
         .expect("multiplexed read");
-        assert!(matches!(
-            outcomes[0],
-            Some(MuxOutcome::Frame { kind: FRAME_UPDATE })
-        ));
-        assert_eq!(recv_bufs[0], body);
+        assert_eq!(screened, [(0, 0, FRAME_UPDATE, body.clone())]);
+        assert!(matches!(&out[0], Some(Delivery::Update(u)) if u.payload == update.payload));
 
         let stream = streams[0].as_mut().expect("still live");
-        let (kind, got) = read_frame(stream).expect("blocking read");
+        let kind = read_frame(stream, &mut got, 0).expect("blocking read");
         assert_eq!((kind, got.len()), (FRAME_DONE, 0));
 
         let (_socket, frame) = client.join().expect("client thread");
@@ -1367,6 +1454,139 @@ mod tests {
         three_writes.push(FRAME_UPDATE);
         three_writes.extend_from_slice(&body);
         assert_eq!(frame, three_writes);
+    }
+
+    /// A length prefix above the reader's bound is refused at the header,
+    /// before the body is allocated or waited for.
+    #[test]
+    fn read_frame_refuses_a_prefix_above_its_bound() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = std::thread::spawn(move || {
+            let mut stream = connect_with_retry(addr).expect("connect");
+            stream
+                .write_all(&(256u32 << 20).to_le_bytes())
+                .expect("prefix");
+            stream.write_all(&[FRAME_ROUND]).expect("kind");
+            stream
+        });
+        let mut stream = accept_nodelay(&listener).expect("accept");
+        let _client = client.join().expect("client thread");
+        let mut body = Vec::new();
+        let got = read_frame(&mut stream, &mut body, 1 << 20);
+        assert!(matches!(got, Err(TransportError::Frame(_))), "{got:?}");
+        assert_eq!(body.capacity(), 0, "nothing allocated for the refused body");
+    }
+
+    /// A device that reconnects as soon as it left, while the server is
+    /// still readmitting another device, is parked rather than refused as
+    /// an impostor for the slot its stale stream holds, and serves from its
+    /// own rejoin round without another accept (which would block forever).
+    #[test]
+    fn early_rejoin_hello_is_parked_until_its_round() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let hello = |device: u32| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            write_frame(&mut stream, FRAME_HELLO, &device.to_le_bytes()).expect("hello");
+            stream
+        };
+        let _fleet: Vec<TcpStream> = (0..3).map(hello).collect();
+        let mut transport = TcpTransport::accept_fleet(&listener, 3).expect("accept");
+        // The accept queue is FIFO: device 2's early reconnect is read
+        // while the server accepts device 0's rejoin.
+        let mut early = hello(2);
+        let _rejoined = hello(0);
+        transport
+            .reconnect_rejoining(&[0])
+            .expect("rejoin device 0");
+        assert_eq!(
+            transport.handshake_faults(),
+            0,
+            "the early HELLO was refused"
+        );
+        transport
+            .reconnect_rejoining(&[2])
+            .expect("rejoin device 2");
+        let slot = transport.streams[2].as_mut().expect("device 2 slotted");
+        slot.write_all(b"round").expect("write to device 2");
+        let mut got = [0u8; 5];
+        early
+            .read_exact(&mut got)
+            .expect("device 2's early connection serves");
+        assert_eq!(&got, b"round");
+    }
+
+    /// A mutation fuzz of the device's ROUND decoder, mirroring the
+    /// checkpoint fuzz: every mutant of a sample ROUND body — a model whose
+    /// mask layers are not whole bytes — is either a typed error or decodes
+    /// to a frame that re-encodes to exactly the mutant's bytes. Never a
+    /// panic, and never a second encoding of one frame (a set padding bit
+    /// would be one). Mutations: a flipped bit, a replaced byte, a
+    /// truncation, a deleted or an inserted byte, from a fixed seed.
+    #[test]
+    fn round_frame_mutants_are_typed_errors_or_canonical() {
+        use rand::{Rng, SeedableRng};
+        let env = ExperimentEnv::tiny_for_tests(6);
+        // Width 1: a 2·1·3·3 = 18-bit first mask layer, six padding bits.
+        let model = env.build_model(&ModelSpec::SmallCnn { width: 1, input: 8 });
+        let layout = sparse_layout(model.as_ref());
+        let mut mask = Mask::ones(&layout);
+        for l in 0..layout.num_layers() {
+            for i in (0..layout.layer(l).len).step_by(3) {
+                mask.set(l, i, false);
+            }
+        }
+        let mut sample = Vec::new();
+        put_u32(&mut sample, 5);
+        sample.extend_from_slice(&encode_round_frame(
+            3,
+            9,
+            &take_snapshot(model.as_ref()),
+            &mask,
+        ));
+        let reencode =
+            |(pos, round, epoch, snap, mask): (usize, usize, u64, ModelSnapshot, Mask)| {
+                let mut out = Vec::new();
+                put_u32(&mut out, pos as u32);
+                out.extend_from_slice(&encode_round_frame(round, epoch, &snap, &mask));
+                out
+            };
+        assert_eq!(
+            reencode(decode_round_frame(&sample).expect("sample")),
+            sample
+        );
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xf0f0);
+        let (mut errors, mut decoded) = (0usize, 0usize);
+        for _ in 0..12_000 {
+            let mut m = sample.clone();
+            let at = rng.gen_range(0..m.len());
+            match rng.gen_range(0..5u32) {
+                0 | 1 => m[at] ^= 1 << rng.gen_range(0..8u32),
+                2 => m[at] = rng.gen_range(0..=255u32) as u8,
+                3 => m.truncate(at),
+                _ if rng.gen_range(0..2u32) == 0 => {
+                    m.remove(at);
+                }
+                _ => m.insert(at, rng.gen_range(0..=255u32) as u8),
+            }
+            match decode_round_frame(&m) {
+                Err(TransportError::Frame(_)) => errors += 1,
+                Err(e) => panic!("a decode error that is not a frame error: {e}"),
+                Ok(frame) => {
+                    decoded += 1;
+                    assert!(
+                        reencode(frame) == m,
+                        "a mutant decoded to a non-canonical frame"
+                    );
+                }
+            }
+        }
+        // Both outcomes occur: the mutants reach past the header.
+        assert!(
+            errors > 0 && decoded > 0,
+            "{errors} errors, {decoded} decodes"
+        );
     }
 
     #[test]
@@ -1585,6 +1805,55 @@ mod tests {
         }
 
         proptest! {
+            /// Honest UPDATE bodies of all four codecs — values-only and
+            /// indexed `MaskCsr`, top-k with and without error feedback —
+            /// fit the bound the collect loop holds length prefixes to, over
+            /// random masks, segment splits and BN shapes; an indexed
+            /// `MaskCsr` body, the largest, meets it exactly.
+            #[test]
+            fn honest_update_frames_fit_the_round_bound(
+                segments in proptest::collection::vec(1usize..40, 1..5),
+                alive_seed in 0u64..u64::MAX,
+                channels in proptest::collection::vec(0usize..9, 0..4),
+                k_frac in 0.01f32..1.0,
+                stale in 0usize..2,
+            ) {
+                let n: usize = segments.iter().sum();
+                let alive = (0..n).map(|i| (alive_seed >> (i % 64)) & 1 == 1).collect();
+                let ctx = WireCtx::new(alive, segments, 3);
+                let peer = if stale == 1 { 2 } else { 3 };
+                let delta: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).cos()).collect();
+                let bn: Vec<BnStats> = channels
+                    .iter()
+                    .map(|&c| BnStats { mean: vec![0.5; c], var: vec![1.5; c] })
+                    .collect();
+                let codecs = [
+                    Codec::Dense,
+                    Codec::MaskCsr,
+                    Codec::QuantInt8,
+                    Codec::TopK { k_frac, error_feedback: false },
+                    Codec::TopK { k_frac, error_feedback: true },
+                ];
+                for codec in codecs {
+                    let mut residual = Vec::new();
+                    let update = DeviceUpdate {
+                        payload: codec.encode(&delta, &ctx, peer, Some(&mut residual)),
+                        bn: bn.clone(),
+                        samples: 4,
+                        realized_flops: 1.0,
+                        wall_secs: 0.5,
+                    };
+                    let body = encode_update_frame(1, 2, 3, &update, &ctx);
+                    let bound = max_update_body_len(codec, &ctx, &channels);
+                    prop_assert!(body.len() <= bound, "{:?}: {} > {}", codec, body.len(), bound);
+                    if codec == Codec::MaskCsr && stale == 1 {
+                        prop_assert_eq!(body.len(), bound);
+                    }
+                }
+            }
+        }
+
+        proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
 
             /// The accept survives an arbitrary (well-framed) garbage
@@ -1672,6 +1941,9 @@ mod tests {
             let _socket = client.join().expect("client thread");
             let mut cfg = FlConfig::tiny_for_tests();
             cfg.collect_timeout_secs = 2.0;
+            // The round's codec is the one the frame was encoded with: the
+            // collect loop bounds the length prefix by its largest UPDATE.
+            cfg.codec = Codec::MaskCsr;
             let rt = Runtime::sequential();
             let mut req = RoundRequest {
                 global: model.as_ref(),
@@ -1690,6 +1962,30 @@ mod tests {
             transport
                 .exchange_round(&mut req)
                 .expect("a device fault never hard-fails the round")
+        }
+
+        /// A device that completes its HELLO and then announces a 256 MiB
+        /// UPDATE is quarantined as a malformed frame in that round, at the
+        /// header: the server neither allocates the body nor waits out the
+        /// collect timeout for it.
+        #[test]
+        fn mux_oversize_update_frame_is_malformed_before_allocating() {
+            let t = std::time::Instant::now();
+            let out = round_against(|mut wire| {
+                wire.truncate(FRAME_HEADER);
+                wire[..4].copy_from_slice(&(256u32 << 20).to_le_bytes());
+                (wire, false)
+            });
+            assert_eq!(out.len(), 1);
+            assert!(
+                matches!(&out[0], Delivery::Faulted(FaultKind::MalformedFrame(_))),
+                "{:?}",
+                out[0]
+            );
+            assert!(
+                t.elapsed().as_secs_f64() < 2.0,
+                "waited out the collect timeout"
+            );
         }
 
         proptest! {

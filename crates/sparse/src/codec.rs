@@ -33,6 +33,7 @@
 //! coordinates not transmitted this round are carried into the next round's
 //! input, so nothing is permanently lost (the standard EF-SGD memory).
 
+use crate::wire::{self, WireReader};
 use crate::TopKBuffer;
 use ft_tensor::{dequantize_one, quantize_affine_i8, QuantParams};
 use serde::{Deserialize, Serialize};
@@ -92,88 +93,6 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
-
-/// Bounds-checked little-endian cursor over a wire frame — or any other
-/// binary blob of this workspace's wire formats (the transport frames and
-/// the checkpoint codec in `ft-fl` parse through this same cursor). Every
-/// read is checked before it happens, and counted reads are checked before
-/// any allocation, so truncated or corrupt input yields a typed
-/// [`DecodeError`], never a panic or a huge reservation.
-pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> WireReader<'a> {
-    /// A cursor at the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0 }
-    }
-
-    /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Takes the next `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::Truncated {
-                needed: n - self.remaining(),
-                have: self.remaining(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Next byte.
-    pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Next `u16`.
-    pub fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    /// Next `u32`.
-    pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Next `u64`.
-    pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Next `f32`, bit-exact.
-    pub fn f32(&mut self) -> Result<f32, DecodeError> {
-        Ok(f32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads `n` `f32`s; the length check happens before any allocation, so
-    /// a garbage count cannot trigger a huge reservation.
-    pub fn f32_vec(&mut self, n: usize) -> Result<Vec<f32>, DecodeError> {
-        let bytes = self.take(
-            n.checked_mul(4)
-                .ok_or(DecodeError::Inconsistent("count overflow"))?,
-        )?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-}
 
 /// Bytes per stored within-segment index for a segment of `len` entries:
 /// 2 below 2^16, 4 beyond. Shared by the real `MaskCsr` encoder and the
@@ -572,6 +491,14 @@ impl Payload {
     /// and exactly [`encoded_len`](Self::encoded_len) bytes long.
     pub fn to_bytes(&self, ctx: &WireCtx) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len(ctx));
+        self.write_to(ctx, &mut out);
+        out
+    }
+
+    /// [`to_bytes`](Self::to_bytes) appended to `out`: a frame encoder
+    /// writes the payload straight into its frame buffer, and within that
+    /// buffer's capacity allocates nothing.
+    pub fn write_to(&self, ctx: &WireCtx, out: &mut Vec<u8>) {
         let tag: u8 = match self {
             Payload::Dense { .. } => 0,
             Payload::MaskCsr { .. } => 1,
@@ -581,11 +508,7 @@ impl Payload {
         out.push(tag);
         out.extend_from_slice(&(self.len() as u32).to_le_bytes());
         match self {
-            Payload::Dense { values } => {
-                for v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            Payload::Dense { values } => wire::put_f32s(out, values),
             Payload::MaskCsr {
                 epoch,
                 values,
@@ -595,11 +518,9 @@ impl Payload {
                 out.extend_from_slice(&epoch.to_le_bytes());
                 out.push(u8::from(indices.is_some()));
                 out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-                for v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                wire::put_f32s(out, values);
                 if let Some(idx) = indices {
-                    write_segment_indices(idx, &ctx.segments, &mut out);
+                    write_segment_indices(idx, &ctx.segments, out);
                 }
             }
             Payload::QuantInt8 { params, codes, .. } => {
@@ -607,21 +528,15 @@ impl Payload {
                     out.extend_from_slice(&p.scale.to_le_bytes());
                     out.extend_from_slice(&p.min.to_le_bytes());
                 }
-                for &c in codes {
-                    out.push(c as u8);
-                }
+                wire::put_i8s(out, codes);
             }
             Payload::TopK {
                 indices, values, ..
             } => {
                 out.extend_from_slice(&(indices.len() as u32).to_le_bytes());
-                for (i, v) in indices.iter().zip(values.iter()) {
-                    out.extend_from_slice(&i.to_le_bytes());
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                wire::put_index_pairs(out, indices, values);
             }
         }
-        out
     }
 
     /// Parses a payload back out of its wire bytes — the exact inverse of
@@ -846,12 +761,6 @@ pub enum PayloadView<'a> {
     },
 }
 
-/// Reads the `k`-th little-endian `f32` out of a raw value slice.
-#[inline]
-fn f32_at(bytes: &[u8], k: usize) -> f32 {
-    f32::from_le_bytes(bytes[4 * k..4 * k + 4].try_into().expect("4 bytes"))
-}
-
 impl<'a> PayloadView<'a> {
     /// Parses and fully validates a wire frame against `ctx` without
     /// copying anything out of it. Accepts exactly the frames
@@ -907,9 +816,9 @@ impl<'a> PayloadView<'a> {
                     .ok_or(DecodeError::Inconsistent("count overflow"))?;
                 let values = r.take(vbytes)?;
                 let index_bytes = if indexed {
-                    let start = r.pos;
+                    let start = r.position();
                     parse_segment_indices(&mut r, &ctx.segments, nnz, |_| {})?;
-                    Some(&bytes[start..r.pos])
+                    Some(&bytes[start..r.position()])
                 } else {
                     None
                 };
@@ -970,7 +879,7 @@ impl<'a> PayloadView<'a> {
     pub fn to_payload(&self, ctx: &WireCtx) -> Payload {
         match *self {
             PayloadView::Dense { values, .. } => Payload::Dense {
-                values: (0..values.len() / 4).map(|k| f32_at(values, k)).collect(),
+                values: wire::f32s(values),
             },
             PayloadView::MaskCsr {
                 epoch,
@@ -980,7 +889,7 @@ impl<'a> PayloadView<'a> {
                 len,
             } => Payload::MaskCsr {
                 epoch,
-                values: (0..nnz).map(|k| f32_at(values, k)).collect(),
+                values: wire::f32s(values),
                 indices: index_bytes.map(|b| {
                     let mut r = WireReader::new(b);
                     read_segment_indices(&mut r, &ctx.segments, nnz)
@@ -996,16 +905,11 @@ impl<'a> PayloadView<'a> {
                         min: f32::from_le_bytes(c[4..].try_into().expect("4 bytes")),
                     })
                     .collect(),
-                codes: codes.iter().map(|&b| b as i8).collect(),
+                codes: wire::i8s(codes),
                 len,
             },
-            PayloadView::TopK { pairs, count, len } => {
-                let mut indices = Vec::with_capacity(count);
-                let mut values = Vec::with_capacity(count);
-                for c in pairs.chunks_exact(8) {
-                    indices.push(u32::from_le_bytes(c[..4].try_into().expect("4 bytes")));
-                    values.push(f32::from_le_bytes(c[4..].try_into().expect("4 bytes")));
-                }
+            PayloadView::TopK { pairs, len, .. } => {
+                let (indices, values) = wire::index_pairs(pairs);
                 Payload::TopK {
                     indices,
                     values,
@@ -1137,15 +1041,7 @@ fn write_segment_indices(indices: &[u32], segments: &[usize], out: &mut Vec<u8>)
         out.push(u8::from(dense));
         if !dense {
             out.extend_from_slice(&(seg_indices.len() as u32).to_le_bytes());
-            let width = sparse_index_width(seg);
-            for &i in seg_indices {
-                let offset = i - start;
-                if width == 2 {
-                    out.extend_from_slice(&(offset as u16).to_le_bytes());
-                } else {
-                    out.extend_from_slice(&offset.to_le_bytes());
-                }
-            }
+            wire::put_offsets(out, seg_indices, start, sparse_index_width(seg));
         }
         start += seg as u32;
     });
@@ -1187,12 +1083,7 @@ fn parse_segment_indices(
                 }
                 let width = sparse_index_width(seg);
                 let mut prev: Option<u32> = None;
-                for _ in 0..count {
-                    let offset = if width == 2 {
-                        r.u16()? as u32
-                    } else {
-                        r.u32()?
-                    };
+                for offset in wire::offsets(r.take_elems(count, width)?, width) {
                     if offset as usize >= seg {
                         return Err(DecodeError::Inconsistent("offset outside segment"));
                     }
@@ -1474,6 +1365,105 @@ mod tests {
             })
     }
 
+    /// The per-element serializer the bulk coders replaced, kept as the
+    /// oracle [`Payload::to_bytes`] must match byte for byte.
+    fn to_bytes_oracle(p: &Payload, ctx: &WireCtx) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.push(match p {
+            Payload::Dense { .. } => 0,
+            Payload::MaskCsr { .. } => 1,
+            Payload::QuantInt8 { .. } => 2,
+            Payload::TopK { .. } => 3,
+        });
+        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        match p {
+            Payload::Dense { values } => {
+                for v in values {
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            Payload::MaskCsr {
+                epoch,
+                values,
+                indices,
+                ..
+            } => {
+                out.extend_from_slice(&epoch.to_le_bytes());
+                out.push(u8::from(indices.is_some()));
+                out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+                for v in values {
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+                if let Some(idx) = indices {
+                    let mut start = 0u32;
+                    walk_segment_indices(idx, &ctx.segments, |seg, seg_indices| {
+                        let dense = seg_indices.len() == seg;
+                        out.push(u8::from(dense));
+                        if !dense {
+                            out.extend_from_slice(&(seg_indices.len() as u32).to_le_bytes());
+                            for &i in seg_indices {
+                                let offset = i - start;
+                                if sparse_index_width(seg) == 2 {
+                                    out.extend_from_slice(&(offset as u16).to_le_bytes());
+                                } else {
+                                    out.extend_from_slice(&offset.to_le_bytes());
+                                }
+                            }
+                        }
+                        start += seg as u32;
+                    });
+                }
+            }
+            Payload::QuantInt8 { params, codes, .. } => {
+                for p in params {
+                    out.extend_from_slice(&p.scale.to_le_bytes());
+                    out.extend_from_slice(&p.min.to_le_bytes());
+                }
+                for &c in codes {
+                    out.push(c as u8);
+                }
+            }
+            Payload::TopK {
+                indices, values, ..
+            } => {
+                out.extend_from_slice(&(indices.len() as u32).to_le_bytes());
+                for (i, v) in indices.iter().zip(values.iter()) {
+                    out.extend_from_slice(&i.to_le_bytes());
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    /// Both index widths: a segment past 2^16 entries stores `u32` offsets.
+    /// Every codec's bytes equal the oracle's, and parse back to the payload.
+    #[test]
+    fn codec_to_bytes_matches_oracle_at_both_index_widths() {
+        let segments = vec![5, 70_000, 3];
+        let n: usize = segments.iter().sum();
+        let alive: Vec<bool> = (0..n).map(|i| i % 7 != 3).collect();
+        let ctx = WireCtx::new(alive, segments, 4);
+        let values: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
+        let codecs = [
+            Codec::Dense,
+            Codec::MaskCsr,
+            Codec::QuantInt8,
+            Codec::TopK {
+                k_frac: 0.3,
+                error_feedback: false,
+            },
+        ];
+        for codec in codecs {
+            for peer in [4, 5] {
+                let p = codec.encode(&values, &ctx, peer, None);
+                let bytes = p.to_bytes(&ctx);
+                assert_eq!(bytes, to_bytes_oracle(&p, &ctx), "{codec:?} peer {peer}");
+                assert_eq!(Payload::from_bytes(&bytes, &ctx), Ok(p), "{codec:?}");
+            }
+        }
+    }
+
     #[test]
     fn codec_from_bytes_rejects_garbage_without_panicking() {
         let ctx = striped_ctx(2);
@@ -1568,6 +1558,20 @@ mod tests {
             let p = codec.encode(&values, &ctx, peer, Some(&mut residual));
             let bytes = p.to_bytes(&ctx);
             prop_assert_eq!(Payload::from_bytes(&bytes, &ctx), Ok(p));
+        }
+
+        /// The bulk serializer emits the per-element oracle's bytes for
+        /// every codec × alive pattern × matching/stale mask epoch.
+        #[test]
+        fn codec_to_bytes_matches_per_element_oracle(
+            (ctx, values) in arb_ctx(),
+            codec in arb_codec(),
+            shared in 0usize..2,
+        ) {
+            let peer = if shared == 1 { ctx.epoch } else { ctx.epoch.wrapping_add(1) };
+            let mut residual = Vec::new();
+            let p = codec.encode(&values, &ctx, peer, Some(&mut residual));
+            prop_assert_eq!(p.to_bytes(&ctx), to_bytes_oracle(&p, &ctx));
         }
 
         /// Fuzz-ish robustness: every strict prefix of a valid frame is

@@ -10,7 +10,8 @@
 //! - [`Codec`] / [`Payload`] / [`WireCtx`] — the typed wire formats of the
 //!   device ↔ server update exchange (dense, mask-structured sparse,
 //!   int8-quantized, top-k with error feedback), with exact measured byte
-//!   sizes.
+//!   sizes; [`wire`] holds the cursor and the bulk element coders every
+//!   binary format of the workspace is built from.
 //! - [`CsrMatrix`] — the row-compressed weight representation the sparse
 //!   execution engine packs masked weights into (kernels live in
 //!   `ft-tensor`; dispatch lives in `ft-nn`).
@@ -41,10 +42,11 @@ mod mask;
 mod prune;
 mod schedule;
 mod topk;
+pub mod wire;
 
 pub use codec::{
     sparse_index_width, topk_pairs_encoded_len, Codec, DecodeError, Payload, PayloadView,
-    ShardPlan, WireCtx, WireReader, PAYLOAD_HEADER_BYTES,
+    ShardPlan, WireCtx, PAYLOAD_HEADER_BYTES,
 };
 pub use layout::{CsrMatrix, LayerSpec, SparseLayout};
 pub use mask::Mask;
@@ -54,3 +56,4 @@ pub use prune::{
 };
 pub use schedule::{cosine_prune_count, PruneSchedule};
 pub use topk::TopKBuffer;
+pub use wire::WireReader;

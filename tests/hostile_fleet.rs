@@ -413,8 +413,9 @@ fn run_churn_over_tcp(seed: u64, churns: &[Churn]) -> Trace {
             .unwrap_or_else(|e| panic!("departing device {} failed: {}", c.device, e));
             // The rejoin is a brand-new honest client, launched only after
             // the departure completed so its HELLO cannot race the initial
-            // fleet accept; it waits in the listener's backlog until the
-            // server re-accepts scheduled rejoiners at the rejoin round.
+            // fleet accept; it waits in the listener's backlog — or parked,
+            // if the server accepts it while readmitting another device —
+            // until its rejoin round.
             if c.rejoin.is_some() {
                 let rejoin_env = ExperimentEnv::tiny_for_tests(seed);
                 run_tcp_device(addr, c.device, &rejoin_env, &ModelSpec::small_cnn_test())
