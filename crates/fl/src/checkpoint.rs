@@ -114,9 +114,10 @@ pub struct Checkpoint {
     /// The evaluation cadence the run was started with (changes the
     /// history shape mid-run, so it is part of the fingerprint).
     pub(crate) eval_every: usize,
-    /// The *full* `FlConfig` as canonical JSON: any hyperparameter change
-    /// (batch size, local epochs, learning rate, participation, …) alters
-    /// the remaining rounds' math and must refuse to resume.
+    /// The `FlConfig` as canonical JSON ([`Checkpoint::cfg_fingerprint`]):
+    /// any hyperparameter change (batch size, local epochs, learning rate,
+    /// participation, …) alters the remaining rounds' math and must refuse
+    /// to resume. Only the worker count is left out.
     pub(crate) cfg_json: String,
     /// Rounds (or buffered versions) completed so far.
     pub(crate) rounds_done: usize,
@@ -408,9 +409,13 @@ impl Checkpoint {
         out
     }
 
-    /// Canonical JSON fingerprint of a run configuration.
+    /// Canonical JSON fingerprint of a run configuration, with `threads`
+    /// written as `0`: parallel and sequential execution are bit-identical,
+    /// so the worker count only changes wall-clock and a run resumes under
+    /// any.
     pub(crate) fn cfg_fingerprint(cfg: &crate::FlConfig) -> String {
-        serde_json::to_string(cfg).expect("FlConfig serializes")
+        let cfg = crate::FlConfig { threads: 0, ..*cfg };
+        serde_json::to_string(&cfg).expect("FlConfig serializes")
     }
 
     /// Rejects a checkpoint that was produced by a different run than
@@ -442,7 +447,16 @@ impl Checkpoint {
         if self.eval_every != eval_every {
             return Err(CheckpointError::Mismatch("evaluation cadence"));
         }
-        if self.cfg_json != Self::cfg_fingerprint(&env.cfg) {
+        // A checkpoint written before `threads` left the fingerprint stores
+        // its run's worker count: compare under that count, so only the
+        // worker count is ignored on either side.
+        let stored_threads =
+            serde_json::from_str::<crate::FlConfig>(&self.cfg_json).map_or(0, |cfg| cfg.threads);
+        let cfg = crate::FlConfig {
+            threads: stored_threads,
+            ..env.cfg
+        };
+        if self.cfg_json != serde_json::to_string(&cfg).expect("FlConfig serializes") {
             return Err(CheckpointError::Mismatch("run configuration"));
         }
         Ok(())
@@ -881,9 +895,28 @@ mod tests {
             ck.validate_against(&env, 2),
             Err(CheckpointError::Mismatch("evaluation cadence"))
         );
+        // The worker count only changes wall-clock: a checkpoint taken on
+        // one worker resumes on four.
+        ck.cfg_json = Checkpoint::cfg_fingerprint(&crate::FlConfig {
+            threads: 1,
+            ..env.cfg
+        });
+        let mut other = env.clone();
+        other.cfg.threads = 4;
+        assert_eq!(ck.validate_against(&other, 1), Ok(()));
+        // A version-2 checkpoint written while the fingerprint still held
+        // the worker count resumes too, under its own count or another.
+        ck.cfg_json = serde_json::to_string(&crate::FlConfig {
+            threads: 3,
+            ..env.cfg
+        })
+        .unwrap();
+        assert!(ck.cfg_json.contains("\"threads\":3"));
+        assert_eq!(ck.validate_against(&other, 1), Ok(()));
+        other.cfg.threads = 3;
+        assert_eq!(ck.validate_against(&other, 1), Ok(()));
         // Any other hyperparameter change is caught by the full-config
         // fingerprint: the resumed rounds would silently diverge.
-        let mut other = env;
         other.cfg.batch_size += 1;
         assert_eq!(
             ck.validate_against(&other, 1),

@@ -17,7 +17,10 @@
 //! - **dW**: four output channels × two taps, over the output pixels in
 //!   ascending order; the accumulators of a row's eight consecutive taps are
 //!   transposed so lane `l` of all eight is one vector, and the live lanes
-//!   are added into `w.grad` in ascending sample order.
+//!   are added into `w.grad` in ascending sample order. On a plane of fewer
+//!   pixels than output channels the lanes hold taps instead: the input is
+//!   transposed once per pixel, and three channels × sixteen taps keep their
+//!   running totals in registers while each sample's chain is added on.
 //! - **dX**: six input channels × two pixels, over the output channels in
 //!   ascending order, added into the zeroed input-gradient group (its ring
 //!   zeroed again afterwards). A group's `dY` rows are first copied an odd
@@ -44,10 +47,10 @@
 //!   `+0.0 + tmp` (the zeroed dCol), then added into the zeroed input
 //!   gradient in ascending `k`, as [`crate::oracle::col2im_ld`] folds dCol's rows.
 //!
-//! Every multiply-add goes through [`Lanes::axpy`], which fuses in the
-//! AVX2+FMA family exactly as the GEMM's `AvxFma` microkernel does and rounds
-//! twice in the portable family like `Portable`; each kernel is a [`LaneJob`]
-//! per group, and [`run_lanes`] picks the family. Padded taps multiply the
+//! Every multiply-add goes through [`Lanes::axpy`], as in the GEMM's
+//! microkernel: fused in the AVX2+FMA family, rounded twice in the portable
+//! one; each kernel is a [`LaneJob`] per group, and [`run_lanes`] picks the
+//! family. Padded taps multiply the
 //! ring's stored `+0.0` like im2col's structural zeros, and the ring of the
 //! input gradient absorbs what col2im clips. Register blocks that run past the last channel
 //! recompute it and drop the result. Outputs, weight gradients and input
@@ -74,6 +77,11 @@ const PX: usize = 2;
 /// side make the eight taps a flush transposes.
 const DW_ROWS: usize = 4;
 const DW_TAPS: usize = 2;
+/// dW with lanes of taps ([`Shape::dw_over_taps`]): output channels and tap
+/// vectors per register block (six running totals, six chains); the tap
+/// vectors are also the panel of the input transposed at a time.
+const DWT_ROWS: usize = 3;
+const DWT_VECS: usize = 2;
 
 /// What the dense engine keeps between calls, grown on first use and reused
 /// from then on: the offset tables of its current geometry and ring, the
@@ -99,7 +107,8 @@ pub struct ConvBufs {
     /// Per worker, one group's `dY` with its rows `dy_row` apart, for dX.
     dy_t: Vec<Lane>,
     /// Per worker, `[4][blocks][8]` transposed dW chains, used when a
-    /// sample's chain is cut into blocks (see [`Dw`]).
+    /// sample's chain is cut into blocks (see [`Dw`]), or a panel of the
+    /// input transposed for [`dw_over_taps`].
     dw_stage: Vec<Lane>,
 }
 
@@ -209,6 +218,14 @@ impl Shape<'_> {
     /// [`KC`]-deep blocks a sample's dW chain is cut into.
     fn dw_blocks(&self) -> usize {
         self.cc().div_ceil(KC)
+    }
+
+    /// Whether dW runs with lanes of taps rather than lanes of samples: on a
+    /// plane of fewer pixels than output channels, where transposing the
+    /// input once per pixel costs less than transposing every row's chains,
+    /// and whose chains are one block.
+    fn dw_over_taps(&self) -> bool {
+        self.cc() < self.out_c && self.dw_blocks() == 1
     }
 
     /// Whether a pass over `groups` groups is worth fanning out on `rt`; the
@@ -369,8 +386,9 @@ pub fn dconv_backward_rt(
     if let Some(grad) = grad_w {
         assert_eq!(grad.len(), w.len(), "dconv weight gradient length mismatch");
         let xs = x.lanes();
-        // Only a chain cut into blocks is staged.
+        // The transposed input panel, or a chain cut into blocks.
         let stage_len = match sh.dw_blocks() {
+            _ if sh.dw_over_taps() => DWT_VECS * LANES * cc,
             1 => 0,
             blocks => DW_ROWS * blocks * LANES,
         };
@@ -594,7 +612,8 @@ fn dx_kernel<V: Lanes>(sh: &Shape<'_>, w_t: &[f32], dy_t: &[Lane], gx_t: &mut [L
 /// and a sample is one vector add. A chain cut into blocks waits in `stage`,
 /// transposed, `[row][block][lane]`, until its last block is in; a whole
 /// chain is flushed from registers (through `stage` it cost a fifth more on
-/// 2 × 2 planes).
+/// 2 × 2 planes). [`Shape::dw_over_taps`] hands the group to
+/// [`dw_over_taps`] instead.
 struct Dw<'a>(
     &'a Shape<'a>,
     &'a [Lane],
@@ -637,27 +656,17 @@ impl LaneJob for Dw<'_> {
         /// `slots[t] = (…(slots[t] + addends[0][t]) + addends[1][t]) + …`.
         #[inline(always)]
         fn flush<V: Lanes>(slots: &mut [f32], addends: impl Iterator<Item = V>) {
-            #[inline(always)]
-            fn add_all<V: Lanes>(octet: &mut [f32; LANES], addends: impl Iterator<Item = V>) {
-                let mut sum = V::load(octet);
-                for v in addends {
-                    sum = sum.add(v);
-                }
-                sum.store(octet);
+            let mut sum = load_part::<V>(slots);
+            for v in addends {
+                sum = sum.add(v);
             }
-            match <&mut [f32; LANES]>::try_from(&mut *slots) {
-                Ok(octet) => add_all(octet, addends),
-                // The last taps of a row: fewer than eight slots.
-                Err(_) => {
-                    let mut octet = [0.0; LANES];
-                    octet[..slots.len()].copy_from_slice(slots);
-                    add_all(&mut octet, addends);
-                    slots.copy_from_slice(&octet[..slots.len()]);
-                }
-            }
+            store_part(sum, slots);
         }
         let Dw(sh, xt, dy_t, valid, rows, grad, stage) = self;
         assert!(sh.reach < xt.len(), "dconv group shorter than its geometry");
+        if sh.dw_over_taps() {
+            return dw_over_taps::<V>(sh, xt, dy_t, valid, rows, grad, stage);
+        }
         let (cr, cc, blocks) = (sh.cr(), sh.cc(), sh.dw_blocks());
         for o in rows.clone().step_by(DW_ROWS) {
             // Rows and taps past the last repeat it; the flush drops them.
@@ -700,6 +709,123 @@ impl LaneJob for Dw<'_> {
                     }
                 }
             }
+        }
+    }
+}
+
+/// [`Dw`] with lanes of taps, on a plane of one block: per sixteen taps the
+/// input is transposed into `stage`, `[vector][sample][pixel]`, so one
+/// vector holds eight consecutive taps of one sample at one pixel. A
+/// register block holds three rows' running totals of those taps, loaded
+/// from `grad`; per live sample a fresh chain over the pixels in ascending
+/// order (the broadcast `dY` times the taps) is added onto them, and the
+/// totals are stored back — the same scalar operations per element as the
+/// lanes-of-samples flush.
+#[inline(always)]
+fn dw_over_taps<V: Lanes>(
+    sh: &Shape<'_>,
+    xt: &[Lane],
+    dy_t: &[Lane],
+    valid: usize,
+    rows: Range<usize>,
+    grad: &mut [f32],
+    stage: &mut [Lane],
+) {
+    let (cr, cc) = (sh.cr(), sh.cc());
+    let octets = cr.div_ceil(LANES);
+    for v0 in (0..octets).step_by(DWT_VECS) {
+        // Taps and tap vectors past the last repeat it; their totals are
+        // not stored.
+        let vecs = DWT_VECS.min(octets - v0);
+        let vec = |j: usize| v0 + j.min(vecs - 1);
+        for j in 0..vecs {
+            let mut origin = [0; LANES];
+            for (t, origin) in origin.iter_mut().enumerate() {
+                *origin = sh.origin[(LANES * vec(j) + t).min(cr - 1)] as usize;
+            }
+            for (p, &px) in sh.pixel.iter().enumerate() {
+                let mut taps = [V::splat(0.0); LANES];
+                for (tap, &origin) in taps.iter_mut().zip(&origin) {
+                    // SAFETY: `origin` and `px` are entries of the tables
+                    // `sh.reach` bounds, and `Dw::run` checked
+                    // `sh.reach < xt.len()`.
+                    *tap = unsafe { lane_at(xt, origin + px as usize) };
+                }
+                for (l, samples) in V::transpose(taps).into_iter().enumerate() {
+                    samples.store(&mut stage[(j * LANES + l) * cc + p].0);
+                }
+            }
+        }
+        let xs: [&[Lane]; DWT_VECS] =
+            std::array::from_fn(|j| &stage[(vec(j) - v0) * LANES * cc..][..LANES * cc]);
+        for o in rows.clone().step_by(DWT_ROWS) {
+            // Rows past the last repeat it; their totals are not stored.
+            let row = |i: usize| (o + i).min(rows.end - 1);
+            let dy: [&[Lane]; DWT_ROWS] = std::array::from_fn(|i| &dy_t[row(i) * cc..][..cc]);
+            // The gradient slots of block row `i` and tap vector `j`.
+            let slots = |i: usize, j: usize| {
+                let (at, k) = ((row(i) - rows.start) * cr, LANES * vec(j));
+                at + k..at + cr.min(k + LANES)
+            };
+            let mut total = [[V::splat(0.0); DWT_VECS]; DWT_ROWS];
+            for (i, total) in total.iter_mut().enumerate() {
+                for (j, total) in total.iter_mut().enumerate() {
+                    *total = load_part(&grad[slots(i, j)]);
+                }
+            }
+            let samples = xs[0].chunks_exact(cc).zip(xs[1].chunks_exact(cc));
+            for (l, x) in samples.take(valid).enumerate() {
+                let x = <[&[Lane]; DWT_VECS]>::from(x);
+                let mut chain = [[V::splat(0.0); DWT_VECS]; DWT_ROWS];
+                for p in 0..cc {
+                    let mut d = [V::splat(0.0); DWT_ROWS];
+                    for (d, dy) in d.iter_mut().zip(&dy) {
+                        *d = V::splat(dy[p].0[l]);
+                    }
+                    let mut taps = [V::splat(0.0); DWT_VECS];
+                    for (tap, x) in taps.iter_mut().zip(&x) {
+                        *tap = V::load(&x[p].0);
+                    }
+                    rank1(&mut chain, d, taps);
+                }
+                for (total, chain) in total.iter_mut().zip(chain) {
+                    for (total, chain) in total.iter_mut().zip(chain) {
+                        *total = total.add(chain);
+                    }
+                }
+            }
+            for (i, total) in total.into_iter().enumerate().take(rows.end - o) {
+                for (j, total) in total.into_iter().enumerate().take(vecs) {
+                    store_part(total, &mut grad[slots(i, j)]);
+                }
+            }
+        }
+    }
+}
+
+/// The up to eight floats of `slots` (fewer for the last taps of a row) as
+/// one vector, zeros after them.
+#[inline(always)]
+fn load_part<V: Lanes>(slots: &[f32]) -> V {
+    match <&[f32; LANES]>::try_from(slots) {
+        Ok(octet) => V::load(octet),
+        Err(_) => {
+            let mut octet = [0.0; LANES];
+            octet[..slots.len()].copy_from_slice(slots);
+            V::load(&octet)
+        }
+    }
+}
+
+/// The first `slots.len()` lanes of `v` into `slots`.
+#[inline(always)]
+fn store_part<V: Lanes>(v: V, slots: &mut [f32]) {
+    match <&mut [f32; LANES]>::try_from(&mut *slots) {
+        Ok(octet) => v.store(octet),
+        Err(_) => {
+            let mut octet = [0.0; LANES];
+            v.store(&mut octet);
+            slots.copy_from_slice(&octet[..slots.len()]);
         }
     }
 }

@@ -1,25 +1,24 @@
-//! The lane kernels' two families and their one entry point.
+//! The kernels' two families and their one entry point.
 //!
-//! The direct convolutions ([`crate::spconv`], [`crate::dconv`]) and the
-//! batch-norm kernels ([`crate::bn`]) are written once over [`Lanes`] — eight
-//! `f32` lanes and the arithmetic of one kernel family — and instantiated per
-//! family, like the dense GEMM's `Micro`: the portable [`Lane`], and `Ymm` on
-//! `__m256` when the crate's `simd` feature is on and the target is x86-64.
+//! The dense GEMM's microkernel ([`crate::matmul`]), the direct convolutions
+//! ([`crate::spconv`], [`crate::dconv`]), the batch-norm kernels
+//! ([`crate::bn`]), pooling and the residual add are written once over
+//! [`Lanes`] — eight `f32` lanes and the arithmetic of one kernel family —
+//! and instantiated per family: the portable [`Lane`], and `Ymm` on `__m256`
+//! when the crate's `simd` feature is on and the target is x86-64.
 //!
 //! A kernel is a [`LaneJob`]: its operands, plus a body generic over the
-//! family. [`run_lanes`] is the only place that picks the family: it reads
-//! [`simd_active`](crate::matmul::simd_active) once per job and, when it
-//! holds, runs the body inside the one `target_feature(enable = "avx2,fma")`
-//! function of the lane kernels.
+//! family. This module is the only place that picks the family:
+//! [`simd_active`] detects AVX2+FMA once per process, and [`run_lanes`]
+//! reads it per job and, when it holds, runs the body inside the crate's one
+//! `target_feature(enable = "avx2,fma")` function.
 //! Everything a body calls is `#[inline(always)]`, so the AVX2 family exists
 //! only as code inlined there (a vector crossing a call into code compiled
 //! without AVX2 goes through memory).
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use crate::matmul::simd_active;
-
-/// Samples per lane vector (one AVX2 register of `f32`). Results do not
-/// depend on it: a lane never reads another lane.
+/// Lanes per vector (one AVX2 register of `f32`): samples in the
+/// convolutions, columns in the GEMM. Results do not depend on it: a lane
+/// never reads another lane.
 pub(crate) const LANES: usize = 8;
 
 /// One value per sample of a group.
@@ -37,8 +36,8 @@ pub(crate) trait Lanes: Copy {
     fn add(self, rhs: Self) -> Self;
     fn sub(self, rhs: Self) -> Self;
     fn mul(self, rhs: Self) -> Self;
-    /// `self + v·x` as this family's forward pass rounds it: fused in the
-    /// AVX2+FMA family, mul-then-add in the portable one — the rule
+    /// `self + v·x` as this family's GEMM and forward passes round it: fused
+    /// in the AVX2+FMA family, mul-then-add in the portable one — the rule
     /// [`crate::oracle::spmm_into`] follows.
     fn axpy(self, v: Self, x: Self) -> Self;
     /// `out[k][l] = rows[l][k]`.
@@ -55,6 +54,22 @@ pub(crate) trait Lanes: Copy {
     fn and(self, mask: Self) -> Self;
     /// `a` where `mask` is all ones, `b` where it is zero.
     fn select(mask: Self, a: Self, b: Self) -> Self;
+}
+
+/// Whether the AVX2+FMA family runs in this process: the one switch every
+/// kernel in this crate reads. Detected once; it depends only on the CPU, so
+/// a process makes the same choice for every shape and thread count.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+pub(crate) fn simd_active() -> bool {
+    static ACTIVE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ACTIVE.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
+}
+
+/// Without the `simd` feature, or off x86-64, only the portable family
+/// exists.
+#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+pub(crate) fn simd_active() -> bool {
+    false
 }
 
 /// The bits of a set mask lane.
@@ -76,9 +91,8 @@ pub(crate) trait LaneJob {
     fn run<V: Lanes>(self);
 }
 
-/// Runs `job` on the AVX2+FMA family when
-/// [`simd_active`](crate::matmul::simd_active), on the portable family
-/// otherwise.
+/// Runs `job` on the AVX2+FMA family when [`simd_active`], on the portable
+/// family otherwise.
 #[inline]
 pub(crate) fn run_lanes(job: impl LaneJob) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -171,9 +185,10 @@ impl Lanes for Lane {
 }
 
 /// The AVX2+FMA family: the same kernels on `__m256`. Only `axpy` — the
-/// convolutions' forward passes — fuses, as [`crate::oracle::spmm_into`]
-/// does whenever this family runs; `add` and `mul` round like the portable
-/// family's, so the other kernels gain vector width and keep their bits.
+/// GEMM and the convolutions' forward passes — fuses, as
+/// [`crate::oracle::spmm_into`] does whenever this family runs; `add` and
+/// `mul` round like the portable family's, so the other kernels gain vector
+/// width and keep their bits.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx {
     use super::{Lanes, LANES};

@@ -13,9 +13,9 @@
 //! elementwise arithmetic, reductions, seeded random initializers and the
 //! int8 quantizer of the wire codecs.
 //!
-//! The kernels over a `LaneTensor` run on one of two kernel families,
-//! AVX2+FMA or portable, picked in one place: each kernel is a job handed to
-//! `lanes::run_lanes`.
+//! The GEMM and the kernels over a `LaneTensor` run on one of two kernel
+//! families, AVX2+FMA or portable, picked in one place: each kernel is a job
+//! handed to `lanes::run_lanes`.
 //!
 //! The root exports one entry point per kernel — the one its caller uses.
 //! The im2col + GEMM / CSR route the convolution engines replaced, and the

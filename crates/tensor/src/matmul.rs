@@ -17,26 +17,28 @@
 //!
 //! # Blocking scheme
 //!
-//! All three layouts run the same GEMM driver: the iteration space is tiled
-//! `NC × KC × MC` (columns, depth, rows — see [`KC`]/[`NC`] and the
-//! per-microkernel `MC`), the active `A`/`B` panels are repacked into
+//! Every product runs one blocked driver, the [`LaneJob`] `Gemm`: the
+//! iteration space is tiled `NC × KC × MC` (columns, depth, rows — see
+//! [`KC`], [`NC`], [`MC`]), the active `A`/`B` panels are repacked into
 //! contiguous scratch so the inner loops never see a strided access, and an
-//! `MR × NR` register-tiled microkernel does all the arithmetic. Operand
-//! transposition is handled entirely in the packing routines, so the
-//! microkernel is shared by every layout. Edge tiles are zero-padded in the
-//! packed panels; the padded lanes land in accumulator slots that are never
-//! written back.
+//! `MR × NR` = `6 × 16` register-tiled microkernel does all the arithmetic:
+//! twelve accumulators of two lane vectors per row, one broadcast `A` value
+//! per row and step. Operand transposition is handled entirely in the
+//! packing routines, so the microkernel is shared by every layout. Edge
+//! tiles are zero-padded in the packed panels; the padded lanes land in
+//! accumulator slots that are never written back.
 //!
-//! Two microkernels exist:
+//! The microkernel is written once over [`Lanes`], and [`run_lanes`] picks
+//! its family: each step is [`Lanes::axpy`], fused on the AVX2+FMA family
+//! and a multiply then an add on the portable one. Detection depends only on
+//! the CPU, never on shapes or thread counts, so a process always rounds the
+//! same way.
 //!
-//! - a portable `4 × 8` kernel written so the autovectorizer emits SIMD for
-//!   whatever the target baseline is, and
-//! - an explicit `6 × 16` AVX2+FMA kernel (`std::arch`), compiled behind the
-//!   default-on `simd` cargo feature and selected by runtime CPU detection.
-//!
-//! The two kernels round differently (the FMA path fuses each
-//! multiply-accumulate), so a given binary always picks one deterministically
-//! — detection depends only on the CPU, never on shapes or thread counts.
+//! The driver takes a depth-segment width `seg`: a depth block never spans
+//! a segment boundary, and the accumulator tile restarts and flushes into
+//! `C` at every one. The products pass `seg = k`; [`matmul_nt_seg_into`]
+//! passes its segment, which packs each panel once for `KC / seg` segments
+//! instead of once per segment.
 //!
 //! # Determinism
 //!
@@ -45,10 +47,12 @@
 //! [`ft_runtime::chunk_ranges`]) and each worker runs the *same* blocked
 //! driver over its range, so parallel results are bit-for-bit identical to
 //! sequential ones. This holds because the accumulation order of any output
-//! element — ascending `KC` depth panels, ascending `k` within a panel, one
-//! `C += panel_sum` per panel — is a pure function of `k` alone and never
-//! depends on how rows were split across workers.
+//! element — per `KC`-deep panel of a segment a chain from `+0.0` over
+//! ascending `k`, then one `C += panel` per panel, panels ascending — is a
+//! pure function of `k` and `seg` alone and never depends on the tile shape
+//! or on how rows were split across workers.
 
+use crate::lanes::{run_lanes, LaneJob, Lanes, LANES};
 use crate::Tensor;
 use ft_runtime::Runtime;
 use std::cell::RefCell;
@@ -60,129 +64,33 @@ pub(crate) const KC: usize = 256;
 /// Column (`n`) blocking: the packed `B` panel (`KC × NC` ≤ 512 KiB) is
 /// sized for L2 and reused across every row tile.
 const NC: usize = 512;
+/// Row blocking (a multiple of [`MR`]): rows of `A` packed per panel.
+const MC: usize = 96;
+/// Rows of `C` per register tile.
+const MR: usize = 6;
+/// Columns of `C` per register tile: two lane vectors.
+const NR: usize = 2 * LANES;
 
-/// Upper bounds for the shared accumulator tile; individual microkernels use
-/// the top-left `MR × NR` corner.
-const MR_MAX: usize = 6;
-const NR_MAX: usize = 16;
-
-/// One register tile of `C`. Kept flat across microkernels so the driver can
-/// zero and write back without knowing which kernel ran.
-type Acc = [[f32; NR_MAX]; MR_MAX];
-
-/// A register-tiled inner kernel: computes
-/// `acc[..MR][..NR] += Apanel · Bpanel` over a packed `kc`-deep strip pair.
-trait Micro {
-    /// Rows of `C` per register tile.
-    const MR: usize;
-    /// Columns of `C` per register tile.
-    const NR: usize;
-    /// Row blocking (multiple of `MR`): rows of `A` packed per panel.
-    const MC: usize;
-    /// `ap` is `kc × MR` (row-groups of `A`), `bp` is `kc × NR`
-    /// (column-groups of `B`), both contiguous and zero-padded.
-    fn kernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut Acc);
-}
-
-/// Portable microkernel: plain nested loops over a `4 × 8` tile, shaped so
-/// the autovectorizer keeps the tile in registers and emits SIMD
-/// multiply-adds for the target baseline.
-struct Portable;
-
-impl Micro for Portable {
-    const MR: usize = 4;
-    const NR: usize = 8;
-    const MC: usize = 64;
-
-    #[inline]
-    fn kernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut Acc) {
-        for (a, b) in ap.chunks_exact(4).zip(bp.chunks_exact(8)).take(kc) {
-            for (&av, accr) in a.iter().zip(acc.iter_mut()) {
-                for (cv, &bv) in accr.iter_mut().zip(b.iter()) {
-                    *cv += av * bv;
-                }
-            }
+/// The microkernel: `Σ Apanel · Bpanel` over a packed strip pair, `ap` being
+/// `kc × MR` (row-groups of `A`) and `bp` `kc × NR` (column-groups of `B`),
+/// one chain from `+0.0` per element over ascending depth.
+#[inline(always)]
+fn kernel<V: Lanes>(ap: &[f32], bp: &[f32]) -> [[V; 2]; MR] {
+    let mut acc = [[V::splat(0.0); 2]; MR];
+    let (bp, _) = bp.as_chunks::<LANES>();
+    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(2)) {
+        let b = [V::load(&b[0]), V::load(&b[1])];
+        for (row, &a) in acc.iter_mut().zip(a) {
+            let a = V::splat(a);
+            row[0] = row[0].axpy(a, b[0]);
+            row[1] = row[1].axpy(a, b[1]);
         }
     }
-}
-
-/// Whether the explicit AVX2+FMA kernels are active in this process — the
-/// one switch every kernel family in this crate reads, so dense, sparse,
-/// convolution and batch-norm kernels always make the same choice.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) fn simd_active() -> bool {
-    avx::available()
-}
-
-/// Without the `simd` feature, or off x86-64, no explicit kernel exists.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-pub(crate) fn simd_active() -> bool {
-    false
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx {
-    use super::{Acc, Micro};
-    use std::arch::x86_64::*;
-
-    /// Whether the explicit AVX2+FMA microkernel may run on this CPU.
-    /// Detected once; the choice depends only on the host CPU, so a process
-    /// always uses the same kernel for every shape and thread count.
-    pub(super) fn available() -> bool {
-        static AVAILABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *AVAILABLE
-            .get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
-    }
-
-    /// Explicit `6 × 16` AVX2+FMA microkernel: twelve `__m256` accumulators,
-    /// two packed-`B` vectors, and a broadcast `A` lane per step — 15 of the
-    /// 16 ymm registers, no spills.
-    pub(super) struct AvxFma;
-
-    impl Micro for AvxFma {
-        const MR: usize = 6;
-        const NR: usize = 16;
-        const MC: usize = 96;
-
-        #[inline]
-        fn kernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut Acc) {
-            debug_assert!(ap.len() >= kc * Self::MR && bp.len() >= kc * Self::NR);
-            // SAFETY: `AvxFma` is only instantiated after `available()`
-            // confirmed AVX2+FMA at runtime, and the slice lengths cover
-            // every unchecked access below.
-            unsafe { kernel_fma(kc, ap, bp, acc) }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn kernel_fma(kc: usize, ap: &[f32], bp: &[f32], acc: &mut Acc) {
-        unsafe {
-            let mut r = [[_mm256_setzero_ps(); 2]; 6];
-            for (racc, row) in r.iter_mut().zip(acc.iter()) {
-                racc[0] = _mm256_loadu_ps(row.as_ptr());
-                racc[1] = _mm256_loadu_ps(row.as_ptr().add(8));
-            }
-            for kk in 0..kc {
-                let b = bp.as_ptr().add(kk * 16);
-                let b0 = _mm256_loadu_ps(b);
-                let b1 = _mm256_loadu_ps(b.add(8));
-                let a = ap.as_ptr().add(kk * 6);
-                for (ir, racc) in r.iter_mut().enumerate() {
-                    let av = _mm256_broadcast_ss(&*a.add(ir));
-                    racc[0] = _mm256_fmadd_ps(av, b0, racc[0]);
-                    racc[1] = _mm256_fmadd_ps(av, b1, racc[1]);
-                }
-            }
-            for (racc, row) in r.iter().zip(acc.iter_mut()) {
-                _mm256_storeu_ps(row.as_mut_ptr(), racc[0]);
-                _mm256_storeu_ps(row.as_mut_ptr().add(8), racc[1]);
-            }
-        }
-    }
+    acc
 }
 
 /// Packs rows `rows` × depth `kr` of `A` into `MR`-row strips:
-/// `out[strip][kk][ir] = A(rows.start + strip·mr + ir, kr.start + kk)`,
+/// `out[strip][kk][ir] = A(rows.start + strip·MR + ir, kr.start + kk)`,
 /// zero-padding row lanes past `rows.end`.
 ///
 /// `AT = false` reads `A` stored `[m × k]` (`lda = k`); `AT = true` reads
@@ -191,7 +99,6 @@ mod avx {
 fn pack_a<const AT: bool>(
     ad: &[f32],
     lda: usize,
-    mr: usize,
     rows: Range<usize>,
     kr: Range<usize>,
     out: &mut [f32],
@@ -200,33 +107,33 @@ fn pack_a<const AT: bool>(
     let mut i0 = rows.start;
     let mut strip = 0usize;
     while i0 < rows.end {
-        let valid = (rows.end - i0).min(mr);
-        let panel = &mut out[strip * kc * mr..(strip + 1) * kc * mr];
+        let valid = (rows.end - i0).min(MR);
+        let panel = &mut out[strip * kc * MR..(strip + 1) * kc * MR];
         if AT {
             for kk in 0..kc {
                 let src = &ad[(kr.start + kk) * lda + i0..][..valid];
-                let dst = &mut panel[kk * mr..(kk + 1) * mr];
+                let dst = &mut panel[kk * MR..(kk + 1) * MR];
                 dst[..valid].copy_from_slice(src);
                 dst[valid..].fill(0.0);
             }
         } else {
-            if valid < mr {
+            if valid < MR {
                 panel.fill(0.0);
             }
             for ir in 0..valid {
                 let arow = &ad[(i0 + ir) * lda + kr.start..][..kc];
                 for (kk, &v) in arow.iter().enumerate() {
-                    panel[kk * mr + ir] = v;
+                    panel[kk * MR + ir] = v;
                 }
             }
         }
-        i0 += mr;
+        i0 += MR;
         strip += 1;
     }
 }
 
 /// Packs depth `kr` × columns `cols` of `B` into `NR`-column strips:
-/// `out[strip][kk][jr] = B(kr.start + kk, cols.start + strip·nr + jr)`,
+/// `out[strip][kk][jr] = B(kr.start + kk, cols.start + strip·NR + jr)`,
 /// zero-padding column lanes past `cols.end`.
 ///
 /// `BT = false` reads `B` stored `[k × n]` (`ldb = n`); `BT = true` reads
@@ -234,7 +141,6 @@ fn pack_a<const AT: bool>(
 fn pack_b<const BT: bool>(
     bd: &[f32],
     ldb: usize,
-    nr: usize,
     kr: Range<usize>,
     cols: Range<usize>,
     out: &mut [f32],
@@ -243,39 +149,40 @@ fn pack_b<const BT: bool>(
     let mut j0 = cols.start;
     let mut strip = 0usize;
     while j0 < cols.end {
-        let valid = (cols.end - j0).min(nr);
-        let panel = &mut out[strip * kc * nr..(strip + 1) * kc * nr];
+        let valid = (cols.end - j0).min(NR);
+        let panel = &mut out[strip * kc * NR..(strip + 1) * kc * NR];
         if BT {
-            if valid < nr {
+            if valid < NR {
                 panel.fill(0.0);
             }
             for jr in 0..valid {
                 let brow = &bd[(j0 + jr) * ldb + kr.start..][..kc];
                 for (kk, &v) in brow.iter().enumerate() {
-                    panel[kk * nr + jr] = v;
+                    panel[kk * NR + jr] = v;
                 }
             }
         } else {
             for kk in 0..kc {
                 let src = &bd[(kr.start + kk) * ldb + j0..][..valid];
-                let dst = &mut panel[kk * nr..(kk + 1) * nr];
+                let dst = &mut panel[kk * NR..(kk + 1) * NR];
                 dst[..valid].copy_from_slice(src);
                 dst[valid..].fill(0.0);
             }
         }
-        j0 += nr;
+        j0 += NR;
         strip += 1;
     }
 }
 
 /// Shape and stride bundle for one GEMM call; `lda`/`ldb` are the row
 /// strides of the *stored* operands (so `m` for a transposed `A`, `k` for a
-/// transposed `B`).
+/// transposed `B`), and `seg` the depth-segment width (`k` for one product).
 struct GemmShape {
     k: usize,
     n: usize,
     lda: usize,
     ldb: usize,
+    seg: usize,
 }
 
 thread_local! {
@@ -286,58 +193,109 @@ thread_local! {
     static PACK_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// The blocked driver: `C[rows] += op(A) · op(B)` for the output-row range
-/// `rows`, where `cchunk` holds exactly those rows. Shared by every layout
-/// and every microkernel; see the module docs for the blocking scheme and
-/// the accumulation-order contract.
-fn gemm_with<M: Micro, const AT: bool, const BT: bool>(
+/// `C[rows] += op(A) · op(B)` for the output-row range `rows`, where
+/// `cchunk` holds exactly those rows: borrows the packing scratch and runs
+/// the blocked driver on the family [`run_lanes`] picks.
+fn gemm<const AT: bool, const BT: bool>(
     shape: &GemmShape,
     ad: &[f32],
     bd: &[f32],
     rows: Range<usize>,
     cchunk: &mut [f32],
 ) {
-    let (k, n) = (shape.k, shape.n);
-    if rows.is_empty() || n == 0 || k == 0 {
+    if rows.is_empty() || shape.n == 0 || shape.k == 0 {
         return;
     }
-    let kc_max = k.min(KC);
-    let bstrips = n.min(NC).div_ceil(M::NR);
-    let astrips = rows.len().min(M::MC).div_ceil(M::MR);
+    let kc_max = shape.k.min(KC);
     PACK_SCRATCH.with(|scratch| {
         let (bpack, apack) = &mut *scratch.borrow_mut();
-        bpack.resize(bstrips * M::NR * kc_max, 0.0);
-        apack.resize(astrips * M::MR * kc_max, 0.0);
-        let mut acc: Acc = [[0.0; NR_MAX]; MR_MAX];
+        bpack.resize(shape.n.min(NC).div_ceil(NR) * NR * kc_max, 0.0);
+        apack.resize(rows.len().min(MC).div_ceil(MR) * MR * kc_max, 0.0);
+        run_lanes(Gemm::<AT, BT> {
+            shape,
+            ad,
+            bd,
+            rows,
+            cchunk,
+            bpack,
+            apack,
+        });
+    });
+}
 
+/// The blocked driver over the packing scratch; see the module docs for the
+/// blocking scheme and the accumulation-order contract.
+struct Gemm<'a, const AT: bool, const BT: bool> {
+    shape: &'a GemmShape,
+    ad: &'a [f32],
+    bd: &'a [f32],
+    rows: Range<usize>,
+    cchunk: &'a mut [f32],
+    bpack: &'a mut [f32],
+    apack: &'a mut [f32],
+}
+
+impl<const AT: bool, const BT: bool> LaneJob for Gemm<'_, AT, BT> {
+    #[inline(always)]
+    fn run<V: Lanes>(self) {
+        let Gemm {
+            shape,
+            ad,
+            bd,
+            rows,
+            cchunk,
+            bpack,
+            apack,
+        } = self;
+        let GemmShape {
+            k,
+            n,
+            lda,
+            ldb,
+            seg,
+        } = *shape;
         let mut jc = 0;
         while jc < n {
             let nc = (n - jc).min(NC);
             let mut pc = 0;
             while pc < k {
-                let kc = (k - pc).min(KC);
-                pack_b::<BT>(bd, shape.ldb, M::NR, pc..pc + kc, jc..jc + nc, bpack);
+                // Whole segments per block when they fit; otherwise a
+                // `KC`-deep slice of the current segment.
+                let kc = if seg <= KC {
+                    (KC / seg * seg).min(k - pc)
+                } else {
+                    (seg - pc % seg).min(KC)
+                };
+                let chunk = seg.min(kc);
+                pack_b::<BT>(bd, ldb, pc..pc + kc, jc..jc + nc, bpack);
                 let mut ic = rows.start;
                 while ic < rows.end {
-                    let mc = (rows.end - ic).min(M::MC);
-                    pack_a::<AT>(ad, shape.lda, M::MR, ic..ic + mc, pc..pc + kc, apack);
-                    for jt in 0..nc.div_ceil(M::NR) {
-                        let bp = &bpack[jt * kc * M::NR..(jt + 1) * kc * M::NR];
-                        let j0 = jc + jt * M::NR;
-                        let jvalid = (jc + nc - j0).min(M::NR);
-                        for it in 0..mc.div_ceil(M::MR) {
-                            let ap = &apack[it * kc * M::MR..(it + 1) * kc * M::MR];
-                            let i0 = ic + it * M::MR;
-                            let ivalid = (ic + mc - i0).min(M::MR);
-                            for row in acc.iter_mut().take(M::MR) {
-                                row[..M::NR].fill(0.0);
-                            }
-                            M::kernel(kc, ap, bp, &mut acc);
-                            for (ir, accr) in acc.iter().enumerate().take(ivalid) {
-                                let at = (i0 - rows.start + ir) * n + j0;
-                                for (cv, &av) in cchunk[at..at + jvalid].iter_mut().zip(accr.iter())
-                                {
-                                    *cv += av;
+                    let mc = (rows.end - ic).min(MC);
+                    pack_a::<AT>(ad, lda, ic..ic + mc, pc..pc + kc, apack);
+                    for jt in 0..nc.div_ceil(NR) {
+                        let bp = &bpack[jt * kc * NR..(jt + 1) * kc * NR];
+                        let j0 = jc + jt * NR;
+                        let jvalid = (jc + nc - j0).min(NR);
+                        for it in 0..mc.div_ceil(MR) {
+                            let ap = &apack[it * kc * MR..(it + 1) * kc * MR];
+                            let i0 = ic + it * MR;
+                            let ivalid = (ic + mc - i0).min(MR);
+                            for off in (0..kc).step_by(chunk) {
+                                let step = chunk.min(kc - off);
+                                let acc = kernel::<V>(
+                                    &ap[off * MR..(off + step) * MR],
+                                    &bp[off * NR..(off + step) * NR],
+                                );
+                                for (ir, acc) in acc.iter().enumerate().take(ivalid) {
+                                    let mut tile = [[0.0; LANES]; 2];
+                                    acc[0].store(&mut tile[0]);
+                                    acc[1].store(&mut tile[1]);
+                                    let at = (i0 - rows.start + ir) * n + j0;
+                                    for (cv, &av) in
+                                        cchunk[at..at + jvalid].iter_mut().zip(tile.as_flattened())
+                                    {
+                                        *cv += av;
+                                    }
                                 }
                             }
                         }
@@ -348,23 +306,7 @@ fn gemm_with<M: Micro, const AT: bool, const BT: bool>(
             }
             jc += nc;
         }
-    });
-}
-
-/// Selects the microkernel (explicit SIMD when compiled in and supported,
-/// portable otherwise) and runs the blocked driver.
-fn gemm<const AT: bool, const BT: bool>(
-    shape: &GemmShape,
-    ad: &[f32],
-    bd: &[f32],
-    rows: Range<usize>,
-    cchunk: &mut [f32],
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx::available() {
-        return gemm_with::<avx::AvxFma, AT, BT>(shape, ad, bd, rows, cchunk);
     }
-    gemm_with::<Portable, AT, BT>(shape, ad, bd, rows, cchunk)
 }
 
 fn check_matmul(a: &Tensor, b: &Tensor, c: &Tensor) -> (usize, usize, usize) {
@@ -394,6 +336,26 @@ fn check_matmul_nt(a: &Tensor, b: &Tensor, c: &Tensor) -> (usize, usize, usize) 
     (m, k, n)
 }
 
+/// Runs the driver over all `m` output rows, fanned out over `rt`'s workers
+/// when the product is large enough to pay for it.
+fn gemm_rt<const AT: bool, const BT: bool>(
+    rt: &Runtime,
+    shape: &GemmShape,
+    m: usize,
+    ad: &[f32],
+    bd: &[f32],
+    c: &mut [f32],
+) {
+    let work = m.saturating_mul(shape.k).saturating_mul(shape.n);
+    if !rt.should_parallelize(work) || m <= 1 {
+        return gemm::<AT, BT>(shape, ad, bd, 0..m, c);
+    }
+    let jobs = rt.split_rows_mut(c, shape.n.max(1));
+    rt.scatter(jobs, |(rows, cchunk)| {
+        gemm::<AT, BT>(shape, ad, bd, rows, cchunk);
+    });
+}
+
 /// `C += A[m×k] · B[k×n]`, accumulating into `c`.
 ///
 /// Exact zeros in `A` are multiplied like any other value, so non-finite
@@ -403,14 +365,7 @@ fn check_matmul_nt(a: &Tensor, b: &Tensor, c: &Tensor) -> (usize, usize, usize) 
 ///
 /// Panics if shapes are not `[m,k]`, `[k,n]`, `[m,n]`.
 pub fn matmul_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
-    let (m, k, n) = check_matmul(a, b, c);
-    let shape = GemmShape {
-        k,
-        n,
-        lda: k,
-        ldb: n,
-    };
-    gemm::<false, false>(&shape, a.data(), b.data(), 0..m, c.data_mut());
+    matmul_into_rt(&Runtime::exact(1), a, b, c);
 }
 
 /// [`matmul_into`] with the output rows fanned out over `rt`'s workers.
@@ -426,15 +381,9 @@ pub fn matmul_into_rt(rt: &Runtime, a: &Tensor, b: &Tensor, c: &mut Tensor) {
         n,
         lda: k,
         ldb: n,
+        seg: k,
     };
-    if !rt.should_parallelize(m.saturating_mul(k).saturating_mul(n)) || m <= 1 {
-        return gemm::<false, false>(&shape, a.data(), b.data(), 0..m, c.data_mut());
-    }
-    let (ad, bd) = (a.data(), b.data());
-    let jobs = rt.split_rows_mut(c.data_mut(), n.max(1));
-    rt.scatter(jobs, |(rows, cchunk)| {
-        gemm::<false, false>(&shape, ad, bd, rows, cchunk);
-    });
+    gemm_rt::<false, false>(rt, &shape, m, a.data(), b.data(), c.data_mut());
 }
 
 /// `C += Aᵀ[k×m]ᵀ · B[k×n]`, i.e. `A` has shape `[k, m]` and is consumed
@@ -451,15 +400,9 @@ pub fn matmul_tn_into_rt(rt: &Runtime, a: &Tensor, b: &Tensor, c: &mut Tensor) {
         n,
         lda: m,
         ldb: n,
+        seg: k,
     };
-    if !rt.should_parallelize(k.saturating_mul(m).saturating_mul(n)) || m <= 1 {
-        return gemm::<true, false>(&shape, a.data(), b.data(), 0..m, c.data_mut());
-    }
-    let (ad, bd) = (a.data(), b.data());
-    let jobs = rt.split_rows_mut(c.data_mut(), n.max(1));
-    rt.scatter(jobs, |(rows, cchunk)| {
-        gemm::<true, false>(&shape, ad, bd, rows, cchunk);
-    });
+    gemm_rt::<true, false>(rt, &shape, m, a.data(), b.data(), c.data_mut());
 }
 
 /// `C += A[m×k] · Bᵀ` where `B` has shape `[n, k]`, accumulating into `c`
@@ -476,126 +419,9 @@ pub fn matmul_nt_into_rt(rt: &Runtime, a: &Tensor, b: &Tensor, c: &mut Tensor) {
         n,
         lda: k,
         ldb: k,
+        seg: k,
     };
-    if !rt.should_parallelize(m.saturating_mul(k).saturating_mul(n)) || m <= 1 {
-        return gemm::<false, true>(&shape, a.data(), b.data(), 0..m, c.data_mut());
-    }
-    let (ad, bd) = (a.data(), b.data());
-    let jobs = rt.split_rows_mut(c.data_mut(), n.max(1));
-    rt.scatter(jobs, |(rows, cchunk)| {
-        gemm::<false, true>(&shape, ad, bd, rows, cchunk);
-    });
-}
-
-/// Shared body of the segmented-`k` NT product. A naive implementation runs
-/// one full blocked GEMM per `seg`-wide depth segment; for the convolution
-/// weight gradient `seg` is one sample's column count, which can be single
-/// digits, and the per-call fixed costs (packing-buffer setup, block-loop
-/// bookkeeping, repacking the same panels) swamp the arithmetic. This driver
-/// instead packs each `A`/`B` panel once per cache block and walks the
-/// segments *inside* the register-tile loop: the accumulator tile restarts
-/// at every segment boundary and flushes into `C` per segment, which is the
-/// exact `C += panel_sum` sequence the per-segment GEMMs produce — same
-/// packed values, same microkernel, same flush points — so the result stays
-/// bit-identical while the packing and driver overheads amortize across
-/// `KC / seg` segments.
-fn gemm_nt_segments(
-    k: usize,
-    n: usize,
-    seg: usize,
-    ad: &[f32],
-    bd: &[f32],
-    rows: Range<usize>,
-    cchunk: &mut [f32],
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx::available() {
-        return gemm_nt_seg_with::<avx::AvxFma>(k, n, seg, ad, bd, rows, cchunk);
-    }
-    gemm_nt_seg_with::<Portable>(k, n, seg, ad, bd, rows, cchunk)
-}
-
-/// [`gemm_nt_segments`] specialized to one microkernel. `A` is `[m, k]`
-/// stored (`lda = k`), `B` is `[n, k]` stored and consumed transposed
-/// (`ldb = k`).
-///
-/// Depth blocks never span a segment boundary: when `seg ≤ KC` a block
-/// covers `⌊KC / seg⌋` whole segments, otherwise a segment is cut into
-/// `KC`-deep blocks exactly like the blocked GEMM a per-segment call would
-/// run, so every accumulator-flush boundary matches the naive sequence.
-fn gemm_nt_seg_with<M: Micro>(
-    k: usize,
-    n: usize,
-    seg: usize,
-    ad: &[f32],
-    bd: &[f32],
-    rows: Range<usize>,
-    cchunk: &mut [f32],
-) {
-    if rows.is_empty() || n == 0 || k == 0 {
-        return;
-    }
-    let kc_max = k.min(KC.max(seg.min(KC)));
-    let bstrips = n.min(NC).div_ceil(M::NR);
-    let astrips = rows.len().min(M::MC).div_ceil(M::MR);
-    PACK_SCRATCH.with(|scratch| {
-        let (bpack, apack) = &mut *scratch.borrow_mut();
-        bpack.resize(bstrips * M::NR * kc_max, 0.0);
-        apack.resize(astrips * M::MR * kc_max, 0.0);
-        let mut acc: Acc = [[0.0; NR_MAX]; MR_MAX];
-
-        let mut jc = 0;
-        while jc < n {
-            let nc = (n - jc).min(NC);
-            let mut pc = 0;
-            while pc < k {
-                // Whole segments per block when they fit; otherwise a
-                // `KC`-deep slice of the current segment.
-                let kc = if seg <= KC {
-                    ((KC / seg) * seg).min(k - pc)
-                } else {
-                    (seg - pc % seg).min(KC)
-                };
-                let chunk = seg.min(kc);
-                pack_b::<true>(bd, k, M::NR, pc..pc + kc, jc..jc + nc, bpack);
-                let mut ic = rows.start;
-                while ic < rows.end {
-                    let mc = (rows.end - ic).min(M::MC);
-                    pack_a::<false>(ad, k, M::MR, ic..ic + mc, pc..pc + kc, apack);
-                    for jt in 0..nc.div_ceil(M::NR) {
-                        let bp = &bpack[jt * kc * M::NR..(jt + 1) * kc * M::NR];
-                        let j0 = jc + jt * M::NR;
-                        let jvalid = (jc + nc - j0).min(M::NR);
-                        for it in 0..mc.div_ceil(M::MR) {
-                            let ap = &apack[it * kc * M::MR..(it + 1) * kc * M::MR];
-                            let i0 = ic + it * M::MR;
-                            let ivalid = (ic + mc - i0).min(M::MR);
-                            let mut off = 0;
-                            while off < kc {
-                                let step = chunk.min(kc - off);
-                                for row in acc.iter_mut().take(M::MR) {
-                                    row[..M::NR].fill(0.0);
-                                }
-                                M::kernel(step, &ap[off * M::MR..], &bp[off * M::NR..], &mut acc);
-                                for (ir, accr) in acc.iter().enumerate().take(ivalid) {
-                                    let at = (i0 - rows.start + ir) * n + j0;
-                                    for (cv, &av) in
-                                        cchunk[at..at + jvalid].iter_mut().zip(accr.iter())
-                                    {
-                                        *cv += av;
-                                    }
-                                }
-                                off += step;
-                            }
-                        }
-                    }
-                    ic += mc;
-                }
-                pc += kc;
-            }
-            jc += nc;
-        }
-    });
+    gemm_rt::<false, true>(rt, &shape, m, a.data(), b.data(), c.data_mut());
 }
 
 /// `C += A · Bᵀ` (`A` is `[m, k]`, `B` is `[n, k]`) computed as one blocked
@@ -616,7 +442,14 @@ pub fn matmul_nt_seg_into(a: &Tensor, b: &Tensor, seg: usize, c: &mut Tensor) {
         seg > 0 && k % seg == 0,
         "matmul_nt_seg: segment {seg} must divide k={k}"
     );
-    gemm_nt_segments(k, n, seg, a.data(), b.data(), 0..m, c.data_mut());
+    let shape = GemmShape {
+        k,
+        n,
+        lda: k,
+        ldb: k,
+        seg,
+    };
+    gemm::<false, true>(&shape, a.data(), b.data(), 0..m, c.data_mut());
 }
 
 impl Tensor {
@@ -657,6 +490,7 @@ fn dims2(t: &Tensor, name: &str) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::assert_close;
+    use crate::spconv::tests::bits;
 
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.shape()[0], a.shape()[1]);
@@ -896,6 +730,125 @@ mod tests {
             let mut c = Tensor::ones(&[m, n]);
             matmul_nt_seg_into(&a, &b, seg, &mut c);
             assert_eq!(c.data(), expect.data(), "{m}x{k}({seg})x{n}");
+        }
+    }
+
+    /// `C += op(A) · op(B)` in the documented order, one scalar at a time:
+    /// per `KC`-deep panel of each `seg`-wide segment, a chain from `+0.0`
+    /// over ascending `k` — fused exactly when `simd_active()` — then
+    /// `C += panel`.
+    fn documented_order(
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+        (m, k, n): (usize, usize, usize),
+        seg: usize,
+        c: &mut Tensor,
+    ) {
+        let fused = crate::lanes::simd_active();
+        for i in 0..m {
+            for j in 0..n {
+                let mut total = c.data()[i * n + j];
+                for s0 in (0..k).step_by(seg) {
+                    for p0 in (s0..s0 + seg).step_by(KC) {
+                        let mut chain = 0.0f32;
+                        for p in p0..(p0 + KC).min(s0 + seg) {
+                            chain = if fused {
+                                a(i, p).mul_add(b(p, j), chain)
+                            } else {
+                                chain + a(i, p) * b(p, j)
+                            };
+                        }
+                        total += chain;
+                    }
+                }
+                c.data_mut()[i * n + j] = total;
+            }
+        }
+    }
+
+    fn assert_bits(got: &Tensor, expect: &Tensor, what: &str) {
+        assert!(
+            bits(got.data()) == bits(expect.data()),
+            "{what}: bits differ from the documented order"
+        );
+    }
+
+    /// Every layout, sequential and on four workers, is `to_bits`-equal to
+    /// the documented accumulation order on shapes straddling `MR`, `NR`,
+    /// `MC`, `NC` and `KC`, accumulating into a non-zero `C`.
+    #[test]
+    fn bits_follow_the_documented_order() {
+        let mn = [
+            (1usize, 1usize),
+            (5, 15),
+            (6, 16),
+            (7, 17),
+            (97, 33),
+            (12, 513),
+        ];
+        for (ci, &k) in [1usize, 255, 256, 257, 513].iter().enumerate() {
+            for (cj, &(m, n)) in mn.iter().enumerate() {
+                let seed = 3000 + ci as u64 * 100 + cj as u64 * 10;
+                let a = rand_t(&[m, k], seed);
+                let at = a.transposed();
+                let b = rand_t(&[k, n], seed + 1);
+                let bt = b.transposed();
+                let c0 = rand_t(&[m, n], seed + 2);
+                let mut expect = c0.clone();
+                documented_order(
+                    |i, p| a.at2(i, p),
+                    |p, j| b.at2(p, j),
+                    (m, k, n),
+                    k,
+                    &mut expect,
+                );
+                let what = |op: &str, t: usize| format!("{op} {m}x{k}x{n} on {t} workers");
+
+                let mut c = c0.clone();
+                matmul_into(&a, &b, &mut c);
+                assert_bits(&c, &expect, &what("matmul_into", 1));
+                for threads in [1usize, 4] {
+                    let rt = Runtime::exact(threads).with_min_work(0);
+                    let mut c = c0.clone();
+                    matmul_into_rt(&rt, &a, &b, &mut c);
+                    assert_bits(&c, &expect, &what("nn", threads));
+                    let mut c = c0.clone();
+                    matmul_tn_into_rt(&rt, &at, &b, &mut c);
+                    assert_bits(&c, &expect, &what("tn", threads));
+                    let mut c = c0.clone();
+                    matmul_nt_into_rt(&rt, &a, &bt, &mut c);
+                    assert_bits(&c, &expect, &what("nt", threads));
+                }
+            }
+        }
+    }
+
+    /// The segmented product is `to_bits`-equal to the documented order per
+    /// segment, for segments of one column, a few, half and all of `k`, and
+    /// segments deeper than `KC`.
+    #[test]
+    fn nt_seg_bits_follow_the_documented_order() {
+        for (ci, &(m, k, n)) in [(7usize, 10usize, 17usize), (13, 520, 33)]
+            .iter()
+            .enumerate()
+        {
+            let seed = 4000 + ci as u64 * 10;
+            let a = rand_t(&[m, k], seed);
+            let bt = rand_t(&[n, k], seed + 1);
+            let c0 = rand_t(&[m, n], seed + 2);
+            for seg in [1, 5, k / 2, k] {
+                let mut expect = c0.clone();
+                documented_order(
+                    |i, p| a.at2(i, p),
+                    |p, j| bt.at2(j, p),
+                    (m, k, n),
+                    seg,
+                    &mut expect,
+                );
+                let mut c = c0.clone();
+                matmul_nt_seg_into(&a, &bt, seg, &mut c);
+                assert_bits(&c, &expect, &format!("nt_seg {m}x{k}({seg})x{n}"));
+            }
         }
     }
 

@@ -35,7 +35,7 @@
 //! All kernels accumulate into their output, matching the dense `_into`
 //! conventions.
 
-use crate::matmul::simd_active;
+use crate::lanes::simd_active;
 use crate::Tensor;
 use ft_runtime::Runtime;
 use std::ops::Range;

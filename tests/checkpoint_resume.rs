@@ -81,19 +81,21 @@ fn run_uninterrupted(scheduler: Scheduler, codec: Codec, seed: u64) -> String {
 
 /// The same run killed after `halt_after` rounds, then resumed from the
 /// checkpoint in a *fresh* process-like state (new env, new model, new
-/// ledger).
+/// ledger). `threads` are the worker counts of the two phases (`0` = auto).
 fn run_killed_and_resumed(
     scheduler: Scheduler,
     codec: Codec,
     seed: u64,
     halt_after: usize,
     name: &str,
+    threads: [usize; 2],
 ) -> String {
     let path = temp_ckpt(name);
 
     // Phase 1: run to the kill point.
     {
-        let env = build_env(scheduler, codec, seed);
+        let mut env = build_env(scheduler, codec, seed);
+        env.cfg.threads = threads[0];
         let mut model = env.build_model(&ModelSpec::small_cnn_test());
         let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
         let mut ledger = CostLedger::new();
@@ -121,7 +123,8 @@ fn run_killed_and_resumed(
     }
 
     // Phase 2: everything rebuilt from scratch, then resumed.
-    let env = build_env(scheduler, codec, seed);
+    let mut env = build_env(scheduler, codec, seed);
+    env.cfg.threads = threads[1];
     let mut model = env.build_model(&ModelSpec::small_cnn_test());
     let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
     let mut ledger = CostLedger::new();
@@ -158,6 +161,7 @@ fn ckpt_synchronous_resume_reproduces_uninterrupted_trace() {
         42,
         2,
         "sync_maskcsr",
+        [0, 0],
     );
     assert_eq!(full, resumed, "synchronous resume diverged");
 }
@@ -169,7 +173,7 @@ fn ckpt_buffered_resume_reproduces_uninterrupted_trace() {
     // and the event budget.
     let sched = Scheduler::Buffered { buffer_k: 2 };
     let full = run_uninterrupted(sched, Codec::Dense, 42);
-    let resumed = run_killed_and_resumed(sched, Codec::Dense, 42, 2, "buffered_dense");
+    let resumed = run_killed_and_resumed(sched, Codec::Dense, 42, 2, "buffered_dense", [0, 0]);
     assert_eq!(full, resumed, "buffered resume diverged");
 }
 
@@ -188,7 +192,8 @@ fn ckpt_buffered_halt_with_untrained_launches_resumes_exactly() {
     };
     let full = run_uninterrupted(sched, codec, 17);
     for k in 1..4 {
-        let resumed = run_killed_and_resumed(sched, codec, 17, k, &format!("buffered_topk_{k}"));
+        let resumed =
+            run_killed_and_resumed(sched, codec, 17, k, &format!("buffered_topk_{k}"), [0, 0]);
         assert_eq!(full, resumed, "resume from aggregation {k} diverged");
     }
 }
@@ -204,7 +209,7 @@ fn ckpt_deadline_topk_resume_preserves_error_feedback_residuals() {
         error_feedback: true,
     };
     let full = run_uninterrupted(sched, codec, 7);
-    let resumed = run_killed_and_resumed(sched, codec, 7, 2, "deadline_topk");
+    let resumed = run_killed_and_resumed(sched, codec, 7, 2, "deadline_topk", [0, 0]);
     assert_eq!(full, resumed, "top-k error-feedback resume diverged");
 }
 
@@ -220,8 +225,28 @@ fn ckpt_halt_at_every_round_boundary_is_exact() {
             3,
             k,
             &format!("sync_bound_{k}"),
+            [0, 0],
         );
         assert_eq!(full, resumed, "resume from round {k} diverged");
+    }
+}
+
+#[test]
+fn ckpt_resume_under_another_thread_count_reproduces_uninterrupted_trace() {
+    // The worker count only changes wall-clock (parallel ≡ sequential), so
+    // a run halted on one worker resumes on two — and on auto — to the
+    // uninterrupted trace instead of being refused as a different run.
+    let full = run_uninterrupted(Scheduler::Synchronous, Codec::Dense, 11);
+    for threads in [[1, 2], [2, 0]] {
+        let resumed = run_killed_and_resumed(
+            Scheduler::Synchronous,
+            Codec::Dense,
+            11,
+            1,
+            &format!("threads_{}_{}", threads[0], threads[1]),
+            threads,
+        );
+        assert_eq!(full, resumed, "resume at threads {threads:?} diverged");
     }
 }
 
