@@ -179,22 +179,6 @@ impl Dataset {
         self.subset(&idx)
     }
 
-    /// Iterates shuffled mini-batches of size `batch_size`.
-    pub fn iter_batches<'a, R: Rng + ?Sized>(
-        &'a self,
-        rng: &mut R,
-        batch_size: usize,
-    ) -> BatchIter<'a> {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        BatchIter {
-            dataset: self,
-            order: idx,
-            batch_size: batch_size.max(1),
-            pos: 0,
-        }
-    }
-
     /// Per-class sample counts (length = `classes`).
     pub fn class_histogram(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.classes];
@@ -217,28 +201,6 @@ pub struct BatchBuf {
     pub images: Tensor,
     /// Batch labels, length `n`.
     pub labels: Vec<usize>,
-}
-
-/// Iterator over shuffled mini-batches of a [`Dataset`].
-pub struct BatchIter<'a> {
-    dataset: &'a Dataset,
-    order: Vec<usize>,
-    batch_size: usize,
-    pos: usize,
-}
-
-impl Iterator for BatchIter<'_> {
-    type Item = (Tensor, Vec<usize>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.pos >= self.order.len() {
-            return None;
-        }
-        let end = (self.pos + self.batch_size).min(self.order.len());
-        let batch = self.dataset.batch(&self.order[self.pos..end]);
-        self.pos = end;
-        Some(batch)
-    }
 }
 
 #[cfg(test)]
@@ -317,18 +279,6 @@ mod tests {
         assert_eq!(dev.len(), 2);
         let dev_small = d.dev_split(&mut rng, 0.1);
         assert_eq!(dev_small.len(), 1); // ceil + floor at 1
-    }
-
-    #[test]
-    fn batches_cover_all_samples_once() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let d = ds();
-        let mut seen = 0;
-        for (x, y) in d.iter_batches(&mut rng, 3) {
-            assert_eq!(x.shape()[0], y.len());
-            seen += y.len();
-        }
-        assert_eq!(seen, 4);
     }
 
     #[test]

@@ -30,6 +30,6 @@ mod dataset;
 mod partition;
 mod synth;
 
-pub use dataset::{BatchBuf, BatchIter, Dataset};
+pub use dataset::{BatchBuf, Dataset};
 pub use partition::dirichlet_partition;
 pub use synth::{DatasetProfile, SynthConfig};

@@ -5,12 +5,13 @@ use crate::selection::{
     adaptive_bn_selection, generate_candidate_pool, vanilla_selection, SelectionConfig,
 };
 use ft_fl::{
-    run_with, Codec, CostLedger, ExperimentEnv, InProcess, ModelSpec, RunOptions, RunResult,
-    ServerError, Transport,
+    run_with, CheckpointError, Codec, CostLedger, ExperimentEnv, InProcess, ModelSpec, RunOptions,
+    RunResult, ServerError, Transport,
 };
 use ft_metrics::ExtraMemory;
 use ft_nn::{apply_mask, Model};
-use ft_sparse::Mask;
+use ft_sparse::wire::put_u64;
+use ft_sparse::{DecodeError, Mask, WireReader};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -198,10 +199,10 @@ pub fn run_fedtiny_with(
             report.extra_flops
         };
     let hook_save = || state.borrow().to_bytes();
-    let hook_load = |bytes: &[u8]| {
-        if let Some(st) = ProgState::from_bytes(bytes) {
-            *state.borrow_mut() = st;
-        }
+    let hook_load = |bytes: &[u8]| -> Result<(), CheckpointError> {
+        *state.borrow_mut() = ProgState::from_bytes(bytes)
+            .map_err(|e| CheckpointError::Corrupt(format!("hook state: {e}")))?;
+        Ok(())
     };
     let history = run_with(
         global.as_mut(),
@@ -238,7 +239,8 @@ pub fn run_fedtiny_with(
 
 /// Progressive-adjustment hook state that must survive a checkpoint: the
 /// round-robin unit counter and the largest top-k buffer seen. Serialized
-/// as two little-endian `u64`s in the checkpoint's hook-state blob.
+/// as two little-endian `u64`s in the checkpoint's hook-state blob, and
+/// read back through [`WireReader`]: a short or long blob is refused.
 #[derive(Clone, Copy, Debug, Default)]
 struct ProgState {
     adjustment_counter: usize,
@@ -248,19 +250,21 @@ struct ProgState {
 impl ProgState {
     fn to_bytes(self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
-        out.extend_from_slice(&(self.adjustment_counter as u64).to_le_bytes());
-        out.extend_from_slice(&(self.max_buffer as u64).to_le_bytes());
+        put_u64(&mut out, self.adjustment_counter as u64);
+        put_u64(&mut out, self.max_buffer as u64);
         out
     }
 
-    fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != 16 {
-            return None;
+    fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = WireReader::new(bytes);
+        let st = ProgState {
+            adjustment_counter: r.len_u64()?,
+            max_buffer: r.len_u64()?,
+        };
+        match r.remaining() {
+            0 => Ok(st),
+            n => Err(DecodeError::TrailingBytes(n)),
         }
-        Some(ProgState {
-            adjustment_counter: u64::from_le_bytes(bytes[..8].try_into().ok()?) as usize,
-            max_buffer: u64::from_le_bytes(bytes[8..].try_into().ok()?) as usize,
-        })
     }
 }
 
@@ -276,6 +280,18 @@ fn method_name(cfg: &FedTinyConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The exact bytes of the hook-state blob, pinned: two little-endian
+    /// `u64`s, counter first.
+    #[test]
+    fn byte_pin_prog_state_blob() {
+        let st = ProgState {
+            adjustment_counter: 3,
+            max_buffer: 0x0102_0304_0506,
+        };
+        let hex: String = st.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "03000000000000000605040302010000");
+    }
 
     #[test]
     fn fedtiny_end_to_end() {

@@ -22,16 +22,16 @@
 //! rounds, scheduler, codec) and rejects checkpoints from a different run
 //! with a typed error instead of silently diverging.
 
-use crate::bytes::{
-    put_bitvec, put_blob, put_bn_stats, put_bool, put_f32_vec, put_f64, put_u32, put_u64,
-    ByteReader, ReadError,
-};
 use crate::ledger::CostLedger;
 use crate::sched::{Scheduler, Sim};
 use crate::train::LocalOutcome;
+use crate::transport::{put_bn_stats, read_bn_stats};
 use crate::ExperimentEnv;
 use ft_nn::ModelSnapshot;
-use ft_sparse::Codec;
+use ft_sparse::wire::{
+    put_bitvec, put_blob, put_bool, put_f32, put_f32_vec, put_f64, put_u32, put_u64, WireReader,
+};
+use ft_sparse::{Codec, DecodeError};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"FTCK";
@@ -72,8 +72,8 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl From<ReadError> for CheckpointError {
-    fn from(e: ReadError) -> Self {
+impl From<DecodeError> for CheckpointError {
+    fn from(e: DecodeError) -> Self {
         CheckpointError::Corrupt(e.to_string())
     }
 }
@@ -529,26 +529,26 @@ impl Checkpoint {
         if bytes.len() < 8 || &bytes[..4] != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
-        let mut r = ByteReader::new(&bytes[4..]);
+        let mut r = WireReader::new(&bytes[4..]);
         let version = r.u32()?;
         if version != VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        let is_buffered = r.boolean()?;
+        let is_buffered = r.bool()?;
         let seed = r.u64()?;
         let devices = r.len_u64()?;
         let total_rounds = r.len_u64()?;
         let scheduler = decode_scheduler(&mut r)?;
         let codec = decode_codec(&mut r)?;
         let eval_every = r.len_u64()?;
-        let cfg_json = String::from_utf8(r.blob()?)
+        let cfg_json = String::from_utf8(r.blob()?.to_vec())
             .map_err(|_| CheckpointError::Corrupt("config fingerprint not UTF-8".into()))?;
         let rounds_done = r.len_u64()?;
         let epoch = r.u64()?;
         let clock_now = r.f64()?;
         let history = r.f32_vec()?;
         let params = r.f32_vec()?;
-        let bn = r.bn_stats()?;
+        let bn = read_bn_stats(&mut r)?;
         let layers = r.u32()? as usize;
         let mut mask_layers = Vec::with_capacity(layers.min(4096));
         for _ in 0..layers {
@@ -565,7 +565,7 @@ impl Checkpoint {
             residuals.push(r.f32_vec()?);
         }
         let ledger = CostLedger::decode_ckpt(&mut r)?;
-        let hook_state = r.blob()?;
+        let hook_state = r.blob()?.to_vec();
         let buffered = if is_buffered {
             let last_agg_secs = r.f64()?;
             let events = r.len_u64()?;
@@ -585,7 +585,7 @@ impl Checkpoint {
                         secs: finish_secs - start_secs,
                         finish_secs,
                         start_version: r.len_u64()?,
-                        dropped: r.boolean()?,
+                        dropped: r.bool()?,
                         analytic_flops: r.f64()?,
                         analytic_bytes: r.f64()?,
                         download_bytes: r.f64()?,
@@ -594,7 +594,7 @@ impl Checkpoint {
                     ctx_alive: r.bitvec()?,
                     outcome: LocalOutcome {
                         delta: r.f32_vec()?,
-                        bn: r.bn_stats()?,
+                        bn: read_bn_stats(&mut r)?,
                         samples: r.len_u64()?,
                         realized_flops: r.f64()?,
                         wall_secs: r.f64()?,
@@ -611,10 +611,7 @@ impl Checkpoint {
             None
         };
         if r.remaining() != 0 {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes",
-                r.remaining()
-            )));
+            return Err(DecodeError::TrailingBytes(r.remaining()).into());
         }
         Ok(Checkpoint {
             seed,
@@ -675,7 +672,7 @@ fn encode_scheduler(out: &mut Vec<u8>, s: Scheduler) {
     }
 }
 
-fn decode_scheduler(r: &mut ByteReader<'_>) -> Result<Scheduler, CheckpointError> {
+fn decode_scheduler(r: &mut WireReader<'_>) -> Result<Scheduler, CheckpointError> {
     match r.u8()? {
         0 => Ok(Scheduler::Synchronous),
         1 => Ok(Scheduler::Deadline {
@@ -698,20 +695,20 @@ fn encode_codec(out: &mut Vec<u8>, c: Codec) {
             error_feedback,
         } => {
             out.push(3);
-            crate::bytes::put_f32(out, k_frac);
+            put_f32(out, k_frac);
             put_bool(out, error_feedback);
         }
     }
 }
 
-fn decode_codec(r: &mut ByteReader<'_>) -> Result<Codec, CheckpointError> {
+fn decode_codec(r: &mut WireReader<'_>) -> Result<Codec, CheckpointError> {
     match r.u8()? {
         0 => Ok(Codec::Dense),
         1 => Ok(Codec::MaskCsr),
         2 => Ok(Codec::QuantInt8),
         3 => Ok(Codec::TopK {
             k_frac: r.f32()?,
-            error_feedback: r.boolean()?,
+            error_feedback: r.bool()?,
         }),
         t => Err(CheckpointError::Corrupt(format!("codec tag {t}"))),
     }
@@ -831,6 +828,23 @@ mod tests {
     fn ckpt_roundtrips_barrier_and_buffered() {
         assert_roundtrip(&sample_checkpoint(false));
         assert_roundtrip(&sample_checkpoint(true));
+    }
+
+    /// The exact bytes of both sample checkpoints, pinned as length and
+    /// FNV-1a: a change to the checkpoint codec that moves a byte fails
+    /// here.
+    #[test]
+    fn byte_pin_sample_checkpoints() {
+        let pin = |bytes: &[u8]| {
+            let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            (bytes.len(), hash)
+        };
+        let barrier = pin(&sample_checkpoint(false).to_bytes());
+        assert_eq!(barrier, (385, 0xcfb2_3797_5832_bdbd));
+        let buffered = pin(&sample_checkpoint(true).to_bytes());
+        assert_eq!(buffered, (547, 0x5a8a_02ed_e64c_44a3));
     }
 
     #[test]

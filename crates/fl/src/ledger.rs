@@ -3,7 +3,7 @@
 use crate::transport::FaultKind;
 use ft_metrics::{densities_from_mask, device_memory_bytes, ExtraMemory, FaultCounters};
 use ft_nn::ArchInfo;
-use ft_sparse::Mask;
+use ft_sparse::{DecodeError, Mask, WireReader};
 use serde::{Deserialize, Serialize};
 
 /// One device-side training task as the fleet simulation saw it.
@@ -332,7 +332,7 @@ impl CostLedger {
     /// every axis — analytic, realized, measured payload, simulated time,
     /// and the per-device timeline — must survive the round-trip exactly.
     pub(crate) fn encode_ckpt(&self, out: &mut Vec<u8>) {
-        use crate::bytes::{put_bool, put_f64, put_f64_vec, put_u64};
+        use ft_sparse::wire::{put_bool, put_f64, put_f64_vec, put_u32, put_u64};
         put_f64_vec(out, &self.round_flops);
         put_f64_vec(out, &self.realized_flops);
         put_f64_vec(out, &self.wall_secs);
@@ -343,7 +343,7 @@ impl CostLedger {
         put_f64(out, self.payload_extra_bytes);
         put_f64(out, self.extra_flops);
         put_u64(out, self.zero_progress as u64);
-        crate::bytes::put_u32(out, self.timeline.len() as u32);
+        put_u32(out, self.timeline.len() as u32);
         for e in &self.timeline {
             put_u64(out, e.device as u64);
             put_u64(out, e.round as u64);
@@ -362,9 +362,7 @@ impl CostLedger {
     }
 
     /// Parses a ledger written by [`encode_ckpt`](Self::encode_ckpt).
-    pub(crate) fn decode_ckpt(
-        r: &mut crate::bytes::ByteReader<'_>,
-    ) -> Result<Self, crate::bytes::ReadError> {
+    pub(crate) fn decode_ckpt(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
         let round_flops = r.f64_vec()?;
         let realized_flops = r.f64_vec()?;
         let wall_secs = r.f64_vec()?;
@@ -383,7 +381,7 @@ impl CostLedger {
                 round: r.len_u64()?,
                 start_secs: r.f64()?,
                 finish_secs: r.f64()?,
-                applied: r.boolean()?,
+                applied: r.bool()?,
                 staleness: r.len_u64()?,
             });
         }
@@ -637,7 +635,7 @@ mod tests {
         assert_eq!(l.faults().rejected_handshakes, 3);
         let mut blob = Vec::new();
         l.encode_ckpt(&mut blob);
-        let mut r = crate::bytes::ByteReader::new(&blob);
+        let mut r = WireReader::new(&blob);
         let back = CostLedger::decode_ckpt(&mut r).expect("decode");
         assert_eq!(back.faults(), l.faults());
     }

@@ -55,7 +55,6 @@
 
 pub mod adversary;
 mod aggregate;
-mod bytes;
 mod checkpoint;
 mod config;
 mod env;

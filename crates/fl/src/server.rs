@@ -142,10 +142,12 @@ impl From<CheckpointError> for ServerError {
     }
 }
 
-/// Serializes method-specific hook state for the checkpoint.
+/// Serializes method-specific hook state for the checkpoint. The blob is
+/// never empty (saving asserts it): a checkpoint with an empty one was
+/// written by a run without a hook.
 pub type HookSave<'a> = &'a dyn Fn() -> Vec<u8>;
-/// Restores what a [`HookSave`] captured.
-pub type HookLoad<'a> = &'a dyn Fn(&[u8]);
+/// Restores what a [`HookSave`] captured, refusing a blob it cannot parse.
+pub type HookLoad<'a> = &'a dyn Fn(&[u8]) -> Result<(), CheckpointError>;
 
 /// How to run a federation: the transport plus durability knobs.
 pub struct RunOptions<'a> {
@@ -166,7 +168,10 @@ pub struct RunOptions<'a> {
     /// FedTiny's progressive-adjustment counter), so resumed hooks continue
     /// where they left off.
     pub hook_save: Option<HookSave<'a>>,
-    /// Restores what [`hook_save`](Self::hook_save) captured.
+    /// Restores what [`hook_save`](Self::hook_save) captured. A resumed
+    /// checkpoint must carry hook state exactly when this is set; either
+    /// mismatch, or a blob the hook refuses, fails the resume with
+    /// [`ServerError::Checkpoint`].
     pub hook_load: Option<HookLoad<'a>>,
     /// Dynamic device registry: which devices are enrolled at which round
     /// (churn). It is read when a barrier round launches its cohort: absent
@@ -244,6 +249,11 @@ pub fn run_with(
         (Some(path), true) if path.exists() => {
             let ck = Checkpoint::load(path)?;
             ck.validate_against(env, eval_every)?;
+            match (opts.hook_load, ck.hook_state.is_empty()) {
+                (Some(load), false) => load(&ck.hook_state)?,
+                (None, true) => {}
+                _ => return Err(CheckpointError::Mismatch("hook state").into()),
+            }
             Some(ck)
         }
         _ => None,
@@ -378,9 +388,6 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
         // re-applying (pruned coordinates are already zero in the snapshot).
         self.applied_mask = Mask::from_layers(ck.applied_mask_layers);
         apply_mask(self.global, &self.applied_mask);
-        if let (Some(load), true) = (self.opts.hook_load, !ck.hook_state.is_empty()) {
-            load(&ck.hook_state);
-        }
         self.track_mask();
         if let Some(b) = ck.buffered {
             // The persisted in-flight tasks come back already trained.
@@ -919,7 +926,11 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             residuals: self.residuals.clone(),
             ledger: self.ledger.clone(),
             buffered,
-            hook_state: self.opts.hook_save.map(|f| f()).unwrap_or_default(),
+            hook_state: self.opts.hook_save.map_or_else(Vec::new, |save| {
+                let blob = save();
+                assert!(!blob.is_empty(), "a HookSave blob is never empty");
+                blob
+            }),
         }
     }
 

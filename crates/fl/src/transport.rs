@@ -29,12 +29,18 @@
 //! | kind | body |
 //! |------|------|
 //! | `1` HELLO  | `u32` device id |
-//! | `2` ROUND  | `u64` round, `u64` mask epoch, params `f32` vec, BN stats, mask bit vecs |
+//! | `2` ROUND  | `u32` cohort position, `u64` round, `u64` mask epoch, params `f32` vec, BN stats, mask bit vecs |
 //! | `3` UPDATE | `u32` device, `u64` round, `u64` mask epoch, `u64` samples, `f64` realized FLOPs, `f64` wall secs, BN stats, payload bytes blob |
 //! | `4` DONE   | empty |
 //!
 //! Floats travel as raw IEEE-754 bits, so a ROUND → train → UPDATE
-//! round-trip over any transport is bit-exact.
+//! round-trip over any transport is bit-exact. Bodies are written with the
+//! `put_*` coders of [`ft_sparse::wire`] and read through its one cursor,
+//! [`WireReader`], whose typed [`DecodeError`] becomes a
+//! [`TransportError::Frame`]. The BN section the ROUND and UPDATE bodies
+//! and the checkpoint share — a layer count, then per layer mean and
+//! variance as counted `f32` vectors — is written, read and sized here
+//! (`put_bn_stats`, `read_bn_stats`, `bn_section_len`).
 //!
 //! ## Hostile fleets
 //!
@@ -48,15 +54,16 @@
 //! handshakes by quarantining the offender and carrying on; an honest fleet
 //! trips none of it, so its run stays bit-identical to [`InProcess`].
 
-use crate::bytes::{put_bitvec, put_bn_stats, put_f64, put_u32, put_u64, ByteReader, ReadError};
 use crate::config::FlConfig;
 use crate::train::{train_devices_parallel, DeviceUpdate, WireSpec};
 use ft_data::Dataset;
 use ft_nn::{
-    apply_mask, restore_snapshot, sparse_layout, take_snapshot, wire_ctx, Model, ModelSnapshot,
+    apply_mask, restore_snapshot, sparse_layout, take_snapshot, wire_ctx, BnStats, Model,
+    ModelSnapshot,
 };
 use ft_runtime::Runtime;
-use ft_sparse::{Codec, Mask, Payload, WireCtx};
+use ft_sparse::wire::{put_bitvec, put_f32_vec, put_f64, put_u32, put_u64, WireReader};
+use ft_sparse::{Codec, DecodeError, Mask, Payload, WireCtx};
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 
@@ -94,8 +101,8 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
-impl From<ReadError> for TransportError {
-    fn from(e: ReadError) -> Self {
+impl From<DecodeError> for TransportError {
+    fn from(e: DecodeError) -> Self {
         TransportError::Frame(e.to_string())
     }
 }
@@ -410,11 +417,6 @@ pub fn encode_update_frame_into(
 /// realized FLOPs and wall seconds.
 const UPDATE_FIXED_BYTES: usize = 4 + 5 * 8;
 
-/// Bytes of a BN section ([`put_bn_stats`]) over layers of `channels`.
-fn bn_section_len(channels: impl IntoIterator<Item = usize>) -> usize {
-    4 + channels.into_iter().map(|c| 2 * (4 + 4 * c)).sum::<usize>()
-}
-
 /// The largest UPDATE body an honest device can send in a round whose
 /// codec is `codec`, wire context `ctx` and BN shape `bn_channels`: the
 /// fixed fields, the BN section and the counted payload. An indexed
@@ -431,17 +433,16 @@ pub fn decode_update_frame(
     bytes: &[u8],
     ctx: &WireCtx,
 ) -> Result<(usize, u64, u64, DeviceUpdate), TransportError> {
-    let mut r = ByteReader::new(bytes);
+    let mut r = WireReader::new(bytes);
     let device = r.u32()? as usize;
     let round = r.u64()?;
     let epoch = r.u64()?;
     let samples = r.len_u64()?;
     let realized_flops = r.f64()?;
     let wall_secs = r.f64()?;
-    let bn = r.bn_stats()?;
+    let bn = read_bn_stats(&mut r)?;
     // Borrowed, not copied out: the payload is parsed in the receive buffer.
-    let payload_len = r.u32()? as usize;
-    let payload_bytes = r.take(payload_len)?;
+    let payload_bytes = r.blob()?;
     if r.remaining() != 0 {
         return Err(TransportError::Frame(
             "trailing bytes in update frame".into(),
@@ -470,6 +471,37 @@ pub(crate) fn bn_channels(model: &dyn Model) -> Vec<usize> {
     let mut out = Vec::new();
     model.for_each_bn_stats(&mut |s| out.push(s.mean.len()));
     out
+}
+
+/// Appends a BN section: the layer count, then per layer the mean and the
+/// variance as counted `f32` vectors. UPDATE and ROUND bodies and the
+/// checkpoint carry BatchNorm statistics in this one layout.
+pub(crate) fn put_bn_stats(out: &mut Vec<u8>, stats: &[BnStats]) {
+    put_u32(out, stats.len() as u32);
+    for s in stats {
+        put_f32_vec(out, &s.mean);
+        put_f32_vec(out, &s.var);
+    }
+}
+
+/// Reads a BN section written by [`put_bn_stats`]; a layer whose mean and
+/// variance differ in length is refused.
+pub(crate) fn read_bn_stats(r: &mut WireReader<'_>) -> Result<Vec<BnStats>, DecodeError> {
+    let layers = r.u32()? as usize;
+    let mut out = Vec::with_capacity(layers.min(4096));
+    for _ in 0..layers {
+        let (mean, var) = (r.f32_vec()?, r.f32_vec()?);
+        if mean.len() != var.len() {
+            return Err(DecodeError::Inconsistent("bn mean/var length mismatch"));
+        }
+        out.push(BnStats { mean, var });
+    }
+    Ok(out)
+}
+
+/// Bytes of a BN section ([`put_bn_stats`]) over layers of `channels`.
+fn bn_section_len(channels: impl IntoIterator<Item = usize>) -> usize {
+    4 + channels.into_iter().map(|c| 2 * (4 + 4 * c)).sum::<usize>()
 }
 
 /// The one shared screen every inbound UPDATE body passes before the
@@ -541,7 +573,7 @@ pub fn encode_round_frame(
     let mut out = Vec::with_capacity(round_tail_len(snapshot.params.len(), bn, mask_lens));
     put_u64(&mut out, round as u64);
     put_u64(&mut out, epoch);
-    crate::bytes::put_f32_vec(&mut out, &snapshot.params);
+    put_f32_vec(&mut out, &snapshot.params);
     put_bn_stats(&mut out, &snapshot.bn);
     put_u32(&mut out, mask.num_layers() as u32);
     for l in 0..mask.num_layers() {
@@ -558,12 +590,12 @@ pub fn encode_round_frame(
 pub fn decode_round_frame(
     bytes: &[u8],
 ) -> Result<(usize, usize, u64, ModelSnapshot, Mask), TransportError> {
-    let mut r = ByteReader::new(bytes);
+    let mut r = WireReader::new(bytes);
     let cohort_pos = r.u32()? as usize;
     let round = r.len_u64()?;
     let epoch = r.u64()?;
     let params = r.f32_vec()?;
-    let bn = r.bn_stats()?;
+    let bn = read_bn_stats(&mut r)?;
     let layers = r.u32()? as usize;
     let mut mask_layers = Vec::with_capacity(layers.min(4096));
     for _ in 0..layers {
@@ -865,8 +897,7 @@ fn read_hello(stream: &mut TcpStream, devices: usize) -> Result<usize, Transport
             "expected HELLO, got frame kind {kind}"
         )));
     }
-    let mut r = ByteReader::new(&body);
-    let device = r.u32()? as usize;
+    let device = WireReader::new(&body).u32()? as usize;
     if device >= devices {
         return Err(TransportError::Frame(format!(
             "device id {device} outside fleet of {devices}"
@@ -1384,6 +1415,189 @@ mod tests {
         };
         let uframe = encode_update_frame(0, 0, 0, &update, &ctx);
         assert!(decode_update_frame(&uframe[..10], &ctx).is_err());
+    }
+
+    /// A BN section is the layer count and per layer two counted `f32`
+    /// vectors, exactly [`bn_section_len`] bytes long; it reads back
+    /// bit-exact, and a layer whose mean and variance differ in length is a
+    /// typed error.
+    #[test]
+    fn bn_section_roundtrips_at_its_exact_length() {
+        let odd = [f32::from_bits(0x7fc0_1234), -0.0, f32::from_bits(1), 2.5];
+        let stats = [
+            BnStats {
+                mean: odd.to_vec(),
+                var: odd.iter().rev().copied().collect(),
+            },
+            BnStats {
+                mean: Vec::new(),
+                var: Vec::new(),
+            },
+        ];
+        let mut out = vec![0xA5];
+        put_bn_stats(&mut out, &stats);
+        assert_eq!(out.len() - 1, bn_section_len([4, 0]));
+        let mut oracle = vec![0xA5, 2, 0, 0, 0];
+        for s in &stats {
+            for v in [&s.mean, &s.var] {
+                oracle.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                for x in v.iter() {
+                    oracle.extend_from_slice(&x.to_le_bytes());
+                }
+            }
+        }
+        assert_eq!(out, oracle);
+        let mut r = WireReader::new(&out[1..]);
+        let back = read_bn_stats(&mut r).expect("decodes");
+        assert_eq!(r.remaining(), 0);
+        let bits = |s: &[BnStats]| -> Vec<Vec<u32>> {
+            let v = s.iter().flat_map(|s| [&s.mean, &s.var]);
+            v.map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(&back), bits(&stats));
+
+        let mut bad = Vec::new();
+        put_u32(&mut bad, 1);
+        put_f32_vec(&mut bad, &[1.0, 2.0]);
+        put_f32_vec(&mut bad, &[1.0]);
+        let err = read_bn_stats(&mut WireReader::new(&bad));
+        let want = DecodeError::Inconsistent("bn mean/var length mismatch");
+        assert_eq!(err, Err(want));
+    }
+
+    /// The exact bytes of every frame kind, pinned: a change to a frame
+    /// writer or reader that moves a byte fails here, not in a golden trace
+    /// several layers up. Each body also decodes and re-encodes to itself.
+    mod byte_pin {
+        use super::*;
+        use ft_nn::BnStats;
+
+        /// FNV-1a over `bytes`, with the length: a fingerprint short enough
+        /// to pin inline.
+        fn pin(bytes: &[u8]) -> (usize, u64) {
+            let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            (bytes.len(), hash)
+        }
+
+        /// Segments of the synthetic model: an 18-entry weight under an
+        /// 18-bit mask layer (six padding bits), 6 unprunable biases, and a
+        /// 9-entry weight under a 9-bit layer (seven padding bits).
+        const SEGMENTS: [usize; 3] = [18, 6, 9];
+
+        fn mask() -> Mask {
+            Mask::from_layers(vec![
+                (0..18).map(|i| i % 3 != 0).collect(),
+                (0..9).map(|i| i % 4 == 1).collect(),
+            ])
+        }
+
+        fn ctx() -> WireCtx {
+            let mask = mask();
+            let alive = (mask.layer(0).iter().copied())
+                .chain([true; 6])
+                .chain(mask.layer(1).iter().copied())
+                .collect();
+            WireCtx::new(alive, SEGMENTS.to_vec(), 3)
+        }
+
+        /// Finite values with a sign change, `-0.0` and a subnormal.
+        fn values(n: usize, salt: usize) -> Vec<f32> {
+            (0..n)
+                .map(|i| match (i + salt) % 11 {
+                    4 => -0.0,
+                    7 => f32::from_bits(0x0000_0003),
+                    k => ((i * 37 + salt) % 19) as f32 * 0.125 - 1.0 - k as f32,
+                })
+                .collect()
+        }
+
+        fn bn() -> Vec<BnStats> {
+            vec![BnStats {
+                mean: values(3, 1),
+                var: values(3, 2).iter().map(|v| v.abs() + 0.5).collect(),
+            }]
+        }
+
+        #[test]
+        fn hello_and_done_frames() {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let client = std::thread::spawn(move || {
+                let mut stream = connect_with_retry(addr).expect("connect");
+                write_frame(&mut stream, FRAME_HELLO, &5u32.to_le_bytes()).expect("hello");
+                write_frame(&mut stream, FRAME_DONE, &[]).expect("done");
+            });
+            let mut stream = accept_nodelay(&listener).expect("accept");
+            client.join().expect("client thread");
+            let mut got = Vec::new();
+            stream.read_to_end(&mut got).expect("read");
+            let hex: String = got.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, "0400000001050000000000000004");
+        }
+
+        #[test]
+        fn round_frame_with_padded_mask_layers() {
+            let snapshot = ModelSnapshot {
+                params: values(SEGMENTS.iter().sum(), 0),
+                bn: bn(),
+            };
+            let mut body = 2u32.to_le_bytes().to_vec(); // cohort position
+            body.extend_from_slice(&encode_round_frame(7, 3, &snapshot, &mask()));
+            assert_eq!(pin(&body), (209, 0xdddc_e26e_31f3_3aea), "ROUND");
+            let (pos, round, epoch, snap, mask) = decode_round_frame(&body).expect("decodes");
+            assert_eq!((pos, round, epoch), (2, 7, 3));
+            let mut again = 2u32.to_le_bytes().to_vec();
+            again.extend_from_slice(&encode_round_frame(round, epoch, &snap, &mask));
+            assert_eq!(again, body);
+        }
+
+        #[test]
+        fn update_frame_per_codec() {
+            let ctx = ctx();
+            let delta = values(ctx.len(), 3);
+            let topk = Codec::TopK {
+                k_frac: 0.25,
+                error_feedback: true,
+            };
+            let mut residual = values(ctx.len(), 5);
+            let payloads = [
+                ("Dense", Codec::Dense.encode(&delta, &ctx, 3, None)),
+                (
+                    "MaskCsr values-only",
+                    Codec::MaskCsr.encode(&delta, &ctx, 3, None),
+                ),
+                (
+                    "MaskCsr indexed",
+                    Codec::MaskCsr.encode(&delta, &ctx, 2, None),
+                ),
+                ("QuantInt8", Codec::QuantInt8.encode(&delta, &ctx, 3, None)),
+                ("TopK", topk.encode(&delta, &ctx, 3, Some(&mut residual))),
+            ];
+            let want = [
+                (221, 0xa443_f901_4b05_7d06),
+                (182, 0xe9b0_5810_5db3_0267),
+                (221, 0xba36_c548_cba6_bdf4),
+                (146, 0xd3a0_32d0_7f2e_11fe),
+                (165, 0xc7c9_0ecb_5d4e_c480),
+            ];
+            for ((name, payload), want) in payloads.into_iter().zip(want) {
+                let update = DeviceUpdate {
+                    payload,
+                    bn: bn(),
+                    samples: 17,
+                    realized_flops: 1.25e9,
+                    wall_secs: 0.125,
+                };
+                let body = encode_update_frame(5, 7, 3, &update, &ctx);
+                assert_eq!(pin(&body), want, "{name}");
+                let (device, round, epoch, back) =
+                    decode_update_frame(&body, &ctx).expect("decodes");
+                let again = encode_update_frame(device, round, epoch, &back, &ctx);
+                assert_eq!(again, body, "{name}");
+            }
+        }
     }
 
     /// A frame built in place — header reserved, body appended behind it,

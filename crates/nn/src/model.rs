@@ -459,9 +459,10 @@ pub fn set_bn_stats<'s>(model: &mut dyn Model, stats: impl IntoIterator<Item = &
 /// uploads per candidate in Alg. 1): a `u32` layer count, then per layer one
 /// `u32` channel count and `mean`/`var` as `f32` pairs — `4 + Σ(4 + 8c)`.
 ///
-/// This is 4 bytes per layer short of the wire: the BN encoder
-/// (`ft_fl::bytes::put_bn_stats`) writes `mean` and `var` as two counted
-/// vectors, `4 + Σ(8 + 8c)`. Correcting it moves every payload figure that
+/// This is 4 bytes per layer short of the wire: the BN section of the
+/// transport frames and the checkpoint (`put_bn_stats` in
+/// `ft_fl::transport`) writes `mean` and `var` as two counted vectors,
+/// `4 + Σ(8 + 8c)`. Correcting it moves every payload figure that
 /// bills BN uploads, so the fix waits for a change that re-blesses them.
 pub fn bn_stats_encoded_len(stats: &[&BnStats]) -> usize {
     4 + stats

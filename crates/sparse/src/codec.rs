@@ -41,11 +41,13 @@ use serde::{Deserialize, Serialize};
 /// Bytes of the common payload header: 1-byte codec tag + `u32` length.
 pub const PAYLOAD_HEADER_BYTES: usize = 5;
 
-/// Why a wire frame failed to decode. Decoding never panics: any truncated,
-/// corrupt, or internally inconsistent frame is rejected with one of these.
+/// Why a payload, a transport frame, a checkpoint or any other blob read
+/// through [`WireReader`](crate::WireReader) failed to decode. Decoding
+/// never panics: any truncated, corrupt, or internally inconsistent input is
+/// rejected with one of these.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The frame ended before the content its header advertises.
+    /// The input ended before the content its header advertises.
     Truncated {
         /// Bytes the decoder still needed.
         needed: usize,
@@ -66,7 +68,7 @@ pub enum DecodeError {
         /// Epoch the decoding context is at.
         want: u64,
     },
-    /// Well-formed payload followed by garbage.
+    /// Well-formed content followed by garbage.
     TrailingBytes(usize),
 }
 
@@ -80,14 +82,14 @@ impl std::fmt::Display for DecodeError {
                 )
             }
             DecodeError::BadTag(t) => write!(f, "unknown payload tag {t}"),
-            DecodeError::Inconsistent(what) => write!(f, "inconsistent frame: {what}"),
+            DecodeError::Inconsistent(what) => write!(f, "inconsistent input: {what}"),
             DecodeError::StaleEpoch { got, want } => {
                 write!(
                     f,
                     "stale mask epoch: payload claims {got}, context is at {want}"
                 )
             }
-            DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
+            DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes"),
         }
     }
 }
@@ -452,16 +454,6 @@ impl Payload {
         self.len() == 0
     }
 
-    /// Name of the codec that produced this payload.
-    pub fn codec_name(&self) -> &'static str {
-        match self {
-            Payload::Dense { .. } => "dense",
-            Payload::MaskCsr { .. } => "mask_csr",
-            Payload::QuantInt8 { .. } => "quant_int8",
-            Payload::TopK { .. } => "top_k",
-        }
-    }
-
     /// Exact wire size in bytes. `ctx` supplies the segment structure
     /// (`MaskCsr` index widths, `QuantInt8` block count); aliveness and
     /// epoch are irrelevant here.
@@ -506,7 +498,7 @@ impl Payload {
             Payload::TopK { .. } => 3,
         };
         out.push(tag);
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
+        wire::put_u32(out, self.len() as u32);
         match self {
             Payload::Dense { values } => wire::put_f32s(out, values),
             Payload::MaskCsr {
@@ -515,25 +507,24 @@ impl Payload {
                 indices,
                 ..
             } => {
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.push(u8::from(indices.is_some()));
-                out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-                wire::put_f32s(out, values);
+                wire::put_u64(out, *epoch);
+                wire::put_bool(out, indices.is_some());
+                wire::put_f32_vec(out, values);
                 if let Some(idx) = indices {
                     write_segment_indices(idx, &ctx.segments, out);
                 }
             }
             Payload::QuantInt8 { params, codes, .. } => {
                 for p in params {
-                    out.extend_from_slice(&p.scale.to_le_bytes());
-                    out.extend_from_slice(&p.min.to_le_bytes());
+                    wire::put_f32(out, p.scale);
+                    wire::put_f32(out, p.min);
                 }
                 wire::put_i8s(out, codes);
             }
             Payload::TopK {
                 indices, values, ..
             } => {
-                out.extend_from_slice(&(indices.len() as u32).to_le_bytes());
+                wire::put_u32(out, indices.len() as u32);
                 wire::put_index_pairs(out, indices, values);
             }
         }
@@ -780,22 +771,13 @@ impl<'a> PayloadView<'a> {
             return Err(DecodeError::Inconsistent("length differs from context"));
         }
         let view = match tag {
-            0 => {
-                let nbytes = len
-                    .checked_mul(4)
-                    .ok_or(DecodeError::Inconsistent("count overflow"))?;
-                PayloadView::Dense {
-                    values: r.take(nbytes)?,
-                    len,
-                }
-            }
+            0 => PayloadView::Dense {
+                values: r.take_elems(len, 4)?,
+                len,
+            },
             1 => {
                 let epoch = r.u64()?;
-                let indexed = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(DecodeError::Inconsistent("index flag not 0/1")),
-                };
+                let indexed = r.bool()?;
                 let nnz = r.u32()? as usize;
                 if nnz > len {
                     return Err(DecodeError::Inconsistent("more values than coordinates"));
@@ -811,10 +793,7 @@ impl<'a> PayloadView<'a> {
                         "values-only payload does not match the context's mask",
                     ));
                 }
-                let vbytes = nnz
-                    .checked_mul(4)
-                    .ok_or(DecodeError::Inconsistent("count overflow"))?;
-                let values = r.take(vbytes)?;
+                let values = r.take_elems(nnz, 4)?;
                 let index_bytes = if indexed {
                     let start = r.position();
                     parse_segment_indices(&mut r, &ctx.segments, nnz, |_| {})?;
@@ -831,12 +810,7 @@ impl<'a> PayloadView<'a> {
                 }
             }
             2 => {
-                let pbytes = ctx
-                    .segments
-                    .len()
-                    .checked_mul(8)
-                    .ok_or(DecodeError::Inconsistent("count overflow"))?;
-                let params = r.take(pbytes)?;
+                let params = r.take_elems(ctx.segments.len(), 8)?;
                 let codes = r.take(len)?;
                 PayloadView::QuantInt8 { params, codes, len }
             }
@@ -845,14 +819,7 @@ impl<'a> PayloadView<'a> {
                 if count > len {
                     return Err(DecodeError::Inconsistent("more pairs than coordinates"));
                 }
-                // One 8-byte pair per entry; check before taking the slice.
-                if r.remaining() < 8 * count {
-                    return Err(DecodeError::Truncated {
-                        needed: 8 * count - r.remaining(),
-                        have: r.remaining(),
-                    });
-                }
-                let pairs = r.take(8 * count)?;
+                let pairs = r.take_elems(count, 8)?;
                 let mut prev: Option<u32> = None;
                 for c in pairs.chunks_exact(8) {
                     let i = u32::from_le_bytes(c[..4].try_into().expect("4 bytes"));
@@ -1038,9 +1005,9 @@ fn write_segment_indices(indices: &[u32], segments: &[usize], out: &mut Vec<u8>)
     let mut start = 0u32;
     walk_segment_indices(indices, segments, |seg, seg_indices| {
         let dense = seg_indices.len() == seg;
-        out.push(u8::from(dense));
+        wire::put_bool(out, dense);
         if !dense {
-            out.extend_from_slice(&(seg_indices.len() as u32).to_le_bytes());
+            wire::put_u32(out, seg_indices.len() as u32);
             wire::put_offsets(out, seg_indices, start, sparse_index_width(seg));
         }
         start += seg as u32;
@@ -1063,39 +1030,35 @@ fn parse_segment_indices(
     let mut start = 0u32;
     let mut total = 0usize;
     for &seg in segments {
-        match r.u8()? {
-            1 => {
-                if total + seg > nnz {
-                    return Err(DecodeError::Inconsistent("index/value count mismatch"));
-                }
-                for i in start..start + seg as u32 {
-                    sink(i);
-                }
-                total += seg;
+        if r.bool()? {
+            if total + seg > nnz {
+                return Err(DecodeError::Inconsistent("index/value count mismatch"));
             }
-            0 => {
-                let count = r.u32()? as usize;
-                if count > seg || total + count > nnz {
-                    return Err(DecodeError::Inconsistent("index/value count mismatch"));
-                }
-                if count == seg && seg > 0 {
-                    return Err(DecodeError::Inconsistent("full segment not flagged dense"));
-                }
-                let width = sparse_index_width(seg);
-                let mut prev: Option<u32> = None;
-                for offset in wire::offsets(r.take_elems(count, width)?, width) {
-                    if offset as usize >= seg {
-                        return Err(DecodeError::Inconsistent("offset outside segment"));
-                    }
-                    if prev.is_some_and(|p| offset <= p) {
-                        return Err(DecodeError::Inconsistent("segment offsets not ascending"));
-                    }
-                    prev = Some(offset);
-                    sink(start + offset);
-                }
-                total += count;
+            for i in start..start + seg as u32 {
+                sink(i);
             }
-            _ => return Err(DecodeError::Inconsistent("segment flag not 0/1")),
+            total += seg;
+        } else {
+            let count = r.u32()? as usize;
+            if count > seg || total + count > nnz {
+                return Err(DecodeError::Inconsistent("index/value count mismatch"));
+            }
+            if count == seg && seg > 0 {
+                return Err(DecodeError::Inconsistent("full segment not flagged dense"));
+            }
+            let width = sparse_index_width(seg);
+            let mut prev: Option<u32> = None;
+            for offset in wire::offsets(r.take_elems(count, width)?, width) {
+                if offset as usize >= seg {
+                    return Err(DecodeError::Inconsistent("offset outside segment"));
+                }
+                if prev.is_some_and(|p| offset <= p) {
+                    return Err(DecodeError::Inconsistent("segment offsets not ascending"));
+                }
+                prev = Some(offset);
+                sink(start + offset);
+            }
+            total += count;
         }
         start += seg as u32;
     }

@@ -1,25 +1,33 @@
-//! The little-endian cursor and the bulk element coders every binary format
-//! of this workspace is built from: the payload codecs here, and the
-//! transport frames and the checkpoint codec in `ft-fl`.
+//! The little-endian cursor and the coders every binary format of this
+//! workspace is built from: the payload codecs here, and the transport
+//! frames, the checkpoint (ledger blob included) and FedTiny's hook-state
+//! blob further up. There is one cursor, [`WireReader`], and one decode
+//! error, [`DecodeError`], for all of them.
+//!
+//! Scalars travel little-endian; floats as their raw IEEE-754 bits, so NaN
+//! payloads, `-0.0` and subnormals round-trip bit for bit. The structured
+//! values a frame or checkpoint carries are written by the `put_*` functions
+//! here and read back by the matching [`WireReader`] method: a `u32`-counted
+//! `f32` or `f64` vector ([`put_f32_vec`] / [`WireReader::f32_vec`]), a
+//! counted byte blob ([`put_blob`] / [`WireReader::blob`]) and a counted bit
+//! vector ([`put_bitvec`] / [`WireReader::bitvec`]), whose padding bits must
+//! be zero.
 //!
 //! Vectors never travel one element per call. Each writer appends a whole
 //! slice in one pass over a pre-sized region of the output, and each reader
 //! converts a whole byte slice in one pass: `chunks_exact(_mut)` with
 //! `to_le_bytes` / `from_le_bytes`, which the compiler turns into plain
-//! loads and stores. Floats travel as their raw IEEE-754 bits, so NaN
-//! payloads, `-0.0` and subnormals round-trip bit for bit.
-//!
-//! Readers take a slice whose length the caller has already checked against
-//! the element count (the [`WireReader`] takes it, which is where the
-//! bounds check lives), so they cannot fail.
+//! loads and stores. The uncounted bulk readers ([`f32s`], [`bits`], ...)
+//! take a slice whose length the caller has already checked against the
+//! element count (the [`WireReader`] takes it, which is where the bounds
+//! check lives), so they cannot fail.
 
 use crate::DecodeError;
 
-/// Bounds-checked little-endian cursor over a wire frame — or any other
-/// binary blob of this workspace's wire formats (the transport frames and
-/// the checkpoint codec in `ft-fl` parse through this same cursor). Every
-/// read is checked before it happens, and counted reads are checked before
-/// any allocation, so truncated or corrupt input yields a typed
+/// Bounds-checked little-endian cursor over any binary blob of this
+/// workspace: a payload, a transport frame, a checkpoint. Every read is
+/// checked before it happens, and counted reads are checked before any
+/// allocation, so truncated or corrupt input yields a typed
 /// [`DecodeError`], never a panic or a huge reservation.
 pub struct WireReader<'a> {
     buf: &'a [u8],
@@ -83,21 +91,116 @@ impl<'a> WireReader<'a> {
         ))
     }
 
+    /// Next `u64` narrowed to `usize`.
+    pub fn len_u64(&mut self) -> Result<usize, DecodeError> {
+        usize::try_from(self.u64()?)
+            .map_err(|_| DecodeError::Inconsistent("length overflows usize"))
+    }
+
     /// Next `f32`, bit-exact.
     pub fn f32(&mut self) -> Result<f32, DecodeError> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    /// Reads `n` `f32`s; the length check happens before any allocation, so
-    /// a garbage count cannot trigger a huge reservation.
-    pub fn f32_vec(&mut self, n: usize) -> Result<Vec<f32>, DecodeError> {
+    /// Next `f64`, bit-exact.
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Next flag, written by [`put_bool`]: a byte that must be 0 or 1.
+    pub fn bool(&mut self) -> Result<bool, DecodeError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DecodeError::Inconsistent("flag not 0/1")),
+        }
+    }
+
+    /// A vector written by [`put_f32_vec`]; the byte budget is checked
+    /// before any allocation, so a garbage count cannot trigger a huge
+    /// reservation.
+    pub fn f32_vec(&mut self) -> Result<Vec<f32>, DecodeError> {
+        let n = self.u32()? as usize;
         Ok(f32s(self.take_elems(n, 4)?))
     }
 
-    /// Reads `n` `f64`s, checked like [`f32_vec`](Self::f32_vec).
-    pub fn f64_vec(&mut self, n: usize) -> Result<Vec<f64>, DecodeError> {
+    /// A vector written by [`put_f64_vec`], checked like
+    /// [`f32_vec`](Self::f32_vec).
+    pub fn f64_vec(&mut self) -> Result<Vec<f64>, DecodeError> {
+        let n = self.u32()? as usize;
         Ok(f64s(self.take_elems(n, 8)?))
     }
+
+    /// A byte blob written by [`put_blob`], borrowed from the input.
+    pub fn blob(&mut self) -> Result<&'a [u8], DecodeError> {
+        let n = self.u32()? as usize;
+        self.take(n)
+    }
+
+    /// A bit vector written by [`put_bitvec`]. The padding bits of the last
+    /// byte must be zero, as the writer leaves them: a set one would decode
+    /// to the same bits as the canonical bytes, so two inputs would mean one
+    /// value.
+    pub fn bitvec(&mut self) -> Result<Vec<bool>, DecodeError> {
+        let n = self.u32()? as usize;
+        let bytes = self.take(n.div_ceil(8))?;
+        if bytes
+            .last()
+            .is_some_and(|&b| !n.is_multiple_of(8) && b >> (n % 8) != 0)
+        {
+            return Err(DecodeError::Inconsistent("bit vector padding not zero"));
+        }
+        Ok(bits(bytes, n))
+    }
+}
+
+/// Appends a `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u64`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends an `f32` as its raw bits.
+pub fn put_f32(out: &mut Vec<u8>, v: f32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends an `f64` as its raw bits.
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a flag as one byte, 0 or 1.
+pub fn put_bool(out: &mut Vec<u8>, v: bool) {
+    out.push(u8::from(v));
+}
+
+/// Appends a `u32`-counted `f32` vector.
+pub fn put_f32_vec(out: &mut Vec<u8>, v: &[f32]) {
+    put_u32(out, v.len() as u32);
+    put_f32s(out, v);
+}
+
+/// Appends a `u32`-counted `f64` vector.
+pub fn put_f64_vec(out: &mut Vec<u8>, v: &[f64]) {
+    put_u32(out, v.len() as u32);
+    put_f64s(out, v);
+}
+
+/// Appends a `u32`-counted byte blob.
+pub fn put_blob(out: &mut Vec<u8>, v: &[u8]) {
+    put_u32(out, v.len() as u32);
+    out.extend_from_slice(v);
+}
+
+/// Appends a `u32`-counted bit vector, packed by [`put_bits`].
+pub fn put_bitvec(out: &mut Vec<u8>, bits: &[bool]) {
+    put_u32(out, bits.len() as u32);
+    put_bits(out, bits);
 }
 
 /// Appends `n` zero bytes to `out` and hands them back: the pre-sized
@@ -475,6 +578,129 @@ mod tests {
             assert_eq!(bytes, oracle::bits(&flags), "bits n={n}");
             assert_eq!(bits(&bytes, n), flags, "bits read n={n}");
             assert_eq!(oracle::unpack(&bytes, n), flags, "oracle unpack n={n}");
+        }
+    }
+
+    #[test]
+    fn scalar_roundtrips_are_bit_exact() {
+        let mut out = Vec::new();
+        put_f64(&mut out, f64::from_bits(0x7ff8_dead_beef_0001)); // odd NaN
+        put_f32(&mut out, -0.0);
+        put_u64(&mut out, u64::MAX);
+        put_bool(&mut out, true);
+        let mut r = WireReader::new(&out);
+        assert_eq!(r.f64().unwrap().to_bits(), 0x7ff8_dead_beef_0001);
+        assert_eq!(r.f32().unwrap().to_bits(), (-0.0f32).to_bits());
+        assert_eq!(r.u64().unwrap(), u64::MAX);
+        assert!(r.bool().unwrap());
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn vectors_and_bits_roundtrip() {
+        let bits = [true, false, false, true, true, false, true, true, true];
+        let mut out = Vec::new();
+        put_f32_vec(&mut out, &[1.5, -2.25]);
+        put_bitvec(&mut out, &bits);
+        put_blob(&mut out, b"frame");
+        put_f64_vec(&mut out, &[0.5, 2.0]);
+        put_u64(&mut out, 7);
+        let mut r = WireReader::new(&out);
+        assert_eq!(r.f32_vec().unwrap(), vec![1.5, -2.25]);
+        assert_eq!(r.bitvec().unwrap(), bits.to_vec());
+        assert_eq!(r.blob().unwrap(), b"frame");
+        assert_eq!(r.f64_vec().unwrap(), vec![0.5, 2.0]);
+        assert_eq!(r.len_u64().unwrap(), 7);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn truncated_reads_error_instead_of_panicking() {
+        let mut out = Vec::new();
+        put_f32_vec(&mut out, &[1.0, 2.0, 3.0]);
+        for cut in 0..out.len() {
+            let mut r = WireReader::new(&out[..cut]);
+            // The count's bytes, then the values' bytes, run short.
+            let have = if cut < 4 { cut } else { cut - 4 };
+            let err = r.f32_vec().expect_err("a prefix parsed");
+            assert!(
+                matches!(err, DecodeError::Truncated { have: h, .. } if h == have),
+                "prefix of {cut} bytes: {err:?}"
+            );
+        }
+        let mut r = WireReader::new(&[2u8]);
+        assert_eq!(r.bool(), Err(DecodeError::Inconsistent("flag not 0/1")));
+    }
+
+    /// The counted-vector writers and readers the frames and checkpoints
+    /// use, against the per-element loops they replaced: the same bytes out,
+    /// `to_bits`-equal values back — NaN payloads, ±0.0, subnormals and
+    /// infinities included — and a bit vector with a set padding bit still
+    /// refused, at every length of [`LENS`].
+    #[test]
+    fn frame_vector_coders_match_per_element_oracle() {
+        for n in LENS {
+            let f = f32_values(n);
+            let rev: Vec<f32> = f.iter().rev().copied().collect();
+            let d = f64_values(n);
+            let flags: Vec<bool> = (0..n).map(|i| word(i).is_multiple_of(3)).collect();
+
+            let mut oracle = Vec::new();
+            let count = |out: &mut Vec<u8>| out.extend_from_slice(&(n as u32).to_le_bytes());
+            for v in [&f, &rev] {
+                count(&mut oracle);
+                oracle.extend_from_slice(&oracle::f32s(v));
+            }
+            count(&mut oracle);
+            oracle.extend_from_slice(&oracle::f64s(&d));
+            count(&mut oracle);
+            oracle.extend_from_slice(&oracle::bits(&flags));
+
+            let out = written(|o| {
+                put_f32_vec(o, &f);
+                put_f32_vec(o, &rev);
+                put_f64_vec(o, &d);
+                put_bitvec(o, &flags);
+            });
+            assert_eq!(out, oracle, "n={n}");
+
+            let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut r = WireReader::new(&out);
+            assert_eq!(to_bits(&r.f32_vec().unwrap()), to_bits(&f), "n={n}");
+            assert_eq!(to_bits(&r.f32_vec().unwrap()), to_bits(&rev), "n={n}");
+            let back: Vec<u64> = r.f64_vec().unwrap().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(back, d.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+            assert_eq!(r.bitvec().unwrap(), flags, "n={n}");
+            assert_eq!(r.remaining(), 0);
+
+            if n % 8 != 0 {
+                let mut bad = Vec::new();
+                put_bitvec(&mut bad, &flags);
+                *bad.last_mut().unwrap() |= 0x80;
+                let err = WireReader::new(&bad).bitvec();
+                let want = DecodeError::Inconsistent("bit vector padding not zero");
+                assert_eq!(err, Err(want), "n={n}");
+            }
+        }
+    }
+
+    /// Ten bits take two bytes; the six high bits of the second are padding
+    /// and must be zero — setting any of them is a typed error, not a second
+    /// encoding of the same bits.
+    #[test]
+    fn bitvec_rejects_set_padding_bits() {
+        let bits = [
+            true, false, true, true, false, false, true, false, true, true,
+        ];
+        let mut out = Vec::new();
+        put_bitvec(&mut out, &bits);
+        assert_eq!(WireReader::new(&out).bitvec().unwrap(), bits.to_vec());
+        for pad in 2..8 {
+            let mut bad = out.clone();
+            *bad.last_mut().unwrap() |= 1 << pad;
+            let err = WireReader::new(&bad).bitvec();
+            let want = DecodeError::Inconsistent("bit vector padding not zero");
+            assert_eq!(err, Err(want));
         }
     }
 }

@@ -116,19 +116,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Reshapes in place (no copy; reuses the shape buffer, so a
-    /// steady-state reshape performs no allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.data.len(), "reshape element count mismatch");
-        self.shape.clear();
-        self.shape.extend_from_slice(shape);
-    }
-
     /// Resizes to `shape` with every element zeroed, reusing the existing
     /// buffers: once a tensor has seen its largest geometry, repeated calls
     /// allocate nothing. This is the arena-reset primitive behind the

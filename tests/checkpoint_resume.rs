@@ -11,8 +11,9 @@
 
 use fedtiny::{run_fedtiny, run_fedtiny_with, FedTinyConfig, FedTinyRunOptions};
 use fedtiny_suite::fl::{
-    no_hook, run_federated_rounds, run_with, Checkpoint, Codec, CostLedger, DeviceProfile,
-    ExperimentEnv, InProcess, MetricsHub, ModelSpec, RunOptions, Scheduler, ServerError,
+    no_hook, run_federated_rounds, run_with, Checkpoint, CheckpointError, Codec, CostLedger,
+    DeviceProfile, ExperimentEnv, InProcess, MetricsHub, ModelSpec, RunOptions, Scheduler,
+    ServerError,
 };
 use fedtiny_suite::nn::{flat_params, sparse_layout, Model};
 use fedtiny_suite::sparse::Mask;
@@ -410,6 +411,80 @@ fn ckpt_fedtiny_resume_matches_uninterrupted_run() {
     assert_eq!(
         resumed.extra_flops.to_bits(),
         uninterrupted.extra_flops.to_bits()
+    );
+}
+
+/// FedTiny's progressive counters ride in the hook-state blob; a resume that
+/// silently dropped them would diverge from the uninterrupted run. So a blob
+/// the hook cannot read (one byte short, one byte long), a missing blob, and
+/// a blob resumed by a run without a hook are each a typed
+/// `ServerError::Checkpoint` — while the file stays a canonical checkpoint.
+#[test]
+fn ckpt_unreadable_or_unexpected_hook_state_is_refused() {
+    let cfg = FedTinyConfig::tiny_for_tests(0.3);
+    let env = ExperimentEnv::tiny_for_tests(11);
+    let path = temp_ckpt("fedtiny_hook_state");
+    let run = |resume: bool| {
+        let mut transport = InProcess;
+        run_fedtiny_with(
+            &env,
+            &cfg,
+            FedTinyRunOptions {
+                transport: &mut transport,
+                checkpoint: Some(path.clone()),
+                resume,
+                halt_after: Some(1),
+                metrics: None,
+            },
+        )
+    };
+    run(false).expect("halted fedtiny run");
+    let saved = std::fs::read(&path).expect("read checkpoint");
+    // A barrier checkpoint ends with the hook blob: a `u32` count of 16,
+    // then the two `u64` counters.
+    let (head, blob) = saved.split_at(saved.len() - 20);
+    assert_eq!(blob[..4], 16u32.to_le_bytes());
+    let long = [&blob[4..], &[0]].concat();
+    let cases: [(&str, &[u8]); 3] = [("short", &blob[4..19]), ("long", &long), ("empty", &[])];
+    for (what, hook_state) in cases {
+        let mut bytes = head.to_vec();
+        bytes.extend_from_slice(&(hook_state.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(hook_state);
+        let canonical = Checkpoint::from_bytes(&bytes).expect("still a checkpoint");
+        assert_eq!(canonical.to_bytes(), bytes, "{what}");
+        std::fs::write(&path, &bytes).expect("write checkpoint");
+        let err = run(true).expect_err(what);
+        let typed = match what {
+            "empty" => matches!(err, ServerError::Checkpoint(CheckpointError::Mismatch(_))),
+            _ => matches!(err, ServerError::Checkpoint(CheckpointError::Corrupt(_))),
+        };
+        assert!(typed, "{what}: {err}");
+    }
+
+    // The checkpoint as written, resumed by a run without a hook.
+    std::fs::write(&path, &saved).expect("write checkpoint");
+    let env = env.codec_view(cfg.codec);
+    let mut model = env.build_model(&cfg.model);
+    let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+    let mut ledger = CostLedger::new();
+    let mut transport = InProcess;
+    let mut opts = RunOptions::new(&mut transport);
+    opts.checkpoint = Some(path.clone());
+    opts.resume = true;
+    let err = run_with(
+        model.as_mut(),
+        &mut mask,
+        &env,
+        cfg.eval_every,
+        &mut ledger,
+        &mut no_hook(),
+        opts,
+    )
+    .expect_err("a hook state without a hook");
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(err, ServerError::Checkpoint(CheckpointError::Mismatch(_))),
+        "{err}"
     );
 }
 
