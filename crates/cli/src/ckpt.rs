@@ -40,15 +40,28 @@ fn cmd_list(paths: &[&str]) -> i32 {
             "{path}: {} round {}/{} | scheduler {} | codec {} | seed {} | epoch {} | sim {:.1}s",
             s.kind,
             s.rounds_done,
-            s.total_rounds,
-            s.scheduler,
-            s.codec,
-            s.seed,
+            run_field(&s, "cfg.rounds"),
+            run_field(&s, "scheduler"),
+            run_field(&s, "cfg.codec"),
+            run_field(&s, "cfg.seed"),
             s.mask_epoch,
             s.sim_now_secs,
         );
     }
     0
+}
+
+/// The run identity's leaves at or under `path`, on one line: the leaf's
+/// value, or `field=value` for each leaf below it.
+fn run_field(s: &CheckpointSummary, path: &str) -> String {
+    let fields = s
+        .run
+        .iter()
+        .filter_map(|(p, v)| match p.strip_prefix(path)? {
+            "" => Some(v.clone()),
+            below => Some(format!("{}={v}", below.strip_prefix('.')?)),
+        });
+    fields.collect::<Vec<_>>().join(" ")
 }
 
 fn cmd_inspect(paths: &[&str]) -> i32 {
@@ -84,15 +97,7 @@ pub fn format_inspect(s: &CheckpointSummary) -> String {
     let mut line = |k: &str, v: String| out.push_str(&format!("{k:<24} {v}\n"));
     line("format_version", s.format_version.to_string());
     line("kind", s.kind.to_string());
-    line("seed", s.seed.to_string());
-    line("devices", s.devices.to_string());
-    line(
-        "rounds_done",
-        format!("{}/{}", s.rounds_done, s.total_rounds),
-    );
-    line("scheduler", s.scheduler.clone());
-    line("codec", s.codec.clone());
-    line("eval_every", s.eval_every.to_string());
+    line("rounds_done", s.rounds_done.to_string());
     line("mask_epoch", s.mask_epoch.to_string());
     line("sim_now_secs", format!("{:?}", s.sim_now_secs));
     line(
@@ -137,6 +142,8 @@ pub fn format_inspect(s: &CheckpointSummary) -> String {
     );
     line("in_flight_tasks", s.in_flight_tasks.to_string());
     line("hook_state_bytes", s.hook_state_bytes.to_string());
-    line("config_fingerprint", s.config_fingerprint.clone());
+    for (path, value) in &s.run {
+        line(&format!("run.{path}"), value.clone());
+    }
     out
 }

@@ -112,7 +112,9 @@ USAGE:
 
 Shorthand for `ft run --resume --checkpoint <path>`: same presets and
 options as `ft run`; the checkpoint must have been written by a run with
-the same preset and knobs (the config fingerprint is validated).";
+the same preset and knobs: its run identity (data recipe, configuration,
+scheduler, fleet, evaluation cadence, model) must match, and a refusal
+names the first field that differs.";
 
 pub const CKPT: &str = "\
 ft ckpt — inspect checkpoint files
@@ -122,9 +124,10 @@ USAGE:
     ft ckpt inspect <path>          Deterministic field-by-field digest
     ft ckpt diff <a> <b>            Field-level diff; exit 1 when they differ
 
-`inspect` prints only host-independent state (config fingerprint, round,
-mask epoch, fault counters, ...), so its output is stable across machines
-and thread counts.";
+`inspect` prints only host-independent state (round, mask epoch, fault
+counters, ..., then the run identity leaf by leaf), so its output is stable
+across machines and thread counts. `diff` prints one `run.<path>` line per
+differing leaf of the run identity.";
 
 pub const WATCH: &str = "\
 ft watch — tail the live trace-frame stream

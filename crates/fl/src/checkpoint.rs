@@ -17,26 +17,34 @@
 //!
 //! The format is a little-endian binary blob with a magic/version header;
 //! floats are stored as raw IEEE-754 bits, which is what makes the
-//! resume-determinism guarantee exact rather than approximate. Loading
-//! validates a fingerprint of the run configuration (seed, fleet size,
-//! rounds, scheduler, codec) and rejects checkpoints from a different run
-//! with a typed error instead of silently diverging.
+//! resume-determinism guarantee exact rather than approximate. Beside the
+//! state, a checkpoint carries its run's identity ([`RunIdentity`]: the
+//! data recipe, the configuration, the scheduler, the fleet, the evaluation
+//! cadence and the model's architecture) as one canonical JSON record.
+//! Resume compares it with the resuming run's and refuses a checkpoint of
+//! a different run with a typed error naming the first field that differs,
+//! instead of silently diverging or panicking.
 
 use crate::ledger::CostLedger;
 use crate::sched::{Scheduler, Sim};
 use crate::train::LocalOutcome;
 use crate::transport::{put_bn_stats, read_bn_stats};
-use crate::ExperimentEnv;
-use ft_nn::ModelSnapshot;
+use crate::{ExperimentEnv, FlConfig};
+use ft_data::SynthConfig;
+use ft_metrics::DeviceProfile;
+use ft_nn::{sparse_layout, take_snapshot, ArchInfo, BnStats, Model, ModelSnapshot};
 use ft_sparse::wire::{
-    put_bitvec, put_blob, put_bool, put_f32, put_f32_vec, put_f64, put_u32, put_u64, WireReader,
+    put_bitvec, put_blob, put_bool, put_f32_vec, put_f64, put_u32, put_u64, WireReader,
 };
-use ft_sparse::{Codec, DecodeError};
+use ft_sparse::DecodeError;
+use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"FTCK";
-// v2: the ledger blob grew fault/quarantine counters.
-const VERSION: u32 = 2;
+// v3: one canonical JSON run identity replaced v2's per-field header and
+// its `FlConfig` JSON string (v2: the ledger blob grew fault/quarantine
+// counters).
+const VERSION: u32 = 3;
 
 /// Why a checkpoint failed to save, load, or match the resuming run.
 #[derive(Clone, Debug, PartialEq)]
@@ -45,13 +53,15 @@ pub enum CheckpointError {
     Io(String),
     /// The file does not start with the checkpoint magic.
     BadMagic,
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not this build's: older and newer
+    /// files alike are refused, since there is one decoder.
     UnsupportedVersion(u32),
     /// The file is structurally broken.
     Corrupt(String),
-    /// The checkpoint belongs to a different run (the message names the
-    /// mismatching field).
-    Mismatch(&'static str),
+    /// The checkpoint belongs to a different run: the path of the first
+    /// field of the run identity that differs (e.g. `cfg.batch_size`), or
+    /// `hook state`.
+    Mismatch(String),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -102,23 +112,92 @@ pub(crate) struct BufferedState {
     pub(crate) in_flight: Vec<TaskState>,
 }
 
+/// Everything besides the saved state that the remaining rounds of a run
+/// depend on, but for a method's own configuration (a round hook's, such as
+/// FedTiny's), which is not recorded. Resume refuses a checkpoint whose
+/// identity differs from the resuming run's in any leaf.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub(crate) struct RunIdentity {
+    /// The recipe the data was generated from.
+    data: SynthConfig,
+    /// The run configuration with `threads` written as 0: parallel and
+    /// sequential execution are bit-identical, so a run resumes under any
+    /// worker count.
+    cfg: FlConfig,
+    scheduler: Scheduler,
+    fleet: Vec<DeviceProfile>,
+    /// The evaluation cadence, which shapes the accuracy history.
+    eval_every: usize,
+    /// The model's architecture: the snapshot, masks and residuals are laid
+    /// out by it.
+    arch: ArchInfo,
+}
+
+impl RunIdentity {
+    /// The identity of a run of `env` at `eval_every` on a model of `arch`.
+    pub(crate) fn new(env: &ExperimentEnv, eval_every: usize, arch: ArchInfo) -> Self {
+        RunIdentity {
+            data: env.synth,
+            cfg: FlConfig {
+                threads: 0,
+                ..env.cfg
+            },
+            scheduler: env.scheduler,
+            fleet: env.fleet.clone(),
+            eval_every,
+            arch,
+        }
+    }
+
+    /// The record beside `other`'s, leaf by leaf: `(path, ours, theirs)`
+    /// in record order, the values as compact JSON.
+    fn leaves(&self, other: &RunIdentity) -> Vec<(String, String, String)> {
+        let json = |v: &Value| serde_json::to_string(v).expect("a value tree serializes");
+        let mut out = Vec::new();
+        walk(
+            &self.to_value(),
+            &other.to_value(),
+            "",
+            &mut |path, a, b| {
+                out.push((path.to_string(), json(a), json(b)));
+            },
+        );
+        out
+    }
+}
+
+/// Walks two value trees in step and calls `leaf` at every pair of leaves
+/// with their path (`cfg.sgd.lr`, `fleet[2].dropout`). Objects with the same
+/// keys descend key by key, and arrays of objects or arrays with the same
+/// length index by index. Anything else is a leaf: a scalar, an array of
+/// scalars, or a node whose shape differs between the sides (another enum
+/// variant, another fleet size).
+fn walk(a: &Value, b: &Value, path: &str, leaf: &mut dyn FnMut(&str, &Value, &Value)) {
+    let key = |k: &str| match path {
+        "" => k.to_string(),
+        _ => format!("{path}.{k}"),
+    };
+    let branch = |v: &Value| matches!(v, Value::Map(_) | Value::Seq(_));
+    match (a, b) {
+        (Value::Map(x), Value::Map(y)) if x.iter().map(|e| &e.0).eq(y.iter().map(|e| &e.0)) => {
+            for ((k, u), (_, v)) in x.iter().zip(y) {
+                walk(u, v, &key(k), leaf);
+            }
+        }
+        (Value::Seq(x), Value::Seq(y)) if x.len() == y.len() && x.iter().any(branch) => {
+            for (i, (u, v)) in x.iter().zip(y).enumerate() {
+                walk(u, v, &format!("{path}[{i}]"), leaf);
+            }
+        }
+        _ => leaf(path, a, b),
+    }
+}
+
 /// A resumable snapshot of a federated run at a round boundary.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
-    /// Run-identity fingerprint, validated on resume.
-    pub(crate) seed: u64,
-    pub(crate) devices: usize,
-    pub(crate) total_rounds: usize,
-    pub(crate) scheduler: Scheduler,
-    pub(crate) codec: Codec,
-    /// The evaluation cadence the run was started with (changes the
-    /// history shape mid-run, so it is part of the fingerprint).
-    pub(crate) eval_every: usize,
-    /// The `FlConfig` as canonical JSON ([`Checkpoint::cfg_fingerprint`]):
-    /// any hyperparameter change (batch size, local epochs, learning rate,
-    /// participation, …) alters the remaining rounds' math and must refuse
-    /// to resume. Only the worker count is left out.
-    pub(crate) cfg_json: String,
+    /// The run this checkpoint belongs to, validated on resume.
+    pub(crate) run: RunIdentity,
     /// Rounds (or buffered versions) completed so far.
     pub(crate) rounds_done: usize,
     pub(crate) epoch: u64,
@@ -148,13 +227,7 @@ pub struct CheckpointSummary {
     pub format_version: u32,
     /// `"barrier"` or `"buffered"` depending on saved scheduler state.
     pub kind: &'static str,
-    pub seed: u64,
-    pub devices: usize,
-    pub total_rounds: usize,
     pub rounds_done: usize,
-    pub scheduler: String,
-    pub codec: String,
-    pub eval_every: usize,
     pub mask_epoch: u64,
     pub sim_now_secs: f64,
     /// Accuracy history at the saved evaluation cadence.
@@ -175,8 +248,10 @@ pub struct CheckpointSummary {
     /// Buffered-scheduler tasks still in flight (0 for barrier runs).
     pub in_flight_tasks: usize,
     pub hook_state_bytes: usize,
-    /// Canonical JSON of the full `FlConfig` the run was started with.
-    pub config_fingerprint: String,
+    /// The run identity leaf by leaf, as `(path, JSON value)`: the data
+    /// recipe, the configuration, the scheduler, the fleet, the evaluation
+    /// cadence and the model's architecture.
+    pub run: Vec<(String, String)>,
 }
 
 impl Checkpoint {
@@ -213,13 +288,7 @@ impl Checkpoint {
             } else {
                 "barrier"
             },
-            seed: self.seed,
-            devices: self.devices,
-            total_rounds: self.total_rounds,
             rounds_done: self.rounds_done,
-            scheduler: format!("{:?}", self.scheduler),
-            codec: self.codec.name().to_string(),
-            eval_every: self.eval_every,
             mask_epoch: self.epoch,
             sim_now_secs: self.clock_now,
             history: self.history.clone(),
@@ -236,69 +305,39 @@ impl Checkpoint {
             faults: *self.ledger.faults(),
             in_flight_tasks: self.buffered.as_ref().map_or(0, |b| b.in_flight.len()),
             hook_state_bytes: self.hook_state.len(),
-            config_fingerprint: self.cfg_json.clone(),
+            run: self
+                .run
+                .leaves(&self.run)
+                .into_iter()
+                .map(|(path, value, _)| (path, value))
+                .collect(),
         }
     }
 
     /// Field-level diff of two checkpoints (`ft ckpt diff`): one line per
     /// differing field, empty when the checkpoints describe identical run
-    /// state. Bulk payloads (parameters, masks, residuals) are summarized
-    /// as differing-element counts rather than dumped.
+    /// state. The run identity differs leaf by leaf (`run.cfg.seed: 1 !=
+    /// 2`); bulk payloads (parameters, masks, residuals) are summarized as
+    /// differing-element counts rather than dumped.
     pub fn diff(&self, other: &Checkpoint) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut scalar = |field: &str, a: String, b: String| {
-            if a != b {
-                out.push(format!("{field}: {a} != {b}"));
-            }
-        };
-        scalar("seed", self.seed.to_string(), other.seed.to_string());
-        scalar(
-            "devices",
-            self.devices.to_string(),
-            other.devices.to_string(),
-        );
-        scalar(
-            "total_rounds",
-            self.total_rounds.to_string(),
-            other.total_rounds.to_string(),
-        );
-        scalar(
-            "scheduler",
-            format!("{:?}", self.scheduler),
-            format!("{:?}", other.scheduler),
-        );
-        scalar(
-            "codec",
-            self.codec.name().to_string(),
-            other.codec.name().to_string(),
-        );
-        scalar(
-            "eval_every",
-            self.eval_every.to_string(),
-            other.eval_every.to_string(),
-        );
-        scalar(
-            "config_fingerprint",
-            self.cfg_json.clone(),
-            other.cfg_json.clone(),
-        );
-        scalar(
-            "rounds_done",
-            self.rounds_done.to_string(),
-            other.rounds_done.to_string(),
-        );
-        scalar(
-            "mask_epoch",
-            self.epoch.to_string(),
-            other.epoch.to_string(),
-        );
+        let (sa, sb) = (self.summary(), other.summary());
         // Floats compare (and print) as exact bit patterns: the checkpoint
         // format's whole point is bit-exact state.
-        scalar(
-            "sim_now_secs",
-            format!("{:?}", self.clock_now),
-            format!("{:?}", other.clock_now),
-        );
+        type Field = fn(&CheckpointSummary) -> String;
+        let scalars: [(&str, Field); 5] = [
+            ("kind", |s| s.kind.to_string()),
+            ("rounds_done", |s| s.rounds_done.to_string()),
+            ("mask_epoch", |s| s.mask_epoch.to_string()),
+            ("sim_now_secs", |s| format!("{:?}", s.sim_now_secs)),
+            ("buffered.in_flight", |s| s.in_flight_tasks.to_string()),
+        ];
+        let run = self.run.leaves(&other.run).into_iter();
+        let mut out: Vec<String> = run
+            .map(|(path, a, b)| (format!("run.{path}"), a, b))
+            .chain(scalars.map(|(field, f)| (field.to_string(), f(&sa), f(&sb))))
+            .filter(|(_, a, b)| a != b)
+            .map(|(field, a, b)| format!("{field}: {a} != {b}"))
+            .collect();
         if self.history != other.history {
             out.push(format!(
                 "history: {} vs {} eval points{}",
@@ -389,16 +428,6 @@ impl Checkpoint {
                 }
             });
         }
-        let (sa, sb) = (self.summary(), other.summary());
-        if sa.kind != sb.kind {
-            out.push(format!("kind: {} != {}", sa.kind, sb.kind));
-        }
-        if sa.in_flight_tasks != sb.in_flight_tasks {
-            out.push(format!(
-                "buffered.in_flight: {} != {}",
-                sa.in_flight_tasks, sb.in_flight_tasks
-            ));
-        }
         if self.hook_state != other.hook_state {
             out.push(format!(
                 "hook_state: {} vs {} bytes",
@@ -409,57 +438,63 @@ impl Checkpoint {
         out
     }
 
-    /// Canonical JSON fingerprint of a run configuration, with `threads`
-    /// written as `0`: parallel and sequential execution are bit-identical,
-    /// so the worker count only changes wall-clock and a run resumes under
-    /// any.
-    pub(crate) fn cfg_fingerprint(cfg: &crate::FlConfig) -> String {
-        let cfg = crate::FlConfig { threads: 0, ..*cfg };
-        serde_json::to_string(&cfg).expect("FlConfig serializes")
+    /// Refuses a checkpoint of another run than `run`, naming the first
+    /// leaf of the identity that differs.
+    pub(crate) fn validate_against(&self, run: &RunIdentity) -> Result<(), CheckpointError> {
+        match self.run.leaves(run).into_iter().find(|(_, a, b)| a != b) {
+            None => Ok(()),
+            Some((path, ..)) => Err(CheckpointError::Mismatch(path)),
+        }
     }
 
-    /// Rejects a checkpoint that was produced by a different run than
-    /// `env` (and its evaluation cadence) describes. The named checks give
-    /// readable errors for the common mismatches; the full-config JSON
-    /// fingerprint catches every remaining hyperparameter (batch size,
-    /// local epochs, learning rate, participation, …) whose change would
-    /// make the resumed rounds silently diverge.
-    pub fn validate_against(
+    /// Refuses stored state that does not fit the resuming run's `model`
+    /// and fleet of `devices`: the parameter count, the BatchNorm channels,
+    /// both mask layouts, every non-empty residual and in-flight update, and
+    /// the per-device vectors. Restoring any of them would panic. Once the
+    /// identity matches, only a damaged or hand-edited file fails here.
+    pub(crate) fn check_state(
         &self,
-        env: &ExperimentEnv,
-        eval_every: usize,
+        model: &dyn Model,
+        devices: usize,
     ) -> Result<(), CheckpointError> {
-        if self.seed != env.cfg.seed {
-            return Err(CheckpointError::Mismatch("seed"));
-        }
-        if self.devices != env.num_devices() {
-            return Err(CheckpointError::Mismatch("device count"));
-        }
-        if self.total_rounds != env.cfg.rounds {
-            return Err(CheckpointError::Mismatch("round count"));
-        }
-        if self.scheduler != env.scheduler {
-            return Err(CheckpointError::Mismatch("scheduler"));
-        }
-        if self.codec != env.cfg.codec {
-            return Err(CheckpointError::Mismatch("codec"));
-        }
-        if self.eval_every != eval_every {
-            return Err(CheckpointError::Mismatch("evaluation cadence"));
-        }
-        // A checkpoint written before `threads` left the fingerprint stores
-        // its run's worker count: compare under that count, so only the
-        // worker count is ignored on either side.
-        let stored_threads =
-            serde_json::from_str::<crate::FlConfig>(&self.cfg_json).map_or(0, |cfg| cfg.threads);
-        let cfg = crate::FlConfig {
-            threads: stored_threads,
-            ..env.cfg
+        let (snap, lens) = (take_snapshot(model), sparse_layout(model).lens());
+        let channels = |bn: &[BnStats]| -> Vec<(usize, usize)> {
+            bn.iter().map(|s| (s.mean.len(), s.var.len())).collect()
         };
-        if self.cfg_json != serde_json::to_string(&cfg).expect("FlConfig serializes") {
-            return Err(CheckpointError::Mismatch("run configuration"));
-        }
-        Ok(())
+        let (params, bn) = (snap.params.len(), channels(&snap.bn));
+        let fits = |mask: &[Vec<bool>]| mask.iter().map(Vec::len).eq(lens.iter().copied());
+        let tasks = || self.buffered.iter().flat_map(|b| &b.in_flight);
+        let counters = self
+            .buffered
+            .as_ref()
+            .map_or(devices, |b| b.task_counter.len());
+        let misfit = if self.snapshot.params.len() != params {
+            "parameter count"
+        } else if channels(&self.snapshot.bn) != bn {
+            "BatchNorm channels"
+        } else if !fits(&self.mask_layers) || !fits(&self.applied_mask_layers) {
+            "mask layout"
+        } else if self
+            .residuals
+            .iter()
+            .any(|r| !r.is_empty() && r.len() != params)
+        {
+            "residual length"
+        } else if tasks().any(|t| {
+            let o = &t.outcome;
+            o.delta.len() != params || t.ctx_alive.len() != params || channels(&o.bn) != bn
+        }) {
+            "in-flight update"
+        } else if (self.residuals.len(), counters) != (devices, devices)
+            || tasks().any(|t| t.sim.device >= devices)
+        {
+            "device count"
+        } else {
+            return Ok(());
+        };
+        Err(CheckpointError::Corrupt(format!(
+            "{misfit} does not fit the resuming run"
+        )))
     }
 
     /// Serializes the checkpoint into its binary form.
@@ -468,13 +503,8 @@ impl Checkpoint {
         out.extend_from_slice(MAGIC);
         put_u32(&mut out, VERSION);
         put_bool(&mut out, self.buffered.is_some());
-        put_u64(&mut out, self.seed);
-        put_u64(&mut out, self.devices as u64);
-        put_u64(&mut out, self.total_rounds as u64);
-        encode_scheduler(&mut out, self.scheduler);
-        encode_codec(&mut out, self.codec);
-        put_u64(&mut out, self.eval_every as u64);
-        put_blob(&mut out, self.cfg_json.as_bytes());
+        let run = serde_json::to_string(&self.run).expect("the run identity serializes");
+        put_blob(&mut out, run.as_bytes());
         put_u64(&mut out, self.rounds_done as u64);
         put_u64(&mut out, self.epoch);
         put_f64(&mut out, self.clock_now);
@@ -535,14 +565,16 @@ impl Checkpoint {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
         let is_buffered = r.bool()?;
-        let seed = r.u64()?;
-        let devices = r.len_u64()?;
-        let total_rounds = r.len_u64()?;
-        let scheduler = decode_scheduler(&mut r)?;
-        let codec = decode_codec(&mut r)?;
-        let eval_every = r.len_u64()?;
-        let cfg_json = String::from_utf8(r.blob()?.to_vec())
-            .map_err(|_| CheckpointError::Corrupt("config fingerprint not UTF-8".into()))?;
+        // One encoding per value: a record that re-serialises to other
+        // bytes (say `1.0` for `1`) is refused.
+        let json = r.blob()?;
+        let run = std::str::from_utf8(json)
+            .ok()
+            .and_then(|text| serde_json::from_str::<RunIdentity>(text).ok())
+            .filter(|run| serde_json::to_string(run).is_ok_and(|text| text.as_bytes() == json))
+            .ok_or_else(|| {
+                CheckpointError::Corrupt("run identity is not a canonical record".into())
+            })?;
         let rounds_done = r.len_u64()?;
         let epoch = r.u64()?;
         let clock_now = r.f64()?;
@@ -614,13 +646,7 @@ impl Checkpoint {
             return Err(DecodeError::TrailingBytes(r.remaining()).into());
         }
         Ok(Checkpoint {
-            seed,
-            devices,
-            total_rounds,
-            scheduler,
-            codec,
-            eval_every,
-            cfg_json,
+            run,
             rounds_done,
             epoch,
             clock_now,
@@ -658,83 +684,34 @@ impl Checkpoint {
     }
 }
 
-fn encode_scheduler(out: &mut Vec<u8>, s: Scheduler) {
-    match s {
-        Scheduler::Synchronous => out.push(0),
-        Scheduler::Deadline { deadline_secs } => {
-            out.push(1);
-            put_f64(out, deadline_secs);
-        }
-        Scheduler::Buffered { buffer_k } => {
-            out.push(2);
-            put_u64(out, buffer_k as u64);
-        }
-    }
-}
-
-fn decode_scheduler(r: &mut WireReader<'_>) -> Result<Scheduler, CheckpointError> {
-    match r.u8()? {
-        0 => Ok(Scheduler::Synchronous),
-        1 => Ok(Scheduler::Deadline {
-            deadline_secs: r.f64()?,
-        }),
-        2 => Ok(Scheduler::Buffered {
-            buffer_k: r.len_u64()?,
-        }),
-        t => Err(CheckpointError::Corrupt(format!("scheduler tag {t}"))),
-    }
-}
-
-fn encode_codec(out: &mut Vec<u8>, c: Codec) {
-    match c {
-        Codec::Dense => out.push(0),
-        Codec::MaskCsr => out.push(1),
-        Codec::QuantInt8 => out.push(2),
-        Codec::TopK {
-            k_frac,
-            error_feedback,
-        } => {
-            out.push(3);
-            put_f32(out, k_frac);
-            put_bool(out, error_feedback);
-        }
-    }
-}
-
-fn decode_codec(r: &mut WireReader<'_>) -> Result<Codec, CheckpointError> {
-    match r.u8()? {
-        0 => Ok(Codec::Dense),
-        1 => Ok(Codec::MaskCsr),
-        2 => Ok(Codec::QuantInt8),
-        3 => Ok(Codec::TopK {
-            k_frac: r.f32()?,
-            error_feedback: r.bool()?,
-        }),
-        t => Err(CheckpointError::Corrupt(format!("codec tag {t}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_nn::BnStats;
+    use crate::ModelSpec;
+    use ft_sparse::Codec;
+
+    /// The sample run: [`ExperimentEnv::tiny_for_tests`] at seed 42 over
+    /// 4 rounds with a TopK codec, on [`ModelSpec::small_cnn_test`].
+    fn sample_env(scheduler: Scheduler) -> (ExperimentEnv, ArchInfo) {
+        let mut env = ExperimentEnv::tiny_for_tests(42);
+        env.cfg.rounds = 4;
+        env.scheduler = scheduler;
+        env.cfg.codec = Codec::TopK {
+            k_frac: 0.1,
+            error_feedback: true,
+        };
+        let arch = env.build_model(&ModelSpec::small_cnn_test()).arch();
+        (env, arch)
+    }
 
     fn sample_checkpoint(buffered: bool) -> Checkpoint {
+        let (env, arch) = sample_env(if buffered {
+            Scheduler::Buffered { buffer_k: 2 }
+        } else {
+            Scheduler::Deadline { deadline_secs: 2.5 }
+        });
         Checkpoint {
-            seed: 42,
-            devices: 3,
-            total_rounds: 4,
-            scheduler: if buffered {
-                Scheduler::Buffered { buffer_k: 2 }
-            } else {
-                Scheduler::Deadline { deadline_secs: 2.5 }
-            },
-            codec: Codec::TopK {
-                k_frac: 0.1,
-                error_feedback: true,
-            },
-            eval_every: 1,
-            cfg_json: "{}".into(),
+            run: RunIdentity::new(&env, 1, arch),
             rounds_done: 2,
             epoch: 3,
             clock_now: 123.456,
@@ -799,12 +776,8 @@ mod tests {
 
     fn assert_roundtrip(ck: &Checkpoint) {
         let back = Checkpoint::from_bytes(&ck.to_bytes()).expect("roundtrip");
-        assert_eq!(back.seed, ck.seed);
+        assert_eq!(back.summary().run, ck.summary().run);
         assert_eq!(back.rounds_done, ck.rounds_done);
-        assert_eq!(back.scheduler, ck.scheduler);
-        assert_eq!(back.codec, ck.codec);
-        assert_eq!(back.eval_every, ck.eval_every);
-        assert_eq!(back.cfg_json, ck.cfg_json);
         assert_eq!(back.clock_now.to_bits(), ck.clock_now.to_bits());
         assert_eq!(back.history, ck.history);
         assert_eq!(back.snapshot, ck.snapshot);
@@ -832,7 +805,8 @@ mod tests {
 
     /// The exact bytes of both sample checkpoints, pinned as length and
     /// FNV-1a: a change to the checkpoint codec that moves a byte fails
-    /// here.
+    /// here. The run identity comes from the test presets, so changing
+    /// those moves it too.
     #[test]
     fn byte_pin_sample_checkpoints() {
         let pin = |bytes: &[u8]| {
@@ -842,9 +816,9 @@ mod tests {
             (bytes.len(), hash)
         };
         let barrier = pin(&sample_checkpoint(false).to_bytes());
-        assert_eq!(barrier, (385, 0xcfb2_3797_5832_bdbd));
+        assert_eq!(barrier, (1527, 0xf518_2236_e867_5ed2));
         let buffered = pin(&sample_checkpoint(true).to_bytes());
-        assert_eq!(buffered, (547, 0x5a8a_02ed_e64c_44a3));
+        assert_eq!(buffered, (1682, 0x1825_41c9_4085_f529));
     }
 
     #[test]
@@ -854,12 +828,15 @@ mod tests {
             Checkpoint::from_bytes(b"NOPE1234"),
             Err(CheckpointError::BadMagic)
         ));
-        let mut wrong_version = bytes.clone();
-        wrong_version[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            Checkpoint::from_bytes(&wrong_version),
-            Err(CheckpointError::UnsupportedVersion(99))
-        ));
+        // An older file is refused like a newer one: there is one decoder.
+        for version in [2, 99] {
+            let mut wrong_version = bytes.clone();
+            wrong_version[4..8].copy_from_slice(&u32::to_le_bytes(version));
+            assert_eq!(
+                Checkpoint::from_bytes(&wrong_version).unwrap_err(),
+                CheckpointError::UnsupportedVersion(version)
+            );
+        }
         for cut in 8..bytes.len() {
             assert!(
                 Checkpoint::from_bytes(&bytes[..cut]).is_err(),
@@ -875,67 +852,109 @@ mod tests {
     }
 
     #[test]
-    fn ckpt_validates_run_fingerprint() {
+    fn ckpt_validates_run_identity() {
+        let (env, arch) = sample_env(Scheduler::Deadline { deadline_secs: 2.5 });
         let mut ck = sample_checkpoint(false);
-        let mut env = ExperimentEnv::tiny_for_tests(42);
-        env.cfg.rounds = 4;
-        env.scheduler = Scheduler::Deadline { deadline_secs: 2.5 };
-        env.cfg.codec = Codec::TopK {
-            k_frac: 0.1,
-            error_feedback: true,
+        let check = |ck: &Checkpoint, env: &ExperimentEnv, eval_every: usize| {
+            ck.validate_against(&RunIdentity::new(env, eval_every, arch.clone()))
         };
-        ck.cfg_json = Checkpoint::cfg_fingerprint(&env.cfg);
-        assert_eq!(ck.validate_against(&env, 1), Ok(()));
+        let mismatch = |path: &str| Err(CheckpointError::Mismatch(path.to_string()));
+        assert_eq!(check(&ck, &env, 1), Ok(()));
         let mut other = env.clone();
         other.cfg.seed = 43;
-        assert_eq!(
-            ck.validate_against(&other, 1),
-            Err(CheckpointError::Mismatch("seed"))
-        );
+        assert_eq!(check(&ck, &other, 1), mismatch("cfg.seed"));
         let mut other = env.clone();
         other.scheduler = Scheduler::Synchronous;
-        assert_eq!(
-            ck.validate_against(&other, 1),
-            Err(CheckpointError::Mismatch("scheduler"))
-        );
+        assert_eq!(check(&ck, &other, 1), mismatch("scheduler"));
         let mut other = env.clone();
         other.cfg.codec = Codec::Dense;
-        assert_eq!(
-            ck.validate_against(&other, 1),
-            Err(CheckpointError::Mismatch("codec"))
-        );
+        assert_eq!(check(&ck, &other, 1), mismatch("cfg.codec"));
         // A different evaluation cadence would change the history shape.
-        assert_eq!(
-            ck.validate_against(&env, 2),
-            Err(CheckpointError::Mismatch("evaluation cadence"))
-        );
+        assert_eq!(check(&ck, &env, 2), mismatch("eval_every"));
         // The worker count only changes wall-clock: a checkpoint taken on
         // one worker resumes on four.
-        ck.cfg_json = Checkpoint::cfg_fingerprint(&crate::FlConfig {
-            threads: 1,
-            ..env.cfg
-        });
+        let mut one = env.clone();
+        one.cfg.threads = 1;
+        ck.run = RunIdentity::new(&one, 1, arch.clone());
         let mut other = env.clone();
         other.cfg.threads = 4;
-        assert_eq!(ck.validate_against(&other, 1), Ok(()));
-        // A version-2 checkpoint written while the fingerprint still held
-        // the worker count resumes too, under its own count or another.
-        ck.cfg_json = serde_json::to_string(&crate::FlConfig {
-            threads: 3,
-            ..env.cfg
-        })
-        .unwrap();
-        assert!(ck.cfg_json.contains("\"threads\":3"));
-        assert_eq!(ck.validate_against(&other, 1), Ok(()));
-        other.cfg.threads = 3;
-        assert_eq!(ck.validate_against(&other, 1), Ok(()));
-        // Any other hyperparameter change is caught by the full-config
-        // fingerprint: the resumed rounds would silently diverge.
+        assert_eq!(check(&ck, &other, 1), Ok(()));
+        // Any other hyperparameter change would make the resumed rounds
+        // silently diverge.
         other.cfg.batch_size += 1;
-        assert_eq!(
-            ck.validate_against(&other, 1),
-            Err(CheckpointError::Mismatch("run configuration"))
-        );
+        assert_eq!(check(&ck, &other, 1), mismatch("cfg.batch_size"));
+    }
+
+    /// Stored state that does not fit the resuming run is `Corrupt`, never a
+    /// panic in the restore: one parameter short, one BatchNorm channel
+    /// short, one mask bit short, a residual or an in-flight update one
+    /// coordinate short, one device's task counter missing.
+    #[test]
+    fn ckpt_state_that_does_not_fit_the_model_is_corrupt() {
+        use crate::{no_hook, run_with, InProcess, RunOptions, ServerError};
+        use ft_sparse::Mask;
+        type Damage = fn(&mut Checkpoint);
+        let damages: [(&str, Damage); 6] = [
+            ("parameter count", |ck| {
+                ck.snapshot.params.pop();
+            }),
+            ("BatchNorm channels", |ck| {
+                let bn = &mut ck.snapshot.bn[0];
+                bn.mean.pop();
+                bn.var.pop();
+            }),
+            ("mask layout", |ck| {
+                ck.applied_mask_layers[0].pop();
+            }),
+            ("residual length", |ck| {
+                ck.residuals[0] = vec![0.0; ck.snapshot.params.len() - 1];
+            }),
+            ("in-flight update", |ck| {
+                ck.buffered.as_mut().unwrap().in_flight[0]
+                    .outcome
+                    .delta
+                    .pop();
+            }),
+            ("device count", |ck| {
+                ck.buffered.as_mut().unwrap().task_counter.pop();
+            }),
+        ];
+        let mut env = ExperimentEnv::tiny_for_tests(5);
+        env.scheduler = Scheduler::Buffered { buffer_k: 2 };
+        let path = std::env::temp_dir().join(format!("ft_ckpt_misfit_{}.ckpt", std::process::id()));
+        let run = |resume: bool| {
+            let mut model = env.build_model(&ModelSpec::small_cnn_test());
+            let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+            let mut transport = InProcess;
+            let mut opts = RunOptions::new(&mut transport);
+            opts.checkpoint = Some(path.clone());
+            opts.resume = resume;
+            opts.halt_after = Some(1);
+            let mut ledger = CostLedger::new();
+            run_with(
+                model.as_mut(),
+                &mut mask,
+                &env,
+                1,
+                &mut ledger,
+                &mut no_hook(),
+                opts,
+            )
+        };
+        run(false).expect("halted run");
+        let saved = Checkpoint::load(&path).expect("load");
+        for (what, damage) in damages {
+            let mut ck = saved.clone();
+            damage(&mut ck);
+            ck.save(&path).expect("save");
+            match run(true) {
+                Err(ServerError::Checkpoint(CheckpointError::Corrupt(e))) => {
+                    assert!(e.starts_with(what), "{what}: {e}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     /// `ft ckpt diff` sees every deterministic ledger axis, histories and

@@ -23,8 +23,8 @@ pub struct ExperimentEnv {
     pub server_public: Dataset,
     /// Run configuration.
     pub cfg: FlConfig,
-    /// Which dataset profile generated the data.
-    pub profile: DatasetProfile,
+    /// The recipe the data was generated from.
+    pub synth: SynthConfig,
     /// Compute/link/reliability profile of each simulated device. Defaults
     /// to a uniform reliable fleet (the pre-fleet behavior); indexed modulo
     /// its length so hand-built environments with resized `parts` stay
@@ -70,7 +70,7 @@ impl ExperimentEnv {
             test,
             server_public,
             cfg,
-            profile: synth.profile,
+            synth,
             fleet: DeviceProfile::fleet_uniform(cfg.devices),
             scheduler: Scheduler::Synchronous,
         })

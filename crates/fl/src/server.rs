@@ -36,7 +36,7 @@
 //! reproduces the committed golden traces.
 
 use crate::aggregate::{staleness_weight, try_aggregate_bn_stats, AggScratch};
-use crate::checkpoint::{BufferedState, Checkpoint, CheckpointError, TaskState};
+use crate::checkpoint::{BufferedState, Checkpoint, CheckpointError, RunIdentity, TaskState};
 use crate::config::ConfigError;
 use crate::env::ExperimentEnv;
 use crate::ledger::{CostLedger, TimelineEvent};
@@ -243,16 +243,23 @@ pub fn run_with(
             codec: env.cfg.codec.name(),
         });
     }
+    // The identity every checkpoint of this run carries, built only when
+    // the run keeps one.
+    let run = opts
+        .checkpoint
+        .is_some()
+        .then(|| RunIdentity::new(env, eval_every, global.arch()));
     // Resume: pick up a previous run's state if a matching checkpoint
     // exists at the configured path.
-    let resumed = match (&opts.checkpoint, opts.resume) {
-        (Some(path), true) if path.exists() => {
+    let resumed = match (&opts.checkpoint, &run) {
+        (Some(path), Some(run)) if opts.resume && path.exists() => {
             let ck = Checkpoint::load(path)?;
-            ck.validate_against(env, eval_every)?;
+            ck.validate_against(run)?;
+            ck.check_state(&*global, env.num_devices())?;
             match (opts.hook_load, ck.hook_state.is_empty()) {
                 (Some(load), false) => load(&ck.hook_state)?,
                 (None, true) => {}
-                _ => return Err(CheckpointError::Mismatch("hook state").into()),
+                _ => return Err(CheckpointError::Mismatch("hook state".into()).into()),
             }
             Some(ck)
         }
@@ -261,7 +268,7 @@ pub fn run_with(
 
     // Device fan-out and server-side kernel parallelism share one pool.
     let rt = env.cfg.runtime();
-    let mut server = Server::new(env, eval_every, global, mask, ledger, hook, opts, rt);
+    let mut server = Server::new(env, eval_every, global, mask, ledger, hook, opts, rt, run);
     if let Some(ck) = resumed {
         server.resume(ck);
     }
@@ -286,6 +293,8 @@ struct Server<'r, 'o, 'h> {
     hook: &'r mut RoundHook<'h>,
     opts: RunOptions<'o>,
     rt: Runtime,
+    /// The run's identity, `Some` exactly when it keeps a checkpoint.
+    run: Option<RunIdentity>,
     clock: SimClock,
     /// Wire epoch of the current mask (bumped whenever a hook changes it).
     epoch: u64,
@@ -340,6 +349,7 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
         hook: &'r mut RoundHook<'h>,
         opts: RunOptions<'o>,
         rt: Runtime,
+        run: Option<RunIdentity>,
     ) -> Self {
         let n = env.num_devices();
         Server {
@@ -369,6 +379,7 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             hook,
             opts,
             rt,
+            run,
         }
     }
 
@@ -867,14 +878,14 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
     /// flight between rounds.
     fn checkpoint_and_halt(&mut self) -> Result<bool, ServerError> {
         let halt = self.opts.halt_after == Some(self.round);
-        if let Some(path) = self.opts.checkpoint.clone() {
+        if let Some((path, run)) = self.opts.checkpoint.clone().zip(self.run.clone()) {
             let buffered = if matches!(self.env.scheduler, Scheduler::Buffered { .. }) {
                 self.train_pending();
                 Some(self.in_flight_state()?)
             } else {
                 None
             };
-            self.checkpoint(buffered).save(&path)?;
+            self.checkpoint(run, buffered).save(&path)?;
         }
         Ok(halt)
     }
@@ -905,17 +916,11 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
         })
     }
 
-    /// Assembles the checkpoint for the current state.
-    fn checkpoint(&self, buffered: Option<BufferedState>) -> Checkpoint {
+    /// Assembles the checkpoint of run `run` for the current state.
+    fn checkpoint(&self, run: RunIdentity, buffered: Option<BufferedState>) -> Checkpoint {
         let layers = |m: &Mask| (0..m.num_layers()).map(|l| m.layer(l).to_vec()).collect();
         Checkpoint {
-            seed: self.env.cfg.seed,
-            devices: self.env.num_devices(),
-            total_rounds: self.env.cfg.rounds,
-            scheduler: self.env.scheduler,
-            codec: self.env.cfg.codec,
-            eval_every: self.eval_every,
-            cfg_json: Checkpoint::cfg_fingerprint(&self.env.cfg),
+            run,
             rounds_done: self.round,
             epoch: self.epoch,
             clock_now: self.clock.now(),
@@ -1281,6 +1286,7 @@ mod tests {
             &mut hook,
             opts,
             rt,
+            None,
         )
         .run()
         .expect("in-process run");
@@ -1321,6 +1327,7 @@ mod tests {
             &mut hook,
             opts,
             rt,
+            None,
         )
         .run()
         .expect("buffered run");
@@ -1435,6 +1442,7 @@ mod tests {
             &mut hook,
             RunOptions::new(&mut transport),
             ft_runtime::Runtime::sequential(),
+            None,
         );
         let task = server.launch(1);
         server.enqueue([task]);

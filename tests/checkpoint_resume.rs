@@ -251,66 +251,93 @@ fn ckpt_resume_under_another_thread_count_reproduces_uninterrupted_trace() {
     }
 }
 
-#[test]
-fn ckpt_mismatched_run_is_rejected_with_typed_error() {
-    let path = temp_ckpt("mismatch");
-    // Save a checkpoint from seed 1.
-    {
-        let env = build_env(Scheduler::Synchronous, Codec::Dense, 1);
-        let mut model = env.build_model(&ModelSpec::small_cnn_test());
+/// Halts a run of `envs[0]` on `specs[0]` after one round, then resumes its
+/// checkpoint under `envs[1]` on `specs[1]` and returns the refusal.
+fn resume_error(name: &str, envs: [&ExperimentEnv; 2], specs: [&ModelSpec; 2]) -> ServerError {
+    let path = temp_ckpt(name);
+    let run = |env: &ExperimentEnv, spec: &ModelSpec, resume: bool| {
+        let mut model = env.build_model(spec);
         let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
         let mut ledger = CostLedger::new();
         let mut transport = InProcess;
-        let _ = run_with(
+        let mut opts = RunOptions::new(&mut transport);
+        opts.checkpoint = Some(path.clone());
+        opts.resume = resume;
+        opts.halt_after = Some(1);
+        let mut hook = no_hook();
+        run_with(
             model.as_mut(),
             &mut mask,
-            &env,
-            0,
+            env,
+            1,
             &mut ledger,
-            &mut no_hook(),
-            RunOptions {
-                transport: &mut transport,
-                checkpoint: Some(path.clone()),
-                resume: false,
-                halt_after: Some(1),
-                hook_save: None,
-                hook_load: None,
-                presence: None,
-                metrics: None,
-            },
+            &mut hook,
+            opts,
         )
-        .expect("halted run");
-    }
-    // Resume under seed 2 must be refused, not silently diverge.
-    let env = build_env(Scheduler::Synchronous, Codec::Dense, 2);
-    let mut model = env.build_model(&ModelSpec::small_cnn_test());
-    let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
-    let mut ledger = CostLedger::new();
-    let mut transport = InProcess;
-    let err = run_with(
-        model.as_mut(),
-        &mut mask,
-        &env,
-        0,
-        &mut ledger,
-        &mut no_hook(),
-        RunOptions {
-            transport: &mut transport,
-            checkpoint: Some(path.clone()),
-            resume: true,
-            halt_after: None,
-            hook_save: None,
-            hook_load: None,
-            presence: None,
-            metrics: None,
-        },
-    )
-    .expect_err("mismatched checkpoint must be rejected");
-    assert!(
-        matches!(err, ServerError::Checkpoint(_)),
-        "unexpected error: {err}"
-    );
+    };
+    run(envs[0], specs[0], false).expect("halted run");
+    let err = run(envs[1], specs[1], true).expect_err("a changed run must refuse to resume");
     std::fs::remove_file(&path).ok();
+    err
+}
+
+/// The path of the first field a resume refused on.
+fn mismatch_path(err: ServerError) -> String {
+    match err {
+        ServerError::Checkpoint(CheckpointError::Mismatch(path)) => path,
+        other => panic!("expected a typed mismatch, got {other}"),
+    }
+}
+
+#[test]
+fn ckpt_mismatched_run_is_rejected_with_typed_error() {
+    // A checkpoint from seed 1 resumed under seed 2 is refused, not
+    // silently diverged: the data recipe's seed is the first field.
+    let spec = ModelSpec::small_cnn_test();
+    let envs = [1, 2].map(|seed| build_env(Scheduler::Synchronous, Codec::Dense, seed));
+    let err = resume_error("mismatch", [&envs[0], &envs[1]], [&spec; 2]);
+    assert_eq!(mismatch_path(err), "data.seed");
+}
+
+/// The run identity covers the model, the data recipe and the fleet: a
+/// resume under another of any is refused with the changed field's path,
+/// not a panic in the restore or a silently different run.
+#[test]
+fn ckpt_resume_under_another_model_data_or_fleet_is_refused() {
+    let base = ExperimentEnv::tiny_for_tests(6);
+    let spec = ModelSpec::small_cnn_test();
+    let mut more_data = base.synth;
+    more_data.train_per_class += 1;
+    let mixed_fleet = DeviceProfile::fleet_mixed(base.num_devices());
+    let rows = [
+        (
+            "model",
+            base.clone(),
+            ModelSpec::SmallCnn { width: 1, input: 8 },
+            "arch.",
+        ),
+        (
+            "data",
+            ExperimentEnv::new(more_data, base.cfg),
+            spec,
+            "data.train_per_class",
+        ),
+        (
+            "fleet",
+            base.clone().with_fleet(mixed_fleet),
+            spec,
+            "fleet[",
+        ),
+    ];
+    for (name, env, changed_spec, field) in rows {
+        let err = resume_error(
+            &format!("refuse_{name}"),
+            [&base, &env],
+            [&spec, &changed_spec],
+        );
+        let path = mismatch_path(err);
+        assert!(path.starts_with(field), "{name}: refused on {path}");
+    }
 }
 
 #[test]
@@ -535,65 +562,17 @@ fn ckpt_fedtiny_halt_before_first_eval_returns_nan_not_panic() {
 
 #[test]
 fn ckpt_changed_hyperparameters_are_rejected() {
-    // The fingerprint covers the *full* FlConfig: resuming under a changed
+    // The identity covers the *full* FlConfig: resuming under a changed
     // batch size (or any other hyperparameter) must refuse, because the
     // remaining rounds' math would silently diverge from both the original
     // and a fresh run.
-    let path = temp_ckpt("hyperparam");
-    {
-        let env = build_env(Scheduler::Synchronous, Codec::Dense, 4);
-        let mut model = env.build_model(&ModelSpec::small_cnn_test());
-        let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
-        let mut ledger = CostLedger::new();
-        let mut transport = InProcess;
-        let _ = run_with(
-            model.as_mut(),
-            &mut mask,
-            &env,
-            1,
-            &mut ledger,
-            &mut no_hook(),
-            RunOptions {
-                transport: &mut transport,
-                checkpoint: Some(path.clone()),
-                resume: false,
-                halt_after: Some(1),
-                hook_save: None,
-                hook_load: None,
-                presence: None,
-                metrics: None,
-            },
-        )
-        .expect("halted run");
-    }
-    let mut env = build_env(Scheduler::Synchronous, Codec::Dense, 4);
-    env.cfg.batch_size += 1;
-    let mut model = env.build_model(&ModelSpec::small_cnn_test());
-    let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
-    let mut ledger = CostLedger::new();
-    let mut transport = InProcess;
-    let err = run_with(
-        model.as_mut(),
-        &mut mask,
-        &env,
-        1,
-        &mut ledger,
-        &mut no_hook(),
-        RunOptions {
-            transport: &mut transport,
-            checkpoint: Some(path.clone()),
-            resume: true,
-            halt_after: None,
-            hook_save: None,
-            hook_load: None,
-            presence: None,
-            metrics: None,
-        },
-    )
-    .expect_err("changed hyperparameters must refuse to resume");
-    assert!(matches!(err, ServerError::Checkpoint(_)));
-    assert!(err.to_string().contains("run configuration"));
-    std::fs::remove_file(&path).ok();
+    let env = build_env(Scheduler::Synchronous, Codec::Dense, 4);
+    let mut changed = env.clone();
+    changed.cfg.batch_size += 1;
+    let spec = ModelSpec::small_cnn_test();
+    let err = resume_error("hyperparam", [&env, &changed], [&spec; 2]);
+    assert!(err.to_string().contains("cfg.batch_size differs"), "{err}");
+    assert_eq!(mismatch_path(err), "cfg.batch_size");
 }
 
 #[test]
