@@ -13,7 +13,14 @@
 //! - `tests/golden/buffered_fedavg_trace.txt` — a `Buffered { buffer_k: 2 }`
 //!   run on the same fleet under `MaskCsr` and `FedAvg`, with a hook that
 //!   moves the mask once, so staleness-discounted weights and stale-epoch
-//!   (indexed) payloads go through the aggregation engine.
+//!   (indexed) payloads go through the aggregation engine;
+//! - `tests/golden/topk_feedback_trace.txt` — two `Buffered { buffer_k: 2 }`
+//!   runs on the same fleet under error-feedback `TopK`, so the device
+//!   residuals carry over between encodes. In the first (`k_frac` 0.1) a
+//!   hook prunes most of layer 0 after aggregation 0; in the second
+//!   (`k_frac` 0.5) it prunes most of both prunable layers, so more masked
+//!   zeros tie at the cut than slots remain and the encoder's tie-overflow
+//!   path picks among them.
 //!
 //! Any refactor of the round loop, the aggregation path, the RNG
 //! derivation, the time model, or the codecs that changes observable
@@ -43,6 +50,10 @@ const DEADLINE_MASKCSR_PATH: &str = concat!(
 const BUFFERED_FEDAVG_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/buffered_fedavg_trace.txt"
+);
+const TOPK_FEEDBACK_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/topk_feedback_trace.txt"
 );
 
 /// Renders one run's trace: one line per round with accuracy, simulated
@@ -184,23 +195,77 @@ fn buffered_fedavg_trace() -> String {
         &history,
         &ledger,
     );
-    // Accuracy on the tiny test split is a coarse witness of the aggregation
-    // arithmetic; the staleness of every applied arrival and an FNV-1a fold of
-    // the final parameter bits pin it exactly.
+    out.push_str(&buffered_footer(model.as_ref(), &ledger));
+    out
+}
+
+/// Accuracy on the tiny test split is a coarse witness of the aggregation
+/// arithmetic; the staleness of every applied arrival and an FNV-1a fold of
+/// the final parameter bits pin it exactly.
+fn buffered_footer(model: &dyn Model, ledger: &CostLedger) -> String {
     let staleness: Vec<String> = ledger
         .timeline()
         .iter()
         .filter(|e| e.applied)
         .map(|e| e.staleness.to_string())
         .collect();
-    let fold = flat_params(model.as_ref())
+    let fold = flat_params(model)
         .iter()
         .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
             (h ^ v.to_bits() as u64).wrapping_mul(0x0000_0100_0000_01b3)
         });
-    out.push_str(&format!(
+    format!(
         "applied_staleness={} params_fold={fold:016x}\n",
         staleness.join(",")
+    )
+}
+
+/// One buffered error-feedback `TopK` run at `k_frac` whose hook, after
+/// aggregation 0, prunes seven of every eight weights of the first
+/// `layers` prunable layers.
+fn topk_feedback_run(k_frac: f32, layers: usize, header: &str) -> String {
+    let mut env = ExperimentEnv::tiny_for_tests(42);
+    env.fleet = DeviceProfile::fleet_mixed(env.num_devices());
+    env.scheduler = Scheduler::Buffered { buffer_k: 2 };
+    env.cfg.codec = Codec::TopK {
+        k_frac,
+        error_feedback: true,
+    };
+    let mut model = env.build_model(&ModelSpec::small_cnn_test());
+    let layout = sparse_layout(model.as_ref());
+    let mut mask = Mask::ones(&layout);
+    let mut ledger = CostLedger::new();
+    let lens: Vec<usize> = (0..layers).map(|l| layout.layer(l).len).collect();
+    let mut hook = |_: &mut dyn Model, mask: &mut Mask, round: usize, _: &mut CostLedger| {
+        if round == 0 {
+            for (l, &len) in lens.iter().enumerate() {
+                for i in (0..len).filter(|i| i % 8 != 0) {
+                    mask.set(l, i, false);
+                }
+            }
+        }
+        0.0
+    };
+    let history = run_federated_rounds(model.as_mut(), &mut mask, &env, 1, &mut ledger, &mut hook);
+    let mut out = render_trace(header, &history, &ledger);
+    out.push_str(&buffered_footer(model.as_ref(), &ledger));
+    out
+}
+
+fn topk_feedback_trace() -> String {
+    let mut out = topk_feedback_run(
+        0.1,
+        1,
+        "# Golden trace: Buffered(k=2) scheduler, mixed fleet, tiny env (seed 42),\n\
+         # small_cnn_test, TopK { k_frac: 0.1, error_feedback: true }, FedAvg,\n\
+         # eval_every = 1; the hook prunes 7/8 of layer 0 after aggregation 0.\n\
+         # Regenerate: FT_BLESS=1 cargo test --test golden_trace\n",
+    );
+    out.push_str(&topk_feedback_run(
+        0.5,
+        2,
+        "# Same run at TopK { k_frac: 0.5, error_feedback: true }; the hook prunes 7/8\n\
+         # of layers 0 and 1, so masked zeros tie at the cut beyond the slots left.\n",
     ));
     out
 }
@@ -258,6 +323,11 @@ fn sim_golden_trace_deadline_maskcsr_matches_committed() {
 #[test]
 fn sim_golden_trace_buffered_fedavg_matches_committed() {
     compare_or_bless(BUFFERED_FEDAVG_PATH, &buffered_fedavg_trace());
+}
+
+#[test]
+fn sim_golden_trace_topk_feedback_matches_committed() {
+    compare_or_bless(TOPK_FEEDBACK_PATH, &topk_feedback_trace());
 }
 
 /// The same scenario is bit-identical across parallel and sequential device
