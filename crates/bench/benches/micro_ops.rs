@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the numerical substrate: convolution
 //! forward/backward, the `O(k)` top-k buffer vs a full sort (the ablation
 //! behind progressive pruning's `O(a)` device buffer), masked SGD steps, and
-//! BN-adaptation forward passes, and the TCP path's frame coders. The last
+//! BN-adaptation forward passes, the TCP path's frame coders, and the
+//! error-feedback `TopK` encoder against its `TopKBuffer` oracle. The last
 //! target writes the
 //! persisted trajectory (`BENCH_micro_ops.json`) that `bench_check` gates:
 //! every record it holds times a kernel or a step the system runs, and every
@@ -14,7 +15,7 @@ use ft_fl::transport::{
     begin_frame, decode_round_frame, decode_update_frame, encode_round_frame,
     encode_update_frame_into,
 };
-use ft_fl::{local_train_scratch, Codec, DeviceUpdate, TrainScratch};
+use ft_fl::{local_train_scratch, Codec, DeviceUpdate, Payload, TrainScratch};
 use ft_nn::loss::softmax_cross_entropy_into;
 use ft_nn::models::{ResNet18, SmallCnn};
 use ft_nn::optim::{Sgd, SgdConfig};
@@ -436,6 +437,137 @@ fn frame_records(report: &mut BenchReport) {
         time("frame_round_decode", round_body.len(), &mut || {
             black_box(decode_round_frame(&round_body).expect("own frame"));
         });
+    }
+}
+
+/// `Codec::TopK` with error feedback at `k_frac` 0.1 (the `buffered_fleet`
+/// workload's codec), against [`topk_encode_oracle`] timed alternately: on a
+/// dense delta at both model shapes, where the encoder's threshold pass is
+/// exact, and on a d = 0.05 masked delta, where more masked zeros tie at the
+/// cut than slots remain and the encoder runs the `TopKBuffer` itself (a
+/// record, no gate). Each record carries the allocator bytes of a
+/// steady-state encode and, as its count, the `k` coordinates it sends.
+fn topk_records(report: &mut BenchReport) {
+    let mut rng = ChaCha8Rng::seed_from_u64(43);
+    let models: [(Box<dyn Model>, &str, f32); 3] = [
+        (
+            Box::new(SmallCnn::new(&mut rng, 16, 10, 3, 8)),
+            "small_cnn_w16_8px",
+            1.0,
+        ),
+        (
+            Box::new(ResNet18::new(&mut rng, 0.25, 10, 3, 16)),
+            "resnet18_w0.25_16px",
+            1.0,
+        ),
+        (
+            Box::new(ResNet18::new(&mut rng, 0.25, 10, 3, 16)),
+            "resnet18_w0.25_16px",
+            0.05,
+        ),
+    ];
+    let k_frac = 0.1f32;
+    let codec = Codec::TopK {
+        k_frac,
+        error_feedback: true,
+    };
+    for (mut model, shape, density) in models {
+        let mask = if density < 1.0 {
+            apply_magnitude_mask(model.as_mut(), density)
+        } else {
+            Mask::ones(&sparse_layout(model.as_ref()))
+        };
+        let ctx = wire_ctx(model.as_ref(), &mask, 0);
+        let n = ctx.len();
+        let k = ((k_frac as f64 * n as f64).ceil() as usize).clamp(1, n);
+        let delta: Vec<f32> = (ctx.alive.iter())
+            .map(|&a| if a { rng.gen_range(-1.0f32..1.0) } else { 0.0 })
+            .collect();
+        // The encoder and its oracle agree bit for bit, payload and residual,
+        // over chained encodes.
+        let (mut res, mut res_oracle) = (Vec::new(), Vec::new());
+        for _ in 0..3 {
+            let got = codec.encode(&delta, &ctx, 0, Some(&mut res));
+            assert_eq!(got, topk_encode_oracle(&delta, k, &mut res_oracle));
+            assert_eq!(res, res_oracle, "{shape}: residuals differ");
+            let Payload::TopK { values, .. } = &got else {
+                unreachable!("a TopK codec encodes TopK payloads")
+            };
+            assert_eq!(
+                values.contains(&0.0),
+                density < 1.0,
+                "{shape}: the masked delta must overflow the cut with zeros"
+            );
+        }
+        // The median of nine steady-state encodes: at the ResNet shape the
+        // 70 147-th largest magnitude has a twin on a few percent of them,
+        // and those run the buffer, heap and all.
+        let alloc_per_encode = |f: &mut dyn FnMut()| {
+            let mut bytes: Vec<f64> = (0..9)
+                .map(|_| {
+                    let before = allocated_bytes();
+                    f();
+                    (allocated_bytes() - before) as f64
+                })
+                .collect();
+            median(&mut bytes)
+        };
+        let mut encode = || {
+            black_box(codec.encode(&delta, &ctx, 0, Some(&mut res)));
+        };
+        let mut oracle = || {
+            black_box(topk_encode_oracle(&delta, k, &mut res_oracle));
+        };
+        let allocs = [alloc_per_encode(&mut encode), alloc_per_encode(&mut oracle)];
+        let (ns, ns_oracle) = alternate_ns(&mut encode, &mut oracle);
+        let density = mask.density() as f64;
+        for (op, ns, alloc) in [
+            ("topk_encode", ns, allocs[0]),
+            ("topk_encode_oracle", ns_oracle, allocs[1]),
+        ] {
+            report.push(op, shape, density, 1, 1, ns, 4.0 * n as f64);
+            let r = report.records.last_mut().expect("just pushed");
+            r.alloc_bytes_per_round = alloc;
+            r.count_per_iter = k as f64;
+        }
+        println!(
+            "topk_encode {shape} d={density:.2} k={k}: {:.1} us, {:.3}x its TopKBuffer oracle, \
+             {:.0} B/encode (oracle {:.0})",
+            ns / 1e3,
+            ns / ns_oracle,
+            allocs[0],
+            allocs[1]
+        );
+    }
+}
+
+/// The `TopK` arm before its threshold pass, kept as the oracle of the
+/// `topk_encode` records: `delta + residual` into a copy, a `TopKBuffer` push
+/// per coordinate, a sort by index, and the residual overwritten with the
+/// copy minus the picks.
+fn topk_encode_oracle(delta: &[f32], k: usize, residual: &mut Vec<f32>) -> Payload {
+    let mut input = delta.to_vec();
+    if !residual.is_empty() {
+        for (x, r) in input.iter_mut().zip(residual.iter()) {
+            *x += r;
+        }
+    }
+    let mut buf = TopKBuffer::new(k);
+    buf.extend_from_slice(&input);
+    let mut picked = buf.into_sorted();
+    picked.sort_unstable_by_key(|&(i, _)| i);
+    if residual.len() != input.len() {
+        *residual = input.clone();
+    } else {
+        residual.copy_from_slice(&input);
+    }
+    for &(i, _) in &picked {
+        residual[i] = 0.0;
+    }
+    Payload::TopK {
+        indices: picked.iter().map(|&(i, _)| i as u32).collect(),
+        values: picked.iter().map(|&(_, v)| v).collect(),
+        len: delta.len(),
     }
 }
 
@@ -865,6 +997,7 @@ fn trajectory_benches(_c: &mut Criterion) {
     train_step_records(&mut report);
     resnet_step_records(&mut report);
     frame_records(&mut report);
+    topk_records(&mut report);
 
     let path = report.write();
     println!(

@@ -58,6 +58,13 @@
 //!   its reused frame buffer must allocate exactly zero bytes at steady
 //!   state, at every model shape recorded. Catches the payload going
 //!   through a temporary `Vec` on its way into the frame again.
+//! - **`topk_encode` against its oracle**: at each model shape, on a dense
+//!   delta, the error-feedback `TopK` encoder may take at most
+//!   [`TOPK_MAX_RATIO`] of the `TopKBuffer` route it is pinned bit-equal to
+//!   (`topk_encode_oracle`), timed alternately, and a steady-state encode
+//!   must allocate exactly its payload, `8·k` bytes for `k` pairs. Catches
+//!   the per-coordinate heap, or an `n`-length copy of the input, coming
+//!   back on the buffered server thread.
 //!
 //! From `BENCH_fleet.json`:
 //!
@@ -150,6 +157,18 @@ const RESNET_SPARSE_STEP_MAX_RATIO: f64 = 0.41;
 /// ones (where eight taps' worth of transposes ride on four pixels of
 /// multiply-adds).
 const DCONV_MAX_RATIO: f64 = 0.8;
+
+/// The two model shapes `micro_ops` times the `TopK` encoder at, on a dense
+/// delta: `buffered_fleet`'s SmallCnn and the benchmark's ResNet18.
+const TOPK_SHAPES: [&str; 2] = ["small_cnn_w16_8px", "resnet18_w0.25_16px"];
+
+/// Ceiling on `topk_encode` ns over `topk_encode_oracle` ns at `k_frac` 0.1
+/// with error feedback, per shape, timed alternately in one run. The
+/// threshold pass reads 0.12–0.13 at the SmallCnn shape and 0.09–0.12 at
+/// the ResNet18 one, where a few percent of encodes tie at the cut and run
+/// the buffer (three full runs pinned to one core of a 2-vCPU Xeon); the
+/// per-coordinate heap it replaced reads 1 by construction.
+const TOPK_MAX_RATIO: f64 = 0.35;
 
 /// The two activation shapes `micro_ops` times the batch-norm kernels at:
 /// the first and the last residual stage's BN of the benchmark's ResNet18,
@@ -555,6 +574,47 @@ fn main() -> ExitCode {
             r.shape,
             r.alloc_bytes_per_round
         );
+    }
+
+    // -- Error-feedback TopK encode against the TopKBuffer route ------------
+    for shape in TOPK_SHAPES {
+        let find_ns =
+            |op: &str| find(&report.records, op, shape, 1.0, 1).filter(|r| r.ns_per_iter > 0.0);
+        match (find_ns("topk_encode"), find_ns("topk_encode_oracle")) {
+            (Some(enc), Some(oracle)) => {
+                evaluated += 2;
+                let ratio = enc.ns_per_iter / oracle.ns_per_iter;
+                let ok = ratio <= TOPK_MAX_RATIO;
+                failed |= !ok;
+                println!(
+                    "  {:>4} topk_encode {shape}: {:.1} us / TopKBuffer oracle {:.1} us = \
+                     {ratio:.3} (need <= {TOPK_MAX_RATIO:.2})",
+                    if ok { "ok" } else { "FAIL" },
+                    enc.ns_per_iter / 1e3,
+                    oracle.ns_per_iter / 1e3
+                );
+                let payload = 8.0 * enc.count_per_iter;
+                let ok = enc.count_per_iter > 0.0 && enc.alloc_bytes_per_round == payload;
+                failed |= !ok;
+                println!(
+                    "  {:>4} topk_encode {shape} alloc: {:.0} B/encode (need exactly 8·k = {payload:.0})",
+                    if ok { "ok" } else { "FAIL" },
+                    enc.alloc_bytes_per_round
+                );
+            }
+            (enc, _) => {
+                eprintln!(
+                    "  FAIL topk_encode {shape}: the {} d=1.0 record is missing from the report — \
+                     this gate cannot be skipped",
+                    if enc.is_none() {
+                        "topk_encode"
+                    } else {
+                        "topk_encode_oracle"
+                    }
+                );
+                failed = true;
+            }
+        }
     }
 
     // -- Sparse step time against the dense step of the same run ----------

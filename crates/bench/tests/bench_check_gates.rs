@@ -48,7 +48,16 @@ fn committed_reports_pass_with_g1_to_g4_evaluated() {
     let report = committed_micro_ops();
     let (passed, text) = check("committed", &report);
     assert!(passed, "{text}");
-    for gate in ["ok g1 ", "ok g2 ", "ok g3 ", "ok g4 "] {
+    for gate in [
+        "ok g1 ",
+        "ok g2 ",
+        "ok g3 ",
+        "ok g4 ",
+        "ok topk_encode small_cnn_w16_8px:",
+        "ok topk_encode small_cnn_w16_8px alloc",
+        "ok topk_encode resnet18_w0.25_16px:",
+        "ok topk_encode resnet18_w0.25_16px alloc",
+    ] {
         assert!(text.contains(gate), "{gate:?} not evaluated:\n{text}");
     }
     // The committed report times nothing the system does not run.
@@ -172,6 +181,59 @@ fn frame_encode_gate_fails_when_the_encoder_allocates() {
     let (passed, text) = check("frame_missing", &report);
     assert!(
         !passed && text.contains("FAIL frame_update_encode") && text.contains("missing"),
+        "{text}"
+    );
+}
+
+/// An encoder back at the heap's time, one that copies its `n`-length input
+/// again, and one whose record is gone: each fails the `topk_encode` gate.
+#[test]
+fn topk_encode_gate_fails_on_heap_time_a_copy_or_a_missing_record() {
+    let committed = committed_micro_ops();
+    let is_dense_encode = |r: &BenchRecord| r.op == "topk_encode" && r.density == 1.0;
+    assert_eq!(
+        committed
+            .records
+            .iter()
+            .filter(|r| is_dense_encode(r))
+            .count(),
+        2,
+        "one dense topk_encode record per model shape"
+    );
+
+    let mut report = committed.clone();
+    let oracle = report
+        .records
+        .iter()
+        .find(|r| r.op == "topk_encode_oracle" && r.shape == "small_cnn_w16_8px")
+        .map(|r| r.ns_per_iter)
+        .expect("topk_encode_oracle record");
+    let encode = (report.records.iter_mut())
+        .find(|r| is_dense_encode(r) && r.shape == "small_cnn_w16_8px")
+        .expect("topk_encode record");
+    encode.ns_per_iter = oracle;
+    let (passed, text) = check("topk_slow", &report);
+    assert!(
+        !passed && text.contains("FAIL topk_encode small_cnn_w16_8px:"),
+        "{text}"
+    );
+
+    let mut report = committed.clone();
+    let encode = (report.records.iter_mut())
+        .find(|r| is_dense_encode(r) && r.shape == "resnet18_w0.25_16px")
+        .expect("topk_encode record");
+    encode.alloc_bytes_per_round += 4.0 * encode.count_per_iter / 0.1;
+    let (passed, text) = check("topk_copy", &report);
+    assert!(
+        !passed && text.contains("FAIL topk_encode resnet18_w0.25_16px alloc"),
+        "{text}"
+    );
+
+    let mut report = committed;
+    report.records.retain(|r| !is_dense_encode(r));
+    let (passed, text) = check("topk_missing", &report);
+    assert!(
+        !passed && text.contains("FAIL topk_encode") && text.contains("missing"),
         "{text}"
     );
 }

@@ -22,8 +22,11 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (stored as `f64`, as in JSON).
+    /// A number with a fraction or an exponent, or beyond `i128` (stored as
+    /// `f64`).
     Num(f64),
+    /// An integer, exact: every `u64` and `i64` fits.
+    Int(i128),
     /// A string.
     Str(String),
     /// An array.
@@ -51,6 +54,7 @@ impl Value {
     pub fn as_num(&self) -> Result<f64, Error> {
         match self {
             Value::Num(n) => Ok(*n),
+            Value::Int(n) => Ok(*n as f64),
             other => Err(Error(format!("expected number, got {other:?}"))),
         }
     }
@@ -82,7 +86,7 @@ pub trait Deserialize: Sized {
 
 // --- primitives -----------------------------------------------------------
 
-macro_rules! impl_num {
+macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
@@ -97,7 +101,33 @@ macro_rules! impl_num {
     )*};
 }
 
-impl_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+impl_float!(f32, f64);
+
+// Integers travel as `Value::Int`, so none loses bits to an `f64`, and a
+// number that does not fit the target type is refused, never cast.
+macro_rules! impl_int {
+    ($($t:ty),*) => {$(
+        impl Serialize for $t {
+            fn to_value(&self) -> Value {
+                Value::Int(*self as i128)
+            }
+        }
+        impl Deserialize for $t {
+            fn from_value(v: &Value) -> Result<Self, Error> {
+                let n = match *v {
+                    Value::Int(n) => Some(n),
+                    Value::Num(f) if f.fract() == 0.0 => Some(f as i128),
+                    Value::Num(_) => None,
+                    ref other => return Err(Error(format!("expected integer, got {other:?}"))),
+                };
+                n.and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| Error(format!("{v:?} is not a {}", stringify!($t))))
+            }
+        }
+    )*};
+}
+
+impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
@@ -250,6 +280,21 @@ mod tests {
         assert_eq!(<[usize; 3]>::from_value(&arr.to_value()).unwrap(), arr);
         let tup = (1usize, "x".to_string());
         assert_eq!(<(usize, String)>::from_value(&tup.to_value()).unwrap(), tup);
+    }
+
+    #[test]
+    fn integers_are_exact_and_refuse_what_does_not_fit() {
+        let big = (1u64 << 53) + 1;
+        assert_eq!(big.to_value(), Value::Int(big as i128));
+        assert_eq!(u64::from_value(&big.to_value()).unwrap(), big);
+        assert_eq!(u64::from_value(&u64::MAX.to_value()).unwrap(), u64::MAX);
+        assert_eq!(i64::from_value(&i64::MIN.to_value()).unwrap(), i64::MIN);
+        assert_eq!(usize::from_value(&Value::Num(3.0)).unwrap(), 3);
+        assert!(u64::from_value(&Value::Int(-1)).is_err());
+        assert!(u8::from_value(&Value::Int(256)).is_err());
+        assert!(usize::from_value(&Value::Num(3.5)).is_err());
+        assert!(u32::from_value(&Value::Num(f64::NAN)).is_err());
+        assert_eq!(f32::from_value(&Value::Int(7)).unwrap(), 7.0);
     }
 
     #[test]

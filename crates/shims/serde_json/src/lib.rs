@@ -39,6 +39,7 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Num(n) => write_number(*n, out),
+        Value::Int(n) => out.push_str(&n.to_string()),
         Value::Str(s) => write_string(s, out),
         Value::Seq(items) => write_seq('[', ']', items.len(), out, indent, depth, |k, out| {
             write_value(&items[k], out, indent, depth + 1)
@@ -181,6 +182,15 @@ impl<'a> Parser<'a> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| Error(e.to_string()))?;
+        // An integer literal is kept exact; `-0` stays the float it was
+        // written from, and a literal beyond `i128` falls through to `f64`.
+        if !text.contains(['.', 'e', 'E']) {
+            match text.parse::<i128>() {
+                Ok(0) if text.starts_with('-') => return Ok(Value::Num(-0.0)),
+                Ok(n) => return Ok(Value::Int(n)),
+                Err(_) => {}
+            }
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| Error(format!("invalid number `{text}` at byte {start}")))
@@ -335,6 +345,35 @@ mod tests {
             let back: f32 = from_str(&json).unwrap();
             assert_eq!(back, x);
         }
+    }
+
+    #[test]
+    fn integers_roundtrip_exactly() {
+        for x in [u64::MAX, (1 << 53) + 1, 1 << 53, 0] {
+            let json = to_string(&x).unwrap();
+            assert_eq!(json, x.to_string());
+            assert_eq!(from_str::<u64>(&json).unwrap(), x);
+        }
+        assert_eq!(
+            from_str::<i64>("-9007199254740993").unwrap(),
+            -(1 << 53) - 1
+        );
+        // A float keeps its text: integral values print without a fraction,
+        // and `-0` parses back to `-0.0`.
+        assert_eq!(to_string(&vec![2.0f32, -0.0]).unwrap(), "[2,-0]");
+        let back: Vec<f32> = from_str("[2,-0]").unwrap();
+        assert_eq!(back[0], 2.0);
+        assert!(back[1] == 0.0 && back[1].is_sign_negative());
+    }
+
+    #[test]
+    fn integers_refuse_what_does_not_fit() {
+        let err = from_str::<u64>("-1").unwrap_err();
+        assert!(err.0.contains("Int(-1) is not a u64"), "{err}");
+        let err = from_str::<usize>("3.5").unwrap_err();
+        assert!(err.0.contains("Num(3.5) is not a usize"), "{err}");
+        assert!(from_str::<u8>("256").is_err());
+        assert!(from_str::<u64>("1e400").is_err());
     }
 
     #[test]

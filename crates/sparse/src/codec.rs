@@ -29,9 +29,18 @@
 //! `ft-metrics`, so "cost on paper" and "cost in code" stay mutually
 //! checkable.
 //!
+//! `TopK` sends the `k = ceil(k_frac · n)` largest finite magnitudes of its
+//! input (never `±inf` or NaN), in ascending index order. Ties at the cut
+//! are resolved as a [`TopKBuffer`] of capacity `k` fed the input in index
+//! order resolves them: the buffer is the definition of the rule, and the
+//! encoder's threshold pass is a shortcut proven to pick the same set
+//! whenever no tie straddles the cut (see `topk_select`).
+//!
 //! `TopK` optionally keeps an *error-feedback* residual on the device: the
 //! coordinates not transmitted this round are carried into the next round's
-//! input, so nothing is permanently lost (the standard EF-SGD memory).
+//! input, so nothing is permanently lost (the standard EF-SGD memory). The
+//! residual is that input, updated in place: `delta + residual`, then the
+//! sent coordinates are zeroed.
 
 use crate::wire::{self, WireReader};
 use crate::TopKBuffer;
@@ -114,6 +123,128 @@ pub fn topk_pairs_encoded_len(n: usize) -> usize {
     PAYLOAD_HEADER_BYTES + 4 + 8 * n
 }
 
+/// Magnitude keys at or above this are `±inf` or NaN, which `TopK` never
+/// transmits.
+const NON_FINITE_KEY: u32 = 0x7f80_0000;
+
+/// The bits of `|v|`: for finite values their unsigned order is the order of
+/// `|v|`, and `-0.0` ties with `+0.0`.
+fn magnitude_key(v: f32) -> u32 {
+    v.to_bits() & 0x7fff_ffff
+}
+
+/// The `k` coordinates of `x` that a [`TopKBuffer`] of capacity `k` fed `x`
+/// in index order retains, ascending by index, as `(indices, values)`.
+///
+/// A threshold pass and a collect pass replace the buffer's
+/// per-coordinate heap whenever that is exact. [`magnitude_cut`] finds a key `t` such that exactly `k` finite
+/// coordinates have a key ≥ `t` (or every finite coordinate, when at most
+/// `k` are finite); one pass then collects them. The buffer retains exactly
+/// that set. Each of them is admitted on arrival: until it arrives at most
+/// `k − 1` others are in the set, so the heap is not full or its minimum is
+/// below `t`. None is ever evicted: evicting one needs `k + 1` keys ≥ `t`.
+/// When more coordinates tie at the cut than slots remain, which tied index
+/// the buffer keeps depends on its sift order, so the buffer itself runs.
+fn topk_select(x: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
+    let mut indices = vec![0u32; k];
+    let mut values = vec![0.0f32; k];
+    match magnitude_cut(x, k, &mut indices) {
+        Some(t) => {
+            // Every coordinate is written at the cursor, which only a kept
+            // one advances: no branch on the data.
+            let mut len = 0;
+            for (i, &v) in x.iter().enumerate() {
+                if len == k {
+                    break;
+                }
+                indices[len] = i as u32;
+                values[len] = v;
+                let key = magnitude_key(v);
+                len += usize::from(key >= t && key < NON_FINITE_KEY);
+            }
+            indices.truncate(len);
+            values.truncate(len);
+        }
+        None => {
+            let mut buf = TopKBuffer::new(k);
+            buf.extend_from_slice(x);
+            let mut picked = buf.into_sorted();
+            picked.sort_unstable_by_key(|&(i, _)| i);
+            indices.clear();
+            values.clear();
+            for (i, v) in picked {
+                indices.push(i as u32);
+                values.push(v);
+            }
+        }
+    }
+    (indices, values)
+}
+
+/// A key `t` such that the finite coordinates of `x` with key ≥ `t` are
+/// exactly `min(k, finite)` many; `None` when the `k`-th largest finite key
+/// ties with more coordinates than the slots left for it, or is a zero or a
+/// subnormal.
+///
+/// A radix select over the 31 key bits in digits of 11, 11 and 9 bits, on
+/// one stack histogram: each digit's pass counts the keys under the prefix
+/// chosen so far and picks the bin the cut falls in. It stops early when
+/// that bin is taken whole, or when it holds fewer keys than `scratch` (the
+/// payload's index buffer, `k` long) has room for: one more pass gathers
+/// them and an in-place select finds `t` among them.
+fn magnitude_cut(x: &[f32], k: usize, scratch: &mut [u32]) -> Option<u32> {
+    let mut hist = [0u32; 1 << 11];
+    let mut prefix = 0u32;
+    let mut need = k;
+    for (shift, bits) in [(20u32, 11u32), (9, 11), (0, 9)] {
+        let bins = &mut hist[..1 << bits];
+        bins.fill(0);
+        let top = shift + bits;
+        for &v in x {
+            let key = magnitude_key(v);
+            if key < NON_FINITE_KEY && key >> top == prefix {
+                bins[((key >> shift) as usize) & ((1 << bits) - 1)] += 1;
+            }
+        }
+        if shift == 20 && bins.iter().map(|&c| c as usize).sum::<usize>() <= k {
+            return Some(0);
+        }
+        // The largest digit whose bin reaches the remaining slots; every
+        // key in a higher bin is taken.
+        let mut digit = bins.len() - 1;
+        while (bins[digit] as usize) < need {
+            need -= bins[digit] as usize;
+            digit -= 1;
+        }
+        prefix = (prefix << bits) | digit as u32;
+        let bin = bins[digit] as usize;
+        if bin == need {
+            return Some(prefix << shift);
+        }
+        if prefix == 0 {
+            // The cut falls among zeros and subnormals, where masked
+            // coordinates tie: the buffer runs without the key resolved.
+            return None;
+        }
+        if bin < scratch.len() {
+            // A finite prefix never matches a non-finite key.
+            let mut len = 0;
+            for &v in x {
+                let key = magnitude_key(v);
+                if key >> shift == prefix {
+                    scratch[len] = key;
+                    len += 1;
+                }
+            }
+            let keys = &mut scratch[..bin];
+            let t = *keys.select_nth_unstable(bin - need).1;
+            let kept = keys.iter().filter(|&&key| key >= t).count();
+            return (kept == need).then_some(t);
+        }
+    }
+    None
+}
+
 /// Everything an encoder/decoder must agree on about the flat parameter
 /// vector: which coordinates are mask-alive, how the vector splits into
 /// parameter tensors, and which mask epoch produced the aliveness.
@@ -186,9 +317,11 @@ pub enum Codec {
     /// Per-tensor affine int8 quantization of the full delta (4x fewer
     /// bytes than `Dense` at full density).
     QuantInt8,
-    /// Only the `ceil(k_frac · n)` largest-magnitude coordinates travel as
-    /// explicit `(index, value)` pairs; with `error_feedback` the untransmitted
-    /// remainder accumulates on the device and rides along next round.
+    /// Only the `ceil(k_frac · n)` largest finite magnitudes travel as
+    /// explicit `(index, value)` pairs, ascending by index; ties at the cut
+    /// are resolved as [`TopKBuffer`] resolves them. With `error_feedback`
+    /// the untransmitted remainder accumulates on the device and rides along
+    /// next round.
     TopK {
         /// Fraction of the flat vector transmitted per round, in `(0, 1]`.
         k_frac: f32,
@@ -315,38 +448,29 @@ impl Codec {
             } => {
                 let n = vector.len();
                 let k = Self::topk_count(k_frac, n);
-                let mut input = vector.to_vec();
-                if error_feedback {
-                    if let Some(res) = &residual {
+                let (indices, values) = match residual.filter(|_| error_feedback) {
+                    // The residual becomes the selection input in place:
+                    // `delta + residual`, then the picks are zeroed.
+                    Some(res) => {
                         if res.is_empty() {
-                            // First use: zero residual, nothing to add.
+                            res.extend_from_slice(vector);
                         } else {
                             assert_eq!(res.len(), n, "residual length mismatch");
-                            for (x, r) in input.iter_mut().zip(res.iter()) {
-                                *x += r;
+                            for (r, &v) in res.iter_mut().zip(vector) {
+                                *r += v;
                             }
                         }
-                    }
-                }
-                let mut buf = TopKBuffer::new(k);
-                buf.extend_from_slice(&input);
-                let mut picked: Vec<(usize, f32)> = buf.into_sorted();
-                picked.sort_unstable_by_key(|&(i, _)| i);
-                if error_feedback {
-                    if let Some(res) = residual {
-                        if res.len() != n {
-                            *res = input.clone();
-                        } else {
-                            res.copy_from_slice(&input);
+                        let picked = topk_select(res, k);
+                        for &i in &picked.0 {
+                            res[i as usize] = 0.0;
                         }
-                        for &(i, _) in &picked {
-                            res[i] = 0.0;
-                        }
+                        picked
                     }
-                }
+                    None => topk_select(vector, k),
+                };
                 Payload::TopK {
-                    indices: picked.iter().map(|&(i, _)| i as u32).collect(),
-                    values: picked.iter().map(|&(_, v)| v).collect(),
+                    indices,
+                    values,
                     len: n,
                 }
             }
@@ -1242,6 +1366,146 @@ mod tests {
         assert_eq!(received, vec![rounds_active as f32; n]);
     }
 
+    /// The `TopK` arm as it was before the threshold pass: a `TopKBuffer`
+    /// over a copy of `delta + residual`, sorted by index, and the residual
+    /// overwritten with that copy minus the picks. The encoder must match it
+    /// bit for bit, payload and residual.
+    fn topk_oracle(
+        vector: &[f32],
+        k: usize,
+        error_feedback: bool,
+        residual: &mut Vec<f32>,
+    ) -> (Vec<u32>, Vec<f32>) {
+        let mut input = vector.to_vec();
+        if error_feedback && !residual.is_empty() {
+            for (x, r) in input.iter_mut().zip(residual.iter()) {
+                *x += r;
+            }
+        }
+        let mut buf = TopKBuffer::new(k);
+        buf.extend_from_slice(&input);
+        let mut picked = buf.into_sorted();
+        picked.sort_unstable_by_key(|&(i, _)| i);
+        if error_feedback {
+            *residual = input;
+            for &(i, _) in &picked {
+                residual[i] = 0.0;
+            }
+        }
+        picked.into_iter().map(|(i, v)| (i as u32, v)).unzip()
+    }
+
+    /// Encodes `vector` at exactly `k` picks and checks the payload and the
+    /// residual against [`topk_oracle`], bit for bit; returns the payload's
+    /// indices. A NaN in the residual only has to be NaN on both sides: which
+    /// operand's payload a NaN + NaN sum carries is the code generator's
+    /// choice (the oracle's own loop yields the delta's in its vector body
+    /// and the residual's in its scalar tail), and a NaN is never sent.
+    fn topk_against_oracle(
+        vector: &[f32],
+        k: usize,
+        error_feedback: bool,
+        residual: &mut Vec<f32>,
+        oracle_residual: &mut Vec<f32>,
+    ) -> Vec<u32> {
+        let n = vector.len();
+        let codec = Codec::TopK {
+            k_frac: (k as f32 - 0.5) / n as f32,
+            error_feedback,
+        };
+        assert_eq!(Codec::topk_count((k as f32 - 0.5) / n as f32, n), k);
+        let p = codec.encode(vector, &WireCtx::dense(n), 0, Some(residual));
+        let (want_idx, want_val) = topk_oracle(vector, k, error_feedback, oracle_residual);
+        let bits = |v: &[f32]| {
+            v.iter()
+                .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+                .collect::<Vec<_>>()
+        };
+        match p {
+            Payload::TopK {
+                indices,
+                values,
+                len,
+            } => {
+                assert_eq!(len, n);
+                assert_eq!(indices, want_idx, "indices of {vector:?} at k = {k}");
+                assert_eq!(bits(&values), bits(&want_val), "values of {vector:?}");
+                assert_eq!(bits(residual), bits(oracle_residual), "residual");
+                indices
+            }
+            other => panic!("unexpected payload {other:?}"),
+        }
+    }
+
+    /// The tie-heavy alphabet of the oracle proptest: `±0`, `±1`, `±2`, a
+    /// subnormal, NaN of either sign and `±inf`, or (three draws in
+    /// fifteen) `random`.
+    fn tie_heavy(choice: usize, random: f32) -> f32 {
+        match choice {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            3 => -1.0,
+            4 => 2.0,
+            5 => -2.0,
+            6 => f32::from_bits(3),
+            7 => f32::NAN,
+            8 => -f32::NAN,
+            9 => f32::INFINITY,
+            10 => f32::NEG_INFINITY,
+            _ => random,
+        }
+    }
+
+    #[test]
+    fn codec_topk_takes_every_finite_value_when_at_most_k_are() {
+        let v = [f32::NAN, 1.0, f32::INFINITY, -2.0, -0.0, f32::NEG_INFINITY];
+        assert_eq!(magnitude_cut(&v, 3, &mut [0; 3]), Some(0));
+        let (mut res, mut oracle) = (Vec::new(), Vec::new());
+        let idx = topk_against_oracle(&v, 3, true, &mut res, &mut oracle);
+        assert_eq!(idx, vec![1, 3, 4]);
+    }
+
+    #[test]
+    fn codec_topk_exact_threshold_collects_in_index_order() {
+        let v = [0.5f32, -3.0, 0.25, 2.0, -1.0, 3.0, f32::NAN, 0.0];
+        let cut = magnitude_cut(&v, 3, &mut [0; 3]).expect("no tie at the cut");
+        assert!(cut > magnitude_key(-1.0) && cut <= magnitude_key(2.0));
+        let (mut res, mut oracle) = (Vec::new(), Vec::new());
+        let idx = topk_against_oracle(&v, 3, false, &mut res, &mut oracle);
+        assert_eq!(idx, vec![1, 3, 5]);
+        assert!(res.is_empty(), "no feedback, no residual");
+        // The cut inside an 11-bit bin of three keys, fewer than k: they are
+        // gathered and `t` is the second largest of them.
+        let v = [1.0f32, 0.1, 1.02, 3.5, -1.01, 0.2, 3.0, 0.3, 0.05, 0.01];
+        assert_eq!(magnitude_cut(&v, 4, &mut [0; 4]), Some(magnitude_key(1.01)));
+        let idx = topk_against_oracle(&v, 4, true, &mut res, &mut oracle);
+        assert_eq!(idx, vec![2, 3, 4, 6]);
+    }
+
+    #[test]
+    fn codec_topk_tie_overflow_at_zero_runs_the_buffer() {
+        // Masked zeros of both signs: three slots, one nonzero value, five
+        // zeros tied at the cut.
+        let v = [0.0f32, -0.0, 0.0, 3.0, 0.0, -0.0];
+        assert_eq!(magnitude_cut(&v, 3, &mut [0; 3]), None);
+        let (mut res, mut oracle) = (Vec::new(), Vec::new());
+        for _ in 0..3 {
+            let idx = topk_against_oracle(&v, 3, true, &mut res, &mut oracle);
+            assert!(idx.contains(&3));
+        }
+    }
+
+    #[test]
+    fn codec_topk_k_equal_to_n_sends_every_finite_value() {
+        let v = [1.0f32, -1.0, 1.0, f32::NAN, 7.5, 1.0];
+        assert_eq!(magnitude_cut(&v, 6, &mut [0; 6]), Some(0));
+        let (mut res, mut oracle) = (Vec::new(), Vec::new());
+        let idx = topk_against_oracle(&v, 6, true, &mut res, &mut oracle);
+        assert_eq!(idx, vec![0, 1, 2, 4, 5]);
+        assert!(res[3].is_nan(), "a NaN is never sent and stays behind");
+    }
+
     #[test]
     fn codec_size_hints_match_encodes() {
         let ctx = striped_ctx(5);
@@ -1633,6 +1897,28 @@ mod tests {
                 if d == 0.0 {
                     prop_assert!(v.abs() <= min_sent + 1e-6);
                 }
+            }
+        }
+
+        /// `TopK` against the `TopKBuffer` oracle on a tie-heavy alphabet, at
+        /// every `k` from 1 to n, with and without error feedback, over three
+        /// chained encodes so residuals carry over: payload indices, value
+        /// bits and residual bits equal.
+        #[test]
+        fn codec_topk_matches_topk_buffer_oracle(
+            (rounds, k) in (1usize..40).prop_flat_map(|n| (
+                proptest::collection::vec(
+                    proptest::collection::vec((0usize..15, -4.0f32..4.0), n),
+                    3,
+                ),
+                1usize..=n,
+            )),
+            error_feedback in 0usize..2,
+        ) {
+            let (mut res, mut oracle) = (Vec::new(), Vec::new());
+            for round in &rounds {
+                let v: Vec<f32> = round.iter().map(|&(c, r)| tie_heavy(c, r)).collect();
+                topk_against_oracle(&v, k, error_feedback == 1, &mut res, &mut oracle);
             }
         }
 
