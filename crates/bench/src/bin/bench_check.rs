@@ -75,6 +75,15 @@
 //!   `buffered_train_cohort_mean` must be above 1.0: at exactly one task per
 //!   flush the loop trains its launches one at a time again and no pool can
 //!   help it.
+//! - **Fleet speedups**: each scheduler's whole run (`fleet_synchronous`,
+//!   `fleet_deadline`, `fleet_buffered`, shape `K6xR8`) may take no longer
+//!   at two threads than at one, both timed alternately in one run. A host
+//!   with one core and a quick report (shape `K6xR4`, runs of 1–2 ms whose
+//!   ratio flips from run to run) skip it with a visible notice, so the
+//!   committed full-mode report carries it. Catches a fan-out whose
+//!   wake-up and dealing cost more than the devices it runs side by side —
+//!   the quick record committed while each scatter spawned its threads read
+//!   every scheduler slower at two threads.
 //! - **FedTiny stages** (ResNet18 width 0.25 on 16 px inputs, six devices,
 //!   d = 0.05, eight candidates): the candidate pool may cost at most
 //!   [`SELECTION_POOL_MAX_RATIO`] single magnitude masks over the same
@@ -443,6 +452,51 @@ fn main() -> ExitCode {
                     );
                 }
                 None => failed = true,
+            }
+
+            // -- Fleet runs: two threads no slower than one ----------------
+            for op in ["fleet_synchronous", "fleet_deadline", "fleet_buffered"] {
+                if fleet.quick {
+                    println!(
+                        "  SKIP {op} @2t <= @1t: quick report; its runs are too short to \
+                         order the two thread counts (a full-mode report carries this gate)"
+                    );
+                    continue;
+                }
+                if fleet.host_threads < 2 {
+                    println!(
+                        "  SKIP {op} @2t <= @1t: host has {} core(s); a speedup needs at least 2",
+                        fleet.host_threads
+                    );
+                    continue;
+                }
+                let at = |t: usize| {
+                    (fleet.records.iter())
+                        .find(|r| r.op == op && r.requested_threads == t && r.ns_per_iter > 0.0)
+                };
+                match (at(1), at(2)) {
+                    (Some(one), Some(two)) => {
+                        evaluated += 1;
+                        let ratio = two.ns_per_iter / one.ns_per_iter;
+                        let ok = two.shape == one.shape && ratio <= 1.0;
+                        failed |= !ok;
+                        println!(
+                            "  {:>4} {op} {}: {:.2} ms @2t / {:.2} ms @1t = {ratio:.2} \
+                             (need <= 1.00)",
+                            if ok { "ok" } else { "FAIL" },
+                            two.shape,
+                            two.ns_per_iter / 1e6,
+                            one.ns_per_iter / 1e6
+                        );
+                    }
+                    _ => {
+                        eprintln!(
+                            "  FAIL {op}: a 1- or 2-thread record is missing from {fleet_path} — \
+                             this gate cannot be skipped"
+                        );
+                        failed = true;
+                    }
+                }
             }
 
             // -- The paper's own stages (same report) ----------------------

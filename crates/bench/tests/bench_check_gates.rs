@@ -15,21 +15,30 @@ fn workspace_file(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn committed_micro_ops() -> BenchReport {
-    let path = workspace_file("BENCH_micro_ops.json");
-    let json = std::fs::read_to_string(&path).expect("committed BENCH_micro_ops.json");
+fn committed(name: &str) -> BenchReport {
+    let path = workspace_file(name);
+    let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("committed {name}: {e}"));
     BenchReport::from_json(&json).expect("committed report parses")
 }
 
-/// Runs `bench_check` on `report` (written under `case`) and the committed
-/// fleet report; returns `(passed, stdout + stderr)`.
-fn check(case: &str, report: &BenchReport) -> (bool, String) {
-    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{case}_micro_ops.json"));
+fn committed_micro_ops() -> BenchReport {
+    committed("BENCH_micro_ops.json")
+}
+
+/// Writes `report` under `case` for `bench_check` to read.
+fn doctored(case: &str, report: &BenchReport) -> PathBuf {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{case}.json"));
     let json = serde_json::to_string_pretty(report).expect("report serializes");
     std::fs::write(&path, json).expect("write doctored report");
+    path
+}
+
+/// Runs `bench_check` on a micro-ops and a fleet report; returns `(passed,
+/// stdout + stderr)`.
+fn run_check(micro_ops: &Path, fleet: &Path) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_bench_check"))
-        .arg(&path)
-        .arg(workspace_file("BENCH_fleet.json"))
+        .arg(micro_ops)
+        .arg(fleet)
         .output()
         .expect("spawn bench_check");
     let text = [out.stdout, out.stderr].concat();
@@ -37,6 +46,19 @@ fn check(case: &str, report: &BenchReport) -> (bool, String) {
         out.status.success(),
         String::from_utf8_lossy(&text).into_owned(),
     )
+}
+
+/// Runs `bench_check` on `report` (written under `case`) and the committed
+/// fleet report.
+fn check(case: &str, report: &BenchReport) -> (bool, String) {
+    let path = doctored(&format!("{case}_micro_ops"), report);
+    run_check(&path, &workspace_file("BENCH_fleet.json"))
+}
+
+/// Runs `bench_check` on the committed micro-ops report and `fleet`.
+fn check_fleet(case: &str, fleet: &BenchReport) -> (bool, String) {
+    let path = doctored(&format!("{case}_fleet"), fleet);
+    run_check(&workspace_file("BENCH_micro_ops.json"), &path)
 }
 
 fn is_sweep(r: &BenchRecord, engine: &str) -> bool {
@@ -57,6 +79,9 @@ fn committed_reports_pass_with_g1_to_g4_evaluated() {
         "ok topk_encode small_cnn_w16_8px alloc",
         "ok topk_encode resnet18_w0.25_16px:",
         "ok topk_encode resnet18_w0.25_16px alloc",
+        "ok fleet_synchronous ",
+        "ok fleet_deadline ",
+        "ok fleet_buffered ",
     ] {
         assert!(text.contains(gate), "{gate:?} not evaluated:\n{text}");
     }
@@ -236,4 +261,83 @@ fn topk_encode_gate_fails_on_heap_time_a_copy_or_a_missing_record() {
         !passed && text.contains("FAIL topk_encode") && text.contains("missing"),
         "{text}"
     );
+}
+
+/// A buffered run that takes longer at two threads than at one — as every
+/// scheduler did in the quick record committed while each scatter spawned
+/// its threads — a missing record, a four-core report (the gate reads its
+/// 2-thread record, not the widest), and a one-core or quick report, which
+/// skips the gate instead of failing it.
+#[test]
+fn fleet_gate_fails_when_two_threads_are_slower_than_one() {
+    let committed = committed("BENCH_fleet.json");
+    let wall = |r: &BenchReport, t: usize| {
+        (r.records.iter())
+            .find(|x| x.op == "fleet_buffered" && x.requested_threads == t)
+            .map(|x| x.ns_per_iter)
+            .expect("fleet_buffered record")
+    };
+    let mut report = committed.clone();
+    let one = wall(&report, 1);
+    let two = (report.records.iter_mut())
+        .find(|r| r.op == "fleet_buffered" && r.requested_threads == 2)
+        .expect("fleet_buffered @2t");
+    two.ns_per_iter = one * 1.03;
+    let (passed, text) = check_fleet("fleet_slow", &report);
+    assert!(!passed && text.contains("FAIL fleet_buffered"), "{text}");
+    assert!(text.contains("ok fleet_synchronous"), "{text}");
+
+    let mut report = committed.clone();
+    report
+        .records
+        .retain(|r| !(r.op == "fleet_deadline" && r.requested_threads == 2));
+    let (passed, text) = check_fleet("fleet_missing", &report);
+    assert!(
+        !passed && text.contains("FAIL fleet_deadline") && text.contains("missing"),
+        "{text}"
+    );
+
+    // A four-core host: the bench times 1, 2 and 4 threads. A 4-thread run
+    // slower than one thread is not this gate's business; a report without
+    // the 2-thread record is.
+    let mut report = committed.clone();
+    report.host_threads = 4;
+    let widest: Vec<BenchRecord> = (report.records.iter())
+        .filter(|r| r.op.starts_with("fleet_") && r.requested_threads == 2)
+        .map(|r| BenchRecord {
+            requested_threads: 4,
+            threads: 4,
+            ns_per_iter: 2.0 * r.ns_per_iter,
+            ..r.clone()
+        })
+        .collect();
+    report.records.extend(widest);
+    let (passed, text) = check_fleet("fleet_four_cores", &report);
+    assert!(passed && text.contains("ok fleet_buffered"), "{text}");
+    report
+        .records
+        .retain(|r| !(r.op.starts_with("fleet_") && r.requested_threads == 2));
+    let (passed, text) = check_fleet("fleet_four_cores_no_pair", &report);
+    assert!(
+        !passed && text.contains("FAIL fleet_synchronous") && text.contains("missing"),
+        "{text}"
+    );
+
+    let mut one_core = committed.clone();
+    one_core.host_threads = 1;
+    assert!(wall(&one_core, 2) > 0.0);
+    let (passed, text) = check_fleet("fleet_one_core", &one_core);
+    assert!(passed && text.contains("SKIP fleet_buffered"), "{text}");
+
+    let mut quick = committed;
+    quick.quick = true;
+    let one = wall(&quick, 1);
+    for r in (quick.records.iter_mut()).filter(|r| r.op.starts_with("fleet_")) {
+        if r.requested_threads == 2 {
+            r.ns_per_iter = 2.0 * one;
+        }
+    }
+    let (passed, text) = check_fleet("fleet_quick", &quick);
+    assert!(passed && text.contains("SKIP fleet_buffered"), "{text}");
+    assert!(!text.contains("ok fleet_"), "{text}");
 }

@@ -52,16 +52,20 @@ use ft_nn::{Model, Runtime};
 /// `ft-fl`'s device-model pool, and returns the results in job order. This is
 /// how both stages fan out: [`thread_budget`] decides whether the jobs occupy
 /// `rt`'s workers (each job's model on sequential kernels) or run one after
-/// another with `rt`'s kernels, and nothing is cloned either way.
-pub(crate) fn on_device_models<T: Send>(
+/// another with `rt`'s kernels, and nothing is cloned either way. The jobs
+/// are dealt in ascending `order(i)`: [`ft_fl::deal_key`] for devices.
+pub(crate) fn on_device_models<T: Send, K: Ord>(
     global: &dyn Model,
     jobs: usize,
     rt: &Runtime,
+    order: impl Fn(usize) -> K,
     job: impl Fn(usize, &mut dyn Model) -> T + Sync,
 ) -> Vec<T> {
     let (fan_out, kernel_rt) = thread_budget(jobs, rt);
     let mut out: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-    fan_out.scatter(out.iter_mut().enumerate().collect(), |(i, slot)| {
+    let mut dealt: Vec<_> = out.iter_mut().enumerate().collect();
+    dealt.sort_by_key(|&(i, _)| order(i));
+    fan_out.scatter(dealt, |(i, slot)| {
         *slot = Some(with_device_model(global, &kernel_rt, |m| job(i, m)));
     });
     out.into_iter().map(|o| o.expect("job completed")).collect()
@@ -86,7 +90,7 @@ mod tests {
         // inherit it.
         global.set_runtime(rt);
         let runtimes = |rt: &Runtime, jobs: usize| {
-            on_device_models(global.as_ref(), jobs, rt, |_, m| m.runtime())
+            on_device_models(global.as_ref(), jobs, rt, |i| i, |_, m| m.runtime())
         };
         assert_eq!(runtimes(&rt, 6), vec![seq; 6]);
         assert_eq!(runtimes(&rt, 1), vec![rt]);

@@ -2,7 +2,7 @@
 //! device memory.
 
 use crate::on_device_models;
-use ft_fl::ExperimentEnv;
+use ft_fl::{deal_key, ExperimentEnv};
 use ft_metrics::{densities_from_mask, forward_flops, layer_forward_flops};
 use ft_nn::loss::softmax_cross_entropy;
 use ft_nn::{prunable_param_indices, LayerArch, Mode, Model, Runtime};
@@ -168,13 +168,14 @@ fn probe(model: &mut dyn Model, env: &ExperimentEnv, k: usize, round: usize, den
 /// and FedDST's adjustment, PruneFL's adaptive pruning): every device of
 /// `env` takes a working copy of `global` borrowed from `ft-fl`'s
 /// device-model pool (nothing is cloned; the devices fan out over `rt` under
-/// the run's one thread budget), draws its probe batch of `round`, and runs
-/// one forward pass and a backward pass in which exactly the prunable layers
-/// `dense` execute on the dense engine — so their *pruned* coordinates get
-/// gradients — and which stops beneath the shallowest of them. `read(k, m)`
-/// then takes what device `k` needs from its model `m`, whose
-/// [`Param::grad`](ft_nn::Param) fields hold the gradients. Returns the
-/// devices' results in device order, the same bits for any `rt`.
+/// the run's one thread budget, longest partition first), draws its probe
+/// batch of `round`, and runs one forward pass and a backward pass in which
+/// exactly the prunable layers `dense` execute on the dense engine — so
+/// their *pruned* coordinates get gradients — and which stops beneath the
+/// shallowest of them. `read(k, m)` then takes what device `k` needs from
+/// its model `m`, whose [`Param::grad`](ft_nn::Param) fields hold the
+/// gradients. Returns the devices' results in device order, the same bits
+/// for any `rt`.
 ///
 /// # Panics
 ///
@@ -187,7 +188,8 @@ pub fn probe_devices<T: Send>(
     rt: &Runtime,
     read: impl Fn(usize, &dyn Model) -> T + Sync,
 ) -> Vec<T> {
-    on_device_models(global, env.parts.len(), rt, |k, model| {
+    let order = |k| deal_key(&env.parts, k);
+    on_device_models(global, env.parts.len(), rt, order, |k, model| {
         probe(model, env, k, round, dense);
         read(k, model)
     })

@@ -189,9 +189,13 @@ fn select(
     let dev_sets = device_dev_splits(env);
     let arch = global.arch();
 
-    let losses = on_device_models(global, candidates.len(), rt, |c, m| {
-        score_candidate(global, m, &candidates[c], &dev_sets, adapt_bn)
-    });
+    let losses = on_device_models(
+        global,
+        candidates.len(),
+        rt,
+        |c| c,
+        |c, m| score_candidate(global, m, &candidates[c], &dev_sets, adapt_bn),
+    );
 
     let selected = losses
         .iter()

@@ -92,7 +92,7 @@ pub use sched::{
 pub use server::{buffered_train_cohorts, run_with, RunOptions, ServerError};
 pub use spec::ModelSpec;
 pub use train::{
-    device_rng_seed, eval_loss, evaluate, local_train_scratch, thread_budget,
+    deal_key, device_rng_seed, eval_loss, evaluate, local_train_scratch, thread_budget,
     train_devices_parallel, train_one_device, with_device_model, DeviceUpdate, TrainScratch,
     WireSpec,
 };

@@ -45,7 +45,7 @@ use crate::sched::{
     broadcast_payload_len, device_round_cost, should_eval, PresenceSchedule, Scheduler, Sim,
 };
 use crate::train::{
-    evaluate, fans_out, thread_budget, train_one_device_raw, DeviceUpdate, LocalOutcome,
+    deal_key, evaluate, fans_out, thread_budget, train_one_device_raw, DeviceUpdate, LocalOutcome,
 };
 use crate::transport::{Delivery, RoundRequest, Transport, TransportError};
 use ft_data::Dataset;
@@ -54,7 +54,7 @@ use ft_nn::{
     apply_mask, flat_params_into, restore_snapshot, set_bn_stats, set_flat_params, take_snapshot,
     wire_ctx, ArchInfo, Model,
 };
-use ft_runtime::{chunk_ranges, Runtime};
+use ft_runtime::Runtime;
 use ft_sparse::{Mask, Payload, WireCtx};
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -752,18 +752,17 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             let flops = training_flops(&self.arch, &self.densities)
                 * max_samples
                 * env.cfg.local_epochs as f64;
-            // Training wall-clock: the busiest worker's share. The pool
-            // deals the cohort — ascending device ids, the window's order —
-            // in contiguous batches, one per worker, and a worker trains its
-            // batch device after device; one thread trains them all.
-            let wall_of = |a: &Arrival| a.update.as_ref().map_or(0.0, |u| u.wall_secs);
-            let wall = if fans_out(window.len(), &self.rt) {
-                (chunk_ranges(window.len(), self.rt.threads()).into_iter())
-                    .map(|batch| window[batch].iter().map(wall_of).sum::<f64>())
-                    .fold(0.0, f64::max)
+            // Training wall-clock: the makespan of the schedule the pool
+            // ran; one thread trains them all, back to back.
+            let walls = (window.iter())
+                .map(|a| (a.sim.device, a.update.as_ref().map_or(0.0, |u| u.wall_secs)))
+                .collect();
+            let workers = if fans_out(window.len(), &self.rt) {
+                self.rt.threads()
             } else {
-                window.iter().map(wall_of).sum()
+                1
             };
+            let wall = dealt_makespan(walls, &env.parts, workers);
             // Simulated span: the slowest member, cut at the deadline.
             let slowest = window.iter().map(|a| a.sim.secs).fold(0.0, f64::max);
             let span = slowest.min(env.scheduler.cutoff_secs());
@@ -839,14 +838,15 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
         self.ctx = Arc::new(wire_ctx(&*self.global, self.mask, self.epoch));
     }
 
-    /// Trains every pending task side by side ([`thread_budget`]) from the
-    /// global under the mask, each on its `(start_version, device, salt)`
-    /// RNG stream. Flushes sit where a result is needed or its inputs are
-    /// about to change — an untrained next arrival, a fold, a checkpoint —
-    /// and global and mask only move inside a close, so a task trained late
-    /// sees what it would have seen at launch: traces are bit-identical.
+    /// Trains every pending task side by side ([`thread_budget`]), longest
+    /// partition first ([`deal_key`]), from the global under the mask, each
+    /// on its `(start_version, device, salt)` RNG stream. Flushes sit where
+    /// a result is needed or its inputs are about to change — an untrained
+    /// next arrival, a fold, a checkpoint — and global and mask only move
+    /// inside a close, so a task trained late sees what it would have seen
+    /// at launch: traces are bit-identical.
     fn train_pending(&mut self) {
-        let pending: Vec<&mut Task> = self
+        let mut pending: Vec<&mut Task> = self
             .tasks
             .iter_mut()
             .filter(|t| matches!(t.work, Work::Pending))
@@ -857,6 +857,7 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
         let (flushes, trained) = TRAIN_COHORTS.get();
         TRAIN_COHORTS.set((flushes + 1, trained + pending.len() as u64));
         let (env, global, mask) = (self.env, &*self.global, &*self.mask);
+        pending.sort_by_key(|t| deal_key(&env.parts, t.sim.device));
         let (fan_out, kernel_rt) = thread_budget(pending.len(), &self.rt);
         fan_out.scatter(pending, |t| {
             t.work = Work::Trained(train_one_device_raw(
@@ -1036,6 +1037,21 @@ fn fold_inputs(
         let staleness = round - a.sim.start_version;
         Some((u, u.samples as f64 * staleness_weight(staleness)))
     })
+}
+
+/// The makespan of the schedule a fan-out runs over `workers` threads:
+/// `walls` (device, seconds) dealt by [`deal_key`], each device to the
+/// worker that is free first. One worker books the sum.
+fn dealt_makespan(mut walls: Vec<(usize, f64)>, parts: &[Dataset], workers: usize) -> f64 {
+    walls.sort_by_key(|&(k, _)| deal_key(parts, k));
+    let mut free_at = vec![0.0f64; workers.max(1)];
+    for (_, wall) in walls {
+        let first = (0..free_at.len())
+            .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
+            .expect("at least one worker");
+        free_at[first] += wall;
+    }
+    free_at.into_iter().fold(0.0, f64::max)
 }
 
 thread_local! {
@@ -1258,11 +1274,11 @@ mod tests {
 
     #[test]
     fn round_wall_under_a_two_thread_pool_is_the_busiest_workers_share() {
-        // Ten devices on two workers run as two batches of five, each
-        // trained device after device: the round took at least half of the
-        // devices' summed wall-clock. Taking the slowest device booked a
-        // fifth of that. `Runtime::exact` keeps the pool at two threads on
-        // a one-core host too.
+        // Ten devices on two workers, each worker training one device after
+        // another: the round took at least half of the devices' summed
+        // wall-clock. Taking the slowest device booked a fifth of that.
+        // `Runtime::exact` keeps the pool at two threads on a one-core host
+        // too.
         let mut cfg = crate::FlConfig::tiny_for_tests();
         (cfg.devices, cfg.seed, cfg.alpha) = (10, 5, 100.0);
         let synth = ft_data::SynthConfig::tiny_for_tests(ft_data::DatasetProfile::Cifar10, 5);
@@ -1297,6 +1313,26 @@ mod tests {
             ledger.total_train_wall_secs(),
             transport.device_wall_secs
         );
+    }
+
+    /// A barrier round books the makespan of the longest-first list
+    /// schedule: on two workers the five-second device (the largest
+    /// partition) is dealt first and the five one-second devices fill the
+    /// other worker. Contiguous batches of three would book 1 + 5 + 1 = 7.
+    #[test]
+    fn round_wall_is_the_makespan_of_the_longest_first_schedule() {
+        let env = ExperimentEnv::tiny_for_tests(5);
+        let sizes = [3, 9, 3, 2, 2, 1];
+        let parts: Vec<Dataset> = (sizes.iter())
+            .map(|&n| env.test.subset(&(0..n).collect::<Vec<_>>()))
+            .collect();
+        let walls: Vec<(usize, f64)> = [1.0, 5.0, 1.0, 1.0, 1.0, 1.0]
+            .into_iter()
+            .enumerate()
+            .collect();
+        assert_eq!(dealt_makespan(walls.clone(), &parts, 2), 5.0);
+        assert_eq!(dealt_makespan(walls.clone(), &parts, 1), 10.0);
+        assert_eq!(dealt_makespan(walls, &parts, 8), 5.0);
     }
 
     /// The deterministic projection of one buffered run: final parameter

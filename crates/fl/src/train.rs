@@ -14,6 +14,7 @@ use ft_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cmp::Reverse;
 use std::sync::Mutex;
 
 /// Everything the encoder side of the update pipeline needs: the codec, the
@@ -153,9 +154,9 @@ pub fn device_rng_seed(run_seed: u64, round: usize, device: usize) -> u64 {
 /// again when done. A parked trainer keeps what a clone would have to
 /// regrow: the layers' scratch arenas (≈ 25 MB after one batch-32 step of
 /// the benchmark's ResNet18), the sparse plans of an unchanged mask and the
-/// batch buffers. It belongs to no thread: the
-/// scoped workers of [`Runtime::scatter`] die at every join, the trainers
-/// they used do not.
+/// batch buffers. It belongs to no thread: which of the pool's workers
+/// picks up a job is a matter of timing, so a trainer kept per worker would
+/// serve whatever device came its way.
 struct DeviceTrainer {
     model: Box<dyn Model>,
     sgd: Sgd,
@@ -386,11 +387,22 @@ pub fn thread_budget(jobs: usize, rt: &Runtime) -> (Runtime, Runtime) {
     }
 }
 
+/// The key every device-level fan-out sorts its jobs by before
+/// [`Runtime::scatter`]: device `k` of `parts` goes by descending partition
+/// size, ties by index. The pool hands the next job to whichever thread is
+/// free, so this is Graham's longest-first list schedule: the large
+/// partitions start early, the small ones fill the gaps, and a round's
+/// training makespan stays within 4/3 of the optimum. Results still land
+/// by device — every job writes its own slot — so the order moves no bits.
+pub fn deal_key(parts: &[Dataset], k: usize) -> (Reverse<usize>, usize) {
+    (Reverse(parts[k].len()), k)
+}
+
 /// Trains every device from the same global model and returns their encoded
 /// updates in device order. Devices are fanned out over `rt`'s shared worker
-/// pool (bounded by `rt.threads()`, not one unbounded OS thread per device);
-/// a lone device, or a one-thread pool, trains on `rt`'s kernels instead
-/// ([`thread_budget`]).
+/// pool (bounded by `rt.threads()`, not one unbounded OS thread per device),
+/// longest partition first ([`deal_key`]); a lone device, or a one-thread
+/// pool, trains on `rt`'s kernels instead ([`thread_budget`]).
 ///
 /// `residuals` holds one error-feedback accumulator per device (an empty
 /// vector until its first use); codecs without error feedback leave them
@@ -421,13 +433,14 @@ pub fn train_devices_parallel(
     let needs_residual = wire.codec.uses_error_feedback();
     let (fan_out, kernel_rt) = thread_budget(parts.len(), rt);
     let mut out: Vec<Option<DeviceUpdate>> = (0..parts.len()).map(|_| None).collect();
-    let jobs: Vec<_> = parts
+    let mut jobs: Vec<_> = parts
         .iter()
         .zip(residuals.iter_mut())
         .zip(out.iter_mut())
         .enumerate()
         .map(|(k, ((data, res), slot))| (k, data, res, slot))
         .collect();
+    jobs.sort_by_key(|&(k, ..)| deal_key(parts, k));
     fan_out.scatter(jobs, |(k, data, res, slot)| {
         *slot = Some(train_one_device(
             global,

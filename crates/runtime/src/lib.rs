@@ -1,10 +1,12 @@
 //! Deterministic parallel runtime for the workspace's hot kernels.
 //!
-//! A [`Runtime`] is a small worker-pool handle built on [`std::thread::scope`]
-//! (no dependencies, no long-lived threads to manage): every parallel region
-//! spawns at most `threads − 1` scoped workers, hands each a deterministic
-//! contiguous chunk of the work, runs the first chunk on the calling thread,
-//! and joins before returning.
+//! A [`Runtime`] is a small handle — a bounded thread count — onto one
+//! process-wide pool of parked workers (no dependencies): every parallel
+//! region deals its jobs to the calling thread and at most `threads − 1`
+//! workers, whoever is free next, and returns once every job has finished.
+//! Workers are spawned on first use, up to the widest region that fanned
+//! out, and park between regions instead of being spawned and joined per
+//! call.
 //!
 //! ## Determinism contract
 //!
@@ -30,10 +32,12 @@
 //! whole selection candidates, each of which runs kernels of its own. The two
 //! never nest: a fan-out over devices hands every device a *sequential*
 //! runtime for its kernels (`ft_fl::thread_budget` is where that is
-//! decided), so runnable threads stay within [`Runtime::threads`]. Workers
-//! are scoped and die at the join; whatever should outlive them — a device's
-//! model and its arenas — lives in `ft-fl`'s device-model pool, not in a
-//! thread-local.
+//! decided), so runnable threads stay within [`Runtime::threads`]. Which
+//! worker runs which job is a matter of timing, so whatever a job needs to
+//! keep — a device's model and its arenas — lives in `ft-fl`'s device-model
+//! pool, not in a thread-local. A device-level fan-out lists its devices
+//! longest first (`ft_fl::deal_key`): dealt to whoever is free next, the
+//! large partitions start early and the short ones fill the gaps.
 //!
 //! A `Runtime` with one thread executes everything inline on the calling
 //! thread: `FT_THREADS=1` is the exact legacy sequential path.
@@ -54,6 +58,8 @@
 //! });
 //! assert_eq!(data[31], 31.0 * 31.0);
 //! ```
+
+mod pool;
 
 use std::ops::Range;
 
@@ -118,13 +124,15 @@ pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
 }
 
 /// Default work threshold (in inner-loop operations) below which a kernel
-/// runs inline: fanning out costs a few scoped-thread spawns (~tens of µs),
-/// so tiny kernels are faster sequential. Purely a wall-clock heuristic —
-/// results are bit-identical on either side of the threshold.
+/// runs inline: fanning out wakes a parked worker, which takes 15–35 µs to
+/// start on a 2-vCPU VM (two 20 µs jobs take 38–54 µs on two threads
+/// against 40 µs on one; a scoped spawn and join cost 52 µs before any job
+/// ran), so tiny kernels are faster sequential. Purely a wall-clock
+/// heuristic — results are bit-identical on either side of the threshold.
 pub const PAR_WORK_MIN: usize = 1 << 18;
 
-/// A deterministic worker-pool handle: just a bounded thread count plus the
-/// scoped-spawn machinery. Cheap to copy and to store on every layer.
+/// A deterministic worker-pool handle: just a bounded thread count onto the
+/// process-wide pool. Cheap to copy and to store on every layer.
 ///
 /// # Examples
 ///
@@ -315,54 +323,25 @@ impl Runtime {
         out
     }
 
-    /// Runs `f` once per job, fanning the jobs out over the pool. Jobs are
-    /// grouped into at most [`threads`](Runtime::threads) deterministic
-    /// contiguous batches ([`chunk_ranges`] over the job list), so
-    /// concurrency never exceeds the pool size no matter how many jobs are
-    /// passed — one hundred devices on a 2-thread runtime run as 2 batches
-    /// of 50, not 100 OS threads. The calling thread takes the first batch,
-    /// scoped workers take the rest, and the call returns only when every
-    /// job has finished. With one thread (or one job) everything runs
-    /// inline, in order — the sequential path.
+    /// Runs `f` once per job, fanning the jobs out over the pool. The
+    /// calling thread and at most `threads − 1` parked workers take the jobs
+    /// in list order, each the next one when it is free, so concurrency
+    /// never exceeds the pool size however many jobs are passed, and a
+    /// caller that lists long jobs first gets a longest-first schedule. The
+    /// call returns only when every job has finished. With one thread (or
+    /// one job) everything runs inline, in order — the sequential path —
+    /// and no worker is spawned.
     ///
     /// Jobs carry their own disjoint `&mut` state (see
     /// [`Runtime::split_rows_mut`]), so the closure only needs `Fn`.
+    ///
+    /// # Panics
+    ///
+    /// If a job panics, the other jobs still run, and then the call panics
+    /// with `"runtime worker panicked"` followed by the job's message. The
+    /// pool stays usable.
     pub fn scatter<J: Send, F: Fn(J) + Sync>(&self, jobs: Vec<J>, f: F) {
-        if self.threads <= 1 || jobs.len() <= 1 {
-            for job in jobs {
-                f(job);
-            }
-            return;
-        }
-        let ranges = chunk_ranges(jobs.len(), self.threads);
-        let mut rest = jobs;
-        let mut batches: Vec<Vec<J>> = Vec::with_capacity(ranges.len());
-        for r in ranges.iter().rev() {
-            batches.push(rest.split_off(r.start));
-        }
-        batches.reverse();
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut batches = batches.into_iter();
-            let first = batches.next();
-            let handles: Vec<_> = batches
-                .map(|batch| {
-                    scope.spawn(move || {
-                        for job in batch {
-                            f(job);
-                        }
-                    })
-                })
-                .collect();
-            if let Some(batch) = first {
-                for job in batch {
-                    f(job);
-                }
-            }
-            for h in handles {
-                h.join().expect("runtime worker panicked");
-            }
-        });
+        pool::POOL.scatter(self.threads, jobs, f);
     }
 }
 
@@ -477,9 +456,118 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_micros(200));
             current.fetch_sub(1, Ordering::SeqCst);
         });
-        // Jobs are batched onto at most `threads` workers, so observed
-        // concurrency is bounded by the pool size (one-sided: no flakiness).
+        // The caller and at most `threads − 1` workers take the jobs, so
+        // observed concurrency is bounded by the pool size (one-sided: no
+        // flakiness).
         assert!(peak.load(Ordering::SeqCst) <= threads);
+    }
+
+    /// A job that panics does not cut the region short: every other job
+    /// finishes before the caller re-panics, and the pool serves the next
+    /// scatter.
+    #[test]
+    fn a_panicking_job_surfaces_after_the_others_and_the_pool_survives() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let rt = Runtime::exact(3);
+        let done = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(|| {
+            rt.scatter((0..24).collect::<Vec<usize>>(), |i| {
+                if i == 2 {
+                    panic!("job {i} failed");
+                }
+                std::thread::sleep(std::time::Duration::from_micros(300));
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        });
+        let payload = caught.expect_err("the panic reaches the caller");
+        let msg = payload.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("runtime worker panicked"), "{msg}");
+        assert!(msg.contains("job 2 failed"), "{msg}");
+        assert_eq!(done.load(Ordering::SeqCst), 23);
+        let hits = AtomicUsize::new(0);
+        rt.scatter((0..8).collect(), |_i: usize| {
+            hits.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(hits.load(Ordering::SeqCst), 8);
+    }
+
+    /// A job that scatters in turn runs its inner region with whatever
+    /// workers are free, or alone: it never waits for a seat.
+    #[test]
+    fn a_job_that_scatters_does_not_deadlock() {
+        let outer = Runtime::exact(2);
+        let inner = Runtime::exact(3);
+        let mut sums = vec![0u64; 6];
+        let jobs: Vec<(usize, &mut u64)> = sums.iter_mut().enumerate().collect();
+        outer.scatter(jobs, |(k, sum)| {
+            let mut parts = [0u64; 10];
+            inner.scatter(parts.iter_mut().enumerate().collect(), |(i, p)| {
+                *p = (k * 100 + i) as u64;
+            });
+            *sum = parts.iter().sum();
+        });
+        let want: Vec<u64> = (0..6)
+            .map(|k| (0..10).map(|i| (k * 100 + i) as u64).sum())
+            .collect();
+        assert_eq!(sums, want);
+    }
+
+    /// Two OS threads that scatter at the same time share the pool and
+    /// both get every row right. The first job of each region waits for the
+    /// other's, so the two regions are open at once every time.
+    #[test]
+    fn concurrent_scatters_from_two_threads_are_both_correct() {
+        let both_open = std::sync::Barrier::new(2);
+        let fill = |seed: usize| {
+            let rt = Runtime::exact(3);
+            let mut out = vec![0usize; 257];
+            let parts = rt.split_rows_mut(&mut out, 1);
+            rt.scatter(parts, |(rows, chunk)| {
+                if rows.start == 0 {
+                    both_open.wait();
+                }
+                for (v, r) in chunk.iter_mut().zip(rows) {
+                    *v = r * r + seed;
+                }
+            });
+            out
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|seed| {
+                    let fill = &fill;
+                    scope.spawn(move || {
+                        for _ in 0..200 {
+                            let out = fill(seed);
+                            assert!(out.iter().enumerate().all(|(r, &v)| v == r * r + seed));
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().expect("scattering thread");
+            }
+        });
+    }
+
+    /// Workers are spawned lazily: a one-thread scatter spawns none, and a
+    /// pool never holds more than the widest `threads − 1` that fanned out.
+    /// A private pool, so tests running beside this one do not count.
+    #[test]
+    fn the_pool_spawns_only_the_widest_fan_out() {
+        let pool: &'static pool::Pool = Box::leak(Box::new(pool::Pool::new()));
+        let job = |_: usize| std::thread::sleep(std::time::Duration::from_micros(50));
+        pool.scatter(1, (0..10).collect(), job);
+        assert_eq!(pool.spawned(), 0);
+        pool.scatter(4, vec![0], job);
+        assert_eq!(pool.spawned(), 0, "one job runs inline");
+        pool.scatter(3, (0..10).collect(), job);
+        assert_eq!(pool.spawned(), 2);
+        pool.scatter(2, (0..10).collect(), job);
+        pool.scatter(8, (0..3).collect(), job);
+        assert_eq!(pool.spawned(), 2, "three jobs need two helpers");
+        pool.scatter(4, (0..10).collect(), job);
+        assert_eq!(pool.spawned(), 3);
     }
 
     #[test]
