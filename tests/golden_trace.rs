@@ -20,7 +20,13 @@
 //!   hook prunes most of layer 0 after aggregation 0; in the second
 //!   (`k_frac` 0.5) it prunes most of both prunable layers, so more masked
 //!   zeros tie at the cut than slots remain and the encoder's tie-overflow
-//!   path picks among them.
+//!   path picks among them;
+//! - `tests/golden/buffered_trimmed_topk_trace.txt` — the whole-run
+//!   benchmark's `buffered_fleet` recipe at test size: `Buffered
+//!   { buffer_k: 8 }` over twelve mixed devices, error-feedback `TopK`
+//!   (`k_frac` 0.1) and a `TrimmedMean` (β = 0.125), with one device fast
+//!   enough to arrive twice in a window, so its second encode reads the
+//!   residual its first one left.
 //!
 //! Any refactor of the round loop, the aggregation path, the RNG
 //! derivation, the time model, or the codecs that changes observable
@@ -33,8 +39,8 @@
 //! ```
 
 use fedtiny_suite::fl::{
-    no_hook, run_federated_rounds, run_with, Codec, CostLedger, DeviceProfile, ExperimentEnv,
-    ModelSpec, RunOptions, Scheduler, SimTime,
+    no_hook, run_federated_rounds, run_with, Aggregator, Codec, CostLedger, DeviceProfile,
+    ExperimentEnv, ModelSpec, RunOptions, Scheduler, SimTime,
 };
 use fedtiny_suite::nn::{apply_mask, flat_params, sparse_layout, Model};
 use fedtiny_suite::sparse::Mask;
@@ -54,6 +60,10 @@ const BUFFERED_FEDAVG_PATH: &str = concat!(
 const TOPK_FEEDBACK_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/topk_feedback_trace.txt"
+);
+const BUFFERED_TRIMMED_TOPK_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/buffered_trimmed_topk_trace.txt"
 );
 
 /// Renders one run's trace: one line per round with accuracy, simulated
@@ -270,6 +280,47 @@ fn topk_feedback_trace() -> String {
     out
 }
 
+/// The `buffered_fleet` recipe at test size. Returns the rendered trace and
+/// whether some device arrived twice within one window.
+fn buffered_trimmed_topk_trace() -> (String, bool) {
+    let mut env = ExperimentEnv::tiny_for_tests(42);
+    env.cfg.devices = 12;
+    env.cfg.rounds = 6;
+    env = ExperimentEnv::new(env.synth, env.cfg);
+    env.fleet = DeviceProfile::fleet_mixed(env.num_devices());
+    env.scheduler = Scheduler::Buffered { buffer_k: 8 };
+    env.cfg.codec = Codec::TopK {
+        k_frac: 0.1,
+        error_feedback: true,
+    };
+    env.cfg.aggregator = Aggregator::TrimmedMean { beta: 0.125 };
+    let mut model = env.build_model(&ModelSpec::small_cnn_test());
+    let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
+    let mut ledger = CostLedger::new();
+    let history = run_federated_rounds(
+        model.as_mut(),
+        &mut mask,
+        &env,
+        1,
+        &mut ledger,
+        &mut no_hook(),
+    );
+    let timeline = ledger.timeline();
+    let lapped = timeline.iter().enumerate().any(|(i, a)| {
+        (timeline[i + 1..].iter()).any(|b| (b.device, b.round) == (a.device, a.round))
+    });
+    let mut out = render_trace(
+        "# Golden trace: Buffered(k=8) scheduler, 12 mixed devices, tiny data (seed 42),\n\
+         # small_cnn_test, TopK { k_frac: 0.1, error_feedback: true },\n\
+         # TrimmedMean { beta: 0.125 }, eval_every = 1.\n\
+         # Regenerate: FT_BLESS=1 cargo test --test golden_trace\n",
+        &history,
+        &ledger,
+    );
+    out.push_str(&buffered_footer(model.as_ref(), &ledger));
+    (out, lapped)
+}
+
 #[test]
 fn sim_golden_trace_synchronous_matches_committed() {
     compare_or_bless(SYNCHRONOUS_PATH, &synchronous_trace());
@@ -328,6 +379,15 @@ fn sim_golden_trace_buffered_fedavg_matches_committed() {
 #[test]
 fn sim_golden_trace_topk_feedback_matches_committed() {
     compare_or_bless(TOPK_FEEDBACK_PATH, &topk_feedback_trace());
+}
+
+/// Error-feedback encodes of a device that laps its window run in arrival
+/// order, each on the residual the previous one left.
+#[test]
+fn sim_golden_trace_buffered_trimmed_topk_matches_committed() {
+    let (trace, lapped) = buffered_trimmed_topk_trace();
+    assert!(lapped, "no device arrived twice in one window");
+    compare_or_bless(BUFFERED_TRIMMED_TOPK_PATH, &trace);
 }
 
 /// The same scenario is bit-identical across parallel and sequential device
