@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the numerical substrate: convolution
 //! forward/backward, the `O(k)` top-k buffer vs a full sort (the ablation
 //! behind progressive pruning's `O(a)` device buffer), masked SGD steps, and
-//! BN-adaptation forward passes, the TCP path's frame coders, and the
-//! error-feedback `TopK` encoder against its `TopKBuffer` oracle. The last
+//! BN-adaptation forward passes, the TCP path's frame coders, the
+//! error-feedback `TopK` encoder against its `TopKBuffer` oracle, and the
+//! `TrimmedMean` fold against the per-coordinate sort it replaced. The last
 //! target writes the
 //! persisted trajectory (`BENCH_micro_ops.json`) that `bench_check` gates:
 //! every record it holds times a kernel or a step the system runs, and every
@@ -15,7 +16,10 @@ use ft_fl::transport::{
     begin_frame, decode_round_frame, decode_update_frame, encode_round_frame,
     encode_update_frame_into,
 };
-use ft_fl::{local_train_scratch, Codec, DeviceUpdate, Payload, TrainScratch};
+use ft_fl::{
+    local_train_scratch, AggScratch, Aggregator, Codec, DeviceUpdate, Payload, TrainScratch,
+    WireCtx,
+};
 use ft_nn::loss::softmax_cross_entropy_into;
 use ft_nn::models::{ResNet18, SmallCnn};
 use ft_nn::optim::{Sgd, SgdConfig};
@@ -263,10 +267,11 @@ fn train_step_records(report: &mut BenchReport) {
 /// and taking its first training step, i.e. every arena a fresh trainer
 /// grows — and `resnet_step_steady_alloc_bytes`, the traffic of each later
 /// step. And two `resnet_step` timings, density 0.05 and 1.0 (the same model
-/// under an all-ones mask), steady steps interleaved so host drift hits both:
-/// their ratio is "time tracks nnz" as a number, and the dense step's
-/// GFLOP/s over the `dconv_fwd` record of this run is what a whole training
-/// step keeps of its convolution kernel. `bench_check` gates all five.
+/// under an all-ones mask), and `resnet_step_kernel` — `dconv_fwd` at the
+/// first stage shape — steady samples interleaved so host drift hits all
+/// three: the first ratio is "time tracks nnz" as a number, and the dense
+/// step's GFLOP/s over the kernel's is what a whole training step keeps of
+/// its convolution kernel (g2). `bench_check` gates all five.
 fn resnet_step_records(report: &mut BenchReport) {
     let (batch, classes, in_c, side) = (32usize, 10usize, 3usize, 16usize);
     let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -331,8 +336,29 @@ fn resnet_step_records(report: &mut BenchReport) {
     apply_mask(&mut dense, &ones);
     let mut dense_sgd = Sgd::new(SgdConfig::default());
     step(&mut dense, &ones, &mut dense_sgd, &mut logits, &mut grad);
+    // g2's other side: the dense engine's forward pass at the first stage
+    // shape, sampled between the steps.
+    let [(g, kernel_shape), ..] = resnet_stage_geoms();
+    let w = rand_dense(&mut rng, g.in_c, g.col_rows());
+    let (lx, _) = conv_operands(&mut rng, &g);
+    let kernel_flops = 2.0 * (CONV_BATCH * g.col_cols() * g.in_c * g.col_rows()) as f64;
+    let (rt, mut bufs, mut kernel_out) = (
+        Runtime::sequential(),
+        ConvBufs::default(),
+        LaneTensor::default(),
+    );
+    let mut kernel = || {
+        dconv_forward_rt(&rt, &g, w.data(), &lx, &mut bufs, &mut kernel_out);
+        black_box(&kernel_out);
+    };
+    kernel();
+    let t = std::time::Instant::now();
+    kernel();
+    let kernel_iters = (5e6 / t.elapsed().as_nanos().max(1) as f64).clamp(1.0, 4096.0) as u32;
+
     let reps = if ft_bench::quick_mode() { 9usize } else { 21 };
     let (mut sparse_ns, mut dense_ns) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    let mut kernel_ns = Vec::with_capacity(reps);
     let (mut sparse_flops, mut dense_flops) = (0.0, 0.0);
     for _ in 0..reps {
         model.reset_realized_flops();
@@ -345,11 +371,32 @@ fn resnet_step_records(report: &mut BenchReport) {
         step(&mut dense, &ones, &mut dense_sgd, &mut logits, &mut grad);
         dense_ns.push(t.elapsed().as_nanos() as f64);
         dense_flops = dense.realized_flops();
+        let t = std::time::Instant::now();
+        for _ in 0..kernel_iters {
+            kernel();
+        }
+        kernel_ns.push(t.elapsed().as_nanos() as f64 / f64::from(kernel_iters));
     }
     black_box((&model, &dense));
     let (sparse_ns, dense_ns) = (median(&mut sparse_ns), median(&mut dense_ns));
+    let kernel_ns = median(&mut kernel_ns);
     report.push("resnet_step", &shape, 0.05, 1, 1, sparse_ns, sparse_flops);
     report.push("resnet_step", &shape, 1.0, 1, 1, dense_ns, dense_flops);
+    report.push(
+        "resnet_step_kernel",
+        &kernel_shape,
+        1.0,
+        1,
+        1,
+        kernel_ns,
+        kernel_flops,
+    );
+    println!(
+        "resnet_step dense {:.2} GFLOP/s beside dconv_fwd {kernel_shape} {:.2}: {:.3} of its kernel",
+        dense_flops / dense_ns,
+        kernel_flops / kernel_ns,
+        (dense_flops / dense_ns) / (kernel_flops / kernel_ns)
+    );
     println!(
         "resnet_step {shape}: d=0.05 {:.2} ms, dense {:.2} ms, ratio {:.3} for {:.3} of the MACs",
         sparse_ns / 1e6,
@@ -571,6 +618,97 @@ fn topk_encode_oracle(delta: &[f32], k: usize, residual: &mut Vec<f32>) -> Paylo
     }
 }
 
+/// The `TrimmedMean` fold (β = 0.125, `buffered_fleet`'s rule) of eight
+/// `TopK` payloads at `k_frac` 0.1 — one full buffer of `buffered_fleet` —
+/// at both model shapes, single-thread, through
+/// [`Aggregator::aggregate_into`] (`rank_fold`: the decode, then the
+/// eight-column network of [`ft_tensor::sorted_mean_into`]), timed
+/// alternately with the same decode followed by the per-coordinate sort it
+/// replaced (`rank_fold_oracle`, [`oracle::sorted_mean_into`]). The two are
+/// pinned `to_bits`-equal here. Each record holds the coordinates per ns in
+/// its `gflops` field and the allocator bytes of a steady-state fold;
+/// `bench_check` gates the ratio and pins `rank_fold`'s bytes to zero.
+fn rank_fold_records(report: &mut BenchReport) {
+    let mut rng = ChaCha8Rng::seed_from_u64(47);
+    let models: [(Box<dyn Model>, &str); 2] = [
+        (
+            Box::new(SmallCnn::new(&mut rng, 16, 10, 3, 8)),
+            "small_cnn_w16_8px",
+        ),
+        (
+            Box::new(ResNet18::new(&mut rng, 0.25, 10, 3, 16)),
+            "resnet18_w0.25_16px",
+        ),
+    ];
+    let (n, beta) = (8usize, 0.125);
+    let rule = Aggregator::TrimmedMean { beta };
+    let trim = (beta * n as f64).floor() as usize;
+    let codec = Codec::TopK {
+        k_frac: 0.1,
+        error_feedback: false,
+    };
+    let rt = Runtime::sequential();
+    for (model, shape) in models {
+        let ctx = WireCtx::dense(ft_nn::flat_params(model.as_ref()).len());
+        let len = ctx.len();
+        let anchor: Vec<f32> = (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let payloads: Vec<Payload> = (0..n)
+            .map(|_| {
+                let delta: Vec<f32> = (0..len).map(|_| rng.gen_range(-0.1f32..0.1)).collect();
+                codec.encode(&delta, &ctx, 0, None)
+            })
+            .collect();
+        let updates: Vec<(&Payload, f64)> = payloads.iter().map(|p| (p, 1.0)).collect();
+        let mut scratch = AggScratch::new();
+        let (mut rows, mut out, mut col) =
+            (vec![vec![0.0f32; len]; n], vec![0.0f32; len], Vec::new());
+        let sort_fold = |rows: &mut Vec<Vec<f32>>, out: &mut [f32], col: &mut Vec<f32>| {
+            for (p, row) in payloads.iter().zip(rows.iter_mut()) {
+                p.decode_into(row, &ctx);
+            }
+            oracle::sorted_mean_into(rows, &anchor, 0, trim..n - trim, out, col);
+            black_box(out);
+        };
+        sort_fold(&mut rows, &mut out, &mut col);
+        let got = rule.aggregate_into(&updates, &anchor, &ctx, &rt, &mut scratch);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(got.params.expect("a full buffer")),
+            bits(&out),
+            "{shape}: the network left other bits than the sort"
+        );
+        let mut fold = || {
+            black_box(rule.aggregate_into(&updates, &anchor, &ctx, &rt, &mut scratch));
+        };
+        let mut oracle_fold = || sort_fold(&mut rows, &mut out, &mut col);
+        let steady = |f: &mut dyn FnMut()| {
+            f();
+            let before = allocated_bytes();
+            f();
+            (allocated_bytes() - before) as f64
+        };
+        let allocs = [steady(&mut fold), steady(&mut oracle_fold)];
+        let (ns, ns_oracle) = alternate_ns(&mut fold, &mut oracle_fold);
+        for (op, ns, alloc) in [
+            ("rank_fold", ns, allocs[0]),
+            ("rank_fold_oracle", ns_oracle, allocs[1]),
+        ] {
+            report.push(op, shape, 1.0, 1, 1, ns, len as f64);
+            let r = report.records.last_mut().expect("just pushed");
+            r.alloc_bytes_per_round = alloc;
+            r.count_per_iter = n as f64;
+        }
+        println!(
+            "rank_fold {shape} n={n} beta={beta}: {:.1} us, {:.3}x its per-coordinate sort, \
+             {:.0} B/fold (oracle {:.0})",
+            ns / 1e3,
+            ns / ns_oracle,
+            allocs[0],
+            allocs[1]
+        );
+    }
+}
+
 /// The direct sparse convolution's three kernels, single-thread, at all
 /// four [`resnet_stage_geoms`] and d = 0.05, on lane activations as a model
 /// hands them over (`spconv_dx` is a backward without dW, `spconv_dw` one
@@ -608,10 +746,16 @@ fn spconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
     }
 }
 
-/// Medians of `a` and `b` timed alternately, sample by sample, so that host
-/// drift hits both alike (the `train_step` design); a sample repeats its side
-/// until it lasts a few milliseconds.
+/// Medians of `a` and `b` timed alternately (see [`interleaved_ns`]).
 fn alternate_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let ns = interleaved_ns(&mut [&mut a, &mut b]);
+    (ns[0], ns[1])
+}
+
+/// Median ns per call of each of `sides`, timed in turn, sample by sample,
+/// so that host drift hits all of them alike (the `train_step` design); a
+/// sample repeats its side until it lasts a few milliseconds.
+fn interleaved_ns(sides: &mut [&mut dyn FnMut()]) -> Vec<f64> {
     let (reps, sample_ns) = if ft_bench::quick_mode() {
         (9usize, 2_000_000u128)
     } else {
@@ -625,17 +769,19 @@ fn alternate_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
         t.elapsed().as_nanos() as f64 / f64::from(iters)
     };
     // One discarded call, then one warmed call to size the samples by.
-    let calibrate = |f: &mut dyn FnMut()| {
-        f();
-        (sample_ns as f64 / time(f, 1).max(1.0)).clamp(1.0, 65_536.0) as u32
-    };
-    let (iters_a, iters_b) = (calibrate(&mut a), calibrate(&mut b));
-    let (mut ns_a, mut ns_b) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    let iters: Vec<u32> = (sides.iter_mut())
+        .map(|f| {
+            f();
+            (sample_ns as f64 / time(*f, 1).max(1.0)).clamp(1.0, 65_536.0) as u32
+        })
+        .collect();
+    let mut ns = vec![Vec::with_capacity(reps); sides.len()];
     for _ in 0..reps {
-        ns_a.push(time(&mut a, iters_a));
-        ns_b.push(time(&mut b, iters_b));
+        for ((f, &iters), ns) in sides.iter_mut().zip(&iters).zip(&mut ns) {
+            ns.push(time(*f, iters));
+        }
     }
-    (median(&mut ns_a), median(&mut ns_b))
+    ns.iter_mut().map(|ns| median(ns)).collect()
 }
 
 /// The four residual stages of the benchmark's ResNet18 (batch 32), as
@@ -953,8 +1099,8 @@ fn dispatch_sweep_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
 }
 
 /// The persisted perf trajectory (`BENCH_micro_ops.json`): dense matmul at
-/// 1 / 2 / 4 worker threads with warmup strictly separated from measurement
-/// (see `ft_bench::trajectory`), then both convolution engines, the
+/// 1 / 2 / 4 worker threads, the three timed in turn so the speedup gates
+/// read one host state, then both convolution engines, the
 /// batch-norm kernels, the dispatch sweep and the training steps. The table rows are printed alongside,
 /// mirroring the criterion output above.
 fn trajectory_benches(_c: &mut Criterion) {
@@ -972,14 +1118,22 @@ fn trajectory_benches(_c: &mut Criterion) {
         let b = rand_dense(&mut rng, dim, dim);
         let shape = format!("{dim}x{dim}x{dim}");
         let flops = 2.0 * (dim * dim * dim) as f64;
-        for &t in &threads_grid {
-            let rt = Runtime::new(t);
-            let mut out = Tensor::zeros(&[dim, dim]);
-            let ns = measure_ns(|| {
-                out.data_mut().fill(0.0);
-                matmul_into_rt(&rt, &a, &b, &mut out);
-                black_box(&out);
-            });
+        let rts = threads_grid.map(Runtime::new);
+        let mut outs = threads_grid.map(|_| Tensor::zeros(&[dim, dim]));
+        let (a, b) = (&a, &b);
+        let mut runs: Vec<_> = (rts.iter().zip(&mut outs))
+            .map(|(rt, out)| {
+                move || {
+                    out.data_mut().fill(0.0);
+                    matmul_into_rt(rt, a, b, out);
+                    black_box(&*out);
+                }
+            })
+            .collect();
+        let mut sides: Vec<&mut dyn FnMut()> =
+            runs.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
+        let times = interleaved_ns(&mut sides);
+        for (rt, ns) in rts.iter().zip(times) {
             let (req, eff) = (rt.requested(), rt.threads());
             report.push("matmul", &shape, 1.0, req, eff, ns, flops);
             let gflops = report.records.last().expect("just pushed").gflops;
@@ -998,6 +1152,7 @@ fn trajectory_benches(_c: &mut Criterion) {
     resnet_step_records(&mut report);
     frame_records(&mut report);
     topk_records(&mut report);
+    rank_fold_records(&mut report);
 
     let path = report.write();
     println!(

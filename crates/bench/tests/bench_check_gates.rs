@@ -79,6 +79,10 @@ fn committed_reports_pass_with_g1_to_g4_evaluated() {
         "ok topk_encode small_cnn_w16_8px alloc",
         "ok topk_encode resnet18_w0.25_16px:",
         "ok topk_encode resnet18_w0.25_16px alloc",
+        "ok rank_fold small_cnn_w16_8px:",
+        "ok rank_fold small_cnn_w16_8px alloc",
+        "ok rank_fold resnet18_w0.25_16px:",
+        "ok rank_fold resnet18_w0.25_16px alloc",
         "ok fleet_synchronous ",
         "ok fleet_deadline ",
         "ok fleet_buffered ",
@@ -259,6 +263,47 @@ fn topk_encode_gate_fails_on_heap_time_a_copy_or_a_missing_record() {
     let (passed, text) = check("topk_missing", &report);
     assert!(
         !passed && text.contains("FAIL topk_encode") && text.contains("missing"),
+        "{text}"
+    );
+}
+
+/// A fold back at the per-coordinate sort's time, one that allocates a
+/// column per fold again, and one whose record is gone: each fails the
+/// `rank_fold` gate.
+#[test]
+fn rank_fold_gate_fails_on_sort_time_an_allocation_or_a_missing_record() {
+    fn fold_at<'r>(report: &'r mut BenchReport, shape: &str) -> &'r mut BenchRecord {
+        (report.records.iter_mut())
+            .find(|r| r.op == "rank_fold" && r.shape == shape)
+            .expect("rank_fold record")
+    }
+    let committed = committed_micro_ops();
+
+    let mut report = committed.clone();
+    let oracle = (report.records.iter())
+        .find(|r| r.op == "rank_fold_oracle" && r.shape == "small_cnn_w16_8px")
+        .map(|r| r.ns_per_iter)
+        .expect("rank_fold_oracle record");
+    fold_at(&mut report, "small_cnn_w16_8px").ns_per_iter = oracle;
+    let (passed, text) = check("rank_slow", &report);
+    assert!(
+        !passed && text.contains("FAIL rank_fold small_cnn_w16_8px:"),
+        "{text}"
+    );
+
+    let mut report = committed.clone();
+    fold_at(&mut report, "resnet18_w0.25_16px").alloc_bytes_per_round = 32.0;
+    let (passed, text) = check("rank_alloc", &report);
+    assert!(
+        !passed && text.contains("FAIL rank_fold resnet18_w0.25_16px alloc"),
+        "{text}"
+    );
+
+    let mut report = committed;
+    report.records.retain(|r| r.op != "rank_fold_oracle");
+    let (passed, text) = check("rank_missing", &report);
+    assert!(
+        !passed && text.contains("FAIL rank_fold") && text.contains("missing"),
         "{text}"
     );
 }

@@ -26,6 +26,7 @@ use crate::config::ConfigError;
 use ft_nn::BnStats;
 use ft_runtime::Runtime;
 use ft_sparse::{Payload, ShardPlan, WireCtx};
+use ft_tensor::RankScratch;
 use serde::{Deserialize, Serialize};
 
 /// FedBuff-style staleness discount: an update computed `staleness` server
@@ -202,6 +203,9 @@ pub struct AggScratch {
     params: Vec<f32>,
     /// Decoded dense deltas for the robust rules, one per accepted update.
     deltas: Vec<Vec<f32>>,
+    /// The rank rules' column scratch, one per shard
+    /// ([`ft_tensor::sorted_mean_into`]).
+    cols: Vec<RankScratch>,
     /// Screened normalized weights of the weighted rules (see
     /// [`screen_weights`]).
     weights: Vec<f64>,
@@ -333,24 +337,14 @@ impl Aggregator {
             Aggregator::FedAvg => weighted_into(updates, anchor, None, ctx, rt, scratch),
             Aggregator::TrimmedMean { beta } => {
                 let t = ((beta * n as f64).floor() as usize).min(n.saturating_sub(1) / 2);
-                let mean_of_kept = move |col: &[f32]| {
-                    let kept = &col[t..n - t];
-                    kept.iter().map(|&v| v as f64).sum::<f64>() / kept.len() as f64
-                };
-                (
-                    rank_into(updates, anchor, ctx, rt, scratch, mean_of_kept),
-                    0,
-                )
+                (rank_into(updates, anchor, t, ctx, rt, scratch), 0)
             }
+            // The middle value, or the mean of the two middle values: the
+            // trimmed mean that keeps one value of an odd cohort and two of
+            // an even one.
             Aggregator::CoordinateMedian => {
-                let median = move |col: &[f32]| {
-                    if n % 2 == 1 {
-                        col[n / 2] as f64
-                    } else {
-                        (col[n / 2 - 1] as f64 + col[n / 2] as f64) / 2.0
-                    }
-                };
-                (rank_into(updates, anchor, ctx, rt, scratch, median), 0)
+                let t = n.saturating_sub(1) / 2;
+                (rank_into(updates, anchor, t, ctx, rt, scratch), 0)
             }
             Aggregator::NormClipped { tau } => {
                 weighted_into(updates, anchor, Some(tau), ctx, rt, scratch)
@@ -382,7 +376,8 @@ fn screen_weights(updates: &[(&Payload, f64)], weights: &mut Vec<f64>) -> bool {
 }
 
 /// Dense-decodes every update into one of the recycled delta buffers
-/// (aligned with `updates`), fanned out per update on `rt`.
+/// (aligned with `updates`), fanned out per update on `rt`; on a
+/// sequential runtime one after another, without a job list.
 fn decode_all<'d>(
     updates: &[(&Payload, f64)],
     deltas: &'d mut Vec<Vec<f32>>,
@@ -393,26 +388,28 @@ fn decode_all<'d>(
     for d in deltas.iter_mut() {
         d.resize(ctx.len(), 0.0);
     }
-    let decode_jobs: Vec<(&Payload, &mut Vec<f32>)> = updates
-        .iter()
-        .map(|(p, _)| *p)
-        .zip(deltas.iter_mut())
-        .collect();
-    rt.scatter(decode_jobs, |(p, d)| p.decode_into(d, ctx));
+    let jobs = updates.iter().map(|(p, _)| *p).zip(deltas.iter_mut());
+    if rt.is_parallel() {
+        rt.scatter(jobs.collect(), |(p, d)| p.decode_into(d, ctx));
+    } else {
+        jobs.for_each(|(p, d)| p.decode_into(d, ctx));
+    }
     deltas
 }
 
-/// The rank-based rules: decodes every update into `scratch.deltas`, then
-/// reduces sorted per-coordinate columns shard-parallel. Per coordinate the
-/// column is gathered in cohort order and sorted with `total_cmp`, so
-/// adversarial NaNs land at the tails where a trim removes them first.
+/// The rank-based rules: decodes every update into `scratch.deltas`, then,
+/// shard-parallel, sorts every coordinate's column with `total_cmp` — so
+/// adversarial NaNs land at the tails, where a trim removes them first —
+/// and adds the anchor to the mean of its entries `trim..n − trim`
+/// ([`ft_tensor::sorted_mean_into`], eight columns at a time). On one shard
+/// the fold allocates nothing at steady state.
 fn rank_into<'s>(
     updates: &[(&Payload, f64)],
     anchor: &[f32],
+    trim: usize,
     ctx: &WireCtx,
     rt: &Runtime,
     scratch: &'s mut AggScratch,
-    reduce: impl Fn(&[f32]) -> f64 + Sync,
 ) -> Option<&'s [f32]> {
     let n = updates.len();
     if n == 0 {
@@ -421,24 +418,32 @@ fn rank_into<'s>(
     let AggScratch {
         params,
         deltas,
+        cols,
         plan,
         ..
     } = scratch;
     let plan = plan.as_ref().expect("plan ensured by aggregate_into");
     let deltas = decode_all(updates, deltas, ctx, rt);
     params.resize(anchor.len(), 0.0);
-    for_each_shard(rt, plan, params, |s, out| {
-        let mut col = vec![0.0f32; n];
+    cols.resize_with(plan.num_shards(), RankScratch::default);
+    let fold = |s: usize, out: &mut [f32], col: &mut RankScratch| {
         let start = plan.range(s).start;
-        for (k, o) in out.iter_mut().enumerate() {
-            let i = start + k;
-            for (c, d) in col.iter_mut().zip(deltas.iter()) {
-                *c = d[i];
+        ft_tensor::sorted_mean_into(deltas, anchor, start, trim..n - trim, out, col);
+    };
+    match &mut cols[..] {
+        [] => {}
+        [col] => fold(0, params, col),
+        cols => {
+            let mut rest = &mut params[..];
+            let mut jobs = Vec::with_capacity(cols.len());
+            for (s, col) in cols.iter_mut().enumerate() {
+                let (out, tail) = rest.split_at_mut(plan.range(s).len());
+                jobs.push((s, out, col));
+                rest = tail;
             }
-            col.sort_unstable_by(|a, b| a.total_cmp(b));
-            *o = (anchor[i] as f64 + reduce(&col)) as f32;
+            rt.scatter(jobs, |(s, out, col)| fold(s, out, col));
         }
-    });
+    }
     Some(params)
 }
 
@@ -461,6 +466,7 @@ fn weighted_into<'s>(
         deltas,
         weights,
         plan,
+        ..
     } = scratch;
     let plan = plan.as_ref().expect("plan ensured by aggregate_into");
     if !screen_weights(updates, weights) {
@@ -914,8 +920,95 @@ mod tests {
         use ft_sparse::Codec;
         use proptest::prelude::*;
 
+        /// A value of one of the classes that break a naive sort or sum:
+        /// `±0`, `±∞`, NaNs of both signs with distinct payloads,
+        /// subnormals, and ordinary floats.
+        fn hostile((class, bits, plain): (u32, u32, f32)) -> f32 {
+            let (sign, payload) = (bits & 0x8000_0000, (bits & 0x7f_ffff).max(1));
+            match class {
+                0 => f32::from_bits(sign),
+                1 => f32::from_bits(sign | 0x7f80_0000),
+                2 => f32::from_bits(sign | 0x7f80_0000 | payload),
+                3 => f32::from_bits(sign | payload),
+                _ => plain,
+            }
+        }
+
+        /// Whether `got` and `want` agree on coordinate `i` of a rank rule
+        /// that keeps sorted entries `trim..n − trim`: bit for bit, except
+        /// where two or more NaNs meet in the sum (the kept entries and the
+        /// anchor, counting `∞ − ∞` as one) — IEEE 754 leaves the payload of
+        /// that NaN open among theirs, and the compiler may commute an
+        /// addition, so there both need only be NaN.
+        fn rank_agrees(
+            got: f32,
+            want: f32,
+            deltas: &[Vec<f32>],
+            anchor: f32,
+            trim: usize,
+            i: usize,
+        ) -> bool {
+            let mut column: Vec<f32> = deltas.iter().map(|d| d[i]).collect();
+            column.sort_unstable_by(|a, b| a.total_cmp(b));
+            let n = column.len();
+            let terms: Vec<f32> = column[trim..n - trim]
+                .iter()
+                .copied()
+                .chain([anchor])
+                .collect();
+            let made = terms.contains(&f32::INFINITY) && terms.contains(&f32::NEG_INFINITY);
+            let nans = terms.iter().filter(|v| v.is_nan()).count() + usize::from(made);
+            got.to_bits() == want.to_bits() || (nans >= 2 && got.is_nan() && want.is_nan())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The rank rules' eight-column network against the
+            /// per-coordinate `total_cmp` sort it replaced (the naive
+            /// reference): cohorts of 1 to 40, coordinate counts that are
+            /// not a multiple of eight, hostile values, `TrimmedMean` at
+            /// several β and `CoordinateMedian`, on 1, 2 and 4 shards.
+            #[test]
+            fn payload_rank_network_matches_the_sort_oracle(
+                (n, len, values) in (1usize..41, 0usize..6, 1usize..8).prop_flat_map(|(n, blocks, tail)| {
+                    let len = 8 * blocks + tail;
+                    let value = (0u32..5, 0u32..u32::MAX, -4.0f32..4.0).prop_map(hostile);
+                    proptest::collection::vec(value, (n + 1) * len).prop_map(move |v| (n, len, v))
+                }),
+            ) {
+                let (anchor, rows) = values.split_at(len);
+                let deltas: Vec<Vec<f32>> = rows.chunks(len).map(<[f32]>::to_vec).collect();
+                let payloads: Vec<Payload> =
+                    deltas.iter().map(|d| Payload::Dense { values: d.clone() }).collect();
+                let updates: Vec<(&Payload, f64)> = payloads.iter().map(|p| (p, 1.0)).collect();
+                let ctx = WireCtx::dense(len);
+                let weighted: Vec<(Vec<f32>, f64)> = deltas.iter().map(|d| (d.clone(), 1.0)).collect();
+                let mut scratch = AggScratch::new();
+                for rule in [0.0, 0.1, 0.125, 0.25, 0.4]
+                    .map(|beta| Aggregator::TrimmedMean { beta })
+                    .into_iter()
+                    .chain([Aggregator::CoordinateMedian])
+                {
+                    let trim = match rule {
+                        Aggregator::TrimmedMean { beta } => ((beta * n as f64).floor() as usize).min((n - 1) / 2),
+                        _ => (n - 1) / 2,
+                    };
+                    let want = super::naive_aggregate(rule, &weighted, anchor).0.expect("a cohort");
+                    for threads in [1usize, 2, 4] {
+                        let rt = Runtime::exact(threads).with_min_work(0);
+                        let got = rule.aggregate_into(&updates, anchor, &ctx, &rt, &mut scratch);
+                        let got = got.params.expect("a cohort");
+                        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                            prop_assert!(
+                                rank_agrees(g, w, &deltas, anchor[i], trim, i),
+                                "{} n={} coordinate {} on {} threads: {:?} vs {:?}",
+                                rule.name(), n, i, threads, g, w
+                            );
+                        }
+                    }
+                }
+            }
 
             /// Aggregating encoded deltas `θ_k − anchor` agrees with the
             /// textbook weighted mean of the parameters `θ_k`, for any

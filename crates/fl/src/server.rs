@@ -26,9 +26,12 @@
 //! of its buffer and spans the time since the previous one.
 //!
 //! A buffered launch fixes only the task's simulated finish time; its
-//! training waits for the next flush (`train_pending`), and its update is
-//! encoded and crosses the transport's byte boundary at arrival. That needs
-//! a local transport ([`Transport::is_local`]).
+//! training waits for the next flush (`flush`). An accepted arrival's trained
+//! outcome waits in the window, and that same next flush — at the latest the
+//! close, before the fold — encodes it on the pool, side by side with the
+//! flush's training; the encoded updates then cross the transport's byte
+//! boundary in arrival order. That needs a local transport
+//! ([`Transport::is_local`]).
 //!
 //! [`RunOptions`] adds checkpoint/resume to the *same final trace, byte for
 //! byte* (`tests/checkpoint_resume.rs`); under the
@@ -465,6 +468,9 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
         // A window the event cap starved never closed: its arrivals stay on
         // the timeline as not applied, and the rounds it held up count as
         // zero-progress so the ledger still covers `cfg.rounds`.
+        // Its held outcomes are still encoded, so every residual reads as if
+        // those uploads had gone out.
+        self.flush(false);
         for a in std::mem::take(&mut self.window) {
             self.ledger.record_timeline(a.event(self.round, false));
         }
@@ -582,7 +588,7 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
     /// Buffered launch of device `k`'s next task from the current version,
     /// mask and wire context. Only the simulated side is decided here —
     /// finish time (from the partition size, not the trained model) and
-    /// dropout; training waits for a flush ([`Self::train_pending`]).
+    /// dropout; training waits for a flush ([`Self::flush`]).
     fn launch(&mut self, k: usize) -> Task {
         let env = self.env;
         let codec = env.cfg.codec;
@@ -639,7 +645,7 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
         // it.
         let next = self.tasks.last()?;
         if matches!(next.work, Work::Pending) && !next.sim.dropped {
-            self.train_pending();
+            self.flush(true);
         }
         let task = self.tasks.pop()?;
         self.events += 1;
@@ -649,41 +655,32 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             self.clock.advance_to(sim.finish_secs);
         }
         let lost = cut || sim.dropped;
-        let codec = self.env.cfg.codec;
-        let (update, before) = match task.work {
-            Work::Delivered(Delivery::Update(u), before) => (Some(u), before),
+        let (update, before, outcome) = match task.work {
+            Work::Delivered(Delivery::Update(u), before) => (Some(u), before, None),
             Work::Delivered(Delivery::Faulted(fault), before) => {
                 // Every quarantined delivery is a typed, counted event,
                 // never a panic.
                 self.ledger.record_fault(&fault);
-                (None, before)
+                (None, before, None)
             }
-            // The transmission: encode the delta now that the server's mask
-            // epoch is known (a stale mask forces explicit indices), then
-            // push it across the transport's byte boundary.
-            Work::Trained(outcome) if !lost => {
-                let residual = codec
-                    .uses_error_feedback()
-                    .then_some(&mut self.residuals[sim.device]);
-                let encoded = outcome.encode(codec, &task.ctx, self.epoch, residual);
-                let update = self.opts.transport.deliver_update(encoded, &task.ctx);
-                (Some(update), None)
-            }
+            // The transmission waits for the next flush, which encodes the
+            // delta at the server's current mask epoch (a stale mask forces
+            // explicit indices): the epoch moves only after a fold.
+            Work::Trained(outcome) if !lost => (None, None, Some(outcome)),
             // A lost buffered task is never encoded, so its error-feedback
             // residual is untouched (and one still pending never trains).
-            Work::Trained(_) | Work::Pending => (None, None),
+            Work::Trained(_) | Work::Pending => (None, None, None),
         };
-        let accepted = !lost && update.is_some();
+        let accepted = !lost && (update.is_some() || outcome.is_some());
         // A lost or cut barrier upload keeps its pre-round residual: the
         // mass the encode step drained never reached the server.
         if let (false, Some(before)) = (accepted, before) {
             self.residuals[sim.device] = before;
         }
         self.window.push(Arrival {
-            upload_bytes: update
-                .as_ref()
-                .map_or(0.0, |u| u.payload.encoded_len(&task.ctx) as f64),
             sim,
+            ctx: task.ctx,
+            outcome,
             update,
             accepted,
         });
@@ -708,11 +705,10 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
     fn close(&mut self) {
         let env = self.env;
         let buffered = matches!(env.scheduler, Scheduler::Buffered { .. });
-        // Flush: the fold is about to move the global pending tasks were
-        // launched from (after the last close only a checkpoint reads them).
-        if self.round + 1 < env.cfg.rounds || self.opts.checkpoint.is_some() {
-            self.train_pending();
-        }
+        // Flush: the fold reads the window's updates, and it is about to
+        // move the global pending tasks were launched from (after the last
+        // close only a checkpoint reads those).
+        self.flush(self.round + 1 < env.cfg.rounds || self.opts.checkpoint.is_some());
         if !buffered {
             // A barrier folds and bills its cohort in cohort order —
             // ascending device ids — whatever order its members arrived in.
@@ -733,7 +729,8 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             let with_update = window.iter().filter_map(|a| Some(f(a, a.update.as_ref()?)));
             with_update.fold(0.0, f64::max)
         };
-        let (up, realized) = (max(|a, _| a.upload_bytes), max(|_, u| u.realized_flops));
+        let up = max(|a, u| u.payload.encoded_len(&a.ctx) as f64);
+        let realized = max(|_, u| u.realized_flops);
         let cohort = window.iter().filter(|a| a.accepted).count();
         let (flops, comm, down, wall, span) = if buffered {
             // One aggregation charges one model transfer and one device's
@@ -838,39 +835,92 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
         self.ctx = Arc::new(wire_ctx(&*self.global, self.mask, self.epoch));
     }
 
-    /// Trains every pending task side by side ([`thread_budget`]), longest
-    /// partition first ([`deal_key`]), from the global under the mask, each
-    /// on its `(start_version, device, salt)` RNG stream. Flushes sit where
-    /// a result is needed or its inputs are about to change — an untrained
-    /// next arrival, a fold, a checkpoint — and global and mask only move
-    /// inside a close, so a task trained late sees what it would have seen
-    /// at launch: traces are bit-identical.
-    fn train_pending(&mut self) {
-        let mut pending: Vec<&mut Task> = self
-            .tasks
-            .iter_mut()
-            .filter(|t| matches!(t.work, Work::Pending))
+    /// A flush: in one scatter ([`thread_budget`]), trains every pending
+    /// task (when `train`), longest partition first ([`deal_key`]), and
+    /// encodes every outcome the window holds, one job per device; then hands
+    /// the encoded updates to the transport in arrival order.
+    ///
+    /// Flushes sit where a result is needed or its inputs are about to
+    /// change — an untrained next arrival, a fold, a checkpoint — and
+    /// global, mask, mask epoch and residuals only move inside a close,
+    /// after its fold. So a task trained late sees what it would have seen
+    /// at launch, each on its `(start_version, device, salt)` RNG stream, and
+    /// an update encoded late reads what it would have read at arrival: a
+    /// device's encodes run in arrival order, each on the residual the one
+    /// before left. Traces are bit-identical.
+    fn flush(&mut self, train: bool) {
+        let Server {
+            env,
+            global,
+            mask,
+            tasks,
+            window,
+            residuals,
+            rt,
+            epoch,
+            opts,
+            ..
+        } = self;
+        let (env, global, mask, epoch) = (*env, &**global, &**mask, *epoch);
+        let mut pending: Vec<&mut Task> = (tasks.iter_mut())
+            .filter(|t| train && matches!(t.work, Work::Pending))
             .collect();
-        if pending.is_empty() {
+        let held: Vec<usize> = (0..window.len())
+            .filter(|&i| window[i].outcome.is_some())
+            .collect();
+        if pending.is_empty() && held.is_empty() {
             return;
         }
-        let (flushes, trained) = TRAIN_COHORTS.get();
-        TRAIN_COHORTS.set((flushes + 1, trained + pending.len() as u64));
-        let (env, global, mask) = (self.env, &*self.global, &*self.mask);
+        if !pending.is_empty() {
+            let (flushes, trained) = TRAIN_COHORTS.get();
+            TRAIN_COHORTS.set((flushes + 1, trained + pending.len() as u64));
+        }
         pending.sort_by_key(|t| deal_key(&env.parts, t.sim.device));
-        let (fan_out, kernel_rt) = thread_budget(pending.len(), &self.rt);
-        fan_out.scatter(pending, |t| {
-            t.work = Work::Trained(train_one_device_raw(
-                global,
-                &env.parts[t.sim.device],
-                Some(mask),
-                &env.cfg,
-                t.sim.start_version,
-                t.sim.device,
-                t.salt,
-                &kernel_rt,
-            ));
+        let codec = env.cfg.codec;
+        let mut residuals: Vec<Option<&mut Vec<f32>>> = match codec.uses_error_feedback() {
+            true => residuals.iter_mut().map(Some).collect(),
+            false => Vec::new(),
+        };
+        let mut jobs: Vec<FlushJob> = pending.into_iter().map(FlushJob::Train).collect();
+        let first_encode = jobs.len();
+        for a in window.iter_mut().filter(|a| a.outcome.is_some()) {
+            let device = a.sim.device;
+            let same_device = |job: &&mut FlushJob| matches!(job, FlushJob::Encode(_, held) if held[0].sim.device == device);
+            match jobs[first_encode..].iter_mut().find(same_device) {
+                Some(FlushJob::Encode(_, held)) => held.push(a),
+                _ => {
+                    let residual = residuals.get_mut(device).and_then(Option::take);
+                    jobs.push(FlushJob::Encode(residual, vec![a]));
+                }
+            }
+        }
+        let (fan_out, kernel_rt) = thread_budget(jobs.len(), rt);
+        fan_out.scatter(jobs, |job| match job {
+            FlushJob::Train(t) => {
+                t.work = Work::Trained(train_one_device_raw(
+                    global,
+                    &env.parts[t.sim.device],
+                    Some(mask),
+                    &env.cfg,
+                    t.sim.start_version,
+                    t.sim.device,
+                    t.salt,
+                    &kernel_rt,
+                ));
+            }
+            FlushJob::Encode(mut residual, held) => {
+                for a in held {
+                    let outcome = a.outcome.take().expect("held outcome");
+                    a.update = Some(outcome.encode(codec, &a.ctx, epoch, residual.as_deref_mut()));
+                }
+            }
         });
+        // The transmission, across the transport's byte boundary.
+        for i in held {
+            let a = &mut window[i];
+            let encoded = a.update.take().expect("encoded by the flush");
+            a.update = Some(opts.transport.deliver_update(encoded, &a.ctx));
+        }
     }
 
     /// Saves the checkpoint, if the run keeps one, and returns whether to
@@ -881,7 +931,7 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
         let halt = self.opts.halt_after == Some(self.round);
         if let Some((path, run)) = self.opts.checkpoint.clone().zip(self.run.clone()) {
             let buffered = if matches!(self.env.scheduler, Scheduler::Buffered { .. }) {
-                self.train_pending();
+                self.flush(true);
                 Some(self.in_flight_state()?)
             } else {
                 None
@@ -989,8 +1039,9 @@ enum Work {
     /// Launched; training deferred to the next flush.
     Pending,
     /// Trained and still device-local (a [`LocalOutcome`], not yet
-    /// encoded): encoding happens at arrival, when the server's current
-    /// mask epoch decides whether a `MaskCsr` upload can drop its indices.
+    /// encoded): an accepted arrival is encoded at the next flush, under the
+    /// server's mask epoch at its arrival, which decides whether a `MaskCsr`
+    /// upload can drop its indices.
     Trained(LocalOutcome),
     /// Across the transport already (a barrier cohort's `exchange_round`),
     /// with the device's error-feedback residual from before the round,
@@ -1001,13 +1052,25 @@ enum Work {
 /// A popped task, waiting in the window for its close.
 struct Arrival {
     sim: Sim,
-    /// The update as it crossed the transport; `None` when quarantined or
-    /// never encoded.
+    /// Wire context (mask + epoch) the device trained under.
+    ctx: Arc<WireCtx>,
+    /// An accepted buffered arrival's trained outcome, until the next flush
+    /// encodes it into `update`.
+    outcome: Option<LocalOutcome>,
+    /// The update as it crossed the transport; `None` when quarantined,
+    /// lost, or not yet encoded.
     update: Option<DeviceUpdate>,
     /// Arrived in time and not lost: the fold takes it.
     accepted: bool,
-    /// Measured bytes of the update, 0 without one.
-    upload_bytes: f64,
+}
+
+/// One job of a flush's scatter.
+enum FlushJob<'a> {
+    /// A pending launch to train.
+    Train(&'a mut Task),
+    /// One device's held outcomes, in arrival order, and its error-feedback
+    /// residual (`None` without error feedback).
+    Encode(Option<&'a mut Vec<f32>>, Vec<&'a mut Arrival>),
 }
 
 impl Arrival {
@@ -1487,7 +1550,7 @@ mod tests {
             .expect_err("a launch is not a checkpointable outcome");
         assert!(matches!(err, ServerError::UntrainedTask { device: 1 }));
         assert!(err.to_string().contains("untrained"));
-        server.train_pending();
+        server.flush(true);
         let saved = server.in_flight_state().expect("trained");
         assert_eq!(saved.in_flight.len(), 1);
     }
@@ -1500,6 +1563,8 @@ mod tests {
                 start_version: version,
                 ..Sim::default()
             },
+            ctx: Arc::new(WireCtx::dense(1)),
+            outcome: None,
             update: update.then(|| DeviceUpdate {
                 payload: Payload::Dense { values: vec![0.0] },
                 bn: Vec::new(),
@@ -1508,7 +1573,6 @@ mod tests {
                 wall_secs: 0.0,
             }),
             accepted: accepted && update,
-            upload_bytes: 0.0,
         }
     }
 

@@ -298,9 +298,13 @@ impl WireCtx {
         self.alive.is_empty()
     }
 
-    /// Number of alive coordinates.
+    /// Number of alive coordinates: the flags added as bytes, in `u8`
+    /// lanes of 255 at most, so no lane overflows.
     pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        let chunks = self.alive.chunks(255);
+        chunks
+            .map(|c| c.iter().map(|&a| u8::from(a)).sum::<u8>() as usize)
+            .sum()
     }
 }
 
@@ -405,17 +409,20 @@ impl Codec {
             Codec::MaskCsr => {
                 let alive = ctx.alive_count();
                 let indexed = ctx.epoch != peer_epoch;
-                let mut values = Vec::with_capacity(alive);
-                // Reserve the exact index count up front: the alive count is
-                // known, so the push loop must never reallocate mid-encode.
-                let mut indices = Vec::with_capacity(if indexed { alive } else { 0 });
+                let mut values = vec![0.0f32; alive];
+                let mut indices = vec![0u32; if indexed { alive } else { 0 }];
+                // Every coordinate is written at the cursor, which only an
+                // alive one advances: no branch on the mask.
+                let mut len = 0;
                 for (i, (&v, &a)) in vector.iter().zip(ctx.alive.iter()).enumerate() {
-                    if a {
-                        values.push(v);
-                        if indexed {
-                            indices.push(i as u32);
-                        }
+                    if len == alive {
+                        break;
                     }
+                    values[len] = v;
+                    if indexed {
+                        indices[len] = i as u32;
+                    }
+                    len += usize::from(a);
                 }
                 Payload::MaskCsr {
                     epoch: ctx.epoch,

@@ -2,7 +2,8 @@
 //!
 //! The dense GEMM's microkernel ([`crate::matmul`]), the direct convolutions
 //! ([`crate::spconv`], [`crate::dconv`]), the batch-norm kernels
-//! ([`crate::bn`]), pooling and the residual add are written once over
+//! ([`crate::bn`]), pooling, the residual add and the rank rules' column
+//! sort ([`crate::rank`]) are written once over
 //! [`Lanes`] — eight `f32` lanes and the arithmetic of one kernel family —
 //! and instantiated per family: the portable [`Lane`], and `Ymm` on `__m256`
 //! when the crate's `simd` feature is on and the target is x86-64.
@@ -54,6 +55,24 @@ pub(crate) trait Lanes: Copy {
     fn and(self, mask: Self) -> Self;
     /// `a` where `mask` is all ones, `b` where it is zero.
     fn select(mask: Self, a: Self, b: Self) -> Self;
+    /// Per lane, the integer key `f32::total_cmp` orders by, in the lane's
+    /// bits: the sign bit kept and the other 31 flipped on a negative value,
+    /// read as `i32`. Its own inverse.
+    fn total_key(self) -> Self;
+    /// Per lane, the smaller of two keys read as `i32`.
+    fn key_min(self, rhs: Self) -> Self;
+    /// Per lane, the larger of two keys read as `i32`.
+    fn key_max(self, rhs: Self) -> Self;
+}
+
+/// The bits of `v` read as `i32`, and back.
+#[inline(always)]
+fn as_i32(v: f32) -> i32 {
+    v.to_bits() as i32
+}
+#[inline(always)]
+fn from_i32(k: i32) -> f32 {
+    f32::from_bits(k as u32)
 }
 
 /// Whether the AVX2+FMA family runs in this process: the one switch every
@@ -182,6 +201,25 @@ impl Lanes for Lane {
             }
         }))
     }
+    #[inline(always)]
+    fn total_key(self) -> Self {
+        Lane(std::array::from_fn(|l| {
+            let k = as_i32(self.0[l]);
+            from_i32(k ^ (((k >> 31) as u32) >> 1) as i32)
+        }))
+    }
+    #[inline(always)]
+    fn key_min(self, rhs: Self) -> Self {
+        Lane(std::array::from_fn(|l| {
+            from_i32(as_i32(self.0[l]).min(as_i32(rhs.0[l])))
+        }))
+    }
+    #[inline(always)]
+    fn key_max(self, rhs: Self) -> Self {
+        Lane(std::array::from_fn(|l| {
+            from_i32(as_i32(self.0[l]).max(as_i32(rhs.0[l])))
+        }))
+    }
 }
 
 /// The AVX2+FMA family: the same kernels on `__m256`. Only `axpy` — the
@@ -254,6 +292,28 @@ mod avx {
         #[inline(always)]
         fn select(mask: Self, a: Self, b: Self) -> Self {
             Ymm(unsafe { _mm256_blendv_ps(b.0, a.0, mask.0) })
+        }
+        #[inline(always)]
+        fn total_key(self) -> Self {
+            unsafe {
+                let k = _mm256_castps_si256(self.0);
+                let flip = _mm256_srli_epi32::<1>(_mm256_srai_epi32::<31>(k));
+                Ymm(_mm256_castsi256_ps(_mm256_xor_si256(k, flip)))
+            }
+        }
+        #[inline(always)]
+        fn key_min(self, rhs: Self) -> Self {
+            unsafe {
+                let (a, b) = (_mm256_castps_si256(self.0), _mm256_castps_si256(rhs.0));
+                Ymm(_mm256_castsi256_ps(_mm256_min_epi32(a, b)))
+            }
+        }
+        #[inline(always)]
+        fn key_max(self, rhs: Self) -> Self {
+            unsafe {
+                let (a, b) = (_mm256_castps_si256(self.0), _mm256_castps_si256(rhs.0));
+                Ymm(_mm256_castsi256_ps(_mm256_max_epi32(a, b)))
+            }
         }
         #[inline(always)]
         fn transpose(r: [Self; LANES]) -> [Self; LANES] {

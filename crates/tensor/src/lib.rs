@@ -9,8 +9,8 @@
 //! instead of `O(rows · cols)`), the CSR kernels behind a pruned `Linear`
 //! ([`dsmm_nt_into_rt`], [`sddmm_tn_into_rt`], [`dsmm_into_rt`]), the
 //! batch-norm kernels with their fused ReLU ([`bn_batch_stats`],
-//! [`bn_normalize`], [`bn_backward`]), pooling, the residual add,
-//! elementwise arithmetic, reductions, seeded random initializers and the
+//! [`bn_normalize`], [`bn_backward`]), pooling, the residual add, the
+//! rank rules' column sort ([`sorted_mean_into`]), elementwise arithmetic, reductions, seeded random initializers and the
 //! int8 quantizer of the wire codecs.
 //!
 //! The GEMM and the kernels over a `LaneTensor` run on one of two kernel
@@ -52,6 +52,7 @@ mod ops;
 mod pool;
 mod proptests;
 mod quant;
+mod rank;
 mod spconv;
 mod spmm;
 mod tensor;
@@ -65,6 +66,7 @@ pub use init::{kaiming_normal, normal};
 pub use matmul::{matmul_into, matmul_into_rt, matmul_nt_into_rt, matmul_tn_into_rt};
 pub use pool::{avg_pool_global, avg_pool_global_backward, max_pool2x2, max_pool2x2_backward};
 pub use quant::{dequantize_one, quantize_affine_i8, QuantParams};
+pub use rank::{sorted_mean_into, RankScratch};
 pub use spconv::{spconv_backward_rt, spconv_forward_rt, SpConvIndex};
 // `spmm_into` and `sddmm_nt_into` are oracle kernels (see [`oracle`]): plain
 // loops no production path calls. They stay at the root as well because the
@@ -81,7 +83,8 @@ pub use tensor::Tensor;
 /// engines under test run on a pool, and the property pinned is "parallel
 /// engine ≡ sequential oracle that shares no loop with it". Beside them, the
 /// scalar NCHW batch-norm and pooling loops the lane kernels are pinned
-/// `to_bits`-equal to. Nothing outside tests and benches calls these.
+/// `to_bits`-equal to, and the per-coordinate sort the rank rules' column
+/// network replaced. Nothing outside tests and benches calls these.
 pub mod oracle {
     pub use crate::bn::oracle::{bn_backward, bn_batch_stats, bn_normalize};
     pub use crate::im2col::{col2im, col2im_ld, im2col, im2col_batched};
@@ -90,6 +93,7 @@ pub mod oracle {
         avg_pool_global_backward_into, avg_pool_global_into, max_pool2x2_backward_into,
         max_pool2x2_into,
     };
+    pub use crate::rank::oracle::sorted_mean_into;
     pub use crate::spmm::{sddmm_nt_into, sddmm_nt_seg_into, spmm_into, spmm_tn_into};
 }
 
