@@ -837,17 +837,19 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
 
     /// A flush: in one scatter ([`thread_budget`]), trains every pending
     /// task (when `train`), longest partition first ([`deal_key`]), and
-    /// encodes every outcome the window holds, one job per device; then hands
-    /// the encoded updates to the transport in arrival order.
+    /// encodes every outcome the window holds; then hands the encoded
+    /// updates to the transport in arrival order.
     ///
     /// Flushes sit where a result is needed or its inputs are about to
     /// change — an untrained next arrival, a fold, a checkpoint — and
-    /// global, mask, mask epoch and residuals only move inside a close,
-    /// after its fold. So a task trained late sees what it would have seen
-    /// at launch, each on its `(start_version, device, salt)` RNG stream, and
-    /// an update encoded late reads what it would have read at arrival: a
-    /// device's encodes run in arrival order, each on the residual the one
-    /// before left. Traces are bit-identical.
+    /// global, mask and mask epoch only move inside a close, after its fold.
+    /// So a task trained late sees what it would have seen at launch, each
+    /// on its `(start_version, device, salt)` RNG stream, and an update
+    /// encoded late reads the epoch it would have read at arrival. A
+    /// device's residual moves only through its encodes, and those run in
+    /// arrival order: a device that laps the window arrives again only
+    /// after the flush that trained its next task, which encoded the
+    /// outcome it held. Traces are bit-identical.
     fn flush(&mut self, train: bool) {
         let Server {
             env,
@@ -882,17 +884,12 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
             false => Vec::new(),
         };
         let mut jobs: Vec<FlushJob> = pending.into_iter().map(FlushJob::Train).collect();
-        let first_encode = jobs.len();
         for a in window.iter_mut().filter(|a| a.outcome.is_some()) {
-            let device = a.sim.device;
-            let same_device = |job: &&mut FlushJob| matches!(job, FlushJob::Encode(_, held) if held[0].sim.device == device);
-            match jobs[first_encode..].iter_mut().find(same_device) {
-                Some(FlushJob::Encode(_, held)) => held.push(a),
-                _ => {
-                    let residual = residuals.get_mut(device).and_then(Option::take);
-                    jobs.push(FlushJob::Encode(residual, vec![a]));
-                }
-            }
+            // A device holds at most one outcome here: its next task trains
+            // at a flush, and that flush encodes the one held before.
+            let residual = (residuals.get_mut(a.sim.device))
+                .map(|r| r.take().expect("one held outcome per device"));
+            jobs.push(FlushJob::Encode(a, residual));
         }
         let (fan_out, kernel_rt) = thread_budget(jobs.len(), rt);
         fan_out.scatter(jobs, |job| match job {
@@ -908,11 +905,9 @@ impl<'r, 'o, 'h> Server<'r, 'o, 'h> {
                     &kernel_rt,
                 ));
             }
-            FlushJob::Encode(mut residual, held) => {
-                for a in held {
-                    let outcome = a.outcome.take().expect("held outcome");
-                    a.update = Some(outcome.encode(codec, &a.ctx, epoch, residual.as_deref_mut()));
-                }
+            FlushJob::Encode(a, residual) => {
+                let outcome = a.outcome.take().expect("held outcome");
+                a.update = Some(outcome.encode(codec, &a.ctx, epoch, residual));
             }
         });
         // The transmission, across the transport's byte boundary.
@@ -1068,9 +1063,9 @@ struct Arrival {
 enum FlushJob<'a> {
     /// A pending launch to train.
     Train(&'a mut Task),
-    /// One device's held outcomes, in arrival order, and its error-feedback
-    /// residual (`None` without error feedback).
-    Encode(Option<&'a mut Vec<f32>>, Vec<&'a mut Arrival>),
+    /// A held outcome to encode, with its device's error-feedback residual
+    /// (`None` without error feedback).
+    Encode(&'a mut Arrival, Option<&'a mut Vec<f32>>),
 }
 
 impl Arrival {
