@@ -201,11 +201,10 @@ pub struct AggScratch {
     /// The produced global parameters (what [`AggregateRef::params`]
     /// borrows).
     params: Vec<f32>,
-    /// Decoded dense deltas for the robust rules, one per accepted update.
+    /// Decoded dense deltas for norm clipping, one per accepted update.
     deltas: Vec<Vec<f32>>,
-    /// The rank rules' column scratch, one per shard
-    /// ([`ft_tensor::sorted_mean_into`]).
-    cols: Vec<RankScratch>,
+    /// The rank rules' buffers, one per shard.
+    rank: Vec<RankShard>,
     /// Screened normalized weights of the weighted rules (see
     /// [`screen_weights`]).
     weights: Vec<f64>,
@@ -234,6 +233,20 @@ impl AggScratch {
         }
     }
 }
+
+/// One shard's rank-fold buffers: a block of every update's decoded delta,
+/// and the column network's scratch ([`ft_tensor::sorted_mean_into`]).
+#[derive(Debug, Default)]
+struct RankShard {
+    rows: Vec<Vec<f32>>,
+    sort: RankScratch,
+}
+
+/// Coordinates a rank fold decodes and sorts at a time: eight updates'
+/// blocks take 128 KB, so the rows the network reads are still in cache,
+/// where decoding whole deltas first streamed `8 · 4 · len` bytes out to
+/// memory and back.
+const RANK_BLOCK: usize = 4096;
 
 /// What [`Aggregator::aggregate_into`] produced for one round: `params`
 /// points into the caller's [`AggScratch`] instead of a fresh allocation.
@@ -376,8 +389,7 @@ fn screen_weights(updates: &[(&Payload, f64)], weights: &mut Vec<f64>) -> bool {
 }
 
 /// Dense-decodes every update into one of the recycled delta buffers
-/// (aligned with `updates`), fanned out per update on `rt`; on a
-/// sequential runtime one after another, without a job list.
+/// (aligned with `updates`), fanned out per update on `rt`.
 fn decode_all<'d>(
     updates: &[(&Payload, f64)],
     deltas: &'d mut Vec<Vec<f32>>,
@@ -388,21 +400,22 @@ fn decode_all<'d>(
     for d in deltas.iter_mut() {
         d.resize(ctx.len(), 0.0);
     }
-    let jobs = updates.iter().map(|(p, _)| *p).zip(deltas.iter_mut());
-    if rt.is_parallel() {
-        rt.scatter(jobs.collect(), |(p, d)| p.decode_into(d, ctx));
-    } else {
-        jobs.for_each(|(p, d)| p.decode_into(d, ctx));
-    }
+    let decode_jobs: Vec<(&Payload, &mut Vec<f32>)> = updates
+        .iter()
+        .map(|(p, _)| *p)
+        .zip(deltas.iter_mut())
+        .collect();
+    rt.scatter(decode_jobs, |(p, d)| p.decode_into(d, ctx));
     deltas
 }
 
-/// The rank-based rules: decodes every update into `scratch.deltas`, then,
-/// shard-parallel, sorts every coordinate's column with `total_cmp` — so
-/// adversarial NaNs land at the tails, where a trim removes them first —
-/// and adds the anchor to the mean of its entries `trim..n − trim`
-/// ([`ft_tensor::sorted_mean_into`], eight columns at a time). On one shard
-/// the fold allocates nothing at steady state.
+/// The rank-based rules, shard-parallel: each shard walks its coordinates
+/// in blocks of [`RANK_BLOCK`], decodes every update's block
+/// ([`Payload::decode_range_into`]), sorts every coordinate's column with
+/// `total_cmp` — so adversarial NaNs land at the tails, where a trim
+/// removes them first — and adds the anchor to the mean of its entries
+/// `trim..n − trim` ([`ft_tensor::sorted_mean_into`], eight columns at a
+/// time). On one shard the fold allocates nothing at steady state.
 fn rank_into<'s>(
     updates: &[(&Payload, f64)],
     anchor: &[f32],
@@ -416,32 +429,39 @@ fn rank_into<'s>(
         return None;
     }
     let AggScratch {
-        params,
-        deltas,
-        cols,
-        plan,
-        ..
+        params, rank, plan, ..
     } = scratch;
     let plan = plan.as_ref().expect("plan ensured by aggregate_into");
-    let deltas = decode_all(updates, deltas, ctx, rt);
     params.resize(anchor.len(), 0.0);
-    cols.resize_with(plan.num_shards(), RankScratch::default);
-    let fold = |s: usize, out: &mut [f32], col: &mut RankScratch| {
-        let start = plan.range(s).start;
-        ft_tensor::sorted_mean_into(deltas, anchor, start, trim..n - trim, out, col);
+    rank.resize_with(plan.num_shards(), RankShard::default);
+    let fold = |s: usize, out: &mut [f32], shard: &mut RankShard| {
+        let RankShard { rows, sort } = shard;
+        rows.resize_with(n, Vec::new);
+        let (shard_start, mut alive_before) = (plan.range(s).start, plan.alive_before(s));
+        for (b, out) in out.chunks_mut(RANK_BLOCK).enumerate() {
+            let block = shard_start + b * RANK_BLOCK..shard_start + b * RANK_BLOCK + out.len();
+            for (row, (p, _)) in rows.iter_mut().zip(updates) {
+                row.resize(RANK_BLOCK, 0.0);
+                let row = &mut row[..out.len()];
+                p.decode_range_into(row, ctx, block.clone(), alive_before);
+            }
+            let anchor = &anchor[block.clone()];
+            ft_tensor::sorted_mean_into(rows, anchor, 0, trim..n - trim, out, sort);
+            alive_before += ctx.alive_count_in(block);
+        }
     };
-    match &mut cols[..] {
+    match &mut rank[..] {
         [] => {}
-        [col] => fold(0, params, col),
-        cols => {
+        [shard] => fold(0, params, shard),
+        shards => {
             let mut rest = &mut params[..];
-            let mut jobs = Vec::with_capacity(cols.len());
-            for (s, col) in cols.iter_mut().enumerate() {
+            let mut jobs = Vec::with_capacity(shards.len());
+            for (s, shard) in shards.iter_mut().enumerate() {
                 let (out, tail) = rest.split_at_mut(plan.range(s).len());
-                jobs.push((s, out, col));
+                jobs.push((s, out, shard));
                 rest = tail;
             }
-            rt.scatter(jobs, |(s, out, col)| fold(s, out, col));
+            rt.scatter(jobs, |(s, out, shard)| fold(s, out, shard));
         }
     }
     Some(params)
@@ -788,74 +808,82 @@ mod tests {
         // Every rule × codec × thread count × {plain, staleness-discounted,
         // hostile} weights, plus the degenerate cohorts, against the one
         // naive reference. Golden traces rest on it.
-        let n = 37; // awkward length: uneven shard splits
-        let mut ctx = WireCtx::dense(n);
-        ctx.epoch = 5;
-        for (i, a) in ctx.alive.iter_mut().enumerate() {
-            *a = i % 3 != 1; // sparse mask for the MaskCsr/TopK codecs
-        }
-        let anchor: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
-        let raw_delta = |d: usize| -> Vec<f32> {
-            (0..n)
-                .map(|i| {
-                    let v = ((d * 31 + i) as f32 * 0.11).cos() * (d as f32 - 2.0);
-                    if ctx.alive[i] {
-                        v
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        };
-        let plain: Vec<f64> = (0..5).map(|d| 1.0 + d as f64).collect();
-        let stale: Vec<f64> = plain
-            .iter()
-            .zip([0usize, 2, 0, 5, 1])
-            .map(|(w, s)| w * staleness_weight(s))
-            .collect();
-        // One NaN, one infinite, one negative and one zero weight next to a
-        // single honest survivor: the screen must keep its round.
-        let hostile = vec![f64::NAN, 3.0, f64::INFINITY, -4.0, 0.0];
         // One shared scratch across the whole matrix: the plan and every
-        // buffer are re-keyed and resized as rules, cohorts and shard counts
-        // change under it.
+        // buffer are re-keyed and resized as rules, cohorts, lengths and
+        // shard counts change under it.
         let mut scratch = AggScratch::new();
-        for codec in [
-            Codec::Dense,
-            Codec::MaskCsr,
-            Codec::QuantInt8,
-            Codec::TopK {
-                k_frac: 0.25,
-                error_feedback: false,
-            },
-        ] {
-            // Device 3 encodes for a peer at another epoch: `MaskCsr` then
-            // carries explicit indices, as a stale buffered arrival does.
-            let payloads: Vec<Payload> = (0..5)
-                .map(|d| {
-                    let peer = if d == 3 { ctx.epoch + 1 } else { ctx.epoch };
-                    codec.encode(&raw_delta(d), &ctx, peer, None)
-                })
-                .collect();
-            for (weights, kind) in [(&plain, "plain"), (&stale, "stale"), (&hostile, "hostile")] {
-                let cohort: Vec<(&Payload, f64)> =
-                    payloads.iter().zip(weights.iter().copied()).collect();
-                let what = format!("{codec:?}, {kind} weights");
-                for rule in RULES {
-                    assert_matches_oracle(rule, &cohort, &anchor, &ctx, &mut scratch, &what);
-                }
+        // Awkward lengths: uneven shard splits, and rank folds whose shards
+        // cross block boundaries (a values-only `MaskCsr` resumes its values
+        // at each block).
+        for n in [37, 2 * RANK_BLOCK + 37] {
+            let mut ctx = WireCtx::dense(n);
+            ctx.epoch = 5;
+            for (i, a) in ctx.alive.iter_mut().enumerate() {
+                *a = i % 3 != 1; // sparse mask for the MaskCsr/TopK codecs
             }
-            // The hostile cohort is not a no-op for the weighted rules: the
-            // honest survivor alone moved the global.
-            let survivor = [(&payloads[1], 3.0)];
-            let mixed: Vec<(&Payload, f64)> = payloads.iter().zip(hostile.clone()).collect();
-            let rule = Aggregator::FedAvg;
-            let alone =
-                assert_matches_oracle(rule, &survivor, &anchor, &ctx, &mut scratch, "alone");
-            let among = assert_matches_oracle(rule, &mixed, &anchor, &ctx, &mut scratch, "among");
-            assert!(alone.is_some(), "one usable weight is a round");
-            assert_eq!(bits(alone.as_deref()), bits(among.as_deref()));
+            let anchor: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
+            let raw_delta = |d: usize| -> Vec<f32> {
+                (0..n)
+                    .map(|i| {
+                        let v = ((d * 31 + i) as f32 * 0.11).cos() * (d as f32 - 2.0);
+                        if ctx.alive[i] {
+                            v
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            };
+            let plain: Vec<f64> = (0..5).map(|d| 1.0 + d as f64).collect();
+            let stale: Vec<f64> = plain
+                .iter()
+                .zip([0usize, 2, 0, 5, 1])
+                .map(|(w, s)| w * staleness_weight(s))
+                .collect();
+            // One NaN, one infinite, one negative and one zero weight next to a
+            // single honest survivor: the screen must keep its round.
+            let hostile = vec![f64::NAN, 3.0, f64::INFINITY, -4.0, 0.0];
+            for codec in [
+                Codec::Dense,
+                Codec::MaskCsr,
+                Codec::QuantInt8,
+                Codec::TopK {
+                    k_frac: 0.25,
+                    error_feedback: false,
+                },
+            ] {
+                // Device 3 encodes for a peer at another epoch: `MaskCsr` then
+                // carries explicit indices, as a stale buffered arrival does.
+                let payloads: Vec<Payload> = (0..5)
+                    .map(|d| {
+                        let peer = if d == 3 { ctx.epoch + 1 } else { ctx.epoch };
+                        codec.encode(&raw_delta(d), &ctx, peer, None)
+                    })
+                    .collect();
+                for (weights, kind) in [(&plain, "plain"), (&stale, "stale"), (&hostile, "hostile")]
+                {
+                    let cohort: Vec<(&Payload, f64)> =
+                        payloads.iter().zip(weights.iter().copied()).collect();
+                    let what = format!("{codec:?}, {kind} weights");
+                    for rule in RULES {
+                        assert_matches_oracle(rule, &cohort, &anchor, &ctx, &mut scratch, &what);
+                    }
+                }
+                // The hostile cohort is not a no-op for the weighted rules: the
+                // honest survivor alone moved the global.
+                let survivor = [(&payloads[1], 3.0)];
+                let mixed: Vec<(&Payload, f64)> = payloads.iter().zip(hostile.clone()).collect();
+                let rule = Aggregator::FedAvg;
+                let alone =
+                    assert_matches_oracle(rule, &survivor, &anchor, &ctx, &mut scratch, "alone");
+                let among =
+                    assert_matches_oracle(rule, &mixed, &anchor, &ctx, &mut scratch, "among");
+                assert!(alone.is_some(), "one usable weight is a round");
+                assert_eq!(bits(alone.as_deref()), bits(among.as_deref()));
+            }
         }
+        let n = 37;
+        let anchor: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
 
         // Cohort order is part of the contract: `f64` addition is not
         // associative, and this cohort makes that visible after the `f32`

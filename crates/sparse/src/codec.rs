@@ -298,10 +298,15 @@ impl WireCtx {
         self.alive.is_empty()
     }
 
-    /// Number of alive coordinates: the flags added as bytes, in `u8`
-    /// lanes of 255 at most, so no lane overflows.
+    /// Number of alive coordinates.
     pub fn alive_count(&self) -> usize {
-        let chunks = self.alive.chunks(255);
+        self.alive_count_in(0..self.len())
+    }
+
+    /// Number of alive coordinates in `range`: the flags added as bytes, in
+    /// `u8` lanes of 255 at most, so no lane overflows.
+    pub fn alive_count_in(&self, range: std::ops::Range<usize>) -> usize {
+        let chunks = self.alive[range].chunks(255);
         chunks
             .map(|c| c.iter().map(|&a| u8::from(a)).sum::<u8>() as usize)
             .sum()
@@ -710,8 +715,31 @@ impl Payload {
     /// mismatch.
     pub fn decode_into(&self, out: &mut [f32], ctx: &WireCtx) {
         assert_eq!(out.len(), self.len(), "decode buffer length mismatch");
+        self.decode_range_into(out, ctx, 0..self.len(), 0);
+    }
+
+    /// Coordinates `range` of [`decode`](Self::decode) into `out`
+    /// (`out[k]` is coordinate `range.start + k`), in time proportional to
+    /// the range and the pairs inside it: a block-wise reader never walks
+    /// the whole payload. `alive_before` counts the `ctx`-alive coordinates
+    /// before `range.start` ([`WireCtx::alive_count_in`]), where a
+    /// values-only `MaskCsr` payload's values resume.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`decode`](Self::decode), plus an `out` length
+    /// other than the range's.
+    pub fn decode_range_into(
+        &self,
+        out: &mut [f32],
+        ctx: &WireCtx,
+        range: std::ops::Range<usize>,
+        alive_before: usize,
+    ) {
+        assert_eq!(out.len(), range.len(), "decode buffer length mismatch");
         out.fill(0.0);
-        self.for_each_coord_in_range(ctx, 0..self.len(), 0, |i, v| out[i] = v);
+        let start = range.start;
+        self.for_each_coord_in_range(ctx, range, alive_before, |i, v| out[i - start] = v);
     }
 
     /// Adds `weight · value` into `acc` for every transmitted coordinate
@@ -772,11 +800,7 @@ impl Payload {
             } => match indices {
                 Some(idx) => {
                     assert_eq!(idx.len(), values.len(), "index/value count mismatch");
-                    for (&i, &v) in idx.iter().zip(values.iter()) {
-                        if range.contains(&(i as usize)) {
-                            f(i as usize, v);
-                        }
-                    }
+                    for_each_pair_in_range(idx, values, range, f);
                 }
                 None => {
                     assert_eq!(
@@ -822,14 +846,27 @@ impl Payload {
             }
             Payload::TopK {
                 indices, values, ..
-            } => {
-                for (&i, &v) in indices.iter().zip(values.iter()) {
-                    if range.contains(&(i as usize)) {
-                        f(i as usize, v);
-                    }
-                }
-            }
+            } => for_each_pair_in_range(indices, values, range, f),
         }
+    }
+}
+
+/// The explicit `(index, value)` pairs whose index falls inside `range`:
+/// the indices are ascending (the encoders write them so, the parsers
+/// refuse anything else), so a binary search finds the first and the walk
+/// stops at the range's end.
+fn for_each_pair_in_range(
+    indices: &[u32],
+    values: &[f32],
+    range: std::ops::Range<usize>,
+    mut f: impl FnMut(usize, f32),
+) {
+    let first = indices.partition_point(|&i| (i as usize) < range.start);
+    for (&i, &v) in indices[first..].iter().zip(&values[first..]) {
+        if i as usize >= range.end {
+            break;
+        }
+        f(i as usize, v);
     }
 }
 
