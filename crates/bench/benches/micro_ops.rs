@@ -621,10 +621,11 @@ fn topk_encode_oracle(delta: &[f32], k: usize, residual: &mut Vec<f32>) -> Paylo
 /// The `TrimmedMean` fold (β = 0.125, `buffered_fleet`'s rule) of eight
 /// `TopK` payloads at `k_frac` 0.1 — one full buffer of `buffered_fleet` —
 /// at both model shapes, single-thread, through
-/// [`Aggregator::aggregate_into`] (`rank_fold`: the decode, then the
-/// eight-column network of [`ft_tensor::sorted_mean_into`]), timed
-/// alternately with the same decode followed by the per-coordinate sort it
-/// replaced (`rank_fold_oracle`, [`oracle::sorted_mean_into`]). The two are
+/// [`Aggregator::aggregate_into`] (`rank_fold`: block by block, the decode
+/// and the eight-column network of [`ft_tensor::sorted_mean_into`]), timed
+/// alternately with the route it replaced: whole dense deltas decoded, then
+/// the per-coordinate sort (`rank_fold_oracle`,
+/// [`oracle::sorted_mean_into`]). The two are
 /// pinned `to_bits`-equal here. Each record holds the coordinates per ns in
 /// its `gflops` field and the allocator bytes of a steady-state fold;
 /// `bench_check` gates the ratio and pins `rank_fold`'s bytes to zero.
@@ -746,16 +747,10 @@ fn spconv_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
     }
 }
 
-/// Medians of `a` and `b` timed alternately (see [`interleaved_ns`]).
+/// Medians of `a` and `b` timed alternately, sample by sample, so that host
+/// drift hits both alike (the `train_step` design); a sample repeats its side
+/// until it lasts a few milliseconds.
 fn alternate_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let ns = interleaved_ns(&mut [&mut a, &mut b]);
-    (ns[0], ns[1])
-}
-
-/// Median ns per call of each of `sides`, timed in turn, sample by sample,
-/// so that host drift hits all of them alike (the `train_step` design); a
-/// sample repeats its side until it lasts a few milliseconds.
-fn interleaved_ns(sides: &mut [&mut dyn FnMut()]) -> Vec<f64> {
     let (reps, sample_ns) = if ft_bench::quick_mode() {
         (9usize, 2_000_000u128)
     } else {
@@ -769,19 +764,17 @@ fn interleaved_ns(sides: &mut [&mut dyn FnMut()]) -> Vec<f64> {
         t.elapsed().as_nanos() as f64 / f64::from(iters)
     };
     // One discarded call, then one warmed call to size the samples by.
-    let iters: Vec<u32> = (sides.iter_mut())
-        .map(|f| {
-            f();
-            (sample_ns as f64 / time(*f, 1).max(1.0)).clamp(1.0, 65_536.0) as u32
-        })
-        .collect();
-    let mut ns = vec![Vec::with_capacity(reps); sides.len()];
+    let calibrate = |f: &mut dyn FnMut()| {
+        f();
+        (sample_ns as f64 / time(f, 1).max(1.0)).clamp(1.0, 65_536.0) as u32
+    };
+    let (iters_a, iters_b) = (calibrate(&mut a), calibrate(&mut b));
+    let (mut ns_a, mut ns_b) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
     for _ in 0..reps {
-        for ((f, &iters), ns) in sides.iter_mut().zip(&iters).zip(&mut ns) {
-            ns.push(time(*f, iters));
-        }
+        ns_a.push(time(&mut a, iters_a));
+        ns_b.push(time(&mut b, iters_b));
     }
-    ns.iter_mut().map(|ns| median(ns)).collect()
+    (median(&mut ns_a), median(&mut ns_b))
 }
 
 /// The four residual stages of the benchmark's ResNet18 (batch 32), as
@@ -1099,8 +1092,8 @@ fn dispatch_sweep_records(report: &mut BenchReport, rng: &mut ChaCha8Rng) {
 }
 
 /// The persisted perf trajectory (`BENCH_micro_ops.json`): dense matmul at
-/// 1 / 2 / 4 worker threads, the three timed in turn so the speedup gates
-/// read one host state, then both convolution engines, the
+/// 1 / 2 / 4 worker threads with warmup strictly separated from measurement
+/// (see `ft_bench::trajectory`), then both convolution engines, the
 /// batch-norm kernels, the dispatch sweep and the training steps. The table rows are printed alongside,
 /// mirroring the criterion output above.
 fn trajectory_benches(_c: &mut Criterion) {
@@ -1118,22 +1111,14 @@ fn trajectory_benches(_c: &mut Criterion) {
         let b = rand_dense(&mut rng, dim, dim);
         let shape = format!("{dim}x{dim}x{dim}");
         let flops = 2.0 * (dim * dim * dim) as f64;
-        let rts = threads_grid.map(Runtime::new);
-        let mut outs = threads_grid.map(|_| Tensor::zeros(&[dim, dim]));
-        let (a, b) = (&a, &b);
-        let mut runs: Vec<_> = (rts.iter().zip(&mut outs))
-            .map(|(rt, out)| {
-                move || {
-                    out.data_mut().fill(0.0);
-                    matmul_into_rt(rt, a, b, out);
-                    black_box(&*out);
-                }
-            })
-            .collect();
-        let mut sides: Vec<&mut dyn FnMut()> =
-            runs.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
-        let times = interleaved_ns(&mut sides);
-        for (rt, ns) in rts.iter().zip(times) {
+        for &t in &threads_grid {
+            let rt = Runtime::new(t);
+            let mut out = Tensor::zeros(&[dim, dim]);
+            let ns = measure_ns(|| {
+                out.data_mut().fill(0.0);
+                matmul_into_rt(&rt, &a, &b, &mut out);
+                black_box(&out);
+            });
             let (req, eff) = (rt.requested(), rt.threads());
             report.push("matmul", &shape, 1.0, req, eff, ns, flops);
             let gflops = report.records.last().expect("just pushed").gflops;

@@ -19,8 +19,7 @@
 //!   the blocked, packed GEMM degrading to the triple loop it replaced.
 //! - **`matmul` speedups**, scaled to what the measuring host can physically
 //!   show: multi-thread records must beat the 1-thread record of the same
-//!   shape (paired by `requested_threads`, not the post-clamp count), the
-//!   thread counts of a shape timed in turn in one run. A host
+//!   shape (paired by `requested_threads`, not the post-clamp count). A host
 //!   with fewer cores than a gate's thread count skips it with a visible
 //!   notice — speedup cannot exist without cores. Catches a fan-out that
 //!   costs more than it buys.
@@ -69,9 +68,10 @@
 //!   back on the buffered server thread.
 //! - **`rank_fold` against its oracle**: at each model shape, the
 //!   `TrimmedMean` fold of eight `TopK` payloads may take at most
-//!   [`RANK_FOLD_MAX_RATIO`] of the same decode followed by the
-//!   per-coordinate sort it is pinned `to_bits`-equal to
-//!   (`rank_fold_oracle`), timed alternately, and a steady-state fold must
+//!   [`RANK_FOLD_MAX_RATIO`] of the route it replaced and is pinned
+//!   `to_bits`-equal to — whole dense deltas decoded, then the
+//!   per-coordinate sort (`rank_fold_oracle`) — timed alternately, and a
+//!   steady-state fold must
 //!   allocate exactly zero bytes. Catches the column network losing its
 //!   lanes — one sort call per coordinate again — or a fold that gathers its
 //!   columns into a fresh buffer.
@@ -143,9 +143,9 @@ const SPCONV_MAX_RATIO: f64 = 0.17;
 /// training step of the benchmark's model read 0.74–0.78 of its convolution
 /// kernel since BatchNorm runs on vector kernels, and the gate failed when
 /// that record caught a fast moment the step did not (3 of 20 runs); timed
-/// in turn the pair reads 0.615–0.627 (five full runs on a 2-vCPU Xeon,
-/// unpinned, while the host's own speed moved the step between 28.6 and
-/// 41.7 GFLOP/s; 0.627 committed) and 0.646–0.649 in two `--quick` runs
+/// in turn the pair reads 0.594–0.643 (eleven full runs on a 2-vCPU Xeon,
+/// unpinned, while the host's own speed moved the step between 28.0 and
+/// 42.7 GFLOP/s; 0.594 committed) and 0.646–0.649 in two `--quick` runs
 /// pinned to one core. A step that keeps half of that — the doctored report
 /// of `bench_check_gates` — must fail; the im2col + GEMM step the direct
 /// engine replaced read ≈ 0.27.
@@ -196,12 +196,13 @@ const TOPK_MAX_RATIO: f64 = 0.35;
 
 /// Ceiling on `rank_fold` ns over `rank_fold_oracle` ns (eight `TopK`
 /// payloads, `TrimmedMean` β = 0.125), per shape in [`TOPK_SHAPES`], timed
-/// alternately in one run: 0.209–0.231 at the SmallCnn shape and
-/// 0.278–0.316 at the ResNet18 one (five full runs on a 2-vCPU Xeon,
-/// unpinned; 0.222 and 0.316 committed). Both sides first decode eight
-/// dense rows — 22 MB at the ResNet18 shape, which memory speed prices and
-/// the host's load moves — and that shared cost is what keeps the ratio
-/// from reading lower; the per-coordinate sort reads 1 by construction.
+/// alternately in one run: 0.184–0.222 at the SmallCnn shape and
+/// 0.170–0.218 at the ResNet18 one (six full runs on a 2-vCPU Xeon,
+/// unpinned; 0.222 and 0.218 committed), 0.184–0.201 in two `--quick`
+/// runs. The oracle decodes whole dense deltas first, as the fold did
+/// before it went block by block: when it did, its own 22 MB of rows at
+/// the ResNet18 shape put the ratio at 0.28–0.32, and 0.43 in a quick run
+/// on a loaded host. The per-coordinate sort reads 1 by construction.
 const RANK_FOLD_MAX_RATIO: f64 = 0.35;
 
 /// The two activation shapes `micro_ops` times the batch-norm kernels at:
