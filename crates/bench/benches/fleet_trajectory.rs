@@ -19,21 +19,28 @@
 //! mean number of tasks it trains per flush (launches are deferred and
 //! trained as cohorts, not one at a time).
 //!
-//! A last leg times the paper's own stages at the whole-run benchmark's
+//! Another leg times the paper's own stages at the whole-run benchmark's
 //! operating point (ResNet18 width 0.25 on 16 px inputs, six devices,
 //! d = 0.05): the candidate pool against a single magnitude mask over the same
 //! weights, one selection candidate, one progressive adjustment against one
 //! sparse training round, and the allocator bytes of such a round.
+//!
+//! The last leg, full mode only, is `grid_lab`: Fig. 4's `lab`-scale grid of
+//! sixteen runs through `run_grid_on` at one thread and at two, timed
+//! alternately — the run-level fan-out every figure and table bench rides.
 
 use fedtiny::progressive::progressive_adjust;
 use fedtiny::{adaptive_bn_selection, generate_candidate_pool, ProgressiveConfig, SelectionConfig};
-use ft_bench::{measure_ns, BenchReport};
+use ft_bench::claims::same_model;
+use ft_bench::grid::run_grid_on;
+use ft_bench::{measure_ns, paper, BenchReport, Scale, ScaleKind};
 use ft_data::{DatasetProfile, SynthConfig};
 use ft_fl::{
     buffered_train_cohorts, no_hook, run_federated_rounds, CostLedger, DeviceProfile,
     ExperimentEnv, FlConfig, ModelSpec, Scheduler,
 };
 use ft_nn::{apply_mask, sparse_layout, take_snapshot};
+use ft_runtime::Runtime;
 use ft_sparse::{magnitude_mask, uniform_density_vector, Codec, Mask};
 use std::hint::black_box;
 use std::time::Instant;
@@ -362,6 +369,34 @@ fn measure_fedtiny(report: &mut BenchReport) {
     );
 }
 
+/// Records `grid_lab` at each of `threads` (1 and 2 where the host has
+/// them): the median wall of five runs of Fig. 4's `lab` grid, the thread
+/// counts taken alternately so host drift lands on both sides of
+/// `bench_check`'s ratio gate. The records must not depend on the width.
+fn measure_grid(report: &mut BenchReport, threads: &[usize]) {
+    let rows = paper::fig4_rows(&Scale::new(ScaleKind::Lab));
+    let shape = format!("fig4_lab_{}rows", rows.len());
+    let mut walls = vec![Vec::new(); threads.len()];
+    let mut records = Vec::new();
+    for _ in 0..5 {
+        for (walls, &t) in walls.iter_mut().zip(threads) {
+            let started = Instant::now();
+            records.push(run_grid_on(&rows, &Runtime::exact(t)));
+            walls.push(started.elapsed().as_nanos() as f64);
+        }
+    }
+    for pair in records.windows(2) {
+        let same = pair[0].iter().zip(&pair[1]).all(|(a, b)| same_model(a, b));
+        assert!(same, "grid records diverged across thread counts");
+    }
+    for (mut walls, &t) in walls.into_iter().zip(threads) {
+        walls.sort_by(|a, b| a.total_cmp(b));
+        let wall_ns = walls[walls.len() / 2];
+        report.push("grid_lab", &shape, 1.0, t, t, wall_ns, 0.0);
+        println!("{:<20} {t:>8} {:>14.1}", "grid_lab", wall_ns / 1e6);
+    }
+}
+
 fn main() {
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -438,6 +473,10 @@ fn main() {
         "op", "threads", "wall_ms", "alloc_bytes/round"
     );
     measure_fedtiny(&mut report);
+    if !ft_bench::quick_mode() {
+        let pair: Vec<usize> = threads_grid.iter().copied().filter(|&t| t <= 2).collect();
+        measure_grid(&mut report, &pair);
+    }
     let path = report.write();
     println!(
         "trajectory: {} records -> {} (host_threads={}, quick={})",

@@ -94,6 +94,10 @@
 //!   wake-up and dealing cost more than the devices it runs side by side —
 //!   the quick record committed while each scatter spawned its threads read
 //!   every scheduler slower at two threads.
+//! - **The claims grid**: `grid_lab`, Fig. 4's `lab` grid through
+//!   `run_grid_on`, may take at most [`GRID_MAX_RATIO`] of its one-thread
+//!   time at two threads, both timed alternately in one run, skipped like
+//!   the fleet speedups. Catches run-level fan-out that does not fan out.
 //! - **FedTiny stages** (ResNet18 width 0.25 on 16 px inputs, six devices,
 //!   d = 0.05, eight candidates): the candidate pool may cost at most
 //!   [`SELECTION_POOL_MAX_RATIO`] single magnitude masks over the same
@@ -231,6 +235,14 @@ const SELECTION_POOL_MAX_RATIO: f64 = 3.0;
 /// ≈ 290 MB. A ceiling, not an equality: which trainer draws which device is
 /// a matter of timing.
 const FEDTINY_ROUND_ALLOC_MAX: f64 = 64e6;
+
+/// Ceiling on `grid_lab` at two threads over one: Fig. 4's `lab` grid of
+/// sixteen independent runs, dealt one run per worker. Two concurrent
+/// one-thread processes of that bench finished in the time of one, so
+/// run-level fan-out approaches 0.5 (0.55 committed, 0.50–0.58 in three
+/// probe pairs); the bench with its devices fanned out inside each run
+/// instead read 0.72.
+const GRID_MAX_RATIO: f64 = 0.65;
 
 /// One parallel-speedup requirement on the dense `matmul` records.
 struct SpeedupGate {
@@ -480,18 +492,25 @@ fn main() -> ExitCode {
                 None => failed = true,
             }
 
-            // -- Fleet runs: two threads no slower than one ----------------
-            for op in ["fleet_synchronous", "fleet_deadline", "fleet_buffered"] {
+            // -- Fleet runs and the claims grid: two threads vs one --------
+            for (op, ceiling) in [
+                ("fleet_synchronous", 1.0),
+                ("fleet_deadline", 1.0),
+                ("fleet_buffered", 1.0),
+                ("grid_lab", GRID_MAX_RATIO),
+            ] {
                 if fleet.quick {
                     println!(
-                        "  SKIP {op} @2t <= @1t: quick report; its runs are too short to \
-                         order the two thread counts (a full-mode report carries this gate)"
+                        "  SKIP {op} @2t <= {ceiling:.2} x @1t: quick report; its runs are too \
+                         short to order the thread counts, or not taken (a full-mode report \
+                         carries this gate)"
                     );
                     continue;
                 }
                 if fleet.host_threads < 2 {
                     println!(
-                        "  SKIP {op} @2t <= @1t: host has {} core(s); a speedup needs at least 2",
+                        "  SKIP {op} @2t <= {ceiling:.2} x @1t: host has {} core(s); a speedup \
+                         needs at least 2",
                         fleet.host_threads
                     );
                     continue;
@@ -504,11 +523,11 @@ fn main() -> ExitCode {
                     (Some(one), Some(two)) => {
                         evaluated += 1;
                         let ratio = two.ns_per_iter / one.ns_per_iter;
-                        let ok = two.shape == one.shape && ratio <= 1.0;
+                        let ok = two.shape == one.shape && ratio <= ceiling;
                         failed |= !ok;
                         println!(
                             "  {:>4} {op} {}: {:.2} ms @2t / {:.2} ms @1t = {ratio:.2} \
-                             (need <= 1.00)",
+                             (need <= {ceiling:.2})",
                             if ok { "ok" } else { "FAIL" },
                             two.shape,
                             two.ns_per_iter / 1e6,

@@ -86,6 +86,7 @@ fn committed_reports_pass_with_g1_to_g4_evaluated() {
         "ok fleet_synchronous ",
         "ok fleet_deadline ",
         "ok fleet_buffered ",
+        "ok grid_lab ",
     ] {
         assert!(text.contains(gate), "{gate:?} not evaluated:\n{text}");
     }
@@ -385,4 +386,32 @@ fn fleet_gate_fails_when_two_threads_are_slower_than_one() {
     let (passed, text) = check_fleet("fleet_quick", &quick);
     assert!(passed && text.contains("SKIP fleet_buffered"), "{text}");
     assert!(!text.contains("ok fleet_"), "{text}");
+}
+
+/// The claims grid at two threads taking 0.7 of its one-thread time — run
+/// after run fanned out but barely faster — fails `grid_lab`, and a report
+/// without the 2-thread record is a hard failure.
+#[test]
+fn grid_gate_fails_when_two_threads_barely_help() {
+    let committed = committed("BENCH_fleet.json");
+    let one = (committed.records.iter())
+        .find(|r| r.op == "grid_lab" && r.requested_threads == 1)
+        .expect("grid_lab @1t")
+        .ns_per_iter;
+    let mut report = committed.clone();
+    for r in (report.records.iter_mut()).filter(|r| r.op == "grid_lab" && r.requested_threads == 2)
+    {
+        r.ns_per_iter = 0.7 * one;
+    }
+    let (passed, text) = check_fleet("grid_slow", &report);
+    assert!(!passed && text.contains("FAIL grid_lab"), "{text}");
+    assert!(text.contains("ok fleet_buffered"), "{text}");
+
+    let mut report = committed;
+    (report.records).retain(|r| !(r.op == "grid_lab" && r.requested_threads == 2));
+    let (passed, text) = check_fleet("grid_missing", &report);
+    assert!(
+        !passed && text.contains("FAIL grid_lab") && text.contains("missing"),
+        "{text}"
+    );
 }

@@ -10,6 +10,7 @@
 //! paper's evaluation ([`crate::experiment`]).
 
 use crate::args::{die, Args};
+use ft_bench::claims::makespan_order;
 use ft_data::{DatasetProfile, SynthConfig};
 use ft_fl::{
     fleet_spread_deadline, no_hook, resolve_threads, run_byzantine_tcp_device, run_tcp_device,
@@ -493,8 +494,10 @@ fn run_straggler(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
     );
     let mut buffered_timeline: Vec<TimelineEvent> = Vec::new();
     let mut sync_wall = None;
+    let mut makespans = Vec::new();
     for policy in policies {
         let (top1, ledger, wall) = straggler_run(opts, policy, opts.threads, true, hub);
+        makespans.push(ledger.sim_makespan_secs());
         if matches!(policy, Scheduler::Synchronous) {
             sync_wall = Some((wall, ledger.sim_makespan_secs()));
         }
@@ -543,12 +546,9 @@ fn run_straggler(opts: &FleetOptions, hub: Option<&Arc<MetricsHub>>) -> i32 {
             e.device, e.round, e.start_secs, e.finish_secs, e.applied, e.staleness
         );
     }
-    println!(
-        "\nexpected shape: the synchronous barrier pays the slow tier's time every round;\n\
-         the deadline bounds each round at {deadline_secs:.1} simulated seconds by cutting\n\
-         stragglers; buffered aggregation keeps fast devices busy (smallest makespan)\n\
-         and absorbs slow devices' updates later, staleness-discounted."
-    );
+    println!("\ndeadline: {deadline_secs:.1} simulated seconds per round");
+    let [synchronous, deadline, buffered] = [0, 1, 2].map(|i| makespans[i]);
+    println!("{}", makespan_order(synchronous, deadline, buffered));
 
     // Host-parallelism report: rerun the synchronous fleet single-threaded
     // and compare wall clocks. The *simulated* makespan must be identical

@@ -1270,6 +1270,9 @@ mod tests {
 
     /// [`InProcess`] that also adds up every delivered update's training
     /// wall-clock, so a test can compare it with what the ledger recorded.
+    /// Each round's walls are summed in [`deal_key`] order, the order the
+    /// ledger books a one-worker round in: in device order the two `f64`
+    /// sums can differ in the last bit.
     struct WallProbe {
         device_wall_secs: f64,
     }
@@ -1285,11 +1288,11 @@ mod tests {
             req: &mut RoundRequest<'_>,
         ) -> Result<Vec<Delivery>, TransportError> {
             let deliveries = InProcess.exchange_round(req)?;
-            self.device_wall_secs += deliveries
-                .iter()
-                .filter_map(|d| d.update())
-                .map(|u| u.wall_secs)
-                .sum::<f64>();
+            let mut walls: Vec<(usize, f64)> = (deliveries.iter().enumerate())
+                .map(|(i, d)| (i, d.update().map_or(0.0, |u| u.wall_secs)))
+                .collect();
+            walls.sort_by_key(|&(i, _)| deal_key(req.parts, i));
+            self.device_wall_secs += walls.iter().fold(0.0, |sum, (_, wall)| sum + wall);
             Ok(deliveries)
         }
         fn deliver_update(&mut self, u: DeviceUpdate, _ctx: &WireCtx) -> DeviceUpdate {
