@@ -98,9 +98,12 @@ pub fn fig3(scale: &Scale) -> Report {
         let mut cost = Table::new(&title, header);
         for (i, d) in cells.rows.iter().enumerate() {
             let r = cells.at((i, 5)).1;
-            let flops = [r.max_round_flops, r.realized_round_flops].map(|f| format!("{f:.3e}"));
-            let wall = format!("{:.2}", r.train_wall_secs);
-            cost.row([d.clone()].into_iter().chain(flops).chain([wall]).collect());
+            cost.row(vec![
+                d.clone(),
+                format!("{:.3e}", r.max_round_flops),
+                format!("{:.3e}", r.realized_round_flops),
+                format!("{:.2}", r.train_wall_secs),
+            ]);
         }
         report.tables.push(cost);
         let last = ds.len() - 1;
@@ -191,9 +194,13 @@ pub fn fig5(scale: &Scale) -> Report {
     for (i, &d) in ds.iter().enumerate() {
         for (j, &c) in pools.iter().enumerate() {
             let r = cells.at((i, j)).1;
-            let product = format!("{:.3}", d * c as f32);
-            let row = [format!("{d}"), format!("{c}"), product, acc(r.accuracy)];
-            table.row(row.into_iter().chain([mb(r.comm_bytes)]).collect());
+            table.row(vec![
+                format!("{d}"),
+                format!("{c}"),
+                format!("{:.3}", d * c as f32),
+                acc(r.accuracy),
+                mb(r.comm_bytes),
+            ]);
         }
         let first = pools.iter().position(|&c| d * c as f32 >= 0.1);
         saturated.extend(first.filter(|&j| j < last).map(|j| ((i, j), (i, last))));
@@ -347,20 +354,23 @@ pub fn table1(scale: &Scale) -> Report {
         };
         let title = format!("Table I — accuracy and training cost ({model}, CIFAR-10)");
         let mut table = Table::new(&title, ["density", "method", "top1", "max_flops", "memory"]);
-        let dense_flops = format!("1x({:.2e})", dense.max_round_flops);
-        let first = [
+        table.row(vec![
             "1".into(),
             "fedavg".into(),
             acc(dense.accuracy),
-            dense_flops,
-        ];
-        table.row(first.into_iter().chain([mb(dense.memory_bytes)]).collect());
+            format!("1x({:.2e})", dense.max_round_flops),
+            mb(dense.memory_bytes),
+        ]);
         for (i, d) in cells.rows.iter().enumerate() {
             for (j, method) in cells.cols.iter().enumerate() {
                 let r = cells.at((i, j)).1;
-                let flops = factor(r.max_round_flops, dense.max_round_flops);
-                let row = [d.clone(), method.clone(), acc(r.accuracy), flops];
-                table.row(row.into_iter().chain([mb(r.memory_bytes)]).collect());
+                table.row(vec![
+                    d.clone(),
+                    method.clone(),
+                    acc(r.accuracy),
+                    factor(r.max_round_flops, dense.max_round_flops),
+                    mb(r.memory_bytes),
+                ]);
             }
         }
         report.tables.push(table);
