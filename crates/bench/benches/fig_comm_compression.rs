@@ -1,7 +1,7 @@
 //! Communication compression: accuracy vs *measured* upload bytes for the
 //! four wire codecs on one fixed L1 mask at two densities, printed next to
-//! the analytic Fig. 5 numbers. No [`ft_bench::Method`] runs a mask under a
-//! chosen codec, so the runs are a loop here rather than grid rows.
+//! the analytic Fig. 5 numbers. The runs are one grid: FL-PQSU (whose mask
+//! is that one-shot L1 mask) under each codec, and dense FedAvg.
 //!
 //! This is the bench that backs the headline wire claims, at every density:
 //!
@@ -18,13 +18,12 @@
 
 use ft_bench::claims::{nearest_class_mean_accuracy, no_worse, ACCURACY_TOLERANCE};
 use ft_bench::table::{acc, mb};
-use ft_bench::{Claim, Report, Scale, Table};
+use ft_bench::{run_grid, Claim, Method, Report, Row, Scale, Table};
 use ft_data::DatasetProfile;
 use ft_fl::Codec;
-use ft_metrics::{densities_from_mask, sparse_model_bytes_with, ExtraMemory, IndexWidth};
-use ft_nn::sparse_layout;
-use ft_pruning::{l1_oneshot_mask, run_with_fixed_mask};
-use ft_sparse::Mask;
+use ft_metrics::{densities_from_mask, sparse_model_bytes_with, IndexWidth};
+use ft_pruning::l1_oneshot_mask;
+use std::sync::Arc;
 
 /// How far `MaskCsr`'s measured uploads may stray from the shared-mask
 /// analytic bytes, as a fraction of the latter.
@@ -35,7 +34,7 @@ const LOSSY_SAVING: f64 = 3.0;
 
 fn main() {
     let scale = Scale::from_env();
-    let env = scale.env(DatasetProfile::Cifar10, 23);
+    let env = Arc::new(scale.env(DatasetProfile::Cifar10, 23));
     let spec = scale.small_cnn();
     let densities: &[f32] = &[0.3, 0.05];
     let codecs = [
@@ -47,15 +46,18 @@ fn main() {
             error_feedback: true,
         },
     ];
-
-    // The dense-FedAvg reference: full mask, dense wire.
-    let dense_ref = {
-        let model = env.build_model(&spec);
-        let mask = Mask::ones(&sparse_layout(model.as_ref()));
-        drop(model);
-        let env = env.clone().with_codec(Codec::Dense);
-        run_with_fixed_mask(&env, &spec, &mask, "fedavg", ExtraMemory::None, 0)
+    let row = |method, d, codec| {
+        let mut row = Row::method(&env, spec, method, d);
+        row.cfg.codec = codec;
+        row.cfg.eval_every = 0;
+        row
     };
+    // The dense-FedAvg reference (full mask, dense wire) first.
+    let rows: Vec<Row> = std::iter::once(row(Method::FedAvg, 1.0, Codec::Dense))
+        .chain((densities.iter()).flat_map(|&d| codecs.map(|codec| row(Method::FlPqsu, d, codec))))
+        .collect();
+    let records = run_grid(&rows);
+    let (dense_ref, per_density) = records.split_first().expect("the dense row");
 
     let mut table = Table::new(
         "Communication compression — accuracy vs measured upload bytes (small CNN, CIFAR-10)",
@@ -79,48 +81,33 @@ fn main() {
         "1.0x".into(),
     ]);
 
-    let mut runs = Vec::new();
-    for &d in densities {
+    let (mut tracking, mut savings, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
+    for (&d, records) in densities.iter().zip(per_density.chunks(codecs.len())) {
         let model = env.build_model(&spec);
-        let mask = l1_oneshot_mask(model.as_ref(), d);
-        let arch = model.arch();
-        drop(model);
-        let layer_densities = densities_from_mask(&mask);
+        let layer_densities = densities_from_mask(&l1_oneshot_mask(model.as_ref(), d));
         let rounds = env.cfg.rounds as f64;
-        let analytic_fig5 = sparse_model_bytes_with(&arch, &layer_densities, IndexWidth::PerLayer);
-        let analytic_shared = sparse_model_bytes_with(&arch, &layer_densities, IndexWidth::Shared);
-        let mut records = Vec::new();
-        for codec in codecs {
-            let env = env.clone().with_codec(codec);
-            let r = run_with_fixed_mask(&env, &spec, &mask, codec.name(), ExtraMemory::None, 0);
-            let per_round_upload = r.payload_upload_bytes / rounds;
+        let [fig5, shared] = [IndexWidth::PerLayer, IndexWidth::Shared]
+            .map(|width| sparse_model_bytes_with(&model.arch(), &layer_densities, width) * rounds);
+        for (j, r) in records.iter().enumerate() {
             let saving = dense_ref.payload_upload_bytes / r.payload_upload_bytes.max(1.0);
             table.row(vec![
                 format!("{d}"),
-                codec.name().into(),
+                r.codec.clone(),
                 acc(r.accuracy),
-                mb(per_round_upload * rounds),
-                mb(analytic_fig5 * rounds),
-                mb(analytic_shared * rounds),
+                mb(r.payload_upload_bytes),
+                mb(fig5),
+                mb(shared),
                 format!("{saving:.1}x"),
             ]);
-            records.push(r);
+            // The lossy codecs, against the same mask over the dense wire.
+            if j >= 2 {
+                savings.push((format!("d={d} {} saving", r.codec), saving));
+                let dense = (format!("d={d} dense"), &records[0]);
+                pairs.push(((format!("d={d} {}", r.codec), r), dense));
+            }
         }
-        runs.push((d, analytic_shared * rounds, records));
-    }
-    let (mut tracking, mut savings, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
-    for (d, shared, records) in &runs {
-        let (dense, csr) = (&records[0], &records[1]);
-        let tracks = csr.payload_upload_bytes / shared;
+        let tracks = records[1].payload_upload_bytes / shared;
         tracking.push((format!("d={d} mask_csr/analytic_shared"), tracks));
-        for r in &records[2..] {
-            let saving = dense_ref.payload_upload_bytes / r.payload_upload_bytes.max(1.0);
-            savings.push((format!("d={d} {} saving", r.method), saving));
-            pairs.push((
-                (format!("d={d} {}", r.method), r),
-                (format!("d={d} dense"), dense),
-            ));
-        }
     }
     let tracks = tracking
         .iter()

@@ -8,10 +8,9 @@
 //! sparse training at every density, so it is negligible across hundreds of
 //! rounds. Only selection runs here, no training, so no grid row fits.
 
-use fedtiny::{adaptive_bn_selection, generate_candidate_pool, SelectionConfig};
-use ft_bench::methods::fedtiny_config;
+use fedtiny::coarse_prune;
 use ft_bench::table::flops;
-use ft_bench::{Claim, Report, Scale, Table};
+use ft_bench::{Claim, Method, Report, Scale, Table};
 use ft_data::DatasetProfile;
 use ft_metrics::{densities_from_mask, training_flops};
 
@@ -33,16 +32,8 @@ fn main() {
     let mut ratios = Vec::new();
     for &d in &scale.table_densities() {
         // The selection every FedTiny run at this density makes.
-        let cfg = fedtiny_config(&env, &spec, d);
-        let global = env.build_model(&spec);
-        let sel = SelectionConfig {
-            d_target: d,
-            pool_size: cfg.pool_size,
-            noise_spread: cfg.noise_spread,
-            seed: env.cfg.seed,
-        };
-        let pool = generate_candidate_pool(global.as_ref(), &sel);
-        let outcome = adaptive_bn_selection(global.as_ref(), &env, &pool);
+        let cfg = Method::FedTiny.config(&env, &spec, d);
+        let (global, outcome) = coarse_prune(&env, &cfg);
         let densities = densities_from_mask(&outcome.mask);
         let max_samples = env.parts.iter().map(|p| p.len()).max().unwrap_or(0) as f64;
         let round =

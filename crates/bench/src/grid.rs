@@ -10,69 +10,42 @@
 //! order.
 
 use crate::methods::{run_method, Method};
-use fedtiny::{run_fedtiny, FedTinyConfig};
+use fedtiny::FedTinyConfig;
 use ft_fl::{thread_budget, ExperimentEnv, ModelSpec, RunResult};
 use ft_metrics::forward_flops_dense;
 use ft_runtime::Runtime;
 use std::sync::Arc;
 
-/// What a row runs, on which model.
-#[derive(Clone, Debug)]
-pub enum Arm {
-    /// A method of [`Method`]'s table on a model at a target density, as
-    /// [`run_method`] runs it.
-    Method(ModelSpec, Method, f32),
-    /// FedTiny under a config of its own (its model, a pool size, a
-    /// schedule).
-    FedTiny(FedTinyConfig),
-}
-
 /// One run of a grid: an environment, shared by every row built on it, and
-/// an arm.
+/// a [`Method`] under the config [`run_method`] reads.
 #[derive(Clone, Debug)]
 pub struct Row {
     /// Data, fleet and federated config.
     pub env: Arc<ExperimentEnv>,
-    /// The model, the method and its settings.
-    pub arm: Arm,
+    /// What runs.
+    pub method: Method,
+    /// Its model, density, schedule, evaluation cadence and wire codec.
+    pub cfg: FedTinyConfig,
 }
 
 impl Row {
-    /// `method` at density `d` on `spec`.
+    /// `method` at density `d` on `spec`, under [`Method::config`].
     pub fn method(env: &Arc<ExperimentEnv>, spec: ModelSpec, method: Method, d: f32) -> Self {
-        let arm = Arm::Method(spec, method, d);
+        let cfg = method.config(env, &spec, d);
         Row {
             env: Arc::clone(env),
-            arm,
-        }
-    }
-
-    /// FedTiny under `cfg`.
-    pub fn fedtiny(env: &Arc<ExperimentEnv>, cfg: FedTinyConfig) -> Self {
-        let arm = Arm::FedTiny(cfg);
-        Row {
-            env: Arc::clone(env),
-            arm,
-        }
-    }
-
-    fn run_in(&self, env: &ExperimentEnv) -> RunResult {
-        match &self.arm {
-            Arm::Method(spec, method, d) => run_method(env, spec, *method, *d),
-            Arm::FedTiny(cfg) => run_fedtiny(env, cfg),
+            method,
+            cfg,
         }
     }
 
     /// The key [`deal_order`] deals the row by.
     fn work(&self) -> f64 {
-        let (spec, d) = match &self.arm {
-            Arm::Method(spec, Method::FedAvg | Method::LotteryFl | Method::SmallModel, _) => {
-                (spec, 1.0)
-            }
-            Arm::Method(spec, _, d) => (spec, *d),
-            Arm::FedTiny(cfg) => (&cfg.model, cfg.d_target),
+        let d = match self.method {
+            Method::FedAvg | Method::LotteryFl | Method::SmallModel => 1.0,
+            _ => self.cfg.d_target,
         };
-        let arch = self.env.build_model(spec).arch();
+        let arch = self.env.build_model(&self.cfg.model).arch();
         let samples = self.env.total_train_samples() * self.env.cfg.rounds;
         forward_flops_dense(&arch) * samples as f64 * (1.0 + d as f64)
     }
@@ -119,6 +92,8 @@ pub fn run_grid_on(rows: &[Row], rt: &Runtime) -> Vec<RunResult> {
             (row, env, slots[i].take().expect("each row dealt once"))
         })
         .collect();
-    fan_out.scatter(jobs, |(row, env, slot)| *slot = Some(row.run_in(env)));
+    fan_out.scatter(jobs, |(row, env, slot)| {
+        *slot = Some(run_method(env, row.method, &row.cfg))
+    });
     out.into_iter().map(|r| r.expect("every row ran")).collect()
 }

@@ -1,8 +1,9 @@
 //! Shared harness support for the experiment benches in `benches/`.
 //!
 //! Every table and figure of the paper has a `harness = false` bench target.
-//! Nine of them are a [`paper`] grid: their runs are [`grid::Row`]s that
-//! [`grid::run_grid`] deals over the worker pool (`FT_THREADS` wide), their
+//! Ten of them are a grid ([`paper`]'s nine and the codec bench): their
+//! runs are [`grid::Row`]s that [`grid::run_grid`] deals over the worker
+//! pool (`FT_THREADS` wide), their
 //! records render to the paper-style tables, and each ends in the
 //! [`claims::Claim`]s those records are checked against, one verdict each.
 //! The scale is chosen via the `FT_SCALE` environment variable:

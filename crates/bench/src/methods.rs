@@ -103,69 +103,68 @@ impl Method {
     pub fn from_name(name: &str) -> Option<Method> {
         Self::ALL.into_iter().find(|m| m.name() == name)
     }
-}
 
-/// Builds the FedTiny config a bench run uses: schedule scaled to the
-/// environment, pool size `C* = 0.1/d` (capped for tiny pools), paper noise,
-/// and an evaluation every fifth of the run.
-pub fn fedtiny_config(env: &ExperimentEnv, spec: &ModelSpec, d_target: f32) -> FedTinyConfig {
-    let schedule = PruneSchedule::scaled_for(env.cfg.rounds, env.cfg.local_epochs);
-    FedTinyConfig {
-        model: *spec,
-        d_target,
-        pool_size: fedtiny::SelectionConfig::optimal_pool_size(d_target).clamp(4, 32),
-        noise_spread: 0.5,
-        selection: SelectionMode::AdaptiveBn,
-        progressive: Some(ProgressiveConfig {
-            schedule,
-            granularity: fedtiny::Granularity::Block,
-            backward_order: true,
-            start_round: schedule.delta_r,
-        }),
-        codec: Codec::MaskCsr,
-        eval_every: (env.cfg.rounds / 5).max(1),
+    /// The wire format the method exchanges updates in by default: the
+    /// dense runs (and LotteryFL, whose devices train the dense model) speak
+    /// `Dense`, every sparse method uploads mask-structured `MaskCsr` deltas.
+    pub fn codec(self) -> Codec {
+        match self {
+            Method::FedAvg | Method::LotteryFl | Method::SmallModel => Codec::Dense,
+            _ => Codec::MaskCsr,
+        }
+    }
+
+    /// The config [`run_method`] runs the method under at `d_target` on
+    /// `spec`: the method's [`codec`](Self::codec); FedTiny's schedule
+    /// scaled to the environment, which the iterative baselines share
+    /// (`ΔR = rounds/30`, `R_stop = rounds/3`, the paper's 10/100 at 300
+    /// rounds); pool size `C* = 0.1/d` (capped for tiny pools); paper noise;
+    /// and an evaluation every fifth of the run.
+    pub fn config(self, env: &ExperimentEnv, spec: &ModelSpec, d_target: f32) -> FedTinyConfig {
+        let schedule = PruneSchedule::scaled_for(env.cfg.rounds, env.cfg.local_epochs);
+        FedTinyConfig {
+            model: *spec,
+            d_target,
+            pool_size: fedtiny::SelectionConfig::optimal_pool_size(d_target).clamp(4, 32),
+            noise_spread: 0.5,
+            selection: SelectionMode::AdaptiveBn,
+            progressive: Some(ProgressiveConfig {
+                schedule,
+                granularity: fedtiny::Granularity::Block,
+                backward_order: true,
+                start_round: schedule.delta_r,
+            }),
+            codec: self.codec(),
+            eval_every: (env.cfg.rounds / 5).max(1),
+        }
     }
 }
 
-/// Runs `method` on `env` at the target density and returns the uniform
-/// result record.
+/// Runs `method` on `env` under `cfg` and returns the uniform result
+/// record. [`Method::config`] builds the default `cfg`.
 ///
-/// Each method exchanges updates in its own wire format: the dense runs
-/// (and LotteryFL, whose devices train the dense model) speak `Dense`,
-/// every sparse method uploads mask-structured `MaskCsr` deltas. The
-/// iterative baselines share FedTiny's scaled schedule (`ΔR = rounds/30`,
-/// `R_stop = rounds/3`, the paper's 10/100 at 300 rounds) and its
-/// evaluation cadence.
-pub fn run_method(
-    env: &ExperimentEnv,
-    spec: &ModelSpec,
-    method: Method,
-    d_target: f32,
-) -> RunResult {
-    let codec = match method {
-        Method::FedAvg | Method::LotteryFl | Method::SmallModel => Codec::Dense,
-        _ => Codec::MaskCsr,
-    };
-    let env = &*env.codec_view(codec);
-    let mut fedtiny = fedtiny_config(env, spec, d_target);
-    let schedule = fedtiny
-        .progressive
-        .expect("FedTiny prunes progressively")
-        .schedule;
-    let eval_every = fedtiny.eval_every;
+/// Every method reads its model, target density, evaluation cadence and
+/// wire codec from `cfg`. The FedTiny arms run `cfg` with selection and
+/// progressive pruning switched as the arm says; the iterative baselines
+/// run on its progressive schedule.
+pub fn run_method(env: &ExperimentEnv, method: Method, cfg: &FedTinyConfig) -> RunResult {
+    let env = &*env.codec_view(cfg.codec);
+    let (spec, d_target, eval_every) = (&cfg.model, cfg.d_target, cfg.eval_every);
+    let schedule = || cfg.progressive.expect("the baselines' schedule").schedule;
     match method {
         Method::FedTiny | Method::Vanilla | Method::AdaptiveBnOnly | Method::VanillaProgressive => {
+            let mut cfg = *cfg;
             if matches!(method, Method::Vanilla | Method::VanillaProgressive) {
-                fedtiny.selection = SelectionMode::Vanilla;
+                cfg.selection = SelectionMode::Vanilla;
             }
             if matches!(method, Method::Vanilla | Method::AdaptiveBnOnly) {
-                fedtiny.progressive = None;
+                cfg.progressive = None;
             }
-            run_fedtiny(env, &fedtiny)
+            run_fedtiny(env, &cfg)
         }
-        Method::PruneFl => run_prunefl(env, spec, d_target, schedule, eval_every),
-        Method::FedDst => run_feddst(env, spec, d_target, schedule, eval_every),
-        Method::LotteryFl => run_lotteryfl(env, spec, d_target, schedule, eval_every),
+        Method::PruneFl => run_prunefl(env, spec, d_target, schedule(), eval_every),
+        Method::FedDst => run_feddst(env, spec, d_target, schedule(), eval_every),
+        Method::LotteryFl => run_lotteryfl(env, spec, d_target, schedule(), eval_every),
         // Fixed-mask runs: an at-init mask, or a ones mask for the dense
         // runs, whose devices hold a weight and a gradient per parameter.
         Method::FlPqsu
@@ -232,7 +231,7 @@ mod tests {
         let env = ExperimentEnv::tiny_for_tests(60);
         let spec = ModelSpec::small_cnn_test();
         for m in Method::ALL {
-            let r = run_method(&env, &spec, m, 0.2);
+            let r = run_method(&env, m, &m.config(&env, &spec, 0.2));
             assert_eq!(r.method, m.name());
             assert!((0.0..=1.0).contains(&r.accuracy), "{m:?}");
             assert!(r.max_round_flops > 0.0, "{m:?}");
@@ -248,9 +247,10 @@ mod tests {
     fn sparse_methods_cost_less_than_dense_lotteryfl() {
         let env = ExperimentEnv::tiny_for_tests(61);
         let spec = ModelSpec::small_cnn_test();
-        let synflow = run_method(&env, &spec, Method::SynFlow, 0.05);
-        let lottery = run_method(&env, &spec, Method::LotteryFl, 0.05);
-        let dense = run_method(&env, &spec, Method::FedAvg, 0.05);
+        let run = |m: Method| run_method(&env, m, &m.config(&env, &spec, 0.05));
+        let synflow = run(Method::SynFlow);
+        let lottery = run(Method::LotteryFl);
+        let dense = run(Method::FedAvg);
         assert!(synflow.max_round_flops < lottery.max_round_flops);
         assert!(synflow.memory_bytes < lottery.memory_bytes);
         assert_eq!(lottery.memory_bytes, dense.memory_bytes);

@@ -5,10 +5,10 @@
 use crate::claims::{self, makespan_order, nearest_class_mean_accuracy as ncm, Claim, Named};
 use crate::claims::{nearest_class_mean_of, Report, ACCURACY_TOLERANCE};
 use crate::grid::{run_grid, Row};
-use crate::methods::{fedtiny_config, Method};
+use crate::methods::Method;
 use crate::table::{acc, factor, mb, Table};
 use crate::{Scale, ScaleKind};
-use fedtiny::{FedTinyConfig, Granularity, ProgressiveConfig};
+use fedtiny::{coarse_prune, Granularity, ProgressiveConfig};
 use ft_data::DatasetProfile::{Cifar10, Cifar100, Cinic10, Svhn};
 use ft_fl::{fleet_spread_deadline, DeviceProfile, RunResult, Scheduler};
 use ft_nn::sparse_layout;
@@ -160,10 +160,11 @@ pub fn fig4(scale: &Scale) -> Report {
     }
 }
 
-/// Fig. 5: candidate pool size against accuracy and the run's analytic
-/// communication, VGG11 on CIFAR-10. Claims: at each density a pool larger
-/// than the first with `d · pool ≥ 0.1` (the `C* = 0.1/d` rule) buys no
-/// accuracy, and the largest pool communicates more than the smallest.
+/// Fig. 5: candidate pool size against accuracy and the selection's analytic
+/// communication ([`coarse_prune`], the selection each run makes), VGG11 on
+/// CIFAR-10. Claims: at each density a pool larger than the first with
+/// `d · pool ≥ 0.1` (the `C* = 0.1/d` rule) buys no accuracy, and the
+/// largest pool's selection communicates more than the smallest's.
 pub fn fig5(scale: &Scale) -> Report {
     let env = Arc::new(scale.env(Cifar10, 6));
     let (spec, ds) = (scale.vgg(), scale.table_densities());
@@ -174,11 +175,15 @@ pub fn fig5(scale: &Scale) -> Report {
     let rows: Vec<Row> = (ds.iter())
         .flat_map(|&d| pools.iter().map(move |&c| (d, c)))
         .map(|(d, pool_size)| {
-            let cfg = fedtiny_config(&env, &spec, d);
-            Row::fedtiny(&env, FedTinyConfig { pool_size, ..cfg })
+            let mut row = Row::method(&env, spec, Method::FedTiny, d);
+            row.cfg.pool_size = pool_size;
+            row
         })
         .collect();
     let records = run_grid(&rows);
+    let selection_comm: Vec<f64> = (rows.iter())
+        .map(|row| coarse_prune(&row.env, &row.cfg).1.comm_bytes)
+        .collect();
     let cells = Cells {
         artifact: "Fig. 5",
         ncm: ncm(&env),
@@ -192,20 +197,20 @@ pub fn fig5(scale: &Scale) -> Report {
     );
     let (last, mut saturated, mut comm) = (pools.len() - 1, Vec::new(), Vec::new());
     for (i, &d) in ds.iter().enumerate() {
+        let comm_of = |j: usize| selection_comm[i * pools.len() + j];
         for (j, &c) in pools.iter().enumerate() {
-            let r = cells.at((i, j)).1;
             table.row(vec![
                 format!("{d}"),
                 format!("{c}"),
                 format!("{:.3}", d * c as f32),
-                acc(r.accuracy),
-                mb(r.comm_bytes),
+                acc(cells.at((i, j)).1.accuracy),
+                mb(comm_of(j)),
             ]);
         }
         let first = pools.iter().position(|&c| d * c as f32 >= 0.1);
         saturated.extend(first.filter(|&j| j < last).map(|j| ((i, j), (i, last))));
-        for (name, r) in [0, last].map(|j| cells.at((i, j))) {
-            comm.push((name + " comm_mb", r.comm_bytes / 1e6));
+        for j in [0, last] {
+            comm.push((cells.at((i, j)).0 + " selection_mb", comm_of(j) / 1e6));
         }
     }
     let grows = comm.chunks(2).all(|pair| pair[1].1 > pair[0].1);
@@ -277,7 +282,7 @@ pub fn heterogeneity(scale: &Scale) -> Report {
     ];
     let rows = policies.map(|policy| {
         let env = Arc::new(env.clone().with_scheduler(policy));
-        Row::fedtiny(&env, fedtiny_config(&env, &spec, d_target))
+        Row::method(&env, spec, Method::FedTiny, d_target)
     });
     let records = run_grid(&rows);
     let mut table = Table::new(
@@ -419,14 +424,14 @@ pub fn table3(scale: &Scale) -> Report {
                 r_stop: (rounds / rs_div).max(1),
                 local_iters: env.cfg.local_epochs,
             };
-            let progressive = Some(ProgressiveConfig {
+            let mut row = Row::method(&env, spec, Method::FedTiny, d);
+            row.cfg.progressive = Some(ProgressiveConfig {
                 schedule,
                 granularity,
                 backward_order,
                 start_round: delta_r,
             });
-            let cfg = fedtiny_config(&env, &spec, d);
-            Row::fedtiny(&env, FedTinyConfig { progressive, ..cfg })
+            row
         })
         .collect();
     let records = run_grid(&rows);

@@ -1,5 +1,6 @@
 //! Experiment scale presets.
 
+use crate::methods::small_spec_for;
 use ft_data::{DatasetProfile, SynthConfig};
 use ft_fl::{ExperimentEnv, FlConfig, ModelSpec};
 use ft_nn::optim::SgdConfig;
@@ -176,13 +177,11 @@ impl Scale {
         }
     }
 
-    /// SmallCnn spec sized for Tables IV/V at this scale.
+    /// SmallCnn spec sized for Tables IV/V at this scale: the small model
+    /// of [`resnet`](Self::resnet) ([`small_spec_for`]), width 8 at smoke
+    /// and lab scale, 64 at paper scale.
     pub fn small_cnn(&self) -> ModelSpec {
-        let width = ((8.0 * self.width * 8.0) as usize).max(2); // 8 at lab scale, 64 at paper scale
-        ModelSpec::SmallCnn {
-            width,
-            input: self.resolution,
-        }
+        small_spec_for(&self.resnet())
     }
 
     /// The density sweep used by the figure benches, scaled to keep at

@@ -5,15 +5,16 @@
 //! Every test is named `grid_*`; `cargo test --release -p ft-bench grid_ --
 //! --include-ignored` also runs the `lab`-scale subset.
 
-use fedtiny::{run_fedtiny, FedTinyConfig};
+use fedtiny::run_fedtiny;
 use ft_bench::claims::{
     makespan_order, nearest_class_mean_accuracy, no_worse, Claim, Verdict, SEPARABLE,
 };
-use ft_bench::grid::{deal_order, run_grid_on, Arm, Row};
-use ft_bench::methods::fedtiny_config;
+use ft_bench::grid::{deal_order, run_grid_on, Row};
 use ft_bench::{paper, run_method, Method, Scale, ScaleKind};
 use ft_data::DatasetProfile;
-use ft_fl::{ExperimentEnv, RunResult};
+use ft_fl::{Codec, ExperimentEnv, RunResult};
+use ft_metrics::ExtraMemory;
+use ft_pruning::{l1_oneshot_mask, run_with_fixed_mask};
 use ft_runtime::Runtime;
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,36 +30,55 @@ fn bits(r: &RunResult) -> String {
     )
 }
 
-/// A `smoke` grid over two environments mixing `Method` and FedTiny config
-/// rows, on a small CNN; the dense row is dealt first, so the dealing order
-/// is not the row order.
+/// A `smoke` grid over two environments on a small CNN: methods under
+/// their own configs, FedTiny with a pool of its own, and FL-PQSU with its
+/// codec overridden (`QuantInt8`, `TopK` with error feedback). The dense row
+/// is dealt first, so the dealing order is not the row order.
 fn smoke_rows() -> Vec<Row> {
     let scale = Scale::new(ScaleKind::Smoke);
     let spec = scale.small_cnn();
     let a = Arc::new(scale.env(DatasetProfile::Cifar10, 5));
     let b = Arc::new(scale.env(DatasetProfile::Svhn, 6));
-    let pool = FedTinyConfig {
-        pool_size: 2,
-        ..fedtiny_config(&b, &spec, 0.1)
+    let mut pool = Row::method(&b, spec, Method::FedTiny, 0.1);
+    pool.cfg.pool_size = 2;
+    let mut int8 = Row::method(&a, spec, Method::FlPqsu, 0.05);
+    int8.cfg.codec = Codec::QuantInt8;
+    let mut topk = Row::method(&b, spec, Method::FlPqsu, 0.3);
+    topk.cfg.codec = Codec::TopK {
+        k_frac: 0.1,
+        error_feedback: true,
     };
     vec![
         Row::method(&a, spec, Method::Snip, 0.05),
-        Row::fedtiny(&b, pool),
+        pool,
         Row::method(&b, spec, Method::FedTiny, 0.3),
         Row::method(&a, spec, Method::FedAvg, 1.0),
+        int8,
+        topk,
     ]
+}
+
+/// A row run directly: FedTiny through its own runner, an FL-PQSU row whose
+/// codec is overridden as its one-shot L1 mask on the environment under
+/// that codec, and every other row through [`run_method`].
+fn direct(row: &Row) -> RunResult {
+    let (spec, cfg) = (&row.cfg.model, &row.cfg);
+    match row.method {
+        Method::FedTiny => run_fedtiny(&row.env, cfg),
+        Method::FlPqsu if cfg.codec != Method::FlPqsu.codec() => {
+            let env = ExperimentEnv::clone(&row.env).with_codec(cfg.codec);
+            let mask = l1_oneshot_mask(env.build_model(spec).as_ref(), cfg.d_target);
+            let extra = ExtraMemory::None;
+            run_with_fixed_mask(&env, spec, &mask, "flpqsu", extra, cfg.eval_every)
+        }
+        m => run_method(&row.env, m, cfg),
+    }
 }
 
 #[test]
 fn grid_records_equal_direct_runs_at_every_pool_width() {
     let rows = smoke_rows();
-    let direct: Vec<String> = (rows.iter())
-        .map(|row| match &row.arm {
-            Arm::Method(spec, m, d) => run_method(&row.env, spec, *m, *d),
-            Arm::FedTiny(cfg) => run_fedtiny(&row.env, cfg),
-        })
-        .map(|r| bits(&r))
-        .collect();
+    let direct: Vec<String> = rows.iter().map(|row| bits(&direct(row))).collect();
     for threads in [1, 2, 4] {
         let grid: Vec<String> = (run_grid_on(&rows, &Runtime::exact(threads)).iter())
             .map(bits)
@@ -73,10 +93,14 @@ fn grid_records_come_back_in_row_order() {
     let order = deal_order(&rows);
     assert_eq!(order[0], 3, "the dense row is the longest");
     assert_ne!(order, (0..rows.len()).collect::<Vec<_>>());
-    let methods: Vec<String> = (run_grid_on(&rows, &Runtime::exact(2)).into_iter())
-        .map(|r| r.method)
-        .collect();
-    assert_eq!(methods, ["snip", "fedtiny", "fedtiny", "fedavg"]);
+    let records = run_grid_on(&rows, &Runtime::exact(2));
+    let methods: Vec<&str> = records.iter().map(|r| &*r.method).collect();
+    assert_eq!(
+        methods,
+        ["snip", "fedtiny", "fedtiny", "fedavg", "flpqsu", "flpqsu"]
+    );
+    let codecs: Vec<&str> = records.iter().map(|r| &*r.codec).collect();
+    assert_eq!(codecs[3..], ["dense", "quant_int8", "top_k"]);
 }
 
 /// A hand-built record: accuracy `acc`, its history `history`.

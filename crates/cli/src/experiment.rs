@@ -40,7 +40,8 @@ pub fn cmd_run(argv: &[String]) -> i32 {
     }
     let env = ExperimentEnv::try_new(exp.scale.synth(exp.dataset, exp.seed), cfg)
         .unwrap_or_else(|e| die(&format!("invalid experiment: {e}")));
-    let result = run_method(&env, &exp.spec, exp.method, exp.density);
+    let cfg = exp.method.config(&env, &exp.spec, exp.density);
+    let result = run_method(&env, exp.method, &cfg);
     match serde_json::to_string_pretty(&result) {
         Ok(json) => {
             println!("{json}");

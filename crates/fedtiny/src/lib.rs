@@ -38,7 +38,9 @@ pub mod selection;
 mod runner;
 
 pub use progressive::{probe_devices, Granularity, ProgressiveConfig};
-pub use runner::{run_fedtiny, run_fedtiny_with, FedTinyConfig, FedTinyRunOptions, SelectionMode};
+pub use runner::{
+    coarse_prune, run_fedtiny, run_fedtiny_with, FedTinyConfig, FedTinyRunOptions, SelectionMode,
+};
 pub use selection::{
     adaptive_bn_selection, generate_candidate_pool, vanilla_selection, SelectionConfig,
     SelectionOutcome,

@@ -3,6 +3,7 @@
 use crate::progressive::{progressive_adjust, ProgressiveConfig};
 use crate::selection::{
     adaptive_bn_selection, generate_candidate_pool, vanilla_selection, SelectionConfig,
+    SelectionOutcome,
 };
 use ft_fl::{
     run_with, CheckpointError, Codec, CostLedger, ExperimentEnv, InProcess, ModelSpec, RunOptions,
@@ -128,6 +129,29 @@ impl<'a> FedTinyRunOptions<'a> {
     }
 }
 
+/// The selection a run under `cfg` makes (Alg. 1): the candidate pool of
+/// `env`'s initial model, scored as `cfg.selection` says, and that model
+/// pruned to the chosen mask.
+pub fn coarse_prune(
+    env: &ExperimentEnv,
+    cfg: &FedTinyConfig,
+) -> (Box<dyn Model>, SelectionOutcome) {
+    let mut global = env.build_model(&cfg.model);
+    let sel_cfg = SelectionConfig {
+        d_target: cfg.d_target,
+        pool_size: cfg.pool_size,
+        noise_spread: cfg.noise_spread,
+        seed: env.cfg.seed,
+    };
+    let pool = generate_candidate_pool(global.as_ref(), &sel_cfg);
+    let outcome = match cfg.selection {
+        SelectionMode::AdaptiveBn => adaptive_bn_selection(global.as_ref(), env, &pool),
+        SelectionMode::Vanilla => vanilla_selection(global.as_ref(), env, &pool),
+    };
+    apply_mask(global.as_mut(), &outcome.mask);
+    (global, outcome)
+}
+
 /// Runs the full FedTiny pipeline on an environment: coarse-pruning
 /// selection, then sparse federated fine-tuning with (optional) progressive
 /// grow/prune adjustments.
@@ -149,22 +173,9 @@ pub fn run_fedtiny_with(
     opts: FedTinyRunOptions<'_>,
 ) -> Result<RunResult, ServerError> {
     let env = &*env.codec_view(cfg.codec);
-    let mut global = env.build_model(&cfg.model);
-    let sel_cfg = SelectionConfig {
-        d_target: cfg.d_target,
-        pool_size: cfg.pool_size,
-        noise_spread: cfg.noise_spread,
-        seed: env.cfg.seed,
-    };
-
     // --- Module 1: coarse pruning by candidate selection.
-    let pool = generate_candidate_pool(global.as_ref(), &sel_cfg);
-    let outcome = match cfg.selection {
-        SelectionMode::AdaptiveBn => adaptive_bn_selection(global.as_ref(), env, &pool),
-        SelectionMode::Vanilla => vanilla_selection(global.as_ref(), env, &pool),
-    };
+    let (mut global, outcome) = coarse_prune(env, cfg);
     let mut mask = outcome.mask.clone();
-    apply_mask(global.as_mut(), &mask);
 
     let mut ledger = CostLedger::new();
     ledger.add_extra_flops(outcome.extra_flops);

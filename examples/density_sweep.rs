@@ -7,10 +7,8 @@
 //! ```
 
 use fedtiny_suite::data::{DatasetProfile, SynthConfig};
-use fedtiny_suite::fedtiny::FedTinyConfig;
 use fedtiny_suite::fl::{ExperimentEnv, FlConfig, ModelSpec};
 use ft_bench::claims::nearest_class_mean_accuracy;
-use ft_bench::methods::fedtiny_config;
 use ft_bench::paper::fig3_claim;
 use ft_bench::{run_grid, Method, Row};
 use std::sync::Arc;
@@ -39,15 +37,13 @@ fn main() {
     let densities = [0.5f32, 0.2, 0.05, 0.02];
     let rows: Vec<Row> = (densities.iter())
         .flat_map(|&d| {
-            let fedtiny = FedTinyConfig {
-                pool_size: 6,
-                eval_every: 0,
-                ..fedtiny_config(&env, &spec, d)
-            };
+            let mut fedtiny = Row::method(&env, spec, Method::FedTiny, d);
+            fedtiny.cfg.pool_size = 6;
+            fedtiny.cfg.eval_every = 0;
             [
                 Row::method(&env, spec, Method::SynFlow, d),
                 Row::method(&env, spec, Method::FedDst, d),
-                Row::fedtiny(&env, fedtiny),
+                fedtiny,
             ]
         })
         .collect();

@@ -8,25 +8,19 @@
 //! ```
 
 use fedtiny_suite::data::{DatasetProfile, SynthConfig};
-use fedtiny_suite::fedtiny::{
-    adaptive_bn_selection, generate_candidate_pool, run_fedtiny, vanilla_selection, FedTinyConfig,
-    SelectionConfig, SelectionMode,
-};
+use fedtiny_suite::fedtiny::{coarse_prune, FedTinyConfig, SelectionMode};
 use fedtiny_suite::fl::{ExperimentEnv, FlConfig, ModelSpec};
 use ft_bench::claims::{nearest_class_mean_accuracy, no_worse, ACCURACY_TOLERANCE};
-use ft_bench::methods::fedtiny_config;
+use ft_bench::{run_grid, Method, Row};
+use std::sync::Arc;
 
 fn main() {
     let spec = ModelSpec::ResNet18 {
         width: 0.125,
         input: 8,
     };
-    println!(
-        "{:>6}  {:>12}  {:>12}  {:>10}  {:>10}",
-        "alpha", "adaptive_idx", "vanilla_idx", "acc_adapt", "acc_vanilla"
-    );
-    let mut claim = None;
-    for alpha in [0.1f64, 0.5, 5.0] {
+    let alphas = [0.1f64, 0.5, 5.0];
+    let envs = alphas.map(|alpha| {
         let synth = SynthConfig {
             profile: DatasetProfile::Cifar10,
             train_per_class: 16,
@@ -42,49 +36,49 @@ fn main() {
         cfg.sgd.lr = 0.05;
         cfg.alpha = alpha;
         cfg.seed = 13;
-        let env = ExperimentEnv::new(synth, cfg);
-
+        Arc::new(ExperimentEnv::new(synth, cfg))
+    });
+    // How each selection trains out, both pruning progressively: FedTiny
+    // against vanilla selection + progressive pruning, 8 candidates.
+    let rows: Vec<Row> = (envs.iter())
+        .flat_map(|env| {
+            [Method::FedTiny, Method::VanillaProgressive].map(|m| {
+                let mut row = Row::method(env, spec, m, 0.1);
+                row.cfg.pool_size = 8;
+                row.cfg.eval_every = 0;
+                row
+            })
+        })
+        .collect();
+    let records = run_grid(&rows);
+    println!(
+        "{:>6}  {:>12}  {:>12}  {:>12}  {:>12}",
+        "alpha", "adaptive_idx", "vanilla_idx", "fedtiny", "vanilla+prog"
+    );
+    for (rows, records) in rows.chunks(2).zip(records.chunks(2)) {
         // Which candidate does each selection variant pick?
-        let model = env.build_model(&spec);
-        let sel = SelectionConfig {
-            d_target: 0.1,
-            pool_size: 8,
-            noise_spread: 0.5,
-            seed: 13,
-        };
-        let pool = generate_candidate_pool(model.as_ref(), &sel);
-        let adaptive = adaptive_bn_selection(model.as_ref(), &env, &pool);
-        let vanilla = vanilla_selection(model.as_ref(), &env, &pool);
-
-        // And how does each choice train out (selection-only arms)?
-        let base = FedTinyConfig {
-            pool_size: 8,
-            eval_every: 0,
-            ..fedtiny_config(&env, &spec, 0.1)
-        };
-        let adapt = run_fedtiny(&env, &base);
-        let mut vcfg = base;
-        vcfg.selection = SelectionMode::Vanilla;
-        let plain = run_fedtiny(&env, &vcfg);
-
+        let (env, cfg) = (&rows[0].env, rows[0].cfg);
+        let [adaptive, vanilla] = [SelectionMode::AdaptiveBn, SelectionMode::Vanilla]
+            .map(|selection| coarse_prune(env, &FedTinyConfig { selection, ..cfg }).1);
         println!(
-            "{alpha:>6}  {:>12}  {:>12}  {:>10.4}  {:>10.4}",
-            adaptive.selected, vanilla.selected, adapt.accuracy, plain.accuracy
+            "{:>6}  {:>12}  {:>12}  {:>12.4}  {:>12.4}",
+            env.cfg.alpha,
+            adaptive.selected,
+            vanilla.selected,
+            records[0].accuracy,
+            records[1].accuracy
         );
-        // The claim: on the most heterogeneous devices, adaptive BN
-        // selection trains no worse than vanilla selection.
-        let arm = |name: &str, r| (format!("alpha={alpha} {name}"), r);
-        claim.get_or_insert_with(|| {
-            let pair = (arm("adaptive_bn", &adapt), arm("vanilla", &plain));
-            let ncm = nearest_class_mean_accuracy(&env);
-            no_worse(
-                "noniid.adaptive_bn_at_lowest_alpha",
-                "Fig. 4",
-                ncm,
-                ACCURACY_TOLERANCE,
-                &[pair],
-            )
-        });
     }
-    println!("\n{}", claim.expect("three alphas ran"));
+    // The claim: on the most heterogeneous devices, adaptive BN selection
+    // trains no worse than vanilla selection.
+    let [fedtiny, vanilla] =
+        [&records[0], &records[1]].map(|r| (format!("alpha={} {}", alphas[0], r.method), r));
+    let claim = no_worse(
+        "noniid.adaptive_bn_at_lowest_alpha",
+        "Fig. 4",
+        nearest_class_mean_accuracy(&envs[0]),
+        ACCURACY_TOLERANCE,
+        &[(fedtiny, vanilla)],
+    );
+    println!("\n{claim}");
 }

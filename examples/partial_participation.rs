@@ -10,7 +10,7 @@ use fedtiny_suite::data::{DatasetProfile, SynthConfig};
 use fedtiny_suite::fedtiny::{run_fedtiny, FedTinyConfig};
 use fedtiny_suite::fl::{ExperimentEnv, FlConfig, ModelSpec, RunResult};
 use ft_bench::claims::{nearest_class_mean_accuracy, no_worse};
-use ft_bench::methods::fedtiny_config;
+use ft_bench::Method;
 
 /// How much accuracy fewer participants per round may cost and still count
 /// as a graceful degradation.
@@ -41,7 +41,7 @@ fn run_with_participation(participation: f32) -> (RunResult, f32) {
     let ft = FedTinyConfig {
         pool_size: 4,
         eval_every: 0,
-        ..fedtiny_config(&env, &spec, 0.1)
+        ..Method::FedTiny.config(&env, &spec, 0.1)
     };
     (run_fedtiny(&env, &ft), nearest_class_mean_accuracy(&env))
 }

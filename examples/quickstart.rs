@@ -6,11 +6,9 @@
 //! ```
 
 use fedtiny_suite::data::{DatasetProfile, SynthConfig};
-use fedtiny_suite::fedtiny::{
-    adaptive_bn_selection, generate_candidate_pool, run_fedtiny, FedTinyConfig, SelectionConfig,
-};
+use fedtiny_suite::fedtiny::{coarse_prune, run_fedtiny, FedTinyConfig};
 use fedtiny_suite::fl::{ExperimentEnv, FlConfig, ModelSpec};
-use ft_bench::methods::fedtiny_config;
+use ft_bench::Method;
 
 fn main() {
     // 1. A federated environment: synthetic CIFAR-10 split across 4 devices
@@ -35,24 +33,22 @@ fn main() {
         env.test.len()
     );
 
-    // 2. Peek at what the adaptive BN selection module does.
+    // 2. Peek at what the adaptive BN selection module does in a run on
+    //    the paper's schedule, scaled to this run's 12 rounds.
     let spec = ModelSpec::ResNet18 {
         width: 0.125,
         input: 8,
     };
-    let model = env.build_model(&spec);
-    let sel = SelectionConfig {
-        d_target: 0.05,
+    let ft = FedTinyConfig {
         pool_size: 6,
-        noise_spread: 0.5,
-        seed: 42,
+        eval_every: 10,
+        ..Method::FedTiny.config(&env, &spec, 0.05)
     };
-    let pool = generate_candidate_pool(model.as_ref(), &sel);
-    let outcome = adaptive_bn_selection(model.as_ref(), &env, &pool);
+    let (_, outcome) = coarse_prune(&env, &ft);
     println!(
         "selection: candidate {} of {} wins (losses: {:?})",
         outcome.selected,
-        pool.len(),
+        outcome.candidate_losses.len(),
         outcome
             .candidate_losses
             .iter()
@@ -60,13 +56,7 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    // 3. The full pipeline: selection + sparse FedAvg + progressive pruning,
-    //    on the paper's schedule scaled to this run's 12 rounds.
-    let ft = FedTinyConfig {
-        pool_size: 6,
-        eval_every: 10,
-        ..fedtiny_config(&env, &spec, 0.05)
-    };
+    // 3. The full pipeline: selection + sparse FedAvg + progressive pruning.
     let result = run_fedtiny(&env, &ft);
     println!("{}", result.format_summary());
 }

@@ -42,10 +42,11 @@ fn fedtiny_learns_above_chance_on_resnet() {
 fn every_method_produces_consistent_cost_ordering() {
     let env = small_env(101);
     let spec = ModelSpec::small_cnn_test();
-    let dense = run_method(&env, &spec, Method::FedAvg, 1.0);
-    let synflow = run_method(&env, &spec, Method::SynFlow, 0.1);
-    let prunefl = run_method(&env, &spec, Method::PruneFl, 0.1);
-    let lottery = run_method(&env, &spec, Method::LotteryFl, 0.1);
+    let run = |m: Method, d| run_method(&env, m, &m.config(&env, &spec, d));
+    let dense = run(Method::FedAvg, 1.0);
+    let synflow = run(Method::SynFlow, 0.1);
+    let prunefl = run(Method::PruneFl, 0.1);
+    let lottery = run(Method::LotteryFl, 0.1);
 
     // Table I's qualitative cost structure.
     assert!(synflow.max_round_flops < dense.max_round_flops);
@@ -68,7 +69,11 @@ fn fedtiny_cheaper_than_prunefl_and_better_memory() {
     let mut cfg = FedTinyConfig::tiny_for_tests(0.1);
     cfg.model = spec;
     let ft = run_fedtiny(&env, &cfg);
-    let prunefl = run_method(&env, &spec, Method::PruneFl, 0.1);
+    let prunefl = run_method(
+        &env,
+        Method::PruneFl,
+        &Method::PruneFl.config(&env, &spec, 0.1),
+    );
     assert!(ft.max_round_flops < prunefl.max_round_flops);
     assert!(ft.memory_bytes < prunefl.memory_bytes);
 }
@@ -110,7 +115,11 @@ fn dense_fedavg_is_the_accuracy_upper_bound_given_budget() {
     // should land in the neighbourhood of dense FedAvg.
     let env = small_env(105);
     let spec = ModelSpec::small_cnn_test();
-    let dense = run_method(&env, &spec, Method::FedAvg, 1.0);
+    let dense = run_method(
+        &env,
+        Method::FedAvg,
+        &Method::FedAvg.config(&env, &spec, 1.0),
+    );
     let mut cfg = FedTinyConfig::tiny_for_tests(0.9);
     cfg.model = spec;
     let ft = run_fedtiny(&env, &cfg);

@@ -67,7 +67,7 @@ fn baselines_survive_extreme_density() {
     let env = ExperimentEnv::tiny_for_tests(203);
     let spec = ModelSpec::small_cnn_test();
     for method in [Method::SynFlow, Method::FlPqsu, Method::FedDst] {
-        let r = run_method(&env, &spec, method, 0.002);
+        let r = run_method(&env, method, &method.config(&env, &spec, 0.002));
         assert!((0.0..=1.0).contains(&r.accuracy), "{method:?}");
     }
 }

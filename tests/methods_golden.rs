@@ -64,7 +64,7 @@ fn every_method_matches_its_smoke_golden() {
     );
     for m in Method::ALL {
         assert_eq!(Method::from_name(m.name()), Some(m));
-        let r = run_method(&env, &spec, m, 0.2);
+        let r = run_method(&env, m, &m.config(&env, &spec, 0.2));
         assert_eq!(r.method, m.name());
         assert!((0.0..=1.0).contains(&r.accuracy), "{m:?}");
         got.push_str(&render(&r));
