@@ -23,7 +23,6 @@ use ft_data::DatasetProfile;
 use ft_fl::Codec;
 use ft_metrics::{densities_from_mask, sparse_model_bytes_with, IndexWidth};
 use ft_pruning::l1_oneshot_mask;
-use std::sync::Arc;
 
 /// How far `MaskCsr`'s measured uploads may stray from the shared-mask
 /// analytic bytes, as a fraction of the latter.
@@ -34,7 +33,7 @@ const LOSSY_SAVING: f64 = 3.0;
 
 fn main() {
     let scale = Scale::from_env();
-    let env = Arc::new(scale.env(DatasetProfile::Cifar10, 23));
+    let env = scale.env(DatasetProfile::Cifar10, 23);
     let spec = scale.small_cnn();
     let densities: &[f32] = &[0.3, 0.05];
     let codecs = [

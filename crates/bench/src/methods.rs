@@ -114,6 +114,15 @@ impl Method {
         }
     }
 
+    /// The model the method runs when its config names `spec`: the small
+    /// dense model sized against `spec` ([`small_spec_for`]), or `spec`.
+    pub fn model(self, spec: &ModelSpec) -> ModelSpec {
+        match self {
+            Method::SmallModel => small_spec_for(spec),
+            _ => *spec,
+        }
+    }
+
     /// The config [`run_method`] runs the method under at `d_target` on
     /// `spec`: the method's [`codec`](Self::codec); FedTiny's schedule
     /// scaled to the environment, which the iterative baselines share
@@ -148,7 +157,7 @@ impl Method {
 /// progressive pruning switched as the arm says; the iterative baselines
 /// run on its progressive schedule.
 pub fn run_method(env: &ExperimentEnv, method: Method, cfg: &FedTinyConfig) -> RunResult {
-    let env = &*env.codec_view(cfg.codec);
+    let env = &env.clone().with_codec(cfg.codec);
     let (spec, d_target, eval_every) = (&cfg.model, cfg.d_target, cfg.eval_every);
     let schedule = || cfg.progressive.expect("the baselines' schedule").schedule;
     match method {
@@ -173,10 +182,7 @@ pub fn run_method(env: &ExperimentEnv, method: Method, cfg: &FedTinyConfig) -> R
         | Method::Grasp
         | Method::FedAvg
         | Method::SmallModel => {
-            let spec = match method {
-                Method::SmallModel => small_spec_for(spec),
-                _ => *spec,
-            };
+            let spec = method.model(spec);
             let model = env.build_model(&spec);
             let (model, public) = (model.as_ref(), &env.server_public);
             let steps = DEFAULT_ITERATIVE_STEPS;

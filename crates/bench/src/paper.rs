@@ -14,7 +14,6 @@ use ft_fl::{fleet_spread_deadline, DeviceProfile, RunResult, Scheduler};
 use ft_nn::sparse_layout;
 use ft_sparse::PruneSchedule;
 use std::fmt::Display;
-use std::sync::Arc;
 
 /// The records of a `rows × cols` grid, row-major, the labels naming them,
 /// and the artifact and nearest-class-mean accuracy its claims are judged
@@ -66,7 +65,7 @@ fn labels<T: Display>(xs: impl IntoIterator<Item = T>) -> Vec<String> {
 pub fn fig3(scale: &Scale) -> Report {
     let (spec, ds) = (scale.resnet(), scale.density_grid());
     let profiles = [Cifar10, Svhn, Cifar100, Cinic10];
-    let envs = profiles.map(|p| Arc::new(scale.env(p, 3)));
+    let envs = profiles.map(|p| scale.env(p, 3));
     let rows: Vec<Row> = (envs.iter())
         .flat_map(|env| ds.iter().map(move |&d| (env, d)))
         .flat_map(|(env, d)| Method::FIGURE3.map(|m| Row::method(env, spec, m, d)))
@@ -128,7 +127,7 @@ pub fn fig3_claim(profile: &str, ncm: f32, fedtiny: Named, baselines: Vec<Named>
 /// Fig. 4's rows: the four ablation arms at every density of the scale's
 /// grid, VGG11 on CIFAR-10.
 pub fn fig4_rows(scale: &Scale) -> Vec<Row> {
-    let env = Arc::new(scale.env(Cifar10, 5));
+    let env = scale.env(Cifar10, 5);
     (scale.density_grid().into_iter())
         .flat_map(|d| Method::ABLATION.map(|m| Row::method(&env, scale.vgg(), m, d)))
         .collect()
@@ -166,7 +165,7 @@ pub fn fig4(scale: &Scale) -> Report {
 /// `d · pool ≥ 0.1` (the `C* = 0.1/d` rule) buys no accuracy, and the
 /// largest pool's selection communicates more than the smallest's.
 pub fn fig5(scale: &Scale) -> Report {
-    let env = Arc::new(scale.env(Cifar10, 6));
+    let env = scale.env(Cifar10, 6);
     let (spec, ds) = (scale.vgg(), scale.table_densities());
     let pools: &[usize] = match scale.kind {
         ScaleKind::Smoke => &[2, 4],
@@ -239,14 +238,14 @@ pub fn fig6(scale: &Scale) -> Report {
     let (spec, d) = (scale.resnet(), low_density(scale));
     let alphas = [0.3f64, 0.5, 0.7, 1.0];
     let methods = [Method::SynFlow, Method::PruneFl, Method::FedTiny];
-    let envs = alphas.map(|a| Arc::new(scale.env_with_alpha(Cifar10, a, 9)));
+    let envs = alphas.map(|a| scale.env_with_alpha(Cifar10, a, 9));
     let rows: Vec<Row> = (envs.iter())
         .flat_map(|env| methods.map(|m| Row::method(env, spec, m, d)))
         .collect();
     let records = run_grid(&rows);
     let cells = Cells {
         artifact: "Fig. 6",
-        ncm: nearest_class_mean_of(envs.iter().map(|e| &**e)),
+        ncm: nearest_class_mean_of(&envs),
         rows: labels(alphas),
         cols: labels(methods.map(Method::name)),
         records: &records,
@@ -281,7 +280,7 @@ pub fn heterogeneity(scale: &Scale) -> Report {
         Scheduler::Buffered { buffer_k },
     ];
     let rows = policies.map(|policy| {
-        let env = Arc::new(env.clone().with_scheduler(policy));
+        let env = env.clone().with_scheduler(policy);
         Row::method(&env, spec, Method::FedTiny, d_target)
     });
     let records = run_grid(&rows);
@@ -326,7 +325,7 @@ pub fn heterogeneity(scale: &Scale) -> Report {
 /// training does (the paper at d = 0.01 on ResNet18: 0.014×, 0.34× and 1×
 /// dense FLOPs; 2.79, 46.58 and 90.91 MB).
 pub fn table1(scale: &Scale) -> Report {
-    let env = Arc::new(scale.env(Cifar10, 4));
+    let env = scale.env(Cifar10, 4);
     let methods = [
         Method::FlPqsu,
         Method::Snip,
@@ -403,7 +402,7 @@ pub fn table1(scale: &Scale) -> Report {
 /// CIFAR-10. Claim: backward block-wise adjustment at the paper's 10/100
 /// reads no worse than any other schedule at every density.
 pub fn table3(scale: &Scale) -> Report {
-    let env = Arc::new(scale.env(Cifar10, 8));
+    let env = scale.env(Cifar10, 8);
     let (spec, ds, rounds) = (scale.vgg(), scale.table_densities(), env.cfg.rounds);
     // (label, granularity, backward, ΔR divisor, R_stop divisor).
     let schedules = [
@@ -466,14 +465,14 @@ const SMALL_MODEL_TABLES: [Method; 4] = [
 pub fn table4(scale: &Scale) -> Report {
     let (spec, d) = (scale.resnet(), low_density(scale));
     let profiles = [Cifar10, Cinic10, Svhn, Cifar100];
-    let envs = profiles.map(|p| Arc::new(scale.env(p, 10)));
+    let envs = profiles.map(|p| scale.env(p, 10));
     let rows: Vec<Row> = (SMALL_MODEL_TABLES.iter())
         .flat_map(|&m| envs.iter().map(move |env| Row::method(env, spec, m, d)))
         .collect();
     let records = run_grid(&rows);
     let cells = Cells {
         artifact: "Table IV",
-        ncm: nearest_class_mean_of(envs.iter().map(|e| &**e)),
+        ncm: nearest_class_mean_of(&envs),
         rows: labels(SMALL_MODEL_TABLES.map(Method::name)),
         cols: labels(profiles.map(|p| p.name())),
         records: &records,
@@ -491,7 +490,7 @@ pub fn table4(scale: &Scale) -> Report {
 /// density, and at the lowest the small model reads no worse than SynFlow
 /// and PruneFL.
 pub fn table5(scale: &Scale) -> Report {
-    let env = Arc::new(scale.env(Cifar10, 11));
+    let env = scale.env(Cifar10, 11);
     let ds = match scale.kind {
         ScaleKind::Paper => vec![0.01, 0.005, 0.003, 0.001],
         _ => scale.density_grid(),

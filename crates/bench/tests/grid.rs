@@ -16,7 +16,6 @@ use ft_fl::{Codec, ExperimentEnv, RunResult};
 use ft_metrics::ExtraMemory;
 use ft_pruning::{l1_oneshot_mask, run_with_fixed_mask};
 use ft_runtime::Runtime;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A record as bits, wall-clock aside.
@@ -37,8 +36,8 @@ fn bits(r: &RunResult) -> String {
 fn smoke_rows() -> Vec<Row> {
     let scale = Scale::new(ScaleKind::Smoke);
     let spec = scale.small_cnn();
-    let a = Arc::new(scale.env(DatasetProfile::Cifar10, 5));
-    let b = Arc::new(scale.env(DatasetProfile::Svhn, 6));
+    let a = scale.env(DatasetProfile::Cifar10, 5);
+    let b = scale.env(DatasetProfile::Svhn, 6);
     let mut pool = Row::method(&b, spec, Method::FedTiny, 0.1);
     pool.cfg.pool_size = 2;
     let mut int8 = Row::method(&a, spec, Method::FlPqsu, 0.05);
@@ -66,7 +65,7 @@ fn direct(row: &Row) -> RunResult {
     match row.method {
         Method::FedTiny => run_fedtiny(&row.env, cfg),
         Method::FlPqsu if cfg.codec != Method::FlPqsu.codec() => {
-            let env = ExperimentEnv::clone(&row.env).with_codec(cfg.codec);
+            let env = row.env.clone().with_codec(cfg.codec);
             let mask = l1_oneshot_mask(env.build_model(spec).as_ref(), cfg.d_target);
             let extra = ExtraMemory::None;
             run_with_fixed_mask(&env, spec, &mask, "flpqsu", extra, cfg.eval_every)
@@ -101,6 +100,17 @@ fn grid_records_come_back_in_row_order() {
     );
     let codecs: Vec<&str> = records.iter().map(|r| &*r.codec).collect();
     assert_eq!(codecs[3..], ["dense", "quant_int8", "top_k"]);
+}
+
+/// A small-model row is dealt by the small CNN it runs, not by the ResNet18
+/// its config names, so a FedTiny row on that ResNet18 goes first.
+#[test]
+fn grid_deals_small_model_rows_by_the_model_they_run() {
+    let scale = Scale::new(ScaleKind::Smoke);
+    let env = scale.env(DatasetProfile::Cifar10, 5);
+    let rows =
+        [Method::SmallModel, Method::FedTiny].map(|m| Row::method(&env, scale.resnet(), m, 0.1));
+    assert_eq!(deal_order(&rows), [1, 0]);
 }
 
 /// A hand-built record: accuracy `acc`, its history `history`.

@@ -104,20 +104,16 @@ pub const SERVE_FLAGS: &[&str] = &[
     "--demo",
 ];
 
-/// `ft device`'s options: the shared ones and where to connect as whom.
+/// `ft device`'s options: the shared ones a device reads (it runs the demo
+/// preset and keeps no checkpoint, metrics or reference) and where to
+/// connect as whom.
 pub const DEVICE_FLAGS: &[&str] = &[
-    "--preset",
     "--devices",
     "--rounds",
     "--codec",
     "--aggregator",
     "--byzantine",
     "--threads",
-    "--checkpoint",
-    "--resume",
-    "--halt-after",
-    "--metrics",
-    "--no-verify",
     "--connect",
     "--device",
 ];

@@ -102,7 +102,8 @@ OPTIONS:
     --codec <name>         Wire codec (must match the server)
     --aggregator <name>    Aggregation rule (must match the server)
     --byzantine <d:b>      Behavior table; if this device is listed it
-                           runs the misbehaving client";
+                           runs the misbehaving client
+    --threads <n>          Worker threads (0 = auto via FT_THREADS)";
 
 pub const RESUME: &str = "\
 ft resume — continue a checkpointed run

@@ -3,16 +3,18 @@
 use ft_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A labelled image dataset stored as one flat `f32` buffer.
 ///
 /// Images use `[c, h, w]` layout per sample; batches come out as
-/// `[n, c, h, w]` tensors ready for the models in `ft-nn`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// `[n, c, h, w]` tensors ready for the models in `ft-nn`. A dataset never
+/// changes once built, so its clones share its sample buffers: a clone
+/// copies no samples.
+#[derive(Clone, Debug)]
 pub struct Dataset {
-    images: Vec<f32>,
-    labels: Vec<usize>,
+    images: Arc<Vec<f32>>,
+    labels: Arc<Vec<usize>>,
     channels: usize,
     height: usize,
     width: usize,
@@ -42,8 +44,8 @@ impl Dataset {
         );
         assert!(labels.iter().all(|&y| y < classes), "label out of range");
         Dataset {
-            images,
-            labels,
+            images: Arc::new(images),
+            labels: Arc::new(labels),
             channels,
             height,
             width,
@@ -152,8 +154,8 @@ impl Dataset {
             labels.push(self.labels[i]);
         }
         Dataset {
-            images,
-            labels,
+            images: Arc::new(images),
+            labels: Arc::new(labels),
             channels: self.channels,
             height: self.height,
             width: self.width,
@@ -182,7 +184,7 @@ impl Dataset {
     /// Per-class sample counts (length = `classes`).
     pub fn class_histogram(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.classes];
-        for &y in &self.labels {
+        for &y in self.labels.iter() {
             h[y] += 1;
         }
         h
@@ -269,6 +271,14 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d.classes(), 4);
         assert_eq!(d.labels(), &[0, 2]);
+    }
+
+    #[test]
+    fn clones_share_their_buffers() {
+        let d = ds();
+        let c = d.clone();
+        assert!(Arc::ptr_eq(&d.images, &c.images));
+        assert!(Arc::ptr_eq(&d.labels, &c.labels));
     }
 
     #[test]

@@ -172,7 +172,7 @@ pub fn run_fedtiny_with(
     cfg: &FedTinyConfig,
     opts: FedTinyRunOptions<'_>,
 ) -> Result<RunResult, ServerError> {
-    let env = &*env.codec_view(cfg.codec);
+    let env = &env.clone().with_codec(cfg.codec);
     // --- Module 1: coarse pruning by candidate selection.
     let (mut global, outcome) = coarse_prune(env, cfg);
     let mut mask = outcome.mask.clone();

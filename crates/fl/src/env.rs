@@ -94,17 +94,6 @@ impl ExperimentEnv {
         self
     }
 
-    /// A view of this environment with `codec` selected: borrows when the
-    /// codec already matches and clones (datasets included) only when it
-    /// actually changes — method runners call this per run.
-    pub fn codec_view(&self, codec: ft_sparse::Codec) -> std::borrow::Cow<'_, Self> {
-        if self.cfg.codec == codec {
-            std::borrow::Cow::Borrowed(self)
-        } else {
-            std::borrow::Cow::Owned(self.clone().with_codec(codec))
-        }
-    }
-
     /// The device profile of device `k` (fleet indexed modulo its length;
     /// an empty fleet falls back to the uniform reference profile).
     pub fn device_profile(&self, k: usize) -> DeviceProfile {

@@ -11,7 +11,6 @@ use fedtiny_suite::fl::{ExperimentEnv, FlConfig, ModelSpec};
 use ft_bench::claims::nearest_class_mean_accuracy;
 use ft_bench::paper::fig3_claim;
 use ft_bench::{run_grid, Method, Row};
-use std::sync::Arc;
 
 fn main() {
     let synth = SynthConfig {
@@ -28,7 +27,7 @@ fn main() {
     cfg.local_epochs = 1;
     cfg.sgd.lr = 0.05;
     cfg.seed = 7;
-    let env = Arc::new(ExperimentEnv::new(synth, cfg));
+    let env = ExperimentEnv::new(synth, cfg);
     let spec = ModelSpec::ResNet18 {
         width: 0.125,
         input: 8,

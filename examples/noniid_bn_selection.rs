@@ -12,7 +12,6 @@ use fedtiny_suite::fedtiny::{coarse_prune, FedTinyConfig, SelectionMode};
 use fedtiny_suite::fl::{ExperimentEnv, FlConfig, ModelSpec};
 use ft_bench::claims::{nearest_class_mean_accuracy, no_worse, ACCURACY_TOLERANCE};
 use ft_bench::{run_grid, Method, Row};
-use std::sync::Arc;
 
 fn main() {
     let spec = ModelSpec::ResNet18 {
@@ -36,7 +35,7 @@ fn main() {
         cfg.sgd.lr = 0.05;
         cfg.alpha = alpha;
         cfg.seed = 13;
-        Arc::new(ExperimentEnv::new(synth, cfg))
+        ExperimentEnv::new(synth, cfg)
     });
     // How each selection trains out, both pruning progressively: FedTiny
     // against vanilla selection + progressive pruning, 8 candidates.

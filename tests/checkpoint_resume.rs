@@ -490,7 +490,7 @@ fn ckpt_unreadable_or_unexpected_hook_state_is_refused() {
 
     // The checkpoint as written, resumed by a run without a hook.
     std::fs::write(&path, &saved).expect("write checkpoint");
-    let env = env.codec_view(cfg.codec);
+    let env = env.with_codec(cfg.codec);
     let mut model = env.build_model(&cfg.model);
     let mut mask = Mask::ones(&sparse_layout(model.as_ref()));
     let mut ledger = CostLedger::new();

@@ -451,6 +451,7 @@ fn unknown_options_are_refused_not_ignored() {
         "resume --checkpoint none.ckpt --bogus",
         "serve --demo --bogus 1",
         "device --connect 127.0.0.1:1 --device 0 --bogus",
+        "device --connect 127.0.0.1:1 --device 0 --checkpoint x",
         "ckpt inspect none.ckpt --bogus",
         "watch 127.0.0.1:1 --bogus",
         "bench --bogus",
